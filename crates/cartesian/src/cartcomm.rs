@@ -4,7 +4,7 @@
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
-use cartcomm_comm::obs::TraceEvent;
+use cartcomm_comm::obs::{Obs, TraceEvent};
 use cartcomm_comm::Comm;
 use cartcomm_topo::{CartTopology, DistGraphTopology, Offset, RelNeighborhood, TopoError};
 
@@ -261,55 +261,27 @@ impl CartComm {
             PlanKind::ReduceScatter => &self.reduce_scatter_plan,
             PlanKind::Allreduce => &self.allreduce_plan,
         };
-        Arc::clone(cell.get_or_init(|| {
-            self.store
-                .schedule(schedule_key(&self.nb, kind), || match kind {
-                    PlanKind::Alltoall => alltoall_plan(&self.nb),
-                    PlanKind::Allgather => allgather_plan(&self.nb),
-                    PlanKind::ReduceScatter => reduce_scatter_plan(&self.nb),
-                    PlanKind::Allreduce => allreduce_plan(&self.nb),
-                })
-        }))
+        Arc::clone(cell.get_or_init(|| schedule_in_store(&self.store, &self.nb, kind)))
     }
 
-    /// Store-or-compile core behind [`Plans::compiled`]: resolve the full
-    /// program identity (topology, neighborhood, rank, kind, layouts) to a
-    /// store key and look it up in this communicator's [`PlanStore`]. The
-    /// store shares programs process-wide; hit/miss counters, metrics, and
-    /// trace events here attribute each lookup to *this* communicator.
+    /// Store-or-compile core behind [`Plans::compiled`]: the shared
+    /// [`lookup_attributed`], with the per-communicator hit/miss counters
+    /// on top.
     fn compiled_for(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<Arc<CompiledPlan>> {
-        let obs = self.comm.obs();
-        let key = store_key(&self.topo, &self.nb, self.rank(), kind, &lay);
-        let (cp, hit) = self.store.get_or_compile(key, || {
+        let rank = self.rank();
+        let key = store_key(&self.topo, &self.nb, rank, kind, &lay);
+        let (cp, hit) = lookup_attributed(&self.store, key, rank, self.comm.obs(), || {
             let plan = self.schedule_for(kind);
             let lay = crate::ops::size_temp(lay, kind, plan.temp_slots)?;
-            Ok(Arc::new(CompiledPlan::compile(
-                &self.topo,
-                self.rank(),
-                &plan,
-                &lay,
-                CART_TAG_BASE,
-            )?))
+            let cp = CompiledPlan::compile(&self.topo, rank, &plan, &lay, CART_TAG_BASE)?;
+            Ok(Arc::new(cp))
         })?;
-        if hit {
-            self.cache_hits.set(self.cache_hits.get() + 1);
-            obs.metrics().plan_cache_hit();
-            obs.emit(
-                self.rank(),
-                TraceEvent::PlanCacheHit {
-                    fingerprint: key as u64,
-                },
-            );
+        let count = if hit {
+            &self.cache_hits
         } else {
-            self.cache_misses.set(self.cache_misses.get() + 1);
-            obs.metrics().plan_cache_miss();
-            obs.emit(
-                self.rank(),
-                TraceEvent::PlanCacheMiss {
-                    fingerprint: key as u64,
-                },
-            );
-        }
+            &self.cache_misses
+        };
+        count.set(count.get() + 1);
         Ok(cp)
     }
 
@@ -342,14 +314,51 @@ impl CartComm {
     /// the condition under which the message-combining schedules may route
     /// through intermediate processes for every rank.
     pub fn combining_applicable(&self) -> bool {
-        (0..self.topo.ndims())
-            .all(|k| self.topo.periods()[k] || self.nb.offsets().iter().all(|o| o[k] == 0))
+        crate::ops::check_combining(&self.topo, &self.nb).is_ok()
     }
 
     /// The offsets, as a convenience for iteration.
     pub fn offsets(&self) -> &[Offset] {
         self.nb.offsets()
     }
+}
+
+/// The schedule for `kind` over `nb`, from `store` (built on first use).
+pub(crate) fn schedule_in_store(
+    store: &PlanStore,
+    nb: &RelNeighborhood,
+    kind: PlanKind,
+) -> Arc<Plan> {
+    store.schedule(schedule_key(nb, kind), || match kind {
+        PlanKind::Alltoall => alltoall_plan(nb),
+        PlanKind::Allgather => allgather_plan(nb),
+        PlanKind::ReduceScatter => reduce_scatter_plan(nb),
+        PlanKind::Allreduce => allreduce_plan(nb),
+    })
+}
+
+/// Look `rank`'s program up in `store` under `key` (its full identity,
+/// see [`store_key`]), compiling on a miss, and attribute the lookup to
+/// `obs` as a plan-cache hit or miss — counter and trace event. The store
+/// shares programs process-wide; this is what keeps the accounting per
+/// rank. Returns the program and whether it was a hit.
+pub(crate) fn lookup_attributed(
+    store: &PlanStore,
+    key: u128,
+    rank: usize,
+    obs: &Obs,
+    compile: impl FnOnce() -> CartResult<Arc<CompiledPlan>>,
+) -> CartResult<(Arc<CompiledPlan>, bool)> {
+    let (cp, hit) = store.get_or_compile(key, compile)?;
+    let fingerprint = key as u64;
+    if hit {
+        obs.metrics().plan_cache_hit();
+        obs.emit(rank, TraceEvent::PlanCacheHit { fingerprint });
+    } else {
+        obs.metrics().plan_cache_miss();
+        obs.emit(rank, TraceEvent::PlanCacheMiss { fingerprint });
+    }
+    Ok((cp, hit))
 }
 
 /// Compiled-plan cache telemetry, in absolute counts since communicator

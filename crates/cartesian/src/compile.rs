@@ -26,9 +26,10 @@
 //! one core loop, so the two modes cannot drift.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use cartcomm_comm::obs::TraceEvent;
-use cartcomm_comm::{Comm, ExchangeBatch, ExchangeOpts, PooledBuf, RecvSpec, SrcSel, Tag};
+use cartcomm_comm::obs::{Obs, TraceEvent};
+use cartcomm_comm::{Comm, CommError, ExchangeBatch, ExchangeOpts, RecvSpec, SrcSel, Tag};
 use cartcomm_topo::CartTopology;
 use cartcomm_types::kernel::{self, PackSpan};
 use cartcomm_types::{Reducer, TypeError};
@@ -558,6 +559,7 @@ fn buf_tag(buf: BufId) -> u64 {
 
 /// Minimal FNV-1a 64 over a u64 stream: deterministic across platforms and
 /// compiler versions, so fingerprints can be committed as goldens.
+#[derive(Clone, Copy)]
 pub(crate) struct Fnv(u64);
 
 impl Fnv {
@@ -641,7 +643,7 @@ impl Mem<'_> {
         }
     }
 
-    fn gather(&self, prog: &SpanProgram, wire: &mut PooledBuf) {
+    fn gather(&self, prog: &SpanProgram, wire: &mut Vec<u8>) {
         for b in &prog.batches {
             kernel::gather_spans(self.read(b.buf), prog.batch_spans(b), wire);
         }
@@ -833,6 +835,124 @@ fn spec_src(spec: &RecvSpec) -> usize {
     }
 }
 
+/// One rank's side of an execution: its buffers, reducer, and
+/// observability handle. Both carriers step a compiled program through
+/// these three halves — [`RankExec::copies`], [`RankExec::pack`],
+/// [`RankExec::unpack`] — so counters, trace events, the length check and
+/// the reducer path exist once; a carrier only decides where a packed
+/// wire lives between `pack` and `unpack` (a pooled buffer crossing the
+/// fabric, or a span of the inline slab).
+struct RankExec<'a> {
+    mem: Mem<'a>,
+    stage: &'a mut Vec<u8>,
+    obs: &'a Obs,
+    rank: usize,
+    red: Option<Reducer>,
+}
+
+impl RankExec<'_> {
+    /// The phase's local copies, in list order.
+    fn copies(&mut self, phase: &CompiledPhase) {
+        for c in &phase.copies {
+            self.mem.run_copy(c, self.stage, self.red);
+        }
+    }
+
+    /// Pack half of one round: gather the outgoing message onto the end
+    /// of `wire` and account for it. `round` is the global round index,
+    /// `from` the rank this round's receive is posted for.
+    fn pack(
+        &self,
+        k: usize,
+        round: usize,
+        r: &CompiledRound,
+        from: usize,
+        wire: &mut Vec<u8>,
+        traced: bool,
+    ) {
+        let start = wire.len();
+        self.mem.gather(&r.gather, wire);
+        debug_assert_eq!(
+            wire.len() - start,
+            r.wire_len,
+            "gather fills the wire exactly"
+        );
+        let metrics = self.obs.metrics();
+        metrics.round_started();
+        metrics.pack(r.gather.span_count(), r.wire_len);
+        if traced {
+            self.obs.emit(
+                self.rank,
+                TraceEvent::RoundStart {
+                    phase: k,
+                    round,
+                    to: r.target,
+                    from,
+                    wire_bytes: r.wire_len,
+                    attempt: 0,
+                },
+            );
+            self.obs.emit(
+                self.rank,
+                TraceEvent::PackSpan {
+                    round,
+                    spans: r.gather.span_count(),
+                    bytes: r.wire_len,
+                },
+            );
+        }
+    }
+
+    /// Unpack half of one round: scatter (or fold) the message `from`
+    /// packed for this rank into the receive and temp buffers.
+    fn unpack(
+        &mut self,
+        k: usize,
+        round: usize,
+        r: &CompiledRound,
+        from: usize,
+        wire: &[u8],
+        traced: bool,
+    ) -> CartResult<()> {
+        if wire.len() != r.wire_len {
+            return Err(CartError::BadBufferSize {
+                what: "incoming round message",
+                expected: r.wire_len,
+                actual: wire.len(),
+            });
+        }
+        self.mem.scatter(&r.scatter, wire, self.red);
+        self.obs.metrics().round_completed();
+        if traced {
+            self.obs.emit(
+                self.rank,
+                TraceEvent::RoundEnd {
+                    phase: k,
+                    round,
+                    to: r.target,
+                    from,
+                    wire_bytes: r.wire_len,
+                    attempt: 0,
+                },
+            );
+            if self.red.is_some() {
+                self.obs.emit(
+                    self.rank,
+                    TraceEvent::AccumSpan {
+                        round,
+                        spans: r.scatter.span_count(),
+                        bytes: r.wire_len,
+                    },
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The threaded carrier: one rank per thread, each phase's wires cross
+/// the fabric in one [`Comm::exchange`] between the pack and unpack
+/// halves.
 fn execute_core(
     comm: &Comm,
     cp: &CompiledPlan,
@@ -845,100 +965,232 @@ fn execute_core(
         scratch.temp.resize(cp.temp_len, 0);
     }
     let ExecScratch { temp, stage, batch } = scratch;
-    let mut mem = Mem {
-        send,
-        user,
-        temp: temp.as_mut_slice(),
-    };
     let obs = comm.obs();
-    let metrics = obs.metrics();
-    let rank = comm.rank();
+    let mut ex = RankExec {
+        mem: Mem {
+            send,
+            user,
+            temp: temp.as_mut_slice(),
+        },
+        stage,
+        obs,
+        rank: comm.rank(),
+        red,
+    };
     let mut round_base = 0usize;
     for (k, phase) in cp.phases.iter().enumerate() {
-        for c in &phase.copies {
-            mem.run_copy(c, stage, red);
-        }
+        ex.copies(phase);
         if phase.rounds.is_empty() {
             continue;
         }
         // With tracing disabled (the common case), the per-phase cost of
-        // observability is the counter increments below plus one relaxed
-        // load per emit site — no clock reads, no event construction.
+        // observability is the counter increments in the two halves plus
+        // one relaxed load per emit site — no clock reads, no event
+        // construction.
         let traced = obs.enabled();
         let t0 = if traced { obs.now_ns() } else { 0 };
         for (i, r) in phase.rounds.iter().enumerate() {
             let mut wire = comm.wire_buf(r.wire_len);
-            mem.gather(&r.gather, &mut wire);
-            debug_assert_eq!(wire.len(), r.wire_len, "gather fills the wire exactly");
-            metrics.round_started();
-            metrics.pack(r.gather.span_count(), r.wire_len);
-            if traced {
-                let round = round_base + i;
-                obs.emit(
-                    rank,
-                    TraceEvent::RoundStart {
-                        phase: k,
-                        round,
-                        to: r.target,
-                        from: spec_src(&phase.specs[i]),
-                        wire_bytes: r.wire_len,
-                        attempt: 0,
-                    },
-                );
-                obs.emit(
-                    rank,
-                    TraceEvent::PackSpan {
-                        round,
-                        spans: r.gather.span_count(),
-                        bytes: r.wire_len,
-                    },
-                );
-            }
+            let from = spec_src(&phase.specs[i]);
+            ex.pack(k, round_base + i, r, from, &mut wire, traced);
             batch.send(r.target, r.tag, wire);
         }
         comm.exchange(batch, &phase.specs, ExchangeOpts::pooled())?;
         for (i, r) in phase.rounds.iter().enumerate() {
             let (wire, status) = batch.take_result(i).expect("exchange fills every slot");
-            if wire.len() != r.wire_len {
-                return Err(CartError::BadBufferSize {
-                    what: "incoming round message",
-                    expected: r.wire_len,
-                    actual: wire.len(),
-                });
-            }
-            mem.scatter(&r.scatter, &wire, red);
-            metrics.round_completed();
-            if traced {
-                obs.emit(
-                    rank,
-                    TraceEvent::RoundEnd {
-                        phase: k,
-                        round: round_base + i,
-                        to: r.target,
-                        from: status.src,
-                        wire_bytes: r.wire_len,
-                        attempt: 0,
-                    },
-                );
-                if red.is_some() {
-                    obs.emit(
-                        rank,
-                        TraceEvent::AccumSpan {
-                            round: round_base + i,
-                            spans: r.scatter.span_count(),
-                            bytes: r.wire_len,
-                        },
-                    );
-                }
-            }
+            ex.unpack(k, round_base + i, r, status.src, &wire, traced)?;
             // `wire` drops here and recycles into this rank's pool.
         }
         if traced {
             // One latency sample per phase exchange: the rounds of a phase
             // complete together in a single `Waitall`-style batch.
-            metrics.record_round_ns(obs.now_ns().saturating_sub(t0));
+            obs.metrics()
+                .record_round_ns(obs.now_ns().saturating_sub(t0));
         }
         round_base += phase.rounds.len();
     }
     Ok(())
+}
+
+/// Reusable state of the inline carrier: every rank's temp buffer, the
+/// shared copy-staging buffer, and the one wire slab all ranks of a phase
+/// pack into. Held across runs so the steady state allocates nothing.
+#[derive(Default)]
+pub(crate) struct InlineScratch {
+    temps: Vec<Vec<u8>>,
+    stage: Vec<u8>,
+    slab: Vec<u8>,
+    /// Start of round `i` of rank `r` in `slab`, at `r * rounds + i`.
+    offs: Vec<usize>,
+    /// Per-rank phase start stamps (read only while a rank is traced).
+    t0: Vec<u64>,
+}
+
+/// All ranks' buffers during one inline run; lends one rank's executor
+/// at a time.
+struct Ranks<'a> {
+    send: &'a [u8],
+    recv: &'a mut [u8],
+    /// Per-rank `(send, recv)` strides.
+    strides: (usize, usize),
+    temps: &'a mut [Vec<u8>],
+    stage: &'a mut Vec<u8>,
+    obs: &'a [Arc<Obs>],
+    red: Option<Reducer>,
+}
+
+impl Ranks<'_> {
+    fn exec(&mut self, rank: usize) -> RankExec<'_> {
+        let (ss, rs) = self.strides;
+        RankExec {
+            mem: Mem {
+                send: Some(&self.send[rank * ss..(rank + 1) * ss]),
+                user: &mut self.recv[rank * rs..(rank + 1) * rs],
+                temp: &mut self.temps[rank],
+            },
+            stage: self.stage,
+            obs: &self.obs[rank],
+            rank,
+            red: self.red,
+        }
+    }
+}
+
+/// The inline carrier: the calling thread steps every rank's program
+/// through the same halves as [`execute_core`], phase by phase — all
+/// ranks pack, then all ranks unpack. No wire leaves the slab, so there is
+/// no channel, lock or wake-up; the carrier credits the counters the
+/// fabric and the matcher would (`exchange_started`, `add_wire_sent`,
+/// `message_matched`) so every per-rank count reads as it does threaded.
+///
+/// Round `i` of receiver `q` reads round `i` of its compiled source: tags
+/// are `tag_base + global round index` on every rank, so tag matching on
+/// the fabric pairs exactly these two. The pairing is checked (the
+/// source's round must target `q` under the same tag; the shared unpack
+/// half checks the length), not assumed.
+///
+/// `send` and `recv` hold the `p` ranks' buffers back to back in equal
+/// strides. `plans[r]` and `obs[r]` belong to rank `r`.
+pub(crate) fn execute_inline(
+    plans: &[Arc<CompiledPlan>],
+    obs: &[Arc<Obs>],
+    send: &[u8],
+    recv: &mut [u8],
+    scratch: &mut InlineScratch,
+    red: Option<Reducer>,
+) -> CartResult<()> {
+    let p = plans.len();
+    let Some(first) = plans.first() else {
+        return Ok(());
+    };
+    if first.kind.is_reduction() != red.is_some() {
+        return Err(if red.is_some() {
+            CartError::Type(TypeError::InvalidArgument(
+                "a reducer was given for a plan that does not reduce".into(),
+            ))
+        } else {
+            needs_reducer()
+        });
+    }
+    let (ss, rs) = (send.len() / p, recv.len() / p);
+    scratch.temps.resize_with(p, Vec::new);
+    scratch.t0.resize(p, 0);
+    for (cp, temp) in plans.iter().zip(&mut scratch.temps) {
+        if ss < cp.send_min_len {
+            return Err(too_small(cp.send_min_len, ss));
+        }
+        if rs < cp.recv_min_len {
+            return Err(too_small(cp.recv_min_len, rs));
+        }
+        if cp.phases.len() != first.phases.len() {
+            return Err(unpaired("ranks disagree on the number of phases"));
+        }
+        if temp.len() < cp.temp_len {
+            temp.resize(cp.temp_len, 0);
+        }
+    }
+    let InlineScratch {
+        temps,
+        stage,
+        slab,
+        offs,
+        t0,
+    } = scratch;
+    let mut ranks = Ranks {
+        send,
+        recv,
+        strides: (ss, rs),
+        temps,
+        stage,
+        obs,
+        red,
+    };
+    let mut round_base = 0usize;
+    for k in 0..first.phases.len() {
+        let nr = first.phases[k].rounds.len();
+        slab.clear();
+        offs.clear();
+        for (rank, cp) in plans.iter().enumerate() {
+            let phase = &cp.phases[k];
+            if phase.rounds.len() != nr {
+                return Err(unpaired("ranks disagree on a phase's round count"));
+            }
+            let mut ex = ranks.exec(rank);
+            ex.copies(phase);
+            if nr == 0 {
+                continue;
+            }
+            let obs = ex.obs;
+            let traced = obs.enabled();
+            if traced {
+                t0[rank] = obs.now_ns();
+            }
+            obs.metrics().exchange_started();
+            for (i, r) in phase.rounds.iter().enumerate() {
+                let from = spec_src(&phase.specs[i]);
+                offs.push(slab.len());
+                ex.pack(k, round_base + i, r, from, slab, traced);
+                obs.metrics().add_wire_sent(r.wire_len);
+            }
+        }
+        if nr == 0 {
+            continue;
+        }
+        for (rank, cp) in plans.iter().enumerate() {
+            let phase = &cp.phases[k];
+            let mut ex = ranks.exec(rank);
+            let obs = ex.obs;
+            let traced = obs.enabled();
+            for (i, r) in phase.rounds.iter().enumerate() {
+                let src = spec_src(&phase.specs[i]);
+                let sent = plans
+                    .get(src)
+                    .map(|cp| &cp.phases[k].rounds[i])
+                    .filter(|sent| sent.target == rank && sent.tag == r.tag)
+                    .ok_or_else(|| unpaired("a round's source does not send to its receiver"))?;
+                let at = offs[src * nr + i];
+                let wire = &slab[at..at + sent.wire_len];
+                obs.metrics().message_matched(wire.len());
+                obs.emit_with(rank, || TraceEvent::ExchangeMatched {
+                    src,
+                    tag: r.tag,
+                    bytes: wire.len(),
+                    slot: i,
+                });
+                ex.unpack(k, round_base + i, r, src, wire, traced)?;
+            }
+            if traced {
+                obs.metrics()
+                    .record_round_ns(obs.now_ns().saturating_sub(t0[rank]));
+            }
+        }
+        round_base += nr;
+    }
+    Ok(())
+}
+
+fn unpaired(what: &str) -> CartError {
+    CartError::Comm(CommError::InvalidExchange(format!(
+        "inline execution: {what}"
+    )))
 }

@@ -1,0 +1,313 @@
+//! The inline universe: every rank of a Cartesian communicator executed
+//! by the calling thread.
+//!
+//! Every process of an isomorphic neighborhood runs the same round
+//! sequence, and a [`CompiledPlan`] is rank-resolved data, so a collective
+//! over `p` ranks inside one address space needs no rank threads: the
+//! caller steps the `p` compiled programs phase by phase — all ranks pack,
+//! then all ranks unpack — through the same executor halves the threaded
+//! carrier uses (see [`crate::compile`]). Nothing is sent, matched, locked
+//! or woken; the wires of a phase sit side by side in one reusable slab.
+//!
+//! An [`InlineUniverse`] is the resident state for that: the topology and
+//! neighborhood, one [`Obs`] per rank (so per-rank round, volume, pack and
+//! plan-cache counts — and attached trace sinks — read exactly as they do
+//! on rank threads), per-rank temp buffers and the slab. Programs come
+//! from the shared [`PlanStore`] under the same keys [`CartComm`] resolves,
+//! so inline and threaded executions of one shape share compiled bytes.
+//!
+//! Only what compiles runs here: the message-combining schedules on a
+//! topology periodic in every dimension the neighborhood moves in.
+//!
+//! [`CartComm`]: crate::CartComm
+
+use std::cell::OnceCell;
+use std::sync::Arc;
+
+use cartcomm_comm::obs::Obs;
+use cartcomm_topo::{CartTopology, RelNeighborhood};
+use cartcomm_types::Reducer;
+
+use crate::cartcomm::{lookup_attributed, schedule_in_store};
+use crate::compile::{execute_inline, CompiledPlan, InlineScratch};
+use crate::error::{CartError, CartResult};
+use crate::exec::{ExecLayouts, CART_TAG_BASE};
+use crate::ops::{check_combining, check_layout_shape, size_temp};
+use crate::plan::{Plan, PlanKind};
+use crate::plan_store::{KeyStem, PlanStore};
+
+/// All `p` ranks of a Cartesian neighborhood communicator, executed on
+/// the calling thread. See the [module docs](self).
+pub struct InlineUniverse {
+    topo: CartTopology,
+    nb: RelNeighborhood,
+    store: Arc<PlanStore>,
+    obs: Vec<Arc<Obs>>,
+    /// The schedule per [`PlanKind`], fetched from the store once.
+    schedules: [OnceCell<Arc<Plan>>; 4],
+    /// The current run's per-rank programs (kept for its capacity).
+    plans: Vec<Arc<CompiledPlan>>,
+    scratch: InlineScratch,
+}
+
+impl InlineUniverse {
+    /// An inline universe over the `dims`/`periods` topology with the
+    /// isomorphic neighborhood `nb`, resolving programs in the
+    /// process-wide [`PlanStore`]. Fails with
+    /// [`CartError::CombiningNeedsTorus`] when `nb` moves in a
+    /// non-periodic dimension: such schedules do not compile.
+    pub fn new(dims: &[usize], periods: &[bool], nb: RelNeighborhood) -> CartResult<Self> {
+        let topo = CartTopology::new(dims, periods)?;
+        if nb.ndims() != topo.ndims() {
+            return Err(CartError::Topo(
+                cartcomm_topo::TopoError::DimensionMismatch {
+                    expected: topo.ndims(),
+                    actual: nb.ndims(),
+                },
+            ));
+        }
+        check_combining(&topo, &nb)?;
+        let obs = (0..topo.size()).map(|_| Arc::new(Obs::new())).collect();
+        Ok(InlineUniverse {
+            topo,
+            nb,
+            store: PlanStore::global(),
+            obs,
+            schedules: Default::default(),
+            plans: Vec::new(),
+            scratch: InlineScratch::default(),
+        })
+    }
+
+    /// Resolve programs in `store` instead of the process-wide one (see
+    /// [`CartComm::with_plan_store`](crate::CartComm::with_plan_store)).
+    pub fn with_plan_store(mut self, store: Arc<PlanStore>) -> Self {
+        self.store = store;
+        self
+    }
+
+    /// Number of ranks.
+    pub fn size(&self) -> usize {
+        self.topo.size()
+    }
+
+    /// The Cartesian topology.
+    pub fn topology(&self) -> &CartTopology {
+        &self.topo
+    }
+
+    /// The t-neighborhood.
+    pub fn neighborhood(&self) -> &RelNeighborhood {
+        &self.nb
+    }
+
+    /// Rank `rank`'s observability handle: its metrics registry counts
+    /// that rank's rounds, wire bytes, pack spans and plan-cache lookups,
+    /// and a sink attached here sees that rank's trace events.
+    pub fn obs(&self, rank: usize) -> &Arc<Obs> {
+        &self.obs[rank]
+    }
+
+    /// The message-combining schedule for `kind` (shared through the
+    /// store with every communicator over this neighborhood).
+    pub fn schedule(&self, kind: PlanKind) -> Arc<Plan> {
+        Arc::clone(
+            self.schedules[kind as usize]
+                .get_or_init(|| schedule_in_store(&self.store, &self.nb, kind)),
+        )
+    }
+
+    /// Execute the `kind` collective over `lay` on all ranks. `send` and
+    /// `recv` hold the ranks' buffers back to back, rank `r` owning the
+    /// `r`-th of `p` equal strides; `lay` describes one rank's buffers
+    /// (build it with [`crate::ops::v_layouts`], [`crate::ops::w_layouts`]
+    /// or [`crate::ops::regular_layouts`]). Reductions take their
+    /// [`Reducer`] in `red`; the copying collectives take `None`.
+    ///
+    /// Each rank's program comes from the plan store under the key
+    /// [`CartComm`](crate::CartComm) would use, and the lookup is
+    /// attributed to that rank's [`Obs`].
+    pub fn run(
+        &mut self,
+        kind: PlanKind,
+        lay: &ExecLayouts,
+        red: Option<Reducer>,
+        send: &[u8],
+        recv: &mut [u8],
+    ) -> CartResult<()> {
+        let p = self.size();
+        check_layout_shape(kind, self.nb.len(), lay)?;
+        for (what, len) in [("send", send.len()), ("receive", recv.len())] {
+            if !len.is_multiple_of(p) {
+                return Err(CartError::BadBufferSize {
+                    what,
+                    expected: len / p * p,
+                    actual: len,
+                });
+            }
+        }
+        if let Some(red) = red {
+            red.check_len(recv.len() / p)?;
+        }
+
+        let stem = KeyStem::new(&self.topo, &self.nb, kind, lay.fingerprint(kind));
+        // Temp-sized layouts, made (once) only if some rank's lookup misses.
+        let mut sized: Option<ExecLayouts> = None;
+        self.plans.clear();
+        for rank in 0..p {
+            let (cp, _) =
+                lookup_attributed(&self.store, stem.key(rank), rank, &self.obs[rank], || {
+                    let plan = self.schedule(kind);
+                    if sized.is_none() {
+                        sized = Some(size_temp(lay.clone(), kind, plan.temp_slots)?);
+                    }
+                    let lay = sized.as_ref().expect("just sized");
+                    let cp = CompiledPlan::compile(&self.topo, rank, &plan, lay, CART_TAG_BASE)?;
+                    Ok(Arc::new(cp))
+                })?;
+            self.plans.push(cp);
+        }
+        execute_inline(&self.plans, &self.obs, send, recv, &mut self.scratch, red)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::regular_layouts;
+    use cartcomm_comm::CommError;
+    use cartcomm_types::{Primitive, RedOp, TypeError};
+
+    fn ring(p: usize) -> InlineUniverse {
+        let nb = RelNeighborhood::new(1, vec![vec![1], vec![-1]]).unwrap();
+        InlineUniverse::new(&[p], &[true], nb)
+            .unwrap()
+            .with_plan_store(PlanStore::new(2, 16))
+    }
+
+    #[test]
+    fn ring_alltoall_delivers_and_bills_each_rank() {
+        let mut uni = ring(4);
+        let lay = regular_layouts(2, 1, PlanKind::Alltoall);
+        // Rank r sends byte 10r to r+1 and 10r+1 to r-1.
+        let send: Vec<u8> = (0..4).flat_map(|r| [10 * r, 10 * r + 1]).collect();
+        let mut recv = vec![0u8; 8];
+        for pass in 0..2 {
+            uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv)
+                .unwrap();
+            // Block 0 arrives from r-1 (its block 0), block 1 from r+1.
+            assert_eq!(recv, [30, 11, 0, 21, 10, 31, 20, 1]);
+            for rank in 0..4 {
+                let m = uni.obs(rank).snapshot();
+                assert_eq!(
+                    (m.plan_cache_misses, m.plan_cache_hits),
+                    (1, pass),
+                    "rank {rank} compiles once, then hits"
+                );
+                assert_eq!(m.rounds_completed, 2 * (pass + 1));
+                assert_eq!(m.wire_bytes_sent, 2 * (pass + 1));
+                assert_eq!(m.wire_bytes_recv, m.wire_bytes_sent);
+            }
+        }
+    }
+
+    #[test]
+    fn meshes_do_not_get_an_inline_universe() {
+        let nb = RelNeighborhood::new(2, vec![vec![0, 1]]).unwrap();
+        assert!(matches!(
+            InlineUniverse::new(&[2, 3], &[true, false], nb.clone()),
+            Err(CartError::CombiningNeedsTorus { dim: 1 })
+        ));
+        // Periodic where it moves is enough.
+        assert!(InlineUniverse::new(&[2, 3], &[false, true], nb).is_ok());
+    }
+
+    #[test]
+    fn malformed_runs_are_errors_not_panics() {
+        let mut uni = ring(3);
+        let lay = regular_layouts(2, 4, PlanKind::Alltoall);
+        let send = vec![0u8; 3 * 8];
+        let mut recv = vec![0u8; 3 * 8];
+        // Layouts of another collective's shape.
+        assert!(matches!(
+            uni.run(PlanKind::Allgather, &lay, None, &send, &mut recv),
+            Err(CartError::BadCounts {
+                what: "send layouts",
+                expected: 1,
+                actual: 2
+            })
+        ));
+        // Buffers that do not split into p strides, or too short ones.
+        assert!(matches!(
+            uni.run(PlanKind::Alltoall, &lay, None, &send[..23], &mut recv),
+            Err(CartError::BadBufferSize { what: "send", .. })
+        ));
+        assert!(matches!(
+            uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv[..12]),
+            Err(CartError::Type(TypeError::BufferTooSmall {
+                required: 8,
+                available: 4
+            }))
+        ));
+        // Reducer and kind must agree, and the block must hold whole
+        // elements.
+        let red = Reducer::new(RedOp::Sum, Primitive::U32);
+        assert!(uni
+            .run(PlanKind::Alltoall, &lay, Some(red), &send, &mut recv)
+            .is_err());
+        let rlay = regular_layouts(2, 4, PlanKind::Allreduce);
+        assert!(uni
+            .run(
+                PlanKind::Allreduce,
+                &rlay,
+                None,
+                &send[..12],
+                &mut recv[..12]
+            )
+            .is_err());
+        let odd = regular_layouts(2, 3, PlanKind::Allreduce);
+        assert!(uni
+            .run(
+                PlanKind::Allreduce,
+                &odd,
+                Some(red),
+                &send[..9],
+                &mut recv[..9]
+            )
+            .is_err());
+        // And the universe still works.
+        uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv)
+            .unwrap();
+    }
+
+    #[test]
+    fn round_pairing_is_checked() {
+        // Rank 1's slot holding rank 0's program: its rounds' sources do
+        // not send to it.
+        let uni = ring(4);
+        let lay = regular_layouts(2, 1, PlanKind::Alltoall);
+        let plan = uni.schedule(PlanKind::Alltoall);
+        let lay = size_temp(lay, PlanKind::Alltoall, plan.temp_slots).unwrap();
+        let plans: Vec<Arc<CompiledPlan>> = [0, 0, 2, 3]
+            .iter()
+            .map(|&rank| {
+                Arc::new(
+                    CompiledPlan::compile(&uni.topo, rank, &plan, &lay, CART_TAG_BASE).unwrap(),
+                )
+            })
+            .collect();
+        let err = execute_inline(
+            &plans,
+            &uni.obs,
+            &[0u8; 8],
+            &mut [0u8; 8],
+            &mut InlineScratch::default(),
+            None,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, CartError::Comm(CommError::InvalidExchange(_))),
+            "{err:?}"
+        );
+    }
+}

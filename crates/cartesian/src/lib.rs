@@ -33,6 +33,10 @@
 //! * [`ops`] — the collective operations: `Cart_alltoall{,v,w}` and
 //!   `Cart_allgather{,v,w}`, each in trivial (t-round, Listing 4) and
 //!   message-combining variants, plus persistent `_init` handles.
+//! * [`inline`] — [`InlineUniverse`]: all `p` ranks' compiled programs
+//!   stepped phase by phase on the calling thread, with no rank threads,
+//!   channels or wake-ups — what a serving process uses to run a whole
+//!   job inside one address space.
 //! * [`neighbor`] — the comparison baseline: direct-delivery neighborhood
 //!   collectives over general distributed-graph topologies
 //!   (`MPI_Neighbor_alltoall` and friends), including the §2.2 detection
@@ -70,6 +74,7 @@ pub mod error;
 pub mod exec;
 pub mod exec_mesh;
 pub mod halo;
+pub mod inline;
 pub mod neighbor;
 pub mod ops;
 pub mod plan;
@@ -83,5 +88,6 @@ pub use compile::{
 };
 pub use cost::{cutoff_ratio, CostSummary};
 pub use error::{CartError, CartResult};
+pub use inline::InlineUniverse;
 pub use plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound};
 pub use plan_store::{PlanStore, PlanStoreStats};

@@ -155,7 +155,7 @@ impl CartComm {
         send: &[u8],
         recv: &mut [u8],
     ) -> CartResult<()> {
-        if check_combining(self).is_ok() {
+        if check_combining(self.topology(), self.neighborhood()).is_ok() {
             // Torus: run the compiled routing-tree program (cached across
             // repeated calls with the same neighborhood and layouts).
             let cp = self.plans().compiled(PlanKind::Allgather, lay)?;

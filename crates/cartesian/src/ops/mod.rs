@@ -27,7 +27,8 @@ pub mod persistent;
 
 pub use persistent::{PersistentCollective, PersistentReduction};
 
-use cartcomm_types::{Datatype, FlatType};
+use cartcomm_topo::{CartTopology, RelNeighborhood};
+use cartcomm_types::{Datatype, FlatType, Reducer, TypeError};
 
 use crate::cartcomm::CartComm;
 use crate::error::{CartError, CartResult};
@@ -117,13 +118,45 @@ impl WBlock {
     }
 }
 
+impl CartComm {
+    /// The byte-level entry point under the typed collectives: execute
+    /// the `kind` collective over explicit layouts (see [`v_layouts`],
+    /// [`w_layouts`], [`regular_layouts`]) with `algo`. Reductions take
+    /// their [`Reducer`] in `red`, the copying collectives `None`. The
+    /// per-rank mirror of
+    /// [`InlineUniverse::run`](crate::InlineUniverse::run), for callers
+    /// that carry operation shapes as data.
+    pub fn run(
+        &self,
+        kind: PlanKind,
+        lay: ExecLayouts,
+        red: Option<Reducer>,
+        send: &[u8],
+        recv: &mut [u8],
+        algo: Algo,
+    ) -> CartResult<()> {
+        check_layout_shape(kind, self.neighbor_count(), &lay)?;
+        match (kind, red) {
+            (PlanKind::Alltoall, None) => self.run_alltoall(lay, send, recv, algo),
+            (PlanKind::Allgather, None) => self.run_allgather(lay, send, recv, algo),
+            (PlanKind::ReduceScatter | PlanKind::Allreduce, Some(red)) => {
+                red.check_len(recv.len())?;
+                self.run_reduce(kind, lay, send, recv, red, algo)
+            }
+            _ => Err(CartError::Type(TypeError::InvalidArgument(
+                "reductions, and only reductions, take a reducer".into(),
+            ))),
+        }
+    }
+}
+
 // ----- layout builders --------------------------------------------------------
 
 /// Regular layouts: `t` equal contiguous blocks of `block_bytes` each, in
 /// neighbor order. The multi-block side is the receive buffer for the
 /// gathering collectives and the send buffer for reduce-scatter; allgather
 /// sends and the reductions receive a single block.
-pub(crate) fn regular_layouts(t: usize, block_bytes: usize, kind: PlanKind) -> ExecLayouts {
+pub fn regular_layouts(t: usize, block_bytes: usize, kind: PlanKind) -> ExecLayouts {
     let blocks: Vec<BlockLayout> = (0..t)
         .map(|i| BlockLayout::contiguous((i * block_bytes) as i64, block_bytes))
         .collect();
@@ -146,7 +179,7 @@ pub(crate) fn regular_layouts(t: usize, block_bytes: usize, kind: PlanKind) -> E
 }
 
 /// Irregular (`v`) layouts from element counts and displacements.
-pub(crate) fn v_layouts(
+pub fn v_layouts(
     elem_size: usize,
     sendcounts: &[usize],
     senddispls: &[usize],
@@ -193,7 +226,7 @@ pub(crate) fn v_layouts(
 }
 
 /// Fully typed (`w`) layouts from per-neighbor datatype blocks.
-pub(crate) fn w_layouts(
+pub fn w_layouts(
     sendspec: &[WBlock],
     recvspec: &[WBlock],
     kind: PlanKind,
@@ -296,6 +329,20 @@ pub(crate) fn size_temp(
     }
 }
 
+/// Check that `lay` has the block counts of a `kind` collective over a
+/// `t`-neighborhood: what the executors index without looking again.
+pub(crate) fn check_layout_shape(kind: PlanKind, t: usize, lay: &ExecLayouts) -> CartResult<()> {
+    let (sends, recvs) = match kind {
+        PlanKind::Alltoall => (t, t),
+        PlanKind::Allgather => (1, t),
+        PlanKind::ReduceScatter => (t, 1),
+        PlanKind::Allreduce => (1, 1),
+    };
+    check_len("send layouts", sends, lay.send.len())?;
+    check_len("receive layouts", recvs, lay.recv.len())?;
+    check_len("block sizes", t, lay.block_bytes.len())
+}
+
 pub(crate) fn check_len(what: &'static str, expected: usize, actual: usize) -> CartResult<()> {
     if expected != actual {
         Err(CartError::BadCounts {
@@ -325,18 +372,14 @@ pub(crate) fn check_buffer(
     }
 }
 
-/// Guard: message-combining requires a torus in every moving dimension.
-pub(crate) fn check_combining(cart: &CartComm) -> CartResult<()> {
-    if cart.combining_applicable() {
-        Ok(())
-    } else {
-        let dim = (0..cart.topology().ndims())
-            .find(|&k| {
-                !cart.topology().periods()[k]
-                    && cart.neighborhood().offsets().iter().any(|o| o[k] != 0)
-            })
-            .unwrap_or(0);
-        Err(CartError::CombiningNeedsTorus { dim })
+/// Guard: message-combining requires a torus in every dimension the
+/// neighborhood moves in — the condition under which a combining schedule
+/// compiles for every rank.
+pub(crate) fn check_combining(topo: &CartTopology, nb: &RelNeighborhood) -> CartResult<()> {
+    match (0..topo.ndims()).find(|&k| !topo.periods()[k] && nb.offsets().iter().any(|o| o[k] != 0))
+    {
+        None => Ok(()),
+        Some(dim) => Err(CartError::CombiningNeedsTorus { dim }),
     }
 }
 

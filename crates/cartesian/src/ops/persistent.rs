@@ -45,7 +45,7 @@ impl PersistentCollective {
         let plan = cart.plans().schedule(kind);
         let use_combining = choose_combining(algo, &plan, &lay);
         let (compiled, scratch) = if use_combining {
-            crate::ops::check_combining(cart)?;
+            crate::ops::check_combining(cart.topology(), cart.neighborhood())?;
             // Compile at init through the communicator's shared plan cache
             // (Listing 3 semantics: pay schedule + compilation once).
             let cp = cart.plans().compiled(kind, lay.clone())?;

@@ -52,44 +52,69 @@ fn seeded(seed: u64) -> Fnv {
     h
 }
 
-fn hash_identity(
-    topo: &CartTopology,
-    nb: &RelNeighborhood,
-    rank: usize,
-    kind: PlanKind,
-    lay_fp: u128,
-    seed: u64,
-) -> u64 {
-    let mut h = seeded(seed);
-    h.u64(topo.ndims() as u64);
-    for &d in topo.dims() {
-        h.u64(d as u64);
-    }
-    for &p in topo.periods() {
-        h.u64(p as u64);
-    }
-    match topo.permutation() {
-        Some(perm) => {
-            h.u64(1);
-            for &r in perm {
-                h.u64(r as u64);
+/// The rank-independent part of a compiled program's identity, hashed
+/// once. A caller resolving every rank's program (an inline universe)
+/// finishes the key per rank with one short hash step each, instead of
+/// re-hashing topology, neighborhood and layouts `p` times.
+#[derive(Clone, Copy)]
+pub(crate) struct KeyStem {
+    lo: Fnv,
+    hi: Fnv,
+}
+
+impl KeyStem {
+    /// `lay_fp` is `lay.fingerprint(kind)` of the program's layouts.
+    pub(crate) fn new(
+        topo: &CartTopology,
+        nb: &RelNeighborhood,
+        kind: PlanKind,
+        lay_fp: u128,
+    ) -> Self {
+        let flat = nb.to_flat();
+        let stem = |seed: u64| {
+            let mut h = seeded(seed);
+            h.u64(topo.ndims() as u64);
+            for &d in topo.dims() {
+                h.u64(d as u64);
             }
+            for &p in topo.periods() {
+                h.u64(p as u64);
+            }
+            match topo.permutation() {
+                Some(perm) => {
+                    h.u64(1);
+                    for &r in perm {
+                        h.u64(r as u64);
+                    }
+                }
+                None => h.u64(0),
+            }
+            h.u64(match kind {
+                PlanKind::Alltoall => 1,
+                PlanKind::Allgather => 2,
+                PlanKind::ReduceScatter => 3,
+                PlanKind::Allreduce => 4,
+            });
+            for &v in &flat {
+                h.u64(v as u64);
+            }
+            h.u64(lay_fp as u64);
+            h.u64((lay_fp >> 64) as u64);
+            h
+        };
+        KeyStem {
+            lo: stem(0x9E37_79B9_7F4A_7C15),
+            hi: stem(0xC2B2_AE3D_27D4_EB4F),
         }
-        None => h.u64(0),
     }
-    h.u64(rank as u64);
-    h.u64(match kind {
-        PlanKind::Alltoall => 1,
-        PlanKind::Allgather => 2,
-        PlanKind::ReduceScatter => 3,
-        PlanKind::Allreduce => 4,
-    });
-    for v in nb.to_flat() {
-        h.u64(v as u64);
+
+    /// The store key of `rank`'s program.
+    pub(crate) fn key(&self, rank: usize) -> u128 {
+        let (mut lo, mut hi) = (self.lo, self.hi);
+        lo.u64(rank as u64);
+        hi.u64(rank as u64);
+        ((hi.finish() as u128) << 64) | lo.finish() as u128
     }
-    h.u64(lay_fp as u64);
-    h.u64((lay_fp >> 64) as u64);
-    h.finish()
 }
 
 /// The full identity of a compiled program: everything that influences
@@ -104,10 +129,7 @@ pub fn store_key(
     kind: PlanKind,
     lay: &ExecLayouts,
 ) -> u128 {
-    let lay_fp = lay.fingerprint(kind);
-    let lo = hash_identity(topo, nb, rank, kind, lay_fp, 0x9E37_79B9_7F4A_7C15);
-    let hi = hash_identity(topo, nb, rank, kind, lay_fp, 0xC2B2_AE3D_27D4_EB4F);
-    ((hi as u128) << 64) | lo as u128
+    KeyStem::new(topo, nb, kind, lay.fingerprint(kind)).key(rank)
 }
 
 /// Key for a (rank-independent) schedule: neighborhood and kind only —

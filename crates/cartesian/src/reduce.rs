@@ -135,11 +135,11 @@ impl CartComm {
         let use_combining = match algo {
             Algo::Trivial => false,
             Algo::Combining => {
-                check_combining(self)?;
+                check_combining(self.topology(), self.neighborhood())?;
                 true
             }
             auto => {
-                check_combining(self).is_ok()
+                check_combining(self.topology(), self.neighborhood()).is_ok()
                     && choose_combining(auto, &self.plans().schedule(kind), &lay)
             }
         };
@@ -385,7 +385,7 @@ impl CartComm {
         T: Pod,
         F: Fn(T, T) -> T,
     {
-        check_combining(self)?;
+        check_combining(self.topology(), self.neighborhood())?;
         // The allgather tree on the *negated* neighborhood routes each
         // process's block to its SOURCE neighbors r − N[j]; reversing that
         // flow funnels exactly the source contributions back to r, matching

@@ -35,20 +35,41 @@ use crate::pool::{PooledBuf, WirePool};
 /// Size of the fixed frame header preceding the payload.
 pub const HEADER_BYTES: usize = 32;
 
+/// The header of a frame whose payload is `payload_len` bytes long. A
+/// writer that already holds the payload can send header and payload as
+/// two slices and skip the copy into a contiguous frame; the bytes on the
+/// wire are those of [`encode_into`].
+pub fn encode_header(
+    payload_len: usize,
+    ctx: u32,
+    src: usize,
+    tag: u32,
+    rel: RelHeader,
+) -> [u8; HEADER_BYTES] {
+    let mut h = [0u8; HEADER_BYTES];
+    h[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    h[4..8].copy_from_slice(&ctx.to_le_bytes());
+    h[8..12].copy_from_slice(&(src as u32).to_le_bytes());
+    h[12..16].copy_from_slice(&tag.to_le_bytes());
+    h[16] = match rel.kind {
+        EnvKind::Data => 0,
+        EnvKind::Ack => 1,
+    };
+    h[17] = rel.seq.is_some() as u8;
+    h[24..32].copy_from_slice(&rel.seq.unwrap_or(0).to_le_bytes());
+    h
+}
+
 /// Serialize `env` onto the end of `out` as one frame.
 pub fn encode_into(env: &Envelope, out: &mut Vec<u8>) {
     out.reserve(HEADER_BYTES + env.data.len());
-    out.extend_from_slice(&(env.data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&env.ctx.to_le_bytes());
-    out.extend_from_slice(&(env.src as u32).to_le_bytes());
-    out.extend_from_slice(&env.tag.to_le_bytes());
-    out.push(match env.rel.kind {
-        EnvKind::Data => 0,
-        EnvKind::Ack => 1,
-    });
-    out.push(env.rel.seq.is_some() as u8);
-    out.extend_from_slice(&[0u8; 6]);
-    out.extend_from_slice(&env.rel.seq.unwrap_or(0).to_le_bytes());
+    out.extend_from_slice(&encode_header(
+        env.data.len(),
+        env.ctx,
+        env.src,
+        env.tag,
+        env.rel,
+    ));
     out.extend_from_slice(&env.data);
 }
 

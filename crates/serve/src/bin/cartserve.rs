@@ -1,8 +1,8 @@
 //! `cartserve` — the multi-tenant collective daemon.
 //!
 //! ```text
-//! cartserve [--uds PATH | --tcp ADDR] [--window-us N] [--queue-cap N]
-//!           [--max-universes N] [--metrics-http ADDR] [--smoke]
+//! cartserve [--uds PATH | --tcp ADDR] [--queue-cap N] [--max-universes N]
+//!           [--metrics-http ADDR] [--smoke]
 //! cartserve --watch [--uds PATH | --tcp ADDR] [--interval-ms N] [--once]
 //! ```
 //!
@@ -30,7 +30,6 @@ use cartcomm_serve::{Client, ServeConfig, Server};
 struct Args {
     uds: Option<String>,
     tcp: Option<String>,
-    window_us: u64,
     queue_cap: usize,
     max_universes: usize,
     metrics_http: Option<String>,
@@ -44,7 +43,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         uds: None,
         tcp: None,
-        window_us: 2000,
         queue_cap: 64,
         max_universes: 4,
         metrics_http: None,
@@ -59,11 +57,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--uds" => args.uds = Some(val("--uds")?),
             "--tcp" => args.tcp = Some(val("--tcp")?),
-            "--window-us" => {
-                args.window_us = val("--window-us")?
-                    .parse()
-                    .map_err(|e| format!("--window-us: {e}"))?
-            }
             "--queue-cap" => {
                 args.queue_cap = val("--queue-cap")?
                     .parse()
@@ -85,8 +78,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 println!(
-                    "cartserve [--uds PATH | --tcp ADDR] [--window-us N] \
-                     [--queue-cap N] [--max-universes N] [--metrics-http ADDR] [--smoke]\n\
+                    "cartserve [--uds PATH | --tcp ADDR] [--queue-cap N] \
+                     [--max-universes N] [--metrics-http ADDR] [--smoke]\n\
                      cartserve --watch [--uds PATH | --tcp ADDR] [--interval-ms N] [--once]"
                 );
                 std::process::exit(0);
@@ -110,7 +103,6 @@ fn main() -> ExitCode {
     };
     let cfg = ServeConfig {
         queue_cap: args.queue_cap,
-        window: Duration::from_micros(args.window_us),
         max_universes: args.max_universes,
         metrics_http: args.metrics_http.clone(),
         ..ServeConfig::default()

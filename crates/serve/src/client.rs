@@ -15,10 +15,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cartcomm_comm::transport::wire;
 use cartcomm_comm::WirePool;
 
-use crate::proto::{JobSpec, ProfileSpec, Reply, Request, PROTO_VERSION};
+use crate::proto::{self, JobSpec, ProfileSpec, RecvBuf, Reply, Request, PROTO_VERSION};
 
 enum Stream {
     Uds(UnixStream),
@@ -57,7 +56,7 @@ pub enum Submission {
 pub struct Client {
     stream: Stream,
     tenant: String,
-    buf: Vec<u8>,
+    buf: RecvBuf,
     pool: Arc<WirePool>,
     next_ctx: u32,
 }
@@ -80,7 +79,7 @@ impl Client {
         let mut c = Client {
             stream,
             tenant: tenant.to_string(),
-            buf: Vec::with_capacity(4096),
+            buf: RecvBuf::new(),
             pool: Arc::new(WirePool::new()),
             next_ctx: 1,
         };
@@ -103,12 +102,9 @@ impl Client {
     /// Submit one job. `payload` must hold the send buffers of all
     /// `spec.ranks()` ranks back to back.
     pub fn submit(&mut self, spec: &JobSpec, payload: &[u8]) -> io::Result<Submission> {
-        let req = Request::Submit {
-            tenant: self.tenant.clone(),
-            spec: spec.clone(),
-            payload: payload.to_vec(),
-        };
-        match self.roundtrip(&req)? {
+        let ctx = self.next_ctx();
+        proto::write_submit(self.stream.writer(), ctx, &self.tenant, spec, payload)?;
+        match self.read_reply(ctx)? {
             Reply::Result { payload } => Ok(Submission::Done(payload)),
             Reply::Busy { retry_after_ms } => Ok(Submission::Busy { retry_after_ms }),
             Reply::Err { message } => Err(other(message)),
@@ -191,9 +187,14 @@ impl Client {
         }
     }
 
-    fn roundtrip(&mut self, req: &Request) -> io::Result<Reply> {
+    fn next_ctx(&mut self) -> u32 {
         let ctx = self.next_ctx;
         self.next_ctx = self.next_ctx.wrapping_add(1);
+        ctx
+    }
+
+    fn roundtrip(&mut self, req: &Request) -> io::Result<Reply> {
+        let ctx = self.next_ctx();
         let bytes = req.encode_frame(ctx);
         self.stream.writer().write_all(&bytes)?;
         self.stream.writer().flush()?;
@@ -201,24 +202,20 @@ impl Client {
     }
 
     fn read_reply(&mut self, ctx: u32) -> io::Result<Reply> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            while let Some((env, used)) = wire::decode_from(&self.buf, &self.pool) {
-                self.buf.drain(..used);
+            while let Some(env) = self.buf.next_frame(&self.pool) {
                 if env.ctx != ctx {
                     // Stale reply to an abandoned request; skip it.
                     continue;
                 }
-                return Reply::decode_env(&env).map_err(other);
+                return Reply::from_env(env).map_err(other);
             }
-            let n = self.stream.reader().read(&mut chunk)?;
-            if n == 0 {
+            if self.buf.fill(self.stream.reader())? == 0 {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "daemon closed the connection",
                 ));
             }
-            self.buf.extend_from_slice(&chunk[..n]);
         }
     }
 }

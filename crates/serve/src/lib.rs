@@ -1,8 +1,9 @@
 //! # cartcomm-serve — a multi-tenant collective service
 //!
 //! The serving layer over the cartesian-collectives stack: a daemon
-//! (`cartserve`) owns pools of resident rank threads and a process-wide
-//! plan store; clients own data and submit complete jobs — topology,
+//! (`cartserve`) owns resident universes — inline ones its dispatcher
+//! steps itself, threaded ones for what does not compile — and a
+//! process-wide plan store; clients own data and submit complete jobs — topology,
 //! isomorphic neighborhood, operation, algorithm, and the send buffers of
 //! every rank — over a length-prefixed wire protocol (the same frame
 //! format the rank-to-rank socket transport uses).
@@ -19,8 +20,8 @@
 //! * [`proto`] — message types, the [`proto::JobSpec`] job description,
 //!   and its wire encoding.
 //! * [`server`] — the daemon: listener, bounded admission queue,
-//!   same-shape batch coalescing, the resident-universe pool, per-tenant
-//!   accounting, graceful drain.
+//!   same-shape batching, inline execution with a threaded fallback,
+//!   per-tenant accounting, graceful drain.
 //! * [`client`] — a blocking client with `BUSY` backoff.
 //! * [`reference`] — the daemon-free ground-truth executor (trivial
 //!   algorithm, isolated store) that byte-identity checks compare

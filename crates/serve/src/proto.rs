@@ -40,9 +40,14 @@
 //! send buffers of **all** `p` ranks back to back — the service owns the
 //! ranks, the client owns the data. All integers little-endian.
 
+use std::borrow::Cow;
+use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
+
 use cartcomm::ops::Algo;
-use cartcomm_comm::envelope::Envelope;
+use cartcomm_comm::envelope::{Envelope, RelHeader};
 use cartcomm_comm::transport::wire;
+use cartcomm_comm::WirePool;
 use cartcomm_types::Reducer;
 
 /// Protocol version sent in `HELLO_OK`. Version 2 added the
@@ -584,7 +589,7 @@ impl Request {
             Request::Profile { spec } => (TAG_PROFILE, spec.encode()),
             Request::Metrics => (TAG_METRICS, Vec::new()),
         };
-        frame(ctx, tag, body)
+        frame(ctx, tag, &body)
     }
 
     /// Decode a request from an envelope.
@@ -595,16 +600,11 @@ impl Request {
                 tenant: utf8(body)?,
             }),
             TAG_SUBMIT => {
-                let mut c = Cursor::new(body);
-                let tlen = c.u32()? as usize;
-                let tenant = utf8(c.take(tlen)?)?;
-                let slen = c.u32()? as usize;
-                let spec = JobSpec::decode(c.take(slen)?)?;
-                let payload = c.rest().to_vec();
+                let (tenant, spec, payload_at) = decode_submit_head(body)?;
                 Ok(Request::Submit {
                     tenant,
                     spec,
-                    payload,
+                    payload: body[payload_at..].to_vec(),
                 })
             }
             TAG_STATS => Ok(Request::Stats),
@@ -661,23 +661,19 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Frame the reply as one wire envelope echoing request id `ctx`.
-    pub fn encode_frame(&self, ctx: u32) -> Vec<u8> {
-        let (tag, body) = match self {
-            Reply::HelloOk { version } => {
-                let mut b = Vec::with_capacity(4);
-                put_u32(&mut b, *version);
-                (TAG_HELLO_OK, b)
-            }
-            Reply::Result { payload } => (TAG_RESULT, payload.clone()),
+    /// The reply's tag and body. Payload-carrying replies lend their
+    /// bytes; the rest build a few.
+    fn parts(&self) -> (u32, Cow<'_, [u8]>) {
+        let owned = |tag: u32, b: Vec<u8>| (tag, Cow::Owned(b));
+        match self {
+            Reply::HelloOk { version } => owned(TAG_HELLO_OK, version.to_le_bytes().to_vec()),
+            Reply::Result { payload } => (TAG_RESULT, Cow::Borrowed(&payload[..])),
             Reply::Busy { retry_after_ms } => {
-                let mut b = Vec::with_capacity(4);
-                put_u32(&mut b, *retry_after_ms);
-                (TAG_BUSY, b)
+                owned(TAG_BUSY, retry_after_ms.to_le_bytes().to_vec())
             }
-            Reply::Err { message } => (TAG_ERR, message.as_bytes().to_vec()),
-            Reply::StatsOk { json } => (TAG_STATS_OK, json.as_bytes().to_vec()),
-            Reply::ShutdownOk => (TAG_SHUTDOWN_OK, Vec::new()),
+            Reply::Err { message } => (TAG_ERR, Cow::Borrowed(message.as_bytes())),
+            Reply::StatsOk { json } => (TAG_STATS_OK, Cow::Borrowed(json.as_bytes())),
+            Reply::ShutdownOk => owned(TAG_SHUTDOWN_OK, Vec::new()),
             Reply::Pong {
                 payload,
                 uptime_ms,
@@ -688,18 +684,42 @@ impl Reply {
                 b.extend_from_slice(payload);
                 put_u64(&mut b, *uptime_ms);
                 b.extend_from_slice(version.as_bytes());
-                (TAG_PONG, b)
+                owned(TAG_PONG, b)
             }
             Reply::ProfileOk { json, trace } => {
                 let mut b = Vec::with_capacity(4 + json.len() + trace.len());
                 put_u32(&mut b, json.len() as u32);
                 b.extend_from_slice(json.as_bytes());
                 b.extend_from_slice(trace);
-                (TAG_PROFILE_OK, b)
+                owned(TAG_PROFILE_OK, b)
             }
-            Reply::MetricsOk { text } => (TAG_METRICS_OK, text.as_bytes().to_vec()),
-        };
-        frame(ctx, tag, body)
+            Reply::MetricsOk { text } => (TAG_METRICS_OK, Cow::Borrowed(text.as_bytes())),
+        }
+    }
+
+    /// Frame the reply as one wire envelope echoing request id `ctx`.
+    pub fn encode_frame(&self, ctx: u32) -> Vec<u8> {
+        let (tag, body) = self.parts();
+        frame(ctx, tag, &body)
+    }
+
+    /// Write the frame [`Reply::encode_frame`] builds to `w` and flush,
+    /// without building it (see [`write_frame`]): a large `RESULT` payload
+    /// is never copied.
+    pub fn write_frame(&self, ctx: u32, w: &mut dyn Write) -> io::Result<()> {
+        let (tag, body) = self.parts();
+        write_frame(w, ctx, tag, &[], &body)
+    }
+
+    /// Decode a reply from an envelope it may take apart: a `RESULT`
+    /// keeps the envelope's bytes instead of copying them.
+    pub fn from_env(env: Envelope) -> Result<Self, String> {
+        match env.tag {
+            TAG_RESULT => Ok(Reply::Result {
+                payload: env.data.into_vec(),
+            }),
+            _ => Reply::decode_env(&env),
+        }
     }
 
     /// Decode a reply from an envelope.
@@ -749,11 +769,127 @@ impl Reply {
     }
 }
 
-fn frame(ctx: u32, tag: u32, body: Vec<u8>) -> Vec<u8> {
-    let env = Envelope::new(ctx, 0, tag, body);
-    let mut out = Vec::with_capacity(wire::HEADER_BYTES + env.data.len());
-    wire::encode_into(&env, &mut out);
+fn frame(ctx: u32, tag: u32, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(wire::HEADER_BYTES + body.len());
+    out.extend_from_slice(&wire::encode_header(
+        body.len(),
+        ctx,
+        0,
+        tag,
+        RelHeader::default(),
+    ));
+    out.extend_from_slice(body);
     out
+}
+
+/// Write one frame whose body is `head` followed by `payload`, and flush.
+/// Header and both parts go out as the slices of vectored writes, so the
+/// frame is never assembled; the bytes on the wire are those of [`frame`].
+pub(crate) fn write_frame(
+    w: &mut dyn Write,
+    ctx: u32,
+    tag: u32,
+    head: &[u8],
+    payload: &[u8],
+) -> io::Result<()> {
+    let body_len = head.len() + payload.len();
+    let header = wire::encode_header(body_len, ctx, 0, tag, RelHeader::default());
+    let mut slices = [&header[..], head, payload].map(IoSlice::new);
+    let mut left = &mut slices[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    w.flush()
+}
+
+/// Write the frame of a `SUBMIT` request without owning — or copying —
+/// its payload.
+pub(crate) fn write_submit(
+    w: &mut dyn Write,
+    ctx: u32,
+    tenant: &str,
+    spec: &JobSpec,
+    payload: &[u8],
+) -> io::Result<()> {
+    let spec_bytes = spec.encode();
+    let mut head = Vec::with_capacity(8 + tenant.len() + spec_bytes.len());
+    put_u32(&mut head, tenant.len() as u32);
+    head.extend_from_slice(tenant.as_bytes());
+    put_u32(&mut head, spec_bytes.len() as u32);
+    head.extend_from_slice(&spec_bytes);
+    write_frame(w, ctx, TAG_SUBMIT, &head, payload)
+}
+
+/// The part of a `SUBMIT` body before the payload: the tenant, the job,
+/// and where in `body` the payload starts.
+pub(crate) fn decode_submit_head(body: &[u8]) -> Result<(String, JobSpec, usize), String> {
+    let mut c = Cursor::new(body);
+    let tlen = c.u32()? as usize;
+    let tenant = utf8(c.take(tlen)?)?;
+    let slen = c.u32()? as usize;
+    let spec = JobSpec::decode(c.take(slen)?)?;
+    Ok((tenant, spec, body.len() - c.rest().len()))
+}
+
+/// The receiving end of a connection: bytes read off the stream and not
+/// yet decoded. Reads land in the buffer itself — sized for the rest of
+/// the frame at its front once that frame's header is in — so a large
+/// frame arrives in a few reads and is not copied on the way.
+pub(crate) struct RecvBuf {
+    /// Backing store, all of it initialised; `data[start..end]` is pending.
+    data: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl RecvBuf {
+    /// Room a read is offered at least and, for a frame larger than that,
+    /// at most beyond what has already arrived of it: the buffer grows with
+    /// the bytes a peer sends, not with the length its header claims.
+    const MIN_READ: usize = 16 * 1024;
+    const MAX_READ: usize = 1 << 20;
+
+    pub(crate) fn new() -> RecvBuf {
+        RecvBuf {
+            data: vec![0; Self::MIN_READ],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Decode the frame at the front, if all of it has arrived.
+    pub(crate) fn next_frame(&mut self, pool: &Arc<WirePool>) -> Option<Envelope> {
+        let (env, used) = wire::decode_from(&self.data[self.start..self.end], pool)?;
+        self.start += used;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        }
+        Some(env)
+    }
+
+    /// One `read` from `r` onto the end of the pending bytes. Returns the
+    /// number of bytes read; 0 is end of stream.
+    pub(crate) fn fill(&mut self, r: &mut dyn Read) -> io::Result<usize> {
+        let pending = self.end - self.start;
+        let missing = wire::frame_len(&self.data[self.start..self.end])
+            .map_or(0, |total| total.saturating_sub(pending));
+        let want = missing.clamp(Self::MIN_READ, Self::MAX_READ);
+        if self.data.len() - self.end < want {
+            self.data.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, pending);
+            if self.data.len() < pending + want {
+                self.data.resize(pending + want, 0);
+            }
+        }
+        let n = r.read(&mut self.data[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
 }
 
 fn utf8(b: &[u8]) -> Result<String, String> {
@@ -1042,6 +1178,146 @@ mod tests {
             },
         ] {
             assert_eq!(roundtrip_reply(&rep), rep);
+        }
+    }
+
+    /// A writer that takes at most `step` bytes per call and only looks
+    /// at the first slice of a vectored write, like a short socket write.
+    struct Dribble {
+        out: Vec<u8>,
+        step: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn written_frames_are_bit_identical_to_encoded_ones() {
+        for rep in [
+            Reply::HelloOk {
+                version: PROTO_VERSION,
+            },
+            Reply::Result {
+                payload: (0..=255u8).cycle().take(3000).collect(),
+            },
+            Reply::Result {
+                payload: Vec::new(),
+            },
+            Reply::Busy { retry_after_ms: 5 },
+            Reply::Err {
+                message: "nope".into(),
+            },
+            Reply::StatsOk { json: "{}".into() },
+            Reply::ShutdownOk,
+            Reply::Pong {
+                payload: vec![9; 4],
+                uptime_ms: 77,
+                version: "0.1.0".into(),
+            },
+            Reply::ProfileOk {
+                json: "{}".into(),
+                trace: vec![1, 2, 3],
+            },
+            Reply::MetricsOk {
+                text: "# EOF\n".into(),
+            },
+        ] {
+            // The reference: the body in an envelope, through the codec
+            // the transports use.
+            let (tag, body) = rep.parts();
+            let mut want = Vec::new();
+            wire::encode_into(&Envelope::new(11, 0, tag, body.to_vec()), &mut want);
+            assert_eq!(rep.encode_frame(11), want, "{rep:?}");
+
+            let mut whole = Vec::new();
+            rep.write_frame(11, &mut whole).expect("write");
+            assert_eq!(whole, want, "{rep:?}");
+            // Short writes resume where they stopped, in header and body.
+            for step in [1, 7, 32, 33, 1000] {
+                let mut w = Dribble {
+                    out: Vec::new(),
+                    step,
+                };
+                rep.write_frame(11, &mut w).expect("write");
+                assert_eq!(w.out, want, "{rep:?} in steps of {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_submit_written_from_a_borrowed_payload_is_the_encoded_request() {
+        let spec = moore_spec(AlgoSpec::Combining);
+        for len in [0, 5, 3000] {
+            let payload: Vec<u8> = (0..=255u8).cycle().take(len).collect();
+            let want = Request::Submit {
+                tenant: "acme".into(),
+                spec: spec.clone(),
+                payload: payload.clone(),
+            }
+            .encode_frame(3);
+            for step in [7, 33, 1 << 20] {
+                let mut w = Dribble {
+                    out: Vec::new(),
+                    step,
+                };
+                write_submit(&mut w, 3, "acme", &spec, &payload).expect("write");
+                assert_eq!(w.out, want, "{len} payload bytes in steps of {step}");
+            }
+            let body = &want[wire::HEADER_BYTES..];
+            let (tenant, back, at) = decode_submit_head(body).expect("a valid head");
+            assert_eq!(
+                (tenant.as_str(), &back, &body[at..]),
+                ("acme", &spec, &payload[..])
+            );
+        }
+        assert!(decode_submit_head(&[9, 0, 0, 0, b'x']).is_err());
+    }
+
+    #[test]
+    fn recv_buf_yields_the_frames_of_a_stream_however_it_is_cut() {
+        let pool = Arc::new(WirePool::new());
+        // Small, large (beyond one read's room, so the buffer must grow
+        // and compact) and empty frames, back to back.
+        let bodies: Vec<Vec<u8>> = [3usize, 40_000, 0, 100_000, 17]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
+            .collect();
+        let mut stream = Vec::new();
+        for (i, body) in bodies.iter().enumerate() {
+            stream.extend(frame(i as u32, TAG_PING, body));
+        }
+        for cut in [1, 31, 32, 33, 4096, 70_001, stream.len()] {
+            struct Cut<'a>(&'a [u8], usize);
+            impl Read for Cut<'_> {
+                fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+                    let n = out.len().min(self.1).min(self.0.len());
+                    out[..n].copy_from_slice(&self.0[..n]);
+                    self.0 = &self.0[n..];
+                    Ok(n)
+                }
+            }
+            let mut src = Cut(&stream, cut);
+            let mut buf = RecvBuf::new();
+            let mut got = Vec::new();
+            loop {
+                while let Some(env) = buf.next_frame(&pool) {
+                    got.push((env.ctx, env.data.to_vec()));
+                }
+                if buf.fill(&mut src).expect("read") == 0 {
+                    break;
+                }
+            }
+            let want: Vec<(u32, Vec<u8>)> = (0u32..).zip(bodies.iter().cloned()).collect();
+            assert_eq!(got, want, "reads of at most {cut} bytes");
         }
     }
 

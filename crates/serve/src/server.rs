@@ -8,24 +8,40 @@
 //! frames. Control requests (`HELLO`, `STATS`, `PING`, `SHUTDOWN`) are
 //! answered inline. `SUBMIT` goes through **admission**: a bounded queue
 //! whose overflow is answered with `BUSY` and a retry-after hint rather
-//! than unbounded buffering — the client owns the backoff.
+//! than unbounded buffering — the client owns the backoff. A job's payload
+//! stays in the pooled buffer its frame was decoded into, and its reply is
+//! written from the buffer the ranks scattered into, which the next job
+//! reuses: in steady state nothing the size of a job is allocated per job.
 //!
-//! One dispatcher thread drains the queue. When it pops a job it holds a
-//! short **coalescing window** during which queued jobs with the same
+//! One dispatcher thread drains the queue. When it pops a job it folds in
+//! whatever queued jobs share its
 //! [`JobSpec::coalesce_key`](crate::proto::JobSpec::coalesce_key) — same
-//! topology, neighborhood, operation shape, and algorithm — are folded
-//! into the batch. The batch executes back to back on one resident
-//! universe: the first job warms every per-rank plan-store entry and the
-//! rest ride the warm cache, which is the serving-side payoff of the
-//! process-wide [`PlanStore`] (schedules and compiled programs are keyed
-//! by identity, not by owner).
+//! topology, neighborhood, operation shape, and algorithm — and waits for
+//! no particular one: batching is what the backlog makes it. Batches are
+//! *paced*: each job of a batch holds the next batch off for 200 µs (or,
+//! if that is longer, for its bytes at 1 GiB/s), so that the rate
+//! closed-loop clients are served at is set by a clock and not by how the
+//! scheduler happens to interleave five threads; a job that finds the
+//! daemon idle starts at once (see `JOB_GAP`). The first job
+//! of a shape warms every per-rank plan-store entry and the rest — of
+//! this batch, of other tenants, of later batches — ride the warm cache,
+//! which is the serving-side payoff of the process-wide [`PlanStore`]
+//! (schedules and compiled programs are keyed by identity, not by owner).
 //!
-//! Universes are pooled by rank count and reused across batches; a small
-//! LRU bounds how many stay resident. Rank threads attribute every job to
-//! its tenant: the metrics delta of the execution plus the schedule's
-//! analytical round count `C` (Prop. 3.2) and wire volume `V·m`
-//! (Prop. 3.3) are folded into a shared [`TenantRegistry`], which the
-//! `STATS` command renders as the observed-vs-predicted table.
+//! **Execution.** A job whose plan compiles (a message-combining schedule
+//! on a topology periodic wherever the neighborhood moves) runs *inline*:
+//! the dispatcher itself steps all ranks' compiled programs through an
+//! [`InlineUniverse`], scattering every rank's result straight into the
+//! reply buffer — no rank thread, channel or wake-up. Everything else
+//! (the trivial algorithm, non-periodic meshes) runs on a resident
+//! threaded universe, pooled by rank count. Both pools are small LRUs.
+//! Either way every rank's execution is attributed to the job's tenant:
+//! its metrics delta plus the schedule's analytical round count `C`
+//! (Prop. 3.2) and wire volume `V·m` (Prop. 3.3) are folded into a shared
+//! [`TenantRegistry`], which the `STATS` command renders as the
+//! observed-vs-predicted table. A job that fails in the executor is
+//! answered with `ERR`; inline, where a failure (or panic) happens on the
+//! dispatcher itself, it also costs the job's universe — and nothing else.
 //!
 //! **Drain** (`SHUTDOWN` or [`Server::shutdown`]): new submissions are
 //! refused, the queue empties, universes shut down, and only then is
@@ -36,6 +52,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -43,21 +60,25 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cartcomm::ops::WBlock;
-use cartcomm::plan::PlanKind;
-use cartcomm::{CartComm, PlanStore, PlanStoreStats};
-use cartcomm_comm::transport::wire;
-use cartcomm_comm::{Comm, RankJob, ResidentUniverse, WirePool};
+use cartcomm::exec::ExecLayouts;
+use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, WBlock};
+use cartcomm::plan::{Plan, PlanKind};
+use cartcomm::{CartComm, InlineUniverse, PlanStore, PlanStoreStats};
+use cartcomm_comm::{Comm, PooledBuf, RankJob, ResidentUniverse, WirePool};
 use cartcomm_obs::tenant::STAGE_COUNT;
 use cartcomm_obs::{
-    AlphaBetaFit, Clock, CriticalPath, MonotonicClock, Obs, PerfettoExport, RingBufferSink,
-    ServeStageKind, TenantRegistry, TraceCollector, TraceEvent, TraceRecord, TraceSink,
+    AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs, PerfettoExport,
+    RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent, TraceRecord,
+    TraceSink,
 };
 use cartcomm_topo::RelNeighborhood;
-use cartcomm_types::Datatype;
+use cartcomm_types::{Datatype, Reducer};
 
 use crate::exporter::{self, MetricsInputs};
-use crate::proto::{JobSpec, OpSpec, ProfileSpec, Reply, Request, PROTO_VERSION};
+use crate::proto::{
+    self, AlgoSpec, JobSpec, OpSpec, ProfileSpec, RecvBuf, Reply, Request, PROTO_VERSION,
+    TAG_RESULT, TAG_SUBMIT,
+};
 
 /// Default per-rank ring-sink capacity for attach profiling, when the
 /// `PROFILE` request leaves `ring_capacity` at 0.
@@ -71,17 +92,63 @@ const DEFAULT_PROFILE_DURATION_MS: u32 = 30_000;
 /// breakdowns (the `slowest` section of the stats JSON).
 const SLOW_RING_CAP: usize = 8;
 
+/// Dispatch pacing: under load the dispatcher starts no more than one job
+/// per `JOB_GAP` and [`PACED_BYTES_PER_SEC`] — a batch of `k` jobs that
+/// moves `b` bytes holds the next batch off for
+/// `max(k · JOB_GAP, b / PACED_BYTES_PER_SEC)`. A dispatcher that starts a
+/// batch the moment a job is queued serves closed-loop clients at whatever
+/// rate the thread scheduler settles on: with two of them, whether their
+/// jobs share a batch flips from one second to the next, and the jobs/s
+/// with it (14 000–27 000 for 3 KiB jobs on two cores). Paced below what
+/// the machine saturates at, the rate is the pace whatever the machine is
+/// doing, and — the gap being per job and per byte, not per batch — however
+/// the clients' jobs happen to share batches; between batches the cores
+/// belong to the connection threads taking in the next one. A job that
+/// finds the daemon idle starts at once: the gap only ever delays a batch
+/// that follows another.
+const JOB_GAP: Duration = Duration::from_micros(200);
+
+/// The byte side of the pace: payloads in plus replies out, about two
+/// thirds of what the socket path saturates at on two cores.
+const PACED_BYTES_PER_SEC: u64 = 1 << 30;
+
+/// When the dispatcher may start its next batch (see [`JOB_GAP`]).
+struct Pacer {
+    next: Instant,
+}
+
+impl Pacer {
+    /// How long, at `now`, the next batch still has to wait.
+    fn wait(&self, now: Instant) -> Duration {
+        self.next.saturating_duration_since(now)
+    }
+
+    /// A batch of `jobs` jobs moving `bytes` starts at `now`. The next one
+    /// is due a gap after this one was — not after it started, so a late
+    /// wake-up does not stretch the period — unless this one started a
+    /// whole gap late (an idle daemon, a long batch): then the schedule
+    /// restarts here.
+    fn started(&mut self, now: Instant, jobs: usize, bytes: usize) {
+        let by_bytes = (bytes as u64).saturating_mul(1_000_000_000) / PACED_BYTES_PER_SEC;
+        let gap = (JOB_GAP * jobs as u32).max(Duration::from_nanos(by_bytes));
+        let due = if now.saturating_duration_since(self.next) < gap {
+            self.next
+        } else {
+            now
+        };
+        self.next = due + gap;
+    }
+}
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Admission bound: queued (not yet dispatched) jobs beyond this are
     /// refused with `BUSY`.
     pub queue_cap: usize,
-    /// Coalescing window: after popping a job, how long the dispatcher
-    /// keeps folding same-shape arrivals into the batch. Zero still
-    /// coalesces whatever is already queued.
-    pub window: Duration,
-    /// How many resident universes (distinct rank counts) stay warm.
+    /// How many resident universes stay warm, per kind: inline ones
+    /// (distinct topology + neighborhood) and threaded ones (distinct
+    /// rank counts).
     pub max_universes: usize,
     /// The retry-after hint (ms) sent with `BUSY`.
     pub busy_retry_ms: u32,
@@ -95,7 +162,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_cap: 64,
-            window: Duration::from_millis(2),
             max_universes: 4,
             busy_retry_ms: 5,
             metrics_http: None,
@@ -127,6 +193,12 @@ pub struct ServerCounters {
     pub batches_executed: u64,
     /// Jobs that rode an existing batch (batch members beyond the first).
     pub jobs_coalesced: u64,
+    /// Jobs executed inline: their plan compiled, so the dispatcher
+    /// stepped all ranks' programs itself.
+    pub jobs_inline: u64,
+    /// Jobs executed on a resident threaded universe (trivial algorithm,
+    /// non-periodic mesh).
+    pub jobs_threaded: u64,
 }
 
 #[derive(Default)]
@@ -137,6 +209,8 @@ struct Counters {
     jobs_completed: AtomicU64,
     batches_executed: AtomicU64,
     jobs_coalesced: AtomicU64,
+    jobs_inline: AtomicU64,
+    jobs_threaded: AtomicU64,
 }
 
 impl Counters {
@@ -148,6 +222,8 @@ impl Counters {
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             batches_executed: self.batches_executed.load(Ordering::Relaxed),
             jobs_coalesced: self.jobs_coalesced.load(Ordering::Relaxed),
+            jobs_inline: self.jobs_inline.load(Ordering::Relaxed),
+            jobs_threaded: self.jobs_threaded.load(Ordering::Relaxed),
         }
     }
 }
@@ -157,16 +233,36 @@ impl Counters {
 type ReplyHandle = Arc<Mutex<Box<dyn Write + Send>>>;
 
 fn send_reply(handle: &ReplyHandle, ctx: u32, reply: &Reply) {
-    let bytes = reply.encode_frame(ctx);
     let mut w = handle.lock().unwrap_or_else(|e| e.into_inner());
     // A vanished client is not the daemon's problem; drop the reply.
-    let _ = w.write_all(&bytes).and_then(|_| w.flush());
+    let _ = reply.write_frame(ctx, &mut **w);
+}
+
+/// A `RESULT` reply, its payload written from where it lies.
+fn send_result(handle: &ReplyHandle, ctx: u32, payload: &[u8]) {
+    let mut w = handle.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = proto::write_frame(&mut **w, ctx, TAG_RESULT, &[], payload);
+}
+
+/// A job's send buffers, all ranks' back to back: the tail of its
+/// `SUBMIT` body, left in the wire buffer the frame was decoded into. The
+/// buffer returns to its connection's pool when the job is dropped.
+struct Payload {
+    body: PooledBuf,
+    at: usize,
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.body[self.at..]
+    }
 }
 
 struct PendingJob {
     tenant: String,
     spec: Arc<JobSpec>,
-    payload: Arc<Vec<u8>>,
+    payload: Arc<Payload>,
     key: u64,
     ctx: u32,
     reply: ReplyHandle,
@@ -357,6 +453,7 @@ impl Shared {
                 "{{\"schema\":\"cartserve-stats-v2\",\"server\":{{",
                 "\"jobs_submitted\":{},\"jobs_rejected\":{},\"jobs_drained\":{},",
                 "\"jobs_completed\":{},\"batches_executed\":{},\"jobs_coalesced\":{},",
+                "\"jobs_inline\":{},\"jobs_threaded\":{},",
                 "\"queue_depth\":{},\"draining\":{},\"uptime_ms\":{},",
                 "\"plan_store\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
                 "\"schedule_hits\":{},\"schedule_misses\":{}}}}},",
@@ -370,6 +467,8 @@ impl Shared {
             c.jobs_completed,
             c.batches_executed,
             c.jobs_coalesced,
+            c.jobs_inline,
+            c.jobs_threaded,
             depth,
             self.draining.load(Ordering::Acquire),
             self.started.elapsed().as_millis(),
@@ -662,38 +761,49 @@ fn connection_loop(
     shared: &Arc<Shared>,
 ) {
     let reply_handle: ReplyHandle = Arc::new(Mutex::new(writer));
+    // Frames decode into buffers of this pool. A job keeps the buffer of
+    // its `SUBMIT` until it is done, then the buffer comes back.
     let pool = Arc::new(WirePool::new());
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 16 * 1024];
+    let mut buf = RecvBuf::new();
     // The tenant set by HELLO; SUBMIT may override per request.
     let mut hello_tenant: Option<String> = None;
 
     loop {
-        // Decode every complete frame currently buffered.
-        let mut consumed = 0;
-        while let Some((env, used)) = wire::decode_from(&buf[consumed..], &pool) {
-            consumed += used;
-            match Request::decode_env(&env) {
-                Ok(req) => {
-                    let done =
-                        handle_request(req, env.ctx, &reply_handle, &mut hello_tenant, shared);
-                    if done {
-                        return;
-                    }
-                }
-                Err(msg) => send_reply(&reply_handle, env.ctx, &Reply::Err { message: msg }),
+        // Decode every complete frame currently buffered. A `SUBMIT` is
+        // taken apart here, so that its payload stays where it is.
+        while let Some(env) = buf.next_frame(&pool) {
+            let ctx = env.ctx;
+            let done = if env.tag == TAG_SUBMIT {
+                proto::decode_submit_head(&env.data).map(|(tenant, spec, at)| {
+                    let payload = Payload { body: env.data, at };
+                    admit(
+                        tenant,
+                        &hello_tenant,
+                        spec,
+                        payload,
+                        ctx,
+                        &reply_handle,
+                        shared,
+                    );
+                    false
+                })
+            } else {
+                Request::decode_env(&env)
+                    .map(|req| handle_request(req, ctx, &reply_handle, &mut hello_tenant, shared))
+            };
+            match done {
+                Ok(true) => return,
+                Ok(false) => {}
+                Err(msg) => send_reply(&reply_handle, ctx, &Reply::Err { message: msg }),
             }
-        }
-        if consumed > 0 {
-            buf.drain(..consumed);
         }
 
         if shared.stop_io.load(Ordering::Acquire) {
             return;
         }
-        match reader.read(&mut chunk) {
+        match buf.fill(&mut *reader) {
             Ok(0) => return, // client hung up
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
@@ -754,17 +864,18 @@ fn handle_request(
                 },
             );
         }
+        // (The connection loop takes `SUBMIT` frames apart itself, to
+        // leave the payload where it was decoded.)
         Request::Submit {
             tenant,
             spec,
             payload,
         } => {
-            let tenant = if tenant.is_empty() {
-                hello_tenant.clone().unwrap_or_default()
-            } else {
-                tenant
+            let payload = Payload {
+                body: payload.into(),
+                at: 0,
             };
-            admit(tenant, spec, payload, ctx, reply, shared);
+            admit(tenant, hello_tenant, spec, payload, ctx, reply, shared);
         }
         Request::Shutdown => {
             shared.paused.store(false, Ordering::Release);
@@ -834,11 +945,13 @@ fn register_profile(spec: ProfileSpec, ctx: u32, reply: &ReplyHandle, shared: &A
     *prof = Some(session);
 }
 
-/// Admission control: structural validation, then the bounded queue.
+/// Admission control: structural validation, then the bounded queue. A
+/// `SUBMIT` that names no tenant runs under the connection's `HELLO` one.
 fn admit(
     tenant: String,
+    hello_tenant: &Option<String>,
     spec: JobSpec,
-    payload: Vec<u8>,
+    payload: Payload,
     ctx: u32,
     reply: &ReplyHandle,
     shared: &Arc<Shared>,
@@ -854,6 +967,11 @@ fn admit(
         );
         return;
     }
+    let tenant = if tenant.is_empty() {
+        hello_tenant.clone().unwrap_or_default()
+    } else {
+        tenant
+    };
     if tenant.is_empty() {
         send_reply(
             reply,
@@ -942,92 +1060,116 @@ pub(crate) fn build_neighborhood(
 
 // ----- dispatcher ---------------------------------------------------------------
 
-/// A universe pool entry, LRU-stamped.
-struct PooledUniverse {
-    uni: ResidentUniverse,
-    last_used: u64,
+/// A few resident values in recency order, least recently used first.
+struct Lru<K, V> {
+    cap: usize,
+    entries: Vec<(K, V)>,
+}
+
+impl<K: PartialEq, V> Lru<K, V> {
+    fn new(cap: usize) -> Self {
+        Lru {
+            cap: cap.max(1),
+            entries: Vec::new(),
+        }
+    }
+
+    /// The value under `key`, marked most recently used.
+    fn get(&mut self, key: &K) -> Option<&mut V> {
+        let at = self.entries.iter().position(|e| e.0 == *key)?;
+        let entry = self.entries.remove(at);
+        self.entries.push(entry);
+        self.entries.last_mut().map(|e| &mut e.1)
+    }
+
+    /// Make `value` resident (most recently used); returns the value it
+    /// pushed out, if the cache was full.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        let evicted = (self.entries.len() >= self.cap).then(|| self.entries.remove(0).1);
+        self.entries.push((key, value));
+        evicted
+    }
+
+    fn remove(&mut self, key: &K) -> Option<V> {
+        let at = self.entries.iter().position(|e| e.0 == *key)?;
+        Some(self.entries.remove(at).1)
+    }
+}
+
+/// The dispatcher's execution state: both universe pools.
+struct Executors {
+    /// Keyed by [`topo_key`].
+    inline: Lru<u64, InlineUniverse>,
+    /// Keyed by rank count.
+    threaded: Lru<usize, ResidentUniverse>,
+    /// The reply payload inline jobs scatter into, one after the other:
+    /// it is written to the socket before the next job runs.
+    reply: Vec<u8>,
 }
 
 fn dispatcher_loop(shared: &Arc<Shared>) {
-    let mut pool: HashMap<usize, PooledUniverse> = HashMap::new();
-    let mut tick: u64 = 0;
-
-    /// One bounded pass at the queue head, so the outer loop regains
-    /// control (for profile-deadline checks) between waits.
-    enum Popped {
-        Job(Box<PendingJob>),
-        Drained,
-        Retry,
-    }
+    let mut exec = Executors {
+        inline: Lru::new(shared.cfg.max_universes),
+        threaded: Lru::new(shared.cfg.max_universes),
+        reply: Vec::new(),
+    };
+    let mut pacer = Pacer {
+        next: Instant::now(),
+    };
 
     loop {
         // A duration-budget profile session can expire while the daemon
-        // is idle; check between queue waits, never while holding the
-        // queue lock (the deferred reply writes to a socket).
+        // is idle; check between queue waits (each bounded, so this loop
+        // regains control), never while holding the queue lock (the
+        // deferred reply writes to a socket).
         maybe_finalize_profile(shared, false);
 
-        let popped = {
+        let mut batch = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             let paused = shared.paused.load(Ordering::Acquire);
-            if !paused {
-                if let Some(mut job) = q.pop_front() {
-                    job.drained_ns = shared.now_ns();
-                    Popped::Job(Box::new(job))
-                } else if shared.draining.load(Ordering::Acquire) {
-                    Popped::Drained
-                } else {
-                    let _ = shared
-                        .queue_cv
-                        .wait_timeout(q, Duration::from_millis(10))
-                        .unwrap_or_else(|e| e.into_inner());
-                    Popped::Retry
+            if paused || q.is_empty() {
+                if !paused && shared.draining.load(Ordering::Acquire) {
+                    break;
                 }
-            } else {
                 let _ = shared
                     .queue_cv
                     .wait_timeout(q, Duration::from_millis(10))
                     .unwrap_or_else(|e| e.into_inner());
-                Popped::Retry
+                continue;
             }
-        };
-        let head = match popped {
-            Popped::Job(job) => *job,
-            Popped::Drained => break,
-            Popped::Retry => continue,
-        };
-        shared.emit_stage(head.job_id, ServeStageKind::Coalesced, 1);
-
-        // Coalescing window: fold queued same-shape jobs into the batch.
-        let key = head.key;
-        let mut batch = vec![head];
-        let deadline = Instant::now() + shared.cfg.window;
-        loop {
-            {
-                let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                let mut rest = VecDeque::with_capacity(q.len());
-                for mut job in q.drain(..) {
-                    if job.key == key {
-                        job.drained_ns = shared.now_ns();
-                        shared.emit_stage(
-                            job.job_id,
-                            ServeStageKind::Coalesced,
-                            batch.len() as u64 + 1,
-                        );
-                        batch.push(job);
-                    } else {
-                        rest.push_back(job);
-                    }
+            // Pacing: jobs that arrive while the batch waits for its
+            // start are folded into it below.
+            let wait = pacer.wait(Instant::now());
+            if !wait.is_zero() {
+                let _ = shared
+                    .queue_cv
+                    .wait_timeout(q, wait)
+                    .unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            // Natural batching: fold in the same-shape jobs that are
+            // queued by now, and wait for no particular one.
+            let mut batch = vec![q.pop_front().expect("the queue is not empty")];
+            let mut i = 0;
+            while i < q.len() {
+                if q[i].key == batch[0].key {
+                    batch.extend(q.remove(i));
+                } else {
+                    i += 1;
                 }
-                *q = rest;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            thread::sleep((deadline - now).min(Duration::from_micros(200)));
+            batch
+        };
+        let moved =
+            |j: &PendingJob| j.payload.len() + j.spec.ranks() * j.spec.recv_bytes_per_rank();
+        pacer.started(Instant::now(), batch.len(), batch.iter().map(moved).sum());
+        let drained_ns = shared.now_ns();
+        for (i, job) in batch.iter_mut().enumerate() {
+            job.drained_ns = drained_ns;
+            shared.emit_stage(job.job_id, ServeStageKind::Coalesced, i as u64 + 1);
         }
 
-        execute_batch(&mut pool, &mut tick, shared, batch);
+        execute_batch(&mut exec, shared, batch);
         maybe_finalize_profile(shared, false);
     }
 
@@ -1035,47 +1177,320 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     // every claimed capture has deposited), then shut the universes down
     // before declaring the daemon done.
     maybe_finalize_profile(shared, true);
-    for (_, entry) in pool.drain() {
-        let _ = entry.uni.shutdown();
+    for (_, uni) in exec.threaded.entries.drain(..) {
+        let _ = uni.shutdown();
     }
     shared.drained.store(true, Ordering::Release);
+}
+
+/// Whether `spec`'s plan compiles — a message-combining schedule on a
+/// topology periodic in every dimension the neighborhood moves in — and
+/// the job therefore executes inline. Everything else runs threaded.
+fn compiles(spec: &JobSpec) -> bool {
+    spec.algo == AlgoSpec::Combining
+        && (0..spec.dims.len()).all(|k| spec.periods[k] || spec.offsets.iter().all(|o| o[k] == 0))
+}
+
+fn execute_batch(exec: &mut Executors, shared: &Arc<Shared>, batch: Vec<PendingJob>) {
+    let p = batch[0].spec.ranks();
+
+    // Claim profile captures for this batch: a live session matching a
+    // job's tenant (with budget and deadline headroom) reserves a capture
+    // slot per job. Claiming happens dispatcher-side so every rank agrees
+    // on which jobs are profiled without further coordination.
+    let (claims, prof_capacity): (Vec<Option<usize>>, usize) = {
+        let mut prof = shared.profile.lock().unwrap_or_else(|e| e.into_inner());
+        match prof.as_mut() {
+            Some(sess) => {
+                let now = shared.now_ns();
+                let claims = batch
+                    .iter()
+                    .map(|job| {
+                        let budget_ok = sess.jobs_left.is_none_or(|n| n > 0);
+                        if job.tenant == sess.tenant && budget_ok && now < sess.deadline_ns {
+                            if let Some(n) = sess.jobs_left.as_mut() {
+                                *n -= 1;
+                            }
+                            sess.captures.push(JobCapture::new(p));
+                            Some(sess.captures.len() - 1)
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                (claims, sess.capacity)
+            }
+            None => (vec![None; batch.len()], 0),
+        }
+    };
+
+    // Count the batch before any reply goes out, so a client that has
+    // its result in hand observes settled counters.
+    let counters = &shared.counters;
+    counters.batches_executed.fetch_add(1, Ordering::Relaxed);
+    counters
+        .jobs_coalesced
+        .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
+    let inline = compiles(&batch[0].spec);
+    let path = if inline {
+        &counters.jobs_inline
+    } else {
+        &counters.jobs_threaded
+    };
+    path.fetch_add(batch.len() as u64, Ordering::Relaxed);
+
+    if inline {
+        execute_inline(exec, shared, &batch, &claims, prof_capacity);
+    } else {
+        execute_threaded(&mut exec.threaded, shared, &batch, claims, prof_capacity);
+    }
+}
+
+/// Run a batch on the dispatcher's own thread, one job after the other,
+/// each replied to as soon as it is done. A job that fails — or panics —
+/// in the executor gets an `ERR` reply and its universe is dropped; the
+/// rest of the batch, and the daemon, carry on.
+fn execute_inline(
+    exec: &mut Executors,
+    shared: &Arc<Shared>,
+    batch: &[PendingJob],
+    claims: &[Option<usize>],
+    prof_capacity: usize,
+) {
+    let (pool, reply) = (&mut exec.inline, &mut exec.reply);
+    let key = topo_key(&batch[0].spec);
+    // Same coalesce key, same shape: one description serves the batch.
+    let shape = job_layouts(&batch[0].spec).map_err(|e| format!("{e:?}"));
+    for (job, &claim) in batch.iter().zip(claims) {
+        let dispatched_ns = shared.now_ns();
+        shared.emit_stage(job.job_id, ServeStageKind::Dispatched, batch.len() as u64);
+
+        let outcome = match inline_universe(pool, key, shared, &job.spec) {
+            Ok(uni) => {
+                // A claimed job runs with one ring sink per rank attached.
+                // They come off after the unwind boundary, so a panicking
+                // job still deposits and the session still settles.
+                let sinks: Option<Vec<_>> = claim.map(|_| {
+                    (0..uni.size())
+                        .map(|rank| attach_sink(uni.obs(rank), shared, prof_capacity))
+                        .collect()
+                });
+                let run = catch_unwind(AssertUnwindSafe(|| {
+                    run_inline(uni, shared, job, &shape, reply)
+                }))
+                .unwrap_or_else(|_| Err("job panicked in the inline executor".into()));
+                if let (Some(ci), Some(sinks)) = (claim, sinks) {
+                    let predicted = run.as_ref().ok().copied();
+                    for (rank, sink) in sinks.iter().enumerate() {
+                        detach_sink(uni.obs(rank), shared, sink, (ci, rank), predicted);
+                    }
+                }
+                run.map(|_| &reply[..])
+            }
+            Err(msg) => Err(msg),
+        };
+        if outcome.is_err() {
+            pool.remove(&key);
+        }
+        let executed_ns = shared.now_ns();
+        shared.emit_stage(
+            job.job_id,
+            ServeStageKind::Executed,
+            job.spec.ranks() as u64,
+        );
+        finish_job(shared, job, outcome, dispatched_ns, executed_ns);
+    }
+}
+
+/// The resident inline universe for `spec`'s topology and neighborhood,
+/// created (on the daemon's plan store) if it is not resident.
+fn inline_universe<'a>(
+    pool: &'a mut Lru<u64, InlineUniverse>,
+    key: u64,
+    shared: &Shared,
+    spec: &JobSpec,
+) -> Result<&'a mut InlineUniverse, String> {
+    if pool.get(&key).is_none() {
+        let nb = build_neighborhood(spec).map_err(|e| format!("{e:?}"))?;
+        let uni = InlineUniverse::new(&spec.dims, &spec.periods, nb)
+            .map_err(|e| format!("{e:?}"))?
+            .with_plan_store(Arc::clone(&shared.store));
+        pool.insert(key, uni);
+    }
+    Ok(pool.get(&key).expect("just ensured"))
+}
+
+/// Execute one job on `uni` and attribute every rank's metrics delta,
+/// with the analytical `C`/`V·m` prediction, to the job's tenant. All
+/// ranks' receive buffers are scattered straight into `reply`, the reply
+/// payload; returns the prediction.
+fn run_inline(
+    uni: &mut InlineUniverse,
+    shared: &Shared,
+    job: &PendingJob,
+    shape: &Result<JobShape, String>,
+    reply: &mut Vec<u8>,
+) -> Result<(u64, u64), String> {
+    let spec = &*job.spec;
+    let (kind, lay, red) = shape.as_ref().map_err(String::clone)?;
+    let (kind, red) = (*kind, *red);
+    let p = uni.size();
+    let before: Vec<MetricsSnapshot> = (0..p).map(|rank| uni.obs(rank).snapshot()).collect();
+    reply.clear();
+    reply.resize(p * spec.recv_bytes_per_rank(), 0);
+    let run = uni.run(kind, lay, red, &job.payload, reply);
+    let (c_pred, v_pred) = predict(spec, |kind| uni.schedule(kind));
+    for (rank, before) in before.iter().enumerate() {
+        let delta = uni.obs(rank).metrics().delta_since(before);
+        shared
+            .tenants
+            .record_job(&job.tenant, c_pred, v_pred, &delta);
+    }
+    run.map(|()| (c_pred, v_pred)).map_err(|e| format!("{e:?}"))
+}
+
+/// A job's operation as an [`InlineUniverse`] takes it: the plan kind, one
+/// rank's buffer layouts and — for the reductions — the reducer.
+type JobShape = (PlanKind, ExecLayouts, Option<Reducer>);
+
+/// `spec`'s operation as a [`JobShape`]. Counts and displacements arrive
+/// in the client's element units and are scaled to bytes here, so rank
+/// buffers are plain `u8` regardless of the tenant's element type.
+fn job_layouts(spec: &JobSpec) -> cartcomm::CartResult<JobShape> {
+    let t = spec.neighbor_count();
+    let byte = Datatype::byte();
+    let blocks = |v: &[(i64, usize)]| {
+        v.iter()
+            .map(|&(disp, count)| WBlock::new(disp, count, &byte))
+            .collect::<Vec<_>>()
+    };
+    Ok(match &spec.op {
+        OpSpec::Alltoallv {
+            elem_size,
+            sendcounts,
+            senddispls,
+            recvcounts,
+            recvdispls,
+        } => (
+            PlanKind::Alltoall,
+            v_layouts(
+                *elem_size,
+                sendcounts,
+                senddispls,
+                recvcounts,
+                recvdispls,
+                PlanKind::Alltoall,
+            )?,
+            None,
+        ),
+        OpSpec::Allgatherv {
+            elem_size,
+            sendcount,
+            recvdispls,
+        } => (
+            PlanKind::Allgather,
+            v_layouts(
+                *elem_size,
+                &[*sendcount],
+                &[0],
+                &vec![*sendcount; t],
+                recvdispls,
+                PlanKind::Allgather,
+            )?,
+            None,
+        ),
+        OpSpec::Alltoallw {
+            send_blocks,
+            recv_blocks,
+        } => (
+            PlanKind::Alltoall,
+            w_layouts(
+                &blocks(send_blocks),
+                &blocks(recv_blocks),
+                PlanKind::Alltoall,
+            )?,
+            None,
+        ),
+        OpSpec::Allgatherw {
+            send_block,
+            recv_blocks,
+        } => (
+            PlanKind::Allgather,
+            w_layouts(
+                &blocks(std::slice::from_ref(send_block)),
+                &blocks(recv_blocks),
+                PlanKind::Allgather,
+            )?,
+            None,
+        ),
+        OpSpec::ReduceScatter { red, count } => (
+            PlanKind::ReduceScatter,
+            regular_layouts(t, count * red.width(), PlanKind::ReduceScatter),
+            Some(*red),
+        ),
+        OpSpec::Allreduce { red, count } => (
+            PlanKind::Allreduce,
+            regular_layouts(t, count * red.width(), PlanKind::Allreduce),
+            Some(*red),
+        ),
+    })
+}
+
+/// Attach a fresh ring sink to one rank's `Obs`, on the daemon clock so
+/// cross-rank stamps line up.
+fn attach_sink(obs: &Obs, shared: &Shared, capacity: usize) -> Arc<RingBufferSink> {
+    let sink = Arc::new(RingBufferSink::new(capacity));
+    obs.set_clock(Arc::clone(&shared.clock) as Arc<dyn Clock>);
+    obs.attach_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    shared.profile_sinks.fetch_add(1, Ordering::Relaxed);
+    sink
+}
+
+/// Detach `sink` from `rank`'s `Obs` and deposit what it captured (and,
+/// if the job succeeded, its analytical prediction) into capture `ci` of
+/// the live profile session.
+fn detach_sink(
+    obs: &Obs,
+    shared: &Shared,
+    sink: &RingBufferSink,
+    (ci, rank): (usize, usize),
+    predicted: Option<(u64, u64)>,
+) {
+    obs.detach_sink();
+    shared.profile_sinks.fetch_sub(1, Ordering::Relaxed);
+    let records = sink.take();
+    let dropped = sink.dropped();
+    let mut prof = shared.profile.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(cap) = prof.as_mut().and_then(|sess| sess.captures.get_mut(ci)) {
+        cap.per_rank[rank] = records;
+        cap.dropped += dropped;
+        cap.deposits += 1;
+        if let Some((c_pred, v_pred)) = predicted {
+            cap.c_pred = c_pred;
+            cap.v_pred = v_pred;
+        }
+    }
 }
 
 /// What one rank reports for one job of a batch.
 type RankOutcome = (usize, usize, Result<Vec<u8>, String>);
 
-fn execute_batch(
-    pool: &mut HashMap<usize, PooledUniverse>,
-    tick: &mut u64,
+/// Run a batch rank-parallel on the resident threaded universe of its
+/// rank count: what executes the jobs whose plan does not compile.
+fn execute_threaded(
+    pool: &mut Lru<usize, ResidentUniverse>,
     shared: &Arc<Shared>,
-    batch: Vec<PendingJob>,
+    batch: &[PendingJob],
+    claims: Vec<Option<usize>>,
+    prof_capacity: usize,
 ) {
     let p = batch[0].spec.ranks();
-    *tick += 1;
-
-    // Universe pool: reuse by rank count, evict least-recently-used.
-    if !pool.contains_key(&p) {
-        if pool.len() >= shared.cfg.max_universes.max(1) {
-            if let Some(evict) = pool
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-            {
-                if let Some(entry) = pool.remove(&evict) {
-                    let _ = entry.uni.shutdown();
-                }
-            }
+    if pool.get(&p).is_none() {
+        if let Some(evicted) = pool.insert(p, ResidentUniverse::new(p)) {
+            let _ = evicted.shutdown();
         }
-        pool.insert(
-            p,
-            PooledUniverse {
-                uni: ResidentUniverse::new(p),
-                last_used: *tick,
-            },
-        );
     }
-    let entry = pool.get_mut(&p).expect("just ensured");
-    entry.last_used = *tick;
+    let uni = pool.get(&p).expect("just ensured");
 
     // One closure per rank; each runs the whole batch in order, so every
     // rank sees identical collective-creation order (safe `dup`s) and
@@ -1083,7 +1498,7 @@ fn execute_batch(
     struct BatchItem {
         tenant: String,
         spec: Arc<JobSpec>,
-        payload: Arc<Vec<u8>>,
+        payload: Arc<Payload>,
     }
     let items: Arc<Vec<BatchItem>> = Arc::new(
         batch
@@ -1095,36 +1510,7 @@ fn execute_batch(
             })
             .collect(),
     );
-
-    // Claim profile captures for this batch: a live session matching a
-    // job's tenant (with budget and deadline headroom) reserves a capture
-    // slot per job. Claiming happens dispatcher-side so every rank agrees
-    // on which jobs are profiled without further coordination.
-    let (claims, prof_capacity): (Arc<Vec<Option<usize>>>, usize) = {
-        let mut prof = shared.profile.lock().unwrap_or_else(|e| e.into_inner());
-        match prof.as_mut() {
-            Some(sess) => {
-                let now = shared.now_ns();
-                let claims = items
-                    .iter()
-                    .map(|item| {
-                        let budget_ok = sess.jobs_left.is_none_or(|n| n > 0);
-                        if item.tenant == sess.tenant && budget_ok && now < sess.deadline_ns {
-                            if let Some(n) = sess.jobs_left.as_mut() {
-                                *n -= 1;
-                            }
-                            sess.captures.push(JobCapture::new(p));
-                            Some(sess.captures.len() - 1)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                (Arc::new(claims), sess.capacity)
-            }
-            None => (Arc::new(vec![None; items.len()]), 0),
-        }
-    };
+    let claims = Arc::new(claims);
 
     let (tx, rx) = mpsc::channel::<RankOutcome>();
     let jobs: Vec<RankJob> = (0..p)
@@ -1136,17 +1522,9 @@ fn execute_batch(
             Box::new(move |comm: &mut Comm| {
                 for (idx, item) in items.iter().enumerate() {
                     // A claimed job runs with a ring sink attached to this
-                    // rank's Obs, on the daemon clock so cross-rank stamps
-                    // line up. Attach/detach brackets exactly this job, so
+                    // rank's Obs. Attach/detach brackets exactly this job, so
                     // concurrent tenants in the same batch are untouched.
-                    let sink = claims[idx].map(|_| {
-                        let sink = Arc::new(RingBufferSink::new(prof_capacity));
-                        let obs = comm.obs();
-                        obs.set_clock(Arc::clone(&shared.clock) as Arc<dyn Clock>);
-                        obs.attach_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
-                        shared.profile_sinks.fetch_add(1, Ordering::Relaxed);
-                        sink
-                    });
+                    let sink = claims[idx].map(|_| attach_sink(comm.obs(), &shared, prof_capacity));
                     let out = run_one(
                         comm,
                         &shared.store,
@@ -1157,21 +1535,8 @@ fn execute_batch(
                         rank,
                     );
                     if let (Some(ci), Some(sink)) = (claims[idx], sink) {
-                        comm.obs().detach_sink();
-                        shared.profile_sinks.fetch_sub(1, Ordering::Relaxed);
-                        let records = sink.take();
-                        let dropped = sink.dropped();
-                        let mut prof = shared.profile.lock().unwrap_or_else(|e| e.into_inner());
-                        if let Some(cap) = prof.as_mut().and_then(|sess| sess.captures.get_mut(ci))
-                        {
-                            cap.per_rank[rank] = records;
-                            cap.dropped += dropped;
-                            cap.deposits += 1;
-                            if let Ok((_, c_pred, v_pred)) = &out {
-                                cap.c_pred = *c_pred;
-                                cap.v_pred = *v_pred;
-                            }
-                        }
+                        let predicted = out.as_ref().ok().map(|&(_, c, v)| (c, v));
+                        detach_sink(comm.obs(), &shared, &sink, (ci, rank), predicted);
                     }
                     let _ = tx.send((idx, rank, out.map(|(recv, _, _)| recv)));
                 }
@@ -1180,10 +1545,10 @@ fn execute_batch(
         .collect();
     drop(tx);
     let dispatched_ns = shared.now_ns();
-    for job in &batch {
+    for job in batch {
         shared.emit_stage(job.job_id, ServeStageKind::Dispatched, batch.len() as u64);
     }
-    entry.uni.submit(jobs);
+    uni.submit(jobs);
 
     // Gather p results per job; a rank that dies shows up as a timeout.
     let per_rank = batch[0].spec.recv_bytes_per_rank();
@@ -1230,69 +1595,68 @@ fn execute_batch(
         }
     }
 
-    // Count the batch before any reply goes out, so a client that has
-    // its result in hand observes settled counters.
-    shared
-        .counters
-        .batches_executed
-        .fetch_add(1, Ordering::Relaxed);
-    shared
-        .counters
-        .jobs_coalesced
-        .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
-    shared
-        .counters
-        .jobs_completed
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-
-    // Assemble and reply per job. Stage durations are recorded *before*
-    // the reply goes out, so a client holding its result observes settled
-    // histograms (the reply stage clocks reply assembly, not the write).
+    let mut out = Vec::with_capacity(p * per_rank);
     for (idx, job) in batch.iter().enumerate() {
-        let reply = match &errors[idx] {
-            Some(msg) => Reply::Err {
-                message: msg.clone(),
-            },
+        let outcome = match errors[idx].take() {
+            Some(msg) => Err(msg),
             None if results[idx].iter().all(|r| r.is_some()) => {
-                let mut out = Vec::with_capacity(p * per_rank);
-                for r in results[idx].iter_mut() {
+                out.clear();
+                for r in &results[idx] {
                     out.extend_from_slice(r.as_ref().expect("checked"));
                 }
-                Reply::Result { payload: out }
+                Ok(&out[..])
             }
-            None => Reply::Err {
-                message: "incomplete rank results".into(),
-            },
+            None => Err("incomplete rank results".into()),
         };
-
-        let replied_ns = shared.now_ns();
         let done_ns = if executed_ns[idx] > 0 {
             executed_ns[idx]
         } else {
-            replied_ns
+            shared.now_ns()
         };
-        let stage_ns: [u64; STAGE_COUNT] = [
-            job.drained_ns.saturating_sub(job.accepted_ns),
-            dispatched_ns.saturating_sub(job.drained_ns),
-            done_ns.saturating_sub(dispatched_ns),
-            replied_ns.saturating_sub(done_ns),
-        ];
-        let total_ns = replied_ns.saturating_sub(job.accepted_ns);
-        shared.tenants.record_stages(&job.tenant, stage_ns);
-        {
-            let mut ring = shared.slowest.lock().unwrap_or_else(|e| e.into_inner());
-            ring.push(SlowJob {
-                job_id: job.job_id,
-                tenant: job.tenant.clone(),
-                total_ns,
-                stage_ns,
-            });
-            ring.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
-            ring.truncate(SLOW_RING_CAP);
-        }
-        shared.emit_stage(job.job_id, ServeStageKind::Replied, total_ns);
+        finish_job(shared, job, outcome, dispatched_ns, done_ns);
+    }
+}
 
-        send_reply(&job.reply, job.ctx, &reply);
+/// Close out one job: count it, record its stage durations and send the
+/// reply. Everything a client could read back is settled *before* the
+/// reply goes out (the reply stage clocks what happens between the
+/// executor and the write, not the write).
+fn finish_job(
+    shared: &Shared,
+    job: &PendingJob,
+    outcome: Result<&[u8], String>,
+    dispatched_ns: u64,
+    executed_ns: u64,
+) {
+    shared
+        .counters
+        .jobs_completed
+        .fetch_add(1, Ordering::Relaxed);
+    let replied_ns = shared.now_ns();
+    let stage_ns: [u64; STAGE_COUNT] = [
+        job.drained_ns.saturating_sub(job.accepted_ns),
+        dispatched_ns.saturating_sub(job.drained_ns),
+        executed_ns.saturating_sub(dispatched_ns),
+        replied_ns.saturating_sub(executed_ns),
+    ];
+    let total_ns = replied_ns.saturating_sub(job.accepted_ns);
+    shared.tenants.record_stages(&job.tenant, stage_ns);
+    {
+        let mut ring = shared.slowest.lock().unwrap_or_else(|e| e.into_inner());
+        ring.push(SlowJob {
+            job_id: job.job_id,
+            tenant: job.tenant.clone(),
+            total_ns,
+            stage_ns,
+        });
+        ring.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
+        ring.truncate(SLOW_RING_CAP);
+    }
+    shared.emit_stage(job.job_id, ServeStageKind::Replied, total_ns);
+
+    match outcome {
+        Ok(payload) => send_result(&job.reply, job.ctx, payload),
+        Err(message) => send_reply(&job.reply, job.ctx, &Reply::Err { message }),
     }
 }
 
@@ -1549,7 +1913,7 @@ fn run_one(
     tenants: &Arc<TenantRegistry>,
     tenant: &str,
     spec: &JobSpec,
-    payload: &Arc<Vec<u8>>,
+    payload: &[u8],
     rank: usize,
 ) -> Result<(Vec<u8>, u64, u64), String> {
     let sb = spec.send_bytes_per_rank();
@@ -1573,7 +1937,7 @@ fn run_one(
         let before = comm.obs().metrics().snapshot();
         let run = run_op(cart, spec, send, &mut recv);
         let delta = comm.obs().metrics().delta_since(&before);
-        let (c_pred, v_pred) = predict(cart, spec);
+        let (c_pred, v_pred) = predict(spec, |kind| cart.plans().schedule(kind));
         tenants.record_job(tenant, c_pred, v_pred, &delta);
         run.map(|_| (c_pred, v_pred))
     })?;
@@ -1583,15 +1947,16 @@ fn run_one(
 /// The analytical per-rank prediction for one execution: round count `C`
 /// (Prop. 3.2) and wire volume in bytes (`V·m` generalized to irregular
 /// block sizes via the schedule's per-round byte census, Prop. 3.3). The
-/// trivial algorithm predicts `t` rounds carrying every block directly.
-fn predict(cart: &CartComm, spec: &JobSpec) -> (u64, u64) {
+/// trivial algorithm predicts `t` rounds carrying every block directly;
+/// the combining prediction reads the schedule `schedule` returns.
+fn predict(spec: &JobSpec, schedule: impl FnOnce(PlanKind) -> Arc<Plan>) -> (u64, u64) {
     let block_bytes = spec.recv_block_bytes();
     let reduction = matches!(
         spec.op,
         OpSpec::ReduceScatter { .. } | OpSpec::Allreduce { .. }
     );
     match spec.algo {
-        crate::proto::AlgoSpec::Trivial if reduction => {
+        AlgoSpec::Trivial if reduction => {
             // Trivial reductions exchange nothing for a zero offset (the
             // own contribution folds in locally), so only non-zero
             // neighbors count towards rounds and volume.
@@ -1603,92 +1968,63 @@ fn predict(cart: &CartComm, spec: &JobSpec) -> (u64, u64) {
             let m = block_bytes.first().copied().unwrap_or(0);
             (live as u64, (live * m) as u64)
         }
-        crate::proto::AlgoSpec::Trivial => (
+        AlgoSpec::Trivial => (
             spec.neighbor_count() as u64,
             block_bytes.iter().sum::<usize>() as u64,
         ),
-        crate::proto::AlgoSpec::Combining => {
+        AlgoSpec::Combining => {
             let kind = match spec.op {
                 OpSpec::Alltoallv { .. } | OpSpec::Alltoallw { .. } => PlanKind::Alltoall,
                 OpSpec::Allgatherv { .. } | OpSpec::Allgatherw { .. } => PlanKind::Allgather,
                 OpSpec::ReduceScatter { .. } => PlanKind::ReduceScatter,
                 OpSpec::Allreduce { .. } => PlanKind::Allreduce,
             };
-            let plan = cart.plans().schedule(kind);
+            let plan = schedule(kind);
             let v: usize = plan.round_bytes(&|b| block_bytes[b]).iter().sum();
             (plan.rounds as u64, v as u64)
         }
     }
 }
 
-/// Dispatch the byte-level collective. Counts and displacements arrive in
-/// the client's element units and are scaled to bytes here, so the rank
-/// buffers are plain `u8` regardless of the tenant's element type.
+/// Run `spec`'s collective on one rank of a threaded universe, through
+/// the same [`job_layouts`] description the inline path executes.
 pub(crate) fn run_op(
     cart: &CartComm,
     spec: &JobSpec,
     send: &[u8],
     recv: &mut [u8],
 ) -> Result<(), String> {
-    let algo = spec.algo.to_algo();
-    let res = match &spec.op {
-        OpSpec::Alltoallv {
-            elem_size,
-            sendcounts,
-            senddispls,
-            recvcounts,
-            recvdispls,
-        } => {
-            let scale = |v: &[usize]| v.iter().map(|x| x * elem_size).collect::<Vec<_>>();
-            cart.alltoallv::<u8>(
-                send,
-                &scale(sendcounts),
-                &scale(senddispls),
-                recv,
-                &scale(recvcounts),
-                &scale(recvdispls),
-                algo,
-            )
-        }
-        OpSpec::Allgatherv {
-            elem_size,
-            sendcount,
-            recvdispls,
-        } => cart.allgatherv::<u8>(
-            &send[..sendcount * elem_size],
-            recv,
-            sendcount * elem_size,
-            &recvdispls.iter().map(|d| d * elem_size).collect::<Vec<_>>(),
-            algo,
-        ),
-        OpSpec::Alltoallw {
-            send_blocks,
-            recv_blocks,
-        } => {
-            let byte = Datatype::byte();
-            let blocks = |v: &[(i64, usize)]| {
-                v.iter()
-                    .map(|&(disp, count)| WBlock::new(disp, count, &byte))
-                    .collect::<Vec<_>>()
-            };
-            cart.alltoallw(send, &blocks(send_blocks), recv, &blocks(recv_blocks), algo)
-        }
-        OpSpec::Allgatherw {
-            send_block,
-            recv_blocks,
-        } => {
-            let byte = Datatype::byte();
-            let sb = WBlock::new(send_block.0, send_block.1, &byte);
-            let rb = recv_blocks
-                .iter()
-                .map(|&(disp, count)| WBlock::new(disp, count, &byte))
-                .collect::<Vec<_>>();
-            cart.allgatherw(send, &sb, recv, &rb, algo)
-        }
-        OpSpec::ReduceScatter { red, .. } => {
-            cart.neighbor_reduce_scatter_bytes(*red, send, recv, algo)
-        }
-        OpSpec::Allreduce { red, .. } => cart.neighbor_allreduce_bytes(*red, send, recv, algo),
-    };
-    res.map_err(|e| format!("{e:?}"))
+    job_layouts(spec)
+        .and_then(|(kind, lay, red)| cart.run(kind, lay, red, send, recv, spec.algo.to_algo()))
+        .map_err(|e| format!("{e:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pacer_keeps_its_schedule_through_late_starts_and_restarts_it_after_idling() {
+        let t0 = Instant::now();
+        let us = Duration::from_micros;
+        let mut pacer = Pacer { next: t0 };
+        // An idle daemon starts at once; two small jobs hold the next
+        // batch off for two job gaps.
+        let first = t0 + us(5000);
+        assert_eq!(pacer.wait(first), Duration::ZERO);
+        pacer.started(first, 2, 13_312);
+        assert_eq!(pacer.wait(first), 2 * JOB_GAP);
+        // Started 60 µs late, with one job: the batch after is due one
+        // job gap after this one was due, not after it started.
+        pacer.started(first + 2 * JOB_GAP + us(60), 1, 6656);
+        assert_eq!(pacer.wait(first + 2 * JOB_GAP), JOB_GAP);
+        // A job that moves a mebibyte holds the next one off for 1/1024 s.
+        pacer.started(first + 3 * JOB_GAP, 1, 1 << 20);
+        let due = first + 3 * JOB_GAP + Duration::from_nanos(976_562);
+        assert_eq!(pacer.wait(due - us(1)), us(1));
+        assert_eq!(pacer.wait(due), Duration::ZERO);
+        // A whole gap late or more: the schedule restarts at the start.
+        pacer.started(due + 3 * JOB_GAP, 1, 0);
+        assert_eq!(pacer.wait(due + 3 * JOB_GAP), JOB_GAP);
+    }
 }

@@ -112,6 +112,12 @@ fn three_tenants_share_plans_coalesce_and_drain() {
         "tenant 2 rode plans tenant 1 compiled"
     );
     assert_eq!(s2.totals.plan_cache_hits, p as u64);
+    let c = server.counters();
+    assert_eq!(
+        (c.jobs_inline, c.jobs_threaded),
+        (2, 0),
+        "combining jobs on a torus compile, so the dispatcher ran them inline"
+    );
 
     // --- Tenant 3, different shape: its own compiles, not A's. ---
     let mut t3 = Client::connect_uds(&sock, "tenant-3").expect("connect t3");
@@ -199,6 +205,10 @@ fn three_tenants_share_plans_coalesce_and_drain() {
         );
     }
     assert!(stats.contains("\"batches_executed\""));
+    assert!(
+        stats.contains("\"jobs_inline\":7,\"jobs_threaded\":0"),
+        "{stats}"
+    );
     assert!(stats.contains("\"plan_store\""));
 
     // --- Graceful drain over the wire. ---
@@ -364,4 +374,171 @@ fn tcp_endpoint_serves_and_reports_stats() {
 
     c.shutdown().expect("wire shutdown");
     server.wait();
+}
+
+/// Jobs whose plan does not compile — the trivial algorithm, and a
+/// combining schedule on a non-periodic mesh — keep the resident threaded
+/// universe: still byte-identical to the reference, counted under
+/// `jobs_threaded`, and visible as such in the daemon's own output.
+#[test]
+fn jobs_that_do_not_compile_run_threaded_and_say_so() {
+    let sock = sock_path("fallback");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shapes: a 5-ring (trivial, periodic) and a 2x3 open mesh
+    // (combining, but its boundary ranks have no neighbor to route via).
+    let trivial = JobSpec {
+        dims: vec![5],
+        periods: vec![true],
+        offsets: vec![vec![1], vec![-2]],
+        op: OpSpec::Alltoallv {
+            elem_size: 2,
+            sendcounts: vec![3, 5],
+            senddispls: vec![0, 3],
+            recvcounts: vec![3, 5],
+            recvdispls: vec![0, 3],
+        },
+        algo: AlgoSpec::Trivial,
+    };
+    let mesh = JobSpec {
+        dims: vec![2, 3],
+        periods: vec![false, false],
+        offsets: vec![vec![0, 1], vec![1, 0], vec![-1, -1]],
+        op: OpSpec::Alltoallw {
+            send_blocks: vec![(0, 4), (4, 2), (6, 7)],
+            recv_blocks: vec![(0, 4), (4, 2), (6, 7)],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    // Same ring, combining: compiles, so it takes the other path.
+    let compiled = JobSpec {
+        algo: AlgoSpec::Combining,
+        ..trivial.clone()
+    };
+
+    let mut c = Client::connect_uds(&sock, "fallback-tenant").expect("connect");
+    for (spec, salt) in [(&trivial, 5), (&mesh, 6), (&compiled, 7)] {
+        let payload = payload_for(spec, salt);
+        let golden = reference::execute(spec, &payload).expect("golden");
+        let out = c.submit_retrying(spec, &payload, 100).expect("job");
+        assert_eq!(out, golden, "{:?} diverged from the reference", spec.algo);
+    }
+    let counters = server.counters();
+    assert_eq!((counters.jobs_threaded, counters.jobs_inline), (2, 1));
+    assert_eq!(counters.jobs_completed, 3);
+
+    let metrics = c.metrics_text().expect("metrics");
+    assert!(
+        metrics.contains("cartserve_jobs_executed_total{path=\"threaded\"} 2")
+            && metrics.contains("cartserve_jobs_executed_total{path=\"inline\"} 1"),
+        "{metrics}"
+    );
+
+    c.shutdown().expect("wire shutdown");
+    server.wait();
+}
+
+/// A job that passes admission but fails in the executor costs only
+/// itself: it is answered with `ERR`, the jobs of other tenants before
+/// and after it on the same universe are byte-correct, and the daemon
+/// keeps answering.
+#[test]
+fn a_failing_job_is_contained() {
+    let sock = sock_path("contain");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shape: 3x3 torus, diagonal pair.
+    let good = JobSpec {
+        dims: vec![3, 3],
+        periods: vec![true, true],
+        offsets: vec![vec![1, 1], vec![-1, -1]],
+        op: OpSpec::Allgatherw {
+            send_block: (0, 6),
+            recv_blocks: vec![(0, 6), (6, 6)],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    // Same topology and neighborhood — the same inline universe — but the
+    // receive blocks are not uniform: structurally valid, and no
+    // combining allgather schedule exists for it.
+    let bad = JobSpec {
+        op: OpSpec::Allgatherw {
+            send_block: (0, 6),
+            recv_blocks: vec![(0, 6), (6, 9)],
+        },
+        ..good.clone()
+    };
+    bad.validate().expect("passes admission");
+    let payload = payload_for(&good, 23);
+    let golden = reference::execute(&good, &payload).expect("golden");
+
+    let mut before = Client::connect_uds(&sock, "contain-a").expect("connect");
+    let mut failing = Client::connect_uds(&sock, "contain-b").expect("connect");
+    let mut after = Client::connect_uds(&sock, "contain-c").expect("connect");
+
+    let out = before.submit_retrying(&good, &payload, 100).expect("job");
+    assert_eq!(out, golden);
+    let err = failing
+        .submit(&bad, &payload_for(&bad, 29))
+        .expect_err("the executor must refuse non-uniform allgather blocks");
+    assert!(err.to_string().contains("BlockSizeMismatch"), "{err}");
+    let out = after.submit_retrying(&good, &payload, 100).expect("job");
+    assert_eq!(out, golden, "the job after the failure is untouched by it");
+
+    // The failing connection, and the daemon, are still in service.
+    assert_eq!(
+        failing.ping(b"still there?").expect("ping"),
+        b"still there?"
+    );
+    let out = failing.submit_retrying(&good, &payload, 100).expect("job");
+    assert_eq!(out, golden);
+    let counters = server.counters();
+    assert_eq!((counters.jobs_completed, counters.jobs_inline), (4, 4));
+
+    server.shutdown();
+}
+
+/// With no coalescing window a lone client waits for nobody, only for
+/// the pace (one job per 200 µs): 200 jobs back to back take well under
+/// the 400 ms they used to spend asleep in the window alone.
+#[test]
+fn a_lone_client_pays_no_window() {
+    let sock = sock_path("lone");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shape: 2x2x2 torus, one axis pair, combining allgatherv.
+    let spec = JobSpec {
+        dims: vec![2, 2, 2],
+        periods: vec![true; 3],
+        offsets: vec![vec![0, 0, 1], vec![0, 1, 0]],
+        op: OpSpec::Allgatherv {
+            elem_size: 8,
+            sendcount: 3,
+            recvdispls: vec![0, 3],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    let payload = payload_for(&spec, 31);
+    let golden = reference::execute(&spec, &payload).expect("golden");
+
+    let mut c = Client::connect_uds(&sock, "lone").expect("connect");
+    // The first job compiles; the rest are what a resident shape costs.
+    assert_eq!(
+        c.submit_retrying(&spec, &payload, 100).expect("job"),
+        golden
+    );
+    let start = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(
+            c.submit_retrying(&spec, &payload, 100).expect("job"),
+            golden
+        );
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "200 sequential jobs took {took:?}"
+    );
+
+    server.shutdown();
 }

@@ -622,11 +622,16 @@ impl Datatype {
     pub(crate) fn append_signature(&self, sig: &mut Signature) {
         match &*self.0 {
             Node::Primitive(p) => sig.push(*p, 1),
-            Node::Contiguous { count, inner } => {
-                for _ in 0..*count {
-                    inner.append_signature(sig);
+            Node::Contiguous { count, inner } => match &*inner.0 {
+                // One run, not `count` pushes: `Datatype::bytes(n)` is
+                // committed per block of every layout.
+                Node::Primitive(p) => sig.push(*p, *count),
+                _ => {
+                    for _ in 0..*count {
+                        inner.append_signature(sig);
+                    }
                 }
-            }
+            },
             Node::Vector {
                 count,
                 blocklen,
