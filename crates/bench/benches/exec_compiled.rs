@@ -1,24 +1,19 @@
-//! Criterion bench: interpreted vs compiled schedule execution.
+//! Criterion bench: what compiling a schedule once is worth.
 //!
 //! Runs the message-combining alltoall over three Table 1 stencil
 //! families — 2-D Moore (t=8), 3-D von Neumann (t=6), 3-D Moore (t=26) —
-//! on real thread universes, in three execution modes:
+//! on real thread universes, in two execution modes:
 //!
 //! * `compiled`   — persistent handle: compile once at `_init`, every
 //!   iteration runs the precompiled span programs (the steady state of
 //!   Listing 3);
 //! * `compile_each_call` — the one-shot `execute_plan` wrapper, paying
 //!   peer resolution, tag assignment, and span flattening every call
-//!   (isolates compilation cost);
-//! * `interpreted` — the round-by-round interpreting executor
-//!   (`execute_alltoall_mesh`, identical work on a full torus), which
-//!   re-derives peers and traverses datatypes per round.
+//!   (isolates compilation cost).
 //!
 //! Per-iteration time is the max across ranks (collective completion).
-//! `compiled` should sit below `interpreted` at every stencil and size.
 
 use cartcomm::exec::{execute_plan, BlockLayout, ExecLayouts, CART_TAG_BASE};
-use cartcomm::exec_mesh::execute_alltoall_mesh;
 use cartcomm::ops::Algo;
 use cartcomm::CartComm;
 use cartcomm_comm::Universe;
@@ -105,28 +100,6 @@ fn run_exec(stencil: &Stencil, variant: &'static str, mb: usize, iters: u64) -> 
                 }
                 start.elapsed()
             }
-            "interpreted" => {
-                let plan = cart.plans().alltoall();
-                let lay = contiguous_lay(t, mb, plan.temp_slots);
-                let mut temp = vec![0u8; lay.temp_len()];
-                comm.barrier().unwrap();
-                let start = Instant::now();
-                for _ in 0..iters {
-                    execute_alltoall_mesh(
-                        cart.comm(),
-                        cart.topology(),
-                        cart.neighborhood(),
-                        &plan,
-                        &lay,
-                        &send,
-                        &mut recv,
-                        &mut temp,
-                        CART_TAG_BASE,
-                    )
-                    .unwrap();
-                }
-                start.elapsed()
-            }
             _ => unreachable!(),
         }
     });
@@ -138,7 +111,7 @@ fn bench_exec_compiled(c: &mut Criterion) {
         let mut g = c.benchmark_group(format!("exec_compiled_{}", stencil.name));
         g.sample_size(10);
         for mb in [8usize, 1024] {
-            for variant in ["compiled", "compile_each_call", "interpreted"] {
+            for variant in ["compiled", "compile_each_call"] {
                 g.bench_with_input(BenchmarkId::new(variant, mb), &mb, |b, &mb| {
                     b.iter_custom(|iters| run_exec(stencil, variant, mb, iters))
                 });

@@ -1,6 +1,7 @@
 //! The Cartesian neighborhood communicator (`Cart_neighborhood_create`,
 //! Listing 1) and the relative-coordinate helper functions (Listing 2).
 
+use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
@@ -11,9 +12,12 @@ use cartcomm_topo::{CartTopology, DistGraphTopology, Offset, RelNeighborhood, To
 use crate::compile::CompiledPlan;
 use crate::error::{CartError, CartResult};
 use crate::exec::{ExecLayouts, CART_TAG_BASE};
-use crate::plan::{Plan, PlanKind};
+use crate::ops::{resolve, size_temp, Algo};
+use crate::plan::{Plan, PlanKind, Schedule};
 use crate::plan_store::{schedule_key, store_key, PlanStore};
-use crate::schedule::{allgather_plan, allreduce_plan, alltoall_plan, reduce_scatter_plan};
+use crate::schedule::{
+    allgather_plan, allreduce_plan, alltoall_plan, reduce_scatter_plan, trivial_plan,
+};
 
 /// A communicator with a Cartesian topology and an isomorphic
 /// t-neighborhood attached — the object the paper's single new function
@@ -22,19 +26,16 @@ use crate::schedule::{allgather_plan, allreduce_plan, alltoall_plan, reduce_scat
 /// Creation is collective: all ranks must pass the same dimensions,
 /// periodicity, and relative neighborhood, and the constructor *verifies*
 /// the isomorphism requirement with the cheap O(t) check of §2.2 (broadcast
-/// of the sorted root neighborhood plus an AND-reduction). Schedules for
-/// the message-combining collectives are computed locally on first use and
-/// cached (the `_init` persistent operations share them).
+/// of the sorted root neighborhood plus an AND-reduction). Schedules are
+/// computed locally on first use and cached (the `_init` persistent
+/// operations share them).
 pub struct CartComm {
     comm: Comm,
     topo: CartTopology,
     nb: RelNeighborhood,
     weights: Option<Vec<u32>>,
     reorder: bool,
-    alltoall_plan: OnceCell<Arc<Plan>>,
-    allgather_plan: OnceCell<Arc<Plan>>,
-    reduce_scatter_plan: OnceCell<Arc<Plan>>,
-    allreduce_plan: OnceCell<Arc<Plan>>,
+    schedules: Schedules,
     /// Where schedules and compiled programs live. Defaults to
     /// [`PlanStore::global`], so every communicator in the process shares
     /// one warm cache; [`CartComm::with_plan_store`] pins a private store
@@ -136,10 +137,7 @@ impl CartComm {
             nb: neighborhood,
             weights,
             reorder,
-            alltoall_plan: OnceCell::new(),
-            allgather_plan: OnceCell::new(),
-            reduce_scatter_plan: OnceCell::new(),
-            allreduce_plan: OnceCell::new(),
+            schedules: Default::default(),
             store: PlanStore::global(),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
@@ -243,37 +241,46 @@ impl CartComm {
     // ----- cached schedules ---------------------------------------------------
 
     /// View over this communicator's cached schedules and compiled
-    /// programs: the single entry point for plan inspection and reuse
-    /// (replaces the former `alltoall_schedule`/`allgather_schedule`/
-    /// `compiled_plan`/`plan_cache_stats` quartet).
+    /// programs: the single entry point for plan inspection and reuse.
     #[inline]
     pub fn plans(&self) -> Plans<'_> {
         Plans { cc: self }
     }
 
-    /// The schedule for `kind` (computed once per communicator via the
-    /// `OnceCell`, shared *across* communicators through the store: the
-    /// message-combining plan depends only on the neighborhood and kind).
-    fn schedule_for(&self, kind: PlanKind) -> Arc<Plan> {
-        let cell = match kind {
-            PlanKind::Alltoall => &self.alltoall_plan,
-            PlanKind::Allgather => &self.allgather_plan,
-            PlanKind::ReduceScatter => &self.reduce_scatter_plan,
-            PlanKind::Allreduce => &self.allreduce_plan,
-        };
-        Arc::clone(cell.get_or_init(|| schedule_in_store(&self.store, &self.nb, kind)))
+    /// The schedule of identity `id`.
+    pub(crate) fn schedule_for(&self, id: (PlanKind, Schedule)) -> Arc<Plan> {
+        self.schedules.get(&self.store, &self.nb, id)
     }
 
-    /// Store-or-compile core behind [`Plans::compiled`]: the shared
-    /// [`lookup_attributed`], with the per-communicator hit/miss counters
-    /// on top.
-    fn compiled_for(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<Arc<CompiledPlan>> {
+    /// What every collective and persistent handle executes: the plan
+    /// `algo` resolves to for `kind` over `lay` (see [`resolve`]) and this
+    /// rank's compiled program for it.
+    pub(crate) fn program(
+        &self,
+        kind: PlanKind,
+        lay: &ExecLayouts,
+        algo: Algo,
+    ) -> CartResult<(Arc<Plan>, Arc<CompiledPlan>)> {
+        let (plan, lay) = resolve(&self.topo, &self.nb, kind, lay, algo, |id| {
+            self.schedule_for(id)
+        })?;
+        let cp = self.compiled_for(&plan, lay)?;
+        Ok((plan, cp))
+    }
+
+    /// Store-or-compile: the shared [`lookup_attributed`], with the
+    /// per-communicator hit/miss counters on top.
+    fn compiled_for(
+        &self,
+        plan: &Plan,
+        lay: Cow<'_, ExecLayouts>,
+    ) -> CartResult<Arc<CompiledPlan>> {
         let rank = self.rank();
-        let key = store_key(&self.topo, &self.nb, rank, kind, &lay);
+        let id = (plan.kind, plan.schedule);
+        let key = store_key(&self.topo, &self.nb, rank, id, &lay);
         let (cp, hit) = lookup_attributed(&self.store, key, rank, self.comm.obs(), || {
-            let plan = self.schedule_for(kind);
-            let lay = crate::ops::size_temp(lay, kind, plan.temp_slots)?;
-            let cp = CompiledPlan::compile(&self.topo, rank, &plan, &lay, CART_TAG_BASE)?;
+            let lay = size_temp(lay.into_owned(), plan.kind, plan.temp_slots)?;
+            let cp = CompiledPlan::compile(&self.topo, rank, plan, &lay, CART_TAG_BASE)?;
             Ok(Arc::new(cp))
         })?;
         let count = if hit {
@@ -283,31 +290,6 @@ impl CartComm {
         };
         count.set(count.get() + 1);
         Ok(cp)
-    }
-
-    /// The message-combining alltoall schedule (computed once, shared).
-    #[deprecated(since = "0.2.0", note = "use `plans().alltoall()`")]
-    pub fn alltoall_schedule(&self) -> Arc<Plan> {
-        self.schedule_for(PlanKind::Alltoall)
-    }
-
-    /// The message-combining allgather schedule (computed once, shared).
-    #[deprecated(since = "0.2.0", note = "use `plans().allgather()`")]
-    pub fn allgather_schedule(&self) -> Arc<Plan> {
-        self.schedule_for(PlanKind::Allgather)
-    }
-
-    /// The compiled program for `kind` over `lay`.
-    #[deprecated(since = "0.2.0", note = "use `plans().compiled(kind, lay)`")]
-    pub fn compiled_plan(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<Arc<CompiledPlan>> {
-        self.compiled_for(kind, lay)
-    }
-
-    /// Compiled-plan cache telemetry: `(hits, misses)` since creation.
-    #[deprecated(since = "0.2.0", note = "use `plans().cache_stats()`")]
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        let s = self.plans().cache_stats();
-        (s.hits, s.misses)
     }
 
     /// True if every dimension the neighborhood moves in is periodic —
@@ -323,18 +305,31 @@ impl CartComm {
     }
 }
 
-/// The schedule for `kind` over `nb`, from `store` (built on first use).
-pub(crate) fn schedule_in_store(
-    store: &PlanStore,
-    nb: &RelNeighborhood,
-    kind: PlanKind,
-) -> Arc<Plan> {
-    store.schedule(schedule_key(nb, kind), || match kind {
-        PlanKind::Alltoall => alltoall_plan(nb),
-        PlanKind::Allgather => allgather_plan(nb),
-        PlanKind::ReduceScatter => reduce_scatter_plan(nb),
-        PlanKind::Allreduce => allreduce_plan(nb),
-    })
+/// One owner's schedules over its neighborhood: each is fetched from the
+/// [`PlanStore`] (built there on first use) once, then served from its
+/// cell. Shared *across* owners through the store: a plan depends only on
+/// the neighborhood, kind and algorithm.
+#[derive(Default)]
+pub(crate) struct Schedules([OnceCell<Arc<Plan>>; 8]);
+
+impl Schedules {
+    pub(crate) fn get(
+        &self,
+        store: &PlanStore,
+        nb: &RelNeighborhood,
+        id: (PlanKind, Schedule),
+    ) -> Arc<Plan> {
+        let cell = &self.0[id.0 as usize * 2 + id.1 as usize];
+        Arc::clone(cell.get_or_init(|| {
+            store.schedule(schedule_key(nb, id), || match id {
+                (kind, Schedule::Trivial) => trivial_plan(nb, kind),
+                (PlanKind::Alltoall, Schedule::Combining) => alltoall_plan(nb),
+                (PlanKind::Allgather, Schedule::Combining) => allgather_plan(nb),
+                (PlanKind::ReduceScatter, Schedule::Combining) => reduce_scatter_plan(nb),
+                (PlanKind::Allreduce, Schedule::Combining) => allreduce_plan(nb),
+            })
+        }))
+    }
 }
 
 /// Look `rank`'s program up in `store` under `key` (its full identity,
@@ -383,30 +378,29 @@ pub struct Plans<'a> {
 impl Plans<'_> {
     /// The message-combining alltoall schedule (computed once, shared).
     pub fn alltoall(&self) -> Arc<Plan> {
-        self.cc.schedule_for(PlanKind::Alltoall)
+        self.schedule(PlanKind::Alltoall)
     }
 
     /// The message-combining allgather schedule (computed once, shared).
     pub fn allgather(&self) -> Arc<Plan> {
-        self.cc.schedule_for(PlanKind::Allgather)
+        self.schedule(PlanKind::Allgather)
     }
 
-    /// The schedule for `kind`.
+    /// The message-combining schedule for `kind`.
     pub fn schedule(&self, kind: PlanKind) -> Arc<Plan> {
-        self.cc.schedule_for(kind)
+        self.cc.schedule_for((kind, Schedule::Combining))
     }
 
-    /// The compiled program for `kind` over `lay`, from the communicator's
-    /// [`PlanStore`]. On a store miss the schedule is (re)used, temp-sized,
-    /// compiled for this rank, and inserted; on a hit — including a program
-    /// another communicator compiled — the call pays neither schedule
-    /// construction nor compilation. Requires combining applicability
-    /// (callers gate on [`CartComm::combining_applicable`]). Hits and
+    /// The compiled message-combining program for `kind` over `lay`, from
+    /// the communicator's [`PlanStore`]. On a store miss the schedule is
+    /// (re)used, temp-sized, compiled for this rank, and inserted; on a
+    /// hit — including a program another communicator compiled — the call
+    /// pays neither schedule construction nor compilation. Hits and
     /// misses are attributed to this communicator via
     /// [`Plans::cache_stats`] and as `PlanCacheHit`/`PlanCacheMiss` trace
     /// events on the rank's [`cartcomm_comm::obs::Obs`] handle.
     pub fn compiled(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<Arc<CompiledPlan>> {
-        self.cc.compiled_for(kind, lay)
+        self.cc.compiled_for(&self.schedule(kind), Cow::Owned(lay))
     }
 
     /// The layout-shape fingerprint of `lay` for `kind` — one component of
@@ -418,9 +412,10 @@ impl Plans<'_> {
 
     /// The full [`PlanStore`] key [`Plans::compiled`] resolves for `kind`
     /// over `lay`: topology (dims, periods, permutation) + rank +
-    /// neighborhood + kind + layout fingerprint.
+    /// neighborhood + schedule + layout fingerprint.
     pub fn store_key(&self, kind: PlanKind, lay: &ExecLayouts) -> u128 {
-        store_key(&self.cc.topo, &self.cc.nb, self.cc.rank(), kind, lay)
+        let id = (kind, Schedule::Combining);
+        store_key(&self.cc.topo, &self.cc.nb, self.cc.rank(), id, lay)
     }
 
     /// The [`PlanStore`] this communicator resolves programs in.

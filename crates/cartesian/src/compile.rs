@@ -1,11 +1,10 @@
 //! Schedule compilation: rank-resolved executable programs.
 //!
-//! A [`Plan`](crate::plan::Plan) is rank-independent and symbolic; executing
-//! it interpretively pays per-execute costs the paper's persistent `_init`
-//! operations (Listing 3) exist to avoid: coordinate resolution per round,
-//! datatype traversal per block, and allocation per phase. A
-//! [`CompiledPlan`] resolves all of that **once** for a concrete
-//! `(rank, topology, layouts)` triple:
+//! A [`Plan`](crate::plan::Plan) is rank-independent and symbolic. A
+//! [`CompiledPlan`] resolves it **once** for a concrete
+//! `(rank, topology, layouts)` triple — what the paper's persistent `_init`
+//! operations (Listing 3) exist for — and is the only form a schedule is
+//! executed in:
 //!
 //! * every round's peer pair `(target, source)` and tag, via the relative
 //!   shift of Listing 2 — no `rank_of_offset` at execute time;
@@ -17,7 +16,11 @@
 //!   `(src_offset, dst_offset, len)` triples, executed directly when the
 //!   ranges cannot alias and staged through a scratch buffer otherwise;
 //! * exact wire sizes, and the minimum send/receive buffer lengths, checked
-//!   once per execute instead of once per block.
+//!   once per execute instead of once per block;
+//! * on a non-periodic mesh, the boundary: a round's send half and receive
+//!   half exist separately, each carrying only the blocks whose whole path
+//!   lies inside the mesh (see `Boundary`), so a boundary rank simply
+//!   gets a shorter program.
 //!
 //! [`execute_compiled`] then runs the phases with **zero heap allocation,
 //! zero coordinate math, and zero datatype traversal** in steady state: wire
@@ -29,14 +32,14 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use cartcomm_comm::obs::{Obs, TraceEvent};
-use cartcomm_comm::{Comm, CommError, ExchangeBatch, ExchangeOpts, RecvSpec, SrcSel, Tag};
-use cartcomm_topo::CartTopology;
+use cartcomm_comm::{Comm, CommError, ExchangeBatch, ExchangeOpts, RecvSpec, Tag};
+use cartcomm_topo::{CartTopology, Offset};
 use cartcomm_types::kernel::{self, PackSpan};
 use cartcomm_types::{Reducer, TypeError};
 
 use crate::error::{CartError, CartResult};
 use crate::exec::ExecLayouts;
-use crate::plan::{BlockRef, Loc, Plan, PlanKind};
+use crate::plan::{BlockRef, Loc, Plan, PlanKind, PlanRound};
 
 /// Which concrete buffer a compiled span addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,27 +151,50 @@ struct CompiledCopy {
     acc: bool,
 }
 
-/// One fully resolved communication round.
+/// One side of a round: the peer, the exact bytes on the wire, and the
+/// span program packing (send side) or unpacking (receive side) them.
+#[derive(Debug, Clone)]
+struct Half {
+    peer: usize,
+    wire_len: usize,
+    prog: SpanProgram,
+}
+
+impl Half {
+    /// Every span of the program with the batch it runs in.
+    fn spans(&self) -> impl Iterator<Item = (&SpanBatch, &PackSpan)> {
+        let prog = &self.prog;
+        prog.batches
+            .iter()
+            .flat_map(move |b| prog.batch_spans(b).iter().map(move |s| (b, s)))
+    }
+}
+
+/// One fully resolved communication round. On a torus both halves exist
+/// and move the same bytes; at a mesh boundary either may be missing, and
+/// they carry what is live on their own side.
 #[derive(Debug, Clone)]
 struct CompiledRound {
-    /// Rank the outgoing message goes to (`rank + offset`).
-    target: usize,
     /// Tag of this round (`tag_base + global round index`).
     tag: Tag,
-    /// Exact bytes on the wire.
-    wire_len: usize,
-    /// Span program filling the outgoing wire buffer.
-    gather: SpanProgram,
-    /// Span program unpacking the incoming wire buffer.
-    scatter: SpanProgram,
+    /// The outgoing message, to `rank + offset`.
+    send: Option<Half>,
+    /// The incoming message, from `rank − offset`.
+    recv: Option<Half>,
+}
+
+/// A half's peer as trace events and fingerprints name it: `usize::MAX`
+/// where a mesh boundary cuts the half off.
+fn peer_id(half: &Option<Half>) -> usize {
+    half.as_ref().map_or(usize::MAX, |h| h.peer)
 }
 
 #[derive(Debug, Clone, Default)]
 struct CompiledPhase {
     copies: Vec<CompiledCopy>,
     rounds: Vec<CompiledRound>,
-    /// Receive slots of the phase, aligned with `rounds` (source rank and
-    /// tag resolved at compile time).
+    /// Receive slots of the phase: one per round with a receive half, in
+    /// round order (source rank and tag resolved at compile time).
     specs: Vec<RecvSpec>,
 }
 
@@ -187,16 +213,21 @@ pub struct CompiledPlan {
     rounds: usize,
     max_copy_bytes: usize,
     max_phase_rounds: usize,
+    /// In-place execution must read its sends from a snapshot of the
+    /// buffer (see [`CompiledPlan::reads_send_after_recv_write`]).
+    in_place_snapshot: bool,
 }
 
 /// Reusable per-handle executor state: the temp buffer, the copy staging
-/// buffer, and the [`ExchangeBatch`] of the phase exchange. Holding one
-/// of these across executes is what makes the steady state allocation-free.
+/// buffer, the [`ExchangeBatch`] of the phase exchange, and the buffer
+/// snapshot of the in-place programs that need one. Holding one of these
+/// across executes is what makes the steady state allocation-free.
 #[derive(Default)]
 pub struct ExecScratch {
     temp: Vec<u8>,
     stage: Vec<u8>,
     batch: ExchangeBatch,
+    snapshot: Vec<u8>,
 }
 
 impl ExecScratch {
@@ -206,6 +237,7 @@ impl ExecScratch {
             temp: vec![0u8; cp.temp_len],
             stage: Vec::with_capacity(cp.max_copy_bytes),
             batch: ExchangeBatch::with_capacity(cp.max_phase_rounds),
+            snapshot: Vec::new(),
         }
     }
 }
@@ -213,9 +245,11 @@ impl ExecScratch {
 impl CompiledPlan {
     /// Compile `plan` for the calling `rank`. `lay` must carry temp-slot
     /// sizing (see `ops::size_temp`); `tag_base` is the tag of round 0.
-    /// Fails with [`CartError::CombiningNeedsTorus`] if a round's offset
-    /// leaves the topology (non-periodic dimension) and propagates layout
-    /// errors (negative resolved displacements) as type errors.
+    /// Where a round's offset crosses a non-periodic dimension, a plan
+    /// whose blocks travel independent paths compiles to the halves and
+    /// blocks that are live at this rank (see `Boundary`); a tree-routed
+    /// one fails with [`CartError::CombiningNeedsTorus`]. Layout errors
+    /// (negative resolved displacements) propagate as type errors.
     pub fn compile(
         topo: &CartTopology,
         rank: usize,
@@ -232,8 +266,10 @@ impl CompiledPlan {
             rounds: 0,
             max_copy_bytes: 0,
             max_phase_rounds: 0,
+            in_place_snapshot: false,
         };
-        let mut round_idx: Tag = 0;
+        let mut boundary = Boundary::of(topo, rank, plan)?;
+        let mut round_idx = 0usize;
         // One negated-offset buffer serves every source lookup of the
         // compilation (the executor performs none at all).
         let mut neg: Vec<i64> = Vec::with_capacity(topo.ndims());
@@ -263,49 +299,111 @@ impl CompiledPlan {
                 cphase.copies.push(cc);
             }
             for round in &phase.rounds {
-                let target = topo
-                    .rank_of_offset(rank, &round.offset)?
-                    .ok_or_else(|| nonperiodic_dim(topo, &round.offset))?;
+                let target = topo.rank_of_offset(rank, &round.offset)?;
                 neg.clear();
                 neg.extend(round.offset.iter().map(|&c| -c));
-                let source = topo
-                    .rank_of_offset(rank, &neg)?
-                    .ok_or_else(|| nonperiodic_dim(topo, &round.offset))?;
-                let tag = tag_base + round_idx;
-                round_idx += 1;
+                let source = topo.rank_of_offset(rank, &neg)?;
+                let tag = tag_base + round_idx as Tag;
 
                 let mut gather = SpanProgram::default();
                 let mut scatter = SpanProgram::default();
-                let mut wire_len = 0usize;
+                // Blocks this rank sends / receives in the round.
+                let (mut departing, mut arriving) = (0usize, 0usize);
                 for j in 0..round.block_ids.len() {
-                    wire_len += cp.push_block(lay, round.sends[j], &mut gather, false)?;
-                    let acc = write_mode(round.recvs[j]);
-                    cp.push_block(lay, round.recvs[j], &mut scatter, acc)?;
+                    let (mut from, mut to) = (round.sends[j], round.recvs[j]);
+                    let (departs, arrives) = match &mut boundary {
+                        None => (true, true),
+                        Some(bd) => {
+                            let b = round.block_ids[j];
+                            from = bd.staged(from, false);
+                            to = bd.staged(to, bd.last_round[b] == round_idx);
+                            (bd.live(b, None)?, bd.live(b, Some(&round.offset))?)
+                        }
+                    };
+                    if departs {
+                        departing += 1;
+                        cp.push_block(lay, from, &mut gather, false)?;
+                    }
+                    if arrives {
+                        arriving += 1;
+                        let acc = write_mode(to);
+                        cp.push_block(lay, to, &mut scatter, acc)?;
+                    }
                 }
-                debug_assert_eq!(
-                    wire_len,
-                    round.block_ids.iter().map(|&b| lay.block_bytes[b]).sum(),
-                    "gather program covers exactly the round's block bytes"
-                );
-                debug_assert_eq!(
-                    scatter.bytes(),
-                    wire_len,
-                    "scatter program consumes exactly the wire"
-                );
-                cphase.specs.push(RecvSpec::from_rank(source, tag));
-                cphase.rounds.push(CompiledRound {
-                    target,
-                    tag,
-                    wire_len,
-                    gather,
-                    scatter,
-                });
+                match &mut boundary {
+                    Some(bd) => bd.hop(round),
+                    None => {
+                        debug_assert_eq!(
+                            gather.bytes(),
+                            round.block_ids.iter().map(|&b| lay.block_bytes[b]).sum(),
+                            "gather program covers exactly the round's block bytes"
+                        );
+                        debug_assert_eq!(
+                            scatter.bytes(),
+                            gather.bytes(),
+                            "scatter program consumes exactly the wire"
+                        );
+                    }
+                }
+                // A live block's whole path lies inside the mesh, so a half
+                // with a block to move has its peer.
+                let half = |blocks: usize, peer: Option<usize>, prog: SpanProgram| {
+                    (blocks > 0).then(|| Half {
+                        peer: peer.expect("a live block's next hop exists"),
+                        wire_len: prog.bytes(),
+                        prog,
+                    })
+                };
+                let send = half(departing, target, gather);
+                let recv = half(arriving, source, scatter);
+                if let Some(h) = &recv {
+                    cphase.specs.push(RecvSpec::from_rank(h.peer, tag));
+                }
+                cphase.rounds.push(CompiledRound { tag, send, recv });
+                round_idx += 1;
             }
             cp.rounds += cphase.rounds.len();
             cp.max_phase_rounds = cp.max_phase_rounds.max(cphase.rounds.len());
             cp.phases.push(cphase);
         }
+        cp.in_place_snapshot = cp.reads_send_after_recv_write();
         Ok(cp)
+    }
+
+    /// Whether, with `Send` and `Recv` one buffer, the program reads send
+    /// bytes that it has overwritten by then. Execution order is: per
+    /// phase, the copies in list order, then every round's pack, then every
+    /// round's unpack. A copy stages its own overlap and a phase gathers
+    /// before it scatters, so the hazard is a `Send` read that follows an
+    /// overlapping `Recv` write of an *earlier* copy or phase — the
+    /// trivial schedule's later neighbors, a combining block whose first
+    /// hop is in a later dimension. Halo layouts (interior out, halo in)
+    /// never overlap and stay snapshot-free.
+    fn reads_send_after_recv_write(&self) -> bool {
+        let mut written = Ranges::default();
+        for phase in &self.phases {
+            for c in &phase.copies {
+                if c.src == BufId::Send && c.ops.iter().any(|&(s, _, n)| written.overlaps(s, n)) {
+                    return true;
+                }
+                if c.dst == BufId::Recv {
+                    written.extend(c.ops.iter().map(|&(_, d, n)| (d, n)));
+                }
+            }
+            let packed = phase.rounds.iter().flat_map(|r| &r.send);
+            let mut reads = packed.flat_map(Half::spans);
+            if reads.any(|(b, &(o, n))| b.buf == BufId::Send && written.overlaps(o, n)) {
+                return true;
+            }
+            let unpacked = phase.rounds.iter().flat_map(|r| &r.recv);
+            let writes = unpacked.flat_map(Half::spans);
+            written.extend(
+                writes
+                    .filter(|(b, _)| b.buf == BufId::Recv)
+                    .map(|(_, &span)| span),
+            );
+        }
+        false
     }
 
     /// Resolve a block reference to absolute spans and append them to a
@@ -431,28 +529,24 @@ impl CompiledPlan {
         self.recv_min_len
     }
 
-    /// Exact per-round wire sizes in execution order — the capacities to
-    /// pre-warm a wire pool with.
+    /// Exact wire size of every message this rank sends, in execution
+    /// order — the capacities to pre-warm a wire pool with.
     pub fn wire_capacities(&self) -> Vec<usize> {
         self.phases
             .iter()
             .flat_map(|p| &p.rounds)
-            .map(|r| r.wire_len)
+            .filter_map(|r| r.send.as_ref().map(|h| h.wire_len))
             .collect()
     }
 
-    /// Resolved `(target, source)` rank pair per round, in execution order.
-    pub fn round_peers(&self) -> Vec<(usize, usize)> {
+    /// Resolved `(target, source)` rank pair per round, in execution
+    /// order; `None` for a half a mesh boundary cuts off.
+    pub fn round_peers(&self) -> Vec<(Option<usize>, Option<usize>)> {
+        let peer = |h: &Option<Half>| h.as_ref().map(|h| h.peer);
         self.phases
             .iter()
-            .flat_map(|p| p.rounds.iter().zip(&p.specs))
-            .map(|(r, spec)| {
-                let src = match spec.src {
-                    cartcomm_comm::SrcSel::Rank(s) => s,
-                    cartcomm_comm::SrcSel::Any => usize::MAX,
-                };
-                (r.target, src)
-            })
+            .flat_map(|p| &p.rounds)
+            .map(|r| (peer(&r.send), peer(&r.recv)))
             .collect()
     }
 
@@ -467,7 +561,9 @@ impl CompiledPlan {
         self.phases
             .iter()
             .flat_map(|p| &p.rounds)
-            .map(|r| r.gather.span_count() + r.scatter.span_count())
+            .flat_map(|r| [&r.send, &r.recv])
+            .flatten()
+            .map(|h| h.prog.span_count())
             .sum::<usize>()
             + self
                 .phases
@@ -515,37 +611,170 @@ impl CompiledPlan {
                     h.u64(n as u64);
                 }
             }
-            for (r, spec) in phase.rounds.iter().zip(&phase.specs) {
+            for r in &phase.rounds {
+                // A missing half hashes as moving no bytes; a torus round
+                // as it always did (its two halves share one wire length,
+                // and the scatter spans determine the receive side's in
+                // any case).
                 h.u64(0xF0);
-                h.u64(r.target as u64);
-                h.u64(spec_src(spec) as u64);
+                h.u64(peer_id(&r.send) as u64);
+                h.u64(peer_id(&r.recv) as u64);
                 h.u64(r.tag as u64);
-                h.u64(r.wire_len as u64);
+                h.u64(r.send.as_ref().map_or(0, |s| s.wire_len) as u64);
                 // Batches expand back to the per-span (buffer, offset,
                 // len) stream, so fingerprints are representation-blind:
                 // the flat-slab program hashes identically to the
                 // per-span op list it replaced.
-                for b in &r.gather.batches {
-                    for &(off, len) in r.gather.batch_spans(b) {
-                        h.u64(buf_tag(b.buf));
-                        h.u64(off as u64);
-                        h.u64(len as u64);
-                    }
+                for (b, &(off, len)) in r.send.iter().flat_map(Half::spans) {
+                    h.u64(buf_tag(b.buf));
+                    h.u64(off as u64);
+                    h.u64(len as u64);
                 }
                 h.u64(0x5C);
-                for b in &r.scatter.batches {
-                    for &(off, len) in r.scatter.batch_spans(b) {
-                        if red && b.acc {
-                            h.u64(0xACC);
-                        }
-                        h.u64(buf_tag(b.buf));
-                        h.u64(off as u64);
-                        h.u64(len as u64);
+                for (b, &(off, len)) in r.recv.iter().flat_map(Half::spans) {
+                    if red && b.acc {
+                        h.u64(0xACC);
                     }
+                    h.u64(buf_tag(b.buf));
+                    h.u64(off as u64);
+                    h.u64(len as u64);
                 }
             }
         }
         h.finish()
+    }
+}
+
+/// Where a mesh boundary cuts a plan off at one rank — the details the
+/// paper leaves out ("non-periodic meshes are not discussed further here").
+/// On a torus every process has every neighbor; on a mesh boundary
+/// processes lack some, so what a round carries differs per rank. Two
+/// observations (per-dimension interval arguments) make that a pure
+/// function of rank, block and round:
+///
+/// * A block from origin `o` to `o + N[i]` visits positions whose
+///   coordinate in each dimension is either `o`'s or the target's, so if
+///   both endpoints lie in the mesh **every intermediate hop does too**: a
+///   block is *live* iff its origin and its final target exist.
+/// * The copy of block `i` a process `r` holds before a round started at
+///   `o = r − (the hops block i has behind it)`. Sender `r` and receiver
+///   `r + offset` compute the same origin, so both agree on what the
+///   message holds without communicating.
+///
+/// A round's send half therefore carries the blocks live at `r`, its
+/// receive half the blocks live one hop further on. On a torus an
+/// intermediate hop may rest in the receive buffer, because the final hop
+/// overwrites it later; on a mesh that final hop may never come, so
+/// intermediate hops are staged in the block's temp slot instead and only
+/// a block's final hop writes `Recv`.
+struct Boundary<'a> {
+    topo: &'a CartTopology,
+    coords: Vec<usize>,
+    /// Each block's whole path, `N[i]`: the sum of its rounds' offsets.
+    path: Vec<Offset>,
+    /// The part of its path each block has behind it so far.
+    behind: Vec<Offset>,
+    /// Global index of each block's final round.
+    last_round: Vec<usize>,
+    scratch: Vec<i64>,
+}
+
+impl<'a> Boundary<'a> {
+    /// `None` when no round of `plan` crosses a non-periodic dimension.
+    fn of(topo: &'a CartTopology, rank: usize, plan: &Plan) -> CartResult<Option<Self>> {
+        let rounds = || plan.phases.iter().flat_map(|p| &p.rounds);
+        let crosses = |o: &Offset| o.iter().zip(topo.periods()).any(|(&c, &p)| c != 0 && !p);
+        let Some(crossing) = rounds().find(|r| crosses(&r.offset)) else {
+            return Ok(None);
+        };
+        if !plan.routes_blocks_independently() {
+            return Err(nonperiodic_dim(topo, &crossing.offset));
+        }
+        let d = topo.ndims();
+        let mut path = vec![vec![0i64; d]; plan.t];
+        let mut last_round = vec![0usize; plan.t];
+        for (idx, round) in rounds().enumerate() {
+            for &b in &round.block_ids {
+                for (p, &c) in path[b].iter_mut().zip(&round.offset) {
+                    *p += c;
+                }
+                last_round[b] = idx;
+            }
+        }
+        Ok(Some(Boundary {
+            topo,
+            coords: topo.coords_of(rank),
+            path,
+            behind: vec![vec![0i64; d]; plan.t],
+            last_round,
+            scratch: vec![0i64; d],
+        }))
+    }
+
+    /// Whether block `b` is live at this rank — after `hop` more, on the
+    /// receive side of a round.
+    fn live(&mut self, b: usize, hop: Option<&Offset>) -> CartResult<bool> {
+        for (k, s) in self.scratch.iter_mut().enumerate() {
+            *s = -(self.behind[b][k] + hop.map_or(0, |h| h[k]));
+        }
+        let Some(origin) = self.topo.offset_coords(&self.coords, &self.scratch)? else {
+            return Ok(false);
+        };
+        Ok(self.topo.offset_coords(&origin, &self.path[b])?.is_some())
+    }
+
+    /// `round` is compiled: its blocks have its offset behind them.
+    fn hop(&mut self, round: &PlanRound) {
+        for &b in &round.block_ids {
+            for (s, &c) in self.behind[b].iter_mut().zip(&round.offset) {
+                *s += c;
+            }
+        }
+    }
+
+    /// Where a block rests: in its temp slot wherever the plan says
+    /// `Recv`, unless this is the `last` hop's receive.
+    fn staged(&self, br: BlockRef, last: bool) -> BlockRef {
+        match br.loc {
+            Loc::Recv if !last => BlockRef::new(Loc::Temp, br.slot),
+            _ => br,
+        }
+    }
+}
+
+/// A set of `(offset, len)` byte ranges answering "does this range touch
+/// any of them". Kept unsorted while ranges arrive; a query sorts and
+/// merges what came since the last one.
+#[derive(Default)]
+struct Ranges {
+    /// Disjoint `(start, end)` in increasing order once `sorted`.
+    spans: Vec<(usize, usize)>,
+    sorted: bool,
+}
+
+impl Ranges {
+    fn extend(&mut self, ranges: impl Iterator<Item = (usize, usize)>) {
+        let before = self.spans.len();
+        self.spans
+            .extend(ranges.filter(|r| r.1 > 0).map(|(o, n)| (o, o + n)));
+        self.sorted &= self.spans.len() == before;
+    }
+
+    fn overlaps(&mut self, off: usize, len: usize) -> bool {
+        if !self.sorted {
+            self.spans.sort_unstable();
+            self.spans.dedup_by(|next, kept| {
+                let joins = next.0 <= kept.1;
+                if joins {
+                    kept.1 = kept.1.max(next.1);
+                }
+                joins
+            });
+            self.sorted = true;
+        }
+        // The first range ending past `off` is the only candidate.
+        let i = self.spans.partition_point(|r| r.1 <= off);
+        len > 0 && self.spans.get(i).is_some_and(|r| r.0 < off + len)
     }
 }
 
@@ -699,9 +928,7 @@ impl Mem<'_> {
                 self.copy_range(c.src, s, c.dst, d, n);
             }
         } else {
-            // Gather everything before writing anything (aliasing safety —
-            // the same order the interpreted executor staged through a
-            // pooled buffer).
+            // Gather everything before writing anything (aliasing safety).
             stage.clear();
             stage.reserve(c.bytes);
             for &(s, _, n) in &c.ops {
@@ -805,6 +1032,11 @@ pub fn execute_compiled_reduce(
 
 /// Execute a compiled plan sending and receiving in the same buffer (the
 /// halo-exchange mode). Shares the core loop with [`execute_compiled`].
+/// The result is what [`execute_compiled`] gives for a copy of `buf` as
+/// the send buffer: where block layouts let a later send read what an
+/// earlier receive wrote (decided at compile time; never for disjoint
+/// interior-out / halo-in layouts), the sends read a snapshot of `buf`
+/// kept in `scratch`.
 pub fn execute_compiled_in_place(
     comm: &Comm,
     cp: &CompiledPlan,
@@ -818,6 +1050,14 @@ pub fn execute_compiled_in_place(
     if buf.len() < need {
         return Err(too_small(need, buf.len()));
     }
+    if cp.in_place_snapshot {
+        let mut snapshot = std::mem::take(&mut scratch.snapshot);
+        snapshot.clear();
+        snapshot.extend_from_slice(buf);
+        let done = execute_core(comm, cp, Some(&snapshot), buf, scratch, None);
+        scratch.snapshot = snapshot;
+        return done;
+    }
     execute_core(comm, cp, None, buf, scratch, None)
 }
 
@@ -825,14 +1065,6 @@ fn needs_reducer() -> CartError {
     CartError::Type(TypeError::InvalidArgument(
         "reduction plans must run through execute_compiled_reduce".into(),
     ))
-}
-
-/// Source rank of a compiled receive spec (always rank-resolved).
-fn spec_src(spec: &RecvSpec) -> usize {
-    match spec.src {
-        SrcSel::Rank(s) => s,
-        SrcSel::Any => usize::MAX,
-    }
 }
 
 /// One rank's side of an execution: its buffers, reducer, and
@@ -858,37 +1090,37 @@ impl RankExec<'_> {
         }
     }
 
-    /// Pack half of one round: gather the outgoing message onto the end
-    /// of `wire` and account for it. `round` is the global round index,
-    /// `from` the rank this round's receive is posted for.
+    /// Pack half of one round: gather the outgoing message `out` onto the
+    /// end of `wire` and account for it. `round` is the global round
+    /// index, `inc` the round's receive half.
     fn pack(
         &self,
         k: usize,
         round: usize,
-        r: &CompiledRound,
-        from: usize,
+        out: &Half,
+        inc: &Option<Half>,
         wire: &mut Vec<u8>,
         traced: bool,
     ) {
         let start = wire.len();
-        self.mem.gather(&r.gather, wire);
+        self.mem.gather(&out.prog, wire);
         debug_assert_eq!(
             wire.len() - start,
-            r.wire_len,
+            out.wire_len,
             "gather fills the wire exactly"
         );
         let metrics = self.obs.metrics();
         metrics.round_started();
-        metrics.pack(r.gather.span_count(), r.wire_len);
+        metrics.pack(out.prog.span_count(), out.wire_len);
         if traced {
             self.obs.emit(
                 self.rank,
                 TraceEvent::RoundStart {
                     phase: k,
                     round,
-                    to: r.target,
-                    from,
-                    wire_bytes: r.wire_len,
+                    to: out.peer,
+                    from: peer_id(inc),
+                    wire_bytes: out.wire_len,
                     attempt: 0,
                 },
             );
@@ -896,32 +1128,33 @@ impl RankExec<'_> {
                 self.rank,
                 TraceEvent::PackSpan {
                     round,
-                    spans: r.gather.span_count(),
-                    bytes: r.wire_len,
+                    spans: out.prog.span_count(),
+                    bytes: out.wire_len,
                 },
             );
         }
     }
 
     /// Unpack half of one round: scatter (or fold) the message `from`
-    /// packed for this rank into the receive and temp buffers.
+    /// packed for this rank into the receive and temp buffers. `out` is
+    /// the round's send half.
     fn unpack(
         &mut self,
         k: usize,
         round: usize,
-        r: &CompiledRound,
-        from: usize,
+        inc: &Half,
+        out: &Option<Half>,
         wire: &[u8],
         traced: bool,
     ) -> CartResult<()> {
-        if wire.len() != r.wire_len {
+        if wire.len() != inc.wire_len {
             return Err(CartError::BadBufferSize {
                 what: "incoming round message",
-                expected: r.wire_len,
+                expected: inc.wire_len,
                 actual: wire.len(),
             });
         }
-        self.mem.scatter(&r.scatter, wire, self.red);
+        self.mem.scatter(&inc.prog, wire, self.red);
         self.obs.metrics().round_completed();
         if traced {
             self.obs.emit(
@@ -929,9 +1162,9 @@ impl RankExec<'_> {
                 TraceEvent::RoundEnd {
                     phase: k,
                     round,
-                    to: r.target,
-                    from,
-                    wire_bytes: r.wire_len,
+                    to: peer_id(out),
+                    from: inc.peer,
+                    wire_bytes: inc.wire_len,
                     attempt: 0,
                 },
             );
@@ -940,8 +1173,8 @@ impl RankExec<'_> {
                     self.rank,
                     TraceEvent::AccumSpan {
                         round,
-                        spans: r.scatter.span_count(),
-                        bytes: r.wire_len,
+                        spans: inc.prog.span_count(),
+                        bytes: inc.wire_len,
                     },
                 );
             }
@@ -964,7 +1197,9 @@ fn execute_core(
     if scratch.temp.len() < cp.temp_len {
         scratch.temp.resize(cp.temp_len, 0);
     }
-    let ExecScratch { temp, stage, batch } = scratch;
+    let ExecScratch {
+        temp, stage, batch, ..
+    } = scratch;
     let obs = comm.obs();
     let mut ex = RankExec {
         mem: Mem {
@@ -990,15 +1225,20 @@ fn execute_core(
         let traced = obs.enabled();
         let t0 = if traced { obs.now_ns() } else { 0 };
         for (i, r) in phase.rounds.iter().enumerate() {
-            let mut wire = comm.wire_buf(r.wire_len);
-            let from = spec_src(&phase.specs[i]);
-            ex.pack(k, round_base + i, r, from, &mut wire, traced);
-            batch.send(r.target, r.tag, wire);
+            if let Some(out) = &r.send {
+                let mut wire = comm.wire_buf(out.wire_len);
+                ex.pack(k, round_base + i, out, &r.recv, &mut wire, traced);
+                batch.send(out.peer, r.tag, wire);
+            }
         }
         comm.exchange(batch, &phase.specs, ExchangeOpts::pooled())?;
+        let mut slot = 0;
         for (i, r) in phase.rounds.iter().enumerate() {
-            let (wire, status) = batch.take_result(i).expect("exchange fills every slot");
-            ex.unpack(k, round_base + i, r, status.src, &wire, traced)?;
+            let Some(inc) = &r.recv else { continue };
+            // The slot's spec names `inc.peer`, so that is who it is from.
+            let (wire, _) = batch.take_result(slot).expect("exchange fills every slot");
+            slot += 1;
+            ex.unpack(k, round_base + i, inc, &r.send, &wire, traced)?;
             // `wire` drops here and recycles into this rank's pool.
         }
         if traced {
@@ -1147,10 +1387,12 @@ pub(crate) fn execute_inline(
             }
             obs.metrics().exchange_started();
             for (i, r) in phase.rounds.iter().enumerate() {
-                let from = spec_src(&phase.specs[i]);
+                // A round without a send half takes no room in the slab.
                 offs.push(slab.len());
-                ex.pack(k, round_base + i, r, from, slab, traced);
-                obs.metrics().add_wire_sent(r.wire_len);
+                if let Some(out) = &r.send {
+                    ex.pack(k, round_base + i, out, &r.recv, slab, traced);
+                    obs.metrics().add_wire_sent(out.wire_len);
+                }
             }
         }
         if nr == 0 {
@@ -1162,11 +1404,14 @@ pub(crate) fn execute_inline(
             let obs = ex.obs;
             let traced = obs.enabled();
             for (i, r) in phase.rounds.iter().enumerate() {
-                let src = spec_src(&phase.specs[i]);
+                let Some(inc) = &r.recv else { continue };
+                let src = inc.peer;
                 let sent = plans
                     .get(src)
                     .map(|cp| &cp.phases[k].rounds[i])
-                    .filter(|sent| sent.target == rank && sent.tag == r.tag)
+                    .filter(|theirs| theirs.tag == r.tag)
+                    .and_then(|theirs| theirs.send.as_ref())
+                    .filter(|sent| sent.peer == rank)
                     .ok_or_else(|| unpaired("a round's source does not send to its receiver"))?;
                 let at = offs[src * nr + i];
                 let wire = &slab[at..at + sent.wire_len];
@@ -1177,7 +1422,7 @@ pub(crate) fn execute_inline(
                     bytes: wire.len(),
                     slot: i,
                 });
-                ex.unpack(k, round_base + i, r, src, wire, traced)?;
+                ex.unpack(k, round_base + i, inc, &r.send, wire, traced)?;
             }
             if traced {
                 obs.metrics()
@@ -1193,4 +1438,148 @@ fn unpaired(what: &str) -> CartError {
     CartError::Comm(CommError::InvalidExchange(format!(
         "inline execution: {what}"
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops::{regular_layouts, size_temp};
+    use crate::schedule::{alltoall_plan, trivial_plan};
+    use cartcomm_topo::RelNeighborhood;
+
+    /// `rank`'s program for `plan` over `m`-byte contiguous blocks.
+    fn compile(topo: &CartTopology, rank: usize, plan: &Plan, m: usize) -> CompiledPlan {
+        let lay = regular_layouts(plan.t, m, plan.kind);
+        let lay = size_temp(lay, plan.kind, plan.temp_slots).unwrap();
+        CompiledPlan::compile(topo, rank, plan, &lay, 0x100).unwrap()
+    }
+
+    /// Rounds with a send half, and with a receive half.
+    fn halves(cp: &CompiledPlan) -> (usize, usize) {
+        let peers = cp.round_peers();
+        (
+            peers.iter().filter(|p| p.0.is_some()).count(),
+            peers.iter().filter(|p| p.1.is_some()).count(),
+        )
+    }
+
+    #[test]
+    fn a_mesh_corner_gets_a_shorter_program_and_stages_intermediate_hops() {
+        let topo = CartTopology::mesh(&[3, 3]).unwrap();
+        let nb = RelNeighborhood::moore(2, 1).unwrap();
+        let plan = alltoall_plan(&nb);
+        let (corner, interior) = (compile(&topo, 0, &plan, 4), compile(&topo, 4, &plan, 4));
+        // The interior rank has all eight neighbors: the torus program's
+        // C = 4 whole rounds. The corner sends and receives along +1 only.
+        assert_eq!(halves(&interior), (4, 4));
+        assert_eq!(halves(&corner), (2, 2));
+        assert_eq!(corner.rounds(), interior.rounds(), "same round structure");
+        assert!(corner.wire_capacities().iter().sum::<usize>() < 4 * 4 * 3);
+
+        // Only a block's final hop may write `Recv` — as a whole block at
+        // the block's own place — and nothing ever reads `Recv` back.
+        let last: Vec<usize> = {
+            let rounds = plan.phases.iter().flat_map(|p| &p.rounds);
+            let mut last = vec![0; plan.t];
+            for (idx, r) in rounds.enumerate() {
+                r.block_ids.iter().for_each(|&b| last[b] = idx);
+            }
+            last
+        };
+        for cp in [&corner, &interior] {
+            let rounds = cp.phases.iter().flat_map(|p| &p.rounds);
+            for (idx, r) in rounds.enumerate() {
+                for (b, _) in r.send.iter().flat_map(Half::spans) {
+                    assert_ne!(b.buf, BufId::Recv, "round {idx} forwards from Recv");
+                }
+                for (b, &(off, len)) in r.recv.iter().flat_map(Half::spans) {
+                    if b.buf == BufId::Recv {
+                        assert_eq!(off % 4, 0);
+                        let blocks = &last[off / 4..(off + len) / 4];
+                        assert!(
+                            blocks.iter().all(|&l| l == idx),
+                            "a block rests in Recv before its final round {idx}: {blocks:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tree_plans_refuse_a_mesh_and_zero_offsets_need_no_torus() {
+        let mesh = CartTopology::new(&[3, 3], &[true, false]).unwrap();
+        let nb = RelNeighborhood::moore(2, 1).unwrap();
+        let plan = crate::schedule::allgather_plan(&nb);
+        let lay = size_temp(
+            regular_layouts(plan.t, 4, plan.kind),
+            plan.kind,
+            plan.temp_slots,
+        )
+        .unwrap();
+        for rank in 0..9 {
+            assert!(matches!(
+                CompiledPlan::compile(&mesh, rank, &plan, &lay, 0),
+                Err(CartError::CombiningNeedsTorus { dim: 1 })
+            ));
+        }
+        // Moving only where the topology is periodic is fine.
+        let along = RelNeighborhood::new(2, vec![vec![1, 0], vec![-1, 0]]).unwrap();
+        let plan = crate::schedule::allgather_plan(&along);
+        let lay = size_temp(
+            regular_layouts(plan.t, 4, plan.kind),
+            plan.kind,
+            plan.temp_slots,
+        )
+        .unwrap();
+        assert!(CompiledPlan::compile(&mesh, 0, &plan, &lay, 0).is_ok());
+    }
+
+    /// The in-place snapshot is taken exactly where a send reads what an
+    /// earlier copy or phase received.
+    #[test]
+    fn in_place_snapshot_is_flagged_only_where_a_receive_lands_on_a_later_send() {
+        let ring = CartTopology::torus(&[4]).unwrap();
+        let nb = RelNeighborhood::new(1, vec![vec![1], vec![-1]]).unwrap();
+        let plan = |trivial: bool| match trivial {
+            true => trivial_plan(&nb, PlanKind::Alltoall),
+            false => alltoall_plan(&nb),
+        };
+        let flagged = |plan: &Plan, recvdispls: &[usize]| {
+            let lay =
+                crate::ops::v_layouts(4, &[1, 1], &[0, 1], &[1, 1], recvdispls, plan.kind).unwrap();
+            let lay = size_temp(lay, plan.kind, plan.temp_slots).unwrap();
+            let cp = CompiledPlan::compile(&ring, 1, plan, &lay, 0).unwrap();
+            cp.in_place_snapshot
+        };
+        // Block i arrives where block i left: nothing to protect.
+        assert!(!flagged(&plan(true), &[0, 1]));
+        assert!(!flagged(&plan(false), &[0, 1]));
+        // Block 0 arrives on block 1: the trivial schedule sends block 1 a
+        // phase later; the one-dimensional combining schedule packs both
+        // before it unpacks either.
+        assert!(flagged(&plan(true), &[1, 0]));
+        assert!(!flagged(&plan(false), &[1, 0]));
+
+        let mut r = Ranges::default();
+        assert!(!r.overlaps(0, 8));
+        r.extend([(8, 4), (0, 4), (10, 6), (20, 0)].into_iter());
+        assert!(r.overlaps(3, 1) && r.overlaps(0, 100) && r.overlaps(15, 1));
+        assert!(!r.overlaps(4, 4) && !r.overlaps(16, 8) && !r.overlaps(2, 0));
+        assert_eq!(r.spans, vec![(0, 4), (8, 16)]);
+    }
+
+    /// Goldens for what this module newly compiles (the combining torus
+    /// programs are pinned in `tests/flat_tree_invariants.rs`).
+    #[test]
+    fn trivial_and_boundary_program_fingerprints_are_pinned() {
+        let nb = RelNeighborhood::moore(2, 1).unwrap();
+        let torus = CartTopology::torus(&[3, 3]).unwrap();
+        let trivial = compile(&torus, 0, &trivial_plan(&nb, PlanKind::Alltoall), 8);
+        assert_eq!(halves(&trivial), (8, 8));
+        assert_eq!(trivial.program_fingerprint(), 0x54A0_D635_9905_68F4);
+        let mesh = CartTopology::mesh(&[3, 3]).unwrap();
+        let corner = compile(&mesh, 0, &alltoall_plan(&nb), 8);
+        assert_eq!(corner.program_fingerprint(), 0x1B38_ACF0_3149_A6C6);
+    }
 }

@@ -1,7 +1,7 @@
 //! Zero-copy schedule execution (Listing 5).
 //!
 //! A [`Plan`] is rank-independent; executing it requires resolving every
-//! [`BlockRef`] to concrete bytes. [`ExecLayouts`] carries the per-block
+//! [`BlockRef`](crate::plan::BlockRef) to concrete bytes. [`ExecLayouts`] carries the per-block
 //! displacements and committed datatypes of the user's send and receive
 //! buffers (built once per operation, or once per `_init` handle).
 //!
@@ -15,11 +15,11 @@
 
 use cartcomm_comm::{Comm, Tag};
 use cartcomm_topo::CartTopology;
-use cartcomm_types::{gather_append, scatter, FlatType};
+use cartcomm_types::FlatType;
 
 use crate::compile::{execute_compiled, execute_compiled_in_place, CompiledPlan, ExecScratch, Fnv};
 use crate::error::CartResult;
-use crate::plan::{BlockRef, Loc, Plan, PlanKind};
+use crate::plan::{Plan, PlanKind};
 
 /// Tag space reserved for Cartesian collective rounds. User point-to-point
 /// traffic on the same communicator must avoid `CART_TAG_BASE ..
@@ -93,52 +93,6 @@ impl ExecLayouts {
         self
     }
 
-    pub(crate) fn gather_block(
-        &self,
-        br: BlockRef,
-        sendbuf: &[u8],
-        recvbuf: &[u8],
-        temp: &[u8],
-        wire: &mut Vec<u8>,
-    ) -> CartResult<()> {
-        match br.loc {
-            Loc::Send => {
-                let l = &self.send[br.slot];
-                gather_append(sendbuf, l.disp, &l.ty, wire)?;
-            }
-            Loc::Recv => {
-                let l = &self.recv[br.slot];
-                gather_append(recvbuf, l.disp, &l.ty, wire)?;
-            }
-            Loc::Temp => {
-                let off = self.temp_offsets[br.slot];
-                wire.extend_from_slice(&temp[off..off + self.temp_sizes[br.slot]]);
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn scatter_block(
-        &self,
-        br: BlockRef,
-        bytes: &[u8],
-        recvbuf: &mut [u8],
-        temp: &mut [u8],
-    ) -> CartResult<()> {
-        match br.loc {
-            Loc::Send => unreachable!("plans never write the send buffer"),
-            Loc::Recv => {
-                let l = &self.recv[br.slot];
-                scatter(bytes, recvbuf, l.disp, &l.ty)?;
-            }
-            Loc::Temp => {
-                let off = self.temp_offsets[br.slot];
-                temp[off..off + bytes.len()].copy_from_slice(bytes);
-            }
-        }
-        Ok(())
-    }
-
     /// A fingerprint of the layouts (and intended plan kind) for the
     /// communicator's compiled-plan cache. Two independently seeded 64-bit
     /// FNV-1a hashes over the structural content — displacements, span
@@ -192,8 +146,8 @@ impl ExecLayouts {
 /// round_index`, identical on all ranks because plans are identical).
 ///
 /// One-shot convenience: repeated executions should compile once (a
-/// persistent handle or [`crate::CartComm::compiled_plan`]) and call
-/// [`execute_compiled`] directly.
+/// persistent handle or [`Plans::compiled`](crate::cartcomm::Plans::compiled))
+/// and call [`execute_compiled`] directly.
 pub fn execute_plan(
     comm: &Comm,
     topo: &CartTopology,

@@ -180,10 +180,7 @@ impl HaloExchange {
     /// every `exchange` runs precompiled span programs. Equals
     /// [`HaloExchange::messages_per_exchange`] by construction.
     pub fn compiled_rounds(&self) -> usize {
-        self.phases
-            .iter()
-            .map(|(_, h)| h.compiled().map_or(0, |cp| cp.rounds()))
-            .sum()
+        self.phases.iter().map(|(_, h)| h.compiled().rounds()).sum()
     }
 
     /// Number of dimensions.

@@ -16,23 +16,23 @@
 //! from the shared [`PlanStore`] under the same keys [`CartComm`] resolves,
 //! so inline and threaded executions of one shape share compiled bytes.
 //!
-//! Only what compiles runs here: the message-combining schedules on a
-//! topology periodic in every dimension the neighborhood moves in.
+//! Everything a [`CartComm`] runs, runs here: both algorithms, tori and
+//! meshes. [`InlineUniverse::run`] resolves its [`Algo`] by the same rules
+//! and executes the same per-rank programs.
 //!
 //! [`CartComm`]: crate::CartComm
 
-use std::cell::OnceCell;
 use std::sync::Arc;
 
 use cartcomm_comm::obs::Obs;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::Reducer;
 
-use crate::cartcomm::{lookup_attributed, schedule_in_store};
+use crate::cartcomm::{lookup_attributed, Schedules};
 use crate::compile::{execute_inline, CompiledPlan, InlineScratch};
 use crate::error::{CartError, CartResult};
 use crate::exec::{ExecLayouts, CART_TAG_BASE};
-use crate::ops::{check_combining, check_layout_shape, size_temp};
+use crate::ops::{check_layout_shape, resolve, size_temp, Algo};
 use crate::plan::{Plan, PlanKind};
 use crate::plan_store::{KeyStem, PlanStore};
 
@@ -43,8 +43,7 @@ pub struct InlineUniverse {
     nb: RelNeighborhood,
     store: Arc<PlanStore>,
     obs: Vec<Arc<Obs>>,
-    /// The schedule per [`PlanKind`], fetched from the store once.
-    schedules: [OnceCell<Arc<Plan>>; 4],
+    schedules: Schedules,
     /// The current run's per-rank programs (kept for its capacity).
     plans: Vec<Arc<CompiledPlan>>,
     scratch: InlineScratch,
@@ -53,9 +52,7 @@ pub struct InlineUniverse {
 impl InlineUniverse {
     /// An inline universe over the `dims`/`periods` topology with the
     /// isomorphic neighborhood `nb`, resolving programs in the
-    /// process-wide [`PlanStore`]. Fails with
-    /// [`CartError::CombiningNeedsTorus`] when `nb` moves in a
-    /// non-periodic dimension: such schedules do not compile.
+    /// process-wide [`PlanStore`].
     pub fn new(dims: &[usize], periods: &[bool], nb: RelNeighborhood) -> CartResult<Self> {
         let topo = CartTopology::new(dims, periods)?;
         if nb.ndims() != topo.ndims() {
@@ -66,7 +63,6 @@ impl InlineUniverse {
                 },
             ));
         }
-        check_combining(&topo, &nb)?;
         let obs = (0..topo.size()).map(|_| Arc::new(Obs::new())).collect();
         Ok(InlineUniverse {
             topo,
@@ -108,21 +104,15 @@ impl InlineUniverse {
         &self.obs[rank]
     }
 
-    /// The message-combining schedule for `kind` (shared through the
-    /// store with every communicator over this neighborhood).
-    pub fn schedule(&self, kind: PlanKind) -> Arc<Plan> {
-        Arc::clone(
-            self.schedules[kind as usize]
-                .get_or_init(|| schedule_in_store(&self.store, &self.nb, kind)),
-        )
-    }
-
-    /// Execute the `kind` collective over `lay` on all ranks. `send` and
-    /// `recv` hold the ranks' buffers back to back, rank `r` owning the
-    /// `r`-th of `p` equal strides; `lay` describes one rank's buffers
-    /// (build it with [`crate::ops::v_layouts`], [`crate::ops::w_layouts`]
-    /// or [`crate::ops::regular_layouts`]). Reductions take their
-    /// [`Reducer`] in `red`; the copying collectives take `None`.
+    /// Execute the `kind` collective over `lay` with `algo` on all ranks,
+    /// and return the plan that ran (what `algo` resolved to: its `rounds`
+    /// and [`Plan::round_bytes`] are the analytical cost of the run).
+    /// `send` and `recv` hold the ranks' buffers back to back, rank `r`
+    /// owning the `r`-th of `p` equal strides; `lay` describes one rank's
+    /// buffers (build it with [`crate::ops::v_layouts`],
+    /// [`crate::ops::w_layouts`] or [`crate::ops::regular_layouts`]).
+    /// Reductions take their [`Reducer`] in `red`; the copying collectives
+    /// take `None`.
     ///
     /// Each rank's program comes from the plan store under the key
     /// [`CartComm`](crate::CartComm) would use, and the lookup is
@@ -134,7 +124,8 @@ impl InlineUniverse {
         red: Option<Reducer>,
         send: &[u8],
         recv: &mut [u8],
-    ) -> CartResult<()> {
+        algo: Algo,
+    ) -> CartResult<Arc<Plan>> {
         let p = self.size();
         check_layout_shape(kind, self.nb.len(), lay)?;
         for (what, len) in [("send", send.len()), ("receive", recv.len())] {
@@ -150,16 +141,20 @@ impl InlineUniverse {
             red.check_len(recv.len() / p)?;
         }
 
-        let stem = KeyStem::new(&self.topo, &self.nb, kind, lay.fingerprint(kind));
+        let (plan, lay) = resolve(&self.topo, &self.nb, kind, lay, algo, |id| {
+            self.schedules.get(&self.store, &self.nb, id)
+        })?;
+        let id = (plan.kind, plan.schedule);
+        let stem = KeyStem::new(&self.topo, &self.nb, id, lay.fingerprint(plan.kind));
         // Temp-sized layouts, made (once) only if some rank's lookup misses.
         let mut sized: Option<ExecLayouts> = None;
         self.plans.clear();
         for rank in 0..p {
             let (cp, _) =
                 lookup_attributed(&self.store, stem.key(rank), rank, &self.obs[rank], || {
-                    let plan = self.schedule(kind);
                     if sized.is_none() {
-                        sized = Some(size_temp(lay.clone(), kind, plan.temp_slots)?);
+                        let lay = lay.as_ref().clone();
+                        sized = Some(size_temp(lay, plan.kind, plan.temp_slots)?);
                     }
                     let lay = sized.as_ref().expect("just sized");
                     let cp = CompiledPlan::compile(&self.topo, rank, &plan, lay, CART_TAG_BASE)?;
@@ -167,7 +162,8 @@ impl InlineUniverse {
                 })?;
             self.plans.push(cp);
         }
-        execute_inline(&self.plans, &self.obs, send, recv, &mut self.scratch, red)
+        execute_inline(&self.plans, &self.obs, send, recv, &mut self.scratch, red)?;
+        Ok(plan)
     }
 }
 
@@ -175,6 +171,8 @@ impl InlineUniverse {
 mod tests {
     use super::*;
     use crate::ops::regular_layouts;
+    use crate::ops::Algo::{Combining, Trivial};
+    use crate::plan::Schedule;
     use cartcomm_comm::CommError;
     use cartcomm_types::{Primitive, RedOp, TypeError};
 
@@ -193,7 +191,7 @@ mod tests {
         let send: Vec<u8> = (0..4).flat_map(|r| [10 * r, 10 * r + 1]).collect();
         let mut recv = vec![0u8; 8];
         for pass in 0..2 {
-            uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv)
+            uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv, Combining)
                 .unwrap();
             // Block 0 arrives from r-1 (its block 0), block 1 from r+1.
             assert_eq!(recv, [30, 11, 0, 21, 10, 31, 20, 1]);
@@ -212,14 +210,58 @@ mod tests {
     }
 
     #[test]
-    fn meshes_do_not_get_an_inline_universe() {
-        let nb = RelNeighborhood::new(2, vec![vec![0, 1]]).unwrap();
+    fn an_open_chain_runs_both_algorithms_and_ends_do_less() {
+        let nb = RelNeighborhood::new(1, vec![vec![1], vec![-2]]).unwrap();
+        let mut uni = InlineUniverse::new(&[4], &[false], nb)
+            .unwrap()
+            .with_plan_store(PlanStore::new(2, 16));
+        let lay = regular_layouts(2, 1, PlanKind::Alltoall);
+        let send: Vec<u8> = (0..4).flat_map(|r| [10 * r, 10 * r + 1]).collect();
+        // Block 0 arrives from r-1, block 1 from r+2; what a boundary
+        // cuts off leaves its block untouched.
+        let want = [9, 21, 0, 31, 10, 9, 20, 9];
+        for (pass, algo) in [Trivial, Combining].into_iter().enumerate() {
+            let mut recv = vec![9u8; 8];
+            let plan = uni
+                .run(PlanKind::Alltoall, &lay, None, &send, &mut recv, algo)
+                .unwrap();
+            assert_eq!(plan.schedule == Schedule::Combining, pass == 1);
+            assert_eq!(recv, want, "{algo:?}");
+        }
+        // Only rank 2 has both its targets (+1 and -2): two rounds and two
+        // bytes per pass where the others send one.
+        for (rank, sent) in [(0, 1), (1, 1), (2, 2), (3, 1)] {
+            let m = uni.obs(rank).snapshot();
+            assert_eq!((m.rounds_started, m.wire_bytes_sent), (2 * sent, 2 * sent));
+            // Two trivial phases, one combining phase — on every rank.
+            assert_eq!(m.exchanges, 3);
+        }
+        // The reversed tree of a combining reduction needs the torus.
+        let rlay = regular_layouts(2, 4, PlanKind::Allreduce);
+        let red = Reducer::new(RedOp::Sum, Primitive::U32);
+        let (send, mut recv) = ([1u8; 16], [0u8; 16]);
         assert!(matches!(
-            InlineUniverse::new(&[2, 3], &[true, false], nb.clone()),
-            Err(CartError::CombiningNeedsTorus { dim: 1 })
+            uni.run(
+                PlanKind::Allreduce,
+                &rlay,
+                Some(red),
+                &send,
+                &mut recv,
+                Combining
+            ),
+            Err(CartError::CombiningNeedsTorus { dim: 0 })
         ));
-        // Periodic where it moves is enough.
-        assert!(InlineUniverse::new(&[2, 3], &[false, true], nb).is_ok());
+        uni.run(
+            PlanKind::Allreduce,
+            &rlay,
+            Some(red),
+            &send,
+            &mut recv,
+            Trivial,
+        )
+        .unwrap();
+        // Own block plus the sources that exist (r-1, r+2), all 0x01010101.
+        assert_eq!([recv[0], recv[4], recv[8], recv[12]], [2, 3, 2, 2]);
     }
 
     #[test]
@@ -230,7 +272,7 @@ mod tests {
         let mut recv = vec![0u8; 3 * 8];
         // Layouts of another collective's shape.
         assert!(matches!(
-            uni.run(PlanKind::Allgather, &lay, None, &send, &mut recv),
+            uni.run(PlanKind::Allgather, &lay, None, &send, &mut recv, Combining),
             Err(CartError::BadCounts {
                 what: "send layouts",
                 expected: 1,
@@ -239,11 +281,25 @@ mod tests {
         ));
         // Buffers that do not split into p strides, or too short ones.
         assert!(matches!(
-            uni.run(PlanKind::Alltoall, &lay, None, &send[..23], &mut recv),
+            uni.run(
+                PlanKind::Alltoall,
+                &lay,
+                None,
+                &send[..23],
+                &mut recv,
+                Combining
+            ),
             Err(CartError::BadBufferSize { what: "send", .. })
         ));
         assert!(matches!(
-            uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv[..12]),
+            uni.run(
+                PlanKind::Alltoall,
+                &lay,
+                None,
+                &send,
+                &mut recv[..12],
+                Combining
+            ),
             Err(CartError::Type(TypeError::BufferTooSmall {
                 required: 8,
                 available: 4
@@ -253,7 +309,14 @@ mod tests {
         // elements.
         let red = Reducer::new(RedOp::Sum, Primitive::U32);
         assert!(uni
-            .run(PlanKind::Alltoall, &lay, Some(red), &send, &mut recv)
+            .run(
+                PlanKind::Alltoall,
+                &lay,
+                Some(red),
+                &send,
+                &mut recv,
+                Combining
+            )
             .is_err());
         let rlay = regular_layouts(2, 4, PlanKind::Allreduce);
         assert!(uni
@@ -262,7 +325,8 @@ mod tests {
                 &rlay,
                 None,
                 &send[..12],
-                &mut recv[..12]
+                &mut recv[..12],
+                Combining
             )
             .is_err());
         let odd = regular_layouts(2, 3, PlanKind::Allreduce);
@@ -272,11 +336,12 @@ mod tests {
                 &odd,
                 Some(red),
                 &send[..9],
-                &mut recv[..9]
+                &mut recv[..9],
+                Combining
             )
             .is_err());
         // And the universe still works.
-        uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv)
+        uni.run(PlanKind::Alltoall, &lay, None, &send, &mut recv, Combining)
             .unwrap();
     }
 
@@ -286,7 +351,8 @@ mod tests {
         // not send to it.
         let uni = ring(4);
         let lay = regular_layouts(2, 1, PlanKind::Alltoall);
-        let plan = uni.schedule(PlanKind::Alltoall);
+        let id = (PlanKind::Alltoall, Schedule::Combining);
+        let plan = uni.schedules.get(&uni.store, &uni.nb, id);
         let lay = size_temp(lay, PlanKind::Alltoall, plan.temp_slots).unwrap();
         let plans: Vec<Arc<CompiledPlan>> = [0, 0, 2, 3]
             .iter()

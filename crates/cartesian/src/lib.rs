@@ -20,19 +20,24 @@
 //!   send-receive rounds over block references that alternate between the
 //!   user receive buffer and a temporary buffer (zero-copy execution,
 //!   Listing 5).
-//! * [`compile`] — the compile stage between planning and execution:
-//!   [`CompiledPlan`] resolves a schedule for one rank (peers, tags, wire
-//!   sizes, flattened memcpy span programs) so repeated executes pay no
-//!   coordinate math, datatype traversal, or allocation; persistent
-//!   handles and the communicator's plan cache run these programs.
+//! * [`compile`] — the compile stage between planning and execution, and
+//!   the only executor: [`CompiledPlan`] resolves a schedule for one rank
+//!   (peers, tags, wire sizes, flattened memcpy span programs, and on a
+//!   mesh what its boundary cuts off) so repeated executes pay no
+//!   coordinate math, datatype traversal, or allocation. Every collective,
+//!   persistent handle and serve job runs these programs.
 //! * [`schedule::alltoall`] — Algorithm 1: the message-combining alltoall
 //!   schedule (`C = Σ C_k` rounds, volume `V = Σ z_i`, Prop. 3.2).
 //! * [`schedule::allgather`] — Algorithm 2: the message-combining allgather
 //!   tree schedule (volume = tree edges, Prop. 3.3), with dimensions
 //!   processed in increasing `C_k` order.
+//! * [`schedule::trivial`] — Listing 4 as a schedule: one single-block
+//!   round per neighbor, for all four collectives.
 //! * [`ops`] — the collective operations: `Cart_alltoall{,v,w}` and
-//!   `Cart_allgather{,v,w}`, each in trivial (t-round, Listing 4) and
-//!   message-combining variants, plus persistent `_init` handles.
+//!   `Cart_allgather{,v,w}`, each with an [`ops::Algo`] choosing the
+//!   trivial (t-round, Listing 4) or the message-combining schedule, plus
+//!   persistent `_init` handles; [`reduce`] adds `Cart_reduce_scatter`
+//!   and `Cart_allreduce`.
 //! * [`inline`] — [`InlineUniverse`]: all `p` ranks' compiled programs
 //!   stepped phase by phase on the calling thread, with no rank threads,
 //!   channels or wake-ups — what a serving process uses to run a whole
@@ -72,7 +77,6 @@ pub mod compile;
 pub mod cost;
 pub mod error;
 pub mod exec;
-pub mod exec_mesh;
 pub mod halo;
 pub mod inline;
 pub mod neighbor;
@@ -89,5 +93,5 @@ pub use compile::{
 pub use cost::{cutoff_ratio, CostSummary};
 pub use error::{CartError, CartResult};
 pub use inline::InlineUniverse;
-pub use plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound};
+pub use plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
 pub use plan_store::{PlanStore, PlanStoreStats};

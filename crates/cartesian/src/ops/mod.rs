@@ -14,8 +14,10 @@
 //!
 //! [`Algo::Combining`] runs the message-combining schedule of §3,
 //! [`Algo::Trivial`] the t-round Listing-4 algorithm, and [`Algo::Auto`]
-//! picks per the paper's §3.2 cut-off from the machine's α/β ratio. The
-//! former `*_trivial` methods remain as deprecated shims for one release.
+//! picks per the paper's §3.2 cut-off from the machine's α/β ratio.
+//! Whichever it is, it resolves to a [`Plan`], the plan compiles for the
+//! calling rank, and the compiled program runs: there is no other way to
+//! execute a collective.
 //!
 //! The `w` variants take per-neighbor datatypes ([`WBlock`]), eliminating
 //! intermediate buffers for stencil halos (Listing 3); `Cart_allgatherw`
@@ -27,13 +29,17 @@ pub mod persistent;
 
 pub use persistent::{PersistentCollective, PersistentReduction};
 
+use std::borrow::Cow;
+use std::sync::Arc;
+
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::{Datatype, FlatType, Reducer, TypeError};
 
 use crate::cartcomm::CartComm;
+use crate::compile::{execute_compiled, execute_compiled_reduce, ExecScratch};
 use crate::error::{CartError, CartResult};
 use crate::exec::{BlockLayout, ExecLayouts};
-use crate::plan::{Plan, PlanKind};
+use crate::plan::{Plan, PlanKind, Schedule};
 
 /// Algorithm selector for the Cartesian collectives (one-shot and
 /// persistent alike).
@@ -51,10 +57,6 @@ pub enum Algo {
         alpha_beta_bytes: f64,
     },
 }
-
-/// Former name of [`Algo`].
-#[deprecated(since = "0.2.0", note = "renamed to `Algo`")]
-pub type Algorithm = Algo;
 
 /// Resolve an [`Algo`] against a plan and concrete layouts: `true` iff the
 /// message-combining schedule should run. `Auto` applies the §3.2 cut-off
@@ -118,8 +120,56 @@ impl WBlock {
     }
 }
 
+/// What `algo` comes to for a `kind` collective over `lay` on this
+/// topology: the plan to compile and the layouts to compile it over.
+/// `plan` looks a schedule up by identity.
+///
+/// Where the neighborhood moves in a non-periodic dimension only plans
+/// whose blocks travel independently compile (see
+/// [`Plan::routes_blocks_independently`]), so there a combining allgather
+/// routes over the alltoall schedule with its one contributed block
+/// replicated per neighbor — still `C` rounds, volume `Σ zᵢ` instead of
+/// tree edges — and a combining reduction is an error under
+/// [`Algo::Combining`] and the trivial schedule under [`Algo::Auto`].
+pub(crate) fn resolve<'a>(
+    topo: &CartTopology,
+    nb: &RelNeighborhood,
+    kind: PlanKind,
+    lay: &'a ExecLayouts,
+    algo: Algo,
+    plan: impl Fn((PlanKind, Schedule)) -> Arc<Plan>,
+) -> CartResult<(Arc<Plan>, Cow<'a, ExecLayouts>)> {
+    let mesh = check_combining(topo, nb).err();
+    let combining = match algo {
+        Algo::Trivial => false,
+        Algo::Combining => true,
+        auto => {
+            (mesh.is_none() || !kind.is_reduction())
+                && choose_combining(auto, &plan((kind, Schedule::Combining)), lay)
+        }
+    };
+    Ok(match (combining, mesh) {
+        (false, _) => (plan((kind, Schedule::Trivial)), Cow::Borrowed(lay)),
+        (true, Some(needs_torus)) if kind.is_reduction() => return Err(needs_torus),
+        (true, Some(_)) if kind == PlanKind::Allgather => {
+            let replicated = ExecLayouts {
+                send: lay.send.iter().cycle().take(nb.len()).cloned().collect(),
+                recv: lay.recv.clone(),
+                block_bytes: lay.block_bytes.clone(),
+                temp_offsets: Vec::new(),
+                temp_sizes: Vec::new(),
+            };
+            (
+                plan((PlanKind::Alltoall, Schedule::Combining)),
+                Cow::Owned(replicated),
+            )
+        }
+        (true, _) => (plan((kind, Schedule::Combining)), Cow::Borrowed(lay)),
+    })
+}
+
 impl CartComm {
-    /// The byte-level entry point under the typed collectives: execute
+    /// The byte-level entry point every typed collective ends in: execute
     /// the `kind` collective over explicit layouts (see [`v_layouts`],
     /// [`w_layouts`], [`regular_layouts`]) with `algo`. Reductions take
     /// their [`Reducer`] in `red`, the copying collectives `None`. The
@@ -136,16 +186,19 @@ impl CartComm {
         algo: Algo,
     ) -> CartResult<()> {
         check_layout_shape(kind, self.neighbor_count(), &lay)?;
-        match (kind, red) {
-            (PlanKind::Alltoall, None) => self.run_alltoall(lay, send, recv, algo),
-            (PlanKind::Allgather, None) => self.run_allgather(lay, send, recv, algo),
-            (PlanKind::ReduceScatter | PlanKind::Allreduce, Some(red)) => {
-                red.check_len(recv.len())?;
-                self.run_reduce(kind, lay, send, recv, red, algo)
-            }
-            _ => Err(CartError::Type(TypeError::InvalidArgument(
+        if kind.is_reduction() != red.is_some() {
+            return Err(CartError::Type(TypeError::InvalidArgument(
                 "reductions, and only reductions, take a reducer".into(),
-            ))),
+            )));
+        }
+        if let Some(red) = red {
+            red.check_len(recv.len())?;
+        }
+        let cp = self.program(kind, &lay, algo)?.1;
+        let mut scratch = ExecScratch::for_plan(&cp);
+        match red {
+            Some(red) => execute_compiled_reduce(self.comm(), &cp, send, recv, &mut scratch, red),
+            None => execute_compiled(self.comm(), &cp, send, recv, &mut scratch),
         }
     }
 }
@@ -218,9 +271,7 @@ pub fn v_layouts(
                 sendcounts[0] * elem_size,
             )]
         }
-        PlanKind::ReduceScatter | PlanKind::Allreduce => {
-            unreachable!("reductions have no irregular (v) variant")
-        }
+        PlanKind::ReduceScatter | PlanKind::Allreduce => return Err(regular_only(kind)),
     };
     layouts_from_blocks(send, recv, kind)
 }
@@ -235,9 +286,7 @@ pub fn w_layouts(
     match kind {
         PlanKind::Alltoall => check_len("sendspec", t, sendspec.len())?,
         PlanKind::Allgather => check_len("sendspec", 1, sendspec.len())?,
-        PlanKind::ReduceScatter | PlanKind::Allreduce => {
-            unreachable!("reductions have no typed (w) variant")
-        }
+        PlanKind::ReduceScatter | PlanKind::Allreduce => return Err(regular_only(kind)),
     }
     let send = sendspec
         .iter()
@@ -281,11 +330,7 @@ pub(crate) fn layouts_from_blocks(
                 }
             }
         }
-        PlanKind::ReduceScatter | PlanKind::Allreduce => {
-            // Reductions are regular-only: their layouts come straight from
-            // `regular_layouts`, never through the irregular builders.
-            unreachable!("reduction layouts are built by regular_layouts")
-        }
+        PlanKind::ReduceScatter | PlanKind::Allreduce => return Err(regular_only(kind)),
     }
     Ok(ExecLayouts {
         send,
@@ -296,12 +341,23 @@ pub(crate) fn layouts_from_blocks(
     })
 }
 
+/// The reductions are regular-only: [`regular_layouts`] builds theirs.
+fn regular_only(kind: PlanKind) -> CartError {
+    CartError::Type(TypeError::InvalidArgument(format!(
+        "{kind:?} has no irregular (v) or typed (w) layouts"
+    )))
+}
+
 /// Attach the temp-slot sizing a plan needs to its layouts.
 pub(crate) fn size_temp(
     lay: ExecLayouts,
     plan_kind: PlanKind,
     temp_slots: usize,
 ) -> CartResult<ExecLayouts> {
+    if temp_slots == 0 {
+        // The trivial schedules deliver every block directly.
+        return Ok(lay.with_temp_sizes(Vec::new()));
+    }
     match plan_kind {
         PlanKind::Alltoall => {
             // temp slot i mirrors block i
@@ -429,6 +485,24 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn irregular_builders_refuse_the_reductions() {
+        let blocks = || vec![BlockLayout::contiguous(0, 4)];
+        let w = [WBlock::new(0, 1, &Datatype::int())];
+        for kind in [PlanKind::ReduceScatter, PlanKind::Allreduce] {
+            for err in [
+                v_layouts(4, &[1], &[0], &[1], &[0], kind).unwrap_err(),
+                w_layouts(&w, &w, kind).unwrap_err(),
+                layouts_from_blocks(blocks(), blocks(), kind).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, CartError::Type(TypeError::InvalidArgument(_))),
+                    "{kind:?}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

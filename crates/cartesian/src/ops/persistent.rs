@@ -19,82 +19,40 @@ use crate::compile::{
 };
 use crate::error::CartResult;
 use crate::exec::ExecLayouts;
-use crate::ops::{choose_combining, v_layouts, w_layouts, Algo, WBlock};
-use crate::plan::{Plan, PlanKind};
-
-/// Former home of the algorithm selector; see [`crate::ops::Algo`].
-#[allow(deprecated)]
-pub use crate::ops::Algorithm;
+use crate::ops::{v_layouts, w_layouts, Algo, WBlock};
+use crate::plan::{Plan, PlanKind, Schedule};
 
 /// A precomputed persistent collective (the paper's `Cart_*_init` result).
 ///
-/// When the combining schedule is selected, `_init` compiles it into a
+/// `_init` resolves the algorithm, compiles its schedule into a
 /// [`CompiledPlan`] (through the communicator's shared plan cache) and
 /// keeps an [`ExecScratch`], so every `execute` runs the precompiled span
 /// programs with zero allocation, coordinate math, or datatype traversal.
 pub struct PersistentCollective {
     plan: Arc<Plan>,
-    lay: ExecLayouts,
-    compiled: Option<Arc<CompiledPlan>>,
+    compiled: Arc<CompiledPlan>,
     scratch: ExecScratch,
-    use_combining: bool,
 }
 
 impl PersistentCollective {
     fn build(cart: &CartComm, kind: PlanKind, lay: ExecLayouts, algo: Algo) -> CartResult<Self> {
-        let plan = cart.plans().schedule(kind);
-        let use_combining = choose_combining(algo, &plan, &lay);
-        let (compiled, scratch) = if use_combining {
-            crate::ops::check_combining(cart.topology(), cart.neighborhood())?;
-            // Compile at init through the communicator's shared plan cache
-            // (Listing 3 semantics: pay schedule + compilation once).
-            let cp = cart.plans().compiled(kind, lay.clone())?;
-            let scratch = ExecScratch::for_plan(&cp);
-            (Some(cp), scratch)
-        } else {
-            (None, ExecScratch::default())
-        };
-        let handle = PersistentCollective {
+        // Listing 3 semantics: pay schedule + compilation once, here.
+        let (plan, compiled) = cart.program(kind, &lay, algo)?;
+        // One pooled buffer per message the program sends: the first
+        // `execute` already runs at a 100% pool hit rate, and steady-state
+        // iterations allocate nothing — received buffers recycle into the
+        // pool and are re-acquired for the next round's sends.
+        WirePool::prewarm(cart.comm().wire_pool(), &compiled.wire_capacities());
+        Ok(PersistentCollective {
+            scratch: ExecScratch::for_plan(&compiled),
             plan,
-            lay,
             compiled,
-            scratch,
-            use_combining,
-        };
-        handle.prime_pool(cart);
-        Ok(handle)
-    }
-
-    /// Pre-warm this rank's wire-buffer pool with one buffer per wire
-    /// message the resolved algorithm sends, sized from the compiled
-    /// program (combining) or the per-neighbor blocks (trivial). The
-    /// first `execute` then already runs at a 100% pool hit rate, and
-    /// steady-state iterations allocate nothing: received buffers recycle
-    /// into the pool and are re-acquired for the next round's sends.
-    fn prime_pool(&self, cart: &CartComm) {
-        let caps: Vec<usize> = match &self.compiled {
-            Some(cp) => cp.wire_capacities(),
-            // Trivial algorithm: one wire per neighbor, sized per block.
-            None => match self.plan.kind {
-                PlanKind::Alltoall => self.lay.send.iter().map(|l| l.size()).collect(),
-                PlanKind::Allgather => {
-                    let m = self.lay.send.first().map_or(0, |l| l.size());
-                    std::iter::repeat_n(m, self.plan.t).collect()
-                }
-                PlanKind::ReduceScatter | PlanKind::Allreduce => {
-                    // Trivial reductions sendrecv one uniform block per
-                    // neighbor round.
-                    let m = self.lay.recv.first().map_or(0, |l| l.size());
-                    std::iter::repeat_n(m, self.plan.t).collect()
-                }
-            },
-        };
-        WirePool::prewarm(cart.comm().wire_pool(), &caps);
+        })
     }
 
     /// Whether this handle resolved to the message-combining schedule.
     pub fn is_combining(&self) -> bool {
-        self.use_combining
+        self.plan.schedule == Schedule::Combining
     }
 
     /// The plan this handle executes.
@@ -102,45 +60,25 @@ impl PersistentCollective {
         &self.plan
     }
 
-    /// The compiled program, when the combining schedule was selected.
-    pub fn compiled(&self) -> Option<&CompiledPlan> {
-        self.compiled.as_deref()
+    /// The compiled program this handle executes.
+    pub fn compiled(&self) -> &CompiledPlan {
+        &self.compiled
     }
 
     /// Execute over raw byte buffers (layouts fixed at init time).
     pub fn execute(&mut self, cart: &CartComm, send: &[u8], recv: &mut [u8]) -> CartResult<()> {
-        if let Some(cp) = &self.compiled {
-            execute_compiled(cart.comm(), cp, send, recv, &mut self.scratch)
-        } else {
-            match self.plan.kind {
-                PlanKind::Alltoall => cart.run_trivial_alltoall(&self.lay, send, recv),
-                PlanKind::Allgather => cart.run_trivial_allgather(&self.lay, send, recv),
-                PlanKind::ReduceScatter | PlanKind::Allreduce => {
-                    unreachable!("reductions execute through PersistentReduction")
-                }
-            }
-        }
+        execute_compiled(cart.comm(), &self.compiled, send, recv, &mut self.scratch)
     }
 
     /// Execute sending and receiving in the same buffer (halo-exchange
-    /// mode: interior slabs out, halo regions in). The compiled core
-    /// gathers all outgoing bytes of a copy or phase before scattering
-    /// incoming ones, making the aliasing safe.
+    /// mode: interior slabs out, halo regions in). Every block sent holds
+    /// the bytes `buf` had at the call, whatever the layouts and the
+    /// algorithm: a copy or phase gathers its outgoing bytes before it
+    /// scatters incoming ones, and a program in which a receive lands on a
+    /// block that a *later* phase sends (flagged when it was compiled)
+    /// sends from a snapshot of `buf` kept in the handle.
     pub fn execute_in_place(&mut self, cart: &CartComm, buf: &mut [u8]) -> CartResult<()> {
-        if let Some(cp) = &self.compiled {
-            execute_compiled_in_place(cart.comm(), cp, buf, &mut self.scratch)
-        } else {
-            // The trivial path interleaves sends and receives round by
-            // round; snapshot the buffer to keep in-place semantics exact.
-            let snapshot = buf.to_vec();
-            match self.plan.kind {
-                PlanKind::Alltoall => cart.run_trivial_alltoall(&self.lay, &snapshot, buf),
-                PlanKind::Allgather => cart.run_trivial_allgather(&self.lay, &snapshot, buf),
-                PlanKind::ReduceScatter | PlanKind::Allreduce => {
-                    unreachable!("reductions execute through PersistentReduction")
-                }
-            }
-        }
+        execute_compiled_in_place(cart.comm(), &self.compiled, buf, &mut self.scratch)
     }
 
     /// Execute over typed buffers.
@@ -167,7 +105,7 @@ pub struct PersistentReduction {
 impl PersistentReduction {
     /// Whether this handle resolved to the message-combining schedule.
     pub fn is_combining(&self) -> bool {
-        self.inner.use_combining
+        self.inner.is_combining()
     }
 
     /// The plan this handle executes.
@@ -175,9 +113,9 @@ impl PersistentReduction {
         &self.inner.plan
     }
 
-    /// The compiled program, when the combining schedule was selected.
-    pub fn compiled(&self) -> Option<&CompiledPlan> {
-        self.inner.compiled.as_deref()
+    /// The compiled program this handle executes.
+    pub fn compiled(&self) -> &CompiledPlan {
+        &self.inner.compiled
     }
 
     /// The combine operator this handle applies.
@@ -187,28 +125,14 @@ impl PersistentReduction {
 
     /// Execute over raw byte buffers (layouts and operator fixed at init).
     pub fn execute(&mut self, cart: &CartComm, send: &[u8], recv: &mut [u8]) -> CartResult<()> {
-        if let Some(cp) = &self.inner.compiled {
-            execute_compiled_reduce(
-                cart.comm(),
-                cp,
-                send,
-                recv,
-                &mut self.inner.scratch,
-                self.red,
-            )
-        } else {
-            match self.inner.plan.kind {
-                PlanKind::ReduceScatter => {
-                    cart.run_trivial_reduce_scatter(&self.inner.lay, send, recv, self.red)
-                }
-                PlanKind::Allreduce => {
-                    cart.run_trivial_allreduce(&self.inner.lay, send, recv, self.red)
-                }
-                PlanKind::Alltoall | PlanKind::Allgather => {
-                    unreachable!("reduction handles carry reduction plans")
-                }
-            }
-        }
+        execute_compiled_reduce(
+            cart.comm(),
+            &self.inner.compiled,
+            send,
+            recv,
+            &mut self.inner.scratch,
+            self.red,
+        )
     }
 
     /// Execute over typed buffers.

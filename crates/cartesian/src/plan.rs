@@ -4,11 +4,11 @@
 //! A [`Plan`] is rank-independent: it is expressed entirely in *relative*
 //! offset vectors and block indices, because every process in a Cartesian
 //! collective executes the exact same sequence of send-receive rounds (§3).
-//! The executor instantiates it for a concrete rank by resolving each
-//! round's offset to `(send rank, receive rank)` with the relative shift of
-//! Listing 2, and each [`BlockRef`] to a `(buffer, displacement, datatype)`
-//! triple. That instantiation is performed once by
-//! [`crate::compile::CompiledPlan`] and the result executed repeatedly.
+//! [`crate::compile::CompiledPlan`] instantiates it for a concrete rank
+//! once — each round's offset resolved to `(send rank, receive rank)` with
+//! the relative shift of Listing 2, each [`BlockRef`] to a `(buffer,
+//! displacement, datatype)` triple, and on a mesh the halves and blocks a
+//! boundary cuts off dropped — and the result is executed repeatedly.
 
 use cartcomm_topo::Offset;
 
@@ -53,12 +53,13 @@ pub struct LocalCopy {
     pub to: BlockRef,
 }
 
-/// One send-receive round: all blocks with the same k-th coordinate travel
-/// together to the relative process `offset` (and arrive from `-offset`).
+/// One send-receive round: its blocks travel together to the relative
+/// process `offset` (and arrive from `-offset`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanRound {
-    /// The relative offset vector of this round (non-zero in exactly one
-    /// dimension: the paper's `N[i']ₖ⁰`).
+    /// The relative offset vector of this round: non-zero in exactly one
+    /// dimension (the paper's `N[i']ₖ⁰`) in a combining schedule, a whole
+    /// neighbor offset `N[i]` in the trivial one.
     pub offset: Offset,
     /// Blocks gathered into the outgoing message, in wire order.
     pub sends: Vec<BlockRef>,
@@ -114,11 +115,24 @@ impl PlanKind {
     }
 }
 
+/// Which algorithm laid a plan's rounds out — with [`PlanKind`], the
+/// identity of a schedule over one neighborhood.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Schedule {
+    /// Listing 4: one single-block round per neighbor, straight to it.
+    Trivial,
+    /// §3: dimension-wise routing, one combined message per distinct
+    /// coordinate.
+    Combining,
+}
+
 /// A complete, rank-independent communication schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
-    /// Alltoall or allgather semantics.
+    /// Which collective the plan implements.
     pub kind: PlanKind,
+    /// Which algorithm built it.
+    pub schedule: Schedule,
     /// The number of dimensions `d` of the underlying topology.
     pub ndims: usize,
     /// The number of neighbors `t`.
@@ -155,9 +169,18 @@ impl Plan {
         self.phases.iter().flat_map(|p| &p.copies)
     }
 
+    /// Whether every block travels a path of its own from `Send` to
+    /// `Recv`, one hop per round that lists it — the trivial schedules and
+    /// the combining alltoall — rather than along a shared tree. Only such
+    /// a plan compiles on a mesh: a boundary drops whole paths there.
+    pub fn routes_blocks_independently(&self) -> bool {
+        self.schedule == Schedule::Trivial || self.kind == PlanKind::Alltoall
+    }
+
     /// Internal consistency checks used by tests and debug builds:
     /// * every round's `sends`, `recvs`, `block_ids` have equal length,
-    /// * every round offset is non-zero in exactly one dimension,
+    /// * every round offset is non-zero — in exactly one dimension in a
+    ///   combining schedule,
     /// * stored counters match the recomputed ones,
     /// * temp slot ids are in range.
     pub fn validate(&self) -> Result<(), String> {
@@ -174,7 +197,7 @@ impl Plan {
                     return Err(format!("phase {pi} round {ri}: empty round"));
                 }
                 let nz = round.offset.iter().filter(|&&c| c != 0).count();
-                if nz != 1 {
+                if nz == 0 || (nz != 1 && self.schedule == Schedule::Combining) {
                     return Err(format!(
                         "phase {pi} round {ri}: offset {:?} must be non-zero in exactly one dimension",
                         round.offset
@@ -334,6 +357,7 @@ mod tests {
     fn tiny_plan() -> Plan {
         Plan {
             kind: PlanKind::Alltoall,
+            schedule: Schedule::Combining,
             ndims: 2,
             t: 2,
             phases: vec![PlanPhase {
@@ -373,6 +397,14 @@ mod tests {
         assert!(p.validate().is_err());
         p.phases[0].rounds[0].offset = vec![0, 0];
         assert!(p.validate().is_err());
+        // A trivial round goes straight to its neighbor, along any axes.
+        p.schedule = Schedule::Trivial;
+        assert!(
+            p.validate().is_err(),
+            "a zero offset is a copy, not a round"
+        );
+        p.phases[0].rounds[0].offset = vec![1, 1];
+        assert!(p.validate().is_ok());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use cartcomm_topo::{CartTopology, RelNeighborhood};
 use crate::compile::{CompiledPlan, Fnv};
 use crate::error::CartResult;
 use crate::exec::ExecLayouts;
-use crate::plan::{Plan, PlanKind};
+use crate::plan::{Plan, PlanKind, Schedule};
 
 /// Shards in the global store. Power of two; keys are uniform so this
 /// only bounds contention, not capacity.
@@ -67,7 +67,7 @@ impl KeyStem {
     pub(crate) fn new(
         topo: &CartTopology,
         nb: &RelNeighborhood,
-        kind: PlanKind,
+        (kind, schedule): (PlanKind, Schedule),
         lay_fp: u128,
     ) -> Self {
         let flat = nb.to_flat();
@@ -95,6 +95,7 @@ impl KeyStem {
                 PlanKind::ReduceScatter => 3,
                 PlanKind::Allreduce => 4,
             });
+            h.u64(schedule as u64);
             for &v in &flat {
                 h.u64(v as u64);
             }
@@ -121,20 +122,20 @@ impl KeyStem {
 /// the emitted spans, peers, tags, and wire sizes. Layout shape alone
 /// ([`ExecLayouts::fingerprint`]) was a sufficient key inside one
 /// communicator; a process-wide store must also separate topologies,
-/// neighborhoods, and ranks.
+/// neighborhoods, schedules, and ranks.
 pub fn store_key(
     topo: &CartTopology,
     nb: &RelNeighborhood,
     rank: usize,
-    kind: PlanKind,
+    schedule: (PlanKind, Schedule),
     lay: &ExecLayouts,
 ) -> u128 {
-    KeyStem::new(topo, nb, kind, lay.fingerprint(kind)).key(rank)
+    KeyStem::new(topo, nb, schedule, lay.fingerprint(schedule.0)).key(rank)
 }
 
-/// Key for a (rank-independent) schedule: neighborhood and kind only —
-/// the message-combining plan does not depend on topology or rank.
-pub fn schedule_key(nb: &RelNeighborhood, kind: PlanKind) -> u128 {
+/// Key for a (rank-independent) schedule: neighborhood, kind and
+/// algorithm only — a plan does not depend on topology or rank.
+pub fn schedule_key(nb: &RelNeighborhood, (kind, schedule): (PlanKind, Schedule)) -> u128 {
     let mut parts = [0u64; 2];
     for (i, seed) in [0x5851_F42D_4C95_7F2Du64, 0x1405_7B7E_F767_814Fu64]
         .into_iter()
@@ -148,6 +149,7 @@ pub fn schedule_key(nb: &RelNeighborhood, kind: PlanKind) -> u128 {
             PlanKind::ReduceScatter => 3,
             PlanKind::Allreduce => 4,
         });
+        h.u64(schedule as u64);
         for v in nb.to_flat() {
             h.u64(v as u64);
         }
@@ -325,6 +327,8 @@ mod tests {
     use crate::ops::size_temp;
     use crate::schedule::alltoall_plan;
 
+    const A2A: (PlanKind, Schedule) = (PlanKind::Alltoall, Schedule::Combining);
+
     fn lay_for(nb: &RelNeighborhood, m: usize) -> ExecLayouts {
         let t = nb.len();
         let blocks: Vec<BlockLayout> = (0..t)
@@ -358,39 +362,27 @@ mod tests {
         let moore = RelNeighborhood::moore(2, 1).unwrap();
         let vn = RelNeighborhood::von_neumann(2, 1).unwrap();
         let lay = lay_for(&moore, 8);
-        let base = store_key(&t33, &moore, 0, PlanKind::Alltoall, &lay);
-        assert_ne!(base, store_key(&t34, &moore, 0, PlanKind::Alltoall, &lay));
-        assert_ne!(base, store_key(&mesh, &moore, 0, PlanKind::Alltoall, &lay));
-        assert_ne!(
-            base,
-            store_key(&t33, &vn, 0, PlanKind::Alltoall, &lay_for(&vn, 8))
-        );
-        assert_ne!(base, store_key(&t33, &moore, 1, PlanKind::Alltoall, &lay));
-        assert_ne!(base, store_key(&t33, &moore, 0, PlanKind::Allgather, &lay));
-        assert_ne!(
-            base,
-            store_key(&t33, &moore, 0, PlanKind::Alltoall, &lay_for(&moore, 16))
-        );
+        let base = store_key(&t33, &moore, 0, A2A, &lay);
+        assert_ne!(base, store_key(&t34, &moore, 0, A2A, &lay));
+        assert_ne!(base, store_key(&mesh, &moore, 0, A2A, &lay));
+        assert_ne!(base, store_key(&t33, &vn, 0, A2A, &lay_for(&vn, 8)));
+        assert_ne!(base, store_key(&t33, &moore, 1, A2A, &lay));
+        let allgather = (PlanKind::Allgather, Schedule::Combining);
+        assert_ne!(base, store_key(&t33, &moore, 0, allgather, &lay));
+        let trivial = (PlanKind::Alltoall, Schedule::Trivial);
+        assert_ne!(base, store_key(&t33, &moore, 0, trivial, &lay));
+        assert_ne!(base, store_key(&t33, &moore, 0, A2A, &lay_for(&moore, 16)));
         // Same identity → same key, including across clones.
         assert_eq!(
             base,
-            store_key(
-                &t33.clone(),
-                &moore.clone(),
-                0,
-                PlanKind::Alltoall,
-                &lay.clone()
-            )
+            store_key(&t33.clone(), &moore.clone(), 0, A2A, &lay.clone())
         );
         // A permutation is part of the identity.
         let permuted = CartTopology::torus(&[3, 3])
             .unwrap()
             .with_permutation((0..9).rev().collect())
             .unwrap();
-        assert_ne!(
-            base,
-            store_key(&permuted, &moore, 0, PlanKind::Alltoall, &lay)
-        );
+        assert_ne!(base, store_key(&permuted, &moore, 0, A2A, &lay));
     }
 
     #[test]
@@ -399,7 +391,7 @@ mod tests {
         let topo = CartTopology::torus(&[3, 3]).unwrap();
         let nb = RelNeighborhood::moore(2, 1).unwrap();
         let lay = lay_for(&nb, 8);
-        let key = store_key(&topo, &nb, 0, PlanKind::Alltoall, &lay);
+        let key = store_key(&topo, &nb, 0, A2A, &lay);
         assert!(!store.contains(key));
         let (a, hit_a) = store
             .get_or_compile(key, || Ok(compile_for(&topo, &nb, 0, 8)))
@@ -426,10 +418,10 @@ mod tests {
         let nb = RelNeighborhood::moore(2, 1).unwrap();
         let keys: Vec<u128> = [4usize, 8, 16]
             .iter()
-            .map(|&m| store_key(&topo, &nb, 0, PlanKind::Alltoall, &lay_for(&nb, m)))
+            .map(|&m| store_key(&topo, &nb, 0, A2A, &lay_for(&nb, m)))
             .collect();
         for &m in &[4usize, 8] {
-            let key = store_key(&topo, &nb, 0, PlanKind::Alltoall, &lay_for(&nb, m));
+            let key = store_key(&topo, &nb, 0, A2A, &lay_for(&nb, m));
             store
                 .get_or_compile(key, || Ok(compile_for(&topo, &nb, 0, m)))
                 .unwrap();
@@ -452,11 +444,18 @@ mod tests {
     fn schedules_share_by_neighborhood_and_kind() {
         let store = PlanStore::new(4, 8);
         let nb = RelNeighborhood::moore(2, 1).unwrap();
-        let k = schedule_key(&nb, PlanKind::Alltoall);
+        let k = schedule_key(&nb, A2A);
         let a = store.schedule(k, || alltoall_plan(&nb));
         let b = store.schedule(k, || panic!("must not rebuild"));
         assert!(Arc::ptr_eq(&a, &b));
-        assert_ne!(k, schedule_key(&nb, PlanKind::Allgather));
+        assert_ne!(
+            k,
+            schedule_key(&nb, (PlanKind::Allgather, Schedule::Combining))
+        );
+        assert_ne!(
+            k,
+            schedule_key(&nb, (PlanKind::Alltoall, Schedule::Trivial))
+        );
         let s = store.stats();
         assert_eq!((s.schedule_hits, s.schedule_misses), (1, 1));
     }

@@ -15,7 +15,7 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound};
+use crate::plan::{BlockRef, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
 use crate::schedule::arena::{CoordGroups, TreeArena};
 
 /// Dimension-processing order for the allgather tree (§3.2/§3.4).
@@ -113,6 +113,7 @@ pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan 
 
     let plan = Plan {
         kind: PlanKind::Allgather,
+        schedule: Schedule::Combining,
         ndims: d,
         t,
         phases,

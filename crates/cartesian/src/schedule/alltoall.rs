@@ -10,7 +10,7 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound};
+use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
 use crate::schedule::arena::CoordGroups;
 
 /// Compute the message-combining alltoall schedule for a t-neighborhood
@@ -103,6 +103,7 @@ pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
 
     let plan = Plan {
         kind: PlanKind::Alltoall,
+        schedule: Schedule::Combining,
         ndims: d,
         t,
         phases,

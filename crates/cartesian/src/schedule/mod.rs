@@ -1,6 +1,7 @@
-//! Schedule computation for the message-combining Cartesian collectives.
+//! Schedule computation for the Cartesian collectives: the
+//! message-combining algorithms and, in [`trivial`], the t-round one.
 //!
-//! Both algorithms route data blocks by straightforward, coordinate-wise
+//! Both combining algorithms route data blocks by straightforward, coordinate-wise
 //! path expansion: a block for relative neighbor `N[i] = (n₀, …, n_{d−1})`
 //! travels via the intermediate relative processes `(n₀, 0, …, 0)`,
 //! `(n₀, n₁, 0, …, 0)`, …, moving once per non-zero coordinate. The
@@ -14,7 +15,9 @@ pub mod allgather;
 pub mod alltoall;
 pub(crate) mod arena;
 pub mod reduce;
+pub mod trivial;
 
 pub use allgather::{allgather_plan, allgather_plan_with_order, DimOrder};
 pub use alltoall::alltoall_plan;
 pub use reduce::{allreduce_plan, reduce_scatter_plan};
+pub use trivial::trivial_plan;

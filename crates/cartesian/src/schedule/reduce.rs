@@ -27,7 +27,7 @@ use std::collections::HashSet;
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound};
+use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
 use crate::schedule::allgather::allgather_plan;
 
 /// Compute the message-combining reduce-scatter schedule: the result
@@ -129,6 +129,7 @@ fn reversed_plan(nb: &RelNeighborhood, kind: PlanKind) -> Plan {
 
     let plan = Plan {
         kind,
+        schedule: Schedule::Combining,
         ndims: d,
         t,
         phases,

@@ -1,7 +1,7 @@
 //! Chaos suite: Cartesian collectives under a deterministic, seeded fault
 //! plane must stay **byte-identical** to the fault-free reference, keep
-//! the analytical round count `C`, and terminate — for every executor
-//! (trivial, interpreted combining, compiled persistent).
+//! the analytical round count `C`, and terminate — however the schedule
+//! is run (trivial, one-shot combining, persistent combining).
 //!
 //! Every scenario runs under a fixed set of seeds plus an optional
 //! `CHAOS_SEED` environment override (CI passes `$GITHUB_RUN_ID`). On
@@ -21,6 +21,9 @@ use cartcomm::CartComm;
 use cartcomm_comm::{CommError, FaultSpec, LinkSel, RetryPolicy, Tag, Universe};
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use std::time::Duration;
+
+mod common;
+use common::expected_alltoall;
 
 /// The Cartesian data tags (compiled rounds at `0x7A00_0000`, trivial
 /// alltoall/allgather at `0x7B.._0000`/`0x7C.._0000`, reductions at
@@ -76,21 +79,6 @@ fn payload(rank: usize, block: usize, e: usize) -> i32 {
     (rank * 1_000_000 + block * 1_000 + e) as i32
 }
 
-/// The fault-free reference: block `i` of rank `r`'s receive buffer holds
-/// `payload(src, i, ·)` where `src` is the rank at offset `-N[i]`.
-fn expected_alltoall(topo: &CartTopology, nb: &RelNeighborhood, rank: usize, m: usize) -> Vec<i32> {
-    let mut out = vec![0i32; nb.len() * m];
-    for (i, off) in nb.offsets().iter().enumerate() {
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for e in 0..m {
-                out[i * m + e] = payload(src, i, e);
-            }
-        }
-    }
-    out
-}
-
 /// Run one seeded chaos scenario: all three executors on a `dims` torus
 /// with neighborhood `nb`, asserting each is byte-identical to the
 /// fault-free reference and that the combining executor still runs in
@@ -118,7 +106,7 @@ fn run_chaos_alltoall(
         let cart = CartComm::create(comm, dims, &periods, nb.clone()).unwrap();
         let rank = cart.rank();
         let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();
-        let expect = expected_alltoall(&topo, nb, rank, m);
+        let expect = expected_alltoall(&topo, nb, rank, m, payload);
         let before = cart.comm().metrics();
 
         let mut recv = vec![-1i32; t * m];
@@ -283,7 +271,7 @@ fn dead_link_surfaces_peer_unreachable_within_bound() {
         let mut recv = vec![-1i32; t * m];
         let res = cart.alltoall(&send, &mut recv, Algo::Trivial);
         if res.is_ok() {
-            assert_eq!(recv, expected_alltoall(&topo, &nb, rank, m));
+            assert_eq!(recv, expected_alltoall(&topo, &nb, rank, m, payload));
         }
         // Keep every rank alive until all exchanges (and their retry
         // tails) have wound down.

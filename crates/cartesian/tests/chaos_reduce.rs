@@ -19,6 +19,9 @@ use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::RedOp;
 use std::time::Duration;
 
+mod common;
+use common::{expected_allreduce, expected_reduce_scatter};
+
 /// The Cartesian data tags (compiled rounds at `0x7A00_0000`, trivial
 /// reductions at `0x7E00_0000`) all fall in this half-open range.
 const CART_TAGS_LO: Tag = 0x7A00_0000;
@@ -65,50 +68,6 @@ fn payload(rank: usize, block: usize, e: usize) -> i32 {
     (rank * 10_000 + block * 100 + e) as i32
 }
 
-/// Reference `Cart_reduce_scatter`: block `j` of the send buffer of each
-/// source neighbor `rank − N[j]`, summed. A zero offset contributes the
-/// caller's own block `j`; repeated offsets contribute per occurrence.
-fn expected_reduce_scatter(
-    topo: &CartTopology,
-    nb: &RelNeighborhood,
-    rank: usize,
-    m: usize,
-) -> Vec<i32> {
-    let mut acc = vec![0i32; m];
-    for (j, off) in nb.offsets().iter().enumerate() {
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for (e, a) in acc.iter_mut().enumerate() {
-                *a += payload(src, j, e);
-            }
-        }
-    }
-    acc
-}
-
-/// Reference `Cart_allreduce`: the own block exactly once, plus the own
-/// block of every *non-zero* source neighbor.
-fn expected_allreduce(
-    topo: &CartTopology,
-    nb: &RelNeighborhood,
-    rank: usize,
-    m: usize,
-) -> Vec<i32> {
-    let mut acc: Vec<i32> = (0..m).map(|e| payload(rank, 0, e)).collect();
-    for off in nb.offsets() {
-        if off.iter().all(|&c| c == 0) {
-            continue;
-        }
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for (e, a) in acc.iter_mut().enumerate() {
-                *a += payload(src, 0, e);
-            }
-        }
-    }
-    acc
-}
-
 /// One seeded chaos scenario: every reduction executor on a `dims` torus,
 /// byte-identical to the fault-free reference, combining in exactly `C`
 /// rounds. Returns each rank's `(retransmits, dup_drops)` delta plus the
@@ -137,8 +96,15 @@ fn run_chaos_reduce(
         let rank = cart.rank();
         let rs_send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();
         let ar_send: Vec<i32> = (0..m).map(|e| payload(rank, 0, e)).collect();
-        let rs_expect = expected_reduce_scatter(&topo, nb, rank, m);
-        let ar_expect = expected_allreduce(&topo, nb, rank, m);
+        let rs_expect = expected_reduce_scatter(&topo, nb, rank, m, payload, i32::wrapping_add);
+        let ar_expect = expected_allreduce(
+            &topo,
+            nb,
+            rank,
+            m,
+            |r, e| payload(r, 0, e),
+            i32::wrapping_add,
+        );
         let before = cart.comm().metrics();
 
         let mut recv = vec![-1i32; m];

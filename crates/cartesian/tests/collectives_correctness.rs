@@ -9,46 +9,8 @@ use cartcomm_comm::Universe;
 use cartcomm_topo::{CartTopology, DistGraphTopology, RelNeighborhood};
 use cartcomm_types::Datatype;
 
-/// Reference result: what block i of rank r's receive buffer must hold
-/// after an alltoall where rank s sends block j = i with payload
-/// `payload(s, j)`.
-fn expected_alltoall(
-    topo: &CartTopology,
-    nb: &RelNeighborhood,
-    rank: usize,
-    m: usize,
-    payload: impl Fn(usize, usize, usize) -> i32,
-) -> Vec<i32> {
-    let mut out = vec![0i32; nb.len() * m];
-    for (i, off) in nb.offsets().iter().enumerate() {
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for e in 0..m {
-                out[i * m + e] = payload(src, i, e);
-            }
-        }
-    }
-    out
-}
-
-fn expected_allgather(
-    topo: &CartTopology,
-    nb: &RelNeighborhood,
-    rank: usize,
-    m: usize,
-    payload: impl Fn(usize, usize) -> i32,
-) -> Vec<i32> {
-    let mut out = vec![0i32; nb.len() * m];
-    for (i, off) in nb.offsets().iter().enumerate() {
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for e in 0..m {
-                out[i * m + e] = payload(src, e);
-            }
-        }
-    }
-    out
-}
+mod common;
+use common::{expected_allgather, expected_alltoall};
 
 fn check_alltoall_all_ways(dims: &[usize], periods: &[bool], nb: RelNeighborhood, m: usize) {
     let p: usize = dims.iter().product();

@@ -193,8 +193,8 @@ fn ops_error_paths() {
 }
 
 /// In-place persistent execution for a regular alltoall (send == recv
-/// buffer, disjoint slots guaranteed by the plan's buffer alternation
-/// plus phase-wise gather-before-scatter).
+/// buffer; block `i` leaves and arrives at the same place, so no receive
+/// lands on a block still to be sent).
 #[test]
 fn persistent_in_place_roundtrip() {
     let nb = RelNeighborhood::new(1, vec![vec![1], vec![-1]]).unwrap();
@@ -213,7 +213,7 @@ fn persistent_in_place_roundtrip() {
         let from_right = ((rank + 1) % 4) * 2 + 1;
         assert_eq!(buf, vec![from_left, from_right]);
 
-        // trivial algorithm in place snapshots correctly too
+        // the trivial schedule's one phase per neighbor agrees
         let mut h2 = cart.alltoall_init::<i32>(1, Algo::Trivial).unwrap();
         let mut buf2: Vec<i32> = vec![rank * 2, rank * 2 + 1];
         {
@@ -222,4 +222,50 @@ fn persistent_in_place_roundtrip() {
         }
         assert_eq!(buf2, buf);
     });
+}
+
+/// In place, block `i` arrives where block `j ≠ i` has yet to leave: the
+/// trivial schedule sends neighbor 1 a phase after neighbor 0's receive
+/// landed on it, and the combining schedule sends a dimension-1 block a
+/// phase after the dimension-0 receive did. Both must still deliver the
+/// bytes the buffer held at the call.
+#[test]
+fn in_place_receives_over_blocks_still_to_send() {
+    let cases: [(&[usize], Vec<Vec<i64>>); 2] = [
+        (&[4], vec![vec![1], vec![-1]]),
+        (&[3, 3], vec![vec![1, 0], vec![0, 1]]),
+    ];
+    for (dims, offsets) in cases {
+        let nb = RelNeighborhood::new(dims.len(), offsets).unwrap();
+        let topo = CartTopology::torus(dims).unwrap();
+        Universe::builder(topo.size()).run(|comm| {
+            let periods = vec![true; dims.len()];
+            let cart = CartComm::create(comm, dims, &periods, nb.clone()).unwrap();
+            let rank = cart.rank();
+            // Send[0] = element 0, Send[1] = element 1; Recv[0] lands on
+            // element 1, Recv[1] on element 0.
+            let expected: Vec<i32> = [1usize, 0]
+                .iter()
+                .map(|&i| {
+                    let neg: Vec<i64> = nb.offset(i).iter().map(|&c| -c).collect();
+                    let src = topo.rank_of_offset(rank, &neg).unwrap().unwrap();
+                    (src * 2 + i) as i32
+                })
+                .collect();
+            for algo in [Algo::Trivial, Algo::Combining] {
+                let mut h = cart
+                    .alltoallv_init::<i32>(&[1, 1], &[0, 1], &[1, 1], &[1, 0], algo)
+                    .unwrap();
+                let mut buf: Vec<i32> = vec![(rank * 2) as i32, (rank * 2 + 1) as i32];
+                h.execute_in_place(&cart, cartcomm_types::cast_slice_mut(&mut buf))
+                    .unwrap();
+                assert_eq!(buf, expected, "{algo:?} on {dims:?}, rank {rank}");
+                // The handle's snapshot is reused, not regrown: run again.
+                let mut again: Vec<i32> = vec![(rank * 2) as i32, (rank * 2 + 1) as i32];
+                h.execute_in_place(&cart, cartcomm_types::cast_slice_mut(&mut again))
+                    .unwrap();
+                assert_eq!(again, expected);
+            }
+        });
+    }
 }

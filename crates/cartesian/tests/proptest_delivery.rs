@@ -14,9 +14,9 @@
 //! * the final state is correct on every rank: `Recv[i]` holds the block
 //!   that rank `r − N[i]` addressed to its neighbor `i`.
 //!
-//! The last group checks the *executors* at runtime: on random all-periodic
-//! universes the compiled span-program executor must be byte-identical to
-//! both the interpreted round-by-round executor and the trivial algorithm.
+//! The last group checks the *executor* at runtime: on random all-periodic
+//! universes both compiled schedules, combining and trivial, must deliver
+//! exactly the closed form.
 
 // Rank loops below index `states` AND route through the topology by rank;
 // enumerate() would split the borrow awkwardly.
@@ -24,8 +24,6 @@
 
 use std::collections::HashMap;
 
-use cartcomm::exec::{BlockLayout, ExecLayouts};
-use cartcomm::exec_mesh::execute_alltoall_mesh;
 use cartcomm::ops::Algo;
 use cartcomm::schedule::{allgather_plan, alltoall_plan};
 use cartcomm::{CartComm, Loc, Plan};
@@ -33,9 +31,12 @@ use cartcomm_comm::Universe;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use proptest::prelude::*;
 
+mod common;
+use common::expected_alltoall;
+
 /// Random `(dims, periods, neighborhood)` with at least one periodic dim;
-/// offsets are zeroed in non-periodic dims so the combining schedule is
-/// executable everywhere (mesh clipping is `exec_mesh`'s job).
+/// offsets are zeroed in non-periodic dims so every rank runs the whole
+/// schedule (mesh clipping is the compiler's job, see `mesh_combining`).
 fn arb_universe() -> impl Strategy<Value = (Vec<usize>, Vec<bool>, RelNeighborhood)> {
     (1usize..=4).prop_flat_map(|d| {
         (
@@ -274,61 +275,32 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// The compiled span-program executor is byte-identical to both
-    /// interpreted references on random isomorphic neighborhoods: the
-    /// round-by-round interpreted executor (`execute_alltoall_mesh`, which
-    /// on a full torus performs exactly the plan's gathers, exchanges, and
-    /// scatters) and the trivial t-round algorithm.
+    /// The compiled executor delivers the closed form on random isomorphic
+    /// neighborhoods, whichever schedule it is handed: the combining plan
+    /// or the trivial t-round one.
     #[test]
-    fn compiled_alltoall_matches_interpreted_executors(u in arb_runtime_universe()) {
+    fn compiled_alltoall_matches_the_closed_form(u in arb_runtime_universe()) {
         let (dims, nb, m) = u;
         let t = nb.len();
         let p: usize = dims.iter().product();
         let periods = vec![true; dims.len()];
+        let topo = CartTopology::torus(&dims).unwrap();
+        let payload = |rank: usize, block: usize, e: usize| {
+            (rank.wrapping_mul(37) ^ (block * m + e).wrapping_mul(11)) as u8
+        };
         let results = Universe::builder(p).run(|comm| {
             let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
-            let rank = cart.rank();
-            let send: Vec<u8> = (0..t * m)
-                .map(|x| (rank.wrapping_mul(37) ^ x.wrapping_mul(11)) as u8)
-                .collect();
-            // Compiled path (through the communicator's plan cache).
-            let mut compiled = vec![0u8; t * m];
-            cart.alltoall::<u8>(&send, &mut compiled, Algo::Combining).unwrap();
-            // Trivial reference.
+            let send: Vec<u8> = (0..t * m).map(|x| payload(cart.rank(), x / m, x % m)).collect();
+            let mut combining = vec![0u8; t * m];
+            cart.alltoall::<u8>(&send, &mut combining, Algo::Combining).unwrap();
             let mut trivial = vec![0u8; t * m];
             cart.alltoall::<u8>(&send, &mut trivial, Algo::Trivial).unwrap();
-            // Interpreted plan executor over the same layouts.
-            let plan = cart.plans().alltoall();
-            let blocks: Vec<BlockLayout> = (0..t)
-                .map(|i| BlockLayout::contiguous((i * m) as i64, m))
-                .collect();
-            let lay = ExecLayouts {
-                send: blocks.clone(),
-                recv: blocks,
-                block_bytes: vec![m; t],
-                temp_offsets: Vec::new(),
-                temp_sizes: Vec::new(),
-            }
-            .with_temp_sizes(vec![m; plan.temp_slots]);
-            let mut temp = vec![0u8; lay.temp_len()];
-            let mut interpreted = vec![0u8; t * m];
-            execute_alltoall_mesh(
-                cart.comm(),
-                cart.topology(),
-                cart.neighborhood(),
-                &plan,
-                &lay,
-                &send,
-                &mut interpreted,
-                &mut temp,
-                0x7D00_0000,
-            )
-            .unwrap();
-            (compiled, trivial, interpreted)
+            (combining, trivial)
         });
-        for (rank, (compiled, trivial, interpreted)) in results.into_iter().enumerate() {
-            prop_assert_eq!(&compiled, &trivial, "compiled vs trivial at rank {}", rank);
-            prop_assert_eq!(&compiled, &interpreted, "compiled vs interpreted at rank {}", rank);
+        for (rank, (combining, trivial)) in results.into_iter().enumerate() {
+            let expect = expected_alltoall(&topo, &nb, rank, m, payload);
+            prop_assert_eq!(&combining, &expect, "combining vs closed form at rank {}", rank);
+            prop_assert_eq!(&trivial, &expect, "trivial vs closed form at rank {}", rank);
         }
     }
 }

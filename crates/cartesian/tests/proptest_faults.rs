@@ -19,6 +19,9 @@ use cartcomm_topo::{CartTopology, RelNeighborhood};
 use proptest::prelude::*;
 use std::time::Duration;
 
+mod common;
+use common::expected_alltoall;
+
 /// Cartesian data tags — same range the chaos suite scopes to.
 const CART_TAGS_LO: Tag = 0x7A00_0000;
 const CART_TAGS_HI: Tag = 0x7F00_0000;
@@ -72,19 +75,6 @@ fn payload(rank: usize, block: usize, e: usize) -> i32 {
     (rank * 1_000_000 + block * 1_000 + e) as i32
 }
 
-fn expected_alltoall(topo: &CartTopology, nb: &RelNeighborhood, rank: usize, m: usize) -> Vec<i32> {
-    let mut out = vec![0i32; nb.len() * m];
-    for (i, off) in nb.offsets().iter().enumerate() {
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for e in 0..m {
-                out[i * m + e] = payload(src, i, e);
-            }
-        }
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 10,
@@ -119,7 +109,7 @@ proptest! {
             let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
             let rank = cart.rank();
             let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();
-            let expect = expected_alltoall(&topo, &nb, rank, m);
+            let expect = expected_alltoall(&topo, &nb, rank, m, payload);
             let before = cart.comm().metrics();
 
             // Termination is implied by these returning at all; delivery

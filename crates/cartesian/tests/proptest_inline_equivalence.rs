@@ -1,29 +1,38 @@
 //! Property-based equivalence of the two carriers of the compiled
 //! executor.
 //!
-//! Random tori (d ∈ 1..=3, extents 2..=3 so ±1 offsets alias on extent-2
-//! dimensions), random neighborhoods (zero offset and duplicates
-//! included), irregular block sizes, and all six collectives: an
+//! Random topologies (d ∈ 1..=3, extents 2..=3 so ±1 offsets alias on
+//! extent-2 dimensions, every dimension periodic or not — tori, meshes and
+//! mixes), random neighborhoods (zero offset and duplicates included),
+//! irregular block sizes, all six collectives and both algorithms: an
 //! [`InlineUniverse`] stepping every rank's program on one thread must
-//! leave byte-identical receive buffers to the threaded [`Universe`] run,
-//! and every rank's metrics delta must agree on the paper's counts —
-//! rounds completed (== C, Prop. 3.2), wire bytes sent (== V·m,
-//! Prop. 3.3), pack spans and pack bytes — plus the exchange and match
-//! counts the inline carrier credits in the fabric's stead.
+//! leave byte-identical receive buffers to the threaded [`Universe`] run —
+//! and both the closed form, computed from the topology and the layouts
+//! alone — and every rank's metrics delta must agree on the paper's
+//! counts: rounds completed (== C, Prop. 3.2), wire bytes sent (== V·m,
+//! Prop. 3.3), pack spans and pack bytes, plus the exchange and match
+//! counts the inline carrier credits in the fabric's stead. Where a mesh
+//! boundary cuts neighbors off, the trivial schedule's counts have their
+//! own closed form: one round per neighbor that exists.
 
 use std::sync::Arc;
 
+use cartcomm::exec::ExecLayouts;
 use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, Algo, WBlock};
-use cartcomm::{CartComm, InlineUniverse, PlanKind, PlanStore};
+use cartcomm::{CartComm, CartError, CartResult, InlineUniverse, Plan, PlanKind, PlanStore};
 use cartcomm_comm::obs::MetricsSnapshot;
 use cartcomm_comm::Universe;
-use cartcomm_topo::RelNeighborhood;
-use cartcomm_types::{Datatype, Primitive, RedOp, Reducer};
+use cartcomm_topo::{CartTopology, RelNeighborhood};
+use cartcomm_types::{gather_append, scatter, Datatype, Primitive, RedOp, Reducer};
 use proptest::prelude::*;
+
+mod common;
+use common::sources;
 
 #[derive(Debug, Clone)]
 struct Case {
     dims: Vec<usize>,
+    periods: Vec<bool>,
     offsets: Vec<Vec<i64>>,
     /// Per-neighbor block sizes in bytes (alltoall); `sizes[0]` is the
     /// uniform block of the allgathers and, times four, of the reductions.
@@ -36,6 +45,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
         .prop_flat_map(|d| {
             (
                 proptest::collection::vec(2usize..4, d..=d),
+                proptest::collection::vec(any::<bool>(), d..=d),
                 proptest::collection::vec(proptest::collection::vec(-2i64..3, d..=d), 1..5),
                 // Whether to append the zero offset and a duplicate of the
                 // first offset.
@@ -49,7 +59,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 ],
             )
         })
-        .prop_map(|(dims, mut offsets, (zero, dup), sizes, op)| {
+        .prop_map(|(dims, periods, mut offsets, (zero, dup), sizes, op)| {
             if zero == 1 {
                 offsets.push(vec![0; dims.len()]);
             }
@@ -59,6 +69,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
             let sizes = sizes[..offsets.len()].to_vec();
             Case {
                 dims,
+                periods,
                 offsets,
                 sizes,
                 op,
@@ -179,8 +190,13 @@ impl Op {
         }
     }
 
-    fn threaded(&self, cart: &CartComm, send: &[u8], recv: &mut [u8]) {
-        let algo = Algo::Combining;
+    fn threaded(
+        &self,
+        cart: &CartComm,
+        send: &[u8],
+        recv: &mut [u8],
+        algo: Algo,
+    ) -> CartResult<()> {
         match self {
             Op::Alltoallv {
                 counts,
@@ -195,11 +211,11 @@ impl Op {
             Op::ReduceScatter(red, _) => cart.neighbor_reduce_scatter_bytes(*red, send, recv, algo),
             Op::Allreduce(red, _) => cart.neighbor_allreduce_bytes(*red, send, recv, algo),
         }
-        .expect("threaded collective");
     }
 
-    fn inline(&self, uni: &mut InlineUniverse, send: &[u8], recv: &mut [u8]) {
-        let t = uni.neighborhood().len();
+    /// The operation as an [`InlineUniverse`] takes it: kind, one rank's
+    /// layouts, and the reductions' reducer.
+    fn shape(&self, t: usize) -> (PlanKind, ExecLayouts, Option<Reducer>) {
         let (kind, lay, red) = match self {
             Op::Alltoallv {
                 counts,
@@ -250,17 +266,7 @@ impl Op {
                 Some(*red),
             ),
         };
-        uni.run(kind, &lay.expect("layouts"), red, send, recv)
-            .expect("inline collective");
-    }
-
-    fn kind(&self) -> PlanKind {
-        match self {
-            Op::Alltoallv { .. } | Op::Alltoallw { .. } => PlanKind::Alltoall,
-            Op::Allgatherv { .. } | Op::Allgatherw { .. } => PlanKind::Allgather,
-            Op::ReduceScatter(..) => PlanKind::ReduceScatter,
-            Op::Allreduce(..) => PlanKind::Allreduce,
-        }
+        (kind, lay.expect("layouts"), red)
     }
 
     /// Wire size of neighbor `b`'s block.
@@ -272,6 +278,54 @@ impl Op {
             Op::ReduceScatter(red, m) | Op::Allreduce(red, m) => m * red.width(),
         }
     }
+}
+
+/// What a `kind` collective over `lay` must leave in `rank`'s zeroed
+/// receive buffer, from the definition: block `i` is read out of the
+/// send buffer of the source `rank − N[i]` (its block `i`, or its one
+/// block) and written — or, by the reductions, folded in neighborhood
+/// order — where the receive layout says. No schedule is involved.
+fn closed_form(
+    (topo, nb): (&CartTopology, &RelNeighborhood),
+    (kind, lay, red): &(PlanKind, ExecLayouts, Option<Reducer>),
+    sends: &[u8],
+    (sl, rl): (usize, usize),
+    rank: usize,
+) -> Vec<u8> {
+    let block_of = |src: usize, slot: usize| {
+        let mut bytes = Vec::new();
+        let l = &lay.send[slot];
+        gather_append(&sends[src * sl..(src + 1) * sl], l.disp, &l.ty, &mut bytes).unwrap();
+        bytes
+    };
+    let mut recv = vec![0u8; rl];
+    let mut write = |slot: usize, bytes: &[u8]| {
+        let l = &lay.recv[slot];
+        scatter(bytes, &mut recv, l.disp, &l.ty).unwrap();
+    };
+    // The reductions' accumulator: the first contribution assigns.
+    let mut acc: Option<Vec<u8>> = (*kind == PlanKind::Allreduce).then(|| block_of(rank, 0));
+    for (i, src) in sources(topo, nb, rank).into_iter().enumerate() {
+        let Some(src) = src else { continue };
+        match kind {
+            PlanKind::Alltoall => write(i, &block_of(src, i)),
+            PlanKind::Allgather => write(i, &block_of(src, 0)),
+            PlanKind::ReduceScatter | PlanKind::Allreduce => {
+                if *kind == PlanKind::Allreduce && nb.offset(i).iter().all(|&c| c == 0) {
+                    continue; // the own block is already in
+                }
+                let block = block_of(src, if *kind == PlanKind::Allreduce { 0 } else { i });
+                match &mut acc {
+                    Some(acc) => red.expect("a reduction").fold(acc, &block),
+                    None => acc = Some(block),
+                }
+            }
+        }
+    }
+    if let Some(acc) = acc {
+        write(0, &acc);
+    }
+    recv
 }
 
 /// The counts both carriers must agree on.
@@ -296,25 +350,33 @@ proptest! {
     })]
 
     #[test]
-    fn inline_universe_matches_threaded_universe(case in arb_case()) {
+    fn inline_universe_matches_threaded_universe_and_the_closed_form(case in arb_case()) {
         let nb = RelNeighborhood::new(case.dims.len(), case.offsets.clone()).expect("valid");
+        let topo = CartTopology::new(&case.dims, &case.periods).unwrap();
         let t = nb.len();
-        let p: usize = case.dims.iter().product();
-        let periods = vec![true; case.dims.len()];
+        let p = topo.size();
+        // Whether some neighbor may be missing somewhere.
+        let open = (0..topo.ndims())
+            .any(|k| !case.periods[k] && case.offsets.iter().any(|o| o[k] != 0));
         let store = PlanStore::new(4, 64);
-        let mut uni = InlineUniverse::new(&case.dims, &periods, nb.clone())
-            .expect("torus")
+        let mut uni = InlineUniverse::new(&case.dims, &case.periods, nb.clone())
+            .expect("universe")
             .with_plan_store(Arc::clone(&store));
 
-        for (n, op) in ops_of(&case).into_iter().enumerate() {
-            let op = Arc::new(op);
+        let algos = [Algo::Combining, Algo::Trivial];
+        for (n, (op, algo)) in ops_of(&case)
+            .into_iter()
+            .flat_map(|op| { let op = Arc::new(op); algos.map(|algo| (Arc::clone(&op), algo)) })
+            .enumerate()
+        {
             let (sl, rl) = op.lens(t);
+            let shape = op.shape(t);
             let payload: Arc<Vec<u8>> = Arc::new(
                 (0..p * sl).map(|i| (i as u8).wrapping_mul(29).wrapping_add(n as u8)).collect(),
             );
 
             let threaded = {
-                let (dims, periods, nb) = (case.dims.clone(), periods.clone(), nb.clone());
+                let (dims, periods, nb) = (case.dims.clone(), case.periods.clone(), nb.clone());
                 let (op, payload, store) = (Arc::clone(&op), Arc::clone(&payload), Arc::clone(&store));
                 Universe::builder(p).run(move |comm| {
                     let cart = CartComm::create(comm, &dims, &periods, nb.clone())
@@ -323,29 +385,61 @@ proptest! {
                     let send = &payload[comm.rank() * sl..(comm.rank() + 1) * sl];
                     let mut recv = vec![0u8; rl];
                     let before = comm.metrics();
-                    op.threaded(&cart, send, &mut recv);
-                    (recv, comm.metrics().since(&before))
+                    op.threaded(&cart, send, &mut recv, algo)
+                        .map(|()| (recv, comm.metrics().since(&before)))
                 })
             };
 
             let before: Vec<MetricsSnapshot> = (0..p).map(|r| uni.obs(r).snapshot()).collect();
             let mut recv = vec![0u8; p * rl];
-            op.inline(&mut uni, &payload, &mut recv);
+            let ran = uni.run(shape.0, &shape.1, shape.2, &payload, &mut recv, algo);
 
-            let plan = uni.schedule(op.kind());
+            // The reversed tree of a combining reduction needs the torus:
+            // both carriers say so, with the same error.
+            if open && shape.0.is_reduction() && algo == Algo::Combining {
+                let refused = |e: Option<CartError>| {
+                    matches!(e, Some(CartError::CombiningNeedsTorus { .. }))
+                };
+                prop_assert!(refused(ran.err()), "inline, op {}", n);
+                for out in threaded {
+                    prop_assert!(refused(out.err()), "threaded, op {}", n);
+                }
+                continue;
+            }
+            let plan: Arc<Plan> = ran.expect("inline collective");
             let volume: usize = plan.round_bytes(&|b| op.block_bytes(b)).iter().sum();
-            for (rank, (want, want_delta)) in threaded.into_iter().enumerate() {
-                prop_assert_eq!(
-                    &recv[rank * rl..(rank + 1) * rl], &want[..],
-                    "op {} rank {}: inline bytes differ from threaded", n, rank
-                );
+            let exchanges = plan.phases.iter().filter(|ph| !ph.rounds.is_empty()).count();
+
+            for (rank, out) in threaded.into_iter().enumerate() {
+                let (want, want_delta) = out.expect("threaded collective");
+                let got = &recv[rank * rl..(rank + 1) * rl];
+                prop_assert_eq!(got, &want[..], "op {} rank {}: inline vs threaded", n, rank);
+                let expect = closed_form((&topo, &nb), &shape, &payload, (sl, rl), rank);
+                prop_assert_eq!(got, &expect[..], "op {} rank {}: vs closed form", n, rank);
+
                 let delta = uni.obs(rank).snapshot().since(&before[rank]);
                 prop_assert_eq!(
                     paper_counts(&delta), paper_counts(&want_delta),
                     "op {} rank {}: counters differ", n, rank
                 );
-                prop_assert_eq!(delta.rounds_completed, plan.rounds as u64, "C, op {}", n);
-                prop_assert_eq!(delta.wire_bytes_sent, volume as u64, "V·m, op {}", n);
+                prop_assert_eq!(delta.exchanges, exchanges as u64, "phases, op {}", n);
+                if !open {
+                    prop_assert_eq!(delta.rounds_completed, plan.rounds as u64, "C, op {}", n);
+                    prop_assert_eq!(delta.wire_bytes_sent, volume as u64, "V·m, op {}", n);
+                } else if algo == Algo::Trivial {
+                    // One round out per neighbor that exists, one in per
+                    // source that exists; a zero offset is no round.
+                    let moves = |i: usize| nb.offset(i).iter().any(|&c| c != 0);
+                    let outs: Vec<usize> = (0..t)
+                        .filter(|&i| moves(i) && topo.rank_of_offset(rank, nb.offset(i)).unwrap().is_some())
+                        .collect();
+                    let ins = sources(&topo, &nb, rank);
+                    let ins = (0..t).filter(|&i| moves(i) && ins[i].is_some()).count();
+                    prop_assert_eq!(delta.rounds_started, outs.len() as u64, "op {}", n);
+                    prop_assert_eq!(delta.rounds_completed, ins as u64, "op {}", n);
+                    let sent: usize = outs.iter().map(|&i| op.block_bytes(i)).sum();
+                    prop_assert_eq!(delta.wire_bytes_sent, sent as u64, "op {}", n);
+                }
             }
         }
     }

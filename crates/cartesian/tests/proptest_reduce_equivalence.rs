@@ -5,17 +5,20 @@
 //! element types: the compiled combining reductions must agree with the
 //! trivial t-round algorithm **exactly** for integer elements (wrapping
 //! arithmetic is order-independent) and to within an accumulation-order
-//! rounding bound for floating sums; the interpreted slot-walking
-//! [`CartComm::neighbor_reduce`] must match both; and [`Algo::Auto`] must
+//! rounding bound for floating sums; both must equal the closed form
+//! computed straight from the topology; and [`Algo::Auto`] must
 //! produce bit-identical output to whichever explicit algorithm the §3.2
 //! cut-off selects for it.
 
 use cartcomm::ops::Algo;
 use cartcomm::{cutoff_ratio, CartComm, PlanKind};
 use cartcomm_comm::Universe;
-use cartcomm_topo::RelNeighborhood;
+use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::{Pod, RedOp};
 use proptest::prelude::*;
+
+mod common;
+use common::expected_allreduce;
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -130,12 +133,13 @@ proptest! {
         check_integer_equivalence::<u64>(&case)?;
     }
 
-    /// The interpreted slot-walking reducer (`neighbor_reduce`), seeded
-    /// with the own block, computes the same allreduce as both executors.
+    /// Both executors compute the allreduce the neighborhood defines: the
+    /// own block once, folded with every non-zero source's.
     #[test]
-    fn interpreted_reducer_matches_both_executors(case in arb_case()) {
+    fn both_executors_match_the_closed_form(case in arb_case()) {
         let Case { dims, offsets, m, op } = case;
         let nb = RelNeighborhood::new(dims.len(), offsets).expect("valid");
+        let topo = CartTopology::torus(&dims).unwrap();
         let p: usize = dims.iter().product();
         let periods = vec![true; dims.len()];
         let fold = move |a: i32, b: i32| match op {
@@ -144,21 +148,20 @@ proptest! {
             RedOp::Min => a.min(b),
             RedOp::Max => a.max(b),
         };
-        let results = Universe::builder(p).run(move |comm| {
+        let own = |rank: usize, e: usize| i32::gen(rank * 131 + e * 17);
+        let results = Universe::builder(p).run(|comm| {
             let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
-            let rank = cart.rank();
-            let own: Vec<i32> = (0..m).map(|e| i32::gen(rank * 131 + e * 17)).collect();
-            let mut interp = own.clone();
-            cart.neighbor_reduce(&mut interp, fold).unwrap();
+            let send: Vec<i32> = (0..m).map(|e| own(cart.rank(), e)).collect();
             let mut comb = vec![0i32; m];
             let mut triv = vec![0i32; m];
-            cart.neighbor_allreduce(op, &own, &mut comb, Algo::Combining).unwrap();
-            cart.neighbor_allreduce(op, &own, &mut triv, Algo::Trivial).unwrap();
-            (interp, comb, triv)
+            cart.neighbor_allreduce(op, &send, &mut comb, Algo::Combining).unwrap();
+            cart.neighbor_allreduce(op, &send, &mut triv, Algo::Trivial).unwrap();
+            (comb, triv)
         });
-        for (rank, (interp, comb, triv)) in results.into_iter().enumerate() {
-            prop_assert_eq!(&interp, &comb, "interpreted vs compiled at rank {}", rank);
-            prop_assert_eq!(&interp, &triv, "interpreted vs trivial at rank {}", rank);
+        for (rank, (comb, triv)) in results.into_iter().enumerate() {
+            let expect = expected_allreduce(&topo, &nb, rank, m, own, fold);
+            prop_assert_eq!(&comb, &expect, "compiled tree vs closed form at rank {}", rank);
+            prop_assert_eq!(&triv, &expect, "trivial vs closed form at rank {}", rank);
         }
     }
 

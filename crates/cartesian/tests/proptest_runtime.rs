@@ -7,8 +7,12 @@
 use cartcomm::ops::Algo;
 use cartcomm::CartComm;
 use cartcomm_comm::Universe;
-use cartcomm_topo::RelNeighborhood;
+use cartcomm_topo::{CartTopology, RelNeighborhood};
+use cartcomm_types::RedOp;
 use proptest::prelude::*;
+
+mod common;
+use common::expected_allreduce;
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -120,18 +124,22 @@ proptest! {
         let Case { dims, offsets, m, .. } = case;
         let periods = vec![true; dims.len()]; // tree reduce is torus-only
         let nb = RelNeighborhood::new(dims.len(), offsets).expect("valid");
+        let topo = CartTopology::torus(&dims).unwrap();
         let p: usize = dims.iter().product();
+        let own = |rank: usize, e: usize| (rank * 7 + e) as i64;
         let results = Universe::builder(p).run(|comm| {
             let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
             let rank = cart.rank();
-            let mut a: Vec<i64> = (0..m).map(|e| (rank * 7 + e) as i64).collect();
-            let mut b = a.clone();
-            cart.neighbor_reduce(&mut a, |x, y| x + y).unwrap();
-            cart.neighbor_reduce_trivial(&mut b, |x, y| x + y).unwrap();
+            let send: Vec<i64> = (0..m).map(|e| own(rank, e)).collect();
+            let (mut a, mut b) = (vec![0i64; m], vec![0i64; m]);
+            cart.neighbor_allreduce(RedOp::Sum, &send, &mut a, Algo::Combining).unwrap();
+            cart.neighbor_allreduce(RedOp::Sum, &send, &mut b, Algo::Trivial).unwrap();
             (a, b)
         });
         for (rank, (a, b)) in results.into_iter().enumerate() {
-            prop_assert_eq!(a, b, "divergence at rank {}", rank);
+            let expect = expected_allreduce(&topo, &nb, rank, m, own, |x, y| x + y);
+            prop_assert_eq!(&a, &expect, "tree vs closed form at rank {}", rank);
+            prop_assert_eq!(&b, &expect, "trivial vs closed form at rank {}", rank);
         }
     }
 }

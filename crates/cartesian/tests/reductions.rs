@@ -1,38 +1,19 @@
-//! Correctness of the Cartesian neighborhood reductions: the
-//! tree-combining algorithm must agree with the trivial algorithm and with
-//! a directly computed reference for any neighborhood.
+//! Correctness of `Cart_allreduce`: the reversed-tree schedule and the
+//! trivial one must both deliver the directly computed closed form — the
+//! own block exactly once plus the block of every non-zero source — for
+//! any neighborhood.
 
+use cartcomm::ops::Algo;
 use cartcomm::CartComm;
 use cartcomm_comm::Universe;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
+use cartcomm_types::RedOp;
 
-/// Reference: acc_r = own(r) + Σ_{i: N[i]≠0} own(r − N[i]).
-///
-/// The caller's own contribution counts exactly once, even when the
-/// neighborhood contains the zero offset — the in-place reduction seeds
-/// the accumulator with `own`, and a zero-offset "neighbor" is the caller
-/// itself, not a second copy of its data.
-fn expected_sum(
-    topo: &CartTopology,
-    nb: &RelNeighborhood,
-    rank: usize,
-    m: usize,
-    own: impl Fn(usize, usize) -> i64,
-) -> Vec<i64> {
-    let mut acc: Vec<i64> = (0..m).map(|e| own(rank, e)).collect();
-    for off in nb.offsets() {
-        if off.iter().all(|&c| c == 0) {
-            continue;
-        }
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for (e, a) in acc.iter_mut().enumerate() {
-                *a += own(src, e);
-            }
-        }
-    }
-    acc
-}
+mod common;
+use common::expected_allreduce;
+
+/// Both algorithms, in `check_reduce`'s order of assertion.
+const ALGOS: [(&str, Algo); 2] = [("trivial", Algo::Trivial), ("tree", Algo::Combining)];
 
 fn check_reduce(dims: &[usize], nb: RelNeighborhood, m: usize) {
     let p: usize = dims.iter().product();
@@ -42,16 +23,14 @@ fn check_reduce(dims: &[usize], nb: RelNeighborhood, m: usize) {
     Universe::builder(p).run(|comm| {
         let cart = CartComm::create(comm, dims, &periods, nb.clone()).unwrap();
         let rank = cart.rank();
-        let expect = expected_sum(&topo, &nb, rank, m, own);
-
-        let mut trivial: Vec<i64> = (0..m).map(|e| own(rank, e)).collect();
-        cart.neighbor_reduce_trivial(&mut trivial, |a, b| a + b)
-            .unwrap();
-        assert_eq!(trivial, expect, "trivial reduce, rank {rank}");
-
-        let mut tree: Vec<i64> = (0..m).map(|e| own(rank, e)).collect();
-        cart.neighbor_reduce(&mut tree, |a, b| a + b).unwrap();
-        assert_eq!(tree, expect, "tree reduce, rank {rank}");
+        let expect = expected_allreduce(&topo, &nb, rank, m, own, |a, b| a + b);
+        let send: Vec<i64> = (0..m).map(|e| own(rank, e)).collect();
+        for (name, algo) in ALGOS {
+            let mut recv = vec![0i64; m];
+            cart.neighbor_allreduce(RedOp::Sum, &send, &mut recv, algo)
+                .unwrap();
+            assert_eq!(recv, expect, "{name} reduce, rank {rank}");
+        }
     });
 }
 
@@ -89,9 +68,9 @@ fn with_self_neighbor() {
 }
 
 /// Regression: a neighborhood containing the zero offset must not fold
-/// the caller's own contribution in twice. The trivial executor used to
-/// reduce `acc` with a copy of itself at the self-offset branch, which
-/// double-counts with non-idempotent operators like Sum.
+/// the caller's own contribution in twice (a zero-offset "neighbor" is the
+/// caller itself, not a second copy of its data), which would show with
+/// non-idempotent operators like Sum.
 #[test]
 fn zero_offset_is_not_double_counted() {
     let nb = RelNeighborhood::new(1, vec![vec![0], vec![1]]).unwrap();
@@ -102,14 +81,12 @@ fn zero_offset_is_not_double_counted() {
         // Sum over {self, left neighbor}: own exactly once + own(rank-1).
         let want = own + ((rank + 3) % 4 + 1) as i64 * 1000;
 
-        let mut trivial = [own];
-        cart.neighbor_reduce_trivial(&mut trivial, |a, b| a + b)
-            .unwrap();
-        assert_eq!(trivial[0], want, "trivial reduce, rank {rank}");
-
-        let mut tree = [own];
-        cart.neighbor_reduce(&mut tree, |a, b| a + b).unwrap();
-        assert_eq!(tree[0], want, "tree reduce, rank {rank}");
+        for (name, algo) in ALGOS {
+            let mut recv = [0i64];
+            cart.neighbor_allreduce(RedOp::Sum, &[own], &mut recv, algo)
+                .unwrap();
+            assert_eq!(recv[0], want, "{name} reduce, rank {rank}");
+        }
     });
 }
 
@@ -158,15 +135,14 @@ fn max_operator() {
     Universe::builder(9).run(|comm| {
         let cart = CartComm::create(comm, &[3, 3], &[true, true], nb.clone()).unwrap();
         let rank = cart.rank();
-        let mut acc = [rank as i64 * 7 % 5];
-        cart.neighbor_reduce(&mut acc, |a, b| a.max(b)).unwrap();
-        let mut want = rank as i64 * 7 % 5;
-        for off in nb.offsets() {
-            let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-            let src = topo.rank_of_offset(rank, &neg).unwrap().unwrap();
-            want = want.max(src as i64 * 7 % 5);
-        }
-        assert_eq!(acc[0], want);
+        let own = |rank: usize, _| rank as i64 * 7 % 5;
+        let mut recv = [0i64];
+        cart.neighbor_allreduce(RedOp::Max, &[own(rank, 0)], &mut recv, Algo::Combining)
+            .unwrap();
+        assert_eq!(
+            recv.to_vec(),
+            expected_allreduce(&topo, &nb, rank, 1, own, i64::max)
+        );
     });
 }
 
@@ -175,10 +151,12 @@ fn float_reduction() {
     let nb = RelNeighborhood::von_neumann(2, 1).unwrap();
     Universe::builder(9).run(|comm| {
         let cart = CartComm::create(comm, &[3, 3], &[true, true], nb.clone()).unwrap();
-        let mut a = [cart.rank() as f64, 1.0];
-        let mut b = a;
-        cart.neighbor_reduce(&mut a, |x, y| x + y).unwrap();
-        cart.neighbor_reduce_trivial(&mut b, |x, y| x + y).unwrap();
+        let send = [cart.rank() as f64, 1.0];
+        let (mut a, mut b) = ([0.0; 2], [0.0; 2]);
+        cart.neighbor_allreduce(RedOp::Sum, &send, &mut a, Algo::Combining)
+            .unwrap();
+        cart.neighbor_allreduce(RedOp::Sum, &send, &mut b, Algo::Trivial)
+            .unwrap();
         assert!((a[0] - b[0]).abs() < 1e-12);
         assert_eq!(a[1], 5.0); // 4 neighbors + self
     });
@@ -189,26 +167,29 @@ fn empty_blocks() {
     let nb = RelNeighborhood::moore(2, 1).unwrap();
     Universe::builder(9).run(|comm| {
         let cart = CartComm::create(comm, &[3, 3], &[true, true], nb.clone()).unwrap();
-        let mut acc: [i32; 0] = [];
-        cart.neighbor_reduce(&mut acc, |a, b| a + b).unwrap();
-        cart.neighbor_reduce_trivial(&mut acc, |a, b| a + b)
-            .unwrap();
+        let mut recv: [i32; 0] = [];
+        for (_, algo) in ALGOS {
+            cart.neighbor_allreduce(RedOp::Sum, &[], &mut recv, algo)
+                .unwrap();
+        }
     });
 }
 
 #[test]
 fn mesh_falls_back_to_error_for_combining() {
     let nb = RelNeighborhood::von_neumann(2, 1).unwrap();
+    let topo = CartTopology::mesh(&[3, 3]).unwrap();
     Universe::builder(9).run(|comm| {
         let cart = CartComm::create(comm, &[3, 3], &[false, false], nb.clone()).unwrap();
-        let mut acc = [1i32];
+        let mut recv = [0i32];
         assert!(matches!(
-            cart.neighbor_reduce(&mut acc, |a, b| a + b),
+            cart.neighbor_allreduce(RedOp::Sum, &[1], &mut recv, Algo::Combining),
             Err(cartcomm::CartError::CombiningNeedsTorus { .. })
         ));
         // trivial works on meshes, skipping pruned neighbors
-        let mut acc = [1i32];
-        cart.neighbor_reduce_trivial(&mut acc, |a, b| a + b)
+        cart.neighbor_allreduce(RedOp::Sum, &[1], &mut recv, Algo::Trivial)
             .unwrap();
+        let expect = expected_allreduce(&topo, &nb, cart.rank(), 1, |_, _| 1, |a, b| a + b);
+        assert_eq!(recv.to_vec(), expect);
     });
 }

@@ -6,6 +6,7 @@ use cartcomm::ops::Algo;
 use cartcomm::CartComm;
 use cartcomm_comm::Universe;
 use cartcomm_topo::{brick_permutation, traffic_summary, CartTopology, RelNeighborhood};
+use cartcomm_types::RedOp;
 
 #[test]
 fn reordered_alltoall_delivers_correctly() {
@@ -54,8 +55,9 @@ fn reordered_allgather_and_reduce_agree_with_identity_results() {
         let send = [cart.rank() as i64];
         let mut recv = vec![0i64; t];
         cart.allgather(&send, &mut recv, Algo::Combining).unwrap();
-        let mut acc = [cart.rank() as i64];
-        cart.neighbor_reduce(&mut acc, |a, b| a + b).unwrap();
+        let mut acc = [0i64];
+        cart.neighbor_allreduce(RedOp::Sum, &send, &mut acc, Algo::Combining)
+            .unwrap();
         // reduce = own + sum of allgather blocks
         assert_eq!(acc[0], cart.rank() as i64 + recv.iter().sum::<i64>());
         recv.iter().sum::<i64>()

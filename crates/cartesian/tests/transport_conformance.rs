@@ -22,6 +22,9 @@ use cartcomm_comm::{
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use std::time::Duration;
 
+mod common;
+use common::expected_alltoall;
+
 /// Cartesian data tags — same range the chaos suite scopes to.
 const CART_TAGS_LO: Tag = 0x7A00_0000;
 const CART_TAGS_HI: Tag = 0x7F00_0000;
@@ -90,19 +93,6 @@ fn payload(rank: usize, block: usize, e: usize) -> i32 {
     (rank * 1_000_000 + block * 1_000 + e) as i32
 }
 
-fn expected_alltoall(topo: &CartTopology, nb: &RelNeighborhood, rank: usize, m: usize) -> Vec<i32> {
-    let mut out = vec![0i32; nb.len() * m];
-    for (i, off) in nb.offsets().iter().enumerate() {
-        let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
-        if let Some(src) = topo.rank_of_offset(rank, &neg).unwrap() {
-            for e in 0..m {
-                out[i * m + e] = payload(src, i, e);
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Delivery semantics
 // ---------------------------------------------------------------------
@@ -156,8 +146,8 @@ fn point_to_point_is_exactly_once_and_fifo_per_link() {
 // Schedule correctness and accounting
 // ---------------------------------------------------------------------
 
-/// All three alltoall executors (trivial, interpreted combining, compiled
-/// persistent) are byte-identical to the analytical reference on every
+/// All three ways to run an alltoall (trivial, one-shot combining,
+/// persistent combining) are byte-identical to the analytical reference on every
 /// backend — and byte-identical *across* backends.
 #[test]
 fn alltoall_executors_byte_identical_on_every_backend() {
@@ -174,7 +164,7 @@ fn alltoall_executors_byte_identical_on_every_backend() {
                 let cart = CartComm::create(comm, &dims, &[true, true], nb.clone()).unwrap();
                 let rank = cart.rank();
                 let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();
-                let expect = expected_alltoall(&topo, &nb, rank, m);
+                let expect = expected_alltoall(&topo, &nb, rank, m, payload);
 
                 let mut trivial = vec![-1i32; t * m];
                 cart.alltoall(&send, &mut trivial, Algo::Trivial).unwrap();
@@ -274,7 +264,7 @@ fn chaos_alltoall_on(
             let cart = CartComm::create(comm, &dims, &[true, true], nb.clone()).unwrap();
             let rank = cart.rank();
             let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();
-            let expect = expected_alltoall(&topo, &nb, rank, m);
+            let expect = expected_alltoall(&topo, &nb, rank, m, payload);
             let before = cart.comm().metrics();
 
             let mut recv = vec![-1i32; t * m];
@@ -386,7 +376,7 @@ fn dead_peer_surfaces_unreachable_on_every_backend() {
                 if res.is_ok() {
                     assert_eq!(
                         recv,
-                        expected_alltoall(&topo, &nb, rank, m),
+                        expected_alltoall(&topo, &nb, rank, m, payload),
                         "backend {kind}"
                     );
                 }
@@ -459,7 +449,7 @@ fn multi_process_shm_universe_runs_combining_alltoall() {
             cart.alltoall(&send, &mut recv, Algo::Combining).unwrap();
             assert_eq!(
                 recv,
-                expected_alltoall(&topo, &nb, rank, m),
+                expected_alltoall(&topo, &nb, rank, m, payload),
                 "cross-process combining alltoall diverged at rank {rank}"
             );
             // Rendezvous before exit so no process tears down its rings

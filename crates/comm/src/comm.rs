@@ -356,7 +356,7 @@ impl Comm {
     /// Blocking receive of a byte payload matching the selectors. Returns
     /// the payload and its [`Status`]. The returned bytes are detached from
     /// the wire pool (the caller keeps them); pooled receives happen through
-    /// [`Comm::exchange_pooled`].
+    /// [`Comm::exchange`].
     pub fn recv_bytes(
         &self,
         src: impl Into<SrcSel>,
@@ -672,71 +672,6 @@ impl Comm {
                 slot,
             });
         results[slot] = Some((env.data, status));
-    }
-
-    /// Pre-batch compatibility form of [`Comm::exchange`] over plain
-    /// `Vec<u8>` payloads (the original `exchange` signature, renamed when
-    /// `exchange` took over the unified batch form).
-    #[deprecated(
-        since = "0.2.0",
-        note = "queue sends on an `ExchangeBatch` and call `Comm::exchange` \
-                with `ExchangeOpts::detached()`"
-    )]
-    pub fn exchange_vecs(
-        &self,
-        sends: Vec<(usize, Tag, Vec<u8>)>,
-        recvs: &[RecvSpec],
-    ) -> CommResult<Vec<(Vec<u8>, Status)>> {
-        let mut batch = ExchangeBatch::with_capacity(sends.len());
-        for (dst, tag, data) in sends {
-            batch.send(dst, tag, data);
-        }
-        self.exchange(&mut batch, recvs, ExchangeOpts::detached())?;
-        Ok(batch
-            .drain_results()
-            .map(|(buf, status)| (buf.into_vec(), status))
-            .collect())
-    }
-
-    /// Pre-batch form of [`Comm::exchange`] over pooled wire buffers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "queue sends on an `ExchangeBatch` and call `Comm::exchange` \
-                (pooled buffers are the default policy)"
-    )]
-    pub fn exchange_pooled(
-        &self,
-        sends: Vec<(usize, Tag, PooledBuf)>,
-        recvs: &[RecvSpec],
-    ) -> CommResult<Vec<(PooledBuf, Status)>> {
-        let mut batch = ExchangeBatch {
-            sends,
-            results: Vec::with_capacity(recvs.len()),
-        };
-        self.exchange(&mut batch, recvs, ExchangeOpts::pooled())?;
-        Ok(batch.drain_results().collect())
-    }
-
-    /// Pre-batch allocation-free form of [`Comm::exchange`] over caller-
-    /// owned send/result vectors.
-    #[deprecated(
-        since = "0.2.0",
-        note = "keep a reusable `ExchangeBatch` and call `Comm::exchange`"
-    )]
-    pub fn exchange_into(
-        &self,
-        sends: &mut Vec<(usize, Tag, PooledBuf)>,
-        recvs: &[RecvSpec],
-        results: &mut Vec<Option<(PooledBuf, Status)>>,
-    ) -> CommResult<()> {
-        let mut batch = ExchangeBatch {
-            sends: std::mem::take(sends),
-            results: std::mem::take(results),
-        };
-        let outcome = self.exchange(&mut batch, recvs, ExchangeOpts::pooled());
-        *sends = std::mem::take(&mut batch.sends);
-        *results = std::mem::take(&mut batch.results);
-        outcome
     }
 }
 

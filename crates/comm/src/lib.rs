@@ -9,8 +9,7 @@
 //! * [`Universe::builder`] — SPMD launcher: spawns `p` OS threads, each
 //!   running the same rank program with its own [`Comm`] handle; one
 //!   [`RunConfig`] composes transport, fault plane, profiling, and stack
-//!   size. [`universe::ResidentUniverse`] keeps the rank threads warm
-//!   across many job submissions for serving workloads.
+//!   size.
 //! * [`Comm`] — per-rank communicator: `send`/`recv` (blocking, eager
 //!   buffered), [`Comm::sendrecv_bytes`], and [`Comm::exchange`] — the
 //!   Listing-5 phase primitive posting a batch of receives and sends and
@@ -63,7 +62,6 @@
 
 pub mod collectives;
 pub mod comm;
-mod deprecated_shims;
 pub mod envelope;
 pub mod error;
 pub mod fabric;
@@ -80,9 +78,7 @@ pub use fault::{FaultAction, FaultPlane, FaultRng, FaultRule, FaultSpec, FaultSt
 pub use pool::{PoolStats, PooledBuf, WirePool};
 pub use reliable::{Reliability, RetryPolicy};
 pub use transport::{Transport, TransportError, TransportKind, TransportResult};
-pub use universe::{
-    ProfiledRun, ProfiledRunConfig, RankJob, ResidentUniverse, RunConfig, SpawnRole, Universe,
-};
+pub use universe::{ProfiledRun, ProfiledRunConfig, RunConfig, SpawnRole, Universe};
 
 /// Structured observability (re-export of `cartcomm-obs`): every rank's
 /// [`Comm`] carries an [`cartcomm_obs::Obs`] handle reachable via

@@ -5,13 +5,7 @@
 //! Since 0.3.0 every thread-mode launch goes through one configurable
 //! entry point, [`Universe::builder`]: transport backend, fault plane,
 //! profiling, and per-rank stack size all compose freely instead of
-//! living in a matrix of `run_*` variants (the nine pre-0.3.0 names
-//! survive as deprecated forwarders in `deprecated_shims`).
-//!
-//! Long-running services that execute many independent jobs on the same
-//! warm fabric use [`ResidentUniverse`]: the rank threads stay parked on
-//! a job queue between submissions, so pools, plan stores, and
-//! communicators persist across jobs.
+//! living in a matrix of `run_*` variants.
 
 use std::io;
 use std::path::PathBuf;
@@ -435,131 +429,6 @@ impl Universe {
     }
 }
 
-// ----- resident universes ----------------------------------------------------
-
-/// One unit of work for a resident universe: a boxed closure per rank.
-pub type RankJob = Box<dyn FnOnce(&mut Comm) + Send>;
-
-enum RankCmd {
-    Job(RankJob),
-    Stop,
-}
-
-/// A warm, long-lived universe: `p` rank threads parked on per-rank job
-/// queues over an in-process fabric. Unlike [`RunConfig::run`], which
-/// builds a fabric, runs one closure, and tears everything down, a
-/// resident universe keeps its fabric, wire pools, and any state the
-/// rank programs accumulate (communicators, compiled plans) alive across
-/// an arbitrary number of submissions — the execution substrate of the
-/// `cartserve` daemon.
-///
-/// [`ResidentUniverse::submit`] enqueues one closure per rank; closures
-/// of one submission run collectively (they may call collectives on
-/// their `Comm`) and submissions are executed in order on each rank.
-/// Results travel through whatever channel the closures capture. Job
-/// closures must not panic — a panicking job poisons its rank thread
-/// and [`ResidentUniverse::shutdown`] will report it; service layers
-/// should catch and convert errors to data instead.
-pub struct ResidentUniverse {
-    size: usize,
-    senders: Vec<crossbeam_channel::Sender<RankCmd>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    fabric: Arc<Fabric>,
-}
-
-impl ResidentUniverse {
-    /// Bring up `p` resident ranks on an in-process fabric.
-    pub fn new(p: usize) -> Self {
-        assert!(p > 0, "universe needs at least one rank");
-        let (fabric, receivers) = Fabric::new(p);
-        let fabric = Arc::new(fabric);
-        let mut senders = Vec::with_capacity(p);
-        let mut handles = Vec::with_capacity(p);
-        for (rank, rx) in receivers.into_iter().enumerate() {
-            let (tx, jobs) = crossbeam_channel::unbounded::<RankCmd>();
-            let fabric = Arc::clone(&fabric);
-            let h = std::thread::Builder::new()
-                .name(format!("resident-rank-{rank}"))
-                .spawn(move || {
-                    let mut comm = Comm::new(rank, Arc::clone(&fabric), rx);
-                    while let Ok(RankCmd::Job(job)) = jobs.recv() {
-                        job(&mut comm);
-                    }
-                    drop(comm);
-                    fabric.rank_done(rank);
-                })
-                .expect("failed to spawn resident rank thread");
-            senders.push(tx);
-            handles.push(h);
-        }
-        ResidentUniverse {
-            size: p,
-            senders,
-            handles,
-            fabric,
-        }
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The per-rank observability handle (live metrics of the resident
-    /// fabric).
-    pub fn obs(&self, rank: usize) -> &Arc<cartcomm_obs::Obs> {
-        self.fabric.obs(rank)
-    }
-
-    /// Enqueue one closure per rank (index = rank). The closures of one
-    /// submission execute collectively; this call does not wait for
-    /// completion — capture a channel to collect results.
-    ///
-    /// Panics if `jobs.len() != self.size()` or if the universe is
-    /// already shut down.
-    pub fn submit(&self, jobs: Vec<RankJob>) {
-        assert_eq!(jobs.len(), self.size, "one job per rank required");
-        for (tx, job) in self.senders.iter().zip(jobs) {
-            tx.send(RankCmd::Job(job))
-                .expect("resident rank thread gone");
-        }
-    }
-
-    /// Convenience: run the same closure on every rank.
-    pub fn submit_all<F>(&self, f: F)
-    where
-        F: Fn(&mut Comm) + Send + Sync + Clone + 'static,
-    {
-        let jobs = (0..self.size)
-            .map(|_| {
-                let f = f.clone();
-                Box::new(move |comm: &mut Comm| f(comm)) as RankJob
-            })
-            .collect();
-        self.submit(jobs);
-    }
-
-    /// Drain: stop accepting, let every queued job finish, join the rank
-    /// threads. Returns `Err(rank)` on the first rank whose thread
-    /// panicked (after joining all of them).
-    pub fn shutdown(mut self) -> Result<(), usize> {
-        for tx in &self.senders {
-            let _ = tx.send(RankCmd::Stop);
-        }
-        self.senders.clear();
-        let mut first_panic = None;
-        for (rank, h) in self.handles.drain(..).enumerate() {
-            if h.join().is_err() && first_panic.is_none() {
-                first_panic = Some(rank);
-            }
-        }
-        match first_panic {
-            Some(rank) => Err(rank),
-            None => Ok(()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,67 +577,5 @@ mod tests {
                 panic!("deliberate");
             }
         });
-    }
-
-    #[test]
-    fn resident_universe_runs_jobs_collectively_and_in_order() {
-        let uni = ResidentUniverse::new(4);
-        let (tx, rx) = crossbeam_channel::unbounded::<(usize, usize, u64)>();
-        for round in 0..3usize {
-            let tx = tx.clone();
-            uni.submit_all(move |comm| {
-                let mut x = [comm.rank() as u64 + 1];
-                comm.allreduce(&mut x, |a, b| a + b).unwrap();
-                tx.send((round, comm.rank(), x[0])).unwrap();
-            });
-        }
-        let mut got = Vec::new();
-        for _ in 0..12 {
-            got.push(rx.recv().unwrap());
-        }
-        assert!(got.iter().all(|&(_, _, sum)| sum == 10));
-        // Per rank, rounds arrive in submission order.
-        for rank in 0..4 {
-            let rounds: Vec<usize> = got
-                .iter()
-                .filter(|&&(_, r, _)| r == rank)
-                .map(|&(round, ..)| round)
-                .collect();
-            assert_eq!(rounds, vec![0, 1, 2], "rank {rank} order");
-        }
-        uni.shutdown().unwrap();
-    }
-
-    #[test]
-    fn resident_universe_state_survives_across_jobs() {
-        // Rank-local state captured by the service layer persists between
-        // submissions — the property the plan-store-warm daemon relies on.
-        let uni = ResidentUniverse::new(2);
-        let counters: Vec<_> = (0..2)
-            .map(|_| Arc::new(std::sync::atomic::AtomicUsize::new(0)))
-            .collect();
-        let (tx, rx) = crossbeam_channel::unbounded::<usize>();
-        for _ in 0..5 {
-            let jobs = counters
-                .iter()
-                .map(|c| {
-                    let c = Arc::clone(c);
-                    let tx = tx.clone();
-                    Box::new(move |comm: &mut Comm| {
-                        let n = c.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        comm.barrier().unwrap();
-                        tx.send(n).unwrap();
-                    }) as RankJob
-                })
-                .collect();
-            uni.submit(jobs);
-        }
-        let mut seen = Vec::new();
-        for _ in 0..10 {
-            seen.push(rx.recv().unwrap());
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
-        uni.shutdown().unwrap();
     }
 }

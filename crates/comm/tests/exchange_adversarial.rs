@@ -91,44 +91,6 @@ fn many_same_src_tag_slots_pooled_round_trip() {
 }
 
 #[test]
-fn deprecated_forwarders_still_match_identically() {
-    // The one-release compatibility shims (`exchange_vecs`,
-    // `exchange_pooled`, `exchange_into`) must forward to the same
-    // matching core.
-    #![allow(deprecated)]
-    const N: usize = 4;
-    Universe::builder(2).run(|comm| {
-        if comm.rank() == 0 {
-            let sends: Vec<_> = (0..N).map(|i| (1usize, 9, payload(i))).collect();
-            comm.exchange_vecs(sends, &[]).unwrap();
-            let pooled: Vec<_> = (0..N)
-                .map(|i| {
-                    let mut wire = comm.wire_buf(2);
-                    wire.extend_from_slice(&payload(i + 10));
-                    (1usize, 11, wire)
-                })
-                .collect();
-            comm.exchange_pooled(pooled, &[]).unwrap();
-        } else {
-            let specs = vec![RecvSpec::from_rank(0, 9); N];
-            let rx = comm.exchange_vecs(vec![], &specs).unwrap();
-            for (i, (data, _)) in rx.iter().enumerate() {
-                assert_eq!(data, &payload(i), "exchange_vecs slot {i}");
-            }
-            let specs = vec![RecvSpec::from_rank(0, 11); N];
-            let mut sends = Vec::new();
-            let mut results = Vec::new();
-            comm.exchange_into(&mut sends, &specs, &mut results)
-                .unwrap();
-            for (i, r) in results.iter().enumerate() {
-                let (data, _) = r.as_ref().expect("slot filled");
-                assert_eq!(*data, payload(i + 10), "exchange_into slot {i}");
-            }
-        }
-    });
-}
-
-#[test]
 fn stale_messages_from_prior_collective_do_not_poison_matching() {
     // Rank 0 runs collective A (tags 100..104) and immediately collective B
     // (tags 200..204). Rank 1 receives B FIRST: A's messages all arrive,

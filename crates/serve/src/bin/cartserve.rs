@@ -11,9 +11,10 @@
 //! `SHUTDOWN` command. `--metrics-http ADDR` additionally serves the
 //! OpenMetrics document on plain-HTTP `GET /metrics` for standard
 //! scrapers. With `--smoke`, spins up a private daemon on a temporary
-//! socket, runs two tenants through it (verifying byte-identical results
-//! and plan sharing), prints the stats table, drains, and exits — a
-//! self-contained health check for CI and packaging.
+//! socket, runs two tenants through it (verifying every result byte for
+//! byte against the reference executor — both algorithms, a torus and an
+//! open mesh — and plan sharing), prints the stats table, drains, and
+//! exits — a self-contained health check for CI and packaging.
 //!
 //! `--watch` turns the binary into a top-like client: it polls a running
 //! daemon's `METRICS` and `PING` commands and renders uptime, queue
@@ -25,7 +26,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use cartcomm_serve::proto::{AlgoSpec, JobSpec, OpSpec};
-use cartcomm_serve::{Client, ServeConfig, Server};
+use cartcomm_serve::{reference, Client, ServeConfig, Server};
 
 struct Args {
     uds: Option<String>,
@@ -279,26 +280,39 @@ fn smoke(cfg: ServeConfig) -> Result<(), String> {
         },
         algo: AlgoSpec::Combining,
     };
-    let p = spec.ranks();
-    let payload: Vec<u8> = (0..p * spec.send_bytes_per_rank())
-        .map(|i| (i % 251) as u8)
-        .collect();
-
-    let mut results = Vec::new();
+    // Every job is checked byte for byte against the daemon-free
+    // reference executor.
+    let check = |client: &mut Client, spec: &JobSpec, what: &str| -> Result<(), String> {
+        let payload: Vec<u8> = (0..spec.ranks() * spec.send_bytes_per_rank())
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let out = client
+            .submit_retrying(spec, &payload, 50)
+            .map_err(|e| format!("submit ({what}): {e}"))?;
+        let golden = reference::execute(spec, &payload).map_err(|e| format!("reference: {e}"))?;
+        if out != golden {
+            return Err(format!("{what}: result differs from the reference"));
+        }
+        Ok(())
+    };
     for tenant in ["smoke-a", "smoke-b"] {
         let mut client = Client::connect_uds(&sock, tenant).map_err(|e| format!("connect: {e}"))?;
         client.ping(b"hello").map_err(|e| format!("ping: {e}"))?;
-        let out = client
-            .submit_retrying(&spec, &payload, 50)
-            .map_err(|e| format!("submit ({tenant}): {e}"))?;
-        if out.len() != p * spec.recv_bytes_per_rank() {
-            return Err(format!("result has {} bytes", out.len()));
-        }
-        results.push(out);
+        check(&mut client, &spec, tenant)?;
     }
-    if results[0] != results[1] {
-        return Err("tenants got different bytes for the same job".into());
-    }
+    // The same path runs the other algorithm and, boundaries resolved
+    // when the schedule compiles, an open mesh.
+    let mut client = Client::connect_uds(&sock, "smoke-c").map_err(|e| format!("connect: {e}"))?;
+    let trivial = JobSpec {
+        algo: AlgoSpec::Trivial,
+        ..spec.clone()
+    };
+    check(&mut client, &trivial, "trivial")?;
+    let mesh = JobSpec {
+        periods: vec![false, false],
+        ..spec.clone()
+    };
+    check(&mut client, &mesh, "mesh")?;
 
     let mut client = Client::connect_uds(&sock, "smoke-a").map_err(|e| format!("connect: {e}"))?;
     let stats = client.stats().map_err(|e| format!("stats: {e}"))?;

@@ -96,14 +96,6 @@ pub fn render(i: &MetricsInputs) -> String {
         "Jobs that rode an existing batch (members beyond the first).",
         &[(&[], c.jobs_coalesced as f64)],
     );
-    w.counter(
-        "cartserve_jobs_executed_total",
-        "Jobs by execution path: inline (the plan compiled, the dispatcher stepped all ranks) or threaded.",
-        &[
-            (&[("path", "inline")], c.jobs_inline as f64),
-            (&[("path", "threaded")], c.jobs_threaded as f64),
-        ],
-    );
 
     w.gauge(
         "cartserve_queue_depth",

@@ -1,9 +1,8 @@
 //! # cartcomm-serve — a multi-tenant collective service
 //!
 //! The serving layer over the cartesian-collectives stack: a daemon
-//! (`cartserve`) owns resident universes — inline ones its dispatcher
-//! steps itself, threaded ones for what does not compile — and a
-//! process-wide plan store; clients own data and submit complete jobs — topology,
+//! (`cartserve`) owns resident universes — inline ones, which its
+//! dispatcher steps itself — and a process-wide plan store; clients own data and submit complete jobs — topology,
 //! isomorphic neighborhood, operation, algorithm, and the send buffers of
 //! every rank — over a length-prefixed wire protocol (the same frame
 //! format the rank-to-rank socket transport uses).
@@ -20,8 +19,8 @@
 //! * [`proto`] — message types, the [`proto::JobSpec`] job description,
 //!   and its wire encoding.
 //! * [`server`] — the daemon: listener, bounded admission queue,
-//!   same-shape batching, inline execution with a threaded fallback,
-//!   per-tenant accounting, graceful drain.
+//!   same-shape batching, inline execution, per-tenant accounting,
+//!   graceful drain.
 //! * [`client`] — a blocking client with `BUSY` backoff.
 //! * [`reference`] — the daemon-free ground-truth executor (trivial
 //!   algorithm, isolated store) that byte-identity checks compare

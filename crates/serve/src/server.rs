@@ -28,34 +28,30 @@
 //! which is the serving-side payoff of the process-wide [`PlanStore`]
 //! (schedules and compiled programs are keyed by identity, not by owner).
 //!
-//! **Execution.** A job whose plan compiles (a message-combining schedule
-//! on a topology periodic wherever the neighborhood moves) runs *inline*:
-//! the dispatcher itself steps all ranks' compiled programs through an
-//! [`InlineUniverse`], scattering every rank's result straight into the
-//! reply buffer — no rank thread, channel or wake-up. Everything else
-//! (the trivial algorithm, non-periodic meshes) runs on a resident
-//! threaded universe, pooled by rank count. Both pools are small LRUs.
-//! Either way every rank's execution is attributed to the job's tenant:
-//! its metrics delta plus the schedule's analytical round count `C`
-//! (Prop. 3.2) and wire volume `V·m` (Prop. 3.3) are folded into a shared
-//! [`TenantRegistry`], which the `STATS` command renders as the
-//! observed-vs-predicted table. A job that fails in the executor is
-//! answered with `ERR`; inline, where a failure (or panic) happens on the
-//! dispatcher itself, it also costs the job's universe — and nothing else.
+//! **Execution.** Every job runs *inline*: its schedule — either
+//! algorithm, torus or mesh — compiles, and the dispatcher itself steps
+//! all ranks' compiled programs through an [`InlineUniverse`], scattering
+//! every rank's result straight into the reply buffer — no rank thread,
+//! channel or wake-up. The universes (one per topology and neighborhood)
+//! live in a small LRU. Every rank's execution is attributed to the job's
+//! tenant: its metrics delta plus the analytical round count `C`
+//! (Prop. 3.2) and wire volume `V·m` (Prop. 3.3) of the schedule that ran
+//! are folded into a shared [`TenantRegistry`], which the `STATS` command
+//! renders as the observed-vs-predicted table. A job that fails (or
+//! panics) in the executor is answered with `ERR` and costs its universe —
+//! and nothing else.
 //!
 //! **Drain** (`SHUTDOWN` or [`Server::shutdown`]): new submissions are
-//! refused, the queue empties, universes shut down, and only then is
-//! `SHUTDOWN_OK` sent and the process free to exit.
+//! refused, the queue empties, and only then is `SHUTDOWN_OK` sent and
+//! the process free to exit.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -64,7 +60,7 @@ use cartcomm::exec::ExecLayouts;
 use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, WBlock};
 use cartcomm::plan::{Plan, PlanKind};
 use cartcomm::{CartComm, InlineUniverse, PlanStore, PlanStoreStats};
-use cartcomm_comm::{Comm, PooledBuf, RankJob, ResidentUniverse, WirePool};
+use cartcomm_comm::{PooledBuf, WirePool};
 use cartcomm_obs::tenant::STAGE_COUNT;
 use cartcomm_obs::{
     AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs, PerfettoExport,
@@ -76,8 +72,8 @@ use cartcomm_types::{Datatype, Reducer};
 
 use crate::exporter::{self, MetricsInputs};
 use crate::proto::{
-    self, AlgoSpec, JobSpec, OpSpec, ProfileSpec, RecvBuf, Reply, Request, PROTO_VERSION,
-    TAG_RESULT, TAG_SUBMIT,
+    self, JobSpec, OpSpec, ProfileSpec, RecvBuf, Reply, Request, PROTO_VERSION, TAG_RESULT,
+    TAG_SUBMIT,
 };
 
 /// Default per-rank ring-sink capacity for attach profiling, when the
@@ -146,9 +142,8 @@ pub struct ServeConfig {
     /// Admission bound: queued (not yet dispatched) jobs beyond this are
     /// refused with `BUSY`.
     pub queue_cap: usize,
-    /// How many resident universes stay warm, per kind: inline ones
-    /// (distinct topology + neighborhood) and threaded ones (distinct
-    /// rank counts).
+    /// How many resident universes (distinct topology + neighborhood)
+    /// stay warm.
     pub max_universes: usize,
     /// The retry-after hint (ms) sent with `BUSY`.
     pub busy_retry_ms: u32,
@@ -193,12 +188,6 @@ pub struct ServerCounters {
     pub batches_executed: u64,
     /// Jobs that rode an existing batch (batch members beyond the first).
     pub jobs_coalesced: u64,
-    /// Jobs executed inline: their plan compiled, so the dispatcher
-    /// stepped all ranks' programs itself.
-    pub jobs_inline: u64,
-    /// Jobs executed on a resident threaded universe (trivial algorithm,
-    /// non-periodic mesh).
-    pub jobs_threaded: u64,
 }
 
 #[derive(Default)]
@@ -209,8 +198,6 @@ struct Counters {
     jobs_completed: AtomicU64,
     batches_executed: AtomicU64,
     jobs_coalesced: AtomicU64,
-    jobs_inline: AtomicU64,
-    jobs_threaded: AtomicU64,
 }
 
 impl Counters {
@@ -222,8 +209,6 @@ impl Counters {
             jobs_completed: self.jobs_completed.load(Ordering::Relaxed),
             batches_executed: self.batches_executed.load(Ordering::Relaxed),
             jobs_coalesced: self.jobs_coalesced.load(Ordering::Relaxed),
-            jobs_inline: self.jobs_inline.load(Ordering::Relaxed),
-            jobs_threaded: self.jobs_threaded.load(Ordering::Relaxed),
         }
     }
 }
@@ -278,8 +263,8 @@ struct PendingJob {
 /// One live attach-profiling session (at most one at a time).
 ///
 /// Registered by the connection thread handling `PROFILE`; the dispatcher
-/// claims matching jobs at batch-build time, rank threads deposit their
-/// captured streams, and [`maybe_finalize_profile`] sends the deferred
+/// claims matching jobs at batch-build time and deposits every rank's
+/// captured stream after the job ran, and [`maybe_finalize_profile`] sends the deferred
 /// `PROFILE_OK` once the budget is spent (or the deadline passes).
 struct ProfileSession {
     tenant: String,
@@ -453,7 +438,6 @@ impl Shared {
                 "{{\"schema\":\"cartserve-stats-v2\",\"server\":{{",
                 "\"jobs_submitted\":{},\"jobs_rejected\":{},\"jobs_drained\":{},",
                 "\"jobs_completed\":{},\"batches_executed\":{},\"jobs_coalesced\":{},",
-                "\"jobs_inline\":{},\"jobs_threaded\":{},",
                 "\"queue_depth\":{},\"draining\":{},\"uptime_ms\":{},",
                 "\"plan_store\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
                 "\"schedule_hits\":{},\"schedule_misses\":{}}}}},",
@@ -467,8 +451,6 @@ impl Shared {
             c.jobs_completed,
             c.batches_executed,
             c.jobs_coalesced,
-            c.jobs_inline,
-            c.jobs_threaded,
             depth,
             self.draining.load(Ordering::Acquire),
             self.started.elapsed().as_millis(),
@@ -1096,21 +1078,18 @@ impl<K: PartialEq, V> Lru<K, V> {
     }
 }
 
-/// The dispatcher's execution state: both universe pools.
+/// The dispatcher's execution state.
 struct Executors {
-    /// Keyed by [`topo_key`].
-    inline: Lru<u64, InlineUniverse>,
-    /// Keyed by rank count.
-    threaded: Lru<usize, ResidentUniverse>,
-    /// The reply payload inline jobs scatter into, one after the other:
-    /// it is written to the socket before the next job runs.
+    /// The resident universes, keyed by [`topo_key`].
+    universes: Lru<u64, InlineUniverse>,
+    /// The reply payload jobs scatter into, one after the other: it is
+    /// written to the socket before the next job runs.
     reply: Vec<u8>,
 }
 
 fn dispatcher_loop(shared: &Arc<Shared>) {
     let mut exec = Executors {
-        inline: Lru::new(shared.cfg.max_universes),
-        threaded: Lru::new(shared.cfg.max_universes),
+        universes: Lru::new(shared.cfg.max_universes),
         reply: Vec::new(),
     };
     let mut pacer = Pacer {
@@ -1174,21 +1153,10 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
     }
 
     // Drained: settle any live profile session (all batches are done, so
-    // every claimed capture has deposited), then shut the universes down
-    // before declaring the daemon done.
+    // every claimed capture has deposited) before declaring the daemon
+    // done.
     maybe_finalize_profile(shared, true);
-    for (_, uni) in exec.threaded.entries.drain(..) {
-        let _ = uni.shutdown();
-    }
     shared.drained.store(true, Ordering::Release);
-}
-
-/// Whether `spec`'s plan compiles — a message-combining schedule on a
-/// topology periodic in every dimension the neighborhood moves in — and
-/// the job therefore executes inline. Everything else runs threaded.
-fn compiles(spec: &JobSpec) -> bool {
-    spec.algo == AlgoSpec::Combining
-        && (0..spec.dims.len()).all(|k| spec.periods[k] || spec.offsets.iter().all(|o| o[k] == 0))
 }
 
 fn execute_batch(exec: &mut Executors, shared: &Arc<Shared>, batch: Vec<PendingJob>) {
@@ -1231,19 +1199,8 @@ fn execute_batch(exec: &mut Executors, shared: &Arc<Shared>, batch: Vec<PendingJ
     counters
         .jobs_coalesced
         .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
-    let inline = compiles(&batch[0].spec);
-    let path = if inline {
-        &counters.jobs_inline
-    } else {
-        &counters.jobs_threaded
-    };
-    path.fetch_add(batch.len() as u64, Ordering::Relaxed);
 
-    if inline {
-        execute_inline(exec, shared, &batch, &claims, prof_capacity);
-    } else {
-        execute_threaded(&mut exec.threaded, shared, &batch, claims, prof_capacity);
-    }
+    execute_inline(exec, shared, &batch, &claims, prof_capacity);
 }
 
 /// Run a batch on the dispatcher's own thread, one job after the other,
@@ -1257,7 +1214,7 @@ fn execute_inline(
     claims: &[Option<usize>],
     prof_capacity: usize,
 ) {
-    let (pool, reply) = (&mut exec.inline, &mut exec.reply);
+    let (pool, reply) = (&mut exec.universes, &mut exec.reply);
     let key = topo_key(&batch[0].spec);
     // Same coalesce key, same shape: one description serves the batch.
     let shape = job_layouts(&batch[0].spec).map_err(|e| format!("{e:?}"));
@@ -1321,9 +1278,10 @@ fn inline_universe<'a>(
 }
 
 /// Execute one job on `uni` and attribute every rank's metrics delta,
-/// with the analytical `C`/`V·m` prediction, to the job's tenant. All
-/// ranks' receive buffers are scattered straight into `reply`, the reply
-/// payload; returns the prediction.
+/// with the analytical `C`/`V·m` prediction of the schedule that ran (none
+/// if the job did not get that far), to the job's tenant. All ranks'
+/// receive buffers are scattered straight into `reply`, the reply payload;
+/// returns the prediction.
 fn run_inline(
     uni: &mut InlineUniverse,
     shared: &Shared,
@@ -1338,15 +1296,16 @@ fn run_inline(
     let before: Vec<MetricsSnapshot> = (0..p).map(|rank| uni.obs(rank).snapshot()).collect();
     reply.clear();
     reply.resize(p * spec.recv_bytes_per_rank(), 0);
-    let run = uni.run(kind, lay, red, &job.payload, reply);
-    let (c_pred, v_pred) = predict(spec, |kind| uni.schedule(kind));
+    let algo = spec.algo.to_algo();
+    let run = uni.run(kind, lay, red, &job.payload, reply, algo);
+    let (c_pred, v_pred) = run.as_ref().map_or((0, 0), |plan| predict(spec, plan));
     for (rank, before) in before.iter().enumerate() {
         let delta = uni.obs(rank).metrics().delta_since(before);
         shared
             .tenants
             .record_job(&job.tenant, c_pred, v_pred, &delta);
     }
-    run.map(|()| (c_pred, v_pred)).map_err(|e| format!("{e:?}"))
+    run.map(|_| (c_pred, v_pred)).map_err(|e| format!("{e:?}"))
 }
 
 /// A job's operation as an [`InlineUniverse`] takes it: the plan kind, one
@@ -1469,151 +1428,6 @@ fn detach_sink(
             cap.c_pred = c_pred;
             cap.v_pred = v_pred;
         }
-    }
-}
-
-/// What one rank reports for one job of a batch.
-type RankOutcome = (usize, usize, Result<Vec<u8>, String>);
-
-/// Run a batch rank-parallel on the resident threaded universe of its
-/// rank count: what executes the jobs whose plan does not compile.
-fn execute_threaded(
-    pool: &mut Lru<usize, ResidentUniverse>,
-    shared: &Arc<Shared>,
-    batch: &[PendingJob],
-    claims: Vec<Option<usize>>,
-    prof_capacity: usize,
-) {
-    let p = batch[0].spec.ranks();
-    if pool.get(&p).is_none() {
-        if let Some(evicted) = pool.insert(p, ResidentUniverse::new(p)) {
-            let _ = evicted.shutdown();
-        }
-    }
-    let uni = pool.get(&p).expect("just ensured");
-
-    // One closure per rank; each runs the whole batch in order, so every
-    // rank sees identical collective-creation order (safe `dup`s) and
-    // jobs 2..k of the batch hit the plans the first one compiled.
-    struct BatchItem {
-        tenant: String,
-        spec: Arc<JobSpec>,
-        payload: Arc<Payload>,
-    }
-    let items: Arc<Vec<BatchItem>> = Arc::new(
-        batch
-            .iter()
-            .map(|j| BatchItem {
-                tenant: j.tenant.clone(),
-                spec: Arc::clone(&j.spec),
-                payload: Arc::clone(&j.payload),
-            })
-            .collect(),
-    );
-    let claims = Arc::new(claims);
-
-    let (tx, rx) = mpsc::channel::<RankOutcome>();
-    let jobs: Vec<RankJob> = (0..p)
-        .map(|rank| {
-            let tx = tx.clone();
-            let items = Arc::clone(&items);
-            let claims = Arc::clone(&claims);
-            let shared = Arc::clone(shared);
-            Box::new(move |comm: &mut Comm| {
-                for (idx, item) in items.iter().enumerate() {
-                    // A claimed job runs with a ring sink attached to this
-                    // rank's Obs. Attach/detach brackets exactly this job, so
-                    // concurrent tenants in the same batch are untouched.
-                    let sink = claims[idx].map(|_| attach_sink(comm.obs(), &shared, prof_capacity));
-                    let out = run_one(
-                        comm,
-                        &shared.store,
-                        &shared.tenants,
-                        &item.tenant,
-                        &item.spec,
-                        &item.payload,
-                        rank,
-                    );
-                    if let (Some(ci), Some(sink)) = (claims[idx], sink) {
-                        let predicted = out.as_ref().ok().map(|&(_, c, v)| (c, v));
-                        detach_sink(comm.obs(), &shared, &sink, (ci, rank), predicted);
-                    }
-                    let _ = tx.send((idx, rank, out.map(|(recv, _, _)| recv)));
-                }
-            }) as RankJob
-        })
-        .collect();
-    drop(tx);
-    let dispatched_ns = shared.now_ns();
-    for job in batch {
-        shared.emit_stage(job.job_id, ServeStageKind::Dispatched, batch.len() as u64);
-    }
-    uni.submit(jobs);
-
-    // Gather p results per job; a rank that dies shows up as a timeout.
-    let per_rank = batch[0].spec.recv_bytes_per_rank();
-    let mut results: Vec<Vec<Option<Vec<u8>>>> = (0..batch.len())
-        .map(|_| (0..p).map(|_| None).collect())
-        .collect();
-    let mut errors: Vec<Option<String>> = vec![None; batch.len()];
-    let mut per_job_got: Vec<usize> = vec![0; batch.len()];
-    let mut executed_ns: Vec<u64> = vec![0; batch.len()];
-    let want = batch.len() * p;
-    let mut got = 0;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while got < want {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            for e in errors.iter_mut() {
-                e.get_or_insert_with(|| "rank execution timed out".to_string());
-            }
-            break;
-        }
-        match rx.recv_timeout(left) {
-            Ok((idx, rank, Ok(buf))) => {
-                results[idx][rank] = Some(buf);
-                got += 1;
-                per_job_got[idx] += 1;
-            }
-            Ok((idx, _rank, Err(msg))) => {
-                errors[idx].get_or_insert(msg);
-                got += 1;
-                per_job_got[idx] += 1;
-            }
-            Err(_) => {
-                for e in errors.iter_mut() {
-                    e.get_or_insert_with(|| "rank threads vanished mid-batch".to_string());
-                }
-                break;
-            }
-        }
-        for (idx, &n) in per_job_got.iter().enumerate() {
-            if n == p && executed_ns[idx] == 0 {
-                executed_ns[idx] = shared.now_ns();
-                shared.emit_stage(batch[idx].job_id, ServeStageKind::Executed, p as u64);
-            }
-        }
-    }
-
-    let mut out = Vec::with_capacity(p * per_rank);
-    for (idx, job) in batch.iter().enumerate() {
-        let outcome = match errors[idx].take() {
-            Some(msg) => Err(msg),
-            None if results[idx].iter().all(|r| r.is_some()) => {
-                out.clear();
-                for r in &results[idx] {
-                    out.extend_from_slice(r.as_ref().expect("checked"));
-                }
-                Ok(&out[..])
-            }
-            None => Err("incomplete rank results".into()),
-        };
-        let done_ns = if executed_ns[idx] > 0 {
-            executed_ns[idx]
-        } else {
-            shared.now_ns()
-        };
-        finish_job(shared, job, outcome, dispatched_ns, done_ns);
     }
 }
 
@@ -1865,19 +1679,10 @@ fn metrics_http_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-// ----- rank-side execution ------------------------------------------------------
-
-thread_local! {
-    /// Per-rank-thread communicator cache, keyed by topology+neighborhood
-    /// shape. Lives as long as the rank thread (i.e. the universe), so a
-    /// tenant's second job — or another tenant's job of the same shape —
-    /// reuses the communicator and hits the plan store instead of paying
-    /// `CartComm::create`'s collective verification again.
-    static COMM_CACHE: RefCell<HashMap<u64, CartComm>> = RefCell::new(HashMap::new());
-}
+// ----- job shapes and predictions ----------------------------------------------
 
 /// Topology+neighborhood part of the job shape (excludes op and algo):
-/// the key for communicator reuse, coarser than the coalescing key.
+/// the key for universe reuse, coarser than the coalescing key.
 fn topo_key(spec: &JobSpec) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |x: u64| {
@@ -1902,92 +1707,20 @@ fn topo_key(spec: &JobSpec) -> u64 {
     h
 }
 
-/// Execute one job on one rank: create/reuse the communicator, run the
-/// collective over the rank's slice of the payload, attribute the metrics
-/// delta plus the analytical `C`/`V·m` prediction to the tenant. Returns
-/// the received bytes together with the predictions, so a profiling
-/// capture can validate the observed stream against Props. 3.2/3.3.
-fn run_one(
-    comm: &mut Comm,
-    store: &Arc<PlanStore>,
-    tenants: &Arc<TenantRegistry>,
-    tenant: &str,
-    spec: &JobSpec,
-    payload: &[u8],
-    rank: usize,
-) -> Result<(Vec<u8>, u64, u64), String> {
-    let sb = spec.send_bytes_per_rank();
-    let send = &payload[rank * sb..(rank + 1) * sb];
-    let mut recv = vec![0u8; spec.recv_bytes_per_rank()];
-
-    let key = topo_key(spec);
-    let (c_pred, v_pred) = COMM_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let cart = match cache.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let nb = build_neighborhood(spec).map_err(|e| format!("{e:?}"))?;
-                let cart = CartComm::create(comm, &spec.dims, &spec.periods, nb)
-                    .map_err(|e| format!("{e:?}"))?
-                    .with_plan_store(Arc::clone(store));
-                v.insert(cart)
-            }
-        };
-
-        let before = comm.obs().metrics().snapshot();
-        let run = run_op(cart, spec, send, &mut recv);
-        let delta = comm.obs().metrics().delta_since(&before);
-        let (c_pred, v_pred) = predict(spec, |kind| cart.plans().schedule(kind));
-        tenants.record_job(tenant, c_pred, v_pred, &delta);
-        run.map(|_| (c_pred, v_pred))
-    })?;
-    Ok((recv, c_pred, v_pred))
-}
-
-/// The analytical per-rank prediction for one execution: round count `C`
-/// (Prop. 3.2) and wire volume in bytes (`V·m` generalized to irregular
-/// block sizes via the schedule's per-round byte census, Prop. 3.3). The
-/// trivial algorithm predicts `t` rounds carrying every block directly;
-/// the combining prediction reads the schedule `schedule` returns.
-fn predict(spec: &JobSpec, schedule: impl FnOnce(PlanKind) -> Arc<Plan>) -> (u64, u64) {
+/// The analytical per-rank prediction for one execution of `plan`, the
+/// schedule that ran: its round count `C` (Prop. 3.2) and wire volume in
+/// bytes (`V·m` generalized to irregular block sizes via the schedule's
+/// per-round byte census, Prop. 3.3). What a rank of a torus observes
+/// exactly; a mesh's boundary ranks do less.
+fn predict(spec: &JobSpec, plan: &Plan) -> (u64, u64) {
     let block_bytes = spec.recv_block_bytes();
-    let reduction = matches!(
-        spec.op,
-        OpSpec::ReduceScatter { .. } | OpSpec::Allreduce { .. }
-    );
-    match spec.algo {
-        AlgoSpec::Trivial if reduction => {
-            // Trivial reductions exchange nothing for a zero offset (the
-            // own contribution folds in locally), so only non-zero
-            // neighbors count towards rounds and volume.
-            let live = spec
-                .offsets
-                .iter()
-                .filter(|o| o.iter().any(|&c| c != 0))
-                .count();
-            let m = block_bytes.first().copied().unwrap_or(0);
-            (live as u64, (live * m) as u64)
-        }
-        AlgoSpec::Trivial => (
-            spec.neighbor_count() as u64,
-            block_bytes.iter().sum::<usize>() as u64,
-        ),
-        AlgoSpec::Combining => {
-            let kind = match spec.op {
-                OpSpec::Alltoallv { .. } | OpSpec::Alltoallw { .. } => PlanKind::Alltoall,
-                OpSpec::Allgatherv { .. } | OpSpec::Allgatherw { .. } => PlanKind::Allgather,
-                OpSpec::ReduceScatter { .. } => PlanKind::ReduceScatter,
-                OpSpec::Allreduce { .. } => PlanKind::Allreduce,
-            };
-            let plan = schedule(kind);
-            let v: usize = plan.round_bytes(&|b| block_bytes[b]).iter().sum();
-            (plan.rounds as u64, v as u64)
-        }
-    }
+    let v: usize = plan.round_bytes(&|b| block_bytes[b]).iter().sum();
+    (plan.rounds as u64, v as u64)
 }
 
 /// Run `spec`'s collective on one rank of a threaded universe, through
-/// the same [`job_layouts`] description the inline path executes.
+/// the same [`job_layouts`] description the daemon executes: the
+/// [`reference`](crate::reference) executor's rank program.
 pub(crate) fn run_op(
     cart: &CartComm,
     spec: &JobSpec,

@@ -112,12 +112,6 @@ fn three_tenants_share_plans_coalesce_and_drain() {
         "tenant 2 rode plans tenant 1 compiled"
     );
     assert_eq!(s2.totals.plan_cache_hits, p as u64);
-    let c = server.counters();
-    assert_eq!(
-        (c.jobs_inline, c.jobs_threaded),
-        (2, 0),
-        "combining jobs on a torus compile, so the dispatcher ran them inline"
-    );
 
     // --- Tenant 3, different shape: its own compiles, not A's. ---
     let mut t3 = Client::connect_uds(&sock, "tenant-3").expect("connect t3");
@@ -205,10 +199,6 @@ fn three_tenants_share_plans_coalesce_and_drain() {
         );
     }
     assert!(stats.contains("\"batches_executed\""));
-    assert!(
-        stats.contains("\"jobs_inline\":7,\"jobs_threaded\":0"),
-        "{stats}"
-    );
     assert!(stats.contains("\"plan_store\""));
 
     // --- Graceful drain over the wire. ---
@@ -376,17 +366,18 @@ fn tcp_endpoint_serves_and_reports_stats() {
     server.wait();
 }
 
-/// Jobs whose plan does not compile — the trivial algorithm, and a
-/// combining schedule on a non-periodic mesh — keep the resident threaded
-/// universe: still byte-identical to the reference, counted under
-/// `jobs_threaded`, and visible as such in the daemon's own output.
+/// The trivial algorithm and a combining schedule on a non-periodic mesh
+/// compile like everything else and take the one execution path: still
+/// byte-identical to the reference, and accounted per tenant against the
+/// schedule that ran.
 #[test]
-fn jobs_that_do_not_compile_run_threaded_and_say_so() {
-    let sock = sock_path("fallback");
+fn trivial_and_mesh_jobs_run_inline() {
+    let sock = sock_path("everything");
     let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
 
     // Unique shapes: a 5-ring (trivial, periodic) and a 2x3 open mesh
-    // (combining, but its boundary ranks have no neighbor to route via).
+    // (combining: its boundary ranks have no neighbor to route via, so
+    // their programs are shorter).
     let trivial = JobSpec {
         dims: vec![5],
         periods: vec![true],
@@ -410,32 +401,45 @@ fn jobs_that_do_not_compile_run_threaded_and_say_so() {
         },
         algo: AlgoSpec::Combining,
     };
-    // Same ring, combining: compiles, so it takes the other path.
-    let compiled = JobSpec {
+    // Same ring, combining: another schedule of the same universe.
+    let combining = JobSpec {
         algo: AlgoSpec::Combining,
         ..trivial.clone()
     };
 
-    let mut c = Client::connect_uds(&sock, "fallback-tenant").expect("connect");
-    for (spec, salt) in [(&trivial, 5), (&mesh, 6), (&compiled, 7)] {
+    for (tenant, spec, salt) in [
+        ("inline-trivial", &trivial, 5),
+        ("inline-mesh", &mesh, 6),
+        ("inline-combining", &combining, 7),
+    ] {
+        let mut c = Client::connect_uds(&sock, tenant).expect("connect");
         let payload = payload_for(spec, salt);
         let golden = reference::execute(spec, &payload).expect("golden");
         let out = c.submit_retrying(spec, &payload, 100).expect("job");
-        assert_eq!(out, golden, "{:?} diverged from the reference", spec.algo);
+        assert_eq!(out, golden, "{tenant} diverged from the reference");
     }
-    let counters = server.counters();
-    assert_eq!((counters.jobs_threaded, counters.jobs_inline), (2, 1));
-    assert_eq!(counters.jobs_completed, 3);
+    assert_eq!(server.counters().jobs_completed, 3);
 
-    let metrics = c.metrics_text().expect("metrics");
+    // On the ring every rank runs the whole schedule: t = 2 rounds of
+    // 6 + 10 bytes trivially, C = 2 rounds of V·m = 16 bytes combined.
+    for tenant in ["inline-trivial", "inline-combining"] {
+        let s = server.tenants().stats(tenant).expect("stats");
+        assert!(s.matches_prediction(), "{tenant}: {s:?}");
+        assert_eq!(
+            (s.predicted_rounds, s.predicted_wire_bytes),
+            (5 * 2, 5 * 16)
+        );
+    }
+    // On the mesh the prediction is the whole schedule's and the
+    // boundary — here every rank is on it — does less.
+    let s = server.tenants().stats("inline-mesh").expect("stats");
     assert!(
-        metrics.contains("cartserve_jobs_executed_total{path=\"threaded\"} 2")
-            && metrics.contains("cartserve_jobs_executed_total{path=\"inline\"} 1"),
-        "{metrics}"
+        s.observed_rounds() < s.predicted_rounds
+            && s.observed_wire_bytes() < s.predicted_wire_bytes,
+        "{s:?}"
     );
 
-    c.shutdown().expect("wire shutdown");
-    server.wait();
+    server.shutdown();
 }
 
 /// A job that passes admission but fails in the executor costs only
@@ -492,8 +496,7 @@ fn a_failing_job_is_contained() {
     );
     let out = failing.submit_retrying(&good, &payload, 100).expect("job");
     assert_eq!(out, golden);
-    let counters = server.counters();
-    assert_eq!((counters.jobs_completed, counters.jobs_inline), (4, 4));
+    assert_eq!(server.counters().jobs_completed, 4);
 
     server.shutdown();
 }

@@ -61,8 +61,6 @@ fn exporter_output_matches_golden_file() {
             jobs_completed: 3,
             batches_executed: 2,
             jobs_coalesced: 1,
-            jobs_inline: 2,
-            jobs_threaded: 1,
         },
         queue_depth: 2,
         draining: false,

@@ -8,14 +8,16 @@
 //! **6 messages per rank instead of 26**, corners and edges riding inside
 //! the face slabs — then applies a 7-point diffusion update. Every few
 //! iterations, each rank accumulates its neighbors' local residuals with
-//! `neighbor_reduce` (the §2.2 extension) to drive a local convergence
-//! check. Verified against a single-process reference.
+//! `neighbor_allreduce` (the §2.2 extension) to drive a local convergence
+//! check. Verified against a single-process reference and the
+//! reduction's closed form.
 
 use cartcomm::halo::HaloExchange;
+use cartcomm::ops::Algo;
 use cartcomm::CartComm;
 use cartcomm_comm::Universe;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
-use cartcomm_types::Datatype;
+use cartcomm_types::{Datatype, RedOp};
 
 const P: usize = 2; // ranks per dimension
 const N: usize = 6; // interior cells per rank per dimension
@@ -90,7 +92,8 @@ fn main() {
             }
         }
 
-        let mut neighborhood_residual = 0.0f64;
+        // (own, neighborhood) residuals at the last convergence check.
+        let mut residual = (0.0f64, 0.0f64);
         for step in 0..STEPS {
             {
                 let bytes = cartcomm_types::cast_slice_mut(&mut tile);
@@ -123,12 +126,13 @@ fn main() {
             if step % 10 == 9 {
                 // Sum the residuals of this rank and its 26 neighbors: a
                 // local convergence indicator without a global barrier.
-                let mut acc = [local_residual];
-                cart.neighbor_reduce(&mut acc, |a, b| a + b).unwrap();
-                neighborhood_residual = acc[0];
+                let mut sum = [0.0f64];
+                cart.neighbor_allreduce(RedOp::Sum, &[local_residual], &mut sum, Algo::Combining)
+                    .unwrap();
+                residual = (local_residual, sum[0]);
             }
         }
-        (coords, tile, neighborhood_residual)
+        (coords, tile, residual)
     });
 
     // stitch + verify
@@ -145,9 +149,23 @@ fn main() {
             }
         }
     }
+    // The reduction's closed form: own residual + the 26 neighbors'.
+    for (rank, (_, _, (own, sum))) in outputs.iter().enumerate() {
+        let expect = nb_moore.offsets().iter().fold(*own, |acc, off| {
+            let src = topo.rank_of_offset(rank, off).unwrap().unwrap();
+            acc + outputs[src].2 .0
+        });
+        assert!(
+            (sum - expect).abs() <= 1e-12 * expect.abs(),
+            "rank {rank}: neighborhood residual {sum} != {expect}"
+        );
+    }
     println!("diffusion3d_halo: {G}^3 grid on {P}x{P}x{P} ranks, {STEPS} steps");
     println!("  halo: 6 messages/rank/iteration (vs 26 for the naive Moore exchange)");
-    println!("  neighborhood residual at last check: {:.3}", outputs[0].2);
+    println!(
+        "  neighborhood residual at last check: {:.3}",
+        outputs[0].2 .1
+    );
     println!("  max |error| vs single-process reference: {max_err:.3e}");
     assert!(max_err < 1e-9, "distributed must match the reference");
     println!("  OK — distributed and sequential solutions agree.");

@@ -42,8 +42,6 @@ pub use cartcomm_types as types;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use cartcomm::neighbor::DistGraphComm;
-    #[allow(deprecated)]
-    pub use cartcomm::ops::Algorithm;
     pub use cartcomm::ops::{Algo, PersistentCollective, WBlock};
     pub use cartcomm::{CartComm, CartError, CartResult};
     pub use cartcomm_comm::{
