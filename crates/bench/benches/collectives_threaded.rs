@@ -9,7 +9,7 @@
 use cartcomm::neighbor::DistGraphComm;
 use cartcomm::ops::Algo;
 use cartcomm::CartComm;
-use cartcomm_comm::{ExchangeBatch, ExchangeOpts, RecvSpec, Universe};
+use cartcomm_comm::{ExchangeBatch, RecvSpec, Universe};
 use cartcomm_topo::{CartTopology, DistGraphTopology, RelNeighborhood};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
@@ -122,10 +122,11 @@ fn run_persistent(variant: &'static str, m: usize, iters: u64) -> Duration {
                         if let Some(src) = source {
                             specs.push(RecvSpec::from_rank(src, tag));
                         }
-                        cart.comm()
-                            .exchange(&mut batch, &specs, ExchangeOpts::detached())
-                            .unwrap();
+                        cart.comm().exchange(&mut batch, &specs).unwrap();
                         if let Some((wire, _)) = batch.take_result(0) {
+                            // Keep the wire out of the pool: this variant
+                            // prices an allocation per message.
+                            let wire = wire.into_vec();
                             let rbytes = cartcomm_types::cast_slice_mut(&mut recv);
                             rbytes[i * bs..(i + 1) * bs].copy_from_slice(&wire);
                         }

@@ -17,18 +17,10 @@
 
 use std::time::{Duration, Instant};
 
-use cartcomm_comm::{Comm, ExchangeBatch, ExchangeOpts, RecvSpec, RetryPolicy, Universe};
+use cartcomm_comm::{Comm, ExchangeBatch, RecvSpec, RetryPolicy, Universe};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const TAG: u32 = 7;
-
-fn opts_for(mode: &'static str) -> ExchangeOpts {
-    match mode {
-        "raw" => ExchangeOpts::pooled().raw(),
-        "reliable" => ExchangeOpts::pooled().reliable(RetryPolicy::default()),
-        _ => unreachable!(),
-    }
-}
 
 /// One timed run: both ranks loop `iters` paired exchanges of `m` bytes
 /// in the given delivery mode; returns the slower rank's elapsed time.
@@ -37,20 +29,24 @@ fn run_mode(mode: &'static str, m: usize, iters: u64) -> Duration {
         let peer = 1 - comm.rank();
         let payload = vec![0xA5u8; m];
         let specs = [RecvSpec::from_rank(peer, TAG)];
-        let opts = opts_for(mode);
+        comm.set_default_reliability(match mode {
+            "raw" => None,
+            "reliable" => Some(RetryPolicy::default()),
+            _ => unreachable!(),
+        });
         // Warm-up: populate the wire pool so the loop measures the
         // protocol, not the allocator.
         for _ in 0..8 {
             let mut batch = ExchangeBatch::with_capacity(1);
             batch.send(peer, TAG, payload.clone());
-            comm.exchange(&mut batch, &specs, opts).unwrap();
+            comm.exchange(&mut batch, &specs).unwrap();
         }
         comm.barrier().unwrap();
         let start = Instant::now();
         for _ in 0..iters {
             let mut batch = ExchangeBatch::with_capacity(1);
             batch.send(peer, TAG, payload.clone());
-            comm.exchange(&mut batch, &specs, opts).unwrap();
+            comm.exchange(&mut batch, &specs).unwrap();
         }
         start.elapsed()
     });

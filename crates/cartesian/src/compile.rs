@@ -32,7 +32,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use cartcomm_comm::obs::{Obs, TraceEvent};
-use cartcomm_comm::{Comm, CommError, ExchangeBatch, ExchangeOpts, RecvSpec, Tag};
+use cartcomm_comm::{Comm, CommError, ExchangeBatch, RecvSpec, Tag};
 use cartcomm_topo::{CartTopology, Offset};
 use cartcomm_types::kernel::{self, PackSpan};
 use cartcomm_types::{Reducer, TypeError};
@@ -1231,7 +1231,7 @@ fn execute_core(
                 batch.send(out.peer, r.tag, wire);
             }
         }
-        comm.exchange(batch, &phase.specs, ExchangeOpts::pooled())?;
+        comm.exchange(batch, &phase.specs)?;
         let mut slot = 0;
         for (i, r) in phase.rounds.iter().enumerate() {
             let Some(inc) = &r.recv else { continue };

@@ -3,7 +3,7 @@
 //! with direct delivery — the comparison point of the paper's evaluation —
 //! plus the §2.2 detection that a distributed graph is secretly Cartesian.
 
-use cartcomm_comm::{Comm, ExchangeBatch, ExchangeOpts, RecvSpec, Tag};
+use cartcomm_comm::{Comm, ExchangeBatch, RecvSpec, Tag};
 use cartcomm_topo::{CartTopology, DistGraphTopology, RelNeighborhood};
 use cartcomm_types::{cast_slice, cast_slice_mut, gather_append, scatter, Pod};
 
@@ -252,8 +252,7 @@ impl DistGraphComm {
             .iter()
             .map(|&src| RecvSpec::from_rank(src, NEIGHBOR_TAG))
             .collect();
-        self.comm
-            .exchange(&mut batch, &specs, ExchangeOpts::pooled())?;
+        self.comm.exchange(&mut batch, &specs)?;
         for (j, (wire, _)) in batch.drain_results().enumerate() {
             scatter(&wire, recv, rlay[j].disp, &rlay[j].ty)?;
         }

@@ -1,15 +1,13 @@
 //! Property-based byte-equality tests for the packed execution pipeline.
 //!
-//! The compiled executor now moves every wire byte through the wide-copy
+//! The compiled executor moves every wire byte through the wide-copy
 //! pack kernels (batched gathers/scatters over `SpanBatch` runs). These
 //! tests drive whole random universes — d ∈ 1..=3, random per-block
 //! payload sizes in *bytes* (odd sizes included, so spans land at odd
 //! offsets and misaligned tails inside the wire) — and assert the
 //! combining schedule delivers bytes identical to the trivial
-//! direct-exchange reference. Building with `--features scalar-pack`
-//! forces the same tests through the scalar reference kernels, so the
-//! suite doubles as the kernel-vs-scalar equivalence check at pipeline
-//! level.
+//! direct-exchange reference. (`cartcomm-types`' `proptest_kernel` diffs
+//! the kernels themselves against the scalar reference.)
 
 use cartcomm::ops::Algo;
 use cartcomm::CartComm;

@@ -5,7 +5,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use cartcomm_obs::{MetricsSnapshot, Obs, TraceEvent};
-use crossbeam_channel::Receiver;
 use parking_lot::Mutex;
 
 use cartcomm_types::{cast_slice, cast_slice_mut, gather, scatter_prefix, FlatType, Pod};
@@ -13,8 +12,9 @@ use cartcomm_types::{cast_slice, cast_slice_mut, gather, scatter_prefix, FlatTyp
 use crate::envelope::{Envelope, SrcSel, Tag, TagSel};
 use crate::error::{CommError, CommResult};
 use crate::fabric::Fabric;
+use crate::mailbox::Mailbox;
 use crate::pool::{PoolStats, PooledBuf, WirePool};
-use crate::reliable::{RelState, Reliability, RetryPolicy, RELIABLE_TICK};
+use crate::reliable::{RelState, RetryPolicy, RELIABLE_TICK};
 
 /// Completion information of a receive (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,60 +44,6 @@ impl RecvSpec {
             src: SrcSel::Rank(src),
             tag: TagSel::Is(tag),
         }
-    }
-}
-
-/// What happens to the buffers a phase exchange returns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BufferPolicy {
-    /// Received payloads stay attached to this rank's wire pool and
-    /// recycle on drop — the schedule hot path. Default.
-    #[default]
-    Pooled,
-    /// Received payloads are detached from the pool: the caller takes
-    /// plain ownership and the backing stores are not recycled (the
-    /// semantics of the pre-pool `exchange` API).
-    Detached,
-}
-
-/// Options of a [`Comm::exchange`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ExchangeOpts {
-    /// Buffer policy for received payloads.
-    pub buffers: BufferPolicy,
-    /// Delivery guarantee: raw, reliable, or (default) whatever the rank's
-    /// [`Comm::set_default_reliability`] says. Executors pass the default
-    /// through unchanged — schedules are transport-oblivious.
-    pub reliability: Reliability,
-}
-
-impl ExchangeOpts {
-    /// Pooled receive buffers (the default).
-    pub fn pooled() -> Self {
-        ExchangeOpts {
-            buffers: BufferPolicy::Pooled,
-            reliability: Reliability::Inherit,
-        }
-    }
-
-    /// Detached receive buffers.
-    pub fn detached() -> Self {
-        ExchangeOpts {
-            buffers: BufferPolicy::Detached,
-            reliability: Reliability::Inherit,
-        }
-    }
-
-    /// Force the raw (unsequenced) exchange path.
-    pub fn raw(mut self) -> Self {
-        self.reliability = Reliability::Raw;
-        self
-    }
-
-    /// Force reliable delivery with `policy`.
-    pub fn reliable(mut self, policy: RetryPolicy) -> Self {
-        self.reliability = Reliability::Reliable(policy);
-        self
     }
 }
 
@@ -160,7 +106,8 @@ impl ExchangeBatch {
 
 /// Per-rank state shared between a communicator and its duplicates.
 pub(crate) struct RankCore {
-    pub(crate) rx: Receiver<Envelope>,
+    /// Where the fabric leaves this rank's arrivals.
+    pub(crate) mailbox: Arc<Mailbox>,
     /// Unexpected-message queue, in arrival order.
     pub(crate) pending: Mutex<VecDeque<Envelope>>,
     /// Next context id for `dup` (kept identical across ranks because dup is
@@ -171,14 +118,23 @@ pub(crate) struct RankCore {
     /// Reliable-delivery state (stream sequences, dedup windows, retained
     /// unacked sends); shared across duplicated contexts.
     pub(crate) rel: Mutex<RelState>,
-    /// Rank-level default for [`Reliability::Inherit`] exchanges.
+    /// Delivery guarantee of this rank's exchanges: `None` is the raw
+    /// path, `Some` the sequenced, retransmitting one.
     pub(crate) default_reliability: Mutex<Option<RetryPolicy>>,
+}
+
+impl Drop for RankCore {
+    /// The rank's last handle is gone: nobody will pop again, so deposits
+    /// toward it fail from here on instead of queueing.
+    fn drop(&mut self) {
+        self.mailbox.close();
+    }
 }
 
 /// A communicator handle owned by one rank's thread.
 ///
 /// Cheap to clone contexts from via [`Comm::dup`]; all duplicates of one rank
-/// share the underlying channel but match messages in disjoint contexts.
+/// share the underlying mailbox but match messages in disjoint contexts.
 pub struct Comm {
     pub(crate) rank: usize,
     size: usize,
@@ -194,10 +150,11 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn new(rank: usize, fabric: Arc<Fabric>, rx: Receiver<Envelope>) -> Self {
+    pub(crate) fn new(rank: usize, fabric: Arc<Fabric>) -> Self {
         let size = fabric.size();
         let pool = Arc::clone(fabric.pool(rank));
         let obs = Arc::clone(fabric.obs(rank));
+        let mailbox = Arc::clone(fabric.mailbox(rank));
         Comm {
             rank,
             size,
@@ -206,7 +163,7 @@ impl Comm {
             pool,
             obs,
             core: Arc::new(RankCore {
-                rx,
+                mailbox,
                 pending: Mutex::new(VecDeque::new()),
                 next_ctx: AtomicU32::new(2), // 0 = user p2p, 1 = internal collectives
                 coll_seq: AtomicU32::new(0),
@@ -277,12 +234,6 @@ impl Comm {
             .as_secs_f64()
     }
 
-    /// Interconnect telemetry: `(messages, payload bytes)` deposited by all
-    /// ranks so far.
-    pub fn fabric_telemetry(&self) -> (u64, u64) {
-        (self.fabric.message_count(), self.fabric.byte_volume())
-    }
-
     // ----- observability ---------------------------------------------------
 
     /// This rank's observability handle: metrics registry, trace sink
@@ -326,7 +277,7 @@ impl Comm {
     }
 
     /// Buffer-pool telemetry for this rank: hits, misses, recycled bytes,
-    /// and current residency. Sits next to [`Comm::fabric_telemetry`].
+    /// and current residency.
     pub fn pool_telemetry(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -387,7 +338,7 @@ impl Comm {
     }
 
     /// Pull one envelope matching (ctx, src, tag): first from the
-    /// unexpected queue in arrival order, then from the channel. All
+    /// unexpected queue in arrival order, then from the mailbox. All
     /// arrivals pass through the reliable intake (`reliable.rs`), so
     /// duplicates and out-of-order sequenced traffic never reach matching.
     fn match_one(&self, ctx: u32, src: SrcSel, tag: TagSel) -> CommResult<Envelope> {
@@ -399,30 +350,22 @@ impl Comm {
             {
                 return Ok(pending.remove(pos).expect("position just found"));
             }
-            let env = self.recv_one(&mut pending)?;
+            let env = self.recv_one()?;
             self.intake(env, &mut pending);
         }
     }
 
-    /// One blocking channel receive. On a lossy fabric this pumps the
+    /// One blocking mailbox pop. On a lossy fabric this pumps the
     /// fault plane between short waits so delayed/reordered envelopes keep
     /// draining even while this rank only ever blocks in receives.
-    fn recv_one(&self, _pending: &mut VecDeque<Envelope>) -> CommResult<Envelope> {
+    fn recv_one(&self) -> CommResult<Envelope> {
         if !self.fabric.lossy() {
-            return self.core.rx.recv().map_err(|_| CommError::Disconnected {
-                peer: "fabric".into(),
-            });
+            return Ok(self.core.mailbox.pop()?);
         }
         loop {
             self.fabric.poll(self.rank)?;
-            match self.core.rx.recv_timeout(RELIABLE_TICK) {
-                Ok(env) => return Ok(env),
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected {
-                        peer: "fabric".into(),
-                    })
-                }
+            if let Some(env) = self.core.mailbox.pop_timeout(RELIABLE_TICK)? {
+                return Ok(env);
             }
         }
     }
@@ -445,7 +388,7 @@ impl Comm {
                     bytes: env.data.len(),
                 });
             }
-            let env = self.recv_one(&mut pending)?;
+            let env = self.recv_one()?;
             self.intake(env, &mut pending);
         }
     }
@@ -462,7 +405,7 @@ impl Comm {
         self.fabric.poll(self.rank)?;
         let mut pending = self.core.pending.lock();
         // drain whatever has arrived so far
-        while let Ok(env) = self.core.rx.try_recv() {
+        while let Some(env) = self.core.mailbox.try_pop() {
             self.intake(env, &mut pending);
         }
         Ok(pending
@@ -569,34 +512,20 @@ impl Comm {
     /// batch across phases makes a warm exchange allocation-free — wire
     /// payloads already travel as pooled buffers.
     ///
-    /// [`ExchangeOpts::buffers`] selects what the received payloads are
-    /// attached to: [`BufferPolicy::Pooled`] (default — buffers recycle
-    /// into this rank's pool on drop) or [`BufferPolicy::Detached`] (plain
-    /// ownership, nothing recycled).
-    pub fn exchange(
-        &self,
-        batch: &mut ExchangeBatch,
-        recvs: &[RecvSpec],
-        opts: ExchangeOpts,
-    ) -> CommResult<()> {
-        let policy = match opts.reliability {
-            Reliability::Raw => None,
-            Reliability::Reliable(p) => Some(p),
-            Reliability::Inherit => *self.core.default_reliability.lock(),
-        };
-        match policy {
-            Some(p) => self.exchange_reliable(batch, recvs, opts, p),
-            None => self.exchange_raw(batch, recvs, opts),
+    /// Received payloads stay attached to this rank's wire pool and
+    /// recycle on drop; a caller that keeps the bytes takes them with
+    /// [`PooledBuf::into_vec`]. Delivery is raw unless the rank has a
+    /// retry policy ([`Comm::set_default_reliability`]) — schedules never
+    /// need to know the transport got lossy.
+    pub fn exchange(&self, batch: &mut ExchangeBatch, recvs: &[RecvSpec]) -> CommResult<()> {
+        match self.default_reliability() {
+            Some(policy) => self.exchange_reliable(batch, recvs, policy),
+            None => self.exchange_raw(batch, recvs),
         }
     }
 
     /// The unsequenced exchange path: eager sends, FIFO slot matching.
-    fn exchange_raw(
-        &self,
-        batch: &mut ExchangeBatch,
-        recvs: &[RecvSpec],
-        opts: ExchangeOpts,
-    ) -> CommResult<()> {
+    fn exchange_raw(&self, batch: &mut ExchangeBatch, recvs: &[RecvSpec]) -> CommResult<()> {
         for &(dst, _, _) in batch.sends.iter() {
             self.check_rank(dst)?;
         }
@@ -630,25 +559,10 @@ impl Comm {
             if open == 0 {
                 break;
             }
-            let env = self.recv_one(&mut pending)?;
+            let env = self.recv_one()?;
             self.intake(env, &mut pending);
         }
-        drop(pending);
-        self.finish_exchange(results, opts);
         Ok(())
-    }
-
-    /// Apply the buffer policy to a completed exchange's results.
-    pub(crate) fn finish_exchange(
-        &self,
-        results: &mut [Option<(PooledBuf, Status)>],
-        opts: ExchangeOpts,
-    ) {
-        if opts.buffers == BufferPolicy::Detached {
-            for (buf, _) in results.iter_mut().flatten() {
-                buf.detach();
-            }
-        }
     }
 
     /// Fill receive slot `slot` from `env`, recording the match.

@@ -12,7 +12,7 @@ pub enum CommError {
     /// A message arrived whose payload does not fit the posted receive
     /// datatype (truncation is an error, as in MPI).
     Truncation { received: usize, capacity: usize },
-    /// The peer rank terminated and its channel closed while a receive was
+    /// The mailbox closed (its progress thread stopped) while a receive was
     /// outstanding.
     Disconnected { peer: String },
     /// Datatype-level failure (bounds, size mismatch) during gather/scatter.
@@ -75,6 +75,16 @@ impl From<crate::transport::TransportError> for CommError {
         CommError::PeerUnreachable {
             peer: e.peer(),
             attempts: 1,
+        }
+    }
+}
+
+impl From<crate::mailbox::Closed> for CommError {
+    /// A receive whose mailbox closed under it: the progress thread that
+    /// fed it has stopped.
+    fn from(_: crate::mailbox::Closed) -> Self {
+        CommError::Disconnected {
+            peer: "fabric".into(),
         }
     }
 }

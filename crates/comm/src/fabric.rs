@@ -1,19 +1,20 @@
-//! The shared interconnect: fault injection, pooling, and telemetry
-//! layered over a pluggable [`Transport`].
+//! The shared interconnect: per-rank endpoints, fault injection and
+//! pooling layered over a pluggable [`Transport`].
 //!
-//! The fabric is the stand-in for the cluster network. Each rank owns
-//! the receiving end of one envelope channel; any rank may deposit an
-//! [`Envelope`] toward any other rank, and the backend ([`Transport`])
-//! guarantees per-link FIFO delivery — the MPI *non-overtaking*
-//! guarantee per (source, context, tag) the matching engine builds on.
+//! The fabric is the stand-in for the cluster network. It owns one
+//! [`Mailbox`] per rank; any rank may deposit an [`Envelope`] toward any
+//! other rank, the backend ([`Transport`]) carries it into the
+//! destination's mailbox with per-link FIFO order — the MPI
+//! *non-overtaking* guarantee per (source, context, tag) the matching
+//! engine builds on — and the rank's [`Comm`](crate::Comm) pops it.
 //!
 //! What the fabric adds above the raw transport:
 //!
 //! * the **fault plane** (deterministic drop/duplicate/delay/reorder,
 //!   see [`crate::fault`]) — injected here, *above* the transport, so
 //!   every backend exercises the reliable layer identically;
-//! * per-rank **wire pools** and **observability** handles;
-//! * message/byte **telemetry** counters.
+//! * per-rank **mailboxes**, **wire pools** and **observability**
+//!   handles (a deposit credits the sender's wire-byte counters).
 //!
 //! Deposits are fallible: a backend whose peer endpoint is gone (rank
 //! terminated, socket broken, ring stalled) reports a
@@ -26,24 +27,28 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cartcomm_obs::{Obs, TraceEvent};
-use crossbeam_channel::Receiver;
 use parking_lot::RwLock;
 
 use crate::envelope::Envelope;
 use crate::fault::{FaultPlane, FaultSpec, FaultStats};
+use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
 use crate::transport::inproc::InProcTransport;
 use crate::transport::shm::ShmTransport;
 use crate::transport::socket::SocketTransport;
 use crate::transport::{Transport, TransportKind, TransportResult};
 
-fn make_pools(p: usize) -> Vec<Arc<WirePool>> {
-    (0..p).map(|_| Arc::new(WirePool::new())).collect()
+/// What every rank owns one of, indexed by rank.
+pub(crate) fn per_rank<T: Default>(p: usize) -> Vec<Arc<T>> {
+    (0..p).map(|_| Arc::new(T::default())).collect()
 }
 
 /// Shared interconnect state for a universe of `p` ranks.
 pub struct Fabric {
     transport: Box<dyn Transport>,
+    /// Per-rank inbound queues. The transport delivers into them (it
+    /// holds its own handles); each rank's `Comm` pops its own.
+    mailboxes: Vec<Arc<Mailbox>>,
     /// Per-rank wire-buffer pools. On an in-process transport `deposit`
     /// retargets each payload to the destination's pool; serializing
     /// backends instead decode into the receiving rank's pool.
@@ -51,85 +56,69 @@ pub struct Fabric {
     /// Per-rank observability handles; `deposit` credits the sender's
     /// wire-byte counters here.
     obs: Vec<Arc<Obs>>,
-    /// Installed fault plane, if any. `None` means the fabric is the
-    /// perfect transport it always was.
+    /// Installed fault plane, if any. `None` means the fabric is a
+    /// perfect transport.
     faults: RwLock<Option<Arc<FaultPlane>>>,
     /// Fast-path flag mirroring `faults.is_some()` so `deposit` pays one
     /// relaxed load, not a lock, when no plane is installed.
     lossy: AtomicBool,
-    /// Total messages deposited (telemetry for benchmarks).
-    msg_count: std::sync::atomic::AtomicU64,
-    /// Total payload bytes deposited (telemetry for benchmarks).
-    byte_count: std::sync::atomic::AtomicU64,
 }
 
 impl Fabric {
-    fn wrap(transport: Box<dyn Transport>, pools: Vec<Arc<WirePool>>) -> Fabric {
+    fn wrap(
+        transport: Box<dyn Transport>,
+        pools: Vec<Arc<WirePool>>,
+        mailboxes: Vec<Arc<Mailbox>>,
+    ) -> Fabric {
         let p = transport.size();
         Fabric {
             transport,
+            mailboxes,
             pools,
-            obs: (0..p).map(|_| Arc::new(Obs::new())).collect(),
+            obs: per_rank(p),
             faults: RwLock::new(None),
             lossy: AtomicBool::new(false),
-            msg_count: std::sync::atomic::AtomicU64::new(0),
-            byte_count: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    /// Create an in-process fabric and hand back the per-rank receiving
-    /// ends. This is the default, infallible fast path.
-    pub fn new(p: usize) -> (Fabric, Vec<Receiver<Envelope>>) {
-        let (t, rxs) = InProcTransport::new(p);
-        (Fabric::wrap(Box::new(t), make_pools(p)), rxs)
+    /// Create an in-process fabric. This is the default, infallible
+    /// fast path.
+    pub fn new(p: usize) -> Fabric {
+        Fabric::for_backend(TransportKind::InProcess, p)
+            .expect("the in-process backend cannot fail to construct")
     }
 
     /// Create a fabric on the named backend, all ranks local to this
     /// process. Only the in-process constructor is infallible; the
     /// others touch the filesystem or the network stack.
-    pub fn for_backend(
-        kind: TransportKind,
-        p: usize,
-    ) -> io::Result<(Fabric, Vec<Receiver<Envelope>>)> {
-        let pools = make_pools(p);
-        let (transport, rxs): (Box<dyn Transport>, _) = match kind {
-            TransportKind::InProcess => {
-                let (t, rxs) = InProcTransport::new(p);
-                (Box::new(t), rxs)
-            }
-            TransportKind::SharedMem => {
-                let (t, rxs) = ShmTransport::for_threads(p, &pools)?;
-                (Box::new(t), rxs)
-            }
-            TransportKind::Uds => {
-                let (t, rxs) = SocketTransport::uds(p, &pools)?;
-                (Box::new(t), rxs)
-            }
-            TransportKind::Tcp => {
-                let (t, rxs) = SocketTransport::tcp(p, &pools)?;
-                (Box::new(t), rxs)
-            }
+    pub fn for_backend(kind: TransportKind, p: usize) -> io::Result<Fabric> {
+        let (pools, mailboxes) = (per_rank(p), per_rank(p));
+        let transport: Box<dyn Transport> = match kind {
+            TransportKind::InProcess => Box::new(InProcTransport::new(&mailboxes)),
+            TransportKind::SharedMem => Box::new(ShmTransport::for_threads(p, &pools, &mailboxes)?),
+            TransportKind::Uds => Box::new(SocketTransport::uds(p, &pools, &mailboxes)?),
+            TransportKind::Tcp => Box::new(SocketTransport::tcp(p, &pools, &mailboxes)?),
         };
-        Ok((Fabric::wrap(transport, pools), rxs))
+        Ok(Fabric::wrap(transport, pools, mailboxes))
     }
 
     /// Attach to an existing shared-memory fabric file as one rank of a
-    /// multi-process universe (see `Universe::spawn_processes`). Returns
-    /// the fabric and the local rank's receiving end.
-    pub fn attach_shm(
-        path: &Path,
-        p: usize,
-        rank: usize,
-    ) -> io::Result<(Fabric, Receiver<Envelope>)> {
-        let pools = make_pools(p);
-        let (t, mut endpoints) = ShmTransport::attach(path, p, &[rank], &pools, false)?;
-        let (_, rx) = endpoints.pop().expect("one local endpoint");
-        Ok((Fabric::wrap(Box::new(t), pools), rx))
+    /// multi-process universe (see `Universe::spawn_processes`).
+    pub fn attach_shm(path: &Path, p: usize, rank: usize) -> io::Result<Fabric> {
+        let (pools, mailboxes) = (per_rank(p), per_rank(p));
+        let transport = ShmTransport::attach(path, p, &[rank], &pools, &mailboxes, false)?;
+        Ok(Fabric::wrap(Box::new(transport), pools, mailboxes))
     }
 
     /// Which backend carries this fabric's envelopes.
     pub fn transport_kind(&self) -> TransportKind {
         self.transport.kind()
+    }
+
+    /// The inbound queue of `rank`.
+    #[inline]
+    pub fn mailbox(&self, rank: usize) -> &Arc<Mailbox> {
+        &self.mailboxes[rank]
     }
 
     /// The wire-buffer pool owned by `rank`.
@@ -162,9 +151,6 @@ impl Fabric {
     #[inline]
     pub fn deposit(&self, dst: usize, mut env: Envelope) -> TransportResult<()> {
         use std::sync::atomic::Ordering;
-        self.msg_count.fetch_add(1, Ordering::Relaxed);
-        self.byte_count
-            .fetch_add(env.data.len() as u64, Ordering::Relaxed);
         self.obs[env.src].metrics().add_wire_sent(env.data.len());
         if self.transport.in_process() {
             // From here the buffer belongs to the receiving side: when the
@@ -228,11 +214,10 @@ impl Fabric {
         self.fault_plane().map(|p| p.stats())
     }
 
-    /// One receiver poll on `rank`: gives the backend a progress
-    /// opportunity and releases due delayed/reordered envelopes from the
-    /// fault plane onto `rank`'s channel.
+    /// One receiver poll on `rank`: releases due delayed/reordered
+    /// envelopes from the fault plane into `rank`'s mailbox. (Every
+    /// backend makes its own progress; there is nothing else to pump.)
     pub fn poll(&self, rank: usize) -> TransportResult<()> {
-        self.transport.poll(rank)?;
         if let Some(plane) = self.fault_plane() {
             for env in plane.poll(rank) {
                 self.transport.deposit(rank, env)?;
@@ -241,25 +226,10 @@ impl Fabric {
         Ok(())
     }
 
-    /// Block until everything `rank` has deposited is on the wire.
-    pub fn flush(&self, rank: usize) -> TransportResult<()> {
-        self.transport.flush(rank)
-    }
-
     /// Declare `rank`'s program finished: the backend may stop that
     /// rank's progress machinery. Idempotent.
     pub fn rank_done(&self, rank: usize) {
         self.transport.shutdown(rank);
-    }
-
-    /// Total messages deposited since creation.
-    pub fn message_count(&self) -> u64 {
-        self.msg_count.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Total payload bytes deposited since creation.
-    pub fn byte_volume(&self) -> u64 {
-        self.byte_count.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -270,7 +240,7 @@ mod tests {
 
     #[test]
     fn fabric_routes_to_correct_rank() {
-        let (fabric, rxs) = Fabric::new(3);
+        let fabric = Fabric::new(3);
         assert_eq!(fabric.size(), 3);
         assert_eq!(fabric.transport_kind(), TransportKind::InProcess);
         fabric
@@ -285,17 +255,17 @@ mod tests {
                 },
             )
             .unwrap();
-        let env = rxs[2].try_recv().unwrap();
+        let env = fabric.mailbox(2).try_pop().unwrap();
         assert_eq!(env.src, 0);
         assert_eq!(env.tag, 7);
         assert_eq!(env.data, vec![1, 2, 3]);
-        assert!(rxs[0].try_recv().is_err());
-        assert!(rxs[1].try_recv().is_err());
+        assert!(fabric.mailbox(0).try_pop().is_none());
+        assert!(fabric.mailbox(1).try_pop().is_none());
     }
 
     #[test]
     fn fabric_preserves_fifo_per_sender() {
-        let (fabric, rxs) = Fabric::new(2);
+        let fabric = Fabric::new(2);
         for i in 0..10u8 {
             fabric
                 .deposit(
@@ -311,44 +281,26 @@ mod tests {
                 .unwrap();
         }
         for i in 0..10u8 {
-            assert_eq!(rxs[1].try_recv().unwrap().data, vec![i]);
+            assert_eq!(fabric.mailbox(1).try_pop().unwrap().data, vec![i]);
         }
     }
 
     #[test]
-    fn telemetry_counts_messages_and_bytes() {
-        let (fabric, _rxs) = Fabric::new(2);
+    fn deposit_credits_the_senders_wire_bytes() {
+        let fabric = Fabric::new(2);
         fabric
-            .deposit(
-                0,
-                Envelope {
-                    ctx: 0,
-                    src: 1,
-                    tag: 0,
-                    rel: Default::default(),
-                    data: vec![0; 100].into(),
-                },
-            )
+            .deposit(0, Envelope::new(0, 1, 0, vec![0u8; 100]))
             .unwrap();
         fabric
-            .deposit(
-                1,
-                Envelope {
-                    ctx: 0,
-                    src: 0,
-                    tag: 0,
-                    rel: Default::default(),
-                    data: vec![0; 28].into(),
-                },
-            )
+            .deposit(1, Envelope::new(0, 0, 0, vec![0u8; 28]))
             .unwrap();
-        assert_eq!(fabric.message_count(), 2);
-        assert_eq!(fabric.byte_volume(), 128);
+        assert_eq!(fabric.obs(1).snapshot().wire_bytes_sent, 100);
+        assert_eq!(fabric.obs(0).snapshot().wire_bytes_sent, 28);
     }
 
     #[test]
     fn self_deposit_works() {
-        let (fabric, rxs) = Fabric::new(1);
+        let fabric = Fabric::new(1);
         fabric
             .deposit(
                 0,
@@ -361,13 +313,13 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(rxs[0].try_recv().unwrap().data, vec![42]);
+        assert_eq!(fabric.mailbox(0).try_pop().unwrap().data, vec![42]);
     }
 
     #[test]
     fn deposit_to_terminated_rank_errors_instead_of_panicking() {
-        let (fabric, rxs) = Fabric::new(2);
-        drop(rxs);
+        let fabric = Arc::new(Fabric::new(2));
+        drop(crate::Comm::new(1, Arc::clone(&fabric)));
         let err = fabric
             .deposit(1, Envelope::new(0, 0, 0, vec![1u8]))
             .unwrap_err();
@@ -378,41 +330,47 @@ mod tests {
     #[test]
     fn installed_plane_drops_but_acks_bypass() {
         use crate::fault::{FaultSpec, LinkSel};
-        let (fabric, rxs) = Fabric::new(2);
+        let fabric = Fabric::new(2);
         fabric.install_faults(FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0));
         assert!(fabric.lossy());
         fabric
             .deposit(1, Envelope::sequenced(0, 0, 5, 1, vec![9u8]))
             .unwrap();
-        assert!(rxs[1].try_recv().is_err(), "data envelope dropped");
+        assert!(
+            fabric.mailbox(1).try_pop().is_none(),
+            "data envelope dropped"
+        );
         assert_eq!(fabric.fault_stats().unwrap().drops, 1);
         fabric.deposit(1, Envelope::ack(0, 0, 5, 1)).unwrap();
-        let env = rxs[1].try_recv().expect("ack must bypass the plane");
+        let env = fabric
+            .mailbox(1)
+            .try_pop()
+            .expect("ack must bypass the plane");
         assert!(env.is_ack());
     }
 
     #[test]
     fn poll_releases_delayed_envelopes() {
         use crate::fault::{FaultSpec, LinkSel};
-        let (fabric, rxs) = Fabric::new(2);
+        let fabric = Fabric::new(2);
         fabric.install_faults(FaultSpec::new(11).delay_rate(LinkSel::any(), 1.0, 2));
         fabric
             .deposit(1, Envelope::new(0, 0, 5, vec![1u8]))
             .unwrap();
-        assert!(rxs[1].try_recv().is_err());
+        assert!(fabric.mailbox(1).try_pop().is_none());
         fabric.poll(1).unwrap();
-        assert!(rxs[1].try_recv().is_err());
+        assert!(fabric.mailbox(1).try_pop().is_none());
         fabric.poll(1).unwrap();
-        assert_eq!(rxs[1].try_recv().unwrap().data, vec![1u8]);
+        assert_eq!(fabric.mailbox(1).try_pop().unwrap().data, vec![1u8]);
     }
 
     #[test]
     fn deposit_retargets_payload_to_destination_pool() {
-        let (fabric, rxs) = Fabric::new(2);
+        let fabric = Fabric::new(2);
         fabric
             .deposit(1, Envelope::new(0, 0, 3, vec![0u8; 100]))
             .unwrap();
-        let env = rxs[1].try_recv().unwrap();
+        let env = fabric.mailbox(1).try_pop().unwrap();
         drop(env); // payload returns to rank 1's pool
         assert_eq!(fabric.pool(0).stats().retained_bytes, 0);
         // vec![0; 100] has capacity 100: binned round-down into the 64-byte
@@ -422,12 +380,12 @@ mod tests {
 
     #[test]
     fn remote_backend_fabric_round_trips_envelopes() {
-        let (fabric, rxs) = Fabric::for_backend(TransportKind::SharedMem, 2).unwrap();
+        let fabric = Fabric::for_backend(TransportKind::SharedMem, 2).unwrap();
         assert_eq!(fabric.transport_kind(), TransportKind::SharedMem);
         fabric
             .deposit(1, Envelope::new(3, 0, 9, vec![7u8; 300]))
             .unwrap();
-        let env = rxs[1].recv().unwrap();
+        let env = fabric.mailbox(1).pop().unwrap();
         assert_eq!((env.ctx, env.src, env.tag), (3, 0, 9));
         assert_eq!(env.data, vec![7u8; 300]);
         for rank in 0..2 {
@@ -438,19 +396,25 @@ mod tests {
     #[test]
     fn fault_plane_works_on_remote_backend() {
         use crate::fault::{FaultSpec, LinkSel};
-        let (fabric, rxs) = Fabric::for_backend(TransportKind::Uds, 2).unwrap();
+        let fabric = Fabric::for_backend(TransportKind::Uds, 2).unwrap();
         fabric.install_faults(FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0));
         fabric
             .deposit(1, Envelope::sequenced(0, 0, 5, 1, vec![9u8]))
             .unwrap();
         assert!(
-            rxs[1]
-                .recv_timeout(std::time::Duration::from_millis(50))
-                .is_err(),
+            fabric
+                .mailbox(1)
+                .pop_timeout(std::time::Duration::from_millis(50))
+                .unwrap()
+                .is_none(),
             "data envelope dropped before the wire"
         );
         assert_eq!(fabric.fault_stats().unwrap().drops, 1);
         fabric.deposit(1, Envelope::ack(0, 0, 5, 1)).unwrap();
-        assert!(rxs[1].recv().expect("ack crosses the wire").is_ack());
+        assert!(fabric
+            .mailbox(1)
+            .pop()
+            .expect("ack crosses the wire")
+            .is_ack());
     }
 }

@@ -8,8 +8,7 @@
 //!
 //! * [`Universe::builder`] — SPMD launcher: spawns `p` OS threads, each
 //!   running the same rank program with its own [`Comm`] handle; one
-//!   [`RunConfig`] composes transport, fault plane, profiling, and stack
-//!   size.
+//!   [`RunConfig`] composes transport, fault plane and profiling.
 //! * [`Comm`] — per-rank communicator: `send`/`recv` (blocking, eager
 //!   buffered), [`Comm::sendrecv_bytes`], and [`Comm::exchange`] — the
 //!   Listing-5 phase primitive posting a batch of receives and sends and
@@ -43,17 +42,20 @@
 //! ([`FaultSpec`]/[`fault::FaultPlane`], installed via
 //! [`RunConfig::faults`] or `Fabric::install_faults`) that drops,
 //! duplicates, delays, or reorders data envelopes per declarative rules.
-//! [`Comm::exchange`] counters it with sequence-numbered envelopes,
-//! receiver-side dedup windows, and retransmission on an exponential
-//! backoff ([`RetryPolicy`]); a dead link surfaces
+//! A rank that sets a [`RetryPolicy`]
+//! ([`Comm::set_default_reliability`]) counters it in every
+//! [`Comm::exchange`] with sequence-numbered envelopes, receiver-side
+//! dedup windows, and retransmission on an exponential backoff; a dead
+//! link surfaces
 //! [`CommError::PeerUnreachable`] instead of a hang. See `reliable.rs`
 //! and DESIGN.md §10.
 //!
 //! # Transport backends
 //!
 //! Envelope delivery is pluggable ([`transport::Transport`], DESIGN.md
-//! §12): the default in-process channel fabric, a shared-memory ring
-//! fabric spanning processes on one host
+//! §12): the default in-process fabric (a deposit pushes into the
+//! receiver's [`mailbox::Mailbox`]), a shared-memory ring fabric spanning
+//! processes on one host
 //! ([`Universe::spawn_processes`]), and Unix-domain/TCP socket meshes.
 //! [`RunConfig::on`] picks the backend per run; everything
 //! above the fabric — matching, collectives, reliability, faults,
@@ -66,17 +68,18 @@ pub mod envelope;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod mailbox;
 pub mod pool;
 pub mod reliable;
 pub mod transport;
 pub mod universe;
 
-pub use comm::{BufferPolicy, Comm, ExchangeBatch, ExchangeOpts, RecvSpec, Status};
+pub use comm::{Comm, ExchangeBatch, RecvSpec, Status};
 pub use envelope::{EnvKind, RelHeader, SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultAction, FaultPlane, FaultRng, FaultRule, FaultSpec, FaultStats, LinkSel};
 pub use pool::{PoolStats, PooledBuf, WirePool};
-pub use reliable::{Reliability, RetryPolicy};
+pub use reliable::RetryPolicy;
 pub use transport::{Transport, TransportError, TransportKind, TransportResult};
 pub use universe::{ProfiledRun, ProfiledRunConfig, RunConfig, SpawnRole, Universe};
 

@@ -250,13 +250,6 @@ impl PooledBuf {
         self.pool = None;
         std::mem::take(&mut self.data)
     }
-
-    /// Detach in place: the buffer keeps its bytes but will no longer
-    /// return to any pool on drop (the `Detached` buffer policy of
-    /// `Comm::exchange`).
-    pub fn detach(&mut self) {
-        self.pool = None;
-    }
 }
 
 impl From<Vec<u8>> for PooledBuf {

@@ -1,10 +1,10 @@
 //! Reliable delivery over a (possibly) lossy fabric.
 //!
-//! The raw fabric is a perfect transport, so [`Comm::exchange`] never had
-//! to think about loss. Once a [`FaultPlane`](crate::fault::FaultPlane)
-//! is installed it can drop, duplicate, delay, and reorder data
-//! envelopes — and this module is the protocol that makes `exchange`
-//! correct anyway:
+//! The raw fabric is a perfect transport. Once a
+//! [`FaultPlane`](crate::fault::FaultPlane) is installed it can drop,
+//! duplicate, delay, and reorder data envelopes — and this module is the
+//! protocol that makes [`Comm::exchange`] correct anyway, for every rank
+//! that set a [`RetryPolicy`] with [`Comm::set_default_reliability`]:
 //!
 //! * **Sequencing** — every data envelope of a reliable exchange carries
 //!   a per-`(ctx, dst)` stream sequence number (starting at 1).
@@ -15,8 +15,7 @@
 //!   released into the rank's unexpected queue *in sequence order*.
 //!   Because **all** receive paths route arrivals through this intake
 //!   ([`Comm::intake`]), a delayed retransmit of an already-matched
-//!   `(src, tag)` can never satisfy a later post — the FIFO matching
-//!   bug this PR fixes.
+//!   `(src, tag)` can never satisfy a later post.
 //! * **Sender retransmit** — on a lossy fabric, senders retain payload
 //!   copies and retransmit on an exponential-backoff schedule
 //!   ([`RetryPolicy`]) until acknowledged; exhausting the budget
@@ -40,9 +39,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use cartcomm_obs::TraceEvent;
-use crossbeam_channel::RecvTimeoutError;
 
-use crate::comm::{find_slot, Comm, ExchangeBatch, ExchangeOpts, RecvSpec};
+use crate::comm::{find_slot, Comm, ExchangeBatch, RecvSpec};
 use crate::envelope::{Envelope, SrcSel, Tag};
 use crate::error::{CommError, CommResult};
 
@@ -89,21 +87,6 @@ impl RetryPolicy {
     pub fn total_budget(&self) -> Duration {
         (0..self.attempts).map(|k| self.backoff(k)).sum()
     }
-}
-
-/// Per-exchange reliability selection carried in [`ExchangeOpts`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Reliability {
-    /// Use the communicator's default (set via
-    /// [`Comm::set_default_reliability`]; raw if unset). This is what
-    /// every executor call site passes, which is the point: schedules
-    /// never need to know the transport got lossy.
-    #[default]
-    Inherit,
-    /// Unsequenced, no retransmit — the original exchange path.
-    Raw,
-    /// Sequenced, deduplicated, retransmitted per the policy.
-    Reliable(RetryPolicy),
 }
 
 /// An unacknowledged sequenced envelope retained for retransmission.
@@ -174,15 +157,16 @@ pub(crate) struct RelState {
 }
 
 impl Comm {
-    /// Set the reliability every [`Comm::exchange`] with
-    /// [`Reliability::Inherit`] (the default opts) uses on this rank.
-    /// Shared across duplicated contexts, so setting it once covers the
-    /// cartesian executors' internal communicators too.
+    /// Set the delivery guarantee of every [`Comm::exchange`] on this
+    /// rank: `Some(policy)` is sequenced, deduplicated and retransmitted
+    /// per the policy, `None` (the initial state) is raw. Shared across
+    /// duplicated contexts, so setting it once covers the cartesian
+    /// executors' internal communicators too.
     pub fn set_default_reliability(&self, policy: Option<RetryPolicy>) {
         *self.core.default_reliability.lock() = policy;
     }
 
-    /// The rank-level default retry policy, if one is set.
+    /// The rank's retry policy, if one is set.
     pub fn default_reliability(&self) -> Option<RetryPolicy> {
         *self.core.default_reliability.lock()
     }
@@ -193,7 +177,7 @@ impl Comm {
     }
 
     /// Pump the fault plane once for this rank: releases due delayed and
-    /// reordered envelopes onto this rank's channel. Reliable exchanges
+    /// reordered envelopes into this rank's mailbox. Reliable exchanges
     /// pump automatically; raw receive paths on a lossy fabric do too.
     pub fn poll_faults(&self) {
         // Transport trouble during a pump is not actionable here; the
@@ -277,7 +261,6 @@ impl Comm {
         &self,
         batch: &mut ExchangeBatch,
         recvs: &[RecvSpec],
-        opts: ExchangeOpts,
         policy: RetryPolicy,
     ) -> CommResult<()> {
         for &(dst, _, _) in batch.sends.iter() {
@@ -375,12 +358,10 @@ impl Comm {
 
             if !lossy {
                 // Perfect transport: block until the next arrival.
-                let env = self.core.rx.recv().map_err(|_| CommError::Disconnected {
-                    peer: "fabric".into(),
-                })?;
+                let env = self.core.mailbox.pop()?;
                 let mut pending = self.core.pending.lock();
                 self.intake(env, &mut pending);
-                while let Ok(e) = self.core.rx.try_recv() {
+                while let Some(e) = self.core.mailbox.try_pop() {
                     self.intake(e, &mut pending);
                 }
                 continue;
@@ -392,19 +373,11 @@ impl Comm {
                 self.clear_outstanding(&issued);
                 return Err(e.into());
             }
-            match self.core.rx.recv_timeout(RELIABLE_TICK) {
-                Ok(env) => {
-                    let mut pending = self.core.pending.lock();
-                    self.intake(env, &mut pending);
-                    while let Ok(e) = self.core.rx.try_recv() {
-                        self.intake(e, &mut pending);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::Disconnected {
-                        peer: "fabric".into(),
-                    })
+            if let Some(env) = self.core.mailbox.pop_timeout(RELIABLE_TICK)? {
+                let mut pending = self.core.pending.lock();
+                self.intake(env, &mut pending);
+                while let Some(e) = self.core.mailbox.try_pop() {
+                    self.intake(e, &mut pending);
                 }
             }
 
@@ -475,7 +448,6 @@ impl Comm {
             }
         }
 
-        self.finish_exchange(results, opts);
         Ok(())
     }
 }
@@ -507,6 +479,5 @@ mod tests {
         let p = RetryPolicy::default();
         assert!(p.attempts >= 4);
         assert!(p.total_budget() >= Duration::from_millis(100));
-        assert_eq!(Reliability::default(), Reliability::Inherit);
     }
 }

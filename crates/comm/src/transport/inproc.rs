@@ -1,39 +1,31 @@
-//! The in-process backend: one unbounded channel per rank.
+//! The in-process backend: a deposit is a push into the destination's
+//! [`Mailbox`].
 //!
-//! This is the original fabric interconnect, now behind the
-//! [`Transport`] trait. It is the zero-regression fast path: a deposit
-//! is a single channel send, payloads travel as
+//! The fast path: payloads travel as
 //! [`PooledBuf`](crate::pool::PooledBuf)s (no serialization), and the
-//! channel's FIFO order provides the per-link non-overtaking guarantee
-//! directly.
-//!
-//! The one behavioral change from the pre-trait fabric: a deposit to a
-//! terminated rank returns [`TransportError::Closed`] instead of
-//! panicking, so peer death surfaces as
+//! mailbox's FIFO order provides the per-link non-overtaking guarantee
+//! directly. A deposit to a rank whose `Comm` is gone returns
+//! [`TransportError::Closed`], so peer death surfaces as
 //! [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable)
 //! exactly like it does on the remote backends.
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use std::sync::Arc;
 
 use super::{Transport, TransportError, TransportKind, TransportResult};
 use crate::envelope::Envelope;
+use crate::mailbox::Mailbox;
 
-/// Channel-per-rank transport; all ranks share the process.
+/// Mailbox-per-rank transport; all ranks share the process.
 pub struct InProcTransport {
-    senders: Vec<Sender<Envelope>>,
+    mailboxes: Vec<Arc<Mailbox>>,
 }
 
 impl InProcTransport {
-    /// Build the channels and hand back the per-rank receiving ends.
-    pub fn new(p: usize) -> (InProcTransport, Vec<Receiver<Envelope>>) {
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
+    /// Deliver into `mailboxes`, one per rank.
+    pub fn new(mailboxes: &[Arc<Mailbox>]) -> InProcTransport {
+        InProcTransport {
+            mailboxes: mailboxes.to_vec(),
         }
-        (InProcTransport { senders }, receivers)
     }
 }
 
@@ -43,29 +35,19 @@ impl Transport for InProcTransport {
     }
 
     fn size(&self) -> usize {
-        self.senders.len()
+        self.mailboxes.len()
     }
 
     #[inline]
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
-        self.senders[dst]
-            .send(env)
+        self.mailboxes[dst]
+            .push(env)
             .map_err(|_| TransportError::Closed { peer: dst })
     }
 
-    #[inline]
-    fn poll(&self, _rank: usize) -> TransportResult<()> {
-        Ok(()) // a channel send is delivery; nothing to progress
-    }
-
-    #[inline]
-    fn flush(&self, _rank: usize) -> TransportResult<()> {
-        Ok(()) // eager: deposited means on the wire
-    }
-
     fn shutdown(&self, _rank: usize) {
-        // Endpoint lifetime is the receiver's lifetime; dropping the
-        // rank's `Comm` (and with it the Receiver) is the shutdown.
+        // Endpoint lifetime is the rank's `Comm` lifetime: its last
+        // handle closes the mailbox.
     }
 
     fn in_process(&self) -> bool {
@@ -76,10 +58,12 @@ impl Transport for InProcTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::per_rank;
 
     #[test]
     fn deposits_route_and_preserve_fifo() {
-        let (t, rxs) = InProcTransport::new(2);
+        let mbs = per_rank::<Mailbox>(2);
+        let t = InProcTransport::new(&mbs);
         assert_eq!(t.size(), 2);
         assert_eq!(t.kind(), TransportKind::InProcess);
         assert!(t.in_process());
@@ -87,15 +71,16 @@ mod tests {
             t.deposit(1, Envelope::new(0, 0, 0, vec![i])).unwrap();
         }
         for i in 0..10u8 {
-            assert_eq!(rxs[1].try_recv().unwrap().data, vec![i]);
+            assert_eq!(mbs[1].try_pop().unwrap().data, vec![i]);
         }
-        assert!(rxs[0].try_recv().is_err());
+        assert!(mbs[0].try_pop().is_none());
     }
 
     #[test]
     fn deposit_to_dropped_endpoint_errors() {
-        let (t, rxs) = InProcTransport::new(2);
-        drop(rxs);
+        let mbs = per_rank::<Mailbox>(2);
+        let t = InProcTransport::new(&mbs);
+        mbs[1].close();
         let err = t.deposit(1, Envelope::new(0, 0, 0, vec![1u8])).unwrap_err();
         assert_eq!(err, TransportError::Closed { peer: 1 });
     }

@@ -1,20 +1,20 @@
 //! Pluggable envelope delivery: the [`Transport`] trait and its backends.
 //!
-//! A `Universe` used to *be* its interconnect: OS threads sharing one
-//! in-process channel fabric. Every scaling story (multi-process hosts,
-//! multi-machine universes, a long-running collective service) dead-ends
-//! on that identity, so envelope delivery now sits behind a trait with
-//! three backends:
+//! A universe is not its interconnect: multi-process hosts and a
+//! long-running collective service need ranks that do not share an
+//! address space, so envelope delivery sits behind a trait. Every
+//! backend ends in the same place — a push into the destination rank's
+//! [`Mailbox`](crate::mailbox::Mailbox), which the fabric owns — and
+//! differs in how the envelope gets there:
 //!
-//! * [`inproc::InProcTransport`] — the original one-channel-per-rank
-//!   fabric. The zero-regression fast path: a deposit is one channel
-//!   send, payloads stay as [`PooledBuf`](crate::pool::PooledBuf)s and
+//! * [`inproc::InProcTransport`] — the fast path: a deposit *is* the
+//!   push, payloads stay as [`PooledBuf`](crate::pool::PooledBuf)s and
 //!   retarget to the receiver's pool, nothing is serialized.
 //! * [`shm::ShmTransport`] — one memory-mapped byte ring per directed
 //!   link in a single shared file, for multi-process single-host
 //!   universes ([`Universe::spawn_processes`](crate::Universe::spawn_processes)).
 //!   Envelopes cross the wire format of [`wire`]; a progress thread per
-//!   local rank drains the rank's inbound rings into its channel.
+//!   local rank drains the rank's inbound rings into its mailbox.
 //! * [`socket::SocketTransport`] — length-prefixed frames over blocking
 //!   Unix-domain or TCP sockets (std only), one full-duplex stream per
 //!   ordered rank pair and a dedicated progress thread per rank
@@ -44,8 +44,8 @@
 //!
 //! The fault plane ([`crate::fault`]), reliable delivery
 //! ([`crate::reliable`]), observability, pooling, and the plan cache all
-//! sit *above* this trait, unchanged: they see a lossy-or-perfect link
-//! abstraction and do not care what carries the bytes.
+//! sit *above* this trait: they see a lossy-or-perfect link abstraction
+//! and do not care what carries the bytes.
 
 pub mod inproc;
 pub mod mmap;
@@ -54,15 +54,18 @@ pub mod socket;
 pub mod wire;
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::envelope::Envelope;
+use crate::mailbox::Mailbox;
+use crate::pool::WirePool;
 
 /// Which backend a [`crate::fabric::Fabric`] (and thus a `Universe`)
 /// runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// One in-process channel per rank; threads-as-ranks. The default
-    /// and the fast path.
+    /// A deposit pushes straight into the destination's mailbox;
+    /// threads-as-ranks. The default and the fast path.
     #[default]
     InProcess,
     /// Memory-mapped byte ring per directed link in one shared file;
@@ -111,7 +114,7 @@ impl fmt::Display for TransportKind {
 /// silent" uniformly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// The peer's endpoint is gone (rank terminated, channel or stream
+    /// The peer's endpoint is gone (rank terminated, mailbox or stream
     /// closed).
     Closed {
         /// Rank whose endpoint is closed.
@@ -152,7 +155,7 @@ pub type TransportResult<T> = Result<T, TransportError>;
 
 /// Envelope delivery between ranks. See the [module docs](self) for the
 /// contract; see [`crate::fabric::Fabric`] for the layer that owns one
-/// of these and adds fault injection, pooling, and telemetry on top.
+/// of these and adds the mailboxes, fault injection and pooling on top.
 pub trait Transport: Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> TransportKind;
@@ -167,17 +170,6 @@ pub trait Transport: Send + Sync {
     /// receiver's side).
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()>;
 
-    /// Give the backend a chance to make progress on behalf of `rank`.
-    /// Backends with dedicated progress threads need nothing here; the
-    /// in-process backend is trivially always-progressed. Called from
-    /// receive loops, so it must be cheap.
-    fn poll(&self, rank: usize) -> TransportResult<()>;
-
-    /// Block until everything `rank` has deposited so far is on the
-    /// wire (not necessarily delivered). Eager backends are always
-    /// flushed.
-    fn flush(&self, rank: usize) -> TransportResult<()>;
-
     /// Declare local rank `rank` finished: its progress machinery may
     /// stop. Idempotent; called by the launcher after the rank program
     /// returns, and again for every rank on drop.
@@ -189,6 +181,22 @@ pub trait Transport: Send + Sync {
     /// rank's pool.
     fn in_process(&self) -> bool {
         false
+    }
+}
+
+/// What a progress thread does with the bytes it has accumulated from
+/// one link: decode every complete frame at the front of `acc` (payloads
+/// from the receiving rank's `pool`) and push it into the rank's
+/// mailbox. A closed mailbox (rank program finished) turns delivery into
+/// draining, so peers never stall on a full ring or socket buffer.
+pub(crate) fn deliver_frames(acc: &mut Vec<u8>, pool: &Arc<WirePool>, mailbox: &Mailbox) {
+    let mut cursor = 0;
+    while let Some((env, used)) = wire::decode_from(&acc[cursor..], pool) {
+        cursor += used;
+        let _ = mailbox.push(env);
+    }
+    if cursor > 0 {
+        acc.drain(..cursor);
     }
 }
 

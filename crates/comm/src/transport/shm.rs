@@ -15,8 +15,10 @@
 //! Each *local* rank gets a dedicated progress thread that sweeps its
 //! `p` inbound rings, reassembles frames, and delivers decoded
 //! envelopes (payloads allocated from the rank's wire pool) into the
-//! rank's in-memory channel — the receive paths of `Comm` are byte-for-
-//! byte the same as on the in-process backend.
+//! rank's [`Mailbox`] — the receive paths of `Comm` are byte-for-byte
+//! the same as on the in-process backend. When it stops it closes the
+//! mailbox, so a rank still blocked in a receive gets an error, not a
+//! hang.
 //!
 //! Producer-side discipline: only rank `src`'s process ever writes ring
 //! `(src, dst)` (acks from a receiver `r` travel on `(r, src)`, still
@@ -34,12 +36,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cartcomm_types::kernel;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use super::mmap::SharedMap;
-use super::{wire, Transport, TransportError, TransportKind, TransportResult};
+use super::{deliver_frames, wire, Transport, TransportError, TransportKind, TransportResult};
 use crate::envelope::Envelope;
+use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
 
 /// Bytes per directed-link region (cursors + data).
@@ -54,10 +56,6 @@ pub const RING_BYTES: usize = REGION_BYTES - DATA_OFFSET;
 const STALL_TIMEOUT: Duration = Duration::from_secs(1);
 /// Progress-thread nap when a sweep found no bytes.
 const IDLE_NAP: Duration = Duration::from_micros(40);
-
-/// The local endpoints [`ShmTransport::attach`] hands back: one
-/// `(rank, receiver)` pair per rank hosted in this process.
-pub type ShmEndpoints = Vec<(usize, Receiver<Envelope>)>;
 
 /// Unique-enough scratch names for thread-mode universes (no wall-clock
 /// entropy needed: pid + a process-wide counter).
@@ -200,8 +198,8 @@ impl ShmTransport {
     }
 
     /// Map an existing backing file and bring up progress threads for
-    /// `local_ranks`. Returns one `(rank, receiver)` endpoint per local
-    /// rank. `pools[r]` supplies decode buffers for local rank `r`.
+    /// `local_ranks`. `pools[r]` supplies decode buffers for local rank
+    /// `r`, and `mailboxes[r]` is where its envelopes are delivered.
     ///
     /// `own_file` transfers cleanup responsibility: the instance that
     /// created the file removes it on drop.
@@ -210,10 +208,12 @@ impl ShmTransport {
         p: usize,
         local_ranks: &[usize],
         pools: &[Arc<WirePool>],
+        mailboxes: &[Arc<Mailbox>],
         own_file: bool,
-    ) -> io::Result<(ShmTransport, ShmEndpoints)> {
+    ) -> io::Result<ShmTransport> {
         assert!(p > 0, "universe needs at least one rank");
         assert_eq!(pools.len(), p, "one pool per rank");
+        assert_eq!(mailboxes.len(), p, "one mailbox per rank");
         let file = File::options().read(true).write(true).open(path)?;
         if file.metadata()?.len() < Self::file_len(p) {
             return Err(io::Error::new(
@@ -225,10 +225,8 @@ impl ShmTransport {
 
         let mut stops: Vec<Option<Arc<AtomicBool>>> = vec![None; p];
         let mut threads = Vec::new();
-        let mut endpoints = Vec::with_capacity(local_ranks.len());
         for &rank in local_ranks {
             assert!(rank < p, "local rank out of range");
-            let (tx, rx) = unbounded();
             let stop = Arc::new(AtomicBool::new(false));
             stops[rank] = Some(Arc::clone(&stop));
             threads.push(Some(Self::spawn_progress(
@@ -236,22 +234,18 @@ impl ShmTransport {
                 p,
                 rank,
                 Arc::clone(&pools[rank]),
-                tx,
+                Arc::clone(&mailboxes[rank]),
                 stop,
             )));
-            endpoints.push((rank, rx));
         }
-        Ok((
-            ShmTransport {
-                p,
-                map,
-                write_locks: (0..p * p).map(|_| Mutex::new(())).collect(),
-                stops,
-                threads: Mutex::new(threads),
-                owned_path: own_file.then(|| path.to_path_buf()),
-            },
-            endpoints,
-        ))
+        Ok(ShmTransport {
+            p,
+            map,
+            write_locks: (0..p * p).map(|_| Mutex::new(())).collect(),
+            stops,
+            threads: Mutex::new(threads),
+            owned_path: own_file.then(|| path.to_path_buf()),
+        })
     }
 
     /// One-process universe: create a scratch backing file, attach all
@@ -259,12 +253,12 @@ impl ShmTransport {
     pub fn for_threads(
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(ShmTransport, Vec<Receiver<Envelope>>)> {
+        mailboxes: &[Arc<Mailbox>],
+    ) -> io::Result<ShmTransport> {
         let path = scratch_path();
         Self::create_file(&path, p)?;
         let local: Vec<usize> = (0..p).collect();
-        let (t, endpoints) = Self::attach(&path, p, &local, pools, true)?;
-        Ok((t, endpoints.into_iter().map(|(_, rx)| rx).collect()))
+        Self::attach(&path, p, &local, pools, mailboxes, true)
     }
 
     /// The sweep loop of one local rank: drain all inbound rings,
@@ -274,7 +268,7 @@ impl ShmTransport {
         p: usize,
         rank: usize,
         pool: Arc<WirePool>,
-        tx: Sender<Envelope>,
+        mailbox: Arc<Mailbox>,
         stop: Arc<AtomicBool>,
     ) -> JoinHandle<()> {
         std::thread::Builder::new()
@@ -286,20 +280,10 @@ impl ShmTransport {
                     let mut moved = 0;
                     for (src, ring) in rings.iter().enumerate() {
                         moved += ring.read_into(&mut acc[src]);
-                        let buf = &mut acc[src];
-                        let mut cursor = 0;
-                        while let Some((env, used)) = wire::decode_from(&buf[cursor..], &pool) {
-                            cursor += used;
-                            // A dropped endpoint (rank program finished)
-                            // turns delivery into draining: keep the ring
-                            // moving so peers never stall on a full ring.
-                            let _ = tx.send(env);
-                        }
-                        if cursor > 0 {
-                            buf.drain(..cursor);
-                        }
+                        deliver_frames(&mut acc[src], &pool, &mailbox);
                     }
                     if stop.load(Ordering::Acquire) {
+                        mailbox.close();
                         return;
                     }
                     if moved == 0 {
@@ -326,14 +310,6 @@ impl Transport for ShmTransport {
         let link = env.src * self.p + dst;
         let _guard = self.write_locks[link].lock();
         Ring::at(&self.map, self.p, env.src, dst).write(&frame, dst)
-    }
-
-    fn poll(&self, _rank: usize) -> TransportResult<()> {
-        Ok(()) // the progress thread sweeps continuously
-    }
-
-    fn flush(&self, _rank: usize) -> TransportResult<()> {
-        Ok(()) // deposit returns only after the frame is in the ring
     }
 
     fn shutdown(&self, rank: usize) {
@@ -363,18 +339,17 @@ impl Drop for ShmTransport {
 mod tests {
     use super::*;
 
-    fn pools(p: usize) -> Vec<Arc<WirePool>> {
-        (0..p).map(|_| Arc::new(WirePool::new())).collect()
-    }
+    use crate::fabric::per_rank;
 
     #[test]
     fn deposits_cross_the_ring_in_order() {
-        let (t, rxs) = ShmTransport::for_threads(2, &pools(2)).unwrap();
+        let mbs = per_rank::<Mailbox>(2);
+        let t = ShmTransport::for_threads(2, &per_rank(2), &mbs).unwrap();
         for i in 0..50u8 {
             t.deposit(1, Envelope::new(0, 0, 7, vec![i; 3])).unwrap();
         }
         for i in 0..50u8 {
-            let env = rxs[1].recv().unwrap();
+            let env = mbs[1].pop().unwrap();
             assert_eq!(env.src, 0);
             assert_eq!(env.tag, 7);
             assert_eq!(env.data, vec![i; 3]);
@@ -386,20 +361,22 @@ mod tests {
 
     #[test]
     fn frames_larger_than_the_ring_stream_through() {
-        let (t, rxs) = ShmTransport::for_threads(2, &pools(2)).unwrap();
+        let mbs = per_rank::<Mailbox>(2);
+        let t = ShmTransport::for_threads(2, &per_rank(2), &mbs).unwrap();
         let big = vec![0xCDu8; RING_BYTES + 10_000];
         let expect = big.clone();
         t.deposit(1, Envelope::new(0, 0, 1, big)).unwrap();
-        let env = rxs[1].recv().unwrap();
+        let env = mbs[1].pop().unwrap();
         assert_eq!(env.data.len(), expect.len());
         assert_eq!(*env.data, expect);
     }
 
     #[test]
     fn self_deposit_loops_back() {
-        let (t, rxs) = ShmTransport::for_threads(1, &pools(1)).unwrap();
+        let mbs = per_rank::<Mailbox>(1);
+        let t = ShmTransport::for_threads(1, &per_rank(1), &mbs).unwrap();
         t.deposit(0, Envelope::new(0, 0, 9, vec![42u8])).unwrap();
-        assert_eq!(rxs[0].recv().unwrap().data, vec![42u8]);
+        assert_eq!(mbs[0].pop().unwrap().data, vec![42u8]);
     }
 
     #[test]
@@ -408,7 +385,8 @@ mod tests {
         ShmTransport::create_file(&path, 2).unwrap();
         {
             let local = [0usize, 1];
-            let (_t, _rx) = ShmTransport::attach(&path, 2, &local, &pools(2), true).unwrap();
+            let _t =
+                ShmTransport::attach(&path, 2, &local, &per_rank(2), &per_rank(2), true).unwrap();
             assert!(path.exists());
         }
         assert!(!path.exists(), "owner must clean up the backing file");
@@ -420,7 +398,7 @@ mod tests {
         // drain: filling one past the stall timeout must error, not hang.
         let path = scratch_path();
         ShmTransport::create_file(&path, 2).unwrap();
-        let (t, _rx) = ShmTransport::attach(&path, 2, &[0], &pools(2), true).unwrap();
+        let t = ShmTransport::attach(&path, 2, &[0], &per_rank(2), &per_rank(2), true).unwrap();
         let chunk = vec![0u8; RING_BYTES / 2];
         let mut result = Ok(());
         for _ in 0..4 {

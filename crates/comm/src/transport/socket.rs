@@ -8,8 +8,9 @@
 //! owns the rank's listener, accepts the `p - 1` inbound streams (each
 //! opens with a 4-byte hello naming the connecting rank), then
 //! multiplexes them non-blockingly: read, reassemble frames, decode with
-//! the rank's wire pool, deliver into the rank's channel. Deposits to
-//! self skip the kernel and go straight to the local channel.
+//! the rank's wire pool, deliver into the rank's [`Mailbox`]; when it
+//! stops it closes the mailbox. Deposits to self skip the kernel and go
+//! straight to the mailbox.
 //!
 //! Connection setup is deadlock-free by construction: every listener is
 //! bound (with backlog) before any progress thread spawns, and the
@@ -19,8 +20,7 @@
 //!
 //! A failed stream write surfaces as [`TransportError::Io`] naming the
 //! destination rank, and the stream is poisoned so later deposits fail
-//! fast with [`TransportError::Closed`] — the latent "deposit cannot
-//! fail" assumption has no place to hide on this backend.
+//! fast with [`TransportError::Closed`].
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -31,11 +31,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use super::{wire, Transport, TransportError, TransportKind, TransportResult};
+use super::{deliver_frames, wire, Transport, TransportError, TransportKind, TransportResult};
 use crate::envelope::Envelope;
+use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
 
 /// Nap between empty sweeps of a rank's inbound streams.
@@ -130,7 +130,7 @@ pub struct SocketTransport {
     /// `None` on the diagonal and after a write poisons the stream.
     out: Vec<Mutex<Option<Stream>>>,
     /// Per-rank local delivery for self-sends.
-    local_tx: Vec<Sender<Envelope>>,
+    mailboxes: Vec<Arc<Mailbox>>,
     stops: Vec<Arc<AtomicBool>>,
     threads: Mutex<Vec<Option<JoinHandle<()>>>>,
     /// Socket-file directory to remove on drop (UDS only).
@@ -143,8 +143,9 @@ impl SocketTransport {
     pub fn uds(
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(SocketTransport, Vec<Receiver<Envelope>>)> {
-        Self::mesh(TransportKind::Uds, p, pools)
+        mailboxes: &[Arc<Mailbox>],
+    ) -> io::Result<SocketTransport> {
+        Self::mesh(TransportKind::Uds, p, pools, mailboxes)
     }
 
     /// Loopback-TCP flavor; every rank listens on an ephemeral
@@ -152,17 +153,20 @@ impl SocketTransport {
     pub fn tcp(
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(SocketTransport, Vec<Receiver<Envelope>>)> {
-        Self::mesh(TransportKind::Tcp, p, pools)
+        mailboxes: &[Arc<Mailbox>],
+    ) -> io::Result<SocketTransport> {
+        Self::mesh(TransportKind::Tcp, p, pools, mailboxes)
     }
 
     fn mesh(
         kind: TransportKind,
         p: usize,
         pools: &[Arc<WirePool>],
-    ) -> io::Result<(SocketTransport, Vec<Receiver<Envelope>>)> {
+        mailboxes: &[Arc<Mailbox>],
+    ) -> io::Result<SocketTransport> {
         assert!(p > 0, "universe needs at least one rank");
         assert_eq!(pools.len(), p, "one pool per rank");
+        assert_eq!(mailboxes.len(), p, "one mailbox per rank");
 
         // 1. Bind every rank's listener before anything connects.
         let uds_dir = match kind {
@@ -197,23 +201,18 @@ impl SocketTransport {
 
         // 2. Spawn the progress threads; each accepts its p - 1 inbound
         //    streams, then multiplexes them.
-        let mut receivers = Vec::with_capacity(p);
-        let mut local_tx = Vec::with_capacity(p);
         let mut stops = Vec::with_capacity(p);
         let mut threads = Vec::with_capacity(p);
         for (rank, listener) in listeners.into_iter().enumerate() {
-            let (tx, rx) = unbounded();
             let stop = Arc::new(AtomicBool::new(false));
             threads.push(Some(Self::spawn_progress(
                 listener,
                 p,
                 rank,
                 Arc::clone(&pools[rank]),
-                tx.clone(),
+                Arc::clone(&mailboxes[rank]),
                 Arc::clone(&stop),
             )));
-            receivers.push(rx);
-            local_tx.push(tx);
             stops.push(stop);
         }
 
@@ -243,18 +242,15 @@ impl SocketTransport {
             }
         }
 
-        Ok((
-            SocketTransport {
-                p,
-                kind,
-                out,
-                local_tx,
-                stops,
-                threads: Mutex::new(threads),
-                uds_dir,
-            },
-            receivers,
-        ))
+        Ok(SocketTransport {
+            p,
+            kind,
+            out,
+            mailboxes: mailboxes.to_vec(),
+            stops,
+            threads: Mutex::new(threads),
+            uds_dir,
+        })
     }
 
     /// One rank's progress thread: accept inbound streams, then sweep
@@ -264,7 +260,7 @@ impl SocketTransport {
         p: usize,
         rank: usize,
         pool: Arc<WirePool>,
-        tx: Sender<Envelope>,
+        mailbox: Arc<Mailbox>,
         stop: Arc<AtomicBool>,
     ) -> JoinHandle<()> {
         std::thread::Builder::new()
@@ -301,6 +297,7 @@ impl SocketTransport {
                 let mut buf = vec![0u8; 64 * 1024];
                 loop {
                     if stop.load(Ordering::Acquire) {
+                        mailbox.close();
                         return;
                     }
                     let mut moved = false;
@@ -317,15 +314,7 @@ impl SocketTransport {
                                 Err(_) => break,
                             }
                         }
-                        let mut cursor = 0;
-                        while let Some((env, used)) = wire::decode_from(&acc[cursor..], &pool) {
-                            cursor += used;
-                            // Dropped endpoint ⇒ drain mode, same as shm.
-                            let _ = tx.send(env);
-                        }
-                        if cursor > 0 {
-                            acc.drain(..cursor);
-                        }
+                        deliver_frames(acc, &pool, &mailbox);
                     }
                     if !moved {
                         std::thread::sleep(IDLE_NAP);
@@ -347,8 +336,8 @@ impl Transport for SocketTransport {
 
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
         if env.src == dst {
-            return self.local_tx[dst]
-                .send(env)
+            return self.mailboxes[dst]
+                .push(env)
                 .map_err(|_| TransportError::Closed { peer: dst });
         }
         let mut frame = Vec::with_capacity(wire::HEADER_BYTES + env.data.len());
@@ -363,14 +352,6 @@ impl Transport for SocketTransport {
             });
         }
         Ok(())
-    }
-
-    fn poll(&self, _rank: usize) -> TransportResult<()> {
-        Ok(()) // the progress thread sweeps continuously
-    }
-
-    fn flush(&self, _rank: usize) -> TransportResult<()> {
-        Ok(()) // write_all returns only after the kernel has the bytes
     }
 
     fn shutdown(&self, rank: usize) {
@@ -403,52 +384,53 @@ impl Drop for SocketTransport {
 mod tests {
     use super::*;
 
-    fn pools(p: usize) -> Vec<Arc<WirePool>> {
-        (0..p).map(|_| Arc::new(WirePool::new())).collect()
-    }
+    use crate::fabric::per_rank;
 
-    fn exercise(t: &SocketTransport, rxs: &[Receiver<Envelope>]) {
+    fn exercise(t: &SocketTransport, mbs: &[Arc<Mailbox>]) {
         // Cross-rank FIFO per link, plus a self-send.
         for i in 0..20u8 {
             t.deposit(1, Envelope::new(0, 0, 5, vec![i; 8])).unwrap();
         }
         t.deposit(0, Envelope::new(0, 0, 6, vec![0xEE])).unwrap();
         for i in 0..20u8 {
-            let env = rxs[1].recv().unwrap();
+            let env = mbs[1].pop().unwrap();
             assert_eq!((env.src, env.tag), (0, 5));
             assert_eq!(env.data, vec![i; 8]);
         }
-        assert_eq!(rxs[0].recv().unwrap().data, vec![0xEEu8]);
+        assert_eq!(mbs[0].pop().unwrap().data, vec![0xEEu8]);
     }
 
     #[test]
     fn uds_mesh_delivers_in_order() {
-        let (t, rxs) = SocketTransport::uds(3, &pools(3)).unwrap();
+        let mbs = per_rank::<Mailbox>(3);
+        let t = SocketTransport::uds(3, &per_rank(3), &mbs).unwrap();
         assert_eq!(t.kind(), TransportKind::Uds);
         assert!(!t.in_process());
-        exercise(&t, &rxs);
+        exercise(&t, &mbs);
     }
 
     #[test]
     fn tcp_mesh_delivers_in_order() {
-        let (t, rxs) = SocketTransport::tcp(3, &pools(3)).unwrap();
+        let mbs = per_rank::<Mailbox>(3);
+        let t = SocketTransport::tcp(3, &per_rank(3), &mbs).unwrap();
         assert_eq!(t.kind(), TransportKind::Tcp);
-        exercise(&t, &rxs);
+        exercise(&t, &mbs);
     }
 
     #[test]
     fn large_payload_crosses_the_stream() {
-        let (t, rxs) = SocketTransport::uds(2, &pools(2)).unwrap();
+        let mbs = per_rank::<Mailbox>(2);
+        let t = SocketTransport::uds(2, &per_rank(2), &mbs).unwrap();
         let big = vec![0x5Au8; 1 << 20];
         t.deposit(1, Envelope::new(0, 0, 1, big.clone())).unwrap();
-        let env = rxs[1].recv().unwrap();
+        let env = mbs[1].pop().unwrap();
         assert_eq!(*env.data, big);
     }
 
     #[test]
     fn uds_scratch_dir_is_removed_on_drop() {
         let dir = {
-            let (t, _rx) = SocketTransport::uds(2, &pools(2)).unwrap();
+            let t = SocketTransport::uds(2, &per_rank(2), &per_rank(2)).unwrap();
             let dir = t.uds_dir.clone().unwrap();
             assert!(dir.exists());
             dir
@@ -458,8 +440,9 @@ mod tests {
 
     #[test]
     fn single_rank_universe_works() {
-        let (t, rxs) = SocketTransport::tcp(1, &pools(1)).unwrap();
+        let mbs = per_rank::<Mailbox>(1);
+        let t = SocketTransport::tcp(1, &per_rank(1), &mbs).unwrap();
         t.deposit(0, Envelope::new(0, 0, 0, vec![1u8])).unwrap();
-        assert_eq!(rxs[0].recv().unwrap().data, vec![1u8]);
+        assert_eq!(mbs[0].pop().unwrap().data, vec![1u8]);
     }
 }

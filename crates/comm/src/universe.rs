@@ -2,10 +2,9 @@
 //! [`Universe::spawn_processes`], on `p` processes sharing a
 //! memory-mapped fabric.
 //!
-//! Since 0.3.0 every thread-mode launch goes through one configurable
-//! entry point, [`Universe::builder`]: transport backend, fault plane,
-//! profiling, and per-rank stack size all compose freely instead of
-//! living in a matrix of `run_*` variants.
+//! Every thread-mode launch goes through one configurable entry point,
+//! [`Universe::builder`]: transport backend, fault plane and profiling
+//! compose freely.
 
 use std::io;
 use std::path::PathBuf;
@@ -61,12 +60,9 @@ fn spawn_scratch_path() -> PathBuf {
 }
 
 /// A fully described thread-mode launch: `p` ranks on `transport`, an
-/// optional seeded fault plane, optional profiling (shared clock + one
-/// ring sink per rank), and an optional per-rank stack size. Obtained
-/// from [`Universe::builder`]; every knob composes with every other —
-/// in particular `stack_bytes` now works with faults, profiling, and
-/// non-default transports (the pre-0.3.0 `run_with_stack` composed with
-/// nothing).
+/// optional seeded fault plane and optional profiling (shared clock + one
+/// ring sink per rank). Obtained from [`Universe::builder`]; every knob
+/// composes with every other.
 ///
 /// ```
 /// use cartcomm_comm::Universe;
@@ -82,7 +78,6 @@ pub struct RunConfig {
     p: usize,
     transport: TransportKind,
     faults: Option<FaultSpec>,
-    stack_bytes: Option<usize>,
 }
 
 /// A [`RunConfig`] with profiling enabled ([`RunConfig::profiled`]):
@@ -95,7 +90,7 @@ pub struct ProfiledRunConfig {
 }
 
 impl RunConfig {
-    /// Select the transport backend (default: in-process channels). The
+    /// Select the transport backend (default: in-process). The
     /// in-process backend never fails to construct; the shared-memory and
     /// socket backends touch the filesystem or network stack and may —
     /// use [`RunConfig::try_run`] to observe the error.
@@ -114,13 +109,6 @@ impl RunConfig {
     /// adversity themselves.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.faults = Some(spec);
-        self
-    }
-
-    /// Give every rank thread `bytes` of stack, for rank programs with
-    /// large on-stack state.
-    pub fn stack_bytes(mut self, bytes: usize) -> Self {
-        self.stack_bytes = Some(bytes);
         self
     }
 
@@ -160,16 +148,16 @@ impl RunConfig {
         R: Send,
     {
         let (fabric, _sinks) = self.bring_up(None)?;
-        Ok(launch(self.p, fabric, self.stack_bytes, f))
+        Ok(launch(fabric, f))
     }
 
     /// Construct the fabric, install faults and (optionally) profiling.
     fn bring_up(
         &self,
         profile_capacity: Option<usize>,
-    ) -> io::Result<(Arc<FabricWithReceivers>, Vec<Arc<RingBufferSink>>)> {
+    ) -> io::Result<(Arc<Fabric>, Vec<Arc<RingBufferSink>>)> {
         assert!(self.p > 0, "universe needs at least one rank");
-        let (fabric, receivers) = Fabric::for_backend(self.transport, self.p)?;
+        let fabric = Fabric::for_backend(self.transport, self.p)?;
         if let Some(spec) = &self.faults {
             fabric.install_faults(spec.clone());
         }
@@ -177,10 +165,7 @@ impl RunConfig {
             Some(capacity) => install_profiling(&fabric, self.p, capacity),
             None => Vec::new(),
         };
-        Ok((
-            Arc::new(FabricWithReceivers::bundle(fabric, receivers)),
-            sinks,
-        ))
+        Ok((Arc::new(fabric), sinks))
     }
 }
 
@@ -196,12 +181,6 @@ impl ProfiledRunConfig {
     /// events land in the traces).
     pub fn faults(mut self, spec: FaultSpec) -> Self {
         self.inner = self.inner.faults(spec);
-        self
-    }
-
-    /// Per-rank stack size (see [`RunConfig::stack_bytes`]).
-    pub fn stack_bytes(mut self, bytes: usize) -> Self {
-        self.inner = self.inner.stack_bytes(bytes);
         self
     }
 
@@ -225,7 +204,7 @@ impl ProfiledRunConfig {
         R: Send,
     {
         let (fabric, sinks) = self.inner.bring_up(Some(self.capacity))?;
-        let results = launch(self.inner.p, fabric, self.inner.stack_bytes, f);
+        let results = launch(fabric, f);
         Ok(ProfiledRun {
             traces: sinks.iter().map(|s| s.take()).collect(),
             dropped: sinks.iter().map(|s| s.dropped()).collect(),
@@ -234,62 +213,25 @@ impl ProfiledRunConfig {
     }
 }
 
-/// Carrier pairing a constructed fabric with its unclaimed per-rank
-/// receive endpoints, so the launch core can hand each spawned thread its
-/// endpoint regardless of which configuration path built the fabric.
-struct FabricWithReceivers {
-    fabric: Arc<Fabric>,
-    receivers:
-        std::sync::Mutex<Vec<Option<crossbeam_channel::Receiver<crate::envelope::Envelope>>>>,
-}
-
-impl FabricWithReceivers {
-    fn bundle(
-        fabric: Fabric,
-        receivers: Vec<crossbeam_channel::Receiver<crate::envelope::Envelope>>,
-    ) -> Self {
-        FabricWithReceivers {
-            fabric: Arc::new(fabric),
-            receivers: std::sync::Mutex::new(receivers.into_iter().map(Some).collect()),
-        }
-    }
-
-    fn claim(&self, rank: usize) -> crossbeam_channel::Receiver<crate::envelope::Envelope> {
-        self.receivers.lock().expect("receiver registry poisoned")[rank]
-            .take()
-            .expect("rank endpoint claimed twice")
-    }
-}
-
-/// Shared launch core: spawn one thread per rank (named, with the
-/// configured stack size), join in rank order, re-panic the first rank
-/// panic. After a rank program returns, its `Comm` (and receive endpoint)
-/// drops and the fabric is told the rank is done so backend progress
-/// machinery can stop.
-fn launch<F, R>(
-    p: usize,
-    bundle: Arc<FabricWithReceivers>,
-    stack_bytes: Option<usize>,
-    f: F,
-) -> Vec<R>
+/// Shared launch core: spawn one named thread per rank, join in rank
+/// order, re-panic the first rank panic. After a rank program returns,
+/// its `Comm` drops (closing the rank's mailbox) and the fabric is told
+/// the rank is done so backend progress machinery can stop.
+fn launch<F, R>(fabric: Arc<Fabric>, f: F) -> Vec<R>
 where
     F: Fn(&mut Comm) -> R + Send + Sync,
     R: Send,
 {
     let f = &f;
-    let bundle = &bundle;
+    let p = fabric.size();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for rank in 0..p {
-            let rx = bundle.claim(rank);
-            let fabric = Arc::clone(&bundle.fabric);
-            let mut builder = std::thread::Builder::new().name(format!("rank-{rank}"));
-            if let Some(bytes) = stack_bytes {
-                builder = builder.stack_size(bytes);
-            }
-            let h = builder
+            let fabric = Arc::clone(&fabric);
+            let h = std::thread::Builder::new()
+                .name(format!("rank-{rank}"))
                 .spawn_scoped(scope, move || {
-                    let mut comm = Comm::new(rank, Arc::clone(&fabric), rx);
+                    let mut comm = Comm::new(rank, Arc::clone(&fabric));
                     let out = f(&mut comm);
                     drop(comm);
                     fabric.rank_done(rank);
@@ -325,17 +267,15 @@ fn install_profiling(fabric: &Fabric, p: usize, capacity: usize) -> Vec<Arc<Ring
 
 impl Universe {
     /// Configure a thread-mode launch: `p` ranks, in-process transport,
-    /// no faults, no profiling, default stacks. Chain
-    /// [`RunConfig::on`]/[`RunConfig::faults`]/[`RunConfig::profiled`]/
-    /// [`RunConfig::stack_bytes`] in any combination, then
-    /// [`RunConfig::run`] (or [`RunConfig::try_run`] for fallible
+    /// no faults, no profiling. Chain [`RunConfig::on`]/
+    /// [`RunConfig::faults`]/[`RunConfig::profiled`] in any combination,
+    /// then [`RunConfig::run`] (or [`RunConfig::try_run`] for fallible
     /// backends).
     pub fn builder(p: usize) -> RunConfig {
         RunConfig {
             p,
             transport: TransportKind::InProcess,
             faults: None,
-            stack_bytes: None,
         }
     }
 
@@ -387,9 +327,8 @@ impl Universe {
                     format!("spawned universe has {size} ranks, caller expected {p}"),
                 ));
             }
-            let (fabric, rx) = Fabric::attach_shm(std::path::Path::new(&path), size, rank)?;
-            let fabric = Arc::new(fabric);
-            let mut comm = Comm::new(rank, Arc::clone(&fabric), rx);
+            let fabric = Arc::new(Fabric::attach_shm(std::path::Path::new(&path), size, rank)?);
+            let mut comm = Comm::new(rank, Arc::clone(&fabric));
             let out = f(&mut comm);
             drop(comm);
             fabric.rank_done(rank);
@@ -452,20 +391,16 @@ mod tests {
     }
 
     #[test]
-    fn stack_bytes_composes_with_everything() {
-        // The pre-0.3.0 `run_with_stack` had no faulty/profiled/transport
-        // variant; the builder composes all four knobs in one launch.
+    fn faults_profiling_and_transport_compose() {
         let spec = FaultSpec::new(7);
         let run = Universe::builder(3)
-            .stack_bytes(4 << 20)
             .faults(spec)
             .profiled(256)
             .on(TransportKind::InProcess)
             .run(|comm| {
-                let big = [0u8; 1 << 20]; // needs the larger stack
                 comm.obs()
                     .emit(comm.rank(), TraceEvent::PoolHit { bytes: 3 });
-                comm.rank() + big[0] as usize
+                comm.rank()
             });
         assert_eq!(run.results, vec![0, 1, 2]);
         assert_eq!(run.traces.len(), 3);

@@ -2,19 +2,16 @@
 //! schedule executor depends on, attacked from three directions — many
 //! same-`(src, tag)` slots in one batch, stale messages left over from a
 //! prior collective sitting in the unexpected queue, and duplicated
-//! contexts running interleaved collectives concurrently. All of these must
-//! hold identically for both buffer policies, since `Pooled` and `Detached`
-//! exchanges share one matching core.
+//! contexts running interleaved collectives concurrently.
 
-use cartcomm_comm::{Comm, ExchangeBatch, ExchangeOpts, RecvSpec, Status, Universe};
+use cartcomm_comm::{Comm, ExchangeBatch, RecvSpec, Status, Universe};
 
 /// Pack a round-trip counter into a payload for order checking.
 fn payload(i: usize) -> Vec<u8> {
     vec![i as u8, (i * 7 + 1) as u8]
 }
 
-/// One-shot detached exchange over plain byte vectors (the shape of the
-/// pre-batch API, on the unified entry point).
+/// One-shot exchange over plain byte vectors.
 fn exchange_vecs(
     comm: &Comm,
     sends: Vec<(usize, u32, Vec<u8>)>,
@@ -24,8 +21,7 @@ fn exchange_vecs(
     for (dst, tag, data) in sends {
         batch.send(dst, tag, data);
     }
-    comm.exchange(&mut batch, specs, ExchangeOpts::detached())
-        .unwrap();
+    comm.exchange(&mut batch, specs).unwrap();
     batch
         .drain_results()
         .map(|(buf, status)| (buf.into_vec(), status))
@@ -68,13 +64,11 @@ fn many_same_src_tag_slots_pooled_round_trip() {
                 wire.extend_from_slice(&payload(i));
                 batch.send(1, 9, wire);
             }
-            comm.exchange(&mut batch, &[], ExchangeOpts::default())
-                .unwrap();
+            comm.exchange(&mut batch, &[]).unwrap();
         } else {
             let specs = vec![RecvSpec::from_rank(0, 9); N];
             let mut batch = ExchangeBatch::new();
-            comm.exchange(&mut batch, &specs, ExchangeOpts::default())
-                .unwrap();
+            comm.exchange(&mut batch, &specs).unwrap();
             for (i, (data, _)) in batch.drain_results().enumerate() {
                 assert_eq!(data, payload(i), "slot {i} out of order");
             }
@@ -268,12 +262,8 @@ fn reliable_exchange_survives_heavy_drop() {
         for round in 0..ROUNDS {
             let mut batch = ExchangeBatch::new();
             batch.send(peer, round as u32, payload(round + comm.rank()));
-            comm.exchange(
-                &mut batch,
-                &[RecvSpec::from_rank(peer, round as u32)],
-                ExchangeOpts::detached(),
-            )
-            .unwrap();
+            comm.exchange(&mut batch, &[RecvSpec::from_rank(peer, round as u32)])
+                .unwrap();
             let (data, status) = batch.take_result(0).unwrap();
             assert_eq!(data.as_ref(), payload(round + peer).as_slice());
             assert_eq!(status.src, peer);
@@ -303,19 +293,15 @@ fn total_loss_surfaces_peer_unreachable_on_both_sides() {
         max: Duration::from_millis(20),
     };
     Universe::builder(2).faults(spec).run(|comm| {
+        comm.set_default_reliability(Some(policy));
         let err = if comm.rank() == 0 {
             let mut batch = ExchangeBatch::new();
             batch.send(1, 3, vec![1u8, 2, 3]);
-            comm.exchange(&mut batch, &[], ExchangeOpts::pooled().reliable(policy))
-                .unwrap_err()
+            comm.exchange(&mut batch, &[]).unwrap_err()
         } else {
             let mut batch = ExchangeBatch::new();
-            comm.exchange(
-                &mut batch,
-                &[RecvSpec::from_rank(0, 3)],
-                ExchangeOpts::pooled().reliable(policy),
-            )
-            .unwrap_err()
+            comm.exchange(&mut batch, &[RecvSpec::from_rank(0, 3)])
+                .unwrap_err()
         };
         let expected_peer = 1 - comm.rank();
         match err {
@@ -326,7 +312,7 @@ fn total_loss_surfaces_peer_unreachable_on_both_sides() {
             other => panic!("expected PeerUnreachable, got {other:?}"),
         }
         // Keep both ranks alive until the other has finished erroring, so
-        // no in-flight control traffic hits a dropped channel. The
+        // no in-flight control traffic hits a closed mailbox. The
         // barrier runs on the internal context, outside the fault rule.
         comm.barrier().unwrap();
     });
@@ -357,19 +343,14 @@ fn delayed_duplicate_cannot_satisfy_later_post() {
             for msg in [b"one".to_vec(), b"two".to_vec()] {
                 let mut batch = ExchangeBatch::new();
                 batch.send(1, 9, msg);
-                comm.exchange(&mut batch, &[], ExchangeOpts::pooled())
-                    .unwrap();
+                comm.exchange(&mut batch, &[]).unwrap();
             }
             comm.barrier().unwrap();
         } else {
             let recv_one = |comm: &Comm| {
                 let mut batch = ExchangeBatch::new();
-                comm.exchange(
-                    &mut batch,
-                    &[RecvSpec::from_rank(0, 9)],
-                    ExchangeOpts::detached(),
-                )
-                .unwrap();
+                comm.exchange(&mut batch, &[RecvSpec::from_rank(0, 9)])
+                    .unwrap();
                 batch.take_result(0).unwrap().0.into_vec()
             };
             assert_eq!(recv_one(comm), b"one".to_vec());
@@ -411,13 +392,11 @@ fn reorder_and_delay_are_absorbed_by_sequencing() {
             for i in 0..N {
                 batch.send(1, 9, payload(i));
             }
-            comm.exchange(&mut batch, &[], ExchangeOpts::pooled())
-                .unwrap();
+            comm.exchange(&mut batch, &[]).unwrap();
         } else {
             let specs = vec![RecvSpec::from_rank(0, 9); N];
             let mut batch = ExchangeBatch::new();
-            comm.exchange(&mut batch, &specs, ExchangeOpts::detached())
-                .unwrap();
+            comm.exchange(&mut batch, &specs).unwrap();
             for (i, (data, _)) in batch.drain_results().enumerate() {
                 assert_eq!(data.as_ref(), payload(i).as_slice(), "slot {i}");
             }
@@ -434,12 +413,8 @@ fn lossless_reliable_path_is_equivalent_to_raw() {
         let peer = 1 - comm.rank();
         let mut batch = ExchangeBatch::new();
         batch.send(peer, 4, payload(comm.rank()));
-        comm.exchange(
-            &mut batch,
-            &[RecvSpec::from_rank(peer, 4)],
-            ExchangeOpts::detached(),
-        )
-        .unwrap();
+        comm.exchange(&mut batch, &[RecvSpec::from_rank(peer, 4)])
+            .unwrap();
         let (data, _) = batch.take_result(0).unwrap();
         assert_eq!(data.as_ref(), payload(peer).as_slice());
         assert_eq!(comm.metrics().retransmits, 0);

@@ -4,14 +4,13 @@
 //! must complete in posting order (the MPI non-overtaking rule the
 //! schedules rely on).
 
-use cartcomm_comm::{Comm, ExchangeBatch, ExchangeOpts, RecvSpec, Status, Universe};
+use cartcomm_comm::{Comm, ExchangeBatch, RecvSpec, Status, Universe};
 use proptest::prelude::*;
 
-/// Receive-only exchange returning detached payloads in slot order.
+/// Receive-only exchange returning the payloads in slot order.
 fn recv_all(comm: &Comm, specs: &[RecvSpec]) -> Vec<(Vec<u8>, Status)> {
     let mut batch = ExchangeBatch::new();
-    comm.exchange(&mut batch, specs, ExchangeOpts::detached())
-        .unwrap();
+    comm.exchange(&mut batch, specs).unwrap();
     batch
         .drain_results()
         .map(|(buf, status)| (buf.into_vec(), status))

@@ -2,12 +2,11 @@
 //! matching order, wildcards, phase exchanges, contexts, and collectives.
 
 use cartcomm_comm::{
-    Comm, CommError, ExchangeBatch, ExchangeOpts, RecvSpec, SrcSel, Status, TagSel, Universe,
-    ANY_SOURCE, ANY_TAG,
+    Comm, CommError, ExchangeBatch, RecvSpec, SrcSel, Status, TagSel, Universe, ANY_SOURCE, ANY_TAG,
 };
 use cartcomm_types::Datatype;
 
-/// One-shot detached exchange over plain byte vectors.
+/// One-shot exchange over plain byte vectors.
 fn exchange_vecs(
     comm: &Comm,
     sends: Vec<(usize, u32, Vec<u8>)>,
@@ -17,8 +16,7 @@ fn exchange_vecs(
     for (dst, tag, data) in sends {
         batch.send(dst, tag, data);
     }
-    comm.exchange(&mut batch, specs, ExchangeOpts::detached())
-        .unwrap();
+    comm.exchange(&mut batch, specs).unwrap();
     batch
         .drain_results()
         .map(|(buf, status)| (buf.into_vec(), status))
@@ -410,17 +408,23 @@ fn back_to_back_collectives_do_not_cross_talk() {
 }
 
 #[test]
-fn fabric_telemetry_reports_traffic() {
+fn rank_metrics_report_traffic() {
     Universe::builder(2).run(|comm| {
+        let mut batch = ExchangeBatch::new();
         if comm.rank() == 0 {
-            comm.send_bytes(1, 0, vec![0u8; 64]).unwrap();
+            batch.send(1, 0, vec![0u8; 64]);
+            comm.exchange(&mut batch, &[]).unwrap();
         } else {
-            comm.recv_bytes(0, 0).unwrap();
+            comm.exchange(&mut batch, &[RecvSpec::from_rank(0, 0)])
+                .unwrap();
         }
         comm.barrier().unwrap();
-        let (msgs, bytes) = comm.fabric_telemetry();
-        assert!(msgs >= 1);
-        assert!(bytes >= 64);
+        let m = comm.metrics();
+        if comm.rank() == 0 {
+            assert!(m.wire_bytes_sent >= 64);
+        } else {
+            assert!(m.msgs_matched >= 1);
+        }
     });
 }
 

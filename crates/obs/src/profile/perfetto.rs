@@ -57,7 +57,7 @@ impl<'a> PerfettoExport<'a> {
         // Metadata: process name, then one thread per rank in rank order.
         ev.push(format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{{\"name\":\"{}\"}}}}",
-            escape(self.process)
+            json_escape(self.process)
         ));
         let ranks = self.dag.ranks().max(self.records.map_or(0, |r| r.len()));
         for rank in 0..ranks {
@@ -143,8 +143,11 @@ impl<'a> PerfettoExport<'a> {
     }
 }
 
-/// Minimal JSON string escaping for the few free-form strings we emit.
-fn escape(s: &str) -> String {
+/// Escape `s` for the inside of a JSON string literal: `"` and `\` get
+/// a backslash, control characters become `\u00XX`. Every free-form
+/// string a report embeds (process names, tenant names that arrived
+/// unvalidated from a socket) goes through here.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -239,7 +242,7 @@ mod tests {
 
     #[test]
     fn process_name_is_escaped() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("tab\tx"), "tab\\u0009x");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("tab\tx"), "tab\\u0009x");
     }
 }

@@ -19,6 +19,7 @@ use cartcomm_stats::Histogram;
 use parking_lot::Mutex;
 
 use crate::metrics::{MetricsDelta, MetricsSnapshot};
+use crate::profile::json_escape;
 
 /// Number of serving-layer lifecycle stages with per-tenant latency
 /// distributions: queue wait, coalesce delay, execute, reply.
@@ -248,7 +249,7 @@ impl TenantRegistry {
                         "\"plan_cache_hits\":{},\"plan_cache_misses\":{},",
                         "\"metrics\":{}}}"
                     ),
-                    name.replace('\\', "\\\\").replace('"', "\\\""),
+                    json_escape(name),
                     s.jobs,
                     s.observed_rounds(),
                     s.predicted_rounds,

@@ -63,9 +63,9 @@ use cartcomm::{CartComm, InlineUniverse, PlanStore, PlanStoreStats};
 use cartcomm_comm::{PooledBuf, WirePool};
 use cartcomm_obs::tenant::STAGE_COUNT;
 use cartcomm_obs::{
-    AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs, PerfettoExport,
-    RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent, TraceRecord,
-    TraceSink,
+    json_escape, AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs,
+    PerfettoExport, RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent,
+    TraceRecord, TraceSink,
 };
 use cartcomm_topo::RelNeighborhood;
 use cartcomm_types::{Datatype, Reducer};
@@ -416,7 +416,7 @@ impl Shared {
                             "\"execute_ns\":{},\"reply_ns\":{}}}"
                         ),
                         j.job_id,
-                        j.tenant.replace('\\', "\\\\").replace('"', "\\\""),
+                        json_escape(&j.tenant),
                         j.total_ns,
                         j.stage_ns[0],
                         j.stage_ns[1],
@@ -427,12 +427,7 @@ impl Shared {
                 .collect();
             format!("[{}]", rows.join(","))
         };
-        let table = self
-            .tenants
-            .render_table()
-            .replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n");
+        let table = json_escape(&self.tenants.render_table());
         format!(
             concat!(
                 "{{\"schema\":\"cartserve-stats-v2\",\"server\":{{",
@@ -1616,7 +1611,7 @@ fn profile_report(session: &ProfileSession) -> (String, Vec<u8>) {
             "\"all_checks_passed\":{},",
             "\"jobs\":[{}],\"fit\":{},\"critical_path\":{}}}"
         ),
-        session.tenant.replace('\\', "\\\\").replace('"', "\\\""),
+        json_escape(&session.tenant),
         captured,
         dropped_total,
         rounds_ok,

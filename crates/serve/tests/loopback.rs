@@ -545,3 +545,51 @@ fn a_lone_client_pays_no_window() {
 
     server.shutdown();
 }
+
+/// A tenant name comes off the socket unvalidated; whatever it holds,
+/// `STATS_OK` stays one valid JSON document: every string that carries
+/// the name (slowest-jobs rows, the tenants array, the rendered table)
+/// escapes quotes, backslashes and control characters.
+#[test]
+fn hostile_tenant_name_keeps_stats_valid_json() {
+    let sock = sock_path("hostile");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shape: 6-rank ring, one far neighbor, w-blocks over raw bytes.
+    let spec = JobSpec {
+        dims: vec![6],
+        periods: vec![true],
+        offsets: vec![vec![3]],
+        op: OpSpec::Alltoallw {
+            send_blocks: vec![(0, 5)],
+            recv_blocks: vec![(0, 5)],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    let payload = payload_for(&spec, 41);
+    let golden = reference::execute(&spec, &payload).expect("golden");
+
+    let mut c = Client::connect_uds(&sock, "t\tab\nline\"quote\\slash").expect("connect");
+    assert_eq!(
+        c.submit_retrying(&spec, &payload, 100).expect("job"),
+        golden
+    );
+    let stats = c.stats().expect("stats");
+    let escaped = "t\\u0009ab\\u000aline\\\"quote\\\\slash";
+    assert!(
+        stats.contains(&format!("\"tenant\":\"{escaped}\",\"jobs\":")),
+        "tenants array: {stats}"
+    );
+    assert!(
+        stats.contains(&format!("\"tenant\":\"{escaped}\",\"total_ns\"")),
+        "slowest-jobs row: {stats}"
+    );
+    let table = &stats[stats.find("\"table\":\"").expect("table field")..];
+    assert!(table.contains(escaped), "table: {table}");
+    assert!(
+        stats.bytes().all(|b| b >= 0x20),
+        "raw control byte in STATS_OK: {stats:?}"
+    );
+
+    server.shutdown();
+}

@@ -21,10 +21,9 @@
 //!   single length update, instead of one `extend_from_slice` (capacity
 //!   check + length store) per span.
 //! * The scalar reference path ([`gather_spans_scalar`],
-//!   [`scatter_spans_scalar`]) is always compiled — byte-equality tests
-//!   diff the two — and the `scalar-pack` cargo feature forces the
-//!   dispatching entry points onto it, keeping a known-good fallback one
-//!   feature flag away.
+//!   [`scatter_spans_scalar`], [`accumulate_spans_scalar`]) is always
+//!   compiled: byte-equality tests diff the two, and `perfgate` times
+//!   one against the other.
 //!
 //! Everything here is safe-Rust at the API boundary: span lists are
 //! bounds-checked against the buffers before any unsafe copy runs.
@@ -181,12 +180,11 @@ unsafe fn copy_chunks16(src: *const u8, dst: *mut u8, len: usize) {
 #[inline]
 pub fn copy_wide(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "copy_wide length mismatch");
-    #[cfg(not(feature = "scalar-pack"))]
+    // SAFETY: equal lengths were just asserted, and a unique and a shared
+    // borrow cannot overlap.
     unsafe {
         copy_raw(src.as_ptr(), dst.as_mut_ptr(), src.len());
     }
-    #[cfg(feature = "scalar-pack")]
-    dst.copy_from_slice(src);
 }
 
 /// Total bytes a span list covers.
@@ -205,26 +203,21 @@ pub fn spans_len(spans: &[PackSpan]) -> usize {
 /// slice indexing, checked before any byte is written).
 #[inline]
 pub fn gather_spans(src: &[u8], spans: &[PackSpan], out: &mut Vec<u8>) -> usize {
-    #[cfg(feature = "scalar-pack")]
-    return gather_spans_scalar(src, spans, out);
-    #[cfg(not(feature = "scalar-pack"))]
-    {
-        let total = spans_len(spans);
-        out.reserve(total);
-        // SAFETY: `total` bytes were reserved past `out.len()`; each span
-        // is bounds-checked by the slice index before its copy; `src` and
-        // `out` cannot alias (shared vs. unique borrow).
-        unsafe {
-            let mut dst = out.as_mut_ptr().add(out.len());
-            for &(off, len) in spans {
-                let s = &src[off..off + len];
-                copy_raw(s.as_ptr(), dst, len);
-                dst = dst.add(len);
-            }
-            out.set_len(out.len() + total);
+    let total = spans_len(spans);
+    out.reserve(total);
+    // SAFETY: `total` bytes were reserved past `out.len()`; each span
+    // is bounds-checked by the slice index before its copy; `src` and
+    // `out` cannot alias (shared vs. unique borrow).
+    unsafe {
+        let mut dst = out.as_mut_ptr().add(out.len());
+        for &(off, len) in spans {
+            let s = &src[off..off + len];
+            copy_raw(s.as_ptr(), dst, len);
+            dst = dst.add(len);
         }
-        total
+        out.set_len(out.len() + total);
     }
+    total
 }
 
 /// Scatter the front of `wire` into the spans of `dst`, consuming
@@ -237,21 +230,16 @@ pub fn gather_spans(src: &[u8], spans: &[PackSpan], out: &mut Vec<u8>) -> usize 
 /// the span list.
 #[inline]
 pub fn scatter_spans(dst: &mut [u8], spans: &[PackSpan], wire: &[u8]) -> usize {
-    #[cfg(feature = "scalar-pack")]
-    return scatter_spans_scalar(dst, spans, wire);
-    #[cfg(not(feature = "scalar-pack"))]
-    {
-        let mut pos = 0usize;
-        for &(off, len) in spans {
-            let d = &mut dst[off..off + len];
-            let s = &wire[pos..pos + len];
-            // SAFETY: both slices have length `len` and cannot alias
-            // (unique vs. shared borrow).
-            unsafe { copy_raw(s.as_ptr(), d.as_mut_ptr(), len) };
-            pos += len;
-        }
-        pos
+    let mut pos = 0usize;
+    for &(off, len) in spans {
+        let d = &mut dst[off..off + len];
+        let s = &wire[pos..pos + len];
+        // SAFETY: both slices have length `len` and cannot alias
+        // (unique vs. shared borrow).
+        unsafe { copy_raw(s.as_ptr(), d.as_mut_ptr(), len) };
+        pos += len;
     }
+    pos
 }
 
 /// Fold the front of `wire` into the spans of `dst` elementwise with
@@ -269,17 +257,12 @@ pub fn scatter_spans(dst: &mut [u8], spans: &[PackSpan], wire: &[u8]) -> usize {
 /// element width.
 #[inline]
 pub fn accumulate_spans(dst: &mut [u8], spans: &[PackSpan], wire: &[u8], red: Reducer) -> usize {
-    #[cfg(feature = "scalar-pack")]
-    return accumulate_spans_scalar(dst, spans, wire, red);
-    #[cfg(not(feature = "scalar-pack"))]
-    {
-        let mut pos = 0usize;
-        for &(off, len) in spans {
-            red.fold(&mut dst[off..off + len], &wire[pos..pos + len]);
-            pos += len;
-        }
-        pos
+    let mut pos = 0usize;
+    for &(off, len) in spans {
+        red.fold(&mut dst[off..off + len], &wire[pos..pos + len]);
+        pos += len;
     }
+    pos
 }
 
 /// Scalar reference accumulate: one reducer dispatch per *element*

@@ -44,9 +44,7 @@ pub mod prelude {
     pub use cartcomm::neighbor::DistGraphComm;
     pub use cartcomm::ops::{Algo, PersistentCollective, WBlock};
     pub use cartcomm::{CartComm, CartError, CartResult};
-    pub use cartcomm_comm::{
-        Comm, ExchangeBatch, ExchangeOpts, ProfiledRun, SpawnRole, TransportKind, Universe,
-    };
+    pub use cartcomm_comm::{Comm, ExchangeBatch, ProfiledRun, SpawnRole, TransportKind, Universe};
     pub use cartcomm_obs::{
         AlphaBetaFit, CriticalPath, MetricsDelta, Obs, PerfettoExport, RingBufferSink, RoundDag,
         TraceCollector, TraceEvent,
