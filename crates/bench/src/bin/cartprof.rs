@@ -50,7 +50,7 @@ use std::time::Duration;
 use cartcomm::ops::Algo;
 use cartcomm::{CartComm, CostSummary, PlanKind};
 use cartcomm_comm::obs::{
-    AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector, TraceEvent,
+    json_escape, AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector, TraceEvent,
 };
 use cartcomm_comm::{FaultSpec, LinkSel, RetryPolicy, Tag, TransportKind, Universe};
 use cartcomm_stats::Histogram;
@@ -136,6 +136,7 @@ struct MRun {
     m_bytes: usize,
     dag: RoundDag,
     collector: TraceCollector,
+    parks_per_round: f64,
     rounds_ok: bool,
     phase_rounds_ok: bool,
     volume_ok: bool,
@@ -283,14 +284,21 @@ fn neighborhood(w: &Workload) -> RelNeighborhood {
     })
 }
 
+/// What one profiled run of the workload hands back.
+struct Profiled {
+    collector: TraceCollector,
+    /// Per-rank round-latency histograms.
+    hists: Vec<Histogram>,
+    /// The plan's per-phase round counts (identical on every rank).
+    phase_rounds: Vec<usize>,
+    volume_blocks: usize,
+    /// Times a receive slept, over rounds completed, summed over the
+    /// ranks and scoped to the collective itself.
+    parks_per_round: f64,
+}
+
 /// One profiled run of the workload at block size `m` (in i32 elements).
-/// Returns the collector plus the per-rank latency histograms and the
-/// plan's per-phase round counts (identical on every rank).
-fn profile_once(
-    w: &Workload,
-    nb: &RelNeighborhood,
-    m: usize,
-) -> (TraceCollector, Vec<Histogram>, Vec<usize>, usize) {
+fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
     let p: usize = w.dims.iter().product();
     let periods = vec![true; w.dims.len()];
     let t = nb.len();
@@ -318,6 +326,7 @@ fn profile_once(
             phase_rounds.pop();
         }
         let volume_blocks = plan.volume_blocks;
+        let before = cart.comm().metrics();
         match op {
             Op::Allgather => {
                 let send: Vec<i32> = (0..m).map(|e| (rank * 10 + e) as i32).collect();
@@ -342,8 +351,9 @@ fn profile_once(
                     .unwrap();
             }
         }
+        let traffic = cart.comm().metrics() - before;
         let hist = cart.comm().obs().metrics().latency_histogram();
-        (phase_rounds, volume_blocks, hist)
+        (phase_rounds, volume_blocks, hist, traffic)
     };
 
     let mut cfg = Universe::builder(p).on(w.transport);
@@ -360,13 +370,28 @@ fn profile_once(
             std::process::exit(2);
         });
 
-    let (phase_rounds, volume_blocks, _) = run.results[0].clone();
-    let hists: Vec<Histogram> = run.results.into_iter().map(|(_, _, h)| h).collect();
+    let (phase_rounds, volume_blocks, ..) = run.results[0].clone();
+    let (parks, rounds) = run
+        .results
+        .iter()
+        .fold((0, 0), |(parks, rounds), (.., traffic)| {
+            (
+                parks + traffic.recv_parks,
+                rounds + traffic.rounds_completed,
+            )
+        });
+    let hists: Vec<Histogram> = run.results.into_iter().map(|(_, _, h, _)| h).collect();
     // Ring-overflow losses flow into the DAG (`dropped_records`) so the
     // profile JSON reports honest capture completeness.
     let mut collector = TraceCollector::from_ranks(run.traces);
     collector.note_dropped(run.dropped.iter().sum());
-    (collector, hists, phase_rounds, volume_blocks)
+    Profiled {
+        collector,
+        hists,
+        phase_rounds,
+        volume_blocks,
+        parks_per_round: parks as f64 / rounds.max(1) as f64,
+    }
 }
 
 /// One-iteration sweep of a reduction op over the primary workload's
@@ -386,10 +411,14 @@ fn reduce_sweep_section(w: &Workload, nb: &RelNeighborhood, cost: &CostSummary) 
         let mut per_m: Vec<String> = Vec::new();
         let mut phase_rounds_pred: Vec<usize> = Vec::new();
         for &m in &rw.m_sweep {
-            let (collector, _, plan_phase_rounds, plan_volume) = profile_once(&rw, nb, m);
-            assert_eq!(plan_volume, volume, "reduce plan volume vs CostSummary");
+            let run = profile_once(&rw, nb, m);
+            assert_eq!(
+                run.volume_blocks, volume,
+                "reduce plan volume vs CostSummary"
+            );
+            let plan_phase_rounds = run.phase_rounds;
             phase_rounds_pred = plan_phase_rounds.clone();
-            let dag = collector.build();
+            let dag = run.collector.build();
             let m_bytes = m * elem;
             let sends = dag.sends_per_rank();
             let rounds_ok = sends.len() == p && sends.iter().all(|&c| c == cost.rounds);
@@ -441,6 +470,19 @@ fn fmt_opt(v: Option<f64>) -> String {
     v.filter(|x| x.is_finite())
         .map(fmt_f64)
         .unwrap_or_else(|| "null".to_string())
+}
+
+/// Where and with what the profile was taken: α̂ on 27 rank threads over
+/// 2 cores is not α̂ on 27 cores, and a baseline has to say which it is.
+fn host_json(rank_threads: usize) -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        "{{\"nproc\":{nproc},\"rank_threads\":{rank_threads},\"oversubscription\":{},\
+         \"build_profile\":\"{}\",\"rustc\":\"{}\"}}",
+        fmt_f64(rank_threads as f64 / nproc as f64),
+        json_escape(env!("CARTCOMM_BUILD_PROFILE")),
+        json_escape(env!("CARTCOMM_BUILD_RUSTC")),
+    )
 }
 
 fn json_usize_list(xs: &[usize]) -> String {
@@ -604,7 +646,13 @@ fn main() {
 
     for &m in &w.m_sweep {
         for iter in 0..w.iters {
-            let (collector, hists, plan_phase_rounds, plan_volume) = profile_once(&w, &nb, m);
+            let Profiled {
+                collector,
+                hists,
+                phase_rounds: plan_phase_rounds,
+                volume_blocks: plan_volume,
+                parks_per_round,
+            } = profile_once(&w, &nb, m);
             let dag = collector.build();
             samples.extend(dag.latency_samples());
             for h in &hists {
@@ -634,6 +682,7 @@ fn main() {
                     m_bytes,
                     dag,
                     collector,
+                    parks_per_round,
                     rounds_ok,
                     phase_rounds_ok,
                     volume_ok,
@@ -675,8 +724,8 @@ fn main() {
     // ----- human table ------------------------------------------------------
     println!();
     println!(
-        "{:>8} {:>10} {:>7} {:>9} {:>8} {:>12}  status",
-        "m elems", "m bytes", "rounds", "phase C_k", "volume", "makespan"
+        "{:>8} {:>10} {:>7} {:>9} {:>8} {:>12} {:>12}  status",
+        "m elems", "m bytes", "rounds", "phase C_k", "volume", "makespan", "parks/round"
     );
     for r in &runs {
         let status = if r.rounds_ok && r.phase_rounds_ok && r.volume_ok {
@@ -685,13 +734,14 @@ fn main() {
             "MISMATCH"
         };
         println!(
-            "{:>8} {:>10} {:>7} {:>9} {:>8} {:>9} us  {status}",
+            "{:>8} {:>10} {:>7} {:>9} {:>8} {:>9} us {:>12.2}  {status}",
             r.m_elems,
             r.m_bytes,
             if r.rounds_ok { "ok" } else { "BAD" },
             if r.phase_rounds_ok { "ok" } else { "BAD" },
             if r.volume_ok { "ok" } else { "BAD" },
             r.dag.makespan_ns() / 1_000,
+            r.parks_per_round,
         );
     }
     println!();
@@ -736,7 +786,7 @@ fn main() {
             format!(
                 "{{\"m_elems\":{},\"m_bytes\":{},\"rounds_ok\":{},\"phase_rounds_ok\":{},\
                  \"volume_ok\":{},\"nodes\":{},\"dropped\":{},\"makespan_ns\":{},\
-                 \"overlay_attempts\":{},\"retransmits\":{}}}",
+                 \"parks_per_round\":{},\"overlay_attempts\":{},\"retransmits\":{}}}",
                 r.m_elems,
                 r.m_bytes,
                 r.rounds_ok,
@@ -745,6 +795,7 @@ fn main() {
                 r.dag.nodes().len(),
                 r.dag.dropped_records,
                 r.dag.makespan_ns(),
+                fmt_f64(r.parks_per_round),
                 r.dag
                     .nodes()
                     .iter()
@@ -777,6 +828,7 @@ fn main() {
     let profile = format!(
         "{{\n\
          \x20\x20\"schema\":\"cartprof-v1\",\n\
+         \x20\x20\"host\":{},\n\
          \x20\x20\"workload\":{{\"dims\":{},\"neighborhood\":\"{}\",\"radius\":{},\"p\":{p},\
          \"op\":\"{op}\",\"transport\":\"{}\",\"m_sweep_elems\":{},\"iters\":{},\
          \"faults\":{faults_json}}},\n\
@@ -792,6 +844,7 @@ fn main() {
          \x20\x20\"reductions\":{reductions_json},\n\
          \x20\x20\"all_checks_passed\":{ok}\n\
          }}\n",
+        host_json(p),
         json_usize_list(&w.dims),
         w.family,
         w.radius,

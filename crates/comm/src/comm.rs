@@ -360,14 +360,28 @@ impl Comm {
     /// draining even while this rank only ever blocks in receives.
     fn recv_one(&self) -> CommResult<Envelope> {
         if !self.fabric.lossy() {
-            return Ok(self.core.mailbox.pop()?);
+            return Ok(self.counting_parks(Mailbox::pop)?);
         }
         loop {
             self.fabric.poll(self.rank)?;
-            if let Some(env) = self.core.mailbox.pop_timeout(RELIABLE_TICK)? {
+            if let Some(env) = self.counting_parks(|mb| mb.pop_timeout(RELIABLE_TICK))? {
                 return Ok(env);
             }
         }
+    }
+
+    /// Run one wait on this rank's mailbox and credit the times it slept
+    /// to the rank's `recv_parks`. The rank is the only one that pops, so
+    /// the difference in the mailbox's count is its own.
+    pub(crate) fn counting_parks<T>(&self, wait: impl FnOnce(&Mailbox) -> T) -> T {
+        let mailbox = &self.core.mailbox;
+        let before = mailbox.parks();
+        let got = wait(mailbox);
+        let slept = mailbox.parks() - before;
+        if slept > 0 {
+            self.obs.metrics().recv_parked(slept);
+        }
+        got
     }
 
     /// Blocking probe (`MPI_Probe`): wait until a message matching the

@@ -328,6 +328,39 @@ mod tests {
     }
 
     #[test]
+    fn recv_parks_counts_the_receives_that_slept() {
+        let fabric = Arc::new(Fabric::new(2));
+        let comm = crate::Comm::new(1, Arc::clone(&fabric));
+        let send = |tag| {
+            fabric
+                .deposit(1, Envelope::new(0, 0, tag, vec![1u8]))
+                .unwrap()
+        };
+        // Already queued: nothing to wait for.
+        send(7);
+        comm.recv_bytes(0, 7).unwrap();
+        assert_eq!(comm.metrics().recv_parks, 0);
+        // A silent peer: the rank runs out of yields and sleeps — it does
+        // not spin through the 50 ms.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while fabric.mailbox(1).parks() == 0 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                send(8);
+            });
+            comm.recv_bytes(0, 8).unwrap();
+        });
+        let slept = comm.metrics().recv_parks;
+        assert!(slept >= 1);
+        // A push to an owner that is not parked adds none.
+        send(9);
+        comm.recv_bytes(0, 9).unwrap();
+        assert_eq!(comm.metrics().recv_parks, slept);
+    }
+
+    #[test]
     fn installed_plane_drops_but_acks_bypass() {
         use crate::fault::{FaultSpec, LinkSel};
         let fabric = Fabric::new(2);

@@ -43,6 +43,7 @@ use cartcomm_obs::TraceEvent;
 use crate::comm::{find_slot, Comm, ExchangeBatch, RecvSpec};
 use crate::envelope::{Envelope, SrcSel, Tag};
 use crate::error::{CommError, CommResult};
+use crate::mailbox::Mailbox;
 
 /// How long a reliable receive loop sleeps per tick while pumping the
 /// fault plane and the retransmit scan.
@@ -358,7 +359,7 @@ impl Comm {
 
             if !lossy {
                 // Perfect transport: block until the next arrival.
-                let env = self.core.mailbox.pop()?;
+                let env = self.counting_parks(Mailbox::pop)?;
                 let mut pending = self.core.pending.lock();
                 self.intake(env, &mut pending);
                 while let Some(e) = self.core.mailbox.try_pop() {
@@ -373,7 +374,7 @@ impl Comm {
                 self.clear_outstanding(&issued);
                 return Err(e.into());
             }
-            if let Some(env) = self.core.mailbox.pop_timeout(RELIABLE_TICK)? {
+            if let Some(env) = self.counting_parks(|mb| mb.pop_timeout(RELIABLE_TICK))? {
                 let mut pending = self.core.pending.lock();
                 self.intake(env, &mut pending);
                 while let Some(e) = self.core.mailbox.try_pop() {

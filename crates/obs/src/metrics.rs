@@ -32,6 +32,7 @@ pub struct MetricsRegistry {
     wire_bytes_recv: AtomicU64,
     exchanges: AtomicU64,
     msgs_matched: AtomicU64,
+    recv_parks: AtomicU64,
     pack_spans: AtomicU64,
     pack_bytes: AtomicU64,
     pool_hits: AtomicU64,
@@ -57,6 +58,7 @@ impl MetricsRegistry {
             wire_bytes_recv: AtomicU64::new(0),
             exchanges: AtomicU64::new(0),
             msgs_matched: AtomicU64::new(0),
+            recv_parks: AtomicU64::new(0),
             pack_spans: AtomicU64::new(0),
             pack_bytes: AtomicU64::new(0),
             pool_hits: AtomicU64::new(0),
@@ -104,6 +106,13 @@ impl MetricsRegistry {
         self.msgs_matched.fetch_add(1, Ordering::Relaxed);
         self.wire_bytes_recv
             .fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// A blocked receive went to sleep `parks` times (it had run out of
+    /// yields; see `cartcomm_comm::mailbox`).
+    #[inline]
+    pub fn recv_parked(&self, parks: u64) {
+        self.recv_parks.fetch_add(parks, Ordering::Relaxed);
     }
 
     /// A wire message was packed from `spans` ranges totalling `bytes`.
@@ -192,6 +201,7 @@ impl MetricsRegistry {
             wire_bytes_recv: self.wire_bytes_recv.load(Ordering::Relaxed),
             exchanges: self.exchanges.load(Ordering::Relaxed),
             msgs_matched: self.msgs_matched.load(Ordering::Relaxed),
+            recv_parks: self.recv_parks.load(Ordering::Relaxed),
             pack_spans: self.pack_spans.load(Ordering::Relaxed),
             pack_bytes: self.pack_bytes.load(Ordering::Relaxed),
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
@@ -220,6 +230,7 @@ impl MetricsRegistry {
         self.wire_bytes_recv.store(0, Ordering::Relaxed);
         self.exchanges.store(0, Ordering::Relaxed);
         self.msgs_matched.store(0, Ordering::Relaxed);
+        self.recv_parks.store(0, Ordering::Relaxed);
         self.pack_spans.store(0, Ordering::Relaxed);
         self.pack_bytes.store(0, Ordering::Relaxed);
         self.pool_hits.store(0, Ordering::Relaxed);
@@ -261,6 +272,9 @@ pub struct MetricsSnapshot {
     pub exchanges: u64,
     /// Messages matched to receive slots.
     pub msgs_matched: u64,
+    /// Times a blocked receive slept instead of finding its message while
+    /// it yielded.
+    pub recv_parks: u64,
     /// Contiguous spans gathered while packing wire messages.
     pub pack_spans: u64,
     /// Bytes gathered while packing wire messages.
@@ -294,6 +308,7 @@ impl MetricsSnapshot {
             wire_bytes_recv: self.wire_bytes_recv.saturating_sub(earlier.wire_bytes_recv),
             exchanges: self.exchanges.saturating_sub(earlier.exchanges),
             msgs_matched: self.msgs_matched.saturating_sub(earlier.msgs_matched),
+            recv_parks: self.recv_parks.saturating_sub(earlier.recv_parks),
             pack_spans: self.pack_spans.saturating_sub(earlier.pack_spans),
             pack_bytes: self.pack_bytes.saturating_sub(earlier.pack_bytes),
             pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
@@ -310,7 +325,7 @@ impl MetricsSnapshot {
 
     /// The counters as `(name, value)` pairs in a stable order (drives
     /// the exporters).
-    pub fn fields(&self) -> [(&'static str, u64); 15] {
+    pub fn fields(&self) -> [(&'static str, u64); 16] {
         [
             ("rounds_started", self.rounds_started),
             ("rounds_completed", self.rounds_completed),
@@ -318,6 +333,7 @@ impl MetricsSnapshot {
             ("wire_bytes_recv", self.wire_bytes_recv),
             ("exchanges", self.exchanges),
             ("msgs_matched", self.msgs_matched),
+            ("recv_parks", self.recv_parks),
             ("pack_spans", self.pack_spans),
             ("pack_bytes", self.pack_bytes),
             ("pool_hits", self.pool_hits),
@@ -352,6 +368,7 @@ impl std::ops::AddAssign for MetricsSnapshot {
         self.wire_bytes_recv = self.wire_bytes_recv.saturating_add(rhs.wire_bytes_recv);
         self.exchanges = self.exchanges.saturating_add(rhs.exchanges);
         self.msgs_matched = self.msgs_matched.saturating_add(rhs.msgs_matched);
+        self.recv_parks = self.recv_parks.saturating_add(rhs.recv_parks);
         self.pack_spans = self.pack_spans.saturating_add(rhs.pack_spans);
         self.pack_bytes = self.pack_bytes.saturating_add(rhs.pack_bytes);
         self.pool_hits = self.pool_hits.saturating_add(rhs.pool_hits);
@@ -423,6 +440,7 @@ mod tests {
         m.add_wire_sent(100);
         m.exchange_started();
         m.message_matched(40);
+        m.recv_parked(2);
         m.pack(3, 24);
         m.pool_hit();
         m.pool_miss();
@@ -434,6 +452,7 @@ mod tests {
         assert_eq!(s.wire_bytes_sent, 100);
         assert_eq!(s.wire_bytes_recv, 40);
         assert_eq!(s.msgs_matched, 1);
+        assert_eq!(s.recv_parks, 2);
         assert_eq!(s.pack_spans, 3);
         assert_eq!(s.pack_bytes, 24);
         assert_eq!(s.pool_hits, 1);
@@ -496,7 +515,7 @@ mod tests {
         m.round_completed();
         let s = m.snapshot();
         let table = format!("{s}");
-        assert_eq!(table.lines().count(), 15);
+        assert_eq!(table.lines().count(), 16);
         assert!(table.contains("rounds_completed"));
         let json = s.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
