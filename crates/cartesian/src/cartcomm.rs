@@ -1,7 +1,6 @@
 //! The Cartesian neighborhood communicator (`Cart_neighborhood_create`,
 //! Listing 1) and the relative-coordinate helper functions (Listing 2).
 
-use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
@@ -9,12 +8,12 @@ use cartcomm_comm::obs::{Obs, TraceEvent};
 use cartcomm_comm::Comm;
 use cartcomm_topo::{CartTopology, DistGraphTopology, Offset, RelNeighborhood, TopoError};
 
-use crate::compile::CompiledPlan;
+use crate::compile::{CompiledPlan, Program};
 use crate::error::{CartError, CartResult};
 use crate::exec::{ExecLayouts, CART_TAG_BASE};
-use crate::ops::{resolve, size_temp, Algo};
+use crate::ops::{resolve, size_temp, Algo, Shape};
 use crate::plan::{Plan, PlanKind, Schedule};
-use crate::plan_store::{schedule_key, store_key, PlanStore};
+use crate::plan_store::{schedule_key, store_key, KeyStem, PlanStore};
 use crate::schedule::{
     allgather_plan, allreduce_plan, alltoall_plan, reduce_scatter_plan, trivial_plan,
 };
@@ -253,43 +252,34 @@ impl CartComm {
     }
 
     /// What every collective and persistent handle executes: the plan
-    /// `algo` resolves to for `kind` over `lay` (see [`resolve`]) and this
-    /// rank's compiled program for it.
+    /// `algo` resolves to for `kind` over `shape` (see [`resolve`]) and
+    /// this rank's view of the program compiled for it.
     pub(crate) fn program(
         &self,
         kind: PlanKind,
-        lay: &ExecLayouts,
+        shape: Shape,
         algo: Algo,
-    ) -> CartResult<(Arc<Plan>, Arc<CompiledPlan>)> {
-        let (plan, lay) = resolve(&self.topo, &self.nb, kind, lay, algo, |id| {
+    ) -> CartResult<(Arc<Plan>, CompiledPlan)> {
+        let plan = resolve(&self.topo, &self.nb, kind, &shape, algo, |id| {
             self.schedule_for(id)
         })?;
-        let cp = self.compiled_for(&plan, lay)?;
+        let cp = self.compiled_for(&plan, kind, shape)?;
         Ok((plan, cp))
     }
 
-    /// Store-or-compile: the shared [`lookup_attributed`], with the
-    /// per-communicator hit/miss counters on top.
-    fn compiled_for(
-        &self,
-        plan: &Plan,
-        lay: Cow<'_, ExecLayouts>,
-    ) -> CartResult<Arc<CompiledPlan>> {
+    /// Store-or-compile: the shared [`Lookup`], with the per-communicator
+    /// hit/miss counters on top, resolved for this rank.
+    fn compiled_for(&self, plan: &Plan, kind: PlanKind, shape: Shape) -> CartResult<CompiledPlan> {
         let rank = self.rank();
-        let id = (plan.kind, plan.schedule);
-        let key = store_key(&self.topo, &self.nb, rank, id, &lay);
-        let (cp, hit) = lookup_attributed(&self.store, key, rank, self.comm.obs(), || {
-            let lay = size_temp(lay.into_owned(), plan.kind, plan.temp_slots)?;
-            let cp = CompiledPlan::compile(&self.topo, rank, plan, &lay, CART_TAG_BASE)?;
-            Ok(Arc::new(cp))
-        })?;
+        let lookup = Lookup::new(&self.store, &self.topo, &self.nb, plan, kind, shape);
+        let (program, hit) = lookup.program(rank, self.comm.obs())?;
         let count = if hit {
             &self.cache_hits
         } else {
             &self.cache_misses
         };
         count.set(count.get() + 1);
-        Ok(cp)
+        CompiledPlan::resolve(program, &self.topo, rank)
     }
 
     /// True if every dimension the neighborhood moves in is periodic —
@@ -332,28 +322,69 @@ impl Schedules {
     }
 }
 
-/// Look `rank`'s program up in `store` under `key` (its full identity,
-/// see [`store_key`]), compiling on a miss, and attribute the lookup to
-/// `obs` as a plan-cache hit or miss — counter and trace event. The store
-/// shares programs process-wide; this is what keeps the accounting per
-/// rank. Returns the program and whether it was a hit.
-pub(crate) fn lookup_attributed(
-    store: &PlanStore,
-    key: u128,
-    rank: usize,
-    obs: &Obs,
-    compile: impl FnOnce() -> CartResult<Arc<CompiledPlan>>,
-) -> CartResult<(Arc<CompiledPlan>, bool)> {
-    let (cp, hit) = store.get_or_compile(key, compile)?;
-    let fingerprint = key as u64;
-    if hit {
-        obs.metrics().plan_cache_hit();
-        obs.emit(rank, TraceEvent::PlanCacheHit { fingerprint });
-    } else {
-        obs.metrics().plan_cache_miss();
-        obs.emit(rank, TraceEvent::PlanCacheMiss { fingerprint });
+/// The one place a program comes from: `plan`, run as a `kind` collective
+/// over `shape` on `topo`, looked up in `store` under its identity (hashed
+/// here, once) and compiled by whichever requester misses — over layouts
+/// made (temp-sized; a description flattened) only then.
+pub(crate) struct Lookup<'a> {
+    store: &'a PlanStore,
+    topo: &'a CartTopology,
+    nb: &'a RelNeighborhood,
+    plan: &'a Plan,
+    kind: PlanKind,
+    shape: Shape<'a>,
+    stem: KeyStem,
+}
+
+impl<'a> Lookup<'a> {
+    pub(crate) fn new(
+        store: &'a PlanStore,
+        topo: &'a CartTopology,
+        nb: &'a RelNeighborhood,
+        plan: &'a Plan,
+        kind: PlanKind,
+        shape: Shape<'a>,
+    ) -> Self {
+        let id = (plan.kind, plan.schedule);
+        Lookup {
+            stem: KeyStem::new(topo, nb, id, shape.fingerprint(kind)),
+            store,
+            topo,
+            nb,
+            plan,
+            kind,
+            shape,
+        }
     }
-    Ok((cp, hit))
+
+    /// Whether every rank has a program of its own (a mesh) or all ranks
+    /// share one (a torus).
+    pub(crate) fn per_rank(&self) -> bool {
+        self.stem.per_rank
+    }
+
+    /// The program `rank` runs and whether the store had it. The lookup is
+    /// attributed to `obs` as a plan-cache hit or miss, counter and trace
+    /// event: the store shares programs process-wide, this keeps the
+    /// accounting with the requester.
+    pub(crate) fn program(&self, rank: usize, obs: &Obs) -> CartResult<(Arc<Program>, bool)> {
+        let (plan, key) = (self.plan, self.stem.key(rank));
+        let (program, hit) = self.store.get_or_compile(key, || {
+            let lay = self.shape.layouts(self.kind, plan.kind, self.nb.len())?;
+            let lay = size_temp(lay.into_owned(), plan.kind, plan.temp_slots)?;
+            let program = Program::compile(self.topo, rank, plan, &lay, CART_TAG_BASE)?;
+            Ok(Arc::new(program))
+        })?;
+        let fingerprint = key as u64;
+        if hit {
+            obs.metrics().plan_cache_hit();
+            obs.emit(rank, TraceEvent::PlanCacheHit { fingerprint });
+        } else {
+            obs.metrics().plan_cache_miss();
+            obs.emit(rank, TraceEvent::PlanCacheMiss { fingerprint });
+        }
+        Ok((program, hit))
+    }
 }
 
 /// Compiled-plan cache telemetry, in absolute counts since communicator
@@ -391,28 +422,23 @@ impl Plans<'_> {
         self.cc.schedule_for((kind, Schedule::Combining))
     }
 
-    /// The compiled message-combining program for `kind` over `lay`, from
-    /// the communicator's [`PlanStore`]. On a store miss the schedule is
-    /// (re)used, temp-sized, compiled for this rank, and inserted; on a
-    /// hit — including a program another communicator compiled — the call
-    /// pays neither schedule construction nor compilation. Hits and
-    /// misses are attributed to this communicator via
-    /// [`Plans::cache_stats`] and as `PlanCacheHit`/`PlanCacheMiss` trace
-    /// events on the rank's [`cartcomm_comm::obs::Obs`] handle.
-    pub fn compiled(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<Arc<CompiledPlan>> {
-        self.cc.compiled_for(&self.schedule(kind), Cow::Owned(lay))
-    }
-
-    /// The layout-shape fingerprint of `lay` for `kind` — one component of
-    /// the full store key (see [`Plans::store_key`]), and stable across
-    /// topologies and ranks.
-    pub fn fingerprint(&self, kind: PlanKind, lay: &ExecLayouts) -> u128 {
-        lay.fingerprint(kind)
+    /// This rank's view of the compiled message-combining program for
+    /// `kind` over `lay`, from the communicator's [`PlanStore`]. On a store
+    /// miss the schedule is (re)used, temp-sized, compiled, and inserted;
+    /// on a hit — including a program another rank or another communicator
+    /// compiled — the call pays neither schedule construction nor
+    /// compilation, only the O(rounds) peer table. Hits and misses are
+    /// attributed to this communicator via [`Plans::cache_stats`] and as
+    /// `PlanCacheHit`/`PlanCacheMiss` trace events on the rank's
+    /// [`cartcomm_comm::obs::Obs`] handle.
+    pub fn compiled(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<CompiledPlan> {
+        self.cc
+            .compiled_for(&self.schedule(kind), kind, Shape::Layouts(&lay))
     }
 
     /// The full [`PlanStore`] key [`Plans::compiled`] resolves for `kind`
-    /// over `lay`: topology (dims, periods, permutation) + rank +
-    /// neighborhood + schedule + layout fingerprint.
+    /// over `lay`: topology (dims, periods, permutation) + neighborhood +
+    /// schedule + layout fingerprint — and the rank, on a mesh.
     pub fn store_key(&self, kind: PlanKind, lay: &ExecLayouts) -> u128 {
         let id = (kind, Schedule::Combining);
         store_key(&self.cc.topo, &self.cc.nb, self.cc.rank(), id, lay)

@@ -1,13 +1,17 @@
-//! Schedule compilation: rank-resolved executable programs.
+//! Schedule compilation: executable programs and the ranks' views of them.
 //!
 //! A [`Plan`](crate::plan::Plan) is rank-independent and symbolic. A
-//! [`CompiledPlan`] resolves it **once** for a concrete
-//! `(rank, topology, layouts)` triple — what the paper's persistent `_init`
-//! operations (Listing 3) exist for — and is the only form a schedule is
-//! executed in:
+//! [`Program`] resolves it **once** for concrete `(topology, layouts)` —
+//! what the paper's persistent `_init` operations (Listing 3) exist for —
+//! and, like the plan, is the same for every process of an isomorphic
+//! neighborhood on a torus (Prop 3.1): one `Arc<Program>` serves all ranks.
+//! A [`CompiledPlan`] is one rank's view of it, the program plus that
+//! rank's peer table, and the only form a schedule is executed in:
 //!
-//! * every round's peer pair `(target, source)` and tag, via the relative
-//!   shift of Listing 2 — no `rank_of_offset` at execute time;
+//! * per rank, every round's peer pair `(target, source)` and receive
+//!   slot, via the relative shift of Listing 2 — a few words per round, no
+//!   `rank_of_offset` at execute time;
+//! * every round's tag;
 //! * every gather/scatter flattened into a *span program*: a short list of
 //!   `(offset, len)` memcpy ranges derived from the committed
 //!   [`FlatType`](cartcomm_types::FlatType)s, with adjacent ranges coalesced
@@ -20,7 +24,8 @@
 //! * on a non-periodic mesh, the boundary: a round's send half and receive
 //!   half exist separately, each carrying only the blocks whose whole path
 //!   lies inside the mesh (see `Boundary`), so a boundary rank simply
-//!   gets a shorter program.
+//!   gets a shorter program — there, and only there, a program is one
+//!   rank's own.
 //!
 //! [`execute_compiled`] then runs the phases with **zero heap allocation,
 //! zero coordinate math, and zero datatype traversal** in steady state: wire
@@ -77,7 +82,7 @@ struct SpanBatch {
 /// shared, coalesced `(offset, len)` slab. The slab keeps every span of
 /// the program contiguous in memory, so executing — and fingerprinting —
 /// walks cache-linear with zero per-round allocation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct SpanProgram {
     batches: Vec<SpanBatch>,
     spans: Vec<PackSpan>,
@@ -134,7 +139,7 @@ impl SpanProgram {
 
 /// A local block movement compiled to `(src_offset, dst_offset, len)`
 /// memcpy triples between one source and one destination buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CompiledCopy {
     src: BufId,
     dst: BufId,
@@ -151,11 +156,11 @@ struct CompiledCopy {
     acc: bool,
 }
 
-/// One side of a round: the peer, the exact bytes on the wire, and the
-/// span program packing (send side) or unpacking (receive side) them.
-#[derive(Debug, Clone)]
+/// One side of a round: the exact bytes on the wire and the span program
+/// packing (send side) or unpacking (receive side) them. Who is at the
+/// other end is the rank's business (see [`CompiledPlan`]).
+#[derive(Debug)]
 struct Half {
-    peer: usize,
     wire_len: usize,
     prog: SpanProgram,
 }
@@ -173,7 +178,7 @@ impl Half {
 /// One fully resolved communication round. On a torus both halves exist
 /// and move the same bytes; at a mesh boundary either may be missing, and
 /// they carry what is live on their own side.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CompiledRound {
     /// Tag of this round (`tag_base + global round index`).
     tag: Tag,
@@ -183,28 +188,30 @@ struct CompiledRound {
     recv: Option<Half>,
 }
 
-/// A half's peer as trace events and fingerprints name it: `usize::MAX`
-/// where a mesh boundary cuts the half off.
-fn peer_id(half: &Option<Half>) -> usize {
-    half.as_ref().map_or(usize::MAX, |h| h.peer)
-}
+/// The peer of a half a mesh boundary cuts off, as peer tables, trace
+/// events and fingerprints name it.
+const NO_PEER: usize = usize::MAX;
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct CompiledPhase {
     copies: Vec<CompiledCopy>,
     rounds: Vec<CompiledRound>,
-    /// Receive slots of the phase: one per round with a receive half, in
-    /// round order (source rank and tag resolved at compile time).
-    specs: Vec<RecvSpec>,
+    /// Rounds with a receive half: the phase's receive slots.
+    recvs: usize,
 }
 
-/// A schedule compiled for one rank: peers, tags, wire sizes, and span
-/// programs all resolved ahead of execution — the executable object behind
-/// the paper's persistent collectives and the communicator's plan cache.
-#[derive(Debug, Clone)]
-pub struct CompiledPlan {
+/// A schedule compiled over concrete layouts: tags, wire sizes, span
+/// programs, copies and temp layout all resolved ahead of execution — the
+/// object the plan store shares. On a torus it is the same for every rank.
+#[derive(Debug)]
+pub struct Program {
     kind: PlanKind,
     phases: Vec<CompiledPhase>,
+    /// Every round's relative offset, in execution order: what a rank's
+    /// peers are resolved from.
+    offsets: Vec<Offset>,
+    /// The rank whose mesh boundary shaped this program; `None` on a torus.
+    bound_to: Option<usize>,
     temp_len: usize,
     /// Minimum send-buffer length any span touches.
     send_min_len: usize,
@@ -214,8 +221,31 @@ pub struct CompiledPlan {
     max_copy_bytes: usize,
     max_phase_rounds: usize,
     /// In-place execution must read its sends from a snapshot of the
-    /// buffer (see [`CompiledPlan::reads_send_after_recv_write`]).
+    /// buffer (see [`Program::reads_send_after_recv_write`]).
     in_place_snapshot: bool,
+}
+
+/// One rank's view of a [`Program`]: the shared program and the rank's peer
+/// table — the executable object behind the paper's persistent collectives.
+/// Everything but [`CompiledPlan::round_peers`] and
+/// [`CompiledPlan::program_fingerprint`] is the program's and reads through.
+#[derive(Debug, Clone)]
+pub struct CompiledPlan {
+    program: Arc<Program>,
+    /// `(target, source)` of every round, in execution order; [`NO_PEER`]
+    /// for a half the program does not have.
+    peers: Vec<(usize, usize)>,
+    /// The receive slots, phase after phase: one per round with a receive
+    /// half, in round order.
+    specs: Vec<RecvSpec>,
+}
+
+impl std::ops::Deref for CompiledPlan {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
 }
 
 /// Reusable per-handle executor state: the temp buffer, the copy staging
@@ -242,24 +272,29 @@ impl ExecScratch {
     }
 }
 
-impl CompiledPlan {
-    /// Compile `plan` for the calling `rank`. `lay` must carry temp-slot
-    /// sizing (see `ops::size_temp`); `tag_base` is the tag of round 0.
-    /// Where a round's offset crosses a non-periodic dimension, a plan
-    /// whose blocks travel independent paths compiles to the halves and
-    /// blocks that are live at this rank (see `Boundary`); a tree-routed
-    /// one fails with [`CartError::CombiningNeedsTorus`]. Layout errors
-    /// (negative resolved displacements) propagate as type errors.
+impl Program {
+    /// Compile `plan` over `lay`. `lay` must carry temp-slot sizing (see
+    /// `ops::size_temp`); `tag_base` is the tag of round 0. `rank` matters
+    /// only where a round's offset crosses a non-periodic dimension: there
+    /// a plan whose blocks travel independent paths compiles to the halves
+    /// and blocks that are live at `rank` (see `Boundary`) and the program
+    /// is that rank's alone, and a tree-routed one fails with
+    /// [`CartError::CombiningNeedsTorus`]. Everywhere else the program is
+    /// every rank's. Layout errors (negative resolved displacements)
+    /// propagate as type errors.
     pub fn compile(
         topo: &CartTopology,
         rank: usize,
         plan: &Plan,
         lay: &ExecLayouts,
         tag_base: Tag,
-    ) -> CartResult<CompiledPlan> {
-        let mut cp = CompiledPlan {
+    ) -> CartResult<Program> {
+        let mut boundary = Boundary::of(topo, rank, plan)?;
+        let mut cp = Program {
             kind: plan.kind,
             phases: Vec::with_capacity(plan.phases.len()),
+            offsets: Vec::with_capacity(plan.rounds),
+            bound_to: boundary.as_ref().map(|_| rank),
             temp_len: lay.temp_len(),
             send_min_len: 0,
             recv_min_len: 0,
@@ -268,11 +303,7 @@ impl CompiledPlan {
             max_phase_rounds: 0,
             in_place_snapshot: false,
         };
-        let mut boundary = Boundary::of(topo, rank, plan)?;
         let mut round_idx = 0usize;
-        // One negated-offset buffer serves every source lookup of the
-        // compilation (the executor performs none at all).
-        let mut neg: Vec<i64> = Vec::with_capacity(topo.ndims());
         // First-touch write tracking for the reduction kinds: the first
         // write to a block slot (walked in execution order — copies in list
         // order, then each round's receives in wire order) assigns, every
@@ -299,15 +330,11 @@ impl CompiledPlan {
                 cphase.copies.push(cc);
             }
             for round in &phase.rounds {
-                let target = topo.rank_of_offset(rank, &round.offset)?;
-                neg.clear();
-                neg.extend(round.offset.iter().map(|&c| -c));
-                let source = topo.rank_of_offset(rank, &neg)?;
                 let tag = tag_base + round_idx as Tag;
 
                 let mut gather = SpanProgram::default();
                 let mut scatter = SpanProgram::default();
-                // Blocks this rank sends / receives in the round.
+                // Blocks a rank sends / receives in the round.
                 let (mut departing, mut arriving) = (0usize, 0usize);
                 for j in 0..round.block_ids.len() {
                     let (mut from, mut to) = (round.sends[j], round.recvs[j]);
@@ -345,21 +372,17 @@ impl CompiledPlan {
                         );
                     }
                 }
-                // A live block's whole path lies inside the mesh, so a half
-                // with a block to move has its peer.
-                let half = |blocks: usize, peer: Option<usize>, prog: SpanProgram| {
+                let half = |blocks: usize, prog: SpanProgram| {
                     (blocks > 0).then(|| Half {
-                        peer: peer.expect("a live block's next hop exists"),
                         wire_len: prog.bytes(),
                         prog,
                     })
                 };
-                let send = half(departing, target, gather);
-                let recv = half(arriving, source, scatter);
-                if let Some(h) = &recv {
-                    cphase.specs.push(RecvSpec::from_rank(h.peer, tag));
-                }
+                let send = half(departing, gather);
+                let recv = half(arriving, scatter);
+                cphase.recvs += recv.is_some() as usize;
                 cphase.rounds.push(CompiledRound { tag, send, recv });
+                cp.offsets.push(round.offset.clone());
                 round_idx += 1;
             }
             cp.rounds += cphase.rounds.len();
@@ -529,24 +552,13 @@ impl CompiledPlan {
         self.recv_min_len
     }
 
-    /// Exact wire size of every message this rank sends, in execution
+    /// Exact wire size of every message a rank sends, in execution
     /// order — the capacities to pre-warm a wire pool with.
     pub fn wire_capacities(&self) -> Vec<usize> {
         self.phases
             .iter()
             .flat_map(|p| &p.rounds)
             .filter_map(|r| r.send.as_ref().map(|h| h.wire_len))
-            .collect()
-    }
-
-    /// Resolved `(target, source)` rank pair per round, in execution
-    /// order; `None` for a half a mesh boundary cuts off.
-    pub fn round_peers(&self) -> Vec<(Option<usize>, Option<usize>)> {
-        let peer = |h: &Option<Half>| h.as_ref().map(|h| h.peer);
-        self.phases
-            .iter()
-            .flat_map(|p| &p.rounds)
-            .map(|r| (peer(&r.send), peer(&r.recv)))
             .collect()
     }
 
@@ -572,6 +584,82 @@ impl CompiledPlan {
                 .map(|c| c.ops.len())
                 .sum::<usize>()
     }
+}
+
+impl CompiledPlan {
+    /// `rank`'s view of `program` on `topo`: resolve every round's
+    /// `(target, source)` by the relative shift of Listing 2 — O(rounds).
+    /// Fails if `program` was compiled at another rank's mesh boundary, or
+    /// for a torus where `topo` is not one.
+    pub fn resolve(
+        program: Arc<Program>,
+        topo: &CartTopology,
+        rank: usize,
+    ) -> CartResult<CompiledPlan> {
+        if program.bound_to.is_some_and(|r| r != rank) {
+            return Err(CartError::Type(TypeError::InvalidArgument(format!(
+                "program compiled at the mesh boundary of rank {:?} resolved for rank {rank}",
+                program.bound_to
+            ))));
+        }
+        let mut peers = Vec::with_capacity(program.rounds);
+        let mut specs = Vec::with_capacity(program.rounds);
+        let mut neg: Vec<i64> = Vec::with_capacity(topo.ndims());
+        // A live block's whole path lies inside the mesh, so on the
+        // topology it was compiled for a half with a block to move has its
+        // peer.
+        let peer = |half: &Option<Half>, offset: &[i64]| match half {
+            None => Ok(NO_PEER),
+            Some(_) => topo
+                .rank_of_offset(rank, offset)?
+                .ok_or_else(|| nonperiodic_dim(topo, offset)),
+        };
+        let rounds = program.phases.iter().flat_map(|p| &p.rounds);
+        for (r, offset) in rounds.zip(&program.offsets) {
+            neg.clear();
+            neg.extend(offset.iter().map(|&c| -c));
+            let pair = (peer(&r.send, offset)?, peer(&r.recv, &neg)?);
+            if r.recv.is_some() {
+                specs.push(RecvSpec::from_rank(pair.1, r.tag));
+            }
+            peers.push(pair);
+        }
+        Ok(CompiledPlan {
+            program,
+            peers,
+            specs,
+        })
+    }
+
+    /// Compile `plan` over `lay` ([`Program::compile`]) and resolve `rank`'s
+    /// view of it: the one-shot form, for a caller with no store to share
+    /// the program through.
+    pub fn compile(
+        topo: &CartTopology,
+        rank: usize,
+        plan: &Plan,
+        lay: &ExecLayouts,
+        tag_base: Tag,
+    ) -> CartResult<CompiledPlan> {
+        let program = Program::compile(topo, rank, plan, lay, tag_base)?;
+        Self::resolve(Arc::new(program), topo, rank)
+    }
+
+    /// The program this view executes: one object for every rank of a
+    /// torus.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
+    /// Resolved `(target, source)` rank pair per round, in execution
+    /// order; `None` for a half a mesh boundary cuts off.
+    pub fn round_peers(&self) -> Vec<(Option<usize>, Option<usize>)> {
+        let peer = |p: usize| (p != NO_PEER).then_some(p);
+        self.peers
+            .iter()
+            .map(|&(t, s)| (peer(t), peer(s)))
+            .collect()
+    }
 
     /// A stable structural fingerprint of the fully compiled program: every
     /// round's peer/tag/wire size and the *logical* `(buffer, offset, len)`
@@ -581,6 +669,7 @@ impl CompiledPlan {
     /// exactly the same bytes in the same order; golden values pin the
     /// schedule representation against refactors.
     pub fn program_fingerprint(&self) -> u64 {
+        let mut peers = self.peers.iter();
         let mut h = Fnv::new();
         h.u64(match self.kind {
             PlanKind::Alltoall => 1,
@@ -616,9 +705,10 @@ impl CompiledPlan {
                 // as it always did (its two halves share one wire length,
                 // and the scatter spans determine the receive side's in
                 // any case).
+                let &(target, source) = peers.next().expect("one peer pair per round");
                 h.u64(0xF0);
-                h.u64(peer_id(&r.send) as u64);
-                h.u64(peer_id(&r.recv) as u64);
+                h.u64(target as u64);
+                h.u64(source as u64);
                 h.u64(r.tag as u64);
                 h.u64(r.send.as_ref().map_or(0, |s| s.wire_len) as u64);
                 // Batches expand back to the per-span (buffer, offset,
@@ -1092,13 +1182,13 @@ impl RankExec<'_> {
 
     /// Pack half of one round: gather the outgoing message `out` onto the
     /// end of `wire` and account for it. `round` is the global round
-    /// index, `inc` the round's receive half.
+    /// index, `(to, from)` the rank's peers in it.
     fn pack(
         &self,
         k: usize,
         round: usize,
         out: &Half,
-        inc: &Option<Half>,
+        (to, from): (usize, usize),
         wire: &mut Vec<u8>,
         traced: bool,
     ) {
@@ -1118,8 +1208,8 @@ impl RankExec<'_> {
                 TraceEvent::RoundStart {
                     phase: k,
                     round,
-                    to: out.peer,
-                    from: peer_id(inc),
+                    to,
+                    from,
                     wire_bytes: out.wire_len,
                     attempt: 0,
                 },
@@ -1136,14 +1226,14 @@ impl RankExec<'_> {
     }
 
     /// Unpack half of one round: scatter (or fold) the message `from`
-    /// packed for this rank into the receive and temp buffers. `out` is
-    /// the round's send half.
+    /// packed for this rank into the receive and temp buffers. `(to, from)`
+    /// are the rank's peers in the round.
     fn unpack(
         &mut self,
         k: usize,
         round: usize,
         inc: &Half,
-        out: &Option<Half>,
+        (to, from): (usize, usize),
         wire: &[u8],
         traced: bool,
     ) -> CartResult<()> {
@@ -1162,8 +1252,8 @@ impl RankExec<'_> {
                 TraceEvent::RoundEnd {
                     phase: k,
                     round,
-                    to: peer_id(out),
-                    from: inc.peer,
+                    to,
+                    from,
                     wire_bytes: inc.wire_len,
                     attempt: 0,
                 },
@@ -1212,33 +1302,35 @@ fn execute_core(
         rank: comm.rank(),
         red,
     };
-    let mut round_base = 0usize;
+    let (mut round_base, mut spec_base) = (0usize, 0usize);
     for (k, phase) in cp.phases.iter().enumerate() {
         ex.copies(phase);
         if phase.rounds.is_empty() {
             continue;
         }
+        let peers = &cp.peers[round_base..round_base + phase.rounds.len()];
+        let specs = &cp.specs[spec_base..spec_base + phase.recvs];
         // With tracing disabled (the common case), the per-phase cost of
         // observability is the counter increments in the two halves plus
         // one relaxed load per emit site — no clock reads, no event
         // construction.
         let traced = obs.enabled();
         let t0 = if traced { obs.now_ns() } else { 0 };
-        for (i, r) in phase.rounds.iter().enumerate() {
+        for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
             if let Some(out) = &r.send {
                 let mut wire = comm.wire_buf(out.wire_len);
-                ex.pack(k, round_base + i, out, &r.recv, &mut wire, traced);
-                batch.send(out.peer, r.tag, wire);
+                ex.pack(k, round_base + i, out, pair, &mut wire, traced);
+                batch.send(pair.0, r.tag, wire);
             }
         }
-        comm.exchange(batch, &phase.specs)?;
+        comm.exchange(batch, specs)?;
         let mut slot = 0;
-        for (i, r) in phase.rounds.iter().enumerate() {
+        for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
             let Some(inc) = &r.recv else { continue };
-            // The slot's spec names `inc.peer`, so that is who it is from.
+            // The slot's spec names `pair.1`, so that is who it is from.
             let (wire, _) = batch.take_result(slot).expect("exchange fills every slot");
             slot += 1;
-            ex.unpack(k, round_base + i, inc, &r.send, &wire, traced)?;
+            ex.unpack(k, round_base + i, inc, pair, &wire, traced)?;
             // `wire` drops here and recycles into this rank's pool.
         }
         if traced {
@@ -1248,6 +1340,7 @@ fn execute_core(
                 .record_round_ns(obs.now_ns().saturating_sub(t0));
         }
         round_base += phase.rounds.len();
+        spec_base += phase.recvs;
     }
     Ok(())
 }
@@ -1310,9 +1403,10 @@ impl Ranks<'_> {
 /// half checks the length), not assumed.
 ///
 /// `send` and `recv` hold the `p` ranks' buffers back to back in equal
-/// strides. `plans[r]` and `obs[r]` belong to rank `r`.
+/// strides. `plans[r]` and `obs[r]` belong to rank `r`; on a torus the
+/// `p` views share one program, stepped `p` times per phase.
 pub(crate) fn execute_inline(
-    plans: &[Arc<CompiledPlan>],
+    plans: &[CompiledPlan],
     obs: &[Arc<Obs>],
     send: &[u8],
     recv: &mut [u8],
@@ -1386,11 +1480,12 @@ pub(crate) fn execute_inline(
                 t0[rank] = obs.now_ns();
             }
             obs.metrics().exchange_started();
-            for (i, r) in phase.rounds.iter().enumerate() {
+            let peers = &cp.peers[round_base..round_base + nr];
+            for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
                 // A round without a send half takes no room in the slab.
                 offs.push(slab.len());
                 if let Some(out) = &r.send {
-                    ex.pack(k, round_base + i, out, &r.recv, slab, traced);
+                    ex.pack(k, round_base + i, out, pair, slab, traced);
                     obs.metrics().add_wire_sent(out.wire_len);
                 }
             }
@@ -1403,15 +1498,16 @@ pub(crate) fn execute_inline(
             let mut ex = ranks.exec(rank);
             let obs = ex.obs;
             let traced = obs.enabled();
-            for (i, r) in phase.rounds.iter().enumerate() {
+            let peers = &cp.peers[round_base..round_base + nr];
+            for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
                 let Some(inc) = &r.recv else { continue };
-                let src = inc.peer;
+                let src = pair.1;
                 let sent = plans
                     .get(src)
-                    .map(|cp| &cp.phases[k].rounds[i])
+                    .filter(|theirs| theirs.peers[round_base + i].0 == rank)
+                    .map(|theirs| &theirs.phases[k].rounds[i])
                     .filter(|theirs| theirs.tag == r.tag)
                     .and_then(|theirs| theirs.send.as_ref())
-                    .filter(|sent| sent.peer == rank)
                     .ok_or_else(|| unpaired("a round's source does not send to its receiver"))?;
                 let at = offs[src * nr + i];
                 let wire = &slab[at..at + sent.wire_len];
@@ -1422,7 +1518,7 @@ pub(crate) fn execute_inline(
                     bytes: wire.len(),
                     slot: i,
                 });
-                ex.unpack(k, round_base + i, inc, &r.send, wire, traced)?;
+                ex.unpack(k, round_base + i, inc, pair, wire, traced)?;
             }
             if traced {
                 obs.metrics()

@@ -6,8 +6,10 @@
 //! buffers (built once per operation, or once per `_init` handle).
 //!
 //! Execution itself lives in [`crate::compile`]: layouts + plan compile
-//! into a rank-resolved [`CompiledPlan`](crate::compile::CompiledPlan)
-//! whose span programs move bytes with plain memcpys. [`execute_plan`] and
+//! into a [`Program`](crate::compile::Program) whose span programs move
+//! bytes with plain memcpys, run through a rank's
+//! [`CompiledPlan`](crate::compile::CompiledPlan) — the program and the
+//! rank's peers. [`execute_plan`] and
 //! [`execute_plan_in_place`] are convenience wrappers that compile and run
 //! in one shot; hot paths (persistent handles, the communicator's plan
 //! cache) compile once and call

@@ -1,24 +1,27 @@
 //! The inline universe: every rank of a Cartesian communicator executed
 //! by the calling thread.
 //!
-//! Every process of an isomorphic neighborhood runs the same round
-//! sequence, and a [`CompiledPlan`] is rank-resolved data, so a collective
-//! over `p` ranks inside one address space needs no rank threads: the
-//! caller steps the `p` compiled programs phase by phase — all ranks pack,
-//! then all ranks unpack — through the same executor halves the threaded
-//! carrier uses (see [`crate::compile`]). Nothing is sent, matched, locked
-//! or woken; the wires of a phase sit side by side in one reusable slab.
+//! Every process of an isomorphic neighborhood runs the same program, and
+//! a [`CompiledPlan`] is that program plus one rank's peer table, so a
+//! collective over `p` ranks inside one address space needs no rank
+//! threads: the caller steps the program at `p` ranks phase by phase — all
+//! ranks pack, then all ranks unpack — through the same executor halves
+//! the threaded carrier uses (see [`crate::compile`]). Nothing is sent,
+//! matched, locked or woken; the wires of a phase sit side by side in one
+//! reusable slab.
 //!
 //! An [`InlineUniverse`] is the resident state for that: the topology and
-//! neighborhood, one [`Obs`] per rank (so per-rank round, volume, pack and
-//! plan-cache counts — and attached trace sinks — read exactly as they do
-//! on rank threads), per-rank temp buffers and the slab. Programs come
-//! from the shared [`PlanStore`] under the same keys [`CartComm`] resolves,
-//! so inline and threaded executions of one shape share compiled bytes.
+//! neighborhood, one [`Obs`] per rank (so per-rank round, volume and pack
+//! counts — and attached trace sinks — read exactly as they do on rank
+//! threads), the ranks' peer tables, per-rank temp buffers and the slab.
+//! The program comes from the shared [`PlanStore`] under the key
+//! [`CartComm`] resolves, so inline and threaded executions of one shape
+//! share compiled bytes: one lookup per job on a torus, billed to rank 0;
+//! one per rank on a mesh, where boundary ranks run programs of their own.
 //!
 //! Everything a [`CartComm`] runs, runs here: both algorithms, tori and
 //! meshes. [`InlineUniverse::run`] resolves its [`Algo`] by the same rules
-//! and executes the same per-rank programs.
+//! and executes the same programs.
 //!
 //! [`CartComm`]: crate::CartComm
 
@@ -28,13 +31,13 @@ use cartcomm_comm::obs::Obs;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::Reducer;
 
-use crate::cartcomm::{lookup_attributed, Schedules};
+use crate::cartcomm::{Lookup, Schedules};
 use crate::compile::{execute_inline, CompiledPlan, InlineScratch};
 use crate::error::{CartError, CartResult};
-use crate::exec::{ExecLayouts, CART_TAG_BASE};
-use crate::ops::{check_layout_shape, resolve, size_temp, Algo};
+use crate::exec::ExecLayouts;
+use crate::ops::{check_layout_shape, resolve, Algo, Shape};
 use crate::plan::{Plan, PlanKind};
-use crate::plan_store::{KeyStem, PlanStore};
+use crate::plan_store::PlanStore;
 
 /// All `p` ranks of a Cartesian neighborhood communicator, executed on
 /// the calling thread. See the [module docs](self).
@@ -44,8 +47,9 @@ pub struct InlineUniverse {
     store: Arc<PlanStore>,
     obs: Vec<Arc<Obs>>,
     schedules: Schedules,
-    /// The current run's per-rank programs (kept for its capacity).
-    plans: Vec<Arc<CompiledPlan>>,
+    /// The ranks' views of the program that ran last, kept for as long as
+    /// the next job resolves the same program.
+    plans: Vec<CompiledPlan>,
     scratch: InlineScratch,
 }
 
@@ -98,8 +102,9 @@ impl InlineUniverse {
     }
 
     /// Rank `rank`'s observability handle: its metrics registry counts
-    /// that rank's rounds, wire bytes, pack spans and plan-cache lookups,
-    /// and a sink attached here sees that rank's trace events.
+    /// that rank's rounds, wire bytes and pack spans (and the plan-cache
+    /// lookups billed to it), and a sink attached here sees that rank's
+    /// trace events.
     pub fn obs(&self, rank: usize) -> &Arc<Obs> {
         &self.obs[rank]
     }
@@ -114,9 +119,9 @@ impl InlineUniverse {
     /// Reductions take their [`Reducer`] in `red`; the copying collectives
     /// take `None`.
     ///
-    /// Each rank's program comes from the plan store under the key
-    /// [`CartComm`](crate::CartComm) would use, and the lookup is
-    /// attributed to that rank's [`Obs`].
+    /// The program comes from the plan store under the key
+    /// [`CartComm`](crate::CartComm) would use: looked up once and billed
+    /// to rank 0's [`Obs`] on a torus, once per rank on a mesh.
     pub fn run(
         &mut self,
         kind: PlanKind,
@@ -141,26 +146,24 @@ impl InlineUniverse {
             red.check_len(recv.len() / p)?;
         }
 
-        let (plan, lay) = resolve(&self.topo, &self.nb, kind, lay, algo, |id| {
+        let shape = Shape::Layouts(lay);
+        let plan = resolve(&self.topo, &self.nb, kind, &shape, algo, |id| {
             self.schedules.get(&self.store, &self.nb, id)
         })?;
-        let id = (plan.kind, plan.schedule);
-        let stem = KeyStem::new(&self.topo, &self.nb, id, lay.fingerprint(plan.kind));
-        // Temp-sized layouts, made (once) only if some rank's lookup misses.
-        let mut sized: Option<ExecLayouts> = None;
-        self.plans.clear();
+        let lookup = Lookup::new(&self.store, &self.topo, &self.nb, &plan, kind, shape);
+        let mut program = lookup.program(0, &self.obs[0])?.0;
         for rank in 0..p {
-            let (cp, _) =
-                lookup_attributed(&self.store, stem.key(rank), rank, &self.obs[rank], || {
-                    if sized.is_none() {
-                        let lay = lay.as_ref().clone();
-                        sized = Some(size_temp(lay, plan.kind, plan.temp_slots)?);
-                    }
-                    let lay = sized.as_ref().expect("just sized");
-                    let cp = CompiledPlan::compile(&self.topo, rank, &plan, lay, CART_TAG_BASE)?;
-                    Ok(Arc::new(cp))
-                })?;
-            self.plans.push(cp);
+            if rank > 0 && lookup.per_rank() {
+                program = lookup.program(rank, &self.obs[rank])?.0;
+            }
+            // The peer tables outlive the job: only a new program has
+            // them derived again.
+            let kept = self.plans.get(rank);
+            if kept.is_none_or(|cp| !Arc::ptr_eq(cp.program(), &program)) {
+                let cp = CompiledPlan::resolve(Arc::clone(&program), &self.topo, rank)?;
+                self.plans.truncate(rank);
+                self.plans.push(cp);
+            }
         }
         execute_inline(&self.plans, &self.obs, send, recv, &mut self.scratch, red)?;
         Ok(plan)
@@ -170,8 +173,8 @@ impl InlineUniverse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::regular_layouts;
     use crate::ops::Algo::{Combining, Trivial};
+    use crate::ops::{regular_layouts, size_temp};
     use crate::plan::Schedule;
     use cartcomm_comm::CommError;
     use cartcomm_types::{Primitive, RedOp, TypeError};
@@ -195,13 +198,21 @@ mod tests {
                 .unwrap();
             // Block 0 arrives from r-1 (its block 0), block 1 from r+1.
             assert_eq!(recv, [30, 11, 0, 21, 10, 31, 20, 1]);
+            // One program for the ring: the universe looks it up once a
+            // job — compiling on the first — and bills rank 0.
+            let lookups: Vec<(u64, u64)> = (0..4)
+                .map(|rank| uni.obs(rank).snapshot())
+                .map(|m| (m.plan_cache_misses, m.plan_cache_hits))
+                .collect();
+            assert_eq!(lookups, [(1, pass), (0, 0), (0, 0), (0, 0)]);
+            assert_eq!(uni.store.stats().misses, 1);
+            let program = uni.plans[0].program();
+            assert!(uni
+                .plans
+                .iter()
+                .all(|cp| Arc::ptr_eq(cp.program(), program)));
             for rank in 0..4 {
                 let m = uni.obs(rank).snapshot();
-                assert_eq!(
-                    (m.plan_cache_misses, m.plan_cache_hits),
-                    (1, pass),
-                    "rank {rank} compiles once, then hits"
-                );
                 assert_eq!(m.rounds_completed, 2 * (pass + 1));
                 assert_eq!(m.wire_bytes_sent, 2 * (pass + 1));
                 assert_eq!(m.wire_bytes_recv, m.wire_bytes_sent);
@@ -354,13 +365,9 @@ mod tests {
         let id = (PlanKind::Alltoall, Schedule::Combining);
         let plan = uni.schedules.get(&uni.store, &uni.nb, id);
         let lay = size_temp(lay, PlanKind::Alltoall, plan.temp_slots).unwrap();
-        let plans: Vec<Arc<CompiledPlan>> = [0, 0, 2, 3]
+        let plans: Vec<CompiledPlan> = [0, 0, 2, 3]
             .iter()
-            .map(|&rank| {
-                Arc::new(
-                    CompiledPlan::compile(&uni.topo, rank, &plan, &lay, CART_TAG_BASE).unwrap(),
-                )
-            })
+            .map(|&rank| CompiledPlan::compile(&uni.topo, rank, &plan, &lay, 0).unwrap())
             .collect();
         let err = execute_inline(
             &plans,

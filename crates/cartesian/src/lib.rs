@@ -21,11 +21,12 @@
 //!   user receive buffer and a temporary buffer (zero-copy execution,
 //!   Listing 5).
 //! * [`compile`] — the compile stage between planning and execution, and
-//!   the only executor: [`CompiledPlan`] resolves a schedule for one rank
-//!   (peers, tags, wire sizes, flattened memcpy span programs, and on a
-//!   mesh what its boundary cuts off) so repeated executes pay no
-//!   coordinate math, datatype traversal, or allocation. Every collective,
-//!   persistent handle and serve job runs these programs.
+//!   the only executor: a [`Program`] resolves a schedule over concrete
+//!   layouts (tags, wire sizes, flattened memcpy span programs, and on a
+//!   mesh what one rank's boundary cuts off) — one for all ranks of a
+//!   torus — and a [`CompiledPlan`] adds one rank's peers, so repeated
+//!   executes pay no coordinate math, datatype traversal, or allocation.
+//!   Every collective, persistent handle and serve job runs these programs.
 //! * [`schedule::alltoall`] — Algorithm 1: the message-combining alltoall
 //!   schedule (`C = Σ C_k` rounds, volume `V = Σ z_i`, Prop. 3.2).
 //! * [`schedule::allgather`] — Algorithm 2: the message-combining allgather
@@ -38,8 +39,8 @@
 //!   trivial (t-round, Listing 4) or the message-combining schedule, plus
 //!   persistent `_init` handles; [`reduce`] adds `Cart_reduce_scatter`
 //!   and `Cart_allreduce`.
-//! * [`inline`] — [`InlineUniverse`]: all `p` ranks' compiled programs
-//!   stepped phase by phase on the calling thread, with no rank threads,
+//! * [`inline`] — [`InlineUniverse`]: the compiled program stepped at all
+//!   `p` ranks, phase by phase, on the calling thread, with no rank threads,
 //!   channels or wake-ups — what a serving process uses to run a whole
 //!   job inside one address space.
 //! * [`neighbor`] — the comparison baseline: direct-delivery neighborhood
@@ -88,7 +89,8 @@ pub mod schedule;
 
 pub use crate::cartcomm::CartComm;
 pub use compile::{
-    execute_compiled, execute_compiled_in_place, execute_compiled_reduce, CompiledPlan, ExecScratch,
+    execute_compiled, execute_compiled_in_place, execute_compiled_reduce, CompiledPlan,
+    ExecScratch, Program,
 };
 pub use cost::{cutoff_ratio, CostSummary};
 pub use error::{CartError, CartResult};

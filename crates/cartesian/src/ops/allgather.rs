@@ -6,7 +6,7 @@ use cartcomm_types::{cast_slice, cast_slice_mut, Pod};
 use crate::cartcomm::CartComm;
 use crate::error::CartResult;
 use crate::exec::ExecLayouts;
-use crate::ops::{v_layouts, w_layouts, Algo, WBlock};
+use crate::ops::{v_layouts, Algo, WBlock};
 use crate::plan::PlanKind;
 
 impl CartComm {
@@ -69,8 +69,9 @@ impl CartComm {
         recvspec: &[WBlock],
         algo: Algo,
     ) -> CartResult<()> {
-        let lay = self.wg_lay(sendblock, recvspec)?;
-        self.run(PlanKind::Allgather, lay, None, send, recv, algo)
+        let sendspec = std::slice::from_ref(sendblock);
+        let shape = self.described(PlanKind::Allgather, sendspec, recvspec)?;
+        self.run_shape(PlanKind::Allgather, shape, None, send, recv, algo)
     }
 
     // ----- layouts --------------------------------------------------------------------
@@ -90,15 +91,6 @@ impl CartComm {
             &[0],
             &recvcounts,
             recvdispls,
-            PlanKind::Allgather,
-        )
-    }
-
-    fn wg_lay(&self, sendblock: &WBlock, recvspec: &[WBlock]) -> CartResult<ExecLayouts> {
-        crate::ops::check_len("recvspec", self.neighbor_count(), recvspec.len())?;
-        w_layouts(
-            std::slice::from_ref(sendblock),
-            recvspec,
             PlanKind::Allgather,
         )
     }

@@ -6,7 +6,7 @@ use cartcomm_types::{cast_slice, cast_slice_mut, Pod};
 use crate::cartcomm::CartComm;
 use crate::error::{CartError, CartResult};
 use crate::exec::ExecLayouts;
-use crate::ops::{check_buffer, regular_layouts, v_layouts, w_layouts, Algo, WBlock};
+use crate::ops::{check_buffer, regular_layouts, v_layouts, Algo, WBlock};
 use crate::plan::PlanKind;
 
 impl CartComm {
@@ -70,8 +70,8 @@ impl CartComm {
         recvspec: &[WBlock],
         algo: Algo,
     ) -> CartResult<()> {
-        let lay = self.w_lay(sendspec, recvspec)?;
-        self.run(PlanKind::Alltoall, lay, None, send, recv, algo)
+        let shape = self.described(PlanKind::Alltoall, sendspec, recvspec)?;
+        self.run_shape(PlanKind::Alltoall, shape, None, send, recv, algo)
     }
 
     // ----- layouts ----------------------------------------------------------------
@@ -149,10 +149,5 @@ impl CartComm {
             recvdispls,
             PlanKind::Alltoall,
         )
-    }
-
-    fn w_lay(&self, sendspec: &[WBlock], recvspec: &[WBlock]) -> CartResult<ExecLayouts> {
-        crate::ops::check_len("recvspec", self.neighbor_count(), recvspec.len())?;
-        w_layouts(sendspec, recvspec, PlanKind::Alltoall)
     }
 }

@@ -15,9 +15,10 @@
 //! [`Algo::Combining`] runs the message-combining schedule of §3,
 //! [`Algo::Trivial`] the t-round Listing-4 algorithm, and [`Algo::Auto`]
 //! picks per the paper's §3.2 cut-off from the machine's α/β ratio.
-//! Whichever it is, it resolves to a [`Plan`], the plan compiles for the
-//! calling rank, and the compiled program runs: there is no other way to
-//! execute a collective.
+//! Whichever it is, it resolves to a [`Plan`], the plan compiles — once
+//! per torus and shape, in the plan store — and the compiled program runs
+//! with the calling rank's peers: there is no other way to execute a
+//! collective.
 //!
 //! The `w` variants take per-neighbor datatypes ([`WBlock`]), eliminating
 //! intermediate buffers for stencil halos (Listing 3); `Cart_allgatherw`
@@ -36,7 +37,7 @@ use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::{Datatype, FlatType, Reducer, TypeError};
 
 use crate::cartcomm::CartComm;
-use crate::compile::{execute_compiled, execute_compiled_reduce, ExecScratch};
+use crate::compile::{execute_compiled, execute_compiled_reduce, ExecScratch, Fnv};
 use crate::error::{CartError, CartResult};
 use crate::exec::{BlockLayout, ExecLayouts};
 use crate::plan::{Plan, PlanKind, Schedule};
@@ -58,11 +59,12 @@ pub enum Algo {
     },
 }
 
-/// Resolve an [`Algo`] against a plan and concrete layouts: `true` iff the
-/// message-combining schedule should run. `Auto` applies the §3.2 cut-off
-/// on the average block size; when `V == t` combining moves no extra data,
-/// so it wins whenever it also saves rounds.
-pub(crate) fn choose_combining(algo: Algo, plan: &Plan, lay: &ExecLayouts) -> bool {
+/// Resolve an [`Algo`] against a plan and the bytes of the `t` neighbor
+/// blocks together: `true` iff the message-combining schedule should run.
+/// `Auto` applies the §3.2 cut-off on the average block size; when
+/// `V == t` combining moves no extra data, so it wins whenever it also
+/// saves rounds.
+pub(crate) fn choose_combining(algo: Algo, plan: &Plan, total_bytes: usize) -> bool {
     match algo {
         Algo::Trivial => false,
         Algo::Combining => true,
@@ -73,7 +75,7 @@ pub(crate) fn choose_combining(algo: Algo, plan: &Plan, lay: &ExecLayouts) -> bo
             let m_avg = if t == 0 {
                 0.0
             } else {
-                lay.block_bytes.iter().sum::<usize>() as f64 / t as f64
+                total_bytes as f64 / t as f64
             };
             match crate::cost::cutoff_ratio(t, c, v) {
                 Some(ratio) => m_avg < alpha_beta_bytes * ratio,
@@ -120,51 +122,121 @@ impl WBlock {
     }
 }
 
-/// What `algo` comes to for a `kind` collective over `lay` on this
-/// topology: the plan to compile and the layouts to compile it over.
-/// `plan` looks a schedule up by identity.
+/// What a collective is called over: one rank's buffer layouts, or — on
+/// the `w` path — the datatype description they are committed from. A
+/// description stays one for as long as it can: it names the program in
+/// the plan store and sizes the blocks for [`Algo::Auto`] as it is, and is
+/// flattened only to compile, by the one requester whose lookup misses.
+pub(crate) enum Shape<'a> {
+    Layouts(&'a ExecLayouts),
+    Described {
+        send: &'a [WBlock],
+        recv: &'a [WBlock],
+    },
+}
+
+impl<'a> Shape<'a> {
+    /// Bytes of the `t` neighbor blocks together.
+    fn total_bytes(&self) -> usize {
+        match self {
+            Shape::Layouts(lay) => lay.block_bytes.iter().sum(),
+            Shape::Described { recv, .. } => recv.iter().map(|w| w.count * w.ty.size()).sum(),
+        }
+    }
+
+    /// What identifies the layouts of a `kind` collective in a store key.
+    /// Layouts hash their spans; a description hashes `(disp, count,
+    /// structure of the datatype tree)` per block under seeds of its own,
+    /// so no description is taken for a span list. Two descriptions of
+    /// one span list get a program each.
+    pub(crate) fn fingerprint(&self, kind: PlanKind) -> u128 {
+        let (send, recv) = match self {
+            Shape::Layouts(lay) => return lay.fingerprint(kind),
+            Shape::Described { send, recv } => (send, recv),
+        };
+        let lane = |seed: u64| {
+            let mut h = Fnv::new();
+            h.u64(seed);
+            h.u64(kind as u64);
+            for blocks in [send, recv] {
+                h.u64(blocks.len() as u64);
+                for w in blocks.iter() {
+                    h.u64(w.disp as u64);
+                    h.u64(w.count as u64);
+                    h.u64(w.ty.structure_hash(seed));
+                }
+            }
+            h.finish()
+        };
+        ((lane(0x8CB9_2BA7_2F3D_8DD7) as u128) << 64) | lane(0xD1B5_4A32_D192_ED03) as u128
+    }
+
+    /// The layouts a `plan_kind` plan compiles over for a `kind` collective
+    /// with `t` neighbors: the shape's own (a description is committed
+    /// here), except that an allgather routed over the alltoall schedule
+    /// sends its one contributed block to every neighbor (see [`resolve`]).
+    pub(crate) fn layouts(
+        &self,
+        kind: PlanKind,
+        plan_kind: PlanKind,
+        t: usize,
+    ) -> CartResult<Cow<'a, ExecLayouts>> {
+        let lay = match *self {
+            Shape::Layouts(lay) => Cow::Borrowed(lay),
+            Shape::Described { send, recv } => Cow::Owned(w_layouts(send, recv, kind)?),
+        };
+        if plan_kind == kind {
+            return Ok(lay);
+        }
+        Ok(Cow::Owned(ExecLayouts {
+            send: lay.send.iter().cycle().take(t).cloned().collect(),
+            recv: lay.recv.clone(),
+            block_bytes: lay.block_bytes.clone(),
+            temp_offsets: Vec::new(),
+            temp_sizes: Vec::new(),
+        }))
+    }
+}
+
+/// What `algo` comes to for a `kind` collective over `shape` on this
+/// topology: the plan to compile. `plan` looks a schedule up by identity.
 ///
 /// Where the neighborhood moves in a non-periodic dimension only plans
 /// whose blocks travel independently compile (see
 /// [`Plan::routes_blocks_independently`]), so there a combining allgather
 /// routes over the alltoall schedule with its one contributed block
-/// replicated per neighbor — still `C` rounds, volume `Σ zᵢ` instead of
-/// tree edges — and a combining reduction is an error under
-/// [`Algo::Combining`] and the trivial schedule under [`Algo::Auto`].
-pub(crate) fn resolve<'a>(
+/// replicated per neighbor (see [`Shape::layouts`]) — still `C` rounds,
+/// volume `Σ zᵢ` instead of tree edges — and a combining reduction is an
+/// error under [`Algo::Combining`] and the trivial schedule under
+/// [`Algo::Auto`].
+pub(crate) fn resolve(
     topo: &CartTopology,
     nb: &RelNeighborhood,
     kind: PlanKind,
-    lay: &'a ExecLayouts,
+    shape: &Shape,
     algo: Algo,
     plan: impl Fn((PlanKind, Schedule)) -> Arc<Plan>,
-) -> CartResult<(Arc<Plan>, Cow<'a, ExecLayouts>)> {
+) -> CartResult<Arc<Plan>> {
     let mesh = check_combining(topo, nb).err();
     let combining = match algo {
         Algo::Trivial => false,
         Algo::Combining => true,
         auto => {
             (mesh.is_none() || !kind.is_reduction())
-                && choose_combining(auto, &plan((kind, Schedule::Combining)), lay)
+                && choose_combining(
+                    auto,
+                    &plan((kind, Schedule::Combining)),
+                    shape.total_bytes(),
+                )
         }
     };
     Ok(match (combining, mesh) {
-        (false, _) => (plan((kind, Schedule::Trivial)), Cow::Borrowed(lay)),
+        (false, _) => plan((kind, Schedule::Trivial)),
         (true, Some(needs_torus)) if kind.is_reduction() => return Err(needs_torus),
         (true, Some(_)) if kind == PlanKind::Allgather => {
-            let replicated = ExecLayouts {
-                send: lay.send.iter().cycle().take(nb.len()).cloned().collect(),
-                recv: lay.recv.clone(),
-                block_bytes: lay.block_bytes.clone(),
-                temp_offsets: Vec::new(),
-                temp_sizes: Vec::new(),
-            };
-            (
-                plan((PlanKind::Alltoall, Schedule::Combining)),
-                Cow::Owned(replicated),
-            )
+            plan((PlanKind::Alltoall, Schedule::Combining))
         }
-        (true, _) => (plan((kind, Schedule::Combining)), Cow::Borrowed(lay)),
+        (true, _) => plan((kind, Schedule::Combining)),
     })
 }
 
@@ -194,12 +266,40 @@ impl CartComm {
         if let Some(red) = red {
             red.check_len(recv.len())?;
         }
-        let cp = self.program(kind, &lay, algo)?.1;
+        self.run_shape(kind, Shape::Layouts(&lay), red, send, recv, algo)
+    }
+
+    /// Resolve `shape`'s program and run it once.
+    pub(crate) fn run_shape(
+        &self,
+        kind: PlanKind,
+        shape: Shape,
+        red: Option<Reducer>,
+        send: &[u8],
+        recv: &mut [u8],
+        algo: Algo,
+    ) -> CartResult<()> {
+        let cp = self.program(kind, shape, algo)?.1;
         let mut scratch = ExecScratch::for_plan(&cp);
         match red {
             Some(red) => execute_compiled_reduce(self.comm(), &cp, send, recv, &mut scratch, red),
             None => execute_compiled(self.comm(), &cp, send, recv, &mut scratch),
         }
+    }
+
+    /// The shape of a `w` collective: the description as it is, once its
+    /// block counts are those of `kind` over this neighborhood.
+    pub(crate) fn described<'a>(
+        &self,
+        kind: PlanKind,
+        send: &'a [WBlock],
+        recv: &'a [WBlock],
+    ) -> CartResult<Shape<'a>> {
+        let t = self.neighbor_count();
+        check_len("recvspec", t, recv.len())?;
+        let sends = if kind == PlanKind::Alltoall { t } else { 1 };
+        check_len("sendspec", sends, send.len())?;
+        Ok(Shape::Described { send, recv })
     }
 }
 

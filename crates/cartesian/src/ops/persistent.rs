@@ -18,26 +18,27 @@ use crate::compile::{
     execute_compiled, execute_compiled_in_place, execute_compiled_reduce, CompiledPlan, ExecScratch,
 };
 use crate::error::CartResult;
-use crate::exec::ExecLayouts;
-use crate::ops::{v_layouts, w_layouts, Algo, WBlock};
+use crate::ops::{v_layouts, Algo, Shape, WBlock};
 use crate::plan::{Plan, PlanKind, Schedule};
 
 /// A precomputed persistent collective (the paper's `Cart_*_init` result).
 ///
-/// `_init` resolves the algorithm, compiles its schedule into a
-/// [`CompiledPlan`] (through the communicator's shared plan cache) and
-/// keeps an [`ExecScratch`], so every `execute` runs the precompiled span
-/// programs with zero allocation, coordinate math, or datatype traversal.
+/// `_init` resolves the algorithm, takes this rank's [`CompiledPlan`] of
+/// its schedule from the communicator's shared plan store (compiling it if
+/// no rank or handle has yet) and keeps an [`ExecScratch`], so every
+/// `execute` runs the precompiled span programs with zero allocation,
+/// coordinate math, or datatype traversal.
 pub struct PersistentCollective {
     plan: Arc<Plan>,
-    compiled: Arc<CompiledPlan>,
+    compiled: CompiledPlan,
     scratch: ExecScratch,
 }
 
 impl PersistentCollective {
-    fn build(cart: &CartComm, kind: PlanKind, lay: ExecLayouts, algo: Algo) -> CartResult<Self> {
-        // Listing 3 semantics: pay schedule + compilation once, here.
-        let (plan, compiled) = cart.program(kind, &lay, algo)?;
+    fn build(cart: &CartComm, kind: PlanKind, shape: Shape, algo: Algo) -> CartResult<Self> {
+        // Listing 3 semantics: pay schedule + compilation once, here — or,
+        // where another rank or handle already has, only the peer table.
+        let (plan, compiled) = cart.program(kind, shape, algo)?;
         // One pooled buffer per message the program sends: the first
         // `execute` already runs at a 100% pool hit rate, and steady-state
         // iterations allocate nothing — received buffers recycle into the
@@ -152,7 +153,7 @@ impl CartComm {
     pub fn alltoall_init<T: Pod>(&self, m: usize, algo: Algo) -> CartResult<PersistentCollective> {
         let t = self.neighbor_count();
         let lay = self.regular_lay::<T>(t * m, t * m, PlanKind::Alltoall)?;
-        PersistentCollective::build(self, PlanKind::Alltoall, lay, algo)
+        PersistentCollective::build(self, PlanKind::Alltoall, Shape::Layouts(&lay), algo)
     }
 
     /// `Cart_alltoallv_init`.
@@ -173,20 +174,21 @@ impl CartComm {
             recvdispls,
             PlanKind::Alltoall,
         )?;
-        PersistentCollective::build(self, PlanKind::Alltoall, lay, algo)
+        PersistentCollective::build(self, PlanKind::Alltoall, Shape::Layouts(&lay), algo)
     }
 
     /// `Cart_alltoallw_init` (the Listing 3 pattern: commit the halo
-    /// datatypes once, exchange every iteration).
+    /// datatypes once, exchange every iteration). The description itself
+    /// names the program: of the ranks and handles that pass one shape,
+    /// one commits the datatypes and compiles.
     pub fn alltoallw_init(
         &self,
         sendspec: &[WBlock],
         recvspec: &[WBlock],
         algo: Algo,
     ) -> CartResult<PersistentCollective> {
-        crate::ops::check_len("recvspec", self.neighbor_count(), recvspec.len())?;
-        let lay = w_layouts(sendspec, recvspec, PlanKind::Alltoall)?;
-        PersistentCollective::build(self, PlanKind::Alltoall, lay, algo)
+        let shape = self.described(PlanKind::Alltoall, sendspec, recvspec)?;
+        PersistentCollective::build(self, PlanKind::Alltoall, shape, algo)
     }
 
     /// `Cart_allgather_init`: persistent regular allgather with `m`
@@ -194,7 +196,7 @@ impl CartComm {
     pub fn allgather_init<T: Pod>(&self, m: usize, algo: Algo) -> CartResult<PersistentCollective> {
         let t = self.neighbor_count();
         let lay = self.regular_lay::<T>(m, t * m, PlanKind::Allgather)?;
-        PersistentCollective::build(self, PlanKind::Allgather, lay, algo)
+        PersistentCollective::build(self, PlanKind::Allgather, Shape::Layouts(&lay), algo)
     }
 
     /// `Cart_allgatherv_init`.
@@ -215,7 +217,7 @@ impl CartComm {
             recvdispls,
             PlanKind::Allgather,
         )?;
-        PersistentCollective::build(self, PlanKind::Allgather, lay, algo)
+        PersistentCollective::build(self, PlanKind::Allgather, Shape::Layouts(&lay), algo)
     }
 
     /// `Cart_allgatherw_init`.
@@ -225,13 +227,9 @@ impl CartComm {
         recvspec: &[WBlock],
         algo: Algo,
     ) -> CartResult<PersistentCollective> {
-        crate::ops::check_len("recvspec", self.neighbor_count(), recvspec.len())?;
-        let lay = w_layouts(
-            std::slice::from_ref(sendblock),
-            recvspec,
-            PlanKind::Allgather,
-        )?;
-        PersistentCollective::build(self, PlanKind::Allgather, lay, algo)
+        let sendspec = std::slice::from_ref(sendblock);
+        let shape = self.described(PlanKind::Allgather, sendspec, recvspec)?;
+        PersistentCollective::build(self, PlanKind::Allgather, shape, algo)
     }
 
     /// `Cart_reduce_scatter_init`: persistent regular neighborhood
@@ -244,7 +242,8 @@ impl CartComm {
     ) -> CartResult<PersistentReduction> {
         let t = self.neighbor_count();
         let lay = self.regular_lay::<T>(t * m, m, PlanKind::ReduceScatter)?;
-        let inner = PersistentCollective::build(self, PlanKind::ReduceScatter, lay, algo)?;
+        let inner =
+            PersistentCollective::build(self, PlanKind::ReduceScatter, Shape::Layouts(&lay), algo)?;
         Ok(PersistentReduction {
             inner,
             red: Reducer::for_elem::<T>(op),
@@ -260,7 +259,8 @@ impl CartComm {
         algo: Algo,
     ) -> CartResult<PersistentReduction> {
         let lay = self.regular_lay::<T>(m, m, PlanKind::Allreduce)?;
-        let inner = PersistentCollective::build(self, PlanKind::Allreduce, lay, algo)?;
+        let inner =
+            PersistentCollective::build(self, PlanKind::Allreduce, Shape::Layouts(&lay), algo)?;
         Ok(PersistentReduction {
             inner,
             red: Reducer::for_elem::<T>(op),

@@ -1,40 +1,46 @@
-//! A process-wide, sharded, fingerprint-keyed store of compiled plans
-//! and schedules.
+//! A process-wide, sharded, fingerprint-keyed, single-flight store of
+//! compiled programs and schedules.
 //!
 //! Pre-0.3.0, every [`CartComm`](crate::CartComm) owned a private
 //! 16-entry LRU of compiled programs, so two communicators over the same
 //! topology, neighborhood, and layouts — two tenants of a serving
 //! process, two phases of one application, two tests in one binary —
-//! each paid schedule construction and compilation in full. Compiled
-//! plans are **immutable and rank-resolved**: all inputs that influence
-//! the program (topology dims/periods/permutation, neighborhood, rank,
-//! collective kind, block layouts) are folded into the store key, and a
-//! compiled program is never mutated after construction. That makes them
-//! safely shareable across communicators and threads, which is what this
-//! store does: one warm, bounded cache per process.
+//! each paid schedule construction and compilation in full. A
+//! [`Program`] is **immutable**, and on a torus **rank-independent**: all
+//! inputs that influence it (topology dims/periods/permutation,
+//! neighborhood, collective kind, algorithm, block layouts — and the rank
+//! only where a mesh boundary makes it one, see [`store_key`]) are folded
+//! into the store key. That makes programs safely shareable across ranks,
+//! communicators and threads, which is what this store does: one warm,
+//! bounded cache per process, holding one program per torus and shape.
 //!
 //! **Attribution** stays per communicator: each `CartComm` counts its
 //! own hits and misses ([`crate::cartcomm::PlanCacheStats`]), so a
 //! serving layer with one communicator per tenant gets per-tenant
 //! hit/miss numbers for free while all tenants share the compiled bytes.
 //! The store's own [`PlanStoreStats`] aggregate across the process —
-//! `misses` is the number of compilations that actually ran.
+//! `misses` is the number of compilations that ran.
 //!
 //! Sharding: keys are well-mixed 128-bit fingerprints, so the low bits
-//! pick a shard and each shard is an independent mutex + MRU-first list.
-//! Lookups lock one shard for a short scan; compilation runs **outside**
-//! the lock (two racing compilers of the same key both compile, the
-//! loser adopts the winner's program — benign because programs are
-//! immutable and deterministic).
+//! pick a shard and each shard is an independent mutex + MRU-first list
+//! of entries. A lookup locks its shard for a short scan only.
+//!
+//! **Single flight:** compilation runs under the *entry's* own lock, never
+//! a shard's. The `p` ranks of a universe ask for one key at once; the
+//! first to take the entry's lock compiles, the others sleep on it, find
+//! the program and are billed a hit. A compilation that fails, or panics,
+//! takes its entry out again: whoever was waiting compiles for itself and
+//! the next requester starts afresh.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 
-use crate::compile::{CompiledPlan, Fnv};
+use crate::compile::{Fnv, Program};
 use crate::error::CartResult;
 use crate::exec::ExecLayouts;
+use crate::ops::check_combining;
 use crate::plan::{Plan, PlanKind, Schedule};
 
 /// Shards in the global store. Power of two; keys are uniform so this
@@ -43,7 +49,7 @@ const GLOBAL_SHARDS: usize = 16;
 
 /// Per-shard compiled-program capacity of the global store (256 programs
 /// process-wide — a serving process cycles through topologies × layouts,
-/// and one compiled program is a few KiB).
+/// and one compiled program is a few KiB to a few hundred).
 const GLOBAL_SHARD_CAP: usize = 16;
 
 fn seeded(seed: u64) -> Fnv {
@@ -52,18 +58,22 @@ fn seeded(seed: u64) -> Fnv {
     h
 }
 
-/// The rank-independent part of a compiled program's identity, hashed
-/// once. A caller resolving every rank's program (an inline universe)
-/// finishes the key per rank with one short hash step each, instead of
-/// re-hashing topology, neighborhood and layouts `p` times.
+/// A compiled program's identity, hashed once: topology, neighborhood,
+/// schedule and layouts. Whether the rank belongs to it as well is one
+/// rule, applied in [`KeyStem::key`].
 #[derive(Clone, Copy)]
 pub(crate) struct KeyStem {
     lo: Fnv,
     hi: Fnv,
+    /// Some neighbor lies across a non-periodic dimension, so boundary
+    /// ranks get programs of their own and a key ends in its rank.
+    pub(crate) per_rank: bool,
 }
 
 impl KeyStem {
-    /// `lay_fp` is `lay.fingerprint(kind)` of the program's layouts.
+    /// `lay_fp` identifies the program's layouts: their
+    /// [`ExecLayouts::fingerprint`], or that of the datatype description
+    /// they are committed from (see `ops::Shape`).
     pub(crate) fn new(
         topo: &CartTopology,
         nb: &RelNeighborhood,
@@ -106,23 +116,30 @@ impl KeyStem {
         KeyStem {
             lo: stem(0x9E37_79B9_7F4A_7C15),
             hi: stem(0xC2B2_AE3D_27D4_EB4F),
+            per_rank: check_combining(topo, nb).is_err(),
         }
     }
 
-    /// The store key of `rank`'s program.
+    /// The store key of the program `rank` runs: every rank's on a torus,
+    /// its own on a mesh.
     pub(crate) fn key(&self, rank: usize) -> u128 {
         let (mut lo, mut hi) = (self.lo, self.hi);
-        lo.u64(rank as u64);
-        hi.u64(rank as u64);
+        if self.per_rank {
+            lo.u64(rank as u64);
+            hi.u64(rank as u64);
+        }
         ((hi.finish() as u128) << 64) | lo.finish() as u128
     }
 }
 
-/// The full identity of a compiled program: everything that influences
-/// the emitted spans, peers, tags, and wire sizes. Layout shape alone
+/// The full identity of the program `rank` runs: everything that
+/// influences the emitted spans, tags, and wire sizes. Layout shape alone
 /// ([`ExecLayouts::fingerprint`]) was a sufficient key inside one
 /// communicator; a process-wide store must also separate topologies,
-/// neighborhoods, schedules, and ranks.
+/// neighborhoods and schedules — and ranks exactly where the neighborhood
+/// moves in a non-periodic dimension, since only there do boundary ranks
+/// run shorter programs than the rest. On a torus the key is the same for
+/// every rank.
 pub fn store_key(
     topo: &CartTopology,
     nb: &RelNeighborhood,
@@ -158,17 +175,39 @@ pub fn schedule_key(nb: &RelNeighborhood, (kind, schedule): (PlanKind, Schedule)
     ((parts[1] as u128) << 64) | parts[0] as u128
 }
 
+/// One key's program, or — while the slot is empty and its lock held — the
+/// compilation every other requester of the key waits for.
+type Entry = Mutex<Option<Arc<Program>>>;
+
 struct Shard {
     /// MRU-first compiled programs.
-    compiled: Vec<(u128, Arc<CompiledPlan>)>,
+    compiled: Vec<(u128, Arc<Entry>)>,
     /// Schedules are tiny and few (one per neighborhood × kind); unbounded.
     schedules: Vec<(u128, Arc<Plan>)>,
+}
+
+/// A compilation in progress. Dropped before its program is stored, it
+/// forgets the entry, so that a failed compilation leaves its key absent.
+struct InFlight<'a> {
+    store: &'a PlanStore,
+    key: u128,
+    entry: &'a Arc<Entry>,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        // Not `expect`: this may run while a panicking compilation unwinds.
+        let shard = self.store.shard(self.key).lock();
+        let mut shard = shard.unwrap_or_else(|e| e.into_inner());
+        shard.compiled.retain(|(_, e)| !Arc::ptr_eq(e, self.entry));
+    }
 }
 
 /// Aggregate telemetry of a [`PlanStore`] since creation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStoreStats {
-    /// Compiled-program lookups served from the store.
+    /// Compiled-program lookups served from the store, including those
+    /// that waited for another requester's compilation.
     pub hits: u64,
     /// Lookups that ran a compilation.
     pub misses: u64,
@@ -227,53 +266,65 @@ impl PlanStore {
     }
 
     /// Whether a compiled program for `key` is resident, without touching
-    /// recency or counters — the admission-time "will this batch compile?"
-    /// probe of the serving layer.
+    /// recency or counters and without waiting: a key whose compilation is
+    /// still running is not.
     pub fn contains(&self, key: u128) -> bool {
-        self.shard(key)
-            .lock()
-            .expect("plan store shard poisoned")
-            .compiled
-            .iter()
-            .any(|(k, _)| *k == key)
+        let shard = self.shard(key).lock().expect("plan store shard poisoned");
+        let entry = shard.compiled.iter().find(|(k, _)| *k == key);
+        entry.is_some_and(|(_, e)| e.try_lock().is_ok_and(|slot| slot.is_some()))
+    }
+
+    /// The entry of `key`, made most recently used; a fresh, empty one if
+    /// the key is not resident.
+    fn entry(&self, key: u128) -> Arc<Entry> {
+        let mut shard = self.shard(key).lock().expect("plan store shard poisoned");
+        let found = match shard.compiled.iter().position(|(k, _)| *k == key) {
+            Some(pos) => shard.compiled.remove(pos),
+            None => (key, Arc::default()),
+        };
+        let entry = Arc::clone(&found.1);
+        shard.compiled.insert(0, found);
+        entry
     }
 
     /// Look up `key`, compiling via `compile` on a miss. Returns the
-    /// shared program and whether this was a hit. Compilation runs
-    /// outside the shard lock; a racing compile of the same key adopts
-    /// the first inserted program.
+    /// shared program and whether this was a hit. Single-flight: of the
+    /// requesters that find a key without a program, the first compiles —
+    /// holding that entry's lock and no other — and the rest wait for it
+    /// and hit. A new program evicts the shard's least recently used
+    /// beyond its capacity; an evicted entry still serves whoever holds it.
     pub fn get_or_compile(
         &self,
         key: u128,
-        compile: impl FnOnce() -> CartResult<Arc<CompiledPlan>>,
-    ) -> CartResult<(Arc<CompiledPlan>, bool)> {
-        {
-            let mut shard = self.shard(key).lock().expect("plan store shard poisoned");
-            if let Some(pos) = shard.compiled.iter().position(|(k, _)| *k == key) {
-                let entry = shard.compiled.remove(pos);
-                let cp = Arc::clone(&entry.1);
-                shard.compiled.insert(0, entry);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((cp, true));
-            }
+        compile: impl FnOnce() -> CartResult<Arc<Program>>,
+    ) -> CartResult<(Arc<Program>, bool)> {
+        let entry = self.entry(key);
+        // A compilation that panicked under this lock left the slot empty,
+        // which is as valid a state as any: the poison is dropped.
+        let mut slot = entry.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(program) = &*slot {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Arc::clone(program), true));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let cp = compile()?;
+        // Until a program is in the slot, leaving — by `?` or by a panic
+        // in `compile` — takes the entry out of its shard.
+        let in_flight = InFlight {
+            store: self,
+            key,
+            entry: &entry,
+        };
+        let program = compile()?;
+        std::mem::forget(in_flight);
+        *slot = Some(Arc::clone(&program));
+        drop(slot);
         let mut shard = self.shard(key).lock().expect("plan store shard poisoned");
-        if let Some(pos) = shard.compiled.iter().position(|(k, _)| *k == key) {
-            // Lost a compile race; share the resident program.
-            let entry = shard.compiled.remove(pos);
-            let cp = Arc::clone(&entry.1);
-            shard.compiled.insert(0, entry);
-            return Ok((cp, false));
-        }
-        shard.compiled.insert(0, (key, Arc::clone(&cp)));
         if shard.compiled.len() > self.per_shard_cap {
             let evicted = shard.compiled.len() - self.per_shard_cap;
             shard.compiled.truncate(self.per_shard_cap);
             self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         }
-        Ok((cp, false))
+        Ok((program, false))
     }
 
     /// Look up a schedule, constructing it via `build` on a miss.
@@ -295,7 +346,8 @@ impl PlanStore {
         plan
     }
 
-    /// Resident compiled-program count across all shards.
+    /// Compiled-program entries across all shards: resident programs and
+    /// compilations in flight.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -323,9 +375,15 @@ impl PlanStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CartError;
     use crate::exec::BlockLayout;
     use crate::ops::size_temp;
     use crate::schedule::alltoall_plan;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     const A2A: (PlanKind, Schedule) = (PlanKind::Alltoall, Schedule::Combining);
 
@@ -348,10 +406,54 @@ mod tests {
         nb: &RelNeighborhood,
         rank: usize,
         m: usize,
-    ) -> Arc<CompiledPlan> {
+    ) -> Arc<Program> {
         let plan = alltoall_plan(nb);
         let lay = size_temp(lay_for(nb, m), PlanKind::Alltoall, plan.temp_slots).unwrap();
-        Arc::new(CompiledPlan::compile(topo, rank, &plan, &lay, 0x100).unwrap())
+        Arc::new(Program::compile(topo, rank, &plan, &lay, 0x100).unwrap())
+    }
+
+    /// A small program, for tests about the store and not about programs.
+    fn any_program() -> Arc<Program> {
+        let topo = CartTopology::torus(&[3]).unwrap();
+        let nb = RelNeighborhood::new(1, vec![vec![1]]).unwrap();
+        compile_for(&topo, &nb, 0, 4)
+    }
+
+    /// Run `body` on a thread of its own and fail unless it finishes within
+    /// `limit`: a lost wake-up then fails the test instead of hanging the
+    /// suite.
+    fn watchdog(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(limit) {
+            Ok(()) => worker.join().unwrap(),
+            // The body panicked: pass its panic on.
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("no result within {limit:?}: a waiter was never woken")
+            }
+        }
+    }
+
+    const LIMIT: Duration = Duration::from_secs(60);
+
+    /// Wait until `n` requesters hold `key`'s entry (the shard's own
+    /// reference not counted): those not compiling are asleep on its lock,
+    /// or about to be.
+    fn await_holders(store: &PlanStore, key: u128, n: usize) {
+        let holders = || {
+            let shard = store.shard(key).lock().unwrap();
+            let entry = shard.compiled.iter().find(|(k, _)| *k == key);
+            entry.map_or(0, |(_, e)| Arc::strong_count(e) - 1)
+        };
+        while holders() < n {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -366,7 +468,20 @@ mod tests {
         assert_ne!(base, store_key(&t34, &moore, 0, A2A, &lay));
         assert_ne!(base, store_key(&mesh, &moore, 0, A2A, &lay));
         assert_ne!(base, store_key(&t33, &vn, 0, A2A, &lay_for(&vn, 8)));
-        assert_ne!(base, store_key(&t33, &moore, 1, A2A, &lay));
+        // Every rank of a torus runs one program under one key; where a
+        // neighbor lies across a non-periodic dimension a rank has its own.
+        assert_eq!(base, store_key(&t33, &moore, 1, A2A, &lay));
+        assert_ne!(
+            store_key(&mesh, &moore, 0, A2A, &lay),
+            store_key(&mesh, &moore, 1, A2A, &lay)
+        );
+        let along = RelNeighborhood::new(2, vec![vec![0, 1], vec![0, -1]]).unwrap();
+        let lay2 = lay_for(&along, 8);
+        assert_eq!(
+            store_key(&mesh, &along, 0, A2A, &lay2),
+            store_key(&mesh, &along, 1, A2A, &lay2),
+            "a mesh the neighborhood never leaves is a torus to it"
+        );
         let allgather = (PlanKind::Allgather, Schedule::Combining);
         assert_ne!(base, store_key(&t33, &moore, 0, allgather, &lay));
         let trivial = (PlanKind::Alltoall, Schedule::Trivial);
@@ -458,5 +573,139 @@ mod tests {
         );
         let s = store.stats();
         assert_eq!((s.schedule_hits, s.schedule_misses), (1, 1));
+    }
+
+    #[test]
+    fn eight_requesters_of_one_key_compile_once() {
+        watchdog(LIMIT, || {
+            let store = PlanStore::new(4, 8);
+            let (compiled, start) = (AtomicUsize::new(0), Barrier::new(8));
+            let got: Vec<(Arc<Program>, bool)> = std::thread::scope(|s| {
+                let asks: Vec<_> = (0..8)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            store.get_or_compile(7, || {
+                                compiled.fetch_add(1, Ordering::SeqCst);
+                                std::thread::sleep(Duration::from_millis(20));
+                                Ok(any_program())
+                            })
+                        })
+                    })
+                    .collect();
+                asks.into_iter()
+                    .map(|a| a.join().unwrap().unwrap())
+                    .collect()
+            });
+            assert_eq!(compiled.load(Ordering::SeqCst), 1, "one compilation");
+            let s = store.stats();
+            assert_eq!((s.misses, s.hits), (1, 7), "the waiters are billed hits");
+            assert_eq!(got.iter().filter(|(_, hit)| !hit).count(), 1);
+            assert!(got.iter().all(|(p, _)| Arc::ptr_eq(p, &got[0].0)));
+            assert!(store.contains(7) && store.len() == 1);
+        });
+    }
+
+    #[test]
+    fn a_failed_compilation_leaves_its_key_absent_and_retryable() {
+        watchdog(LIMIT, || {
+            let store = PlanStore::new(1, 8);
+            let refused = store.get_or_compile(7, || Err(CartError::NotIsomorphic));
+            assert_eq!(refused.err(), Some(CartError::NotIsomorphic));
+            assert!(!store.contains(7) && store.is_empty());
+            let (_, hit) = store.get_or_compile(7, || Ok(any_program())).unwrap();
+            assert!(!hit && store.contains(7));
+            assert_eq!(store.stats().misses, 2);
+
+            // A requester waiting on a compilation that fails is not
+            // handed the failure: it compiles for itself.
+            let (entered, release) = (Barrier::new(2), Barrier::new(2));
+            std::thread::scope(|s| {
+                let failing = s.spawn(|| {
+                    store.get_or_compile(9, || {
+                        entered.wait();
+                        release.wait();
+                        Err(CartError::NotIsomorphic)
+                    })
+                });
+                entered.wait();
+                let waiting = s.spawn(|| store.get_or_compile(9, || Ok(any_program())));
+                await_holders(&store, 9, 2);
+                release.wait();
+                assert!(failing.join().unwrap().is_err());
+                assert!(!waiting.join().unwrap().unwrap().1, "the waiter compiled");
+            });
+        });
+    }
+
+    #[test]
+    fn a_panicking_compilation_poisons_neither_its_entry_nor_its_shard() {
+        watchdog(LIMIT, || {
+            let store = PlanStore::new(1, 8);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                store.get_or_compile(7, || panic!("compiler bug"))
+            }));
+            assert!(caught.is_err());
+            assert!(!store.contains(7) && store.is_empty());
+            // Same key, and another key of the same (only) shard.
+            for key in [7, 8] {
+                let (_, hit) = store.get_or_compile(key, || Ok(any_program())).unwrap();
+                assert!(!hit && store.contains(key));
+            }
+        });
+    }
+
+    #[test]
+    fn two_keys_of_one_shard_compile_side_by_side() {
+        watchdog(LIMIT, || {
+            // One shard. Each compilation waits inside its closure for the
+            // other to have started: were the second to wait for the
+            // first, neither would finish.
+            let store = PlanStore::new(1, 8);
+            let both_compiling = Barrier::new(2);
+            std::thread::scope(|s| {
+                for key in [1, 2] {
+                    let (store, both_compiling) = (&store, &both_compiling);
+                    s.spawn(move || {
+                        let compile = || {
+                            both_compiling.wait();
+                            Ok(any_program())
+                        };
+                        assert!(!store.get_or_compile(key, compile).unwrap().1);
+                    });
+                }
+            });
+            assert_eq!(store.stats().misses, 2);
+        });
+    }
+
+    #[test]
+    fn an_entry_evicted_under_its_waiters_still_serves_them() {
+        watchdog(LIMIT, || {
+            // One shard of one program: key 2 evicts key 1 while key 1 is
+            // still compiling and has a requester waiting on it.
+            let store = PlanStore::new(1, 1);
+            let (entered, release) = (Barrier::new(2), Barrier::new(2));
+            std::thread::scope(|s| {
+                let first = s.spawn(|| {
+                    store.get_or_compile(1, || {
+                        entered.wait();
+                        release.wait();
+                        Ok(any_program())
+                    })
+                });
+                entered.wait();
+                let waiter = s.spawn(|| store.get_or_compile(1, || panic!("waits instead")));
+                await_holders(&store, 1, 2);
+                store.get_or_compile(2, || Ok(any_program())).unwrap();
+                assert_eq!(store.stats().evictions, 1);
+                assert!(!store.contains(1) && store.contains(2));
+                release.wait();
+                let (compiled, hit) = first.join().unwrap().unwrap();
+                let (waited_for, waiter_hit) = waiter.join().unwrap().unwrap();
+                assert!(!hit && waiter_hit && Arc::ptr_eq(&waited_for, &compiled));
+                assert!(!store.contains(1), "evicted stays evicted");
+            });
+        });
     }
 }

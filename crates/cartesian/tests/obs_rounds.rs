@@ -182,7 +182,8 @@ fn plan_cache_events_fire_on_hit_and_miss() {
         cart.comm().obs().attach_sink(sink.clone());
         let send: Vec<i32> = (0..t).map(|x| x as i32).collect();
         let mut recv = vec![0i32; t];
-        // First call compiles (miss), second reuses (hit).
+        // The first call compiles (a miss) on one rank, the second reuses
+        // (a hit) on all.
         cart.alltoall(&send, &mut recv, Algo::Combining).unwrap();
         cart.alltoall(&send, &mut recv, Algo::Combining).unwrap();
         cart.comm().obs().detach_sink();
@@ -198,11 +199,18 @@ fn plan_cache_events_fire_on_hit_and_miss() {
         let stats = cart.plans().cache_stats();
         (hits, misses, stats.hits, stats.misses)
     });
-    for (rank, (hits, misses, chits, cmisses)) in outs.into_iter().enumerate() {
-        assert_eq!(misses, 1, "rank {rank}: one compile expected");
-        assert_eq!(hits, 1, "rank {rank}: one cache hit expected");
-        assert_eq!((chits, cmisses), (1, 1), "rank {rank}: counter mismatch");
+    // One program for the torus: whichever rank asked first compiled it,
+    // every other lookup — two per rank — hit.
+    for (rank, &(hits, misses, chits, cmisses)) in outs.iter().enumerate() {
+        assert_eq!(hits + misses, 2, "rank {rank}: one event per lookup");
+        assert_eq!(
+            (chits, cmisses),
+            (hits as u64, misses as u64),
+            "rank {rank}"
+        );
     }
+    assert_eq!(outs.iter().map(|o| o.1).sum::<usize>(), 1, "one compile");
+    assert_eq!(store.stats().misses, 1);
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //!
 //! Why a service: the paper's schedules are *identity-keyed* artifacts.
 //! Two tenants asking for the same `(topology, neighborhood, operation
-//! shape)` need the same schedule and the same compiled per-rank
-//! programs, and the [`cartcomm::PlanStore`] shares them process-wide. A
+//! shape)` need the same schedule and the same compiled program, and
+//! the [`cartcomm::PlanStore`] shares both process-wide. A
 //! resident daemon turns that sharing into an operational property:
 //! tenant B's first job runs entirely on plans tenant A paid to compile,
 //! and the per-tenant observed-vs-predicted table

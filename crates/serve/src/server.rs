@@ -23,7 +23,8 @@
 //! closed-loop clients are served at is set by a clock and not by how the
 //! scheduler happens to interleave five threads; a job that finds the
 //! daemon idle starts at once (see `JOB_GAP`). The first job
-//! of a shape warms every per-rank plan-store entry and the rest — of
+//! of a shape compiles its program (one for all ranks of a torus, one
+//! per rank on a mesh) and the rest — of
 //! this batch, of other tenants, of later batches — ride the warm cache,
 //! which is the serving-side payoff of the process-wide [`PlanStore`]
 //! (schedules and compiled programs are keyed by identity, not by owner).
@@ -47,8 +48,8 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -491,7 +492,6 @@ impl Server {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
-        listener.set_nonblocking(true)?;
         Self::start(
             AnyListener::Uds(listener),
             Endpoint::Uds(path.clone()),
@@ -504,7 +504,6 @@ impl Server {
     /// serving. The chosen address is available via [`Server::endpoint`].
     pub fn bind_tcp(addr: &str, cfg: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         Self::start(AnyListener::Tcp(listener), Endpoint::Tcp(local), None, cfg)
     }
@@ -672,7 +671,15 @@ impl Server {
             let _ = d.join();
         }
         self.shared.stop_io.store(true, Ordering::Release);
-        if let Some(l) = self.listener.take() {
+        // The listener sleeps in `accept`: one connection to the daemon's
+        // own endpoint wakes it, and it finds `stop_io` set. Should the
+        // endpoint be gone (a socket file someone unlinked), nothing can
+        // reach the listener any more and its thread is left behind.
+        let woken = match &self.endpoint {
+            Endpoint::Uds(path) => UnixStream::connect(path).is_ok(),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).is_ok(),
+        };
+        if let Some(l) = self.listener.take().filter(|_| woken) {
             let _ = l.join();
         }
         if let Some(m) = self.metrics_thread.take() {
@@ -696,24 +703,31 @@ fn listener_loop(
     conns: &Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
 ) {
     loop {
-        if shared.stop_io.load(Ordering::Acquire) {
-            return;
-        }
+        // Blocks until a client — or `join_all`'s wake-up — connects, so a
+        // new connection is served as soon as it is made.
         let accepted: io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)> = match &listener {
             AnyListener::Uds(l) => l.accept().and_then(|(s, _)| {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(Duration::from_millis(50)))?;
                 let w = s.try_clone()?;
                 Ok((Box::new(s) as _, Box::new(w) as _))
             }),
             AnyListener::Tcp(l) => l.accept().and_then(|(s, _)| {
-                s.set_nonblocking(false)?;
                 s.set_read_timeout(Some(Duration::from_millis(50)))?;
                 s.set_nodelay(true)?;
                 let w = s.try_clone()?;
                 Ok((Box::new(s) as _, Box::new(w) as _))
             }),
         };
+        if shared.stop_io.load(Ordering::Acquire) {
+            return;
+        }
+        let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+        // Connections that have closed since the last accept: joining
+        // gives their threads' stacks back, and the list stays as long as
+        // the connections that are open.
+        for closed in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = closed.join();
+        }
         match accepted {
             Ok((reader, writer)) => {
                 let shared = Arc::clone(shared);
@@ -721,13 +735,14 @@ fn listener_loop(
                     .name("cartserve-conn".into())
                     .spawn(move || connection_loop(reader, writer, &shared));
                 if let Ok(h) = handle {
-                    conns.lock().unwrap_or_else(|e| e.into_inner()).push(h);
+                    conns.push(h);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+            // Out of descriptors, or the like: give it time to pass.
+            Err(_) => {
+                drop(conns);
                 thread::sleep(Duration::from_millis(10));
             }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
 }
@@ -1730,6 +1745,108 @@ pub(crate) fn run_op(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+
+    /// A daemon on a Unix-domain socket and one on TCP.
+    fn both_transports(tag: &str) -> [Server; 2] {
+        let sock = std::env::temp_dir().join(format!(
+            "cartserve-listener-{tag}-{}.sock",
+            std::process::id()
+        ));
+        [
+            Server::bind_uds(sock, ServeConfig::default()).expect("bind uds"),
+            Server::bind_tcp("127.0.0.1:0", ServeConfig::default()).expect("bind tcp"),
+        ]
+    }
+
+    fn connect(server: &Server) -> Client {
+        match server.endpoint() {
+            Endpoint::Uds(path) => Client::connect_uds(path, "listener-test"),
+            Endpoint::Tcp(addr) => Client::connect_tcp(&addr.to_string(), "listener-test"),
+        }
+        .expect("connect")
+    }
+
+    /// `Threads:` of `/proc/self/status`.
+    fn threads_now() -> i64 {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let line = status.lines().find(|l| l.starts_with("Threads:"));
+        let count = line.and_then(|l| l.split_whitespace().nth(1));
+        count.and_then(|n| n.parse().ok()).expect("a thread count")
+    }
+
+    #[test]
+    fn a_fresh_connection_is_served_at_once() {
+        for server in both_transports("fresh") {
+            let mut first_reply: Vec<Duration> = (0..20)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let mut client = connect(&server);
+                    assert_eq!(client.ping(b"first").expect("ping"), b"first");
+                    t0.elapsed()
+                })
+                .collect();
+            first_reply.sort();
+            // Connect, `HELLO` and `PING` over loopback take well under a
+            // millisecond; a listener that polls would add its period.
+            assert!(
+                first_reply[10] < Duration::from_millis(5),
+                "median first reply after {:?} on {:?}",
+                first_reply[10],
+                server.endpoint()
+            );
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn closed_connections_are_reaped() {
+        for server in both_transports("reap") {
+            drop(connect(&server));
+            let threads_before = threads_now();
+            for _ in 0..200 {
+                drop(connect(&server));
+            }
+            // A connection thread ends when it reads the close; the
+            // listener joins the ended ones at its next accept.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let open = loop {
+                let probe = connect(&server);
+                let conns = server.conns.lock().unwrap().len();
+                drop(probe);
+                if conns <= 4 || Instant::now() > deadline {
+                    break conns;
+                }
+                thread::sleep(Duration::from_millis(5));
+            };
+            assert!(open <= 4, "{open} handles kept for one open connection");
+            // Other tests of this binary come and go meanwhile.
+            let threads = threads_now() - threads_before;
+            assert!(threads.abs() <= 8, "{threads} more threads than before");
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn both_ways_to_stop_return_promptly() {
+        for by_wire in [false, true] {
+            for server in both_transports(if by_wire { "wire" } else { "host" }) {
+                let mut client = connect(&server);
+                let t0 = Instant::now();
+                if by_wire {
+                    client.shutdown().expect("wire shutdown");
+                    server.wait();
+                } else {
+                    server.shutdown();
+                }
+                // Bounded by the 50 ms read timeout of the open
+                // connection and the 10 ms polls of dispatcher and
+                // `wait`, not by anyone's arrival.
+                let took = t0.elapsed();
+                assert!(took < Duration::from_secs(2), "stopping took {took:?}");
+            }
+        }
+    }
 
     #[test]
     fn pacer_keeps_its_schedule_through_late_starts_and_restarts_it_after_idling() {

@@ -1,6 +1,8 @@
 //! Datatype layout trees and their MPI-like constructors.
 
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{TypeError, TypeResult};
@@ -17,10 +19,10 @@ use crate::signature::Signature;
 /// elements at byte displacements). Construct leaf types with
 /// [`Datatype::primitive`] and compose with the other constructors; commit
 /// for communication with [`Datatype::commit`].
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 pub struct Datatype(pub(crate) Arc<Node>);
 
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub(crate) enum Node {
     Primitive(Primitive),
     Contiguous {
@@ -82,7 +84,7 @@ pub(crate) enum Node {
 
 /// One field of a struct datatype: `count` copies of `ty` starting at
 /// byte displacement `disp`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct StructField {
     pub count: usize,
     pub disp: i64,
@@ -610,6 +612,23 @@ impl Datatype {
                 false
             }
         }
+    }
+
+    /// A hash of the *description* under `seed`: every node's kind and
+    /// parameters, recursively, in time linear in the tree — nothing is
+    /// flattened, so `contiguous(10⁹, byte)` hashes as fast as `byte`.
+    /// Equally constructed types hash equally, and a type that differs in
+    /// any count, stride, start, displacement or primitive hashes
+    /// differently (up to collisions), so the hash can name what
+    /// [`Datatype::commit`] would produce before anyone pays for it; two
+    /// descriptions of one span list hash differently. Stable within a
+    /// process, not across Rust releases; it shares no domain with a hash
+    /// over committed spans (another function, under a domain word).
+    pub fn structure_hash(&self, seed: u64) -> u64 {
+        let mut h = DefaultHasher::new();
+        (0x6361_7274_5F74_7970u64, seed).hash(&mut h);
+        self.hash(&mut h);
+        h.finish()
     }
 
     /// Type signature (sequence of primitive kinds) for matching checks.

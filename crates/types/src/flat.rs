@@ -5,9 +5,22 @@
 //! coalesced. Committing once and reusing across iterations is exactly what
 //! the paper's `_init` (persistent) operations do with `MPI_Type_commit`.
 
+use std::cell::Cell;
+
 use crate::datatype::Datatype;
 use crate::error::{TypeError, TypeResult};
 use crate::signature::Signature;
+
+thread_local! {
+    static COMMITS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Datatypes the calling thread has committed so far. A test hook: a code
+/// path that must not flatten reads the same count before and after.
+#[doc(hidden)]
+pub fn commits_on_this_thread() -> u64 {
+    COMMITS.get()
+}
 
 /// A contiguous run of bytes at a (possibly negative, relative) displacement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +60,7 @@ impl FlatType {
     /// (gather/scatter semantics depend on it) and merged when exactly
     /// adjacent in that order.
     pub fn from_datatype(dt: &Datatype) -> TypeResult<FlatType> {
+        COMMITS.set(COMMITS.get() + 1);
         let raw = dt.spans();
         let mut spans: Vec<Span> = Vec::with_capacity(raw.len());
         for s in raw {
