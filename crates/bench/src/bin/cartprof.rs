@@ -50,7 +50,7 @@ use std::time::Duration;
 use cartcomm::ops::Algo;
 use cartcomm::{CartComm, CostSummary, PlanKind};
 use cartcomm_comm::obs::{
-    json_escape, AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector, TraceEvent,
+    AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector, TraceEvent,
 };
 use cartcomm_comm::{FaultSpec, LinkSel, RetryPolicy, Tag, TransportKind, Universe};
 use cartcomm_stats::Histogram;
@@ -472,19 +472,6 @@ fn fmt_opt(v: Option<f64>) -> String {
         .unwrap_or_else(|| "null".to_string())
 }
 
-/// Where and with what the profile was taken: α̂ on 27 rank threads over
-/// 2 cores is not α̂ on 27 cores, and a baseline has to say which it is.
-fn host_json(rank_threads: usize) -> String {
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!(
-        "{{\"nproc\":{nproc},\"rank_threads\":{rank_threads},\"oversubscription\":{},\
-         \"build_profile\":\"{}\",\"rustc\":\"{}\"}}",
-        fmt_f64(rank_threads as f64 / nproc as f64),
-        json_escape(env!("CARTCOMM_BUILD_PROFILE")),
-        json_escape(env!("CARTCOMM_BUILD_RUSTC")),
-    )
-}
-
 fn json_usize_list(xs: &[usize]) -> String {
     let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
     format!("[{}]", body.join(","))
@@ -844,7 +831,7 @@ fn main() {
          \x20\x20\"reductions\":{reductions_json},\n\
          \x20\x20\"all_checks_passed\":{ok}\n\
          }}\n",
-        host_json(p),
+        cartcomm_bench::host_json(p),
         json_usize_list(&w.dims),
         w.family,
         w.radius,

@@ -8,7 +8,9 @@
 //! * `BENCH_kernels.json` (written by `perfgate --bless`) pins the pack
 //!   kernels: ns/byte for batched gather/scatter over the 3-D Moore
 //!   small-span profile, plus the measured speedup over the scalar
-//!   reference path.
+//!   reference path; and ns/byte for span lists executed the way a sealed
+//!   program executes them — strided stretches through the run kernels —
+//!   plus the speedup over the span kernels on the same list.
 //!
 //! `perfgate --check` re-measures the kernels in-process, reads a fresh
 //! cartprof profile, and compares both against the committed baselines
@@ -29,9 +31,10 @@
 //! gate actually fires on a synthetic regression, without touching any
 //! committed baseline.
 
+use std::cell::RefCell;
 use std::time::Instant;
 
-use cartcomm_types::kernel;
+use cartcomm_types::kernel::{self, PackSpan, SpanRun, Stretch};
 
 // ---------------------------------------------------------------------------
 // Thresholds. All relative; only regressions (fresh worse than baseline
@@ -74,6 +77,23 @@ const SPEEDUP_FLOOR: f64 = 1.10;
 /// cache-hot, so the gate only demands the kernels are never
 /// *materially slower* than the reference they replaced.
 const SCALAR_PARITY_FLOOR: f64 = 0.80;
+/// Floors for the run kernels over the span kernels on a z-face of the
+/// halo tile, the list `halo3d_w` spends its pack time on. Measured over
+/// 22 runs 3.8–6.0× (gather, 0.081–0.105 ns/B) and 1.64–2.73× (scatter,
+/// which is bound by its stores: 0.188–0.200 ns/B); a build that lost the
+/// tight loop reads 1.0.
+const ZFACE_GATHER_FLOOR: f64 = 2.0;
+const ZFACE_SCATTER_FLOOR: f64 = 1.3;
+/// Floor for one short run (26 × 16 B) over its spans: measured 2.7–3.5×
+/// either way, so even a run of a few dozen elements stays well ahead.
+const STRIDED16_FLOOR: f64 = 1.5;
+/// Floor for a list with nothing to fold: sealing it may cost nothing
+/// (measured 0.98–1.02×). This is the row `kernel::MIN_RUN` answers to:
+/// with `MIN_RUN` at 3 the list's accidental three-in-a-rows become runs,
+/// every one of them cuts a batch in three, and it reads 0.82×; an
+/// encoding that makes lone spans instructions of a uniform stream reads
+/// 0.70–0.85×.
+const IRREGULAR_FLOOR: f64 = 0.95;
 
 // ---------------------------------------------------------------------------
 // Kernel measurement: the 3-D Moore small-span profile from the
@@ -87,13 +107,17 @@ const M_SWEEP: [usize; 3] = [1, 8, 64];
 #[derive(Debug, Clone)]
 struct KernelCase {
     name: String,
-    m_elems: usize,
     ns_per_byte: f64,
-    speedup_vs_scalar: f64,
+    /// Time of the reference named by `over`, divided by the kernel's;
+    /// the two are timed interleaved.
+    speedup: f64,
+    over: &'static str,
+    /// What `speedup` may not fall below. Not read from a baseline.
+    floor: f64,
 }
 
-/// One ~10 ms sampling window: mean ns per call of `f`.
-fn window_ns(f: &mut dyn FnMut()) -> f64 {
+/// One sampling window of about `micros` µs: mean ns per call of `f`.
+fn window_ns(f: &mut dyn FnMut(), micros: u128) -> f64 {
     let mut iters: u64 = 0;
     let start = Instant::now();
     loop {
@@ -101,7 +125,7 @@ fn window_ns(f: &mut dyn FnMut()) -> f64 {
             f();
         }
         iters += 64;
-        if start.elapsed().as_millis() >= 10 {
+        if start.elapsed().as_micros() >= micros {
             break;
         }
     }
@@ -122,10 +146,39 @@ fn time_pair(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
     }
     let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
-        best_a = best_a.min(window_ns(&mut a));
-        best_b = best_b.min(window_ns(&mut b));
+        best_a = best_a.min(window_ns(&mut a, 10_000));
+        best_b = best_b.min(window_ns(&mut b, 10_000));
     }
     (best_a, best_b)
+}
+
+/// Time `a` against `b` where the *ratio* is what is gated, tightly: `a`'s
+/// best window, and the median of `b / a` over two hundred pairs of
+/// adjacent 1 ms windows. [`time_pair`]'s two minima can come from
+/// different stretches of a box that changes speed by a third for
+/// milliseconds to minutes at a time: one function timed against itself
+/// read 0.85–1.13× that way (and no better with fifty short windows a
+/// side), which no floor near 1 survives. Two adjacent windows see the
+/// same machine, so their ratio does not care how fast it was, and the
+/// median drops the pairs a change of speed fell between: the same
+/// self-comparison reads 0.94–1.04× over fifty pairs and 0.98–1.02× over
+/// two hundred (the `*_irregular` rows, 24 runs).
+fn time_ratio(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    const PAIRS: usize = 200;
+    let warm = Instant::now();
+    while warm.elapsed().as_millis() < 5 {
+        a();
+        b();
+    }
+    let mut best_a = f64::INFINITY;
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for _ in 0..PAIRS {
+        let (wa, wb) = (window_ns(&mut a, 1_000), window_ns(&mut b, 1_000));
+        best_a = best_a.min(wa);
+        ratios.push(wb / wa);
+    }
+    ratios.sort_by(f64::total_cmp);
+    (best_a, ratios[PAIRS / 2])
 }
 
 fn measure_kernels() -> Vec<KernelCase> {
@@ -153,9 +206,14 @@ fn measure_kernels() -> Vec<KernelCase> {
         );
         cases.push(KernelCase {
             name: format!("gather_m{m_elems}"),
-            m_elems,
             ns_per_byte: g_kernel / total as f64,
-            speedup_vs_scalar: g_scalar / g_kernel,
+            speedup: g_scalar / g_kernel,
+            over: "scalar",
+            floor: if m_elems <= 8 {
+                SPEEDUP_FLOOR
+            } else {
+                SCALAR_PARITY_FLOOR
+            },
         });
 
         let wire = vec![0x5Au8; total];
@@ -179,12 +237,159 @@ fn measure_kernels() -> Vec<KernelCase> {
         );
         cases.push(KernelCase {
             name: format!("scatter_m{m_elems}"),
-            m_elems,
             ns_per_byte: s_kernel / total as f64,
-            speedup_vs_scalar: s_scalar / s_kernel,
+            speedup: s_scalar / s_kernel,
+            over: "scalar",
+            floor: SCALAR_PARITY_FLOOR,
         });
     }
+
+    // What the executor runs since span programs know about strides: the
+    // list sealed into homogeneous batches, against the span kernels on
+    // the list as it was.
+    // A z-face of the 66³ f64 halo tile: 64 stretches of 64 × 8 B, 528 apart.
+    let zface: Vec<PackSpan> = (1..=64)
+        .flat_map(|x| (1..=64).map(move |y| (((x * 66 + y) * 66 + 1) * 8, 8)))
+        .collect();
+    cases.extend(sealed_pair(
+        "zface",
+        &zface,
+        (ZFACE_GATHER_FLOOR, ZFACE_SCATTER_FLOOR),
+    ));
+    // One short run: the shape of cartbench's small-gather probe.
+    let strided16: Vec<PackSpan> = (0..NEIGHBORS).map(|i| (i * 32, 16)).collect();
+    cases.extend(sealed_pair(
+        "strided16",
+        &strided16,
+        (STRIDED16_FLOOR, STRIDED16_FLOOR),
+    ));
+    // Nothing to fold: 4 096 × 8 B at gaps drawn from sixteen values, so
+    // three-in-a-row happens by accident and eight-in-a-row never does.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let irregular: Vec<PackSpan> = (0..4096)
+        .scan(0usize, |at, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *at += 24 + 8 * (state % 16) as usize;
+            Some((*at, 8))
+        })
+        .collect();
+    cases.extend(sealed_pair(
+        "irregular",
+        &irregular,
+        (IRREGULAR_FLOOR, IRREGULAR_FLOOR),
+    ));
     cases
+}
+
+/// A span list the way a sealed span program holds it: homogeneous
+/// batches, one kernel call each. (A plain batch stays where it was in the
+/// list, so that a list with nothing to fold is the same memory sealed.)
+enum Batch<'a> {
+    Spans(&'a [PackSpan]),
+    Runs(Vec<SpanRun>),
+}
+
+fn seal(spans: &[PackSpan]) -> Vec<Batch<'_>> {
+    let mut batches: Vec<Batch> = Vec::new();
+    for piece in kernel::compress_spans(spans) {
+        match (piece, batches.last_mut()) {
+            (Stretch::Run(run), Some(Batch::Runs(runs))) => runs.push(run),
+            (Stretch::Run(run), _) => batches.push(Batch::Runs(vec![run])),
+            (Stretch::Spans(plain), _) => batches.push(Batch::Spans(plain)),
+        }
+    }
+    batches
+}
+
+// One compiled instance of each kernel for both sides of a sealed pair.
+// `gather_spans` inlined into two closures is two pieces of machine code,
+// and they have read 0.22, 0.30 and 0.45 ns/B for one list; the
+// `*_irregular` rows compare a list with itself and must not see that.
+#[inline(never)]
+fn gather_spans(src: &[u8], spans: &[PackSpan], out: &mut Vec<u8>) -> usize {
+    kernel::gather_spans(src, spans, out)
+}
+
+#[inline(never)]
+fn gather_runs(src: &[u8], runs: &[SpanRun], out: &mut Vec<u8>) -> usize {
+    kernel::gather_runs(src, runs, out)
+}
+
+#[inline(never)]
+fn scatter_spans(dst: &mut [u8], spans: &[PackSpan], wire: &[u8]) -> usize {
+    kernel::scatter_spans(dst, spans, wire)
+}
+
+#[inline(never)]
+fn scatter_runs(dst: &mut [u8], runs: &[SpanRun], wire: &[u8]) -> usize {
+    kernel::scatter_runs(dst, runs, wire)
+}
+
+/// `gather_<name>` and `scatter_<name>`: `spans` sealed, timed against the
+/// span kernels on `spans` itself, both sides over the same buffers.
+/// `floors` are the gather's and the scatter's.
+fn sealed_pair(name: &str, spans: &[PackSpan], floors: (f64, f64)) -> [KernelCase; 2] {
+    use std::hint::black_box;
+    let batches = seal(spans);
+    let total = kernel::spans_len(spans);
+    let reach = spans.iter().map(|&(off, len)| off + len).max().unwrap_or(0);
+    let src = vec![0xA5u8; reach];
+    let out = RefCell::new(Vec::with_capacity(total));
+    let (g_sealed, g_over) = time_ratio(
+        || {
+            let mut out = out.borrow_mut();
+            out.clear();
+            for b in &batches {
+                match b {
+                    Batch::Spans(plain) => gather_spans(black_box(&src), plain, &mut out),
+                    Batch::Runs(runs) => gather_runs(black_box(&src), runs, &mut out),
+                };
+            }
+            black_box(out.len());
+        },
+        || {
+            let mut out = out.borrow_mut();
+            out.clear();
+            gather_spans(black_box(&src), spans, &mut out);
+            black_box(out.len());
+        },
+    );
+    let wire = vec![0x5Au8; total];
+    let dst = RefCell::new(vec![0u8; reach]);
+    let (s_sealed, s_over) = time_ratio(
+        || {
+            let mut dst = dst.borrow_mut();
+            let mut pos = 0usize;
+            for b in &batches {
+                let wire = black_box(&wire[pos..]);
+                pos += match b {
+                    Batch::Spans(plain) => scatter_spans(&mut dst, plain, wire),
+                    Batch::Runs(runs) => scatter_runs(&mut dst, runs, wire),
+                };
+            }
+            black_box(pos);
+        },
+        || {
+            black_box(scatter_spans(
+                &mut dst.borrow_mut(),
+                spans,
+                black_box(&wire),
+            ));
+        },
+    );
+    let case = |what: &str, sealed: f64, speedup: f64, floor: f64| KernelCase {
+        name: format!("{what}_{name}"),
+        ns_per_byte: sealed / total as f64,
+        speedup,
+        over: "spans",
+        floor,
+    };
+    [
+        case("gather", g_sealed, g_over, floors.0),
+        case("scatter", s_sealed, s_over, floors.1),
+    ]
 }
 
 fn kernels_json(cases: &[KernelCase]) -> String {
@@ -192,15 +397,20 @@ fn kernels_json(cases: &[KernelCase]) -> String {
         .iter()
         .map(|c| {
             format!(
-                "    {{\"name\":\"{}\",\"m_elems\":{},\"ns_per_byte\":{:.4},\
-                 \"speedup_vs_scalar\":{:.4}}}",
-                c.name, c.m_elems, c.ns_per_byte, c.speedup_vs_scalar
+                "    {{\"name\":\"{}\",\"ns_per_byte\":{:.4},\"speedup\":{:.4},\
+                 \"over\":\"{}\"}}",
+                c.name, c.ns_per_byte, c.speedup, c.over
             )
         })
         .collect();
     format!(
-        "{{\n  \"schema\":\"perfgate-kernels-v1\",\n  \"workload\":{{\"neighbors\":{NEIGHBORS},\
-         \"m_sweep_elems\":[1,8,64],\"span_stride\":\"3*len+13\"}},\n  \"cases\":[\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\":\"perfgate-kernels-v1\",\n  \"host\":{},\n  \
+         \"workload\":{{\"neighbors\":{NEIGHBORS},\
+         \"m_sweep_elems\":[1,8,64],\"span_stride\":\"3*len+13\",\
+         \"zface\":\"4096 x 8 B, 64 stretches at stride 528 (66^3 f64 tile)\",\
+         \"strided16\":\"26 x 16 B at stride 32\",\
+         \"irregular\":\"4096 x 8 B at gaps of 24..=144\"}},\n  \"cases\":[\n{}\n  ]\n}}\n",
+        cartcomm_bench::host_json(1),
         body.join(",\n")
     )
 }
@@ -291,22 +501,28 @@ fn profile_from_json(s: &str) -> Result<Profile, String> {
     })
 }
 
-fn parse_kernels(path: &str) -> Result<Vec<KernelCase>, String> {
+/// The baseline's `(name, ns_per_byte)` rows.
+fn parse_kernels(path: &str) -> Result<Vec<(String, f64)>, String> {
     let s = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    kernels_from_json(&s).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Reads what the gate compares out of a perfgate-kernels-v1 document. As
+/// with profiles, keys are found by name: the `host` and `workload`
+/// objects, and the speedups a bless recorded, may come and go.
+fn kernels_from_json(s: &str) -> Result<Vec<(String, f64)>, String> {
     if !s.contains("\"schema\":\"perfgate-kernels-v1\"") {
-        return Err(format!("{path}: not a perfgate-kernels-v1 baseline"));
+        return Err("not a perfgate-kernels-v1 baseline".to_string());
     }
-    let cases = objects_in_array(&s, "cases")
+    let cases = objects_in_array(s, "cases")
         .iter()
         .filter_map(|o| {
             let name_start = o.find("\"name\":\"")? + 8;
             let name_end = name_start + o[name_start..].find('"')?;
-            Some(KernelCase {
-                name: o[name_start..name_end].to_string(),
-                m_elems: num_after(o, "m_elems")? as usize,
-                ns_per_byte: num_after(o, "ns_per_byte")?,
-                speedup_vs_scalar: num_after(o, "speedup_vs_scalar")?,
-            })
+            Some((
+                o[name_start..name_end].to_string(),
+                num_after(o, "ns_per_byte")?,
+            ))
         })
         .collect();
     Ok(cases)
@@ -451,31 +667,27 @@ fn check(profile_path: &str, baseline_path: &str, kernels_path: &str) -> i32 {
         }
     }
 
-    // Kernel ns/byte vs baseline, plus the speedup floor for the
-    // small-span cases the batching exists for.
-    for kb in &kbase {
-        match kfresh.iter().find(|c| c.name == kb.name) {
+    // Kernel ns/byte vs baseline, plus each case's speedup floor.
+    for (name, base_nsb) in &kbase {
+        match kfresh.iter().find(|c| c.name == *name) {
             Some(kf) => {
                 gate.worse_above(
-                    &format!("kernel_nsb[{}]", kb.name),
-                    kb.ns_per_byte,
+                    &format!("kernel_nsb[{name}]"),
+                    *base_nsb,
                     kf.ns_per_byte,
                     KERNEL_NSB_TOL,
                 );
-                let floor = if kf.name.starts_with("gather") && kf.m_elems <= 8 {
-                    SPEEDUP_FLOOR
-                } else {
-                    SCALAR_PARITY_FLOOR
-                };
-                gate.floor(
-                    &format!("speedup[{}]", kb.name),
-                    kf.speedup_vs_scalar,
-                    floor,
-                );
+                gate.floor(&format!("speedup[{name}]"), kf.speedup, kf.floor);
             }
             None => gate
                 .failures
-                .push(format!("kernel baseline case {} not measured", kb.name)),
+                .push(format!("kernel baseline case {name} not measured")),
+        }
+    }
+    for kf in &kfresh {
+        if !kbase.iter().any(|(name, _)| *name == kf.name) {
+            gate.failures
+                .push(format!("kernel case {} has no baseline: re-bless", kf.name));
         }
     }
 
@@ -497,8 +709,8 @@ fn bless(kernels_path: &str) -> i32 {
     let cases = measure_kernels();
     for c in &cases {
         println!(
-            "  {:<14} {:>8.3} ns/B  {:>6.2}x vs scalar",
-            c.name, c.ns_per_byte, c.speedup_vs_scalar
+            "  {:<18} {:>8.3} ns/B  {:>6.2}x over {:<6} (floor {:.2})",
+            c.name, c.ns_per_byte, c.speedup, c.over, c.floor
         );
     }
     let json = kernels_json(&cases);
@@ -572,5 +784,37 @@ mod tests {
             assert_eq!(p.per_m, vec![(4, 90.0), (64, 120.0)]);
         }
         assert!(profile_from_json("{\"schema\":\"other\"}").is_err());
+    }
+
+    #[test]
+    fn kernel_reader_tolerates_the_host_object() {
+        let cases = "\"cases\":[{\"name\":\"gather_m1\",\"ns_per_byte\":0.25,\"speedup\":1.5,\
+                     \"over\":\"scalar\"},{\"name\":\"scatter_zface\",\"ns_per_byte\":0.125,\
+                     \"speedup\":1.75,\"over\":\"spans\"}]";
+        let host = format!("\"host\":{}", cartcomm_bench::host_json(1));
+        let with = format!("{{\"schema\":\"perfgate-kernels-v1\",{host},{cases}}}");
+        let without = format!("{{\"schema\":\"perfgate-kernels-v1\",{cases}}}");
+        for doc in [with, without] {
+            assert_eq!(
+                kernels_from_json(&doc).unwrap(),
+                vec![
+                    ("gather_m1".to_string(), 0.25),
+                    ("scatter_zface".to_string(), 0.125)
+                ]
+            );
+        }
+        assert!(kernels_from_json("{\"schema\":\"other\"}").is_err());
+        // What a bless writes is what a check reads.
+        let blessed = kernels_json(&[KernelCase {
+            name: "gather_zface".to_string(),
+            ns_per_byte: 0.5,
+            speedup: 3.0,
+            over: "spans",
+            floor: ZFACE_GATHER_FLOOR,
+        }]);
+        assert_eq!(
+            kernels_from_json(&blessed).unwrap(),
+            vec![("gather_zface".to_string(), 0.5)]
+        );
     }
 }

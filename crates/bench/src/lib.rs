@@ -28,3 +28,18 @@ pub use harness::{
     simulate_allgather_series, simulate_alltoall_series, simulate_alltoallv_series, v_block_sizes,
     FigureRow, SeriesKind,
 };
+
+/// Where and with what a committed baseline was taken, as a JSON object:
+/// α̂ on 27 rank threads over 2 cores is not α̂ on 27 cores, a kernel's
+/// ns/byte on one machine not another's, and a baseline has to say which
+/// it is. `rank_threads` is how many threads the measurement keeps busy.
+pub fn host_json(rank_threads: usize) -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        "{{\"nproc\":{nproc},\"rank_threads\":{rank_threads},\"oversubscription\":{:.6},\
+         \"build_profile\":\"{}\",\"rustc\":\"{}\"}}",
+        rank_threads as f64 / nproc as f64,
+        cartcomm_comm::obs::json_escape(env!("CARTCOMM_BUILD_PROFILE")),
+        cartcomm_comm::obs::json_escape(env!("CARTCOMM_BUILD_RUSTC")),
+    )
+}

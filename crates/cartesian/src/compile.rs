@@ -15,7 +15,9 @@
 //! * every gather/scatter flattened into a *span program*: a short list of
 //!   `(offset, len)` memcpy ranges derived from the committed
 //!   [`FlatType`](cartcomm_types::FlatType)s, with adjacent ranges coalesced
-//!   so a contiguous block compiles to a single `memcpy`;
+//!   so a contiguous block compiles to a single `memcpy`, and equidistant
+//!   stretches — what a `vector` or `subarray` flattens to — folded into
+//!   strided runs, one instruction and one tight loop each;
 //! * every local copy composed source-against-destination into
 //!   `(src_offset, dst_offset, len)` triples, executed directly when the
 //!   ranges cannot alias and staged through a scratch buffer otherwise;
@@ -39,7 +41,7 @@ use std::sync::Arc;
 use cartcomm_comm::obs::{Obs, TraceEvent};
 use cartcomm_comm::{Comm, CommError, ExchangeBatch, RecvSpec, Tag};
 use cartcomm_topo::{CartTopology, Offset};
-use cartcomm_types::kernel::{self, PackSpan};
+use cartcomm_types::kernel::{self, PackSpan, SpanRun, Stretch};
 use cartcomm_types::{Reducer, TypeError};
 
 use crate::error::{CartError, CartResult};
@@ -57,17 +59,22 @@ enum BufId {
     Temp,
 }
 
-/// A run of consecutive spans addressing one buffer — the unit the pack
-/// kernel executes with a single call. Batching is decided at compile
-/// time, so the executor's inner loop is one kernel invocation per
-/// buffer run instead of one dispatch (and one `Vec` length update) per
-/// span.
+/// A stretch of consecutive instructions of one kind addressing one
+/// buffer — the unit the pack kernel executes with a single call. Batching
+/// is decided at compile time, so the executor's inner loop is one kernel
+/// invocation per batch instead of one dispatch (and one `Vec` length
+/// update) per span.
 #[derive(Debug, Clone, Copy)]
 struct SpanBatch {
     buf: BufId,
-    /// Start of this batch's range in the program's span slab.
+    /// The batch's instructions are [`SpanRun`]s in the program's run slab,
+    /// for the run kernels; otherwise spans in its span slab, for the span
+    /// kernels. Fixed when the program is sealed, by the spans the batch
+    /// holds and nothing else.
+    strided: bool,
+    /// Start of this batch's range in its slab.
     start: usize,
-    /// Number of spans in the range.
+    /// Number of instructions in the range.
     count: usize,
     /// Total bytes the batch moves (precomputed).
     bytes: usize,
@@ -78,14 +85,21 @@ struct SpanBatch {
     acc: bool,
 }
 
-/// A gather or scatter span program: per-buffer [`SpanBatch`]es over one
-/// shared, coalesced `(offset, len)` slab. The slab keeps every span of
-/// the program contiguous in memory, so executing — and fingerprinting —
+/// A gather or scatter span program: [`SpanBatch`]es over two shared
+/// slabs, one of coalesced `(offset, len)` spans and one of strided runs.
+/// It is built span by span ([`SpanProgram::push`]) and then sealed
+/// ([`SpanProgram::seal`]), which folds its equidistant stretches into
+/// runs; a slab keeps its instructions contiguous in memory, so executing
 /// walks cache-linear with zero per-round allocation.
 #[derive(Debug, Default)]
 struct SpanProgram {
     batches: Vec<SpanBatch>,
     spans: Vec<PackSpan>,
+    /// Empty until the program is sealed.
+    runs: Vec<SpanRun>,
+    /// Logical spans, counted when the program is sealed: what its
+    /// instructions expand to.
+    span_count: usize,
 }
 
 impl SpanProgram {
@@ -97,6 +111,7 @@ impl SpanProgram {
     /// batch, so wide-copy batching applies to accumulate runs too without
     /// ever mixing the two kernels.
     fn push(&mut self, buf: BufId, off: usize, len: usize, acc: bool) {
+        debug_assert!(self.runs.is_empty(), "a sealed program takes no spans");
         if let Some(b) = self.batches.last_mut() {
             if b.buf == buf && b.acc == acc {
                 let last = &mut self.spans[b.start + b.count - 1];
@@ -114,6 +129,7 @@ impl SpanProgram {
         self.spans.push((off, len));
         self.batches.push(SpanBatch {
             buf,
+            strided: false,
             start,
             count: 1,
             bytes: len,
@@ -121,9 +137,52 @@ impl SpanProgram {
         });
     }
 
-    /// Memcpy ranges in the program (after coalescing).
-    fn span_count(&self) -> usize {
-        self.spans.len()
+    /// Cut every batch into homogeneous ones: each stretch
+    /// [`kernel::compress_spans`] folds becomes a run of a strided batch,
+    /// what lies between stays a plain batch over the span slab. The spans
+    /// the runs stand for are not kept.
+    fn seal(&mut self) {
+        let built = std::mem::take(&mut self.batches);
+        let spans = std::mem::take(&mut self.spans);
+        self.span_count = spans.len();
+        for b in built {
+            // Neighbors in `built` differ in buffer or mode, so a strided
+            // batch grows only by runs out of `b` itself.
+            let first = self.batches.len();
+            for piece in kernel::compress_spans(&spans[b.start..b.start + b.count]) {
+                match piece {
+                    Stretch::Spans(plain) => {
+                        self.batches.push(SpanBatch {
+                            start: self.spans.len(),
+                            count: plain.len(),
+                            bytes: kernel::spans_len(plain),
+                            ..b
+                        });
+                        self.spans.extend_from_slice(plain);
+                    }
+                    Stretch::Run(run) => {
+                        let bytes = run.len * run.count;
+                        match self.batches[first..].last_mut() {
+                            Some(last) if last.strided => {
+                                last.count += 1;
+                                last.bytes += bytes;
+                            }
+                            _ => self.batches.push(SpanBatch {
+                                strided: true,
+                                start: self.runs.len(),
+                                count: 1,
+                                bytes,
+                                ..b
+                            }),
+                        }
+                        self.runs.push(run);
+                    }
+                }
+            }
+        }
+        self.batches.shrink_to_fit();
+        self.spans.shrink_to_fit();
+        self.runs.shrink_to_fit();
     }
 
     /// Total bytes the program moves.
@@ -131,9 +190,22 @@ impl SpanProgram {
         self.batches.iter().map(|b| b.bytes).sum()
     }
 
-    /// The slab slice a batch covers.
-    fn batch_spans(&self, b: &SpanBatch) -> &[PackSpan] {
-        &self.spans[b.start..b.start + b.count]
+    /// Instructions in both slabs.
+    fn instr_count(&self) -> usize {
+        self.spans.len() + self.runs.len()
+    }
+
+    /// The logical spans of a batch, runs expanded.
+    fn batch_spans(&self, b: &SpanBatch) -> impl Iterator<Item = PackSpan> + '_ {
+        let at = b.start..b.start + b.count;
+        let (plain, runs) = match b.strided {
+            false => (&self.spans[at], &[][..]),
+            true => (&[][..], &self.runs[at]),
+        };
+        plain
+            .iter()
+            .copied()
+            .chain(runs.iter().flat_map(SpanRun::spans))
     }
 }
 
@@ -166,12 +238,13 @@ struct Half {
 }
 
 impl Half {
-    /// Every span of the program with the batch it runs in.
-    fn spans(&self) -> impl Iterator<Item = (&SpanBatch, &PackSpan)> {
+    /// Every logical span of the program — runs expanded, so the stream is
+    /// the one the program was built from — with the batch it runs in.
+    fn spans(&self) -> impl Iterator<Item = (&SpanBatch, PackSpan)> {
         let prog = &self.prog;
         prog.batches
             .iter()
-            .flat_map(move |b| prog.batch_spans(b).iter().map(move |s| (b, s)))
+            .flat_map(move |b| prog.batch_spans(b).map(move |s| (b, s)))
     }
 }
 
@@ -372,10 +445,13 @@ impl Program {
                         );
                     }
                 }
-                let half = |blocks: usize, prog: SpanProgram| {
-                    (blocks > 0).then(|| Half {
-                        wire_len: prog.bytes(),
-                        prog,
+                let half = |blocks: usize, mut prog: SpanProgram| {
+                    (blocks > 0).then(|| {
+                        prog.seal();
+                        Half {
+                            wire_len: prog.bytes(),
+                            prog,
+                        }
                     })
                 };
                 let send = half(departing, gather);
@@ -415,7 +491,7 @@ impl Program {
             }
             let packed = phase.rounds.iter().flat_map(|r| &r.send);
             let mut reads = packed.flat_map(Half::spans);
-            if reads.any(|(b, &(o, n))| b.buf == BufId::Send && written.overlaps(o, n)) {
+            if reads.any(|(b, (o, n))| b.buf == BufId::Send && written.overlaps(o, n)) {
                 return true;
             }
             let unpacked = phase.rounds.iter().flat_map(|r| &r.recv);
@@ -423,7 +499,7 @@ impl Program {
             written.extend(
                 writes
                     .filter(|(b, _)| b.buf == BufId::Recv)
-                    .map(|(_, &span)| span),
+                    .map(|(_, span)| span),
             );
         }
         false
@@ -567,22 +643,31 @@ impl Program {
         self.phases.iter().map(|p| p.copies.len()).sum()
     }
 
-    /// Total memcpy ranges across all span programs — a measure of how far
-    /// coalescing compressed the datatype machinery.
+    /// Total memcpy ranges across all span programs and copies — a measure
+    /// of how far coalescing compressed the datatype machinery. Strided
+    /// runs count as the ranges they stand for.
     pub fn span_count(&self) -> usize {
-        self.phases
-            .iter()
-            .flat_map(|p| &p.rounds)
-            .flat_map(|r| [&r.send, &r.recv])
-            .flatten()
-            .map(|h| h.prog.span_count())
-            .sum::<usize>()
-            + self
-                .phases
-                .iter()
-                .flat_map(|p| &p.copies)
-                .map(|c| c.ops.len())
-                .sum::<usize>()
+        self.count(|prog| prog.span_count)
+    }
+
+    /// Instructions the executor steps through for those ranges: a strided
+    /// run is one, however many ranges it stands for.
+    pub fn instr_count(&self) -> usize {
+        self.count(SpanProgram::instr_count)
+    }
+
+    /// Whether in-place execution sends from a snapshot of the buffer.
+    pub fn in_place_snapshot(&self) -> bool {
+        self.in_place_snapshot
+    }
+
+    /// `per_prog` summed over every span program, plus every copy's ranges.
+    fn count(&self, per_prog: impl Fn(&SpanProgram) -> usize) -> usize {
+        let rounds = self.phases.iter().flat_map(|p| &p.rounds);
+        let halves = rounds.flat_map(|r| [&r.send, &r.recv]).flatten();
+        let copies = self.phases.iter().flat_map(|p| &p.copies);
+        halves.map(|h| per_prog(&h.prog)).sum::<usize>()
+            + copies.map(|c| c.ops.len()).sum::<usize>()
     }
 }
 
@@ -711,17 +796,17 @@ impl CompiledPlan {
                 h.u64(source as u64);
                 h.u64(r.tag as u64);
                 h.u64(r.send.as_ref().map_or(0, |s| s.wire_len) as u64);
-                // Batches expand back to the per-span (buffer, offset,
-                // len) stream, so fingerprints are representation-blind:
-                // the flat-slab program hashes identically to the
-                // per-span op list it replaced.
-                for (b, &(off, len)) in r.send.iter().flat_map(Half::spans) {
+                // Batches and runs expand back to the per-span (buffer,
+                // offset, len) stream, so fingerprints are
+                // representation-blind: the sealed program hashes
+                // identically to the per-span op list it replaced.
+                for (b, (off, len)) in r.send.iter().flat_map(Half::spans) {
                     h.u64(buf_tag(b.buf));
                     h.u64(off as u64);
                     h.u64(len as u64);
                 }
                 h.u64(0x5C);
-                for (b, &(off, len)) in r.recv.iter().flat_map(Half::spans) {
+                for (b, (off, len)) in r.recv.iter().flat_map(Half::spans) {
                     if red && b.acc {
                         h.u64(0xACC);
                     }
@@ -916,20 +1001,16 @@ fn resolve_block(lay: &ExecLayouts, br: BlockRef) -> CartResult<(BufId, Vec<(usi
 }
 
 /// A compiled copy may skip staging iff no destination range can alias any
-/// source range. `in_place` treats `Send` and `Recv` as one buffer.
+/// source range. `in_place` treats `Send` and `Recv` as one buffer. (No
+/// range of `ops` is empty: `compile_copy` composes none.)
 fn copy_is_direct(src: BufId, dst: BufId, ops: &[(usize, usize, usize)], in_place: bool) -> bool {
     let same_buffer = src == dst || (in_place && src != BufId::Temp && dst != BufId::Temp);
     if !same_buffer {
         return true;
     }
-    for &(s_off, _, s_len) in ops {
-        for &(_, d_off, d_len) in ops {
-            if s_off < d_off + d_len && d_off < s_off + s_len {
-                return false;
-            }
-        }
-    }
-    true
+    let mut written = Ranges::default();
+    written.extend(ops.iter().map(|&(_, d, n)| (d, n)));
+    !ops.iter().any(|&(s, _, n)| written.overlaps(s, n))
 }
 
 pub(crate) fn nonperiodic_dim(topo: &CartTopology, offset: &[i64]) -> CartError {
@@ -964,7 +1045,12 @@ impl Mem<'_> {
 
     fn gather(&self, prog: &SpanProgram, wire: &mut Vec<u8>) {
         for b in &prog.batches {
-            kernel::gather_spans(self.read(b.buf), prog.batch_spans(b), wire);
+            let (src, at) = (self.read(b.buf), b.start..b.start + b.count);
+            if b.strided {
+                kernel::gather_runs(src, &prog.runs[at], wire);
+            } else {
+                kernel::gather_spans(src, &prog.spans[at], wire);
+            }
         }
     }
 
@@ -976,11 +1062,13 @@ impl Mem<'_> {
                 BufId::Recv => self.user,
                 BufId::Temp => self.temp,
             };
-            pos += if b.acc {
-                let red = red.expect("accumulating batch requires a reducer");
-                kernel::accumulate_spans(dst, prog.batch_spans(b), &wire[pos..], red)
-            } else {
-                kernel::scatter_spans(dst, prog.batch_spans(b), &wire[pos..])
+            let (wire, at) = (&wire[pos..], b.start..b.start + b.count);
+            let red = || red.expect("accumulating batch requires a reducer");
+            pos += match (b.strided, b.acc) {
+                (true, false) => kernel::scatter_runs(dst, &prog.runs[at], wire),
+                (false, false) => kernel::scatter_spans(dst, &prog.spans[at], wire),
+                (true, true) => kernel::accumulate_runs(dst, &prog.runs[at], wire, red()),
+                (false, true) => kernel::accumulate_spans(dst, &prog.spans[at], wire, red()),
             };
         }
     }
@@ -1201,7 +1289,7 @@ impl RankExec<'_> {
         );
         let metrics = self.obs.metrics();
         metrics.round_started();
-        metrics.pack(out.prog.span_count(), out.wire_len);
+        metrics.pack(out.prog.span_count, out.wire_len);
         if traced {
             self.obs.emit(
                 self.rank,
@@ -1218,7 +1306,7 @@ impl RankExec<'_> {
                 self.rank,
                 TraceEvent::PackSpan {
                     round,
-                    spans: out.prog.span_count(),
+                    spans: out.prog.span_count,
                     bytes: out.wire_len,
                 },
             );
@@ -1263,7 +1351,7 @@ impl RankExec<'_> {
                     self.rank,
                     TraceEvent::AccumSpan {
                         round,
-                        spans: inc.prog.span_count(),
+                        spans: inc.prog.span_count,
                         bytes: inc.wire_len,
                     },
                 );
@@ -1588,7 +1676,7 @@ mod tests {
                 for (b, _) in r.send.iter().flat_map(Half::spans) {
                     assert_ne!(b.buf, BufId::Recv, "round {idx} forwards from Recv");
                 }
-                for (b, &(off, len)) in r.recv.iter().flat_map(Half::spans) {
+                for (b, (off, len)) in r.recv.iter().flat_map(Half::spans) {
                     if b.buf == BufId::Recv {
                         assert_eq!(off % 4, 0);
                         let blocks = &last[off / 4..(off + len) / 4];
@@ -1663,6 +1751,85 @@ mod tests {
         assert!(r.overlaps(3, 1) && r.overlaps(0, 100) && r.overlaps(15, 1));
         assert!(!r.overlaps(4, 4) && !r.overlaps(16, 8) && !r.overlaps(2, 0));
         assert_eq!(r.spans, vec![(0, 4), (8, 16)]);
+    }
+
+    /// What `copy_is_direct` computed before it asked a [`Ranges`]: every
+    /// source range against every destination range.
+    fn copy_is_direct_oracle(
+        src: BufId,
+        dst: BufId,
+        ops: &[(usize, usize, usize)],
+        in_place: bool,
+    ) -> bool {
+        let same_buffer = src == dst || (in_place && src != BufId::Temp && dst != BufId::Temp);
+        !same_buffer
+            || ops.iter().all(|&(s_off, _, s_len)| {
+                ops.iter()
+                    .all(|&(_, d_off, d_len)| s_off >= d_off + d_len || d_off >= s_off + s_len)
+            })
+    }
+
+    #[test]
+    fn copy_aliasing_agrees_with_the_quadratic_oracle() {
+        use BufId::*;
+        // xorshift64: random triple lists, dense enough that about half of
+        // them alias.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut direct, mut staged) = (0, 0);
+        for _ in 0..2000 {
+            let room = 16 + below(240);
+            let ops: Vec<(usize, usize, usize)> = (0..below(7))
+                .map(|_| (below(room), below(room), 1 + below(8)))
+                .collect();
+            for (src, dst) in [(Temp, Temp), (Recv, Recv), (Send, Recv), (Send, Temp)] {
+                for in_place in [false, true] {
+                    let got = copy_is_direct(src, dst, &ops, in_place);
+                    let want = copy_is_direct_oracle(src, dst, &ops, in_place);
+                    assert_eq!(got, want, "{src:?}->{dst:?} in_place={in_place}: {ops:?}");
+                }
+            }
+            match copy_is_direct(Temp, Temp, &ops, false) {
+                true => direct += 1,
+                false => staged += 1,
+            }
+        }
+        assert!(
+            direct > 200 && staged > 200,
+            "{direct} direct, {staged} staged"
+        );
+    }
+
+    /// A neighborhood that keeps its own block compiles a `Send → Recv`
+    /// copy whose in-place aliasing is always worked out. With a strided
+    /// self block that was every range against every range: 512 × 512
+    /// one-element rows took half a minute.
+    #[test]
+    fn a_strided_self_block_compiles_in_seconds() {
+        use cartcomm_types::Datatype;
+        let n = 512usize;
+        let topo = CartTopology::torus(&[2, 2, 2]).unwrap();
+        let nb = RelNeighborhood::new(3, vec![vec![0, 0, 0], vec![0, 0, 1]]).unwrap();
+        let face = |z: usize| {
+            let ty = Datatype::subarray(&[n, n, 2], &[n, n, 1], &[0, 0, z], &Datatype::double());
+            crate::ops::WBlock::new(0, 1, &ty.unwrap())
+        };
+        let (out, into) = ([face(0), face(0)], [face(1), face(1)]);
+        let plan = alltoall_plan(&nb);
+        let lay = crate::ops::w_layouts(&out, &into, plan.kind).unwrap();
+        let lay = size_temp(lay, plan.kind, plan.temp_slots).unwrap();
+        let start = std::time::Instant::now();
+        let cp = CompiledPlan::compile(&topo, 0, &plan, &lay, 0).unwrap();
+        let took = start.elapsed();
+        assert_eq!(cp.copy_count(), 1);
+        assert!(cp.span_count() >= 3 * n * n, "{} spans", cp.span_count());
+        assert!(!cp.in_place_snapshot);
+        assert!(took.as_secs() < 5, "compiling took {took:?}");
     }
 
     /// Goldens for what this module newly compiles (the combining torus

@@ -9,7 +9,45 @@
 // Every suite uses some of these, none all of them.
 #![allow(dead_code)]
 
+use cartcomm::ops::WBlock;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
+use cartcomm_types::Datatype;
+
+/// Layouts [`strided_block`] knows, and the room one block needs.
+pub const STRIDED_SHAPES: usize = 7;
+pub const STRIDED_SLOT: usize = 568;
+
+/// A block of `16 · n` data bytes (`n` in `1..=12`) in slot `slot` of a
+/// buffer, at an odd displacement, laid out by `shape`: contiguous; as
+/// 16-, 8-, 4- or 1-byte elements a constant stride apart (`vector`); as a
+/// *descending* `hvector` of 16-byte elements; or as the rows of a 2-D
+/// `subarray`. All of these flatten to equidistant spans, `n`, `2n`, `4n`
+/// or `16n` of them — so across `n` a compiled program holds stretches
+/// that do and do not reach `kernel::MIN_RUN`, which it runs as strided
+/// batches and plain ones; the descending one never may.
+pub fn strided_block(shape: usize, slot: usize, n: usize) -> WBlock {
+    assert!((1..=12).contains(&n));
+    let disp = (slot * STRIDED_SLOT + slot % 3) as i64;
+    let elems = |width: usize, stride: i64| {
+        Datatype::vector(16 * n / width, 1, stride, &Datatype::bytes(width))
+    };
+    let (disp, ty) = match shape % STRIDED_SHAPES {
+        0 => (disp, Datatype::bytes(16 * n)),
+        1 => (disp, elems(16, 2)),
+        2 => (disp, elems(8, 3)),
+        3 => (disp, elems(4, 2)),
+        4 => (disp, elems(1, 2)),
+        5 => (
+            disp + 32 * (n as i64 - 1),
+            Datatype::hvector(n, 1, -32, &Datatype::bytes(16)),
+        ),
+        _ => (
+            disp,
+            Datatype::subarray(&[n, 24], &[n, 16], &[0, 4], &Datatype::byte()).unwrap(),
+        ),
+    };
+    WBlock::new(disp, 1, &ty)
+}
 
 /// The rank each neighbor block arrives from, `None` where it does not
 /// exist.

@@ -4,7 +4,10 @@
 //! Random topologies (d ∈ 1..=3, extents 2..=3 so ±1 offsets alias on
 //! extent-2 dimensions, every dimension periodic or not — tori, meshes and
 //! mixes), random neighborhoods (zero offset and duplicates included),
-//! irregular block sizes, all six collectives and both algorithms: an
+//! irregular block sizes, contiguous and strided block layouts (`vector`,
+//! `hvector`, `subarray`: stretches the compiler folds into strided runs,
+//! stretches too short for that, and a descending one it must leave
+//! alone), all six collectives and both algorithms: an
 //! [`InlineUniverse`] stepping every rank's program on one thread must
 //! leave byte-identical receive buffers to the threaded [`Universe`] run —
 //! and both the closed form, computed from the topology and the layouts
@@ -27,7 +30,7 @@ use cartcomm_types::{gather_append, scatter, Datatype, Primitive, RedOp, Reducer
 use proptest::prelude::*;
 
 mod common;
-use common::sources;
+use common::{sources, strided_block};
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -160,16 +163,35 @@ fn ops_of(case: &Case) -> Vec<Op> {
         },
         Op::ReduceScatter(red, m),
         Op::Allreduce(red, m),
+        // Strided layouts both ways, a different one per block and side.
+        Op::Alltoallw {
+            send: (0..t)
+                .map(|i| strided_block(m + i, i, case.sizes[i] % 12 + 1))
+                .collect(),
+            recv: (0..t)
+                .map(|i| strided_block(m / 7 + 2 * i, i, case.sizes[i] % 12 + 1))
+                .collect(),
+        },
+        Op::Allgatherw {
+            send: strided_block(m, 0, m % 12 + 1),
+            recv: (0..t)
+                .map(|i| strided_block(m / 7 + i, i, m % 12 + 1))
+                .collect(),
+        },
     ]
 }
 
 impl Op {
     /// Per-rank `(send, recv)` buffer lengths in bytes.
     fn lens(&self, t: usize) -> (usize, usize) {
-        let span = |blocks: &[WBlock], stride: usize| {
+        // One byte past the last any block touches.
+        let span = |blocks: &[WBlock]| {
             blocks
                 .iter()
-                .map(|b| b.disp as usize + b.ty.size() * b.count * stride)
+                .map(|b| {
+                    let l = b.commit().expect("block commits");
+                    (l.disp + l.ty.lb() + l.ty.extent()) as usize
+                })
                 .max()
                 .unwrap_or(0)
         };
@@ -182,9 +204,9 @@ impl Op {
                 senddispls[t - 1] + counts[t - 1],
                 recvdispls[t - 1] + counts[t - 1],
             ),
-            Op::Alltoallw { send, recv } => (span(send, 2), span(recv, 1)),
+            Op::Alltoallw { send, recv } => (span(send), span(recv)),
             Op::Allgatherv { count, recvdispls } => (*count, recvdispls[t - 1] + count),
-            Op::Allgatherw { send, recv } => (span(std::slice::from_ref(send), 2), span(recv, 1)),
+            Op::Allgatherw { send, recv } => (span(std::slice::from_ref(send)), span(recv)),
             Op::ReduceScatter(red, m) => (t * m * red.width(), m * red.width()),
             Op::Allreduce(red, m) => (m * red.width(), m * red.width()),
         }
@@ -273,7 +295,9 @@ impl Op {
     fn block_bytes(&self, b: usize) -> usize {
         match self {
             Op::Alltoallv { counts, .. } => counts[b],
-            Op::Alltoallw { recv, .. } | Op::Allgatherw { recv, .. } => recv[b].count,
+            Op::Alltoallw { recv, .. } | Op::Allgatherw { recv, .. } => {
+                recv[b].ty.size() * recv[b].count
+            }
             Op::Allgatherv { count, .. } => *count,
             Op::ReduceScatter(red, m) | Op::Allreduce(red, m) => m * red.width(),
         }

@@ -557,11 +557,9 @@ impl Datatype {
         inner: &Datatype,
         out: &mut Vec<Span>,
     ) {
-        let ext = inner.extent();
         for b in 0..count {
             Self::flatten_block(base + stride_bytes * b as i64, blocklen, inner, out);
         }
-        let _ = ext;
     }
 
     fn flatten_block(base: i64, count: usize, inner: &Datatype, out: &mut Vec<Span>) {

@@ -20,6 +20,12 @@
 //!   one kernel call: bytes land in a reserved uninitialized tail with a
 //!   single length update, instead of one `extend_from_slice` (capacity
 //!   check + length store) per span.
+//! * [`SpanRun`] is the one strided instruction: `count` ranges of `len`
+//!   bytes, `stride` apart — what a `vector` or `subarray` datatype
+//!   flattens to. [`compress_spans`] folds the equidistant stretches of a
+//!   span list into runs, and [`gather_runs`] / [`scatter_runs`] /
+//!   [`accumulate_runs`] execute them with one bounds check per run and,
+//!   for 4-, 8- and 16-byte elements, a loop of one load and one store.
 //! * The scalar reference path ([`gather_spans_scalar`],
 //!   [`scatter_spans_scalar`], [`accumulate_spans_scalar`]) is always
 //!   compiled: byte-equality tests diff the two, and `perfgate` times
@@ -42,6 +48,131 @@ pub const MEMCPY_MIN: usize = 128;
 /// One memcpy range of a span program: `(byte offset, byte length)`
 /// relative to the buffer it addresses.
 pub type PackSpan = (usize, usize);
+
+/// The strided instruction of a span program: `count` ranges of `len`
+/// bytes each, the k-th at `off + k * stride`, relative to the buffer it
+/// addresses. On the wire the ranges lie back to back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanRun {
+    pub off: usize,
+    pub len: usize,
+    pub stride: usize,
+    pub count: usize,
+}
+
+/// The shortest equidistant stretch [`compress_spans`] folds into a
+/// [`SpanRun`]. A run is 32 bytes of program and one checked bounds test
+/// where its spans are 16 bytes and one slice check each, and every switch
+/// between runs and spans is one more kernel call, so short stretches are
+/// left as they are (`perfgate`'s `*_irregular` rows hold that line).
+pub const MIN_RUN: usize = 8;
+const _: () = assert!(
+    MIN_RUN >= 2,
+    "a run's stride comes from its first two spans"
+);
+
+impl SpanRun {
+    /// The `(offset, len)` ranges the run stands for, in wire order.
+    pub fn spans(&self) -> impl Iterator<Item = PackSpan> {
+        let SpanRun {
+            off, len, stride, ..
+        } = *self;
+        (0..self.count).map(move |k| (off + k * stride, len))
+    }
+
+    /// Bytes the run moves, once it is known to lie inside a buffer of
+    /// `buf_len` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `off + (count − 1) · stride + len` overflows or reaches
+    /// past `buf_len`: the last range ends furthest out, so this one test
+    /// covers every range of the run. (An empty run is held to its first
+    /// range, as an empty span is held to its offset.)
+    #[inline]
+    fn checked_bytes(&self, buf_len: usize) -> usize {
+        let end = self
+            .count
+            .saturating_sub(1)
+            .checked_mul(self.stride)
+            .and_then(|last| last.checked_add(self.off))
+            .and_then(|last| last.checked_add(self.len));
+        assert!(
+            end.is_some_and(|end| end <= buf_len),
+            "{self:?} reaches past a buffer of {buf_len} bytes"
+        );
+        // `len <= buf_len` was just shown, so only the product can overflow.
+        self.len
+            .checked_mul(self.count)
+            .expect("run byte count overflows usize")
+    }
+}
+
+/// One piece of a compressed span list: a stretch of spans left as they
+/// are, or a stretch folded into one run.
+#[derive(Debug, Clone, Copy)]
+pub enum Stretch<'a> {
+    Spans(&'a [PackSpan]),
+    Run(SpanRun),
+}
+
+/// Fold a span list: every maximal stretch of at least [`MIN_RUN`]
+/// equal-length spans at ascending, equidistant offsets becomes one
+/// [`SpanRun`]; what lies between comes back as the slices of `spans` it
+/// was. Expanding the pieces in order gives `spans` back span for span.
+pub fn compress_spans(spans: &[PackSpan]) -> impl Iterator<Item = Stretch<'_>> {
+    let mut at = 0usize;
+    // A run found behind a plain stretch waits here for the next call.
+    let mut held: Option<SpanRun> = None;
+    std::iter::from_fn(move || {
+        if let Some(run) = held.take() {
+            return Some(Stretch::Run(run));
+        }
+        let plain_from = at;
+        let mut i = at;
+        while i < spans.len() {
+            let end = equidistant_end(spans, i);
+            if end - i >= MIN_RUN {
+                let run = SpanRun {
+                    off: spans[i].0,
+                    len: spans[i].1,
+                    stride: spans[i + 1].0 - spans[i].0,
+                    count: end - i,
+                };
+                at = end;
+                if i == plain_from {
+                    return Some(Stretch::Run(run));
+                }
+                held = Some(run);
+                return Some(Stretch::Spans(&spans[plain_from..i]));
+            }
+            // A stretch starting inside this one and sharing its stride is
+            // shorter still; only its last span can start another.
+            i = (end - 1).max(i + 1);
+        }
+        at = spans.len();
+        (plain_from < at).then(|| Stretch::Spans(&spans[plain_from..]))
+    })
+}
+
+/// End of the equidistant stretch that starts at span `i`: the largest
+/// `end` such that `spans[i..end]` share one length and one positive
+/// distance between neighbors.
+fn equidistant_end(spans: &[PackSpan], i: usize) -> usize {
+    let (off, len) = spans[i];
+    let stride = match spans.get(i + 1) {
+        Some(&(next, l)) if l == len && next > off => next - off,
+        _ => return i + 1,
+    };
+    let mut end = i + 2;
+    while end < spans.len()
+        && spans[end].1 == len
+        && spans[end - 1].0.checked_add(stride) == Some(spans[end].0)
+    {
+        end += 1;
+    }
+    end
+}
 
 /// Copy `len` bytes from `src` to `dst` with the width/alignment dispatch
 /// described in the module docs.
@@ -261,6 +392,157 @@ pub fn accumulate_spans(dst: &mut [u8], spans: &[PackSpan], wire: &[u8], red: Re
     for &(off, len) in spans {
         red.fold(&mut dst[off..off + len], &wire[pos..pos + len]);
         pos += len;
+    }
+    pos
+}
+
+/// Bytes a run list moves, once every run is known to lie inside a buffer
+/// of `buf_len` bytes (see [`SpanRun::checked_bytes`]).
+#[inline]
+fn runs_checked_bytes(runs: &[SpanRun], buf_len: usize) -> usize {
+    runs.iter().fold(0usize, |total, r| {
+        total
+            .checked_add(r.checked_bytes(buf_len))
+            .expect("run list byte count overflows usize")
+    })
+}
+
+/// Copy `count` elements of `len` bytes, the k-th from `src + k * src_step`
+/// to `dst + k * dst_step`: a run against its packed image, either way
+/// round. 4-, 8- and 16-byte elements move as one unaligned load and store
+/// each — no length dispatch, no slice — every other length through
+/// [`copy_raw`].
+///
+/// # Safety
+///
+/// Every one of the `count` source ranges must be readable, every
+/// destination range writable, and no source range may overlap a
+/// destination range.
+#[inline(always)]
+unsafe fn copy_strided(
+    src: *const u8,
+    src_step: usize,
+    dst: *mut u8,
+    dst_step: usize,
+    len: usize,
+    count: usize,
+) {
+    #[inline(always)]
+    unsafe fn words<T: Copy>(
+        src: *const u8,
+        src_step: usize,
+        dst: *mut u8,
+        dst_step: usize,
+        count: usize,
+    ) {
+        for k in 0..count {
+            let word = (src.add(k * src_step) as *const T).read_unaligned();
+            (dst.add(k * dst_step) as *mut T).write_unaligned(word);
+        }
+    }
+    match len {
+        4 => words::<u32>(src, src_step, dst, dst_step, count),
+        8 => words::<u64>(src, src_step, dst, dst_step, count),
+        16 => words::<u128>(src, src_step, dst, dst_step, count),
+        _ => {
+            for k in 0..count {
+                copy_raw(src.add(k * src_step), dst.add(k * dst_step), len);
+            }
+        }
+    }
+}
+
+/// [`gather_spans`] for a run list: gather every range of every run of
+/// `src` and append the bytes to `out` in order. Returns the bytes
+/// appended.
+///
+/// # Panics
+///
+/// Panics when a run reaches past `src.len()` or its extent overflows,
+/// before any byte moves and with `out` as it was.
+#[inline]
+pub fn gather_runs(src: &[u8], runs: &[SpanRun], out: &mut Vec<u8>) -> usize {
+    let total = runs_checked_bytes(runs, src.len());
+    out.reserve(total);
+    // SAFETY: every run was just checked to lie inside `src`, which is only
+    // read; `total` bytes, the sum over the runs, were reserved past
+    // `out.len()`; `src` and `out` cannot alias (shared vs. unique borrow).
+    unsafe {
+        let mut dst = out.as_mut_ptr().add(out.len());
+        for r in runs {
+            copy_strided(
+                src.as_ptr().add(r.off),
+                r.stride,
+                dst,
+                r.len,
+                r.len,
+                r.count,
+            );
+            dst = dst.add(r.len * r.count);
+        }
+        out.set_len(out.len() + total);
+    }
+    total
+}
+
+/// [`scatter_spans`] for a run list: scatter the front of `wire` into the
+/// ranges of the runs of `dst`, in order (where ranges overlap, the later
+/// one wins, as with spans). Returns the bytes consumed.
+///
+/// # Panics
+///
+/// Panics when a run reaches past `dst.len()`, its extent overflows, or
+/// `wire` is shorter than the run list, before any byte is written.
+#[inline]
+pub fn scatter_runs(dst: &mut [u8], runs: &[SpanRun], wire: &[u8]) -> usize {
+    let total = runs_checked_bytes(runs, dst.len());
+    assert!(
+        total <= wire.len(),
+        "wire of {} bytes is shorter than the {total} its runs consume",
+        wire.len()
+    );
+    // SAFETY: every run was just checked to lie inside `dst`; the runs
+    // read `total <= wire.len()` bytes of `wire` front to back, which is
+    // only read; `dst` and `wire` cannot alias (unique vs. shared borrow).
+    unsafe {
+        let mut src = wire.as_ptr();
+        for r in runs {
+            copy_strided(
+                src,
+                r.len,
+                dst.as_mut_ptr().add(r.off),
+                r.stride,
+                r.len,
+                r.count,
+            );
+            src = src.add(r.len * r.count);
+        }
+    }
+    total
+}
+
+/// [`accumulate_spans`] for a run list: fold the front of `wire` into the
+/// ranges of the runs of `dst` with `red`, one reducer dispatch per range.
+/// Returns the bytes consumed.
+///
+/// # Panics
+///
+/// As [`scatter_runs`], before any byte is written; and when a run's `len`
+/// is not a multiple of the reducer's element width.
+#[inline]
+pub fn accumulate_runs(dst: &mut [u8], runs: &[SpanRun], wire: &[u8], red: Reducer) -> usize {
+    let total = runs_checked_bytes(runs, dst.len());
+    assert!(
+        total <= wire.len(),
+        "wire of {} bytes is shorter than the {total} its runs consume",
+        wire.len()
+    );
+    let mut pos = 0usize;
+    for r in runs {
+        for (off, len) in r.spans() {
+            red.fold(&mut dst[off..off + len], &wire[pos..pos + len]);
+            pos += len;
+        }
     }
     pos
 }
