@@ -49,6 +49,7 @@ use std::time::Duration;
 
 use cartcomm::ops::Algo;
 use cartcomm::{CartComm, CostSummary, PlanKind};
+use cartcomm_comm::obs::json::{self, JsonWriter, Value};
 use cartcomm_comm::obs::{
     AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector, TraceEvent,
 };
@@ -397,18 +398,20 @@ fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
 /// One-iteration sweep of a reduction op over the primary workload's
 /// block sizes: validate observed rounds/phases/volume against the
 /// reversed plan and render one JSON object per block size. Returns the
-/// JSON section body and whether every check passed.
+/// JSON section and whether every check passed.
 fn reduce_sweep_section(w: &Workload, nb: &RelNeighborhood, cost: &CostSummary) -> (String, bool) {
     let p: usize = w.dims.iter().product();
     let elem = std::mem::size_of::<i32>();
-    let mut sections: Vec<String> = Vec::new();
+    let mut json = JsonWriter::new();
+    json.arr();
     let mut all_ok = true;
     for op in [Op::ReduceScatter, Op::Allreduce] {
         let mut rw = w.clone();
         rw.op = op;
         rw.iters = 1;
         let volume = op.volume(cost);
-        let mut per_m: Vec<String> = Vec::new();
+        let mut per_m = JsonWriter::new();
+        per_m.arr();
         let mut phase_rounds_pred: Vec<usize> = Vec::new();
         for &m in &rw.m_sweep {
             let run = profile_once(&rw, nb, m);
@@ -439,42 +442,21 @@ fn reduce_sweep_section(w: &Workload, nb: &RelNeighborhood, cost: &CostSummary) 
                 if volume_ok { "ok" } else { "BAD" },
                 dag.makespan_ns() / 1_000,
             );
-            per_m.push(format!(
-                "{{\"m_elems\":{m},\"m_bytes\":{m_bytes},\"rounds_ok\":{rounds_ok},\
-                 \"phase_rounds_ok\":{phase_rounds_ok},\"volume_ok\":{volume_ok},\
-                 \"makespan_ns\":{}}}",
-                dag.makespan_ns(),
-            ));
+            per_m.obj().key("m_elems").raw(m);
+            per_m.key("m_bytes").raw(m_bytes);
+            per_m.key("rounds_ok").raw(rounds_ok);
+            per_m.key("phase_rounds_ok").raw(phase_rounds_ok);
+            per_m.key("volume_ok").raw(volume_ok);
+            per_m.key("makespan_ns").raw(dag.makespan_ns()).end();
         }
-        sections.push(format!(
-            "{{\"op\":\"{}\",\"predicted\":{{\"C\":{},\"V_blocks\":{volume},\
-             \"phase_rounds\":{}}},\"per_m\":[{}]}}",
-            op.name(),
-            cost.rounds,
-            json_usize_list(&phase_rounds_pred),
-            per_m.join(","),
-        ));
+        per_m.end();
+        json.obj().key("op").str(op.name()).key("predicted").obj();
+        json.key("C").raw(cost.rounds).key("V_blocks").raw(volume);
+        json.key("phase_rounds").list(&phase_rounds_pred).end();
+        json.key("per_m").raw(per_m.finish()).end();
     }
-    (format!("[{}]", sections.join(",")), all_ok)
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.filter(|x| x.is_finite())
-        .map(fmt_f64)
-        .unwrap_or_else(|| "null".to_string())
-}
-
-fn json_usize_list(xs: &[usize]) -> String {
-    let body: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", body.join(","))
+    json.end();
+    (json.finish(), all_ok)
 }
 
 /// Connect a cartserve client to `endpoint` (UDS when the string looks
@@ -580,22 +562,21 @@ fn attach_mode(cfg: &AttachCfg, perfetto_path: &str, print_json: bool) -> Result
         println!("{json}");
     }
 
-    let grab = |k: &str| -> String {
-        json.split(&format!("\"{k}\":"))
-            .nth(1)
-            .and_then(|rest| rest.split([',', '}']).next())
-            .unwrap_or("?")
-            .to_string()
+    let report = json::parse(&json).map_err(|e| format!("the daemon's report: {e}"))?;
+    let field = |k: &str| match report.get(k) {
+        Some(Value::Bool(b)) => b.to_string(),
+        Some(Value::Num(x)) => x.to_string(),
+        _ => "?".to_string(),
     };
     println!(
         "live capture: {} jobs, rounds_ok {}, volume_ok {}, clean_pairing {}, dropped {}",
-        grab("jobs_captured"),
-        grab("rounds_ok"),
-        grab("volume_ok"),
-        grab("clean_pairing"),
-        grab("dropped_records"),
+        field("jobs_captured"),
+        field("rounds_ok"),
+        field("volume_ok"),
+        field("clean_pairing"),
+        field("dropped_records"),
     );
-    if !json.contains("\"all_checks_passed\":true") {
+    if report.get("all_checks_passed") != Some(&Value::Bool(true)) {
         return Err("live C/V validation failed (see JSON report)".into());
     }
     println!("cartprof: live accounting matches Props 3.2/3.3");
@@ -763,101 +744,83 @@ fn main() {
     );
 
     // ----- machine-readable profile ----------------------------------------
-    let faults_json = match w.faults {
-        Some((seed, rate)) => format!("{{\"seed\":{seed},\"drop_rate\":{}}}", fmt_f64(rate)),
-        None => "null".to_string(),
-    };
-    let per_m: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"m_elems\":{},\"m_bytes\":{},\"rounds_ok\":{},\"phase_rounds_ok\":{},\
-                 \"volume_ok\":{},\"nodes\":{},\"dropped\":{},\"makespan_ns\":{},\
-                 \"parks_per_round\":{},\"overlay_attempts\":{},\"retransmits\":{}}}",
-                r.m_elems,
-                r.m_bytes,
-                r.rounds_ok,
-                r.phase_rounds_ok,
-                r.volume_ok,
-                r.dag.nodes().len(),
-                r.dag.dropped_records,
-                r.dag.makespan_ns(),
-                fmt_f64(r.parks_per_round),
-                r.dag
-                    .nodes()
-                    .iter()
-                    .map(|n| (n.attempts.max(1) - 1) as u64)
-                    .sum::<u64>(),
-                r.collector
-                    .records()
-                    .iter()
-                    .flatten()
-                    .filter(|rec| matches!(rec.event, TraceEvent::Retransmit { .. }))
-                    .count(),
-            )
-        })
-        .collect();
-    let skew: Vec<String> = cp
-        .skew
-        .iter()
-        .map(|s| format!("{{\"phase\":{},\"skew_ns\":{}}}", s.phase, s.skew_ns()))
-        .collect();
-    let hist_json = match &cluster_hist {
-        Some(h) => format!(
-            "{{\"total\":{},\"mean_log10_ns\":{},\"out_of_range\":[{},{}]}}",
-            h.total(),
-            fmt_f64(h.sample_mean()),
-            h.out_of_range().0,
-            h.out_of_range().1,
-        ),
-        None => "null".to_string(),
-    };
-    let profile = format!(
-        "{{\n\
-         \x20\x20\"schema\":\"cartprof-v1\",\n\
-         \x20\x20\"host\":{},\n\
-         \x20\x20\"workload\":{{\"dims\":{},\"neighborhood\":\"{}\",\"radius\":{},\"p\":{p},\
-         \"op\":\"{op}\",\"transport\":\"{}\",\"m_sweep_elems\":{},\"iters\":{},\
-         \"faults\":{faults_json}}},\n\
-         \x20\x20\"predicted\":{{\"t\":{},\"C\":{},\"V_blocks\":{},\"phase_rounds\":{},\
-         \"cutoff_ratio\":{}}},\n\
-         \x20\x20\"per_m\":[{}],\n\
-         \x20\x20\"fit\":{{\"alpha_ns\":{},\"beta_ns_per_byte\":{},\"r2\":{},\"samples\":{},\
-         \"distinct_sizes\":{},\"degenerate\":{}}},\n\
-         \x20\x20\"cutoff\":{{\"ratio\":{},\"measured_m_star_bytes\":{}}},\n\
-         \x20\x20\"critical_path\":{{\"makespan_ns\":{},\"steps\":{},\"rank_chain\":{},\
-         \"path_latency_ns\":{},\"phase_skew\":[{}]}},\n\
-         \x20\x20\"latency_histogram\":{hist_json},\n\
-         \x20\x20\"reductions\":{reductions_json},\n\
-         \x20\x20\"all_checks_passed\":{ok}\n\
-         }}\n",
-        cartcomm_bench::host_json(p),
-        json_usize_list(&w.dims),
-        w.family,
-        w.radius,
-        w.transport,
-        json_usize_list(&w.m_sweep),
-        w.iters,
-        cost.t,
-        cost.rounds,
-        volume,
-        json_usize_list(&phase_rounds_pred),
-        fmt_opt(cost.cutoff),
-        per_m.join(","),
-        fmt_f64(fit.alpha_ns),
-        fmt_f64(fit.beta_ns_per_byte),
-        fmt_f64(fit.r2),
-        fit.samples,
-        fit.distinct_sizes,
-        fit.degenerate,
-        fmt_opt(cost.cutoff),
-        fmt_opt(m_star),
-        cp.makespan_ns,
-        cp.steps.len(),
-        json_usize_list(&cp.rank_chain()),
-        cp.path_latency_ns(),
-        skew.join(","),
-    );
+    let mut doc = JsonWriter::new();
+    doc.obj().key("schema").str("cartprof-v1");
+    doc.key("host").raw(cartcomm_bench::host_json(p));
+    doc.key("workload").obj().key("dims").list(&w.dims);
+    doc.key("neighborhood").str(&w.family);
+    doc.key("radius").raw(w.radius).key("p").raw(p);
+    doc.key("op").str(op);
+    doc.key("transport").str(&w.transport.to_string());
+    doc.key("m_sweep_elems").list(&w.m_sweep);
+    doc.key("iters").raw(w.iters).key("faults");
+    match w.faults {
+        Some((seed, rate)) => {
+            doc.obj().key("seed").raw(seed);
+            doc.key("drop_rate").float(rate, 6).end();
+        }
+        None => {
+            doc.null();
+        }
+    }
+    doc.end();
+    doc.key("predicted").obj().key("t").raw(cost.t);
+    doc.key("C").raw(cost.rounds).key("V_blocks").raw(volume);
+    doc.key("phase_rounds").list(&phase_rounds_pred);
+    doc.key("cutoff_ratio").float(ratio, 6).end();
+    doc.key("per_m").rows();
+    for r in &runs {
+        doc.obj().key("m_elems").raw(r.m_elems);
+        doc.key("m_bytes").raw(r.m_bytes);
+        doc.key("rounds_ok").raw(r.rounds_ok);
+        doc.key("phase_rounds_ok").raw(r.phase_rounds_ok);
+        doc.key("volume_ok").raw(r.volume_ok);
+        doc.key("nodes").raw(r.dag.nodes().len());
+        doc.key("dropped").raw(r.dag.dropped_records);
+        doc.key("makespan_ns").raw(r.dag.makespan_ns());
+        doc.key("parks_per_round").float(r.parks_per_round, 6);
+        let overlays = r.dag.nodes().iter().map(|n| (n.attempts.max(1) - 1) as u64);
+        doc.key("overlay_attempts").raw(overlays.sum::<u64>());
+        let records = r.collector.records().iter().flatten();
+        let retransmits = records.filter(|rec| matches!(rec.event, TraceEvent::Retransmit { .. }));
+        doc.key("retransmits").raw(retransmits.count()).end();
+    }
+    doc.end();
+    doc.key("fit").obj().key("alpha_ns").float(fit.alpha_ns, 6);
+    doc.key("beta_ns_per_byte").float(fit.beta_ns_per_byte, 6);
+    doc.key("r2").float(fit.r2, 6);
+    doc.key("samples").raw(fit.samples);
+    doc.key("distinct_sizes").raw(fit.distinct_sizes);
+    doc.key("degenerate").raw(fit.degenerate).end();
+    doc.key("cutoff").obj().key("ratio").float(ratio, 6);
+    doc.key("measured_m_star_bytes");
+    doc.float(m_star.unwrap_or(f64::NAN), 6).end();
+    doc.key("critical_path").obj();
+    doc.key("makespan_ns").raw(cp.makespan_ns);
+    doc.key("steps").raw(cp.steps.len());
+    doc.key("rank_chain").list(cp.rank_chain());
+    doc.key("path_latency_ns").raw(cp.path_latency_ns());
+    doc.key("phase_skew").arr();
+    for s in &cp.skew {
+        doc.obj().key("phase").raw(s.phase);
+        doc.key("skew_ns").raw(s.skew_ns()).end();
+    }
+    doc.end().end();
+    doc.key("latency_histogram");
+    match &cluster_hist {
+        Some(h) => {
+            doc.obj().key("total").raw(h.total());
+            doc.key("mean_log10_ns").float(h.sample_mean(), 6);
+            let (below, above) = h.out_of_range();
+            doc.key("out_of_range").list([below, above]).end();
+        }
+        None => {
+            doc.null();
+        }
+    }
+    doc.key("reductions").raw(reductions_json);
+    doc.key("all_checks_passed").raw(ok).end();
+    let profile = doc.finish() + "\n";
     if let Err(e) = std::fs::write(&out_path, &profile) {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(2);

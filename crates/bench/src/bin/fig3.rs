@@ -2,30 +2,14 @@
 //! message-combining `Cart_alltoall` vs `MPI_Neighbor_alltoall`,
 //! 36 × 32 processes, Open MPI 3.1.0 on Hydra.
 //!
-//! Flags: `--quirks` enables the Open MPI neighborhood-collective defect
-//! emulation that reproduces the paper's pathological baseline numbers;
-//! `--threads [PxQ]` adds a laptop-scale cross-check on the real runtime.
+//! `--quirks` enables the Open MPI neighborhood-collective defect
+//! emulation that reproduces the paper's pathological baseline numbers.
 
 use cartcomm_bench::harness::run_alltoall_figure;
-use cartcomm_bench::threaded;
 use cartcomm_sim::MachineProfile;
-use cartcomm_topo::RelNeighborhood;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quirks = args.iter().any(|a| a == "--quirks");
-    let threads = args.iter().any(|a| a == "--threads");
     run_alltoall_figure(&MachineProfile::hydra_openmpi(), quirks, 0x316);
-
-    if threads {
-        println!("--- threaded cross-check: 4x4 torus of OS threads, real wall-clock ---");
-        for (d, n, dims) in [(2usize, 3usize, vec![4usize, 4]), (2, 5, vec![4, 4])] {
-            let nb = RelNeighborhood::stencil_family(d, n, -1).unwrap();
-            for m in [1usize, 100] {
-                println!("d: {d}  n: {n}  m: {m}");
-                let rows = threaded::measure_alltoall(&dims, &nb, m, 30);
-                threaded::print_threaded("alltoall", &rows);
-            }
-        }
-    }
 }

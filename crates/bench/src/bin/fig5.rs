@@ -4,23 +4,11 @@
 //! paper calls "more in line with our expectations" (no baseline quirks).
 
 use cartcomm_bench::harness::run_alltoall_figure;
-use cartcomm_bench::threaded;
 use cartcomm_sim::MachineProfile;
-use cartcomm_topo::RelNeighborhood;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     // Cray MPI had no observed defects; --quirks is accepted but a no-op.
     let quirks = args.iter().any(|a| a == "--quirks");
     run_alltoall_figure(&MachineProfile::titan_cray(), quirks, 0x516);
-
-    if args.iter().any(|a| a == "--threads") {
-        println!("--- threaded cross-check: 3x3x3 torus of OS threads, real wall-clock ---");
-        let nb = RelNeighborhood::stencil_family(3, 3, -1).unwrap();
-        for m in [1usize, 100] {
-            println!("d: 3  n: 3  m: {m}");
-            let rows = threaded::measure_alltoall(&[3, 3, 3], &nb, m, 30);
-            threaded::print_threaded("alltoall", &rows);
-        }
-    }
 }

@@ -11,7 +11,6 @@ use cartcomm::cost::CostSummary;
 use cartcomm_bench::harness::{
     noise_for, print_cell, simulate_allgather_series, simulate_alltoallv_series,
 };
-use cartcomm_bench::threaded;
 use cartcomm_sim::MachineProfile;
 use cartcomm_topo::RelNeighborhood;
 
@@ -44,16 +43,5 @@ fn main() {
     for m in [1usize, 10] {
         let rows = simulate_alltoallv_series(&titan, &nb, m, quirks, noise, 0x626 + m as u64);
         print_cell(5, 5, m, "alltoallv", &rows);
-    }
-
-    if args.iter().any(|a| a == "--threads") {
-        println!();
-        println!("--- threaded cross-check: allgather on a 4x4 torus, real wall-clock ---");
-        let nb2 = RelNeighborhood::stencil_family(2, 5, -1).unwrap();
-        for m in [1usize, 100] {
-            println!("d: 2  n: 5  m: {m}");
-            let rows = threaded::measure_allgather(&[4, 4], &nb2, m, 30);
-            threaded::print_threaded("allgather", &rows);
-        }
     }
 }

@@ -18,11 +18,11 @@
 //! the paper's Appendix-A filtering, and prints the same normalized bars
 //! the figure shows. Pass `--quirks` to enable the per-library defect
 //! emulation that reproduces the pathological baseline numbers of
-//! Figures 3–4, and `--threads` to additionally run a laptop-scale
-//! cross-check on the real threads-as-ranks runtime.
+//! Figures 3–4. Wall-clock numbers of the real threads-as-ranks runtime
+//! are `cartbench`'s (`benchmark/`), not this crate's; `cartprof` and
+//! `perfgate` are the two binaries here that time anything.
 
 pub mod harness;
-pub mod threaded;
 
 pub use harness::{
     simulate_allgather_series, simulate_alltoall_series, simulate_alltoallv_series, v_block_sizes,
@@ -35,11 +35,12 @@ pub use harness::{
 /// it is. `rank_threads` is how many threads the measurement keeps busy.
 pub fn host_json(rank_threads: usize) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!(
-        "{{\"nproc\":{nproc},\"rank_threads\":{rank_threads},\"oversubscription\":{:.6},\
-         \"build_profile\":\"{}\",\"rustc\":\"{}\"}}",
-        rank_threads as f64 / nproc as f64,
-        cartcomm_comm::obs::json_escape(env!("CARTCOMM_BUILD_PROFILE")),
-        cartcomm_comm::obs::json_escape(env!("CARTCOMM_BUILD_RUSTC")),
-    )
+    let mut w = cartcomm_comm::obs::json::JsonWriter::new();
+    w.obj().key("nproc").raw(nproc);
+    w.key("rank_threads").raw(rank_threads);
+    w.key("oversubscription")
+        .float(rank_threads as f64 / nproc as f64, 6);
+    w.key("build_profile").str(env!("CARTCOMM_BUILD_PROFILE"));
+    w.key("rustc").str(env!("CARTCOMM_BUILD_RUSTC")).end();
+    w.finish()
 }

@@ -1,6 +1,6 @@
 //! Zero-copy schedule execution (Listing 5).
 //!
-//! A [`Plan`] is rank-independent; executing it requires resolving every
+//! A [`Plan`](crate::plan::Plan) is rank-independent; executing it requires resolving every
 //! [`BlockRef`](crate::plan::BlockRef) to concrete bytes. [`ExecLayouts`] carries the per-block
 //! displacements and committed datatypes of the user's send and receive
 //! buffers (built once per operation, or once per `_init` handle).
@@ -9,19 +9,15 @@
 //! into a [`Program`](crate::compile::Program) whose span programs move
 //! bytes with plain memcpys, run through a rank's
 //! [`CompiledPlan`](crate::compile::CompiledPlan) — the program and the
-//! rank's peers. [`execute_plan`] and
-//! [`execute_plan_in_place`] are convenience wrappers that compile and run
-//! in one shot; hot paths (persistent handles, the communicator's plan
-//! cache) compile once and call
+//! rank's peers. Persistent handles and the communicator's plan cache
+//! compile once and call
 //! [`execute_compiled`](crate::compile::execute_compiled) repeatedly.
 
-use cartcomm_comm::{Comm, Tag};
-use cartcomm_topo::CartTopology;
+use cartcomm_comm::Tag;
 use cartcomm_types::FlatType;
 
-use crate::compile::{execute_compiled, execute_compiled_in_place, CompiledPlan, ExecScratch, Fnv};
-use crate::error::CartResult;
-use crate::plan::{Plan, PlanKind};
+use crate::compile::Fnv;
+use crate::plan::PlanKind;
 
 /// Tag space reserved for Cartesian collective rounds. User point-to-point
 /// traffic on the same communicator must avoid `CART_TAG_BASE ..
@@ -140,47 +136,6 @@ impl ExecLayouts {
         }
         h.finish()
     }
-}
-
-/// Execute a schedule for the calling `rank` by compiling it and running
-/// the compiled program once. `lay` must carry temp-slot sizing; `tag_base`
-/// distinguishes concurrent collectives (rounds use `tag_base +
-/// round_index`, identical on all ranks because plans are identical).
-///
-/// One-shot convenience: repeated executions should compile once (a
-/// persistent handle or [`Plans::compiled`](crate::cartcomm::Plans::compiled))
-/// and call [`execute_compiled`] directly.
-pub fn execute_plan(
-    comm: &Comm,
-    topo: &CartTopology,
-    plan: &Plan,
-    lay: &ExecLayouts,
-    sendbuf: &[u8],
-    recvbuf: &mut [u8],
-    tag_base: Tag,
-) -> CartResult<()> {
-    let cp = CompiledPlan::compile(topo, comm.rank(), plan, lay, tag_base)?;
-    let mut scratch = ExecScratch::for_plan(&cp);
-    execute_compiled(comm, &cp, sendbuf, recvbuf, &mut scratch)
-}
-
-/// Like [`execute_plan`] but sending and receiving in the *same* buffer —
-/// the natural mode for halo exchanges where the send slabs (interior) and
-/// receive regions (halo) are disjoint parts of one tile. Safe even with
-/// overlapping layouts because copies and phases gather all outgoing bytes
-/// before scattering any incoming ones (the compiled core shares one loop
-/// with the buffered path, so the two modes cannot drift).
-pub fn execute_plan_in_place(
-    comm: &Comm,
-    topo: &CartTopology,
-    plan: &Plan,
-    lay: &ExecLayouts,
-    buf: &mut [u8],
-    tag_base: Tag,
-) -> CartResult<()> {
-    let cp = CompiledPlan::compile(topo, comm.rank(), plan, lay, tag_base)?;
-    let mut scratch = ExecScratch::for_plan(&cp);
-    execute_compiled_in_place(comm, &cp, buf, &mut scratch)
 }
 
 #[cfg(test)]

@@ -191,7 +191,7 @@ impl DistGraphComm {
         self.direct_delivery(&slay, &rlay, cast_slice(send), cast_slice_mut(recv))
     }
 
-    // ----- non-blocking named variants ------------------------------------------------
+    // ----- non-blocking named variant -------------------------------------------------
 
     /// `MPI_Ineighbor_alltoall` started-and-completed: in this substrate
     /// sends are eager and completion is local, so the non-blocking variant
@@ -200,12 +200,6 @@ impl DistGraphComm {
     /// paper's figures do.
     pub fn ineighbor_alltoall<T: Pod>(&self, send: &[T], recv: &mut [T]) -> CartResult<()> {
         self.neighbor_alltoall(send, recv)
-    }
-
-    /// `MPI_Ineighbor_allgather` started-and-completed (see
-    /// [`DistGraphComm::ineighbor_alltoall`]).
-    pub fn ineighbor_allgather<T: Pod>(&self, send: &[T], recv: &mut [T]) -> CartResult<()> {
-        self.neighbor_allgather(send, recv)
     }
 
     // ----- engine ------------------------------------------------------------------------

@@ -31,9 +31,8 @@
 //! **Lossless fast path**: with no fault plane installed the transport
 //! cannot lose messages, so reliable mode skips payload retention and
 //! acks entirely and pays only the sequence stamp and the dedup-floor
-//! bookkeeping — the `reliable_overhead` bench pins this at a couple
-//! hundred nanoseconds per exchange for tiny messages, shrinking into
-//! run-to-run noise as payloads grow past a few KiB.
+//! bookkeeping (once read at a couple hundred nanoseconds per exchange
+//! for tiny messages; no longer a measured number).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};

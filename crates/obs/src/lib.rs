@@ -40,11 +40,18 @@
 //! predictable branch** — no clock read, no event construction, no lock.
 //! The registry's plain counters stay on unconditionally; they are the
 //! same cost class as the pre-existing pool/fabric telemetry (a relaxed
-//! `fetch_add`), which the compiled-execute criterion bench
-//! (`obs_overhead`) pins at well under the 2 % regression budget.
+//! `fetch_add`). What an attached sink costs a whole collective is
+//! `cartbench`'s `obs.traced_over_untraced`.
+//!
+//! # JSON
+//!
+//! [`json`] is the stack's one JSON writer and reader: every `to_json`
+//! here, the daemon's reports and the bench tools' baselines are written
+//! through [`json::JsonWriter`] and read back through [`json::parse`].
 
 mod clock;
 mod event;
+pub mod json;
 mod metrics;
 mod obs;
 pub mod openmetrics;
@@ -58,8 +65,7 @@ pub use metrics::{MetricsDelta, MetricsRegistry, MetricsSnapshot};
 pub use obs::Obs;
 pub use openmetrics::OpenMetricsWriter;
 pub use profile::{
-    json_escape, AlphaBetaFit, CriticalPath, MsgNode, PerfettoExport, PhaseSkew, RoundDag,
-    TraceCollector,
+    AlphaBetaFit, CriticalPath, MsgNode, PerfettoExport, PhaseSkew, RoundDag, TraceCollector,
 };
 pub use sink::{RingBufferSink, TraceSink};
 pub use tenant::{StageDist, TenantRegistry, TenantStats};

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cartcomm_stats::Histogram;
 use parking_lot::Mutex;
 
+use crate::json::JsonWriter;
+
 /// Bins of the round-latency distribution: `log10(nanoseconds)` over
 /// `[0, 10)` — 1 ns to ~10 s.
 const LATENCY_LOG10_BINS: usize = 40;
@@ -348,13 +350,13 @@ impl MetricsSnapshot {
 
     /// Render as a flat JSON object.
     pub fn to_json(&self) -> String {
-        let body = self
-            .fields()
-            .iter()
-            .map(|(name, value)| format!("\"{name}\":{value}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("{{{body}}}")
+        let mut w = JsonWriter::new();
+        w.obj();
+        for (name, value) in self.fields() {
+            w.key(name).raw(value);
+        }
+        w.end();
+        w.finish()
     }
 }
 

@@ -41,4 +41,4 @@ mod perfetto;
 pub use collect::{MsgNode, RoundDag, TraceCollector};
 pub use critical::{CriticalPath, PhaseSkew, RankActivity};
 pub use fit::AlphaBetaFit;
-pub use perfetto::{json_escape, PerfettoExport};
+pub use perfetto::PerfettoExport;

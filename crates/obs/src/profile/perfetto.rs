@@ -9,6 +9,7 @@
 //! order per rank), so the export is golden-testable.
 
 use crate::event::{TraceEvent, TraceRecord};
+use crate::json::JsonWriter;
 
 use super::collect::RoundDag;
 
@@ -52,112 +53,73 @@ impl<'a> PerfettoExport<'a> {
     /// Render the trace as a JSON object (`traceEvents` array plus
     /// `displayTimeUnit`), one event per line.
     pub fn to_json(&self) -> String {
-        let mut ev: Vec<String> = Vec::new();
+        let mut w = JsonWriter::new();
+        w.obj().key("displayTimeUnit").str("ns");
+        w.key("traceEvents").rows();
 
         // Metadata: process name, then one thread per rank in rank order.
-        ev.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(self.process)
-        ));
+        w.obj().key("name").str("process_name").key("ph").str("M");
+        w.key("pid").raw(1).key("args").obj();
+        w.key("name").str(self.process).end().end();
         let ranks = self.dag.ranks().max(self.records.map_or(0, |r| r.len()));
         for rank in 0..ranks {
-            ev.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{rank},\
-                 \"args\":{{\"name\":\"rank {rank}\"}}}}"
-            ));
+            w.obj().key("name").str("thread_name").key("ph").str("M");
+            w.key("pid").raw(1).key("tid").raw(rank).key("args").obj();
+            w.key("name").str(&format!("rank {rank}")).end().end();
         }
 
         // One slice per wire on the sender's track, plus the flow arrow
         // to the receiver, in deterministic DAG node order.
         for n in self.dag.nodes() {
-            let dur = n.latency_ns();
-            ev.push(format!(
-                "{{\"name\":\"p{} r{} \\u2192 {}\",\"cat\":\"round\",\"ph\":\"X\",\
-                 \"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\
-                 \"args\":{{\"phase\":{},\"round\":{},\"to\":{},\"wire_bytes\":{},\"attempts\":{}}}}}",
-                n.phase,
-                n.round,
-                n.dst,
-                us(n.depart_ns),
-                us(dur),
-                n.src,
-                n.phase,
-                n.round,
-                n.dst,
-                n.wire_bytes,
-                n.attempts,
-            ));
+            // The arrow is spelled as an escape: trace files stay ASCII.
+            let name = format_args!("\"p{} r{} \\u2192 {}\"", n.phase, n.round, n.dst);
+            w.obj().key("name").raw(name).key("cat").str("round");
+            w.key("ph").str("X").key("ts").raw(us(n.depart_ns));
+            w.key("dur").raw(us(n.latency_ns())).key("pid").raw(1);
+            w.key("tid").raw(n.src).key("args").obj();
+            w.key("phase").raw(n.phase).key("round").raw(n.round);
+            w.key("to").raw(n.dst).key("wire_bytes").raw(n.wire_bytes);
+            w.key("attempts").raw(n.attempts).end().end();
             if n.arrive_ns > 0 {
-                ev.push(format!(
-                    "{{\"name\":\"wire\",\"cat\":\"wire\",\"ph\":\"s\",\"id\":{},\
-                     \"ts\":{},\"pid\":1,\"tid\":{}}}",
-                    n.id,
-                    us(n.depart_ns),
-                    n.src,
-                ));
-                ev.push(format!(
-                    "{{\"name\":\"wire\",\"cat\":\"wire\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\
-                     \"ts\":{},\"pid\":1,\"tid\":{}}}",
-                    n.id,
-                    us(n.arrive_ns),
-                    n.dst,
-                ));
+                for (ph, t_ns, tid) in [("s", n.depart_ns, n.src), ("f", n.arrive_ns, n.dst)] {
+                    w.obj().key("name").str("wire").key("cat").str("wire");
+                    w.key("ph").str(ph);
+                    if ph == "f" {
+                        w.key("bp").str("e");
+                    }
+                    w.key("id").raw(n.id).key("ts").raw(us(t_ns));
+                    w.key("pid").raw(1).key("tid").raw(tid).end();
+                }
             }
         }
 
         // Cumulative counter tracks, one pool and one plan-cache series
         // per rank that has such traffic.
-        if let Some(records) = self.records {
-            for (rank, recs) in records.iter().enumerate() {
-                let (mut ph, mut pm, mut ch, mut cm) = (0u64, 0u64, 0u64, 0u64);
-                for rec in recs {
-                    match rec.event {
-                        TraceEvent::PoolHit { .. } => ph += 1,
-                        TraceEvent::PoolMiss { .. } => pm += 1,
-                        TraceEvent::PlanCacheHit { .. } => ch += 1,
-                        TraceEvent::PlanCacheMiss { .. } => cm += 1,
-                        _ => continue,
-                    }
-                    let (name, args) = match rec.event {
-                        TraceEvent::PoolHit { .. } | TraceEvent::PoolMiss { .. } => (
-                            format!("rank{rank}/pool"),
-                            format!("{{\"hits\":{ph},\"misses\":{pm}}}"),
-                        ),
-                        _ => (
-                            format!("rank{rank}/plan_cache"),
-                            format!("{{\"hits\":{ch},\"misses\":{cm}}}"),
-                        ),
-                    };
-                    ev.push(format!(
-                        "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"args\":{args}}}",
-                        us(rec.t_ns),
-                    ));
+        for (rank, recs) in self.records.unwrap_or_default().iter().enumerate() {
+            let (mut ph, mut pm, mut ch, mut cm) = (0u64, 0u64, 0u64, 0u64);
+            for rec in recs {
+                match rec.event {
+                    TraceEvent::PoolHit { .. } => ph += 1,
+                    TraceEvent::PoolMiss { .. } => pm += 1,
+                    TraceEvent::PlanCacheHit { .. } => ch += 1,
+                    TraceEvent::PlanCacheMiss { .. } => cm += 1,
+                    _ => continue,
                 }
+                let (track, hits, misses) = match rec.event {
+                    TraceEvent::PoolHit { .. } | TraceEvent::PoolMiss { .. } => ("pool", ph, pm),
+                    _ => ("plan_cache", ch, cm),
+                };
+                w.obj().key("name").str(&format!("rank{rank}/{track}"));
+                w.key("ph").str("C").key("ts").raw(us(rec.t_ns));
+                w.key("pid").raw(1).key("args").obj();
+                w.key("hits").raw(hits).key("misses").raw(misses);
+                w.end().end();
             }
         }
 
-        let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-        out.push_str(&ev.join(",\n"));
-        out.push_str("\n]}\n");
-        out
+        w.end().end();
+        w.finish() + "\n"
     }
-}
-
-/// Escape `s` for the inside of a JSON string literal: `"` and `\` get
-/// a backslash, control characters become `\u00XX`. Every free-form
-/// string a report embeds (process names, tenant names that arrived
-/// unvalidated from a socket) goes through here.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -238,11 +200,5 @@ mod tests {
         assert_eq!(us(999), "0.999");
         assert_eq!(us(1_000), "1.000");
         assert_eq!(us(1_234_567), "1234.567");
-    }
-
-    #[test]
-    fn process_name_is_escaped() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\tx"), "tab\\u0009x");
     }
 }

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::event::TraceRecord;
+use crate::json::JsonWriter;
 
 /// A destination for trace records. Implementations must be cheap and
 /// thread-safe: all ranks of a universe may share one sink.
@@ -100,25 +101,18 @@ impl std::fmt::Debug for RingBufferSink {
 /// Render records as a JSON array of flat objects:
 /// `{"t_ns":…,"rank":…,"event":"round_start","phase":…,…}`.
 pub fn records_to_json(records: &[TraceRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, rec) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"t_ns\":{},\"rank\":{},\"event\":\"{}\"",
-            rec.t_ns,
-            rec.rank,
-            rec.event.kind()
-        );
+    let mut w = JsonWriter::new();
+    w.arr();
+    for rec in records {
+        w.obj().key("t_ns").raw(rec.t_ns).key("rank").raw(rec.rank);
+        w.key("event").str(rec.event.kind());
         for (name, value) in rec.event.fields() {
-            let _ = write!(out, ",\"{name}\":{value}");
+            w.key(name).raw(value);
         }
-        out.push('}');
+        w.end();
     }
-    out.push(']');
-    out
+    w.end();
+    w.finish()
 }
 
 /// Render records as an aligned text table, one row per record.
@@ -209,6 +203,10 @@ mod tests {
              \"phase\":0,\"round\":2,\"to\":3,\"from\":4,\"wire_bytes\":128,\
              \"attempt\":0}]"
         );
+        let doc = crate::json::parse(&json).expect("the ring's JSON parses");
+        let row = &doc.as_array().expect("an array of records")[0];
+        assert_eq!(row.get("event").and_then(|v| v.as_str()), Some("round_end"));
+        assert_eq!(row.get("wire_bytes").and_then(|v| v.as_f64()), Some(128.0));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 use cartcomm_stats::Histogram;
 use parking_lot::Mutex;
 
+use crate::json::JsonWriter;
 use crate::metrics::{MetricsDelta, MetricsSnapshot};
-use crate::profile::json_escape;
 
 /// Number of serving-layer lifecycle stages with per-tenant latency
 /// distributions: queue wait, coalesce delay, execute, reply.
@@ -237,32 +237,20 @@ impl TenantRegistry {
     /// The table as a JSON array of per-tenant objects (the wire `stats`
     /// reply of the serving layer).
     pub fn to_json(&self) -> String {
-        let rows = self
-            .all()
-            .iter()
-            .map(|(name, s)| {
-                format!(
-                    concat!(
-                        "{{\"tenant\":\"{}\",\"jobs\":{},",
-                        "\"observed_rounds\":{},\"predicted_rounds\":{},",
-                        "\"observed_wire_bytes\":{},\"predicted_wire_bytes\":{},",
-                        "\"plan_cache_hits\":{},\"plan_cache_misses\":{},",
-                        "\"metrics\":{}}}"
-                    ),
-                    json_escape(name),
-                    s.jobs,
-                    s.observed_rounds(),
-                    s.predicted_rounds,
-                    s.observed_wire_bytes(),
-                    s.predicted_wire_bytes,
-                    s.totals.plan_cache_hits,
-                    s.totals.plan_cache_misses,
-                    s.totals.to_json(),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("[{rows}]")
+        let mut w = JsonWriter::new();
+        w.arr();
+        for (name, s) in self.all() {
+            w.obj().key("tenant").str(&name).key("jobs").raw(s.jobs);
+            w.key("observed_rounds").raw(s.observed_rounds());
+            w.key("predicted_rounds").raw(s.predicted_rounds);
+            w.key("observed_wire_bytes").raw(s.observed_wire_bytes());
+            w.key("predicted_wire_bytes").raw(s.predicted_wire_bytes);
+            w.key("plan_cache_hits").raw(s.totals.plan_cache_hits);
+            w.key("plan_cache_misses").raw(s.totals.plan_cache_misses);
+            w.key("metrics").raw(s.totals.to_json()).end();
+        }
+        w.end();
+        w.finish()
     }
 }
 

@@ -25,6 +25,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use cartcomm_obs::json::{self, Value};
 use cartcomm_serve::proto::{AlgoSpec, JobSpec, OpSpec};
 use cartcomm_serve::{reference, Client, ServeConfig, Server};
 
@@ -316,11 +317,14 @@ fn smoke(cfg: ServeConfig) -> Result<(), String> {
 
     let mut client = Client::connect_uds(&sock, "smoke-a").map_err(|e| format!("connect: {e}"))?;
     let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-    if !stats.contains("\"tenant\":\"smoke-b\"") {
-        return Err("stats report is missing a tenant".into());
-    }
-    if !stats.contains("\"schema\":\"cartserve-stats-v2\"") {
+    let stats = json::parse(&stats).map_err(|e| format!("stats report: {e}"))?;
+    if stats.get("schema").and_then(Value::as_str) != Some("cartserve-stats-v2") {
         return Err("stats report is missing its schema tag".into());
+    }
+    let tenants = stats.get("tenants").and_then(Value::as_array);
+    let named = |t: &Value| t.get("tenant").and_then(Value::as_str) == Some("smoke-b");
+    if !tenants.is_some_and(|rows| rows.iter().any(named)) {
+        return Err("stats report is missing a tenant".into());
     }
     let (_, uptime_ms, version) = client
         .ping_info(b"smoke")

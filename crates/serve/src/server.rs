@@ -60,11 +60,11 @@ use std::time::{Duration, Instant};
 use cartcomm::exec::ExecLayouts;
 use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, WBlock};
 use cartcomm::plan::{Plan, PlanKind};
-use cartcomm::{CartComm, InlineUniverse, PlanStore, PlanStoreStats};
+use cartcomm::{CartComm, InlineUniverse, PlanStore};
 use cartcomm_comm::{PooledBuf, WirePool};
-use cartcomm_obs::tenant::STAGE_COUNT;
+use cartcomm_obs::tenant::{STAGE_COUNT, STAGE_NAMES};
 use cartcomm_obs::{
-    json_escape, AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs,
+    json::JsonWriter, AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs,
     PerfettoExport, RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent,
     TraceRecord, TraceSink,
 };
@@ -375,15 +375,15 @@ impl Shared {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// The OpenMetrics document served on `METRICS` and `GET /metrics`.
-    fn openmetrics(&self) -> String {
+    /// What both report documents are rendered from, read in one go.
+    fn report_inputs(&self) -> MetricsInputs<'_> {
         let depth = self.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
         let profile_active = self
             .profile
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .is_some();
-        exporter::render(&MetricsInputs {
+        MetricsInputs {
             version: env!("CARGO_PKG_VERSION"),
             uptime_seconds: self.uptime_seconds(),
             counters: self.counters.snapshot(),
@@ -393,75 +393,65 @@ impl Shared {
             profile_active,
             profile_sinks_installed: self.profile_sinks.load(Ordering::Relaxed),
             tenants: &self.tenants,
-        })
+        }
+    }
+
+    /// The OpenMetrics document served on `METRICS` and `GET /metrics`.
+    fn openmetrics(&self) -> String {
+        exporter::render(&self.report_inputs())
     }
 
     fn stats_json(&self) -> String {
-        let c = self.counters.snapshot();
-        let s: PlanStoreStats = self.store.stats();
-        let depth = self.queue.lock().unwrap_or_else(|e| e.into_inner()).len();
-        let profile_active = self
-            .profile
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some();
-        let slowest = {
-            let ring = self.slowest.lock().unwrap_or_else(|e| e.into_inner());
-            let rows: Vec<String> = ring
-                .iter()
-                .map(|j| {
-                    format!(
-                        concat!(
-                            "{{\"job\":{},\"tenant\":\"{}\",\"total_ns\":{},",
-                            "\"queue_ns\":{},\"coalesce_ns\":{},",
-                            "\"execute_ns\":{},\"reply_ns\":{}}}"
-                        ),
-                        j.job_id,
-                        json_escape(&j.tenant),
-                        j.total_ns,
-                        j.stage_ns[0],
-                        j.stage_ns[1],
-                        j.stage_ns[2],
-                        j.stage_ns[3],
-                    )
-                })
-                .collect();
-            format!("[{}]", rows.join(","))
-        };
-        let table = json_escape(&self.tenants.render_table());
-        format!(
-            concat!(
-                "{{\"schema\":\"cartserve-stats-v2\",\"server\":{{",
-                "\"jobs_submitted\":{},\"jobs_rejected\":{},\"jobs_drained\":{},",
-                "\"jobs_completed\":{},\"batches_executed\":{},\"jobs_coalesced\":{},",
-                "\"queue_depth\":{},\"draining\":{},\"uptime_ms\":{},",
-                "\"plan_store\":{{\"hits\":{},\"misses\":{},\"evictions\":{},",
-                "\"schedule_hits\":{},\"schedule_misses\":{}}}}},",
-                "\"profile\":{{\"active\":{},\"sinks_installed\":{}}},",
-                "\"slowest\":{},",
-                "\"tenants\":{},\"table\":\"{}\"}}"
-            ),
-            c.jobs_submitted,
-            c.jobs_rejected,
-            c.jobs_drained,
-            c.jobs_completed,
-            c.batches_executed,
-            c.jobs_coalesced,
-            depth,
-            self.draining.load(Ordering::Acquire),
-            self.started.elapsed().as_millis(),
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.schedule_hits,
-            s.schedule_misses,
-            profile_active,
-            self.profile_sinks.load(Ordering::Relaxed),
-            slowest,
-            self.tenants.to_json(),
-            table,
-        )
+        let inputs = self.report_inputs();
+        // Copied out: `finish_job` takes this lock for every job, and the
+        // render formats every tenant.
+        let ring = self.slowest.lock().unwrap_or_else(|e| e.into_inner());
+        let slowest = ring.clone();
+        drop(ring);
+        stats_body(&inputs, &slowest)
     }
+}
+
+/// The `STATS_OK` document, a pure function of its inputs like
+/// [`exporter::render`] (a golden file pins it).
+fn stats_body(i: &MetricsInputs, slowest: &[SlowJob]) -> String {
+    let (c, s) = (i.counters, i.plan_store);
+    let mut w = JsonWriter::new();
+    w.obj().key("schema").str("cartserve-stats-v2");
+    w.key("server").obj();
+    w.key("jobs_submitted").raw(c.jobs_submitted);
+    w.key("jobs_rejected").raw(c.jobs_rejected);
+    w.key("jobs_drained").raw(c.jobs_drained);
+    w.key("jobs_completed").raw(c.jobs_completed);
+    w.key("batches_executed").raw(c.batches_executed);
+    w.key("jobs_coalesced").raw(c.jobs_coalesced);
+    w.key("queue_depth").raw(i.queue_depth);
+    w.key("draining").raw(i.draining);
+    w.key("uptime_ms").raw((i.uptime_seconds * 1e3) as u64);
+    w.key("plan_store").obj();
+    w.key("hits").raw(s.hits).key("misses").raw(s.misses);
+    w.key("evictions").raw(s.evictions);
+    w.key("schedule_hits").raw(s.schedule_hits);
+    w.key("schedule_misses").raw(s.schedule_misses);
+    w.end().end();
+    w.key("profile").obj();
+    w.key("active").raw(i.profile_active);
+    w.key("sinks_installed").raw(i.profile_sinks_installed);
+    w.end();
+    w.key("slowest").arr();
+    for j in slowest {
+        w.obj().key("job").raw(j.job_id);
+        w.key("tenant").str(&j.tenant);
+        w.key("total_ns").raw(j.total_ns);
+        for (stage, ns) in STAGE_NAMES.iter().zip(j.stage_ns) {
+            w.key(&format!("{stage}_ns")).raw(ns);
+        }
+        w.end();
+    }
+    w.end();
+    w.key("tenants").raw(i.tenants.to_json());
+    w.key("table").str(&i.tenants.render_table()).end();
+    w.finish()
 }
 
 /// A running cartserve daemon. Dropping the handle does **not** stop the
@@ -1518,19 +1508,13 @@ fn maybe_finalize_profile(shared: &Arc<Shared>, force: bool) {
 /// validated against the analytical round count `C` (Prop. 3.2) and wire
 /// volume `V·m` (Prop. 3.3) rank 0 reported at execution time.
 fn profile_report(session: &ProfileSession) -> (String, Vec<u8>) {
-    fn fmt_f64(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".into()
-        }
-    }
-
     let mut rounds_ok = true;
     let mut volume_ok = true;
     let mut clean_pairing = true;
     let mut dropped_total: u64 = 0;
-    let mut job_rows: Vec<String> = Vec::new();
+    // The verdicts precede the rows in the document and follow from them.
+    let mut jobs = JsonWriter::new();
+    jobs.arr();
     let mut samples: Vec<(u64, u64)> = Vec::new();
     let mut last: Option<(TraceCollector, cartcomm_obs::RoundDag)> = None;
 
@@ -1551,93 +1535,62 @@ fn profile_report(session: &ProfileSession) -> (String, Vec<u8>) {
         dropped_total += cap.dropped;
         samples.extend(dag.latency_samples());
 
-        job_rows.push(format!(
-            concat!(
-                "{{\"c_pred\":{},\"v_pred_bytes\":{},",
-                "\"sends_per_rank\":[{}],\"sent_bytes_per_rank\":[{}],",
-                "\"unpaired_starts\":{},\"unpaired_ends\":{},",
-                "\"dropped\":{},\"makespan_ns\":{}}}"
-            ),
-            cap.c_pred,
-            cap.v_pred,
-            sends
-                .iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            bytes
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            dag.unpaired_starts,
-            dag.unpaired_ends,
-            cap.dropped,
-            dag.makespan_ns(),
-        ));
+        jobs.obj().key("c_pred").raw(cap.c_pred);
+        jobs.key("v_pred_bytes").raw(cap.v_pred);
+        jobs.key("sends_per_rank").list(&sends);
+        jobs.key("sent_bytes_per_rank").list(&bytes);
+        jobs.key("unpaired_starts").raw(dag.unpaired_starts);
+        jobs.key("unpaired_ends").raw(dag.unpaired_ends);
+        jobs.key("dropped").raw(cap.dropped);
+        jobs.key("makespan_ns").raw(dag.makespan_ns()).end();
         last = Some((collector, dag));
     }
+    jobs.end();
+
+    let captured = session.captures.len();
+    let all_ok = captured > 0 && rounds_ok && volume_ok && clean_pairing;
+    let mut w = JsonWriter::new();
+    w.obj().key("schema").str("cartserve-profile-v1");
+    w.key("tenant").str(&session.tenant);
+    w.key("jobs_captured").raw(captured);
+    w.key("dropped_records").raw(dropped_total);
+    w.key("rounds_ok").raw(rounds_ok);
+    w.key("volume_ok").raw(volume_ok);
+    w.key("clean_pairing").raw(clean_pairing);
+    w.key("all_checks_passed").raw(all_ok);
+    w.key("jobs").raw(jobs.finish());
 
     // A live service sees same-size jobs, so the α-β fit over a capture
     // set is often rank-deficient; `degenerate` is reported but does NOT
     // gate the pass verdict — only the paper invariants do.
     let fit = AlphaBetaFit::fit(&samples);
-    let fit_json = format!(
-        concat!(
-            "{{\"alpha_ns\":{},\"beta_ns_per_byte\":{},",
-            "\"samples\":{},\"distinct_sizes\":{},\"degenerate\":{}}}"
-        ),
-        fmt_f64(fit.alpha_ns),
-        fmt_f64(fit.beta_ns_per_byte),
-        fit.samples,
-        fit.distinct_sizes,
-        fit.degenerate,
-    );
+    w.key("fit").obj().key("alpha_ns").float(fit.alpha_ns, 6);
+    w.key("beta_ns_per_byte").float(fit.beta_ns_per_byte, 6);
+    w.key("samples").raw(fit.samples);
+    w.key("distinct_sizes").raw(fit.distinct_sizes);
+    w.key("degenerate").raw(fit.degenerate).end();
 
-    let (cp_json, trace) = match &last {
+    let mut trace = Vec::new();
+    w.key("critical_path");
+    match &last {
         Some((collector, dag)) => {
             let cp = CriticalPath::of(dag);
-            let cp_json = format!(
-                "{{\"steps\":{},\"makespan_ns\":{}}}",
-                cp.steps.len(),
-                cp.makespan_ns
-            );
-            let trace = if session.want_trace {
-                PerfettoExport::new(dag)
+            w.obj().key("steps").raw(cp.steps.len());
+            w.key("makespan_ns").raw(cp.makespan_ns).end();
+            if session.want_trace {
+                trace = PerfettoExport::new(dag)
                     .with_counters(collector.records())
                     .with_process_name("cartserve-live")
                     .to_json()
-                    .into_bytes()
-            } else {
-                Vec::new()
-            };
-            (cp_json, trace)
+                    .into_bytes();
+            }
         }
-        None => ("null".into(), Vec::new()),
-    };
-
-    let captured = session.captures.len();
-    let all_ok = captured > 0 && rounds_ok && volume_ok && clean_pairing;
-    let json = format!(
-        concat!(
-            "{{\"schema\":\"cartserve-profile-v1\",\"tenant\":\"{}\",",
-            "\"jobs_captured\":{},\"dropped_records\":{},",
-            "\"rounds_ok\":{},\"volume_ok\":{},\"clean_pairing\":{},",
-            "\"all_checks_passed\":{},",
-            "\"jobs\":[{}],\"fit\":{},\"critical_path\":{}}}"
-        ),
-        json_escape(&session.tenant),
-        captured,
-        dropped_total,
-        rounds_ok,
-        volume_ok,
-        clean_pairing,
-        all_ok,
-        job_rows.join(","),
-        fit_json,
-        cp_json,
-    );
-    (json, trace)
+        None => {
+            w.null();
+        }
+    }
+    w.end();
+    (w.finish(), trace)
 }
 
 // ----- /metrics HTTP listener ---------------------------------------------------
@@ -1871,5 +1824,134 @@ mod tests {
         // A whole gap late or more: the schedule restarts at the start.
         pacer.started(due + 3 * JOB_GAP, 1, 0);
         assert_eq!(pacer.wait(due + 3 * JOB_GAP), JOB_GAP);
+    }
+
+    /// A wire document against its golden file under `tests/golden`
+    /// (`BLESS_GOLDEN=1` rewrites it).
+    fn check_golden(name: &str, rendered: &str) {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden")
+            .join(name);
+        if std::env::var_os("BLESS_GOLDEN").is_some() {
+            std::fs::write(&path, rendered).unwrap();
+            return;
+        }
+        let golden = std::fs::read_to_string(&path).expect("golden file (BLESS_GOLDEN=1 makes it)");
+        assert_eq!(rendered, golden, "{name} drifted from its golden file");
+    }
+
+    const HOSTILE: &str = "t\tab\nline\"quote\\slash";
+
+    #[test]
+    fn stats_body_matches_golden_file() {
+        let tenants = TenantRegistry::new();
+        let delta = |rounds, bytes| {
+            cartcomm_obs::MetricsDelta(MetricsSnapshot {
+                rounds_completed: rounds,
+                wire_bytes_sent: bytes,
+                plan_cache_hits: 1,
+                ..MetricsSnapshot::default()
+            })
+        };
+        tenants.record_job("acme", 8, 1024, &delta(8, 1024));
+        tenants.record_job(HOSTILE, 4, 256, &delta(5, 300));
+        let inputs = MetricsInputs {
+            version: "0.0.0-golden",
+            uptime_seconds: 12.3456,
+            counters: ServerCounters {
+                jobs_submitted: 5,
+                jobs_rejected: 1,
+                jobs_drained: 2,
+                jobs_completed: 4,
+                batches_executed: 3,
+                jobs_coalesced: 1,
+            },
+            queue_depth: 7,
+            draining: true,
+            plan_store: cartcomm::PlanStoreStats {
+                hits: 11,
+                misses: 12,
+                evictions: 13,
+                schedule_hits: 14,
+                schedule_misses: 15,
+            },
+            profile_active: false,
+            profile_sinks_installed: 6,
+            tenants: &tenants,
+        };
+        let slow = |job_id, tenant: &str, total_ns| SlowJob {
+            job_id,
+            tenant: tenant.to_string(),
+            total_ns,
+            stage_ns: [total_ns / 2, 1, total_ns / 4, 2],
+        };
+        let slowest = [slow(9, HOSTILE, 4_000_000), slow(3, "acme", 1_000)];
+        check_golden("stats_body.json", &stats_body(&inputs, &slowest));
+        let idle = MetricsInputs {
+            tenants: &TenantRegistry::new(),
+            ..inputs
+        };
+        check_golden("stats_body_idle.json", &stats_body(&idle, &[]));
+    }
+
+    #[test]
+    fn profile_report_matches_golden_file() {
+        // Two jobs on two ranks: 64 bytes from rank 0 that nobody
+        // received, then a 256-byte exchange.
+        let rec = |t_ns, rank, event| TraceRecord { t_ns, rank, event };
+        let start = |to, wire_bytes| TraceEvent::RoundStart {
+            phase: 0,
+            round: 0,
+            to,
+            from: to,
+            wire_bytes,
+            attempt: 0,
+        };
+        let end = |from, wire_bytes| TraceEvent::RoundEnd {
+            phase: 0,
+            round: 0,
+            to: from,
+            from,
+            wire_bytes,
+            attempt: 0,
+        };
+        let paired = JobCapture {
+            ranks: 2,
+            per_rank: vec![
+                vec![
+                    rec(1_000, 0, start(1, 256)),
+                    rec(1_200, 0, TraceEvent::PoolHit { bytes: 256 }),
+                    rec(4_500, 0, end(1, 256)),
+                ],
+                vec![rec(1_100, 1, start(0, 256)), rec(3_500, 1, end(0, 256))],
+            ],
+            dropped: 3,
+            deposits: 2,
+            c_pred: 1,
+            v_pred: 256,
+        };
+        let mut unpaired = JobCapture::new(2);
+        unpaired.per_rank[0].push(rec(9_000, 0, start(1, 64)));
+        unpaired.deposits = 1;
+        unpaired.c_pred = 1;
+        unpaired.v_pred = 64;
+
+        let session = |captures, want_trace| ProfileSession {
+            tenant: HOSTILE.to_string(),
+            jobs_left: None,
+            deadline_ns: 0,
+            capacity: 16,
+            want_trace,
+            captures,
+            reply: Arc::new(Mutex::new(Box::new(io::sink()))),
+            ctx: 0,
+        };
+        let (json, trace) = profile_report(&session(vec![unpaired, paired], true));
+        check_golden("profile_report.json", &json);
+        // (`perfetto_golden.rs` pins the trace format.)
+        assert!(trace.starts_with(b"{\"displayTimeUnit\""));
+        let (json, trace) = profile_report(&session(Vec::new(), false));
+        check_golden("profile_report_empty.json", &json);
+        assert!(trace.is_empty());
     }
 }

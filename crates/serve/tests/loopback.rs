@@ -10,6 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use cartcomm_obs::json::{self, Value};
 use cartcomm_serve::proto::{AlgoSpec, JobSpec, OpSpec};
 use cartcomm_serve::{reference, Client, ServeConfig, Server, Submission};
 
@@ -499,8 +500,10 @@ fn a_failing_job_is_contained() {
 }
 
 /// With no coalescing window a lone client waits for nobody, only for
-/// the pace (one job per 200 µs): 200 jobs back to back take well under
-/// the 400 ms they used to spend asleep in the window alone.
+/// the pace (one job per 200 µs): the median of 200 back-to-back round
+/// trips is well under the 2 ms each used to spend asleep in the window
+/// alone — and, unlike their sum, a few descheduled jobs in a loaded test
+/// run cannot move it.
 #[test]
 fn a_lone_client_pays_no_window() {
     let sock = sock_path("lone");
@@ -527,17 +530,20 @@ fn a_lone_client_pays_no_window() {
         c.submit_retrying(&spec, &payload, 100).expect("job"),
         golden
     );
-    let start = Instant::now();
-    for _ in 0..200 {
-        assert_eq!(
-            c.submit_retrying(&spec, &payload, 100).expect("job"),
-            golden
-        );
-    }
-    let took = start.elapsed();
+    let mut trips: Vec<Duration> = (0..200)
+        .map(|_| {
+            let start = Instant::now();
+            let out = c.submit_retrying(&spec, &payload, 100).expect("job");
+            assert_eq!(out, golden);
+            start.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
     assert!(
-        took < Duration::from_millis(200),
-        "200 sequential jobs took {took:?}"
+        median < Duration::from_millis(1),
+        "median of 200 sequential jobs {median:?}, slowest {:?}",
+        trips[trips.len() - 1]
     );
 
     server.shutdown();
@@ -566,12 +572,25 @@ fn hostile_tenant_name_keeps_stats_valid_json() {
     let payload = payload_for(&spec, 41);
     let golden = reference::execute(&spec, &payload).expect("golden");
 
-    let mut c = Client::connect_uds(&sock, "t\tab\nline\"quote\\slash").expect("connect");
+    const NAME: &str = "t\tab\nline\"quote\\slash";
+    let mut c = Client::connect_uds(&sock, NAME).expect("connect");
     assert_eq!(
         c.submit_retrying(&spec, &payload, 100).expect("job"),
         golden
     );
     let stats = c.stats().expect("stats");
+    let doc = json::parse(&stats).expect("STATS_OK parses");
+    let tenant_of = |row: &Value| row.get("tenant").and_then(Value::as_str).map(str::to_owned);
+    for rows in ["tenants", "slowest"] {
+        let rows = doc.get(rows).and_then(Value::as_array).expect(rows);
+        assert_eq!(
+            rows.iter().map(tenant_of).collect::<Vec<_>>(),
+            [Some(NAME.to_owned())]
+        );
+    }
+    let table = doc.get("table").and_then(Value::as_str).expect("table");
+    assert!(table.contains(NAME), "table: {table}");
+
     let escaped = "t\\u0009ab\\u000aline\\\"quote\\\\slash";
     assert!(
         stats.contains(&format!("\"tenant\":\"{escaped}\",\"jobs\":")),
