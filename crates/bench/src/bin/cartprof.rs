@@ -114,7 +114,8 @@ impl Op {
         match self {
             Op::Alltoall => cost.alltoall_volume,
             Op::Allgather => cost.allgather_volume,
-            Op::ReduceScatter | Op::Allreduce => cost.reduce_volume,
+            Op::ReduceScatter => cost.reduce_scatter_volume,
+            Op::Allreduce => cost.allreduce_volume,
         }
     }
 }

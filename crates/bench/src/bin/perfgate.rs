@@ -39,7 +39,7 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cartcomm::schedule::{allgather_plan, alltoall_plan};
+use cartcomm::schedule::{allgather_plan, allreduce_plan, alltoall_plan};
 use cartcomm_comm::obs::json::{self, JsonWriter, Value};
 use cartcomm_topo::RelNeighborhood;
 use cartcomm_types::kernel::{self, PackSpan, SpanRun, Stretch};
@@ -389,6 +389,7 @@ fn measure_schedules() -> Vec<ScheduleCase> {
     vec![
         case("alltoall", alltoall_plan),
         case("allgather", allgather_plan),
+        case("allreduce", allreduce_plan),
     ]
 }
 

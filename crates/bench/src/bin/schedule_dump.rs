@@ -2,10 +2,12 @@
 //! family — the "arrays of datatypes and ranks" view of §3.4.
 //!
 //! Usage: `cargo run -p cartcomm-bench --bin schedule_dump -- [d] [n] [f] [op]`
-//! where `op` is `alltoall` (default), `allgather`, or `both`.
+//! where `op` is `alltoall`, `allgather`, `both` (default), or `allreduce`.
 
 use cartcomm::cost::CostSummary;
-use cartcomm::schedule::{allgather_plan, allgather_plan_with_order, alltoall_plan, DimOrder};
+use cartcomm::schedule::{
+    allgather_plan, allgather_plan_with_order, allreduce_plan, alltoall_plan, DimOrder,
+};
 use cartcomm_topo::RelNeighborhood;
 
 fn main() {
@@ -41,5 +43,8 @@ fn main() {
                 given.volume_blocks, cs.allgather_volume
             );
         }
+    }
+    if op == "allreduce" {
+        println!("{}", allreduce_plan(&nb));
     }
 }

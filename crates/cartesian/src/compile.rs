@@ -1719,6 +1719,57 @@ mod tests {
         assert!(CompiledPlan::compile(&mesh, 0, &plan, &lay, 0).is_ok());
     }
 
+    /// The shape the class-sharing allreduce plan asks the executors for: a
+    /// round that gathers from `Send`, rounds whose send slot is their
+    /// receive slot, one slot assigned once and folded into ever after.
+    #[test]
+    fn moore_3d_allreduce_is_six_one_block_wires_over_one_accumulator() {
+        let topo = CartTopology::torus(&[3, 3, 3]).unwrap();
+        let plan = crate::schedule::allreduce_plan(&RelNeighborhood::moore(3, 1).unwrap());
+        let m = 40;
+        let cp = compile(&topo, 13, &plan, m);
+        assert_eq!(cp.wire_capacities(), [m; 6]);
+        assert!(cp.temp_len() <= 2 * m, "temp_len {}", cp.temp_len());
+        assert!(cp.copy_count() <= 3, "{} copies", cp.copy_count());
+
+        // First touch, read off the compiled flags in execution order:
+        // copies in list order, then each round's receive half.
+        let mut written: Vec<(BufId, usize)> = Vec::new();
+        let mut touch = |buf: BufId, off: usize, acc: bool| {
+            assert_eq!(acc, written.contains(&(buf, off)), "{buf:?}+{off}");
+            written.push((buf, off));
+        };
+        let mut folds = 0;
+        for phase in &cp.phases {
+            for c in &phase.copies {
+                c.ops.iter().for_each(|&(_, d, _)| touch(c.dst, d, c.acc));
+            }
+            for (b, (off, _)) in phase
+                .rounds
+                .iter()
+                .flat_map(|r| &r.recv)
+                .flat_map(Half::spans)
+            {
+                assert_eq!(b.buf, BufId::Temp, "rounds land in the accumulator");
+                touch(b.buf, off, b.acc);
+                folds += b.acc as usize;
+            }
+        }
+        assert_eq!(
+            folds, 6,
+            "the own block opens the slot, every arrival folds"
+        );
+        let sends: Vec<BufId> = cp
+            .phases
+            .iter()
+            .flat_map(|p| &p.rounds)
+            .flat_map(|r| r.send.iter().flat_map(Half::spans))
+            .map(|(b, _)| b.buf)
+            .collect();
+        use BufId::{Send, Temp};
+        assert_eq!(sends, [Send, Send, Temp, Temp, Temp, Temp]);
+    }
+
     /// The in-place snapshot is taken exactly where a send reads what an
     /// earlier copy or phase received.
     #[test]

@@ -3,7 +3,8 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::schedule::{allgather_plan, alltoall_plan};
+use crate::plan::PlanKind;
+use crate::schedule::{allgather_plan, allreduce_plan, alltoall_plan, reduce_scatter_plan};
 
 /// The analytic quantities of one neighborhood, as reported in Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,11 +18,14 @@ pub struct CostSummary {
     /// Message-combining allgather volume (edges of the routing tree built
     /// in increasing `C_k` order).
     pub allgather_volume: usize,
-    /// Message-combining reduction volume: the reversed reduce tree runs
-    /// the allgather tree of the *negated* neighborhood backwards, so its
-    /// volume is that tree's edge count (equals `allgather_volume` for
-    /// symmetric neighborhoods).
-    pub reduce_volume: usize,
+    /// Message-combining reduce-scatter volume: the allgather tree of the
+    /// *negated* neighborhood run backwards, one block per tree edge
+    /// (equals `allgather_volume` for symmetric neighborhoods).
+    pub reduce_scatter_volume: usize,
+    /// Message-combining allreduce volume: one block per distinct partial
+    /// sum of that tree, never above `reduce_scatter_volume` (`C` on the
+    /// `(d, n)` stencil families, where the tree has `t` edges).
+    pub allreduce_volume: usize,
     /// The cut-off ratio `(t−C)/(V−t)` for the alltoall: combining wins for
     /// block sizes `m < (α/β)·ratio`. `None` when `V == t` (combining never
     /// moves extra data, so it wins whenever it saves rounds).
@@ -35,13 +39,15 @@ impl CostSummary {
         let rounds = nb.combining_rounds();
         let alltoall_volume = nb.alltoall_volume();
         let allgather_volume = allgather_plan(nb).volume_blocks;
-        let reduce_volume = allgather_plan(&nb.negated()).volume_blocks;
+        let reduce_scatter_volume = reduce_scatter_plan(nb).volume_blocks;
+        let allreduce_volume = allreduce_plan(nb).volume_blocks;
         CostSummary {
             t,
             rounds,
             alltoall_volume,
             allgather_volume,
-            reduce_volume,
+            reduce_scatter_volume,
+            allreduce_volume,
             cutoff: cutoff_ratio(t, rounds, alltoall_volume),
         }
     }
@@ -62,10 +68,25 @@ impl CostSummary {
         self.rounds as f64 * alpha + beta * (self.allgather_volume * m_bytes) as f64
     }
 
-    /// Predicted message-combining reduction time (`Cart_reduce_scatter`
-    /// or `Cart_allreduce`): `C·α + β·V_red·m`.
-    pub fn combining_reduce_time(&self, alpha: f64, beta: f64, m_bytes: usize) -> f64 {
-        self.rounds as f64 * alpha + beta * (self.reduce_volume * m_bytes) as f64
+    /// Predicted message-combining time of the reduction `kind`
+    /// (`Cart_reduce_scatter` or `Cart_allreduce`): `C·α + β·V·m` with
+    /// that reduction's volume.
+    ///
+    /// # Panics
+    /// If `kind` is not a reduction.
+    pub fn combining_reduce_time(
+        &self,
+        kind: PlanKind,
+        alpha: f64,
+        beta: f64,
+        m_bytes: usize,
+    ) -> f64 {
+        let volume = match kind {
+            PlanKind::ReduceScatter => self.reduce_scatter_volume,
+            PlanKind::Allreduce => self.allreduce_volume,
+            _ => panic!("{kind:?} is not a reduction"),
+        };
+        self.rounds as f64 * alpha + beta * (volume * m_bytes) as f64
     }
 
     /// The block size in bytes below which combining alltoall beats trivial
@@ -111,6 +132,12 @@ pub mod closed_form {
     /// Allgather volume `V = Σ_j C(d,j)·(n−1)^j = n^d − 1` (§3.2's example).
     pub fn allgather_volume(d: u32, n: u64) -> u64 {
         n.pow(d) - 1
+    }
+
+    /// Allreduce volume `V = d (n − 1) = C`: every level of the tree is one
+    /// class, `n − 1` blocks each, and a round carries at least one block.
+    pub fn allreduce_volume(d: u64, n: u64) -> u64 {
+        d * (n - 1)
     }
 
     fn binom(n: u64, k: u64) -> u64 {
@@ -190,6 +217,12 @@ mod tests {
                     closed_form::allgather_volume(d as u32, n as u64),
                     "allgather volume = t for Moore-style stencils (d={d}, n={n})"
                 );
+                assert_eq!(
+                    cs.allreduce_volume as u64,
+                    closed_form::allreduce_volume(d as u64, n as u64),
+                    "allreduce volume = C, one block a round (d={d}, n={n})"
+                );
+                assert_eq!(cs.reduce_scatter_volume, cs.t);
             }
         }
     }
@@ -249,23 +282,33 @@ mod tests {
     }
 
     #[test]
-    fn reduce_volume_mirrors_allgather() {
+    fn reduce_scatter_volume_mirrors_allgather() {
         // Symmetric neighborhoods: negation is a permutation, so the
         // reversed reduce tree has exactly the allgather volume.
         for d in 2..=3usize {
             let nb = RelNeighborhood::moore(d, 1).unwrap();
             let cs = CostSummary::of(&nb);
-            assert_eq!(cs.reduce_volume, cs.allgather_volume);
-            assert_eq!(cs.reduce_volume, cs.t, "Moore reduce volume = t");
+            assert_eq!(cs.reduce_scatter_volume, cs.allgather_volume);
+            assert_eq!(cs.reduce_scatter_volume, cs.t, "Moore tree edges = t");
         }
         // Asymmetric: still the negated neighborhood's tree edges.
         let nb = RelNeighborhood::stencil_family(2, 3, -2).unwrap();
         let cs = CostSummary::of(&nb);
         assert_eq!(
-            cs.reduce_volume,
+            cs.reduce_scatter_volume,
             allgather_plan(&nb.negated()).volume_blocks
         );
-        assert!(cs.combining_reduce_time(2e-6, 0.08e-9, 8) > 0.0);
+        assert!(cs.combining_reduce_time(PlanKind::ReduceScatter, 2e-6, 0.08e-9, 8) > 0.0);
+    }
+
+    #[test]
+    fn the_two_reductions_are_priced_apart() {
+        // Same rounds, V·m apart: 26 tree edges against 6 partial sums.
+        let cs = CostSummary::of(&RelNeighborhood::moore(3, 1).unwrap());
+        let (alpha, beta, m) = (2e-6, 0.08e-9, 32 << 10);
+        let gap = cs.combining_reduce_time(PlanKind::ReduceScatter, alpha, beta, m)
+            - cs.combining_reduce_time(PlanKind::Allreduce, alpha, beta, m);
+        assert!((gap - beta * (20 * m) as f64).abs() < 1e-12);
     }
 
     #[test]

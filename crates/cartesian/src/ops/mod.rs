@@ -62,8 +62,12 @@ pub enum Algo {
 /// Resolve an [`Algo`] against a plan and the bytes of the `t` neighbor
 /// blocks together: `true` iff the message-combining schedule should run.
 /// `Auto` applies the §3.2 cut-off on the average block size; when
-/// `V == t` combining moves no extra data, so it wins whenever it also
-/// saves rounds.
+/// `V ≤ t` combining moves no extra data, so it wins whenever it also
+/// saves rounds. The combining allreduce sends each distinct partial sum
+/// once, so its `V` is below `t` far more often than its tree's edge
+/// count: an asymmetric neighborhood whose tree has more than `t` edges
+/// but at most `t` distinct partial sums has no cut-off and runs combining
+/// at every block size.
 pub(crate) fn choose_combining(algo: Algo, plan: &Plan, total_bytes: usize) -> bool {
     match algo {
         Algo::Trivial => false,

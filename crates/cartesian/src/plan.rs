@@ -99,11 +99,13 @@ pub enum PlanKind {
     /// write to a slot assigns, later writes combine with the reducer
     /// supplied at execution time.
     ReduceScatter,
-    /// Reduce-scatter followed by the local extraction of the fully
-    /// combined own block: one send block replicated toward every source
-    /// neighbor, one receive slot holding the elementwise reduction over
-    /// the neighborhood. Same uniform sizing and first-write-assigns
-    /// semantics as [`PlanKind::ReduceScatter`].
+    /// One contributed block per process, one receive slot holding the
+    /// elementwise reduction over the process and its source neighbors.
+    /// Every leaf of the reversed tree carries the same block, so equal
+    /// subtrees hold equal partial sums and the combining schedule sends
+    /// each distinct one once (rounds may gather straight from the send
+    /// block, and from the temp slot they fold into). Same uniform sizing
+    /// and first-write-assigns semantics as [`PlanKind::ReduceScatter`].
     Allreduce,
 }
 

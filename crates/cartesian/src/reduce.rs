@@ -17,8 +17,12 @@
 //!   message-combining *allgather* schedule run in reverse. Allgather
 //!   routes one block from each process *outward* along a tree to all its
 //!   targets; reversing every round routes one partial result from each
-//!   *source* inward, combining partial blocks at every join — volume =
-//!   tree edges, `C` rounds, by the same argument as Proposition 3.3.
+//!   *source* inward, combining partial blocks at every join — `C`
+//!   rounds, by the same argument as Proposition 3.3. The reduce-scatter
+//!   funnels `t` different blocks, so its volume is the tree's edges; the
+//!   allreduce funnels one block replicated, equal subtrees hold equal
+//!   partial sums, and its volume is the number of *distinct* ones (`C`
+//!   on the Moore families, never more than the tree's edges).
 //!
 //! The reduction operator must be associative and commutative: the tree
 //! reassociates in an order that depends on the neighborhood, and with

@@ -30,6 +30,21 @@ pub enum DimOrder {
     DecreasingCk,
 }
 
+impl DimOrder {
+    /// The dimension permutation `sigma` this order gives for `nb`: tree
+    /// level `k` routes along dimension `sigma[k]`.
+    pub(crate) fn permutation(self, nb: &RelNeighborhood) -> Vec<usize> {
+        let cks = nb.distinct_nonzero_coords();
+        let mut sigma: Vec<usize> = (0..nb.ndims()).collect();
+        match self {
+            DimOrder::IncreasingCk => sigma.sort_by_key(|&k| (cks[k], k)),
+            DimOrder::Given => {}
+            DimOrder::DecreasingCk => sigma.sort_by_key(|&k| (usize::MAX - cks[k], k)),
+        }
+        sigma
+    }
+}
+
 /// Compute the message-combining allgather schedule with the default
 /// increasing-`C_k` dimension order.
 pub fn allgather_plan(nb: &RelNeighborhood) -> Plan {
@@ -41,15 +56,7 @@ pub fn allgather_plan(nb: &RelNeighborhood) -> Plan {
 pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan {
     let d = nb.ndims();
     let t = nb.len();
-
-    // Dimension permutation sigma.
-    let cks = nb.distinct_nonzero_coords();
-    let mut sigma: Vec<usize> = (0..d).collect();
-    match order {
-        DimOrder::IncreasingCk => sigma.sort_by_key(|&k| (cks[k], k)),
-        DimOrder::Given => {}
-        DimOrder::DecreasingCk => sigma.sort_by_key(|&k| (usize::MAX - cks[k], k)),
-    }
+    let sigma = order.permutation(nb);
 
     // ---- tree construction (Algorithm 2, CSR arena) ------------------------
     let mut temp_slots = 0usize;

@@ -41,6 +41,9 @@ pub(crate) struct ArenaNode {
     /// Representative neighbor index (first index in the subtree), used
     /// for wire sizing.
     pub(crate) rep: usize,
+    /// Number of neighbor indices in the subtree: at a leaf, how often its
+    /// offset occurs in the neighborhood.
+    pub(crate) count: usize,
     /// Tree level (root = 0).
     level: u32,
     /// Start of this node's edge range in the shared `children` slab.
@@ -135,7 +138,6 @@ impl TreeArena {
         &self.children[n.child_start..n.child_start + n.child_len]
     }
 
-    #[cfg(test)]
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -252,6 +254,7 @@ impl Builder<'_> {
         self.arena.nodes.push(ArenaNode {
             slot,
             rep,
+            count: indices.len(),
             level: level as u32,
             child_start,
             child_len,

@@ -229,12 +229,12 @@ const BLOCK_BYTES: usize = 24;
 
 #[rustfmt::skip]
 const GOLDENS: &[Golden] = &[
-    Golden { name: "moore2d", rounds: 4, volume: 8, phase_rounds: &[2, 2], ag_plan_fp: [0x5A9B3C038A60497F, 0x5A9B3C038A60497F, 0x5A9B3C038A60497F], ag_compiled_fp: 0xE2FAE7493F030021, a2a_plan_fp: 0x48A23E8F8EF5665E, a2a_compiled_fp: 0x987D0EE325DE89A2, rs_plan_fp: 0x05B5318F8DFAE80A, rs_compiled_fp: 0x1472F98C46B9C7A0, ar_plan_fp: 0x277F5483062918FB, ar_compiled_fp: 0x2129FC4E63DBAA20 },
-    Golden { name: "moore3d", rounds: 6, volume: 26, phase_rounds: &[2, 2, 2], ag_plan_fp: [0x928BC23F905E1F61, 0x928BC23F905E1F61, 0x928BC23F905E1F61], ag_compiled_fp: 0x2524848D0921EFD1, a2a_plan_fp: 0xA32D96D5D48251E7, a2a_compiled_fp: 0x4F66AB70F6505419, rs_plan_fp: 0xC62A25D98A85AF0E, rs_compiled_fp: 0xD59233C800C37F27, ar_plan_fp: 0xFB9E4A49E4B00A96, ar_compiled_fp: 0xA9A07DF4923A60AE },
-    Golden { name: "vonneumann2d", rounds: 4, volume: 4, phase_rounds: &[2, 2], ag_plan_fp: [0xA77C418323449335, 0xA77C418323449335, 0xA77C418323449335], ag_compiled_fp: 0xAC9863F3488F8FB6, a2a_plan_fp: 0x2CAF881602A4E676, a2a_compiled_fp: 0x279EEE43F255EB2B, rs_plan_fp: 0xED9267DB0D7F817C, rs_compiled_fp: 0xAB328C44E4A500CA, ar_plan_fp: 0xC81C38211AF42FFD, ar_compiled_fp: 0xB2605B4F94C56B64 },
-    Golden { name: "vonneumann3d", rounds: 6, volume: 6, phase_rounds: &[2, 2, 2], ag_plan_fp: [0xA4A279AFD185787F, 0xA4A279AFD185787F, 0xA4A279AFD185787F], ag_compiled_fp: 0x4EA44B73EA19B1ED, a2a_plan_fp: 0xD309059B4E6324F3, a2a_compiled_fp: 0xD9447ED2A65EC647, rs_plan_fp: 0xAD9D9800ED7A714C, rs_compiled_fp: 0xE8970C47269CC01B, ar_plan_fp: 0xBDB8FDB68B01EBBC, ar_compiled_fp: 0x6585EF2202A9A3C3 },
-    Golden { name: "upwind2d", rounds: 3, volume: 5, phase_rounds: &[1, 2], ag_plan_fp: [0xF634015CEBA4F350, 0x7247D929E04955F1, 0x7247D929E04955F1], ag_compiled_fp: 0xEA6474FED2BF2ECA, a2a_plan_fp: 0x710022A7387C9B2F, a2a_compiled_fp: 0xFC0D8CEF8EA6F121, rs_plan_fp: 0xD870BFF751278003, rs_compiled_fp: 0x780E27C301B48543, ar_plan_fp: 0x54CFEA461D57A8EE, ar_compiled_fp: 0x184EA55E5BC6C81E },
-    Golden { name: "upwind3d", rounds: 4, volume: 8, phase_rounds: &[1, 1, 2], ag_plan_fp: [0x44D4859AC7E9B72A, 0x4B9DC78C3F72BE34, 0x4B9DC78C3F72BE34], ag_compiled_fp: 0xBCD34B3EBD23A0DF, a2a_plan_fp: 0xBF08C8A4DBE212A8, a2a_compiled_fp: 0xF3DDB642C0D13461, rs_plan_fp: 0xF2A8091550CF7833, rs_compiled_fp: 0xA8AF775E7A59A6AB, ar_plan_fp: 0xF22F31E2ABCC8F7D, ar_compiled_fp: 0x28B06E51374D802F },
+    Golden { name: "moore2d", rounds: 4, volume: 8, phase_rounds: &[2, 2], ag_plan_fp: [0x5A9B3C038A60497F, 0x5A9B3C038A60497F, 0x5A9B3C038A60497F], ag_compiled_fp: 0xE2FAE7493F030021, a2a_plan_fp: 0x48A23E8F8EF5665E, a2a_compiled_fp: 0x987D0EE325DE89A2, rs_plan_fp: 0x05B5318F8DFAE80A, rs_compiled_fp: 0x1472F98C46B9C7A0, ar_plan_fp: 0x135D5243F3634196, ar_compiled_fp: 0xA2CFA778909759F8 },
+    Golden { name: "moore3d", rounds: 6, volume: 26, phase_rounds: &[2, 2, 2], ag_plan_fp: [0x928BC23F905E1F61, 0x928BC23F905E1F61, 0x928BC23F905E1F61], ag_compiled_fp: 0x2524848D0921EFD1, a2a_plan_fp: 0xA32D96D5D48251E7, a2a_compiled_fp: 0x4F66AB70F6505419, rs_plan_fp: 0xC62A25D98A85AF0E, rs_compiled_fp: 0xD59233C800C37F27, ar_plan_fp: 0x593CB94D2FD57526, ar_compiled_fp: 0xFD1DAAF72251B7A3 },
+    Golden { name: "vonneumann2d", rounds: 4, volume: 4, phase_rounds: &[2, 2], ag_plan_fp: [0xA77C418323449335, 0xA77C418323449335, 0xA77C418323449335], ag_compiled_fp: 0xAC9863F3488F8FB6, a2a_plan_fp: 0x2CAF881602A4E676, a2a_compiled_fp: 0x279EEE43F255EB2B, rs_plan_fp: 0xED9267DB0D7F817C, rs_compiled_fp: 0xAB328C44E4A500CA, ar_plan_fp: 0x778E3A335972B775, ar_compiled_fp: 0x96660ED6098858C6 },
+    Golden { name: "vonneumann3d", rounds: 6, volume: 6, phase_rounds: &[2, 2, 2], ag_plan_fp: [0xA4A279AFD185787F, 0xA4A279AFD185787F, 0xA4A279AFD185787F], ag_compiled_fp: 0x4EA44B73EA19B1ED, a2a_plan_fp: 0xD309059B4E6324F3, a2a_compiled_fp: 0xD9447ED2A65EC647, rs_plan_fp: 0xAD9D9800ED7A714C, rs_compiled_fp: 0xE8970C47269CC01B, ar_plan_fp: 0x12B2AE7EB8DB764E, ar_compiled_fp: 0xF01652ED43F2C6A2 },
+    Golden { name: "upwind2d", rounds: 3, volume: 5, phase_rounds: &[1, 2], ag_plan_fp: [0xF634015CEBA4F350, 0x7247D929E04955F1, 0x7247D929E04955F1], ag_compiled_fp: 0xEA6474FED2BF2ECA, a2a_plan_fp: 0x710022A7387C9B2F, a2a_compiled_fp: 0xFC0D8CEF8EA6F121, rs_plan_fp: 0xD870BFF751278003, rs_compiled_fp: 0x780E27C301B48543, ar_plan_fp: 0x2D705AAA771A4522, ar_compiled_fp: 0x24BE446897C5933C },
+    Golden { name: "upwind3d", rounds: 4, volume: 8, phase_rounds: &[1, 1, 2], ag_plan_fp: [0x44D4859AC7E9B72A, 0x4B9DC78C3F72BE34, 0x4B9DC78C3F72BE34], ag_compiled_fp: 0xBCD34B3EBD23A0DF, a2a_plan_fp: 0xBF08C8A4DBE212A8, a2a_compiled_fp: 0xF3DDB642C0D13461, rs_plan_fp: 0xF2A8091550CF7833, rs_compiled_fp: 0xA8AF775E7A59A6AB, ar_plan_fp: 0x275A12C076EC1071, ar_compiled_fp: 0xF8CCB91C31CB499E },
 ];
 
 fn bless() -> bool {

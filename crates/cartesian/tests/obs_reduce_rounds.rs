@@ -3,7 +3,8 @@
 //! `Cart_allreduce` must emit exactly `C = Σ_k C_k` round events (Prop.
 //! 3.2, the reversed tree keeps the forward round count) carrying exactly
 //! `V·m` wire bytes (Prop. 3.3, V = edges of the negated neighborhood's
-//! allgather tree) — on 2-D/3-D Moore and 3-D von Neumann universes, with
+//! allgather tree for the reduce-scatter, its distinct partial sums for
+//! the allreduce) — on 2-D/3-D Moore and 3-D von Neumann universes, with
 //! the windows expressed as `MetricsDelta`s. Every reduction round must
 //! also emit its `AccumSpan` unpack mirror.
 
@@ -135,7 +136,7 @@ fn assert_matches_cv(dims: &[usize], nb: &RelNeighborhood, m: usize, kind: PlanK
 
 #[test]
 fn moore_2d_reduce_rounds_match_c_and_volume() {
-    // 9-point stencil on a 3x3 torus: t = 8, C = 4, V = 8.
+    // 9-point stencil on a 3x3 torus: t = 8, C = 4, V = 8 (allreduce 4).
     let nb = RelNeighborhood::moore(2, 1).unwrap();
     assert_matches_cv(&[3, 3], &nb, 3, PlanKind::ReduceScatter);
     assert_matches_cv(&[3, 3], &nb, 2, PlanKind::Allreduce);
@@ -143,7 +144,8 @@ fn moore_2d_reduce_rounds_match_c_and_volume() {
 
 #[test]
 fn moore_3d_reduce_rounds_match_c_and_volume() {
-    // 27-point stencil on a 3x3x3 torus: t = 26, C = 6, V = 26.
+    // 27-point stencil on a 3x3x3 torus: t = 26, C = 6, V = 26
+    // (allreduce 6).
     let nb = RelNeighborhood::moore(3, 1).unwrap();
     assert_matches_cv(&[3, 3, 3], &nb, 2, PlanKind::ReduceScatter);
     assert_matches_cv(&[3, 3, 3], &nb, 1, PlanKind::Allreduce);

@@ -42,6 +42,10 @@ fn main() {
         "  allgather volume       : {} blocks (tree edges)",
         cs.allgather_volume
     );
+    println!(
+        "  allreduce volume       : {} blocks (distinct partial sums; reduce-scatter: {})",
+        cs.allreduce_volume, cs.reduce_scatter_volume
+    );
     match cs.cutoff {
         Some(r) => println!("  cut-off ratio (t-C)/(V-t): {r:.3}"),
         None => {
