@@ -310,14 +310,6 @@ fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
     let faults = w.faults;
 
     let body = move |comm: &mut cartcomm_comm::Comm| {
-        if faults.is_some() {
-            comm.set_default_reliability(Some(RetryPolicy {
-                attempts: 10,
-                base: Duration::from_millis(25),
-                factor: 2.0,
-                max: Duration::from_millis(250),
-            }));
-        }
         let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
         let rank = cart.rank();
         let plan = cart.plans().schedule(op.plan_kind());
@@ -362,6 +354,12 @@ fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
     if let Some((seed, rate)) = faults {
         cfg = cfg.faults(
             FaultSpec::new(seed).drop_rate(LinkSel::any().tags(CART_TAGS_LO, CART_TAGS_HI), rate),
+            RetryPolicy {
+                attempts: 10,
+                base: Duration::from_millis(25),
+                factor: 2.0,
+                max: Duration::from_millis(250),
+            },
         );
     }
     let run = cfg

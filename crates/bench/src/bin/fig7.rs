@@ -22,11 +22,7 @@ fn main() {
     let noise = noise_for(&profile);
     let plan = alltoall_plan(&nb);
     let m_bytes = 4usize; // m = 1 int
-    let costs: Vec<f64> = plan
-        .round_bytes(&|_| m_bytes)
-        .iter()
-        .map(|&b| profile.net.message(b))
-        .collect();
+    let costs = profile.round_costs(&plan.round_bytes(&|_| m_bytes));
 
     println!("Figure 7: run-time distribution of Cart_alltoall, d=3 n=3 m=1, Titan (Cray MPI).");
     println!(

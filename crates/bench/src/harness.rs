@@ -7,7 +7,8 @@
 //! `MPI_Neighbor_*` baseline.
 
 use cartcomm::cost::CostSummary;
-use cartcomm::schedule::{allgather_plan, alltoall_plan};
+use cartcomm::schedule::{allgather_plan, alltoall_plan, trivial_plan};
+use cartcomm::Plan;
 use cartcomm_sim::{MachineProfile, NoiseModel};
 use cartcomm_stats::{FilterPolicy, Summary};
 use cartcomm_topo::RelNeighborhood;
@@ -115,19 +116,22 @@ fn measure(
 }
 
 /// The per-round base costs of the four series for per-neighbor block
-/// sizes `sizes_b` (bytes) — alltoall semantics (personalized blocks).
-fn alltoall_costs(
+/// sizes `sizes_b` (bytes): the library baseline twice, then the trivial
+/// plan of `combining`'s collective and `combining` itself, each priced
+/// over its own round bytes.
+fn series_costs(
     profile: &MachineProfile,
     nb: &RelNeighborhood,
+    combining: &Plan,
     sizes_b: &[usize],
     quirks: bool,
 ) -> [Vec<f64>; 4] {
-    let plan = alltoall_plan(nb);
+    let rounds = |plan: &Plan| profile.round_costs(&plan.round_bytes(&|i| sizes_b[i]));
     [
         profile.baseline_rounds(sizes_b, true, quirks),
         profile.baseline_rounds(sizes_b, false, quirks),
-        profile.trivial_rounds(sizes_b),
-        profile.combining_rounds(&plan.round_bytes(&|i| sizes_b[i])),
+        rounds(&trivial_plan(nb, combining.kind)),
+        rounds(combining),
     ]
 }
 
@@ -141,7 +145,7 @@ pub fn simulate_alltoall_series(
     seed: u64,
 ) -> Vec<FigureRow> {
     let sizes_b = vec![m_ints * 4; nb.len()]; // MPI_INT
-    let costs = alltoall_costs(profile, nb, &sizes_b, quirks);
+    let costs = series_costs(profile, nb, &alltoall_plan(nb), &sizes_b, quirks);
     finish_series(profile, &costs, m_ints, noise, seed)
 }
 
@@ -155,13 +159,7 @@ pub fn simulate_allgather_series(
     seed: u64,
 ) -> Vec<FigureRow> {
     let sizes_b = vec![m_ints * 4; nb.len()];
-    let plan = allgather_plan(nb);
-    let costs = [
-        profile.baseline_rounds(&sizes_b, true, quirks),
-        profile.baseline_rounds(&sizes_b, false, quirks),
-        profile.trivial_rounds(&sizes_b),
-        profile.combining_rounds(&plan.round_bytes(&|_| m_ints * 4)),
-    ];
+    let costs = series_costs(profile, nb, &allgather_plan(nb), &sizes_b, quirks);
     finish_series(profile, &costs, m_ints, noise, seed)
 }
 
@@ -187,7 +185,7 @@ pub fn simulate_alltoallv_series(
     seed: u64,
 ) -> Vec<FigureRow> {
     let sizes_b: Vec<usize> = v_block_sizes(nb, m_ints).iter().map(|&e| e * 4).collect();
-    let costs = alltoall_costs(profile, nb, &sizes_b, quirks);
+    let costs = series_costs(profile, nb, &alltoall_plan(nb), &sizes_b, quirks);
     finish_series(profile, &costs, m_ints, noise, seed)
 }
 
@@ -338,7 +336,7 @@ mod tests {
         let nb = RelNeighborhood::stencil_family(3, 5, -1).unwrap();
         let cs = CostSummary::of(&nb);
         let prof = titan();
-        let cutoff_bytes = cs.cutoff_bytes(prof.net.alpha, prof.net.beta).unwrap();
+        let cutoff_bytes = prof.net.alpha_beta_bytes() * cs.cutoff.unwrap();
         let below = ((cutoff_bytes * 0.5) / 4.0) as usize;
         let above = ((cutoff_bytes * 3.0) / 4.0) as usize;
         let rows_b = simulate_alltoall_series(&prof, &nb, below, false, Quiet, 3);

@@ -3,8 +3,7 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::PlanKind;
-use crate::schedule::{allgather_plan, allreduce_plan, alltoall_plan, reduce_scatter_plan};
+use crate::schedule::{allgather_plan, allreduce_plan, reduce_scatter_plan};
 
 /// The analytic quantities of one neighborhood, as reported in Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,55 +50,13 @@ impl CostSummary {
             cutoff: cutoff_ratio(t, rounds, alltoall_volume),
         }
     }
-
-    /// Predicted trivial alltoall time under the linear cost model:
-    /// `t·(α + β·m)` with `m` in bytes.
-    pub fn trivial_time(&self, alpha: f64, beta: f64, m_bytes: usize) -> f64 {
-        self.t as f64 * (alpha + beta * m_bytes as f64)
-    }
-
-    /// Predicted message-combining alltoall time: `C·α + β·V·m`.
-    pub fn combining_alltoall_time(&self, alpha: f64, beta: f64, m_bytes: usize) -> f64 {
-        self.rounds as f64 * alpha + beta * (self.alltoall_volume * m_bytes) as f64
-    }
-
-    /// Predicted message-combining allgather time: `C·α + β·V_ag·m`.
-    pub fn combining_allgather_time(&self, alpha: f64, beta: f64, m_bytes: usize) -> f64 {
-        self.rounds as f64 * alpha + beta * (self.allgather_volume * m_bytes) as f64
-    }
-
-    /// Predicted message-combining time of the reduction `kind`
-    /// (`Cart_reduce_scatter` or `Cart_allreduce`): `C·α + β·V·m` with
-    /// that reduction's volume.
-    ///
-    /// # Panics
-    /// If `kind` is not a reduction.
-    pub fn combining_reduce_time(
-        &self,
-        kind: PlanKind,
-        alpha: f64,
-        beta: f64,
-        m_bytes: usize,
-    ) -> f64 {
-        let volume = match kind {
-            PlanKind::ReduceScatter => self.reduce_scatter_volume,
-            PlanKind::Allreduce => self.allreduce_volume,
-            _ => panic!("{kind:?} is not a reduction"),
-        };
-        self.rounds as f64 * alpha + beta * (volume * m_bytes) as f64
-    }
-
-    /// The block size in bytes below which combining alltoall beats trivial
-    /// for a machine with latency `alpha` (seconds) and inverse bandwidth
-    /// `beta` (seconds/byte).
-    pub fn cutoff_bytes(&self, alpha: f64, beta: f64) -> Option<f64> {
-        self.cutoff.map(|r| (alpha / beta) * r)
-    }
 }
 
 /// The paper's cut-off ratio `(t−C)/(V−t)` (§3.1): message-combining
 /// alltoall is preferable when `m < (α/β)·ratio`. Returns `None` when
 /// `V ≤ t` (no volume inflation — combining is then never worse in volume).
+/// Table 1's column, and for equal blocks what pricing the two plans comes
+/// to; it decides nothing — `Algo::Auto` prices the plans themselves.
 pub fn cutoff_ratio(t: usize, rounds: usize, volume: usize) -> Option<f64> {
     if volume > t {
         Some((t as f64 - rounds as f64) / (volume as f64 - t as f64))
@@ -181,24 +138,15 @@ pub mod closed_form {
     }
 }
 
-/// Verify that the trivial algorithm's volume is exactly `t` (stated in
-/// §3.1) — provided for symmetry with the combining summaries.
-pub fn trivial_volume(nb: &RelNeighborhood) -> usize {
-    nb.len()
-}
-
-/// Extract per-round wire byte counts from the combining plans, for the
-/// simulator: `(alltoall rounds, allgather rounds)` with uniform block size
-/// `m_bytes`.
-pub fn round_bytes_uniform(nb: &RelNeighborhood, m_bytes: usize) -> (Vec<usize>, Vec<usize>) {
-    let a2a = alltoall_plan(nb);
-    let ag = allgather_plan(nb);
-    (a2a.round_bytes(&|_| m_bytes), ag.round_bytes(&|_| m_bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Plan, PlanKind};
+    use crate::schedule::{alltoall_plan, trivial_plan};
+    use cartcomm_comm::obs::price;
+
+    const ALPHA: f64 = 2e-6;
+    const BETA: f64 = 0.08e-9;
 
     #[test]
     fn table1_closed_forms_match_schedules() {
@@ -249,22 +197,25 @@ mod tests {
         assert!((cutoff_ratio(8, 4, 12).unwrap() - 1.0).abs() < 1e-12);
     }
 
+    /// The model's time for `plan` with equal blocks of `m` bytes.
+    fn time(plan: &Plan, m: usize) -> f64 {
+        price(&plan.round_bytes(&|_| m), ALPHA, BETA)
+    }
+
     #[test]
     fn model_crossover_behaviour() {
         let nb = RelNeighborhood::stencil_family(3, 5, -1).unwrap();
-        let cs = CostSummary::of(&nb);
-        let (alpha, beta) = (2e-6, 0.08e-9);
+        let (combining, trivial) = (alltoall_plan(&nb), trivial_plan(&nb, PlanKind::Alltoall));
         // Small blocks: combining wins.
-        assert!(cs.combining_alltoall_time(alpha, beta, 4) < cs.trivial_time(alpha, beta, 4));
+        assert!(time(&combining, 4) < time(&trivial, 4));
         // Far past the cut-off: trivial wins.
-        let huge = (cs.cutoff_bytes(alpha, beta).unwrap() * 10.0) as usize;
-        assert!(cs.combining_alltoall_time(alpha, beta, huge) > cs.trivial_time(alpha, beta, huge));
+        let at = ALPHA / BETA * CostSummary::of(&nb).cutoff.unwrap();
+        let huge = (at * 10.0) as usize;
+        assert!(time(&combining, huge) > time(&trivial, huge));
         // Exactly at the cut-off the two are equal (within fp error).
-        let at = cs.cutoff_bytes(alpha, beta).unwrap();
         let m = at as usize;
-        let diff =
-            (cs.combining_alltoall_time(alpha, beta, m) - cs.trivial_time(alpha, beta, m)).abs();
-        assert!(diff < alpha, "near-equality at the cut-off");
+        let diff = (time(&combining, m) - time(&trivial, m)).abs();
+        assert!(diff < ALPHA, "near-equality at the cut-off");
     }
 
     #[test]
@@ -272,12 +223,10 @@ mod tests {
         // §3.2: allgather combining volume equals trivial volume, rounds are
         // exponentially fewer => combining never loses in the model.
         let nb = RelNeighborhood::stencil_family(4, 3, -1).unwrap();
-        let cs = CostSummary::of(&nb);
-        assert_eq!(cs.allgather_volume, cs.t);
+        let (combining, trivial) = (allgather_plan(&nb), trivial_plan(&nb, PlanKind::Allgather));
+        assert_eq!(combining.volume_blocks, trivial.volume_blocks);
         for m in [1usize, 100, 10_000, 1_000_000] {
-            assert!(
-                cs.combining_allgather_time(2e-6, 0.08e-9, m) <= cs.trivial_time(2e-6, 0.08e-9, m)
-            );
+            assert!(time(&combining, m) <= time(&trivial, m));
         }
     }
 
@@ -298,28 +247,29 @@ mod tests {
             cs.reduce_scatter_volume,
             allgather_plan(&nb.negated()).volume_blocks
         );
-        assert!(cs.combining_reduce_time(PlanKind::ReduceScatter, 2e-6, 0.08e-9, 8) > 0.0);
     }
 
     #[test]
     fn the_two_reductions_are_priced_apart() {
         // Same rounds, V·m apart: 26 tree edges against 6 partial sums.
-        let cs = CostSummary::of(&RelNeighborhood::moore(3, 1).unwrap());
-        let (alpha, beta, m) = (2e-6, 0.08e-9, 32 << 10);
-        let gap = cs.combining_reduce_time(PlanKind::ReduceScatter, alpha, beta, m)
-            - cs.combining_reduce_time(PlanKind::Allreduce, alpha, beta, m);
-        assert!((gap - beta * (20 * m) as f64).abs() < 1e-12);
+        let nb = RelNeighborhood::moore(3, 1).unwrap();
+        let m = 32 << 10;
+        let gap = time(&reduce_scatter_plan(&nb), m) - time(&allreduce_plan(&nb), m);
+        assert!((gap - BETA * (20 * m) as f64).abs() < 1e-12);
     }
 
     #[test]
     fn round_bytes_totals_match_volume() {
         let nb = RelNeighborhood::stencil_family(3, 3, -1).unwrap();
-        let (a2a, ag) = round_bytes_uniform(&nb, 10);
         let cs = CostSummary::of(&nb);
-        assert_eq!(a2a.iter().sum::<usize>(), cs.alltoall_volume * 10);
-        assert_eq!(ag.iter().sum::<usize>(), cs.allgather_volume * 10);
-        assert_eq!(a2a.len(), cs.rounds);
-        assert_eq!(ag.len(), cs.rounds);
-        assert_eq!(trivial_volume(&nb), cs.t);
+        for (plan, volume) in [
+            (alltoall_plan(&nb), cs.alltoall_volume),
+            (allgather_plan(&nb), cs.allgather_volume),
+            (trivial_plan(&nb, PlanKind::Alltoall), cs.t),
+        ] {
+            let bytes = plan.round_bytes(&|_| 10);
+            assert_eq!(bytes.iter().sum::<usize>(), volume * 10);
+            assert_eq!(bytes.len(), plan.rounds);
+        }
     }
 }

@@ -14,7 +14,8 @@
 //!
 //! [`Algo::Combining`] runs the message-combining schedule of §3,
 //! [`Algo::Trivial`] the t-round Listing-4 algorithm, and [`Algo::Auto`]
-//! picks per the paper's §3.2 cut-off from the machine's α/β ratio.
+//! prices both plans for the blocks at hand at the machine's α/β ratio and
+//! runs the cheaper (§3.1's cut-off, exact for unequal blocks).
 //! Whichever it is, it resolves to a [`Plan`], the plan compiles — once
 //! per torus and shape, in the plan store — and the compiled program runs
 //! with the calling rank's peers: there is no other way to execute a
@@ -33,6 +34,7 @@ pub use persistent::{PersistentCollective, PersistentReduction};
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use cartcomm_comm::obs::price;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::{Datatype, FlatType, Reducer, TypeError};
 
@@ -50,43 +52,17 @@ pub enum Algo {
     Trivial,
     /// Always the message-combining schedule (§3).
     Combining,
-    /// Choose per the paper's cut-off: combining iff the average block size
-    /// `m` (bytes) satisfies `m < ratio · (t−C)/(V−t)` where `ratio = α/β`
-    /// is the machine's latency/bandwidth ratio in bytes.
+    /// Whichever of the two is cheaper under the linear cost model for the
+    /// blocks at hand: both are plans, and each is priced as
+    /// `Σ_rounds (α/β + bytes_r)` over its own [`Plan::round_bytes`] (see
+    /// [`resolve`] for ties and meshes). For `t` equal blocks of `m` bytes
+    /// that is the paper's cut-off `m < (α/β)·(t−C)/(V−t)` (§3.1); for
+    /// unequal blocks — a halo's faces, edges and corners — it is what the
+    /// cut-off approximates, byte for byte.
     Auto {
         /// α/β in bytes (e.g. ~2 µs / (0.08 ns/B) ≈ 25000).
         alpha_beta_bytes: f64,
     },
-}
-
-/// Resolve an [`Algo`] against a plan and the bytes of the `t` neighbor
-/// blocks together: `true` iff the message-combining schedule should run.
-/// `Auto` applies the §3.2 cut-off on the average block size; when
-/// `V ≤ t` combining moves no extra data, so it wins whenever it also
-/// saves rounds. The combining allreduce sends each distinct partial sum
-/// once, so its `V` is below `t` far more often than its tree's edge
-/// count: an asymmetric neighborhood whose tree has more than `t` edges
-/// but at most `t` distinct partial sums has no cut-off and runs combining
-/// at every block size.
-pub(crate) fn choose_combining(algo: Algo, plan: &Plan, total_bytes: usize) -> bool {
-    match algo {
-        Algo::Trivial => false,
-        Algo::Combining => true,
-        Algo::Auto { alpha_beta_bytes } => {
-            let t = plan.t;
-            let c = plan.rounds;
-            let v = plan.volume_blocks;
-            let m_avg = if t == 0 {
-                0.0
-            } else {
-                total_bytes as f64 / t as f64
-            };
-            match crate::cost::cutoff_ratio(t, c, v) {
-                Some(ratio) => m_avg < alpha_beta_bytes * ratio,
-                None => c < t,
-            }
-        }
-    }
 }
 
 /// One block of an irregular-with-types (`w`) operation: `count` copies of
@@ -140,11 +116,11 @@ pub(crate) enum Shape<'a> {
 }
 
 impl<'a> Shape<'a> {
-    /// Bytes of the `t` neighbor blocks together.
-    fn total_bytes(&self) -> usize {
+    /// Bytes of neighbor block `b`, as [`Plan::round_bytes`] asks for them.
+    fn block_bytes(&self, b: usize) -> usize {
         match self {
-            Shape::Layouts(lay) => lay.block_bytes.iter().sum(),
-            Shape::Described { recv, .. } => recv.iter().map(|w| w.count * w.ty.size()).sum(),
+            Shape::Layouts(lay) => lay.block_bytes[b],
+            Shape::Described { recv, .. } => recv[b].count * recv[b].ty.size(),
         }
     }
 
@@ -205,14 +181,25 @@ impl<'a> Shape<'a> {
 /// What `algo` comes to for a `kind` collective over `shape` on this
 /// topology: the plan to compile. `plan` looks a schedule up by identity.
 ///
-/// Where the neighborhood moves in a non-periodic dimension only plans
-/// whose blocks travel independently compile (see
-/// [`Plan::routes_blocks_independently`]), so there a combining allgather
-/// routes over the alltoall schedule with its one contributed block
-/// replicated per neighbor (see [`Shape::layouts`]) — still `C` rounds,
-/// volume `Σ zᵢ` instead of tree edges — and a combining reduction is an
-/// error under [`Algo::Combining`] and the trivial schedule under
-/// [`Algo::Auto`].
+/// First, which combining plan would run here. Where the neighborhood
+/// moves in a non-periodic dimension only plans whose blocks travel
+/// independently compile (see [`Plan::routes_blocks_independently`]), so
+/// there a combining allgather routes over the alltoall schedule with its
+/// one contributed block replicated per neighbor (see [`Shape::layouts`])
+/// — still `C` rounds, volume `Σ zᵢ` instead of tree edges — and a
+/// combining reduction does not run at all: an error under
+/// [`Algo::Combining`], the trivial schedule under [`Algo::Auto`].
+///
+/// Then [`Algo::Auto`] runs that plan iff it is the cheaper one, both
+/// priced by [`price`] with `α` = `alpha_beta_bytes` and `β` = 1 over the
+/// shape's per-block bytes. On equal price the plan with fewer wire bytes
+/// wins, then the one with fewer rounds, then the trivial one: at the exact
+/// cut-off with `V > t` that is the trivial plan, at `α/β = 0` with
+/// `V = t` and `C < t` the combining one, and for blocks of zero bytes at
+/// `α/β = 0` — the one point where every schedule is free — the round
+/// count decides. It is the rank-independent plans that are priced, never
+/// a program clipped at a boundary, so every rank of a mesh decides alike;
+/// the explicit algorithms price nothing.
 pub(crate) fn resolve(
     topo: &CartTopology,
     nb: &RelNeighborhood,
@@ -221,26 +208,32 @@ pub(crate) fn resolve(
     algo: Algo,
     plan: impl Fn((PlanKind, Schedule)) -> Arc<Plan>,
 ) -> CartResult<Arc<Plan>> {
-    let mesh = check_combining(topo, nb).err();
-    let combining = match algo {
-        Algo::Trivial => false,
-        Algo::Combining => true,
-        auto => {
-            (mesh.is_none() || !kind.is_reduction())
-                && choose_combining(
-                    auto,
-                    &plan((kind, Schedule::Combining)),
-                    shape.total_bytes(),
-                )
-        }
+    let combining = match check_combining(topo, nb) {
+        Ok(()) => Ok((kind, Schedule::Combining)),
+        Err(needs_torus) if kind.is_reduction() => Err(needs_torus),
+        Err(_) if kind == PlanKind::Allgather => Ok((PlanKind::Alltoall, Schedule::Combining)),
+        Err(_) => Ok((kind, Schedule::Combining)),
     };
-    Ok(match (combining, mesh) {
-        (false, _) => plan((kind, Schedule::Trivial)),
-        (true, Some(needs_torus)) if kind.is_reduction() => return Err(needs_torus),
-        (true, Some(_)) if kind == PlanKind::Allgather => {
-            plan((PlanKind::Alltoall, Schedule::Combining))
+    let trivial = (kind, Schedule::Trivial);
+    Ok(match (algo, combining) {
+        (Algo::Trivial, _) | (Algo::Auto { .. }, Err(_)) => plan(trivial),
+        (Algo::Combining, combining) => plan(combining?),
+        (Algo::Auto { alpha_beta_bytes }, Ok(combining)) => {
+            let cost = |plan: &Plan| {
+                let bytes = plan.round_bytes(&|b| shape.block_bytes(b));
+                (
+                    price(&bytes, alpha_beta_bytes, 1.0),
+                    bytes.iter().sum::<usize>(),
+                    bytes.len(),
+                )
+            };
+            let (combining, trivial) = (plan(combining), plan(trivial));
+            if cost(&combining) < cost(&trivial) {
+                combining
+            } else {
+                trivial
+            }
         }
-        (true, _) => plan((kind, Schedule::Combining)),
     })
 }
 
@@ -546,7 +539,217 @@ pub(crate) fn check_combining(topo: &CartTopology, nb: &RelNeighborhood) -> Cart
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cartcomm::Schedules;
+    use crate::cost::cutoff_ratio;
+    use crate::plan_store::PlanStore;
     use cartcomm_types::Primitive;
+    use proptest::prelude::*;
+
+    /// What `algo` resolves to for a `kind` collective over `shape`.
+    fn resolved(
+        topo: &CartTopology,
+        nb: &RelNeighborhood,
+        kind: PlanKind,
+        shape: &Shape,
+        algo: Algo,
+    ) -> CartResult<(PlanKind, Schedule)> {
+        let (store, schedules) = (PlanStore::new(1, 16), Schedules::default());
+        let plan = resolve(topo, nb, kind, shape, algo, |id| {
+            schedules.get(&store, nb, id)
+        })?;
+        Ok((plan.kind, plan.schedule))
+    }
+
+    /// Layouts of which [`resolve`] reads the block sizes and nothing else.
+    fn sized(block_bytes: Vec<usize>) -> ExecLayouts {
+        ExecLayouts {
+            send: Vec::new(),
+            recv: Vec::new(),
+            block_bytes,
+            temp_offsets: Vec::new(),
+            temp_sizes: Vec::new(),
+        }
+    }
+
+    fn auto(alpha_beta_bytes: f64) -> Algo {
+        Algo::Auto { alpha_beta_bytes }
+    }
+
+    const COMBINING: (PlanKind, Schedule) = (PlanKind::Alltoall, Schedule::Combining);
+    const TRIVIAL: (PlanKind, Schedule) = (PlanKind::Alltoall, Schedule::Trivial);
+
+    /// What `Auto` at α/β = `ab` makes of an alltoall over `shape`.
+    fn alltoall_at(
+        topo: &CartTopology,
+        nb: &RelNeighborhood,
+        shape: &Shape,
+        ab: f64,
+    ) -> (PlanKind, Schedule) {
+        resolved(topo, nb, PlanKind::Alltoall, shape, auto(ab)).unwrap()
+    }
+
+    #[test]
+    fn auto_prices_a_halo_by_its_bytes_not_by_its_average_block() {
+        // The 27-point halo of an N³ tile of doubles: six faces of N²·8 B,
+        // twelve edges of N·8 B, eight corners of 8 B. Combining moves
+        // Σ zᵢ·mᵢ − Σ mᵢ more bytes in twenty fewer rounds, so it wins
+        // above α/β = 237 B (N = 48) and 314 B (N = 64); the average block
+        // (4 433 B and 7 800 B) would ask for 6 206 B and 10 921 B.
+        let nb = RelNeighborhood::moore(3, 1).unwrap();
+        let topo = CartTopology::torus(&[2, 2, 2]).unwrap();
+        for n in [48usize, 64] {
+            let edge = |z: usize| n.pow(3 - z as u32) * 8;
+            let lay = sized(nb.hops().iter().map(|&z| edge(z)).collect());
+            let double = Datatype::double();
+            let described: Vec<WBlock> = nb
+                .hops()
+                .iter()
+                .map(|&z| WBlock::new(0, edge(z) / 8, &double))
+                .collect();
+            for shape in [
+                Shape::Layouts(&lay),
+                Shape::Described {
+                    send: &described,
+                    recv: &described,
+                },
+            ] {
+                let at = |ab| alltoall_at(&topo, &nb, &shape, ab);
+                assert_eq!(at(5500.0), COMBINING, "N = {n} at this box's α/β");
+                assert_eq!(at(200.0), TRIVIAL, "N = {n} below both thresholds");
+            }
+        }
+    }
+
+    #[test]
+    fn auto_prices_the_figure_6_blocks_by_their_bytes() {
+        // Fig. 6's alltoallv: m·(d − z) ints for a neighbor z hops away, so
+        // on the 3-D Moore neighborhood faces carry 2m, edges m and the far
+        // corners nothing: Σ mᵢ = 96m B, Σ zᵢ·mᵢ = 144m B, and twenty
+        // rounds are worth 48m B from α/β = 2.4m B on (the average block,
+        // 3.7m B, would ask for 5.2m B).
+        let nb = RelNeighborhood::moore(3, 1).unwrap();
+        let topo = CartTopology::torus(&[3, 3, 3]).unwrap();
+        let m = 1000;
+        let lay = sized(nb.hops().iter().map(|&z| m * (3 - z) * 4).collect());
+        let at = |ab| alltoall_at(&topo, &nb, &Shape::Layouts(&lay), ab);
+        assert_eq!(at(4000.0), COMBINING);
+        assert_eq!(at(2000.0), TRIVIAL);
+        assert_eq!(at(2400.0), TRIVIAL, "equal price: fewer wire bytes win");
+    }
+
+    #[test]
+    fn on_a_mesh_auto_prices_the_plan_that_would_run() {
+        // 2-D Moore: t = 8, C = 4, tree edges 8, Σ zᵢ = 12. On a torus the
+        // combining allgather moves no extra block and wins at any α/β > 0;
+        // on a mesh it runs the alltoall plan, 4m bytes more for four
+        // rounds fewer, and wins only for m < α/β.
+        let nb = RelNeighborhood::moore(2, 1).unwrap();
+        let lay = regular_layouts(8, 64, PlanKind::Allgather);
+        let shape = Shape::Layouts(&lay);
+        let on = |topo: &CartTopology, kind, algo| resolved(topo, &nb, kind, &shape, algo);
+        let (torus, mesh) = (
+            CartTopology::torus(&[3, 3]).unwrap(),
+            CartTopology::new(&[3, 3], &[true, false]).unwrap(),
+        );
+        let allgather = PlanKind::Allgather;
+        assert_eq!(
+            on(&torus, allgather, auto(32.0)).unwrap(),
+            (allgather, Schedule::Combining)
+        );
+        assert_eq!(
+            on(&mesh, allgather, auto(32.0)).unwrap(),
+            (allgather, Schedule::Trivial)
+        );
+        assert_eq!(on(&mesh, allgather, auto(128.0)).unwrap(), COMBINING);
+        assert_eq!(on(&mesh, allgather, Algo::Combining).unwrap(), COMBINING);
+        // No combining reduction runs there: Auto has one candidate.
+        for kind in [PlanKind::ReduceScatter, PlanKind::Allreduce] {
+            assert_eq!(
+                on(&mesh, kind, auto(1e9)).unwrap(),
+                (kind, Schedule::Trivial)
+            );
+            assert!(matches!(
+                on(&mesh, kind, Algo::Combining),
+                Err(CartError::CombiningNeedsTorus { dim: 1 })
+            ));
+        }
+    }
+
+    #[test]
+    fn free_schedules_are_told_apart_by_their_rounds() {
+        // α/β = 0 and empty blocks: both prices and both volumes are zero.
+        let nb = RelNeighborhood::moore(2, 1).unwrap();
+        let topo = CartTopology::torus(&[3, 3]).unwrap();
+        let lay = regular_layouts(8, 0, PlanKind::Alltoall);
+        let got = alltoall_at(&topo, &nb, &Shape::Layouts(&lay), 0.0);
+        assert_eq!(got, COMBINING);
+    }
+
+    const KINDS: [PlanKind; 4] = [
+        PlanKind::Alltoall,
+        PlanKind::Allgather,
+        PlanKind::ReduceScatter,
+        PlanKind::Allreduce,
+    ];
+
+    /// The neighborhoods of `proptest_schedules.rs`, and as many again with
+    /// coordinates in −1..=1, where combining saves rounds and has a cut-off.
+    fn arb_neighborhood() -> impl Strategy<Value = RelNeighborhood> {
+        (1usize..5, proptest::arbitrary::any::<bool>()).prop_flat_map(|(d, wide)| {
+            let coordinate = if wide { -4i64..5 } else { -1i64..2 };
+            proptest::collection::vec(proptest::collection::vec(coordinate, d..=d), 0..24)
+                .prop_map(move |offsets| RelNeighborhood::new(d, offsets).expect("valid"))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// For equal blocks, pricing the two plans is the paper's cut-off:
+        /// `m < (α/β)·(t−C)/(V−t)` where combining inflates the volume,
+        /// fewer rounds where it does not — with `t` the rounds of the
+        /// trivial plan (a zero offset is a local copy in both schedules
+        /// and a neighbor in neither). Exact ties included: where `tie` is
+        /// set, α/β is a multiple of `V − t` and `m` sits on the cut-off
+        /// whenever that is a block size (30 of the 256 cases).
+        #[test]
+        fn for_equal_blocks_auto_is_the_cutoff(
+            nb in arb_neighborhood(),
+            kind in 0usize..4,
+            ab in prop_oneof![
+                Just(0.0f64), Just(16.0), Just(1000.0), Just(1e9),
+                (0u32..100_000).prop_map(|x| x as f64 / 7.0)
+            ],
+            m in 1usize..4096,
+            tie in proptest::arbitrary::any::<bool>(),
+            k in 1usize..40,
+        ) {
+            let kind = KINDS[kind];
+            let topo = CartTopology::torus(&vec![2; nb.ndims()]).unwrap();
+            let (store, schedules) = (PlanStore::new(1, 16), Schedules::default());
+            let plan = |schedule| schedules.get(&store, &nb, (kind, schedule));
+            let (combining, trivial) = (plan(Schedule::Combining), plan(Schedule::Trivial));
+            let (t, c, v) = (trivial.rounds, combining.rounds, combining.volume_blocks);
+            let ratio = cutoff_ratio(t, c, v);
+            let ab = if tie && v > t { (k * (v - t)) as f64 } else { ab };
+            let m = match ratio.map(|r| ab * r) {
+                Some(cut) if tie && cut.fract() == 0.0 && (1.0..4096.0).contains(&cut) => {
+                    cut as usize
+                }
+                _ => m,
+            };
+            let expected = match ratio {
+                Some(r) => (m as f64) < ab * r,
+                None => c < t,
+            };
+            let lay = regular_layouts(nb.len(), m, kind);
+            let got = resolved(&topo, &nb, kind, &Shape::Layouts(&lay), auto(ab)).unwrap();
+            prop_assert_eq!(
+                got.1 == Schedule::Combining, expected,
+                "{:?}: t = {}, C = {}, V = {}, m = {}, α/β = {}", kind, t, c, v, m, ab
+            );
+        }
+    }
 
     #[test]
     fn regular_layout_offsets() {

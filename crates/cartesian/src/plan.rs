@@ -239,9 +239,11 @@ impl Plan {
         Ok(())
     }
 
-    /// Bytes on the wire per round, given per-neighbor block sizes
-    /// (alltoall) or the uniform block size replicated per wire slot
-    /// (allgather). Used by the simulator.
+    /// Bytes on the wire per round, given the size of each neighbor block
+    /// (every wire slot of a round names the block it carries). What prices
+    /// a plan — trivial or combining, for `Algo::Auto`, the simulator, the
+    /// figures and the cost tables alike: hand the result to
+    /// `cartcomm_comm::obs::price`.
     pub fn round_bytes(&self, block_bytes: &dyn Fn(usize) -> usize) -> Vec<usize> {
         self.phases
             .iter()

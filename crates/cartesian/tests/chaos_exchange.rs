@@ -101,8 +101,7 @@ fn run_chaos_alltoall(
     let periods = vec![true; dims.len()];
     let topo = CartTopology::new(dims, &periods).unwrap();
     let t = nb.len();
-    let outs = Universe::builder(p).faults(spec).run(|comm| {
-        comm.set_default_reliability(Some(policy));
+    let outs = Universe::builder(p).faults(spec, policy).run(|comm| {
         let cart = CartComm::create(comm, dims, &periods, nb.clone()).unwrap();
         let rank = cart.rank();
         let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();
@@ -263,8 +262,7 @@ fn dead_link_surfaces_peer_unreachable_within_bound() {
     let spec = FaultSpec::new(0x00DE_AD11)
         .drop_rate(LinkSel::link(0, 1).tags(CART_TAGS_LO, CART_TAGS_HI), 1.0);
     let topo = CartTopology::new(&dims, &[true, true]).unwrap();
-    let outs = Universe::builder(9).faults(spec).run(|comm| {
-        comm.set_default_reliability(Some(policy));
+    let outs = Universe::builder(9).faults(spec, policy).run(|comm| {
         let cart = CartComm::create(comm, &dims, &[true, true], nb.clone()).unwrap();
         let rank = cart.rank();
         let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();

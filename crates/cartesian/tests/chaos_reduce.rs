@@ -90,8 +90,8 @@ fn run_chaos_reduce(
     let periods = vec![true; dims.len()];
     let topo = CartTopology::new(dims, &periods).unwrap();
     let t = nb.len();
-    let outs = Universe::builder(p).on(transport).faults(spec).run(|comm| {
-        comm.set_default_reliability(Some(policy));
+    let lossy = Universe::builder(p).on(transport).faults(spec, policy);
+    let outs = lossy.run(|comm| {
         let cart = CartComm::create(comm, dims, &periods, nb.clone()).unwrap();
         let rank = cart.rank();
         let rs_send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();

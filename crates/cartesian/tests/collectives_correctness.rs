@@ -4,10 +4,10 @@
 
 use cartcomm::neighbor::DistGraphComm;
 use cartcomm::ops::{Algo, WBlock};
-use cartcomm::CartComm;
+use cartcomm::{CartComm, PlanKind, Schedule};
 use cartcomm_comm::Universe;
 use cartcomm_topo::{CartTopology, DistGraphTopology, RelNeighborhood};
-use cartcomm_types::Datatype;
+use cartcomm_types::{Datatype, RedOp};
 
 mod common;
 use common::{expected_allgather, expected_alltoall};
@@ -442,6 +442,39 @@ fn persistent_auto_selects_by_cutoff() {
             .unwrap();
         assert!(!big.is_combining());
     });
+}
+
+#[test]
+fn on_a_mesh_every_rank_resolves_auto_alike() {
+    // Corners, edges and the centre of an open 3 × 3 mesh have three, five
+    // and eight live neighbors, yet all price the same rank-independent
+    // plans: the allgather's candidate is the alltoall schedule (Σ zᵢ = 12
+    // blocks for t = 8, so it wins only for m < α/β), a combining
+    // reduction has none.
+    let nb = RelNeighborhood::moore(2, 1).unwrap();
+    let m = 16usize; // 64 bytes
+    let resolved = Universe::builder(9).run(|comm| {
+        let cart = CartComm::create(comm, &[3, 3], &[false, false], nb.clone()).unwrap();
+        let auto = |alpha_beta_bytes| Algo::Auto { alpha_beta_bytes };
+        let identity = |plan: &cartcomm::Plan| (plan.kind, plan.schedule);
+        let mut dear = cart.allgather_init::<i32>(m, auto(32.0)).unwrap();
+        let mut cheap = cart.allgather_init::<i32>(m, auto(128.0)).unwrap();
+        let sum = cart
+            .allreduce_init::<i32>(RedOp::Sum, m, auto(1e9))
+            .unwrap();
+        let send = vec![cart.rank() as i32; m];
+        let (mut a, mut b) = (vec![-1i32; 8 * m], vec![-1i32; 8 * m]);
+        dear.execute_typed(&cart, &send, &mut a).unwrap();
+        cheap.execute_typed(&cart, &send, &mut b).unwrap();
+        assert_eq!(a, b, "rank {}", cart.rank());
+        [dear.plan(), cheap.plan(), sum.plan()].map(identity)
+    });
+    let expected = [
+        (PlanKind::Allgather, Schedule::Trivial),
+        (PlanKind::Alltoall, Schedule::Combining),
+        (PlanKind::Allreduce, Schedule::Trivial),
+    ];
+    assert_eq!(resolved, vec![expected; 9]);
 }
 
 #[test]

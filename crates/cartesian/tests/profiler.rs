@@ -67,11 +67,11 @@ fn des_moore_2d_critical_path_and_skew_are_exact() {
     assert_eq!(dag.unpaired_ends, 0);
 
     // Exact makespan: isomorphic rounds run bulk-synchronously in the
-    // model, so T = Σ_r (α + β·z_r·m) = C·α + β·V·m. Accumulate through
-    // the same f64 path the DES uses so the ns truncation agrees bit for
-    // bit (the ideal integer value is 4480 ns; the float path lands
-    // within 1 ns of it).
-    let t_secs: f64 = round_bytes.iter().fold(0.0, |t, &b| t + M.message(b));
+    // model, so T = Σ_r (α + β·z_r·m) = C·α + β·V·m. The one pricing
+    // function accumulates through the same f64 path the DES uses, so the
+    // ns truncation agrees bit for bit (the ideal integer value is
+    // 4480 ns; the float path lands within 1 ns of it).
+    let t_secs = M.schedule(&round_bytes);
     let expected_ns = (t_secs * 1e9) as u64;
     let ideal_ns = (cost.rounds * 1_000 + cost.alltoall_volume * m_bytes) as u64;
     assert!(expected_ns.abs_diff(ideal_ns) <= 1);

@@ -104,8 +104,7 @@ proptest! {
             .dup_rate(sel(), dup, 1)
             .reorder_rate(sel(), reorder);
 
-        let outs = Universe::builder(p).faults(spec).run(|comm| {
-            comm.set_default_reliability(Some(policy));
+        let outs = Universe::builder(p).faults(spec, policy).run(|comm| {
             let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
             let rank = cart.rank();
             let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();

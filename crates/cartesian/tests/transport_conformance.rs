@@ -258,9 +258,8 @@ fn chaos_alltoall_on(
     let m = 2usize;
     let outs = Universe::builder(9)
         .on(kind)
-        .faults(spec)
+        .faults(spec, policy)
         .try_run(|comm| {
-            comm.set_default_reliability(Some(policy));
             let cart = CartComm::create(comm, &dims, &[true, true], nb.clone()).unwrap();
             let rank = cart.rank();
             let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();
@@ -365,9 +364,8 @@ fn dead_peer_surfaces_unreachable_on_every_backend() {
             .drop_rate(LinkSel::link(0, 1).tags(CART_TAGS_LO, CART_TAGS_HI), 1.0);
         let outs = Universe::builder(9)
             .on(kind)
-            .faults(spec)
+            .faults(spec, policy)
             .try_run(|comm| {
-                comm.set_default_reliability(Some(policy));
                 let cart = CartComm::create(comm, &dims, &[true, true], nb.clone()).unwrap();
                 let rank = cart.rank();
                 let send: Vec<i32> = (0..t * m).map(|x| payload(rank, x / m, x % m)).collect();

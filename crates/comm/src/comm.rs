@@ -14,7 +14,7 @@ use crate::error::{CommError, CommResult};
 use crate::fabric::Fabric;
 use crate::mailbox::Mailbox;
 use crate::pool::{PoolStats, PooledBuf, WirePool};
-use crate::reliable::{RelState, RetryPolicy, RELIABLE_TICK};
+use crate::reliable::{RelState, RELIABLE_TICK};
 
 /// Completion information of a receive (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,9 +118,6 @@ pub(crate) struct RankCore {
     /// Reliable-delivery state (stream sequences, dedup windows, retained
     /// unacked sends); shared across duplicated contexts.
     pub(crate) rel: Mutex<RelState>,
-    /// Delivery guarantee of this rank's exchanges: `None` is the raw
-    /// path, `Some` the sequenced, retransmitting one.
-    pub(crate) default_reliability: Mutex<Option<RetryPolicy>>,
 }
 
 impl Drop for RankCore {
@@ -168,7 +165,6 @@ impl Comm {
                 next_ctx: AtomicU32::new(2), // 0 = user p2p, 1 = internal collectives
                 coll_seq: AtomicU32::new(0),
                 rel: Mutex::new(RelState::default()),
-                default_reliability: Mutex::new(None),
             }),
         }
     }
@@ -528,11 +524,12 @@ impl Comm {
     ///
     /// Received payloads stay attached to this rank's wire pool and
     /// recycle on drop; a caller that keeps the bytes takes them with
-    /// [`PooledBuf::into_vec`]. Delivery is raw unless the rank has a
-    /// retry policy ([`Comm::set_default_reliability`]) — schedules never
-    /// need to know the transport got lossy.
+    /// [`PooledBuf::into_vec`]. Delivery is raw on a perfect fabric and
+    /// sequenced, deduplicated and retransmitted on one built lossy
+    /// (`RunConfig::faults`, which carries the retry policy) — schedules
+    /// never need to know which.
     pub fn exchange(&self, batch: &mut ExchangeBatch, recvs: &[RecvSpec]) -> CommResult<()> {
-        match self.default_reliability() {
+        match self.fabric.retry_policy() {
             Some(policy) => self.exchange_reliable(batch, recvs, policy),
             None => self.exchange_raw(batch, recvs),
         }

@@ -23,16 +23,15 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use cartcomm_obs::{Obs, TraceEvent};
-use parking_lot::RwLock;
 
 use crate::envelope::Envelope;
 use crate::fault::{FaultPlane, FaultSpec, FaultStats};
 use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
+use crate::reliable::RetryPolicy;
 use crate::transport::inproc::InProcTransport;
 use crate::transport::shm::ShmTransport;
 use crate::transport::socket::SocketTransport;
@@ -56,12 +55,10 @@ pub struct Fabric {
     /// Per-rank observability handles; `deposit` credits the sender's
     /// wire-byte counters here.
     obs: Vec<Arc<Obs>>,
-    /// Installed fault plane, if any. `None` means the fabric is a
-    /// perfect transport.
-    faults: RwLock<Option<Arc<FaultPlane>>>,
-    /// Fast-path flag mirroring `faults.is_some()` so `deposit` pays one
-    /// relaxed load, not a lock, when no plane is installed.
-    lossy: AtomicBool,
+    /// The fault plane of a lossy fabric and the retry policy its ranks
+    /// answer it with, fixed at construction ([`Fabric::with_faults`]).
+    /// `None` means the fabric is a perfect transport.
+    faults: Option<(FaultPlane, RetryPolicy)>,
 }
 
 impl Fabric {
@@ -76,9 +73,17 @@ impl Fabric {
             mailboxes,
             pools,
             obs: per_rank(p),
-            faults: RwLock::new(None),
-            lossy: AtomicBool::new(false),
+            faults: None,
         }
+    }
+
+    /// Make this fabric lossy before any rank holds it: data deposits
+    /// route through a fault plane compiled from `spec`, and every
+    /// exchange over it is sequenced, deduplicated and retransmitted per
+    /// `policy` (see [`crate::reliable`]).
+    pub fn with_faults(mut self, spec: FaultSpec, policy: RetryPolicy) -> Fabric {
+        self.faults = Some((FaultPlane::new(spec, self.size()), policy));
+        self
     }
 
     /// Create an in-process fabric. This is the default, infallible
@@ -144,13 +149,12 @@ impl Fabric {
     /// an error when the backend cannot reach `dst` — endpoint closed,
     /// stream broken, ring stalled.
     ///
-    /// With a fault plane installed, data envelopes route through it and
+    /// On a lossy fabric data envelopes route through the fault plane and
     /// may be dropped, duplicated, delayed, or reordered; acknowledgement
     /// envelopes bypass the plane (they are the reliable layer's control
     /// plane — see `fault.rs`).
     #[inline]
     pub fn deposit(&self, dst: usize, mut env: Envelope) -> TransportResult<()> {
-        use std::sync::atomic::Ordering;
         self.obs[env.src].metrics().add_wire_sent(env.data.len());
         if self.transport.in_process() {
             // From here the buffer belongs to the receiving side: when the
@@ -160,11 +164,9 @@ impl Fabric {
             // receive side decodes into its own pool.
             env.data.retarget(&self.pools[dst]);
         }
-        if !self.lossy.load(Ordering::Relaxed) || env.is_ack() {
-            return self.transport.deposit(dst, env);
-        }
-        let Some(plane) = self.fault_plane() else {
-            return self.transport.deposit(dst, env);
+        let plane = match &self.faults {
+            Some((plane, _)) if !env.is_ack() => plane,
+            _ => return self.transport.deposit(dst, env),
         };
         let (src, tag) = (env.src, env.tag);
         let (out, action) = plane.route(dst, env);
@@ -189,36 +191,29 @@ impl Fabric {
 
     // ----- fault plane ------------------------------------------------------
 
-    /// Install a fault plane compiled from `spec`. All subsequent data
-    /// deposits route through it.
-    pub fn install_faults(&self, spec: FaultSpec) {
-        use std::sync::atomic::Ordering;
-        let p = self.size();
-        *self.faults.write() = Some(Arc::new(FaultPlane::new(spec, p)));
-        self.lossy.store(true, Ordering::Release);
-    }
-
-    /// The installed fault plane, if any.
-    pub fn fault_plane(&self) -> Option<Arc<FaultPlane>> {
-        self.faults.read().clone()
-    }
-
-    /// True when a fault plane is installed (the transport may misbehave).
+    /// True when the fabric was built with a fault plane (the transport
+    /// may misbehave, and exchanges take the sequenced path).
     #[inline]
     pub fn lossy(&self) -> bool {
-        self.lossy.load(std::sync::atomic::Ordering::Relaxed)
+        self.faults.is_some()
     }
 
-    /// Injected-fault counters of the installed plane, if any.
+    /// The retry policy of a lossy fabric's exchanges.
+    #[inline]
+    pub(crate) fn retry_policy(&self) -> Option<RetryPolicy> {
+        self.faults.as_ref().map(|&(_, policy)| policy)
+    }
+
+    /// Injected-fault counters of a lossy fabric's plane.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.fault_plane().map(|p| p.stats())
+        self.faults.as_ref().map(|(plane, _)| plane.stats())
     }
 
     /// One receiver poll on `rank`: releases due delayed/reordered
     /// envelopes from the fault plane into `rank`'s mailbox. (Every
     /// backend makes its own progress; there is nothing else to pump.)
     pub fn poll(&self, rank: usize) -> TransportResult<()> {
-        if let Some(plane) = self.fault_plane() {
+        if let Some((plane, _)) = &self.faults {
             for env in plane.poll(rank) {
                 self.transport.deposit(rank, env)?;
             }
@@ -360,11 +355,19 @@ mod tests {
         assert_eq!(comm.metrics().recv_parks, slept);
     }
 
+    fn lossy(kind: TransportKind, spec: FaultSpec) -> Fabric {
+        let fabric = Fabric::for_backend(kind, 2).unwrap();
+        assert!(!fabric.lossy());
+        fabric.with_faults(spec, RetryPolicy::default())
+    }
+
     #[test]
-    fn installed_plane_drops_but_acks_bypass() {
-        use crate::fault::{FaultSpec, LinkSel};
-        let fabric = Fabric::new(2);
-        fabric.install_faults(FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0));
+    fn a_lossy_fabric_drops_but_acks_bypass() {
+        use crate::fault::LinkSel;
+        let fabric = lossy(
+            TransportKind::InProcess,
+            FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0),
+        );
         assert!(fabric.lossy());
         fabric
             .deposit(1, Envelope::sequenced(0, 0, 5, 1, vec![9u8]))
@@ -384,9 +387,11 @@ mod tests {
 
     #[test]
     fn poll_releases_delayed_envelopes() {
-        use crate::fault::{FaultSpec, LinkSel};
-        let fabric = Fabric::new(2);
-        fabric.install_faults(FaultSpec::new(11).delay_rate(LinkSel::any(), 1.0, 2));
+        use crate::fault::LinkSel;
+        let fabric = lossy(
+            TransportKind::InProcess,
+            FaultSpec::new(11).delay_rate(LinkSel::any(), 1.0, 2),
+        );
         fabric
             .deposit(1, Envelope::new(0, 0, 5, vec![1u8]))
             .unwrap();
@@ -428,9 +433,11 @@ mod tests {
 
     #[test]
     fn fault_plane_works_on_remote_backend() {
-        use crate::fault::{FaultSpec, LinkSel};
-        let fabric = Fabric::for_backend(TransportKind::Uds, 2).unwrap();
-        fabric.install_faults(FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0));
+        use crate::fault::LinkSel;
+        let fabric = lossy(
+            TransportKind::Uds,
+            FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0),
+        );
         fabric
             .deposit(1, Envelope::sequenced(0, 0, 5, 1, vec![9u8]))
             .unwrap();

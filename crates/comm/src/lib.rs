@@ -38,16 +38,16 @@
 
 //! # Fault injection and reliable delivery
 //!
-//! The fabric can host a deterministic, seeded fault plane
-//! ([`FaultSpec`]/[`fault::FaultPlane`], installed via
-//! [`RunConfig::faults`] or `Fabric::install_faults`) that drops,
-//! duplicates, delays, or reorders data envelopes per declarative rules.
-//! A rank that sets a [`RetryPolicy`]
-//! ([`Comm::set_default_reliability`]) counters it in every
-//! [`Comm::exchange`] with sequence-numbered envelopes, receiver-side
-//! dedup windows, and retransmission on an exponential backoff; a dead
-//! link surfaces
-//! [`CommError::PeerUnreachable`] instead of a hang. See `reliable.rs`
+//! A fabric is built perfect or lossy. A lossy one
+//! ([`RunConfig::faults`], `Fabric::with_faults`) hosts a deterministic,
+//! seeded fault plane ([`FaultSpec`]/[`fault::FaultPlane`]) that drops,
+//! duplicates, delays, or reorders data envelopes per declarative rules,
+//! and carries the [`RetryPolicy`] that answers it: every
+//! [`Comm::exchange`] over it runs with sequence-numbered envelopes,
+//! receiver-side dedup windows, and retransmission on an exponential
+//! backoff, and a dead link surfaces [`CommError::PeerUnreachable`]
+//! instead of a hang. Which path an exchange takes is something the code
+//! observes from the fabric, not something a rank sets. See `reliable.rs`
 //! and DESIGN.md §10.
 //!
 //! # Transport backends

@@ -1,13 +1,14 @@
 //! Reliable delivery over a (possibly) lossy fabric.
 //!
-//! The raw fabric is a perfect transport. Once a
-//! [`FaultPlane`](crate::fault::FaultPlane) is installed it can drop,
-//! duplicate, delay, and reorder data envelopes — and this module is the
-//! protocol that makes [`Comm::exchange`] correct anyway, for every rank
-//! that set a [`RetryPolicy`] with [`Comm::set_default_reliability`]:
+//! The raw fabric is a perfect transport. Built with a
+//! [`FaultPlane`](crate::fault::FaultPlane) it can drop, duplicate, delay,
+//! and reorder data envelopes — and this module is the protocol that
+//! makes [`Comm::exchange`] correct anyway. It runs iff the fabric is
+//! lossy, under the [`RetryPolicy`] the fabric was built with
+//! (`RunConfig::faults(spec, policy)`): nothing a rank sets.
 //!
-//! * **Sequencing** — every data envelope of a reliable exchange carries
-//!   a per-`(ctx, dst)` stream sequence number (starting at 1).
+//! * **Sequencing** — every data envelope of an exchange carries a
+//!   per-`(ctx, dst)` stream sequence number (starting at 1).
 //! * **Receiver dedup + in-order release** — each `(ctx, src)` stream
 //!   keeps a delivery floor (`next_deliver`) and a parking lot for
 //!   early arrivals. Duplicates (anything below the floor or already
@@ -16,8 +17,8 @@
 //!   Because **all** receive paths route arrivals through this intake
 //!   ([`Comm::intake`]), a delayed retransmit of an already-matched
 //!   `(src, tag)` can never satisfy a later post.
-//! * **Sender retransmit** — on a lossy fabric, senders retain payload
-//!   copies and retransmit on an exponential-backoff schedule
+//! * **Sender retransmit** — senders retain payload copies and
+//!   retransmit on an exponential-backoff schedule
 //!   ([`RetryPolicy`]) until acknowledged; exhausting the budget
 //!   surfaces [`CommError::PeerUnreachable`] instead of hanging.
 //!   Receivers symmetrically give up after the policy's total budget
@@ -27,12 +28,6 @@
 //! which sidesteps the two-generals tail: once a receiver has acked, the
 //! sender *will* hear it, so a rank can leave `exchange` without being
 //! needed for a peer's completion.
-//!
-//! **Lossless fast path**: with no fault plane installed the transport
-//! cannot lose messages, so reliable mode skips payload retention and
-//! acks entirely and pays only the sequence stamp and the dedup-floor
-//! bookkeeping (once read at a couple hundred nanoseconds per exchange
-//! for tiny messages; no longer a measured number).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -42,13 +37,12 @@ use cartcomm_obs::TraceEvent;
 use crate::comm::{find_slot, Comm, ExchangeBatch, RecvSpec};
 use crate::envelope::{Envelope, SrcSel, Tag};
 use crate::error::{CommError, CommResult};
-use crate::mailbox::Mailbox;
 
 /// How long a reliable receive loop sleeps per tick while pumping the
 /// fault plane and the retransmit scan.
 pub(crate) const RELIABLE_TICK: Duration = Duration::from_micros(200);
 
-/// Retransmission schedule of a reliable exchange.
+/// Retransmission schedule of the exchanges over a lossy fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum total transmissions per envelope (the original send plus
@@ -151,34 +145,19 @@ pub(crate) struct RelState {
     send_seq: StreamMap<u64>,
     /// Receive streams keyed by `(ctx, src)`.
     streams: StreamMap<StreamState>,
-    /// Retained unacked sends keyed by `(ctx, dst, seq)`. Only populated
-    /// on a lossy fabric — a `HashMap` is fine off the fast path.
+    /// Retained unacked sends keyed by `(ctx, dst, seq)`.
     outstanding: HashMap<(u32, usize, u64), Outstanding>,
 }
 
 impl Comm {
-    /// Set the delivery guarantee of every [`Comm::exchange`] on this
-    /// rank: `Some(policy)` is sequenced, deduplicated and retransmitted
-    /// per the policy, `None` (the initial state) is raw. Shared across
-    /// duplicated contexts, so setting it once covers the cartesian
-    /// executors' internal communicators too.
-    pub fn set_default_reliability(&self, policy: Option<RetryPolicy>) {
-        *self.core.default_reliability.lock() = policy;
-    }
-
-    /// The rank's retry policy, if one is set.
-    pub fn default_reliability(&self) -> Option<RetryPolicy> {
-        *self.core.default_reliability.lock()
-    }
-
-    /// Injected-fault counters of the fabric's fault plane, if installed.
+    /// Injected-fault counters of the fabric's fault plane, if it has one.
     pub fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
         self.fabric.fault_stats()
     }
 
     /// Pump the fault plane once for this rank: releases due delayed and
-    /// reordered envelopes into this rank's mailbox. Reliable exchanges
-    /// pump automatically; raw receive paths on a lossy fabric do too.
+    /// reordered envelopes into this rank's mailbox. Exchanges and
+    /// blocking receives on a lossy fabric pump automatically.
     pub fn poll_faults(&self) {
         // Transport trouble during a pump is not actionable here; the
         // exchange that cares will see it on its own poll.
@@ -191,7 +170,8 @@ impl Comm {
     /// unexpected queue, unsequenced data is appended as-is. Every
     /// receive path (exchange, `match_one`, probes) takes arrivals
     /// through here, so sequencing protects all matching, not just
-    /// reliable exchanges.
+    /// exchanges. Sequence numbers exist only on a lossy fabric: every
+    /// sequenced arrival is acknowledged.
     pub(crate) fn intake(&self, env: Envelope, pending: &mut VecDeque<Envelope>) {
         if env.is_ack() {
             if let Some(seq) = env.rel.seq {
@@ -208,7 +188,6 @@ impl Comm {
             return;
         };
         let (ctx, src, tag) = (env.ctx, env.src, env.tag);
-        let lossy = self.fabric.lossy();
         let mut rel = self.core.rel.lock();
         let stream = rel.streams.entry((ctx, src));
         if seq < stream.next_deliver || stream.parked.contains_key(&seq) {
@@ -216,14 +195,12 @@ impl Comm {
             self.obs.metrics().dup_drop();
             self.obs
                 .emit_with(self.rank, || TraceEvent::DupDropped { src, tag, seq });
-            if lossy {
-                // The first ack may have been sent before the sender's
-                // retransmit; re-ack so it settles. A dead sender cannot
-                // use the ack anyway, so delivery failure is ignorable.
-                let _ = self
-                    .fabric
-                    .deposit(src, Envelope::ack(ctx, self.rank, tag, seq));
-            }
+            // The first ack may have been sent before the sender's
+            // retransmit; re-ack so it settles. A dead sender cannot use
+            // the ack anyway, so delivery failure is ignorable.
+            let _ = self
+                .fabric
+                .deposit(src, Envelope::ack(ctx, self.rank, tag, seq));
             return;
         }
         if seq == stream.next_deliver {
@@ -238,13 +215,11 @@ impl Comm {
             stream.parked.insert(seq, env);
         }
         drop(rel);
-        if lossy {
-            // Same as the re-ack above: an undeliverable ack means the
-            // sender is gone, which its own retry budget will report.
-            let _ = self
-                .fabric
-                .deposit(src, Envelope::ack(ctx, self.rank, tag, seq));
-        }
+        // Same as the re-ack above: an undeliverable ack means the sender
+        // is gone, which its own retry budget will report.
+        let _ = self
+            .fabric
+            .deposit(src, Envelope::ack(ctx, self.rank, tag, seq));
     }
 
     /// Forget this exchange's retransmission state (error paths: the
@@ -256,7 +231,7 @@ impl Comm {
         }
     }
 
-    /// The sequenced/retransmitting form of [`Comm::exchange`].
+    /// [`Comm::exchange`] over a lossy fabric: sequenced, retransmitting.
     pub(crate) fn exchange_reliable(
         &self,
         batch: &mut ExchangeBatch,
@@ -267,11 +242,9 @@ impl Comm {
             self.check_rank(dst)?;
         }
         self.obs.metrics().exchange_started();
-        let lossy = self.fabric.lossy();
 
-        // Assign stream sequence numbers and issue all sends. On a lossy
-        // fabric, retain payload copies for retransmission; on a perfect
-        // fabric the copy (and the acks) would be pure overhead.
+        // Assign stream sequence numbers and issue all sends, retaining
+        // payload copies for retransmission.
         let mut issued: Vec<(usize, u64)> = Vec::new();
         let mut send_err = None;
         {
@@ -280,18 +253,16 @@ impl Comm {
                 let counter = rel.send_seq.entry((self.ctx, dst));
                 *counter += 1;
                 let seq = *counter;
-                if lossy {
-                    rel.outstanding.insert(
-                        (self.ctx, dst, seq),
-                        Outstanding {
-                            tag,
-                            payload: data.as_ref().to_vec(),
-                            sent: 1,
-                            deadline: Instant::now() + policy.backoff(0),
-                        },
-                    );
-                    issued.push((dst, seq));
-                }
+                rel.outstanding.insert(
+                    (self.ctx, dst, seq),
+                    Outstanding {
+                        tag,
+                        payload: data.as_ref().to_vec(),
+                        sent: 1,
+                        deadline: Instant::now() + policy.backoff(0),
+                    },
+                );
+                issued.push((dst, seq));
                 if let Err(e) = self.fabric.deposit(
                     dst,
                     Envelope::sequenced(self.ctx, self.rank, tag, seq, data),
@@ -314,14 +285,8 @@ impl Comm {
         results.clear();
         results.resize_with(recvs.len(), || None);
         let mut open = recvs.len();
-        // Liveness bookkeeping is only meaningful when envelopes can be
-        // lost; keep it off the lossless fast path.
-        let budget = if lossy {
-            policy.total_budget()
-        } else {
-            Duration::ZERO
-        };
-        let mut last_progress = if lossy { Some(Instant::now()) } else { None };
+        let budget = policy.total_budget();
+        let mut last_progress = Instant::now();
 
         loop {
             // Match everything already delivered, earliest-posted-slot first.
@@ -333,20 +298,15 @@ impl Comm {
                         let env = pending.remove(i).expect("index in range");
                         self.complete_slot(results, slot, env);
                         open -= 1;
-                        if lossy {
-                            last_progress = Some(Instant::now());
-                        }
+                        last_progress = Instant::now();
                     } else {
                         i += 1;
                     }
                 }
             }
-            // Complete when all receives matched and (on a lossy fabric)
-            // every one of our sends has been acknowledged.
+            // Complete when all receives matched and every one of our
+            // sends has been acknowledged.
             if open == 0 {
-                if !lossy {
-                    break;
-                }
                 let rel = self.core.rel.lock();
                 if issued
                     .iter()
@@ -356,19 +316,8 @@ impl Comm {
                 }
             }
 
-            if !lossy {
-                // Perfect transport: block until the next arrival.
-                let env = self.counting_parks(Mailbox::pop)?;
-                let mut pending = self.core.pending.lock();
-                self.intake(env, &mut pending);
-                while let Some(e) = self.core.mailbox.try_pop() {
-                    self.intake(e, &mut pending);
-                }
-                continue;
-            }
-
-            // Lossy transport: pump the plane, take what arrives within a
-            // tick, then run the retransmit and liveness scans.
+            // Pump the plane, take what arrives within a tick, then run the
+            // retransmit and liveness scans.
             if let Err(e) = self.fabric.poll(self.rank) {
                 self.clear_outstanding(&issued);
                 return Err(e.into());
@@ -431,7 +380,7 @@ impl Comm {
             // Receiver-side liveness: the peer may have died (or its data
             // may be 100%-dropped with no retransmit reaching us). Give up
             // after the same budget a sender would.
-            if open > 0 && last_progress.is_some_and(|t| t.elapsed() > budget) {
+            if open > 0 && last_progress.elapsed() > budget {
                 let peer = recvs
                     .iter()
                     .enumerate()

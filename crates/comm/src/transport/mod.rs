@@ -43,9 +43,10 @@
 //!   through the reliable layer's budget.
 //!
 //! The fault plane ([`crate::fault`]), reliable delivery
-//! ([`crate::reliable`]), observability, pooling, and the plan cache all
-//! sit *above* this trait: they see a lossy-or-perfect link abstraction
-//! and do not care what carries the bytes.
+//! ([`crate::reliable`], on exactly when the fabric was built with a
+//! fault plane), observability, pooling, and the plan cache all sit
+//! *above* this trait: they see a lossy-or-perfect link abstraction and
+//! do not care what carries the bytes.
 
 pub mod inproc;
 pub mod mmap;
@@ -109,8 +110,8 @@ impl fmt::Display for TransportKind {
 
 /// A delivery failure at the transport layer. Communication APIs map
 /// these to [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable)
-/// — the same error a reliable exchange raises when its retry budget
-/// runs out, so callers handle "the wire broke" and "the peer went
+/// — the same error an exchange over a lossy fabric raises when its
+/// retry budget runs out, so callers handle "the wire broke" and "the peer went
 /// silent" uniformly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {

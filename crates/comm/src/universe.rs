@@ -15,6 +15,7 @@ use cartcomm_obs::{MonotonicClock, RingBufferSink, TraceRecord};
 use crate::comm::Comm;
 use crate::fabric::Fabric;
 use crate::fault::FaultSpec;
+use crate::reliable::RetryPolicy;
 use crate::transport::shm::ShmTransport;
 use crate::transport::TransportKind;
 
@@ -60,8 +61,8 @@ fn spawn_scratch_path() -> PathBuf {
 }
 
 /// A fully described thread-mode launch: `p` ranks on `transport`, an
-/// optional seeded fault plane and optional profiling (shared clock + one
-/// ring sink per rank). Obtained from [`Universe::builder`]; every knob
+/// optional seeded fault plane with the retry policy that answers it, and
+/// optional profiling (shared clock + one ring sink per rank). Obtained from [`Universe::builder`]; every knob
 /// composes with every other.
 ///
 /// ```
@@ -77,7 +78,7 @@ fn spawn_scratch_path() -> PathBuf {
 pub struct RunConfig {
     p: usize,
     transport: TransportKind,
-    faults: Option<FaultSpec>,
+    faults: Option<(FaultSpec, RetryPolicy)>,
 }
 
 /// A [`RunConfig`] with profiling enabled ([`RunConfig::profiled`]):
@@ -99,16 +100,16 @@ impl RunConfig {
         self
     }
 
-    /// Install a seeded fault plane on the fabric before any rank starts:
-    /// every data deposit is subject to `spec`'s drop/duplicate/delay/
-    /// reorder rules. The plane sits above the transport, so seeded
-    /// adversity is byte-for-byte the same schedule on every backend.
-    /// Rank programs that exercise fault-scoped traffic should opt
-    /// exchanges into reliable delivery
-    /// ([`Comm::set_default_reliability`]) or expect to handle the
-    /// adversity themselves.
-    pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.faults = Some(spec);
+    /// Build the fabric lossy: every data deposit is subject to `spec`'s
+    /// drop/duplicate/delay/reorder rules, and every [`Comm::exchange`]
+    /// is sequenced, deduplicated and retransmitted per `policy` — the
+    /// policy travels with the plane it answers, no rank sets it. The
+    /// plane sits above the transport, so seeded adversity is
+    /// byte-for-byte the same schedule on every backend. Traffic outside
+    /// exchanges (point-to-point sends, the built-in collectives) meets
+    /// the plane raw: scope `spec` away from it or handle the adversity.
+    pub fn faults(mut self, spec: FaultSpec, policy: RetryPolicy) -> Self {
+        self.faults = Some((spec, policy));
         self
     }
 
@@ -151,15 +152,15 @@ impl RunConfig {
         Ok(launch(fabric, f))
     }
 
-    /// Construct the fabric, install faults and (optionally) profiling.
+    /// Construct the fabric, perfect or lossy, and (optionally) profiling.
     fn bring_up(
         &self,
         profile_capacity: Option<usize>,
     ) -> io::Result<(Arc<Fabric>, Vec<Arc<RingBufferSink>>)> {
         assert!(self.p > 0, "universe needs at least one rank");
-        let fabric = Fabric::for_backend(self.transport, self.p)?;
-        if let Some(spec) = &self.faults {
-            fabric.install_faults(spec.clone());
+        let mut fabric = Fabric::for_backend(self.transport, self.p)?;
+        if let Some((spec, policy)) = &self.faults {
+            fabric = fabric.with_faults(spec.clone(), *policy);
         }
         let sinks = match profile_capacity {
             Some(capacity) => install_profiling(&fabric, self.p, capacity),
@@ -176,11 +177,11 @@ impl ProfiledRunConfig {
         self
     }
 
-    /// Install a seeded fault plane (see [`RunConfig::faults`]) — profile
-    /// a run *under* seeded adversity (retransmit overlays and fault
-    /// events land in the traces).
-    pub fn faults(mut self, spec: FaultSpec) -> Self {
-        self.inner = self.inner.faults(spec);
+    /// Build the fabric lossy (see [`RunConfig::faults`]) — profile a run
+    /// *under* seeded adversity (retransmit overlays and fault events
+    /// land in the traces).
+    pub fn faults(mut self, spec: FaultSpec, policy: RetryPolicy) -> Self {
+        self.inner = self.inner.faults(spec, policy);
         self
     }
 
@@ -394,7 +395,7 @@ mod tests {
     fn faults_profiling_and_transport_compose() {
         let spec = FaultSpec::new(7);
         let run = Universe::builder(3)
-            .faults(spec)
+            .faults(spec, RetryPolicy::default())
             .profiled(256)
             .on(TransportKind::InProcess)
             .run(|comm| {

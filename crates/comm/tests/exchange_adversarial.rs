@@ -256,8 +256,8 @@ fn reliable_exchange_survives_heavy_drop() {
     // deliver byte-identical payloads, paid for with retransmissions.
     const ROUNDS: usize = 20;
     let spec = FaultSpec::new(0xC0FFEE).drop_rate(LinkSel::any().on_ctx(0), 0.25);
-    let out = Universe::builder(2).faults(spec).run(|comm| {
-        comm.set_default_reliability(Some(chaos_policy()));
+    let lossy = Universe::builder(2).faults(spec, chaos_policy());
+    let out = lossy.run(|comm| {
         let peer = 1 - comm.rank();
         for round in 0..ROUNDS {
             let mut batch = ExchangeBatch::new();
@@ -292,8 +292,7 @@ fn total_loss_surfaces_peer_unreachable_on_both_sides() {
         factor: 2.0,
         max: Duration::from_millis(20),
     };
-    Universe::builder(2).faults(spec).run(|comm| {
-        comm.set_default_reliability(Some(policy));
+    Universe::builder(2).faults(spec, policy).run(|comm| {
         let err = if comm.rank() == 0 {
             let mut batch = ExchangeBatch::new();
             batch.send(1, 3, vec![1u8, 2, 3]);
@@ -337,8 +336,8 @@ fn delayed_duplicate_cannot_satisfy_later_post() {
         )
         .window(0, 1),
     );
-    Universe::builder(2).faults(spec).run(|comm| {
-        comm.set_default_reliability(Some(chaos_policy()));
+    let lossy = Universe::builder(2).faults(spec, chaos_policy());
+    lossy.run(|comm| {
         if comm.rank() == 0 {
             for msg in [b"one".to_vec(), b"two".to_vec()] {
                 let mut batch = ExchangeBatch::new();
@@ -385,8 +384,8 @@ fn reorder_and_delay_are_absorbed_by_sequencing() {
     let spec = FaultSpec::new(99)
         .reorder_rate(LinkSel::any().on_ctx(0), 0.34)
         .delay_rate(LinkSel::any().on_ctx(0), 0.3, 2);
-    Universe::builder(2).faults(spec).run(|comm| {
-        comm.set_default_reliability(Some(chaos_policy()));
+    let lossy = Universe::builder(2).faults(spec, chaos_policy());
+    lossy.run(|comm| {
         if comm.rank() == 0 {
             let mut batch = ExchangeBatch::new();
             for i in 0..N {
@@ -401,23 +400,5 @@ fn reorder_and_delay_are_absorbed_by_sequencing() {
                 assert_eq!(data.as_ref(), payload(i).as_slice(), "slot {i}");
             }
         }
-    });
-}
-
-#[test]
-fn lossless_reliable_path_is_equivalent_to_raw() {
-    // Reliable mode without a fault plane: sequence stamps only, no acks,
-    // no retransmissions — and identical results.
-    Universe::builder(2).run(|comm| {
-        comm.set_default_reliability(Some(RetryPolicy::default()));
-        let peer = 1 - comm.rank();
-        let mut batch = ExchangeBatch::new();
-        batch.send(peer, 4, payload(comm.rank()));
-        comm.exchange(&mut batch, &[RecvSpec::from_rank(peer, 4)])
-            .unwrap();
-        let (data, _) = batch.take_result(0).unwrap();
-        assert_eq!(data.as_ref(), payload(peer).as_slice());
-        assert_eq!(comm.metrics().retransmits, 0);
-        assert_eq!(comm.metrics().dup_drops, 0);
     });
 }

@@ -65,7 +65,7 @@ pub use metrics::{MetricsDelta, MetricsRegistry, MetricsSnapshot};
 pub use obs::Obs;
 pub use openmetrics::OpenMetricsWriter;
 pub use profile::{
-    AlphaBetaFit, CriticalPath, MsgNode, PerfettoExport, PhaseSkew, RoundDag, TraceCollector,
+    price, AlphaBetaFit, CriticalPath, MsgNode, PerfettoExport, PhaseSkew, RoundDag, TraceCollector,
 };
 pub use sink::{RingBufferSink, TraceSink};
 pub use tenant::{StageDist, TenantRegistry, TenantStats};

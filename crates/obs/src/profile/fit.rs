@@ -1,6 +1,23 @@
-//! Least-squares α-β fitting of observed round latencies.
+//! The α-β cost of a schedule, and the least-squares fit that estimates
+//! α̂ and β̂ from observed round latencies.
 
 use super::collect::RoundDag;
+
+/// What a schedule costs under the linear model of §3.1, given the wire
+/// bytes of each of its send-receive rounds: rounds run one after another,
+/// a round of `b` bytes takes `alpha + beta·b`, so the schedule takes
+/// `Σ_r (alpha + beta·bytes_r)` — `t(α + βm)` for the trivial algorithm,
+/// `Cα + βVm` for message combining, and exact for unequal blocks.
+///
+/// The one pricing function: `Algo::Auto`, the simulator's
+/// `LinearModel::schedule` and every figure and cost table price a plan by
+/// handing this its `Plan::round_bytes`. Units are the caller's (seconds
+/// and seconds/byte; or bytes throughout, with `alpha` = α/β and
+/// `beta` = 1). A slice rather than a plan, so that neither the simulator
+/// nor this crate needs to know what a plan is.
+pub fn price(round_bytes: &[usize], alpha: f64, beta: f64) -> f64 {
+    round_bytes.iter().map(|&b| alpha + beta * b as f64).sum()
+}
 
 /// A linear-cost-model fit `latency ≈ α̂ + β̂·bytes` over observed
 /// `(wire_bytes, latency_ns)` samples — the empirical counterpart of the
@@ -108,11 +125,6 @@ impl AlphaBetaFit {
         fit
     }
 
-    /// Predicted latency for a `bytes`-sized message, ns.
-    pub fn predict_ns(&self, bytes: u64) -> f64 {
-        self.alpha_ns + self.beta_ns_per_byte * bytes as f64
-    }
-
     /// The measured cut-off block size `m* = (α̂/β̂)·ratio`, where `ratio`
     /// is the schedule's `(t−C)/(V−t)` (Prop. 3.2 discussion): below `m*`
     /// message combining wins, above it the trivial algorithm does.
@@ -131,6 +143,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn price_sums_alpha_plus_beta_bytes_per_round() {
+        let t = price(&[100, 200, 300], 2e-6, 1e-9);
+        assert!((t - (3.0 * 2e-6 + 600.0 * 1e-9)).abs() < 1e-15);
+        assert_eq!(price(&[0], 2e-6, 1e-9), 2e-6, "an empty round costs α");
+        assert_eq!(price(&[], 2e-6, 1e-9), 0.0);
+    }
+
+    #[test]
     fn exact_linear_data_is_recovered() {
         // y = 500 + 2x, exactly.
         let samples: Vec<(u64, u64)> = (1..=10).map(|i| (i * 100, 500 + 2 * i * 100)).collect();
@@ -143,7 +163,6 @@ mod tests {
         );
         assert!((fit.beta_ns_per_byte - 2.0).abs() < 1e-9);
         assert!((fit.r2 - 1.0).abs() < 1e-12);
-        assert!((fit.predict_ns(1000) - 2500.0).abs() < 1e-6);
     }
 
     #[test]

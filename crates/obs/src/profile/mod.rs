@@ -24,7 +24,9 @@
 //! * [`AlphaBetaFit`] least-squares-fits observed round latency against
 //!   wire bytes into `α̂ + β̂·bytes`, the linear cost model the paper's
 //!   cut-off analysis assumes, and converts the fit into a measured
-//!   cut-off `m*` given a schedule's `(t−C)/(V−t)` ratio.
+//!   cut-off `m*` given a schedule's `(t−C)/(V−t)` ratio; beside it,
+//!   [`price`] is the model itself: `Σ (α + β·bytes)` over a schedule's
+//!   rounds, the one function everything that prices a plan calls.
 //! * [`PerfettoExport`] renders the DAG as Chrome trace-event JSON — one
 //!   track per rank, flow arrows for wires, counter tracks for pool and
 //!   plan-cache traffic — loadable in `ui.perfetto.dev`.
@@ -40,5 +42,5 @@ mod perfetto;
 
 pub use collect::{MsgNode, RoundDag, TraceCollector};
 pub use critical::{CriticalPath, PhaseSkew, RankActivity};
-pub use fit::AlphaBetaFit;
+pub use fit::{price, AlphaBetaFit};
 pub use perfetto::PerfettoExport;

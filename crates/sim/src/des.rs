@@ -397,10 +397,10 @@ mod tests {
             }
         }
         sim.phase(&msgs);
-        let expect = M.direct(t, m);
+        let expect = M.schedule(&vec![m; t]);
         assert!(
             (sim.makespan() - expect).abs() < 1e-12,
-            "DES {} vs direct {}",
+            "DES {} vs t rounds {}",
             sim.makespan(),
             expect
         );

@@ -10,8 +10,9 @@
 //!
 //! Components:
 //!
-//! * [`model`] — the `α`-`β` [`model::LinearModel`] and schedule/direct
-//!   pricing.
+//! * [`model`] — the `α`-`β` [`model::LinearModel`]: a machine's two
+//!   constants handed to `cartcomm_obs::price`, the one function that
+//!   prices a schedule from its per-round wire bytes.
 //! * [`machine`] — calibrated [`machine::MachineProfile`]s for the paper's
 //!   systems (Table 2), including per-MPI-library *quirk* models that
 //!   emulate the pathological `MPI_Neighbor_*` overheads the paper observed
@@ -35,6 +36,6 @@ pub mod trace;
 
 pub use des::{EventSim, SimFaults};
 pub use machine::{BaselineQuirks, MachineProfile};
-pub use model::{CollectiveKind, LinearModel};
+pub use model::LinearModel;
 pub use noise::NoiseModel;
 pub use trace::SimTracer;

@@ -199,8 +199,8 @@ impl MachineProfile {
     // Each method returns the *per-round base costs* of one series; the
     // noise models add per-round delays on top (exposure-proportional), so
     // the round decomposition matters: direct delivery is one overlapped
-    // bulk phase, the trivial algorithm is `t` blocking rounds, and the
-    // combining schedule is `C` rounds.
+    // bulk phase, a schedule — the trivial algorithm's `t` blocking
+    // rounds, the combining one's `C` — is its rounds one after another.
 
     /// Library baseline (`MPI_Neighbor_*`): all `t` messages posted
     /// non-blocking and completed together — one bulk phase costing
@@ -225,15 +225,11 @@ impl MachineProfile {
         vec![cost]
     }
 
-    /// The trivial Cartesian algorithm (Listing 4): `t` blocking sendrecv
-    /// rounds of `α + β·bytes` each.
-    pub fn trivial_rounds(&self, sizes: &[usize]) -> Vec<f64> {
-        sizes.iter().map(|&b| self.net.message(b)).collect()
-    }
-
-    /// The message-combining schedule: its per-round wire sizes priced at
-    /// `α + β·bytes` each.
-    pub fn combining_rounds(&self, round_bytes: &[usize]) -> Vec<f64> {
+    /// A schedule of blocking send-receive rounds, trivial or combining,
+    /// from its per-round wire bytes (`Plan::round_bytes`): each round
+    /// priced on its own, so the entries sum to
+    /// [`LinearModel::schedule`].
+    pub fn round_costs(&self, round_bytes: &[usize]) -> Vec<f64> {
         round_bytes.iter().map(|&b| self.net.message(b)).collect()
     }
 
@@ -272,7 +268,7 @@ mod tests {
         // the same decade.
         let p = MachineProfile::hydra_openmpi();
         let t = 3124usize;
-        let base = p.net.direct(t, 4);
+        let base = p.net.schedule(&vec![4; t]);
         let quirked = base + p.quirks.blocking_penalty(t, 4);
         assert!(quirked > 100e-3 && quirked < 300e-3, "got {quirked}");
         // non-blocking equally bad for Open MPI (count cliff shared)...
@@ -333,25 +329,16 @@ mod pricing_tests {
     }
 
     #[test]
-    fn trivial_is_t_blocking_rounds() {
-        let p = MachineProfile::titan_cray();
-        let rounds = p.trivial_rounds(&[40; 26]);
-        assert_eq!(rounds.len(), 26);
-        for r in &rounds {
-            assert!((r - p.net.message(40)).abs() < 1e-18);
-        }
-    }
-
-    #[test]
-    fn combining_prices_round_bytes() {
+    fn round_costs_price_each_round_and_sum_to_the_schedule() {
         let p = MachineProfile::hydra_openmpi();
-        let rounds = p.combining_rounds(&[100, 0, 5000]);
+        let bytes = [100, 0, 5000];
+        let rounds = p.round_costs(&bytes);
         assert_eq!(rounds.len(), 3);
-        assert!(
-            (rounds[1] - p.net.alpha).abs() < 1e-18,
-            "empty round costs alpha"
-        );
+        assert_eq!(rounds[1], p.net.alpha, "an empty round costs alpha");
         assert!(rounds[2] > rounds[0]);
+        assert_eq!(rounds.iter().sum::<f64>(), p.net.schedule(&bytes));
+        // The trivial algorithm is the same thing with t one-block rounds.
+        assert_eq!(p.round_costs(&[40; 26]), vec![p.net.message(40); 26]);
     }
 
     #[test]

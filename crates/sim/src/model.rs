@@ -1,13 +1,6 @@
 //! The linear (α-β) communication cost model of §3.1.
 
-/// Which collective a priced schedule implements (used only for reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveKind {
-    /// Personalized exchange.
-    Alltoall,
-    /// Replicated exchange.
-    Allgather,
-}
+use cartcomm_obs::price;
 
 /// Linear point-to-point cost: a message of `b` bytes between any two
 /// processes costs `α + β·b` seconds, with sends and receives of one
@@ -23,29 +16,17 @@ pub struct LinearModel {
 }
 
 impl LinearModel {
-    /// Cost of a single message of `bytes`.
+    /// Cost of a single message of `bytes`: a schedule of one round.
     #[inline]
     pub fn message(&self, bytes: usize) -> f64 {
-        self.alpha + self.beta * bytes as f64
+        self.schedule(&[bytes])
     }
 
-    /// Cost of a schedule given the wire bytes of each send-receive round:
-    /// rounds execute one after another (every process sends and receives
-    /// one message per round), `Σ (α + β·bytes_r)`.
+    /// Cost of a schedule — trivial or combining — given the wire bytes of
+    /// each send-receive round (`Plan::round_bytes`): [`price`] at this
+    /// machine's α and β.
     pub fn schedule(&self, round_bytes: &[usize]) -> f64 {
-        round_bytes.iter().map(|&b| self.message(b)).sum()
-    }
-
-    /// Cost of direct delivery of `t` messages of `bytes` each from every
-    /// process (the trivial algorithm and the ideal neighborhood-collective
-    /// baseline): the single port serializes them, `t·(α + β·bytes)`.
-    pub fn direct(&self, t: usize, bytes: usize) -> f64 {
-        t as f64 * self.message(bytes)
-    }
-
-    /// Direct delivery with per-message sizes (irregular baseline).
-    pub fn direct_irregular(&self, sizes: &[usize]) -> f64 {
-        sizes.iter().map(|&b| self.message(b)).sum()
+        price(round_bytes, self.alpha, self.beta)
     }
 
     /// The α/β ratio in bytes — the machine constant the paper's cut-off
@@ -78,12 +59,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_matches_trivial_formula() {
+    fn t_single_block_rounds_match_the_trivial_formula() {
         // t(α+βm)
-        let t = M.direct(26, 40);
+        let t = M.schedule(&[40; 26]);
         assert!((t - 26.0 * (2e-6 + 40e-9)).abs() < 1e-15);
-        let ti = M.direct_irregular(&[40; 26]);
-        assert!((t - ti).abs() < 1e-18);
     }
 
     #[test]
@@ -94,12 +73,11 @@ mod tests {
         let cutoff_bytes = M.alpha_beta_bytes() * ratio;
         let below = (cutoff_bytes * 0.5) as usize;
         let above = (cutoff_bytes * 2.0) as usize;
-        let trivial_below = M.direct(t, below);
-        let comb_below = M.schedule(&vec![below * (v / c); c]); // approx: V spread over C rounds
-        assert!(comb_below < trivial_below);
-        let trivial_above = M.direct(t, above);
-        let comb_above = c as f64 * M.alpha + M.beta * (v * above) as f64;
-        assert!(comb_above > trivial_above);
+        // V = 300 blocks spread evenly over C = 12 rounds.
+        let combining = |m: usize| M.schedule(&vec![m * (v / c); c]);
+        let trivial = |m: usize| M.schedule(&vec![m; t]);
+        assert!(combining(below) < trivial(below));
+        assert!(combining(above) > trivial(above));
     }
 
     #[test]

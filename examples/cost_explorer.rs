@@ -10,6 +10,8 @@
 //! the predicted times at the benchmark sizes m ∈ {1, 10, 100}.
 
 use cartcomm::cost::CostSummary;
+use cartcomm::schedule::{allgather_plan, alltoall_plan, trivial_plan};
+use cartcomm::PlanKind;
 use cartcomm_sim::MachineProfile;
 use cartcomm_topo::RelNeighborhood;
 
@@ -27,6 +29,11 @@ fn main() {
         }
     };
     let cs = CostSummary::of(&nb);
+    let (trivial, alltoall, allgather) = (
+        trivial_plan(&nb, PlanKind::Alltoall),
+        alltoall_plan(&nb),
+        allgather_plan(&nb),
+    );
 
     println!("Stencil family d={d}, n={n}, f={f}:");
     println!("  neighbors t            : {}", cs.t);
@@ -62,7 +69,10 @@ fn main() {
             profile.net.alpha * 1e6,
             profile.net.beta * 1e9
         );
-        match cs.cutoff_bytes(profile.net.alpha, profile.net.beta) {
+        match cs
+            .cutoff
+            .map(|ratio| profile.net.alpha_beta_bytes() * ratio)
+        {
             Some(b) => println!(
                 "  combining alltoall pays off below m = {:.0} bytes ({:.0} ints)",
                 b,
@@ -71,10 +81,8 @@ fn main() {
             None => println!("  combining alltoall pays off at every block size"),
         }
         for m in [1usize, 10, 100] {
-            let bytes = m * 4;
-            let triv = cs.trivial_time(profile.net.alpha, profile.net.beta, bytes);
-            let comb = cs.combining_alltoall_time(profile.net.alpha, profile.net.beta, bytes);
-            let ag = cs.combining_allgather_time(profile.net.alpha, profile.net.beta, bytes);
+            let time = |plan: &cartcomm::Plan| profile.net.schedule(&plan.round_bytes(&|_| m * 4));
+            let (triv, comb, ag) = (time(&trivial), time(&alltoall), time(&allgather));
             println!(
                 "  m={m:>4}: trivial {:>9.1} us | combining alltoall {:>9.1} us ({:.2}x) | combining allgather {:>9.1} us",
                 triv * 1e6,

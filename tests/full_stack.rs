@@ -37,8 +37,10 @@ fn paper_pipeline_microcosm() {
     // 3. Price the same schedules on a machine profile.
     let profile = sim::MachineProfile::titan_cray();
     let round_bytes = a2a.round_bytes(&|_| 4);
-    let combining: f64 = profile.combining_rounds(&round_bytes).iter().sum();
-    let trivial: f64 = profile.trivial_rounds(&vec![4; t]).iter().sum();
+    let combining = profile.net.schedule(&round_bytes);
+    let trivial_bytes =
+        cartcomm::schedule::trivial_plan(&nb, cartcomm::PlanKind::Alltoall).round_bytes(&|_| 4);
+    let trivial = profile.net.schedule(&trivial_bytes);
     assert!(combining < trivial, "4 rounds beat 8 for 4-byte blocks");
 
     // 4. Repeat "measurements" under noise and apply Appendix A.
@@ -47,7 +49,7 @@ fn paper_pipeline_microcosm() {
         scale: 100e-6,
     };
     let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(42);
-    let costs = profile.combining_rounds(&round_bytes);
+    let costs = profile.round_costs(&round_bytes);
     let samples: Vec<f64> = (0..100)
         .map(|_| noise.sample_completion(&costs, 16384, &mut rng))
         .collect();
