@@ -18,7 +18,7 @@
 //!   elements (default `4,64,1024,8192`).
 //! * `--iters N`        — profiled runs per block size (default 3).
 //! * `--faults SEED:RATE` — install a seeded drop plane at `RATE`
-//!   (0..1) on all links and run exchanges reliably.
+//!   (0..1) on all links and all traffic, setup included.
 //! * `--transport inproc|shm|uds|tcp` — transport backend carrying the
 //!   profiled envelopes (default `inproc`; see DESIGN.md §12).
 //! * `--reduce-sweep`   — after the primary workload, also sweep the two
@@ -53,7 +53,7 @@ use cartcomm_comm::obs::json::{self, JsonWriter, Value};
 use cartcomm_comm::obs::{
     AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector, TraceEvent,
 };
-use cartcomm_comm::{FaultSpec, LinkSel, RetryPolicy, Tag, TransportKind, Universe};
+use cartcomm_comm::{FaultSpec, LinkSel, RetryPolicy, TransportKind, Universe};
 use cartcomm_stats::Histogram;
 use cartcomm_topo::RelNeighborhood;
 use cartcomm_types::RedOp;
@@ -61,14 +61,6 @@ use cartcomm_types::RedOp;
 /// Per-rank trace-ring capacity: comfortably above `C + machinery` events
 /// for every workload this CLI can configure.
 const SINK_CAPACITY: usize = 1 << 15;
-
-/// The Cartesian schedule data tags (compiled rounds, trivial
-/// alltoall/allgather, reductions) all fall in this half-open range; the
-/// fault plane is scoped to it so topology setup (internal contexts, not
-/// covered by reliable exchanges) runs clean — same scoping as the chaos
-/// test suite.
-const CART_TAGS_LO: Tag = 0x7A00_0000;
-const CART_TAGS_HI: Tag = 0x7F00_0000;
 
 /// Which collective the workload profiles.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -353,7 +345,7 @@ fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
     let mut cfg = Universe::builder(p).on(w.transport);
     if let Some((seed, rate)) = faults {
         cfg = cfg.faults(
-            FaultSpec::new(seed).drop_rate(LinkSel::any().tags(CART_TAGS_LO, CART_TAGS_HI), rate),
+            FaultSpec::new(seed).drop_rate(LinkSel::any(), rate),
             RetryPolicy {
                 attempts: 10,
                 base: Duration::from_millis(25),

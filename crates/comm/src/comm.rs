@@ -14,7 +14,6 @@ use crate::error::{CommError, CommResult};
 use crate::fabric::Fabric;
 use crate::mailbox::Mailbox;
 use crate::pool::{PoolStats, PooledBuf, WirePool};
-use crate::reliable::{RelState, RELIABLE_TICK};
 
 /// Completion information of a receive (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,9 +114,6 @@ pub(crate) struct RankCore {
     next_ctx: AtomicU32,
     /// Per-rank collective sequence counter (see `collectives`).
     coll_seq: AtomicU32,
-    /// Reliable-delivery state (stream sequences, dedup windows, retained
-    /// unacked sends); shared across duplicated contexts.
-    pub(crate) rel: Mutex<RelState>,
 }
 
 impl Drop for RankCore {
@@ -164,7 +160,6 @@ impl Comm {
                 pending: Mutex::new(VecDeque::new()),
                 next_ctx: AtomicU32::new(2), // 0 = user p2p, 1 = internal collectives
                 coll_seq: AtomicU32::new(0),
-                rel: Mutex::new(RelState::default()),
             }),
         }
     }
@@ -245,6 +240,11 @@ impl Comm {
     /// traffic.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.obs.snapshot()
+    }
+
+    /// Injected-fault counters of the fabric's fault plane, if it has one.
+    pub fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
+        self.fabric.fault_stats()
     }
 
     // ----- wire-buffer pool ------------------------------------------------
@@ -334,9 +334,7 @@ impl Comm {
     }
 
     /// Pull one envelope matching (ctx, src, tag): first from the
-    /// unexpected queue in arrival order, then from the mailbox. All
-    /// arrivals pass through the reliable intake (`reliable.rs`), so
-    /// duplicates and out-of-order sequenced traffic never reach matching.
+    /// unexpected queue in arrival order, then from the mailbox.
     fn match_one(&self, ctx: u32, src: SrcSel, tag: TagSel) -> CommResult<Envelope> {
         let mut pending = self.core.pending.lock();
         loop {
@@ -346,30 +344,14 @@ impl Comm {
             {
                 return Ok(pending.remove(pos).expect("position just found"));
             }
-            let env = self.recv_one()?;
-            self.intake(env, &mut pending);
-        }
-    }
-
-    /// One blocking mailbox pop. On a lossy fabric this pumps the
-    /// fault plane between short waits so delayed/reordered envelopes keep
-    /// draining even while this rank only ever blocks in receives.
-    fn recv_one(&self) -> CommResult<Envelope> {
-        if !self.fabric.lossy() {
-            return Ok(self.counting_parks(Mailbox::pop)?);
-        }
-        loop {
-            self.fabric.poll(self.rank)?;
-            if let Some(env) = self.counting_parks(|mb| mb.pop_timeout(RELIABLE_TICK))? {
-                return Ok(env);
-            }
+            pending.push_back(self.counting_parks(Mailbox::pop)?);
         }
     }
 
     /// Run one wait on this rank's mailbox and credit the times it slept
     /// to the rank's `recv_parks`. The rank is the only one that pops, so
     /// the difference in the mailbox's count is its own.
-    pub(crate) fn counting_parks<T>(&self, wait: impl FnOnce(&Mailbox) -> T) -> T {
+    fn counting_parks<T>(&self, wait: impl FnOnce(&Mailbox) -> T) -> T {
         let mailbox = &self.core.mailbox;
         let before = mailbox.parks();
         let got = wait(mailbox);
@@ -398,8 +380,7 @@ impl Comm {
                     bytes: env.data.len(),
                 });
             }
-            let env = self.recv_one()?;
-            self.intake(env, &mut pending);
+            pending.push_back(self.counting_parks(Mailbox::pop)?);
         }
     }
 
@@ -412,11 +393,10 @@ impl Comm {
     ) -> CommResult<Option<Status>> {
         let src = src.into();
         let tag = tag.into();
-        self.fabric.poll(self.rank)?;
         let mut pending = self.core.pending.lock();
         // drain whatever has arrived so far
         while let Some(env) = self.core.mailbox.try_pop() {
-            self.intake(env, &mut pending);
+            pending.push_back(env);
         }
         Ok(pending
             .iter()
@@ -524,19 +504,15 @@ impl Comm {
     ///
     /// Received payloads stay attached to this rank's wire pool and
     /// recycle on drop; a caller that keeps the bytes takes them with
-    /// [`PooledBuf::into_vec`]. Delivery is raw on a perfect fabric and
-    /// sequenced, deduplicated and retransmitted on one built lossy
-    /// (`RunConfig::faults`, which carries the retry policy) — schedules
-    /// never need to know which.
+    /// [`PooledBuf::into_vec`].
+    ///
+    /// What was deposited arrives: loss and its repair live below the
+    /// mailbox. The rank contributes one thing, a receive deadline — on
+    /// a lossy fabric an exchange that hears nothing for the transport's
+    /// [`patience`](Fabric::patience) fails with
+    /// [`CommError::PeerUnreachable`] naming the first still-open slot's
+    /// source instead of waiting on a dead link.
     pub fn exchange(&self, batch: &mut ExchangeBatch, recvs: &[RecvSpec]) -> CommResult<()> {
-        match self.fabric.retry_policy() {
-            Some(policy) => self.exchange_reliable(batch, recvs, policy),
-            None => self.exchange_raw(batch, recvs),
-        }
-    }
-
-    /// The unsequenced exchange path: eager sends, FIFO slot matching.
-    fn exchange_raw(&self, batch: &mut ExchangeBatch, recvs: &[RecvSpec]) -> CommResult<()> {
         for &(dst, _, _) in batch.sends.iter() {
             self.check_rank(dst)?;
         }
@@ -552,16 +528,29 @@ impl Comm {
         results.clear();
         results.resize_with(recvs.len(), || None);
         let mut open = recvs.len();
+        let patience = self.fabric.patience();
 
         let mut pending = self.core.pending.lock();
         loop {
-            // Match delivered messages in arrival order (the intake keeps
-            // sequenced streams in order, so arrival order is safe).
+            // Match delivered messages in arrival order.
             let mut i = 0;
             while i < pending.len() && open > 0 {
                 if let Some(slot) = find_slot(self.ctx, &pending[i], recvs, results) {
                     let env = pending.remove(i).expect("index in range");
-                    self.complete_slot(results, slot, env);
+                    let status = Status {
+                        src: env.src,
+                        tag: env.tag,
+                        bytes: env.data.len(),
+                    };
+                    self.obs.metrics().message_matched(status.bytes);
+                    self.obs
+                        .emit_with(self.rank, || TraceEvent::ExchangeMatched {
+                            src: status.src,
+                            tag: status.tag,
+                            bytes: status.bytes,
+                            slot,
+                        });
+                    results[slot] = Some((env.data, status));
                     open -= 1;
                 } else {
                     i += 1;
@@ -570,40 +559,27 @@ impl Comm {
             if open == 0 {
                 break;
             }
-            let env = self.recv_one()?;
-            self.intake(env, &mut pending);
+            let arrived = match patience {
+                None => Some(self.counting_parks(Mailbox::pop)?),
+                Some(limit) => self.counting_parks(|mb| mb.pop_timeout(limit))?,
+            };
+            let Some(env) = arrived else {
+                let silent = recvs.iter().zip(&*results).find(|(_, done)| done.is_none());
+                let peer = match silent.map(|(spec, _)| spec.src) {
+                    Some(SrcSel::Rank(r)) => r,
+                    _ => self.rank,
+                };
+                return Err(CommError::PeerUnreachable { peer, attempts: 0 });
+            };
+            pending.push_back(env);
         }
         Ok(())
-    }
-
-    /// Fill receive slot `slot` from `env`, recording the match.
-    pub(crate) fn complete_slot(
-        &self,
-        results: &mut [Option<(PooledBuf, Status)>],
-        slot: usize,
-        env: Envelope,
-    ) {
-        let status = Status {
-            src: env.src,
-            tag: env.tag,
-            bytes: env.data.len(),
-        };
-        self.obs.metrics().message_matched(status.bytes);
-        self.obs
-            .emit_with(self.rank, || TraceEvent::ExchangeMatched {
-                src: status.src,
-                tag: status.tag,
-                bytes: status.bytes,
-                slot,
-            });
-        results[slot] = Some((env.data, status));
     }
 }
 
 /// The earliest-posted still-open receive slot `env` satisfies, if any —
-/// the FIFO matching rule of MPI (shared by the raw and reliable exchange
-/// paths).
-pub(crate) fn find_slot(
+/// the FIFO matching rule of MPI.
+fn find_slot(
     ctx: u32,
     env: &Envelope,
     recvs: &[RecvSpec],

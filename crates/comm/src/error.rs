@@ -21,10 +21,11 @@ pub enum CommError {
     SignatureMismatch,
     /// An exchange batch was malformed (e.g. duplicate receive slots).
     InvalidExchange(String),
-    /// A reliable exchange exhausted its retry budget without hearing from
-    /// the peer: either every retransmission to `peer` went unacknowledged,
-    /// or (receiver side) no expected traffic arrived within the policy's
-    /// total budget on a lossy fabric.
+    /// The link to `peer` gave out: the transport could not deliver
+    /// (`attempts` transmissions went unacknowledged on a lossy fabric, 1
+    /// when the endpoint is closed or the wire broke), or — receiver side,
+    /// `attempts` 0, it sent nothing — an exchange on a lossy fabric heard
+    /// nothing for the retry policy's total budget.
     PeerUnreachable { peer: usize, attempts: u32 },
 }
 
@@ -69,12 +70,18 @@ impl From<TypeError> for CommError {
 }
 
 impl From<crate::transport::TransportError> for CommError {
-    /// A transport failure is peer death observed at the wire instead of
-    /// through a retry budget: one delivery attempt, peer unreachable.
+    /// A transport failure is an unreachable peer: after the attempts a
+    /// lossy link's retry budget allows, or after the one delivery
+    /// attempt a broken wire got.
     fn from(e: crate::transport::TransportError) -> Self {
+        use crate::transport::TransportError::Unacked;
+        let attempts = match e {
+            Unacked { attempts, .. } => attempts,
+            _ => 1,
+        };
         CommError::PeerUnreachable {
             peer: e.peer(),
-            attempts: 1,
+            attempts,
         }
     }
 }
@@ -125,5 +132,9 @@ mod tests {
                 attempts: 1
             }
         );
+        // A spent retry budget keeps its count.
+        let (peer, attempts) = (3, 6);
+        let e: CommError = crate::transport::TransportError::Unacked { peer, attempts }.into();
+        assert_eq!(e, CommError::PeerUnreachable { peer, attempts });
     }
 }

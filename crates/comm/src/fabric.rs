@@ -1,5 +1,5 @@
-//! The shared interconnect: per-rank endpoints, fault injection and
-//! pooling layered over a pluggable [`Transport`].
+//! The shared interconnect: per-rank endpoints and pooling layered over
+//! a pluggable [`Transport`].
 //!
 //! The fabric is the stand-in for the cluster network. It owns one
 //! [`Mailbox`] per rank; any rank may deposit an [`Envelope`] toward any
@@ -8,30 +8,31 @@
 //! *non-overtaking* guarantee per (source, context, tag) the matching
 //! engine builds on — and the rank's [`Comm`](crate::Comm) pops it.
 //!
-//! What the fabric adds above the raw transport:
-//!
-//! * the **fault plane** (deterministic drop/duplicate/delay/reorder,
-//!   see [`crate::fault`]) — injected here, *above* the transport, so
-//!   every backend exercises the reliable layer identically;
-//! * per-rank **mailboxes**, **wire pools** and **observability**
-//!   handles (a deposit credits the sender's wire-byte counters).
+//! What the fabric adds above the transport: per-rank **mailboxes**,
+//! **wire pools** and **observability** handles (a deposit credits the
+//! sender's wire-byte counters). A fabric is built perfect
+//! ([`Fabric::for_backend`]) or lossy ([`Fabric::lossy`]); loss and its
+//! repair are a transport ([`LossyTransport`]) *below* the mailboxes, so
+//! nothing here or above knows which it runs on.
 //!
 //! Deposits are fallible: a backend whose peer endpoint is gone (rank
-//! terminated, socket broken, ring stalled) reports a
-//! [`TransportError`], which the communication layer maps to
+//! terminated, socket broken, ring stalled, retry budget spent) reports
+//! a [`TransportError`](crate::transport::TransportError), which the
+//! communication layer maps to
 //! [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable).
 
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
-use cartcomm_obs::{Obs, TraceEvent};
+use cartcomm_obs::Obs;
 
 use crate::envelope::Envelope;
-use crate::fault::{FaultPlane, FaultSpec, FaultStats};
+use crate::fault::{FaultSpec, FaultStats};
 use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
-use crate::reliable::RetryPolicy;
+use crate::reliable::{LossyTransport, RetryPolicy};
 use crate::transport::inproc::InProcTransport;
 use crate::transport::shm::ShmTransport;
 use crate::transport::socket::SocketTransport;
@@ -55,37 +56,9 @@ pub struct Fabric {
     /// Per-rank observability handles; `deposit` credits the sender's
     /// wire-byte counters here.
     obs: Vec<Arc<Obs>>,
-    /// The fault plane of a lossy fabric and the retry policy its ranks
-    /// answer it with, fixed at construction ([`Fabric::with_faults`]).
-    /// `None` means the fabric is a perfect transport.
-    faults: Option<(FaultPlane, RetryPolicy)>,
 }
 
 impl Fabric {
-    fn wrap(
-        transport: Box<dyn Transport>,
-        pools: Vec<Arc<WirePool>>,
-        mailboxes: Vec<Arc<Mailbox>>,
-    ) -> Fabric {
-        let p = transport.size();
-        Fabric {
-            transport,
-            mailboxes,
-            pools,
-            obs: per_rank(p),
-            faults: None,
-        }
-    }
-
-    /// Make this fabric lossy before any rank holds it: data deposits
-    /// route through a fault plane compiled from `spec`, and every
-    /// exchange over it is sequenced, deduplicated and retransmitted per
-    /// `policy` (see [`crate::reliable`]).
-    pub fn with_faults(mut self, spec: FaultSpec, policy: RetryPolicy) -> Fabric {
-        self.faults = Some((FaultPlane::new(spec, self.size()), policy));
-        self
-    }
-
     /// Create an in-process fabric. This is the default, infallible
     /// fast path.
     pub fn new(p: usize) -> Fabric {
@@ -97,22 +70,64 @@ impl Fabric {
     /// process. Only the in-process constructor is infallible; the
     /// others touch the filesystem or the network stack.
     pub fn for_backend(kind: TransportKind, p: usize) -> io::Result<Fabric> {
-        let (pools, mailboxes) = (per_rank(p), per_rank(p));
-        let transport: Box<dyn Transport> = match kind {
-            TransportKind::InProcess => Box::new(InProcTransport::new(&mailboxes)),
-            TransportKind::SharedMem => Box::new(ShmTransport::for_threads(p, &pools, &mailboxes)?),
-            TransportKind::Uds => Box::new(SocketTransport::uds(p, &pools, &mailboxes)?),
-            TransportKind::Tcp => Box::new(SocketTransport::tcp(p, &pools, &mailboxes)?),
+        Fabric::build(kind, p, None)
+    }
+
+    /// Create a lossy fabric: a fault plane compiled from `spec` injures
+    /// what is deposited and a [`LossyTransport`] around the `kind`
+    /// backend repairs it per `policy`, below the ranks' mailboxes.
+    pub fn lossy(
+        kind: TransportKind,
+        p: usize,
+        spec: FaultSpec,
+        policy: RetryPolicy,
+    ) -> io::Result<Fabric> {
+        Fabric::build(kind, p, Some((spec, policy)))
+    }
+
+    /// The constructor behind [`Fabric::for_backend`] and [`Fabric::lossy`].
+    pub(crate) fn build(
+        kind: TransportKind,
+        p: usize,
+        faults: Option<(FaultSpec, RetryPolicy)>,
+    ) -> io::Result<Fabric> {
+        let (pools, mailboxes, obs) = (per_rank(p), per_rank(p), per_rank(p));
+        // A lossy fabric's backend delivers into a second set of mailboxes,
+        // the wire; the decorator carries on from there.
+        let wire = match faults {
+            Some(_) => per_rank(p),
+            None => mailboxes.clone(),
         };
-        Ok(Fabric::wrap(transport, pools, mailboxes))
+        let mut transport: Box<dyn Transport> = match kind {
+            TransportKind::InProcess => Box::new(InProcTransport::new(&wire)),
+            TransportKind::SharedMem => Box::new(ShmTransport::for_threads(p, &pools, &wire)?),
+            TransportKind::Uds => Box::new(SocketTransport::uds(p, &pools, &wire)?),
+            TransportKind::Tcp => Box::new(SocketTransport::tcp(p, &pools, &wire)?),
+        };
+        if let Some((spec, policy)) = faults {
+            let lossy = LossyTransport::new(transport, wire, &mailboxes, &obs, spec, policy);
+            transport = Box::new(lossy);
+        }
+        Ok(Fabric {
+            transport,
+            mailboxes,
+            pools,
+            obs,
+        })
     }
 
     /// Attach to an existing shared-memory fabric file as one rank of a
     /// multi-process universe (see `Universe::spawn_processes`).
     pub fn attach_shm(path: &Path, p: usize, rank: usize) -> io::Result<Fabric> {
-        let (pools, mailboxes) = (per_rank(p), per_rank(p));
+        let (pools, mailboxes, obs) = (per_rank(p), per_rank(p), per_rank(p));
         let transport = ShmTransport::attach(path, p, &[rank], &pools, &mailboxes, false)?;
-        Ok(Fabric::wrap(Box::new(transport), pools, mailboxes))
+        let transport = Box::new(transport);
+        Ok(Fabric {
+            transport,
+            mailboxes,
+            pools,
+            obs,
+        })
     }
 
     /// Which backend carries this fabric's envelopes.
@@ -147,12 +162,10 @@ impl Fabric {
     /// Deposit an envelope toward `dst`. Panics on an invalid
     /// destination (callers validate ranks at the API boundary); returns
     /// an error when the backend cannot reach `dst` — endpoint closed,
-    /// stream broken, ring stalled.
+    /// stream broken, ring stalled, or (lossy fabric) retry budget spent.
     ///
-    /// On a lossy fabric data envelopes route through the fault plane and
-    /// may be dropped, duplicated, delayed, or reordered; acknowledgement
-    /// envelopes bypass the plane (they are the reliable layer's control
-    /// plane — see `fault.rs`).
+    /// The sender's `wire_bytes_sent` is credited here, once per deposit:
+    /// what a lossy link retransmits below counts as `retransmits`.
     #[inline]
     pub fn deposit(&self, dst: usize, mut env: Envelope) -> TransportResult<()> {
         self.obs[env.src].metrics().add_wire_sent(env.data.len());
@@ -164,61 +177,19 @@ impl Fabric {
             // receive side decodes into its own pool.
             env.data.retarget(&self.pools[dst]);
         }
-        let plane = match &self.faults {
-            Some((plane, _)) if !env.is_ack() => plane,
-            _ => return self.transport.deposit(dst, env),
-        };
-        let (src, tag) = (env.src, env.tag);
-        let (out, action) = plane.route(dst, env);
-        if let Some(kind) = action {
-            self.obs[src].metrics().fault_injected();
-            self.obs[src].emit_with(src, || TraceEvent::FaultInjected {
-                src,
-                dst,
-                tag,
-                action: kind,
-            });
-        }
-        let mut result = Ok(());
-        for e in out {
-            let r = self.transport.deposit(dst, e);
-            if result.is_ok() {
-                result = r;
-            }
-        }
-        result
+        self.transport.deposit(dst, env)
     }
 
-    // ----- fault plane ------------------------------------------------------
-
-    /// True when the fabric was built with a fault plane (the transport
-    /// may misbehave, and exchanges take the sequenced path).
+    /// How long an exchange waits for a receive before it gives the peer
+    /// up ([`Transport::patience`]): `None` on a perfect fabric.
     #[inline]
-    pub fn lossy(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// The retry policy of a lossy fabric's exchanges.
-    #[inline]
-    pub(crate) fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.faults.as_ref().map(|&(_, policy)| policy)
+    pub fn patience(&self) -> Option<Duration> {
+        self.transport.patience()
     }
 
     /// Injected-fault counters of a lossy fabric's plane.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|(plane, _)| plane.stats())
-    }
-
-    /// One receiver poll on `rank`: releases due delayed/reordered
-    /// envelopes from the fault plane into `rank`'s mailbox. (Every
-    /// backend makes its own progress; there is nothing else to pump.)
-    pub fn poll(&self, rank: usize) -> TransportResult<()> {
-        if let Some((plane, _)) = &self.faults {
-            for env in plane.poll(rank) {
-                self.transport.deposit(rank, env)?;
-            }
-        }
-        Ok(())
+        self.transport.fault_stats()
     }
 
     /// Declare `rank`'s program finished: the backend may stop that
@@ -355,53 +326,6 @@ mod tests {
         assert_eq!(comm.metrics().recv_parks, slept);
     }
 
-    fn lossy(kind: TransportKind, spec: FaultSpec) -> Fabric {
-        let fabric = Fabric::for_backend(kind, 2).unwrap();
-        assert!(!fabric.lossy());
-        fabric.with_faults(spec, RetryPolicy::default())
-    }
-
-    #[test]
-    fn a_lossy_fabric_drops_but_acks_bypass() {
-        use crate::fault::LinkSel;
-        let fabric = lossy(
-            TransportKind::InProcess,
-            FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0),
-        );
-        assert!(fabric.lossy());
-        fabric
-            .deposit(1, Envelope::sequenced(0, 0, 5, 1, vec![9u8]))
-            .unwrap();
-        assert!(
-            fabric.mailbox(1).try_pop().is_none(),
-            "data envelope dropped"
-        );
-        assert_eq!(fabric.fault_stats().unwrap().drops, 1);
-        fabric.deposit(1, Envelope::ack(0, 0, 5, 1)).unwrap();
-        let env = fabric
-            .mailbox(1)
-            .try_pop()
-            .expect("ack must bypass the plane");
-        assert!(env.is_ack());
-    }
-
-    #[test]
-    fn poll_releases_delayed_envelopes() {
-        use crate::fault::LinkSel;
-        let fabric = lossy(
-            TransportKind::InProcess,
-            FaultSpec::new(11).delay_rate(LinkSel::any(), 1.0, 2),
-        );
-        fabric
-            .deposit(1, Envelope::new(0, 0, 5, vec![1u8]))
-            .unwrap();
-        assert!(fabric.mailbox(1).try_pop().is_none());
-        fabric.poll(1).unwrap();
-        assert!(fabric.mailbox(1).try_pop().is_none());
-        fabric.poll(1).unwrap();
-        assert_eq!(fabric.mailbox(1).try_pop().unwrap().data, vec![1u8]);
-    }
-
     #[test]
     fn deposit_retargets_payload_to_destination_pool() {
         let fabric = Fabric::new(2);
@@ -429,32 +353,5 @@ mod tests {
         for rank in 0..2 {
             fabric.rank_done(rank);
         }
-    }
-
-    #[test]
-    fn fault_plane_works_on_remote_backend() {
-        use crate::fault::LinkSel;
-        let fabric = lossy(
-            TransportKind::Uds,
-            FaultSpec::new(11).drop_rate(LinkSel::any(), 1.0),
-        );
-        fabric
-            .deposit(1, Envelope::sequenced(0, 0, 5, 1, vec![9u8]))
-            .unwrap();
-        assert!(
-            fabric
-                .mailbox(1)
-                .pop_timeout(std::time::Duration::from_millis(50))
-                .unwrap()
-                .is_none(),
-            "data envelope dropped before the wire"
-        );
-        assert_eq!(fabric.fault_stats().unwrap().drops, 1);
-        fabric.deposit(1, Envelope::ack(0, 0, 5, 1)).unwrap();
-        assert!(fabric
-            .mailbox(1)
-            .pop()
-            .expect("ack crosses the wire")
-            .is_ack());
     }
 }

@@ -39,16 +39,15 @@
 //! # Fault injection and reliable delivery
 //!
 //! A fabric is built perfect or lossy. A lossy one
-//! ([`RunConfig::faults`], `Fabric::with_faults`) hosts a deterministic,
-//! seeded fault plane ([`FaultSpec`]/[`fault::FaultPlane`]) that drops,
-//! duplicates, delays, or reorders data envelopes per declarative rules,
-//! and carries the [`RetryPolicy`] that answers it: every
-//! [`Comm::exchange`] over it runs with sequence-numbered envelopes,
-//! receiver-side dedup windows, and retransmission on an exponential
-//! backoff, and a dead link surfaces [`CommError::PeerUnreachable`]
-//! instead of a hang. Which path an exchange takes is something the code
-//! observes from the fabric, not something a rank sets. See `reliable.rs`
-//! and DESIGN.md §10.
+//! ([`RunConfig::faults`], `Fabric::lossy`) wraps its backend in a
+//! [`reliable::LossyTransport`]: a deterministic, seeded fault plane
+//! ([`FaultSpec`]/[`fault::FaultPlane`]) drops, duplicates, delays or
+//! reorders what is deposited, and stop-and-wait retransmission under
+//! the [`RetryPolicy`] repairs it *below* the mailbox — for every
+//! deposit, exchange or not. A [`Comm`] holds no reliability state; all a
+//! rank adds is a deadline on an exchange's receives, so a dead link
+//! surfaces [`CommError::PeerUnreachable`] on both ends instead of a
+//! hang. See `reliable.rs` and DESIGN.md §10.
 //!
 //! # Transport backends
 //!
@@ -58,9 +57,9 @@
 //! processes on one host
 //! ([`Universe::spawn_processes`]), and Unix-domain/TCP socket meshes.
 //! [`RunConfig::on`] picks the backend per run; everything
-//! above the fabric — matching, collectives, reliability, faults,
-//! observability — is backend-agnostic, pinned by the
-//! `transport_conformance` suite.
+//! above the fabric — matching, collectives, observability — is
+//! backend-agnostic, and so is the lossy decorator below it, pinned by
+//! the `transport_conformance` suite.
 
 pub mod collectives;
 pub mod comm;

@@ -428,12 +428,14 @@ mod tests {
         mb.pop_timeout(Duration::from_secs(5)).unwrap().unwrap();
         mb.try_pop().unwrap();
         assert_eq!(mb.parks(), 0, "nothing waited");
-        // An empty one sleeps once its yields are spent.
-        assert_eq!(
-            mb.pop_timeout(Duration::from_millis(20))
-                .map(|e| e.is_none()),
-            Ok(true)
-        );
+        // An empty one sleeps once its yields are spent. On a loaded box
+        // 64 yields can outlast a short timeout, which then expires before
+        // the pop ever parks: double it until one does.
+        let mut timeout = Duration::from_millis(20);
+        while mb.parks() == 0 && timeout < Duration::from_secs(2) {
+            assert_eq!(mb.pop_timeout(timeout).map(|e| e.is_none()), Ok(true));
+            timeout *= 2;
+        }
         assert!(mb.parks() >= 1);
     }
 }

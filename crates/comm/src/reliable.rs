@@ -1,46 +1,47 @@
-//! Reliable delivery over a (possibly) lossy fabric.
+//! Loss and recovery as a transport (DESIGN.md §10).
 //!
-//! The raw fabric is a perfect transport. Built with a
-//! [`FaultPlane`](crate::fault::FaultPlane) it can drop, duplicate, delay,
-//! and reorder data envelopes — and this module is the protocol that
-//! makes [`Comm::exchange`] correct anyway. It runs iff the fabric is
-//! lossy, under the [`RetryPolicy`] the fabric was built with
-//! (`RunConfig::faults(spec, policy)`): nothing a rank sets.
+//! Every backend is a perfect link. A fabric built lossy
+//! ([`Fabric::lossy`](crate::fabric::Fabric::lossy),
+//! `RunConfig::faults(spec, policy)`) wraps its backend in a
+//! [`LossyTransport`]: the backend delivers into a second set of per-rank
+//! *wire* mailboxes, a [`FaultPlane`] sits on the way in, and one
+//! `lossy-progress` thread carries what survives it from the wire
+//! mailboxes into the ranks' real ones. The protocol is stop-and-wait:
 //!
-//! * **Sequencing** — every data envelope of an exchange carries a
-//!   per-`(ctx, dst)` stream sequence number (starting at 1).
-//! * **Receiver dedup + in-order release** — each `(ctx, src)` stream
-//!   keeps a delivery floor (`next_deliver`) and a parking lot for
-//!   early arrivals. Duplicates (anything below the floor or already
-//!   parked) are counted, re-acked, and discarded; everything else is
-//!   released into the rank's unexpected queue *in sequence order*.
-//!   Because **all** receive paths route arrivals through this intake
-//!   ([`Comm::intake`]), a delayed retransmit of an already-matched
-//!   `(src, tag)` can never satisfy a later post.
-//! * **Sender retransmit** — senders retain payload copies and
-//!   retransmit on an exponential-backoff schedule
-//!   ([`RetryPolicy`]) until acknowledged; exhausting the budget
-//!   surfaces [`CommError::PeerUnreachable`] instead of hanging.
-//!   Receivers symmetrically give up after the policy's total budget
-//!   passes without progress.
+//! * **Deposit** stamps the sender's next sequence number, routes the
+//!   envelope through the plane and waits for the acknowledgement,
+//!   retransmitting on the [`RetryPolicy`]'s backoff. `Ok` means the
+//!   envelope is in the destination's mailbox; a spent budget is
+//!   [`TransportError::Unacked`]. Every deposit — exchange, point-to-point
+//!   send, built-in collective — is protected alike.
+//! * **Progress** drops what a link already delivered (`seq ≤ floor`, a
+//!   `dup_drop` of the receiving rank), pushes the rest into the rank's
+//!   mailbox with the header cleared, and acknowledges both. With one
+//!   envelope in flight per sender nothing overtakes on a link, so one
+//!   floor per directed link is the whole receive state.
+//! * **Acknowledgements bypass the plane**, which sidesteps the
+//!   two-generals tail: once acknowledged, the sender *will* hear it.
 //!
-//! Acknowledgements bypass the fault plane (a reliable control plane),
-//! which sidesteps the two-generals tail: once a receiver has acked, the
-//! sender *will* hear it, so a rank can leave `exchange` without being
-//! needed for a peer's completion.
+//! A rank above sees a perfect, possibly slow, possibly closed link and
+//! holds no reliability state. It contributes one thing, how long an
+//! exchange waits for a receive ([`Transport::patience`]): a sender on a
+//! dead link learns that from its budget, a receiver has only silence.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-use cartcomm_obs::TraceEvent;
+use cartcomm_obs::{Obs, TraceEvent};
 
-use crate::comm::{find_slot, Comm, ExchangeBatch, RecvSpec};
-use crate::envelope::{Envelope, SrcSel, Tag};
-use crate::error::{CommError, CommResult};
+use crate::envelope::{EnvKind, Envelope, RelHeader};
+use crate::fault::{FaultPlane, FaultSpec, FaultStats};
+use crate::mailbox::Mailbox;
+use crate::transport::{Transport, TransportError, TransportKind, TransportResult};
 
-/// How long a reliable receive loop sleeps per tick while pumping the
-/// fault plane and the retransmit scan.
-pub(crate) const RELIABLE_TICK: Duration = Duration::from_micros(200);
+/// How long the progress thread sleeps after a sweep that moved nothing;
+/// also the length of one fault-plane poll on an idle fabric.
+const TICK: Duration = Duration::from_micros(200);
 
 /// Retransmission schedule of the exchanges over a lossy fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,327 +84,292 @@ impl RetryPolicy {
     }
 }
 
-/// An unacknowledged sequenced envelope retained for retransmission.
-pub(crate) struct Outstanding {
-    tag: Tag,
-    payload: Vec<u8>,
-    /// Transmissions so far (1 = original send only).
-    sent: u32,
-    deadline: Instant,
-}
-
-/// Receive-side state of one `(ctx, src)` stream.
-pub(crate) struct StreamState {
-    /// Next sequence number to release; everything below is a duplicate.
-    next_deliver: u64,
-    /// Early (out-of-order) arrivals parked until the floor reaches them.
-    parked: BTreeMap<u64, Envelope>,
-}
-
-impl Default for StreamState {
-    fn default() -> Self {
-        StreamState {
-            next_deliver: 1,
-            parked: BTreeMap::new(),
-        }
-    }
-}
-
-/// A tiny linear-scan map for per-stream state. Stream keys are
-/// `(ctx, rank)` pairs and a rank talks to a handful of contexts and at
-/// most `p` peers, so a `Vec` scan beats hashing the key on the
-/// per-envelope fast path (this map is touched once per sequenced send
-/// and once per sequenced arrival).
-pub(crate) struct StreamMap<V> {
-    entries: Vec<((u32, usize), V)>,
-}
-
-impl<V> Default for StreamMap<V> {
-    fn default() -> Self {
-        StreamMap {
-            entries: Vec::new(),
-        }
-    }
-}
-
-impl<V: Default> StreamMap<V> {
-    /// Mutable access to the entry for `key`, created on first use.
-    pub(crate) fn entry(&mut self, key: (u32, usize)) -> &mut V {
-        if let Some(i) = self.entries.iter().position(|(k, _)| *k == key) {
-            return &mut self.entries[i].1;
-        }
-        self.entries.push((key, V::default()));
-        &mut self.entries.last_mut().expect("just pushed").1
-    }
-}
-
-/// Per-rank reliable-protocol state, shared across duplicated contexts
-/// (it lives on `RankCore`).
+/// One sender's stop-and-wait state.
 #[derive(Default)]
-pub(crate) struct RelState {
-    /// Next send sequence per `(ctx, dst)` stream (last used; 0 = none).
-    send_seq: StreamMap<u64>,
-    /// Receive streams keyed by `(ctx, src)`.
-    streams: StreamMap<StreamState>,
-    /// Retained unacked sends keyed by `(ctx, dst, seq)`.
-    outstanding: HashMap<(u32, usize, u64), Outstanding>,
+struct Sender {
+    /// The last sequence number used, locked for a whole deposit: one
+    /// envelope in flight per sender. One counter per sender still rises
+    /// strictly on each of its links, which is all a floor needs.
+    last: parking_lot::Mutex<u64>,
+    /// The highest sequence number acknowledged, and its signal to the
+    /// one depositor the lock above lets wait.
+    acked: Mutex<u64>,
+    heard: Condvar,
 }
 
-impl Comm {
-    /// Injected-fault counters of the fabric's fault plane, if it has one.
-    pub fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.fabric.fault_stats()
+impl Sender {
+    /// The number is valid whenever the lock is free, so a poisoned one
+    /// is recovered.
+    fn acked(&self) -> MutexGuard<'_, u64> {
+        self.acked.lock().unwrap_or_else(|p| p.into_inner())
     }
+}
 
-    /// Pump the fault plane once for this rank: releases due delayed and
-    /// reordered envelopes into this rank's mailbox. Exchanges and
-    /// blocking receives on a lossy fabric pump automatically.
-    pub fn poll_faults(&self) {
-        // Transport trouble during a pump is not actionable here; the
-        // exchange that cares will see it on its own poll.
-        let _ = self.fabric.poll(self.rank);
-    }
+/// What the depositing ranks and the progress thread share.
+struct Shared {
+    /// The backend; it delivers into `wire`.
+    inner: Box<dyn Transport>,
+    plane: FaultPlane,
+    policy: RetryPolicy,
+    /// Where the backend leaves what crossed the link, per rank.
+    wire: Vec<Arc<Mailbox>>,
+    /// The ranks' real mailboxes.
+    mailboxes: Vec<Arc<Mailbox>>,
+    obs: Vec<Arc<Obs>>,
+    senders: Vec<Sender>,
+    /// `Drop`'s Release store, the progress loop's Acquire load.
+    stop: AtomicBool,
+}
 
-    /// Route one arrived envelope into the rank's delivery state: acks
-    /// settle outstanding retransmissions, sequenced data passes the
-    /// dedup window and is released **in sequence order** onto the
-    /// unexpected queue, unsequenced data is appended as-is. Every
-    /// receive path (exchange, `match_one`, probes) takes arrivals
-    /// through here, so sequencing protects all matching, not just
-    /// exchanges. Sequence numbers exist only on a lossy fabric: every
-    /// sequenced arrival is acknowledged.
-    pub(crate) fn intake(&self, env: Envelope, pending: &mut VecDeque<Envelope>) {
-        if env.is_ack() {
-            if let Some(seq) = env.rel.seq {
-                self.core
-                    .rel
-                    .lock()
-                    .outstanding
-                    .remove(&(env.ctx, env.src, seq));
-            }
-            return;
+/// A [`Transport`] decorator that injures the link with a [`FaultPlane`]
+/// and repairs it with stop-and-wait retransmission (see the
+/// [module docs](self)).
+pub struct LossyTransport {
+    shared: Arc<Shared>,
+    progress: Option<JoinHandle<()>>,
+}
+
+impl LossyTransport {
+    /// Wrap `inner`, which must deliver into `wire`; arrivals that pass
+    /// the protocol land in `mailboxes`, counters and trace events on
+    /// `obs` (all indexed by rank).
+    pub(crate) fn new(
+        inner: Box<dyn Transport>,
+        wire: Vec<Arc<Mailbox>>,
+        mailboxes: &[Arc<Mailbox>],
+        obs: &[Arc<Obs>],
+        spec: FaultSpec,
+        policy: RetryPolicy,
+    ) -> LossyTransport {
+        let p = inner.size();
+        let shared = Arc::new(Shared {
+            inner,
+            plane: FaultPlane::new(spec, p),
+            policy,
+            wire,
+            mailboxes: mailboxes.to_vec(),
+            obs: obs.to_vec(),
+            senders: (0..p).map(|_| Sender::default()).collect(),
+            stop: AtomicBool::new(false),
+        });
+        let progress = std::thread::Builder::new()
+            .name("lossy-progress".into())
+            .spawn({
+                let shared = Arc::clone(&shared);
+                move || shared.progress()
+            })
+            .expect("failed to spawn the lossy progress thread");
+        LossyTransport {
+            shared,
+            progress: Some(progress),
         }
-        let Some(seq) = env.rel.seq else {
-            pending.push_back(env);
+    }
+}
+
+impl Drop for LossyTransport {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(h) = self.progress.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Shared {
+    /// One transmission: through the plane, then whatever the plane lets
+    /// out (this envelope, its copy, envelopes it had stashed) onto the
+    /// backend.
+    fn transmit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
+        let (src, tag) = (env.src, env.tag);
+        let (out, action) = self.plane.route(dst, env);
+        if let Some(kind) = action {
+            self.obs[src].metrics().fault_injected();
+            self.obs[src].emit_with(src, || TraceEvent::FaultInjected {
+                src,
+                dst,
+                tag,
+                action: kind,
+            });
+        }
+        // All of it goes to `dst`: what a first failure leaves behind
+        // would fail too, and its senders retransmit.
+        out.into_iter().try_for_each(|e| self.inner.deposit(dst, e))
+    }
+
+    /// The progress loop: age the plane's held envelopes, drain the wire
+    /// mailboxes, sleep a tick when a sweep moved nothing.
+    fn progress(&self) {
+        let p = self.wire.len();
+        // Highest sequence number delivered on each directed link,
+        // `src * p + dst`. Only this thread delivers, so it is a local.
+        let mut floor = vec![0u64; p * p];
+        while !self.stop.load(Ordering::Acquire) {
+            let mut moved = false;
+            for dst in 0..p {
+                for env in self.plane.poll(dst) {
+                    moved = true;
+                    // A closed link is the sender's budget's to report.
+                    let _ = self.inner.deposit(dst, env);
+                }
+                while let Some(env) = self.wire[dst].try_pop() {
+                    moved = true;
+                    self.arrive(dst, env, &mut floor);
+                }
+            }
+            if !moved {
+                std::thread::sleep(TICK);
+            }
+        }
+    }
+
+    /// One envelope off `dst`'s wire mailbox. Frames reach it off sockets
+    /// and rings: a source out of range or a missing sequence number is
+    /// dropped, never indexed with.
+    fn arrive(&self, dst: usize, mut env: Envelope, floor: &mut [u64]) {
+        let p = self.wire.len();
+        let (src, Some(seq)) = (env.src, env.rel.seq) else {
             return;
         };
-        let (ctx, src, tag) = (env.ctx, env.src, env.tag);
-        let mut rel = self.core.rel.lock();
-        let stream = rel.streams.entry((ctx, src));
-        if seq < stream.next_deliver || stream.parked.contains_key(&seq) {
-            drop(rel);
-            self.obs.metrics().dup_drop();
-            self.obs
-                .emit_with(self.rank, || TraceEvent::DupDropped { src, tag, seq });
-            // The first ack may have been sent before the sender's
-            // retransmit; re-ack so it settles. A dead sender cannot use
-            // the ack anyway, so delivery failure is ignorable.
-            let _ = self
-                .fabric
-                .deposit(src, Envelope::ack(ctx, self.rank, tag, seq));
+        if src >= p {
             return;
         }
-        if seq == stream.next_deliver {
-            stream.next_deliver += 1;
-            pending.push_back(env);
-            // Release any parked successors now in order.
-            while let Some(e) = stream.parked.remove(&stream.next_deliver) {
-                stream.next_deliver += 1;
-                pending.push_back(e);
+        if env.is_ack() {
+            let mut acked = self.senders[dst].acked();
+            if seq > *acked {
+                *acked = seq;
+                self.senders[dst].heard.notify_one();
             }
+            return;
+        }
+        let (ctx, tag) = (env.ctx, env.tag);
+        let floor = &mut floor[src * p + dst];
+        if seq <= *floor {
+            // A plane duplicate or a retransmission that raced its ack:
+            // acknowledge again so the sender settles.
+            self.obs[dst].metrics().dup_drop();
+            self.obs[dst].emit_with(dst, || TraceEvent::DupDropped { src, tag, seq });
         } else {
-            stream.parked.insert(seq, env);
+            env.rel = RelHeader::default();
+            if self.mailboxes[dst].push(env).is_err() {
+                // The rank is gone: no acknowledgement, and the sender's
+                // budget reports it.
+                return;
+            }
+            *floor = seq;
         }
-        drop(rel);
-        // Same as the re-ack above: an undeliverable ack means the sender
-        // is gone, which its own retry budget will report.
-        let _ = self
-            .fabric
-            .deposit(src, Envelope::ack(ctx, self.rank, tag, seq));
+        // An undeliverable ack means the sender is gone, which nobody
+        // needs to hear.
+        let _ = self.inner.deposit(src, Envelope::ack(ctx, dst, tag, seq));
+    }
+}
+
+impl Transport for LossyTransport {
+    fn kind(&self) -> TransportKind {
+        self.shared.inner.kind()
     }
 
-    /// Forget this exchange's retransmission state (error paths: the
-    /// exchange is over, nothing should keep retrying on its behalf).
-    fn clear_outstanding(&self, issued: &[(usize, u64)]) {
-        let mut rel = self.core.rel.lock();
-        for &(d, s) in issued {
-            rel.outstanding.remove(&(self.ctx, d, s));
-        }
+    fn size(&self) -> usize {
+        self.shared.inner.size()
     }
 
-    /// [`Comm::exchange`] over a lossy fabric: sequenced, retransmitting.
-    pub(crate) fn exchange_reliable(
-        &self,
-        batch: &mut ExchangeBatch,
-        recvs: &[RecvSpec],
-        policy: RetryPolicy,
-    ) -> CommResult<()> {
-        for &(dst, _, _) in batch.sends.iter() {
-            self.check_rank(dst)?;
-        }
-        self.obs.metrics().exchange_started();
+    /// Stop-and-wait: returns `Ok` once `dst`'s progress path has put the
+    /// envelope into `dst`'s mailbox, [`TransportError::Unacked`] when
+    /// `policy.attempts` transmissions went unacknowledged.
+    fn deposit(&self, dst: usize, mut env: Envelope) -> TransportResult<()> {
+        let sh = &*self.shared;
+        let (ctx, src, tag) = (env.ctx, env.src, env.tag);
+        let sender = &sh.senders[src];
+        let mut last = sender.last.lock();
+        *last += 1;
+        let seq = *last;
 
-        // Assign stream sequence numbers and issue all sends, retaining
-        // payload copies for retransmission.
-        let mut issued: Vec<(usize, u64)> = Vec::new();
-        let mut send_err = None;
-        {
-            let mut rel = self.core.rel.lock();
-            for (dst, tag, data) in batch.sends.drain(..) {
-                let counter = rel.send_seq.entry((self.ctx, dst));
-                *counter += 1;
-                let seq = *counter;
-                rel.outstanding.insert(
-                    (self.ctx, dst, seq),
-                    Outstanding {
-                        tag,
-                        payload: data.as_ref().to_vec(),
-                        sent: 1,
-                        deadline: Instant::now() + policy.backoff(0),
-                    },
-                );
-                issued.push((dst, seq));
-                if let Err(e) = self.fabric.deposit(
-                    dst,
-                    Envelope::sequenced(self.ctx, self.rank, tag, seq, data),
-                ) {
-                    send_err = Some(e);
-                    break;
-                }
-            }
-            if send_err.is_some() {
-                for &(d, s) in &issued {
-                    rel.outstanding.remove(&(self.ctx, d, s));
-                }
-            }
-        }
-        if let Some(e) = send_err {
-            return Err(e.into());
-        }
-
-        let results = &mut batch.results;
-        results.clear();
-        results.resize_with(recvs.len(), || None);
-        let mut open = recvs.len();
-        let budget = policy.total_budget();
-        let mut last_progress = Instant::now();
-
+        let retained = env.data.as_ref().to_vec();
+        env.rel = RelHeader {
+            kind: EnvKind::Data,
+            seq: Some(seq),
+        };
+        let mut sent = 0;
         loop {
-            // Match everything already delivered, earliest-posted-slot first.
-            {
-                let mut pending = self.core.pending.lock();
-                let mut i = 0;
-                while i < pending.len() && open > 0 {
-                    if let Some(slot) = find_slot(self.ctx, &pending[i], recvs, results) {
-                        let env = pending.remove(i).expect("index in range");
-                        self.complete_slot(results, slot, env);
-                        open -= 1;
-                        last_progress = Instant::now();
-                    } else {
-                        i += 1;
-                    }
-                }
+            sh.transmit(dst, env)?;
+            sent += 1;
+            let (acked, _) = sender
+                .heard
+                .wait_timeout_while(sender.acked(), sh.policy.backoff(sent - 1), |acked| {
+                    *acked < seq
+                })
+                .unwrap_or_else(|p| p.into_inner());
+            if *acked >= seq {
+                return Ok(());
             }
-            // Complete when all receives matched and every one of our
-            // sends has been acknowledged.
-            if open == 0 {
-                let rel = self.core.rel.lock();
-                if issued
-                    .iter()
-                    .all(|&(d, s)| !rel.outstanding.contains_key(&(self.ctx, d, s)))
-                {
-                    break;
-                }
+            if sent >= sh.policy.attempts {
+                let (peer, attempts) = (dst, sent);
+                return Err(TransportError::Unacked { peer, attempts });
             }
-
-            // Pump the plane, take what arrives within a tick, then run the
-            // retransmit and liveness scans.
-            if let Err(e) = self.fabric.poll(self.rank) {
-                self.clear_outstanding(&issued);
-                return Err(e.into());
-            }
-            if let Some(env) = self.counting_parks(|mb| mb.pop_timeout(RELIABLE_TICK))? {
-                let mut pending = self.core.pending.lock();
-                self.intake(env, &mut pending);
-                while let Some(e) = self.core.mailbox.try_pop() {
-                    self.intake(e, &mut pending);
-                }
-            }
-
-            // Retransmit scan.
-            let now = Instant::now();
-            let mut to_retx: Vec<(usize, u64, Tag, Vec<u8>, u32)> = Vec::new();
-            let mut exhausted: Option<(usize, u32)> = None;
-            {
-                let mut rel = self.core.rel.lock();
-                for &(dst, seq) in &issued {
-                    let Some(o) = rel.outstanding.get_mut(&(self.ctx, dst, seq)) else {
-                        continue;
-                    };
-                    if now < o.deadline {
-                        continue;
-                    }
-                    if o.sent >= policy.attempts {
-                        exhausted = Some((dst, o.sent));
-                        break;
-                    }
-                    o.sent += 1;
-                    o.deadline = now + policy.backoff(o.sent - 1);
-                    to_retx.push((dst, seq, o.tag, o.payload.clone(), o.sent - 1));
-                }
-                if exhausted.is_some() {
-                    for &(d, s) in &issued {
-                        rel.outstanding.remove(&(self.ctx, d, s));
-                    }
-                }
-            }
-            if let Some((peer, attempts)) = exhausted {
-                return Err(CommError::PeerUnreachable { peer, attempts });
-            }
-            for (dst, seq, tag, payload, attempt) in to_retx {
-                self.obs.metrics().retransmit();
-                self.obs.emit_with(self.rank, || TraceEvent::Retransmit {
-                    dst,
-                    tag,
-                    seq,
-                    attempt,
-                });
-                if let Err(e) = self.fabric.deposit(
-                    dst,
-                    Envelope::sequenced(self.ctx, self.rank, tag, seq, payload),
-                ) {
-                    self.clear_outstanding(&issued);
-                    return Err(e.into());
-                }
-            }
-
-            // Receiver-side liveness: the peer may have died (or its data
-            // may be 100%-dropped with no retransmit reaching us). Give up
-            // after the same budget a sender would.
-            if open > 0 && last_progress.elapsed() > budget {
-                let peer = recvs
-                    .iter()
-                    .enumerate()
-                    .find_map(|(i, spec)| match (results[i].is_none(), spec.src) {
-                        (true, SrcSel::Rank(r)) => Some(r),
-                        _ => None,
-                    })
-                    .unwrap_or(self.rank);
-                self.clear_outstanding(&issued);
-                return Err(CommError::PeerUnreachable {
-                    peer,
-                    attempts: policy.attempts,
-                });
-            }
+            drop(acked);
+            sh.obs[src].metrics().retransmit();
+            sh.obs[src].emit_with(src, || TraceEvent::Retransmit {
+                dst,
+                tag,
+                seq,
+                attempt: sent,
+            });
+            env = Envelope::sequenced(ctx, src, tag, seq, retained.clone());
         }
+    }
 
-        Ok(())
+    fn shutdown(&self, rank: usize) {
+        self.shared.inner.shutdown(rank);
+    }
+
+    fn in_process(&self) -> bool {
+        self.shared.inner.in_process()
+    }
+
+    /// The policy's total budget: the longest a sender keeps trying.
+    fn patience(&self) -> Option<Duration> {
+        Some(self.shared.policy.total_budget())
+    }
+
+    fn fault_stats(&self) -> Option<FaultStats> {
+        Some(self.shared.plane.stats())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::per_rank;
+    use crate::pool::WirePool;
+    use crate::transport::inproc::InProcTransport;
+    use crate::transport::wire;
+
+    #[test]
+    fn frames_no_rank_could_have_sent_are_dropped_on_the_progress_path() {
+        let (links, mailboxes) = (per_rank::<Mailbox>(2), per_rank::<Mailbox>(2));
+        let (inner, obs) = (Box::new(InProcTransport::new(&links)), per_rank(2));
+        let (spec, policy) = (FaultSpec::new(1), RetryPolicy::default());
+        let t = LossyTransport::new(inner, links.clone(), &mailboxes, &obs, spec, policy);
+        let pool = Arc::new(WirePool::new());
+        let off_the_wire = |frame: &[u8]| {
+            let (env, used) = wire::decode_from(frame, &pool).expect("a complete frame");
+            assert_eq!(used, frame.len());
+            links[1].push(env).unwrap();
+        };
+        // One payload byte, tag 5, data with seq 1 — from rank 7 of 2; then
+        // an acknowledgement from there; then unsequenced data from rank 0.
+        let mut frame = [0u8; wire::HEADER_BYTES + 1];
+        (frame[0], frame[8], frame[12], frame[17], frame[24]) = (1, 7, 5, 1, 1);
+        off_the_wire(&frame);
+        frame[16] = 1;
+        off_the_wire(&frame);
+        (frame[8], frame[16], frame[17]) = (0, 0, 0);
+        off_the_wire(&frame);
+        // The thread indexed with none of them and delivered none: the next
+        // deposit is acknowledged and is all rank 1 holds.
+        t.deposit(1, Envelope::new(0, 0, 5, vec![0xAB])).unwrap();
+        assert_eq!(mailboxes[1].try_pop().unwrap().data, vec![0xAB]);
+        assert!(mailboxes[1].try_pop().is_none());
+    }
 
     #[test]
     fn backoff_grows_and_caps() {

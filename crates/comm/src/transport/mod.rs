@@ -27,9 +27,9 @@
 //! * **Reliable FIFO links, or honest errors.** `deposit(dst, env)`
 //!   either enqueues the envelope for exactly-once, per-link FIFO
 //!   delivery, or returns a [`TransportError`] naming the peer. It never
-//!   panics on peer death and never silently drops (loss is injected
-//!   *above* the transport, by the fault plane, so the reliable layer's
-//!   retransmit protocol is exercised identically on every backend).
+//!   panics on peer death and never silently drops (loss is injected by
+//!   a decorator, [`LossyTransport`](crate::reliable::LossyTransport),
+//!   which wraps any backend and repairs what it injures).
 //! * **Per-`(src, dst)` ordering** is the MPI non-overtaking guarantee
 //!   the matching engine builds on: two deposits from the same source to
 //!   the same destination arrive in deposit order. Nothing is guaranteed
@@ -39,14 +39,12 @@
 //!   endpoint may drop. Traffic *to* a shut-down rank must keep
 //!   returning errors (or vanish into a closed endpoint), never block
 //!   forever or panic — dead peers surface as
-//!   [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable)
-//!   through the reliable layer's budget.
+//!   [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable).
 //!
-//! The fault plane ([`crate::fault`]), reliable delivery
-//! ([`crate::reliable`], on exactly when the fabric was built with a
-//! fault plane), observability, pooling, and the plan cache all sit
-//! *above* this trait: they see a lossy-or-perfect link abstraction and
-//! do not care what carries the bytes.
+//! Observability, pooling and the plan cache sit *above* this trait and
+//! do not care what carries the bytes; the fault plane and its repair
+//! ([`crate::reliable`]) sit *behind* it, so above it every link is
+//! perfect — possibly slow, possibly closed.
 
 pub mod inproc;
 pub mod mmap;
@@ -56,8 +54,10 @@ pub mod wire;
 
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::envelope::Envelope;
+use crate::fault::FaultStats;
 use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
 
@@ -109,10 +109,9 @@ impl fmt::Display for TransportKind {
 }
 
 /// A delivery failure at the transport layer. Communication APIs map
-/// these to [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable)
-/// — the same error an exchange over a lossy fabric raises when its
-/// retry budget runs out, so callers handle "the wire broke" and "the peer went
-/// silent" uniformly.
+/// these to [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable),
+/// so callers handle "the wire broke" and "the peer went silent"
+/// uniformly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
     /// The peer's endpoint is gone (rank terminated, mailbox or stream
@@ -129,13 +128,24 @@ pub enum TransportError {
         /// Human-readable cause.
         msg: String,
     },
+    /// A lossy link's retry budget ran out: `attempts` transmissions to
+    /// `peer` went unacknowledged
+    /// ([`LossyTransport`](crate::reliable::LossyTransport)).
+    Unacked {
+        /// Rank that never acknowledged.
+        peer: usize,
+        /// Transmissions made, the original included.
+        attempts: u32,
+    },
 }
 
 impl TransportError {
     /// The rank on the other end of the failed link.
     pub fn peer(&self) -> usize {
         match self {
-            TransportError::Closed { peer } | TransportError::Io { peer, .. } => *peer,
+            TransportError::Closed { peer }
+            | TransportError::Io { peer, .. }
+            | TransportError::Unacked { peer, .. } => *peer,
         }
     }
 }
@@ -145,6 +155,9 @@ impl fmt::Display for TransportError {
         match self {
             TransportError::Closed { peer } => write!(f, "endpoint of rank {peer} is closed"),
             TransportError::Io { peer, msg } => write!(f, "link to rank {peer} failed: {msg}"),
+            TransportError::Unacked { peer, attempts } => {
+                write!(f, "rank {peer} acknowledged none of {attempts} sends")
+            }
         }
     }
 }
@@ -156,7 +169,7 @@ pub type TransportResult<T> = Result<T, TransportError>;
 
 /// Envelope delivery between ranks. See the [module docs](self) for the
 /// contract; see [`crate::fabric::Fabric`] for the layer that owns one
-/// of these and adds the mailboxes, fault injection and pooling on top.
+/// of these and adds the mailboxes and pooling on top.
 pub trait Transport: Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> TransportKind;
@@ -167,8 +180,7 @@ pub trait Transport: Send + Sync {
     /// Enqueue `env` for delivery to `dst`'s endpoint. `env.src` names
     /// the *originating* rank, which for remote backends selects the
     /// directed link — it is not necessarily the calling thread's rank
-    /// (the fault plane re-deposits delayed envelopes from the
-    /// receiver's side).
+    /// (a lossy link's progress thread deposits for every rank).
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()>;
 
     /// Declare local rank `rank` finished: its progress machinery may
@@ -182,6 +194,18 @@ pub trait Transport: Send + Sync {
     /// rank's pool.
     fn in_process(&self) -> bool {
         false
+    }
+
+    /// How long an exchange waits for a receive before it reports the
+    /// peer unreachable. `None` on a perfect link: what was deposited
+    /// arrives, so a receive waits as long as it takes.
+    fn patience(&self) -> Option<Duration> {
+        None
+    }
+
+    /// Injected-fault counters, on a link that injects faults.
+    fn fault_stats(&self) -> Option<FaultStats> {
+        None
     }
 }
 

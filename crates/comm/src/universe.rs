@@ -100,14 +100,13 @@ impl RunConfig {
         self
     }
 
-    /// Build the fabric lossy: every data deposit is subject to `spec`'s
-    /// drop/duplicate/delay/reorder rules, and every [`Comm::exchange`]
-    /// is sequenced, deduplicated and retransmitted per `policy` — the
-    /// policy travels with the plane it answers, no rank sets it. The
-    /// plane sits above the transport, so seeded adversity is
-    /// byte-for-byte the same schedule on every backend. Traffic outside
-    /// exchanges (point-to-point sends, the built-in collectives) meets
-    /// the plane raw: scope `spec` away from it or handle the adversity.
+    /// Build the fabric lossy: every deposit — exchanges, point-to-point
+    /// sends, the built-in collectives — is subject to `spec`'s
+    /// drop/duplicate/delay/reorder rules and is sequenced, deduplicated
+    /// and retransmitted per `policy` below the mailbox
+    /// ([`crate::reliable`]); the policy travels with the plane it
+    /// answers, no rank sets it. The plane decides per deposit, before
+    /// the backend, so seeded adversity is the same on every backend.
     pub fn faults(mut self, spec: FaultSpec, policy: RetryPolicy) -> Self {
         self.faults = Some((spec, policy));
         self
@@ -158,10 +157,7 @@ impl RunConfig {
         profile_capacity: Option<usize>,
     ) -> io::Result<(Arc<Fabric>, Vec<Arc<RingBufferSink>>)> {
         assert!(self.p > 0, "universe needs at least one rank");
-        let mut fabric = Fabric::for_backend(self.transport, self.p)?;
-        if let Some((spec, policy)) = &self.faults {
-            fabric = fabric.with_faults(spec.clone(), *policy);
-        }
+        let fabric = Fabric::build(self.transport, self.p, self.faults.clone())?;
         let sinks = match profile_capacity {
             Some(capacity) => install_profiling(&fabric, self.p, capacity),
             None => Vec::new(),

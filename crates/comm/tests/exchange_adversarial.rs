@@ -357,7 +357,6 @@ fn delayed_duplicate_cannot_satisfy_later_post() {
             // through the intake before the next post goes up.
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while comm.metrics().dup_drops == 0 {
-                comm.poll_faults();
                 comm.iprobe(0, 9).unwrap();
                 assert!(
                     std::time::Instant::now() < deadline,

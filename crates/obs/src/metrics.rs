@@ -266,7 +266,8 @@ pub struct MetricsSnapshot {
     pub rounds_started: u64,
     /// Communication rounds completed.
     pub rounds_completed: u64,
-    /// Payload bytes this rank deposited on the wire.
+    /// Payload bytes this rank deposited on the wire, counted once per
+    /// deposit: what a lossy link sends again is `retransmits`.
     pub wire_bytes_sent: u64,
     /// Payload bytes matched into this rank's receive slots.
     pub wire_bytes_recv: u64,
@@ -293,7 +294,7 @@ pub struct MetricsSnapshot {
     pub faults_injected: u64,
     /// Sequenced envelopes retransmitted after a missed acknowledgement.
     pub retransmits: u64,
-    /// Duplicate sequenced envelopes absorbed by the dedup window.
+    /// Duplicate sequenced envelopes refused on the way into this rank's mailbox.
     pub dup_drops: u64,
 }
 

@@ -8,8 +8,6 @@
 //! closed form exactly (validated in tests); for asymmetric traffic it
 //! exposes the contention the formula hides — e.g. an incast onto one rank.
 
-use cartcomm_comm::fault::FaultAction;
-use cartcomm_comm::{FaultSpec, RetryPolicy};
 use cartcomm_obs::TraceEvent;
 
 use crate::model::LinearModel;
@@ -17,70 +15,6 @@ use crate::trace::SimTracer;
 
 /// One message: source, destination, payload bytes.
 pub type Msg = (usize, usize, usize);
-
-/// Model-time fault state for [`EventSim::phase_faulty`]: the same seeded
-/// [`FaultSpec`] the threaded fabric consults, plus per-link deposit
-/// counters and the model-time equivalents of the reliable layer's
-/// knobs (retry schedule, poll tick).
-#[derive(Debug, Clone)]
-pub struct SimFaults {
-    /// The declarative fault scenario (shared verbatim with the fabric).
-    pub spec: FaultSpec,
-    /// Retry schedule used to price drop recovery.
-    pub policy: RetryPolicy,
-    /// Model seconds per receiver poll (prices delay-by-N-polls faults).
-    pub poll_tick: f64,
-    /// Per-directed-link deposit counters (`src * p + dst`), lazily sized.
-    link_seq: Vec<u64>,
-    /// Messages dropped.
-    pub drops: u64,
-    /// Duplicate copies delivered.
-    pub dups: u64,
-    /// Messages delayed.
-    pub delays: u64,
-    /// Messages reordered.
-    pub reorders: u64,
-    /// Retransmissions priced.
-    pub retransmits: u64,
-    /// Messages abandoned after the retry budget.
-    pub unreachable: u64,
-}
-
-impl SimFaults {
-    /// Fault state for `spec` with `policy` and the threaded runtime's
-    /// default poll tick (200 µs of model time).
-    pub fn new(spec: FaultSpec, policy: RetryPolicy) -> Self {
-        SimFaults {
-            spec,
-            policy,
-            poll_tick: 200e-6,
-            link_seq: Vec::new(),
-            drops: 0,
-            dups: 0,
-            delays: 0,
-            reorders: 0,
-            retransmits: 0,
-            unreachable: 0,
-        }
-    }
-
-    /// Override the model-time cost of one receiver poll.
-    pub fn with_poll_tick(mut self, secs: f64) -> Self {
-        self.poll_tick = secs;
-        self
-    }
-
-    /// Next deposit index of the directed link `src -> dst`.
-    fn next_seq(&mut self, src: usize, dst: usize, p: usize) -> u64 {
-        if self.link_seq.len() < p * p {
-            self.link_seq.resize(p * p, 0);
-        }
-        let c = &mut self.link_seq[src * p + dst];
-        let seq = *c;
-        *c += 1;
-        seq
-    }
-}
 
 /// Discrete-event network state for `p` ranks.
 #[derive(Debug, Clone)]
@@ -192,105 +126,6 @@ impl EventSim {
         for v in &mut self.recv_free {
             *v = (*v).max(t);
         }
-    }
-
-    /// Execute one phase under a fault plane priced on **model time**: the
-    /// same pure [`FaultSpec::decide`] the threaded fabric consults, with
-    /// the per-link deposit counters carried by `faults`.
-    ///
-    /// Pricing of each fault kind:
-    /// * **Drop** — the failed transmission still occupies the sender's
-    ///   send port for the full message time (the bytes went out; nobody
-    ///   received them), then the port sits idle for the retry backoff
-    ///   before the retransmission posts. Exhausting
-    ///   [`RetryPolicy::attempts`] counts the message as unreachable and
-    ///   abandons it.
-    /// * **Delay** — delivery at the receiver is deferred by
-    ///   `polls x poll_tick` (the model-time analogue of the threaded
-    ///   plane's delay-by-N-receiver-polls).
-    /// * **Duplicate** — the copy consumes the receiver's port a second
-    ///   time (delayed copies also wait out their poll count).
-    /// * **Reorder** — priced as a one-poll deferral; ordering itself is
-    ///   restored by sequence numbers and costs nothing extra.
-    pub fn phase_faulty(&mut self, msgs: &[Msg], faults: &mut SimFaults) {
-        let mut new_time = self.rank_time.clone();
-        for &(src, dst, bytes) in msgs {
-            let mut sent: u32 = 0;
-            loop {
-                let seq = faults.next_seq(src, dst, self.size());
-                let action = faults.spec.decide(src, dst, 0, 0, seq);
-                if let Some(FaultAction::Drop) = action {
-                    faults.drops += 1;
-                    // Failed transmission: send port busy, nothing arrives.
-                    let start = self.send_free[src].max(self.rank_time[src]);
-                    let end = start + self.model.message(bytes);
-                    sent += 1;
-                    if sent >= faults.policy.attempts {
-                        self.send_free[src] = end;
-                        new_time[src] = new_time[src].max(end);
-                        faults.unreachable += 1;
-                        break;
-                    }
-                    // The sender only notices at the retransmit deadline.
-                    self.send_free[src] = end + faults.policy.backoff(sent - 1).as_secs_f64();
-                    faults.retransmits += 1;
-                    continue;
-                }
-                let mut latency = 0.0;
-                let mut dup_polls = None;
-                match action {
-                    Some(FaultAction::Delay { polls }) => {
-                        faults.delays += 1;
-                        latency = polls as f64 * faults.poll_tick;
-                    }
-                    Some(FaultAction::Reorder) => {
-                        faults.reorders += 1;
-                        latency = faults.poll_tick;
-                    }
-                    Some(FaultAction::Duplicate { delay_copy_polls }) => {
-                        faults.dups += 1;
-                        dup_polls = Some(delay_copy_polls);
-                    }
-                    _ => {}
-                }
-                self.post_latent(&mut new_time, src, dst, bytes, latency);
-                if let Some(polls) = dup_polls {
-                    // The duplicate burns receiver bandwidth; sequencing
-                    // discards its bytes after they arrive.
-                    self.post_latent(
-                        &mut new_time,
-                        src,
-                        dst,
-                        bytes,
-                        polls as f64 * faults.poll_tick,
-                    );
-                }
-                break;
-            }
-        }
-        self.rank_time = new_time;
-    }
-
-    /// [`EventSim::post`] with an extra receiver-side latency (model-time
-    /// stand-in for envelopes held by the fault plane).
-    fn post_latent(
-        &mut self,
-        new_time: &mut [f64],
-        src: usize,
-        dst: usize,
-        bytes: usize,
-        latency: f64,
-    ) {
-        let start = self.send_free[src]
-            .max(self.recv_free[dst])
-            .max(self.rank_time[src])
-            .max(self.rank_time[dst]);
-        let end = start + self.model.message(bytes);
-        let arrive = end + latency;
-        self.send_free[src] = end;
-        self.recv_free[dst] = arrive;
-        new_time[src] = new_time[src].max(end);
-        new_time[dst] = new_time[dst].max(arrive);
     }
 
     /// Current makespan: the latest local clock.
@@ -412,121 +247,6 @@ mod tests {
         sim.phase_synchronized(&[(0, 1, 0)]);
         sim.phase_synchronized(&[(1, 2, 0)]);
         assert!((sim.makespan() - 2e-6).abs() < 1e-15);
-    }
-
-    #[test]
-    fn faultless_faulty_phase_matches_plain_phase() {
-        use cartcomm_comm::FaultSpec;
-        let msgs: Vec<Msg> = (0..8).map(|r| (r, (r + 1) % 8, 512)).collect();
-        let mut plain = EventSim::new(8, M);
-        plain.phase(&msgs);
-        let mut faulty = EventSim::new(8, M);
-        let mut faults = SimFaults::new(FaultSpec::new(5), RetryPolicy::default());
-        faulty.phase_faulty(&msgs, &mut faults);
-        assert_eq!(plain.makespan(), faulty.makespan());
-        assert_eq!(faults.drops + faults.dups + faults.delays, 0);
-    }
-
-    #[test]
-    fn dropped_message_costs_a_transmission_plus_backoff() {
-        use cartcomm_comm::fault::FaultAction;
-        use cartcomm_comm::{FaultRule, FaultSpec, LinkSel};
-        use std::time::Duration;
-
-        let spec = FaultSpec::new(1)
-            .with_rule(FaultRule::new(LinkSel::any(), 1.0, FaultAction::Drop).window(0, 1));
-        let policy = RetryPolicy {
-            attempts: 4,
-            base: Duration::from_millis(10),
-            factor: 2.0,
-            max: Duration::from_millis(100),
-        };
-        let mut sim = EventSim::new(2, M);
-        let mut faults = SimFaults::new(spec, policy);
-        sim.phase_faulty(&[(0, 1, 1000)], &mut faults);
-        // One failed transmission + backoff(0) + one successful one.
-        let expect = M.message(1000) + 0.010 + M.message(1000);
-        assert!(
-            (sim.makespan() - expect).abs() < 1e-12,
-            "got {}, expected {expect}",
-            sim.makespan()
-        );
-        assert_eq!(faults.drops, 1);
-        assert_eq!(faults.retransmits, 1);
-        assert_eq!(faults.unreachable, 0);
-    }
-
-    #[test]
-    fn total_loss_abandons_after_retry_budget() {
-        use cartcomm_comm::{FaultSpec, LinkSel};
-        use std::time::Duration;
-
-        let spec = FaultSpec::new(1).drop_rate(LinkSel::link(0, 1), 1.0);
-        let policy = RetryPolicy {
-            attempts: 3,
-            base: Duration::from_millis(1),
-            factor: 2.0,
-            max: Duration::from_millis(8),
-        };
-        let mut sim = EventSim::new(2, M);
-        let mut faults = SimFaults::new(spec, policy);
-        sim.phase_faulty(&[(0, 1, 100)], &mut faults);
-        assert_eq!(faults.drops, 3, "attempts bound respected");
-        assert_eq!(faults.retransmits, 2);
-        assert_eq!(faults.unreachable, 1);
-        // Receiver clock untouched: nothing ever arrived.
-        assert_eq!(sim.rank_time[1], 0.0);
-    }
-
-    #[test]
-    fn delayed_message_arrives_polls_times_tick_late() {
-        use cartcomm_comm::fault::FaultAction;
-        use cartcomm_comm::FaultSpec;
-        use cartcomm_comm::{FaultRule, LinkSel};
-
-        let spec = FaultSpec::new(1).with_rule(FaultRule::new(
-            LinkSel::any(),
-            1.0,
-            FaultAction::Delay { polls: 3 },
-        ));
-        let mut sim = EventSim::new(2, M);
-        let mut faults = SimFaults::new(spec, RetryPolicy::default()).with_poll_tick(1e-3);
-        sim.phase_faulty(&[(0, 1, 1000)], &mut faults);
-        let expect = M.message(1000) + 3e-3;
-        assert!((sim.makespan() - expect).abs() < 1e-12);
-        assert_eq!(faults.delays, 1);
-    }
-
-    #[test]
-    fn duplicate_burns_receiver_bandwidth() {
-        use cartcomm_comm::{FaultSpec, LinkSel};
-
-        let spec = FaultSpec::new(1).dup_rate(LinkSel::any(), 1.0, 0);
-        let mut sim = EventSim::new(2, M);
-        let mut faults = SimFaults::new(spec, RetryPolicy::default());
-        sim.phase_faulty(&[(0, 1, 1000)], &mut faults);
-        // Original + copy serialize on rank 1's receive port.
-        let expect = 2.0 * M.message(1000);
-        assert!((sim.makespan() - expect).abs() < 1e-12);
-        assert_eq!(faults.dups, 1);
-    }
-
-    #[test]
-    fn same_seed_same_makespan_different_seed_differs() {
-        use cartcomm_comm::{FaultSpec, LinkSel};
-
-        let msgs: Vec<Msg> = (0..16)
-            .flat_map(|r| (1..4).map(move |s| (r, (r + s) % 16, 256)))
-            .collect();
-        let run = |seed: u64| {
-            let spec = FaultSpec::new(seed).drop_rate(LinkSel::any(), 0.3);
-            let mut sim = EventSim::new(16, M);
-            let mut faults = SimFaults::new(spec, RetryPolicy::default());
-            sim.phase_faulty(&msgs, &mut faults);
-            (sim.makespan(), faults.drops)
-        };
-        assert_eq!(run(77), run(77), "same seed must reproduce exactly");
-        assert_ne!(run(77).1, run(78).1, "different seeds, different drops");
     }
 
     #[test]

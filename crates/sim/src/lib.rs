@@ -34,7 +34,7 @@ pub mod model;
 pub mod noise;
 pub mod trace;
 
-pub use des::{EventSim, SimFaults};
+pub use des::EventSim;
 pub use machine::{BaselineQuirks, MachineProfile};
 pub use model::LinearModel;
 pub use noise::NoiseModel;
