@@ -153,8 +153,8 @@ pub enum TraceEvent {
         job: u64,
         /// Which stage boundary was crossed.
         stage: ServeStageKind,
-        /// Stage-specific detail: queue depth at accept, batch size at
-        /// coalesce/dispatch, result bytes at execute/reply.
+        /// Stage-specific detail: jobs waiting at accept, 1 at
+        /// coalesce/dispatch, ranks at execute, total ns at reply.
         detail: u64,
     },
 }
@@ -165,11 +165,12 @@ pub enum TraceEvent {
 /// coalesce delay, execute, reply) are differences of consecutive stamps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeStageKind {
-    /// The job passed admission and entered the bounded queue.
+    /// The job passed admission and has a start on the daemon's pace.
     Accepted,
-    /// The dispatcher drained the job from the queue into a batch.
+    /// The job's start has come (the name is the wire's, and older than
+    /// the daemon that runs every job alone).
     Coalesced,
-    /// The batch (including this job) was handed to a resident universe.
+    /// The job has a resident universe to run on.
     Dispatched,
     /// All ranks finished executing the job's collective.
     Executed,

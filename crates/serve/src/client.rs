@@ -4,7 +4,7 @@
 //! The client frames [`Request`](crate::proto::Request)s onto the socket
 //! and parses [`Reply`](crate::proto::Reply) frames back, matching the
 //! echoed request id. [`Client::submit`] surfaces admission control
-//! directly — a full daemon queue comes back as [`Submission::Busy`] with
+//! directly — a full daemon comes back as [`Submission::Busy`] with
 //! the daemon's retry-after hint, and [`Client::submit_retrying`] wraps
 //! the obvious backoff loop for callers that just want the bytes.
 
@@ -45,7 +45,7 @@ impl Stream {
 pub enum Submission {
     /// The job ran; `p` concatenated per-rank receive buffers.
     Done(Vec<u8>),
-    /// The daemon's queue was full; retry after the hinted delay.
+    /// The daemon had its fill of jobs; retry after the hinted delay.
     Busy {
         /// Daemon's backoff hint in milliseconds.
         retry_after_ms: u32,

@@ -1,8 +1,9 @@
 //! # cartcomm-serve — a multi-tenant collective service
 //!
 //! The serving layer over the cartesian-collectives stack: a daemon
-//! (`cartserve`) owns resident universes — inline ones, which its
-//! dispatcher steps itself — and a process-wide plan store; clients own data and submit complete jobs — topology,
+//! (`cartserve`) owns resident universes — inline ones, which the thread
+//! of the connection a job arrived on steps itself — and a process-wide
+//! plan store; clients own data and submit complete jobs — topology,
 //! isomorphic neighborhood, operation, algorithm, and the send buffers of
 //! every rank — over a length-prefixed wire protocol (the same frame
 //! format the rank-to-rank socket transport uses).
@@ -18,8 +19,8 @@
 //!
 //! * [`proto`] — message types, the [`proto::JobSpec`] job description,
 //!   and its wire encoding.
-//! * [`server`] — the daemon: listener, bounded admission queue,
-//!   same-shape batching, inline execution, per-tenant accounting,
+//! * [`server`] — the daemon: listener, bounded admission, the pace,
+//!   inline execution where a job was decoded, per-tenant accounting,
 //!   graceful drain.
 //! * [`client`] — a blocking client with `BUSY` backoff.
 //! * [`reference`] — the daemon-free ground-truth executor (trivial

@@ -152,8 +152,7 @@ pub enum OpSpec {
 /// A complete job: topology, neighborhood, operation, algorithm. The
 /// tenant name and the payload travel beside the spec in `SUBMIT`, so the
 /// spec itself is exactly the *shape* of the job — two submissions with
-/// equal specs hit the same plan-store entries and may be coalesced into
-/// one batch by the daemon (see [`JobSpec::coalesce_key`]).
+/// equal specs hit the same plan-store entries, whoever sent them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Grid extent per dimension; the job runs on `Π dims` ranks.
@@ -317,19 +316,6 @@ impl JobSpec {
             }
         }
         Ok(())
-    }
-
-    /// The coalescing key: an FNV-1a hash of the full spec encoding.
-    /// Jobs with equal keys share topology, neighborhood, operation
-    /// shape, and algorithm — they resolve to the same plan-store entries
-    /// and are safe to batch onto one resident universe back to back.
-    pub fn coalesce_key(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &self.encode() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
     }
 
     /// Serialize the spec body (without tenant or payload).
@@ -1091,33 +1077,12 @@ mod tests {
         assert_eq!(s2.send_bytes_per_rank(), 8 * 3 * 2);
         assert_eq!(s2.recv_bytes_per_rank(), 3 * 2);
         s2.validate().expect("valid reduce_scatter spec");
-        assert_ne!(s.coalesce_key(), s2.coalesce_key());
 
         // A bad reducer byte must fail decode, not panic downstream.
         let mut bytes = s.encode();
         let n = bytes.len();
         bytes[n - 9] = 0xFF; // primitive code byte of the reducer
         assert!(JobSpec::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn coalesce_key_tracks_shape_not_tenant_or_payload() {
-        let a = moore_spec(AlgoSpec::Combining);
-        let b = moore_spec(AlgoSpec::Combining);
-        assert_eq!(a.coalesce_key(), b.coalesce_key());
-        let c = moore_spec(AlgoSpec::Trivial);
-        assert_ne!(
-            a.coalesce_key(),
-            c.coalesce_key(),
-            "algo is part of the shape"
-        );
-        let mut d = moore_spec(AlgoSpec::Combining);
-        d.dims = vec![9, 1];
-        assert_ne!(
-            a.coalesce_key(),
-            d.coalesce_key(),
-            "topology is part of the shape"
-        );
     }
 
     #[test]

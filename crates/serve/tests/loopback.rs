@@ -1,7 +1,7 @@
 //! Loopback integration suite: a real cartserve daemon on a Unix-domain
 //! socket, real clients, concurrent tenants, and the behaviors the
-//! serving layer exists for — plan sharing across tenants, same-shape
-//! batch coalescing, bounded admission, and graceful drain.
+//! serving layer exists for — plan sharing across tenants, bounded
+//! admission, tenants that cannot hold each other up, and graceful drain.
 //!
 //! Job shapes are unique per test function: the daemon executes against
 //! the process-wide plan store, so a shape reused across tests would blur
@@ -53,8 +53,7 @@ fn shape_a() -> JobSpec {
 }
 
 /// Shape B: same universe size as A but a different collective — a
-/// combining allgatherv — so it lands on different plan-store entries
-/// and must not coalesce with A.
+/// combining allgatherv — so it lands on different plan-store entries.
 fn shape_b() -> JobSpec {
     let offsets: Vec<Vec<i64>> = vec![vec![-1, 0], vec![1, 0], vec![0, -1], vec![0, 1]];
     let t = offsets.len();
@@ -123,7 +122,7 @@ fn three_tenants_share_plans_coalesce_and_drain() {
     let s3 = server.tenants().stats("tenant-3").expect("t3 stats");
     assert_eq!(s3.totals.plan_cache_misses, 1, "new shape, new program");
 
-    // --- Coalescing: pause the dispatcher, pile up a mixed burst. ---
+    // --- A burst: hold every start, pile up four jobs of two shapes. ---
     let before = server.counters();
     server.pause_dispatch();
     let burst: Vec<std::thread::JoinHandle<(String, Vec<u8>)>> = [
@@ -164,7 +163,7 @@ fn three_tenants_share_plans_coalesce_and_drain() {
     })
     .collect();
 
-    // All four must be queued before the dispatcher moves again.
+    // All four must be admitted before any of them starts.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.queue_depth() < 4 {
         assert!(Instant::now() < deadline, "burst never queued up");
@@ -177,13 +176,13 @@ fn three_tenants_share_plans_coalesce_and_drain() {
     let after = server.counters();
     assert_eq!(
         after.batches_executed - before.batches_executed,
-        2,
-        "three same-shape jobs fold into one batch, the odd shape runs alone"
+        4,
+        "every job is an execution of its own, on its connection's thread"
     );
     assert_eq!(
         after.jobs_coalesced - before.jobs_coalesced,
-        2,
-        "two jobs rode the shape-A batch"
+        0,
+        "no job shares an execution with another"
     );
     assert_eq!(after.jobs_submitted - before.jobs_submitted, 4);
     assert_eq!(after.jobs_completed - before.jobs_completed, 4);
@@ -236,7 +235,7 @@ fn full_queue_answers_busy_with_retry_hint() {
     let payload = payload_for(&spec, 3);
     let golden = reference::execute(&spec, &payload).expect("golden");
 
-    // Hold the dispatcher so the queue (capacity 1) fills.
+    // Hold every start so the daemon (capacity 1) fills.
     server.pause_dispatch();
     let first = {
         let sock = sock.clone();
@@ -253,11 +252,11 @@ fn full_queue_answers_busy_with_retry_hint() {
         std::thread::sleep(Duration::from_millis(2));
     }
 
-    // The queue is full: the next submission is refused, not buffered.
+    // The daemon is full: the next submission is refused, not buffered.
     let mut c = Client::connect_uds(&sock, "spiller").expect("connect");
     match c.submit(&spec, &payload).expect("second submit") {
         Submission::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 7),
-        other => panic!("expected BUSY from a full queue, got {other:?}"),
+        other => panic!("expected BUSY from a full daemon, got {other:?}"),
     }
     assert_eq!(server.counters().jobs_rejected, 1);
 
@@ -310,7 +309,7 @@ fn reduction_jobs_serve_and_match_direct_exchange() {
         "fault-free combining reduction matches the analytical C/V: {s:?}"
     );
 
-    // Reduce-scatter on the same topology but its own coalesce shape.
+    // Reduce-scatter on the same topology, a shape of its own.
     let reduce_scatter = JobSpec {
         op: OpSpec::ReduceScatter {
             red: Reducer::new(RedOp::Min, Primitive::U32),
@@ -499,11 +498,10 @@ fn a_failing_job_is_contained() {
     server.shutdown();
 }
 
-/// With no coalescing window a lone client waits for nobody, only for
-/// the pace (one job per 200 µs): the median of 200 back-to-back round
-/// trips is well under the 2 ms each used to spend asleep in the window
-/// alone — and, unlike their sum, a few descheduled jobs in a loaded test
-/// run cannot move it.
+/// A lone client waits for nobody, only for the pace (one job per
+/// 200 µs): the median of 200 back-to-back round trips is well under the
+/// 2 ms each once spent asleep in a coalescing window alone — and, unlike
+/// their sum, a few descheduled jobs in a loaded test run cannot move it.
 #[test]
 fn a_lone_client_pays_no_window() {
     let sock = sock_path("lone");
@@ -605,6 +603,146 @@ fn hostile_tenant_name_keeps_stats_valid_json() {
     assert!(
         stats.bytes().all(|b| b >= 0x20),
         "raw control byte in STATS_OK: {stats:?}"
+    );
+
+    server.shutdown();
+}
+
+/// A tenant that does not read its replies stalls its own connection and
+/// nothing else: another tenant's job completes beside it, and the drain
+/// ends (the stalled reply is given up after the write timeout).
+#[test]
+fn a_client_that_never_reads_stalls_only_itself() {
+    use std::io::Write;
+
+    let sock = sock_path("stall");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shape: a 64-ring, every other rank a neighbor, trivial
+    // allgatherv — 8 KiB in, 512 KiB out, more than a socket buffer holds.
+    let t = 63;
+    let fat = JobSpec {
+        dims: vec![64],
+        periods: vec![true],
+        offsets: (1..=t as i64).map(|d| vec![d]).collect(),
+        op: OpSpec::Allgatherv {
+            elem_size: 1,
+            sendcount: 131,
+            recvdispls: (0..t).map(|i| i * 131).collect(),
+        },
+        algo: AlgoSpec::Trivial,
+    };
+    assert!(fat.ranks() * fat.recv_bytes_per_rank() > 512 << 10);
+    let payload = payload_for(&fat, 43);
+    let golden = reference::execute(&fat, &payload).expect("golden");
+
+    let mut deaf = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    let hello = cartcomm_serve::Request::Hello {
+        tenant: "deaf".into(),
+    };
+    deaf.write_all(&hello.encode_frame(1)).expect("hello");
+    let submit = cartcomm_serve::Request::Submit {
+        tenant: String::new(),
+        spec: fat.clone(),
+        payload: payload.clone(),
+    };
+    for ctx in 2..10 {
+        deaf.write_all(&submit.encode_frame(ctx)).expect("submit");
+    }
+
+    let (done, watchdog) = std::sync::mpsc::channel();
+    let healthy = {
+        let sock = sock.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect_uds(&sock, "healthy").expect("connect");
+            let out = c.submit_retrying(&fat, &payload, 100).expect("job");
+            done.send(out).expect("the test is waiting");
+        })
+    };
+    let out = watchdog
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a tenant that does not read held up one that does");
+    assert_eq!(out, golden);
+    healthy.join().expect("healthy client");
+
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(10),
+        "drain beside a stalled client took {took:?}"
+    );
+    drop(deaf);
+}
+
+/// A long job delays its own connection and no other: a short job that
+/// arrives on another connection while it runs does not wait for it.
+#[test]
+fn a_long_job_delays_only_its_own_connection() {
+    let sock = sock_path("long");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shapes: 4096 ranks exchanging a byte with each of their 26
+    // Moore neighbors, trivially; and a diagonal pair on the 3x2 torus.
+    let moore: Vec<Vec<i64>> = (0..27)
+        .map(|i| vec![i / 9 - 1, i / 3 % 3 - 1, i % 3 - 1])
+        .filter(|off| off.iter().any(|&c| c != 0))
+        .collect();
+    let t = moore.len();
+    let long = JobSpec {
+        dims: vec![16, 16, 16],
+        periods: vec![true; 3],
+        offsets: moore,
+        op: OpSpec::Alltoallv {
+            elem_size: 1,
+            sendcounts: vec![1; t],
+            senddispls: (0..t).collect(),
+            recvcounts: vec![1; t],
+            recvdispls: (0..t).collect(),
+        },
+        algo: AlgoSpec::Trivial,
+    };
+    let short = JobSpec {
+        dims: vec![3, 2],
+        periods: vec![true, true],
+        offsets: vec![vec![1, 1], vec![-1, 1]],
+        op: OpSpec::Alltoallw {
+            send_blocks: vec![(0, 3), (3, 3)],
+            recv_blocks: vec![(0, 3), (3, 3)],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    let (long_payload, short_payload) = (payload_for(&long, 47), payload_for(&short, 53));
+    let short_golden = reference::execute(&short, &short_payload).expect("golden");
+
+    let mut a = Client::connect_uds(&sock, "long").expect("connect");
+    let mut b = Client::connect_uds(&sock, "short").expect("connect");
+    // Both warm, then the long job's time with the daemon to itself.
+    let long_out = a.submit_retrying(&long, &long_payload, 100).expect("job");
+    let out = b.submit_retrying(&short, &short_payload, 100).expect("job");
+    assert_eq!(out, short_golden);
+    let t0 = Instant::now();
+    let again = a.submit_retrying(&long, &long_payload, 100).expect("job");
+    let solo = t0.elapsed();
+    assert_eq!(again, long_out);
+
+    let admitted = server.counters().jobs_submitted;
+    let running = std::thread::spawn(move || {
+        let out = a.submit_retrying(&long, &long_payload, 100).expect("job");
+        assert_eq!(out, long_out);
+    });
+    // The daemon is idle, so the long job starts when it is admitted.
+    while server.counters().jobs_submitted == admitted {
+        std::thread::yield_now();
+    }
+    let t0 = Instant::now();
+    let out = b.submit_retrying(&short, &short_payload, 100).expect("job");
+    let beside = t0.elapsed();
+    assert_eq!(out, short_golden);
+    running.join().expect("long client");
+    assert!(
+        beside < solo / 2,
+        "the short job took {beside:?} beside a job that takes {solo:?} alone"
     );
 
     server.shutdown();

@@ -55,7 +55,7 @@ fn shape() -> JobSpec {
 
 /// The tentpole acceptance scenario: tenant A's next jobs are profiled
 /// while tenants B and C keep submitting the *same shape* (so profiled
-/// and unprofiled jobs can share a coalesced batch); A's live capture
+/// and unprofiled jobs take turns on the same universes); A's live capture
 /// passes the C/V validation, B/C stay byte-identical to the daemon-free
 /// reference, and detach leaves zero sinks installed.
 #[test]
