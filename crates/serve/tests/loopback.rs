@@ -498,10 +498,10 @@ fn a_failing_job_is_contained() {
     server.shutdown();
 }
 
-/// A lone client waits for nobody, only for the pace (one job per
-/// 200 µs): the median of 200 back-to-back round trips is well under the
-/// 2 ms each once spent asleep in a coalescing window alone — and, unlike
-/// their sum, a few descheduled jobs in a loaded test run cannot move it.
+/// A lone client waits for nobody, at most for the pace (one job start
+/// per 200 µs): the median of 200 back-to-back round trips stays under a
+/// millisecond — and, unlike their sum, a few descheduled jobs in a
+/// loaded test run cannot move it.
 #[test]
 fn a_lone_client_pays_no_window() {
     let sock = sock_path("lone");
@@ -673,6 +673,101 @@ fn a_client_that_never_reads_stalls_only_itself() {
         "drain beside a stalled client took {took:?}"
     );
     drop(deaf);
+}
+
+/// A profile observer that does not read stalls its own connection and
+/// nothing else: the deferred `PROFILE_OK` is written by the observer's
+/// thread, not by the one that settles the session — here the profiled
+/// tenant's, whose job spent the budget — and the drain still ends.
+#[test]
+fn a_profile_observer_that_never_reads_stalls_only_itself() {
+    use cartcomm_serve::{ProfileSpec, Request};
+    use std::io::Write;
+
+    let sock = sock_path("observer");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shape: 2x4 torus, one diagonal pair, w-blocks over raw bytes.
+    let spec = JobSpec {
+        dims: vec![2, 4],
+        periods: vec![true, true],
+        offsets: vec![vec![1, 1], vec![-1, -1]],
+        op: OpSpec::Alltoallw {
+            send_blocks: vec![(0, 9), (9, 9)],
+            recv_blocks: vec![(0, 9), (9, 9)],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    let payload = payload_for(&spec, 59);
+    let golden = reference::execute(&spec, &payload).expect("golden");
+
+    let mut observer = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    let profile = Request::Profile {
+        spec: ProfileSpec {
+            tenant: "observed".into(),
+            jobs: 1,
+            duration_ms: 20_000,
+            ring_capacity: 0,
+            include_trace: true,
+        },
+    };
+    observer
+        .write_all(&profile.encode_frame(1))
+        .expect("profile");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !server.stats_json().contains("\"profile\":{\"active\":true") {
+        assert!(Instant::now() < deadline, "the session never registered");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Pongs the observer never reads fill its socket, and the daemon's
+    // thread for it sits in a write until the write timeout gives the
+    // connection up. A ping not taken for 100 ms says it is there: until
+    // then, that thread reads every ping the moment it has answered the
+    // last one.
+    let (stuck, filled) = std::sync::mpsc::channel();
+    let flood = std::thread::spawn(move || {
+        observer
+            .set_write_timeout(Some(Duration::from_millis(100)))
+            .expect("timeout");
+        let ping = Request::Ping {
+            payload: vec![0; 64 << 10],
+        };
+        let frame = ping.encode_frame(2);
+        while observer.write_all(&frame).is_ok() {}
+        stuck.send(()).expect("the test is waiting");
+        // Open until the test is done: a closed socket would fail the
+        // daemon's write at once instead of holding it.
+        observer
+    });
+    filled
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the observer's socket never filled");
+
+    // The profiled tenant's first job spends the budget, so its own
+    // thread settles the session; its next job must not wait on the
+    // observer's socket.
+    let mut c = Client::connect_uds(&sock, "observed").expect("connect");
+    let t0 = Instant::now();
+    for _ in 0..2 {
+        assert_eq!(
+            c.submit_retrying(&spec, &payload, 100).expect("job"),
+            golden
+        );
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "two jobs beside an observer that does not read took {took:?}"
+    );
+
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(10),
+        "drain beside an observer that does not read took {took:?}"
+    );
+    drop(flood.join().expect("flood thread"));
 }
 
 /// A long job delays its own connection and no other: a short job that
