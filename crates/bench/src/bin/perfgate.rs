@@ -24,8 +24,8 @@
 //! reference in the adjacent window is the calibration that holds.
 //! The profile's cold fit on 27 threads over 2 cores read β̂ 29.2–30.5
 //! ns/B against a committed 20.8 on an unchanged tree; no tolerance that
-//! holds there catches anything (ROADMAP item 4a owns giving `cartprof`
-//! a fit worth gating). Improvements never fail the gate.
+//! holds there catches anything (ROADMAP item 1d, "A warm α̂/β̂ fit,
+//! then a band for it", owns giving `cartprof` a fit worth gating). Improvements never fail the gate.
 //!
 //! Usage:
 //!

@@ -36,12 +36,12 @@
 //! one core loop, so the two modes cannot drift.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cartcomm_comm::obs::{Obs, TraceEvent};
 use cartcomm_comm::{Comm, CommError, ExchangeBatch, RecvSpec, Tag};
 use cartcomm_topo::{CartTopology, Offset};
-use cartcomm_types::kernel::{self, PackSpan, SpanRun, Stretch};
+use cartcomm_types::kernel::{self, CopyRun, PackSpan, SpanRun, Stretch};
 use cartcomm_types::{Reducer, TypeError};
 
 use crate::error::{CartError, CartResult};
@@ -273,6 +273,20 @@ struct CompiledPhase {
     recvs: usize,
 }
 
+/// One instruction of a fused round (see [`Program::fused`]): a run of the
+/// source rank's buffer `src` copied straight into the receiving rank's
+/// buffer `dst`.
+#[derive(Debug, Clone, Copy)]
+struct FusedRun {
+    src: BufId,
+    dst: BufId,
+    run: CopyRun,
+}
+
+/// A phase the inline carrier runs without its slab: per round, the
+/// round's gather composed with its scatter.
+type FusedPhase = Vec<Vec<FusedRun>>;
+
 /// A schedule compiled over concrete layouts: tags, wire sizes, span
 /// programs, copies and temp layout all resolved ahead of execution — the
 /// object the plan store shares. On a torus it is the same for every rank.
@@ -296,6 +310,9 @@ pub struct Program {
     /// In-place execution must read its sends from a snapshot of the
     /// buffer (see [`Program::reads_send_after_recv_write`]).
     in_place_snapshot: bool,
+    /// Per phase, its fused form where it has one; built on the first
+    /// inline execution, so a threaded one never pays for it.
+    fused: OnceLock<Vec<Option<FusedPhase>>>,
 }
 
 /// One rank's view of a [`Program`]: the shared program and the rank's peer
@@ -375,6 +392,7 @@ impl Program {
             max_copy_bytes: 0,
             max_phase_rounds: 0,
             in_place_snapshot: false,
+            fused: OnceLock::new(),
         };
         let mut round_idx = 0usize;
         // First-touch write tracking for the reduction kinds: the first
@@ -503,6 +521,29 @@ impl Program {
             );
         }
         false
+    }
+
+    /// Per phase, the fused form the inline carrier runs it in, or `None`
+    /// where it keeps the slab; built on first use. A phase fuses when it
+    /// is a torus phase (one program for every rank, so round `i` of every
+    /// source is this program's round `i`), no receive of it accumulates,
+    /// and no receive of it writes a byte any send of it reads
+    /// ([`reads_apart_from_writes`]): then a receiver may copy straight out
+    /// of its source's buffers while other receivers write theirs — its
+    /// own, where a round's source is the receiver itself.
+    fn fused(&self) -> &[Option<FusedPhase>] {
+        self.fused.get_or_init(|| {
+            let fuse = |phase: &CompiledPhase| -> Option<FusedPhase> {
+                if self.bound_to.is_some() || !reads_apart_from_writes(phase) {
+                    return None;
+                }
+                let rounds = phase.rounds.iter();
+                rounds
+                    .map(|r| fuse_round(r.send.as_ref()?, r.recv.as_ref()?))
+                    .collect()
+            };
+            self.phases.iter().map(fuse).collect()
+        })
     }
 
     /// Resolve a block reference to absolute spans and append them to a
@@ -1013,6 +1054,103 @@ fn copy_is_direct(src: BufId, dst: BufId, ops: &[(usize, usize, usize)], in_plac
     !ops.iter().any(|&(s, _, n)| written.overlaps(s, n))
 }
 
+/// Whether no receive of `phase` writes a byte that a send of it reads.
+/// Every rank of a torus runs one program, so on every rank the phase
+/// reads and writes the same offsets of its buffers: disjoint here, the
+/// phase's writes touch no byte any rank's send of it reads. `Send` is
+/// never written, so only `Recv` and `Temp` reads are asked about.
+fn reads_apart_from_writes(phase: &CompiledPhase) -> bool {
+    let writes = || {
+        phase
+            .rounds
+            .iter()
+            .flat_map(|r| &r.recv)
+            .flat_map(Half::spans)
+    };
+    let mut written = [BufId::Recv, BufId::Temp].map(|buf| {
+        let mut ranges = Ranges::default();
+        ranges.extend(writes().filter(|(b, _)| b.buf == buf).map(|(_, span)| span));
+        ranges
+    });
+    let mut reads = phase
+        .rounds
+        .iter()
+        .flat_map(|r| &r.send)
+        .flat_map(Half::spans);
+    reads.all(|(b, (off, len))| match b.buf {
+        BufId::Send => true,
+        BufId::Recv => !written[0].overlaps(off, len),
+        BufId::Temp => !written[1].overlaps(off, len),
+    })
+}
+
+/// Compose a round's gather `out` with its scatter `inc` into one copy
+/// program, the way [`Program::compile_copy`] composes a local copy:
+/// `(src, dst, len)` ranges in wire order, byte-adjacent ones joined and
+/// equidistant ones of one length folded into runs. `None` where the
+/// scatter folds into its destination or the halves disagree on the
+/// wire.
+fn fuse_round(out: &Half, inc: &Half) -> Option<Vec<FusedRun>> {
+    let assigns = |b: &SpanBatch| !b.acc && b.buf != BufId::Send;
+    if out.wire_len != inc.wire_len || !inc.prog.batches.iter().all(assigns) {
+        return None;
+    }
+    let mut fused: Vec<FusedRun> = Vec::new();
+    let (mut reads, mut writes) = (out.spans(), inc.spans());
+    let (mut read, mut write) = (reads.next(), writes.next());
+    while let (Some((from, (s, s_len))), Some((to, (d, d_len)))) = (read, write) {
+        let n = s_len.min(d_len);
+        if n > 0 {
+            push_fused(&mut fused, from.buf, s, to.buf, d, n);
+        }
+        read = match n < s_len {
+            true => Some((from, (s + n, s_len - n))),
+            false => reads.next(),
+        };
+        write = match n < d_len {
+            true => Some((to, (d + n, d_len - n))),
+            false => writes.next(),
+        };
+    }
+    Some(fused)
+}
+
+/// Append the range `(s, d, n)` from `src` to `dst` to a fused program:
+/// onto its last instruction where that one continues byte for byte on
+/// both sides, or as that run's next range at equal strides.
+fn push_fused(fused: &mut Vec<FusedRun>, src: BufId, s: usize, dst: BufId, d: usize, n: usize) {
+    if let Some(FusedRun { run: r, .. }) = fused
+        .last_mut()
+        .filter(|last| last.src == src && last.dst == dst)
+    {
+        if r.count == 1 && r.src + r.len == s && r.dst + r.len == d {
+            r.len += n;
+            return;
+        }
+        if r.len == n && r.count == 1 && s > r.src && d > r.dst {
+            (r.src_stride, r.dst_stride, r.count) = (s - r.src, d - r.dst, 2);
+            return;
+        }
+        let next = |off: usize, stride: usize| stride.checked_mul(r.count)?.checked_add(off);
+        if r.len == n
+            && next(r.src, r.src_stride) == Some(s)
+            && next(r.dst, r.dst_stride) == Some(d)
+        {
+            r.count += 1;
+            return;
+        }
+    }
+    let run = CopyRun {
+        src: s,
+        src_stride: 0,
+        dst: d,
+        dst_stride: 0,
+        len: n,
+        count: 1,
+    };
+    fused.push(FusedRun { src, dst, run });
+}
+
 pub(crate) fn nonperiodic_dim(topo: &CartTopology, offset: &[i64]) -> CartError {
     let dim = offset
         .iter()
@@ -1276,7 +1414,7 @@ impl RankExec<'_> {
         k: usize,
         round: usize,
         out: &Half,
-        (to, from): (usize, usize),
+        pair: (usize, usize),
         wire: &mut Vec<u8>,
         traced: bool,
     ) {
@@ -1287,6 +1425,12 @@ impl RankExec<'_> {
             out.wire_len,
             "gather fills the wire exactly"
         );
+        self.packed(k, round, out, pair, traced);
+    }
+
+    /// What a pack half credits — counters and trace events — whether its
+    /// bytes were gathered or a fused copy will carry them.
+    fn packed(&self, k: usize, round: usize, out: &Half, (to, from): (usize, usize), traced: bool) {
         let metrics = self.obs.metrics();
         metrics.round_started();
         metrics.pack(out.prog.span_count, out.wire_len);
@@ -1321,7 +1465,7 @@ impl RankExec<'_> {
         k: usize,
         round: usize,
         inc: &Half,
-        (to, from): (usize, usize),
+        pair: (usize, usize),
         wire: &[u8],
         traced: bool,
     ) -> CartResult<()> {
@@ -1333,6 +1477,20 @@ impl RankExec<'_> {
             });
         }
         self.mem.scatter(&inc.prog, wire, self.red);
+        self.unpacked(k, round, inc, pair, traced);
+        Ok(())
+    }
+
+    /// What an unpack half credits, whether it scattered a wire or a
+    /// fused copy delivered its bytes.
+    fn unpacked(
+        &self,
+        k: usize,
+        round: usize,
+        inc: &Half,
+        (to, from): (usize, usize),
+        traced: bool,
+    ) {
         self.obs.metrics().round_completed();
         if traced {
             self.obs.emit(
@@ -1357,7 +1515,6 @@ impl RankExec<'_> {
                 );
             }
         }
-        Ok(())
     }
 }
 
@@ -1434,11 +1591,13 @@ fn execute_core(
 }
 
 /// Reusable state of the inline carrier: every rank's temp buffer, the
-/// shared copy-staging buffer, and the one wire slab all ranks of a phase
-/// pack into. Held across runs so the steady state allocates nothing.
+/// shared copy-staging buffer, and the one wire slab all ranks of an
+/// unfused phase pack into. Held across runs so the steady state
+/// allocates nothing.
 #[derive(Default)]
 pub(crate) struct InlineScratch {
-    temps: Vec<Vec<u8>>,
+    /// Every rank's temp buffer, back to back in equal strides.
+    temps: Vec<u8>,
     stage: Vec<u8>,
     slab: Vec<u8>,
     /// Start of round `i` of rank `r` in `slab`, at `r * rounds + i`.
@@ -1447,14 +1606,15 @@ pub(crate) struct InlineScratch {
     t0: Vec<u64>,
 }
 
-/// All ranks' buffers during one inline run; lends one rank's executor
-/// at a time.
+/// All ranks' buffers during one inline run; lends one rank's executor,
+/// or every rank's buffers to a fused copy, at a time.
 struct Ranks<'a> {
+    p: usize,
     send: &'a [u8],
     recv: &'a mut [u8],
-    /// Per-rank `(send, recv)` strides.
-    strides: (usize, usize),
-    temps: &'a mut [Vec<u8>],
+    temps: &'a mut [u8],
+    /// Per-rank `(send, recv, temp)` strides.
+    strides: (usize, usize, usize),
     stage: &'a mut Vec<u8>,
     obs: &'a [Arc<Obs>],
     red: Option<Reducer>,
@@ -1462,12 +1622,12 @@ struct Ranks<'a> {
 
 impl Ranks<'_> {
     fn exec(&mut self, rank: usize) -> RankExec<'_> {
-        let (ss, rs) = self.strides;
+        let (ss, rs, ts) = self.strides;
         RankExec {
             mem: Mem {
                 send: Some(&self.send[rank * ss..(rank + 1) * ss]),
                 user: &mut self.recv[rank * rs..(rank + 1) * rs],
-                temp: &mut self.temps[rank],
+                temp: &mut self.temps[rank * ts..(rank + 1) * ts],
             },
             stage: self.stage,
             obs: &self.obs[rank],
@@ -1475,14 +1635,68 @@ impl Ranks<'_> {
             red: self.red,
         }
     }
+
+    /// Run the fused round `prog` from rank `from`'s buffers into rank
+    /// `to`'s.
+    ///
+    /// # Safety
+    ///
+    /// No range `prog` reads may overlap a range it writes at the same
+    /// offsets: what [`reads_apart_from_writes`] proves of a fused phase.
+    /// (Ranges of different ranks never overlap, and every range is
+    /// bounds-checked against its rank's stride.)
+    unsafe fn copy(&mut self, prog: &[FusedRun], from: usize, to: usize) {
+        assert!(
+            from < self.p && to < self.p,
+            "ranks {from} and {to} of {}",
+            self.p
+        );
+        let (ss, rs, ts) = self.strides;
+        // One base pointer per buffer, for reads and writes alike: a
+        // rank that is its own source reads and writes one slice.
+        let (send, recv, temp) = (
+            self.send.as_ptr(),
+            self.recv.as_mut_ptr(),
+            self.temps.as_mut_ptr(),
+        );
+        // SAFETY (of the `add`s): `rank < p`, and every buffer holds `p`
+        // strides.
+        let dst = |buf: BufId, rank: usize| match buf {
+            BufId::Send => unreachable!("plans never write the send buffer"),
+            BufId::Recv => (unsafe { recv.add(rank * rs) }, rs),
+            BufId::Temp => (unsafe { temp.add(rank * ts) }, ts),
+        };
+        let src = |buf: BufId, rank: usize| match buf {
+            BufId::Send => (unsafe { send.add(rank * ss) }, ss),
+            _ => {
+                let (at, len) = dst(buf, rank);
+                (at.cast_const(), len)
+            }
+        };
+        for f in prog {
+            let (src, src_len) = src(f.src, from);
+            let (dst, dst_len) = dst(f.dst, to);
+            // SAFETY: each side lies in its rank's stride (checked by
+            // `copy_run`), strides of different ranks or buffers are
+            // disjoint, and on one rank the caller vouches for the rest.
+            unsafe { kernel::copy_run(src, src_len, dst, dst_len, &f.run) };
+        }
+    }
 }
 
 /// The inline carrier: the calling thread steps every rank's program
 /// through the same halves as [`execute_core`], phase by phase — all
-/// ranks pack, then all ranks unpack. No wire leaves the slab, so there is
-/// no channel, lock or wake-up; the carrier credits the counters the
-/// fabric and the matcher would (`exchange_started`, `add_wire_sent`,
+/// ranks pack, then all ranks unpack. No wire leaves the process, so
+/// there is no channel, lock or wake-up; the carrier credits the counters
+/// the fabric and the matcher would (`exchange_started`, `add_wire_sent`,
 /// `message_matched`) so every per-rank count reads as it does threaded.
+///
+/// A phase of a torus program that [`Program::fused`] proves safe runs
+/// without the slab: every rank runs its copies, then every receiver
+/// copies each round straight out of its source's buffers with the
+/// round's fused program — one copy per byte instead of a gather and a
+/// scatter. Any other phase packs into one slab and unpacks out of it.
+/// Both credit the same counters and emit the same events.
 ///
 /// Round `i` of receiver `q` reads round `i` of its compiled source: tags
 /// are `tag_base + global round index` on every rank, so tag matching on
@@ -1515,9 +1729,7 @@ pub(crate) fn execute_inline(
         });
     }
     let (ss, rs) = (send.len() / p, recv.len() / p);
-    scratch.temps.resize_with(p, Vec::new);
-    scratch.t0.resize(p, 0);
-    for (cp, temp) in plans.iter().zip(&mut scratch.temps) {
+    for cp in plans {
         if ss < cp.send_min_len {
             return Err(too_small(cp.send_min_len, ss));
         }
@@ -1527,10 +1739,17 @@ pub(crate) fn execute_inline(
         if cp.phases.len() != first.phases.len() {
             return Err(unpaired("ranks disagree on the number of phases"));
         }
-        if temp.len() < cp.temp_len {
-            temp.resize(cp.temp_len, 0);
-        }
     }
+    let ts = plans.iter().map(|cp| cp.temp_len).max().unwrap_or(0);
+    if scratch.temps.len() < p * ts {
+        scratch.temps.resize(p * ts, 0);
+    }
+    scratch.t0.resize(p, 0);
+    // One program at every rank: its proven phases run fused.
+    let shared = plans
+        .iter()
+        .all(|cp| Arc::ptr_eq(&cp.program, &first.program));
+    let fused = shared.then(|| first.program.fused());
     let InlineScratch {
         temps,
         stage,
@@ -1539,10 +1758,11 @@ pub(crate) fn execute_inline(
         t0,
     } = scratch;
     let mut ranks = Ranks {
+        p,
         send,
         recv,
-        strides: (ss, rs),
         temps,
+        strides: (ss, rs, ts),
         stage,
         obs,
         red,
@@ -1550,6 +1770,7 @@ pub(crate) fn execute_inline(
     let mut round_base = 0usize;
     for k in 0..first.phases.len() {
         let nr = first.phases[k].rounds.len();
+        let fused = fused.and_then(|phases| phases[k].as_ref());
         slab.clear();
         offs.clear();
         for (rank, cp) in plans.iter().enumerate() {
@@ -1573,7 +1794,10 @@ pub(crate) fn execute_inline(
                 // A round without a send half takes no room in the slab.
                 offs.push(slab.len());
                 if let Some(out) = &r.send {
-                    ex.pack(k, round_base + i, out, pair, slab, traced);
+                    match fused {
+                        Some(_) => ex.packed(k, round_base + i, out, pair, traced),
+                        None => ex.pack(k, round_base + i, out, pair, slab, traced),
+                    }
                     obs.metrics().add_wire_sent(out.wire_len);
                 }
             }
@@ -1583,8 +1807,7 @@ pub(crate) fn execute_inline(
         }
         for (rank, cp) in plans.iter().enumerate() {
             let phase = &cp.phases[k];
-            let mut ex = ranks.exec(rank);
-            let obs = ex.obs;
+            let obs = &obs[rank];
             let traced = obs.enabled();
             let peers = &cp.peers[round_base..round_base + nr];
             for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
@@ -1597,16 +1820,27 @@ pub(crate) fn execute_inline(
                     .filter(|theirs| theirs.tag == r.tag)
                     .and_then(|theirs| theirs.send.as_ref())
                     .ok_or_else(|| unpaired("a round's source does not send to its receiver"))?;
-                let at = offs[src * nr + i];
-                let wire = &slab[at..at + sent.wire_len];
-                obs.metrics().message_matched(wire.len());
+                obs.metrics().message_matched(sent.wire_len);
                 obs.emit_with(rank, || TraceEvent::ExchangeMatched {
                     src,
                     tag: r.tag,
-                    bytes: wire.len(),
+                    bytes: sent.wire_len,
                     slot: i,
                 });
-                ex.unpack(k, round_base + i, inc, pair, wire, traced)?;
+                let round = round_base + i;
+                match fused {
+                    Some(rounds) => {
+                        // SAFETY: the phase is fused, so its reads and
+                        // writes are apart (`Program::fused`).
+                        unsafe { ranks.copy(&rounds[i], src, rank) };
+                        ranks.exec(rank).unpacked(k, round, inc, pair, traced);
+                    }
+                    None => {
+                        let at = offs[src * nr + i];
+                        let wire = &slab[at..at + sent.wire_len];
+                        ranks.exec(rank).unpack(k, round, inc, pair, wire, traced)?;
+                    }
+                }
             }
             if traced {
                 obs.metrics()
@@ -1895,5 +2129,230 @@ mod tests {
         let mesh = CartTopology::mesh(&[3, 3]).unwrap();
         let corner = compile(&mesh, 0, &alltoall_plan(&nb), 8);
         assert_eq!(corner.program_fingerprint(), 0x1B38_ACF0_3149_A6C6);
+    }
+
+    /// Whether each phase of `cp`'s program runs fused.
+    fn fused_phases(cp: &CompiledPlan) -> Vec<bool> {
+        cp.program.fused().iter().map(Option::is_some).collect()
+    }
+
+    #[test]
+    fn torus_copies_fuse_and_folds_and_meshes_keep_the_slab() {
+        use crate::schedule::{allgather_plan, allreduce_plan, reduce_scatter_plan};
+        let nb = RelNeighborhood::moore(3, 1).unwrap();
+        let torus = CartTopology::torus(&[3, 3, 3]).unwrap();
+        // Temp and recv alternate by hop parity; the allgather forwards
+        // out of receive slots it does not write in the same phase.
+        for plan in [alltoall_plan(&nb), allgather_plan(&nb)] {
+            assert_eq!(fused_phases(&compile(&torus, 13, &plan, 8)), [true; 3]);
+        }
+        // A phase whose receives fold never fuses; the allreduce folds in
+        // every phase, into the slot it exposes.
+        for plan in [allreduce_plan(&nb), reduce_scatter_plan(&nb)] {
+            let cp = compile(&torus, 13, &plan, 8);
+            let fused = fused_phases(&cp);
+            for (phase, fused) in cp.phases.iter().zip(fused) {
+                let mut incoming = phase.rounds.iter().flat_map(|r| &r.recv);
+                let folds = incoming.any(|h| h.prog.batches.iter().any(|b| b.acc));
+                assert!(!(folds && fused), "{:?}: a folding phase fused", plan.kind);
+            }
+        }
+        let allreduce = compile(&torus, 13, &allreduce_plan(&nb), 8);
+        let exchanging = allreduce
+            .phases
+            .iter()
+            .map(|phase| !phase.rounds.is_empty());
+        let fused = exchanging
+            .zip(fused_phases(&allreduce))
+            .filter(|&(x, f)| x && f);
+        assert_eq!(fused.count(), 0);
+        // A mesh rank runs a program of its own: no phase fuses.
+        let mesh = CartTopology::mesh(&[3, 3, 3]).unwrap();
+        let interior = compile(&mesh, 13, &alltoall_plan(&nb), 8);
+        assert_eq!(fused_phases(&interior), [false; 3]);
+    }
+
+    /// On an extent-1 dimension a round's source is its receiver: the
+    /// fused copy reads and writes one rank's buffers, at the ranges the
+    /// phase proof keeps apart.
+    #[test]
+    fn an_extent_one_torus_fuses_and_matches_the_slab_byte_for_byte() {
+        use crate::schedule::allgather_plan;
+        let topo = CartTopology::torus(&[3, 1]).unwrap();
+        let nb = RelNeighborhood::moore(2, 1).unwrap();
+        let p = topo.size();
+        for plan in [alltoall_plan(&nb), allgather_plan(&nb)] {
+            let lay = size_temp(
+                regular_layouts(plan.t, 12, plan.kind),
+                plan.kind,
+                plan.temp_slots,
+            );
+            let lay = lay.unwrap();
+            let program = Arc::new(Program::compile(&topo, 0, &plan, &lay, 0x100).unwrap());
+            let resolve = |r| CompiledPlan::resolve(Arc::clone(&program), &topo, r).unwrap();
+            let shared: Vec<CompiledPlan> = (0..p).map(resolve).collect();
+            // A program per rank: the same bytes, never fused.
+            let own: Vec<CompiledPlan> = (0..p)
+                .map(|r| CompiledPlan::compile(&topo, r, &plan, &lay, 0x100).unwrap())
+                .collect();
+            assert!(
+                program.fused().iter().all(Option::is_some),
+                "{:?}",
+                plan.kind
+            );
+            let own_source = shared
+                .iter()
+                .enumerate()
+                .any(|(r, cp)| cp.peers.iter().any(|&(_, src)| src == r));
+            assert!(own_source, "{:?}: no round reads its own rank", plan.kind);
+
+            let send: Vec<u8> = (0..p * program.send_min_len)
+                .map(|i| (i * 7 + 1) as u8)
+                .collect();
+            let obs: Vec<Arc<Obs>> = (0..p).map(|_| Arc::new(Obs::new())).collect();
+            let run = |plans: &[CompiledPlan]| {
+                let mut recv = vec![0xEE; p * program.recv_min_len];
+                let mut scratch = InlineScratch::default();
+                execute_inline(plans, &obs, &send, &mut recv, &mut scratch, None).unwrap();
+                (recv, scratch.slab.capacity())
+            };
+            let ((fused, no_slab), (slabbed, slab)) = (run(&shared), run(&own));
+            assert_eq!(fused, slabbed, "{:?}", plan.kind);
+            assert_eq!((no_slab, slab > 0), (0, true));
+        }
+    }
+
+    /// The fused kernel on buffers framed by poisoned guard bytes at
+    /// random misalignments: random programs — empty ranges and runs
+    /// included, a rank that is its own source included — leave every
+    /// guard intact and every byte where a plain copy loop puts it; runs
+    /// that reach past their stride, or whose extent overflows, panic
+    /// with the guards intact.
+    #[test]
+    fn fused_copies_stay_inside_their_buffers() {
+        const GUARD: u8 = 0xA5;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n.max(1) as u64) as usize
+        };
+        let bufs = [BufId::Send, BufId::Recv, BufId::Temp];
+        let index = |b: BufId| buf_tag(b) as usize - 1;
+        for case in 0..2000 {
+            let p = 1 + below(3);
+            let (from, to) = (below(p), below(p));
+            let stride: [usize; 3] = std::array::from_fn(|_| 1 + below(48));
+            let lead: [usize; 3] = std::array::from_fn(|_| 1 + below(15));
+            let mut mem: Vec<Vec<u8>> = (0..3)
+                .map(|b| {
+                    let mut v = vec![GUARD; lead[b] + p * stride[b] + 1 + below(15)];
+                    let body = lead[b]..lead[b] + p * stride[b];
+                    v[body].iter_mut().for_each(|x| *x = below(256) as u8);
+                    v
+                })
+                .collect();
+            let mut prog = Vec::new();
+            for _ in 0..below(6) {
+                let (src, dst) = (bufs[below(3)], bufs[1 + below(2)]);
+                // One rank's one buffer: reads below the middle, writes
+                // above it.
+                let split = from == to && src == dst;
+                let half = stride[index(src)] / 2;
+                let src_room = (0, if split { half } else { stride[index(src)] });
+                let dst_room = if split {
+                    (half, stride[index(dst)])
+                } else {
+                    (0, stride[index(dst)])
+                };
+                let room = (src_room.1 - src_room.0).min(dst_room.1 - dst_room.0);
+                let (len, count) = (below(room.min(8) + 1), below(4));
+                let mut side = |(lo, hi): (usize, usize)| {
+                    let spare = hi - lo - len;
+                    let step = match count {
+                        0 | 1 => below(8),
+                        c => below(spare / (c - 1) + 1),
+                    };
+                    let reach = count.saturating_sub(1) * step;
+                    (lo + below(hi - lo - len - reach.min(spare) + 1), step)
+                };
+                let ((s, s_step), (d, d_step)) = (side(src_room), side(dst_room));
+                let run = CopyRun {
+                    src: s,
+                    src_stride: s_step,
+                    dst: d,
+                    dst_stride: d_step,
+                    len,
+                    count,
+                };
+                prog.push(FusedRun { src, dst, run });
+            }
+            // What the program must do, range by range.
+            let mut want = mem.clone();
+            for f in &prog {
+                let (at, to_at) = (
+                    lead[index(f.src)] + from * stride[index(f.src)],
+                    lead[index(f.dst)] + to * stride[index(f.dst)],
+                );
+                let (read, write) = f.run.sides();
+                for ((s, n), (d, _)) in read.spans().zip(write.spans()) {
+                    let bytes = want[index(f.src)][at + s..at + s + n].to_vec();
+                    want[index(f.dst)][to_at + d..to_at + d + n].copy_from_slice(&bytes);
+                }
+            }
+            let bad = below(4) == 0;
+            if bad {
+                let huge = CopyRun {
+                    src: below(2) * usize::MAX / 2,
+                    src_stride: usize::MAX / 3,
+                    dst: stride[1],
+                    dst_stride: 1,
+                    len: 1,
+                    count: 3,
+                };
+                let run = [huge, CopyRun { src: 0, ..huge }][below(2)];
+                prog.push(FusedRun {
+                    src: BufId::Temp,
+                    dst: BufId::Recv,
+                    run,
+                });
+            }
+            let ran = {
+                let [send, recv, temps] = &mut mem[..] else {
+                    unreachable!()
+                };
+                let mut stage = Vec::new();
+                let mut ranks = Ranks {
+                    p,
+                    send: &send[lead[0]..lead[0] + p * stride[0]],
+                    recv: &mut recv[lead[1]..lead[1] + p * stride[1]],
+                    temps: &mut temps[lead[2]..lead[2] + p * stride[2]],
+                    strides: (stride[0], stride[1], stride[2]),
+                    stage: &mut stage,
+                    obs: &[],
+                    red: None,
+                };
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    // SAFETY: a rank that is its own source reads below
+                    // the middle of a buffer it writes above.
+                    unsafe { ranks.copy(&prog, from, to) }
+                }))
+            };
+            assert_eq!(ran.is_err(), bad, "case {case}: {prog:?}");
+            for (b, v) in mem.iter().enumerate() {
+                let body = lead[b]..lead[b] + p * stride[b];
+                assert!(
+                    v[..body.start]
+                        .iter()
+                        .chain(&v[body.end..])
+                        .all(|&x| x == GUARD),
+                    "case {case}: guard of buffer {b} overwritten by {prog:?}"
+                );
+                if !bad {
+                    assert_eq!(v, &want[b], "case {case}: buffer {b} after {prog:?}");
+                }
+            }
+        }
     }
 }

@@ -7,8 +7,10 @@
 //! threads: the caller steps the program at `p` ranks phase by phase — all
 //! ranks pack, then all ranks unpack — through the same executor halves
 //! the threaded carrier uses (see [`crate::compile`]). Nothing is sent,
-//! matched, locked or woken; the wires of a phase sit side by side in one
-//! reusable slab.
+//! matched, locked or woken. A phase proven safe for it copies every
+//! round straight from its source's buffers into its receiver's, one copy
+//! per byte; any other phase packs into one reusable slab and unpacks out
+//! of it.
 //!
 //! An [`InlineUniverse`] is the resident state for that: the topology and
 //! neighborhood, one [`Obs`] per rank (so per-rank round, volume and pack

@@ -93,18 +93,6 @@ pub fn decode_from(buf: &[u8], pool: &Arc<WirePool>) -> Option<(Envelope, usize)
     if buf.len() < total {
         return None;
     }
-    let ctx = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let src = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")) as usize;
-    let tag = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
-    let kind = match buf[16] {
-        1 => EnvKind::Ack,
-        _ => EnvKind::Data,
-    };
-    let seq = if buf[17] != 0 {
-        Some(u64::from_le_bytes(buf[24..32].try_into().expect("8 bytes")))
-    } else {
-        None
-    };
     let payload = &buf[HEADER_BYTES..total];
     let mut data: PooledBuf = if payload.is_empty() {
         Vec::new().into()
@@ -112,16 +100,31 @@ pub fn decode_from(buf: &[u8], pool: &Arc<WirePool>) -> Option<(Envelope, usize)
         WirePool::take(pool, payload.len())
     };
     data.extend_from_slice(payload);
-    Some((
-        Envelope {
-            ctx,
-            src,
-            tag,
-            rel: RelHeader { kind, seq },
-            data,
-        },
-        total,
-    ))
+    Some((envelope(buf, data), total))
+}
+
+/// The envelope whose frame starts with `header`, carrying `data` as its
+/// payload: for a reader that received the payload into a buffer of its
+/// own rather than behind the header.
+///
+/// # Panics
+///
+/// Panics when `header` is shorter than [`HEADER_BYTES`].
+pub fn envelope(header: &[u8], data: PooledBuf) -> Envelope {
+    let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let kind = match header[16] {
+        1 => EnvKind::Ack,
+        _ => EnvKind::Data,
+    };
+    let seq =
+        (header[17] != 0).then(|| u64::from_le_bytes(header[24..32].try_into().expect("8 bytes")));
+    Envelope {
+        ctx: word(4),
+        src: word(8) as usize,
+        tag: word(12),
+        rel: RelHeader { kind, seq },
+        data,
+    }
 }
 
 #[cfg(test)]

@@ -6,16 +6,16 @@
 //! echoed request id. [`Client::submit`] surfaces admission control
 //! directly — a full daemon comes back as [`Submission::Busy`] with
 //! the daemon's retry-after hint, and [`Client::submit_retrying`] wraps
-//! the obvious backoff loop for callers that just want the bytes.
+//! the obvious backoff loop for callers that just want the bytes. A
+//! job's payload goes out from the caller's slice, and its `RESULT` is
+//! read straight into the buffer [`Submission::Done`] hands back: neither
+//! is copied on the client's side of the socket.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
-
-use cartcomm_comm::WirePool;
 
 use crate::proto::{self, JobSpec, ProfileSpec, RecvBuf, Reply, Request, PROTO_VERSION};
 
@@ -57,7 +57,6 @@ pub struct Client {
     stream: Stream,
     tenant: String,
     buf: RecvBuf,
-    pool: Arc<WirePool>,
     next_ctx: u32,
 }
 
@@ -80,7 +79,6 @@ impl Client {
             stream,
             tenant: tenant.to_string(),
             buf: RecvBuf::new(),
-            pool: Arc::new(WirePool::new()),
             next_ctx: 1,
         };
         match c.roundtrip(&Request::Hello {
@@ -203,7 +201,7 @@ impl Client {
 
     fn read_reply(&mut self, ctx: u32) -> io::Result<Reply> {
         loop {
-            while let Some(env) = self.buf.next_frame(&self.pool) {
+            while let Some(env) = self.buf.next_frame() {
                 if env.ctx != ctx {
                     // Stale reply to an abandoned request; skip it.
                     continue;

@@ -39,6 +39,13 @@
 //! `CartComm` method), and the algorithm. The submit payload carries the
 //! send buffers of **all** `p` ranks back to back — the service owns the
 //! ranks, the client owns the data. All integers little-endian.
+//!
+//! Both ends read frames through one `RecvBuf`: headers and small frames
+//! arrive in a fixed 16 KiB staging buffer and decode out of it; a larger
+//! frame is read straight into the pooled buffer that becomes its
+//! envelope's `data` — a daemon's job payload, a client's `RESULT` — so
+//! its bytes are held once, and that buffer grows with what arrives, never
+//! with what a header claims.
 
 use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
@@ -47,7 +54,7 @@ use std::sync::Arc;
 use cartcomm::ops::Algo;
 use cartcomm_comm::envelope::{Envelope, RelHeader};
 use cartcomm_comm::transport::wire;
-use cartcomm_comm::WirePool;
+use cartcomm_comm::{PooledBuf, WirePool};
 use cartcomm_types::Reducer;
 
 /// Protocol version sent in `HELLO_OK`. Version 2 added the
@@ -822,35 +829,63 @@ pub(crate) fn decode_submit_head(body: &[u8]) -> Result<(String, JobSpec, usize)
     Ok((tenant, spec, body.len() - c.rest().len()))
 }
 
-/// The receiving end of a connection: bytes read off the stream and not
-/// yet decoded. Reads land in the buffer itself — sized for the rest of
-/// the frame at its front once that frame's header is in — so a large
-/// frame arrives in a few reads and is not copied on the way.
+/// The receiving end of a connection. Headers and the frames that fit
+/// beside them arrive in one fixed staging buffer and decode out of it. A
+/// frame that does not fit is read straight into the pooled buffer that
+/// will carry it — the envelope's `data`, a job's payload, a client's
+/// result — so its body crosses from the socket into memory once.
 pub(crate) struct RecvBuf {
-    /// Backing store, all of it initialised; `data[start..end]` is pending.
-    data: Vec<u8>,
+    /// Staging, `MIN_READ` bytes, all of it initialised;
+    /// `staged[start..end]` is pending.
+    staged: Vec<u8>,
     start: usize,
     end: usize,
+    /// The frame being read past the staging buffer, if one is.
+    body: Option<Body>,
+    /// Where every frame's body buffer comes from and returns to.
+    pool: Arc<WirePool>,
+}
+
+/// A frame too large to stage: its header, and its body as it arrives.
+struct Body {
+    header: [u8; wire::HEADER_BYTES],
+    /// `data[..got]` has arrived; the rest of `data` is zeroed room for
+    /// the read in progress.
+    data: PooledBuf,
+    got: usize,
+    /// The body's length, as the header gives it.
+    len: usize,
 }
 
 impl RecvBuf {
-    /// Room a read is offered at least and, for a frame larger than that,
-    /// at most beyond what has already arrived of it: the buffer grows with
-    /// the bytes a peer sends, not with the length its header claims.
+    /// The staging buffer's size: a frame up to this long is read and
+    /// decoded there.
     const MIN_READ: usize = 16 * 1024;
+    /// How far a body buffer may reach past what has arrived of it: it
+    /// grows with the bytes a peer sends, not with the length its header
+    /// claims.
     const MAX_READ: usize = 1 << 20;
 
     pub(crate) fn new() -> RecvBuf {
         RecvBuf {
-            data: vec![0; Self::MIN_READ],
+            staged: vec![0; Self::MIN_READ],
             start: 0,
             end: 0,
+            body: None,
+            pool: Arc::new(WirePool::new()),
         }
     }
 
-    /// Decode the frame at the front, if all of it has arrived.
-    pub(crate) fn next_frame(&mut self, pool: &Arc<WirePool>) -> Option<Envelope> {
-        let (env, used) = wire::decode_from(&self.data[self.start..self.end], pool)?;
+    /// The frame at the front, if all of it has arrived.
+    pub(crate) fn next_frame(&mut self) -> Option<Envelope> {
+        if let Some(body) = &self.body {
+            if body.got < body.len {
+                return None;
+            }
+            let Body { header, data, .. } = self.body.take()?;
+            return Some(wire::envelope(&header, data));
+        }
+        let (env, used) = wire::decode_from(&self.staged[self.start..self.end], &self.pool)?;
         self.start += used;
         if self.start == self.end {
             (self.start, self.end) = (0, 0);
@@ -858,23 +893,53 @@ impl RecvBuf {
         Some(env)
     }
 
-    /// One `read` from `r` onto the end of the pending bytes. Returns the
-    /// number of bytes read; 0 is end of stream.
+    /// One `read` from `r`: onto the pending bytes in staging or, once the
+    /// frame at the front is known not to fit there, into its body — never
+    /// past that frame's end. Returns the number of bytes read; 0 is end
+    /// of stream.
     pub(crate) fn fill(&mut self, r: &mut dyn Read) -> io::Result<usize> {
-        let pending = self.end - self.start;
-        let missing = wire::frame_len(&self.data[self.start..self.end])
-            .map_or(0, |total| total.saturating_sub(pending));
-        let want = missing.clamp(Self::MIN_READ, Self::MAX_READ);
-        if self.data.len() - self.end < want {
-            self.data.copy_within(self.start..self.end, 0);
-            (self.start, self.end) = (0, pending);
-            if self.data.len() < pending + want {
-                self.data.resize(pending + want, 0);
-            }
+        let pending = &self.staged[self.start..self.end];
+        let unstaged = wire::frame_len(pending).filter(|&n| n > Self::MIN_READ);
+        if let (None, Some(total)) = (&self.body, unstaged) {
+            let (header, arrived) = pending.split_at(wire::HEADER_BYTES);
+            let len = total - wire::HEADER_BYTES;
+            let mut data = WirePool::take(&self.pool, len.min(Self::MAX_READ));
+            data.extend_from_slice(arrived);
+            self.body = Some(Body {
+                header: header.try_into().expect("a whole header"),
+                got: arrived.len(),
+                data,
+                len,
+            });
+            (self.start, self.end) = (0, 0);
         }
-        let n = r.read(&mut self.data[self.end..])?;
+        if let Some(body) = &mut self.body {
+            let room = body.got + (body.len - body.got).min(Self::MAX_READ);
+            if body.data.len() < room {
+                // Exactly: what the buffer holds is its capacity.
+                let more = room - body.data.len();
+                body.data.reserve_exact(more);
+                body.data.resize(room, 0);
+            }
+            let n = r.read(&mut body.data[body.got..room])?;
+            body.got += n;
+            return Ok(n);
+        }
+        // The frame at the front fits: move it to the front of staging,
+        // where all of it has room.
+        if self.start > 0 {
+            self.staged.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        let n = r.read(&mut self.staged[self.end..])?;
         self.end += n;
         Ok(n)
+    }
+
+    /// Bytes the buffer holds: staging and the body buffer's capacity.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.staged.capacity() + self.body.as_ref().map_or(0, |b| b.data.capacity())
     }
 }
 
@@ -1247,11 +1312,35 @@ mod tests {
         assert!(decode_submit_head(&[9, 0, 0, 0, b'x']).is_err());
     }
 
+    /// A reader that hands out at most `.1` bytes of `.0` per call.
+    struct Cut<'a>(&'a [u8], usize);
+
+    impl Read for Cut<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = out.len().min(self.1).min(self.0.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    /// Every frame `buf` yields from `src` until the stream ends.
+    fn frames_of(buf: &mut RecvBuf, src: &mut dyn Read) -> Vec<Envelope> {
+        let mut got = Vec::new();
+        loop {
+            while let Some(env) = buf.next_frame() {
+                got.push(env);
+            }
+            if buf.fill(src).expect("read") == 0 {
+                return got;
+            }
+        }
+    }
+
     #[test]
     fn recv_buf_yields_the_frames_of_a_stream_however_it_is_cut() {
-        let pool = Arc::new(WirePool::new());
-        // Small, large (beyond one read's room, so the buffer must grow
-        // and compact) and empty frames, back to back.
+        // Small, large (past the staging buffer, so read into a body of
+        // their own) and empty frames, back to back.
         let bodies: Vec<Vec<u8>> = [3usize, 40_000, 0, 100_000, 17]
             .iter()
             .map(|&n| (0..n).map(|i| (i * 7 + n) as u8).collect())
@@ -1261,28 +1350,100 @@ mod tests {
             stream.extend(frame(i as u32, TAG_PING, body));
         }
         for cut in [1, 31, 32, 33, 4096, 70_001, stream.len()] {
-            struct Cut<'a>(&'a [u8], usize);
-            impl Read for Cut<'_> {
-                fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-                    let n = out.len().min(self.1).min(self.0.len());
-                    out[..n].copy_from_slice(&self.0[..n]);
-                    self.0 = &self.0[n..];
-                    Ok(n)
-                }
-            }
-            let mut src = Cut(&stream, cut);
             let mut buf = RecvBuf::new();
-            let mut got = Vec::new();
-            loop {
-                while let Some(env) = buf.next_frame(&pool) {
-                    got.push((env.ctx, env.data.to_vec()));
-                }
-                if buf.fill(&mut src).expect("read") == 0 {
+            let got: Vec<(u32, Vec<u8>)> = frames_of(&mut buf, &mut Cut(&stream, cut))
+                .into_iter()
+                .map(|env| (env.ctx, env.data.to_vec()))
+                .collect();
+            let want: Vec<(u32, Vec<u8>)> = (0u32..).zip(bodies.iter().cloned()).collect();
+            assert_eq!(got, want, "reads of at most {cut} bytes");
+        }
+    }
+
+    /// A peer that announces a huge body and trickles it: what the buffer
+    /// holds follows what arrived, never the header's claim.
+    #[test]
+    fn a_claimed_body_is_held_only_as_it_arrives() {
+        let bound = |received: usize| received + RecvBuf::MAX_READ + RecvBuf::MIN_READ;
+        for claim in [64usize << 20, u32::MAX as usize] {
+            let header = wire::encode_header(claim, 5, 0, TAG_PING, RelHeader::default());
+            // 3 MiB of it, in reads of assorted sizes up to 300 KiB.
+            let stream: Vec<u8> = header
+                .iter()
+                .copied()
+                .chain((0..3usize << 20).map(|i| i as u8))
+                .collect();
+            let mut src = &stream[..];
+            let mut buf = RecvBuf::new();
+            let mut received = 0;
+            for step in (1usize..).map(|k| (k * 7919) % (300 << 10) + 1) {
+                let mut cut = Cut(src, step);
+                let n = buf.fill(&mut cut).expect("read");
+                src = cut.0;
+                received += n;
+                assert!(
+                    buf.held() <= bound(received),
+                    "{claim} claimed, {received} received: {} held",
+                    buf.held()
+                );
+                assert!(buf.next_frame().is_none());
+                if n == 0 {
                     break;
                 }
             }
-            let want: Vec<(u32, Vec<u8>)> = (0u32..).zip(bodies.iter().cloned()).collect();
-            assert_eq!(got, want, "reads of at most {cut} bytes");
+            assert_eq!(received, stream.len());
+        }
+    }
+
+    /// A stream cut anywhere — in a header, in a staged frame, in a body —
+    /// yields the frames before the cut and then nothing.
+    #[test]
+    fn a_truncated_stream_yields_none_and_never_panics() {
+        let small = frame(1, TAG_PING, &[7; 100]);
+        let large = frame(2, TAG_PING, &[9; 40_000]);
+        let stream: Vec<u8> = [&small[..], &large[..]].concat();
+        let mut cuts: Vec<usize> = (0..200).collect();
+        cuts.extend([small.len() + 31, small.len() + 32, 20_000, stream.len() - 1]);
+        for cut in cuts {
+            let got = frames_of(&mut RecvBuf::new(), &mut Cut(&stream[..cut], 997));
+            let whole = [small.len(), stream.len()]
+                .iter()
+                .filter(|&&end| end <= cut)
+                .count();
+            assert_eq!(got.len(), whole, "stream cut at {cut}");
+        }
+    }
+
+    /// `SUBMIT` and `RESULT` bodies on either side of the staging size (as
+    /// a frame, and as a body) and of the largest read: encode then
+    /// decode, through a socket-like reader, is the identity.
+    #[test]
+    fn submit_and_result_roundtrip_at_the_staging_and_read_limits() {
+        let spec = moore_spec(AlgoSpec::Combining);
+        let head = 8 + "t".len() + spec.encode().len();
+        let staged = RecvBuf::MIN_READ - wire::HEADER_BYTES;
+        for body in [staged, RecvBuf::MIN_READ, RecvBuf::MAX_READ]
+            .into_iter()
+            .flat_map(|at| [at - 1, at, at + 1])
+        {
+            let payload: Vec<u8> = (0..body - head).map(|i| (i * 31) as u8).collect();
+            let req = Request::Submit {
+                tenant: "t".into(),
+                spec: spec.clone(),
+                payload: payload.clone(),
+            };
+            let rep = Reply::Result {
+                payload: (0..body).map(|i| (i * 17) as u8).collect(),
+            };
+            for cut in [4096, 65_536, 1 << 21] {
+                let frames = frames_of(&mut RecvBuf::new(), &mut Cut(&req.encode_frame(3), cut));
+                assert_eq!(frames.len(), 1);
+                assert_eq!(frames[0].data.len(), body);
+                assert_eq!(Request::decode_env(&frames[0]).unwrap(), req);
+                let mut frames =
+                    frames_of(&mut RecvBuf::new(), &mut Cut(&rep.encode_frame(4), cut));
+                assert_eq!(Reply::from_env(frames.pop().unwrap()).unwrap(), rep);
+            }
         }
     }
 

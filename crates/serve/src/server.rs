@@ -11,10 +11,12 @@
 //! runs where it was decoded**. `submit` carries it from the frame to the
 //! reply on the connection's thread — so a tenant that sends a huge job,
 //! or does not read its replies, holds up its own connection and no other.
-//! A job's payload stays in the pooled buffer its frame was decoded into,
-//! and its reply is written from the buffer the ranks scattered into,
-//! which the connection's next job reuses: in steady state nothing the
-//! size of a job is allocated per job.
+//! A job's payload stays in the pooled buffer its frame was read into —
+//! straight off the socket, not through a staging copy (see
+//! [`crate::proto`]) — and its reply is written from the buffer the
+//! ranks scattered into, which the connection's next job reuses: in
+//! steady state nothing the size of a job is allocated per job, and every
+//! byte of it is held once.
 //!
 //! **Admission.** What connections share is the *floor*: one short lock
 //! over a count of jobs in flight, the pace and the resident universes. A
@@ -67,7 +69,7 @@ use cartcomm::exec::ExecLayouts;
 use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, WBlock};
 use cartcomm::plan::{Plan, PlanKind};
 use cartcomm::{CartComm, InlineUniverse, PlanStore};
-use cartcomm_comm::{PooledBuf, WirePool};
+use cartcomm_comm::PooledBuf;
 use cartcomm_obs::tenant::{STAGE_COUNT, STAGE_NAMES};
 use cartcomm_obs::{
     json::JsonWriter, AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs,
@@ -768,15 +770,14 @@ fn connection_loop(mut reader: Box<dyn Read + Send>, wire: Wire, shared: &Shared
         hello_tenant: None,
         result: Vec::new(),
     };
-    // Frames decode into buffers of this pool. A job keeps the buffer of
-    // its `SUBMIT` until it is done, then the buffer comes back.
-    let pool = Arc::new(WirePool::new());
+    // A frame arrives in a buffer of `buf`'s pool. A job keeps the buffer
+    // of its `SUBMIT` until it is done, then the buffer goes back there.
     let mut buf = RecvBuf::new();
 
     loop {
-        // Decode every complete frame currently buffered. A `SUBMIT` is
-        // taken apart here, so that its payload stays where it is.
-        while let Some(env) = buf.next_frame(&pool) {
+        // Every complete frame that has arrived. A `SUBMIT` is taken apart
+        // here, so that its payload stays where it was read.
+        while let Some(env) = buf.next_frame() {
             let ctx = env.ctx;
             let open = if env.tag == TAG_SUBMIT {
                 proto::decode_submit_head(&env.data).map(|(tenant, spec, at)| {

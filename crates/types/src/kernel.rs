@@ -26,6 +26,8 @@
 //!   span list into runs, and [`gather_runs`] / [`scatter_runs`] /
 //!   [`accumulate_runs`] execute them with one bounds check per run and,
 //!   for 4-, 8- and 16-byte elements, a loop of one load and one store.
+//!   [`CopyRun`] is a gather run and a scatter run composed, for copies
+//!   that need no wire between the two ([`copy_run`], the same loop).
 //! * The scalar reference path ([`gather_spans_scalar`],
 //!   [`scatter_spans_scalar`], [`accumulate_spans_scalar`]) is always
 //!   compiled: byte-equality tests diff the two, and `perfgate` times
@@ -519,6 +521,71 @@ pub fn scatter_runs(dst: &mut [u8], runs: &[SpanRun], wire: &[u8]) -> usize {
         }
     }
     total
+}
+
+/// A gather run composed with the scatter run that consumes its bytes:
+/// `count` ranges of `len` bytes, the k-th copied from `src + k *
+/// src_stride` of one buffer straight to `dst + k * dst_stride` of
+/// another, with no wire between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CopyRun {
+    pub src: usize,
+    pub src_stride: usize,
+    pub dst: usize,
+    pub dst_stride: usize,
+    pub len: usize,
+    pub count: usize,
+}
+
+impl CopyRun {
+    /// The run read, and the run written.
+    pub fn sides(&self) -> (SpanRun, SpanRun) {
+        let (len, count) = (self.len, self.count);
+        let side = |off, stride| SpanRun {
+            off,
+            len,
+            stride,
+            count,
+        };
+        (
+            side(self.src, self.src_stride),
+            side(self.dst, self.dst_stride),
+        )
+    }
+}
+
+/// Copy every range of `run` from the `src_len` bytes at `src` to the
+/// `dst_len` bytes at `dst`.
+///
+/// # Safety
+///
+/// `src` must be valid for reads of `src_len` bytes and `dst` for writes
+/// of `dst_len` bytes, and no range the run reads may overlap a range it
+/// writes. (Both sides are bounds-checked here.)
+///
+/// # Panics
+///
+/// Panics when either side reaches past its length or its extent
+/// overflows, before any byte moves.
+#[inline]
+pub unsafe fn copy_run(
+    src: *const u8,
+    src_len: usize,
+    dst: *mut u8,
+    dst_len: usize,
+    run: &CopyRun,
+) {
+    let (from, to) = run.sides();
+    from.checked_bytes(src_len);
+    to.checked_bytes(dst_len);
+    copy_strided(
+        src.add(run.src),
+        run.src_stride,
+        dst.add(run.dst),
+        run.dst_stride,
+        run.len,
+        run.count,
+    );
 }
 
 /// [`accumulate_spans`] for a run list: fold the front of `wire` into the
