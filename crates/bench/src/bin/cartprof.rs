@@ -305,8 +305,8 @@ fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
         let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
         let rank = cart.rank();
         let plan = cart.plans().schedule(op.plan_kind());
-        // Trailing copy-only phases (the reduce plans' local extraction)
-        // issue no rounds, so they are invisible to the trace DAG.
+        // Trailing copy-only phases (local fills of duplicate and zero
+        // offsets) send nothing, so they are invisible to the trace DAG.
         let mut phase_rounds: Vec<usize> = plan.phases.iter().map(|ph| ph.rounds.len()).collect();
         while phase_rounds.last() == Some(&0) {
             phase_rounds.pop();

@@ -452,7 +452,8 @@ pub(crate) fn size_temp(
     temp_slots: usize,
 ) -> CartResult<ExecLayouts> {
     if temp_slots == 0 {
-        // The trivial schedules deliver every block directly.
+        // The trivial schedules deliver every block directly, and a
+        // combining allreduce may fold every partial sum into its output.
         return Ok(lay.with_temp_sizes(Vec::new()));
     }
     match plan_kind {

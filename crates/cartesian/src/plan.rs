@@ -104,8 +104,11 @@ pub enum PlanKind {
     /// Every leaf of the reversed tree carries the same block, so equal
     /// subtrees hold equal partial sums and the combining schedule sends
     /// each distinct one once (rounds may gather straight from the send
-    /// block, and from the temp slot they fold into). Same uniform sizing
-    /// and first-write-assigns semantics as [`PlanKind::ReduceScatter`].
+    /// block, and from the slot they fold into). Same uniform sizing and
+    /// first-write-assigns semantics as [`PlanKind::ReduceScatter`]; in
+    /// both, the root's partial sum accumulates in the receive slot
+    /// itself, so rounds read and write `Recv(0)` and no temp slot is
+    /// sized for it.
     Allreduce,
 }
 

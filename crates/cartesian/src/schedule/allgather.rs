@@ -15,8 +15,8 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
-use crate::schedule::arena::{CoordGroups, TreeArena};
+use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, Schedule};
+use crate::schedule::arena::{CoordGroups, TreeArena, Wire};
 
 /// Dimension-processing order for the allgather tree (§3.2/§3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,56 +59,29 @@ pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan 
     let sigma = order.permutation(nb);
 
     // ---- tree construction (Algorithm 2, CSR arena) ------------------------
-    let mut temp_slots = 0usize;
-    // Fill copies produced when several neighbor indices share one path:
-    // (phase index, copy).
-    let mut fills: Vec<(usize, LocalCopy)> = Vec::new();
-    let arena = TreeArena::build(nb, &sigma, &mut temp_slots, &mut fills);
+    let arena = TreeArena::build(nb, &sigma);
+    let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
+    let (of, temp_slots) = assign_slots(&arena, &mut phases);
 
     // ---- schedule extraction (BFS over the level CSR) ----------------------
-    let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
-    let mut rounds_total = 0usize;
     let mut volume = 0usize;
     // One reusable edge slab serves every level's grouping.
-    let mut edges: CoordGroups<(BlockRef, BlockRef, usize)> = CoordGroups::new();
+    let mut edges: CoordGroups<Wire> = CoordGroups::new();
     for k in 0..d {
         // Group non-zero edges at level k by edge coordinate. Edges are
         // pushed in node (preorder) order and the grouping is stable, so
         // sender and receiver agree on wire order within each round.
         edges.clear();
         for &nid in arena.level(k) {
-            let parent_slot = arena.node(nid).slot;
             for &(c, child) in arena.children(nid) {
                 if c != 0 {
-                    let ch = arena.node(child);
-                    edges.push(c, (parent_slot, ch.slot, ch.rep));
+                    edges.push(c, (of[nid], of[child], arena.node(child).rep));
                 }
             }
         }
         edges.finish();
         volume += edges.len();
-        for (c, run) in edges.groups() {
-            let mut round = PlanRound {
-                offset: {
-                    let mut o = vec![0i64; d];
-                    o[sigma[k]] = c;
-                    o
-                },
-                sends: Vec::with_capacity(run.len()),
-                recvs: Vec::with_capacity(run.len()),
-                block_ids: Vec::with_capacity(run.len()),
-            };
-            for &(_, (from, to, rep)) in run {
-                round.sends.push(from);
-                round.recvs.push(to);
-                round.block_ids.push(rep);
-            }
-            phases[k].rounds.push(round);
-            rounds_total += 1;
-        }
-    }
-    for (phase_idx, copy) in fills {
-        phases[phase_idx].copies.push(copy);
+        phases[k].rounds.extend(edges.rounds(d, sigma[k], 1));
     }
     // Drop a trailing phase with no work.
     while phases
@@ -123,19 +96,59 @@ pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan 
         schedule: Schedule::Combining,
         ndims: d,
         t,
+        rounds: phases.iter().map(|p| p.rounds.len()).sum(),
         phases,
         temp_slots,
-        rounds: rounds_total,
         volume_blocks: volume,
     };
     debug_assert_eq!(plan.validate(), Ok(()));
     plan
 }
 
+/// The allgather's annotation of the tree's shape, one preorder pass over
+/// node ids: per node, where every process keeps the copy it holds for the
+/// node's subtree, and how many temp slots that takes. The root holds the
+/// process's own block, `Send(0)`; a node reached over a zero edge holds
+/// its parent's content and aliases its slot. Any other node's incoming
+/// copy is the final block of the first neighbor whose offset is the
+/// node's path, in the receive buffer, or — where no neighbor's is — a
+/// forwarder in the next temp slot. The other neighbors of that path are
+/// filled by a local copy in `phases[level]`, once the content is there
+/// (the root's self-neighbors in phase 0; phase `d` is copies only).
+fn assign_slots(arena: &TreeArena, phases: &mut [PlanPhase]) -> (Vec<BlockRef>, usize) {
+    let mut of: Vec<Option<BlockRef>> = vec![None; arena.node_count()];
+    let mut temps = 0usize;
+    for id in 0..arena.node_count() {
+        let slot = of[id].unwrap_or_else(|| {
+            let path = arena.path_members(id);
+            let slot = if id == 0 {
+                BlockRef::new(Loc::Send, 0)
+            } else if let Some(&j) = path.first() {
+                BlockRef::new(Loc::Recv, j)
+            } else {
+                temps += 1;
+                BlockRef::new(Loc::Temp, temps - 1)
+            };
+            let fills = &mut phases[arena.node(id).level as usize].copies;
+            for to in path.iter().map(|&j| BlockRef::new(Loc::Recv, j)) {
+                if to != slot {
+                    fills.push(LocalCopy { from: slot, to });
+                }
+            }
+            slot
+        });
+        of[id] = Some(slot);
+        if let Some(z) = arena.zero_child(id) {
+            of[z] = Some(slot);
+        }
+    }
+    let of = of.into_iter().map(|s| s.expect("every node is visited"));
+    (of.collect(), temps)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Loc;
     use cartcomm_topo::Offset;
     use std::collections::HashMap;
 

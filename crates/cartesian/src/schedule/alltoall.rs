@@ -10,8 +10,8 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
-use crate::schedule::arena::CoordGroups;
+use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, Schedule};
+use crate::schedule::arena::{CoordGroups, Wire};
 
 /// Compute the message-combining alltoall schedule for a t-neighborhood
 /// (the paper's `AlltoallSchedule`, Algorithm 1). Runs in O(td) time.
@@ -27,78 +27,53 @@ pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
     let total_hops = nb.hops();
     let mut hops: Vec<usize> = total_hops.clone();
 
-    let mut phases: Vec<PlanPhase> = Vec::with_capacity(d + 1);
-    let mut rounds_total = 0usize;
+    let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
     let mut volume = 0usize;
 
     // One reusable grouping slab serves every phase — the same flat
     // coordinate-run representation the allgather arena extraction uses.
-    let mut groups: CoordGroups<usize> = CoordGroups::new();
-    for k in 0..d {
-        let order = nb.bucket_sort_by_coord(k);
+    let mut groups: CoordGroups<Wire> = CoordGroups::new();
+    for (k, phase) in phases[..d].iter_mut().enumerate() {
         groups.clear();
-        for &i in &order {
+        for i in nb.bucket_sort_by_coord(k) {
             let c = nb.offset(i)[k];
-            if c != 0 {
-                groups.push(c, i);
+            if c == 0 {
+                continue;
             }
+            // Buffer selection (Algorithm 1 lines 11-17): the block is
+            // received into the receive buffer when its remaining hop
+            // count is odd — so the final hop (1 remaining) lands in the
+            // receive buffer — and into the temporary buffer otherwise. It
+            // is sent from wherever the previous hop put it; the very first
+            // hop reads the user's send buffer.
+            let h = hops[i];
+            debug_assert!(h >= 1);
+            let send_loc = if h == total_hops[i] {
+                Loc::Send
+            } else if h % 2 == 1 {
+                // previous receive (at h+1, even) went to Temp
+                Loc::Temp
+            } else {
+                Loc::Recv
+            };
+            let recv_loc = if h % 2 == 1 { Loc::Recv } else { Loc::Temp };
+            hops[i] -= 1;
+            let (from, to) = (BlockRef::new(send_loc, i), BlockRef::new(recv_loc, i));
+            groups.push(c, (from, to, i));
         }
         groups.finish();
-        let mut phase = PlanPhase::default();
-        for (c, run) in groups.groups() {
-            let mut round = PlanRound {
-                offset: {
-                    let mut o = vec![0i64; d];
-                    o[k] = c;
-                    o
-                },
-                sends: Vec::with_capacity(run.len()),
-                recvs: Vec::with_capacity(run.len()),
-                block_ids: Vec::with_capacity(run.len()),
-            };
-            for &(_, i) in run {
-                // Buffer selection (Algorithm 1 lines 11-17): the block is
-                // received into the receive buffer when its remaining hop
-                // count is odd — so the final hop (1 remaining) lands in
-                // the receive buffer — and into the temporary buffer
-                // otherwise. It is sent from wherever the previous hop put
-                // it; the very first hop reads the user's send buffer.
-                let h = hops[i];
-                debug_assert!(h >= 1);
-                let send_loc = if h == total_hops[i] {
-                    Loc::Send
-                } else if h % 2 == 1 {
-                    // previous receive (at h+1, even) went to Temp
-                    Loc::Temp
-                } else {
-                    Loc::Recv
-                };
-                let recv_loc = if h % 2 == 1 { Loc::Recv } else { Loc::Temp };
-                hops[i] -= 1;
-                round.sends.push(BlockRef::new(send_loc, i));
-                round.recvs.push(BlockRef::new(recv_loc, i));
-                round.block_ids.push(i);
-            }
-            volume += round.block_ids.len();
-            phase.rounds.push(round);
-            rounds_total += 1;
-        }
-        phases.push(phase);
+        volume += groups.len();
+        phase.rounds.extend(groups.rounds(d, k, 1));
     }
     debug_assert!(hops.iter().all(|&h| h == 0), "all hops consumed");
 
     // Final non-communication phase: copy self-blocks send -> recv.
-    let mut last = PlanPhase::default();
-    for (i, &h) in total_hops.iter().enumerate() {
-        if h == 0 {
-            last.copies.push(LocalCopy {
-                from: BlockRef::new(Loc::Send, i),
-                to: BlockRef::new(Loc::Recv, i),
-            });
-        }
+    for i in (0..t).filter(|&i| total_hops[i] == 0) {
+        let (from, to) = (BlockRef::new(Loc::Send, i), BlockRef::new(Loc::Recv, i));
+        phases[d].copies.push(LocalCopy { from, to });
     }
-    if !last.copies.is_empty() {
-        phases.push(last);
+    if phases[d].copies.is_empty() {
+        phases.pop();
     }
 
     let plan = Plan {
@@ -106,9 +81,9 @@ pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
         schedule: Schedule::Combining,
         ndims: d,
         t,
+        rounds: phases.iter().map(|p| p.rounds.len()).sum(),
         phases,
         temp_slots: t,
-        rounds: rounds_total,
         volume_blocks: volume,
     };
     debug_assert_eq!(plan.validate(), Ok(()));

@@ -4,24 +4,27 @@
 //! per-node `children: Vec<(i64, usize)>` and cloned the index sub-vector
 //! at every recursion step — `O(t)` allocations for a `t`-neighborhood,
 //! and a pointer-chasing walk for every consumer. This module replaces
-//! that with two flat structures shared by both schedules:
+//! that with two flat structures shared by every schedule:
 //!
-//! * [`TreeArena`] — the allgather routing tree in compressed-sparse-row
+//! * [`TreeArena`] — the routing tree's bare shape in compressed-sparse-row
 //!   form: one `nodes` vec, one shared `children` edge slab addressed by
-//!   per-node `(offset, len)` ranges, and a level CSR for the BFS walk
-//!   that extracts rounds. A node's child range is *pre-reserved* before
-//!   its subtrees recurse (bucket boundaries are known first), so every
-//!   range is contiguous even though construction is depth-first; the
-//!   index sets recursion partitions are `&mut [usize]` sub-slices of one
-//!   scratch buffer sorted in place. Construction performs zero
-//!   allocation per node.
-//! * [`CoordGroups`] — indices (or edges) grouped into runs of equal
-//!   coordinate, ascending and stable: the flat analogue of the
+//!   per-node `(offset, len)` ranges, a level CSR for the BFS walk that
+//!   extracts rounds, and the neighbor indices under each node. A node's
+//!   child range is *pre-reserved* before its subtrees recurse (bucket
+//!   boundaries are known first), so every range is contiguous even though
+//!   construction is depth-first; the index sets recursion partitions are
+//!   `&mut [usize]` sub-slices of one buffer sorted in place, which the
+//!   arena keeps. Construction performs zero allocation per node. The
+//!   shape carries no slots: each consumer annotates it with a pass of its
+//!   own over node ids (SNIPPETS.md's `map_meta` on a flat tree) — the
+//!   allgather its slots and fill copies, the allreduce its classes.
+//! * [`CoordGroups`] — wire blocks grouped into runs of equal coordinate,
+//!   ascending and stable: the flat analogue of the
 //!   flush-on-coordinate-change round builder, with one reusable item
-//!   slab and one run list instead of per-round state. Both the alltoall
-//!   phase builder and the allgather level extraction group through it,
-//!   so "one round per distinct non-zero coordinate" is implemented
-//!   exactly once.
+//!   slab instead of per-round state. Every combining schedule — the
+//!   alltoall's phases, the allgather's and the allreduce's tree levels —
+//!   makes its rounds through it, so "one round per distinct non-zero
+//!   coordinate" is implemented exactly once.
 //!
 //! Node ids are preorder (a parent precedes its children), level order
 //! preserves preorder within each level, and grouping is stable — all
@@ -31,28 +34,28 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, Loc, LocalCopy};
+use crate::plan::{BlockRef, PlanRound};
 
-/// One node of the flattened allgather routing tree.
+/// One node of the flattened routing tree.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArenaNode {
-    /// Where each process keeps the copy it holds for this subtree.
-    pub(crate) slot: BlockRef,
-    /// Representative neighbor index (first index in the subtree), used
+    /// Representative neighbor index (the smallest in the subtree), used
     /// for wire sizing.
     pub(crate) rep: usize,
     /// Number of neighbor indices in the subtree: at a leaf, how often its
     /// offset occurs in the neighborhood.
     pub(crate) count: usize,
     /// Tree level (root = 0).
-    level: u32,
+    pub(crate) level: u32,
+    /// Start of the subtree's neighbor indices in the `members` buffer.
+    first: usize,
     /// Start of this node's edge range in the shared `children` slab.
     child_start: usize,
     /// Number of child edges.
     child_len: usize,
 }
 
-/// The allgather routing tree as a contiguous CSR arena.
+/// A routing tree's shape as a contiguous CSR arena.
 #[derive(Debug, Default)]
 pub(crate) struct TreeArena {
     /// All nodes in preorder.
@@ -60,6 +63,9 @@ pub(crate) struct TreeArena {
     /// Shared edge slab: `(edge coordinate, child node id)` in ascending
     /// coordinate order within each node's range.
     children: Vec<(i64, usize)>,
+    /// The neighbor indices, partitioned by the recursion: every subtree's
+    /// are one contiguous range, a leaf's in ascending order.
+    members: Vec<usize>,
     /// Node ids grouped by level (CSR values), preorder within a level.
     level_nodes: Vec<usize>,
     /// Level CSR offsets: level `k` is `level_nodes[off[k]..off[k+1]]`.
@@ -67,34 +73,26 @@ pub(crate) struct TreeArena {
 }
 
 impl TreeArena {
-    /// Build the routing tree for `nb` under dimension permutation
-    /// `sigma` (the paper's `AllgatherTree`, Algorithm 2). Temp-slot
-    /// assignment and duplicate-offset fill copies come out through the
-    /// two out-parameters, in the same order the pointer-tree builder
-    /// produced them.
-    pub(crate) fn build(
-        nb: &RelNeighborhood,
-        sigma: &[usize],
-        temp_slots: &mut usize,
-        fills: &mut Vec<(usize, LocalCopy)>,
-    ) -> TreeArena {
+    /// Build the routing tree's shape for `nb` under dimension permutation
+    /// `sigma` (the paper's `AllgatherTree`, Algorithm 2): the nodes, their
+    /// edges, levels and multiplicities, and nothing a schedule puts on
+    /// them.
+    pub(crate) fn build(nb: &RelNeighborhood, sigma: &[usize]) -> TreeArena {
         let d = nb.ndims();
         let t = nb.len();
         let mut b = Builder {
             nb,
             sigma,
             arena: TreeArena::default(),
-            path: vec![0i64; d],
-            temp_slots,
-            fills,
         };
+        // The one index buffer of the whole construction: recursion
+        // partitions it into `&mut` sub-slices, never copies it.
+        let mut members: Vec<usize> = (0..t).collect();
         if t > 0 {
-            // The one index buffer of the whole construction: recursion
-            // partitions it into `&mut` sub-slices, never copies it.
-            let mut scratch: Vec<usize> = (0..t).collect();
-            b.build_node(&mut scratch, 0, None);
+            b.build_node(&mut members, 0, 0);
         }
         let mut arena = b.arena;
+        arena.members = members;
         arena.build_level_csr(d);
         arena
     }
@@ -138,6 +136,26 @@ impl TreeArena {
         &self.children[n.child_start..n.child_start + n.child_len]
     }
 
+    /// The child a node reaches over its zero-coordinate edge, if any.
+    pub(crate) fn zero_child(&self, id: usize) -> Option<usize> {
+        let edges = self.children(id);
+        edges.iter().find(|e| e.0 == 0).map(|e| e.1)
+    }
+
+    /// The neighbor indices whose offset is the node's path — the leaf at
+    /// the end of its zero-edge chain — in ascending order; none where the
+    /// chain stops short of a leaf.
+    pub(crate) fn path_members(&self, mut id: usize) -> &[usize] {
+        while !self.children(id).is_empty() {
+            match self.zero_child(id) {
+                Some(z) => id = z,
+                None => return &[],
+            }
+        }
+        let n = &self.nodes[id];
+        &self.members[n.first..n.first + n.count]
+    }
+
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
@@ -152,99 +170,31 @@ struct Builder<'a> {
     nb: &'a RelNeighborhood,
     sigma: &'a [usize],
     arena: TreeArena,
-    /// Path offset of the node under construction; entries for dimensions
-    /// deeper than the current level are zero, so one buffer serves the
-    /// whole recursion (set before descending, reset after).
-    path: Vec<i64>,
-    temp_slots: &'a mut usize,
-    fills: &'a mut Vec<(usize, LocalCopy)>,
 }
 
 impl Builder<'_> {
     /// Recursive tree construction: bucket-sort the sub-neighborhood on
     /// the current sorted dimension in place and recurse per distinct
-    /// coordinate. Returns the new node's id.
-    fn build_node(
-        &mut self,
-        indices: &mut [usize],
-        level: usize,
-        // Slot inherited over a zero-coordinate edge (content identical
-        // to the parent's, so the node aliases the parent's slot).
-        inherited_slot: Option<BlockRef>,
-    ) -> usize {
-        let d = self.nb.ndims();
+    /// coordinate. `indices` starts at `first` in the arena's `members`.
+    /// Returns the new node's id.
+    fn build_node(&mut self, indices: &mut [usize], first: usize, level: usize) -> usize {
+        let (nb, sigma) = (self.nb, self.sigma);
+        let d = nb.ndims();
+        // Every slice arrives in ascending index order: the root's is
+        // `0..t`, and a child's is one run of its parent's stable sort.
         let rep = indices[0];
-
-        // Slot assignment. A node reached over a non-zero edge (or the
-        // root) resolves its own slot: if some neighbor's offset equals
-        // the node path, the incoming copy is that neighbor's final block
-        // and lives in the receive buffer; otherwise the node is a pure
-        // forwarder in a temp slot.
-        let slot = if let Some(s) = inherited_slot {
-            s
-        } else if level == 0 {
-            // Root: the process's own contribution, in the send buffer.
-            // Any self-neighbors (offset zero) are filled by local copy
-            // in phase 0.
-            let slot = BlockRef::new(Loc::Send, 0);
-            for &j in indices.iter() {
-                if self.nb.offset(j).iter().all(|&c| c == 0) {
-                    self.fills.push((
-                        0,
-                        LocalCopy {
-                            from: slot,
-                            to: BlockRef::new(Loc::Recv, j),
-                        },
-                    ));
-                }
-            }
-            slot
-        } else {
-            let mut candidates = indices
-                .iter()
-                .copied()
-                .filter(|&j| self.nb.offset(j)[..] == self.path[..]);
-            if let Some(first) = candidates.next() {
-                let slot = BlockRef::new(Loc::Recv, first);
-                // Duplicate offsets: the remaining candidates receive a
-                // local copy once the content has arrived (it arrives
-                // during phase level-1, so the copy goes at the start of
-                // phase `level`; the executor appends a final copies-only
-                // phase when level == d).
-                for j in candidates {
-                    self.fills.push((
-                        level.min(d),
-                        LocalCopy {
-                            from: slot,
-                            to: BlockRef::new(Loc::Recv, j),
-                        },
-                    ));
-                }
-                slot
-            } else {
-                let slot = BlockRef::new(Loc::Temp, *self.temp_slots);
-                *self.temp_slots += 1;
-                slot
-            }
-        };
 
         // Bucket the sub-neighborhood on this level's dimension (stable,
         // in place) and pre-reserve the node's child range in the shared
         // slab: the bucket count is known before any subtree recurses, so
         // the range stays contiguous while descendants append theirs.
+        let coord = |j: usize| nb.offset(j)[sigma[level]];
+        let same = |a: &usize, b: &usize| coord(*a) == coord(*b);
         let child_start = self.arena.children.len();
         let mut child_len = 0usize;
         if level < d {
-            let dim = self.sigma[level];
-            indices.sort_by_key(|&j| self.nb.offset(j)[dim]);
-            let mut i = 0usize;
-            while i < indices.len() {
-                let c = self.nb.offset(indices[i])[dim];
-                while i < indices.len() && self.nb.offset(indices[i])[dim] == c {
-                    i += 1;
-                }
-                child_len += 1;
-            }
+            indices.sort_by_key(|&j| coord(j));
+            child_len = indices.chunk_by(same).count();
             self.arena
                 .children
                 .resize(child_start + child_len, (0, usize::MAX));
@@ -252,83 +202,55 @@ impl Builder<'_> {
 
         let id = self.arena.nodes.len();
         self.arena.nodes.push(ArenaNode {
-            slot,
             rep,
             count: indices.len(),
             level: level as u32,
+            first,
             child_start,
             child_len,
         });
 
         if level < d {
-            let dim = self.sigma[level];
-            let mut start = 0usize;
-            let mut edge = 0usize;
-            while start < indices.len() {
-                let c = self.nb.offset(indices[start])[dim];
-                let mut end = start;
-                while end < indices.len() && self.nb.offset(indices[end])[dim] == c {
-                    end += 1;
-                }
-                self.path[dim] = c;
-                let inherit = if c == 0 { Some(slot) } else { None };
-                let child = self.build_node(&mut indices[start..end], level + 1, inherit);
-                self.path[dim] = 0;
+            let mut start = first;
+            for (edge, bucket) in indices.chunk_by_mut(same).enumerate() {
+                let (c, len) = (coord(bucket[0]), bucket.len());
+                let child = self.build_node(bucket, start, level + 1);
                 self.arena.children[child_start + edge] = (c, child);
-                edge += 1;
-                start = end;
+                start += len;
             }
-            debug_assert_eq!(edge, child_len, "reserved range filled exactly");
         }
         id
     }
 }
 
 /// Items grouped into runs of equal coordinate — the flat round builder
-/// both schedules share. Push `(coordinate, item)` pairs in any order,
+/// every schedule shares. Push `(coordinate, item)` pairs in any order,
 /// [`finish`](CoordGroups::finish), then iterate
 /// [`groups`](CoordGroups::groups): one run per distinct coordinate,
 /// ascending, with the original push order preserved inside each run
-/// (stable sort). The item slab and run list are reusable across phases
-/// via [`clear`](CoordGroups::clear).
+/// (stable sort). The item slab is reusable across phases via
+/// [`clear`](CoordGroups::clear).
 #[derive(Debug)]
 pub(crate) struct CoordGroups<T> {
     items: Vec<(i64, T)>,
-    /// `(start, end)` ranges into `items`; the run's coordinate is
-    /// `items[start].0`.
-    runs: Vec<(usize, usize)>,
 }
 
 impl<T> CoordGroups<T> {
     pub(crate) fn new() -> Self {
-        CoordGroups {
-            items: Vec::new(),
-            runs: Vec::new(),
-        }
+        CoordGroups { items: Vec::new() }
     }
 
     pub(crate) fn clear(&mut self) {
         self.items.clear();
-        self.runs.clear();
     }
 
     pub(crate) fn push(&mut self, coord: i64, item: T) {
         self.items.push((coord, item));
     }
 
-    /// Stable-sort the items by coordinate and compute the run index.
+    /// Stable-sort the items by coordinate.
     pub(crate) fn finish(&mut self) {
         self.items.sort_by_key(|e| e.0);
-        self.runs.clear();
-        let mut i = 0usize;
-        while i < self.items.len() {
-            let c = self.items[i].0;
-            let start = i;
-            while i < self.items.len() && self.items[i].0 == c {
-                i += 1;
-            }
-            self.runs.push((start, i));
-        }
     }
 
     /// Total items pushed (the phase's block volume contribution).
@@ -338,9 +260,34 @@ impl<T> CoordGroups<T> {
 
     /// The runs: `(coordinate, items of the run)`.
     pub(crate) fn groups(&self) -> impl Iterator<Item = (i64, &[(i64, T)])> {
-        self.runs
-            .iter()
-            .map(move |&(s, e)| (self.items[s].0, &self.items[s..e]))
+        let runs = self.items.chunk_by(|a, b| a.0 == b.0);
+        runs.map(|run| (run[0].0, run))
+    }
+}
+
+/// One block on the wire: the slot it leaves, the slot it lands in, and
+/// the neighbor whose block size it has.
+pub(crate) type Wire = (BlockRef, BlockRef, usize);
+
+impl CoordGroups<Wire> {
+    /// One round per run, in run order, its blocks in push order: the run
+    /// of coordinate `c` travels `sign·c` along dimension `dim` of `d`.
+    pub(crate) fn rounds(
+        &self,
+        d: usize,
+        dim: usize,
+        sign: i64,
+    ) -> impl Iterator<Item = PlanRound> + '_ {
+        self.groups().map(move |(c, run)| {
+            let mut offset = vec![0i64; d];
+            offset[dim] = sign * c;
+            PlanRound {
+                offset,
+                sends: run.iter().map(|&(_, (from, _, _))| from).collect(),
+                recvs: run.iter().map(|&(_, (_, to, _))| to).collect(),
+                block_ids: run.iter().map(|&(_, (_, _, block))| block).collect(),
+            }
+        })
     }
 }
 
@@ -351,9 +298,7 @@ mod tests {
     fn moore_arena(d: usize) -> TreeArena {
         let nb = RelNeighborhood::moore(d, 1).unwrap();
         let sigma: Vec<usize> = (0..d).collect();
-        let mut temp = 0usize;
-        let mut fills = Vec::new();
-        TreeArena::build(&nb, &sigma, &mut temp, &mut fills)
+        TreeArena::build(&nb, &sigma)
     }
 
     #[test]

@@ -209,7 +209,9 @@ fn cases() -> Vec<Case> {
 /// Golden row: counts and fingerprints captured from the seed's pointer
 /// tree. Per case: (name, rounds, volume, phase C_k, plan fp per DimOrder
 /// [IncreasingCk, Given, DecreasingCk], compiled fp of the IncreasingCk
-/// allgather at 24 B blocks, alltoall plan fp, alltoall compiled fp).
+/// allgather at 24 B blocks, alltoall plan fp, alltoall compiled fp). The
+/// reduce-scatter and allreduce columns were re-blessed when the root's
+/// partial sum moved into `Recv(0)`: each plan has one copy fewer.
 struct Golden {
     name: &'static str,
     rounds: usize,
@@ -229,12 +231,12 @@ const BLOCK_BYTES: usize = 24;
 
 #[rustfmt::skip]
 const GOLDENS: &[Golden] = &[
-    Golden { name: "moore2d", rounds: 4, volume: 8, phase_rounds: &[2, 2], ag_plan_fp: [0x5A9B3C038A60497F, 0x5A9B3C038A60497F, 0x5A9B3C038A60497F], ag_compiled_fp: 0xE2FAE7493F030021, a2a_plan_fp: 0x48A23E8F8EF5665E, a2a_compiled_fp: 0x987D0EE325DE89A2, rs_plan_fp: 0x05B5318F8DFAE80A, rs_compiled_fp: 0x1472F98C46B9C7A0, ar_plan_fp: 0x135D5243F3634196, ar_compiled_fp: 0xA2CFA778909759F8 },
-    Golden { name: "moore3d", rounds: 6, volume: 26, phase_rounds: &[2, 2, 2], ag_plan_fp: [0x928BC23F905E1F61, 0x928BC23F905E1F61, 0x928BC23F905E1F61], ag_compiled_fp: 0x2524848D0921EFD1, a2a_plan_fp: 0xA32D96D5D48251E7, a2a_compiled_fp: 0x4F66AB70F6505419, rs_plan_fp: 0xC62A25D98A85AF0E, rs_compiled_fp: 0xD59233C800C37F27, ar_plan_fp: 0x593CB94D2FD57526, ar_compiled_fp: 0xFD1DAAF72251B7A3 },
-    Golden { name: "vonneumann2d", rounds: 4, volume: 4, phase_rounds: &[2, 2], ag_plan_fp: [0xA77C418323449335, 0xA77C418323449335, 0xA77C418323449335], ag_compiled_fp: 0xAC9863F3488F8FB6, a2a_plan_fp: 0x2CAF881602A4E676, a2a_compiled_fp: 0x279EEE43F255EB2B, rs_plan_fp: 0xED9267DB0D7F817C, rs_compiled_fp: 0xAB328C44E4A500CA, ar_plan_fp: 0x778E3A335972B775, ar_compiled_fp: 0x96660ED6098858C6 },
-    Golden { name: "vonneumann3d", rounds: 6, volume: 6, phase_rounds: &[2, 2, 2], ag_plan_fp: [0xA4A279AFD185787F, 0xA4A279AFD185787F, 0xA4A279AFD185787F], ag_compiled_fp: 0x4EA44B73EA19B1ED, a2a_plan_fp: 0xD309059B4E6324F3, a2a_compiled_fp: 0xD9447ED2A65EC647, rs_plan_fp: 0xAD9D9800ED7A714C, rs_compiled_fp: 0xE8970C47269CC01B, ar_plan_fp: 0x12B2AE7EB8DB764E, ar_compiled_fp: 0xF01652ED43F2C6A2 },
-    Golden { name: "upwind2d", rounds: 3, volume: 5, phase_rounds: &[1, 2], ag_plan_fp: [0xF634015CEBA4F350, 0x7247D929E04955F1, 0x7247D929E04955F1], ag_compiled_fp: 0xEA6474FED2BF2ECA, a2a_plan_fp: 0x710022A7387C9B2F, a2a_compiled_fp: 0xFC0D8CEF8EA6F121, rs_plan_fp: 0xD870BFF751278003, rs_compiled_fp: 0x780E27C301B48543, ar_plan_fp: 0x2D705AAA771A4522, ar_compiled_fp: 0x24BE446897C5933C },
-    Golden { name: "upwind3d", rounds: 4, volume: 8, phase_rounds: &[1, 1, 2], ag_plan_fp: [0x44D4859AC7E9B72A, 0x4B9DC78C3F72BE34, 0x4B9DC78C3F72BE34], ag_compiled_fp: 0xBCD34B3EBD23A0DF, a2a_plan_fp: 0xBF08C8A4DBE212A8, a2a_compiled_fp: 0xF3DDB642C0D13461, rs_plan_fp: 0xF2A8091550CF7833, rs_compiled_fp: 0xA8AF775E7A59A6AB, ar_plan_fp: 0x275A12C076EC1071, ar_compiled_fp: 0xF8CCB91C31CB499E },
+    Golden { name: "moore2d", rounds: 4, volume: 8, phase_rounds: &[2, 2], ag_plan_fp: [0x5A9B3C038A60497F, 0x5A9B3C038A60497F, 0x5A9B3C038A60497F], ag_compiled_fp: 0xE2FAE7493F030021, a2a_plan_fp: 0x48A23E8F8EF5665E, a2a_compiled_fp: 0x987D0EE325DE89A2, rs_plan_fp: 0xCD11A4140730E1E6, rs_compiled_fp: 0x0DC48B31B0A5D238, ar_plan_fp: 0x6760ABE7BBC1DDFF, ar_compiled_fp: 0xA6D9DF3ADA467288 },
+    Golden { name: "moore3d", rounds: 6, volume: 26, phase_rounds: &[2, 2, 2], ag_plan_fp: [0x928BC23F905E1F61, 0x928BC23F905E1F61, 0x928BC23F905E1F61], ag_compiled_fp: 0x2524848D0921EFD1, a2a_plan_fp: 0xA32D96D5D48251E7, a2a_compiled_fp: 0x4F66AB70F6505419, rs_plan_fp: 0x800D950B0D38C9F6, rs_compiled_fp: 0x65207E6AB91D9401, ar_plan_fp: 0xC341C6A520DDCA1F, ar_compiled_fp: 0x067E20E699B064A7 },
+    Golden { name: "vonneumann2d", rounds: 4, volume: 4, phase_rounds: &[2, 2], ag_plan_fp: [0xA77C418323449335, 0xA77C418323449335, 0xA77C418323449335], ag_compiled_fp: 0xAC9863F3488F8FB6, a2a_plan_fp: 0x2CAF881602A4E676, a2a_compiled_fp: 0x279EEE43F255EB2B, rs_plan_fp: 0xC7975EA98CFD3580, rs_compiled_fp: 0x86230798B1962D67, ar_plan_fp: 0x0F68C30A38927488, ar_compiled_fp: 0x5D23CE5C51DEA751 },
+    Golden { name: "vonneumann3d", rounds: 6, volume: 6, phase_rounds: &[2, 2, 2], ag_plan_fp: [0xA4A279AFD185787F, 0xA4A279AFD185787F, 0xA4A279AFD185787F], ag_compiled_fp: 0x4EA44B73EA19B1ED, a2a_plan_fp: 0xD309059B4E6324F3, a2a_compiled_fp: 0xD9447ED2A65EC647, rs_plan_fp: 0x113993EE7BE4135C, rs_compiled_fp: 0x642077F089FA1D5B, ar_plan_fp: 0xCFC2AAE557C37ED7, ar_compiled_fp: 0xD5049762C7582718 },
+    Golden { name: "upwind2d", rounds: 3, volume: 5, phase_rounds: &[1, 2], ag_plan_fp: [0xF634015CEBA4F350, 0x7247D929E04955F1, 0x7247D929E04955F1], ag_compiled_fp: 0xEA6474FED2BF2ECA, a2a_plan_fp: 0x710022A7387C9B2F, a2a_compiled_fp: 0xFC0D8CEF8EA6F121, rs_plan_fp: 0x42E1D4E26C0CA81C, rs_compiled_fp: 0x9A3D1CC38D521FEB, ar_plan_fp: 0xF1E4E7A42C5F7073, ar_compiled_fp: 0xF3F52E43392605F4 },
+    Golden { name: "upwind3d", rounds: 4, volume: 8, phase_rounds: &[1, 1, 2], ag_plan_fp: [0x44D4859AC7E9B72A, 0x4B9DC78C3F72BE34, 0x4B9DC78C3F72BE34], ag_compiled_fp: 0xBCD34B3EBD23A0DF, a2a_plan_fp: 0xBF08C8A4DBE212A8, a2a_compiled_fp: 0xF3DDB642C0D13461, rs_plan_fp: 0xFC49008B52143170, rs_compiled_fp: 0x14BA004ECEF49A61, ar_plan_fp: 0x007A1B4D2E017885, ar_compiled_fp: 0x9619C53F3B262473 },
 ];
 
 fn bless() -> bool {
