@@ -11,7 +11,7 @@ use cartcomm_topo::{CartTopology, DistGraphTopology, Offset, RelNeighborhood, To
 use crate::compile::{CompiledPlan, Program};
 use crate::error::{CartError, CartResult};
 use crate::exec::{ExecLayouts, CART_TAG_BASE};
-use crate::ops::{resolve, size_temp, Algo, Shape};
+use crate::ops::{resolve, size_temp, w_layouts, Algo, Shape};
 use crate::plan::{Plan, PlanKind, Schedule};
 use crate::plan_store::{schedule_key, store_key, KeyStem, PlanStore};
 use crate::schedule::{
@@ -260,18 +260,16 @@ impl CartComm {
         shape: Shape,
         algo: Algo,
     ) -> CartResult<(Arc<Plan>, CompiledPlan)> {
-        let plan = resolve(&self.topo, &self.nb, kind, &shape, algo, |id| {
-            self.schedule_for(id)
-        })?;
-        let cp = self.compiled_for(&plan, kind, shape)?;
+        let plan = resolve(kind, &shape, algo, |id| self.schedule_for(id));
+        let cp = self.compiled_for(&plan, shape)?;
         Ok((plan, cp))
     }
 
     /// Store-or-compile: the shared [`Lookup`], with the per-communicator
     /// hit/miss counters on top, resolved for this rank.
-    fn compiled_for(&self, plan: &Plan, kind: PlanKind, shape: Shape) -> CartResult<CompiledPlan> {
+    fn compiled_for(&self, plan: &Plan, shape: Shape) -> CartResult<CompiledPlan> {
         let rank = self.rank();
-        let lookup = Lookup::new(&self.store, &self.topo, &self.nb, plan, kind, shape);
+        let lookup = Lookup::new(&self.store, &self.topo, &self.nb, plan, shape);
         let (program, hit) = lookup.program(rank, self.comm.obs())?;
         let count = if hit {
             &self.cache_hits
@@ -280,13 +278,6 @@ impl CartComm {
         };
         count.set(count.get() + 1);
         CompiledPlan::resolve(program, &self.topo, rank)
-    }
-
-    /// True if every dimension the neighborhood moves in is periodic —
-    /// the condition under which the message-combining schedules may route
-    /// through intermediate processes for every rank.
-    pub fn combining_applicable(&self) -> bool {
-        crate::ops::check_combining(&self.topo, &self.nb).is_ok()
     }
 
     /// The offsets, as a convenience for iteration.
@@ -322,16 +313,14 @@ impl Schedules {
     }
 }
 
-/// The one place a program comes from: `plan`, run as a `kind` collective
-/// over `shape` on `topo`, looked up in `store` under its identity (hashed
-/// here, once) and compiled by whichever requester misses — over layouts
-/// made (temp-sized; a description flattened) only then.
+/// The one place a program comes from: `plan`, run over `shape` on
+/// `topo`, looked up in `store` under its identity (hashed here, once) and
+/// compiled by whichever requester misses — over layouts made (temp-sized;
+/// a description flattened) only then.
 pub(crate) struct Lookup<'a> {
     store: &'a PlanStore,
     topo: &'a CartTopology,
-    nb: &'a RelNeighborhood,
     plan: &'a Plan,
-    kind: PlanKind,
     shape: Shape<'a>,
     stem: KeyStem,
 }
@@ -342,17 +331,14 @@ impl<'a> Lookup<'a> {
         topo: &'a CartTopology,
         nb: &'a RelNeighborhood,
         plan: &'a Plan,
-        kind: PlanKind,
         shape: Shape<'a>,
     ) -> Self {
         let id = (plan.kind, plan.schedule);
         Lookup {
-            stem: KeyStem::new(topo, nb, id, shape.fingerprint(kind)),
+            stem: KeyStem::new(topo, nb, id, shape.fingerprint(plan.kind)),
             store,
             topo,
-            nb,
             plan,
-            kind,
             shape,
         }
     }
@@ -370,8 +356,11 @@ impl<'a> Lookup<'a> {
     pub(crate) fn program(&self, rank: usize, obs: &Obs) -> CartResult<(Arc<Program>, bool)> {
         let (plan, key) = (self.plan, self.stem.key(rank));
         let (program, hit) = self.store.get_or_compile(key, || {
-            let lay = self.shape.layouts(self.kind, plan.kind, self.nb.len())?;
-            let lay = size_temp(lay.into_owned(), plan.kind, plan.temp_slots)?;
+            let lay = match self.shape {
+                Shape::Layouts(lay) => lay.clone(),
+                Shape::Described { send, recv } => w_layouts(send, recv, plan.kind)?,
+            };
+            let lay = size_temp(lay, plan.kind, plan.temp_slots)?;
             let program = Program::compile(self.topo, rank, plan, &lay, CART_TAG_BASE)?;
             Ok(Arc::new(program))
         })?;
@@ -433,7 +422,7 @@ impl Plans<'_> {
     /// [`cartcomm_comm::obs::Obs`] handle.
     pub fn compiled(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<CompiledPlan> {
         self.cc
-            .compiled_for(&self.schedule(kind), kind, Shape::Layouts(&lay))
+            .compiled_for(&self.schedule(kind), Shape::Layouts(&lay))
     }
 
     /// The full [`PlanStore`] key [`Plans::compiled`] resolves for `kind`

@@ -23,9 +23,10 @@
 //!   ranges cannot alias and staged through a scratch buffer otherwise;
 //! * exact wire sizes, and the minimum send/receive buffer lengths, checked
 //!   once per execute instead of once per block;
-//! * on a non-periodic mesh, the boundary: a round's send half and receive
-//!   half exist separately, each carrying only the blocks whose whole path
-//!   lies inside the mesh (see `Boundary`), so a boundary rank simply
+//! * on a non-periodic mesh, the boundary, for every schedule alike: a
+//!   copy runs, and a round's send half and receive half each carry a
+//!   block, only where one of the (source, target) pairs it serves has
+//!   both ends inside the mesh (see `Boundary`), so a boundary rank simply
 //!   gets a shorter program — there, and only there, a program is one
 //!   rank's own.
 //!
@@ -46,7 +47,7 @@ use cartcomm_types::{Reducer, TypeError};
 
 use crate::error::{CartError, CartResult};
 use crate::exec::ExecLayouts;
-use crate::plan::{BlockRef, Loc, Plan, PlanKind, PlanRound};
+use crate::plan::{BlockRef, Loc, Pairs, Plan, PlanKind, Serves};
 
 /// Which concrete buffer a compiled span addresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,12 +367,10 @@ impl Program {
     /// Compile `plan` over `lay`. `lay` must carry temp-slot sizing (see
     /// `ops::size_temp`); `tag_base` is the tag of round 0. `rank` matters
     /// only where a round's offset crosses a non-periodic dimension: there
-    /// a plan whose blocks travel independent paths compiles to the halves
-    /// and blocks that are live at `rank` (see `Boundary`) and the program
-    /// is that rank's alone, and a tree-routed one fails with
-    /// [`CartError::CombiningNeedsTorus`]. Everywhere else the program is
-    /// every rank's. Layout errors (negative resolved displacements)
-    /// propagate as type errors.
+    /// the plan compiles to the copies, halves and blocks that are live at
+    /// `rank` (see `Boundary`) and the program is that rank's alone.
+    /// Everywhere else the program is every rank's. Layout errors
+    /// (negative resolved displacements) propagate as type errors.
     pub fn compile(
         topo: &CartTopology,
         rank: usize,
@@ -379,7 +378,9 @@ impl Program {
         lay: &ExecLayouts,
         tag_base: Tag,
     ) -> CartResult<Program> {
-        let mut boundary = Boundary::of(topo, rank, plan)?;
+        let boundary = Boundary::of(topo, rank, plan);
+        let live = |serves, hop| boundary.as_ref().is_none_or(|bd| bd.live(serves, hop));
+        let staged = |br, arrives| boundary.as_ref().map_or(br, |bd| bd.staged(br, arrives));
         let mut cp = Program {
             kind: plan.kind,
             phases: Vec::with_capacity(plan.phases.len()),
@@ -396,9 +397,10 @@ impl Program {
         };
         let mut round_idx = 0usize;
         // First-touch write tracking for the reduction kinds: the first
-        // write to a block slot (walked in execution order — copies in list
-        // order, then each round's receives in wire order) assigns, every
-        // later one accumulates. Copy-semantics plans never accumulate.
+        // live write to a block slot (walked in execution order — copies
+        // in list order, then each round's receives in wire order)
+        // assigns, every later one accumulates. Copy-semantics plans never
+        // accumulate.
         let reduce = plan.kind.is_reduction();
         let mut written: HashSet<(u8, usize)> = HashSet::new();
         let mut write_mode = |br: BlockRef| -> bool {
@@ -414,7 +416,7 @@ impl Program {
         };
         for phase in &plan.phases {
             let mut cphase = CompiledPhase::default();
-            for copy in &phase.copies {
+            for copy in phase.copies.iter().filter(|c| live(c.serves, None)) {
                 let acc = write_mode(copy.to);
                 let cc = cp.compile_copy(lay, copy.from, copy.to, acc)?;
                 cp.max_copy_bytes = cp.max_copy_bytes.max(cc.bytes);
@@ -427,41 +429,30 @@ impl Program {
                 let mut scatter = SpanProgram::default();
                 // Blocks a rank sends / receives in the round.
                 let (mut departing, mut arriving) = (0usize, 0usize);
-                for j in 0..round.block_ids.len() {
-                    let (mut from, mut to) = (round.sends[j], round.recvs[j]);
-                    let (departs, arrives) = match &mut boundary {
-                        None => (true, true),
-                        Some(bd) => {
-                            let b = round.block_ids[j];
-                            from = bd.staged(from, false);
-                            to = bd.staged(to, bd.last_round[b] == round_idx);
-                            (bd.live(b, None)?, bd.live(b, Some(&round.offset))?)
-                        }
-                    };
-                    if departs {
+                for (j, &serves) in round.serves.iter().enumerate() {
+                    if live(serves, None) {
                         departing += 1;
+                        let from = staged(round.sends[j], None);
                         cp.push_block(lay, from, &mut gather, false)?;
                     }
-                    if arrives {
+                    if live(serves, Some(&round.offset)) {
                         arriving += 1;
+                        let to = staged(round.recvs[j], Some((serves, &round.offset)));
                         let acc = write_mode(to);
                         cp.push_block(lay, to, &mut scatter, acc)?;
                     }
                 }
-                match &mut boundary {
-                    Some(bd) => bd.hop(round),
-                    None => {
-                        debug_assert_eq!(
-                            gather.bytes(),
-                            round.block_ids.iter().map(|&b| lay.block_bytes[b]).sum(),
-                            "gather program covers exactly the round's block bytes"
-                        );
-                        debug_assert_eq!(
-                            scatter.bytes(),
-                            gather.bytes(),
-                            "scatter program consumes exactly the wire"
-                        );
-                    }
+                if boundary.is_none() {
+                    debug_assert_eq!(
+                        gather.bytes(),
+                        round.block_ids.iter().map(|&b| lay.block_bytes[b]).sum(),
+                        "gather program covers exactly the round's block bytes"
+                    );
+                    debug_assert_eq!(
+                        scatter.bytes(),
+                        gather.bytes(),
+                        "scatter program consumes exactly the wire"
+                    );
                 }
                 let half = |blocks: usize, mut prog: SpanProgram| {
                     (blocks > 0).then(|| {
@@ -736,9 +727,11 @@ impl CompiledPlan {
         // peer.
         let peer = |half: &Option<Half>, offset: &[i64]| match half {
             None => Ok(NO_PEER),
-            Some(_) => topo
-                .rank_of_offset(rank, offset)?
-                .ok_or_else(|| nonperiodic_dim(topo, offset)),
+            Some(_) => topo.rank_of_offset(rank, offset)?.ok_or_else(|| {
+                CartError::Type(TypeError::InvalidArgument(format!(
+                    "rank {rank} has no process at {offset:?} to run its program with"
+                )))
+            }),
         };
         let rounds = program.phases.iter().flat_map(|p| &p.rounds);
         for (r, offset) in rounds.zip(&program.offsets) {
@@ -864,95 +857,68 @@ impl CompiledPlan {
 /// Where a mesh boundary cuts a plan off at one rank — the details the
 /// paper leaves out ("non-periodic meshes are not discussed further here").
 /// On a torus every process has every neighbor; on a mesh boundary
-/// processes lack some, so what a round carries differs per rank. Two
-/// observations (per-dimension interval arguments) make that a pure
-/// function of rank, block and round:
+/// processes lack some. Every movement — a round's wire block, a local
+/// copy — names the (source, target) pairs it serves ([`Pairs`]), and two
+/// per-dimension interval arguments make its fate a pure function of rank
+/// and movement:
 ///
-/// * A block from origin `o` to `o + N[i]` visits positions whose
-///   coordinate in each dimension is either `o`'s or the target's, so if
-///   both endpoints lie in the mesh **every intermediate hop does too**: a
-///   block is *live* iff its origin and its final target exist.
-/// * The copy of block `i` a process `r` holds before a round started at
-///   `o = r − (the hops block i has behind it)`. Sender `r` and receiver
-///   `r + offset` compute the same origin, so both agree on what the
-///   message holds without communicating.
+/// * A schedule routes a pair's block dimension by dimension, so every
+///   process it visits has, per dimension, one end's coordinate or the
+///   other's: if both ends lie in the mesh **every hop between them does
+///   too**. A movement runs iff one of its pairs has both ends in the mesh.
+/// * A round's receiver sees the sender's pairs one hop further on, so
+///   both agree on what the message holds without communicating.
 ///
-/// A round's send half therefore carries the blocks live at `r`, its
-/// receive half the blocks live one hop further on. On a torus an
-/// intermediate hop may rest in the receive buffer, because the final hop
-/// overwrites it later; on a mesh that final hop may never come, so
-/// intermediate hops are staged in the block's temp slot instead and only
-/// a block's final hop writes `Recv`.
+/// Only a pair's final delivery writes `Recv`: on a torus the alltoall
+/// rests an intermediate hop there too, because the final hop overwrites
+/// it later; on a mesh that hop may never come, so there it is staged in
+/// the block's temp slot instead.
 struct Boundary<'a> {
     topo: &'a CartTopology,
     coords: Vec<usize>,
-    /// Each block's whole path, `N[i]`: the sum of its rounds' offsets.
-    path: Vec<Offset>,
-    /// The part of its path each block has behind it so far.
-    behind: Vec<Offset>,
-    /// Global index of each block's final round.
-    last_round: Vec<usize>,
-    scratch: Vec<i64>,
+    pairs: &'a Pairs,
+    /// The plan is an alltoall: its intermediate hops are staged.
+    stages: bool,
 }
 
 impl<'a> Boundary<'a> {
     /// `None` when no round of `plan` crosses a non-periodic dimension.
-    fn of(topo: &'a CartTopology, rank: usize, plan: &Plan) -> CartResult<Option<Self>> {
-        let rounds = || plan.phases.iter().flat_map(|p| &p.rounds);
+    fn of(topo: &'a CartTopology, rank: usize, plan: &'a Plan) -> Option<Self> {
         let crosses = |o: &Offset| o.iter().zip(topo.periods()).any(|(&c, &p)| c != 0 && !p);
-        let Some(crossing) = rounds().find(|r| crosses(&r.offset)) else {
-            return Ok(None);
-        };
-        if !plan.routes_blocks_independently() {
-            return Err(nonperiodic_dim(topo, &crossing.offset));
-        }
-        let d = topo.ndims();
-        let mut path = vec![vec![0i64; d]; plan.t];
-        let mut last_round = vec![0usize; plan.t];
-        for (idx, round) in rounds().enumerate() {
-            for &b in &round.block_ids {
-                for (p, &c) in path[b].iter_mut().zip(&round.offset) {
-                    *p += c;
-                }
-                last_round[b] = idx;
-            }
-        }
-        Ok(Some(Boundary {
+        let mut rounds = plan.phases.iter().flat_map(|p| &p.rounds);
+        rounds.any(|r| crosses(&r.offset)).then(|| Boundary {
             topo,
             coords: topo.coords_of(rank),
-            path,
-            behind: vec![vec![0i64; d]; plan.t],
-            last_round,
-            scratch: vec![0i64; d],
-        }))
+            pairs: &plan.pairs,
+            stages: plan.kind == PlanKind::Alltoall,
+        })
     }
 
-    /// Whether block `b` is live at this rank — after `hop` more, on the
-    /// receive side of a round.
-    fn live(&mut self, b: usize, hop: Option<&Offset>) -> CartResult<bool> {
-        for (k, s) in self.scratch.iter_mut().enumerate() {
-            *s = -(self.behind[b][k] + hop.map_or(0, |h| h[k]));
-        }
-        let Some(origin) = self.topo.offset_coords(&self.coords, &self.scratch)? else {
-            return Ok(false);
+    /// Whether a movement serving `serves` is live at this rank — `hop`
+    /// past its holder, on the receive side of a round: both ends of one
+    /// of its pairs exist.
+    fn live(&self, serves: Serves, hop: Option<&Offset>) -> bool {
+        let (dims, periods) = (self.topo.dims(), self.topo.periods());
+        let exists = |end: &[i64]| {
+            (0..dims.len()).all(|k| {
+                let c = self.coords[k] as i64 + end[k] - hop.map_or(0, |h| h[k]);
+                periods[k] || (0..dims[k] as i64).contains(&c)
+            })
         };
-        Ok(self.topo.offset_coords(&origin, &self.path[b])?.is_some())
+        (serves.0..serves.1).any(|p| {
+            let (source, target) = self.pairs.get(p);
+            exists(source) && exists(target)
+        })
     }
 
-    /// `round` is compiled: its blocks have its offset behind them.
-    fn hop(&mut self, round: &PlanRound) {
-        for &b in &round.block_ids {
-            for (s, &c) in self.behind[b].iter_mut().zip(&round.offset) {
-                *s += c;
-            }
-        }
-    }
-
-    /// Where a block rests: in its temp slot wherever the plan says
-    /// `Recv`, unless this is the `last` hop's receive.
-    fn staged(&self, br: BlockRef, last: bool) -> BlockRef {
+    /// Where a block rests: the alltoall's `Recv` slot is its temp slot,
+    /// but where the block `arrives` (its pairs and the hop) at its
+    /// target.
+    fn staged(&self, br: BlockRef, arrives: Option<(Serves, &Offset)>) -> BlockRef {
+        let delivered = arrives
+            .is_some_and(|(serves, hop)| (serves.0..serves.1).any(|p| self.pairs.get(p).1 == hop));
         match br.loc {
-            Loc::Recv if !last => BlockRef::new(Loc::Temp, br.slot),
+            Loc::Recv if self.stages && !delivered => BlockRef::new(Loc::Temp, br.slot),
             _ => br,
         }
     }
@@ -1149,16 +1115,6 @@ fn push_fused(fused: &mut Vec<FusedRun>, src: BufId, s: usize, dst: BufId, d: us
         count: 1,
     };
     fused.push(FusedRun { src, dst, run });
-}
-
-pub(crate) fn nonperiodic_dim(topo: &CartTopology, offset: &[i64]) -> CartError {
-    let dim = offset
-        .iter()
-        .enumerate()
-        .find(|(k, &c)| c != 0 && !topo.periods()[*k])
-        .map(|(k, _)| k)
-        .unwrap_or(0);
-    CartError::CombiningNeedsTorus { dim }
 }
 
 // ----- execution -----------------------------------------------------------
@@ -1925,32 +1881,108 @@ mod tests {
     }
 
     #[test]
-    fn tree_plans_refuse_a_mesh_and_zero_offsets_need_no_torus() {
-        let mesh = CartTopology::new(&[3, 3], &[true, false]).unwrap();
+    fn tree_plans_clip_to_a_mesh_and_zero_offsets_need_no_torus() {
+        let mesh = CartTopology::mesh(&[4, 4]).unwrap();
         let nb = RelNeighborhood::moore(2, 1).unwrap();
         let plan = crate::schedule::allgather_plan(&nb);
-        let lay = size_temp(
-            regular_layouts(plan.t, 4, plan.kind),
-            plan.kind,
-            plan.temp_slots,
-        )
-        .unwrap();
-        for rank in 0..9 {
-            assert!(matches!(
-                CompiledPlan::compile(&mesh, rank, &plan, &lay, 0),
-                Err(CartError::CombiningNeedsTorus { dim: 1 })
-            ));
-        }
+        let sent = |rank| {
+            compile(&mesh, rank, &plan, 4)
+                .wire_capacities()
+                .iter()
+                .sum::<usize>()
+        };
+        // An interior rank forwards along all eight tree edges; the corner
+        // (0, 0) along +x to its row's targets, then along +y for the
+        // origins (0, 0) and (1, 0) — the edges with a target in the mesh.
+        assert_eq!(sent(5), 8 * 4);
+        assert_eq!(sent(0), 3 * 4);
+        assert_eq!(compile(&mesh, 0, &plan, 4).bound_to, Some(0));
         // Moving only where the topology is periodic is fine.
+        let mesh = CartTopology::new(&[3, 3], &[true, false]).unwrap();
         let along = RelNeighborhood::new(2, vec![vec![1, 0], vec![-1, 0]]).unwrap();
         let plan = crate::schedule::allgather_plan(&along);
-        let lay = size_temp(
-            regular_layouts(plan.t, 4, plan.kind),
-            plan.kind,
-            plan.temp_slots,
-        )
-        .unwrap();
-        assert!(CompiledPlan::compile(&mesh, 0, &plan, &lay, 0).is_ok());
+        assert_eq!(compile(&mesh, 0, &plan, 4).bound_to, None);
+    }
+
+    /// The first temp byte `p` reads — a copy's or a send half's source, or
+    /// a folding destination — before it has written it, if any.
+    fn unwritten_temp_read(p: &Program) -> Option<usize> {
+        let mut written = vec![false; p.temp_len];
+        let first_unwritten = |written: &[bool], buf: BufId, (o, n): PackSpan| {
+            let temp = (buf == BufId::Temp).then(|| &written[o..o + n]);
+            temp.and_then(|w| w.iter().position(|&w| !w)).map(|i| o + i)
+        };
+        for phase in &p.phases {
+            for c in &phase.copies {
+                for &(s, d, n) in &c.ops {
+                    let dst = c.acc.then(|| first_unwritten(&written, c.dst, (d, n)));
+                    let read = first_unwritten(&written, c.src, (s, n)).or(dst.flatten());
+                    if read.is_some() {
+                        return read;
+                    }
+                    if c.dst == BufId::Temp {
+                        written[d..d + n].fill(true);
+                    }
+                }
+            }
+            for (b, span) in phase
+                .rounds
+                .iter()
+                .flat_map(|r| &r.send)
+                .flat_map(Half::spans)
+            {
+                if let Some(at) = first_unwritten(&written, b.buf, span) {
+                    return Some(at);
+                }
+            }
+            for (b, (o, n)) in phase
+                .rounds
+                .iter()
+                .flat_map(|r| &r.recv)
+                .flat_map(Half::spans)
+            {
+                if let Some(at) = first_unwritten(&written, b.buf, (o, n)).filter(|_| b.acc) {
+                    return Some(at);
+                }
+                if b.buf == BufId::Temp {
+                    written[o..o + n].fill(true);
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn boundary_programs_read_only_the_temps_they_wrote() {
+        // A movement with no pair inside the mesh does not run, so no rank
+        // forwards or folds a temp that holds a previous operation's bytes.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for _ in 0..1000 {
+            let d = rng.gen_range(1..4);
+            let dims: Vec<usize> = (0..d).map(|_| rng.gen_range(2..5)).collect();
+            let periods: Vec<bool> = (0..d).map(|_| rng.gen_bool(0.3)).collect();
+            let offsets: Vec<Vec<i64>> = (0..rng.gen_range(1..9))
+                .map(|_| (0..d).map(|_| rng.gen_range(-2i64..3)).collect())
+                .collect();
+            let mesh = CartTopology::new(&dims, &periods).unwrap();
+            let nb = RelNeighborhood::new(d, offsets).unwrap();
+            for plan in [
+                alltoall_plan(&nb),
+                crate::schedule::allgather_plan(&nb),
+                crate::schedule::reduce_scatter_plan(&nb),
+                crate::schedule::allreduce_plan(&nb),
+            ] {
+                for rank in 0..mesh.size() {
+                    let read = unwritten_temp_read(&compile(&mesh, rank, &plan, 4));
+                    assert_eq!(
+                        read, None,
+                        "{:?} of {nb:?}, rank {rank} of {mesh:?}",
+                        plan.kind
+                    );
+                }
+            }
+        }
     }
 
     /// The shape the class-sharing allreduce plan asks the executors for: a

@@ -41,12 +41,6 @@ pub enum CartError {
         send: usize,
         recv: usize,
     },
-    /// The message-combining schedules route blocks through intermediate
-    /// processes and therefore require every dimension that the
-    /// neighborhood moves in to be periodic (the paper's evaluation setting;
-    /// non-periodic meshes are supported by the trivial algorithms and the
-    /// baseline collectives).
-    CombiningNeedsTorus { dim: usize },
     /// The given allgatherv counts are not uniform, which the combining
     /// allgather schedule requires (isomorphism forces one block size; see
     /// DESIGN.md).
@@ -76,10 +70,6 @@ impl fmt::Display for CartError {
             CartError::BlockSizeMismatch { block, send, recv } => write!(
                 f,
                 "block {block}: send size {send} != receive size {recv}"
-            ),
-            CartError::CombiningNeedsTorus { dim } => write!(
-                f,
-                "message-combining schedule needs dimension {dim} to be periodic; use the trivial algorithm on meshes"
             ),
             CartError::NonUniformAllgatherCounts => write!(
                 f,
@@ -135,9 +125,6 @@ mod tests {
         let e: CartError = TypeError::InvalidArgument("x".into()).into();
         assert!(e.to_string().contains("datatype"));
         assert!(CartError::NotIsomorphic.to_string().contains("Cartesian"));
-        assert!(CartError::CombiningNeedsTorus { dim: 2 }
-            .to_string()
-            .contains("2"));
         let e = CartError::BadBufferSize {
             what: "send",
             expected: 10,

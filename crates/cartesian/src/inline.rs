@@ -22,8 +22,8 @@
 //! one per rank on a mesh, where boundary ranks run programs of their own.
 //!
 //! Everything a [`CartComm`] runs, runs here: both algorithms, tori and
-//! meshes. [`InlineUniverse::run`] resolves its [`Algo`] by the same rules
-//! and executes the same programs.
+//! meshes, every combining schedule. [`InlineUniverse::run`] resolves its
+//! [`Algo`] by the same rules and executes the same programs.
 //!
 //! [`CartComm`]: crate::CartComm
 
@@ -149,10 +149,10 @@ impl InlineUniverse {
         }
 
         let shape = Shape::Layouts(lay);
-        let plan = resolve(&self.topo, &self.nb, kind, &shape, algo, |id| {
+        let plan = resolve(kind, &shape, algo, |id| {
             self.schedules.get(&self.store, &self.nb, id)
-        })?;
-        let lookup = Lookup::new(&self.store, &self.topo, &self.nb, &plan, kind, shape);
+        });
+        let lookup = Lookup::new(&self.store, &self.topo, &self.nb, &plan, shape);
         let mut program = lookup.program(0, &self.obs[0])?.0;
         for rank in 0..p {
             if rank > 0 && lookup.per_rank() {
@@ -249,32 +249,25 @@ mod tests {
             // Two trivial phases, one combining phase — on every rank.
             assert_eq!(m.exchanges, 3);
         }
-        // The reversed tree of a combining reduction needs the torus.
+        // The reversed tree of a combining reduction is clipped alike.
         let rlay = regular_layouts(2, 4, PlanKind::Allreduce);
         let red = Reducer::new(RedOp::Sum, Primitive::U32);
-        let (send, mut recv) = ([1u8; 16], [0u8; 16]);
-        assert!(matches!(
+        let send = [1u8; 16];
+        for algo in [Combining, Trivial] {
+            let mut recv = [0u8; 16];
             uni.run(
                 PlanKind::Allreduce,
                 &rlay,
                 Some(red),
                 &send,
                 &mut recv,
-                Combining
-            ),
-            Err(CartError::CombiningNeedsTorus { dim: 0 })
-        ));
-        uni.run(
-            PlanKind::Allreduce,
-            &rlay,
-            Some(red),
-            &send,
-            &mut recv,
-            Trivial,
-        )
-        .unwrap();
-        // Own block plus the sources that exist (r-1, r+2), all 0x01010101.
-        assert_eq!([recv[0], recv[4], recv[8], recv[12]], [2, 3, 2, 2]);
+                algo,
+            )
+            .unwrap();
+            // Own block plus the sources that exist (r-1, r+2), all
+            // 0x01010101.
+            assert_eq!([recv[0], recv[4], recv[8], recv[12]], [2, 3, 2, 2]);
+        }
     }
 
     #[test]

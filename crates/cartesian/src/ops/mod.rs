@@ -31,11 +31,9 @@ pub mod persistent;
 
 pub use persistent::{PersistentCollective, PersistentReduction};
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use cartcomm_comm::obs::price;
-use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::{Datatype, FlatType, Reducer, TypeError};
 
 use crate::cartcomm::CartComm;
@@ -55,7 +53,7 @@ pub enum Algo {
     /// Whichever of the two is cheaper under the linear cost model for the
     /// blocks at hand: both are plans, and each is priced as
     /// `Σ_rounds (α/β + bytes_r)` over its own [`Plan::round_bytes`] (see
-    /// [`resolve`] for ties and meshes). For `t` equal blocks of `m` bytes
+    /// [`resolve`] for ties). For `t` equal blocks of `m` bytes
     /// that is the paper's cut-off `m < (α/β)·(t−C)/(V−t)` (§3.1); for
     /// unequal blocks — a halo's faces, edges and corners — it is what the
     /// cut-off approximates, byte for byte.
@@ -150,47 +148,15 @@ impl<'a> Shape<'a> {
         };
         ((lane(0x8CB9_2BA7_2F3D_8DD7) as u128) << 64) | lane(0xD1B5_4A32_D192_ED03) as u128
     }
-
-    /// The layouts a `plan_kind` plan compiles over for a `kind` collective
-    /// with `t` neighbors: the shape's own (a description is committed
-    /// here), except that an allgather routed over the alltoall schedule
-    /// sends its one contributed block to every neighbor (see [`resolve`]).
-    pub(crate) fn layouts(
-        &self,
-        kind: PlanKind,
-        plan_kind: PlanKind,
-        t: usize,
-    ) -> CartResult<Cow<'a, ExecLayouts>> {
-        let lay = match *self {
-            Shape::Layouts(lay) => Cow::Borrowed(lay),
-            Shape::Described { send, recv } => Cow::Owned(w_layouts(send, recv, kind)?),
-        };
-        if plan_kind == kind {
-            return Ok(lay);
-        }
-        Ok(Cow::Owned(ExecLayouts {
-            send: lay.send.iter().cycle().take(t).cloned().collect(),
-            recv: lay.recv.clone(),
-            block_bytes: lay.block_bytes.clone(),
-            temp_offsets: Vec::new(),
-            temp_sizes: Vec::new(),
-        }))
-    }
 }
 
-/// What `algo` comes to for a `kind` collective over `shape` on this
-/// topology: the plan to compile. `plan` looks a schedule up by identity.
+/// What `algo` comes to for a `kind` collective over `shape`: the plan to
+/// compile. `plan` looks a schedule up by identity. [`Algo::Combining`]
+/// is the `kind` collective's combining schedule, on a torus and a mesh
+/// alike — a mesh compiles each rank's share of it (see
+/// [`crate::compile`]).
 ///
-/// First, which combining plan would run here. Where the neighborhood
-/// moves in a non-periodic dimension only plans whose blocks travel
-/// independently compile (see [`Plan::routes_blocks_independently`]), so
-/// there a combining allgather routes over the alltoall schedule with its
-/// one contributed block replicated per neighbor (see [`Shape::layouts`])
-/// — still `C` rounds, volume `Σ zᵢ` instead of tree edges — and a
-/// combining reduction does not run at all: an error under
-/// [`Algo::Combining`], the trivial schedule under [`Algo::Auto`].
-///
-/// Then [`Algo::Auto`] runs that plan iff it is the cheaper one, both
+/// [`Algo::Auto`] runs the combining plan iff it is the cheaper one, both
 /// priced by [`price`] with `α` = `alpha_beta_bytes` and `β` = 1 over the
 /// shape's per-block bytes. On equal price the plan with fewer wire bytes
 /// wins, then the one with fewer rounds, then the trivial one: at the exact
@@ -201,24 +167,16 @@ impl<'a> Shape<'a> {
 /// a program clipped at a boundary, so every rank of a mesh decides alike;
 /// the explicit algorithms price nothing.
 pub(crate) fn resolve(
-    topo: &CartTopology,
-    nb: &RelNeighborhood,
     kind: PlanKind,
     shape: &Shape,
     algo: Algo,
     plan: impl Fn((PlanKind, Schedule)) -> Arc<Plan>,
-) -> CartResult<Arc<Plan>> {
-    let combining = match check_combining(topo, nb) {
-        Ok(()) => Ok((kind, Schedule::Combining)),
-        Err(needs_torus) if kind.is_reduction() => Err(needs_torus),
-        Err(_) if kind == PlanKind::Allgather => Ok((PlanKind::Alltoall, Schedule::Combining)),
-        Err(_) => Ok((kind, Schedule::Combining)),
-    };
-    let trivial = (kind, Schedule::Trivial);
-    Ok(match (algo, combining) {
-        (Algo::Trivial, _) | (Algo::Auto { .. }, Err(_)) => plan(trivial),
-        (Algo::Combining, combining) => plan(combining?),
-        (Algo::Auto { alpha_beta_bytes }, Ok(combining)) => {
+) -> Arc<Plan> {
+    let (combining, trivial) = ((kind, Schedule::Combining), (kind, Schedule::Trivial));
+    match algo {
+        Algo::Trivial => plan(trivial),
+        Algo::Combining => plan(combining),
+        Algo::Auto { alpha_beta_bytes } => {
             let cost = |plan: &Plan| {
                 let bytes = plan.round_bytes(&|b| shape.block_bytes(b));
                 (
@@ -234,7 +192,7 @@ pub(crate) fn resolve(
                 trivial
             }
         }
-    })
+    }
 }
 
 impl CartComm {
@@ -526,39 +484,26 @@ pub(crate) fn check_buffer(
     }
 }
 
-/// Guard: message-combining requires a torus in every dimension the
-/// neighborhood moves in — the condition under which a combining schedule
-/// compiles for every rank.
-pub(crate) fn check_combining(topo: &CartTopology, nb: &RelNeighborhood) -> CartResult<()> {
-    match (0..topo.ndims()).find(|&k| !topo.periods()[k] && nb.offsets().iter().any(|o| o[k] != 0))
-    {
-        None => Ok(()),
-        Some(dim) => Err(CartError::CombiningNeedsTorus { dim }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cartcomm::Schedules;
     use crate::cost::cutoff_ratio;
     use crate::plan_store::PlanStore;
+    use cartcomm_topo::RelNeighborhood;
     use cartcomm_types::Primitive;
     use proptest::prelude::*;
 
     /// What `algo` resolves to for a `kind` collective over `shape`.
     fn resolved(
-        topo: &CartTopology,
         nb: &RelNeighborhood,
         kind: PlanKind,
         shape: &Shape,
         algo: Algo,
-    ) -> CartResult<(PlanKind, Schedule)> {
+    ) -> (PlanKind, Schedule) {
         let (store, schedules) = (PlanStore::new(1, 16), Schedules::default());
-        let plan = resolve(topo, nb, kind, shape, algo, |id| {
-            schedules.get(&store, nb, id)
-        })?;
-        Ok((plan.kind, plan.schedule))
+        let plan = resolve(kind, shape, algo, |id| schedules.get(&store, nb, id));
+        (plan.kind, plan.schedule)
     }
 
     /// Layouts of which [`resolve`] reads the block sizes and nothing else.
@@ -580,13 +525,8 @@ mod tests {
     const TRIVIAL: (PlanKind, Schedule) = (PlanKind::Alltoall, Schedule::Trivial);
 
     /// What `Auto` at α/β = `ab` makes of an alltoall over `shape`.
-    fn alltoall_at(
-        topo: &CartTopology,
-        nb: &RelNeighborhood,
-        shape: &Shape,
-        ab: f64,
-    ) -> (PlanKind, Schedule) {
-        resolved(topo, nb, PlanKind::Alltoall, shape, auto(ab)).unwrap()
+    fn alltoall_at(nb: &RelNeighborhood, shape: &Shape, ab: f64) -> (PlanKind, Schedule) {
+        resolved(nb, PlanKind::Alltoall, shape, auto(ab))
     }
 
     #[test]
@@ -597,7 +537,6 @@ mod tests {
         // above α/β = 237 B (N = 48) and 314 B (N = 64); the average block
         // (4 433 B and 7 800 B) would ask for 6 206 B and 10 921 B.
         let nb = RelNeighborhood::moore(3, 1).unwrap();
-        let topo = CartTopology::torus(&[2, 2, 2]).unwrap();
         for n in [48usize, 64] {
             let edge = |z: usize| n.pow(3 - z as u32) * 8;
             let lay = sized(nb.hops().iter().map(|&z| edge(z)).collect());
@@ -614,7 +553,7 @@ mod tests {
                     recv: &described,
                 },
             ] {
-                let at = |ab| alltoall_at(&topo, &nb, &shape, ab);
+                let at = |ab| alltoall_at(&nb, &shape, ab);
                 assert_eq!(at(5500.0), COMBINING, "N = {n} at this box's α/β");
                 assert_eq!(at(200.0), TRIVIAL, "N = {n} below both thresholds");
             }
@@ -629,50 +568,32 @@ mod tests {
         // rounds are worth 48m B from α/β = 2.4m B on (the average block,
         // 3.7m B, would ask for 5.2m B).
         let nb = RelNeighborhood::moore(3, 1).unwrap();
-        let topo = CartTopology::torus(&[3, 3, 3]).unwrap();
         let m = 1000;
         let lay = sized(nb.hops().iter().map(|&z| m * (3 - z) * 4).collect());
-        let at = |ab| alltoall_at(&topo, &nb, &Shape::Layouts(&lay), ab);
+        let at = |ab| alltoall_at(&nb, &Shape::Layouts(&lay), ab);
         assert_eq!(at(4000.0), COMBINING);
         assert_eq!(at(2000.0), TRIVIAL);
         assert_eq!(at(2400.0), TRIVIAL, "equal price: fewer wire bytes win");
     }
 
     #[test]
-    fn on_a_mesh_auto_prices_the_plan_that_would_run() {
-        // 2-D Moore: t = 8, C = 4, tree edges 8, Σ zᵢ = 12. On a torus the
-        // combining allgather moves no extra block and wins at any α/β > 0;
-        // on a mesh it runs the alltoall plan, 4m bytes more for four
-        // rounds fewer, and wins only for m < α/β.
+    fn every_kind_combines_over_its_own_tree() {
+        // 2-D Moore: t = 8, C = 4, tree edges 8, Σ zᵢ = 12. The combining
+        // allgather moves no extra block and wins at any α/β > 0; the
+        // reductions send at most a block a tree edge. A mesh compiles its
+        // ranks' shares of the same plans, so there is nothing else to
+        // resolve to.
         let nb = RelNeighborhood::moore(2, 1).unwrap();
-        let lay = regular_layouts(8, 64, PlanKind::Allgather);
-        let shape = Shape::Layouts(&lay);
-        let on = |topo: &CartTopology, kind, algo| resolved(topo, &nb, kind, &shape, algo);
-        let (torus, mesh) = (
-            CartTopology::torus(&[3, 3]).unwrap(),
-            CartTopology::new(&[3, 3], &[true, false]).unwrap(),
-        );
-        let allgather = PlanKind::Allgather;
-        assert_eq!(
-            on(&torus, allgather, auto(32.0)).unwrap(),
-            (allgather, Schedule::Combining)
-        );
-        assert_eq!(
-            on(&mesh, allgather, auto(32.0)).unwrap(),
-            (allgather, Schedule::Trivial)
-        );
-        assert_eq!(on(&mesh, allgather, auto(128.0)).unwrap(), COMBINING);
-        assert_eq!(on(&mesh, allgather, Algo::Combining).unwrap(), COMBINING);
-        // No combining reduction runs there: Auto has one candidate.
-        for kind in [PlanKind::ReduceScatter, PlanKind::Allreduce] {
-            assert_eq!(
-                on(&mesh, kind, auto(1e9)).unwrap(),
-                (kind, Schedule::Trivial)
-            );
-            assert!(matches!(
-                on(&mesh, kind, Algo::Combining),
-                Err(CartError::CombiningNeedsTorus { dim: 1 })
-            ));
+        for kind in [
+            PlanKind::Allgather,
+            PlanKind::ReduceScatter,
+            PlanKind::Allreduce,
+        ] {
+            let lay = regular_layouts(8, 64, kind);
+            let on = |algo| resolved(&nb, kind, &Shape::Layouts(&lay), algo);
+            assert_eq!(on(auto(32.0)), (kind, Schedule::Combining));
+            assert_eq!(on(Algo::Combining), (kind, Schedule::Combining));
+            assert_eq!(on(Algo::Trivial), (kind, Schedule::Trivial));
         }
     }
 
@@ -680,9 +601,8 @@ mod tests {
     fn free_schedules_are_told_apart_by_their_rounds() {
         // α/β = 0 and empty blocks: both prices and both volumes are zero.
         let nb = RelNeighborhood::moore(2, 1).unwrap();
-        let topo = CartTopology::torus(&[3, 3]).unwrap();
         let lay = regular_layouts(8, 0, PlanKind::Alltoall);
-        let got = alltoall_at(&topo, &nb, &Shape::Layouts(&lay), 0.0);
+        let got = alltoall_at(&nb, &Shape::Layouts(&lay), 0.0);
         assert_eq!(got, COMBINING);
     }
 
@@ -726,7 +646,6 @@ mod tests {
             k in 1usize..40,
         ) {
             let kind = KINDS[kind];
-            let topo = CartTopology::torus(&vec![2; nb.ndims()]).unwrap();
             let (store, schedules) = (PlanStore::new(1, 16), Schedules::default());
             let plan = |schedule| schedules.get(&store, &nb, (kind, schedule));
             let (combining, trivial) = (plan(Schedule::Combining), plan(Schedule::Trivial));
@@ -744,7 +663,7 @@ mod tests {
                 None => c < t,
             };
             let lay = regular_layouts(nb.len(), m, kind);
-            let got = resolved(&topo, &nb, kind, &Shape::Layouts(&lay), auto(ab)).unwrap();
+            let got = resolved(&nb, kind, &Shape::Layouts(&lay), auto(ab));
             prop_assert_eq!(
                 got.1 == Schedule::Combining, expected,
                 "{:?}: t = {}, C = {}, V = {}, m = {}, α/β = {}", kind, t, c, v, m, ab

@@ -7,8 +7,9 @@
 //! [`crate::compile::CompiledPlan`] instantiates it for a concrete rank
 //! once — each round's offset resolved to `(send rank, receive rank)` with
 //! the relative shift of Listing 2, each [`BlockRef`] to a `(buffer,
-//! displacement, datatype)` triple, and on a mesh the halves and blocks a
-//! boundary cuts off dropped — and the result is executed repeatedly.
+//! displacement, datatype)` triple, and on a mesh the copies, halves and
+//! blocks a boundary cuts off dropped — those none of whose [`Pairs`] lie
+//! inside it — and the result is executed repeatedly.
 
 use cartcomm_topo::Offset;
 
@@ -42,6 +43,63 @@ impl BlockRef {
     }
 }
 
+/// The pairs one block movement serves: those of its plan's [`Pairs`]
+/// from `.0` up to `.1`.
+pub type Serves = (u32, u32);
+
+/// Every (source, target) neighbor pair a plan's movements serve, `2·d`
+/// coordinates a pair: the offsets of its two ends from the process that
+/// holds the block before the movement — a round's sender, a copy's own
+/// process. Which end is which matters only to a block's final delivery;
+/// a movement is live where both ends of one of its pairs exist.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Pairs {
+    d: usize,
+    ends: Vec<i64>,
+}
+
+impl Pairs {
+    pub fn new(d: usize) -> Self {
+        Pairs { d, ends: vec![] }
+    }
+
+    /// The two ends of pair `p`.
+    pub fn get(&self, p: u32) -> (&[i64], &[i64]) {
+        self.ends[2 * self.d * p as usize..][..2 * self.d].split_at(self.d)
+    }
+
+    fn len(&self) -> u32 {
+        (self.ends.len() / (2 * self.d).max(1)) as u32
+    }
+
+    /// Push the pairs of the blocks of offsets `offsets`, routed dimension
+    /// by dimension with the dimensions `done` behind them: a source lies
+    /// at `−o` in those, its target at `o` in the rest.
+    pub(crate) fn serve<'o>(
+        &mut self,
+        offsets: impl IntoIterator<Item = &'o [i64]>,
+        done: &[usize],
+    ) -> Serves {
+        let start = self.len();
+        for o in offsets {
+            self.ends
+                .extend((0..self.d).map(|k| if done.contains(&k) { -o[k] } else { 0 }));
+            self.ends
+                .extend((0..self.d).map(|k| if done.contains(&k) { 0 } else { o[k] }));
+        }
+        (start, self.len())
+    }
+
+    /// Push the pairs of `serves` seen from `hop` past their holder.
+    pub(crate) fn shifted(&mut self, serves: Serves, hop: &[i64]) -> Serves {
+        let (start, d) = (self.len(), self.d);
+        for i in 2 * d * serves.0 as usize..2 * d * serves.1 as usize {
+            self.ends.push(self.ends[i] - hop[i % d]);
+        }
+        (start, self.len())
+    }
+}
+
 /// A local block movement that needs no communication (the "possibly one
 /// non-communication phase" of Proposition 3.1: self-blocks, and
 /// zero-coordinate tree edges of the allgather schedule).
@@ -51,6 +109,8 @@ pub struct LocalCopy {
     pub from: BlockRef,
     /// Destination block.
     pub to: BlockRef,
+    /// The pairs it serves.
+    pub serves: Serves,
 }
 
 /// One send-receive round: its blocks travel together to the relative
@@ -69,6 +129,8 @@ pub struct PlanRound {
     /// sizing the wire; `sends[i]` carries the bytes of block
     /// `block_ids[i]`).
     pub block_ids: Vec<usize>,
+    /// The pairs each wire block serves.
+    pub serves: Vec<Serves>,
 }
 
 /// One communication phase (one dimension): its rounds are independent and
@@ -151,6 +213,8 @@ pub struct Plan {
     /// Per-process communication volume in blocks `V` (Props. 3.2/3.3):
     /// the number of block-sends the schedule performs.
     pub volume_blocks: usize,
+    /// What its movements serve, read only where a mesh boundary clips it.
+    pub pairs: Pairs,
 }
 
 impl Plan {
@@ -174,16 +238,8 @@ impl Plan {
         self.phases.iter().flat_map(|p| &p.copies)
     }
 
-    /// Whether every block travels a path of its own from `Send` to
-    /// `Recv`, one hop per round that lists it — the trivial schedules and
-    /// the combining alltoall — rather than along a shared tree. Only such
-    /// a plan compiles on a mesh: a boundary drops whole paths there.
-    pub fn routes_blocks_independently(&self) -> bool {
-        self.schedule == Schedule::Trivial || self.kind == PlanKind::Alltoall
-    }
-
     /// Internal consistency checks used by tests and debug builds:
-    /// * every round's `sends`, `recvs`, `block_ids` have equal length,
+    /// * every round's `sends`, `recvs`, `block_ids`, `serves` have equal length,
     /// * every round offset is non-zero — in exactly one dimension in a
     ///   combining schedule,
     /// * stored counters match the recomputed ones,
@@ -193,6 +249,7 @@ impl Plan {
             for (ri, round) in phase.rounds.iter().enumerate() {
                 if round.sends.len() != round.recvs.len()
                     || round.sends.len() != round.block_ids.len()
+                    || round.sends.len() != round.serves.len()
                 {
                     return Err(format!(
                         "phase {pi} round {ri}: mismatched send/recv/block lists"
@@ -374,11 +431,13 @@ mod tests {
                     sends: vec![BlockRef::new(Loc::Send, 0)],
                     recvs: vec![BlockRef::new(Loc::Recv, 0)],
                     block_ids: vec![0],
+                    serves: vec![(0, 0)],
                 }],
             }],
             temp_slots: 0,
             rounds: 1,
             volume_blocks: 1,
+            pairs: Pairs::new(2),
         }
     }
 
@@ -426,6 +485,19 @@ mod tests {
         let mut p = tiny_plan();
         p.phases[0].rounds[0].block_ids = vec![0, 1];
         assert!(p.validate().is_err());
+        let mut p = tiny_plan();
+        p.phases[0].rounds[0].serves.clear();
+        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn a_pair_has_one_end_behind_and_the_other_ahead() {
+        let mut pairs = Pairs::new(3);
+        let o = [1, -2, 3];
+        assert_eq!(pairs.serve([&o[..], &o[..]], &[1]), (0, 2));
+        assert_eq!(pairs.get(1), (&[0, 2, 0][..], &[1, 0, 3][..]));
+        assert_eq!(pairs.shifted((1, 2), &[1, 0, 0]), (2, 3));
+        assert_eq!(pairs.get(2), (&[-1, 2, 0][..], &[0, 0, 3][..]));
     }
 
     #[test]
@@ -450,6 +522,7 @@ mod tests {
         p.phases[0].copies.push(LocalCopy {
             from: BlockRef::new(Loc::Send, 1),
             to: BlockRef::new(Loc::Recv, 1),
+            serves: (0, 0),
         });
         let dot = p.to_dot();
         assert!(dot.starts_with("digraph schedule {"));

@@ -40,7 +40,6 @@ use cartcomm_topo::{CartTopology, RelNeighborhood};
 use crate::compile::{Fnv, Program};
 use crate::error::CartResult;
 use crate::exec::ExecLayouts;
-use crate::ops::check_combining;
 use crate::plan::{Plan, PlanKind, Schedule};
 
 /// Shards in the global store. Power of two; keys are uniform so this
@@ -116,7 +115,8 @@ impl KeyStem {
         KeyStem {
             lo: stem(0x9E37_79B9_7F4A_7C15),
             hi: stem(0xC2B2_AE3D_27D4_EB4F),
-            per_rank: check_combining(topo, nb).is_err(),
+            per_rank: (0..topo.ndims())
+                .any(|k| !topo.periods()[k] && nb.offsets().iter().any(|o| o[k] != 0)),
         }
     }
 

@@ -45,9 +45,8 @@ impl CartComm {
     /// `recv.len()` elements, in neighbor order; repeated offsets
     /// contribute once per occurrence, and a zero offset contributes the
     /// caller's own block `j`. `algo` selects the reversed combining tree,
-    /// the trivial t-round algorithm, or the §3.2 cut-off; on a mesh
-    /// [`Algo::Combining`] is an error (the reversed tree routes through
-    /// intermediates) and [`Algo::Auto`] falls back to trivial.
+    /// the trivial t-round algorithm, or the §3.2 cut-off; on a mesh each
+    /// folds the sources that exist.
     pub fn neighbor_reduce_scatter<T: Pod>(
         &self,
         op: RedOp,

@@ -15,7 +15,7 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, Schedule};
+use crate::plan::{BlockRef, Loc, LocalCopy, Pairs, Plan, PlanKind, PlanPhase, Schedule, Serves};
 use crate::schedule::arena::{CoordGroups, TreeArena, Wire};
 
 /// Dimension-processing order for the allgather tree (§3.2/§3.4).
@@ -60,8 +60,14 @@ pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan 
 
     // ---- tree construction (Algorithm 2, CSR arena) ------------------------
     let arena = TreeArena::build(nb, &sigma);
+    let mut pairs = Pairs::new(d);
+    // What a movement out of a level-`k` node serves: its origin, and the
+    // targets `members`.
+    let mut serve = |k: usize, members: &[usize]| {
+        pairs.serve(members.iter().map(|&j| nb.offset(j)), &sigma[..k])
+    };
     let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
-    let (of, temp_slots) = assign_slots(&arena, &mut phases);
+    let (of, temp_slots) = assign_slots(&arena, &mut phases, &mut serve);
 
     // ---- schedule extraction (BFS over the level CSR) ----------------------
     let mut volume = 0usize;
@@ -75,7 +81,8 @@ pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan 
         for &nid in arena.level(k) {
             for &(c, child) in arena.children(nid) {
                 if c != 0 {
-                    edges.push(c, (of[nid], of[child], arena.node(child).rep));
+                    let serves = serve(k, arena.members(child));
+                    edges.push(c, (of[nid], of[child], arena.node(child).rep, serves));
                 }
             }
         }
@@ -100,6 +107,7 @@ pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan 
         phases,
         temp_slots,
         volume_blocks: volume,
+        pairs,
     };
     debug_assert_eq!(plan.validate(), Ok(()));
     plan
@@ -115,7 +123,11 @@ pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan 
 /// forwarder in the next temp slot. The other neighbors of that path are
 /// filled by a local copy in `phases[level]`, once the content is there
 /// (the root's self-neighbors in phase 0; phase `d` is copies only).
-fn assign_slots(arena: &TreeArena, phases: &mut [PlanPhase]) -> (Vec<BlockRef>, usize) {
+fn assign_slots(
+    arena: &TreeArena,
+    phases: &mut [PlanPhase],
+    serve: &mut impl FnMut(usize, &[usize]) -> Serves,
+) -> (Vec<BlockRef>, usize) {
     let mut of: Vec<Option<BlockRef>> = vec![None; arena.node_count()];
     let mut temps = 0usize;
     for id in 0..arena.node_count() {
@@ -129,10 +141,11 @@ fn assign_slots(arena: &TreeArena, phases: &mut [PlanPhase]) -> (Vec<BlockRef>, 
                 temps += 1;
                 BlockRef::new(Loc::Temp, temps - 1)
             };
-            let fills = &mut phases[arena.node(id).level as usize].copies;
+            let level = arena.node(id).level as usize;
             for to in path.iter().map(|&j| BlockRef::new(Loc::Recv, j)) {
                 if to != slot {
-                    fills.push(LocalCopy { from: slot, to });
+                    let (from, serves) = (slot, serve(level, &[to.slot]));
+                    phases[level].copies.push(LocalCopy { from, to, serves });
                 }
             }
             slot

@@ -10,7 +10,7 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, Schedule};
+use crate::plan::{BlockRef, Loc, LocalCopy, Pairs, Plan, PlanKind, PlanPhase, Schedule};
 use crate::schedule::arena::{CoordGroups, Wire};
 
 /// Compute the message-combining alltoall schedule for a t-neighborhood
@@ -29,6 +29,8 @@ pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
 
     let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
     let mut volume = 0usize;
+    // Blocks cross the dimensions in increasing order.
+    let (mut pairs, dims) = (Pairs::new(d), Vec::from_iter(0..d));
 
     // One reusable grouping slab serves every phase — the same flat
     // coordinate-run representation the allgather arena extraction uses.
@@ -59,7 +61,8 @@ pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
             let recv_loc = if h % 2 == 1 { Loc::Recv } else { Loc::Temp };
             hops[i] -= 1;
             let (from, to) = (BlockRef::new(send_loc, i), BlockRef::new(recv_loc, i));
-            groups.push(c, (from, to, i));
+            let serves = pairs.serve([nb.offset(i)], &dims[..k]);
+            groups.push(c, (from, to, i, serves));
         }
         groups.finish();
         volume += groups.len();
@@ -70,7 +73,8 @@ pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
     // Final non-communication phase: copy self-blocks send -> recv.
     for i in (0..t).filter(|&i| total_hops[i] == 0) {
         let (from, to) = (BlockRef::new(Loc::Send, i), BlockRef::new(Loc::Recv, i));
-        phases[d].copies.push(LocalCopy { from, to });
+        let serves = pairs.serve([nb.offset(i)], &dims);
+        phases[d].copies.push(LocalCopy { from, to, serves });
     }
     if phases[d].copies.is_empty() {
         phases.pop();
@@ -85,6 +89,7 @@ pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
         phases,
         temp_slots: t,
         volume_blocks: volume,
+        pairs,
     };
     debug_assert_eq!(plan.validate(), Ok(()));
     plan

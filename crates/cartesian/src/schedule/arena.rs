@@ -34,7 +34,7 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, PlanRound};
+use crate::plan::{BlockRef, PlanRound, Serves};
 
 /// One node of the flattened routing tree.
 #[derive(Debug, Clone, Copy)]
@@ -142,6 +142,12 @@ impl TreeArena {
         edges.iter().find(|e| e.0 == 0).map(|e| e.1)
     }
 
+    /// The neighbor indices in the node's subtree.
+    pub(crate) fn members(&self, id: usize) -> &[usize] {
+        let n = &self.nodes[id];
+        &self.members[n.first..n.first + n.count]
+    }
+
     /// The neighbor indices whose offset is the node's path — the leaf at
     /// the end of its zero-edge chain — in ascending order; none where the
     /// chain stops short of a leaf.
@@ -152,8 +158,7 @@ impl TreeArena {
                 None => return &[],
             }
         }
-        let n = &self.nodes[id];
-        &self.members[n.first..n.first + n.count]
+        self.members(id)
     }
 
     pub(crate) fn node_count(&self) -> usize {
@@ -265,9 +270,9 @@ impl<T> CoordGroups<T> {
     }
 }
 
-/// One block on the wire: the slot it leaves, the slot it lands in, and
-/// the neighbor whose block size it has.
-pub(crate) type Wire = (BlockRef, BlockRef, usize);
+/// One block on the wire: the slot it leaves, the slot it lands in, the
+/// neighbor whose block size it has, and the pairs it serves.
+pub(crate) type Wire = (BlockRef, BlockRef, usize, Serves);
 
 impl CoordGroups<Wire> {
     /// One round per run, in run order, its blocks in push order: the run
@@ -283,9 +288,10 @@ impl CoordGroups<Wire> {
             offset[dim] = sign * c;
             PlanRound {
                 offset,
-                sends: run.iter().map(|&(_, (from, _, _))| from).collect(),
-                recvs: run.iter().map(|&(_, (_, to, _))| to).collect(),
-                block_ids: run.iter().map(|&(_, (_, _, block))| block).collect(),
+                sends: run.iter().map(|&(_, (from, ..))| from).collect(),
+                recvs: run.iter().map(|&(_, (_, to, ..))| to).collect(),
+                block_ids: run.iter().map(|&(_, (_, _, block, _))| block).collect(),
+                serves: run.iter().map(|&(_, (.., serves))| serves).collect(),
             }
         })
     }

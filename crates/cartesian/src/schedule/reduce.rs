@@ -40,13 +40,18 @@
 //! In both, as in the trivial plans, the root's partial sum lives in the
 //! caller's `Recv(0)` from its first write on: no temp holds it and no
 //! copy moves it out.
+//!
+//! A movement serves the sources under its tree edges and the roots above
+//! — a class's the union over the edges it stands for (DESIGN §6).
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use cartcomm_topo::{Offset, RelNeighborhood};
 
-use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
+use crate::plan::{
+    BlockRef, Loc, LocalCopy, Pairs, Plan, PlanKind, PlanPhase, PlanRound, Schedule,
+};
 use crate::schedule::allgather::{allgather_plan, DimOrder};
 use crate::schedule::arena::{CoordGroups, TreeArena, Wire};
 
@@ -93,8 +98,17 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
     let mut offsets: Vec<Offset> = neighbor.iter().map(|&j| neg.offset(j).to_vec()).collect();
     offsets.push(vec![0i64; d]);
     let sources = RelNeighborhood::new(d, offsets).expect("offsets of one neighborhood");
-    let arena = TreeArena::build(&sources, &sigma);
-    let (of, first, levels) = classify(&arena, d);
+    let arena = &TreeArena::build(&sources, &sigma);
+    let (of, first, levels) = classify(arena, d);
+    let mut pairs = Pairs::new(d);
+    // What a movement of a level-`k` class serves: the sources under each
+    // of its nodes — under its `e`-th edge, every node's has one order —
+    // and the roots above them.
+    let mut serve = |k: usize, class: usize, e: Option<usize>| {
+        let nodes = arena.level(k).iter().filter(|&&n| of[n] == class);
+        let under = nodes.flat_map(|&n| arena.members(e.map_or(n, |e| arena.children(n)[e].1)));
+        pairs.serve(under.map(|&j| sources.offset(j)), &sigma[..d.min(k + 1)])
+    };
 
     let zero_child = |class: usize| arena.zero_child(first[class]).map(|z| of[z]);
     // Per class, how many classes reach it over a zero edge.
@@ -133,8 +147,8 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
         slots.push(if mult == 1 {
             send
         } else {
-            let to = open(class);
-            let fold = LocalCopy { from: send, to };
+            let (from, to, serves) = (send, open(class), serve(d, class, None));
+            let fold = LocalCopy { from, to, serves };
             phases[0].copies.extend(std::iter::repeat_n(fold, mult));
             to
         });
@@ -152,16 +166,18 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
                 Some(z) if slots[z] != send && zero_parents[z] == 1 => slots[z],
                 zero => {
                     let to = open(class);
-                    phase
-                        .copies
-                        .extend(zero.map(|z| LocalCopy { from: slots[z], to }));
+                    if let Some(z) = zero {
+                        let e = edges.partition_point(|e| e.0 < 0);
+                        let (from, serves) = (slots[z], serve(k, class, Some(e)));
+                        phase.copies.push(LocalCopy { from, to, serves });
+                    }
                     to
                 }
             };
             slots.push(slot);
-            for &(c, ch) in edges.iter().filter(|e| e.0 != 0) {
+            for (e, &(c, ch)) in edges.iter().enumerate().filter(|(_, e)| e.0 != 0) {
                 let block = neighbor[arena.node(ch).rep];
-                wires.push(c, (slots[of[ch]], slot, block));
+                wires.push(c, (slots[of[ch]], slot, block, serve(k, class, Some(e))));
             }
         }
         wires.finish();
@@ -169,10 +185,8 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
         phase.rounds.extend(wires.rounds(d, sigma[k], -1));
     }
     if slots[of[0]] == send {
-        phases[d].copies.push(LocalCopy {
-            from: send,
-            to: recv,
-        });
+        let (from, to, serves) = (send, recv, serve(0, of[0], None));
+        phases[d].copies.push(LocalCopy { from, to, serves });
     }
     phases.retain(|p| !p.copies.is_empty() || !p.rounds.is_empty());
 
@@ -185,6 +199,7 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
         phases,
         temp_slots,
         volume_blocks: volume,
+        pairs,
     };
     debug_assert_eq!(plan.validate(), Ok(()));
     plan
@@ -224,7 +239,8 @@ fn classify(arena: &TreeArena, d: usize) -> (Vec<usize>, Vec<usize>, Vec<Range<u
 
 /// The combining allgather plan of the negated neighborhood with every
 /// edge flipped and the phases walked in reverse, leaves seeded with the
-/// `t` personalized blocks.
+/// `t` personalized blocks. A flipped movement serves the forward one's
+/// pairs, a round's seen from its own sender, the forward receiver.
 fn reversed_plan(nb: &RelNeighborhood) -> Plan {
     let fwd = allgather_plan(&nb.negated());
     let t = nb.len();
@@ -236,14 +252,16 @@ fn reversed_plan(nb: &RelNeighborhood) -> Plan {
         Loc::Recv => BlockRef::new(Loc::Temp, br.slot),
         Loc::Temp => BlockRef::new(Loc::Temp, t + br.slot),
     };
-
     // Phase 0 opens with the injection copies that seed the reversed
-    // tree's leaves from the user's input.
+    // tree's leaves from the user's input: each serves the process and
+    // the neighbor its block is for.
     let mut cur = PlanPhase::default();
+    let mut pairs = fwd.pairs.clone();
     for j in 0..t {
         cur.copies.push(LocalCopy {
             from: BlockRef::new(Loc::Send, j),
             to: BlockRef::new(Loc::Temp, j),
+            serves: pairs.serve([nb.offset(j)], &[]),
         });
     }
 
@@ -261,12 +279,17 @@ fn reversed_plan(nb: &RelNeighborhood) -> Plan {
                 sends: r.recvs.iter().map(|&b| map(b)).collect(),
                 recvs: r.sends.iter().map(|&b| map(b)).collect(),
                 block_ids: r.block_ids.clone(),
+                serves: r
+                    .serves
+                    .iter()
+                    .map(|&s| pairs.shifted(s, &r.offset))
+                    .collect(),
             });
         }
         phases.push(std::mem::take(&mut cur));
         for c in fwd_phase.copies.iter().rev() {
-            let (from, to) = (map(c.to), map(c.from));
-            cur.copies.push(LocalCopy { from, to });
+            let (from, to, serves) = (map(c.to), map(c.from), c.serves);
+            cur.copies.push(LocalCopy { from, to, serves });
         }
     }
     // Trailing phase: the reversed copies of the forward opening phase.
@@ -284,6 +307,7 @@ fn reversed_plan(nb: &RelNeighborhood) -> Plan {
         temp_slots,
         rounds: fwd.rounds,
         volume_blocks: fwd.volume_blocks,
+        pairs,
     };
     debug_assert_eq!(plan.validate(), Ok(()));
     plan
@@ -292,6 +316,8 @@ fn reversed_plan(nb: &RelNeighborhood) -> Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Serves;
+    use cartcomm_topo::CartTopology;
     use std::collections::{BTreeMap, BTreeSet};
 
     type Multiset = BTreeMap<(Offset, usize), usize>;
@@ -634,6 +660,184 @@ mod tests {
             }
         }
         assert_eq!(before, 0x2665_D405_8E6E_2F58);
+    }
+
+    /// Input block `b` of process `src`, counted.
+    type Terms = BTreeMap<(usize, usize), usize>;
+
+    /// Whether a movement serving `serves` is live at `rank`, `hop` past
+    /// its sender: one of its pairs has both ends on `topo`.
+    fn live_at(topo: &CartTopology, plan: &Plan, rank: usize, serves: Serves, hop: &[i64]) -> bool {
+        let coords = topo.coords_of(rank);
+        let exists = |end: &[i64]| {
+            let at: Offset = end.iter().zip(hop).map(|(e, h)| e - h).collect();
+            topo.offset_coords(&coords, &at).unwrap().is_some()
+        };
+        (serves.0..serves.1).any(|p| {
+            let (source, target) = plan.pairs.get(p);
+            exists(source) && exists(target)
+        })
+    }
+
+    /// [`simulate`] at every rank of `topo` at once, each movement run
+    /// only where it is live: every slot holds the input blocks it has
+    /// summed, by the process they came from. Asserts that a round's
+    /// sender and receiver agree on whether a block travels, and that no
+    /// live movement reads a slot nothing live wrote this operation.
+    fn simulate_on(topo: &CartTopology, plan: &Plan) -> Vec<Option<Terms>> {
+        let p = topo.size();
+        let zero = vec![0i64; topo.ndims()];
+        let out = plan.temp_slots;
+        let at = |br: BlockRef| match br.loc {
+            Loc::Temp => br.slot,
+            Loc::Recv => out,
+            Loc::Send => panic!("write to input"),
+        };
+        let mut state: Vec<Vec<Option<Terms>>> = vec![vec![None; out + 1]; p];
+        let read = |state: &[Vec<Option<Terms>>], rank: usize, br: BlockRef| match br.loc {
+            Loc::Send => Terms::from([((rank, br.slot), 1)]),
+            _ => state[rank][at(br)].clone().expect("read of unwritten slot"),
+        };
+        let merge = |state: &mut [Vec<Option<Terms>>], rank: usize, to: BlockRef, terms: Terms| {
+            let m = state[rank][at(to)].get_or_insert_with(BTreeMap::new);
+            for (k, v) in terms {
+                *m.entry(k).or_insert(0) += v;
+            }
+        };
+        for phase in &plan.phases {
+            for c in &phase.copies {
+                for rank in (0..p).filter(|&r| live_at(topo, plan, r, c.serves, &zero)) {
+                    let v = read(&state, rank, c.from);
+                    merge(&mut state, rank, c.to, v);
+                }
+            }
+            let mut arrivals = Vec::new();
+            for r in &phase.rounds {
+                let back: Offset = r.offset.iter().map(|&c| -c).collect();
+                for ((&from, &to), &serves) in r.sends.iter().zip(&r.recvs).zip(&r.serves) {
+                    for rank in 0..p {
+                        let peer = topo.rank_of_offset(rank, &back).unwrap();
+                        let arrives = live_at(topo, plan, rank, serves, &r.offset);
+                        let departs = peer.map(|q| live_at(topo, plan, q, serves, &zero));
+                        assert_eq!(departs.unwrap_or(false), arrives, "{r:?} at rank {rank}");
+                        if arrives {
+                            let src = peer.expect("a live block has a sender");
+                            arrivals.push((rank, to, read(&state, src, from)));
+                        }
+                    }
+                }
+            }
+            for (rank, to, v) in arrivals {
+                merge(&mut state, rank, to, v);
+            }
+        }
+        state
+            .into_iter()
+            .map(|mut slots| slots[out].take())
+            .collect()
+    }
+
+    /// What `kind` leaves at each rank of `topo`: the terms of the sources
+    /// that exist, and nothing where none does.
+    fn expected_on(
+        topo: &CartTopology,
+        nb: &RelNeighborhood,
+        kind: PlanKind,
+    ) -> Vec<Option<Terms>> {
+        (0..topo.size())
+            .map(|rank| {
+                let mut m = Terms::new();
+                if kind == PlanKind::Allreduce {
+                    m.insert((rank, 0), 1);
+                }
+                for (j, o) in nb.offsets().iter().enumerate() {
+                    if kind == PlanKind::Allreduce && o.iter().all(|&c| c == 0) {
+                        continue;
+                    }
+                    let back: Offset = o.iter().map(|&c| -c).collect();
+                    if let Some(src) = topo.rank_of_offset(rank, &back).unwrap() {
+                        let b = if kind == PlanKind::Allreduce { 0 } else { j };
+                        *m.entry((src, b)).or_insert(0) += 1;
+                    }
+                }
+                (!m.is_empty()).then_some(m)
+            })
+            .collect()
+    }
+
+    /// Both reductions of `nb`, combining and trivial, rank by rank on
+    /// `topo`.
+    fn check_on(topo: &CartTopology, nb: &RelNeighborhood) {
+        for kind in [PlanKind::ReduceScatter, PlanKind::Allreduce] {
+            let want = expected_on(topo, nb, kind);
+            let combining = match kind {
+                PlanKind::ReduceScatter => reduce_scatter_plan(nb),
+                _ => allreduce_plan(nb),
+            };
+            let trivial = crate::schedule::trivial_plan(nb, kind);
+            for plan in [combining, trivial] {
+                let got = simulate_on(topo, &plan);
+                for (rank, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        got, want,
+                        "{kind:?} {:?} rank {rank} of {topo:?}",
+                        plan.schedule
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reductions_on_meshes_sum_the_sources_that_exist_rank_by_rank() {
+        let nbs = [
+            RelNeighborhood::moore(2, 1).unwrap(),
+            RelNeighborhood::von_neumann(2, 1).unwrap(),
+            RelNeighborhood::stencil_family(2, 4, -1).unwrap(),
+            RelNeighborhood::stencil_family_with_self(2, 3, -1, true).unwrap(),
+            RelNeighborhood::new(2, vec![vec![1, 0], vec![1, 0], vec![-1, 2], vec![0, 0]]).unwrap(),
+            RelNeighborhood::new(2, vec![vec![-1, 1], vec![1, 1], vec![2, 1]]).unwrap(),
+        ];
+        let shapes: [(&[usize], &[bool]); 4] = [
+            (&[3, 3], &[false, false]),
+            (&[3, 3], &[true, false]),
+            (&[4, 3], &[false, true]),
+            (&[3, 3], &[true, true]),
+        ];
+        for (dims, periods) in shapes {
+            let topo = CartTopology::new(dims, periods).unwrap();
+            nbs.iter().for_each(|nb| check_on(&topo, nb));
+        }
+        let nbs = [
+            RelNeighborhood::moore(3, 1).unwrap(),
+            RelNeighborhood::von_neumann(3, 1).unwrap(),
+            goldens()[5].clone(),
+            RelNeighborhood::new(
+                3,
+                vec![vec![0, 0, 0], vec![1, -1, 0], vec![1, -1, 0], vec![0, 2, 1]],
+            )
+            .unwrap(),
+        ];
+        for periods in [[false; 3], [true, false, true], [false, true, false]] {
+            let topo = CartTopology::new(&[4, 3, 2], &periods).unwrap();
+            nbs.iter().for_each(|nb| check_on(&topo, nb));
+        }
+    }
+
+    #[test]
+    fn random_reductions_on_random_meshes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        for _ in 0..40 {
+            let d = rng.gen_range(1..4);
+            let dims: Vec<usize> = (0..d).map(|_| rng.gen_range(2..5)).collect();
+            let periods: Vec<bool> = (0..d).map(|_| rng.gen_bool(0.3)).collect();
+            let offsets: Vec<Vec<i64>> = (0..rng.gen_range(1..9))
+                .map(|_| (0..d).map(|_| rng.gen_range(-2i64..3)).collect())
+                .collect();
+            let topo = CartTopology::new(&dims, &periods).unwrap();
+            check_on(&topo, &RelNeighborhood::new(d, offsets).unwrap());
+        }
     }
 
     #[test]

@@ -10,12 +10,15 @@
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, Loc, LocalCopy, Plan, PlanKind, PlanPhase, PlanRound, Schedule};
+use crate::plan::{
+    BlockRef, Loc, LocalCopy, Pairs, Plan, PlanKind, PlanPhase, PlanRound, Schedule,
+};
 
 /// The trivial schedule of the `kind` collective over `nb`: as many rounds
 /// and block-sends as `nb` has non-zero offsets, and no temp slots.
 pub fn trivial_plan(nb: &RelNeighborhood, kind: PlanKind) -> Plan {
     let mut phases = Vec::with_capacity(nb.len() + 1);
+    let mut pairs = Pairs::new(nb.ndims());
     if kind == PlanKind::Allreduce {
         // The own contribution seeds the result and counts exactly once:
         // zero offsets add nothing further below.
@@ -23,6 +26,7 @@ pub fn trivial_plan(nb: &RelNeighborhood, kind: PlanKind) -> Plan {
             copies: vec![LocalCopy {
                 from: BlockRef::new(Loc::Send, 0),
                 to: BlockRef::new(Loc::Recv, 0),
+                serves: pairs.serve([&vec![0; nb.ndims()][..]], &[]),
             }],
             rounds: Vec::new(),
         });
@@ -35,6 +39,7 @@ pub fn trivial_plan(nb: &RelNeighborhood, kind: PlanKind) -> Plan {
             PlanKind::Allreduce => (0, 0),
         };
         let (from, to) = (BlockRef::new(Loc::Send, from), BlockRef::new(Loc::Recv, to));
+        let serves = pairs.serve([&offset[..]], &[]);
         if offset.iter().any(|&c| c != 0) {
             phases.push(PlanPhase {
                 copies: Vec::new(),
@@ -43,11 +48,12 @@ pub fn trivial_plan(nb: &RelNeighborhood, kind: PlanKind) -> Plan {
                     sends: vec![from],
                     recvs: vec![to],
                     block_ids: vec![i],
+                    serves: vec![serves],
                 }],
             });
         } else if kind != PlanKind::Allreduce {
             phases.push(PlanPhase {
-                copies: vec![LocalCopy { from, to }],
+                copies: vec![LocalCopy { from, to, serves }],
                 rounds: Vec::new(),
             });
         }
@@ -62,6 +68,7 @@ pub fn trivial_plan(nb: &RelNeighborhood, kind: PlanKind) -> Plan {
         temp_slots: 0,
         rounds,
         volume_blocks: rounds,
+        pairs,
     };
     debug_assert_eq!(plan.validate(), Ok(()));
     plan
@@ -113,7 +120,6 @@ mod tests {
                 (plan.rounds, plan.volume_blocks, plan.temp_slots),
                 (2, 2, 0)
             );
-            assert!(plan.routes_blocks_independently());
         }
     }
 

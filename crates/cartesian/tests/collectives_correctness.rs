@@ -70,8 +70,7 @@ fn check_allgather_all_ways(dims: &[usize], periods: &[bool], nb: RelNeighborhoo
         cart.allgather(&send, &mut recv, Algo::Trivial).unwrap();
         assert_eq!(recv, expect, "trivial allgather, rank {rank}");
 
-        // combining allgather works on tori (tree router) and meshes
-        // (replicated alltoall router fallback)
+        // combining allgather works on tori and meshes alike
         {
             let mut recv2 = vec![0i32; t * m];
             cart.allgather(&send, &mut recv2, Algo::Combining).unwrap();
@@ -153,9 +152,8 @@ fn mixed_periodicity_combining_when_moving_dims_are_periodic() {
 
 #[test]
 fn mesh_combining_covers_alltoall_and_allgather() {
-    // The mesh extension routes both operations (allgather through the
-    // replicated alltoall router); only the tree reduction stays
-    // torus-gated (see the reductions test suite).
+    // The mesh extension routes both operations, each over its own
+    // schedule.
     let nb = RelNeighborhood::von_neumann(2, 1).unwrap();
     Universe::builder(9).run(|comm| {
         let cart = CartComm::create(comm, &[3, 3], &[false, false], nb.clone()).unwrap();
@@ -448,9 +446,8 @@ fn persistent_auto_selects_by_cutoff() {
 fn on_a_mesh_every_rank_resolves_auto_alike() {
     // Corners, edges and the centre of an open 3 × 3 mesh have three, five
     // and eight live neighbors, yet all price the same rank-independent
-    // plans: the allgather's candidate is the alltoall schedule (Σ zᵢ = 12
-    // blocks for t = 8, so it wins only for m < α/β), a combining
-    // reduction has none.
+    // plans: the allgather's tree (8 blocks for t = 8 in 4 rounds) wins at
+    // any α/β, and so does the reduction's.
     let nb = RelNeighborhood::moore(2, 1).unwrap();
     let m = 16usize; // 64 bytes
     let resolved = Universe::builder(9).run(|comm| {
@@ -470,9 +467,9 @@ fn on_a_mesh_every_rank_resolves_auto_alike() {
         [dear.plan(), cheap.plan(), sum.plan()].map(identity)
     });
     let expected = [
-        (PlanKind::Allgather, Schedule::Trivial),
-        (PlanKind::Alltoall, Schedule::Combining),
-        (PlanKind::Allreduce, Schedule::Trivial),
+        (PlanKind::Allgather, Schedule::Combining),
+        (PlanKind::Allgather, Schedule::Combining),
+        (PlanKind::Allreduce, Schedule::Combining),
     ];
     assert_eq!(resolved, vec![expected; 9]);
 }

@@ -15,22 +15,23 @@
 //! counts: rounds completed (== C, Prop. 3.2), wire bytes sent (== V·m,
 //! Prop. 3.3), pack spans and pack bytes, plus the exchange and match
 //! counts the inline carrier credits in the fabric's stead. Where a mesh
-//! boundary cuts neighbors off, the trivial schedule's counts have their
-//! own closed form: one round per neighbor that exists.
+//! boundary cuts neighbors off, the counts have closed forms of their
+//! own: one round per neighbor that exists for the trivial schedule, the
+//! edges of the clipped tree for the combining one (`clipped_tree`).
 
 use std::sync::Arc;
 
 use cartcomm::exec::ExecLayouts;
 use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, Algo, WBlock};
-use cartcomm::{CartComm, CartError, CartResult, InlineUniverse, Plan, PlanKind, PlanStore};
+use cartcomm::{CartComm, CartResult, InlineUniverse, Plan, PlanKind, PlanStore};
 use cartcomm_comm::obs::MetricsSnapshot;
 use cartcomm_comm::Universe;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
-use cartcomm_types::{gather_append, scatter, Datatype, Primitive, RedOp, Reducer};
+use cartcomm_types::{Datatype, Primitive, RedOp, Reducer};
 use proptest::prelude::*;
 
 mod common;
-use common::{sources, strided_block};
+use common::{clipped_tree, closed_form, sources, strided_block};
 
 #[derive(Debug, Clone)]
 struct Case {
@@ -304,54 +305,6 @@ impl Op {
     }
 }
 
-/// What a `kind` collective over `lay` must leave in `rank`'s zeroed
-/// receive buffer, from the definition: block `i` is read out of the
-/// send buffer of the source `rank − N[i]` (its block `i`, or its one
-/// block) and written — or, by the reductions, folded in neighborhood
-/// order — where the receive layout says. No schedule is involved.
-fn closed_form(
-    (topo, nb): (&CartTopology, &RelNeighborhood),
-    (kind, lay, red): &(PlanKind, ExecLayouts, Option<Reducer>),
-    sends: &[u8],
-    (sl, rl): (usize, usize),
-    rank: usize,
-) -> Vec<u8> {
-    let block_of = |src: usize, slot: usize| {
-        let mut bytes = Vec::new();
-        let l = &lay.send[slot];
-        gather_append(&sends[src * sl..(src + 1) * sl], l.disp, &l.ty, &mut bytes).unwrap();
-        bytes
-    };
-    let mut recv = vec![0u8; rl];
-    let mut write = |slot: usize, bytes: &[u8]| {
-        let l = &lay.recv[slot];
-        scatter(bytes, &mut recv, l.disp, &l.ty).unwrap();
-    };
-    // The reductions' accumulator: the first contribution assigns.
-    let mut acc: Option<Vec<u8>> = (*kind == PlanKind::Allreduce).then(|| block_of(rank, 0));
-    for (i, src) in sources(topo, nb, rank).into_iter().enumerate() {
-        let Some(src) = src else { continue };
-        match kind {
-            PlanKind::Alltoall => write(i, &block_of(src, i)),
-            PlanKind::Allgather => write(i, &block_of(src, 0)),
-            PlanKind::ReduceScatter | PlanKind::Allreduce => {
-                if *kind == PlanKind::Allreduce && nb.offset(i).iter().all(|&c| c == 0) {
-                    continue; // the own block is already in
-                }
-                let block = block_of(src, if *kind == PlanKind::Allreduce { 0 } else { i });
-                match &mut acc {
-                    Some(acc) => red.expect("a reduction").fold(acc, &block),
-                    None => acc = Some(block),
-                }
-            }
-        }
-    }
-    if let Some(acc) = acc {
-        write(0, &acc);
-    }
-    recv
-}
-
 /// The counts both carriers must agree on.
 fn paper_counts(d: &MetricsSnapshot) -> [u64; 8] {
     [
@@ -417,19 +370,6 @@ proptest! {
             let before: Vec<MetricsSnapshot> = (0..p).map(|r| uni.obs(r).snapshot()).collect();
             let mut recv = vec![0u8; p * rl];
             let ran = uni.run(shape.0, &shape.1, shape.2, &payload, &mut recv, algo);
-
-            // The reversed tree of a combining reduction needs the torus:
-            // both carriers say so, with the same error.
-            if open && shape.0.is_reduction() && algo == Algo::Combining {
-                let refused = |e: Option<CartError>| {
-                    matches!(e, Some(CartError::CombiningNeedsTorus { .. }))
-                };
-                prop_assert!(refused(ran.err()), "inline, op {}", n);
-                for out in threaded {
-                    prop_assert!(refused(out.err()), "threaded, op {}", n);
-                }
-                continue;
-            }
             let plan: Arc<Plan> = ran.expect("inline collective");
             let volume: usize = plan.round_bytes(&|b| op.block_bytes(b)).iter().sum();
             let exchanges = plan.phases.iter().filter(|ph| !ph.rounds.is_empty()).count();
@@ -447,6 +387,13 @@ proptest! {
                     "op {} rank {}: counters differ", n, rank
                 );
                 prop_assert_eq!(delta.exchanges, exchanges as u64, "phases, op {}", n);
+                if algo == Algo::Combining {
+                    let tree = clipped_tree(&topo, &nb, shape.0, rank);
+                    prop_assert_eq!(delta.rounds_started, tree.rounds_out as u64, "op {}", n);
+                    prop_assert_eq!(delta.rounds_completed, tree.rounds_in as u64, "op {}", n);
+                    let sent: usize = tree.blocks_out.iter().map(|&i| op.block_bytes(i)).sum();
+                    prop_assert_eq!(delta.wire_bytes_sent, sent as u64, "V·m, op {}", n);
+                }
                 if !open {
                     prop_assert_eq!(delta.rounds_completed, plan.rounds as u64, "C, op {}", n);
                     prop_assert_eq!(delta.wire_bytes_sent, volume as u64, "V·m, op {}", n);

@@ -1,8 +1,10 @@
 //! Property-based equivalence battery for the neighborhood reductions.
 //!
-//! Random tori (d ∈ 1..=3), random neighborhoods (zero offsets and
-//! duplicates included), odd block sizes, every [`RedOp`], and several
-//! element types: the compiled combining reductions must agree with the
+//! Random tori, meshes and mixes of the two (d ∈ 1..=3, every dimension
+//! periodic or not), random neighborhoods (zero offsets and duplicates
+//! included), odd block sizes, every [`RedOp`], and several element
+//! types: the compiled combining reductions — clipped rank by rank where
+//! a mesh boundary cuts sources off — must agree with the
 //! trivial t-round algorithm **exactly** for integer elements (wrapping
 //! arithmetic is order-independent) and to within an accumulation-order
 //! rounding bound for floating sums; both must equal the closed form
@@ -23,6 +25,7 @@ use common::expected_allreduce;
 #[derive(Debug, Clone)]
 struct Case {
     dims: Vec<usize>,
+    periods: Vec<bool>,
     offsets: Vec<Vec<i64>>,
     /// Elements per block — deliberately odd, so wire spans end off any
     /// power-of-two boundary.
@@ -35,6 +38,7 @@ fn arb_case() -> impl Strategy<Value = Case> {
         .prop_flat_map(|d| {
             (
                 proptest::collection::vec(2usize..4, d..=d),
+                proptest::collection::vec(any::<bool>(), d..=d),
                 proptest::collection::vec(proptest::collection::vec(-2i64..3, d..=d), 1..5),
                 prop_oneof![Just(1usize), Just(3), Just(5), Just(9)],
                 prop_oneof![
@@ -45,8 +49,9 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 ],
             )
         })
-        .prop_map(|(dims, offsets, m, op)| Case {
+        .prop_map(|(dims, periods, offsets, m, op)| Case {
             dims,
+            periods,
             offsets,
             m,
             op,
@@ -82,6 +87,7 @@ impl TestElem for u64 {
 fn check_integer_equivalence<T: TestElem>(case: &Case) -> Result<(), TestCaseError> {
     let Case {
         dims,
+        periods,
         offsets,
         m,
         op,
@@ -89,7 +95,6 @@ fn check_integer_equivalence<T: TestElem>(case: &Case) -> Result<(), TestCaseErr
     let nb = RelNeighborhood::new(dims.len(), offsets).expect("valid");
     let t = nb.len();
     let p: usize = dims.iter().product();
-    let periods = vec![true; dims.len()];
     let results = Universe::builder(p).run(move |comm| {
         let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
         let rank = cart.rank();
@@ -137,11 +142,10 @@ proptest! {
     /// own block once, folded with every non-zero source's.
     #[test]
     fn both_executors_match_the_closed_form(case in arb_case()) {
-        let Case { dims, offsets, m, op } = case;
+        let Case { dims, periods, offsets, m, op } = case;
         let nb = RelNeighborhood::new(dims.len(), offsets).expect("valid");
-        let topo = CartTopology::torus(&dims).unwrap();
+        let topo = CartTopology::new(&dims, &periods).unwrap();
         let p: usize = dims.iter().product();
-        let periods = vec![true; dims.len()];
         let fold = move |a: i32, b: i32| match op {
             RedOp::Sum => a.wrapping_add(b),
             RedOp::Prod => a.wrapping_mul(b),
@@ -171,11 +175,10 @@ proptest! {
     /// so `Σ|x| ≤ 2·(t+1)` bounds the classic `(n−1)·ε·Σ|x|` error.
     #[test]
     fn float_sums_agree_within_accumulation_order_bounds(case in arb_case()) {
-        let Case { dims, offsets, m, .. } = case;
+        let Case { dims, periods, offsets, m, .. } = case;
         let nb = RelNeighborhood::new(dims.len(), offsets).expect("valid");
         let t = nb.len();
         let p: usize = dims.iter().product();
-        let periods = vec![true; dims.len()];
         let results = Universe::builder(p).run(move |comm| {
             let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
             let rank = cart.rank();
@@ -228,21 +231,22 @@ proptest! {
         case in arb_case(),
         ab in prop_oneof![Just(0.0f64), Just(16.0), Just(1e9)],
     ) {
-        let Case { dims, offsets, m, .. } = case;
+        let Case { dims, periods, offsets, m, .. } = case;
         let nb = RelNeighborhood::new(dims.len(), offsets).expect("valid");
         let t = nb.len();
         let p: usize = dims.iter().product();
-        let periods = vec![true; dims.len()];
         let results = Universe::builder(p).run(move |comm| {
             let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
             let rank = cart.rank();
             // Replicate the published cut-off on the reduce plan the way
-            // `Algo::Auto` resolves it (uniform blocks: m_avg = m bytes).
+            // `Algo::Auto` resolves it (uniform blocks: m_avg = m bytes),
+            // `t` the trivial plan's rounds: a zero offset is none.
             let plan = cart.plans().schedule(PlanKind::ReduceScatter);
             let m_bytes = (m * std::mem::size_of::<f32>()) as f64;
-            let combines = match cutoff_ratio(plan.t, plan.rounds, plan.volume_blocks) {
+            let t_rounds = cart.offsets().iter().filter(|o| o.iter().any(|&c| c != 0)).count();
+            let combines = match cutoff_ratio(t_rounds, plan.rounds, plan.volume_blocks) {
                 Some(ratio) => m_bytes < ab * ratio,
-                None => plan.rounds < plan.t,
+                None => plan.rounds < t_rounds,
             };
             let send: Vec<f32> = (0..t * m)
                 .map(|x| 1.0 + ((rank * 31 + x * 7) % 97) as f32 / 97.0)

@@ -118,13 +118,12 @@ proptest! {
         }
     }
 
-    /// Tree and trivial reductions agree on arbitrary tori.
+    /// Tree and trivial reductions agree on arbitrary topologies.
     #[test]
     fn combining_equals_trivial_reduce(case in arb_case()) {
-        let Case { dims, offsets, m, .. } = case;
-        let periods = vec![true; dims.len()]; // tree reduce is torus-only
+        let Case { dims, periods, offsets, m } = case;
         let nb = RelNeighborhood::new(dims.len(), offsets).expect("valid");
-        let topo = CartTopology::torus(&dims).unwrap();
+        let topo = CartTopology::new(&dims, &periods).unwrap();
         let p: usize = dims.iter().product();
         let own = |rank: usize, e: usize| (rank * 7 + e) as i64;
         let results = Universe::builder(p).run(|comm| {

@@ -176,20 +176,24 @@ fn empty_blocks() {
 }
 
 #[test]
-fn mesh_falls_back_to_error_for_combining() {
-    let nb = RelNeighborhood::von_neumann(2, 1).unwrap();
-    let topo = CartTopology::mesh(&[3, 3]).unwrap();
-    Universe::builder(9).run(|comm| {
-        let cart = CartComm::create(comm, &[3, 3], &[false, false], nb.clone()).unwrap();
-        let mut recv = [0i32];
-        assert!(matches!(
-            cart.neighbor_allreduce(RedOp::Sum, &[1], &mut recv, Algo::Combining),
-            Err(cartcomm::CartError::CombiningNeedsTorus { .. })
-        ));
-        // trivial works on meshes, skipping pruned neighbors
-        cart.neighbor_allreduce(RedOp::Sum, &[1], &mut recv, Algo::Trivial)
-            .unwrap();
-        let expect = expected_allreduce(&topo, &nb, cart.rank(), 1, |_, _| 1, |a, b| a + b);
-        assert_eq!(recv.to_vec(), expect);
-    });
+fn on_a_mesh_combining_and_trivial_sum_the_sources_that_exist() {
+    let topo = CartTopology::mesh(&[4, 3]).unwrap();
+    let own = |rank: usize, e: usize| (rank * 100 + e) as i64;
+    for nb in [
+        RelNeighborhood::von_neumann(2, 1).unwrap(),
+        RelNeighborhood::moore(2, 1).unwrap(),
+    ] {
+        Universe::builder(12).run(|comm| {
+            let cart = CartComm::create(comm, &[4, 3], &[false, false], nb.clone()).unwrap();
+            let rank = cart.rank();
+            let expect = expected_allreduce(&topo, &nb, rank, 2, own, |a, b| a + b);
+            let send = [own(rank, 0), own(rank, 1)];
+            for (name, algo) in ALGOS {
+                let mut recv = [0i64; 2];
+                cart.neighbor_allreduce(RedOp::Sum, &send, &mut recv, algo)
+                    .unwrap();
+                assert_eq!(recv.to_vec(), expect, "{name} reduce, rank {rank}");
+            }
+        });
+    }
 }

@@ -418,8 +418,12 @@ impl JobSpec {
             .map(|_| c.u8().map(|b| b != 0))
             .collect::<Result<Vec<_>, _>>()?;
         let t = c.u32()? as usize;
-        if t > MAX_NEIGHBORS {
-            return Err(format!("neighborhood of {t} exceeds limit"));
+        // An offset takes `8·d` bytes, so what arrived bounds how many
+        // decode — except in zero dimensions, where none holds a byte.
+        if t > MAX_NEIGHBORS || (d == 0 && t > 0) {
+            return Err(format!(
+                "neighborhood of {t} in {d} dimensions exceeds limit"
+            ));
         }
         let offsets = (0..t)
             .map(|_| (0..d).map(|_| c.i64()).collect::<Result<Vec<_>, _>>())
@@ -1490,5 +1494,299 @@ mod tests {
         }
         assert!(s.validate().is_err());
         assert!(JobSpec::decode(&[1, 2, 3]).is_err(), "truncated spec");
+    }
+
+    /// Hostile input: every decoder of the protocol over arbitrary bytes,
+    /// over valid frames cut short, and over valid frames with a length
+    /// or a byte overwritten. None may panic, and what one decodes holds
+    /// no more elements than it was given bytes — so nothing it allocates
+    /// is sized by a claim rather than by what arrived.
+    mod hostile {
+        use super::*;
+        use cartcomm_types::{Primitive, RedOp};
+        use proptest::prelude::*;
+
+        fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec(any::<u8>(), 0..max)
+        }
+
+        /// Text of one- to four-byte characters.
+        fn text() -> impl Strategy<Value = String> {
+            proptest::collection::vec(0u32..0x11000, 0..12)
+                .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+        }
+
+        fn blocks() -> impl Strategy<Value = Vec<(i64, usize)>> {
+            proptest::collection::vec((any::<i64>(), 0usize..1 << 40), 0..5)
+        }
+
+        fn words() -> impl Strategy<Value = Vec<usize>> {
+            proptest::collection::vec(0usize..1 << 40, 0..5)
+        }
+
+        fn reducer() -> impl Strategy<Value = Reducer> {
+            (0u8..4, 0u8..12).prop_map(|(op, prim)| {
+                Reducer::decode([op, prim]).unwrap_or(Reducer::new(RedOp::Sum, Primitive::U32))
+            })
+        }
+
+        fn op() -> impl Strategy<Value = OpSpec> {
+            prop_oneof![
+                (1usize..9, words(), words(), words(), words()).prop_map(|(e, sc, sd, rc, rd)| {
+                    OpSpec::Alltoallv {
+                        elem_size: e,
+                        sendcounts: sc,
+                        senddispls: sd,
+                        recvcounts: rc,
+                        recvdispls: rd,
+                    }
+                }),
+                (1usize..9, 0usize..1 << 40, words()).prop_map(|(e, n, rd)| OpSpec::Allgatherv {
+                    elem_size: e,
+                    sendcount: n,
+                    recvdispls: rd,
+                }),
+                (blocks(), blocks()).prop_map(|(s, r)| OpSpec::Alltoallw {
+                    send_blocks: s,
+                    recv_blocks: r,
+                }),
+                ((any::<i64>(), 0usize..1 << 40), blocks()).prop_map(|(s, r)| {
+                    OpSpec::Allgatherw {
+                        send_block: s,
+                        recv_blocks: r,
+                    }
+                }),
+                (reducer(), 0usize..1 << 40)
+                    .prop_map(|(red, count)| OpSpec::ReduceScatter { red, count }),
+                (reducer(), 0usize..1 << 40)
+                    .prop_map(|(red, count)| OpSpec::Allreduce { red, count }),
+            ]
+        }
+
+        /// Any spec the encoding carries: zero dimensions with no
+        /// neighbor, or up to three with up to five.
+        fn spec() -> impl Strategy<Value = JobSpec> {
+            (0usize..4).prop_flat_map(|d| {
+                let t = if d == 0 { 0..1 } else { 0..6 };
+                (
+                    proptest::collection::vec(0usize..9, d..=d),
+                    proptest::collection::vec(any::<bool>(), d..=d),
+                    proptest::collection::vec(proptest::collection::vec(any::<i64>(), d..=d), t),
+                    op(),
+                    any::<bool>(),
+                )
+                    .prop_map(|(dims, periods, offsets, op, combining)| JobSpec {
+                        dims,
+                        periods,
+                        offsets,
+                        op,
+                        algo: match combining {
+                            true => AlgoSpec::Combining,
+                            false => AlgoSpec::Trivial,
+                        },
+                    })
+            })
+        }
+
+        fn request() -> impl Strategy<Value = Request> {
+            prop_oneof![
+                text().prop_map(|tenant| Request::Hello { tenant }),
+                (text(), spec(), bytes(64)).prop_map(|(tenant, spec, payload)| Request::Submit {
+                    tenant,
+                    spec,
+                    payload,
+                }),
+                Just(Request::Stats),
+                Just(Request::Shutdown),
+                bytes(64).prop_map(|payload| Request::Ping { payload }),
+                (
+                    text(),
+                    any::<u32>(),
+                    any::<u32>(),
+                    any::<u32>(),
+                    any::<bool>()
+                )
+                    .prop_map(
+                        |(tenant, jobs, duration_ms, ring_capacity, include_trace)| {
+                            Request::Profile {
+                                spec: ProfileSpec {
+                                    tenant,
+                                    jobs,
+                                    duration_ms,
+                                    ring_capacity,
+                                    include_trace,
+                                },
+                            }
+                        }
+                    ),
+                Just(Request::Metrics),
+            ]
+        }
+
+        fn reply() -> impl Strategy<Value = Reply> {
+            prop_oneof![
+                any::<u32>().prop_map(|version| Reply::HelloOk { version }),
+                bytes(64).prop_map(|payload| Reply::Result { payload }),
+                any::<u32>().prop_map(|retry_after_ms| Reply::Busy { retry_after_ms }),
+                text().prop_map(|message| Reply::Err { message }),
+                text().prop_map(|json| Reply::StatsOk { json }),
+                Just(Reply::ShutdownOk),
+                (bytes(64), any::<u64>(), text()).prop_map(|(payload, uptime_ms, version)| {
+                    Reply::Pong {
+                        payload,
+                        uptime_ms,
+                        version,
+                    }
+                }),
+                (text(), bytes(64)).prop_map(|(json, trace)| Reply::ProfileOk { json, trace }),
+                text().prop_map(|text| Reply::MetricsOk { text }),
+            ]
+        }
+
+        /// A valid frame, then hostile: cut short at `cut`, a `u32` written
+        /// over it at `at`, or the byte at `at` flipped.
+        fn damaged() -> impl Strategy<Value = Vec<u8>> {
+            let valid = prop_oneof![
+                (request(), any::<u32>()).prop_map(|(r, ctx)| r.encode_frame(ctx)),
+                (reply(), any::<u32>()).prop_map(|(r, ctx)| r.encode_frame(ctx)),
+                spec().prop_map(|s| s.encode()),
+            ];
+            (valid, 0usize..3, any::<usize>(), any::<u32>()).prop_map(|(mut b, how, at, word)| {
+                let at = at % (b.len() + 1);
+                match how {
+                    0 => b.truncate(at),
+                    1 => {
+                        let end = (at + 4).min(b.len());
+                        let word = word.to_le_bytes();
+                        b[at..end].copy_from_slice(&word[..end - at]);
+                    }
+                    _ => {
+                        if let Some(x) = b.get_mut(at) {
+                            *x ^= word as u8 | 1;
+                        }
+                    }
+                }
+                b
+            })
+        }
+
+        /// Elements a decoded spec holds; each took at least a byte.
+        fn weight(s: &JobSpec) -> usize {
+            let op = match &s.op {
+                OpSpec::Alltoallv {
+                    sendcounts,
+                    senddispls,
+                    recvcounts,
+                    recvdispls,
+                    ..
+                } => 1 + sendcounts.len() + senddispls.len() + recvcounts.len() + recvdispls.len(),
+                OpSpec::Allgatherv { recvdispls, .. } => 2 + recvdispls.len(),
+                OpSpec::Alltoallw {
+                    send_blocks,
+                    recv_blocks,
+                } => send_blocks.len() + recv_blocks.len(),
+                OpSpec::Allgatherw { recv_blocks, .. } => 1 + recv_blocks.len(),
+                OpSpec::ReduceScatter { .. } | OpSpec::Allreduce { .. } => 2,
+            };
+            let coords: usize = s.offsets.iter().map(Vec::len).sum();
+            s.dims.len() + s.periods.len() + s.offsets.len() + coords + op
+        }
+
+        fn request_weight(r: &Request) -> usize {
+            match r {
+                Request::Hello { tenant } => tenant.len(),
+                Request::Submit {
+                    tenant,
+                    spec,
+                    payload,
+                } => tenant.len() + weight(spec) + payload.len(),
+                Request::Ping { payload } => payload.len(),
+                Request::Profile { spec } => spec.tenant.len(),
+                Request::Stats | Request::Shutdown | Request::Metrics => 0,
+            }
+        }
+
+        fn reply_weight(r: &Reply) -> usize {
+            match r {
+                Reply::Result { payload } => payload.len(),
+                Reply::Err { message: s }
+                | Reply::StatsOk { json: s }
+                | Reply::MetricsOk { text: s } => s.len(),
+                Reply::Pong {
+                    payload, version, ..
+                } => payload.len() + version.len(),
+                Reply::ProfileOk { json, trace } => json.len() + trace.len(),
+                Reply::HelloOk { .. } | Reply::Busy { .. } | Reply::ShutdownOk => 0,
+            }
+        }
+
+        /// Every decoder over `b`: no panic, nothing decoded beyond `b`.
+        fn decode_all(b: &[u8], tag: u32) -> Result<(), TestCaseError> {
+            if let Ok(spec) = JobSpec::decode(b) {
+                prop_assert!(weight(&spec) <= b.len(), "{} bytes: {:?}", b.len(), spec);
+            }
+            if let Ok((tenant, spec, at)) = decode_submit_head(b) {
+                prop_assert!(
+                    at <= b.len() && tenant.len() + weight(&spec) <= at,
+                    "{:?}",
+                    spec
+                );
+            }
+            let env = wire::envelope(
+                &wire::encode_header(b.len(), 0, 0, tag, RelHeader::default()),
+                b.to_vec().into(),
+            );
+            if let Ok(r) = Request::decode_env(&env) {
+                prop_assert!(request_weight(&r) <= b.len(), "{:?}", r);
+            }
+            if let Ok(r) = Reply::decode_env(&env) {
+                prop_assert!(reply_weight(&r) <= b.len(), "{:?}", r);
+            }
+            prop_assert_eq!(wire::frame_len(b).is_some(), b.len() >= wire::HEADER_BYTES);
+            if let Some((env, used)) = wire::decode_from(b, &Arc::new(WirePool::new())) {
+                prop_assert_eq!(Some(used), wire::frame_len(b));
+                prop_assert!(used <= b.len() && env.data.len() == used - wire::HEADER_BYTES);
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            #[test]
+            fn arbitrary_bytes_decode_to_errors_or_to_no_more_than_they_hold(
+                b in bytes(96),
+                tag in prop_oneof![0u32..0x8A, any::<u32>()],
+            ) {
+                decode_all(&b, tag)?;
+            }
+
+            #[test]
+            fn damaged_frames_decode_to_errors_or_to_no_more_than_they_hold(
+                b in damaged(),
+                tag in 0u32..0x8A,
+            ) {
+                decode_all(&b, tag)?;
+                decode_all(b.get(wire::HEADER_BYTES..).unwrap_or(&[]), tag)?;
+            }
+
+            #[test]
+            fn every_request_and_reply_survives_the_wire(
+                req in request(),
+                rep in reply(),
+                ctx in any::<u32>(),
+            ) {
+                let pool = Arc::new(WirePool::new());
+                let frame = req.encode_frame(ctx);
+                let (env, used) = wire::decode_from(&frame, &pool).expect("a whole frame");
+                prop_assert_eq!((used, env.ctx), (frame.len(), ctx));
+                prop_assert_eq!(Request::decode_env(&env), Ok(req));
+                let frame = rep.encode_frame(ctx);
+                let (env, used) = wire::decode_from(&frame, &pool).expect("a whole frame");
+                prop_assert_eq!((used, env.ctx), (frame.len(), ctx));
+                prop_assert_eq!(Reply::decode_env(&env), Ok(rep.clone()));
+                prop_assert_eq!(Reply::from_env(env), Ok(rep));
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use cartcomm_types::kernel::{self, PackSpan, SpanRun, Stretch, MIN_RUN};
+use cartcomm_types::kernel::{self, CopyRun, PackSpan, SpanRun, Stretch, MIN_RUN};
 use cartcomm_types::{Primitive, RedOp, Reducer};
 use proptest::prelude::*;
 
@@ -451,4 +451,160 @@ fn hostile_runs_panic_before_any_byte_moves() {
     }));
     assert!(dst.iter().all(|&b| b == 0xEE));
     assert_eq!(kernel::scatter_runs(&mut dst, &runs, &wire[..need]), need);
+}
+
+/// The guard harness of the inline carrier's fused copies, for every
+/// kernel here: each runs on a buffer framed by poisoned guard bytes at a
+/// random misalignment, over spans and runs drawn inside it — zero-length
+/// spans, empty runs and `count` = 0 included — and in a quarter of the
+/// cases behind one instruction that reaches past the buffer or whose
+/// extent overflows, which must panic. Either way no guard byte changes,
+/// and a kernel that ran left what its scalar reference does.
+#[test]
+fn every_kernel_stays_inside_its_buffer() {
+    const GUARD: u8 = 0xA5;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut below = move |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n.max(1) as u64) as usize
+    };
+    let reducers = [
+        Reducer::new(RedOp::Sum, Primitive::U8),
+        Reducer::new(RedOp::Max, Primitive::I32),
+        Reducer::new(RedOp::Sum, Primitive::F64),
+    ];
+    // A body of `len` bytes behind `lead` guard bytes and before a few.
+    let framed = |len: usize, lead: usize, fill: &mut dyn FnMut() -> u8| {
+        let mut v = vec![GUARD; lead + len + 1 + lead % 7];
+        v[lead..lead + len].iter_mut().for_each(|x| *x = fill());
+        v
+    };
+    let intact = |v: &[u8], body: std::ops::Range<usize>| {
+        v[..body.start]
+            .iter()
+            .chain(&v[body.end..])
+            .all(|&x| x == GUARD)
+    };
+    for case in 0..2000 {
+        let red = reducers[below(3)];
+        let w = red.width();
+        let (len, lead) = (w * below(24), below(16));
+        let body = lead..lead + len;
+        // Offsets and lengths in whole elements, so accumulate takes them.
+        let mut spans: Vec<PackSpan> = Vec::new();
+        for _ in 0..below(6) {
+            let off = w * below(len / w + 1);
+            spans.push((off, w * below((len - off) / w + 1)));
+        }
+        let mut runs: Vec<SpanRun> = Vec::new();
+        for _ in 0..below(4) {
+            let (count, n) = (below(4), w * below(3));
+            let stride = w * below(4);
+            let reach = count.saturating_sub(1) * stride + n;
+            if reach <= len {
+                let off = w * below((len - reach) / w + 1);
+                runs.push(SpanRun {
+                    off,
+                    len: n,
+                    stride,
+                    count,
+                });
+            }
+        }
+        let expanded = expand(&runs);
+        let bad = below(4) == 0;
+        if bad {
+            spans.push((len + w * below(2), w));
+            runs.push(match below(2) {
+                0 => SpanRun {
+                    off: len + 1 - w.min(len + 1),
+                    len: w,
+                    stride: 1,
+                    count: 2,
+                },
+                _ => SpanRun {
+                    off: w,
+                    len: w,
+                    stride: usize::MAX / 2,
+                    count: 3,
+                },
+            });
+        }
+        let total = kernel::spans_len(&spans).max(kernel::spans_len(&expanded));
+        let wire: Vec<u8> = (0..total).map(|_| below(256) as u8).collect();
+        let src = framed(len, lead, &mut || below(256) as u8);
+        let dst = framed(len, lead, &mut || below(256) as u8);
+        let what = format!("case {case}: {red:?}, {len} bytes, {spans:?} {runs:?}");
+
+        // Gathers append behind a guarded prefix.
+        for (gather, list) in [(0, &spans), (1, &expanded)] {
+            let mut out = vec![GUARD; lead];
+            let ran = !panics(|| {
+                match gather {
+                    0 => kernel::gather_spans(&src[body.clone()], &spans, &mut out),
+                    _ => kernel::gather_runs(&src[body.clone()], &runs, &mut out),
+                };
+            });
+            assert_eq!(ran, !bad, "{what}");
+            assert!(out[..lead].iter().all(|&x| x == GUARD), "{what}");
+            if ran {
+                let mut want = vec![GUARD; lead];
+                kernel::gather_spans_scalar(&src[body.clone()], list, &mut want);
+                assert_eq!(out, want, "{what}");
+            }
+        }
+        // Scatters and folds write the body and nothing around it.
+        for k in 0..4 {
+            let mut got = dst.clone();
+            let ran = !panics(|| {
+                let into = &mut got[body.clone()];
+                match k {
+                    0 => kernel::scatter_spans(into, &spans, &wire),
+                    1 => kernel::scatter_runs(into, &runs, &wire),
+                    2 => kernel::accumulate_spans(into, &spans, &wire, red),
+                    _ => kernel::accumulate_runs(into, &runs, &wire, red),
+                };
+            });
+            assert_eq!(ran, !bad, "{what}: kernel {k}");
+            assert!(intact(&got, body.clone()), "{what}: kernel {k}");
+            if ran {
+                let mut want = dst.clone();
+                let (into, list) = (&mut want[body.clone()], [&spans, &expanded][k % 2]);
+                match k {
+                    0 | 1 => kernel::scatter_spans_scalar(into, list, &wire),
+                    _ => kernel::accumulate_spans_scalar(into, list, &wire, red),
+                };
+                assert_eq!(got, want, "{what}: kernel {k}");
+            }
+        }
+        // A fused copy, run against run, from one framed buffer to another.
+        for r in &runs {
+            let run = CopyRun {
+                src: r.off,
+                src_stride: r.stride,
+                dst: r.off,
+                dst_stride: r.stride,
+                len: r.len,
+                count: r.count,
+            };
+            let mut got = dst.clone();
+            let ran = !panics(|| {
+                let (from, into) = (&src[body.clone()], &mut got[body.clone()]);
+                // SAFETY: two distinct buffers, each passed with its length.
+                unsafe { kernel::copy_run(from.as_ptr(), len, into.as_mut_ptr(), len, &run) }
+            });
+            assert!(intact(&got, body.clone()), "{what}: {run:?}");
+            if ran {
+                let mut want = dst.clone();
+                for (off, n) in r.spans() {
+                    want[lead + off..lead + off + n]
+                        .copy_from_slice(&src[lead + off..lead + off + n]);
+                }
+                assert_eq!(got, want, "{what}: {run:?}");
+            }
+        }
+        assert!(intact(&src, body.clone()), "{what}: a source changed");
+    }
 }
