@@ -314,12 +314,14 @@ impl Schedules {
 }
 
 /// The one place a program comes from: `plan`, run over `shape` on
-/// `topo`, looked up in `store` under its identity (hashed here, once) and
-/// compiled by whichever requester misses — over layouts made (temp-sized;
-/// a description flattened) only then.
+/// `topo`, looked up in `store` under its identity (hashed here, once, but
+/// for the rank's boundary class) and compiled by whichever requester of
+/// the class misses — over layouts made (temp-sized; a description
+/// flattened) only then.
 pub(crate) struct Lookup<'a> {
     store: &'a PlanStore,
     topo: &'a CartTopology,
+    nb: &'a RelNeighborhood,
     plan: &'a Plan,
     shape: Shape<'a>,
     stem: KeyStem,
@@ -335,18 +337,18 @@ impl<'a> Lookup<'a> {
     ) -> Self {
         let id = (plan.kind, plan.schedule);
         Lookup {
-            stem: KeyStem::new(topo, nb, id, shape.fingerprint(plan.kind)),
+            stem: KeyStem::new(nb, id, shape.fingerprint(plan.kind)),
             store,
             topo,
+            nb,
             plan,
             shape,
         }
     }
 
-    /// Whether every rank has a program of its own (a mesh) or all ranks
-    /// share one (a torus).
-    pub(crate) fn per_rank(&self) -> bool {
-        self.stem.per_rank
+    /// The store key of `rank`'s program: its boundary class's.
+    pub(crate) fn key(&self, rank: usize) -> u128 {
+        self.stem.key(self.topo, self.nb, rank)
     }
 
     /// The program `rank` runs and whether the store had it. The lookup is
@@ -354,7 +356,7 @@ impl<'a> Lookup<'a> {
     /// event: the store shares programs process-wide, this keeps the
     /// accounting with the requester.
     pub(crate) fn program(&self, rank: usize, obs: &Obs) -> CartResult<(Arc<Program>, bool)> {
-        let (plan, key) = (self.plan, self.stem.key(rank));
+        let (plan, key) = (self.plan, self.key(rank));
         let (program, hit) = self.store.get_or_compile(key, || {
             let lay = match self.shape {
                 Shape::Layouts(lay) => lay.clone(),
@@ -426,8 +428,8 @@ impl Plans<'_> {
     }
 
     /// The full [`PlanStore`] key [`Plans::compiled`] resolves for `kind`
-    /// over `lay`: topology (dims, periods, permutation) + neighborhood +
-    /// schedule + layout fingerprint — and the rank, on a mesh.
+    /// over `lay`: neighborhood + schedule + layout fingerprint + this
+    /// rank's boundary class (empty on a torus).
     pub fn store_key(&self, kind: PlanKind, lay: &ExecLayouts) -> u128 {
         let id = (kind, Schedule::Combining);
         store_key(&self.cc.topo, &self.cc.nb, self.cc.rank(), id, lay)

@@ -27,8 +27,8 @@
 //!   copy runs, and a round's send half and receive half each carry a
 //!   block, only where one of the (source, target) pairs it serves has
 //!   both ends inside the mesh (see `Boundary`), so a boundary rank simply
-//!   gets a shorter program — there, and only there, a program is one
-//!   rank's own.
+//!   gets a shorter program — one for every rank of its boundary class
+//!   ([`boundary_class`]).
 //!
 //! [`execute_compiled`] then runs the phases with **zero heap allocation,
 //! zero coordinate math, and zero datatype traversal** in steady state: wire
@@ -313,7 +313,7 @@ type FusedPhase = Vec<Vec<FusedRun>>;
 
 /// A schedule compiled over concrete layouts: tags, wire sizes, span
 /// programs, copies and temp layout all resolved ahead of execution — the
-/// object the plan store shares. On a torus it is the same for every rank.
+/// object the plan store shares, one for every rank of a boundary class.
 #[derive(Debug)]
 pub struct Program {
     kind: PlanKind,
@@ -321,8 +321,8 @@ pub struct Program {
     /// Every round's relative offset, in execution order: what a rank's
     /// peers are resolved from.
     offsets: Vec<Offset>,
-    /// The rank whose mesh boundary shaped this program; `None` on a torus.
-    bound_to: Option<usize>,
+    /// The boundary class of the ranks it serves; empty on a torus.
+    class: Vec<Option<(usize, usize)>>,
     temp_len: usize,
     /// Minimum send-buffer length any span touches.
     send_min_len: usize,
@@ -388,11 +388,11 @@ impl ExecScratch {
 
 impl Program {
     /// Compile `plan` over `lay`. `lay` must carry temp-slot sizing (see
-    /// `ops::size_temp`); `tag_base` is the tag of round 0. `rank` matters
-    /// only where a round's offset crosses a non-periodic dimension: there
-    /// the plan compiles to the copies, halves and blocks that are live at
-    /// `rank` (see `Boundary`) and the program is that rank's alone.
-    /// Everywhere else the program is every rank's. Layout errors
+    /// `ops::size_temp`); `tag_base` is the tag of round 0. `topo` and
+    /// `rank` matter only through `rank`'s [`boundary_class`]: where a
+    /// round's offset crosses a non-periodic dimension the plan compiles
+    /// to the copies, halves and blocks that are live in that class (see
+    /// `Boundary`). On a torus the program is every rank's. Layout errors
     /// (negative resolved displacements) propagate as type errors.
     pub fn compile(
         topo: &CartTopology,
@@ -401,14 +401,16 @@ impl Program {
         lay: &ExecLayouts,
         tag_base: Tag,
     ) -> CartResult<Program> {
-        let boundary = Boundary::of(topo, rank, plan);
+        let rounds = plan.phases.iter().flat_map(|p| &p.rounds);
+        let class = boundary_class(topo, rounds.map(|r| &r.offset), rank);
+        let boundary = Boundary::of(&class, plan);
         let live = |serves, hop| boundary.as_ref().is_none_or(|bd| bd.live(serves, hop));
         let staged = |br, arrives| boundary.as_ref().map_or(br, |bd| bd.staged(br, arrives));
         let mut cp = Program {
             kind: plan.kind,
             phases: Vec::with_capacity(plan.phases.len()),
             offsets: Vec::with_capacity(plan.rounds),
-            bound_to: boundary.as_ref().map(|_| rank),
+            class: class.clone(),
             temp_len: lay.temp_len(),
             send_min_len: 0,
             recv_min_len: 0,
@@ -538,16 +540,16 @@ impl Program {
 
     /// Per phase, the fused form the inline carrier runs it in, or `None`
     /// where it keeps the slab; built on first use. A phase fuses when it
-    /// is a torus phase (one program for every rank, so round `i` of every
-    /// source is this program's round `i`), no receive of it accumulates,
-    /// and no receive of it writes a byte any send of it reads
-    /// ([`reads_apart_from_writes`]): then a receiver may copy straight out
-    /// of its source's buffers while other receivers write theirs — its
-    /// own, where a round's source is the receiver itself.
+    /// is a torus phase (an empty class: one program for every rank, so
+    /// round `i` of every source is this program's round `i`), no receive
+    /// of it accumulates, and no receive of it writes a byte any send of it
+    /// reads ([`reads_apart_from_writes`]): then a receiver may copy
+    /// straight out of its source's buffers while other receivers write
+    /// theirs — its own, where a round's source is the receiver itself.
     fn fused(&self) -> &[Option<FusedPhase>] {
         self.fused.get_or_init(|| {
             let fuse = |phase: &CompiledPhase| -> Option<FusedPhase> {
-                if self.bound_to.is_some() || !reads_apart_from_writes(phase) {
+                if !self.class.is_empty() || !reads_apart_from_writes(phase) {
                     return None;
                 }
                 let rounds = phase.rounds.iter();
@@ -712,25 +714,26 @@ impl Program {
 impl CompiledPlan {
     /// `rank`'s view of `program` on `topo`: resolve every round's
     /// `(target, source)` by the relative shift of Listing 2 — O(rounds).
-    /// Fails if `program` was compiled at another rank's mesh boundary, or
-    /// for a torus where `topo` is not one.
+    /// Fails if `rank` is of another boundary class than the one `program`
+    /// was compiled for — a torus's where `topo` cuts a moved dimension.
     pub fn resolve(
         program: Arc<Program>,
         topo: &CartTopology,
         rank: usize,
     ) -> CartResult<CompiledPlan> {
-        if program.bound_to.is_some_and(|r| r != rank) {
+        let class = boundary_class(topo, program.offsets.iter(), rank);
+        if class != program.class {
             return Err(CartError::Type(TypeError::InvalidArgument(format!(
-                "program compiled at the mesh boundary of rank {:?} resolved for rank {rank}",
-                program.bound_to
+                "program compiled for boundary class {:?} resolved for rank {rank} of class {class:?}",
+                program.class
             ))));
         }
         let mut peers = Vec::with_capacity(program.rounds);
         let mut specs = Vec::with_capacity(program.rounds);
         let mut neg: Vec<i64> = Vec::with_capacity(topo.ndims());
-        // A live block's whole path lies inside the mesh, so on the
-        // topology it was compiled for a half with a block to move has its
-        // peer.
+        // A live block's whole path lies inside the mesh, so at a rank of
+        // the class it was compiled for a half with a block to move has
+        // its peer.
         let peer = |half: &Option<Half>, offset: &[i64]| match half {
             None => Ok(NO_PEER),
             Some(_) => topo.rank_of_offset(rank, offset)?.ok_or_else(|| {
@@ -796,12 +799,7 @@ impl CompiledPlan {
     pub fn program_fingerprint(&self) -> u64 {
         let mut peers = self.peers.iter();
         let mut h = Fnv::new();
-        h.u64(match self.kind {
-            PlanKind::Alltoall => 1,
-            PlanKind::Allgather => 2,
-            PlanKind::ReduceScatter => 3,
-            PlanKind::Allreduce => 4,
-        });
+        h.u64(self.kind.code());
         // Write modes are hashed only for the reduction kinds, so the
         // committed alltoall/allgather goldens stay byte-identical.
         let red = self.kind.is_reduction();
@@ -860,18 +858,46 @@ impl CompiledPlan {
     }
 }
 
-/// Where a mesh boundary cuts a plan off at one rank — the details the
-/// paper leaves out ("non-periodic meshes are not discussed further here").
-/// On a torus every process has every neighbor; on a mesh boundary
-/// processes lack some. Every movement — a round's wire block, a local
-/// copy — names the (source, target) pairs it serves ([`Pairs`]), and two
-/// per-dimension interval arguments make its fate a pure function of rank
-/// and movement:
+/// The boundary class of `rank` under rounds of relative offsets
+/// `offsets`, the one rule for which ranks share a program: per dimension
+/// `None` where the topology is periodic or no round moves, else the
+/// window `(min(c_k, R_k), min(n_k − 1 − c_k, R_k))` of the mesh around
+/// the rank, `R_k` the largest `|offset_k|`; empty on a torus. A program
+/// depends on the topology only through it, since [`Boundary::live`] asks
+/// only whether `c_k + e` lies in `[0, n_k)` for some `|e| ≤ R_k`. `R_k` is
+/// the neighborhood's largest `|N[i]_k|` too, so its offsets serve as well.
+pub(crate) fn boundary_class<'o>(
+    topo: &CartTopology,
+    offsets: impl Iterator<Item = &'o Offset> + Clone,
+    rank: usize,
+) -> Vec<Option<(usize, usize)>> {
+    let reach = |k: usize| {
+        let r = offsets.clone().map(|o| o[k].unsigned_abs() as usize).max();
+        r.filter(|&r| r > 0 && !topo.periods()[k])
+    };
+    if (0..topo.ndims()).all(|k| topo.periods()[k] || reach(k).is_none()) {
+        return Vec::new();
+    }
+    let coords = topo.coords_of(rank).into_iter().enumerate();
+    let window =
+        |(k, c): (usize, usize)| reach(k).map(|r| (c.min(r), (topo.dims()[k] - 1 - c).min(r)));
+    coords.map(window).collect()
+}
+
+/// Where a mesh boundary cuts a plan off in one boundary class — the
+/// details the paper leaves out ("non-periodic meshes are not discussed
+/// further here"). On a torus every process has every neighbor; on a mesh
+/// boundary processes lack some. Every movement — a round's wire block, a
+/// local copy — names the (source, target) pairs it serves ([`Pairs`]),
+/// and two per-dimension interval arguments make its fate a pure function
+/// of class and movement:
 ///
 /// * A schedule routes a pair's block dimension by dimension, so every
 ///   process it visits has, per dimension, one end's coordinate or the
 ///   other's: if both ends lie in the mesh **every hop between them does
 ///   too**. A movement runs iff one of its pairs has both ends in the mesh.
+///   So an end lies within one offset's reach of every process on its
+///   path, and the class's windows answer as the coordinates would.
 /// * A round's receiver sees the sender's pairs one hop further on, so
 ///   both agree on what the message holds without communicating.
 ///
@@ -880,35 +906,31 @@ impl CompiledPlan {
 /// it later; on a mesh that hop may never come, so there it is staged in
 /// the block's temp slot instead.
 struct Boundary<'a> {
-    topo: &'a CartTopology,
-    coords: Vec<usize>,
+    class: &'a [Option<(usize, usize)>],
     pairs: &'a Pairs,
     /// The plan is an alltoall: its intermediate hops are staged.
     stages: bool,
 }
 
 impl<'a> Boundary<'a> {
-    /// `None` when no round of `plan` crosses a non-periodic dimension.
-    fn of(topo: &'a CartTopology, rank: usize, plan: &'a Plan) -> Option<Self> {
-        let crosses = |o: &Offset| o.iter().zip(topo.periods()).any(|(&c, &p)| c != 0 && !p);
-        let mut rounds = plan.phases.iter().flat_map(|p| &p.rounds);
-        rounds.any(|r| crosses(&r.offset)).then(|| Boundary {
-            topo,
-            coords: topo.coords_of(rank),
+    /// `None` for the empty class: no round of `plan` crosses a
+    /// non-periodic dimension.
+    fn of(class: &'a [Option<(usize, usize)>], plan: &'a Plan) -> Option<Self> {
+        (!class.is_empty()).then(|| Boundary {
+            class,
             pairs: &plan.pairs,
             stages: plan.kind == PlanKind::Alltoall,
         })
     }
 
-    /// Whether a movement serving `serves` is live at this rank — `hop`
+    /// Whether a movement serving `serves` is live in this class — `hop`
     /// past its holder, on the receive side of a round: both ends of one
     /// of its pairs exist.
     fn live(&self, serves: Serves, hop: Option<&Offset>) -> bool {
-        let (dims, periods) = (self.topo.dims(), self.topo.periods());
         let exists = |end: &[i64]| {
-            (0..dims.len()).all(|k| {
-                let c = self.coords[k] as i64 + end[k] - hop.map_or(0, |h| h[k]);
-                periods[k] || (0..dims[k] as i64).contains(&c)
+            self.class.iter().enumerate().all(|(k, window)| {
+                let e = end[k] - hop.map_or(0, |h| h[k]);
+                window.is_none_or(|(behind, ahead)| (-(behind as i64)..=ahead as i64).contains(&e))
             })
         };
         (serves.0..serves.1).any(|p| {
@@ -1918,12 +1940,13 @@ mod tests {
         // origins (0, 0) and (1, 0) — the edges with a target in the mesh.
         assert_eq!(sent(5), 8 * 4);
         assert_eq!(sent(0), 3 * 4);
-        assert_eq!(compile(&mesh, 0, &plan, 4).bound_to, Some(0));
+        // The corner's class: no process behind it, one within reach ahead.
+        assert_eq!(compile(&mesh, 0, &plan, 4).class, [Some((0, 1)); 2]);
         // Moving only where the topology is periodic is fine.
         let mesh = CartTopology::new(&[3, 3], &[true, false]).unwrap();
         let along = RelNeighborhood::new(2, vec![vec![1, 0], vec![-1, 0]]).unwrap();
         let plan = crate::schedule::allgather_plan(&along);
-        assert_eq!(compile(&mesh, 0, &plan, 4).bound_to, None);
+        assert!(compile(&mesh, 0, &plan, 4).class.is_empty());
     }
 
     /// The first temp byte `p` reads — a copy's or a send half's source, or
@@ -2002,6 +2025,57 @@ mod tests {
                         "{:?} of {nb:?}, rank {rank} of {mesh:?}",
                         plan.kind
                     );
+                }
+            }
+        }
+    }
+
+    /// The premise of the class rule: every displacement `Boundary::live`
+    /// asks about lies within the rounds' reach — the neighborhood's — so
+    /// a window capped at the reach answers as the coordinates would.
+    #[test]
+    fn every_displacement_a_boundary_asks_about_lies_within_reach() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for _ in 0..500 {
+            let d = rng.gen_range(1..4);
+            let offsets: Vec<Vec<i64>> = (0..rng.gen_range(1..9))
+                .map(|_| (0..d).map(|_| rng.gen_range(-2i64..3)).collect())
+                .collect();
+            let nb = RelNeighborhood::new(d, offsets).unwrap();
+            let reach = |offsets: &mut dyn Iterator<Item = &Offset>, k: usize| {
+                offsets.map(|o| o[k].abs()).max().unwrap_or(0)
+            };
+            let mut plans = vec![
+                alltoall_plan(&nb),
+                crate::schedule::allgather_plan(&nb),
+                crate::schedule::reduce_scatter_plan(&nb),
+                crate::schedule::allreduce_plan(&nb),
+            ];
+            let kinds = [
+                PlanKind::Alltoall,
+                PlanKind::Allgather,
+                PlanKind::ReduceScatter,
+                PlanKind::Allreduce,
+            ];
+            plans.extend(kinds.map(|kind| trivial_plan(&nb, kind)));
+            for plan in plans {
+                let rounds = || plan.phases.iter().flat_map(|p| &p.rounds);
+                let r: Vec<i64> = (0..d)
+                    .map(|k| reach(&mut rounds().map(|r| &r.offset), k))
+                    .collect();
+                let of_nb: Vec<i64> = (0..d).map(|k| reach(&mut nb.offsets().iter(), k)).collect();
+                assert_eq!(r, of_nb, "{:?} of {nb:?}", plan.kind);
+                let copies = plan.all_copies().map(|c| (c.serves, None));
+                let sends = rounds().flat_map(|r| r.serves.iter().map(|&s| (s, None)));
+                let recvs = rounds().flat_map(|r| r.serves.iter().map(move |&s| (s, Some(r))));
+                for (serves, hop) in copies.chain(sends).chain(recvs) {
+                    for (source, target) in (serves.0..serves.1).map(|p| plan.pairs.get(p)) {
+                        for (k, end) in [source, target].iter().flat_map(|e| e.iter().enumerate()) {
+                            let e = end - hop.map_or(0, |h: &crate::plan::PlanRound| h.offset[k]);
+                            assert!(e.abs() <= r[k], "{:?} of {nb:?} asks {e} in {k}", plan.kind);
+                        }
+                    }
                 }
             }
         }
@@ -2236,7 +2310,7 @@ mod tests {
             .zip(fused_phases(&allreduce))
             .filter(|&(x, f)| x && f);
         assert_eq!(fused.count(), 0);
-        // A mesh rank runs a program of its own: no phase fuses.
+        // A mesh program, even an interior rank's, keeps the slab.
         let mesh = CartTopology::mesh(&[3, 3, 3]).unwrap();
         let interior = compile(&mesh, 13, &alltoall_plan(&nb), 8);
         assert_eq!(fused_phases(&interior), [false; 3]);

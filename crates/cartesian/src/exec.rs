@@ -108,12 +108,7 @@ impl ExecLayouts {
     fn hash_with(&self, kind: PlanKind, seed: u64) -> u64 {
         let mut h = Fnv::new();
         h.u64(seed);
-        h.u64(match kind {
-            PlanKind::Alltoall => 1,
-            PlanKind::Allgather => 2,
-            PlanKind::ReduceScatter => 3,
-            PlanKind::Allreduce => 4,
-        });
+        h.u64(kind.code());
         for (group, blocks) in [(0u64, &self.send), (1u64, &self.recv)] {
             h.u64(group);
             h.u64(blocks.len() as u64);

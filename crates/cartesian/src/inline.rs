@@ -18,8 +18,8 @@
 //! threads), the ranks' peer tables, per-rank temp buffers and the slab.
 //! The program comes from the shared [`PlanStore`] under the key
 //! [`CartComm`] resolves, so inline and threaded executions of one shape
-//! share compiled bytes: one lookup per job on a torus, billed to rank 0;
-//! one per rank on a mesh, where boundary ranks run programs of their own.
+//! share compiled bytes: one lookup per job and boundary class, billed to
+//! its first rank — on a torus one, to rank 0; on a radius-1 3-D mesh 27.
 //!
 //! Everything a [`CartComm`] runs, runs here: both algorithms, tori and
 //! meshes, every combining schedule. [`InlineUniverse::run`] resolves its
@@ -34,7 +34,7 @@ use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::Reducer;
 
 use crate::cartcomm::{Lookup, Schedules};
-use crate::compile::{execute_inline, CompiledPlan, InlineScratch};
+use crate::compile::{execute_inline, CompiledPlan, InlineScratch, Program};
 use crate::error::{CartError, CartResult};
 use crate::exec::ExecLayouts;
 use crate::ops::{check_layout_shape, resolve, Algo, Shape};
@@ -122,8 +122,9 @@ impl InlineUniverse {
     /// take `None`.
     ///
     /// The program comes from the plan store under the key
-    /// [`CartComm`](crate::CartComm) would use: looked up once and billed
-    /// to rank 0's [`Obs`] on a torus, once per rank on a mesh.
+    /// [`CartComm`](crate::CartComm) would use: looked up once per
+    /// boundary class and billed to the [`Obs`] of the class's first rank —
+    /// once, to rank 0, on a torus.
     pub fn run(
         &mut self,
         kind: PlanKind,
@@ -153,16 +154,23 @@ impl InlineUniverse {
             self.schedules.get(&self.store, &self.nb, id)
         });
         let lookup = Lookup::new(&self.store, &self.topo, &self.nb, &plan, shape);
-        let mut program = lookup.program(0, &self.obs[0])?.0;
+        // One lookup per boundary class, billed to the class's first rank.
+        let mut programs: Vec<(u128, Arc<Program>)> = Vec::new();
         for rank in 0..p {
-            if rank > 0 && lookup.per_rank() {
-                program = lookup.program(rank, &self.obs[rank])?.0;
+            let key = lookup.key(rank);
+            let at = programs
+                .iter()
+                .position(|(k, _)| *k == key)
+                .unwrap_or(programs.len());
+            if at == programs.len() {
+                programs.push((key, lookup.program(rank, &self.obs[rank])?.0));
             }
+            let program = &programs[at].1;
             // The peer tables outlive the job: only a new program has
             // them derived again.
             let kept = self.plans.get(rank);
-            if kept.is_none_or(|cp| !Arc::ptr_eq(cp.program(), &program)) {
-                let cp = CompiledPlan::resolve(Arc::clone(&program), &self.topo, rank)?;
+            if kept.is_none_or(|cp| !Arc::ptr_eq(cp.program(), program)) {
+                let cp = CompiledPlan::resolve(Arc::clone(program), &self.topo, rank)?;
                 self.plans.truncate(rank);
                 self.plans.push(cp);
             }

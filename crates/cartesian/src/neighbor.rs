@@ -109,7 +109,6 @@ impl DistGraphComm {
 
     /// `MPI_Neighbor_allgather`: the same `send` block to every target.
     pub fn neighbor_allgather<T: Pod>(&self, send: &[T], recv: &mut [T]) -> CartResult<()> {
-        let _sz = std::mem::size_of::<T>();
         let m = std::mem::size_of_val(send);
         crate::ops::check_buffer(
             "receive",

@@ -180,6 +180,11 @@ impl PlanKind {
     pub const fn is_reduction(self) -> bool {
         matches!(self, PlanKind::ReduceScatter | PlanKind::Allreduce)
     }
+
+    /// The kind's number in every fingerprint and store key.
+    pub const fn code(self) -> u64 {
+        self as u64 + 1
+    }
 }
 
 /// Which algorithm laid a plan's rounds out — with [`PlanKind`], the

@@ -1,18 +1,14 @@
 //! A process-wide, sharded, fingerprint-keyed, single-flight store of
 //! compiled programs and schedules.
 //!
-//! Pre-0.3.0, every [`CartComm`](crate::CartComm) owned a private
-//! 16-entry LRU of compiled programs, so two communicators over the same
-//! topology, neighborhood, and layouts — two tenants of a serving
-//! process, two phases of one application, two tests in one binary —
-//! each paid schedule construction and compilation in full. A
-//! [`Program`] is **immutable**, and on a torus **rank-independent**: all
-//! inputs that influence it (topology dims/periods/permutation,
-//! neighborhood, collective kind, algorithm, block layouts — and the rank
-//! only where a mesh boundary makes it one, see [`store_key`]) are folded
-//! into the store key. That makes programs safely shareable across ranks,
-//! communicators and threads, which is what this store does: one warm,
-//! bounded cache per process, holding one program per torus and shape.
+//! A [`Program`] is **immutable** and depends on the topology only
+//! through a rank's boundary class: the store key hashes what influences
+//! it — neighborhood, collective kind, algorithm, block layouts and the
+//! class, empty on a torus (see [`store_key`]) — and nothing else. So
+//! programs are shared across ranks of a class, torus sizes, permutations,
+//! communicators (two tenants, two phases of one application) and
+//! threads: one warm, bounded cache per process, holding one program per
+//! shape and boundary class.
 //!
 //! **Attribution** stays per communicator: each `CartComm` counts its
 //! own hits and misses ([`crate::cartcomm::PlanCacheStats`]), so a
@@ -26,7 +22,7 @@
 //! of entries. A lookup locks its shard for a short scan only.
 //!
 //! **Single flight:** compilation runs under the *entry's* own lock, never
-//! a shard's. The `p` ranks of a universe ask for one key at once; the
+//! a shard's. The ranks of a class ask for one key at once; the
 //! first to take the entry's lock compiles, the others sleep on it, find
 //! the program and are billed a hit. A compilation that fails, or panics,
 //! takes its entry out again: whoever was waiting compiles for itself and
@@ -37,7 +33,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 
-use crate::compile::{Fnv, Program};
+use crate::compile::{boundary_class, Fnv, Program};
 use crate::error::CartResult;
 use crate::exec::ExecLayouts;
 use crate::plan::{Plan, PlanKind, Schedule};
@@ -57,16 +53,12 @@ fn seeded(seed: u64) -> Fnv {
     h
 }
 
-/// A compiled program's identity, hashed once: topology, neighborhood,
-/// schedule and layouts. Whether the rank belongs to it as well is one
-/// rule, applied in [`KeyStem::key`].
+/// A compiled program's identity but for the boundary class, hashed once:
+/// neighborhood, schedule and layouts. [`KeyStem::key`] adds the class.
 #[derive(Clone, Copy)]
 pub(crate) struct KeyStem {
     lo: Fnv,
     hi: Fnv,
-    /// Some neighbor lies across a non-periodic dimension, so boundary
-    /// ranks get programs of their own and a key ends in its rank.
-    pub(crate) per_rank: bool,
 }
 
 impl KeyStem {
@@ -74,7 +66,6 @@ impl KeyStem {
     /// [`ExecLayouts::fingerprint`], or that of the datatype description
     /// they are committed from (see `ops::Shape`).
     pub(crate) fn new(
-        topo: &CartTopology,
         nb: &RelNeighborhood,
         (kind, schedule): (PlanKind, Schedule),
         lay_fp: u128,
@@ -82,28 +73,8 @@ impl KeyStem {
         let flat = nb.to_flat();
         let stem = |seed: u64| {
             let mut h = seeded(seed);
-            h.u64(topo.ndims() as u64);
-            for &d in topo.dims() {
-                h.u64(d as u64);
-            }
-            for &p in topo.periods() {
-                h.u64(p as u64);
-            }
-            match topo.permutation() {
-                Some(perm) => {
-                    h.u64(1);
-                    for &r in perm {
-                        h.u64(r as u64);
-                    }
-                }
-                None => h.u64(0),
-            }
-            h.u64(match kind {
-                PlanKind::Alltoall => 1,
-                PlanKind::Allgather => 2,
-                PlanKind::ReduceScatter => 3,
-                PlanKind::Allreduce => 4,
-            });
+            h.u64(nb.ndims() as u64);
+            h.u64(kind.code());
             h.u64(schedule as u64);
             for &v in &flat {
                 h.u64(v as u64);
@@ -115,18 +86,19 @@ impl KeyStem {
         KeyStem {
             lo: stem(0x9E37_79B9_7F4A_7C15),
             hi: stem(0xC2B2_AE3D_27D4_EB4F),
-            per_rank: (0..topo.ndims())
-                .any(|k| !topo.periods()[k] && nb.offsets().iter().any(|o| o[k] != 0)),
         }
     }
 
-    /// The store key of the program `rank` runs: every rank's on a torus,
-    /// its own on a mesh.
-    pub(crate) fn key(&self, rank: usize) -> u128 {
+    /// The store key of the program `rank` of `topo` runs over `nb`: the
+    /// one of every rank of its boundary class.
+    pub(crate) fn key(&self, topo: &CartTopology, nb: &RelNeighborhood, rank: usize) -> u128 {
         let (mut lo, mut hi) = (self.lo, self.hi);
-        if self.per_rank {
-            lo.u64(rank as u64);
-            hi.u64(rank as u64);
+        for window in boundary_class(topo, nb.offsets().iter(), rank) {
+            let (behind, ahead) = window.map_or((0, 0), |(b, a)| (1 + b as u64, a as u64));
+            for h in [&mut lo, &mut hi] {
+                h.u64(behind);
+                h.u64(ahead);
+            }
         }
         ((hi.finish() as u128) << 64) | lo.finish() as u128
     }
@@ -135,11 +107,10 @@ impl KeyStem {
 /// The full identity of the program `rank` runs: everything that
 /// influences the emitted spans, tags, and wire sizes. Layout shape alone
 /// ([`ExecLayouts::fingerprint`]) was a sufficient key inside one
-/// communicator; a process-wide store must also separate topologies,
-/// neighborhoods and schedules — and ranks exactly where the neighborhood
-/// moves in a non-periodic dimension, since only there do boundary ranks
-/// run shorter programs than the rest. On a torus the key is the same for
-/// every rank.
+/// communicator; a process-wide store must also separate neighborhoods,
+/// schedules and boundary classes — and nothing else: ranks of one class,
+/// tori of any size and permuted tori share a key, and on a torus every
+/// rank is of the one empty class.
 pub fn store_key(
     topo: &CartTopology,
     nb: &RelNeighborhood,
@@ -147,7 +118,7 @@ pub fn store_key(
     schedule: (PlanKind, Schedule),
     lay: &ExecLayouts,
 ) -> u128 {
-    KeyStem::new(topo, nb, schedule, lay.fingerprint(schedule.0)).key(rank)
+    KeyStem::new(nb, schedule, lay.fingerprint(schedule.0)).key(topo, nb, rank)
 }
 
 /// Key for a (rank-independent) schedule: neighborhood, kind and
@@ -160,12 +131,7 @@ pub fn schedule_key(nb: &RelNeighborhood, (kind, schedule): (PlanKind, Schedule)
     {
         let mut h = seeded(seed);
         h.u64(nb.ndims() as u64);
-        h.u64(match kind {
-            PlanKind::Alltoall => 1,
-            PlanKind::Allgather => 2,
-            PlanKind::ReduceScatter => 3,
-            PlanKind::Allreduce => 4,
-        });
+        h.u64(kind.code());
         h.u64(schedule as u64);
         for v in nb.to_flat() {
             h.u64(v as u64);
@@ -465,21 +431,28 @@ mod tests {
         let vn = RelNeighborhood::von_neumann(2, 1).unwrap();
         let lay = lay_for(&moore, 8);
         let base = store_key(&t33, &moore, 0, A2A, &lay);
-        assert_ne!(base, store_key(&t34, &moore, 0, A2A, &lay));
+        // A program does not depend on the torus's size.
+        assert_eq!(base, store_key(&t34, &moore, 0, A2A, &lay));
         assert_ne!(base, store_key(&mesh, &moore, 0, A2A, &lay));
         assert_ne!(base, store_key(&t33, &vn, 0, A2A, &lay_for(&vn, 8)));
         // Every rank of a torus runs one program under one key; where a
-        // neighbor lies across a non-periodic dimension a rank has its own.
+        // neighbor lies across a non-periodic dimension, every rank of one
+        // boundary class does: (0, 0) and (0, 1) lie on the open edge
+        // alike, (1, 0) has a process on either side.
         assert_eq!(base, store_key(&t33, &moore, 1, A2A, &lay));
-        assert_ne!(
+        assert_eq!(
             store_key(&mesh, &moore, 0, A2A, &lay),
             store_key(&mesh, &moore, 1, A2A, &lay)
+        );
+        assert_ne!(
+            store_key(&mesh, &moore, 0, A2A, &lay),
+            store_key(&mesh, &moore, 3, A2A, &lay)
         );
         let along = RelNeighborhood::new(2, vec![vec![0, 1], vec![0, -1]]).unwrap();
         let lay2 = lay_for(&along, 8);
         assert_eq!(
             store_key(&mesh, &along, 0, A2A, &lay2),
-            store_key(&mesh, &along, 1, A2A, &lay2),
+            store_key(&t33, &along, 1, A2A, &lay2),
             "a mesh the neighborhood never leaves is a torus to it"
         );
         let allgather = (PlanKind::Allgather, Schedule::Combining);
@@ -492,12 +465,12 @@ mod tests {
             base,
             store_key(&t33.clone(), &moore.clone(), 0, A2A, &lay.clone())
         );
-        // A permutation is part of the identity.
+        // A permutation places the ranks, not the program.
         let permuted = CartTopology::torus(&[3, 3])
             .unwrap()
             .with_permutation((0..9).rev().collect())
             .unwrap();
-        assert_ne!(base, store_key(&permuted, &moore, 0, A2A, &lay));
+        assert_eq!(base, store_key(&permuted, &moore, 0, A2A, &lay));
     }
 
     #[test]

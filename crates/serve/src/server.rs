@@ -38,8 +38,8 @@
 //! ranks' compiled programs through it itself — either algorithm, torus
 //! or mesh — scattering every rank's result straight into the reply
 //! buffer: no rank thread, channel or wake-up. The first job of a shape
-//! compiles its program (one for all ranks of a torus, one per rank on a
-//! mesh) and the rest — of other tenants, on other connections — ride the
+//! compiles its program (one for all ranks of a torus, one per boundary
+//! class on a mesh) and the rest — of other tenants, on other connections — ride the
 //! warm cache, which is the serving-side payoff of the process-wide
 //! [`PlanStore`] (schedules and compiled programs are keyed by identity,
 //! not by owner). Every rank's execution is attributed to the job's
