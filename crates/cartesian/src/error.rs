@@ -120,7 +120,7 @@ mod tests {
         let e: CartError = TopoError::EmptyNeighborhood.into();
         assert!(matches!(e, CartError::Topo(_)));
         assert!(e.to_string().contains("topology"));
-        let e: CartError = CommError::SignatureMismatch.into();
+        let e: CartError = CommError::InvalidExchange("x".into()).into();
         assert!(std::error::Error::source(&e).is_some());
         let e: CartError = TypeError::InvalidArgument("x".into()).into();
         assert!(e.to_string().contains("datatype"));

@@ -17,8 +17,6 @@ pub enum CommError {
     Disconnected { peer: String },
     /// Datatype-level failure (bounds, size mismatch) during gather/scatter.
     Type(TypeError),
-    /// Type signatures of sender and receiver disagree.
-    SignatureMismatch,
     /// An exchange batch was malformed (e.g. duplicate receive slots).
     InvalidExchange(String),
     /// The link to `peer` gave out: the transport could not deliver
@@ -44,7 +42,6 @@ impl fmt::Display for CommError {
             ),
             CommError::Disconnected { peer } => write!(f, "peer {peer} disconnected"),
             CommError::Type(e) => write!(f, "datatype error: {e}"),
-            CommError::SignatureMismatch => write!(f, "send/receive type signature mismatch"),
             CommError::InvalidExchange(msg) => write!(f, "invalid exchange batch: {msg}"),
             CommError::PeerUnreachable { peer, attempts } => write!(
                 f,
@@ -119,7 +116,6 @@ mod tests {
         .into();
         assert!(matches!(e, CommError::Type(_)));
         assert!(std::error::Error::source(&e).is_some());
-        assert!(std::error::Error::source(&CommError::SignatureMismatch).is_none());
     }
 
     #[test]

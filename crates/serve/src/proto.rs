@@ -177,8 +177,14 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Number of ranks the job needs: the product of the grid dims.
+    /// Panics if it overflows `usize`; [`JobSpec::validate`] refuses such
+    /// a spec.
     pub fn ranks(&self) -> usize {
-        self.dims.iter().product()
+        self.checked_ranks().expect(OVERFLOWS)
+    }
+
+    fn checked_ranks(&self) -> Option<usize> {
+        self.dims.iter().try_fold(1usize, |p, &d| p.checked_mul(d))
     }
 
     /// Neighborhood size `t`.
@@ -186,8 +192,13 @@ impl JobSpec {
         self.offsets.len()
     }
 
-    /// Bytes each rank contributes in the submit payload.
+    /// Bytes each rank contributes in the submit payload. Panics if they
+    /// overflow `usize`; [`JobSpec::validate`] refuses such a spec.
     pub fn send_bytes_per_rank(&self) -> usize {
+        self.checked_send_bytes().expect(OVERFLOWS)
+    }
+
+    fn checked_send_bytes(&self) -> Option<usize> {
         match &self.op {
             OpSpec::Alltoallv {
                 elem_size,
@@ -199,16 +210,24 @@ impl JobSpec {
                 elem_size,
                 sendcount,
                 ..
-            } => sendcount * elem_size,
+            } => sendcount.checked_mul(*elem_size),
             OpSpec::Alltoallw { send_blocks, .. } => w_span(send_blocks),
             OpSpec::Allgatherw { send_block, .. } => w_span(std::slice::from_ref(send_block)),
-            OpSpec::ReduceScatter { red, count } => self.neighbor_count() * count * red.width(),
-            OpSpec::Allreduce { red, count } => count * red.width(),
+            OpSpec::ReduceScatter { red, count } => self
+                .neighbor_count()
+                .checked_mul(*count)?
+                .checked_mul(red.width()),
+            OpSpec::Allreduce { red, count } => count.checked_mul(red.width()),
         }
     }
 
-    /// Bytes each rank receives in the result payload.
+    /// Bytes each rank receives in the result payload. Panics if they
+    /// overflow `usize`; [`JobSpec::validate`] refuses such a spec.
     pub fn recv_bytes_per_rank(&self) -> usize {
+        self.checked_recv_bytes().expect(OVERFLOWS)
+    }
+
+    fn checked_recv_bytes(&self) -> Option<usize> {
         match &self.op {
             OpSpec::Alltoallv {
                 elem_size,
@@ -225,7 +244,7 @@ impl JobSpec {
                 w_span(recv_blocks)
             }
             OpSpec::ReduceScatter { red, count } | OpSpec::Allreduce { red, count } => {
-                count * red.width()
+                count.checked_mul(red.width())
             }
         }
     }
@@ -321,6 +340,13 @@ impl JobSpec {
                 // The reducer is validated structurally at decode time and
                 // the buffer sizes follow from `count` alone.
             }
+        }
+        // Every size the daemon computes from the spec, up to the whole
+        // payload and the whole result, fits a `usize`.
+        let ranks = self.checked_ranks();
+        let fits = |per_rank: Option<usize>| ranks?.checked_mul(per_rank?);
+        if fits(self.checked_send_bytes()).is_none() || fits(self.checked_recv_bytes()).is_none() {
+            return Err("job size overflows (ranks × bytes per rank)".into());
         }
         Ok(())
     }
@@ -951,21 +977,19 @@ fn utf8(b: &[u8]) -> Result<String, String> {
     String::from_utf8(b.to_vec()).map_err(|_| "invalid utf-8".to_string())
 }
 
-fn span_bytes(counts: &[usize], displs: &[usize], elem_size: usize) -> usize {
-    counts
-        .iter()
-        .zip(displs)
-        .map(|(c, d)| (d + c) * elem_size)
-        .max()
-        .unwrap_or(0)
+/// What a job's sizes panic with when they overflow.
+const OVERFLOWS: &str = "job size overflows usize (JobSpec::validate refuses it)";
+
+fn span_bytes(counts: &[usize], displs: &[usize], elem_size: usize) -> Option<usize> {
+    counts.iter().zip(displs).try_fold(0, |max: usize, (c, d)| {
+        Some(max.max(d.checked_add(*c)?.checked_mul(elem_size)?))
+    })
 }
 
-fn w_span(blocks: &[(i64, usize)]) -> usize {
-    blocks
-        .iter()
-        .map(|&(disp, count)| disp.max(0) as usize + count)
-        .max()
-        .unwrap_or(0)
+fn w_span(blocks: &[(i64, usize)]) -> Option<usize> {
+    blocks.iter().try_fold(0, |max: usize, &(disp, count)| {
+        Some(max.max((disp.max(0) as usize).checked_add(count)?))
+    })
 }
 
 // ----- little-endian primitives -------------------------------------------------
@@ -1494,6 +1518,68 @@ mod tests {
         }
         assert!(s.validate().is_err());
         assert!(JobSpec::decode(&[1, 2, 3]).is_err(), "truncated spec");
+    }
+
+    /// Every size a daemon derives from a spec is checked: each per-rank
+    /// size and ranks × bytes (the rank count itself: `loopback.rs`,
+    /// `an_overflowing_job_is_refused`).
+    #[test]
+    fn validation_rejects_overflowing_sizes() {
+        use cartcomm_types::{Primitive, RedOp};
+        let big = usize::MAX / 2 + 1;
+        let moore = moore_spec(AlgoSpec::Combining);
+        let t = moore.neighbor_count();
+        let red = Reducer::new(RedOp::Sum, Primitive::F64);
+        let ops = [
+            OpSpec::Alltoallv {
+                elem_size: 2,
+                sendcounts: vec![big; t],
+                senddispls: vec![0; t],
+                recvcounts: vec![1; t],
+                recvdispls: vec![0; t],
+            },
+            OpSpec::Alltoallv {
+                elem_size: 1,
+                sendcounts: vec![1; t],
+                senddispls: vec![0; t],
+                recvcounts: vec![usize::MAX; t],
+                recvdispls: vec![1; t],
+            },
+            OpSpec::Allgatherv {
+                elem_size: 2,
+                sendcount: big,
+                recvdispls: vec![0; t],
+            },
+            OpSpec::Alltoallw {
+                send_blocks: vec![(i64::MAX, usize::MAX); t],
+                recv_blocks: vec![(0, 1); t],
+            },
+            OpSpec::ReduceScatter {
+                red,
+                count: big / 4,
+            },
+            OpSpec::Allreduce { red, count: big },
+            // Fits per rank, overflows over the 9 ranks.
+            OpSpec::Allreduce {
+                red,
+                count: usize::MAX / 8 / 8,
+            },
+        ];
+        for op in ops {
+            let s = JobSpec {
+                op: op.clone(),
+                ..moore.clone()
+            };
+            assert!(s.validate().is_err(), "{op:?}");
+        }
+        let fits = JobSpec {
+            op: OpSpec::Allreduce {
+                red,
+                count: usize::MAX / 8 / 9,
+            },
+            ..moore
+        };
+        fits.validate().expect("9 ranks × count × 8 B fits");
     }
 
     /// Hostile input: every decoder of the protocol over arbitrary bytes,

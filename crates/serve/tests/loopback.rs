@@ -842,3 +842,33 @@ fn a_long_job_delays_only_its_own_connection() {
 
     server.shutdown();
 }
+
+/// A spec whose sizes overflow is refused with `ERR`, and the connection
+/// that sent it stays in service: dims travel as `u32`s, so four of
+/// 65 536 ask for 2⁶⁴ ranks — a count no `usize` holds.
+#[test]
+fn an_overflowing_job_is_refused() {
+    let sock = sock_path("overflow");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    let spec = JobSpec {
+        dims: vec![65536; 4],
+        periods: vec![true; 4],
+        offsets: vec![vec![0, 0, 0, 1], vec![0, 0, 0, -1]],
+        op: OpSpec::Allgatherv {
+            elem_size: 8,
+            sendcount: 1,
+            recvdispls: vec![0, 1],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    let mut c = Client::connect_uds(&sock, "overflow").expect("connect");
+    let err = c
+        .submit(&spec, &[])
+        .expect_err("the daemon must refuse 2^64 ranks");
+    assert!(err.to_string().contains("overflow"), "{err}");
+    assert_eq!(c.ping(b"still there?").expect("ping"), b"still there?");
+    assert_eq!(server.counters().jobs_submitted, 0);
+
+    server.shutdown();
+}

@@ -53,7 +53,11 @@ impl CartTopology {
                 return Err(TopoError::ZeroDimension { dim: k });
             }
         }
-        let size = dims.iter().product();
+        // Every stride divides the size, so a size that fits makes them fit.
+        let size = dims
+            .iter()
+            .try_fold(1usize, |p, &s| p.checked_mul(s))
+            .ok_or(TopoError::RankOverflow)?;
         let mut strides = vec![1usize; dims.len()];
         for k in (0..dims.len() - 1).rev() {
             strides[k] = strides[k + 1] * dims[k + 1];
@@ -370,6 +374,21 @@ mod tests {
         assert!(CartTopology::new(&[2], &[true, false]).is_err());
         assert!(CartTopology::new(&[], &[]).is_err());
         assert!(CartTopology::torus(&[1]).is_ok());
+    }
+
+    #[test]
+    fn an_overflowing_rank_count_is_refused() {
+        assert_eq!(
+            CartTopology::new(&[1 << 32, 1 << 32], &[true, true]),
+            Err(TopoError::RankOverflow)
+        );
+        assert_eq!(
+            CartTopology::mesh(&[2, usize::MAX / 2 + 1]),
+            Err(TopoError::RankOverflow)
+        );
+        let t = CartTopology::torus(&[1 << 31, 1 << 32]).unwrap();
+        assert_eq!(t.size(), 1 << 63);
+        assert_eq!(t.coords_of(1 << 32), vec![1, 0]);
     }
 
     #[test]

@@ -36,6 +36,8 @@ pub enum TopoError {
     SizeMismatch { product: usize, processes: usize },
     /// A dimension size was zero.
     ZeroDimension { dim: usize },
+    /// The dimension sizes multiply past `usize::MAX`: no rank count.
+    RankOverflow,
     /// Offset vector has the wrong number of coordinates.
     DimensionMismatch { expected: usize, actual: usize },
     /// A neighborhood was empty where a non-empty one is required.
@@ -56,6 +58,7 @@ impl std::fmt::Display for TopoError {
                 "dimension sizes multiply to {product}, but there are {processes} processes"
             ),
             TopoError::ZeroDimension { dim } => write!(f, "dimension {dim} has size zero"),
+            TopoError::RankOverflow => write!(f, "dimension sizes multiply past usize::MAX"),
             TopoError::DimensionMismatch { expected, actual } => {
                 write!(
                     f,

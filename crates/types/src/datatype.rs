@@ -8,7 +8,6 @@ use std::sync::Arc;
 use crate::error::{TypeError, TypeResult};
 use crate::flat::{FlatType, Span};
 use crate::primitive::Primitive;
-use crate::signature::Signature;
 
 /// An immutable, cheaply clonable description of a (possibly non-contiguous)
 /// memory layout of primitive elements.
@@ -629,80 +628,10 @@ impl Datatype {
         h.finish()
     }
 
-    /// Type signature (sequence of primitive kinds) for matching checks.
-    pub fn signature(&self) -> Signature {
-        let mut sig = Signature::new();
-        self.append_signature(&mut sig);
-        sig
-    }
-
-    pub(crate) fn append_signature(&self, sig: &mut Signature) {
-        match &*self.0 {
-            Node::Primitive(p) => sig.push(*p, 1),
-            Node::Contiguous { count, inner } => match &*inner.0 {
-                // One run, not `count` pushes: `Datatype::bytes(n)` is
-                // committed per block of every layout.
-                Node::Primitive(p) => sig.push(*p, *count),
-                _ => {
-                    for _ in 0..*count {
-                        inner.append_signature(sig);
-                    }
-                }
-            },
-            Node::Vector {
-                count,
-                blocklen,
-                inner,
-                ..
-            }
-            | Node::Hvector {
-                count,
-                blocklen,
-                inner,
-                ..
-            } => {
-                for _ in 0..count * blocklen {
-                    inner.append_signature(sig);
-                }
-            }
-            Node::Indexed { blocks, inner } | Node::Hindexed { blocks, inner } => {
-                for &(bl, _) in blocks {
-                    for _ in 0..bl {
-                        inner.append_signature(sig);
-                    }
-                }
-            }
-            Node::IndexedBlock {
-                blocklen,
-                displs,
-                inner,
-            } => {
-                for _ in 0..displs.len() * blocklen {
-                    inner.append_signature(sig);
-                }
-            }
-            Node::Struct { fields } => {
-                for f in fields {
-                    for _ in 0..f.count {
-                        f.ty.append_signature(sig);
-                    }
-                }
-            }
-            Node::Resized { inner, .. } => inner.append_signature(sig),
-            Node::Subarray {
-                subsizes, inner, ..
-            } => {
-                let n: usize = subsizes.iter().product();
-                for _ in 0..n {
-                    inner.append_signature(sig);
-                }
-            }
-        }
-    }
-
-    /// Commit: flatten, validate, sort nothing (order is the type map order,
-    /// which gather/scatter must preserve), coalesce adjacent spans, and
-    /// freeze into a [`FlatType`].
+    /// Commit: flatten to byte spans in type-map order (gather/scatter must
+    /// preserve it, so nothing is sorted), coalesce spans adjacent in that
+    /// order, and freeze them with the type's size and bounds into a
+    /// [`FlatType`]. Which primitives the bytes were is not recorded.
     pub fn commit(&self) -> TypeResult<FlatType> {
         FlatType::from_datatype(self)
     }
@@ -854,8 +783,45 @@ mod tests {
         assert_eq!(t.size(), 8 + 12);
         assert_eq!(t.lb(), 0);
         assert_eq!(t.ub(), 20);
-        let sig = t.signature();
-        assert_eq!(sig.total_elements(), 4);
+    }
+
+    /// `structured` + commit: the fields stay in the order given and gather
+    /// reads them in it, fields adjacent in that order coalesce, and a
+    /// struct without fields commits empty.
+    #[test]
+    fn structured_commit_keeps_field_order() {
+        let field = |count, disp, ty: &Datatype| StructField {
+            count,
+            disp,
+            ty: ty.clone(),
+        };
+        let (int, byte) = (Datatype::int(), Datatype::byte());
+        let span = |offset, len| Span { offset, len };
+        let cases: [(Vec<StructField>, Vec<Span>, Vec<u8>); 4] = [
+            (
+                vec![field(2, 8, &int), field(1, 0, &int)],
+                vec![span(8, 8), span(0, 4)],
+                vec![8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3],
+            ),
+            (
+                vec![field(2, 12, &byte), field(2, 0, &byte)],
+                vec![span(12, 2), span(0, 2)],
+                vec![12, 13, 0, 1],
+            ),
+            (
+                vec![field(4, 0, &byte), field(4, 4, &byte)],
+                vec![span(0, 8)],
+                (0..8).collect(),
+            ),
+            (vec![], vec![], vec![]),
+        ];
+        let buf: Vec<u8> = (0..16).collect();
+        for (fields, spans, wire) in cases {
+            let ft = Datatype::structured(fields).commit().unwrap();
+            assert_eq!(ft.spans(), spans);
+            assert_eq!(ft.size(), wire.len());
+            assert_eq!(crate::pack::gather(&buf, 0, &ft).unwrap(), wire);
+        }
     }
 
     #[test]
@@ -940,14 +906,6 @@ mod tests {
         let v = Datatype::vector(0, 3, 5, &Datatype::int());
         assert_eq!(v.size(), 0);
         assert_eq!(v.lb_ub(), (0, 0));
-    }
-
-    #[test]
-    fn signature_counts() {
-        let t = Datatype::vector(2, 3, 5, &Datatype::double());
-        let sig = t.signature();
-        assert_eq!(sig.total_elements(), 6);
-        assert_eq!(sig.total_bytes(), 48);
     }
 
     #[test]

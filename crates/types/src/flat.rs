@@ -2,14 +2,16 @@
 //!
 //! A [`FlatType`] is the executable form of a [`Datatype`]: an ordered list
 //! of byte [`Span`]s (the type map projected to bytes), with adjacent spans
-//! coalesced. Committing once and reusing across iterations is exactly what
-//! the paper's `_init` (persistent) operations do with `MPI_Type_commit`.
+//! coalesced, plus the size and bounds read off the tree. Nothing else is
+//! kept: which primitives the bytes were does not matter once the spans say
+//! where they are. Committing once and reusing across iterations is exactly
+//! what the paper's `_init` (persistent) operations do with
+//! `MPI_Type_commit`.
 
 use std::cell::Cell;
 
 use crate::datatype::Datatype;
 use crate::error::{TypeError, TypeResult};
-use crate::signature::Signature;
 
 thread_local! {
     static COMMITS: Cell<u64> = const { Cell::new(0) };
@@ -45,14 +47,14 @@ impl Span {
     }
 }
 
-/// A committed datatype: coalesced spans plus cached metadata.
+/// A committed datatype: coalesced spans, their total size and the
+/// type's bounds.
 #[derive(Debug, Clone)]
 pub struct FlatType {
     spans: Vec<Span>,
     size: usize,
     lb: i64,
     extent: i64,
-    signature: Signature,
 }
 
 impl FlatType {
@@ -83,40 +85,7 @@ impl FlatType {
             size,
             lb,
             extent: ub - lb,
-            signature: dt.signature(),
         })
-    }
-
-    /// Build directly from spans (used by schedule computation where block
-    /// span lists are assembled incrementally). `elem` describes the
-    /// primitive element for the signature; spans must be multiples of its
-    /// size.
-    pub fn from_spans(spans: Vec<Span>, signature: Signature) -> FlatType {
-        let mut merged: Vec<Span> = Vec::with_capacity(spans.len());
-        for s in spans {
-            if s.len == 0 {
-                continue;
-            }
-            if let Some(last) = merged.last_mut() {
-                if last.end() == s.offset {
-                    last.len += s.len;
-                    continue;
-                }
-            }
-            merged.push(s);
-        }
-        let size = merged.iter().map(|s| s.len).sum();
-        let (lb, ub) = merged.iter().fold((i64::MAX, i64::MIN), |(lo, hi), s| {
-            (lo.min(s.offset), hi.max(s.end()))
-        });
-        let (lb, ub) = if merged.is_empty() { (0, 0) } else { (lb, ub) };
-        FlatType {
-            spans: merged,
-            size,
-            lb,
-            extent: ub - lb,
-            signature,
-        }
     }
 
     /// The coalesced spans in type-map order.
@@ -141,12 +110,6 @@ impl FlatType {
     #[inline]
     pub fn extent(&self) -> i64 {
         self.extent
-    }
-
-    /// The type signature.
-    #[inline]
-    pub fn signature(&self) -> &Signature {
-        &self.signature
     }
 
     /// True if the layout is one contiguous span starting at offset 0.
@@ -212,12 +175,14 @@ impl FlatType {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::primitive::Primitive;
 
-    fn sig(n: usize) -> Signature {
-        let mut s = Signature::new();
-        s.push(Primitive::U8, n);
-        s
+    /// Byte blocks `(offset, len)` in this order, committed.
+    fn bytes_at(blocks: &[(i64, usize)]) -> FlatType {
+        let (displs, lens): (Vec<i64>, Vec<usize>) = blocks.iter().copied().unzip();
+        Datatype::hindexed(&lens, &displs, &Datatype::byte())
+            .unwrap()
+            .commit()
+            .unwrap()
     }
 
     #[test]
@@ -240,15 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn from_spans_merges_and_measures() {
-        let ft = FlatType::from_spans(
-            vec![
-                Span { offset: 0, len: 4 },
-                Span { offset: 4, len: 4 },
-                Span { offset: 16, len: 8 },
-            ],
-            sig(16),
-        );
+    fn commit_merges_and_measures() {
+        let ft = bytes_at(&[(0, 4), (4, 4), (16, 8)]);
         assert_eq!(ft.spans().len(), 2);
         assert_eq!(ft.size(), 16);
         assert_eq!(ft.lb(), 0);
@@ -256,8 +214,8 @@ mod tests {
     }
 
     #[test]
-    fn from_spans_drops_empty() {
-        let ft = FlatType::from_spans(vec![Span { offset: 8, len: 0 }], sig(0));
+    fn commit_drops_empty() {
+        let ft = bytes_at(&[(8, 0)]);
         assert!(ft.spans().is_empty());
         assert_eq!(ft.size(), 0);
         assert_eq!(ft.extent(), 0);
@@ -265,7 +223,7 @@ mod tests {
 
     #[test]
     fn bounds_check_catches_overflow_and_negative() {
-        let ft = FlatType::from_spans(vec![Span { offset: 8, len: 8 }], sig(8));
+        let ft = bytes_at(&[(8, 8)]);
         assert!(ft.check_bounds(0, 16).is_ok());
         assert!(matches!(
             ft.check_bounds(0, 15),
@@ -282,15 +240,9 @@ mod tests {
 
     #[test]
     fn overlap_detection() {
-        let ok = FlatType::from_spans(
-            vec![Span { offset: 0, len: 4 }, Span { offset: 8, len: 4 }],
-            sig(8),
-        );
+        let ok = bytes_at(&[(0, 4), (8, 4)]);
         assert!(ok.check_no_overlap().is_ok());
-        let bad = FlatType::from_spans(
-            vec![Span { offset: 6, len: 4 }, Span { offset: 0, len: 8 }],
-            sig(12),
-        );
+        let bad = bytes_at(&[(6, 4), (0, 8)]);
         assert!(bad.check_no_overlap().is_err());
     }
 
@@ -305,14 +257,6 @@ mod tests {
         assert!(b.overlaps(&c));
         assert!(!a.overlaps(&z));
         assert_eq!(a.end(), 8);
-    }
-
-    #[test]
-    fn signature_travels_with_flat_type() {
-        let dt = Datatype::contiguous(5, &Datatype::double());
-        let ft = dt.commit().unwrap();
-        assert_eq!(ft.signature().total_elements(), 5);
-        assert_eq!(ft.signature().total_bytes(), 40);
     }
 
     #[test]

@@ -10,20 +10,22 @@
 //! * [`Datatype`] — an immutable, reference-counted layout tree built with
 //!   MPI-like constructors (`contiguous`, `vector`, `hvector`, `indexed`,
 //!   `hindexed`, `indexed_block`, `structured`, `subarray`, `resized`),
-//! * [`FlatType`] — a *committed* datatype: the layout flattened into a
-//!   coalesced list of byte [`Span`]s, ready for repeated use,
-//! * [`TypeBuilder`] — the paper's `TypeApp` primitive: incrementally append
-//!   `(displacement, count, datatype)` entries while computing a schedule,
-//! * [`pack`] — single-copy gather/scatter between buffers and wire
-//!   representation, the zero-copy execution primitive of Listing 5,
-//! * [`Signature`] — type signatures for send/receive matching checks.
+//! * [`FlatType`] — a *committed* datatype: its coalesced byte [`Span`]s in
+//!   type-map order, its size and its bounds, and nothing else,
+//! * [`pack`] and [`kernel`] — single-copy gather/scatter between buffers
+//!   and wire representation, the zero-copy execution primitive of
+//!   Listing 5.
+//!
+//! The paper's `TypeApp` — appending one block per neighbor while a round
+//! is scheduled — builds no datatype here: the schedule compiler
+//! (`cartcomm`'s `compile.rs`, `SpanProgram::push`) appends each block's
+//! resolved spans to its span program directly.
 //!
 //! All displacements are byte displacements relative to the start of the
 //! buffer passed at communication time (the analogue of `MPI_BOTTOM` +
 //! absolute addresses in the paper's C library is not needed in safe Rust;
 //! buffer-relative displacements are equally expressive here).
 
-pub mod builder;
 pub mod datatype;
 pub mod error;
 pub mod flat;
@@ -31,14 +33,11 @@ pub mod kernel;
 pub mod pack;
 pub mod primitive;
 pub mod redop;
-pub mod signature;
 
-pub use builder::TypeBuilder;
 pub use datatype::Datatype;
 pub use error::{TypeError, TypeResult};
 pub use flat::{FlatType, Span};
 pub use kernel::{accumulate_spans, gather_spans, scatter_spans, PackSpan};
-pub use pack::{gather, gather_append, gather_into, scatter, scatter_prefix, PackBuf};
+pub use pack::{gather, gather_append, scatter, scatter_prefix};
 pub use primitive::{cast_slice, cast_slice_mut, Pod, Primitive};
 pub use redop::{RedOp, Reducer};
-pub use signature::Signature;

@@ -12,65 +12,12 @@
 use crate::error::{TypeError, TypeResult};
 use crate::flat::FlatType;
 
-/// A reusable wire buffer. Reusing one `PackBuf` across rounds avoids
-/// per-round allocation in persistent (`_init`) operations.
-#[derive(Debug, Default, Clone)]
-pub struct PackBuf {
-    data: Vec<u8>,
-}
-
-impl PackBuf {
-    /// New empty wire buffer.
-    pub fn new() -> Self {
-        PackBuf { data: Vec::new() }
-    }
-
-    /// New wire buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        PackBuf {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// The packed bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// Clear contents, keep capacity.
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Consume into the underlying vector (to hand to the transport without
-    /// copying).
-    pub fn into_vec(self) -> Vec<u8> {
-        self.data
-    }
-}
-
 /// Gather the bytes described by `(disp, ty)` out of `buf` into a fresh wire
 /// vector.
 pub fn gather(buf: &[u8], disp: i64, ty: &FlatType) -> TypeResult<Vec<u8>> {
     let mut out = Vec::with_capacity(ty.size());
     gather_append(buf, disp, ty, &mut out)?;
     Ok(out)
-}
-
-/// Gather into a reusable [`PackBuf`] (cleared first).
-pub fn gather_into(buf: &[u8], disp: i64, ty: &FlatType, out: &mut PackBuf) -> TypeResult<()> {
-    out.clear();
-    gather_append(buf, disp, ty, &mut out.data)
 }
 
 /// Append the gathered bytes to `out` without clearing — used to combine the
@@ -211,21 +158,6 @@ mod tests {
             gather(&buf, 0, &ty),
             Err(TypeError::BufferTooSmall { .. })
         ));
-    }
-
-    #[test]
-    fn packbuf_reuse_keeps_capacity() {
-        let src = [7u8; 64];
-        let ty = Datatype::bytes(64).commit().unwrap();
-        let mut pb = PackBuf::with_capacity(64);
-        gather_into(&src, 0, &ty, &mut pb).unwrap();
-        assert_eq!(pb.len(), 64);
-        let cap_before = pb.data.capacity();
-        gather_into(&src, 0, &ty, &mut pb).unwrap();
-        assert_eq!(pb.data.capacity(), cap_before);
-        assert!(!pb.is_empty());
-        let v = pb.into_vec();
-        assert_eq!(v.len(), 64);
     }
 
     #[test]

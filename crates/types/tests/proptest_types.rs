@@ -114,12 +114,6 @@ proptest! {
             }
         }
     }
-
-    /// The signature byte count always equals the size.
-    #[test]
-    fn signature_bytes_equal_size(dt in arb_datatype(3)) {
-        prop_assert_eq!(dt.signature().total_bytes(), dt.size());
-    }
 }
 
 #[test]
