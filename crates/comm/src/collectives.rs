@@ -2,13 +2,15 @@
 //!
 //! The Cartesian library needs only a few of these at setup time — the
 //! isomorphism check of §2.2 broadcasts the neighbor count and the sorted
-//! root neighborhood — but tests and benchmarks use the rest. All of them
-//! run in the reserved internal context so they can never intercept user
-//! point-to-point traffic, and each collective call consumes one tag from
-//! the reserved space so back-to-back collectives cannot interfere either
-//! (all ranks must call collectives in the same order, as in MPI).
+//! root neighborhood — but tests and benchmarks use the rest. Each is
+//! built from `send_bytes` and `recv_bytes`, so its receives share the
+//! communicator's one receive loop. All of them run in the reserved
+//! internal context so they can never intercept user point-to-point
+//! traffic, and each collective call consumes one tag from the reserved
+//! space so back-to-back collectives cannot interfere either (all ranks
+//! must call collectives in the same order, as in MPI).
 
-use cartcomm_types::{cast_slice, Pod};
+use cartcomm_types::{cast_slice, cast_slice_mut, Pod};
 
 use crate::comm::Comm;
 use crate::envelope::{Tag, RESERVED_TAG_BASE};
@@ -102,77 +104,7 @@ impl Comm {
             Vec::new()
         };
         self.bcast_bytes(root, &mut wire)?;
-        let dst = cartcomm_types::cast_slice_mut(data);
-        if wire.len() != dst.len() {
-            return Err(CommError::Truncation {
-                received: wire.len(),
-                capacity: dst.len(),
-            });
-        }
-        dst.copy_from_slice(&wire);
-        Ok(())
-    }
-
-    /// Gather equal-size byte blocks from all ranks to `root`. Returns
-    /// `Some(blocks)` (indexed by rank) on the root, `None` elsewhere.
-    pub fn gather_bytes(&self, root: usize, mine: Vec<u8>) -> CommResult<Option<Vec<Vec<u8>>>> {
-        let ic = self.internal();
-        let p = ic.size();
-        if root >= p {
-            return Err(CommError::InvalidRank {
-                rank: root,
-                size: p,
-            });
-        }
-        let tag = self.coll_tag();
-        if ic.rank() == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-            out[root] = mine;
-            for _ in 0..p - 1 {
-                let (wire, st) = ic.recv_bytes(crate::envelope::ANY_SOURCE, tag)?;
-                out[st.src] = wire;
-            }
-            Ok(Some(out))
-        } else {
-            ic.send_bytes(root, tag, mine)?;
-            Ok(None)
-        }
-    }
-
-    /// Allgather equal-size byte blocks using the Bruck algorithm
-    /// (⌈log₂ p⌉ rounds). Returns blocks indexed by rank.
-    pub fn allgather_bytes(&self, mine: Vec<u8>) -> CommResult<Vec<Vec<u8>>> {
-        let ic = self.internal();
-        let p = ic.size();
-        let r = ic.rank();
-        let tag = self.coll_tag();
-        // collected[j] = block of rank (r + j) mod p
-        let mut collected: Vec<Vec<u8>> = Vec::with_capacity(p);
-        collected.push(mine);
-        let mut k = 1usize;
-        let mut round: Tag = 0;
-        while k < p {
-            let send_n = k.min(p - k).min(collected.len());
-            let dst = (r + p - k) % p;
-            let src = (r + k) % p;
-            let wire = encode_blocks(&collected[0..send_n]);
-            let (reply, _) = ic.sendrecv_bytes(dst, tag + round, wire, src, tag + round)?;
-            let blocks = decode_blocks(&reply)?;
-            for b in blocks {
-                if collected.len() < p {
-                    collected.push(b);
-                }
-            }
-            k <<= 1;
-            round += 1;
-        }
-        debug_assert_eq!(collected.len(), p);
-        // Un-rotate: collected[j] holds rank (r + j) mod p; produce rank order.
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-        for (j, b) in collected.into_iter().enumerate() {
-            out[(r + j) % p] = b;
-        }
-        Ok(out)
+        copy_exact(&wire, data)
     }
 
     /// Element-wise all-reduce of a typed slice with an arbitrary
@@ -217,10 +149,11 @@ impl Comm {
                 break;
             } else if vrank + k < p {
                 let child = ((vrank + k) + root) % p;
-                let mut partial = vec![data[0]; data.len()];
-                ic.recv_slice(child, tag, &mut partial)?;
-                for (d, s) in data.iter_mut().zip(partial.iter()) {
-                    *d = op(*d, *s);
+                let (wire, _) = ic.recv_bytes(child, tag)?;
+                let mut partial = data.to_vec();
+                copy_exact(&wire, &mut partial)?;
+                for (d, s) in data.iter_mut().zip(partial) {
+                    *d = op(*d, s);
                 }
             }
             k <<= 1;
@@ -241,68 +174,16 @@ impl Comm {
     }
 }
 
-fn encode_blocks(blocks: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = blocks.iter().map(|b| b.len() + 8).sum();
-    let mut out = Vec::with_capacity(total + 8);
-    out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-    for b in blocks {
-        out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-        out.extend_from_slice(b);
+/// Copy a received payload over `dst`; a payload of another length is a
+/// [`CommError::Truncation`].
+fn copy_exact<T: Pod>(wire: &[u8], dst: &mut [T]) -> CommResult<()> {
+    let dst = cast_slice_mut(dst);
+    if wire.len() != dst.len() {
+        return Err(CommError::Truncation {
+            received: wire.len(),
+            capacity: dst.len(),
+        });
     }
-    out
-}
-
-fn decode_blocks(wire: &[u8]) -> CommResult<Vec<Vec<u8>>> {
-    let bad = || CommError::InvalidExchange("malformed block encoding".into());
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> CommResult<usize> {
-        let start = *pos;
-        *pos += n;
-        if *pos > wire.len() {
-            Err(bad())
-        } else {
-            Ok(start)
-        }
-    };
-    let s = take(&mut pos, 8)?;
-    let count = u64::from_le_bytes(wire[s..s + 8].try_into().expect("8 bytes")) as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let s = take(&mut pos, 8)?;
-        let len = u64::from_le_bytes(wire[s..s + 8].try_into().expect("8 bytes")) as usize;
-        let s = take(&mut pos, len)?;
-        out.push(wire[s..s + len].to_vec());
-    }
-    if pos != wire.len() {
-        return Err(bad());
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn block_encoding_roundtrip() {
-        let blocks = vec![vec![1u8, 2], vec![], vec![9u8; 5]];
-        let wire = encode_blocks(&blocks);
-        let back = decode_blocks(&wire).unwrap();
-        assert_eq!(back, blocks);
-    }
-
-    #[test]
-    fn decode_rejects_truncated() {
-        let blocks = vec![vec![1u8, 2, 3]];
-        let wire = encode_blocks(&blocks);
-        assert!(decode_blocks(&wire[..wire.len() - 1]).is_err());
-        assert!(decode_blocks(&[1, 2, 3]).is_err());
-    }
-
-    #[test]
-    fn decode_rejects_trailing_garbage() {
-        let mut wire = encode_blocks(&[vec![5u8]]);
-        wire.push(0);
-        assert!(decode_blocks(&wire).is_err());
-    }
+    dst.copy_from_slice(wire);
+    Ok(())
 }

@@ -3,11 +3,10 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use cartcomm_obs::{MetricsSnapshot, Obs, TraceEvent};
 use parking_lot::Mutex;
-
-use cartcomm_types::{cast_slice, cast_slice_mut, gather, scatter_prefix, FlatType, Pod};
 
 use crate::envelope::{Envelope, SrcSel, Tag, TagSel};
 use crate::error::{CommError, CommResult};
@@ -24,6 +23,16 @@ pub struct Status {
     pub tag: Tag,
     /// Payload size in bytes.
     pub bytes: usize,
+}
+
+impl Status {
+    fn of(env: &Envelope) -> Status {
+        Status {
+            src: env.src,
+            tag: env.tag,
+            bytes: env.data.len(),
+        }
+    }
 }
 
 /// A receive slot of an [`Comm::exchange`] batch.
@@ -191,28 +200,22 @@ impl Comm {
     /// Must be called collectively (in the same order on all ranks) so the
     /// resulting context ids agree.
     pub fn dup(&self) -> Comm {
-        let ctx = self.core.next_ctx.fetch_add(1, Ordering::Relaxed);
+        self.in_context(self.core.next_ctx.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Handle on the same rank in the reserved internal-collectives context.
+    pub(crate) fn internal(&self) -> Comm {
+        self.in_context(1)
+    }
+
+    fn in_context(&self, ctx: u32) -> Comm {
         Comm {
-            rank: self.rank,
-            size: self.size,
             ctx,
             fabric: Arc::clone(&self.fabric),
             pool: Arc::clone(&self.pool),
             obs: Arc::clone(&self.obs),
             core: Arc::clone(&self.core),
-        }
-    }
-
-    /// Handle on the same rank in the reserved internal-collectives context.
-    pub(crate) fn internal(&self) -> Comm {
-        Comm {
-            rank: self.rank,
-            size: self.size,
-            ctx: 1,
-            fabric: Arc::clone(&self.fabric),
-            pool: Arc::clone(&self.pool),
-            obs: Arc::clone(&self.obs),
-            core: Arc::clone(&self.core),
+            ..*self
         }
     }
 
@@ -309,12 +312,13 @@ impl Comm {
         src: impl Into<SrcSel>,
         tag: impl Into<TagSel>,
     ) -> CommResult<(Vec<u8>, Status)> {
-        let env = self.match_one(self.ctx, src.into(), tag.into())?;
-        let status = Status {
-            src: env.src,
-            tag: env.tag,
-            bytes: env.data.len(),
-        };
+        let mut pending = self.core.pending.lock();
+        let (at, _) = self.wait(&mut pending, &one(src, tag), |_| true, None)?;
+        let env = pending
+            .remove(at)
+            .expect("the wait names a queued envelope");
+        drop(pending);
+        let status = Status::of(&env);
         Ok((env.data.into_vec(), status))
     }
 
@@ -333,55 +337,13 @@ impl Comm {
         self.recv_bytes(src, recv_tag)
     }
 
-    /// Pull one envelope matching (ctx, src, tag): first from the
-    /// unexpected queue in arrival order, then from the mailbox.
-    fn match_one(&self, ctx: u32, src: SrcSel, tag: TagSel) -> CommResult<Envelope> {
-        let mut pending = self.core.pending.lock();
-        loop {
-            if let Some(pos) = pending
-                .iter()
-                .position(|e| e.ctx == ctx && src.matches(e.src) && tag.matches(e.tag))
-            {
-                return Ok(pending.remove(pos).expect("position just found"));
-            }
-            pending.push_back(self.counting_parks(Mailbox::pop)?);
-        }
-    }
-
-    /// Run one wait on this rank's mailbox and credit the times it slept
-    /// to the rank's `recv_parks`. The rank is the only one that pops, so
-    /// the difference in the mailbox's count is its own.
-    fn counting_parks<T>(&self, wait: impl FnOnce(&Mailbox) -> T) -> T {
-        let mailbox = &self.core.mailbox;
-        let before = mailbox.parks();
-        let got = wait(mailbox);
-        let slept = mailbox.parks() - before;
-        if slept > 0 {
-            self.obs.metrics().recv_parked(slept);
-        }
-        got
-    }
-
     /// Blocking probe (`MPI_Probe`): wait until a message matching the
     /// selectors is available and return its status without consuming it.
     /// A subsequent matching receive returns (at least) this message.
     pub fn probe(&self, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> CommResult<Status> {
-        let src = src.into();
-        let tag = tag.into();
         let mut pending = self.core.pending.lock();
-        loop {
-            if let Some(env) = pending
-                .iter()
-                .find(|e| e.ctx == self.ctx && src.matches(e.src) && tag.matches(e.tag))
-            {
-                return Ok(Status {
-                    src: env.src,
-                    tag: env.tag,
-                    bytes: env.data.len(),
-                });
-            }
-            pending.push_back(self.counting_parks(Mailbox::pop)?);
-        }
+        let (at, _) = self.wait(&mut pending, &one(src, tag), |_| true, None)?;
+        Ok(Status::of(&pending[at]))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`): `Some(status)` if a matching
@@ -391,97 +353,78 @@ impl Comm {
         src: impl Into<SrcSel>,
         tag: impl Into<TagSel>,
     ) -> CommResult<Option<Status>> {
-        let src = src.into();
-        let tag = tag.into();
         let mut pending = self.core.pending.lock();
-        // drain whatever has arrived so far
         while let Some(env) = self.core.mailbox.try_pop() {
             pending.push_back(env);
         }
-        Ok(pending
-            .iter()
-            .find(|e| e.ctx == self.ctx && src.matches(e.src) && tag.matches(e.tag))
-            .map(|env| Status {
-                src: env.src,
-                tag: env.tag,
-                bytes: env.data.len(),
-            }))
+        let hit = self.scan(&pending, 0, &one(src, tag), &|_| true);
+        Ok(hit.map(|(at, _)| Status::of(&pending[at])))
     }
 
-    // ----- datatype operations --------------------------------------------
-
-    /// Send the bytes described by `(disp, ty)` gathered out of `buf`.
-    pub fn send_typed(
+    /// The one receive loop. Returns the queue position of the first
+    /// unexpected envelope, in arrival order, that satisfies a still-open
+    /// (`open(slot)`) slot of `recvs`, and the earliest such slot — the FIFO
+    /// matching rule of MPI. While nothing queued matches, it pops the
+    /// mailbox and credits the times it slept to the rank's `recv_parks`
+    /// (the rank is the only one that pops, so the difference in the
+    /// mailbox's count is its own). Given a `patience`, a mailbox silent
+    /// that long fails with [`CommError::PeerUnreachable`] naming the first
+    /// still-open slot's source.
+    fn wait(
         &self,
-        dst: usize,
-        tag: Tag,
-        buf: &[u8],
-        disp: i64,
-        ty: &FlatType,
-    ) -> CommResult<()> {
-        let wire = gather(buf, disp, ty)?;
-        self.send_bytes(dst, tag, wire)
-    }
-
-    /// Receive into the layout `(disp, ty)` of `buf`. A message longer than
-    /// the layout is a [`CommError::Truncation`] error; a shorter one fills a
-    /// prefix, as in MPI.
-    pub fn recv_typed(
-        &self,
-        src: impl Into<SrcSel>,
-        tag: impl Into<TagSel>,
-        buf: &mut [u8],
-        disp: i64,
-        ty: &FlatType,
-    ) -> CommResult<Status> {
-        // Work on the envelope directly so the wire buffer recycles into
-        // this rank's pool once the payload has been scattered out.
-        let env = self.match_one(self.ctx, src.into(), tag.into())?;
-        let status = Status {
-            src: env.src,
-            tag: env.tag,
-            bytes: env.data.len(),
-        };
-        if env.data.len() > ty.size() {
-            return Err(CommError::Truncation {
-                received: env.data.len(),
-                capacity: ty.size(),
-            });
+        pending: &mut VecDeque<Envelope>,
+        recvs: &[RecvSpec],
+        open: impl Fn(usize) -> bool,
+        patience: Option<Duration>,
+    ) -> CommResult<(usize, usize)> {
+        let mailbox = &self.core.mailbox;
+        let mut from = 0;
+        loop {
+            if let Some(hit) = self.scan(pending, from, recvs, &open) {
+                return Ok(hit);
+            }
+            from = pending.len();
+            let parks = mailbox.parks();
+            let arrived = match patience {
+                None => mailbox.pop().map(Some),
+                Some(limit) => mailbox.pop_timeout(limit),
+            };
+            let slept = mailbox.parks() - parks;
+            if slept > 0 {
+                self.obs.metrics().recv_parked(slept);
+            }
+            let Some(env) = arrived? else {
+                let silent = (0..recvs.len()).find(|&slot| open(slot));
+                let peer = match silent.map(|slot| recvs[slot].src) {
+                    Some(SrcSel::Rank(r)) => r,
+                    _ => self.rank,
+                };
+                return Err(CommError::PeerUnreachable { peer, attempts: 0 });
+            };
+            pending.push_back(env);
         }
-        scatter_prefix(&env.data, buf, disp, ty)?;
-        Ok(status)
     }
 
-    /// Typed convenience send of a whole slice of plain-old-data elements.
-    pub fn send_slice<T: Pod>(&self, dst: usize, tag: Tag, data: &[T]) -> CommResult<()> {
-        self.send_bytes(dst, tag, cast_slice(data).to_vec())
-    }
-
-    /// Typed convenience receive filling an entire slice. The message must
-    /// be exactly `data.len()` elements.
-    pub fn recv_slice<T: Pod>(
+    /// The wait's matcher over the queued envelopes from position `from`
+    /// on: the first in this context that satisfies an open slot of
+    /// `recvs`, with the earliest such slot.
+    fn scan(
         &self,
-        src: impl Into<SrcSel>,
-        tag: impl Into<TagSel>,
-        data: &mut [T],
-    ) -> CommResult<Status> {
-        // As in `recv_typed`: copy out of the envelope, then let the wire
-        // buffer recycle.
-        let env = self.match_one(self.ctx, src.into(), tag.into())?;
-        let status = Status {
-            src: env.src,
-            tag: env.tag,
-            bytes: env.data.len(),
-        };
-        let dst = cast_slice_mut(data);
-        if env.data.len() != dst.len() {
-            return Err(CommError::Truncation {
-                received: env.data.len(),
-                capacity: dst.len(),
-            });
-        }
-        dst.copy_from_slice(&env.data);
-        Ok(status)
+        pending: &VecDeque<Envelope>,
+        from: usize,
+        recvs: &[RecvSpec],
+        open: &impl Fn(usize) -> bool,
+    ) -> Option<(usize, usize)> {
+        (from..pending.len()).find_map(|at| {
+            let env = &pending[at];
+            if env.ctx != self.ctx {
+                return None;
+            }
+            let slot = recvs.iter().enumerate().position(|(slot, spec)| {
+                open(slot) && spec.src.matches(env.src) && spec.tag.matches(env.tag)
+            })?;
+            Some((at, slot))
+        })
     }
 
     // ----- phase exchange (Listing 5) ---------------------------------------
@@ -522,73 +465,37 @@ impl Comm {
             self.fabric
                 .deposit(dst, Envelope::new(self.ctx, self.rank, tag, data))?;
         }
-        // Complete receives with FIFO slot matching: an incoming message
-        // goes to the earliest-posted open slot it satisfies.
+        // Complete receives with FIFO slot matching: each wait hands over
+        // the next arrival that satisfies an open slot, and it closes one.
         let results = &mut batch.results;
         results.clear();
         results.resize_with(recvs.len(), || None);
-        let mut open = recvs.len();
         let patience = self.fabric.patience();
-
         let mut pending = self.core.pending.lock();
-        loop {
-            // Match delivered messages in arrival order.
-            let mut i = 0;
-            while i < pending.len() && open > 0 {
-                if let Some(slot) = find_slot(self.ctx, &pending[i], recvs, results) {
-                    let env = pending.remove(i).expect("index in range");
-                    let status = Status {
-                        src: env.src,
-                        tag: env.tag,
-                        bytes: env.data.len(),
-                    };
-                    self.obs.metrics().message_matched(status.bytes);
-                    self.obs
-                        .emit_with(self.rank, || TraceEvent::ExchangeMatched {
-                            src: status.src,
-                            tag: status.tag,
-                            bytes: status.bytes,
-                            slot,
-                        });
-                    results[slot] = Some((env.data, status));
-                    open -= 1;
-                } else {
-                    i += 1;
-                }
-            }
-            if open == 0 {
-                break;
-            }
-            let arrived = match patience {
-                None => Some(self.counting_parks(Mailbox::pop)?),
-                Some(limit) => self.counting_parks(|mb| mb.pop_timeout(limit))?,
-            };
-            let Some(env) = arrived else {
-                let silent = recvs.iter().zip(&*results).find(|(_, done)| done.is_none());
-                let peer = match silent.map(|(spec, _)| spec.src) {
-                    Some(SrcSel::Rank(r)) => r,
-                    _ => self.rank,
-                };
-                return Err(CommError::PeerUnreachable { peer, attempts: 0 });
-            };
-            pending.push_back(env);
+        for _ in 0..recvs.len() {
+            let (at, slot) = self.wait(&mut pending, recvs, |s| results[s].is_none(), patience)?;
+            let env = pending
+                .remove(at)
+                .expect("the wait names a queued envelope");
+            let status = Status::of(&env);
+            self.obs.metrics().message_matched(status.bytes);
+            self.obs
+                .emit_with(self.rank, || TraceEvent::ExchangeMatched {
+                    src: status.src,
+                    tag: status.tag,
+                    bytes: status.bytes,
+                    slot,
+                });
+            results[slot] = Some((env.data, status));
         }
         Ok(())
     }
 }
 
-/// The earliest-posted still-open receive slot `env` satisfies, if any —
-/// the FIFO matching rule of MPI.
-fn find_slot(
-    ctx: u32,
-    env: &Envelope,
-    recvs: &[RecvSpec],
-    results: &[Option<(PooledBuf, Status)>],
-) -> Option<usize> {
-    if env.ctx != ctx {
-        return None;
-    }
-    recvs.iter().enumerate().position(|(i, spec)| {
-        results[i].is_none() && spec.src.matches(env.src) && spec.tag.matches(env.tag)
-    })
+/// The one receive slot of a point-to-point receive or probe.
+fn one(src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> [RecvSpec; 1] {
+    [RecvSpec {
+        src: src.into(),
+        tag: tag.into(),
+    }]
 }

@@ -9,16 +9,20 @@
 //! * [`Universe::builder`] — SPMD launcher: spawns `p` OS threads, each
 //!   running the same rank program with its own [`Comm`] handle; one
 //!   [`RunConfig`] composes transport, fault plane and profiling.
-//! * [`Comm`] — per-rank communicator: `send`/`recv` (blocking, eager
-//!   buffered), [`Comm::sendrecv_bytes`], and [`Comm::exchange`] — the
+//! * [`Comm`] — per-rank communicator: [`Comm::send_bytes`] (eager,
+//!   buffered), [`Comm::recv_bytes`] (blocking), [`Comm::sendrecv_bytes`],
+//!   [`Comm::probe`]/[`Comm::iprobe`], and [`Comm::exchange`] — the
 //!   Listing-5 phase primitive posting a batch of receives and sends and
 //!   completing them together, with MPI-conforming FIFO matching.
 //! * MPI-style matching semantics: messages between a (sender, context,
 //!   tag) triple are **non-overtaking**; receives match the earliest
 //!   arriving message; `AnySource`/`AnyTag` wildcards are supported.
+//!   Every receive — a `recv_bytes`, a probe, an exchange's slots, and
+//!   so every collective — matches and waits in one private loop; only
+//!   an exchange gives it a deadline.
 //! * [`collectives`] — barrier (dissemination), broadcast (binomial tree),
-//!   reduce/allreduce, gather, allgather (Bruck), used by topology setup
-//!   (§2.2 isomorphism check) and by tests/benchmarks.
+//!   reduce/allreduce, used by topology setup (§2.2 isomorphism check)
+//!   and by tests/benchmarks.
 //!
 //! Sends are *eager and buffered*: the payload is captured at post time and
 //! the send completes locally, which is a conforming MPI implementation

@@ -19,11 +19,12 @@
 //! message to a rank that is running, or still yielding, costs one lock
 //! and no kernel entry.
 //!
-//! A mailbox closes once and for good, from either side: the rank's last
+//! A mailbox closes once and for good: the rank's last
 //! [`Comm`](crate::Comm) handle closes it when it drops (later pushes get
 //! their envelope back, which the in-process backend reports as
 //! [`TransportError::Closed`](crate::transport::TransportError::Closed)),
-//! and a progress thread closes the mailbox it feeds when it stops (a
+//! a progress thread closes the mailbox it feeds when it stops, and the
+//! launcher closes every rank's mailbox when a rank program panics (a
 //! rank blocked in [`Mailbox::pop`] wakes with [`Closed`] instead of
 //! hanging). Envelopes queued before the close can still be popped.
 

@@ -7,10 +7,12 @@
 //! compose freely.
 
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use cartcomm_obs::{MonotonicClock, RingBufferSink, TraceRecord};
+use parking_lot::Mutex;
 
 use crate::comm::Comm;
 use crate::fabric::Fabric;
@@ -127,9 +129,11 @@ impl RunConfig {
     /// Launch and join, returning per-rank results in rank order.
     ///
     /// `f` receives each rank's [`Comm`] handle. Panics in any rank
-    /// program propagate (the launcher re-panics after joining), so test
-    /// assertions inside rank programs work naturally. Panics if the
-    /// backend fails to construct — the in-process default cannot.
+    /// program propagate (the launcher re-panics the first after joining;
+    /// the other ranks' receives fail with `Disconnected` instead of
+    /// waiting on it), so test assertions inside rank programs work
+    /// naturally. Panics if the backend fails to construct — the
+    /// in-process default cannot.
     pub fn run<F, R>(self, f: F) -> Vec<R>
     where
         F: Fn(&mut Comm) -> R + Send + Sync,
@@ -210,10 +214,13 @@ impl ProfiledRunConfig {
     }
 }
 
-/// Shared launch core: spawn one named thread per rank, join in rank
-/// order, re-panic the first rank panic. After a rank program returns,
-/// its `Comm` drops (closing the rank's mailbox) and the fabric is told
-/// the rank is done so backend progress machinery can stop.
+/// Shared launch core: spawn one named thread per rank, join, re-panic
+/// the first rank panic. After a rank program returns, its `Comm` drops
+/// (closing the rank's mailbox) and the fabric is told the rank is done so
+/// backend progress machinery can stop. A rank that panics closes every
+/// rank's mailbox: a peer blocked on it wakes with
+/// [`CommError::Disconnected`](crate::CommError::Disconnected) instead of
+/// waiting forever, and the panics that wake-up causes are not reported.
 fn launch<F, R>(fabric: Arc<Fabric>, f: F) -> Vec<R>
 where
     F: Fn(&mut Comm) -> R + Send + Sync,
@@ -221,15 +228,26 @@ where
 {
     let f = &f;
     let p = fabric.size();
-    std::thread::scope(|scope| {
+    let first_panic = Mutex::new(None);
+    let outs: Vec<Option<R>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for rank in 0..p {
             let fabric = Arc::clone(&fabric);
+            let first_panic = &first_panic;
             let h = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
                 .spawn_scoped(scope, move || {
                     let mut comm = Comm::new(rank, Arc::clone(&fabric));
-                    let out = f(&mut comm);
+                    let out = match panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
+                        Ok(out) => Some(out),
+                        Err(payload) => {
+                            // Recorded before the close, so a panic the
+                            // close causes never comes first.
+                            first_panic.lock().get_or_insert(payload);
+                            (0..p).for_each(|r| fabric.mailbox(r).close());
+                            None
+                        }
+                    };
                     drop(comm);
                     fabric.rank_done(rank);
                     out
@@ -239,12 +257,15 @@ where
         }
         handles
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(e) => std::panic::resume_unwind(e),
-            })
+            .map(|h| h.join().unwrap_or_else(|e| panic::resume_unwind(e)))
             .collect()
-    })
+    });
+    if let Some(payload) = first_panic.into_inner() {
+        panic::resume_unwind(payload);
+    }
+    outs.into_iter()
+        .map(|out| out.expect("no rank panicked"))
+        .collect()
 }
 
 /// Install a shared clock and one ring sink per rank on the fabric's

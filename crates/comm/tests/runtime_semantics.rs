@@ -4,7 +4,8 @@
 use cartcomm_comm::{
     Comm, CommError, ExchangeBatch, RecvSpec, SrcSel, Status, TagSel, Universe, ANY_SOURCE, ANY_TAG,
 };
-use cartcomm_types::Datatype;
+
+mod common;
 
 /// One-shot exchange over plain byte vectors.
 fn exchange_vecs(
@@ -121,63 +122,6 @@ fn invalid_rank_rejected() {
     Universe::builder(2).run(|comm| {
         let err = comm.send_bytes(5, 0, vec![]).unwrap_err();
         assert!(matches!(err, CommError::InvalidRank { rank: 5, size: 2 }));
-    });
-}
-
-#[test]
-fn typed_send_recv_with_datatype() {
-    Universe::builder(2).run(|comm| {
-        let col = Datatype::vector(3, 1, 3, &Datatype::int())
-            .commit()
-            .unwrap();
-        if comm.rank() == 0 {
-            // 3x3 i32 matrix, send middle column
-            let m: Vec<i32> = (0..9).collect();
-            let bytes = cartcomm_types::cast_slice(&m);
-            comm.send_typed(1, 0, bytes, 4, &col).unwrap();
-        } else {
-            let mut m = vec![0i32; 9];
-            let st = {
-                let bytes = cartcomm_types::cast_slice_mut(&mut m);
-                comm.recv_typed(0, 0, bytes, 0, &col).unwrap()
-            };
-            assert_eq!(st.bytes, 12);
-            // column values 1, 4, 7 land in column 0
-            assert_eq!(m, vec![1, 0, 0, 4, 0, 0, 7, 0, 0]);
-        }
-    });
-}
-
-#[test]
-fn recv_typed_truncation_error() {
-    Universe::builder(2).run(|comm| {
-        if comm.rank() == 0 {
-            comm.send_bytes(1, 0, vec![0; 100]).unwrap();
-        } else {
-            let ty = Datatype::bytes(10).commit().unwrap();
-            let mut buf = [0u8; 10];
-            let err = comm.recv_typed(0, 0, &mut buf, 0, &ty).unwrap_err();
-            assert!(matches!(
-                err,
-                CommError::Truncation {
-                    received: 100,
-                    capacity: 10
-                }
-            ));
-        }
-    });
-}
-
-#[test]
-fn recv_slice_roundtrip() {
-    Universe::builder(2).run(|comm| {
-        if comm.rank() == 0 {
-            comm.send_slice(1, 0, &[1.5f64, -2.5, 3.25]).unwrap();
-        } else {
-            let mut out = [0f64; 3];
-            comm.recv_slice(0, 0, &mut out).unwrap();
-            assert_eq!(out, [1.5, -2.5, 3.25]);
-        }
     });
 }
 
@@ -325,36 +269,6 @@ fn bcast_slice_typed() {
 }
 
 #[test]
-fn gather_collects_rank_blocks() {
-    Universe::builder(5).run(|comm| {
-        let blocks = comm
-            .gather_bytes(3, vec![comm.rank() as u8; comm.rank() + 1])
-            .unwrap();
-        if comm.rank() == 3 {
-            let blocks = blocks.unwrap();
-            for (r, b) in blocks.iter().enumerate() {
-                assert_eq!(b, &vec![r as u8; r + 1]);
-            }
-        } else {
-            assert!(blocks.is_none());
-        }
-    });
-}
-
-#[test]
-fn allgather_bruck_all_sizes() {
-    for p in [1, 2, 3, 4, 6, 8, 9, 16] {
-        Universe::builder(p).run(|comm| {
-            let blocks = comm.allgather_bytes(vec![comm.rank() as u8, 0xEE]).unwrap();
-            assert_eq!(blocks.len(), p);
-            for (r, b) in blocks.iter().enumerate() {
-                assert_eq!(b, &vec![r as u8, 0xEE]);
-            }
-        });
-    }
-}
-
-#[test]
 fn reduce_and_allreduce() {
     for p in [1, 2, 3, 5, 8] {
         Universe::builder(p).run(|comm| {
@@ -370,6 +284,19 @@ fn reduce_and_allreduce() {
             }
         });
     }
+}
+
+#[test]
+fn allreduce_of_nothing_is_nothing() {
+    common::watchdog(|| {
+        for p in [1, 2, 3, 5] {
+            let done = Universe::builder(p).run(|comm| {
+                let mut empty: [u64; 0] = [];
+                comm.allreduce(&mut empty, |a, b| a + b)
+            });
+            assert!(done.iter().all(Result::is_ok), "p = {p}: {done:?}");
+        }
+    });
 }
 
 #[test]
@@ -397,12 +324,9 @@ fn back_to_back_collectives_do_not_cross_talk() {
             };
             comm.bcast_bytes(0, &mut v).unwrap();
             assert_eq!(v, vec![round]);
-            let blocks = comm
-                .allgather_bytes(vec![round, comm.rank() as u8])
-                .unwrap();
-            for (r, b) in blocks.iter().enumerate() {
-                assert_eq!(b, &vec![round, r as u8]);
-            }
+            let mut v = [u64::from(round), comm.rank() as u64];
+            comm.allreduce(&mut v, |a, b| a + b).unwrap();
+            assert_eq!(v, [6 * u64::from(round), 15]);
         }
     });
 }
@@ -498,5 +422,21 @@ fn probe_with_wildcards_sizes_dynamic_receive() {
             comm.send_bytes(0, comm.rank() as u32, vec![0u8; comm.rank() * 10])
                 .unwrap();
         }
+    });
+}
+
+#[test]
+#[should_panic(expected = "deliberate")]
+fn a_panicking_rank_ends_its_universe() {
+    // Rank 0 waits for a message rank 1 never sends: the panic closes
+    // rank 0's mailbox, its receive fails, and the launcher reports the
+    // panic that came first, not rank 0's `unwrap`.
+    common::watchdog(|| {
+        Universe::builder(2).run(|comm| {
+            if comm.rank() == 1 {
+                panic!("deliberate");
+            }
+            comm.recv_bytes(1, 3).unwrap();
+        });
     });
 }

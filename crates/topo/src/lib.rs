@@ -42,10 +42,6 @@ pub enum TopoError {
     DimensionMismatch { expected: usize, actual: usize },
     /// A neighborhood was empty where a non-empty one is required.
     EmptyNeighborhood,
-    /// A relative offset steps outside a non-periodic dimension for every
-    /// process (i.e. `|offset| >= size` with `periods[k] == false`), so no
-    /// process has this neighbor.
-    OffsetOutsideMesh { dim: usize, offset: i64 },
     /// Mismatched weights list.
     WeightMismatch { expected: usize, actual: usize },
 }
@@ -66,10 +62,6 @@ impl std::fmt::Display for TopoError {
                 )
             }
             TopoError::EmptyNeighborhood => write!(f, "neighborhood is empty"),
-            TopoError::OffsetOutsideMesh { dim, offset } => write!(
-                f,
-                "offset {offset} in non-periodic dimension {dim} leaves the mesh for every process"
-            ),
             TopoError::WeightMismatch { expected, actual } => {
                 write!(f, "{actual} weights for {expected} neighbors")
             }

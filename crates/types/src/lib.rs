@@ -38,6 +38,6 @@ pub use datatype::Datatype;
 pub use error::{TypeError, TypeResult};
 pub use flat::{FlatType, Span};
 pub use kernel::{accumulate_spans, gather_spans, scatter_spans, PackSpan};
-pub use pack::{gather, gather_append, scatter, scatter_prefix};
+pub use pack::{gather, gather_append, scatter};
 pub use primitive::{cast_slice, cast_slice_mut, Pod, Primitive};
 pub use redop::{RedOp, Reducer};

@@ -40,31 +40,14 @@ pub fn scatter(wire: &[u8], buf: &mut [u8], disp: i64, ty: &FlatType) -> TypeRes
             actual: wire.len(),
         });
     }
-    scatter_prefix(wire, buf, disp, ty).map(|_| ())
-}
-
-/// Scatter a wire buffer that may be *shorter* than the type (MPI allows a
-/// received message to fill only a prefix of the receive type). Returns the
-/// number of bytes consumed.
-pub fn scatter_prefix(wire: &[u8], buf: &mut [u8], disp: i64, ty: &FlatType) -> TypeResult<usize> {
-    if wire.len() > ty.size() {
-        return Err(TypeError::SizeMismatch {
-            expected: ty.size(),
-            actual: wire.len(),
-        });
-    }
     ty.check_bounds(disp, buf.len())?;
     let mut taken = 0usize;
     for s in ty.spans() {
-        if taken >= wire.len() {
-            break;
-        }
-        let n = s.len.min(wire.len() - taken);
         let start = (disp + s.offset) as usize;
-        buf[start..start + n].copy_from_slice(&wire[taken..taken + n]);
-        taken += n;
+        buf[start..start + s.len].copy_from_slice(&wire[taken..taken + s.len]);
+        taken += s.len;
     }
-    Ok(taken)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -130,24 +113,6 @@ mod tests {
                 actual: 3
             }
         ));
-    }
-
-    #[test]
-    fn scatter_prefix_partial_fill() {
-        let ty = Datatype::vector(3, 1, 2, &Datatype::byte())
-            .commit()
-            .unwrap();
-        let mut buf = [0u8; 8];
-        let n = scatter_prefix(&[9, 8], &mut buf, 0, &ty).unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(buf, [9, 0, 8, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn scatter_prefix_rejects_oversize() {
-        let ty = Datatype::bytes(2).commit().unwrap();
-        let mut buf = [0u8; 4];
-        assert!(scatter_prefix(&[1, 2, 3], &mut buf, 0, &ty).is_err());
     }
 
     #[test]
