@@ -1,14 +1,15 @@
-//! Profiler pinning tests: deterministic DES timelines (ManualClock model
-//! time) where the critical path and skew are *exact*, plus a threaded
+//! Profiler pinning tests: deterministic timelines stamped at the α-β
+//! model's closed-form times, where the critical path and skew are
+//! *exact*, plus a threaded
 //! `Universe::builder(p).profiled(c)` integration run checked against the schedule
 //! analysis (Props 3.2/3.3).
 
 use cartcomm::ops::Algo;
 use cartcomm::schedule::alltoall_plan;
 use cartcomm::{CartComm, CostSummary};
-use cartcomm_comm::obs::{AlphaBetaFit, CriticalPath, TraceCollector};
+use cartcomm_comm::obs::{AlphaBetaFit, CriticalPath, TraceCollector, TraceEvent, TraceRecord};
 use cartcomm_comm::Universe;
-use cartcomm_sim::{EventSim, LinearModel, SimTracer};
+use cartcomm_sim::LinearModel;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 
 /// α = 1 µs, β = 1 ns/B: round numbers so every expected timestamp is an
@@ -18,9 +19,55 @@ const M: LinearModel = LinearModel {
     beta: 1e-9,
 };
 
-/// Drive the combining alltoall schedule of a 2-D Moore 3×3 torus through
-/// the DES, one `phase_traced` call per schedule round (every rank sends
-/// its round message), and pin the profiler's outputs exactly.
+/// Stamp one call's messages `(from, to, wire_bytes)` at the model's
+/// closed-form times: each leaves its sender at `*now` (`RoundStart`) and
+/// reaches its receiver `M.message(bytes)` later (`RoundEnd`); `*now` then
+/// advances to the latest end. Seconds truncate to whole nanoseconds.
+fn stamp(
+    traces: &mut [Vec<TraceRecord>],
+    now: &mut f64,
+    phase: usize,
+    msgs: &[(usize, usize, usize)],
+) {
+    let start = *now;
+    for (round, &(from, to, wire_bytes)) in msgs.iter().enumerate() {
+        let end = start + M.message(wire_bytes);
+        let at = |secs: f64, rank, event| TraceRecord {
+            t_ns: (secs * 1e9) as u64,
+            rank,
+            event,
+        };
+        traces[from].push(at(
+            start,
+            from,
+            TraceEvent::RoundStart {
+                phase,
+                round,
+                to,
+                from,
+                wire_bytes,
+                attempt: 0,
+            },
+        ));
+        traces[to].push(at(
+            end,
+            to,
+            TraceEvent::RoundEnd {
+                phase,
+                round,
+                to,
+                from,
+                wire_bytes,
+                attempt: 0,
+            },
+        ));
+        *now = now.max(end);
+    }
+}
+
+/// Stamp the combining alltoall schedule of a 2-D Moore 3×3 torus at its
+/// model times, one `stamp` call per schedule round (every rank sends its
+/// round message), and pin the profiler's outputs exactly.
 #[test]
 fn des_moore_2d_critical_path_and_skew_are_exact() {
     let nb = RelNeighborhood::moore(2, 1).unwrap();
@@ -31,8 +78,7 @@ fn des_moore_2d_critical_path_and_skew_are_exact() {
     assert_eq!(plan.rounds, 4, "moore(2,1): C = d(n-1) = 4");
 
     let p = 9usize;
-    let tracer = SimTracer::new(4096);
-    let mut sim = EventSim::new(p, M);
+    let (mut traces, mut now) = (vec![Vec::new(); p], 0.0);
     let mut global = 0usize;
     for (k, phase) in plan.phases.iter().enumerate() {
         for round in &phase.rounds {
@@ -45,12 +91,12 @@ fn des_moore_2d_critical_path_and_skew_are_exact() {
                     (rank, dst, round_bytes[global])
                 })
                 .collect();
-            sim.phase_traced(k, &msgs, &tracer);
+            stamp(&mut traces, &mut now, k, &msgs);
             global += 1;
         }
     }
 
-    let dag = TraceCollector::from_records(tracer.records()).build();
+    let dag = TraceCollector::from_ranks(traces).build();
 
     // Prop 3.2 / 3.3 accounting, per rank, exactly.
     let cost = CostSummary::of(&nb);
@@ -68,7 +114,7 @@ fn des_moore_2d_critical_path_and_skew_are_exact() {
 
     // Exact makespan: isomorphic rounds run bulk-synchronously in the
     // model, so T = Σ_r (α + β·z_r·m) = C·α + β·V·m. The one pricing
-    // function accumulates through the same f64 path the DES uses, so the
+    // function accumulates through the same f64 path the timeline uses, so the
     // ns truncation agrees bit for bit (the ideal integer value is
     // 4480 ns; the float path lands within 1 ns of it).
     let t_secs = M.schedule(&round_bytes);
@@ -107,13 +153,12 @@ fn des_moore_2d_critical_path_and_skew_are_exact() {
 /// is unambiguous: pin every node timestamp and the exact chain.
 #[test]
 fn des_relay_chain_pins_exact_path() {
-    let tracer = SimTracer::new(64);
-    let mut sim = EventSim::new(3, M);
-    sim.phase_traced(0, &[(0, 1, 1000)], &tracer);
-    sim.phase_traced(1, &[(1, 2, 1000)], &tracer);
-    sim.phase_traced(2, &[(2, 0, 500)], &tracer);
+    let (mut traces, mut now) = (vec![Vec::new(); 3], 0.0);
+    stamp(&mut traces, &mut now, 0, &[(0, 1, 1000)]);
+    stamp(&mut traces, &mut now, 1, &[(1, 2, 1000)]);
+    stamp(&mut traces, &mut now, 2, &[(2, 0, 500)]);
 
-    let dag = TraceCollector::from_records(tracer.records()).build();
+    let dag = TraceCollector::from_ranks(traces).build();
     assert_eq!(dag.nodes().len(), 3);
     let times: Vec<(u64, u64)> = dag
         .nodes()
@@ -134,7 +179,7 @@ fn des_relay_chain_pins_exact_path() {
     let order: Vec<usize> = cp.stragglers.iter().map(|s| s.rank).collect();
     assert_eq!(order, vec![0, 2, 1]);
 
-    // Two distinct wire sizes identify the model exactly: the DES
+    // Two distinct wire sizes identify the model exactly: the
     // timeline is perfectly linear, so the fit recovers α = 1 µs and
     // β = 1 ns/B to rounding error.
     let fit = AlphaBetaFit::fit_size_means(&dag.latency_samples());

@@ -13,8 +13,7 @@
 //! tag, link_seq)` where `link_seq` is the per-link deposit counter — no
 //! wall-clock entropy, no thread-schedule dependence. The same seed
 //! always injures the same envelopes, which is what makes chaos-test
-//! failures reproducible (`CHAOS_SEED=<seed>`) and lets the discrete-event
-//! simulator price the *same* fault pattern on model time.
+//! failures reproducible (`CHAOS_SEED=<seed>`).
 //!
 //! Acknowledgement envelopes ([`crate::envelope::EnvKind::Ack`]) never
 //! pass through the plane: acks are the reliable layer's control plane,

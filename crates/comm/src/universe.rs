@@ -11,7 +11,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cartcomm_obs::{MonotonicClock, RingBufferSink, TraceRecord};
+use cartcomm_obs::{RingBufferSink, TraceRecord};
 use parking_lot::Mutex;
 
 use crate::comm::Comm;
@@ -25,7 +25,7 @@ use crate::transport::TransportKind;
 pub struct Universe;
 
 /// The output of a profiled run: per-rank results plus every rank's
-/// drained trace, timestamped against **one shared clock** so the records
+/// drained trace, timestamped from the process's one origin so the records
 /// are cross-rank comparable (feed them to
 /// `cartcomm_obs::profile::TraceCollector`).
 pub struct ProfiledRun<R> {
@@ -64,7 +64,7 @@ fn spawn_scratch_path() -> PathBuf {
 
 /// A fully described thread-mode launch: `p` ranks on `transport`, an
 /// optional seeded fault plane with the retry policy that answers it, and
-/// optional profiling (shared clock + one ring sink per rank). Obtained from [`Universe::builder`]; every knob
+/// optional profiling (one ring sink per rank). Obtained from [`Universe::builder`]; every knob
 /// composes with every other.
 ///
 /// ```
@@ -84,8 +84,8 @@ pub struct RunConfig {
 }
 
 /// A [`RunConfig`] with profiling enabled ([`RunConfig::profiled`]):
-/// `run` returns a [`ProfiledRun`] carrying per-rank traces on one
-/// shared clock instead of bare results.
+/// `run` returns a [`ProfiledRun`] carrying per-rank traces instead of
+/// bare results.
 #[derive(Debug, Clone)]
 pub struct ProfiledRunConfig {
     inner: RunConfig,
@@ -115,10 +115,10 @@ impl RunConfig {
     }
 
     /// Enable profiling: before any rank starts, every rank's `Obs` gets
-    /// **one shared monotonic clock** (per-rank clocks have independent
-    /// origins, making timestamps cross-rank garbage) and its own
-    /// [`RingBufferSink`] holding up to `capacity` records; after the
-    /// join, the sinks are drained into [`ProfiledRun::traces`].
+    /// its own [`RingBufferSink`] holding up to `capacity` records; after
+    /// the join, the sinks are drained into [`ProfiledRun::traces`]. Every
+    /// `Obs` of a process stamps from one origin
+    /// ([`cartcomm_obs::now_ns`]), so the ranks' timestamps compare.
     pub fn profiled(self, capacity: usize) -> ProfiledRunConfig {
         ProfiledRunConfig {
             inner: self,
@@ -268,16 +268,13 @@ where
         .collect()
 }
 
-/// Install a shared clock and one ring sink per rank on the fabric's
-/// `Obs` handles, returning the sinks for post-run draining.
+/// Install one ring sink per rank on the fabric's `Obs` handles,
+/// returning the sinks for post-run draining.
 fn install_profiling(fabric: &Fabric, p: usize, capacity: usize) -> Vec<Arc<RingBufferSink>> {
-    let clock = Arc::new(MonotonicClock::new());
     (0..p)
         .map(|rank| {
             let sink = Arc::new(RingBufferSink::new(capacity));
-            let obs = fabric.obs(rank);
-            obs.set_clock(clock.clone());
-            obs.attach_sink(sink.clone() as Arc<_>);
+            fabric.obs(rank).attach_sink(sink.clone() as Arc<_>);
             sink
         })
         .collect()

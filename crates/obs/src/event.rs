@@ -353,7 +353,7 @@ impl TraceEvent {
 /// A timestamped, rank-attributed [`TraceEvent`] as delivered to sinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Timestamp from the communicator's [`crate::Clock`], nanoseconds.
+    /// Nanoseconds since the process's origin ([`crate::now_ns`]).
     pub t_ns: u64,
     /// Rank that emitted the event.
     pub rank: usize,

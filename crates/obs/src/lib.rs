@@ -22,9 +22,8 @@
 //!   delivered to a pluggable sink. [`RingBufferSink`] is the shipped
 //!   implementation: a bounded in-memory ring with JSON and text-table
 //!   exporters.
-//! * **[`Clock`]** — pluggable timestamps: [`MonotonicClock`] for real
-//!   threaded runs, [`ManualClock`] for simulated runs where the DES
-//!   drives time (`cartcomm-sim` sets it to each event's model time).
+//! * **[`now_ns`]** — one process-wide time origin stamps every record,
+//!   so the records of every [`Obs`] handle in a process compare.
 //! * **[`profile`]** — post-run cross-rank analysis: [`TraceCollector`]
 //!   pairs every rank's `RoundStart`/`RoundEnd` stream into a global
 //!   [`RoundDag`] of send→recv wires; [`CriticalPath`] extracts the
@@ -49,7 +48,6 @@
 //! here, the daemon's reports and the bench tools' baselines are written
 //! through [`json::JsonWriter`] and read back through [`json::parse`].
 
-mod clock;
 mod event;
 pub mod json;
 mod metrics;
@@ -59,10 +57,9 @@ pub mod profile;
 mod sink;
 pub mod tenant;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use event::{FaultActionKind, ServeStageKind, TraceEvent, TraceRecord};
 pub use metrics::{MetricsDelta, MetricsRegistry, MetricsSnapshot};
-pub use obs::Obs;
+pub use obs::{now_ns, Obs};
 pub use openmetrics::OpenMetricsWriter;
 pub use profile::{
     price, AlphaBetaFit, CriticalPath, MsgNode, PerfettoExport, PhaseSkew, RoundDag, TraceCollector,

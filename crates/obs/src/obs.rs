@@ -1,17 +1,27 @@
 //! The per-rank observability handle.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use crate::clock::{Clock, MonotonicClock};
 use crate::event::{TraceEvent, TraceRecord};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::sink::TraceSink;
 
-/// One rank's observability state: a metrics registry (always on), an
-/// optional trace sink, and a pluggable clock.
+/// The process's one time origin, fixed by the first read.
+static ORIGIN: OnceLock<Instant> = OnceLock::new();
+
+/// Nanoseconds since the process's time origin: the timestamp of every
+/// trace record, so the records of every [`Obs`] handle in a process
+/// compare without a clock being handed around.
+pub fn now_ns() -> u64 {
+    ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// One rank's observability state: a metrics registry (always on) and an
+/// optional trace sink.
 ///
 /// Shared behind an `Arc` by all communicator handles of a rank
 /// (duplicated contexts observe into the same registry/sink). Tracing is
@@ -20,17 +30,15 @@ use crate::sink::TraceSink;
 /// event closure is never run, no clock is read, no lock is taken.
 pub struct Obs {
     enabled: AtomicBool,
-    clock: RwLock<Arc<dyn Clock>>,
     sink: RwLock<Option<Arc<dyn TraceSink>>>,
     metrics: MetricsRegistry,
 }
 
 impl Obs {
-    /// A fresh handle: tracing disabled, monotonic clock, zeroed metrics.
+    /// A fresh handle: tracing disabled, zeroed metrics.
     pub fn new() -> Self {
         Obs {
             enabled: AtomicBool::new(false),
-            clock: RwLock::new(Arc::new(MonotonicClock::new())),
             sink: RwLock::new(None),
             metrics: MetricsRegistry::new(),
         }
@@ -54,15 +62,9 @@ impl Obs {
         *self.sink.write() = None;
     }
 
-    /// Replace the timestamp source (e.g. with a
-    /// [`crate::ManualClock`] driven by a discrete-event simulation).
-    pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *self.clock.write() = clock;
-    }
-
-    /// Current time from the attached clock, nanoseconds.
+    /// Current time, nanoseconds since the process's origin ([`now_ns`]).
     pub fn now_ns(&self) -> u64 {
-        self.clock.read().now_ns()
+        now_ns()
     }
 
     /// The always-on metrics registry.
@@ -102,7 +104,7 @@ impl Obs {
             self.metrics.record_msg_bytes(bytes);
         }
         let rec = TraceRecord {
-            t_ns: self.now_ns(),
+            t_ns: now_ns(),
             rank,
             event,
         };
@@ -130,7 +132,6 @@ impl std::fmt::Debug for Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
     use crate::sink::RingBufferSink;
 
     #[test]
@@ -162,15 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn manual_clock_drives_timestamps() {
-        let obs = Obs::new();
-        let clock = Arc::new(ManualClock::new());
-        obs.set_clock(clock.clone());
-        let sink = Arc::new(RingBufferSink::new(16));
-        obs.attach_sink(sink.clone());
-        clock.set_ns(42);
-        obs.emit(0, TraceEvent::PoolHit { bytes: 1 });
-        assert_eq!(sink.snapshot()[0].t_ns, 42);
+    fn handles_made_apart_share_one_origin() {
+        let a = Obs::new();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let b = Obs::new();
+        let first = a.now_ns();
+        let second = b.now_ns();
+        assert!(second >= first, "b reads {second} ns, behind a's {first}");
     }
 
     #[test]

@@ -175,17 +175,6 @@ impl TraceCollector {
         }
     }
 
-    /// A collector over one interleaved record stream (e.g. a
-    /// `SimTracer`'s single sink, where all simulated ranks share one
-    /// ring): records are bucketed by their `rank` field.
-    pub fn from_records(records: Vec<TraceRecord>) -> Self {
-        let mut c = TraceCollector::new();
-        for rec in records {
-            c.add_rank(rec.rank, vec![rec]);
-        }
-        c
-    }
-
     /// Add (or extend) rank `rank`'s drained records.
     pub fn add_rank(&mut self, rank: usize, records: Vec<TraceRecord>) {
         if self.per_rank.len() <= rank {

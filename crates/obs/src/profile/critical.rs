@@ -35,8 +35,8 @@ pub struct RankActivity {
 /// and straggler diagnostics that explain *why* it is the bound.
 ///
 /// The walk is timestamp-driven rather than model-driven, so it works
-/// identically on DES traces (exact model times) and threaded traces
-/// (monotonic shared-clock times): starting from the globally last
+/// identically on timelines stamped at exact model times and on threaded
+/// traces (the process's monotonic origin): starting from the globally last
 /// arrival, each step moves to the latest-finishing constraint of the
 /// current node's sender — either the wire that arrived *into* the sender
 /// before it departed (a cross-rank dependency) or the sender's previous

@@ -31,9 +31,8 @@
 //!   track per rank, flow arrows for wires, counter tracks for pool and
 //!   plan-cache traffic — loadable in `ui.perfetto.dev`.
 //!
-//! Timestamps are only cross-rank comparable if every rank's [`crate::Obs`]
-//! shares one [`crate::Clock`] — the DES tracer does this by construction,
-//! threaded runs get it from `Universe::builder(p).profiled(c)`.
+//! Timestamps are cross-rank comparable because every [`crate::Obs`] of a
+//! process stamps from one origin ([`crate::now_ns`]).
 
 mod collect;
 mod critical;

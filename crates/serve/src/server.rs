@@ -72,9 +72,9 @@ use cartcomm::{CartComm, InlineUniverse, PlanStore};
 use cartcomm_comm::PooledBuf;
 use cartcomm_obs::tenant::{STAGE_COUNT, STAGE_NAMES};
 use cartcomm_obs::{
-    json::JsonWriter, AlphaBetaFit, Clock, CriticalPath, MetricsSnapshot, MonotonicClock, Obs,
-    PerfettoExport, RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent,
-    TraceRecord, TraceSink,
+    json::JsonWriter, AlphaBetaFit, CriticalPath, MetricsSnapshot, Obs, PerfettoExport,
+    RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent, TraceRecord,
+    TraceSink,
 };
 use cartcomm_topo::RelNeighborhood;
 use cartcomm_types::{Datatype, Reducer};
@@ -357,9 +357,6 @@ struct Shared {
     tenants: Arc<TenantRegistry>,
     counters: Counters,
     store: Arc<PlanStore>,
-    /// The daemon clock: every lifecycle stamp and every profiled rank
-    /// sink shares this origin, so cross-rank timestamps line up.
-    clock: Arc<MonotonicClock>,
     /// Process start, for uptime reporting.
     started: Instant,
     /// Monotonic job ids.
@@ -381,8 +378,10 @@ impl Shared {
         self.floor.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// The daemon clock: the process's one origin, which every lifecycle
+    /// stamp, `obs`'s stage events and every profiled rank sink share.
     fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
+        cartcomm_obs::now_ns()
     }
 
     fn emit_stage(&self, job_id: u64, stage: ServeStageKind, detail: u64) {
@@ -547,7 +546,6 @@ impl Server {
             tenants: Arc::new(TenantRegistry::new()),
             counters: Counters::default(),
             store: PlanStore::global(),
-            clock: Arc::new(MonotonicClock::new()),
             started: Instant::now(),
             job_seq: AtomicU64::new(0),
             obs: Arc::new(Obs::new()),
@@ -1238,11 +1236,9 @@ fn job_layouts(spec: &JobSpec) -> cartcomm::CartResult<JobShape> {
     })
 }
 
-/// Attach a fresh ring sink to one rank's `Obs`, on the daemon clock so
-/// cross-rank stamps line up.
+/// Attach a fresh ring sink to one rank's `Obs`.
 fn attach_sink(obs: &Obs, shared: &Shared, capacity: usize) -> Arc<RingBufferSink> {
     let sink = Arc::new(RingBufferSink::new(capacity));
-    obs.set_clock(Arc::clone(&shared.clock) as Arc<dyn Clock>);
     obs.attach_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
     shared.profile_sinks.fetch_add(1, Ordering::Relaxed);
     sink

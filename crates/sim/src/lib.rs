@@ -20,22 +20,15 @@
 //!   defects rather than algorithmic effects.
 //! * [`noise`] — system-noise injection for the run-time distribution study
 //!   (Figure 7): per-round maxima over `p` ranks of outlier delays.
-//! * [`des`] — a small discrete-event engine with per-rank full-duplex
-//!   ports, used to validate the closed-form model and to price irregular
-//!   (per-rank asymmetric) traffic.
-//! * [`trace`] — the bridge to `cartcomm-obs`: a [`trace::SimTracer`]
-//!   bundles an `Obs` handle with a simulation-driven `ManualClock`, so
-//!   DES runs emit the same round-level trace events as real threaded
-//!   executions, timestamped in *model* time.
+//!
+//! Pricing is the whole simulation: the combining schedules are
+//! isomorphic — every rank runs the same rounds in lockstep — so a
+//! schedule's cost is the sum of its rounds' costs.
 
-pub mod des;
 pub mod machine;
 pub mod model;
 pub mod noise;
-pub mod trace;
 
-pub use des::EventSim;
 pub use machine::{BaselineQuirks, MachineProfile};
 pub use model::LinearModel;
 pub use noise::NoiseModel;
-pub use trace::SimTracer;

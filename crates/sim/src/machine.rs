@@ -241,12 +241,6 @@ impl MachineProfile {
             Self::titan_cray(),
         ]
     }
-
-    /// This profile with quirks stripped (the ideal-baseline view).
-    pub fn without_quirks(mut self) -> MachineProfile {
-        self.quirks = BaselineQuirks::NONE;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -303,13 +297,6 @@ mod tests {
         let p = MachineProfile::titan_cray();
         assert_eq!(p.quirks, BaselineQuirks::NONE);
         assert_eq!(p.quirks.blocking_penalty(3124, 400), 0.0);
-    }
-
-    #[test]
-    fn without_quirks_strips_defects() {
-        let p = MachineProfile::hydra_openmpi().without_quirks();
-        assert_eq!(p.quirks, BaselineQuirks::NONE);
-        assert_eq!(p.name, "hydra-openmpi");
     }
 }
 

@@ -156,37 +156,6 @@ fn persistent_and_oneshot_interleaving() {
     });
 }
 
-/// The DES and the closed-form model agree on a real plan's cost.
-#[test]
-fn des_validates_closed_form_on_real_plan() {
-    let nb = RelNeighborhood::stencil_family(2, 5, -1).unwrap();
-    let plan = cartcomm::schedule::alltoall_plan(&nb);
-    let model = sim::LinearModel {
-        alpha: 2e-6,
-        beta: 1e-9,
-    };
-    let bytes = plan.round_bytes(&|_| 40);
-    let closed = model.schedule(&bytes);
-    // Each round moves every rank's message by one shift; express them as
-    // symmetric shifts on a ring of 25 ranks for the DES.
-    let rounds: Vec<(usize, usize)> = plan
-        .phases
-        .iter()
-        .flat_map(|p| &p.rounds)
-        .zip(bytes.iter())
-        .map(|(r, &b)| {
-            // encode the (2-d) offset as a ring shift: row-major on 5x5
-            let shift = (r.offset[0].rem_euclid(5) * 5 + r.offset[1].rem_euclid(5)) as usize;
-            (shift.max(1), b)
-        })
-        .collect();
-    let des = sim::EventSim::run_symmetric_rounds(25, model, &rounds);
-    assert!(
-        (des - closed).abs() < 1e-12,
-        "DES {des} vs formula {closed}"
-    );
-}
-
 /// dims_create feeds directly into working topologies at any process count.
 #[test]
 fn dims_create_to_running_collective() {
