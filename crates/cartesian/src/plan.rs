@@ -318,68 +318,6 @@ impl Plan {
     }
 }
 
-impl Plan {
-    /// Render the schedule's dataflow as a Graphviz digraph: one node per
-    /// buffer slot touched, one edge per block movement (labeled with the
-    /// phase and relative offset), local copies dashed. Pipe into `dot
-    /// -Tsvg` to visualize routing trees and the alltoall's buffer
-    /// alternation.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph schedule {\n  rankdir=LR;\n");
-        let name = |br: &BlockRef| -> String {
-            match br.loc {
-                Loc::Send => format!("send_{}", br.slot),
-                Loc::Recv => format!("recv_{}", br.slot),
-                Loc::Temp => format!("temp_{}", br.slot),
-            }
-        };
-        let mut declared = std::collections::BTreeSet::new();
-        let mut declare = |out: &mut String, br: &BlockRef| {
-            let n = name(br);
-            if declared.insert(n.clone()) {
-                let (shape, color) = match br.loc {
-                    Loc::Send => ("box", "lightblue"),
-                    Loc::Recv => ("box", "lightgreen"),
-                    Loc::Temp => ("ellipse", "lightgray"),
-                };
-                let _ = writeln!(
-                    out,
-                    "  {n} [shape={shape}, style=filled, fillcolor={color}];"
-                );
-            }
-        };
-        for (k, phase) in self.phases.iter().enumerate() {
-            for copy in &phase.copies {
-                declare(&mut out, &copy.from);
-                declare(&mut out, &copy.to);
-                let _ = writeln!(
-                    out,
-                    "  {} -> {} [style=dashed, label=\"p{k} copy\"];",
-                    name(&copy.from),
-                    name(&copy.to)
-                );
-            }
-            for round in &phase.rounds {
-                for j in 0..round.block_ids.len() {
-                    declare(&mut out, &round.sends[j]);
-                    declare(&mut out, &round.recvs[j]);
-                    let _ = writeln!(
-                        out,
-                        "  {} -> {} [label=\"p{k} {:?} b{}\"];",
-                        name(&round.sends[j]),
-                        name(&round.recvs[j]),
-                        round.offset,
-                        round.block_ids[j]
-                    );
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
 impl std::fmt::Display for Plan {
     /// Human-readable schedule dump: one line per round with the relative
     /// offset, partner directions, and the blocks on the wire — the
@@ -519,23 +457,5 @@ mod tests {
         assert!(s.contains("C=1 rounds"));
         assert!(s.contains("V=1 blocks"));
         assert!(s.contains("offset [1, 0]"));
-    }
-
-    #[test]
-    fn dot_export_is_wellformed() {
-        let mut p = tiny_plan();
-        p.phases[0].copies.push(LocalCopy {
-            from: BlockRef::new(Loc::Send, 1),
-            to: BlockRef::new(Loc::Recv, 1),
-            serves: (0, 0),
-        });
-        let dot = p.to_dot();
-        assert!(dot.starts_with("digraph schedule {"));
-        assert!(dot.trim_end().ends_with('}'));
-        assert!(dot.contains("send_0 -> recv_0"));
-        assert!(dot.contains("style=dashed"));
-        assert!(dot.contains("fillcolor=lightblue"));
-        // nodes declared once even if reused
-        assert_eq!(dot.matches("send_1 [").count(), 1);
     }
 }

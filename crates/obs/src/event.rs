@@ -109,8 +109,7 @@ pub enum TraceEvent {
         slot: usize,
     },
     /// The fault plane tampered with a deposited envelope. Emitted on the
-    /// *sending* rank (the side that owns the link decision). `action` is
-    /// a [`FaultActionKind`] code.
+    /// *sending* rank (the side that owns the link decision).
     FaultInjected {
         /// Sender rank of the afflicted envelope.
         src: usize,
@@ -118,7 +117,7 @@ pub enum TraceEvent {
         dst: usize,
         /// Message tag.
         tag: u32,
-        /// What the plane did ([`FaultActionKind`] as `u64`).
+        /// What the plane did.
         action: FaultActionKind,
     },
     /// The reliable-delivery layer re-deposited an unacknowledged
@@ -147,7 +146,7 @@ pub enum TraceEvent {
     /// A serving-layer job crossed a lifecycle stage. Emitted by the
     /// daemon's own `Obs` (rank 0 by convention — the daemon is a single
     /// control plane, not a rank), so request-lifecycle traces share the
-    /// sink/exporter machinery with executor traces.
+    /// sink with executor traces.
     ServeStage {
         /// Daemon-assigned job id, monotonically increasing per process.
         job: u64,
@@ -179,7 +178,7 @@ pub enum ServeStageKind {
 }
 
 impl ServeStageKind {
-    /// Stable numeric code (drives the exporters' `u64` field encoding).
+    /// Stable numeric code.
     pub fn code(self) -> u64 {
         match self {
             ServeStageKind::Accepted => 0,
@@ -187,17 +186,6 @@ impl ServeStageKind {
             ServeStageKind::Dispatched => 2,
             ServeStageKind::Executed => 3,
             ServeStageKind::Replied => 4,
-        }
-    }
-
-    /// Short name for human-readable exporters and metric labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeStageKind::Accepted => "accepted",
-            ServeStageKind::Coalesced => "coalesced",
-            ServeStageKind::Dispatched => "dispatched",
-            ServeStageKind::Executed => "executed",
-            ServeStageKind::Replied => "replied",
         }
     }
 }
@@ -217,139 +205,6 @@ pub enum FaultActionKind {
     Reorder,
 }
 
-impl FaultActionKind {
-    /// Stable numeric code (drives the exporters' `u64` field encoding).
-    pub fn code(self) -> u64 {
-        match self {
-            FaultActionKind::Drop => 0,
-            FaultActionKind::Duplicate => 1,
-            FaultActionKind::Delay => 2,
-            FaultActionKind::Reorder => 3,
-        }
-    }
-
-    /// Short name for human-readable exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultActionKind::Drop => "drop",
-            FaultActionKind::Duplicate => "duplicate",
-            FaultActionKind::Delay => "delay",
-            FaultActionKind::Reorder => "reorder",
-        }
-    }
-}
-
-impl TraceEvent {
-    /// Short event-kind name, used by the exporters.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::RoundStart { .. } => "round_start",
-            TraceEvent::RoundEnd { .. } => "round_end",
-            TraceEvent::PackSpan { .. } => "pack_span",
-            TraceEvent::AccumSpan { .. } => "accum_span",
-            TraceEvent::PoolHit { .. } => "pool_hit",
-            TraceEvent::PoolMiss { .. } => "pool_miss",
-            TraceEvent::PlanCacheHit { .. } => "plan_cache_hit",
-            TraceEvent::PlanCacheMiss { .. } => "plan_cache_miss",
-            TraceEvent::ExchangeMatched { .. } => "exchange_matched",
-            TraceEvent::FaultInjected { .. } => "fault_injected",
-            TraceEvent::Retransmit { .. } => "retransmit",
-            TraceEvent::DupDropped { .. } => "dup_dropped",
-            TraceEvent::ServeStage { .. } => "serve_stage",
-        }
-    }
-
-    /// The event's payload as `(field, value)` pairs, in a stable order.
-    /// Drives both exporters so JSON and table output cannot drift apart.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        match *self {
-            TraceEvent::RoundStart {
-                phase,
-                round,
-                to,
-                from,
-                wire_bytes,
-                attempt,
-            }
-            | TraceEvent::RoundEnd {
-                phase,
-                round,
-                to,
-                from,
-                wire_bytes,
-                attempt,
-            } => vec![
-                ("phase", phase as u64),
-                ("round", round as u64),
-                ("to", to as u64),
-                ("from", from as u64),
-                ("wire_bytes", wire_bytes as u64),
-                ("attempt", attempt as u64),
-            ],
-            TraceEvent::PackSpan {
-                round,
-                spans,
-                bytes,
-            }
-            | TraceEvent::AccumSpan {
-                round,
-                spans,
-                bytes,
-            } => vec![
-                ("round", round as u64),
-                ("spans", spans as u64),
-                ("bytes", bytes as u64),
-            ],
-            TraceEvent::PoolHit { bytes } | TraceEvent::PoolMiss { bytes } => {
-                vec![("bytes", bytes as u64)]
-            }
-            TraceEvent::PlanCacheHit { fingerprint }
-            | TraceEvent::PlanCacheMiss { fingerprint } => {
-                vec![("fingerprint", fingerprint)]
-            }
-            TraceEvent::ExchangeMatched {
-                src,
-                tag,
-                bytes,
-                slot,
-            } => vec![
-                ("src", src as u64),
-                ("tag", tag as u64),
-                ("bytes", bytes as u64),
-                ("slot", slot as u64),
-            ],
-            TraceEvent::FaultInjected {
-                src,
-                dst,
-                tag,
-                action,
-            } => vec![
-                ("src", src as u64),
-                ("dst", dst as u64),
-                ("tag", tag as u64),
-                ("action", action.code()),
-            ],
-            TraceEvent::Retransmit {
-                dst,
-                tag,
-                seq,
-                attempt,
-            } => vec![
-                ("dst", dst as u64),
-                ("tag", tag as u64),
-                ("seq", seq),
-                ("attempt", attempt as u64),
-            ],
-            TraceEvent::DupDropped { src, tag, seq } => {
-                vec![("src", src as u64), ("tag", tag as u64), ("seq", seq)]
-            }
-            TraceEvent::ServeStage { job, stage, detail } => {
-                vec![("job", job), ("stage", stage.code()), ("detail", detail)]
-            }
-        }
-    }
-}
-
 /// A timestamped, rank-attributed [`TraceEvent`] as delivered to sinks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
@@ -359,57 +214,4 @@ pub struct TraceRecord {
     pub rank: usize,
     /// The event payload.
     pub event: TraceEvent,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kinds_and_fields_are_stable() {
-        let e = TraceEvent::RoundStart {
-            phase: 1,
-            round: 3,
-            to: 5,
-            from: 7,
-            wire_bytes: 4096,
-            attempt: 2,
-        };
-        assert_eq!(e.kind(), "round_start");
-        assert_eq!(
-            e.fields(),
-            vec![
-                ("phase", 1),
-                ("round", 3),
-                ("to", 5),
-                ("from", 7),
-                ("wire_bytes", 4096),
-                ("attempt", 2)
-            ]
-        );
-        assert_eq!(
-            TraceEvent::PoolHit { bytes: 64 }.fields(),
-            vec![("bytes", 64)]
-        );
-        let a = TraceEvent::AccumSpan {
-            round: 2,
-            spans: 4,
-            bytes: 96,
-        };
-        assert_eq!(a.kind(), "accum_span");
-        assert_eq!(a.fields(), vec![("round", 2), ("spans", 4), ("bytes", 96)]);
-        assert_eq!(
-            TraceEvent::PlanCacheMiss { fingerprint: 9 }.kind(),
-            "plan_cache_miss"
-        );
-        let s = TraceEvent::ServeStage {
-            job: 11,
-            stage: ServeStageKind::Coalesced,
-            detail: 3,
-        };
-        assert_eq!(s.kind(), "serve_stage");
-        assert_eq!(s.fields(), vec![("job", 11), ("stage", 1), ("detail", 3)]);
-        assert_eq!(ServeStageKind::Replied.code(), 4);
-        assert_eq!(ServeStageKind::Accepted.name(), "accepted");
-    }
 }

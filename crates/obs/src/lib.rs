@@ -12,16 +12,16 @@
 //!
 //! * **[`MetricsRegistry`]** — always-on relaxed atomic counters (rounds,
 //!   wire bytes, matched messages, pack spans, pool and plan-cache
-//!   traffic) plus `stats::histogram` latency/size distributions that are
+//!   traffic) plus a `stats::histogram` round-latency distribution that is
 //!   only touched while tracing is enabled. A [`MetricsSnapshot`] is a
-//!   plain-data copy with text-table and JSON renderings.
+//!   plain-data copy with a JSON rendering.
 //! * **[`TraceEvent`]/[`TraceSink`]** — typed round-level events
 //!   ([`TraceEvent::RoundStart`]/[`TraceEvent::RoundEnd`] with the phase
 //!   dimension, peer ranks, and wire bytes; [`TraceEvent::PackSpan`];
 //!   pool and plan-cache hits/misses; [`TraceEvent::ExchangeMatched`])
 //!   delivered to a pluggable sink. [`RingBufferSink`] is the shipped
-//!   implementation: a bounded in-memory ring with JSON and text-table
-//!   exporters.
+//!   implementation: a bounded in-memory ring that [`TraceCollector`]
+//!   reads.
 //! * **[`now_ns`]** — one process-wide time origin stamps every record,
 //!   so the records of every [`Obs`] handle in a process compare.
 //! * **[`profile`]** — post-run cross-rank analysis: [`TraceCollector`]

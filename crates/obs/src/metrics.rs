@@ -8,9 +8,9 @@
 //! pool and plan-cache traffic).
 //!
 //! Counters are relaxed atomics and always on — the same cost class as
-//! the pre-existing pool telemetry. The latency/size distributions are
-//! `stats::histogram`s behind a mutex and are only recorded while
-//! tracing is enabled, keeping the disabled path lock-free.
+//! the pre-existing pool telemetry. The round-latency distribution is a
+//! `stats::histogram` behind a mutex and is only recorded while tracing
+//! is enabled, keeping the disabled path lock-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,11 +22,8 @@ use crate::json::JsonWriter;
 /// Bins of the round-latency distribution: `log10(nanoseconds)` over
 /// `[0, 10)` — 1 ns to ~10 s.
 const LATENCY_LOG10_BINS: usize = 40;
-/// Bins of the message-size distribution: `log2(bytes + 1)` over
-/// `[0, 32)` — empty to 4 GiB.
-const SIZE_LOG2_BINS: usize = 32;
 
-/// Always-on counters plus tracing-gated distributions for one rank.
+/// Always-on counters plus a tracing-gated latency distribution for one rank.
 pub struct MetricsRegistry {
     rounds_started: AtomicU64,
     rounds_completed: AtomicU64,
@@ -46,8 +43,6 @@ pub struct MetricsRegistry {
     dup_drops: AtomicU64,
     /// Round latency, recorded as `log10(ns)`. Tracing-gated.
     round_latency_log10_ns: Mutex<Histogram>,
-    /// Matched-message size, recorded as `log2(bytes + 1)`. Tracing-gated.
-    msg_size_log2_bytes: Mutex<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -71,7 +66,6 @@ impl MetricsRegistry {
             retransmits: AtomicU64::new(0),
             dup_drops: AtomicU64::new(0),
             round_latency_log10_ns: Mutex::new(Histogram::new(0.0, 10.0, LATENCY_LOG10_BINS)),
-            msg_size_log2_bytes: Mutex::new(Histogram::new(0.0, 32.0, SIZE_LOG2_BINS)),
         }
     }
 
@@ -166,7 +160,7 @@ impl MetricsRegistry {
         self.dup_drops.fetch_add(1, Ordering::Relaxed);
     }
 
-    // ----- tracing-gated distributions -------------------------------------
+    // ----- tracing-gated distribution --------------------------------------
 
     /// Record one round latency (callers gate on tracing being enabled).
     pub fn record_round_ns(&self, ns: u64) {
@@ -175,21 +169,9 @@ impl MetricsRegistry {
             .add((ns.max(1) as f64).log10());
     }
 
-    /// Record one matched-message size (callers gate on tracing enabled).
-    pub fn record_msg_bytes(&self, bytes: usize) {
-        self.msg_size_log2_bytes
-            .lock()
-            .add((bytes as f64 + 1.0).log2());
-    }
-
     /// Copy of the round-latency distribution (`log10(ns)` domain).
     pub fn latency_histogram(&self) -> Histogram {
         self.round_latency_log10_ns.lock().clone()
-    }
-
-    /// Copy of the message-size distribution (`log2(bytes + 1)` domain).
-    pub fn size_histogram(&self) -> Histogram {
-        self.msg_size_log2_bytes.lock().clone()
     }
 
     // ----- snapshots -------------------------------------------------------
@@ -223,7 +205,7 @@ impl MetricsRegistry {
         MetricsDelta(self.snapshot().since(earlier))
     }
 
-    /// Zero every counter (distributions are kept). Lets a measurement
+    /// Zero every counter (the latency distribution is kept). Lets a measurement
     /// scope counters to a region of interest.
     pub fn reset(&self) {
         self.rounds_started.store(0, Ordering::Relaxed);
@@ -327,7 +309,7 @@ impl MetricsSnapshot {
     }
 
     /// The counters as `(name, value)` pairs in a stable order (drives
-    /// the exporters).
+    /// `to_json` and the OpenMetrics exposition).
     pub fn fields(&self) -> [(&'static str, u64); 16] {
         [
             ("rounds_started", self.rounds_started),
@@ -415,22 +397,6 @@ impl std::ops::Deref for MetricsDelta {
     }
 }
 
-impl std::fmt::Display for MetricsDelta {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl std::fmt::Display for MetricsSnapshot {
-    /// Aligned `name  value` table, one counter per line.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (name, value) in self.fields() {
-            writeln!(f, "{name:<20} {value:>12}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,13 +469,9 @@ mod tests {
     fn distributions_record_in_log_domain() {
         let m = MetricsRegistry::new();
         m.record_round_ns(1_000); // log10 = 3
-        m.record_msg_bytes(1023); // log2(1024) = 10
         let lat = m.latency_histogram();
         assert_eq!(lat.total(), 1);
         assert!((lat.sample_mean() - 3.0).abs() < 1e-9);
-        let size = m.size_histogram();
-        assert_eq!(size.total(), 1);
-        assert!((size.sample_mean() - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -517,9 +479,6 @@ mod tests {
         let m = MetricsRegistry::new();
         m.round_completed();
         let s = m.snapshot();
-        let table = format!("{s}");
-        assert_eq!(table.lines().count(), 16);
-        assert!(table.contains("rounds_completed"));
         let json = s.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"rounds_completed\":1"));

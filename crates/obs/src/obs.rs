@@ -98,11 +98,6 @@ impl Obs {
 
     #[cold]
     fn deliver(&self, rank: usize, event: TraceEvent) {
-        // Matched-message sizes feed the size distribution as a side
-        // effect of tracing, keeping the counter-only path lock-free.
-        if let TraceEvent::ExchangeMatched { bytes, .. } = event {
-            self.metrics.record_msg_bytes(bytes);
-        }
         let rec = TraceRecord {
             t_ns: now_ns(),
             rank,
@@ -170,21 +165,5 @@ mod tests {
         let first = a.now_ns();
         let second = b.now_ns();
         assert!(second >= first, "b reads {second} ns, behind a's {first}");
-    }
-
-    #[test]
-    fn matched_event_feeds_size_distribution() {
-        let obs = Obs::new();
-        obs.attach_sink(Arc::new(RingBufferSink::new(4)));
-        obs.emit(
-            0,
-            TraceEvent::ExchangeMatched {
-                src: 1,
-                tag: 7,
-                bytes: 127,
-                slot: 0,
-            },
-        );
-        assert_eq!(obs.metrics().size_histogram().total(), 1);
     }
 }

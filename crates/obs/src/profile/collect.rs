@@ -128,11 +128,6 @@ impl RoundDag {
         out
     }
 
-    /// Total wire bytes on the DAG.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.wire_bytes as u64).sum()
-    }
-
     /// `(wire_bytes, latency_ns)` samples of every paired node — the raw
     /// material for [`crate::AlphaBetaFit`].
     pub fn latency_samples(&self) -> Vec<(u64, u64)> {

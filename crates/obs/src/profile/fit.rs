@@ -1,8 +1,6 @@
 //! The α-β cost of a schedule, and the least-squares fit that estimates
 //! α̂ and β̂ from observed round latencies.
 
-use super::collect::RoundDag;
-
 /// What a schedule costs under the linear model of §3.1, given the wire
 /// bytes of each of its send-receive rounds: rounds run one after another,
 /// a round of `b` bytes takes `alpha + beta·b`, so the schedule takes
@@ -93,11 +91,6 @@ impl AlphaBetaFit {
             distinct_sizes: distinct,
             degenerate: !(beta > 0.0 && beta.is_finite() && alpha.is_finite()),
         }
-    }
-
-    /// Fit over every paired node of `dag`.
-    pub fn from_dag(dag: &RoundDag) -> AlphaBetaFit {
-        Self::fit(&dag.latency_samples())
     }
 
     /// Fit over the *per-size mean* latencies of `samples` — collapses

@@ -33,8 +33,7 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = ["queue", "coalesce", "execute", "r
 pub const STAGE_HIST_BINS: usize = 20;
 
 /// One lifecycle stage's latency distribution for one tenant: a log10-ns
-/// histogram (shared binning, so registries merge losslessly) plus the
-/// exact nanosecond sum for mean/rate math.
+/// histogram plus the exact nanosecond sum for mean/rate math.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageDist {
     /// `log10(duration_ns)` histogram over `[0, 10)` with

@@ -1,8 +1,7 @@
 //! Golden files for the JSON documents this crate puts on a wire:
-//! `MetricsSnapshot::to_json`, `TenantRegistry::to_json` and the trace
-//! ring's `to_json`, on fixed inputs, byte for byte (the Perfetto export
-//! has `perfetto_golden.rs`). Each golden must also read back through
-//! `cartcomm_obs::json::parse`.
+//! `MetricsSnapshot::to_json` and `TenantRegistry::to_json`, on fixed
+//! inputs, byte for byte (the Perfetto export has `perfetto_golden.rs`).
+//! Each golden must also read back through `cartcomm_obs::json::parse`.
 //!
 //! To regenerate after an intentional format change:
 //!
@@ -10,10 +9,7 @@
 //! BLESS_GOLDEN=1 cargo test -p cartcomm-obs --test json_golden
 //! ```
 
-use cartcomm_obs::{
-    MetricsDelta, MetricsSnapshot, RingBufferSink, TenantRegistry, TraceEvent, TraceRecord,
-    TraceSink,
-};
+use cartcomm_obs::{MetricsDelta, MetricsSnapshot, TenantRegistry};
 
 fn check(name: &str, rendered: &str) {
     cartcomm_obs::json::parse(rendered).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
@@ -69,32 +65,4 @@ fn tenant_registry() {
     reg.record_job("zürich → 東京", 6, 0, &MetricsDelta::default());
     check("tenants.json", &reg.to_json());
     check("tenants_empty.json", &TenantRegistry::new().to_json());
-}
-
-#[test]
-fn trace_records() {
-    let sink = RingBufferSink::new(16);
-    let events = [
-        TraceEvent::RoundEnd {
-            phase: 1,
-            round: 2,
-            to: 3,
-            from: 4,
-            wire_bytes: 64,
-            attempt: 1,
-        },
-        TraceEvent::PoolHit { bytes: 512 },
-        TraceEvent::PlanCacheMiss {
-            fingerprint: u64::MAX,
-        },
-    ];
-    for (i, event) in events.into_iter().enumerate() {
-        sink.record(&TraceRecord {
-            t_ns: 1_000 * i as u64 + 5,
-            rank: i % 3,
-            event,
-        });
-    }
-    check("records.json", &sink.to_json());
-    check("records_empty.json", &RingBufferSink::new(1).to_json());
 }

@@ -348,6 +348,12 @@ impl JobSpec {
         if fits(self.checked_send_bytes()).is_none() || fits(self.checked_recv_bytes()).is_none() {
             return Err("job size overflows (ranks × bytes per rank)".into());
         }
+        // A job of zero bytes costs nothing by size, but its ranks each get
+        // state before a byte moves.
+        let p = self.ranks();
+        if p > MAX_RANKS {
+            return Err(format!("job asks for {p} ranks, over {MAX_RANKS}"));
+        }
         Ok(())
     }
 
@@ -499,6 +505,10 @@ impl JobSpec {
 /// Sanity bound on decoded vector lengths (a malformed frame must not
 /// allocate unbounded memory).
 const MAX_NEIGHBORS: usize = 1 << 20;
+
+/// Bound on a job's rank count: a daemon builds an `Obs`, a peer table and
+/// on the reference path a thread per rank.
+const MAX_RANKS: usize = 1 << 16;
 
 /// An attach-on-demand profiling request: capture the next `jobs` jobs of
 /// `tenant` (or until `duration_ms` elapses, whichever comes first) with
@@ -1580,6 +1590,41 @@ mod tests {
             ..moore
         };
         fits.validate().expect("9 ranks × count × 8 B fits");
+    }
+
+    /// A job that moves no bytes is still bounded by its rank count: dims
+    /// travel as `u32`s, so one dimension may ask for 2³² − 1 ranks.
+    #[test]
+    fn validation_refuses_more_than_max_ranks() {
+        use cartcomm_types::{Primitive, RedOp};
+        let red = Reducer::new(RedOp::Sum, Primitive::F64);
+        let zero_bytes = [
+            OpSpec::Allreduce { red, count: 0 },
+            OpSpec::Alltoallv {
+                elem_size: 1,
+                sendcounts: vec![0],
+                senddispls: vec![0],
+                recvcounts: vec![0],
+                recvdispls: vec![0],
+            },
+        ];
+        for op in zero_bytes {
+            let ring = |n: usize| JobSpec {
+                dims: vec![n],
+                periods: vec![true],
+                offsets: vec![vec![1]],
+                op: op.clone(),
+                algo: AlgoSpec::Combining,
+            };
+            let err = ring(u32::MAX as usize)
+                .validate()
+                .expect_err("2³² − 1 ranks");
+            assert!(err.contains("ranks"), "{err}");
+            assert!(ring(MAX_RANKS + 1).validate().is_err(), "{op:?}");
+            ring(MAX_RANKS)
+                .validate()
+                .expect("MAX_RANKS ranks are admitted");
+        }
     }
 
     /// Hostile input: every decoder of the protocol over arbitrary bytes,

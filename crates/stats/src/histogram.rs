@@ -113,14 +113,6 @@ impl Histogram {
         }
     }
 
-    /// Centers of the bins.
-    pub fn bin_centers(&self) -> Vec<f64> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        (0..self.counts.len())
-            .map(|i| self.lo + w * (i as f64 + 0.5))
-            .collect()
-    }
-
     /// Count the local maxima of the smoothed histogram — used to decide
     /// whether a distribution is unimodal or bimodal, the Figure 7
     /// distinction. `min_prominence` is the fraction of the tallest bin a
