@@ -43,10 +43,10 @@
 //!   `p` ranks, phase by phase, on the calling thread, with no rank threads,
 //!   channels or wake-ups — what a serving process uses to run a whole
 //!   job inside one address space.
-//! * [`neighbor`] — the comparison baseline: direct-delivery neighborhood
-//!   collectives over general distributed-graph topologies
-//!   (`MPI_Neighbor_alltoall` and friends), including the §2.2 detection
-//!   that a distributed graph is secretly Cartesian.
+//! * [`neighbor`] — distributed-graph communicators and the §2.2
+//!   detection that such a graph is secretly Cartesian, with its promotion
+//!   to a [`CartComm`]. The `MPI_Neighbor_*` baseline is priced by the
+//!   simulator and run as the trivial plan.
 //! * [`cost`] — round/volume accounting and the latency cut-off
 //!   `m < (α/β)·(t−C)/(V−t)` used throughout the evaluation.
 //!

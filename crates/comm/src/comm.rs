@@ -88,11 +88,6 @@ impl ExchangeBatch {
         self.sends.push((dst, tag, data.into()));
     }
 
-    /// Number of queued (not yet exchanged) sends.
-    pub fn pending_sends(&self) -> usize {
-        self.sends.len()
-    }
-
     /// Take the completion of receive slot `slot` from the last exchange:
     /// `None` if the slot was already taken (or out of range).
     pub fn take_result(&mut self, slot: usize) -> Option<(PooledBuf, Status)> {
@@ -217,15 +212,6 @@ impl Comm {
             core: Arc::clone(&self.core),
             ..*self
         }
-    }
-
-    /// Wall-clock seconds since an unspecified epoch (`MPI_Wtime`).
-    pub fn wtime() -> f64 {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .unwrap_or_default()
-            .as_secs_f64()
     }
 
     // ----- observability ---------------------------------------------------

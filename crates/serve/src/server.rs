@@ -337,8 +337,8 @@ struct Floor {
     waiting: usize,
     /// Test hook: no job starts, so a burst can pile up and be observed.
     paused: bool,
-    /// The universes no job is running on, keyed by [`topo_key`].
-    universes: Lru<u64, InlineUniverse>,
+    /// The universes no job is running on; a job takes one that [`fits`] it.
+    universes: Lru<InlineUniverse>,
 }
 
 struct Shared {
@@ -942,12 +942,12 @@ pub(crate) fn build_neighborhood(
 // ----- a job, from its frame to its reply ---------------------------------------
 
 /// A few resident values in recency order, least recently used first.
-struct Lru<K, V> {
+struct Lru<V> {
     cap: usize,
-    entries: Vec<(K, V)>,
+    entries: Vec<V>,
 }
 
-impl<K: PartialEq, V> Lru<K, V> {
+impl<V> Lru<V> {
     fn new(cap: usize) -> Self {
         Lru {
             cap: cap.max(1),
@@ -957,17 +957,17 @@ impl<K: PartialEq, V> Lru<K, V> {
 
     /// Make `value` resident (most recently used), pushing the least
     /// recently used one out if the cache was full.
-    fn insert(&mut self, key: K, value: V) {
+    fn insert(&mut self, value: V) {
         if self.entries.len() >= self.cap {
             self.entries.remove(0);
         }
-        self.entries.push((key, value));
+        self.entries.push(value);
     }
 
-    /// Take the most recently used value under `key` out.
-    fn remove(&mut self, key: &K) -> Option<V> {
-        let at = self.entries.iter().rposition(|e| e.0 == *key)?;
-        Some(self.entries.remove(at).1)
+    /// Take the most recently used value that satisfies `wanted` out.
+    fn take(&mut self, wanted: impl Fn(&V) -> bool) -> Option<V> {
+        let at = self.entries.iter().rposition(wanted)?;
+        Some(self.entries.remove(at))
     }
 }
 
@@ -1023,7 +1023,6 @@ fn submit(
     shared.emit_stage(job_id, ServeStageKind::Accepted, depth);
 
     // The wait for the start, which takes the topology's universe along.
-    let key = topo_key(&spec);
     let mut floor = shared.floor();
     loop {
         let wait = start.saturating_duration_since(Instant::now());
@@ -1040,7 +1039,7 @@ fn submit(
         };
     }
     floor.waiting -= 1;
-    let resident = floor.universes.remove(&key);
+    let resident = floor.universes.take(|uni| fits(uni, &spec));
     drop(floor);
     let started_ns = shared.now_ns();
     shared.emit_stage(job_id, ServeStageKind::Coalesced, 1);
@@ -1090,7 +1089,7 @@ fn submit(
 
     let mut floor = shared.floor();
     if let Some(uni) = clean {
-        floor.universes.insert(key, uni);
+        floor.universes.insert(uni);
     }
     floor.in_flight -= 1;
     if floor.in_flight == 0 && shared.draining.load(Ordering::Acquire) {
@@ -1438,6 +1437,11 @@ fn profile_report(session: &ProfileSession) -> (String, Vec<u8>) {
 
 // ----- /metrics HTTP listener ---------------------------------------------------
 
+/// How long one `/metrics` request may take to arrive, all reads
+/// together: a client that trickles its request holds the listener (and
+/// with it every other scraper and the daemon's shutdown) no longer.
+const HTTP_REQUEST_DEADLINE: Duration = Duration::from_millis(500);
+
 /// Minimal HTTP/1.1 loop for `GET /metrics`: enough for Prometheus-style
 /// scrapers and `curl`, with no framework dependency. Anything but
 /// `GET /metrics` is a 404; the loop exits with the daemon's I/O stop.
@@ -1448,10 +1452,14 @@ fn metrics_http_loop(listener: TcpListener, shared: &Arc<Shared>) {
         }
         match listener.accept() {
             Ok((mut stream, _)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+                let deadline = Instant::now() + HTTP_REQUEST_DEADLINE;
                 let mut req = Vec::new();
                 let mut chunk = [0u8; 1024];
                 while !req.windows(4).any(|w| w == b"\r\n\r\n") && req.len() < 16 * 1024 {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                        break;
+                    }
                     match stream.read(&mut chunk) {
                         Ok(0) | Err(_) => break,
                         Ok(n) => req.extend_from_slice(&chunk[..n]),
@@ -1487,30 +1495,13 @@ fn metrics_http_loop(listener: TcpListener, shared: &Arc<Shared>) {
 
 // ----- job shapes and predictions ----------------------------------------------
 
-/// Topology+neighborhood part of the job shape (excludes op and algo):
-/// the key for universe reuse.
-fn topo_key(spec: &JobSpec) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(spec.dims.len() as u64);
-    for &d in &spec.dims {
-        eat(d as u64);
-    }
-    for &p in &spec.periods {
-        eat(p as u64);
-    }
-    eat(spec.offsets.len() as u64);
-    for off in &spec.offsets {
-        for &c in off {
-            eat(c as u64);
-        }
-    }
-    h
+/// Whether `uni` has the job's topology and neighborhood, compared
+/// element by element (op and algorithm are the program's business).
+fn fits(uni: &InlineUniverse, spec: &JobSpec) -> bool {
+    let topo = uni.topology();
+    topo.dims() == spec.dims
+        && topo.periods() == spec.periods
+        && uni.neighborhood().offsets() == spec.offsets
 }
 
 /// The analytical per-rank prediction for one execution of `plan`, the

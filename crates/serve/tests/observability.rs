@@ -8,9 +8,9 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cartcomm_obs::{RingBufferSink, ServeStageKind, TraceEvent, TraceSink};
 use cartcomm_serve::proto::{AlgoSpec, JobSpec, OpSpec, ProfileSpec};
@@ -228,6 +228,69 @@ fn metrics_scrapes_are_stable_and_served_over_http() {
     assert!(response.starts_with("HTTP/1.1 404"), "{response}");
 
     server.shutdown();
+}
+
+/// A client that trickles its request one byte per 100 ms, reconnecting
+/// whenever it is cut off, holds the metrics listener for at most one
+/// request deadline: a plain scrape beside it is answered, and the daemon
+/// shuts down, within 2 s each while the trickle goes on.
+#[test]
+fn a_trickling_metrics_client_holds_up_neither_scrapes_nor_shutdown() {
+    let sock = sock_path("trickle");
+    let cfg = ServeConfig {
+        metrics_http: Some("127.0.0.1:0".into()),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind_uds(&sock, cfg).expect("bind");
+    let http_addr = server.metrics_endpoint().expect("metrics http bound");
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickling = Arc::clone(&stop);
+    let trickle = std::thread::spawn(move || {
+        let line = b"GET /metrics HTTP/1.1\r\n";
+        let until = Instant::now() + Duration::from_secs(5);
+        let mut conn = None;
+        let mut at = 0;
+        while Instant::now() < until && !trickling.load(Ordering::Relaxed) {
+            if conn.is_none() {
+                conn = TcpStream::connect(http_addr).ok();
+            }
+            if let Some(c) = conn.as_mut() {
+                if c.write_all(&line[at % line.len()..][..1]).is_err() {
+                    conn = None;
+                }
+                at += 1;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(150));
+
+    let asked = Instant::now();
+    let mut http = TcpStream::connect(http_addr).expect("http connect");
+    http.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    http.write_all(b"GET /metrics HTTP/1.1\r\nHost: cartserve\r\n\r\n")
+        .expect("http write");
+    let mut response = String::new();
+    let _ = http.read_to_string(&mut response);
+    assert!(
+        response.starts_with("HTTP/1.1 200") && asked.elapsed() < Duration::from_secs(2),
+        "scrape beside a trickler: {:?} after {:?}",
+        response.lines().next(),
+        asked.elapsed()
+    );
+
+    let (done, shut) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    assert!(
+        shut.recv_timeout(Duration::from_secs(2)).is_ok(),
+        "shutdown waited on a trickling metrics client"
+    );
+    stop.store(true, Ordering::Relaxed);
+    trickle.join().unwrap();
 }
 
 /// Every job emits the full accepted→coalesced→dispatched→executed→

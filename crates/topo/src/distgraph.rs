@@ -9,9 +9,9 @@ use crate::{TopoError, TopoResult};
 /// One process's view of a distributed graph topology: the ranks it receives
 /// from (`sources`) and sends to (`targets`), with optional weights.
 ///
-/// This is the *baseline* topology type: the general neighborhood
-/// collectives (the paper's comparison point, `MPI_Neighbor_alltoall` etc.)
-/// are defined over it, with no structural assumptions.
+/// It makes no structural assumptions; §2.2 asks whether it is secretly
+/// Cartesian ([`DistGraphTopology::reconstruct_relative`]), and only then
+/// does a collective run, as a compiled Cartesian plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistGraphTopology {
     sources: Vec<usize>,
