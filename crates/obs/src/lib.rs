@@ -44,9 +44,10 @@
 //!
 //! # JSON
 //!
-//! [`json`] is the stack's one JSON writer and reader: every `to_json`
-//! here, the daemon's reports and the bench tools' baselines are written
-//! through [`json::JsonWriter`] and read back through [`json::parse`].
+//! [`json`] is the stack's one JSON writer and reader: the Perfetto
+//! export, the daemon's profile report and the bench tools' baselines are
+//! written through [`json::JsonWriter`] and read back through
+//! [`json::parse`].
 
 mod event;
 pub mod json;

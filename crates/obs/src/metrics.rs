@@ -17,8 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cartcomm_stats::Histogram;
 use parking_lot::Mutex;
 
-use crate::json::JsonWriter;
-
 /// Bins of the round-latency distribution: `log10(nanoseconds)` over
 /// `[0, 10)` — 1 ns to ~10 s.
 const LATENCY_LOG10_BINS: usize = 40;
@@ -309,7 +307,7 @@ impl MetricsSnapshot {
     }
 
     /// The counters as `(name, value)` pairs in a stable order (drives
-    /// `to_json` and the OpenMetrics exposition).
+    /// the per-tenant families of the OpenMetrics exposition).
     pub fn fields(&self) -> [(&'static str, u64); 16] {
         [
             ("rounds_started", self.rounds_started),
@@ -329,17 +327,6 @@ impl MetricsSnapshot {
             ("retransmits", self.retransmits),
             ("dup_drops", self.dup_drops),
         ]
-    }
-
-    /// Render as a flat JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.obj();
-        for (name, value) in self.fields() {
-            w.key(name).raw(value);
-        }
-        w.end();
-        w.finish()
     }
 }
 
@@ -381,7 +368,7 @@ impl std::ops::Sub for MetricsSnapshot {
 /// traffic scoped to a region of interest. Produced by
 /// `later_snapshot - earlier_snapshot` or
 /// [`MetricsRegistry::delta_since`]; derefs to [`MetricsSnapshot`], so
-/// fields, `fields()`, and `to_json()` are all available on the delta.
+/// fields and `fields()` are available on the delta.
 ///
 /// Tests should assert on deltas instead of absolute counter values:
 /// absolute values are brittle (any setup traffic before the section
@@ -472,15 +459,5 @@ mod tests {
         let lat = m.latency_histogram();
         assert_eq!(lat.total(), 1);
         assert!((lat.sample_mean() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snapshot_renders_table_and_json() {
-        let m = MetricsRegistry::new();
-        m.round_completed();
-        let s = m.snapshot();
-        let json = s.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"rounds_completed\":1"));
     }
 }

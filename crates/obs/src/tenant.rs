@@ -7,8 +7,8 @@
 //! counters of each job execution as a [`MetricsDelta`] and fold it into
 //! that tenant's [`TenantStats`] here, together with the schedule's
 //! analytical predictions (`C` rounds per rank, Prop. 3.2; `V·m` wire
-//! bytes per rank, Prop. 3.3). The registry then renders the
-//! observed-vs-predicted C/V table per tenant — the same accounting the
+//! bytes per rank, Prop. 3.3). The daemon's metrics document then carries
+//! the observed-vs-predicted counters per tenant — the same accounting the
 //! profiler reports per run, aggregated per client instead.
 //!
 //! The registry is shared across rank threads and the server's control
@@ -18,7 +18,6 @@
 use cartcomm_stats::Histogram;
 use parking_lot::Mutex;
 
-use crate::json::JsonWriter;
 use crate::metrics::{MetricsDelta, MetricsSnapshot};
 
 /// Number of serving-layer lifecycle stages with per-tenant latency
@@ -194,6 +193,13 @@ impl TenantRegistry {
             .collect()
     }
 
+    /// Whether a job of `tenant` may be recorded while at most `cap`
+    /// tenants are held: the registry holds it already, or has room.
+    pub fn admits(&self, tenant: &str, cap: usize) -> bool {
+        let tenants = self.tenants.lock();
+        tenants.len() < cap || tenants.iter().any(|(name, _)| name == tenant)
+    }
+
     /// Number of tenants seen.
     pub fn len(&self) -> usize {
         self.tenants.lock().len()
@@ -202,54 +208,6 @@ impl TenantRegistry {
     /// True when no tenant has recorded a job yet.
     pub fn is_empty(&self) -> bool {
         self.tenants.lock().is_empty()
-    }
-
-    /// The observed-vs-predicted C/V table, one row per tenant:
-    ///
-    /// ```text
-    /// tenant      jobs   C obs   C pred   V obs (B)   V pred (B)   plan hit/miss
-    /// ```
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<16} {:>6} {:>8} {:>8} {:>12} {:>12} {:>14}\n",
-            "tenant", "jobs", "C obs", "C pred", "V obs (B)", "V pred (B)", "plan hit/miss"
-        ));
-        for (name, s) in self.all() {
-            out.push_str(&format!(
-                "{:<16} {:>6} {:>8} {:>8} {:>12} {:>12} {:>14}\n",
-                name,
-                s.jobs,
-                s.observed_rounds(),
-                s.predicted_rounds,
-                s.observed_wire_bytes(),
-                s.predicted_wire_bytes,
-                format!(
-                    "{}/{}",
-                    s.totals.plan_cache_hits, s.totals.plan_cache_misses
-                ),
-            ));
-        }
-        out
-    }
-
-    /// The table as a JSON array of per-tenant objects (the wire `stats`
-    /// reply of the serving layer).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.arr();
-        for (name, s) in self.all() {
-            w.obj().key("tenant").str(&name).key("jobs").raw(s.jobs);
-            w.key("observed_rounds").raw(s.observed_rounds());
-            w.key("predicted_rounds").raw(s.predicted_rounds);
-            w.key("observed_wire_bytes").raw(s.observed_wire_bytes());
-            w.key("predicted_wire_bytes").raw(s.predicted_wire_bytes);
-            w.key("plan_cache_hits").raw(s.totals.plan_cache_hits);
-            w.key("plan_cache_misses").raw(s.totals.plan_cache_misses);
-            w.key("metrics").raw(s.totals.to_json()).end();
-        }
-        w.end();
-        w.finish()
     }
 }
 
@@ -316,23 +274,5 @@ mod tests {
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].0, "a");
         assert_eq!(STAGE_NAMES.len(), STAGE_COUNT);
-    }
-
-    #[test]
-    fn table_and_json_render_all_tenants_in_order() {
-        let reg = TenantRegistry::new();
-        reg.record_job("zeta", 1, 8, &delta_of(1, 8, 0));
-        reg.record_job("alpha", 2, 16, &delta_of(2, 16, 0));
-        let table = reg.render_table();
-        let zeta_at = table.find("zeta").unwrap();
-        let alpha_at = table.find("alpha").unwrap();
-        assert!(zeta_at < alpha_at, "first-seen order, not alphabetical");
-        assert_eq!(table.lines().count(), 3);
-
-        let json = reg.to_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"tenant\":\"zeta\""));
-        assert!(json.contains("\"predicted_rounds\":2"));
-        assert!(json.contains("\"metrics\":{"));
     }
 }

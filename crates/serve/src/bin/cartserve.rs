@@ -13,19 +13,19 @@
 //! scrapers. With `--smoke`, spins up a private daemon on a temporary
 //! socket, runs two tenants through it (verifying every result byte for
 //! byte against the reference executor — both algorithms, a torus and an
-//! open mesh — and plan sharing), prints the stats table, drains, and
-//! exits — a self-contained health check for CI and packaging.
+//! open mesh — and plan sharing), checks and prints its metrics document
+//! as a `--watch` frame, drains, and exits — a self-contained health check
+//! for CI and packaging.
 //!
 //! `--watch` turns the binary into a top-like client: it polls a running
-//! daemon's `METRICS` and `PING` commands and renders uptime, queue
-//! depth, job counters, and the per-tenant table, refreshing in place
-//! every `--interval-ms` (default 1000). `--once` prints one frame and
-//! exits (useful in scripts and CI).
+//! daemon's `METRICS` command and renders version, uptime, queue depth,
+//! job counters, and the per-tenant observed-vs-predicted table,
+//! refreshing in place every `--interval-ms` (default 1000). `--once`
+//! prints one frame and exits (useful in scripts and CI).
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use cartcomm_obs::json::{self, Value};
 use cartcomm_serve::proto::{AlgoSpec, JobSpec, OpSpec};
 use cartcomm_serve::{reference, Client, ServeConfig, Server};
 
@@ -159,17 +159,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Pull one `name{labels} value` sample out of an OpenMetrics document.
-fn metric(text: &str, name: &str) -> Option<f64> {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .find(|l| {
-            l.starts_with(name) && matches!(l.as_bytes().get(name.len()), Some(b' ') | Some(b'{'))
-        })
-        .and_then(|l| l.rsplit(' ').next())
-        .and_then(|v| v.parse().ok())
-}
-
 /// Every `(labels, value)` pair of one metric family.
 fn metric_rows<'a>(text: &'a str, name: &str) -> Vec<(&'a str, f64)> {
     text.lines()
@@ -189,58 +178,77 @@ fn metric_rows<'a>(text: &'a str, name: &str) -> Vec<(&'a str, f64)> {
         .collect()
 }
 
-/// The top-like live view: poll METRICS + PING over the wire and render
-/// a compact dashboard, redrawing in place unless `--once`.
+/// One `--watch` frame, built from a metrics document alone: the daemon's
+/// version, uptime and gauges, its job and plan-store counters, and a line
+/// per tenant with observed against predicted C and V·m and its plan
+/// hits/misses.
+fn frame(text: &str) -> String {
+    let value = |n: &str| metric_rows(text, n).first().map_or(0.0, |&(_, v)| v);
+    let gauge = |n: &str| value(n) as u64;
+    let version = metric_rows(text, "cartserve_build_info")
+        .first()
+        .and_then(|(labels, _)| labels.strip_prefix("version=\"")?.strip_suffix('"'))
+        .unwrap_or("?");
+    let mut frame = format!(
+        "cartserve v{version}  up {:.1}s  queue {}  draining {}  profile {}\n",
+        value("cartserve_uptime_seconds"),
+        gauge("cartserve_queue_depth"),
+        gauge("cartserve_draining"),
+        if gauge("cartserve_profile_active") > 0 {
+            "LIVE"
+        } else {
+            "off"
+        },
+    );
+    frame.push_str(&format!(
+        "jobs: submitted {}  completed {}  coalesced {}  rejected {}  batches {}\n",
+        gauge("cartserve_jobs_submitted_total"),
+        gauge("cartserve_jobs_completed_total"),
+        gauge("cartserve_jobs_coalesced_total"),
+        gauge("cartserve_jobs_rejected_total"),
+        gauge("cartserve_batches_executed_total"),
+    ));
+    frame.push_str(&format!(
+        "plan store: hits {}  misses {}  schedule hits {}  schedule misses {}\n",
+        gauge("cartserve_plan_store_hits_total"),
+        gauge("cartserve_plan_store_misses_total"),
+        gauge("cartserve_plan_store_schedule_hits_total"),
+        gauge("cartserve_plan_store_schedule_misses_total"),
+    ));
+    frame.push_str("tenants (C and V·m observed/predicted):\n");
+    // Each family read once: a full daemon holds a thousand tenants.
+    let columns = [
+        "rounds_completed",
+        "rounds_predicted",
+        "wire_bytes_sent",
+        "wire_bytes_predicted",
+        "plan_cache_hits",
+        "plan_cache_misses",
+    ]
+    .map(|family| metric_rows(text, &format!("cartserve_tenant_{family}_total")));
+    for (labels, jobs) in metric_rows(text, "cartserve_tenant_jobs_total") {
+        let of =
+            |rows: &Vec<(&str, f64)>| rows.iter().find(|(l, _)| *l == labels).map_or(0.0, |r| r.1);
+        let [c, c_pred, v, v_pred, hits, misses] = columns.each_ref().map(of);
+        frame.push_str(&format!(
+            "  {labels}  jobs {jobs}  C {c}/{c_pred}  V {v}/{v_pred} B  plan hit/miss {hits}/{misses}\n"
+        ));
+    }
+    frame
+}
+
+/// The top-like live view: poll `METRICS` over the wire and render it as
+/// a frame, redrawing in place unless `--once`.
 fn watch(args: &Args) -> Result<(), String> {
     let mut client = connect(args, "cartserve-watch")?;
     loop {
-        let (_, uptime_ms, version) = client
-            .ping_info(b"watch")
-            .map_err(|e| format!("ping: {e}"))?;
         let text = client.metrics_text().map_err(|e| format!("metrics: {e}"))?;
-
-        let gauge = |n: &str| metric(&text, n).unwrap_or(0.0);
-        let mut frame = String::new();
-        frame.push_str(&format!(
-            "cartserve v{version}  up {:.1}s  queue {}  draining {}  profile {}\n",
-            uptime_ms as f64 / 1e3,
-            gauge("cartserve_queue_depth") as u64,
-            gauge("cartserve_draining") as u64,
-            if gauge("cartserve_profile_active") > 0.0 {
-                "LIVE"
-            } else {
-                "off"
-            },
-        ));
-        frame.push_str(&format!(
-            "jobs: submitted {}  completed {}  coalesced {}  rejected {}  batches {}\n",
-            gauge("cartserve_jobs_submitted_total") as u64,
-            gauge("cartserve_jobs_completed_total") as u64,
-            gauge("cartserve_jobs_coalesced_total") as u64,
-            gauge("cartserve_jobs_rejected_total") as u64,
-            gauge("cartserve_batches_executed_total") as u64,
-        ));
-        frame.push_str(&format!(
-            "plan store: hits {}  misses {}  schedule hits {}  schedule misses {}\n",
-            gauge("cartserve_plan_store_hits_total") as u64,
-            gauge("cartserve_plan_store_misses_total") as u64,
-            gauge("cartserve_plan_store_schedule_hits_total") as u64,
-            gauge("cartserve_plan_store_schedule_misses_total") as u64,
-        ));
-        let tenants = metric_rows(&text, "cartserve_tenant_jobs_total");
-        if !tenants.is_empty() {
-            frame.push_str("tenants:\n");
-            for (labels, jobs) in tenants {
-                frame.push_str(&format!("  {labels}  jobs {}\n", jobs as u64));
-            }
-        }
-
         if args.once {
-            print!("{frame}");
+            print!("{}", frame(&text));
             return Ok(());
         }
         // Clear-and-home redraw keeps the view top-like without a TUI dep.
-        print!("\x1b[2J\x1b[H{frame}");
+        print!("\x1b[2J\x1b[H{}", frame(&text));
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         std::thread::sleep(Duration::from_millis(args.interval_ms.max(50)));
@@ -260,7 +268,7 @@ fn connect(args: &Args, tenant: &str) -> Result<Client, String> {
 }
 
 /// The self-check: two tenants, same job shape, byte-identical results,
-/// plan sharing visible in the per-tenant table.
+/// plan sharing visible in the per-tenant lines of the metrics document.
 fn smoke(cfg: ServeConfig) -> Result<(), String> {
     let sock = std::env::temp_dir().join(format!("cartserve-smoke-{}.sock", std::process::id()));
     let server = Server::bind_uds(&sock, cfg).map_err(|e| format!("bind: {e}"))?;
@@ -316,28 +324,15 @@ fn smoke(cfg: ServeConfig) -> Result<(), String> {
     check(&mut client, &mesh, "mesh")?;
 
     let mut client = Client::connect_uds(&sock, "smoke-a").map_err(|e| format!("connect: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-    let stats = json::parse(&stats).map_err(|e| format!("stats report: {e}"))?;
-    if stats.get("schema").and_then(Value::as_str) != Some("cartserve-stats-v2") {
-        return Err("stats report is missing its schema tag".into());
-    }
-    let tenants = stats.get("tenants").and_then(Value::as_array);
-    let named = |t: &Value| t.get("tenant").and_then(Value::as_str) == Some("smoke-b");
-    if !tenants.is_some_and(|rows| rows.iter().any(named)) {
-        return Err("stats report is missing a tenant".into());
-    }
-    let (_, uptime_ms, version) = client
-        .ping_info(b"smoke")
-        .map_err(|e| format!("ping: {e}"))?;
-    if version.is_empty() {
-        return Err("ping reply is missing the daemon version".into());
-    }
-    println!("cartserve: daemon v{version}, up {uptime_ms} ms");
     let metrics = client.metrics_text().map_err(|e| format!("metrics: {e}"))?;
-    if !metrics.ends_with("# EOF\n") || !metrics.contains("cartserve_jobs_completed_total") {
-        return Err("metrics document is malformed".into());
+    let needed = [
+        "cartserve_tenant_jobs_total{tenant=\"smoke-b\"}",
+        "cartserve_build_info",
+    ];
+    if !metrics.ends_with("# EOF\n") || !needed.iter().all(|n| metrics.contains(n)) {
+        return Err(format!("metrics document is malformed:\n{metrics}"));
     }
-    println!("{}", server.tenants().render_table());
+    print!("{}", frame(&metrics));
 
     // Per-tenant plan traffic, as (hits, misses): one program serves the
     // whole torus, so the first tenant compiled once, and the second must

@@ -128,30 +128,12 @@ impl Client {
         Err(other("daemon stayed busy past the retry budget"))
     }
 
-    /// Fetch the daemon's stats report (JSON).
-    pub fn stats(&mut self) -> io::Result<String> {
-        match self.roundtrip(&Request::Stats)? {
-            Reply::StatsOk { json } => Ok(json),
-            r => Err(other(format!("unexpected stats reply: {r:?}"))),
-        }
-    }
-
     /// Liveness probe: the daemon echoes `payload`.
     pub fn ping(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
-        self.ping_info(payload).map(|(payload, _, _)| payload)
-    }
-
-    /// Liveness probe with daemon identity: the echoed payload plus the
-    /// daemon's uptime in milliseconds and its build version.
-    pub fn ping_info(&mut self, payload: &[u8]) -> io::Result<(Vec<u8>, u64, String)> {
         match self.roundtrip(&Request::Ping {
             payload: payload.to_vec(),
         })? {
-            Reply::Pong {
-                payload,
-                uptime_ms,
-                version,
-            } => Ok((payload, uptime_ms, version)),
+            Reply::Pong { payload } => Ok(payload),
             r => Err(other(format!("unexpected ping reply: {r:?}"))),
         }
     }

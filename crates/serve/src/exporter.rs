@@ -16,7 +16,7 @@
 use cartcomm::PlanStoreStats;
 use cartcomm_obs::openmetrics::OpenMetricsWriter;
 use cartcomm_obs::tenant::{STAGE_HIST_BINS, STAGE_NAMES};
-use cartcomm_obs::TenantRegistry;
+use cartcomm_obs::{MetricsSnapshot, TenantRegistry, TenantStats};
 
 use crate::server::ServerCounters;
 
@@ -27,9 +27,9 @@ pub struct MetricsInputs<'a> {
     pub version: &'a str,
     /// Seconds since daemon start.
     pub uptime_seconds: f64,
-    /// Lifetime job/batch counters.
+    /// Lifetime job counters.
     pub counters: ServerCounters,
-    /// Jobs admitted but not yet dispatched.
+    /// Jobs admitted whose paced start has not come.
     pub queue_depth: usize,
     /// Whether the daemon is refusing new submissions.
     pub draining: bool,
@@ -39,7 +39,7 @@ pub struct MetricsInputs<'a> {
     pub profile_active: bool,
     /// Ring sinks currently attached to rank `Obs` handles.
     pub profile_sinks_installed: u64,
-    /// Per-tenant observed-vs-predicted totals and stage histograms.
+    /// Per-tenant counters, predictions and stage histograms.
     pub tenants: &'a TenantRegistry,
 }
 
@@ -88,18 +88,18 @@ pub fn render(i: &MetricsInputs) -> String {
     );
     w.counter(
         "cartserve_batches_executed_total",
-        "Batches executed on a resident universe.",
+        "Executions on a resident universe: one per job that got that far.",
         &[(&[], c.batches_executed as f64)],
     );
     w.counter(
         "cartserve_jobs_coalesced_total",
-        "Jobs that rode an existing batch (members beyond the first).",
+        "Jobs that shared an execution with another: always 0, kept because the benchmark reads it.",
         &[(&[], c.jobs_coalesced as f64)],
     );
 
     w.gauge(
         "cartserve_queue_depth",
-        "Jobs admitted but not yet dispatched.",
+        "Jobs admitted whose paced start has not come.",
         &[(&[], i.queue_depth as f64)],
     );
     w.gauge(
@@ -146,48 +146,44 @@ pub fn render(i: &MetricsInputs) -> String {
         &[(&[], i.profile_sinks_installed as f64)],
     );
 
-    // Per-tenant observed-vs-predicted totals: C (Prop. 3.2) and wire
-    // bytes V·m (Prop. 3.3), observed next to predicted per tenant.
+    // Per-tenant totals: the analytical C (Prop. 3.2) and V·m (Prop. 3.3)
+    // summed over the tenant's jobs, then every rank counter those jobs
+    // moved — observed C is `rounds_completed`, observed V·m
+    // `wire_bytes_sent`.
     let tenants = i.tenants.all();
-    type TenantValue = dyn Fn(&cartcomm_obs::TenantStats) -> f64;
-    let rows = |f: &TenantValue| -> Vec<(Vec<(&str, &str)>, f64)> {
-        tenants
+    let labels: Vec<[(&str, &str); 1]> = tenants
+        .iter()
+        .map(|(name, _)| [("tenant", name.as_str())])
+        .collect();
+    let mut family = |name: &str, help: &str, value: &dyn Fn(&TenantStats) -> u64| {
+        let rows: Vec<(&[(&str, &str)], f64)> = labels
             .iter()
-            .map(|(name, st)| (vec![("tenant", name.as_str())], f(st)))
-            .collect()
+            .zip(&tenants)
+            .map(|(l, (_, st))| (&l[..], value(st) as f64))
+            .collect();
+        w.counter(name, help, &rows);
     };
-    let families: [(&str, &str, &TenantValue); 5] = [
-        (
-            "cartserve_tenant_jobs_total",
-            "Per-rank job executions attributed to this tenant.",
-            &|st| st.jobs as f64,
-        ),
-        (
-            "cartserve_tenant_rounds_observed_total",
-            "Communication rounds observed for this tenant.",
-            &|st| st.observed_rounds() as f64,
-        ),
-        (
-            "cartserve_tenant_rounds_predicted_total",
-            "Analytical round count C (Prop. 3.2) summed over jobs.",
-            &|st| st.predicted_rounds as f64,
-        ),
-        (
-            "cartserve_tenant_wire_bytes_observed_total",
-            "Wire bytes observed for this tenant.",
-            &|st| st.observed_wire_bytes() as f64,
-        ),
-        (
-            "cartserve_tenant_wire_bytes_predicted_total",
-            "Analytical wire volume V*m (Prop. 3.3) summed over jobs.",
-            &|st| st.predicted_wire_bytes as f64,
-        ),
-    ];
-    for (name, help, f) in families {
-        let owned = rows(f);
-        let borrowed: Vec<(&[(&str, &str)], f64)> =
-            owned.iter().map(|(l, v)| (l.as_slice(), *v)).collect();
-        w.counter(name, help, &borrowed);
+    family(
+        "cartserve_tenant_jobs_total",
+        "Per-rank job executions attributed to this tenant.",
+        &|st| st.jobs,
+    );
+    family(
+        "cartserve_tenant_rounds_predicted_total",
+        "Analytical round count C (Prop. 3.2) summed over jobs.",
+        &|st| st.predicted_rounds,
+    );
+    family(
+        "cartserve_tenant_wire_bytes_predicted_total",
+        "Analytical wire volume V*m (Prop. 3.3) summed over jobs.",
+        &|st| st.predicted_wire_bytes,
+    );
+    for (k, (field, _)) in MetricsSnapshot::default().fields().into_iter().enumerate() {
+        family(
+            &format!("cartserve_tenant_{field}_total"),
+            &format!("Rank counter {field}, summed over this tenant's job executions."),
+            &|st| st.totals.fields()[k].1,
+        );
     }
 
     // Per-tenant, per-stage latency histograms in seconds.

@@ -13,7 +13,6 @@
 //! |-----|---------|------|
 //! | `0x01` | `HELLO` | tenant name |
 //! | `0x02` | `SUBMIT` | tenant + [`JobSpec`] + send payload |
-//! | `0x03` | `STATS` | empty |
 //! | `0x04` | `SHUTDOWN` | empty |
 //! | `0x05` | `PING` | opaque bytes, echoed |
 //! | `0x06` | `PROFILE` | tenant + job/duration budget + capture knobs |
@@ -27,9 +26,8 @@
 //! | `0x82` | `RESULT` | `p` concatenated per-rank receive buffers |
 //! | `0x83` | `BUSY` | retry-after hint in ms (`u32`) |
 //! | `0x84` | `ERR` | UTF-8 error message |
-//! | `0x85` | `STATS_OK` | UTF-8 JSON report |
 //! | `0x86` | `SHUTDOWN_OK` | empty |
-//! | `0x87` | `PONG` | the `PING` bytes + uptime (`u64` ms) + version |
+//! | `0x87` | `PONG` | the `PING` bytes |
 //! | `0x88` | `PROFILE_OK` | UTF-8 JSON report + optional Perfetto trace |
 //! | `0x89` | `METRICS_OK` | UTF-8 OpenMetrics text |
 //!
@@ -58,14 +56,13 @@ use cartcomm_comm::{PooledBuf, WirePool};
 use cartcomm_types::Reducer;
 
 /// Protocol version sent in `HELLO_OK`. Version 2 added the
-/// `PROFILE`/`METRICS` requests and extended `PONG` with daemon uptime
-/// and build version.
-pub const PROTO_VERSION: u32 = 2;
+/// `PROFILE`/`METRICS` requests; version 3 dropped `STATS` (the metrics
+/// document carries what it reported) and made `PONG` an echo only.
+pub const PROTO_VERSION: u32 = 3;
 
 /// Request tags.
 pub const TAG_HELLO: u32 = 0x01;
 pub const TAG_SUBMIT: u32 = 0x02;
-pub const TAG_STATS: u32 = 0x03;
 pub const TAG_SHUTDOWN: u32 = 0x04;
 pub const TAG_PING: u32 = 0x05;
 pub const TAG_PROFILE: u32 = 0x06;
@@ -76,7 +73,6 @@ pub const TAG_HELLO_OK: u32 = 0x81;
 pub const TAG_RESULT: u32 = 0x82;
 pub const TAG_BUSY: u32 = 0x83;
 pub const TAG_ERR: u32 = 0x84;
-pub const TAG_STATS_OK: u32 = 0x85;
 pub const TAG_SHUTDOWN_OK: u32 = 0x86;
 pub const TAG_PONG: u32 = 0x87;
 pub const TAG_PROFILE_OK: u32 = 0x88;
@@ -510,6 +506,20 @@ const MAX_NEIGHBORS: usize = 1 << 20;
 /// on the reference path a thread per rank.
 const MAX_RANKS: usize = 1 << 16;
 
+/// Bound on a tenant name's bytes: the daemon keeps every name it has
+/// served, and renders each into every metrics scrape.
+pub(crate) const MAX_TENANT_BYTES: usize = 256;
+
+/// Refuse a tenant name over [`MAX_TENANT_BYTES`].
+pub(crate) fn check_tenant_len(tenant: &str) -> Result<(), String> {
+    match tenant.len() {
+        n if n > MAX_TENANT_BYTES => {
+            Err(format!("tenant name is {n} bytes, over {MAX_TENANT_BYTES}"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// An attach-on-demand profiling request: capture the next `jobs` jobs of
 /// `tenant` (or until `duration_ms` elapses, whichever comes first) with
 /// per-rank ring sinks, and reply with the analyzed report.
@@ -534,6 +544,7 @@ impl ProfileSpec {
         if self.tenant.is_empty() {
             return Err("profile request names no tenant".into());
         }
+        check_tenant_len(&self.tenant)?;
         if self.jobs == 0 && self.duration_ms == 0 {
             return Err("profile request has neither a job nor a duration budget".into());
         }
@@ -585,7 +596,6 @@ pub enum Request {
         spec: JobSpec,
         payload: Vec<u8>,
     },
-    Stats,
     Shutdown,
     Ping {
         payload: Vec<u8>,
@@ -616,7 +626,6 @@ impl Request {
                 body.extend_from_slice(payload);
                 (TAG_SUBMIT, body)
             }
-            Request::Stats => (TAG_STATS, Vec::new()),
             Request::Shutdown => (TAG_SHUTDOWN, Vec::new()),
             Request::Ping { payload } => (TAG_PING, payload.clone()),
             Request::Profile { spec } => (TAG_PROFILE, spec.encode()),
@@ -640,7 +649,6 @@ impl Request {
                     payload: body[payload_at..].to_vec(),
                 })
             }
-            TAG_STATS => Ok(Request::Stats),
             TAG_SHUTDOWN => Ok(Request::Shutdown),
             TAG_PING => Ok(Request::Ping {
                 payload: body.to_vec(),
@@ -669,17 +677,11 @@ pub enum Reply {
     Err {
         message: String,
     },
-    StatsOk {
-        json: String,
-    },
     ShutdownOk,
-    /// Echo of the `PING` bytes plus liveness identity: how long this
-    /// daemon process has been up and which build it is — enough for a
-    /// health check to tell a restarted daemon from a stale one.
+    /// Echo of the `PING` bytes. The daemon's uptime and version are in
+    /// its metrics document.
     Pong {
         payload: Vec<u8>,
-        uptime_ms: u64,
-        version: String,
     },
     /// The analyzed attach-profiling report: a JSON summary plus, when
     /// requested, an embedded Perfetto trace of the last captured job.
@@ -705,20 +707,8 @@ impl Reply {
                 owned(TAG_BUSY, retry_after_ms.to_le_bytes().to_vec())
             }
             Reply::Err { message } => (TAG_ERR, Cow::Borrowed(message.as_bytes())),
-            Reply::StatsOk { json } => (TAG_STATS_OK, Cow::Borrowed(json.as_bytes())),
             Reply::ShutdownOk => owned(TAG_SHUTDOWN_OK, Vec::new()),
-            Reply::Pong {
-                payload,
-                uptime_ms,
-                version,
-            } => {
-                let mut b = Vec::with_capacity(12 + payload.len() + version.len());
-                put_u32(&mut b, payload.len() as u32);
-                b.extend_from_slice(payload);
-                put_u64(&mut b, *uptime_ms);
-                b.extend_from_slice(version.as_bytes());
-                owned(TAG_PONG, b)
-            }
+            Reply::Pong { payload } => (TAG_PONG, Cow::Borrowed(&payload[..])),
             Reply::ProfileOk { json, trace } => {
                 let mut b = Vec::with_capacity(4 + json.len() + trace.len());
                 put_u32(&mut b, json.len() as u32);
@@ -775,20 +765,10 @@ impl Reply {
             TAG_ERR => Ok(Reply::Err {
                 message: utf8(body)?,
             }),
-            TAG_STATS_OK => Ok(Reply::StatsOk { json: utf8(body)? }),
             TAG_SHUTDOWN_OK => Ok(Reply::ShutdownOk),
-            TAG_PONG => {
-                let mut c = Cursor::new(body);
-                let plen = c.u32()? as usize;
-                let payload = c.take(plen)?.to_vec();
-                let uptime_ms = c.u64()?;
-                let version = utf8(c.rest())?;
-                Ok(Reply::Pong {
-                    payload,
-                    uptime_ms,
-                    version,
-                })
-            }
+            TAG_PONG => Ok(Reply::Pong {
+                payload: body.to_vec(),
+            }),
             TAG_PROFILE_OK => {
                 let mut c = Cursor::new(body);
                 let jlen = c.u32()? as usize;
@@ -1201,7 +1181,6 @@ mod tests {
                 spec: spec.clone(),
                 payload: payload.clone(),
             },
-            Request::Stats,
             Request::Shutdown,
             Request::Ping {
                 payload: vec![1, 2, 3],
@@ -1230,12 +1209,9 @@ mod tests {
             Reply::Err {
                 message: "nope".into(),
             },
-            Reply::StatsOk { json: "[]".into() },
             Reply::ShutdownOk,
             Reply::Pong {
                 payload: vec![9; 4],
-                uptime_ms: 123_456,
-                version: "0.1.0".into(),
             },
             Reply::ProfileOk {
                 json: "{\"schema\":\"cartserve-profile-v1\"}".into(),
@@ -1284,12 +1260,9 @@ mod tests {
             Reply::Err {
                 message: "nope".into(),
             },
-            Reply::StatsOk { json: "{}".into() },
             Reply::ShutdownOk,
             Reply::Pong {
                 payload: vec![9; 4],
-                uptime_ms: 77,
-                version: "0.1.0".into(),
             },
             Reply::ProfileOk {
                 json: "{}".into(),
@@ -1595,6 +1568,22 @@ mod tests {
     /// A job that moves no bytes is still bounded by its rank count: dims
     /// travel as `u32`s, so one dimension may ask for 2³² − 1 ranks.
     #[test]
+    fn tenant_names_over_max_tenant_bytes_are_refused() {
+        let name = |n: usize| "t".repeat(n);
+        check_tenant_len(&name(MAX_TENANT_BYTES)).expect("MAX_TENANT_BYTES bytes are admitted");
+        let err = check_tenant_len(&name(MAX_TENANT_BYTES + 1)).expect_err("one byte over");
+        assert!(err.contains("tenant"), "{err}");
+        let profile = |tenant| ProfileSpec {
+            tenant,
+            jobs: 1,
+            duration_ms: 0,
+            ring_capacity: 0,
+            include_trace: false,
+        };
+        assert!(profile(name(1 << 20)).validate().is_err());
+    }
+
+    #[test]
     fn validation_refuses_more_than_max_ranks() {
         use cartcomm_types::{Primitive, RedOp};
         let red = Reducer::new(RedOp::Sum, Primitive::F64);
@@ -1727,7 +1716,6 @@ mod tests {
                     spec,
                     payload,
                 }),
-                Just(Request::Stats),
                 Just(Request::Shutdown),
                 bytes(64).prop_map(|payload| Request::Ping { payload }),
                 (
@@ -1760,15 +1748,8 @@ mod tests {
                 bytes(64).prop_map(|payload| Reply::Result { payload }),
                 any::<u32>().prop_map(|retry_after_ms| Reply::Busy { retry_after_ms }),
                 text().prop_map(|message| Reply::Err { message }),
-                text().prop_map(|json| Reply::StatsOk { json }),
                 Just(Reply::ShutdownOk),
-                (bytes(64), any::<u64>(), text()).prop_map(|(payload, uptime_ms, version)| {
-                    Reply::Pong {
-                        payload,
-                        uptime_ms,
-                        version,
-                    }
-                }),
+                bytes(64).prop_map(|payload| Reply::Pong { payload }),
                 (text(), bytes(64)).prop_map(|(json, trace)| Reply::ProfileOk { json, trace }),
                 text().prop_map(|text| Reply::MetricsOk { text }),
             ]
@@ -1833,19 +1814,14 @@ mod tests {
                 } => tenant.len() + weight(spec) + payload.len(),
                 Request::Ping { payload } => payload.len(),
                 Request::Profile { spec } => spec.tenant.len(),
-                Request::Stats | Request::Shutdown | Request::Metrics => 0,
+                Request::Shutdown | Request::Metrics => 0,
             }
         }
 
         fn reply_weight(r: &Reply) -> usize {
             match r {
-                Reply::Result { payload } => payload.len(),
-                Reply::Err { message: s }
-                | Reply::StatsOk { json: s }
-                | Reply::MetricsOk { text: s } => s.len(),
-                Reply::Pong {
-                    payload, version, ..
-                } => payload.len() + version.len(),
+                Reply::Result { payload } | Reply::Pong { payload } => payload.len(),
+                Reply::Err { message: s } | Reply::MetricsOk { text: s } => s.len(),
                 Reply::ProfileOk { json, trace } => json.len() + trace.len(),
                 Reply::HelloOk { .. } | Reply::Busy { .. } | Reply::ShutdownOk => 0,
             }

@@ -6,8 +6,8 @@
 //! One listener thread accepts connections (Unix-domain or TCP); each
 //! connection gets a thread that decodes [`Request`](crate::proto::Request)
 //! frames and answers them, and nothing else runs: a daemon with `k` open
-//! connections is `k + 1` threads. Control requests (`HELLO`, `STATS`,
-//! `PING`, `SHUTDOWN`) are answered inline, and so is `SUBMIT`: **a job
+//! connections is `k + 1` threads. Control requests (`HELLO`, `PING`,
+//! `METRICS`, `SHUTDOWN`) are answered inline, and so is `SUBMIT`: **a job
 //! runs where it was decoded**. `submit` carries it from the frame to the
 //! reply on the connection's thread — so a tenant that sends a huge job,
 //! or does not read its replies, holds up its own connection and no other.
@@ -21,7 +21,8 @@
 //! **Admission.** What connections share is the *floor*: one short lock
 //! over a count of jobs in flight, the pace and the resident universes. A
 //! `SUBMIT` is validated, then counted in — unless the daemon is draining
-//! (`ERR`) or [`ServeConfig::queue_cap`] jobs are in flight already, which
+//! or holds [`MAX_TENANTS`] tenants and not the job's (`ERR`), or
+//! [`ServeConfig::queue_cap`] jobs are in flight already, which
 //! is answered with `BUSY` and a retry-after hint rather than buffered:
 //! the client owns the backoff. In flight means admitted and not yet
 //! replied to; a connection has at most one such job.
@@ -45,8 +46,8 @@
 //! not by owner). Every rank's execution is attributed to the job's
 //! tenant: its metrics delta plus the analytical round count `C`
 //! (Prop. 3.2) and wire volume `V·m` (Prop. 3.3) of the schedule that ran
-//! are folded into a shared [`TenantRegistry`], which the `STATS` command
-//! renders as the observed-vs-predicted table. A job that fails (or
+//! are folded into a shared [`TenantRegistry`], which the metrics document
+//! (`METRICS`, `GET /metrics`) carries per tenant. A job that fails (or
 //! panics) in the executor is answered with `ERR` and costs its universe —
 //! and nothing else. A reply that cannot be written within
 //! `WRITE_TIMEOUT` ends its connection.
@@ -70,7 +71,7 @@ use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, WBlock};
 use cartcomm::plan::{Plan, PlanKind};
 use cartcomm::{CartComm, InlineUniverse, PlanStore};
 use cartcomm_comm::PooledBuf;
-use cartcomm_obs::tenant::{STAGE_COUNT, STAGE_NAMES};
+use cartcomm_obs::tenant::STAGE_COUNT;
 use cartcomm_obs::{
     json::JsonWriter, AlphaBetaFit, CriticalPath, MetricsSnapshot, Obs, PerfettoExport,
     RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent, TraceRecord,
@@ -93,9 +94,10 @@ const DEFAULT_PROFILE_CAPACITY: usize = 1 << 15;
 /// request leaves `duration_ms` at 0.
 const DEFAULT_PROFILE_DURATION_MS: u32 = 30_000;
 
-/// How many of the slowest jobs the daemon retains with per-stage
-/// breakdowns (the `slowest` section of the stats JSON).
-const SLOW_RING_CAP: usize = 8;
+/// How many tenants the daemon keeps accounts for: a job of a tenant it
+/// does not hold is refused once it holds this many. Jobs in flight when
+/// the bound is reached add at most `queue_cap` more.
+pub const MAX_TENANTS: usize = 1024;
 
 /// The pace: under load the daemon starts no more than one job per
 /// `JOB_GAP`, however many bytes it moves. A daemon that starts a job the
@@ -187,7 +189,7 @@ pub struct ServerCounters {
     /// Executions on a universe: one per job that got that far.
     pub batches_executed: u64,
     /// Jobs that shared an execution with another: none do, it stays 0
-    /// (the name is part of both report documents).
+    /// (the metrics document and the benchmark still read it).
     pub jobs_coalesced: u64,
 }
 
@@ -317,17 +319,6 @@ impl JobCapture {
     }
 }
 
-/// One entry of the slowest-jobs ring: stage breakdown of a completed job.
-#[derive(Clone)]
-struct SlowJob {
-    job_id: u64,
-    tenant: String,
-    total_ns: u64,
-    /// `[queue, coalesce, execute, reply]` durations, matching
-    /// [`cartcomm_obs::tenant::STAGE_NAMES`].
-    stage_ns: [u64; STAGE_COUNT],
-}
-
 /// What the connection threads share under one short lock.
 struct Floor {
     pacer: Pacer,
@@ -369,8 +360,6 @@ struct Shared {
     profile: Mutex<Option<ProfileSession>>,
     /// Gauge: ring sinks currently attached to rank `Obs` handles.
     profile_sinks: AtomicU64,
-    /// Ring of the slowest completed jobs, descending by total latency.
-    slowest: Mutex<Vec<SlowJob>>,
 }
 
 impl Shared {
@@ -395,87 +384,25 @@ impl Shared {
         );
     }
 
-    fn uptime_seconds(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// What both report documents are rendered from, read in one go.
-    fn report_inputs(&self) -> MetricsInputs<'_> {
-        let depth = self.floor().waiting;
-        let profile_active = self
-            .profile
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some();
-        MetricsInputs {
+    /// The OpenMetrics document served on `METRICS` and `GET /metrics`.
+    fn openmetrics(&self) -> String {
+        // Each lock is let go before the render, which formats every tenant.
+        let queue_depth = self.floor().waiting;
+        let profile = self.profile.lock().unwrap_or_else(|e| e.into_inner());
+        let profile_active = profile.is_some();
+        drop(profile);
+        exporter::render(&MetricsInputs {
             version: env!("CARGO_PKG_VERSION"),
-            uptime_seconds: self.uptime_seconds(),
+            uptime_seconds: self.started.elapsed().as_secs_f64(),
             counters: self.counters.snapshot(),
-            queue_depth: depth,
+            queue_depth,
             draining: self.draining.load(Ordering::Acquire),
             plan_store: self.store.stats(),
             profile_active,
             profile_sinks_installed: self.profile_sinks.load(Ordering::Relaxed),
             tenants: &self.tenants,
-        }
+        })
     }
-
-    /// The OpenMetrics document served on `METRICS` and `GET /metrics`.
-    fn openmetrics(&self) -> String {
-        exporter::render(&self.report_inputs())
-    }
-
-    fn stats_json(&self) -> String {
-        let inputs = self.report_inputs();
-        // Copied out: `finish_job` takes this lock for every job, and the
-        // render formats every tenant.
-        let ring = self.slowest.lock().unwrap_or_else(|e| e.into_inner());
-        let slowest = ring.clone();
-        drop(ring);
-        stats_body(&inputs, &slowest)
-    }
-}
-
-/// The `STATS_OK` document, a pure function of its inputs like
-/// [`exporter::render`] (a golden file pins it).
-fn stats_body(i: &MetricsInputs, slowest: &[SlowJob]) -> String {
-    let (c, s) = (i.counters, i.plan_store);
-    let mut w = JsonWriter::new();
-    w.obj().key("schema").str("cartserve-stats-v2");
-    w.key("server").obj();
-    w.key("jobs_submitted").raw(c.jobs_submitted);
-    w.key("jobs_rejected").raw(c.jobs_rejected);
-    w.key("jobs_drained").raw(c.jobs_drained);
-    w.key("jobs_completed").raw(c.jobs_completed);
-    w.key("batches_executed").raw(c.batches_executed);
-    w.key("jobs_coalesced").raw(c.jobs_coalesced);
-    w.key("queue_depth").raw(i.queue_depth);
-    w.key("draining").raw(i.draining);
-    w.key("uptime_ms").raw((i.uptime_seconds * 1e3) as u64);
-    w.key("plan_store").obj();
-    w.key("hits").raw(s.hits).key("misses").raw(s.misses);
-    w.key("evictions").raw(s.evictions);
-    w.key("schedule_hits").raw(s.schedule_hits);
-    w.key("schedule_misses").raw(s.schedule_misses);
-    w.end().end();
-    w.key("profile").obj();
-    w.key("active").raw(i.profile_active);
-    w.key("sinks_installed").raw(i.profile_sinks_installed);
-    w.end();
-    w.key("slowest").arr();
-    for j in slowest {
-        w.obj().key("job").raw(j.job_id);
-        w.key("tenant").str(&j.tenant);
-        w.key("total_ns").raw(j.total_ns);
-        for (stage, ns) in STAGE_NAMES.iter().zip(j.stage_ns) {
-            w.key(&format!("{stage}_ns")).raw(ns);
-        }
-        w.end();
-    }
-    w.end();
-    w.key("tenants").raw(i.tenants.to_json());
-    w.key("table").str(&i.tenants.render_table()).end();
-    w.finish()
 }
 
 /// A running cartserve daemon. Dropping the handle does **not** stop the
@@ -551,7 +478,6 @@ impl Server {
             obs: Arc::new(Obs::new()),
             profile: Mutex::new(None),
             profile_sinks: AtomicU64::new(0),
-            slowest: Mutex::new(Vec::new()),
         });
         let conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -613,11 +539,6 @@ impl Server {
     /// Jobs admitted whose start has not come.
     pub fn queue_depth(&self) -> usize {
         self.shared.floor().waiting
-    }
-
-    /// The stats JSON the wire `STATS` command returns.
-    pub fn stats_json(&self) -> String {
-        self.shared.stats_json()
     }
 
     /// The OpenMetrics text the wire `METRICS` command (and the HTTP
@@ -821,11 +742,7 @@ fn handle_request(req: Request, ctx: u32, conn: &mut Conn, shared: &Shared) -> b
                 version: PROTO_VERSION,
             }
         }
-        Request::Ping { payload } => Reply::Pong {
-            payload,
-            uptime_ms: shared.started.elapsed().as_millis() as u64,
-            version: env!("CARGO_PKG_VERSION").to_string(),
-        },
+        Request::Ping { payload } => Reply::Pong { payload },
         Request::Metrics => Reply::MetricsOk {
             text: shared.openmetrics(),
         },
@@ -840,9 +757,6 @@ fn handle_request(req: Request, ctx: u32, conn: &mut Conn, shared: &Shared) -> b
                 Err(msg) => err_reply(msg),
             }
         }
-        Request::Stats => Reply::StatsOk {
-            json: shared.stats_json(),
-        },
         // (The connection loop takes `SUBMIT` frames apart itself, to
         // leave the payload where it was decoded.)
         Request::Submit {
@@ -918,6 +832,7 @@ fn check_job(tenant: &str, spec: &JobSpec, payload: &[u8]) -> Result<(), String>
     if tenant.is_empty() {
         return Err("no tenant named (send HELLO or put one in SUBMIT)".into());
     }
+    proto::check_tenant_len(tenant)?;
     spec.validate()?;
     // The neighborhood must construct (isomorphism preconditions are
     // checked rank-side, but arity/duplicate problems surface here,
@@ -997,8 +912,15 @@ fn submit(
     let p = spec.ranks();
     let counters = &shared.counters;
 
-    // Admission: refused, or counted in with a start on the pace.
+    // Admission: refused, or counted in with a start on the pace. A new
+    // tenant is admitted under the floor lock, so that only the jobs in
+    // flight can take the registry past `MAX_TENANTS`.
     let mut floor = shared.floor();
+    if !shared.tenants.admits(&tenant, MAX_TENANTS) {
+        drop(floor);
+        let msg = format!("the daemon holds {MAX_TENANTS} tenants, and not this one");
+        return send_reply(&mut conn.wire, ctx, &err_reply(msg));
+    }
     let refused = if shared.draining.load(Ordering::Acquire) {
         Some((&counters.jobs_drained, err_reply("daemon is draining")))
     } else if floor.in_flight >= shared.cfg.queue_cap {
@@ -1081,7 +1003,7 @@ fn submit(
     // goes out (the reply stage clocks what happens between the executor
     // and the write, not the write).
     let stamps = [accepted_ns, started_ns, dispatched_ns, executed_ns];
-    finish_job(shared, job_id, tenant, stamps);
+    finish_job(shared, job_id, &tenant, stamps);
     let open = match outcome {
         Ok(result) => send_result(&mut conn.wire, ctx, result),
         Err(msg) => send_reply(&mut conn.wire, ctx, &err_reply(msg)),
@@ -1272,7 +1194,7 @@ fn detach_sink(
 /// Close out one job before its reply is written: count it and record
 /// its stage durations, from the stamps taken when it was accepted, when
 /// its start had come, when it had its universe and when it had run.
-fn finish_job(shared: &Shared, job_id: u64, tenant: String, stamps: [u64; STAGE_COUNT]) {
+fn finish_job(shared: &Shared, job_id: u64, tenant: &str, stamps: [u64; STAGE_COUNT]) {
     let counters = &shared.counters;
     counters.batches_executed.fetch_add(1, Ordering::Relaxed);
     counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
@@ -1284,19 +1206,8 @@ fn finish_job(shared: &Shared, job_id: u64, tenant: String, stamps: [u64; STAGE_
         executed_ns.saturating_sub(dispatched_ns),
         replied_ns.saturating_sub(executed_ns),
     ];
+    shared.tenants.record_stages(tenant, stage_ns);
     let total_ns = replied_ns.saturating_sub(accepted_ns);
-    shared.tenants.record_stages(&tenant, stage_ns);
-    {
-        let mut ring = shared.slowest.lock().unwrap_or_else(|e| e.into_inner());
-        ring.push(SlowJob {
-            job_id,
-            tenant,
-            total_ns,
-            stage_ns,
-        });
-        ring.sort_by_key(|s| std::cmp::Reverse(s.total_ns));
-        ring.truncate(SLOW_RING_CAP);
-    }
     shared.emit_stage(job_id, ServeStageKind::Replied, total_ns);
 }
 
@@ -1444,7 +1355,8 @@ const HTTP_REQUEST_DEADLINE: Duration = Duration::from_millis(500);
 
 /// Minimal HTTP/1.1 loop for `GET /metrics`: enough for Prometheus-style
 /// scrapers and `curl`, with no framework dependency. Anything but
-/// `GET /metrics` is a 404; the loop exits with the daemon's I/O stop.
+/// `GET /metrics` (the path alone, or with a query) is a 404; the loop
+/// exits with the daemon's I/O stop.
 fn metrics_http_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
         if shared.stop_io.load(Ordering::Acquire) {
@@ -1470,7 +1382,8 @@ fn metrics_http_loop(listener: TcpListener, shared: &Arc<Shared>) {
                     .next()
                     .map(|l| String::from_utf8_lossy(l).into_owned())
                     .unwrap_or_default();
-                let (status, body) = if line.starts_with("GET /metrics") {
+                let target = line.strip_prefix("GET /metrics");
+                let (status, body) = if target.is_some_and(|t| t.starts_with([' ', '?'])) {
                     ("200 OK", shared.openmetrics())
                 } else {
                     ("404 Not Found", String::new())
@@ -1726,58 +1639,6 @@ mod tests {
     }
 
     const HOSTILE: &str = "t\tab\nline\"quote\\slash";
-
-    #[test]
-    fn stats_body_matches_golden_file() {
-        let tenants = TenantRegistry::new();
-        let delta = |rounds, bytes| {
-            cartcomm_obs::MetricsDelta(MetricsSnapshot {
-                rounds_completed: rounds,
-                wire_bytes_sent: bytes,
-                plan_cache_hits: 1,
-                ..MetricsSnapshot::default()
-            })
-        };
-        tenants.record_job("acme", 8, 1024, &delta(8, 1024));
-        tenants.record_job(HOSTILE, 4, 256, &delta(5, 300));
-        let inputs = MetricsInputs {
-            version: "0.0.0-golden",
-            uptime_seconds: 12.3456,
-            counters: ServerCounters {
-                jobs_submitted: 5,
-                jobs_rejected: 1,
-                jobs_drained: 2,
-                jobs_completed: 4,
-                batches_executed: 3,
-                jobs_coalesced: 1,
-            },
-            queue_depth: 7,
-            draining: true,
-            plan_store: cartcomm::PlanStoreStats {
-                hits: 11,
-                misses: 12,
-                evictions: 13,
-                schedule_hits: 14,
-                schedule_misses: 15,
-            },
-            profile_active: false,
-            profile_sinks_installed: 6,
-            tenants: &tenants,
-        };
-        let slow = |job_id, tenant: &str, total_ns| SlowJob {
-            job_id,
-            tenant: tenant.to_string(),
-            total_ns,
-            stage_ns: [total_ns / 2, 1, total_ns / 4, 2],
-        };
-        let slowest = [slow(9, HOSTILE, 4_000_000), slow(3, "acme", 1_000)];
-        check_golden("stats_body.json", &stats_body(&inputs, &slowest));
-        let idle = MetricsInputs {
-            tenants: &TenantRegistry::new(),
-            ..inputs
-        };
-        check_golden("stats_body_idle.json", &stats_body(&idle, &[]));
-    }
 
     #[test]
     fn profile_report_matches_golden_file() {

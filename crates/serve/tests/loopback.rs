@@ -10,9 +10,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use cartcomm_obs::json::{self, Value};
+use cartcomm_comm::transport::wire;
 use cartcomm_serve::proto::{AlgoSpec, JobSpec, OpSpec};
-use cartcomm_serve::{reference, Client, ServeConfig, Server, Submission};
+use cartcomm_serve::server::MAX_TENANTS;
+use cartcomm_serve::{reference, Client, Reply, Request, ServeConfig, Server, Submission};
 
 static SOCK_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -187,16 +188,18 @@ fn three_tenants_share_plans_coalesce_and_drain() {
     assert_eq!(after.jobs_submitted - before.jobs_submitted, 4);
     assert_eq!(after.jobs_completed - before.jobs_completed, 4);
 
-    // --- The wire stats command reports every tenant and the counters. ---
-    let stats = t1.stats().expect("stats");
+    // --- The metrics document reports every tenant and the counters. ---
+    let metrics = t1.metrics_text().expect("metrics");
     for tenant in ["tenant-1", "tenant-2", "tenant-3"] {
         assert!(
-            stats.contains(&format!("\"tenant\":\"{tenant}\"")),
-            "stats JSON names {tenant}: {stats}"
+            metrics.contains(&format!(
+                "cartserve_tenant_jobs_total{{tenant=\"{tenant}\"}}"
+            )),
+            "metrics document names {tenant}: {metrics}"
         );
     }
-    assert!(stats.contains("\"batches_executed\""));
-    assert!(stats.contains("\"plan_store\""));
+    assert!(metrics.contains("cartserve_batches_executed_total"));
+    assert!(metrics.contains("cartserve_plan_store_hits_total"));
 
     // --- Graceful drain over the wire. ---
     t2.shutdown().expect("wire shutdown");
@@ -356,8 +359,8 @@ fn tcp_endpoint_serves_and_reports_stats() {
     let mut c = Client::connect_tcp(&addr.to_string(), "tcp-tenant").expect("connect");
     let out = c.submit_retrying(&spec, &payload, 100).expect("job");
     assert_eq!(out, golden, "tcp daemon matches direct exchange");
-    let stats = c.stats().expect("stats");
-    assert!(stats.contains("\"tenant\":\"tcp-tenant\""));
+    let metrics = c.metrics_text().expect("metrics");
+    assert!(metrics.contains("cartserve_tenant_jobs_total{tenant=\"tcp-tenant\"}"));
 
     c.shutdown().expect("wire shutdown");
     server.wait();
@@ -547,12 +550,12 @@ fn a_lone_client_pays_no_window() {
     server.shutdown();
 }
 
-/// A tenant name comes off the socket unvalidated; whatever it holds,
-/// `STATS_OK` stays one valid JSON document: every string that carries
-/// the name (slowest-jobs rows, the tenants array, the rendered table)
-/// escapes quotes, backslashes and control characters.
+/// A tenant name comes off the socket unvalidated; whatever it holds, the
+/// metrics document stays well formed: every per-tenant family carries
+/// the name as a label value with its backslashes, quotes and newlines
+/// escaped, and every sample line still parses.
 #[test]
-fn hostile_tenant_name_keeps_stats_valid_json() {
+fn hostile_tenant_name_is_label_escaped_in_every_family() {
     let sock = sock_path("hostile");
     let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
 
@@ -576,34 +579,31 @@ fn hostile_tenant_name_keeps_stats_valid_json() {
         c.submit_retrying(&spec, &payload, 100).expect("job"),
         golden
     );
-    let stats = c.stats().expect("stats");
-    let doc = json::parse(&stats).expect("STATS_OK parses");
-    let tenant_of = |row: &Value| row.get("tenant").and_then(Value::as_str).map(str::to_owned);
-    for rows in ["tenants", "slowest"] {
-        let rows = doc.get(rows).and_then(Value::as_array).expect(rows);
-        assert_eq!(
-            rows.iter().map(tenant_of).collect::<Vec<_>>(),
-            [Some(NAME.to_owned())]
+    let metrics = c.metrics_text().expect("metrics");
+    let escaped = "{tenant=\"t\tab\\nline\\\"quote\\\\slash\"";
+    let body = metrics.strip_suffix("# EOF\n").expect("a sealed document");
+    // A name whose newline got out would cut its sample line in two.
+    for line in body.lines().filter(|l| !l.starts_with("# ")) {
+        let (sample, value) = line.rsplit_once(' ').expect("a sample and its value");
+        assert!(value.parse::<f64>().is_ok(), "{line:?}");
+        assert!(
+            !sample.contains("tenant=") || sample.contains(escaped),
+            "{line:?}"
         );
     }
-    let table = doc.get("table").and_then(Value::as_str).expect("table");
-    assert!(table.contains(NAME), "table: {table}");
-
-    let escaped = "t\\u0009ab\\u000aline\\\"quote\\\\slash";
-    assert!(
-        stats.contains(&format!("\"tenant\":\"{escaped}\",\"jobs\":")),
-        "tenants array: {stats}"
-    );
-    assert!(
-        stats.contains(&format!("\"tenant\":\"{escaped}\",\"total_ns\"")),
-        "slowest-jobs row: {stats}"
-    );
-    let table = &stats[stats.find("\"table\":\"").expect("table field")..];
-    assert!(table.contains(escaped), "table: {table}");
-    assert!(
-        stats.bytes().all(|b| b >= 0x20),
-        "raw control byte in STATS_OK: {stats:?}"
-    );
+    let families: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .filter(|f| f.starts_with("cartserve_tenant_") || *f == "cartserve_job_stage_seconds")
+        .collect();
+    let counters = cartcomm_obs::MetricsSnapshot::default().fields().len();
+    assert_eq!(families.len(), 3 + counters + 1, "{families:?}");
+    for family in families {
+        let named = body
+            .lines()
+            .any(|l| l.starts_with(family) && l.contains(escaped));
+        assert!(named, "{family}:\n{metrics}");
+    }
 
     server.shutdown();
 }
@@ -715,7 +715,10 @@ fn a_profile_observer_that_never_reads_stalls_only_itself() {
         .write_all(&profile.encode_frame(1))
         .expect("profile");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !server.stats_json().contains("\"profile\":{\"active\":true") {
+    while !server
+        .metrics_text()
+        .contains("\ncartserve_profile_active 1\n")
+    {
         assert!(Instant::now() < deadline, "the session never registered");
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -871,4 +874,156 @@ fn an_overflowing_job_is_refused() {
     assert_eq!(server.counters().jobs_submitted, 0);
 
     server.shutdown();
+}
+
+/// Read one reply frame off a raw socket.
+fn read_reply(stream: &mut impl std::io::Read) -> Reply {
+    let mut header = [0u8; wire::HEADER_BYTES];
+    stream.read_exact(&mut header).expect("a reply header");
+    let len = wire::frame_len(&header).expect("a whole header") - wire::HEADER_BYTES;
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).expect("a reply body");
+    Reply::from_env(wire::envelope(&header, body.into())).expect("a reply")
+}
+
+/// What the daemon keeps per tenant is bounded: a name over 256 bytes is
+/// refused, and so is a job of a new tenant once `MAX_TENANTS` are held,
+/// while a tenant it holds is still served. Raw frames on one connection,
+/// each naming its tenant.
+#[test]
+fn tenant_names_and_the_tenant_count_are_bounded() {
+    use std::io::Write;
+
+    let sock = sock_path("tenants");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shape: a 2-ring gathering three bytes.
+    let spec = JobSpec {
+        dims: vec![2],
+        periods: vec![true],
+        offsets: vec![vec![1]],
+        op: OpSpec::Allgatherv {
+            elem_size: 1,
+            sendcount: 3,
+            recvdispls: vec![0],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    let payload = payload_for(&spec, 61);
+    let golden = reference::execute(&spec, &payload).expect("golden");
+
+    let mut raw = std::os::unix::net::UnixStream::connect(&sock).expect("connect");
+    let mut submit = |ctx: u32, tenant: String| {
+        let frame = Request::Submit {
+            tenant,
+            spec: spec.clone(),
+            payload: payload.clone(),
+        }
+        .encode_frame(ctx);
+        raw.write_all(&frame).expect("submit");
+        read_reply(&mut raw)
+    };
+    for k in 0..MAX_TENANTS {
+        let reply = submit(k as u32, format!("tenant-{k}"));
+        assert!(matches!(reply, Reply::Result { payload } if payload == golden));
+    }
+    let one_more = submit(1 << 20, format!("tenant-{MAX_TENANTS}"));
+    assert!(
+        matches!(&one_more, Reply::Err { message } if message.contains("tenants")),
+        "{one_more:?}"
+    );
+    let huge = submit(1 << 21, "t".repeat(1 << 20));
+    assert!(
+        matches!(&huge, Reply::Err { message } if message.contains("tenant name")),
+        "a 1 MiB tenant name: {huge:?}"
+    );
+    let held = server.tenants().len();
+    let bound = MAX_TENANTS + ServeConfig::default().queue_cap;
+    assert!(held <= bound, "{held} tenants held");
+
+    let mut known = Client::connect_uds(&sock, "tenant-0").expect("connect");
+    assert_eq!(
+        known.submit_retrying(&spec, &payload, 100).expect("job"),
+        golden
+    );
+
+    server.shutdown();
+}
+
+/// A client that trickles its `SUBMIT` a byte per 50 ms holds its own
+/// connection and nothing else, and one that sends a whole `SUBMIT` and
+/// then shuts its write half still gets its `RESULT`. Beside both, a
+/// healthy tenant's job completes within a second, and the daemon stops
+/// within two.
+#[test]
+fn slow_loris_and_half_closed_clients_hold_up_nobody() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+
+    let sock = sock_path("loris");
+    let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
+
+    // Unique shape: a 7-ring, both next neighbors, four-byte blocks.
+    let spec = JobSpec {
+        dims: vec![7],
+        periods: vec![true],
+        offsets: vec![vec![1], vec![-1]],
+        op: OpSpec::Alltoallv {
+            elem_size: 4,
+            sendcounts: vec![1, 1],
+            senddispls: vec![0, 1],
+            recvcounts: vec![1, 1],
+            recvdispls: vec![0, 1],
+        },
+        algo: AlgoSpec::Combining,
+    };
+    let payload = payload_for(&spec, 67);
+    let golden = reference::execute(&spec, &payload).expect("golden");
+    let frame = |tenant: &str| {
+        Request::Submit {
+            tenant: tenant.into(),
+            spec: spec.clone(),
+            payload: payload.clone(),
+        }
+        .encode_frame(1)
+    };
+
+    // It trickles until the daemon, stopping, closes its connection.
+    let (mut loris, trickled) = (UnixStream::connect(&sock).expect("connect"), frame("loris"));
+    let trickle = std::thread::spawn(move || {
+        for byte in trickled {
+            if loris.write_all(&[byte]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        }
+    });
+
+    let mut half = UnixStream::connect(&sock).expect("connect");
+    half.write_all(&frame("half")).expect("submit");
+    half.shutdown(std::net::Shutdown::Write)
+        .expect("half close");
+
+    std::thread::sleep(Duration::from_millis(200));
+    let mut healthy = Client::connect_uds(&sock, "healthy").expect("connect");
+    let t0 = Instant::now();
+    let out = healthy.submit_retrying(&spec, &payload, 100).expect("job");
+    let took = t0.elapsed();
+    assert_eq!(out, golden);
+    assert!(
+        took < Duration::from_secs(1),
+        "a job beside a trickling and a half-closed client took {took:?}"
+    );
+
+    assert_eq!(read_reply(&mut half), Reply::Result { payload: golden });
+    assert_eq!(half.read(&mut [0; 1]).expect("the daemon closes"), 0);
+
+    let t0 = Instant::now();
+    server.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "stopping beside a trickling client took {took:?}"
+    );
+    trickle.join().expect("trickle thread");
 }

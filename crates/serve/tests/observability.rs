@@ -1,6 +1,6 @@
 //! Live-telemetry integration suite: attach-on-demand profiling under
 //! concurrent load, OpenMetrics scrape stability, the plain-HTTP metrics
-//! listener, request-lifecycle stage events, and the extended PING.
+//! listener and request-lifecycle stage events.
 //!
 //! Job shapes are unique to this file (2×2 torus, elem size 2) so the
 //! process-wide plan store keeps other test files' hit/miss assertions
@@ -147,10 +147,11 @@ fn attach_under_load_validates_cv_and_leaves_no_sinks() {
     );
 
     // Detach is complete: no sinks remain and no session is active.
-    let stats = server.stats_json();
+    let metrics = server.metrics_text();
     assert!(
-        stats.contains("\"profile\":{\"active\":false,\"sinks_installed\":0}"),
-        "profiling left residue: {stats}"
+        metrics.contains("\ncartserve_profile_active 0\n")
+            && metrics.contains("\ncartserve_profile_sinks_installed 0\n"),
+        "profiling left residue: {metrics}"
     );
 
     server.shutdown();
@@ -227,6 +228,14 @@ fn metrics_scrapes_are_stable_and_served_over_http() {
     bad.read_to_string(&mut response).expect("http read");
     assert!(response.starts_with("HTTP/1.1 404"), "{response}");
 
+    // The target is `/metrics` itself, not every path that begins with it.
+    let mut near = TcpStream::connect(http_addr).expect("http connect");
+    near.write_all(b"GET /metricsfoo HTTP/1.1\r\nHost: cartserve\r\n\r\n")
+        .expect("http write");
+    let mut response = String::new();
+    near.read_to_string(&mut response).expect("http read");
+    assert!(response.starts_with("HTTP/1.1 404"), "{response}");
+
     server.shutdown();
 }
 
@@ -294,9 +303,9 @@ fn a_trickling_metrics_client_holds_up_neither_scrapes_nor_shutdown() {
 }
 
 /// Every job emits the full accepted→coalesced→dispatched→executed→
-/// replied stage-event sequence on the daemon's Obs handle, the stats
-/// JSON carries the v2 schema with the slowest-jobs ring, and PONG
-/// reports uptime and build version.
+/// replied stage-event sequence on the daemon's Obs handle, the metrics
+/// document counts the job's stages under its tenant and reports the
+/// daemon's uptime and build version, and PONG echoes.
 #[test]
 fn lifecycle_events_stats_schema_and_extended_ping() {
     let sock = sock_path("lifecycle");
@@ -329,25 +338,22 @@ fn lifecycle_events_stats_schema_and_extended_ping() {
         "expected one event per lifecycle stage in order, got {stages:?}"
     );
 
-    let stats = server.stats_json();
-    assert!(
-        stats.contains("\"schema\":\"cartserve-stats-v2\""),
-        "{stats}"
-    );
-    assert!(
-        stats.contains("\"slowest\":[{\"job\":"),
-        "slowest-jobs ring missing: {stats}"
-    );
-    assert!(
-        stats.contains("\"tenant\":\"life-a\""),
-        "slow ring lost the tenant: {stats}"
-    );
-
     std::thread::sleep(Duration::from_millis(5));
-    let (echo, uptime_ms, version) = client.ping_info(b"obs").expect("ping");
-    assert_eq!(echo, b"obs");
-    assert!(uptime_ms > 0, "daemon reported zero uptime");
-    assert_eq!(version, env!("CARGO_PKG_VERSION"));
+    let metrics = client.metrics_text().expect("metrics");
+    let count = "cartserve_job_stage_seconds_count{tenant=\"life-a\",stage=\"reply\"} 1\n";
+    assert!(metrics.contains(count), "{metrics}");
+    let uptime: f64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("cartserve_uptime_seconds "))
+        .and_then(|v| v.parse().ok())
+        .expect("an uptime sample");
+    assert!(uptime > 0.0, "daemon reported zero uptime");
+    let build = format!(
+        "\ncartserve_build_info{{version=\"{}\"}} 1\n",
+        env!("CARGO_PKG_VERSION")
+    );
+    assert!(metrics.contains(&build), "{metrics}");
+    assert_eq!(client.ping(b"obs").expect("ping"), b"obs");
 
     server.shutdown();
 }
