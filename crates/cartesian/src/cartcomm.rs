@@ -1,7 +1,6 @@
 //! The Cartesian neighborhood communicator (`Cart_neighborhood_create`,
 //! Listing 1) and the relative-coordinate helper functions (Listing 2).
 
-use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
 use cartcomm_comm::obs::{Obs, TraceEvent};
@@ -14,9 +13,7 @@ use crate::exec::{ExecLayouts, CART_TAG_BASE};
 use crate::ops::{resolve, size_temp, w_layouts, Algo, Shape};
 use crate::plan::{Plan, PlanKind, Schedule};
 use crate::plan_store::{schedule_key, store_key, KeyStem, PlanStore};
-use crate::schedule::{
-    allgather_plan, allreduce_plan, alltoall_plan, reduce_scatter_plan, trivial_plan,
-};
+use crate::schedule;
 
 /// A communicator with a Cartesian topology and an isomorphic
 /// t-neighborhood attached — the object the paper's single new function
@@ -25,26 +22,21 @@ use crate::schedule::{
 /// Creation is collective: all ranks must pass the same dimensions,
 /// periodicity, and relative neighborhood, and the constructor *verifies*
 /// the isomorphism requirement with the cheap O(t) check of §2.2 (broadcast
-/// of the sorted root neighborhood plus an AND-reduction). Schedules are
-/// computed locally on first use and cached (the `_init` persistent
-/// operations share them).
+/// of the sorted root neighborhood plus an AND-reduction). Schedules and
+/// programs are computed locally on first use and kept in the
+/// communicator's [`PlanStore`] (the `_init` persistent operations share
+/// them).
 pub struct CartComm {
     comm: Comm,
     topo: CartTopology,
     nb: RelNeighborhood,
     weights: Option<Vec<u32>>,
     reorder: bool,
-    schedules: Schedules,
     /// Where schedules and compiled programs live. Defaults to
     /// [`PlanStore::global`], so every communicator in the process shares
     /// one warm cache; [`CartComm::with_plan_store`] pins a private store
     /// (isolation for tests and tenants that must not share).
     store: Arc<PlanStore>,
-    /// Per-communicator attribution: this communicator's own store hits
-    /// and misses. `CartComm` is owned by one rank's thread, so interior
-    /// mutability via `Cell` is safe — the same reasoning as `OnceCell`.
-    cache_hits: Cell<u64>,
-    cache_misses: Cell<u64>,
 }
 
 impl CartComm {
@@ -136,18 +128,14 @@ impl CartComm {
             nb: neighborhood,
             weights,
             reorder,
-            schedules: Default::default(),
             store: PlanStore::global(),
-            cache_hits: Cell::new(0),
-            cache_misses: Cell::new(0),
         })
     }
 
     /// Rebind this communicator to a private [`PlanStore`] instead of the
-    /// process-wide one. Existing per-communicator hit/miss counters and
-    /// lazily computed schedules are left untouched, so call this right
-    /// after creation. Use for isolation: tests that pin exact hit/miss
-    /// sequences, or tenants whose programs must not be co-resident.
+    /// process-wide one; every later lookup goes there. Use for isolation:
+    /// tests that pin exact store hit/miss sequences, or tenants whose
+    /// programs must not be co-resident.
     pub fn with_plan_store(mut self, store: Arc<PlanStore>) -> Self {
         self.store = store;
         self
@@ -237,18 +225,20 @@ impl CartComm {
         )?)
     }
 
-    // ----- cached schedules ---------------------------------------------------
+    // ----- schedules and programs ---------------------------------------------
 
-    /// View over this communicator's cached schedules and compiled
-    /// programs: the single entry point for plan inspection and reuse.
+    /// View over this communicator's schedules and compiled programs: the
+    /// single entry point for plan inspection and reuse.
     #[inline]
     pub fn plans(&self) -> Plans<'_> {
         Plans { cc: self }
     }
 
-    /// The schedule of identity `id`.
+    /// The schedule of identity `id`, from the store.
     pub(crate) fn schedule_for(&self, id: (PlanKind, Schedule)) -> Arc<Plan> {
-        self.schedules.get(&self.store, &self.nb, id)
+        let nb = &self.nb;
+        self.store
+            .schedule(schedule_key(nb, id), || schedule::build(nb, id))
     }
 
     /// What every collective and persistent handle executes: the plan
@@ -265,51 +255,18 @@ impl CartComm {
         Ok((plan, cp))
     }
 
-    /// Store-or-compile: the shared [`Lookup`], with the per-communicator
-    /// hit/miss counters on top, resolved for this rank.
+    /// Store-or-compile: the shared [`Lookup`], billed to this rank's
+    /// [`Obs`] and resolved for this rank.
     fn compiled_for(&self, plan: &Plan, shape: Shape) -> CartResult<CompiledPlan> {
         let rank = self.rank();
         let lookup = Lookup::new(&self.store, &self.topo, &self.nb, plan, shape);
-        let (program, hit) = lookup.program(rank, self.comm.obs())?;
-        let count = if hit {
-            &self.cache_hits
-        } else {
-            &self.cache_misses
-        };
-        count.set(count.get() + 1);
+        let program = lookup.program(rank, self.comm.obs())?;
         CompiledPlan::resolve(program, &self.topo, rank)
     }
 
     /// The offsets, as a convenience for iteration.
     pub fn offsets(&self) -> &[Offset] {
         self.nb.offsets()
-    }
-}
-
-/// One owner's schedules over its neighborhood: each is fetched from the
-/// [`PlanStore`] (built there on first use) once, then served from its
-/// cell. Shared *across* owners through the store: a plan depends only on
-/// the neighborhood, kind and algorithm.
-#[derive(Default)]
-pub(crate) struct Schedules([OnceCell<Arc<Plan>>; 8]);
-
-impl Schedules {
-    pub(crate) fn get(
-        &self,
-        store: &PlanStore,
-        nb: &RelNeighborhood,
-        id: (PlanKind, Schedule),
-    ) -> Arc<Plan> {
-        let cell = &self.0[id.0 as usize * 2 + id.1 as usize];
-        Arc::clone(cell.get_or_init(|| {
-            store.schedule(schedule_key(nb, id), || match id {
-                (kind, Schedule::Trivial) => trivial_plan(nb, kind),
-                (PlanKind::Alltoall, Schedule::Combining) => alltoall_plan(nb),
-                (PlanKind::Allgather, Schedule::Combining) => allgather_plan(nb),
-                (PlanKind::ReduceScatter, Schedule::Combining) => reduce_scatter_plan(nb),
-                (PlanKind::Allreduce, Schedule::Combining) => allreduce_plan(nb),
-            })
-        }))
     }
 }
 
@@ -351,11 +308,11 @@ impl<'a> Lookup<'a> {
         self.stem.key(self.topo, self.nb, rank)
     }
 
-    /// The program `rank` runs and whether the store had it. The lookup is
-    /// attributed to `obs` as a plan-cache hit or miss, counter and trace
-    /// event: the store shares programs process-wide, this keeps the
-    /// accounting with the requester.
-    pub(crate) fn program(&self, rank: usize, obs: &Obs) -> CartResult<(Arc<Program>, bool)> {
+    /// The program `rank` runs. The lookup is counted once, on `obs`, as a
+    /// plan-cache hit or miss, counter and trace event: the store shares
+    /// programs process-wide, this keeps the accounting with the
+    /// requester.
+    pub(crate) fn program(&self, rank: usize, obs: &Obs) -> CartResult<Arc<Program>> {
         let (plan, key) = (self.plan, self.key(rank));
         let (program, hit) = self.store.get_or_compile(key, || {
             let lay = match self.shape {
@@ -374,25 +331,16 @@ impl<'a> Lookup<'a> {
             obs.metrics().plan_cache_miss();
             obs.emit(rank, TraceEvent::PlanCacheMiss { fingerprint });
         }
-        Ok((program, hit))
+        Ok(program)
     }
 }
 
-/// Compiled-plan cache telemetry, in absolute counts since communicator
-/// creation ([`Plans::cache_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-}
-
-/// Read-only view over a communicator's schedule and compiled-program
-/// caches, obtained from [`CartComm::plans`]. Schedules are computed
-/// lazily on first request and shared thereafter; compiled programs live
-/// in the communicator's [`PlanStore`] — by default the process-wide
-/// [`PlanStore::global`], so they are shared with every other
-/// communicator of the same identity while hits and misses stay
-/// attributed per communicator.
+/// Read-only view over a communicator's schedules and compiled programs,
+/// obtained from [`CartComm::plans`]. Both live in the communicator's
+/// [`PlanStore`] — by default the process-wide [`PlanStore::global`] —
+/// built on first request and shared thereafter with every other
+/// communicator of the same identity; each program lookup is billed to
+/// the requesting rank's [`Obs`].
 pub struct Plans<'a> {
     cc: &'a CartComm,
 }
@@ -418,10 +366,9 @@ impl Plans<'_> {
     /// miss the schedule is (re)used, temp-sized, compiled, and inserted;
     /// on a hit — including a program another rank or another communicator
     /// compiled — the call pays neither schedule construction nor
-    /// compilation, only the O(rounds) peer table. Hits and misses are
-    /// attributed to this communicator via [`Plans::cache_stats`] and as
-    /// `PlanCacheHit`/`PlanCacheMiss` trace events on the rank's
-    /// [`cartcomm_comm::obs::Obs`] handle.
+    /// compilation, only the O(rounds) peer table. The hit or miss is
+    /// counted on the rank's [`Obs`] (`plan_cache_hits`/`plan_cache_misses`)
+    /// and emitted there as a `PlanCacheHit`/`PlanCacheMiss` trace event.
     pub fn compiled(&self, kind: PlanKind, lay: ExecLayouts) -> CartResult<CompiledPlan> {
         self.cc
             .compiled_for(&self.schedule(kind), Shape::Layouts(&lay))
@@ -438,14 +385,5 @@ impl Plans<'_> {
     /// The [`PlanStore`] this communicator resolves programs in.
     pub fn store(&self) -> &Arc<PlanStore> {
         &self.cc.store
-    }
-
-    /// Store lookup telemetry attributed to this communicator since its
-    /// creation (the store's own aggregate is [`PlanStore::stats`]).
-    pub fn cache_stats(&self) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.cc.cache_hits.get(),
-            misses: self.cc.cache_misses.get(),
-        }
     }
 }

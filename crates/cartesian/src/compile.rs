@@ -30,11 +30,12 @@
 //!   gets a shorter program — one for every rank of its boundary class
 //!   ([`boundary_class`]).
 //!
-//! [`execute_compiled`] then runs the phases with **zero heap allocation,
-//! zero coordinate math, and zero datatype traversal** in steady state: wire
+//! [`execute`] then runs the phases with **zero heap allocation, zero
+//! coordinate math, and zero datatype traversal** in steady state: wire
 //! buffers come from the rank's pool, and the send/result vectors live in a
-//! reusable [`ExecScratch`]. The buffered and in-place entry points share
-//! one core loop, so the two modes cannot drift.
+//! reusable [`ExecScratch`]. It is the one entry for every mode — split or
+//! in-place buffers, with or without a reducer — so the modes cannot
+//! drift.
 
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
@@ -1305,91 +1306,15 @@ fn too_small(required: usize, available: usize) -> CartError {
     })
 }
 
-/// Execute a compiled plan with separate send and receive buffers. In
-/// steady state (warm pool, sized scratch) this performs no heap
-/// allocation, no coordinate math, and no datatype traversal — every byte
-/// moves through precompiled memcpy ranges.
-pub fn execute_compiled(
-    comm: &Comm,
-    cp: &CompiledPlan,
-    send: &[u8],
-    recv: &mut [u8],
-    scratch: &mut ExecScratch,
-) -> CartResult<()> {
-    if cp.kind.is_reduction() {
-        return Err(needs_reducer());
-    }
-    if send.len() < cp.send_min_len {
-        return Err(too_small(cp.send_min_len, send.len()));
-    }
-    if recv.len() < cp.recv_min_len {
-        return Err(too_small(cp.recv_min_len, recv.len()));
-    }
-    execute_core(comm, cp, Some(send), recv, scratch, None)
-}
-
-/// Execute a compiled reduction plan: identical steady state to
-/// [`execute_compiled`] — zero allocation, precompiled span programs — with
-/// the accumulating batches folding wire bytes through `red`. The reducer
-/// is an execute-time argument, not part of the compiled program, so one
-/// cached plan serves every operator and dtype of the same block geometry.
-pub fn execute_compiled_reduce(
-    comm: &Comm,
-    cp: &CompiledPlan,
-    send: &[u8],
-    recv: &mut [u8],
-    scratch: &mut ExecScratch,
-    red: Reducer,
-) -> CartResult<()> {
-    if !cp.kind.is_reduction() {
+/// The reducer rule, the same at every entry: a reduction runs with a
+/// [`Reducer`], every other collective without one.
+pub(crate) fn check_reducer(kind: PlanKind, red: Option<Reducer>) -> CartResult<()> {
+    if kind.is_reduction() != red.is_some() {
         return Err(CartError::Type(TypeError::InvalidArgument(
-            "execute_compiled_reduce requires a reduction plan".into(),
+            "reductions, and only reductions, take a reducer".into(),
         )));
     }
-    if send.len() < cp.send_min_len {
-        return Err(too_small(cp.send_min_len, send.len()));
-    }
-    if recv.len() < cp.recv_min_len {
-        return Err(too_small(cp.recv_min_len, recv.len()));
-    }
-    execute_core(comm, cp, Some(send), recv, scratch, Some(red))
-}
-
-/// Execute a compiled plan sending and receiving in the same buffer (the
-/// halo-exchange mode). Shares the core loop with [`execute_compiled`].
-/// The result is what [`execute_compiled`] gives for a copy of `buf` as
-/// the send buffer: where block layouts let a later send read what an
-/// earlier receive wrote (decided at compile time; never for disjoint
-/// interior-out / halo-in layouts), the sends read a snapshot of `buf`
-/// kept in `scratch`.
-pub fn execute_compiled_in_place(
-    comm: &Comm,
-    cp: &CompiledPlan,
-    buf: &mut [u8],
-    scratch: &mut ExecScratch,
-) -> CartResult<()> {
-    if cp.kind.is_reduction() {
-        return Err(needs_reducer());
-    }
-    let need = cp.send_min_len.max(cp.recv_min_len);
-    if buf.len() < need {
-        return Err(too_small(need, buf.len()));
-    }
-    if cp.in_place_snapshot {
-        let mut snapshot = std::mem::take(&mut scratch.snapshot);
-        snapshot.clear();
-        snapshot.extend_from_slice(buf);
-        let done = execute_core(comm, cp, Some(&snapshot), buf, scratch, None);
-        scratch.snapshot = snapshot;
-        return done;
-    }
-    execute_core(comm, cp, None, buf, scratch, None)
-}
-
-fn needs_reducer() -> CartError {
-    CartError::Type(TypeError::InvalidArgument(
-        "reduction plans must run through execute_compiled_reduce".into(),
-    ))
+    Ok(())
 }
 
 /// One rank's side of an execution: its buffers, reducer, and
@@ -1527,10 +1452,24 @@ impl RankExec<'_> {
     }
 }
 
-/// The threaded carrier: one rank per thread, each phase's wires cross
-/// the fabric in one [`Comm::exchange`] between the pack and unpack
-/// halves.
-fn execute_core(
+/// Execute this rank's compiled plan: the threaded carrier, one rank per
+/// thread, each phase's wires crossing the fabric in one
+/// [`Comm::exchange`] between the pack and unpack halves. In steady state
+/// (warm pool, sized scratch) this performs no heap allocation, no
+/// coordinate math, and no datatype traversal — every byte moves through
+/// precompiled memcpy ranges.
+///
+/// `send: None` runs in place (the halo-exchange mode): `user` is sent
+/// from and received into, and the result is what a copy of `user` as the
+/// send buffer gives — where block layouts let a later send read what an
+/// earlier receive wrote (decided at compile time; never for disjoint
+/// interior-out / halo-in layouts), the sends read a snapshot of `user`
+/// kept in `scratch`. A reduction — and only a reduction — takes a
+/// reducer, `red`, folds its accumulating batches through it and does not
+/// run in place. The reducer is an execute-time argument, not part of the
+/// compiled program, so one program serves every operator and dtype of
+/// the same block geometry.
+pub fn execute(
     comm: &Comm,
     cp: &CompiledPlan,
     send: Option<&[u8]>,
@@ -1538,6 +1477,36 @@ fn execute_core(
     scratch: &mut ExecScratch,
     red: Option<Reducer>,
 ) -> CartResult<()> {
+    check_reducer(cp.kind, red)?;
+    match send {
+        Some(send) => {
+            if send.len() < cp.send_min_len {
+                return Err(too_small(cp.send_min_len, send.len()));
+            }
+            if user.len() < cp.recv_min_len {
+                return Err(too_small(cp.recv_min_len, user.len()));
+            }
+        }
+        None if red.is_some() => {
+            return Err(CartError::Type(TypeError::InvalidArgument(
+                "a reduction does not run in place".into(),
+            )));
+        }
+        None => {
+            let need = cp.send_min_len.max(cp.recv_min_len);
+            if user.len() < need {
+                return Err(too_small(need, user.len()));
+            }
+            if cp.in_place_snapshot {
+                let mut snapshot = std::mem::take(&mut scratch.snapshot);
+                snapshot.clear();
+                snapshot.extend_from_slice(user);
+                let done = execute(comm, cp, Some(&snapshot), user, scratch, None);
+                scratch.snapshot = snapshot;
+                return done;
+            }
+        }
+    }
     if scratch.temp.len() < cp.temp_len {
         scratch.temp.resize(cp.temp_len, 0);
     }
@@ -1685,7 +1654,7 @@ impl Ranks<'_> {
 }
 
 /// The inline carrier: the calling thread steps every rank's program
-/// through the same halves as [`execute_core`], phase by phase — all
+/// through the same halves as [`execute`], phase by phase — all
 /// ranks pack, then all ranks unpack. No wire leaves the process, so
 /// there is no channel, lock or wake-up; the carrier credits the counters
 /// the fabric and the matcher would (`exchange_started`, `add_wire_sent`,
@@ -1719,15 +1688,7 @@ pub(crate) fn execute_inline(
     let Some(first) = plans.first() else {
         return Ok(());
     };
-    if first.kind.is_reduction() != red.is_some() {
-        return Err(if red.is_some() {
-            CartError::Type(TypeError::InvalidArgument(
-                "a reducer was given for a plan that does not reduce".into(),
-            ))
-        } else {
-            needs_reducer()
-        });
-    }
+    check_reducer(first.kind, red)?;
     let (ss, rs) = (send.len() / p, recv.len() / p);
     for cp in plans {
         if ss < cp.send_min_len {
@@ -2650,7 +2611,7 @@ mod tests {
     /// Every round of a combining reduction writes the caller's receive
     /// buffer. Both reductions, combining and trivial, over `i32` and
     /// `f64`, on Moore 2-D and 3-D tori and a torus with an extent-1
-    /// dimension, run through [`execute_compiled_reduce`] with each rank's
+    /// dimension, run through [`execute`] with each rank's
     /// receive block framed by poisoned guard bytes at a random
     /// misalignment — handed over exactly `recv_min_len` long, or with a
     /// poisoned tail behind it. Guards and tail stay intact, and both
@@ -2709,7 +2670,7 @@ mod tests {
                                 buf[block.clone()].fill_with(|| below(256) as u8);
                                 let recv = &mut buf[lead..lead + n + tail];
                                 let mut scratch = ExecScratch::for_plan(&cp);
-                                execute_compiled_reduce(comm, &cp, &send, recv, &mut scratch, red)
+                                execute(comm, &cp, Some(&send), recv, &mut scratch, Some(red))
                                     .unwrap();
                                 let mut outside = buf[..lead].iter().chain(&buf[block.end..]);
                                 assert!(outside.all(|&x| x == GUARD), "{what}");

@@ -9,9 +9,8 @@
 //! into a [`Program`](crate::compile::Program) whose span programs move
 //! bytes with plain memcpys, run through a rank's
 //! [`CompiledPlan`](crate::compile::CompiledPlan) — the program and the
-//! rank's peers. Persistent handles and the communicator's plan cache
-//! compile once and call
-//! [`execute_compiled`](crate::compile::execute_compiled) repeatedly.
+//! rank's peers. Persistent handles and the plan store compile once, and
+//! every execution is one call of [`execute`](crate::compile::execute).
 
 use cartcomm_comm::Tag;
 use cartcomm_types::FlatType;

@@ -33,13 +33,14 @@ use cartcomm_comm::obs::Obs;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::Reducer;
 
-use crate::cartcomm::{Lookup, Schedules};
+use crate::cartcomm::Lookup;
 use crate::compile::{execute_inline, CompiledPlan, InlineScratch, Program};
 use crate::error::{CartError, CartResult};
 use crate::exec::ExecLayouts;
 use crate::ops::{check_layout_shape, resolve, Algo, Shape};
 use crate::plan::{Plan, PlanKind};
-use crate::plan_store::PlanStore;
+use crate::plan_store::{schedule_key, PlanStore};
+use crate::schedule;
 
 /// All `p` ranks of a Cartesian neighborhood communicator, executed on
 /// the calling thread. See the [module docs](self).
@@ -48,7 +49,6 @@ pub struct InlineUniverse {
     nb: RelNeighborhood,
     store: Arc<PlanStore>,
     obs: Vec<Arc<Obs>>,
-    schedules: Schedules,
     /// The ranks' views of the program that ran last, kept for as long as
     /// the next job resolves the same program.
     plans: Vec<CompiledPlan>,
@@ -75,7 +75,6 @@ impl InlineUniverse {
             nb,
             store: PlanStore::global(),
             obs,
-            schedules: Default::default(),
             plans: Vec::new(),
             scratch: InlineScratch::default(),
         })
@@ -150,8 +149,10 @@ impl InlineUniverse {
         }
 
         let shape = Shape::Layouts(lay);
+        let nb = &self.nb;
         let plan = resolve(kind, &shape, algo, |id| {
-            self.schedules.get(&self.store, &self.nb, id)
+            self.store
+                .schedule(schedule_key(nb, id), || schedule::build(nb, id))
         });
         let lookup = Lookup::new(&self.store, &self.topo, &self.nb, &plan, shape);
         // One lookup per boundary class, billed to the class's first rank.
@@ -163,7 +164,7 @@ impl InlineUniverse {
                 .position(|(k, _)| *k == key)
                 .unwrap_or(programs.len());
             if at == programs.len() {
-                programs.push((key, lookup.program(rank, &self.obs[rank])?.0));
+                programs.push((key, lookup.program(rank, &self.obs[rank])?));
             }
             let program = &programs[at].1;
             // The peer tables outlive the job: only a new program has
@@ -366,7 +367,9 @@ mod tests {
         let uni = ring(4);
         let lay = regular_layouts(2, 1, PlanKind::Alltoall);
         let id = (PlanKind::Alltoall, Schedule::Combining);
-        let plan = uni.schedules.get(&uni.store, &uni.nb, id);
+        let plan = uni
+            .store
+            .schedule(schedule_key(&uni.nb, id), || schedule::build(&uni.nb, id));
         let lay = size_temp(lay, PlanKind::Alltoall, plan.temp_slots).unwrap();
         let plans: Vec<CompiledPlan> = [0, 0, 2, 3]
             .iter()

@@ -13,7 +13,8 @@
 //!
 //! * [`CartComm`] — the communicator created by the paper's one new
 //!   function, `Cart_neighborhood_create` (Listing 1), carrying the
-//!   Cartesian topology, the t-neighborhood, and cached schedules; plus the
+//!   Cartesian topology, the t-neighborhood, and the [`PlanStore`] its
+//!   schedules and programs come from; plus the
 //!   Listing 2 helpers (`relative_rank`, `relative_shift`,
 //!   `relative_coord`, `neighbor_count`, `neighbor_get`).
 //! * [`plan`] — the schedule representation: `d` communication phases of
@@ -26,7 +27,11 @@
 //!   mesh what one rank's boundary cuts off) — one for all ranks of a
 //!   torus — and a [`CompiledPlan`] adds one rank's peers, so repeated
 //!   executes pay no coordinate math, datatype traversal, or allocation.
-//!   Every collective, persistent handle and serve job runs these programs.
+//!   Every collective, persistent handle and serve job runs these
+//!   programs: resolve the plan, look the program up in the
+//!   [`PlanStore`] (counted once, on the rank's `Obs`), run it through
+//!   the one [`execute`] — or, for all ranks on one thread,
+//!   [`InlineUniverse::run`].
 //! * [`schedule::alltoall`] — Algorithm 1: the message-combining alltoall
 //!   schedule (`C = Σ C_k` rounds, volume `V = Σ z_i`, Prop. 3.2).
 //! * [`schedule::allgather`] — Algorithm 2: the message-combining allgather
@@ -88,10 +93,7 @@ pub mod reduce;
 pub mod schedule;
 
 pub use crate::cartcomm::CartComm;
-pub use compile::{
-    execute_compiled, execute_compiled_in_place, execute_compiled_reduce, CompiledPlan,
-    ExecScratch, Program,
-};
+pub use compile::{execute, CompiledPlan, ExecScratch, Program};
 pub use cost::{cutoff_ratio, CostSummary};
 pub use error::{CartError, CartResult};
 pub use inline::InlineUniverse;

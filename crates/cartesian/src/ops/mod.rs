@@ -37,7 +37,7 @@ use cartcomm_comm::obs::price;
 use cartcomm_types::{Datatype, FlatType, Reducer, TypeError};
 
 use crate::cartcomm::CartComm;
-use crate::compile::{execute_compiled, execute_compiled_reduce, ExecScratch, Fnv};
+use crate::compile::{check_reducer, execute, ExecScratch, Fnv};
 use crate::error::{CartError, CartResult};
 use crate::exec::{BlockLayout, ExecLayouts};
 use crate::plan::{Plan, PlanKind, Schedule};
@@ -213,11 +213,7 @@ impl CartComm {
         algo: Algo,
     ) -> CartResult<()> {
         check_layout_shape(kind, self.neighbor_count(), &lay)?;
-        if kind.is_reduction() != red.is_some() {
-            return Err(CartError::Type(TypeError::InvalidArgument(
-                "reductions, and only reductions, take a reducer".into(),
-            )));
-        }
+        check_reducer(kind, red)?;
         if let Some(red) = red {
             red.check_len(recv.len())?;
         }
@@ -236,10 +232,7 @@ impl CartComm {
     ) -> CartResult<()> {
         let cp = self.program(kind, shape, algo)?.1;
         let mut scratch = ExecScratch::for_plan(&cp);
-        match red {
-            Some(red) => execute_compiled_reduce(self.comm(), &cp, send, recv, &mut scratch, red),
-            None => execute_compiled(self.comm(), &cp, send, recv, &mut scratch),
-        }
+        execute(self.comm(), &cp, Some(send), recv, &mut scratch, red)
     }
 
     /// The shape of a `w` collective: the description as it is, once its
@@ -487,9 +480,9 @@ pub(crate) fn check_buffer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cartcomm::Schedules;
     use crate::cost::cutoff_ratio;
-    use crate::plan_store::PlanStore;
+    use crate::plan_store::{schedule_key, PlanStore};
+    use crate::schedule;
     use cartcomm_topo::RelNeighborhood;
     use cartcomm_types::Primitive;
     use proptest::prelude::*;
@@ -501,8 +494,10 @@ mod tests {
         shape: &Shape,
         algo: Algo,
     ) -> (PlanKind, Schedule) {
-        let (store, schedules) = (PlanStore::new(1, 16), Schedules::default());
-        let plan = resolve(kind, shape, algo, |id| schedules.get(&store, nb, id));
+        let store = PlanStore::new(1, 16);
+        let plan = resolve(kind, shape, algo, |id| {
+            store.schedule(schedule_key(nb, id), || schedule::build(nb, id))
+        });
         (plan.kind, plan.schedule)
     }
 
@@ -646,8 +641,11 @@ mod tests {
             k in 1usize..40,
         ) {
             let kind = KINDS[kind];
-            let (store, schedules) = (PlanStore::new(1, 16), Schedules::default());
-            let plan = |schedule| schedules.get(&store, &nb, (kind, schedule));
+            let store = PlanStore::new(1, 16);
+            let plan = |s| {
+                let id = (kind, s);
+                store.schedule(schedule_key(&nb, id), || schedule::build(&nb, id))
+            };
             let (combining, trivial) = (plan(Schedule::Combining), plan(Schedule::Trivial));
             let (t, c, v) = (trivial.rounds, combining.rounds, combining.volume_blocks);
             let ratio = cutoff_ratio(t, c, v);

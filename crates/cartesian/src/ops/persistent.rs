@@ -1,8 +1,8 @@
 //! Persistent collective handles — the paper's `Cart_*_init` operations.
 //!
 //! An `_init` call takes exactly the same arguments as the collective and
-//! precomputes everything reusable: the communication schedule (shared with
-//! the communicator's cache), the committed per-block datatypes, and the
+//! precomputes everything reusable: the communication schedule (shared
+//! through the plan store), the committed per-block datatypes, and the
 //! temporary buffer. Repeated `execute` calls then pay only the gathers,
 //! sends, receives, and scatters — the intended usage pattern of iterative
 //! stencil codes (Listing 3) and the paper's nod to the MPI Forum's
@@ -14,9 +14,7 @@ use cartcomm_comm::WirePool;
 use cartcomm_types::{cast_slice, cast_slice_mut, Pod, RedOp, Reducer};
 
 use crate::cartcomm::CartComm;
-use crate::compile::{
-    execute_compiled, execute_compiled_in_place, execute_compiled_reduce, CompiledPlan, ExecScratch,
-};
+use crate::compile::{execute, CompiledPlan, ExecScratch};
 use crate::error::CartResult;
 use crate::ops::{v_layouts, Algo, Shape, WBlock};
 use crate::plan::{Plan, PlanKind, Schedule};
@@ -27,15 +25,28 @@ use crate::plan::{Plan, PlanKind, Schedule};
 /// its schedule from the communicator's shared plan store (compiling it if
 /// no rank or handle has yet) and keeps an [`ExecScratch`], so every
 /// `execute` runs the precompiled span programs with zero allocation,
-/// coordinate math, or datatype traversal.
+/// coordinate math, or datatype traversal. A `Cart_reduce_*_init` handle
+/// also fixes its combine operator at init, so `execute` dispatches
+/// straight into the monomorphized accumulate kernels.
 pub struct PersistentCollective {
     plan: Arc<Plan>,
     compiled: CompiledPlan,
     scratch: ExecScratch,
+    red: Option<Reducer>,
 }
 
+/// The handle the `Cart_reduce_*_init` operations return: a
+/// [`PersistentCollective`] with a combine operator.
+pub type PersistentReduction = PersistentCollective;
+
 impl PersistentCollective {
-    fn build(cart: &CartComm, kind: PlanKind, shape: Shape, algo: Algo) -> CartResult<Self> {
+    fn build(
+        cart: &CartComm,
+        kind: PlanKind,
+        shape: Shape,
+        algo: Algo,
+        red: Option<Reducer>,
+    ) -> CartResult<Self> {
         // Listing 3 semantics: pay schedule + compilation once, here — or,
         // where another rank or handle already has, only the peer table.
         let (plan, compiled) = cart.program(kind, shape, algo)?;
@@ -48,6 +59,7 @@ impl PersistentCollective {
             scratch: ExecScratch::for_plan(&compiled),
             plan,
             compiled,
+            red,
         })
     }
 
@@ -66,9 +78,16 @@ impl PersistentCollective {
         &self.compiled
     }
 
-    /// Execute over raw byte buffers (layouts fixed at init time).
+    /// The combine operator this handle applies; `None` for the copying
+    /// collectives.
+    pub fn reducer(&self) -> Option<Reducer> {
+        self.red
+    }
+
+    /// Execute over raw byte buffers (layouts and operator fixed at init).
     pub fn execute(&mut self, cart: &CartComm, send: &[u8], recv: &mut [u8]) -> CartResult<()> {
-        execute_compiled(cart.comm(), &self.compiled, send, recv, &mut self.scratch)
+        let (cp, red) = (&self.compiled, self.red);
+        execute(cart.comm(), cp, Some(send), recv, &mut self.scratch, red)
     }
 
     /// Execute sending and receiving in the same buffer (halo-exchange
@@ -77,63 +96,11 @@ impl PersistentCollective {
     /// algorithm: a copy or phase gathers its outgoing bytes before it
     /// scatters incoming ones, and a program in which a receive lands on a
     /// block that a *later* phase sends (flagged when it was compiled)
-    /// sends from a snapshot of `buf` kept in the handle.
+    /// sends from a snapshot of `buf` kept in the handle. A reduction
+    /// handle does not run in place.
     pub fn execute_in_place(&mut self, cart: &CartComm, buf: &mut [u8]) -> CartResult<()> {
-        execute_compiled_in_place(cart.comm(), &self.compiled, buf, &mut self.scratch)
-    }
-
-    /// Execute over typed buffers.
-    pub fn execute_typed<T: Pod>(
-        &mut self,
-        cart: &CartComm,
-        send: &[T],
-        recv: &mut [T],
-    ) -> CartResult<()> {
-        self.execute(cart, cast_slice(send), cast_slice_mut(recv))
-    }
-}
-
-/// A precomputed persistent neighborhood reduction (the `Cart_reduce_*_init`
-/// family). Same reuse contract as [`PersistentCollective`] — schedule,
-/// compiled span programs, and scratch are paid once at init — plus the
-/// combine operator, fixed at init so `execute` dispatches straight into
-/// the monomorphized accumulate kernels.
-pub struct PersistentReduction {
-    inner: PersistentCollective,
-    red: Reducer,
-}
-
-impl PersistentReduction {
-    /// Whether this handle resolved to the message-combining schedule.
-    pub fn is_combining(&self) -> bool {
-        self.inner.is_combining()
-    }
-
-    /// The plan this handle executes.
-    pub fn plan(&self) -> &Plan {
-        &self.inner.plan
-    }
-
-    /// The compiled program this handle executes.
-    pub fn compiled(&self) -> &CompiledPlan {
-        &self.inner.compiled
-    }
-
-    /// The combine operator this handle applies.
-    pub fn reducer(&self) -> Reducer {
-        self.red
-    }
-
-    /// Execute over raw byte buffers (layouts and operator fixed at init).
-    pub fn execute(&mut self, cart: &CartComm, send: &[u8], recv: &mut [u8]) -> CartResult<()> {
-        execute_compiled_reduce(
-            cart.comm(),
-            &self.inner.compiled,
-            send,
-            recv,
-            &mut self.inner.scratch,
-            self.red,
-        )
+        let (cp, red) = (&self.compiled, self.red);
+        execute(cart.comm(), cp, None, buf, &mut self.scratch, red)
     }
 
     /// Execute over typed buffers.
@@ -153,7 +120,7 @@ impl CartComm {
     pub fn alltoall_init<T: Pod>(&self, m: usize, algo: Algo) -> CartResult<PersistentCollective> {
         let t = self.neighbor_count();
         let lay = self.regular_lay::<T>(t * m, t * m, PlanKind::Alltoall)?;
-        PersistentCollective::build(self, PlanKind::Alltoall, Shape::Layouts(&lay), algo)
+        PersistentCollective::build(self, PlanKind::Alltoall, Shape::Layouts(&lay), algo, None)
     }
 
     /// `Cart_alltoallv_init`.
@@ -174,7 +141,7 @@ impl CartComm {
             recvdispls,
             PlanKind::Alltoall,
         )?;
-        PersistentCollective::build(self, PlanKind::Alltoall, Shape::Layouts(&lay), algo)
+        PersistentCollective::build(self, PlanKind::Alltoall, Shape::Layouts(&lay), algo, None)
     }
 
     /// `Cart_alltoallw_init` (the Listing 3 pattern: commit the halo
@@ -188,7 +155,7 @@ impl CartComm {
         algo: Algo,
     ) -> CartResult<PersistentCollective> {
         let shape = self.described(PlanKind::Alltoall, sendspec, recvspec)?;
-        PersistentCollective::build(self, PlanKind::Alltoall, shape, algo)
+        PersistentCollective::build(self, PlanKind::Alltoall, shape, algo, None)
     }
 
     /// `Cart_allgather_init`: persistent regular allgather with `m`
@@ -196,7 +163,7 @@ impl CartComm {
     pub fn allgather_init<T: Pod>(&self, m: usize, algo: Algo) -> CartResult<PersistentCollective> {
         let t = self.neighbor_count();
         let lay = self.regular_lay::<T>(m, t * m, PlanKind::Allgather)?;
-        PersistentCollective::build(self, PlanKind::Allgather, Shape::Layouts(&lay), algo)
+        PersistentCollective::build(self, PlanKind::Allgather, Shape::Layouts(&lay), algo, None)
     }
 
     /// `Cart_allgatherv_init`.
@@ -217,7 +184,7 @@ impl CartComm {
             recvdispls,
             PlanKind::Allgather,
         )?;
-        PersistentCollective::build(self, PlanKind::Allgather, Shape::Layouts(&lay), algo)
+        PersistentCollective::build(self, PlanKind::Allgather, Shape::Layouts(&lay), algo, None)
     }
 
     /// `Cart_allgatherw_init`.
@@ -229,7 +196,7 @@ impl CartComm {
     ) -> CartResult<PersistentCollective> {
         let sendspec = std::slice::from_ref(sendblock);
         let shape = self.described(PlanKind::Allgather, sendspec, recvspec)?;
-        PersistentCollective::build(self, PlanKind::Allgather, shape, algo)
+        PersistentCollective::build(self, PlanKind::Allgather, shape, algo, None)
     }
 
     /// `Cart_reduce_scatter_init`: persistent regular neighborhood
@@ -242,12 +209,8 @@ impl CartComm {
     ) -> CartResult<PersistentReduction> {
         let t = self.neighbor_count();
         let lay = self.regular_lay::<T>(t * m, m, PlanKind::ReduceScatter)?;
-        let inner =
-            PersistentCollective::build(self, PlanKind::ReduceScatter, Shape::Layouts(&lay), algo)?;
-        Ok(PersistentReduction {
-            inner,
-            red: Reducer::for_elem::<T>(op),
-        })
+        let (shape, red) = (Shape::Layouts(&lay), Reducer::for_elem::<T>(op));
+        PersistentCollective::build(self, PlanKind::ReduceScatter, shape, algo, Some(red))
     }
 
     /// `Cart_allreduce_init`: persistent regular neighborhood allreduce
@@ -259,11 +222,7 @@ impl CartComm {
         algo: Algo,
     ) -> CartResult<PersistentReduction> {
         let lay = self.regular_lay::<T>(m, m, PlanKind::Allreduce)?;
-        let inner =
-            PersistentCollective::build(self, PlanKind::Allreduce, Shape::Layouts(&lay), algo)?;
-        Ok(PersistentReduction {
-            inner,
-            red: Reducer::for_elem::<T>(op),
-        })
+        let (shape, red) = (Shape::Layouts(&lay), Reducer::for_elem::<T>(op));
+        PersistentCollective::build(self, PlanKind::Allreduce, shape, algo, Some(red))
     }
 }

@@ -10,12 +10,13 @@
 //! threads: one warm, bounded cache per process, holding one program per
 //! shape and boundary class.
 //!
-//! **Attribution** stays per communicator: each `CartComm` counts its
-//! own hits and misses ([`crate::cartcomm::PlanCacheStats`]), so a
-//! serving layer with one communicator per tenant gets per-tenant
-//! hit/miss numbers for free while all tenants share the compiled bytes.
-//! The store's own [`PlanStoreStats`] aggregate across the process —
-//! `misses` is the number of compilations that ran.
+//! **Attribution** stays with the requester: every program lookup is
+//! counted once, on the requesting rank's `Obs` (`plan_cache_hits`/
+//! `plan_cache_misses`, and a `PlanCacheHit`/`PlanCacheMiss` trace
+//! event), so a serving layer gets per-tenant hit/miss numbers from `Obs`
+//! deltas while all tenants share the compiled bytes. The store's own
+//! [`PlanStoreStats`] aggregate across the process — `misses` is the
+//! number of compilations that ran.
 //!
 //! Sharding: keys are well-mixed 128-bit fingerprints, so the low bits
 //! pick a shard and each shard is an independent mutex + MRU-first list

@@ -88,33 +88,4 @@ impl CartComm {
             algo,
         )
     }
-
-    /// Byte-level [`CartComm::neighbor_reduce_scatter`] with an explicit
-    /// [`Reducer`] — the entry point for serving layers that carry dtype
-    /// and operator on the wire instead of in the type system.
-    pub fn neighbor_reduce_scatter_bytes(
-        &self,
-        red: Reducer,
-        send: &[u8],
-        recv: &mut [u8],
-        algo: Algo,
-    ) -> CartResult<()> {
-        red.check_len(recv.len())?;
-        let lay = self.regular_lay::<u8>(send.len(), recv.len(), PlanKind::ReduceScatter)?;
-        self.run(PlanKind::ReduceScatter, lay, Some(red), send, recv, algo)
-    }
-
-    /// Byte-level [`CartComm::neighbor_allreduce`] with an explicit
-    /// [`Reducer`].
-    pub fn neighbor_allreduce_bytes(
-        &self,
-        red: Reducer,
-        send: &[u8],
-        recv: &mut [u8],
-        algo: Algo,
-    ) -> CartResult<()> {
-        red.check_len(recv.len())?;
-        let lay = self.regular_lay::<u8>(send.len(), recv.len(), PlanKind::Allreduce)?;
-        self.run(PlanKind::Allreduce, lay, Some(red), send, recv, algo)
-    }
 }

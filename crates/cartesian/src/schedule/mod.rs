@@ -21,3 +21,20 @@ pub use allgather::{allgather_plan, allgather_plan_with_order, DimOrder};
 pub use alltoall::alltoall_plan;
 pub use reduce::{allreduce_plan, reduce_scatter_plan};
 pub use trivial::trivial_plan;
+
+use cartcomm_topo::RelNeighborhood;
+
+use crate::plan::{Plan, PlanKind, Schedule};
+
+/// The schedule of identity `id` over `nb`, built from scratch — what a
+/// [`PlanStore`](crate::PlanStore) miss under
+/// [`schedule_key`](crate::plan_store::schedule_key) runs.
+pub(crate) fn build(nb: &RelNeighborhood, id: (PlanKind, Schedule)) -> Plan {
+    match id {
+        (kind, Schedule::Trivial) => trivial_plan(nb, kind),
+        (PlanKind::Alltoall, Schedule::Combining) => alltoall_plan(nb),
+        (PlanKind::Allgather, Schedule::Combining) => allgather_plan(nb),
+        (PlanKind::ReduceScatter, Schedule::Combining) => reduce_scatter_plan(nb),
+        (PlanKind::Allreduce, Schedule::Combining) => allreduce_plan(nb),
+    }
+}

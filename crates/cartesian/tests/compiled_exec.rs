@@ -216,9 +216,6 @@ fn plan_cache_shares_compiled_programs() {
         let mut recvg = vec![0i32; t * 4];
         cart.allgather(&sendg, &mut recvg, Algo::Combining).unwrap();
         step();
-        // The cache's own lifetime counters cross-check the delta story.
-        let s = cart.plans().cache_stats();
-        steps.push((s.hits, s.misses));
         steps
     });
     let over_ranks = |i: usize| {
@@ -227,7 +224,7 @@ fn plan_cache_shares_compiled_programs() {
     };
     // (hits, misses) over the nine ranks: a new program is one miss and
     // eight hits, a known one nine hits per lookup.
-    let expected = [(8, 1), (8, 1), (9, 0), (18, 0), (8, 1), (8, 1), (59, 4)];
+    let expected = [(8, 1), (8, 1), (9, 0), (18, 0), (8, 1), (8, 1)];
     for (i, want) in expected.into_iter().enumerate() {
         assert_eq!(over_ranks(i), want, "step {i}");
     }
@@ -237,8 +234,8 @@ fn plan_cache_shares_compiled_programs() {
 
 /// The process-wide store: a second communicator with the same topology,
 /// neighborhood, and layouts never compiles — its first lookup is a store
-/// hit on the program the first communicator produced — while hit/miss
-/// attribution stays per communicator.
+/// hit on the program the first communicator produced. Each tenant's hits
+/// and misses are the rank's `Obs` delta around its calls.
 #[test]
 fn plan_store_shares_programs_across_communicators() {
     let dims = [3usize, 3];
@@ -253,19 +250,25 @@ fn plan_store_shares_programs_across_communicators() {
         };
         let send = vec![3i32; t * 4];
         let mut recv = vec![0i32; t * 4];
+        let obs = comm.obs();
+        let lookups = |since| {
+            let d = obs.metrics().delta_since(&since);
+            (d.plan_cache_hits, d.plan_cache_misses)
+        };
 
         // Tenant 1: one of its nine ranks compiles, everything else hits.
         let tenant1 = mk();
+        let since = obs.snapshot();
         tenant1.alltoall(&send, &mut recv, Algo::Combining).unwrap();
         tenant1.alltoall(&send, &mut recv, Algo::Combining).unwrap();
-        let s1 = tenant1.plans().cache_stats();
+        let s1 = lookups(since);
 
         // Tenant 2, same identity: never compiles at all.
         let tenant2 = mk();
+        let since = obs.snapshot();
         tenant2.alltoall(&send, &mut recv, Algo::Combining).unwrap();
-        let s2 = tenant2.plans().cache_stats();
         assert_eq!(
-            (s2.hits, s2.misses),
+            lookups(since),
             (1, 0),
             "tenant 2's first lookup is a store hit"
         );
@@ -300,8 +303,7 @@ fn plan_store_shares_programs_across_communicators() {
     // One compile for the torus, billed to whichever rank of tenant 1 came
     // first; every other lookup of either tenant hit, under one key, and
     // all nine ranks hold the one program.
-    let (hits, misses): (Vec<u64>, Vec<u64>) =
-        stats.iter().map(|(s, ..)| (s.hits, s.misses)).unzip();
+    let (hits, misses): (Vec<u64>, Vec<u64>) = stats.iter().map(|(s, ..)| *s).unzip();
     assert_eq!(misses.iter().sum::<u64>(), 1, "tenant 1 compiles once");
     assert_eq!(hits.iter().sum::<u64>(), 2 * 9 - 1);
     assert!(stats.iter().all(|(_, key, program)| {
@@ -511,4 +513,66 @@ fn halo_phases_run_compiled_programs() {
         let mut tile = vec![0u8; 4 * 4 * 4];
         h.exchange(&mut tile).unwrap();
     });
+}
+
+/// The reducer rule has one answer: a reducer given to an alltoall, and
+/// none given to an allreduce, are refused with the same error by
+/// `CartComm::run`, by `execute` on a persistent handle's program and by
+/// `InlineUniverse::run`. A reduction handle does not run in place.
+#[test]
+fn the_reducer_rule_has_one_answer() {
+    use cartcomm::ops::regular_layouts;
+    use cartcomm::{execute, CartError, ExecScratch, InlineUniverse};
+    use cartcomm_types::{Primitive, RedOp, Reducer};
+    let dims = [3usize, 3];
+    let nb = RelNeighborhood::moore(2, 1).unwrap();
+    let (t, m) = (nb.len(), std::mem::size_of::<i32>());
+    let red = Reducer::new(RedOp::Sum, Primitive::I32);
+    let mispaired = [(PlanKind::Alltoall, Some(red)), (PlanKind::Allreduce, None)];
+    let store = cartcomm::PlanStore::new(4, 16);
+
+    let mut uni = InlineUniverse::new(&dims, &[true, true], nb.clone())
+        .unwrap()
+        .with_plan_store(store.clone());
+    let (send, mut recv) = (vec![0u8; 9 * t * m], vec![0u8; 9 * t * m]);
+    let inline: Vec<CartError> = mispaired
+        .iter()
+        .map(|&(kind, red)| {
+            let lay = regular_layouts(t, m, kind);
+            let got = uni.run(kind, &lay, red, &send, &mut recv, Algo::Combining);
+            got.expect_err("inline: mispaired")
+        })
+        .collect();
+
+    let threaded = Universe::builder(9).run(|comm| {
+        let cart = CartComm::create(comm, &dims, &[true, true], nb.clone())
+            .unwrap()
+            .with_plan_store(store.clone());
+        let (send, mut recv) = (vec![0u8; t * m], vec![0u8; t * m]);
+        let mut refusals = Vec::new();
+        for &(kind, red) in &mispaired {
+            let lay = regular_layouts(t, m, kind);
+            let got = cart.run(kind, lay, red, &send, &mut recv, Algo::Combining);
+            refusals.push(got.expect_err("run: mispaired"));
+        }
+        let alltoall = cart.alltoall_init::<i32>(1, Algo::Combining).unwrap();
+        let mut allreduce = cart
+            .allreduce_init::<i32>(RedOp::Sum, 1, Algo::Combining)
+            .unwrap();
+        assert_eq!((alltoall.reducer(), allreduce.reducer()), (None, Some(red)));
+        for (handle, &(_, red)) in [&alltoall, &allreduce].into_iter().zip(&mispaired) {
+            let cp = handle.compiled();
+            let mut scratch = ExecScratch::for_plan(cp);
+            let got = execute(cart.comm(), cp, Some(&send), &mut recv, &mut scratch, red);
+            refusals.push(got.expect_err("handle: mispaired"));
+        }
+        let in_place = allreduce.execute_in_place(&cart, &mut recv);
+        assert!(in_place.is_err(), "a reduction ran in place");
+        refusals
+    });
+    for (rank, refusals) in threaded.iter().enumerate() {
+        let (run, handle) = refusals.split_at(2);
+        assert_eq!(run, inline, "rank {rank}: CartComm::run");
+        assert_eq!(handle, inline, "rank {rank}: a persistent handle");
+    }
 }

@@ -178,6 +178,7 @@ fn plan_cache_events_fire_on_hit_and_miss() {
         let cart = CartComm::create(comm, &[3, 3], &[true, true], nb.clone())
             .unwrap()
             .with_plan_store(store.clone());
+        let before = cart.comm().obs().snapshot();
         let sink = Arc::new(RingBufferSink::new(1024));
         cart.comm().obs().attach_sink(sink.clone());
         let send: Vec<i32> = (0..t).map(|x| x as i32).collect();
@@ -196,8 +197,8 @@ fn plan_cache_events_fire_on_hit_and_miss() {
                 _ => {}
             }
         }
-        let stats = cart.plans().cache_stats();
-        (hits, misses, stats.hits, stats.misses)
+        let delta = cart.comm().obs().metrics().delta_since(&before);
+        (hits, misses, delta.plan_cache_hits, delta.plan_cache_misses)
     });
     // One program for the torus: whichever rank asked first compiled it,
     // every other lookup — two per rank — hit.

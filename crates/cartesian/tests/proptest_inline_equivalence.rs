@@ -231,8 +231,10 @@ impl Op {
                 cart.allgatherv::<u8>(send, recv, *count, recvdispls, algo)
             }
             Op::Allgatherw { send: s, recv: r } => cart.allgatherw(send, s, recv, r, algo),
-            Op::ReduceScatter(red, _) => cart.neighbor_reduce_scatter_bytes(*red, send, recv, algo),
-            Op::Allreduce(red, _) => cart.neighbor_allreduce_bytes(*red, send, recv, algo),
+            Op::ReduceScatter(..) | Op::Allreduce(..) => {
+                let (kind, lay, red) = self.shape(cart.neighbor_count());
+                cart.run(kind, lay, red, send, recv, algo)
+            }
         }
     }
 

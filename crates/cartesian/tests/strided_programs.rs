@@ -12,10 +12,7 @@
 use cartcomm::exec::{BlockLayout, ExecLayouts, CART_TAG_BASE};
 use cartcomm::ops::{w_layouts, Algo, WBlock};
 use cartcomm::schedule::{alltoall_plan, trivial_plan};
-use cartcomm::{
-    execute_compiled_reduce, CartComm, CompiledPlan, ExecScratch, InlineUniverse, PlanKind,
-    PlanStore,
-};
+use cartcomm::{execute, CartComm, CompiledPlan, ExecScratch, InlineUniverse, PlanKind, PlanStore};
 use cartcomm_comm::Universe;
 use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::kernel::MIN_RUN;
@@ -268,13 +265,13 @@ fn reductions_fold_through_strided_runs() {
             );
             [combining, trivial].map(|cp| {
                 guarded(&vec![UNTOUCHED; rl], 1 + cart.rank(), |recv| {
-                    execute_compiled_reduce(
+                    execute(
                         cart.comm(),
                         &cp,
-                        cast_slice(&send_of(cart.rank())),
+                        Some(cast_slice(&send_of(cart.rank()))),
                         recv,
                         &mut ExecScratch::for_plan(&cp),
-                        red,
+                        Some(red),
                     )
                     .unwrap()
                 })

@@ -471,3 +471,32 @@ fn multi_process_shm_universe_runs_combining_alltoall() {
         }
     }
 }
+
+/// A rank whose process dies ends its universe instead of hanging it:
+/// rank 1 of 3 exits before the barrier its peers block in, and the
+/// launcher kills and reaps them and names rank 1 and its status. Under a
+/// watchdog, so a launcher that waits on the blocked ranks fails the test
+/// instead of hanging it.
+#[test]
+fn a_dead_process_ends_its_universe() {
+    const NAME: &str = "a_dead_process_ends_its_universe";
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let role = Universe::spawn_processes(3, &[NAME, "--exact"], |comm| {
+            if comm.rank() == 1 {
+                std::process::exit(3);
+            }
+            comm.barrier().unwrap();
+        });
+        let _ = done.send(role.map(|role| matches!(role, SpawnRole::Child(()))));
+    });
+    match outcome.recv_timeout(Duration::from_secs(60)) {
+        Ok(Ok(true)) => {} // a surviving rank's process, killed before here
+        Ok(Ok(false)) => panic!("a universe with a dead rank reported success"),
+        Ok(Err(e)) => {
+            let e = e.to_string();
+            assert!(e.contains("rank 1 exited with exit status: 3"), "{e}");
+        }
+        Err(_) => panic!("the universe of a dead rank did not end within a minute"),
+    }
+}

@@ -26,8 +26,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use cartcomm_obs::FaultActionKind;
-
 use crate::envelope::{Envelope, Tag};
 
 /// The per-seed deterministic random source of the fault plane.
@@ -92,18 +90,6 @@ pub enum FaultAction {
     /// overtakes it; released by the next deposit or poll on that
     /// destination.
     Reorder,
-}
-
-impl FaultAction {
-    /// The observability-layer kind code of this action.
-    pub fn kind(self) -> FaultActionKind {
-        match self {
-            FaultAction::Drop => FaultActionKind::Drop,
-            FaultAction::Duplicate { .. } => FaultActionKind::Duplicate,
-            FaultAction::Delay { .. } => FaultActionKind::Delay,
-            FaultAction::Reorder => FaultActionKind::Reorder,
-        }
-    }
 }
 
 /// Which deposits a [`FaultRule`] applies to: any combination of source
@@ -396,14 +382,14 @@ impl FaultPlane {
     }
 
     /// Route one deposited envelope. Returns the envelopes to forward to
-    /// `dst` **in order**, plus the fault kind applied (if any). Dropped
+    /// `dst` **in order**, plus whether a fault was applied. Dropped
     /// or held envelopes simply do not appear in the output; previously
     /// stashed (reordered) envelopes are flushed behind this deposit so
     /// the overtaking actually happens.
-    pub fn route(&self, dst: usize, env: Envelope) -> (Vec<Envelope>, Option<FaultActionKind>) {
+    pub fn route(&self, dst: usize, env: Envelope) -> (Vec<Envelope>, bool) {
         let seq = self.link_seq[env.src * self.p + dst].fetch_add(1, Ordering::Relaxed);
         let action = self.spec.decide(env.src, dst, env.ctx, env.tag, seq);
-        let kind = action.map(FaultAction::kind);
+        let faulted = action.is_some();
         let mut out = Vec::new();
         let mut state = self.dst[dst].lock();
         match action {
@@ -441,7 +427,7 @@ impl FaultPlane {
                 self.reorders.fetch_add(1, Ordering::Relaxed);
                 self.in_flight.fetch_add(1, Ordering::Relaxed);
                 state.stashed.push(env);
-                return (out, kind); // nothing overtakes yet; flushed later
+                return (out, faulted); // nothing overtakes yet; flushed later
             }
         }
         // Anything stashed for reordering is now overtaken: release it
@@ -451,7 +437,7 @@ impl FaultPlane {
             self.in_flight.fetch_sub(n, Ordering::Relaxed);
             out.append(&mut state.stashed);
         }
-        (out, kind)
+        (out, faulted)
     }
 
     /// One receiver poll on `dst`: ages delayed envelopes and returns
@@ -545,20 +531,20 @@ mod tests {
     #[test]
     fn plane_drops_and_counts() {
         let plane = FaultPlane::new(FaultSpec::new(3).drop_rate(LinkSel::any(), 1.0), 2);
-        let (out, kind) = plane.route(1, env(0, 5));
+        let (out, faulted) = plane.route(1, env(0, 5));
         assert!(out.is_empty());
-        assert_eq!(kind, Some(FaultActionKind::Drop));
+        assert!(faulted);
         assert_eq!(plane.stats().drops, 1);
     }
 
     #[test]
     fn plane_duplicates_immediately() {
         let plane = FaultPlane::new(FaultSpec::new(3).dup_rate(LinkSel::any(), 1.0, 0), 2);
-        let (out, kind) = plane.route(1, env(0, 5));
+        let (out, faulted) = plane.route(1, env(0, 5));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].data, out[1].data);
         assert_eq!(out[0].tag, out[1].tag);
-        assert_eq!(kind, Some(FaultActionKind::Duplicate));
+        assert!(faulted);
         assert_eq!(plane.stats().dups, 1);
     }
 
@@ -581,13 +567,14 @@ mod tests {
         let spec = FaultSpec::new(3)
             .with_rule(FaultRule::new(LinkSel::any(), 1.0, FaultAction::Reorder).window(0, 1));
         let plane = FaultPlane::new(spec, 2);
-        let (out, kind) = plane.route(1, env(0, 1));
+        let (out, faulted) = plane.route(1, env(0, 1));
         assert!(out.is_empty());
-        assert_eq!(kind, Some(FaultActionKind::Reorder));
+        assert!(faulted);
+        assert_eq!(plane.stats().reorders, 1);
         // Second deposit on the link is outside the window: it flows
         // through and flushes the stash behind itself.
-        let (out, kind) = plane.route(1, env(0, 2));
-        assert_eq!(kind, None);
+        let (out, faulted) = plane.route(1, env(0, 2));
+        assert!(!faulted);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].tag, 2, "later deposit overtakes");
         assert_eq!(out[1].tag, 1, "stashed envelope trails");

@@ -180,16 +180,10 @@ impl Shared {
     /// out (this envelope, its copy, envelopes it had stashed) onto the
     /// backend.
     fn transmit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
-        let (src, tag) = (env.src, env.tag);
-        let (out, action) = self.plane.route(dst, env);
-        if let Some(kind) = action {
+        let src = env.src;
+        let (out, faulted) = self.plane.route(dst, env);
+        if faulted {
             self.obs[src].metrics().fault_injected();
-            self.obs[src].emit_with(src, || TraceEvent::FaultInjected {
-                src,
-                dst,
-                tag,
-                action: kind,
-            });
         }
         // All of it goes to `dst`: what a first failure leaves behind
         // would fail too, and its senders retransmit.
@@ -247,7 +241,6 @@ impl Shared {
             // A plane duplicate or a retransmission that raced its ack:
             // acknowledge again so the sender settles.
             self.obs[dst].metrics().dup_drop();
-            self.obs[dst].emit_with(dst, || TraceEvent::DupDropped { src, tag, seq });
         } else {
             env.rel = RelHeader::default();
             if self.mailboxes[dst].push(env).is_err() {

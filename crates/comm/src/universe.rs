@@ -9,7 +9,9 @@
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::process::{Child, ExitStatus};
 use std::sync::Arc;
+use std::time::Duration;
 
 use cartcomm_obs::{RingBufferSink, TraceRecord};
 use parking_lot::Mutex;
@@ -274,7 +276,7 @@ fn install_profiling(fabric: &Fabric, p: usize, capacity: usize) -> Vec<Arc<Ring
     (0..p)
         .map(|rank| {
             let sink = Arc::new(RingBufferSink::new(capacity));
-            fabric.obs(rank).attach_sink(sink.clone() as Arc<_>);
+            fabric.obs(rank).attach_sink(sink.clone());
             sink
         })
         .collect()
@@ -300,7 +302,10 @@ impl Universe {
     /// Called in the launching process, this creates the fabric file,
     /// re-executes the current binary `p` times with `rerun_args` (plus
     /// rank/fabric environment variables), waits for all children, and
-    /// returns [`SpawnRole::Parent`] with their exit statuses. Each child
+    /// returns [`SpawnRole::Parent`] with their exit statuses. The first
+    /// child to exit unsuccessfully ends the universe: the parent kills
+    /// and reaps the others, removes the fabric file and returns an error
+    /// naming that rank and its status. Each child
     /// re-enters this same function, detects the environment, attaches to
     /// the fabric as its rank, runs `f`, and returns
     /// [`SpawnRole::Child`] with the rank program's result.
@@ -374,13 +379,41 @@ impl Universe {
                 }
             }
         }
-        let mut statuses = Vec::with_capacity(p);
-        for mut c in children {
-            statuses.push(c.wait()?);
-        }
+        let statuses = reap(children);
         let _ = std::fs::remove_file(&path);
-        Ok(SpawnRole::Parent(statuses))
+        Ok(SpawnRole::Parent(statuses?))
     }
+}
+
+/// Wait for every rank's process. The first to exit unsuccessfully takes
+/// the others down with it — they would block on it forever — and is
+/// named in the error.
+fn reap(mut children: Vec<Child>) -> io::Result<Vec<ExitStatus>> {
+    let mut statuses: Vec<Option<ExitStatus>> = vec![None; children.len()];
+    let failed = 'poll: loop {
+        for (rank, child) in children.iter_mut().enumerate() {
+            if statuses[rank].is_some() {
+                continue;
+            }
+            match child.try_wait() {
+                Ok(Some(status)) if status.success() => statuses[rank] = Some(status),
+                Ok(Some(status)) => {
+                    break 'poll io::Error::other(format!("rank {rank} exited with {status}"))
+                }
+                Ok(None) => {}
+                Err(e) => break 'poll e,
+            }
+        }
+        if statuses.iter().all(Option::is_some) {
+            return Ok(statuses.into_iter().flatten().collect());
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    for child in &mut children {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    Err(failed)
 }
 
 #[cfg(test)]

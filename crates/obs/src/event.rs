@@ -108,18 +108,6 @@ pub enum TraceEvent {
         /// Receive-slot index the message matched.
         slot: usize,
     },
-    /// The fault plane tampered with a deposited envelope. Emitted on the
-    /// *sending* rank (the side that owns the link decision).
-    FaultInjected {
-        /// Sender rank of the afflicted envelope.
-        src: usize,
-        /// Destination rank of the afflicted envelope.
-        dst: usize,
-        /// Message tag.
-        tag: u32,
-        /// What the plane did.
-        action: FaultActionKind,
-    },
     /// The reliable-delivery layer re-deposited an unacknowledged
     /// sequenced envelope after its retransmit deadline passed.
     Retransmit {
@@ -131,17 +119,6 @@ pub enum TraceEvent {
         seq: u64,
         /// Retransmit attempt index (1 = first retransmission).
         attempt: u32,
-    },
-    /// The receiver's dedup window absorbed an already-delivered
-    /// sequenced envelope (a fault-plane duplicate or a spurious
-    /// retransmission).
-    DupDropped {
-        /// Sender rank of the duplicate.
-        src: usize,
-        /// Message tag.
-        tag: u32,
-        /// Stream sequence number that had already been delivered.
-        seq: u64,
     },
     /// A serving-layer job crossed a lifecycle stage. Emitted by the
     /// daemon's own `Obs` (rank 0 by convention — the daemon is a single
@@ -188,21 +165,6 @@ impl ServeStageKind {
             ServeStageKind::Replied => 4,
         }
     }
-}
-
-/// The kind of tampering a fault plane applied to an envelope — the
-/// `action` payload of [`TraceEvent::FaultInjected`], kept in `cartcomm-obs`
-/// so trace consumers can decode it without depending on the comm crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultActionKind {
-    /// The envelope was silently discarded.
-    Drop,
-    /// A copy of the envelope was enqueued (possibly delayed).
-    Duplicate,
-    /// Delivery was deferred for N receiver polls.
-    Delay,
-    /// The envelope was held back so later traffic overtakes it.
-    Reorder,
 }
 
 /// A timestamped, rank-attributed [`TraceEvent`] as delivered to sinks.

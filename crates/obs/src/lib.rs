@@ -14,14 +14,13 @@
 //!   wire bytes, matched messages, pack spans, pool and plan-cache
 //!   traffic) plus a `stats::histogram` round-latency distribution that is
 //!   only touched while tracing is enabled. A [`MetricsSnapshot`] is a
-//!   plain-data copy with a JSON rendering.
-//! * **[`TraceEvent`]/[`TraceSink`]** — typed round-level events
+//!   plain-data copy.
+//! * **[`TraceEvent`]/[`RingBufferSink`]** — typed round-level events
 //!   ([`TraceEvent::RoundStart`]/[`TraceEvent::RoundEnd`] with the phase
 //!   dimension, peer ranks, and wire bytes; [`TraceEvent::PackSpan`];
 //!   pool and plan-cache hits/misses; [`TraceEvent::ExchangeMatched`])
-//!   delivered to a pluggable sink. [`RingBufferSink`] is the shipped
-//!   implementation: a bounded in-memory ring that [`TraceCollector`]
-//!   reads.
+//!   delivered to the one sink type, a bounded in-memory ring that
+//!   [`TraceCollector`] reads.
 //! * **[`now_ns`]** — one process-wide time origin stamps every record,
 //!   so the records of every [`Obs`] handle in a process compare.
 //! * **[`profile`]** — post-run cross-rank analysis: [`TraceCollector`]
@@ -58,12 +57,12 @@ pub mod profile;
 mod sink;
 pub mod tenant;
 
-pub use event::{FaultActionKind, ServeStageKind, TraceEvent, TraceRecord};
+pub use event::{ServeStageKind, TraceEvent, TraceRecord};
 pub use metrics::{MetricsDelta, MetricsRegistry, MetricsSnapshot};
 pub use obs::{now_ns, Obs};
 pub use openmetrics::OpenMetricsWriter;
 pub use profile::{
     price, AlphaBetaFit, CriticalPath, MsgNode, PerfettoExport, PhaseSkew, RoundDag, TraceCollector,
 };
-pub use sink::{RingBufferSink, TraceSink};
+pub use sink::RingBufferSink;
 pub use tenant::{StageDist, TenantRegistry, TenantStats};

@@ -1,11 +1,11 @@
-//! The per-communicator metrics registry.
+//! The per-rank metrics registry.
 //!
-//! One [`MetricsRegistry`] per rank absorbs the formerly scattered
-//! telemetry (`pool_telemetry`, `plan_cache_stats`, fabric counters)
-//! into a single place, counted in the paper's units: *rounds* (what
-//! Prop. 3.2 predicts as `C`), *wire bytes* (what Prop. 3.3 predicts as
-//! `V·m`), plus the machinery around them (matched messages, pack spans,
-//! pool and plan-cache traffic).
+//! One [`MetricsRegistry`] per rank is the one place its telemetry is
+//! counted, in the paper's units: *rounds* (what Prop. 3.2 predicts as
+//! `C`), *wire bytes* (what Prop. 3.3 predicts as `V·m`), plus the
+//! machinery around them (matched messages, pack spans, pool and fabric
+//! traffic, and plan-store lookups — every program lookup a rank makes is
+//! counted here, and nowhere else).
 //!
 //! Counters are relaxed atomics and always on — the same cost class as
 //! the pre-existing pool telemetry. The round-latency distribution is a
@@ -128,13 +128,13 @@ impl MetricsRegistry {
         self.pool_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A compiled-plan lookup hit the plan cache.
+    /// A program lookup found the program in the plan store.
     #[inline]
     pub fn plan_cache_hit(&self) {
         self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A compiled-plan lookup compiled fresh.
+    /// A program lookup compiled it.
     #[inline]
     pub fn plan_cache_miss(&self) {
         self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);

@@ -8,7 +8,7 @@ use parking_lot::RwLock;
 
 use crate::event::{TraceEvent, TraceRecord};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::sink::TraceSink;
+use crate::sink::RingBufferSink;
 
 /// The process's one time origin, fixed by the first read.
 static ORIGIN: OnceLock<Instant> = OnceLock::new();
@@ -30,7 +30,7 @@ pub fn now_ns() -> u64 {
 /// event closure is never run, no clock is read, no lock is taken.
 pub struct Obs {
     enabled: AtomicBool,
-    sink: RwLock<Option<Arc<dyn TraceSink>>>,
+    sink: RwLock<Option<Arc<RingBufferSink>>>,
     metrics: MetricsRegistry,
 }
 
@@ -51,7 +51,7 @@ impl Obs {
     }
 
     /// Attach a trace sink and enable tracing. Replaces any prior sink.
-    pub fn attach_sink(&self, sink: Arc<dyn TraceSink>) {
+    pub fn attach_sink(&self, sink: Arc<RingBufferSink>) {
         *self.sink.write() = Some(sink);
         self.enabled.store(true, Ordering::Release);
     }
@@ -127,7 +127,6 @@ impl std::fmt::Debug for Obs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::RingBufferSink;
 
     #[test]
     fn disabled_emits_nothing_and_skips_closure() {

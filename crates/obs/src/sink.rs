@@ -1,9 +1,8 @@
-//! Trace sinks: where emitted events go.
+//! The trace sink: where emitted events go.
 //!
-//! A [`TraceSink`] receives every [`TraceRecord`] a communicator emits
-//! while tracing is enabled. The shipped [`RingBufferSink`] keeps the
-//! most recent records in a bounded ring (old records are dropped, and
-//! counted). The `cartprof` tool and the integration tests that pin
+//! A [`RingBufferSink`] receives every [`TraceRecord`] a communicator
+//! emits while tracing is enabled, and keeps the most recent records in a
+//! bounded ring (old records are dropped, and counted). The `cartprof` tool and the integration tests that pin
 //! observed rounds/bytes against the paper's predictions read it
 //! through `TraceCollector`.
 
@@ -14,14 +13,8 @@ use parking_lot::Mutex;
 
 use crate::event::TraceRecord;
 
-/// A destination for trace records. Implementations must be cheap and
+/// A bounded in-memory ring of the most recent trace records. Cheap and
 /// thread-safe: all ranks of a universe may share one sink.
-pub trait TraceSink: Send + Sync {
-    /// Deliver one record. Called only while tracing is enabled.
-    fn record(&self, rec: &TraceRecord);
-}
-
-/// A bounded in-memory ring of the most recent trace records.
 pub struct RingBufferSink {
     cap: usize,
     buf: Mutex<VecDeque<TraceRecord>>,
@@ -62,10 +55,9 @@ impl RingBufferSink {
     pub fn take(&self) -> Vec<TraceRecord> {
         self.buf.lock().drain(..).collect()
     }
-}
 
-impl TraceSink for RingBufferSink {
-    fn record(&self, rec: &TraceRecord) {
+    /// Deliver one record. Called only while tracing is enabled.
+    pub fn record(&self, rec: &TraceRecord) {
         let mut buf = self.buf.lock();
         if buf.len() == self.cap {
             buf.pop_front();

@@ -75,7 +75,6 @@ use cartcomm_obs::tenant::STAGE_COUNT;
 use cartcomm_obs::{
     json::JsonWriter, AlphaBetaFit, CriticalPath, MetricsSnapshot, Obs, PerfettoExport,
     RingBufferSink, ServeStageKind, TenantRegistry, TraceCollector, TraceEvent, TraceRecord,
-    TraceSink,
 };
 use cartcomm_topo::RelNeighborhood;
 use cartcomm_types::{Datatype, Reducer};
@@ -1160,7 +1159,7 @@ fn job_layouts(spec: &JobSpec) -> cartcomm::CartResult<JobShape> {
 /// Attach a fresh ring sink to one rank's `Obs`.
 fn attach_sink(obs: &Obs, shared: &Shared, capacity: usize) -> Arc<RingBufferSink> {
     let sink = Arc::new(RingBufferSink::new(capacity));
-    obs.attach_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    obs.attach_sink(Arc::clone(&sink));
     shared.profile_sinks.fetch_add(1, Ordering::Relaxed);
     sink
 }

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cartcomm_obs::{RingBufferSink, ServeStageKind, TraceEvent, TraceSink};
+use cartcomm_obs::{RingBufferSink, ServeStageKind, TraceEvent};
 use cartcomm_serve::proto::{AlgoSpec, JobSpec, OpSpec, ProfileSpec};
 use cartcomm_serve::{reference, Client, ServeConfig, Server};
 
@@ -312,9 +312,7 @@ fn lifecycle_events_stats_schema_and_extended_ping() {
     let server = Server::bind_uds(&sock, ServeConfig::default()).expect("bind");
 
     let sink = Arc::new(RingBufferSink::new(256));
-    server
-        .obs()
-        .attach_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
+    server.obs().attach_sink(Arc::clone(&sink));
 
     let spec = shape();
     let payload = payload_for(&spec, 21);
