@@ -18,7 +18,7 @@
 //! the paper's Appendix-A filtering, and prints the same normalized bars
 //! the figure shows. Pass `--quirks` to enable the per-library defect
 //! emulation that reproduces the pathological baseline numbers of
-//! Figures 3–4. Wall-clock numbers of the real threads-as-ranks runtime
+//! Figures 3–4. Wall-clock numbers of the real ranks-as-fibers runtime
 //! are `cartbench`'s (`benchmark/`), not this crate's; `cartprof` and
 //! `perfgate` are the two binaries here that time anything.
 
@@ -30,9 +30,10 @@ pub use harness::{
 };
 
 /// Where and with what a committed baseline was taken, as a JSON object:
-/// α̂ on 27 rank threads over 2 cores is not α̂ on 27 cores, a kernel's
+/// α̂ on 27 ranks over 2 cores is not α̂ on 27 cores, a kernel's
 /// ns/byte on one machine not another's, and a baseline has to say which
-/// it is. `rank_threads` is how many threads the measurement keeps busy.
+/// it is. `rank_threads` is how many ranks the measurement runs; they
+/// share at most one worker thread per core.
 pub fn host_json(rank_threads: usize) -> String {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut w = cartcomm_comm::obs::json::JsonWriter::new();

@@ -1,4 +1,4 @@
-//! # cartcomm-comm — a threads-as-ranks message-passing substrate
+//! # cartcomm-comm — a ranks-as-fibers message-passing substrate
 //!
 //! The Cartesian collective algorithms of Träff & Hunold (ICPP 2019) are
 //! specified on top of MPI point-to-point primitives: matched, tagged,
@@ -6,9 +6,14 @@
 //! completed with `Waitall` (Listing 5), and a handful of collectives used
 //! for setup-time checks. This crate is that substrate, built from scratch:
 //!
-//! * [`Universe::builder`] — SPMD launcher: spawns `p` OS threads, each
-//!   running the same rank program with its own [`Comm`] handle; one
-//!   [`RunConfig`] composes transport, fault plane and profiling.
+//! * [`Universe::builder`] — SPMD launcher: runs the same rank program
+//!   `p` times, each with its own [`Comm`] handle, as fibers on one worker
+//!   thread per core (`min(p, available_parallelism())` of them); a rank
+//!   that waits hands its core to a sibling rank without entering the
+//!   kernel, so ranks are cooperative — one that computes, sleeps or
+//!   blocks on an OS primitive of its own holds its worker's other ranks
+//!   (DESIGN.md §2). One [`RunConfig`] composes transport, fault plane
+//!   and profiling.
 //! * [`Comm`] — per-rank communicator: [`Comm::send_bytes`] (eager,
 //!   buffered), [`Comm::recv_bytes`] (blocking), [`Comm::sendrecv_bytes`],
 //!   [`Comm::probe`]/[`Comm::iprobe`], and [`Comm::exchange`] — the
@@ -71,6 +76,7 @@ pub mod envelope;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+mod fiber;
 pub mod mailbox;
 pub mod pool;
 pub mod reliable;

@@ -1,23 +1,19 @@
 //! The queue between [`Fabric::deposit`](crate::fabric::Fabric::deposit)
-//! and a rank's unexpected-message list: one mutex-guarded FIFO and one
-//! condition variable per rank.
+//! and a rank's unexpected-message list: one mutex-guarded FIFO per rank.
 //!
-//! Every producer — a depositing rank thread on the in-process backend,
-//! a progress thread on the shared-memory and socket backends — pushes
+//! Every producer — a depositing rank on the in-process backend, a
+//! progress thread on the shared-memory and socket backends — pushes
 //! under the one lock, so the queue's order is arrival order and two
-//! pushes by the same thread stay in push order: the per-link
+//! pushes by the same producer stay in push order: the per-link
 //! non-overtaking guarantee the matching engine builds on. The only
-//! consumer is the owning rank's thread, which the wake-up relies on: one
-//! flag says "the owner sleeps", and the signal it earns goes to the one
-//! thread that set it.
+//! consumer is the owning rank.
 //!
-//! A pop that finds the queue empty first *yields*: it releases the lock
-//! and hands the core to whoever is runnable — with more ranks than
-//! cores, the rank that owes the message — up to `YIELDS_BEFORE_PARK`
-//! times, and only then *parks* on the condition variable. A push makes
-//! the wake-up system call only for an owner that is parked, so a
-//! message to a rank that is running, or still yielding, costs one lock
-//! and no kernel entry.
+//! A pop that finds the queue empty waits the runtime's one way
+//! (`fiber::wait`): it registers its thread's waker under the lock and
+//! hands the core to a sibling rank, and the push or close that finds the
+//! waker takes it and wakes it. A push to a rank that is not waiting
+//! costs one lock; a wake-up costs a system call only when it ends a
+//! worker's sleep.
 //!
 //! A mailbox closes once and for good: the rank's last
 //! [`Comm`](crate::Comm) handle closes it when it drops (later pushes get
@@ -30,29 +26,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::envelope::Envelope;
-
-/// How often an empty pop yields the core before it parks.
-///
-/// A constant, not a setting: the count that is right depends on how
-/// long the peer that owes the message needs, which the waiting rank
-/// cannot observe, and a rank that waits longer than this sleeps either
-/// way. It was picked from the run-to-run spread of ten 10 s `cartbench`
-/// runs per count, not from their medians (`a2a_small`, 8 ranks on 2
-/// cores: from 4 yields up the medians are within 6 % of each other).
-/// With 4 yields a receive still sleeps once per 20 operations and each
-/// sleep costs more than an operation, so whole runs differ with the
-/// scheduler's mood: `ops_per_s` spread 6 663 1/s between the quartiles,
-/// 2 653 with 16 yields (a sleep per 200 operations), 1 511 with 64 (per
-/// 500), 1 201 with 256 and 5 087 with 1 024, where the benchmark's gate
-/// allows about 2 900. 64 is the smallest count that was steady; beyond
-/// it the spread follows the machine, not the count. It costs a rank
-/// whose peer stays silent 64 `sched_yield` calls — about 20 µs of CPU
-/// on an otherwise idle core — before it sleeps.
-const YIELDS_BEFORE_PARK: u32 = 64;
+use crate::fiber::{self, Waker};
 
 /// The mailbox is closed and holds nothing more to pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,17 +40,16 @@ pub struct Closed;
 struct State {
     queue: VecDeque<Envelope>,
     closed: bool,
-    /// The owner is (about to be) parked on `arrived` and has not been
-    /// signalled yet. Set by the owner, taken by the push that signals.
-    waiting: bool,
+    /// The owner's thread, registered by a pop that found nothing and
+    /// taken by the push or close that wakes it.
+    waker: Option<Waker>,
 }
 
 /// One rank's inbound envelope queue.
 #[derive(Default)]
 pub struct Mailbox {
     state: Mutex<State>,
-    arrived: Condvar,
-    /// Times the owner went to sleep on `arrived` (a statistic).
+    /// Times the owner's wait went to sleep (a statistic).
     parks: AtomicU64,
 }
 
@@ -82,14 +59,14 @@ impl Mailbox {
         Mailbox::default()
     }
 
-    /// A rank thread that panics propagates through the launcher; the
+    /// A rank program that panics propagates through the launcher; the
     /// queue itself is valid after every push and pop, so a poisoned
     /// lock is recovered.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Append `env` and wake the owner if it is parked. A closed mailbox
+    /// Append `env` and wake the owner if it waits. A closed mailbox
     /// gives the envelope back.
     pub fn push(&self, env: Envelope) -> Result<(), Envelope> {
         let mut st = self.lock();
@@ -98,11 +75,11 @@ impl Mailbox {
         }
         st.queue.push_back(env);
         // Taken, not read: of several pushes that land before the owner
-        // runs again, the first one signals.
-        let wake = std::mem::take(&mut st.waiting);
+        // polls again, the first one wakes it.
+        let waker = st.waker.take();
         drop(st);
-        if wake {
-            self.arrived.notify_one();
+        if let Some(waker) = waker {
+            waker.wake();
         }
         Ok(())
     }
@@ -117,46 +94,24 @@ impl Mailbox {
     /// nothing arrived in time. A timeout too large for the clock to
     /// represent waits without one.
     pub fn pop_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Closed> {
-        match Instant::now().checked_add(timeout) {
-            Some(deadline) => self.wait(Some(deadline)),
-            None => self.pop().map(Some),
-        }
+        self.wait(Instant::now().checked_add(timeout))
     }
 
-    /// The one wait: yield while the queue stays empty, then park until a
-    /// push, the close or `deadline` (`Ok(None)`) ends it.
+    /// The one wait: until a push, the close or `deadline` (`Ok(None)`)
+    /// ends it.
     fn wait(&self, deadline: Option<Instant>) -> Result<Option<Envelope>, Closed> {
-        let mut yields = 0;
-        let mut st = self.lock();
-        loop {
+        fiber::wait(deadline, Some(&self.parks), |waker| {
+            let mut st = self.lock();
             if let Some(env) = st.queue.pop_front() {
-                return Ok(Some(env));
+                return Some(Ok(env));
             }
             if st.closed {
-                return Err(Closed);
+                return Some(Err(Closed));
             }
-            let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if remaining == Some(Duration::ZERO) {
-                return Ok(None);
-            }
-            if yields < YIELDS_BEFORE_PARK {
-                yields += 1;
-                drop(st);
-                std::thread::yield_now();
-                st = self.lock();
-                continue;
-            }
-            st.waiting = true;
-            self.parks.fetch_add(1, Ordering::Relaxed);
-            st = match remaining {
-                Some(left) => {
-                    let woken = self.arrived.wait_timeout(st, left);
-                    woken.unwrap_or_else(|p| p.into_inner()).0
-                }
-                None => self.arrived.wait(st).unwrap_or_else(|p| p.into_inner()),
-            };
-            st.waiting = false;
-        }
+            st.waker = Some(waker.clone());
+            None
+        })
+        .transpose()
     }
 
     /// The next envelope if one is already queued.
@@ -167,8 +122,13 @@ impl Mailbox {
     /// Close the mailbox: later pushes fail, and a blocked or later pop
     /// reports [`Closed`] once the queue is drained. Idempotent.
     pub fn close(&self) {
-        self.lock().closed = true;
-        self.arrived.notify_all();
+        let mut st = self.lock();
+        st.closed = true;
+        let waker = st.waker.take();
+        drop(st);
+        if let Some(waker) = waker {
+            waker.wake();
+        }
     }
 
     /// How many times a pop has gone to sleep so far.

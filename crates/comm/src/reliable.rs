@@ -28,14 +28,16 @@
 //! dead link learns that from its budget, a receiver has only silence.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cartcomm_obs::{Obs, TraceEvent};
+use parking_lot::Mutex;
 
 use crate::envelope::{EnvKind, Envelope, RelHeader};
 use crate::fault::{FaultPlane, FaultSpec, FaultStats};
+use crate::fiber::{self, Waker};
 use crate::mailbox::Mailbox;
 use crate::transport::{Transport, TransportError, TransportKind, TransportResult};
 
@@ -89,20 +91,19 @@ impl RetryPolicy {
 struct Sender {
     /// The last sequence number used, locked for a whole deposit: one
     /// envelope in flight per sender. One counter per sender still rises
-    /// strictly on each of its links, which is all a floor needs.
-    last: parking_lot::Mutex<u64>,
-    /// The highest sequence number acknowledged, and its signal to the
-    /// one depositor the lock above lets wait.
-    acked: Mutex<u64>,
-    heard: Condvar,
+    /// strictly on each of its links, which is all a floor needs. Only the
+    /// sender's own deposits take it, so holding it across the ack wait
+    /// holds up no sibling fiber.
+    last: Mutex<u64>,
+    acked: Mutex<Acked>,
 }
 
-impl Sender {
-    /// The number is valid whenever the lock is free, so a poisoned one
-    /// is recovered.
-    fn acked(&self) -> MutexGuard<'_, u64> {
-        self.acked.lock().unwrap_or_else(|p| p.into_inner())
-    }
+/// The highest sequence number acknowledged, and the one depositor the
+/// lock above lets wait for the next.
+#[derive(Default)]
+struct Acked {
+    seq: u64,
+    waker: Option<Waker>,
 }
 
 /// What the depositing ranks and the progress thread share.
@@ -228,10 +229,14 @@ impl Shared {
             return;
         }
         if env.is_ack() {
-            let mut acked = self.senders[dst].acked();
-            if seq > *acked {
-                *acked = seq;
-                self.senders[dst].heard.notify_one();
+            let mut acked = self.senders[dst].acked.lock();
+            if seq > acked.seq {
+                acked.seq = seq;
+                let waker = acked.waker.take();
+                drop(acked);
+                if let Some(waker) = waker {
+                    waker.wake();
+                }
             }
             return;
         }
@@ -285,20 +290,24 @@ impl Transport for LossyTransport {
         loop {
             sh.transmit(dst, env)?;
             sent += 1;
-            let (acked, _) = sender
-                .heard
-                .wait_timeout_while(sender.acked(), sh.policy.backoff(sent - 1), |acked| {
-                    *acked < seq
-                })
-                .unwrap_or_else(|p| p.into_inner());
-            if *acked >= seq {
+            // Cooperative like every wait: a sibling rank runs meanwhile,
+            // so a dead link spends this rank's budget, not theirs.
+            let until = Instant::now().checked_add(sh.policy.backoff(sent - 1));
+            let heard = fiber::wait(until, None, |waker| {
+                let mut acked = sender.acked.lock();
+                if acked.seq >= seq {
+                    return Some(());
+                }
+                acked.waker = Some(waker.clone());
+                None
+            });
+            if heard.is_some() {
                 return Ok(());
             }
             if sent >= sh.policy.attempts {
                 let (peer, attempts) = (dst, sent);
                 return Err(TransportError::Unacked { peer, attempts });
             }
-            drop(acked);
             sh.obs[src].metrics().retransmit();
             sh.obs[src].emit_with(src, || TraceEvent::Retransmit {
                 dst,

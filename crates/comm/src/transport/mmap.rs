@@ -1,18 +1,25 @@
-//! A minimal shared-mapping shim over `mmap(2)`.
+//! A minimal mapping shim over `mmap(2)`: the shared file mapping the
+//! shared-memory transport runs its rings in, and the guarded anonymous
+//! stacks a universe's rank fibers run on (`fiber.rs`).
 //!
 //! The build environment has no registry access, so the usual `memmap2`
-//! crate is out; this is the few dozen lines of it the shared-memory
-//! transport actually needs. Rust links the platform C runtime on
-//! glibc/musl targets already, so declaring the two symbols directly
-//! costs no dependency.
+//! crate is out; this is the few dozen lines of it the runtime actually
+//! needs. Rust links the platform C runtime on glibc/musl targets
+//! already, so declaring the three symbols directly costs no dependency.
 
 use std::fs::File;
 use std::io;
 use std::os::unix::io::AsRawFd;
 
+const PROT_NONE: i32 = 0x0;
 const PROT_READ: i32 = 0x1;
 const PROT_WRITE: i32 = 0x2;
 const MAP_SHARED: i32 = 0x01;
+const MAP_PRIVATE: i32 = 0x02;
+const MAP_ANONYMOUS: i32 = 0x20;
+const MAP_NORESERVE: i32 = 0x4000;
+/// The guard's size: the base page of every Linux target this builds for.
+const PAGE_BYTES: usize = 4096;
 
 extern "C" {
     fn mmap(
@@ -24,6 +31,7 @@ extern "C" {
         offset: i64,
     ) -> *mut core::ffi::c_void;
     fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
+    fn mprotect(addr: *mut core::ffi::c_void, len: usize, prot: i32) -> i32;
 }
 
 /// A `MAP_SHARED` read-write mapping of a file, unmapped on drop.
@@ -37,9 +45,11 @@ pub struct SharedMap {
     len: usize,
 }
 
-// The mapping itself is just memory; the ring protocol layered on top
+// SAFETY: `ptr` and `len` are a mapping no one else unmaps; the memory
+// itself is shared by design, and the ring protocol layered on top
 // provides the synchronization.
 unsafe impl Send for SharedMap {}
+// SAFETY: as for `Send`: `&SharedMap` only reads the two fields.
 unsafe impl Sync for SharedMap {}
 
 impl SharedMap {
@@ -47,6 +57,9 @@ impl SharedMap {
     /// shared and read-write.
     pub fn map(file: &File, len: usize) -> io::Result<SharedMap> {
         assert!(len > 0, "cannot map zero bytes");
+        // SAFETY: a fresh mapping at an address the kernel picks; `file` is
+        // open read-write and at least `len` bytes long (the caller's
+        // contract), so no access through the mapping faults.
         let ptr = unsafe {
             mmap(
                 std::ptr::null_mut(),
@@ -86,8 +99,76 @@ impl SharedMap {
 
 impl Drop for SharedMap {
     fn drop(&mut self) {
+        // SAFETY: `ptr..ptr + len` is the mapping `map` made, and nothing
+        // borrows from it past the owner's drop.
         unsafe {
             munmap(self.ptr as *mut core::ffi::c_void, self.len);
+        }
+    }
+}
+
+/// A private anonymous stack of `len` usable bytes above one `PROT_NONE`
+/// guard page, unmapped on drop. The bytes are reserved, not committed
+/// (`MAP_NORESERVE`): a page costs memory once it is first touched, so a
+/// deep reservation is as cheap as a shallow one until a rank recurses
+/// into it, and running off its end faults on the guard instead of
+/// writing into a neighbour's memory.
+pub(crate) struct GuardedStack {
+    /// The guard page's address; the usable bytes follow it.
+    base: *mut u8,
+    len: usize,
+}
+
+impl GuardedStack {
+    /// Reserve `len` bytes (a whole number of pages) under a guard page.
+    pub(crate) fn new(len: usize) -> io::Result<GuardedStack> {
+        assert!(
+            len > 0 && len.is_multiple_of(PAGE_BYTES),
+            "a stack is a whole number of pages"
+        );
+        let total = len + PAGE_BYTES;
+        // SAFETY: a fresh anonymous mapping aliases nothing.
+        let base = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                total,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        if base as isize == -1 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: the lowest page of the mapping just made; no one else
+        // knows its address yet.
+        if unsafe { mprotect(base, PAGE_BYTES, PROT_NONE) } != 0 {
+            let err = io::Error::last_os_error();
+            // SAFETY: the mapping made above, which nothing borrows.
+            unsafe { munmap(base, total) };
+            return Err(err);
+        }
+        Ok(GuardedStack {
+            base: base as *mut u8,
+            len,
+        })
+    }
+
+    /// One past the highest usable byte: page-aligned, where a stack that
+    /// grows down starts.
+    pub(crate) fn top(&self) -> *mut u8 {
+        // SAFETY: guard page plus `len` bytes is the mapping's extent.
+        unsafe { self.base.add(PAGE_BYTES + self.len) }
+    }
+}
+
+impl Drop for GuardedStack {
+    fn drop(&mut self) {
+        // SAFETY: the mapping `new` made. Its owner, a fiber, drops it only
+        // once nothing runs on it.
+        unsafe {
+            munmap(self.base as *mut core::ffi::c_void, self.len + PAGE_BYTES);
         }
     }
 }
@@ -143,5 +224,21 @@ mod tests {
         }
         drop((a, b));
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_guarded_stack_is_writable_below_its_top_and_zeroed() {
+        let stack = GuardedStack::new(16 * PAGE_BYTES).unwrap();
+        assert_eq!(stack.top() as usize % PAGE_BYTES, 0);
+        // SAFETY: the top page and the lowest usable page are both inside
+        // the usable range.
+        unsafe {
+            let top_word = stack.top().sub(8);
+            assert_eq!(top_word.read(), 0);
+            top_word.write(0x5A);
+            let lowest = stack.top().sub(16 * PAGE_BYTES);
+            lowest.write(1);
+            assert_eq!((top_word.read(), lowest.read()), (0x5A, 1));
+        }
     }
 }

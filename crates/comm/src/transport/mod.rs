@@ -65,8 +65,8 @@ use crate::pool::WirePool;
 /// runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// A deposit pushes straight into the destination's mailbox;
-    /// threads-as-ranks. The default and the fast path.
+    /// A deposit pushes straight into the destination's mailbox. The
+    /// default and the fast path.
     #[default]
     InProcess,
     /// Memory-mapped byte ring per directed link in one shared file;

@@ -23,7 +23,9 @@
 //! Producer-side discipline: only rank `src`'s process ever writes ring
 //! `(src, dst)` (acks from a receiver `r` travel on `(r, src)`, still
 //! satisfying the rule), and within a process a per-link mutex
-//! serializes the writers a fault-plane release can add. A ring that
+//! serializes the writers a fault-plane release can add. A writer holds
+//! it across its full-ring waits, so it is taken the cooperative way
+//! (`fiber::wait` on `try_lock`), never by blocking a worker. A ring that
 //! stays full past [`STALL_TIMEOUT`] — the consumer died — fails the
 //! deposit with [`TransportError::Io`] instead of blocking forever.
 
@@ -41,6 +43,7 @@ use parking_lot::Mutex;
 use super::mmap::SharedMap;
 use super::{deliver_frames, wire, Transport, TransportError, TransportKind, TransportResult};
 use crate::envelope::Envelope;
+use crate::fiber;
 use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
 
@@ -54,6 +57,11 @@ pub const RING_BYTES: usize = REGION_BYTES - DATA_OFFSET;
 /// How long a producer tolerates a full ring with no consumer progress
 /// before declaring the link dead.
 const STALL_TIMEOUT: Duration = Duration::from_secs(1);
+/// How long a producer at a full ring waits before it looks again. The
+/// consumer is a progress thread, which cannot wake a waiter across
+/// processes, so the wait ends by its deadline; meanwhile the producer's
+/// sibling ranks run. A producer waiting for its link's lock naps the same.
+const FULL_RING_NAP: Duration = Duration::from_micros(10);
 /// Progress-thread nap when a sweep found no bytes.
 const IDLE_NAP: Duration = Duration::from_micros(40);
 
@@ -71,7 +79,11 @@ struct Ring {
     base: *mut u8,
 }
 
+// SAFETY: `base` points into a `SharedMap` its transport keeps alive for
+// as long as any `Ring` is used; all access to the cursors is atomic and
+// to the data area follows the single-producer single-consumer protocol.
 unsafe impl Send for Ring {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for Ring {}
 
 impl Ring {
@@ -79,6 +91,8 @@ impl Ring {
         let off = (src * p + dst) * REGION_BYTES;
         debug_assert!(off + REGION_BYTES <= map.len());
         Ring {
+            // SAFETY: the mapping holds `p × p` regions (`file_len`), so
+            // region `(src, dst)` lies inside it.
             base: unsafe { map.as_ptr().add(off) },
         }
     }
@@ -86,18 +100,30 @@ impl Ring {
     /// Producer cursor: total bytes ever written to this ring.
     #[inline]
     fn head(&self) -> &AtomicU64 {
+        // SAFETY: the region's first, 64-byte-aligned word, only ever
+        // accessed atomically.
         unsafe { &*(self.base as *const AtomicU64) }
     }
 
     /// Consumer cursor: total bytes ever read from this ring.
     #[inline]
     fn tail(&self) -> &AtomicU64 {
+        // SAFETY: the word on the region's second cache line, only ever
+        // accessed atomically.
         unsafe { &*(self.base.add(64) as *const AtomicU64) }
     }
 
     #[inline]
     fn data(&self) -> *mut u8 {
+        // SAFETY: the data area starts `DATA_OFFSET` bytes into the region.
         unsafe { self.base.add(DATA_OFFSET) }
+    }
+
+    /// Bytes the producer may write now.
+    fn free(&self) -> usize {
+        let h = self.head().load(Ordering::Acquire);
+        let t = self.tail().load(Ordering::Acquire);
+        RING_BYTES - (h - t) as usize
     }
 
     /// Stream `bytes` into the ring, waiting (bounded) for the consumer
@@ -106,9 +132,7 @@ impl Ring {
         let mut written = 0;
         let mut last_progress = Instant::now();
         while written < bytes.len() {
-            let h = self.head().load(Ordering::Acquire);
-            let t = self.tail().load(Ordering::Acquire);
-            let free = RING_BYTES - (h - t) as usize;
+            let free = self.free();
             if free == 0 {
                 if last_progress.elapsed() > STALL_TIMEOUT {
                     return Err(TransportError::Io {
@@ -116,15 +140,21 @@ impl Ring {
                         msg: format!("ring full for {STALL_TIMEOUT:?} (consumer stalled)"),
                     });
                 }
-                std::thread::sleep(Duration::from_micros(10));
+                let nap = Instant::now().checked_add(FULL_RING_NAP);
+                fiber::wait(nap, None, |_| (self.free() > 0).then_some(()));
                 continue;
             }
+            let h = self.head().load(Ordering::Acquire);
             let n = free.min(bytes.len() - written);
             let pos = (h as usize) % RING_BYTES;
             let first = n.min(RING_BYTES - pos);
             // Wrap-around double copy through the wide-copy kernel: small
             // frames (the combining schedules' tiny-m regime) stay under
             // the memcpy-call threshold and use inline word windows.
+            // SAFETY: `n ≤ free` bytes from `pos` (wrapping once) are the
+            // ring's free space, which the consumer does not read until
+            // the Release store of `head` below; the source has `n` bytes
+            // left past `written`.
             unsafe {
                 kernel::copy_raw(bytes.as_ptr().add(written), self.data().add(pos), first);
                 if n > first {
@@ -150,6 +180,10 @@ impl Ring {
         let pos = (t as usize) % RING_BYTES;
         let first = avail.min(RING_BYTES - pos);
         out.reserve(avail);
+        // SAFETY: the producer published `avail` bytes from `pos` (wrapping
+        // once) with its Release store of `head`, and does not overwrite
+        // them until the Release store of `tail` below; `out` has room for
+        // `avail` more bytes after the reserve, all initialized here.
         unsafe {
             let dst = out.as_mut_ptr().add(out.len());
             kernel::copy_raw(self.data().add(pos) as *const u8, dst, first);
@@ -307,8 +341,17 @@ impl Transport for ShmTransport {
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
         let mut frame = Vec::with_capacity(wire::HEADER_BYTES + env.data.len());
         wire::encode_into(&env, &mut frame);
-        let link = env.src * self.p + dst;
-        let _guard = self.write_locks[link].lock();
+        let lock = &self.write_locks[env.src * self.p + dst];
+        // Taken cooperatively: the holder may be a sibling fiber of this
+        // worker, suspended at the full ring below with the lock held (a
+        // fault-plane release writes another rank's link), and blocking
+        // the worker on it would never let that fiber run again.
+        let _guard = loop {
+            let nap = Instant::now().checked_add(FULL_RING_NAP);
+            if let Some(guard) = fiber::wait(nap, None, |_| lock.try_lock()) {
+                break guard;
+            }
+        };
         Ring::at(&self.map, self.p, env.src, dst).write(&frame, dst)
     }
 
@@ -339,7 +382,9 @@ impl Drop for ShmTransport {
 mod tests {
     use super::*;
 
-    use crate::fabric::per_rank;
+    use crate::fabric::{per_rank, Fabric};
+    use crate::fault::{FaultSpec, LinkSel};
+    use crate::reliable::RetryPolicy;
 
     #[test]
     fn deposits_cross_the_ring_in_order() {
@@ -411,5 +456,56 @@ mod tests {
             Err(TransportError::Io { peer: 1, .. }) => {}
             other => panic!("expected a stalled-ring error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_rank_flushing_a_siblings_frame_into_a_full_ring_holds_up_no_fiber() {
+        // Seven ranks, fibers of one worker, each stream frames twice a
+        // ring's size to rank 0 over a lossy fabric that stashes a third of
+        // them. A stash is flushed by the next deposit to rank 0, so one
+        // rank writes another's frame into that rank's ring and waits at
+        // the full ring, while the owner's retransmission (1 ms backoff)
+        // wants the same link: the link lock must not block the worker.
+        let spec = FaultSpec::new(0x5EED).reorder_rate(LinkSel::any().to(0), 0.3);
+        let policy = RetryPolicy {
+            attempts: 40,
+            base: Duration::from_millis(1),
+            ..RetryPolicy::default()
+        };
+        let fabric = Fabric::lossy(TransportKind::SharedMem, 8, spec, policy).unwrap();
+        let big = 2 * RING_BYTES;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let fabric = Arc::new(fabric);
+        let worker = {
+            let fabric = Arc::clone(&fabric);
+            std::thread::spawn(move || {
+                let fabric = &fabric;
+                fiber::run((1..8).map(|src| -> Box<dyn FnOnce()> {
+                    Box::new(move || {
+                        for i in 0..6u8 {
+                            let env = Envelope::new(0, src, 3, vec![src as u8 ^ i; big]);
+                            fabric.deposit(0, env).unwrap();
+                        }
+                    })
+                }));
+                let _ = done_tx.send(());
+            })
+        };
+        if done_rx.recv_timeout(Duration::from_secs(60)).is_err() {
+            panic!("the senders' worker hung");
+        }
+        worker.join().unwrap();
+        assert!(
+            fabric.fault_stats().unwrap().reorders > 0,
+            "nothing stashed"
+        );
+        let mut next = [0u8; 8];
+        for _ in 0..7 * 6 {
+            let env = fabric.mailbox(0).pop().unwrap();
+            let i = next[env.src];
+            assert!(env.data.len() == big && env.data.iter().all(|&b| b == env.src as u8 ^ i));
+            next[env.src] += 1;
+        }
+        assert_eq!(&next[1..], &[6; 7]);
     }
 }

@@ -1,4 +1,5 @@
-//! SPMD launcher: run the same rank program on `p` threads — or, with
+//! SPMD launcher: run the same rank program as `p` fibers on one worker
+//! thread per core (see `fiber.rs`) — or, with
 //! [`Universe::spawn_processes`], on `p` processes sharing a
 //! memory-mapped fabric.
 //!
@@ -19,6 +20,7 @@ use parking_lot::Mutex;
 use crate::comm::Comm;
 use crate::fabric::Fabric;
 use crate::fault::FaultSpec;
+use crate::fiber;
 use crate::reliable::RetryPolicy;
 use crate::transport::shm::ShmTransport;
 use crate::transport::TransportKind;
@@ -216,13 +218,15 @@ impl ProfiledRunConfig {
     }
 }
 
-/// Shared launch core: spawn one named thread per rank, join, re-panic
-/// the first rank panic. After a rank program returns, its `Comm` drops
-/// (closing the rank's mailbox) and the fabric is told the rank is done so
-/// backend progress machinery can stop. A rank that panics closes every
-/// rank's mailbox: a peer blocked on it wakes with
-/// [`CommError::Disconnected`](crate::CommError::Disconnected) instead of
-/// waiting forever, and the panics that wake-up causes are not reported.
+/// Shared launch core: run the `p` ranks as fibers on
+/// `w = min(p, available_parallelism())` worker threads, rank `r` on
+/// worker `⌊r·w/p⌋`, join, re-panic the first rank panic. After a rank
+/// program returns, its `Comm` drops (closing the rank's mailbox) and the
+/// fabric is told the rank is done so backend progress machinery can
+/// stop. A rank that panics closes every rank's mailbox: a peer blocked
+/// on it wakes with [`CommError::Disconnected`](crate::CommError::Disconnected)
+/// instead of waiting forever, and the panics that wake-up causes are not
+/// reported.
 fn launch<F, R>(fabric: Arc<Fabric>, f: F) -> Vec<R>
 where
     F: Fn(&mut Comm) -> R + Send + Sync,
@@ -230,17 +234,22 @@ where
 {
     let f = &f;
     let p = fabric.size();
+    let w = std::thread::available_parallelism().map_or(1, |n| n.get().min(p));
     let first_panic = Mutex::new(None);
-    let outs: Vec<Option<R>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for rank in 0..p {
-            let fabric = Arc::clone(&fabric);
-            let first_panic = &first_panic;
-            let h = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .spawn_scoped(scope, move || {
-                    let mut comm = Comm::new(rank, Arc::clone(&fabric));
-                    let out = match panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
+    let mut outs: Vec<Option<R>> = (0..p).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let mut rest = &mut outs[..];
+        let mut handles = Vec::with_capacity(w);
+        for k in 0..w {
+            // Worker k runs ranks ⌈k·p/w⌉ .. ⌈(k+1)·p/w⌉.
+            let first = (k * p).div_ceil(w);
+            let (mine, tail) = rest.split_at_mut(((k + 1) * p).div_ceil(w) - first);
+            rest = tail;
+            let (fabric, first_panic) = (&fabric, &first_panic);
+            let ranks = mine.iter_mut().zip(first..).map(move |(out, rank)| {
+                Box::new(move || {
+                    let mut comm = Comm::new(rank, Arc::clone(fabric));
+                    *out = match panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
                         Ok(out) => Some(out),
                         Err(payload) => {
                             // Recorded before the close, so a panic the
@@ -252,15 +261,17 @@ where
                     };
                     drop(comm);
                     fabric.rank_done(rank);
-                    out
-                })
-                .expect("failed to spawn rank thread");
+                }) as Box<dyn FnOnce() + '_>
+            });
+            let h = std::thread::Builder::new()
+                .name(format!("worker-{k}"))
+                .spawn_scoped(scope, move || fiber::run(ranks))
+                .expect("failed to spawn a worker thread");
             handles.push(h);
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| panic::resume_unwind(e)))
-            .collect()
+        for h in handles {
+            h.join().unwrap_or_else(|e| panic::resume_unwind(e));
+        }
     });
     if let Some(payload) = first_panic.into_inner() {
         panic::resume_unwind(payload);

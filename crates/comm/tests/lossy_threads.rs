@@ -1,6 +1,8 @@
 //! A lossy fabric owns a thread and takes it along when it goes. In a test
 //! binary of its own: a sibling test's live fabric would own one too.
 
+use std::time::{Duration, Instant};
+
 use cartcomm_comm::envelope::Envelope;
 use cartcomm_comm::fabric::Fabric;
 use cartcomm_comm::{FaultSpec, RetryPolicy, TransportKind};
@@ -16,6 +18,21 @@ fn progress_threads() -> usize {
         .count()
 }
 
+/// [`progress_threads`] once it reads `want`, or as it reads after five
+/// seconds. A dropped fabric joins its thread, but the kernel removes a
+/// joined thread from `/proc/self/task` a moment later, so a count taken
+/// right after the drop can still see it.
+fn progress_threads_settled_at(want: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let n = progress_threads();
+        if n == want || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn dropped_lossy_fabrics_leave_no_progress_thread() {
     common::watchdog(|| {
@@ -27,8 +44,8 @@ fn dropped_lossy_fabrics_leave_no_progress_thread() {
             let fabric = Fabric::lossy(kind, 2, FaultSpec::new(i), RetryPolicy::default()).unwrap();
             let env = Envelope::new(0, 0, 1, vec![1u8]);
             fabric.deposit(1, env).unwrap();
-            assert_eq!(progress_threads(), 1, "fabric {i} is alive");
+            assert_eq!(progress_threads_settled_at(1), 1, "fabric {i} is alive");
         }
-        assert_eq!(progress_threads(), 0);
+        assert_eq!(progress_threads_settled_at(0), 0);
     });
 }

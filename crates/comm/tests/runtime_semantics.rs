@@ -440,3 +440,108 @@ fn a_panicking_rank_ends_its_universe() {
         });
     });
 }
+
+/// The 26 offsets of the Moore neighborhood in three dimensions.
+fn moore_offsets() -> Vec<[i64; 3]> {
+    (0..27)
+        .map(|i| [i / 9 - 1, i / 3 % 3 - 1, i % 3 - 1])
+        .filter(|d| *d != [0, 0, 0])
+        .collect()
+}
+
+/// The rank at offset `d` from `rank` on the 3×3×3 torus.
+fn torus_neighbor(rank: usize, d: [i64; 3]) -> usize {
+    let at = [rank / 9, rank / 3 % 3, rank % 3];
+    (0..3).fold(0, |acc, k| {
+        acc * 3 + (at[k] as i64 + d[k]).rem_euclid(3) as usize
+    })
+}
+
+/// The block `src` sends along offset `slot` in `round`: a closed form of
+/// the three.
+fn moore_block(src: usize, slot: usize, round: usize) -> Vec<u8> {
+    (0..16)
+        .map(|i| (src * 31 + slot * 7 + round * 101 + i) as u8)
+        .collect()
+}
+
+#[test]
+fn a_sleeping_rank_holds_only_its_worker_and_every_block_arrives_exact() {
+    // 27 ranks share a few workers; rank 13 sleeps 50 ms between its two
+    // exchanges, holding its worker and the ranks on it. Every rank still
+    // receives, in both rounds, exactly the block the closed form names.
+    common::watchdog(|| {
+        let offsets = moore_offsets();
+        let got = Universe::builder(27).run(|comm| {
+            let me = comm.rank();
+            (0..2)
+                .map(|round| {
+                    if round == 1 && me == 13 {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                    }
+                    let tag = |slot: usize| (100 * round + slot) as u32;
+                    let mut batch = ExchangeBatch::with_capacity(offsets.len());
+                    for (slot, &d) in offsets.iter().enumerate() {
+                        batch.send(
+                            torus_neighbor(me, d),
+                            tag(slot),
+                            moore_block(me, slot, round),
+                        );
+                    }
+                    // What went out along `d` comes in from the rank at `-d`.
+                    let specs: Vec<RecvSpec> = (offsets.iter().enumerate())
+                        .map(|(slot, d)| {
+                            let from = torus_neighbor(me, d.map(|x| -x));
+                            RecvSpec::from_rank(from, tag(slot))
+                        })
+                        .collect();
+                    comm.exchange(&mut batch, &specs).unwrap();
+                    let blocks: Vec<Vec<u8>> = batch
+                        .drain_results()
+                        .map(|(buf, _)| buf.into_vec())
+                        .collect();
+                    blocks
+                })
+                .collect::<Vec<_>>()
+        });
+        for (me, rounds) in got.iter().enumerate() {
+            for (round, blocks) in rounds.iter().enumerate() {
+                for (slot, block) in blocks.iter().enumerate() {
+                    let from = torus_neighbor(me, offsets[slot].map(|x| -x));
+                    let want = moore_block(from, slot, round);
+                    assert_eq!(block, &want, "rank {me}, round {round}, slot {slot}");
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn a_rank_recursing_a_mebibyte_deep_returns() {
+    /// Recurse `depth` frames of at least 1 KiB each; the address of the
+    /// deepest frame's buffer.
+    #[inline(never)]
+    fn descend(depth: usize) -> usize {
+        let mut pad = [0u8; 1024];
+        std::hint::black_box(&mut pad);
+        if depth == 0 {
+            return pad.as_ptr() as usize;
+        }
+        let deepest = descend(depth - 1);
+        std::hint::black_box(&pad);
+        deepest
+    }
+    let deepest = Universe::builder(4).run(|comm| {
+        comm.barrier().unwrap();
+        let top = 0u8;
+        let reached = (&top as *const u8 as usize) - descend(1024);
+        comm.barrier().unwrap();
+        reached
+    });
+    for (rank, reached) in deepest.into_iter().enumerate() {
+        assert!(
+            reached >= 1 << 20,
+            "rank {rank} reached only {reached} B deep"
+        );
+    }
+}

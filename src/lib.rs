@@ -7,7 +7,7 @@
 //! * [`cartcomm`] — the paper's contribution: `CartComm`, the
 //!   message-combining alltoall/allgather schedules, the trivial baseline,
 //!   persistent handles, and the §2.2 promotion of distributed graphs.
-//! * [`comm`] — the threads-as-ranks message-passing substrate.
+//! * [`comm`] — the ranks-as-fibers message-passing substrate.
 //! * [`topo`] — Cartesian/mesh/torus topologies, neighborhoods, stencils.
 //! * [`types`] — the derived-datatype engine (zero-copy gather/scatter).
 //! * [`sim`] — the α-β network cost simulator and machine profiles.
