@@ -308,9 +308,33 @@ struct FusedRun {
     run: CopyRun,
 }
 
-/// A phase the inline carrier runs without its slab: per round, the
-/// round's gather composed with its scatter.
-type FusedPhase = Vec<Vec<FusedRun>>;
+/// A phase a carrier runs as fused copies, without a wire: per round,
+/// the round's gather composed with its scatter.
+#[derive(Debug)]
+struct FusedPhase {
+    rounds: Vec<Vec<FusedRun>>,
+    /// Whether ranks may also run its rounds at once, each on its own
+    /// worker, as a rendezvous does: no two of its receives write one
+    /// byte ([`Apart::writes`]).
+    meets: bool,
+}
+
+/// A program's fused phases ([`Program::fused`]).
+#[derive(Debug)]
+struct Fused {
+    phases: Vec<Option<FusedPhase>>,
+    /// A hash of every fused round: two ranks whose fused phases are
+    /// these copy alike.
+    ident: u64,
+    /// In-place execution that meets must send from a snapshot: with
+    /// `Send` and `Recv` one buffer, some phase that meets has a receive
+    /// that writes a byte a send of it reads, and a rendezvous reads and
+    /// writes at once (a deposit gathers the whole phase first). A
+    /// snapshot instead of a fallback to deposits keeps the rendezvous
+    /// decision blind to the mode, so two ranks that call one program in
+    /// different modes still meet.
+    in_place_snapshot: bool,
+}
 
 /// A schedule compiled over concrete layouts: tags, wire sizes, span
 /// programs, copies and temp layout all resolved ahead of execution — the
@@ -336,8 +360,9 @@ pub struct Program {
     /// buffer (see [`Program::reads_send_after_recv_write`]).
     in_place_snapshot: bool,
     /// Per phase, its fused form where it has one; built on the first
-    /// inline execution, so a threaded one never pays for it.
-    fused: OnceLock<Vec<Option<FusedPhase>>>,
+    /// execution that can use it (inline, or threaded on a fabric that
+    /// can rendezvous), so no other pays for it.
+    fused: OnceLock<Fused>,
 }
 
 /// One rank's view of a [`Program`]: the shared program and the rank's peer
@@ -539,26 +564,55 @@ impl Program {
         false
     }
 
-    /// Per phase, the fused form the inline carrier runs it in, or `None`
-    /// where it keeps the slab; built on first use. A phase fuses when it
-    /// is a torus phase (an empty class: one program for every rank, so
-    /// round `i` of every source is this program's round `i`), no receive
-    /// of it accumulates, and no receive of it writes a byte any send of it
-    /// reads ([`reads_apart_from_writes`]): then a receiver may copy
-    /// straight out of its source's buffers while other receivers write
-    /// theirs — its own, where a round's source is the receiver itself.
-    fn fused(&self) -> &[Option<FusedPhase>] {
+    /// Per phase, the fused form the carriers run it in, or `None` where
+    /// the inline carrier keeps the slab and the threaded one deposits;
+    /// built on first use. A phase fuses when it is a torus phase (an
+    /// empty class: one program for every rank, so round `i` of every
+    /// source is this program's round `i`), no receive of it accumulates,
+    /// and no receive of it writes a byte any send of it reads
+    /// ([`Apart::split`]): then a receiver may copy straight out of its
+    /// source's buffers while other receivers write theirs — its own,
+    /// where a round's source is the receiver itself. Whether its rounds
+    /// may also run at once is [`FusedPhase::meets`].
+    fn fused(&self) -> &Fused {
         self.fused.get_or_init(|| {
-            let fuse = |phase: &CompiledPhase| -> Option<FusedPhase> {
-                if !self.class.is_empty() || !reads_apart_from_writes(phase) {
+            let mut in_place_snapshot = false;
+            let mut fuse = |phase: &CompiledPhase| -> Option<FusedPhase> {
+                if !self.class.is_empty() {
+                    return None;
+                }
+                let apart = Apart::of(phase);
+                if !apart.split {
                     return None;
                 }
                 let rounds = phase.rounds.iter();
-                rounds
+                let rounds = rounds
                     .map(|r| fuse_round(r.send.as_ref()?, r.recv.as_ref()?))
-                    .collect()
+                    .collect::<Option<Vec<_>>>()?;
+                in_place_snapshot |= apart.writes && !apart.in_place;
+                Some(FusedPhase {
+                    rounds,
+                    meets: apart.writes,
+                })
             };
-            self.phases.iter().map(fuse).collect()
+            let phases: Vec<_> = self.phases.iter().map(&mut fuse).collect();
+            let mut h = Fnv::new();
+            for phase in &phases {
+                h.u64(0xFACE);
+                for f in phase.iter().flat_map(|f| &f.rounds).flatten() {
+                    let r = &f.run;
+                    h.u64(buf_tag(f.src) << 8 | buf_tag(f.dst));
+                    for v in [r.src, r.src_stride, r.dst, r.dst_stride, r.len, r.count] {
+                        h.u64(v as u64);
+                    }
+                }
+            }
+            let ident = h.finish();
+            Fused {
+                phases,
+                ident,
+                in_place_snapshot,
+            }
         })
     }
 
@@ -674,6 +728,19 @@ impl Program {
         self.phases
             .iter()
             .flat_map(|p| &p.rounds)
+            .filter_map(|r| r.send.as_ref().map(|h| h.wire_len))
+            .collect()
+    }
+
+    /// [`Program::wire_capacities`] of the rounds that take a wire on
+    /// `comm`'s fabric: all of them, but for the phases that meet where
+    /// the fabric can rendezvous (see [`execute`]).
+    pub(crate) fn deposit_capacities(&self, comm: &Comm) -> Vec<usize> {
+        let fused = comm.can_rendezvous().then(|| &self.fused().phases);
+        let meets = |k: usize| fused.is_some_and(|f| f[k].as_ref().is_some_and(|p| p.meets));
+        (self.phases.iter().enumerate())
+            .filter(|&(k, _)| !meets(k))
+            .flat_map(|(_, p)| &p.rounds)
             .filter_map(|r| r.send.as_ref().map(|h| h.wire_len))
             .collect()
     }
@@ -971,6 +1038,14 @@ impl Ranges {
         self.sorted &= self.spans.len() == before;
     }
 
+    /// Whether no two of the ranges share a byte.
+    fn disjoint(&mut self) -> bool {
+        if !self.sorted {
+            self.spans.sort_unstable();
+        }
+        self.spans.windows(2).all(|w| w[0].1 <= w[1].0)
+    }
+
     fn overlaps(&mut self, off: usize, len: usize) -> bool {
         if !self.sorted {
             self.spans.sort_unstable();
@@ -1055,34 +1130,45 @@ fn copy_is_direct(
     !read.any(|(s, n)| written.overlaps(s, n))
 }
 
-/// Whether no receive of `phase` writes a byte that a send of it reads.
+/// What one phase's receives leave apart, from one walk of its halves.
 /// Every rank of a torus runs one program, so on every rank the phase
-/// reads and writes the same offsets of its buffers: disjoint here, the
-/// phase's writes touch no byte any rank's send of it reads. `Send` is
-/// never written, so only `Recv` and `Temp` reads are asked about.
-fn reads_apart_from_writes(phase: &CompiledPhase) -> bool {
-    let writes = || {
-        phase
-            .rounds
-            .iter()
-            .flat_map(|r| &r.recv)
-            .flat_map(Half::spans)
-    };
-    let mut written = [BufId::Recv, BufId::Temp].map(|buf| {
-        let mut ranges = Ranges::default();
-        ranges.extend(writes().filter(|(b, _)| b.buf == buf).map(|(_, span)| span));
-        ranges
-    });
-    let mut reads = phase
-        .rounds
-        .iter()
-        .flat_map(|r| &r.send)
-        .flat_map(Half::spans);
-    reads.all(|(b, (off, len))| match b.buf {
-        BufId::Send => true,
-        BufId::Recv => !written[0].overlaps(off, len),
-        BufId::Temp => !written[1].overlaps(off, len),
-    })
+/// reads and writes the same offsets of its buffers: what is apart here
+/// is apart for every rank's copies of the phase, in any order.
+struct Apart {
+    /// No receive writes a byte a send reads. `Send` is never written,
+    /// so only `Recv` and `Temp` reads are asked about.
+    split: bool,
+    /// The same with `Send` and `Recv` one buffer, as
+    /// [`copy_is_direct`] treats them in place.
+    in_place: bool,
+    /// No two receives write one byte, so the rounds may land at once.
+    writes: bool,
+}
+
+impl Apart {
+    fn of(phase: &CompiledPhase) -> Apart {
+        let writes = phase.rounds.iter().flat_map(|r| &r.recv);
+        let mut written = [Ranges::default(), Ranges::default()];
+        for (b, span) in writes.flat_map(Half::spans) {
+            written[(b.buf == BufId::Temp) as usize].extend(std::iter::once(span));
+        }
+        let [recv, temp] = &mut written;
+        let writes = recv.disjoint() && temp.disjoint();
+        let (mut split, mut in_place) = (true, true);
+        let reads = phase.rounds.iter().flat_map(|r| &r.send);
+        for (b, (off, len)) in reads.flat_map(Half::spans) {
+            match b.buf {
+                BufId::Send => in_place &= !recv.overlaps(off, len),
+                BufId::Recv => split &= !recv.overlaps(off, len),
+                BufId::Temp => split &= !temp.overlaps(off, len),
+            }
+        }
+        Apart {
+            split,
+            in_place: in_place && split,
+            writes,
+        }
+    }
 }
 
 /// Compose a round's gather `out` with its scatter `inc` into one copy
@@ -1415,6 +1501,76 @@ impl RankExec<'_> {
         Ok(())
     }
 
+    /// Run a phase as a rendezvous (see [`execute`]): credit the sends as
+    /// packed and sent, meet the phase's peers with the fused rounds, then
+    /// credit the receives as matched and unpacked, in slot order.
+    #[allow(clippy::too_many_arguments)]
+    fn meet(
+        &mut self,
+        comm: &Comm,
+        (k, round_base): (usize, usize),
+        phase: &CompiledPhase,
+        peers: &[(usize, usize)],
+        specs: &[RecvSpec],
+        fused: &FusedPhase,
+        ident: u64,
+        traced: bool,
+    ) -> CartResult<()> {
+        let metrics = self.obs.metrics();
+        let rounds = phase.rounds.iter().zip(peers).enumerate();
+        for (i, (r, &pair)) in rounds.clone() {
+            if let Some(out) = &r.send {
+                self.packed(k, round_base + i, out, pair, traced);
+                metrics.add_wire_sent(out.wire_len);
+            }
+        }
+        // From here until the rendezvous returns, this rank's buffers are
+        // reached only through these raw bases: by its own copies and by
+        // its peers', on other workers.
+        let at = Meet {
+            bases: self.mem.bases(),
+            ident,
+        };
+        let sends = rounds
+            .clone()
+            .filter_map(|(i, (r, &(to, _)))| r.send.as_ref().map(|_| (to, r.tag, i)));
+        let copy = |i: usize, from: &Meet, to: &Meet| {
+            assert_eq!(
+                from.ident, to.ident,
+                "ranks met in a phase with different fused programs"
+            );
+            // SAFETY: `from` and `to` are the bases two ranks of this phase
+            // published (one rank's, where a round's source is its
+            // receiver), valid until this copy ends (`Comm::rendezvous`).
+            // Their programs are one (the identity above), and its phase
+            // meets: no copy running at once writes a byte another reads
+            // or writes (`FusedPhase::meets`), and no rank's reads of its
+            // buffers are written in this phase.
+            unsafe { copy_runs(fused.rounds[i].iter().copied(), from.bases, to.bases) };
+        };
+        // SAFETY: every rank of the phase runs this function with this
+        // `Meet` and this `copy`; `at` describes this rank's buffers,
+        // which `self.mem` does not touch until the rendezvous returns;
+        // the copies are apart as argued at `copy`; `fused` is only used
+        // where `comm.can_rendezvous()`.
+        unsafe { comm.rendezvous(&at, sends, specs, copy) }?;
+        let mut slot = 0;
+        for (i, (r, &pair)) in rounds {
+            let Some(inc) = &r.recv else { continue };
+            metrics.message_matched(inc.wire_len);
+            self.obs
+                .emit_with(self.rank, || TraceEvent::ExchangeMatched {
+                    src: pair.1,
+                    tag: r.tag,
+                    bytes: inc.wire_len,
+                    slot,
+                });
+            slot += 1;
+            self.unpacked(k, round_base + i, inc, pair, traced);
+        }
+        Ok(())
+    }
+
     /// What an unpack half credits, whether it scattered a wire or a
     /// fused copy delivered its bytes.
     fn unpacked(
@@ -1453,11 +1609,18 @@ impl RankExec<'_> {
 }
 
 /// Execute this rank's compiled plan: the threaded carrier, one rank per
-/// thread, each phase's wires crossing the fabric in one
+/// fiber, each phase's wires crossing the fabric in one
 /// [`Comm::exchange`] between the pack and unpack halves. In steady state
 /// (warm pool, sized scratch) this performs no heap allocation, no
 /// coordinate math, and no datatype traversal — every byte moves through
 /// precompiled memcpy ranges.
+///
+/// On a fabric that [can rendezvous](Comm::can_rendezvous), a phase
+/// whose fused form meets ([`FusedPhase::meets`]) crosses no wire: its
+/// rounds run as the inline carrier's fused copies, each by whichever
+/// rank of the round arrives second ([`Comm::rendezvous`]), one copy per
+/// byte, with the same counters and events as a deposited round and no
+/// pool take.
 ///
 /// `send: None` runs in place (the halo-exchange mode): `user` is sent
 /// from and received into, and the result is what a copy of `user` as the
@@ -1497,7 +1660,9 @@ pub fn execute(
             if user.len() < need {
                 return Err(too_small(need, user.len()));
             }
-            if cp.in_place_snapshot {
+            if cp.in_place_snapshot
+                || (comm.can_rendezvous() && cp.program.fused().in_place_snapshot)
+            {
                 let mut snapshot = std::mem::take(&mut scratch.snapshot);
                 snapshot.clear();
                 snapshot.extend_from_slice(user);
@@ -1525,6 +1690,10 @@ pub fn execute(
         rank: comm.rank(),
         red,
     };
+    // Where the fabric can rendezvous, a phase proven for it meets instead
+    // of depositing. The decision reads only the program and the fabric,
+    // so both ranks of every round take it alike.
+    let fused = comm.can_rendezvous().then(|| cp.program.fused());
     let (mut round_base, mut spec_base) = (0usize, 0usize);
     for (k, phase) in cp.phases.iter().enumerate() {
         ex.copies(phase);
@@ -1539,22 +1708,36 @@ pub fn execute(
         // construction.
         let traced = obs.enabled();
         let t0 = if traced { obs.now_ns() } else { 0 };
-        for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
-            if let Some(out) = &r.send {
-                let mut wire = comm.wire_buf(out.wire_len);
-                ex.pack(k, round_base + i, out, pair, &mut wire, traced);
-                batch.send(pair.0, r.tag, wire);
+        let meets = fused.and_then(|f| Some((f.phases[k].as_ref().filter(|p| p.meets)?, f.ident)));
+        if let Some((fused, ident)) = meets {
+            ex.meet(
+                comm,
+                (k, round_base),
+                phase,
+                peers,
+                specs,
+                fused,
+                ident,
+                traced,
+            )?;
+        } else {
+            for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
+                if let Some(out) = &r.send {
+                    let mut wire = comm.wire_buf(out.wire_len);
+                    ex.pack(k, round_base + i, out, pair, &mut wire, traced);
+                    batch.send(pair.0, r.tag, wire);
+                }
             }
-        }
-        comm.exchange(batch, specs)?;
-        let mut slot = 0;
-        for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
-            let Some(inc) = &r.recv else { continue };
-            // The slot's spec names `pair.1`, so that is who it is from.
-            let (wire, _) = batch.take_result(slot).expect("exchange fills every slot");
-            slot += 1;
-            ex.unpack(k, round_base + i, inc, pair, &wire, traced)?;
-            // `wire` drops here and recycles into this rank's pool.
+            comm.exchange(batch, specs)?;
+            let mut slot = 0;
+            for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
+                let Some(inc) = &r.recv else { continue };
+                // The slot's spec names `pair.1`, so that is who it is from.
+                let (wire, _) = batch.take_result(slot).expect("exchange fills every slot");
+                slot += 1;
+                ex.unpack(k, round_base + i, inc, pair, &wire, traced)?;
+                // `wire` drops here and recycles into this rank's pool.
+            }
         }
         if traced {
             // One latency sample per phase exchange: the rounds of a phase
@@ -1566,6 +1749,13 @@ pub fn execute(
         spec_base += phase.recvs;
     }
     Ok(())
+}
+
+/// What a rank publishes in a rendezvous: its buffers, and the identity
+/// of the fused phases it copies with.
+struct Meet {
+    bases: Bases,
+    ident: u64,
 }
 
 /// Reusable state of the inline carrier: every rank's temp buffer, the
@@ -1620,7 +1810,7 @@ impl Ranks<'_> {
     /// # Safety
     ///
     /// No range `prog` reads may overlap a range it writes at the same
-    /// offsets: what [`reads_apart_from_writes`] proves of a fused phase.
+    /// offsets: what [`Apart::split`] proves of a fused phase.
     /// (Ranges of different ranks never overlap, and every range is
     /// bounds-checked against its rank's stride.)
     unsafe fn copy(&mut self, prog: &[FusedRun], from: usize, to: usize) {
@@ -1710,7 +1900,7 @@ pub(crate) fn execute_inline(
     let shared = plans
         .iter()
         .all(|cp| Arc::ptr_eq(&cp.program, &first.program));
-    let fused = shared.then(|| first.program.fused());
+    let fused = shared.then(|| &first.program.fused().phases);
     let InlineScratch {
         temps,
         stage,
@@ -1790,10 +1980,10 @@ pub(crate) fn execute_inline(
                 });
                 let round = round_base + i;
                 match fused {
-                    Some(rounds) => {
+                    Some(fused) => {
                         // SAFETY: the phase is fused, so its reads and
                         // writes are apart (`Program::fused`).
-                        unsafe { ranks.copy(&rounds[i], src, rank) };
+                        unsafe { ranks.copy(&fused.rounds[i], src, rank) };
                         ranks.exec(rank).unpacked(k, round, inc, pair, traced);
                     }
                     None => {
@@ -2238,7 +2428,12 @@ mod tests {
 
     /// Whether each phase of `cp`'s program runs fused.
     fn fused_phases(cp: &CompiledPlan) -> Vec<bool> {
-        cp.program.fused().iter().map(Option::is_some).collect()
+        cp.program
+            .fused()
+            .phases
+            .iter()
+            .map(Option::is_some)
+            .collect()
     }
 
     #[test]
@@ -2301,7 +2496,7 @@ mod tests {
                 .map(|r| CompiledPlan::compile(&topo, r, &plan, &lay, 0x100).unwrap())
                 .collect();
             assert!(
-                program.fused().iter().all(Option::is_some),
+                program.fused().phases.iter().all(Option::is_some),
                 "{:?}",
                 plan.kind
             );

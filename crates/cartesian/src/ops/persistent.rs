@@ -50,11 +50,13 @@ impl PersistentCollective {
         // Listing 3 semantics: pay schedule + compilation once, here — or,
         // where another rank or handle already has, only the peer table.
         let (plan, compiled) = cart.program(kind, shape, algo)?;
-        // One pooled buffer per message the program sends: the first
+        // One pooled buffer per message the program deposits: the first
         // `execute` already runs at a 100% pool hit rate, and steady-state
         // iterations allocate nothing — received buffers recycle into the
-        // pool and are re-acquired for the next round's sends.
-        WirePool::prewarm(cart.comm().wire_pool(), &compiled.wire_capacities());
+        // pool and are re-acquired for the next round's sends. A round
+        // that meets its peer takes no wire, so it gets none.
+        let comm = cart.comm();
+        WirePool::prewarm(comm.wire_pool(), &compiled.deposit_capacities(comm));
         Ok(PersistentCollective {
             scratch: ExecScratch::for_plan(&compiled),
             plan,

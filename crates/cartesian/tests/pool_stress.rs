@@ -1,11 +1,16 @@
 //! Wire-pool convergence under sustained persistent-collective load.
 //!
-//! A persistent handle on a 4×4 torus with the Moore neighborhood is
+//! A persistent handle on a 4×4 grid with the Moore neighborhood is
 //! executed 1000 times per rank. The pool must (a) serve every wire buffer
 //! from its free lists once warm — a 100% hit rate, zero allocations in
 //! steady state — and (b) converge: the bytes parked in the pool stop
 //! growing after the warm-up, proving buffers cycle rank → wire → receiver
 //! pool → next send instead of accumulating.
+//!
+//! The handles run on a 4×4 mesh, where every round deposits a wire: a
+//! boundary program is one class's, so no phase of it meets. On the
+//! in-process torus the same rounds meet without a wire
+//! (`Comm::rendezvous`), and the pool is not used at all.
 
 use cartcomm::ops::Algo;
 use cartcomm::CartComm;
@@ -21,7 +26,7 @@ fn run_stress(algo: Algo, expect_combining: bool) {
     let t = nb.len();
     let m = 32usize; // elements per block
     Universe::builder(16).run(move |comm| {
-        let cart = CartComm::create(comm, &[4, 4], &[true, true], nb.clone()).unwrap();
+        let cart = CartComm::create(comm, &[4, 4], &[false, false], nb.clone()).unwrap();
         let mut handle = cart.alltoall_init::<u64>(m, algo).unwrap();
         assert_eq!(handle.is_combining(), expect_combining);
 
@@ -34,13 +39,17 @@ fn run_stress(algo: Algo, expect_combining: bool) {
         for it in 0..ITERS {
             handle.execute_typed(&cart, &send, &mut recv).unwrap();
             if it == 0 {
-                // Correctness spot check on the first iteration.
+                // Correctness spot check on the first iteration; the mesh
+                // leaves a block whose source is cut off untouched.
                 for i in 0..t {
-                    let src = cart
+                    let Some(src) = cart
                         .relative_shift(cart.neighborhood().offset(i))
                         .unwrap()
                         .0
-                        .unwrap();
+                    else {
+                        assert_eq!(recv[i * m], 0);
+                        continue;
+                    };
                     assert_eq!(recv[i * m], (src * 100_000 + i * m) as u64);
                 }
             }
@@ -89,7 +98,7 @@ fn persistent_allgather_converges_with_full_hit_rate() {
     let t = nb.len();
     let m = 16usize;
     Universe::builder(16).run(move |comm| {
-        let cart = CartComm::create(comm, &[4, 4], &[true, true], nb.clone()).unwrap();
+        let cart = CartComm::create(comm, &[4, 4], &[false, false], nb.clone()).unwrap();
         let mut handle = cart.allgather_init::<u64>(m, Algo::Combining).unwrap();
         let send: Vec<u64> = (0..m).map(|i| (cart.rank() * 1000 + i) as u64).collect();
         let mut recv = vec![0u64; t * m];
@@ -118,7 +127,7 @@ fn first_execute_after_init_already_hits() {
     let nb = RelNeighborhood::moore(2, 1).unwrap();
     let t = nb.len();
     Universe::builder(16).run(move |comm| {
-        let cart = CartComm::create(comm, &[4, 4], &[true, true], nb.clone()).unwrap();
+        let cart = CartComm::create(comm, &[4, 4], &[false, false], nb.clone()).unwrap();
         let mut handle = cart.alltoall_init::<u64>(8, Algo::Combining).unwrap();
         cart.comm().wire_pool().reset_stats();
         let send = vec![1u64; t * 8];

@@ -1,0 +1,260 @@
+//! Rounds that meet (`Comm::rendezvous`, on the in-process torus) against
+//! the same programs deposited (shared memory) and run inline: the same
+//! bytes and the same counters but the pool's, for the shapes a
+//! rendezvous has to get right — split buffers and in place, a 3×3×3
+//! torus, an extent-1 torus (a round's source is its receiver) and an
+//! asymmetric neighborhood (a sender waits on a rank that is not its
+//! source). And a rank that panics while its peers wait in a rendezvous
+//! ends its universe instead of hanging it.
+
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::Duration;
+
+use cartcomm::exec::ExecLayouts;
+use cartcomm::ops::persistent::PersistentCollective;
+use cartcomm::ops::{regular_layouts, w_layouts, Algo, WBlock};
+use cartcomm::{CartComm, InlineUniverse, PlanKind};
+use cartcomm_comm::obs::MetricsSnapshot;
+use cartcomm_comm::{TransportKind, Universe};
+use cartcomm_topo::RelNeighborhood;
+use cartcomm_types::Datatype;
+
+/// The collectives compared, over `t` neighbors: block sizes in bytes.
+#[derive(Clone, Copy, Debug)]
+enum Coll {
+    Alltoall,
+    Allgather,
+    /// Strided send blocks (every second byte), contiguous receive blocks
+    /// with a gap.
+    Alltoallw,
+    /// One buffer: send blocks first, receive blocks after them — the
+    /// halo shape (interior out, halo in).
+    AlltoallwHalo,
+}
+
+const M: usize = 8;
+
+impl Coll {
+    fn kind(self) -> PlanKind {
+        match self {
+            Coll::Allgather => PlanKind::Allgather,
+            _ => PlanKind::Alltoall,
+        }
+    }
+
+    fn blocks(self, t: usize) -> (Vec<WBlock>, Vec<WBlock>) {
+        let byte = Datatype::byte();
+        let contiguous = |at: usize| WBlock::new(at as i64, M, &byte);
+        match self {
+            Coll::Alltoall | Coll::Allgather => unreachable!("regular layouts"),
+            Coll::Alltoallw => (
+                (0..t)
+                    .map(|i| WBlock::new((2 * M * i) as i64, 1, &Datatype::vector(M, 1, 2, &byte)))
+                    .collect(),
+                (0..t).map(|i| contiguous((M + 3) * i)).collect(),
+            ),
+            Coll::AlltoallwHalo => (
+                (0..t).map(|i| contiguous(M * i)).collect(),
+                (0..t).map(|i| contiguous(M * (t + i))).collect(),
+            ),
+        }
+    }
+
+    fn layouts(self, t: usize) -> ExecLayouts {
+        match self {
+            Coll::Alltoall | Coll::Allgather => regular_layouts(t, M, self.kind()),
+            _ => {
+                let (send, recv) = self.blocks(t);
+                w_layouts(&send, &recv, self.kind()).unwrap()
+            }
+        }
+    }
+
+    /// Per-rank `(send, recv)` buffer lengths.
+    fn lens(self, t: usize) -> (usize, usize) {
+        match self {
+            Coll::Alltoall => (t * M, t * M),
+            Coll::Allgather => (M, t * M),
+            Coll::Alltoallw => (2 * M * t, (M + 3) * t),
+            Coll::AlltoallwHalo => (2 * M * t, 2 * M * t),
+        }
+    }
+
+    fn init(self, cart: &CartComm, algo: Algo) -> PersistentCollective {
+        let t = cart.neighbor_count();
+        match self {
+            Coll::Alltoall => cart.alltoall_init::<u8>(M, algo),
+            Coll::Allgather => cart.allgather_init::<u8>(M, algo),
+            _ => {
+                let (send, recv) = self.blocks(t);
+                cart.alltoallw_init(&send, &recv, algo)
+            }
+        }
+        .unwrap()
+    }
+}
+
+/// Rank `r`'s bytes: distinct per rank, position and case.
+fn payload(p: usize, len: usize, salt: u8) -> Vec<u8> {
+    (0..p * len)
+        .map(|i| (i as u8).wrapping_mul(29).wrapping_add(salt) ^ (i / len) as u8)
+        .collect()
+}
+
+/// Per rank: the receive buffer after two executes (split, or in place
+/// over the send bytes) on `kind`, and the counters of the second.
+fn threaded(
+    kind: TransportKind,
+    dims: &[usize],
+    nb: &RelNeighborhood,
+    (coll, algo, in_place): (Coll, Algo, bool),
+    sends: &Arc<Vec<u8>>,
+) -> Vec<(Vec<u8>, MetricsSnapshot)> {
+    let p: usize = dims.iter().product();
+    let (sl, rl) = coll.lens(nb.len());
+    Universe::builder(p).on(kind).run(|comm| {
+        let cart = CartComm::create(comm, dims, &vec![true; dims.len()], nb.clone()).unwrap();
+        let mut h = coll.init(&cart, algo);
+        let send = &sends[comm.rank() * sl..(comm.rank() + 1) * sl];
+        let mut run = || {
+            let mut recv = vec![0xEEu8; rl];
+            if in_place {
+                recv.copy_from_slice(send);
+                h.execute_in_place(&cart, &mut recv).unwrap();
+            } else {
+                h.execute(&cart, send, &mut recv).unwrap();
+            }
+            recv
+        };
+        run();
+        let before = comm.metrics();
+        let recv = run();
+        (recv, comm.metrics().since(&before))
+    })
+}
+
+/// What a rank's counters say apart from the carrier's own: its pool
+/// and how often it slept.
+fn counts(m: &MetricsSnapshot) -> MetricsSnapshot {
+    MetricsSnapshot {
+        pool_hits: 0,
+        pool_misses: 0,
+        recv_parks: 0,
+        plan_cache_hits: 0,
+        plan_cache_misses: 0,
+        ..*m
+    }
+}
+
+fn compare(dims: &[usize], offsets: Vec<Vec<i64>>) {
+    let nb = RelNeighborhood::new(dims.len(), offsets).unwrap();
+    let t = nb.len();
+    let p: usize = dims.iter().product();
+    let cases = [
+        (Coll::Alltoall, false),
+        (Coll::Alltoall, true),
+        (Coll::Allgather, false),
+        (Coll::Alltoallw, false),
+        (Coll::AlltoallwHalo, true),
+    ];
+    for (n, (coll, in_place)) in cases.into_iter().enumerate() {
+        for algo in [Algo::Combining, Algo::Trivial] {
+            let what = format!("{coll:?} {algo:?} in place {in_place} on {dims:?}");
+            let (sl, rl) = coll.lens(t);
+            let sends = Arc::new(payload(p, sl, n as u8));
+            let case = (coll, algo, in_place);
+            let met = threaded(TransportKind::InProcess, dims, &nb, case, &sends);
+            let deposited = threaded(TransportKind::SharedMem, dims, &nb, case, &sends);
+            for (rank, ((got, m), (want, d))) in met.iter().zip(&deposited).enumerate() {
+                assert_eq!(got, want, "{what}, rank {rank}: met vs deposited bytes");
+                assert_eq!(counts(m), counts(d), "{what}, rank {rank}: counters");
+                if coll.kind() == PlanKind::Alltoall && !in_place {
+                    // Every phase of a torus alltoall meets: no wire.
+                    assert_eq!(m.pool_hits + m.pool_misses, 0, "{what}, rank {rank}");
+                }
+            }
+            if in_place {
+                continue;
+            }
+            // Inline: every rank on this thread, the same program fused.
+            let mut uni = InlineUniverse::new(dims, &vec![true; dims.len()], nb.clone()).unwrap();
+            let lay = coll.layouts(t);
+            let mut recv = vec![0xEEu8; p * rl];
+            uni.run(coll.kind(), &lay, None, &sends, &mut recv, algo)
+                .unwrap();
+            let before: Vec<_> = (0..p).map(|r| uni.obs(r).snapshot()).collect();
+            recv.fill(0xEE);
+            uni.run(coll.kind(), &lay, None, &sends, &mut recv, algo)
+                .unwrap();
+            for (rank, (want, d)) in deposited.iter().enumerate() {
+                let got = &recv[rank * rl..(rank + 1) * rl];
+                assert_eq!(got, &want[..], "{what}, rank {rank}: inline vs deposited");
+                let inline = uni.obs(rank).snapshot().since(&before[rank]);
+                assert_eq!(
+                    counts(&inline),
+                    counts(d),
+                    "{what}, rank {rank}: inline counters"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn met_deposited_and_inline_agree_on_a_3x3x3_moore_torus() {
+    let nb = RelNeighborhood::moore(3, 1).unwrap();
+    compare(&[3, 3, 3], nb.offsets().to_vec());
+}
+
+#[test]
+fn met_deposited_and_inline_agree_on_an_extent_one_torus() {
+    // Along the first dimension every offset lands back on the rank.
+    let nb = RelNeighborhood::moore(2, 1).unwrap();
+    compare(&[1, 4], nb.offsets().to_vec());
+}
+
+#[test]
+fn met_deposited_and_inline_agree_on_an_asymmetric_neighborhood() {
+    // No offset's negation is a neighbor: whom a rank sends to is never
+    // whom it hears from, and the second rank of a round waits on a third.
+    compare(
+        &[3, 4],
+        vec![vec![1, 0], vec![0, 1], vec![1, 2], vec![-2, 1]],
+    );
+}
+
+/// A rank that panics between two executes, while its peers wait for it
+/// in a rendezvous, ends the universe by the panic rule: the peers' waits
+/// end with the close, and the panic comes out of `run`.
+#[test]
+fn a_rank_that_panics_while_its_peers_meet_ends_the_universe() {
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let out = panic::catch_unwind(AssertUnwindSafe(|| {
+            Universe::builder(8).run(|comm| {
+                let nb = RelNeighborhood::moore(3, 1).unwrap();
+                let cart = CartComm::create(comm, &[2, 2, 2], &[true; 3], nb).unwrap();
+                let mut h = cart.alltoall_init::<u32>(4, Algo::Trivial).unwrap();
+                let send = vec![cart.rank() as u32; 26 * 4];
+                let mut recv = vec![0u32; 26 * 4];
+                for it in 0..40 {
+                    if cart.rank() == 5 && it == 20 {
+                        panic!("rank 5 gives up");
+                    }
+                    if h.execute_typed(&cart, &send, &mut recv).is_err() {
+                        return;
+                    }
+                }
+            })
+        }));
+        let _ = done.send(out.map_err(|p| p.downcast_ref::<&str>().map(|s| s.to_string())));
+    });
+    match outcome.recv_timeout(Duration::from_secs(60)) {
+        Ok(Err(msg)) => assert_eq!(msg.as_deref(), Some("rank 5 gives up")),
+        Ok(Ok(_)) => panic!("a universe with a panicking rank reported success"),
+        Err(RecvTimeoutError::Timeout) => panic!("the universe did not end within a minute"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the launcher thread died"),
+    }
+}

@@ -11,8 +11,9 @@ use parking_lot::Mutex;
 use crate::envelope::{Envelope, SrcSel, Tag, TagSel};
 use crate::error::{CommError, CommResult};
 use crate::fabric::Fabric;
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Addr, Mailbox, Offer};
 use crate::pool::{PoolStats, PooledBuf, WirePool};
+use crate::transport::TransportError;
 
 /// Completion information of a receive (`MPI_Status`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +119,8 @@ pub(crate) struct RankCore {
     next_ctx: AtomicU32,
     /// Per-rank collective sequence counter (see `collectives`).
     coll_seq: AtomicU32,
+    /// The offers a rendezvous takes when it posts; kept for its capacity.
+    taken: Mutex<Vec<Offer>>,
 }
 
 impl Drop for RankCore {
@@ -164,6 +167,7 @@ impl Comm {
                 pending: Mutex::new(VecDeque::new()),
                 next_ctx: AtomicU32::new(2), // 0 = user p2p, 1 = internal collectives
                 coll_seq: AtomicU32::new(0),
+                taken: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -475,6 +479,189 @@ impl Comm {
             results[slot] = Some((env.data, status));
         }
         Ok(())
+    }
+}
+
+impl Comm {
+    // ----- rendezvous phase ------------------------------------------------
+
+    /// Whether this fabric can run a phase as a rendezvous: every rank
+    /// lives in this process (a posted address means the same thing to
+    /// sender and receiver) and the fabric is perfect (nothing below the
+    /// mailbox drops or repeats a round). Every rank of a fabric gets the
+    /// same answer.
+    pub fn can_rendezvous(&self) -> bool {
+        self.fabric.in_process() && self.fabric.patience().is_none()
+    }
+
+    /// Execute one phase of a schedule as a *rendezvous*: no round of it
+    /// crosses the mailbox. Whichever rank of a round arrives second runs
+    /// the round's copy from the sender's buffers straight into the
+    /// receiver's — a sender that finds the receiver's phase posted copies
+    /// into it, one that arrives first leaves an offer that the receiver
+    /// copies out when it posts. The phase is:
+    ///
+    /// 1. *post*: publish `at` for the senders of `recvs` and pull every
+    ///    offer already left for them — `copy(round, theirs, at)`;
+    /// 2. *push*: for each `(dst, tag, round)` of `sends`, copy
+    ///    `copy(round, at, theirs)` into `dst`'s posted phase if it has one
+    ///    with an open slot for `(context, rank, tag)`, or leave an offer;
+    /// 3. *wait* until every slot of `recvs` is delivered and every offer
+    ///    this rank left is copied out, then unpost.
+    ///
+    /// Rounds match on (context, source, tag) like envelopes, earliest
+    /// offer against earliest open slot. Every rank posts before it
+    /// pushes and waits only on ranks of its own phase, so the rank in
+    /// the lowest phase always completes. Credits `exchanges` and, for
+    /// the times the wait slept, `recv_parks`; the round counters are the
+    /// caller's.
+    ///
+    /// On an error — a closed mailbox on either side, which is how a
+    /// panicking rank ends its universe — and while unwinding from a
+    /// panicking `copy`, the phase still ends cleanly: this rank unposts,
+    /// takes back the offers nobody took, and waits out the copies
+    /// already running out of its buffers before it returns.
+    ///
+    /// # Safety
+    ///
+    /// Every rank that meets this one passes a `B` of the same type and a
+    /// `copy` that agrees on what `round` means. From the call until it
+    /// returns (or unwinds), `at` and whatever buffers it describes stay
+    /// valid, this rank touches those buffers only through `copy`, and no
+    /// `copy` running at once — this rank's or a peer's, into or out of
+    /// them — reads a byte another writes or writes a byte another
+    /// writes. Requires [`Comm::can_rendezvous`].
+    pub unsafe fn rendezvous<B>(
+        &self,
+        at: &B,
+        sends: impl Iterator<Item = (usize, Tag, usize)> + Clone,
+        recvs: &[RecvSpec],
+        copy: impl Fn(usize, &B, &B),
+    ) -> CommResult<()> {
+        debug_assert!(self.can_rendezvous());
+        for (dst, _, _) in sends.clone() {
+            self.check_rank(dst)?;
+        }
+        self.obs.metrics().exchange_started();
+        let mailbox = &self.core.mailbox;
+        let addr = Addr(at as *const B as *const ());
+        // SAFETY (of every `theirs`): a peer's `Addr` is the `&B` it passed
+        // to this function, valid while its post or offer lives — and the
+        // peer leaves neither before the copy that reads it is done.
+        let theirs = |a: Addr| unsafe { &*(a.0 as *const B) };
+        let mut phase = Phase {
+            comm: self,
+            at: addr,
+            sends: sends.clone(),
+            left: 0,
+            done: false,
+        };
+        // 1. Post, and pull what the earlier senders offered.
+        let mut taken = std::mem::take(&mut *self.core.taken.lock());
+        mailbox.post(self.ctx, addr, recvs, &mut taken)?;
+        let mut pulls = Pulls(&mut taken, 0);
+        while let Some(offer) = pulls.0.get(pulls.1) {
+            pulls.1 += 1;
+            let _settle = Settle(offer.from);
+            copy(offer.round, theirs(offer.at), at);
+        }
+        drop(pulls);
+        *self.core.taken.lock() = taken;
+        // 2. Push into the posts already there; offer where there is none.
+        for (dst, tag, round) in sends {
+            let offer = Offer {
+                ctx: self.ctx,
+                src: self.rank,
+                tag,
+                dst,
+                round,
+                at: addr,
+                from: Arc::as_ptr(mailbox),
+            };
+            let peer = self.fabric.mailbox(dst);
+            match peer.meet(offer, |to| copy(round, at, theirs(to))) {
+                Ok(true) => {}
+                Ok(false) => phase.left += 1,
+                Err(_) => return Err(TransportError::Closed { peer: dst }.into()),
+            }
+        }
+        // 3. Wait for the slots and for this rank's offers.
+        let parks = mailbox.parks();
+        let done = mailbox.await_phase(phase.left);
+        let slept = mailbox.parks() - parks;
+        if slept > 0 {
+            self.obs.metrics().recv_parked(slept);
+        }
+        // Done, it has unposted, and every offer is settled.
+        let revoked = done?;
+        phase.done = true;
+        match revoked {
+            None => Ok(()),
+            Some(peer) => Err(TransportError::Closed { peer }.into()),
+        }
+    }
+}
+
+/// Settles a taken offer however its copy ends.
+struct Settle(*const Mailbox);
+
+impl Drop for Settle {
+    fn drop(&mut self) {
+        // SAFETY: an offer's `from` outlives it (`Offer::from`).
+        unsafe { (*self.0).settle(None) };
+    }
+}
+
+/// The offers a post took, and how many of them a copy has started; the
+/// rest are settled uncopied if a copy panics.
+struct Pulls<'a>(&'a mut Vec<Offer>, usize);
+
+impl Drop for Pulls<'_> {
+    fn drop(&mut self) {
+        for offer in &self.0[self.1..] {
+            drop(Settle(offer.from));
+        }
+        self.0.clear();
+    }
+}
+
+/// A rendezvous phase in progress on one rank; dropping it before its
+/// wait completed — on an error or an unwind — ends it cleanly.
+struct Phase<'a, I: Iterator<Item = (usize, Tag, usize)> + Clone> {
+    comm: &'a Comm,
+    at: Addr,
+    /// The phase's sends: where its offers may still sit.
+    sends: I,
+    /// Offers this rank left.
+    left: usize,
+    /// The wait completed: it unposted, and every offer is settled.
+    done: bool,
+}
+
+impl<I: Iterator<Item = (usize, Tag, usize)> + Clone> Drop for Phase<'_, I> {
+    fn drop(&mut self) {
+        let Phase {
+            comm,
+            at,
+            left,
+            done,
+            ..
+        } = *self;
+        if done {
+            return;
+        }
+        let mailbox = &comm.core.mailbox;
+        // No sender reaches this rank's buffers from here on.
+        mailbox.unpost();
+        if left == 0 {
+            return;
+        }
+        // Take back what nobody took, then wait out the copies running out
+        // of this rank's buffers.
+        let withdrawn: usize = (self.sends.clone())
+            .map(|(dst, _, _)| comm.fabric.mailbox(dst).withdraw(comm.rank, at))
+            .sum();
+        mailbox.drain(left - withdrawn);
     }
 }
 

@@ -180,6 +180,12 @@ impl Fabric {
         self.transport.deposit(dst, env)
     }
 
+    /// Whether every rank of this fabric lives in this process
+    /// ([`Transport::in_process`]).
+    pub(crate) fn in_process(&self) -> bool {
+        self.transport.in_process()
+    }
+
     /// How long an exchange waits for a receive before it gives the peer
     /// up ([`Transport::patience`]): `None` on a perfect fabric.
     #[inline]

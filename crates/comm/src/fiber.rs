@@ -46,13 +46,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread::Thread;
 use std::time::Instant;
 
-use crate::transport::mmap::GuardedStack;
+use crate::transport::mmap::{self, AltStack, GuardedStack, SigInfo, PAGE_BYTES};
 
 /// Bytes reserved for each fiber's stack. Reserved, not committed: a
 /// rank pays for the pages it touches, so the reservation only bounds
 /// recursion depth (a thread's default is 2 MiB). Overflowing it faults
-/// on the guard page: a bare `SIGSEGV`, since std's handler names only
-/// a thread's own guard page (DESIGN.md §2).
+/// on the guard page, which [`on_segv`] recognizes: it names the rank and
+/// aborts, as std does for a thread's own guard page (DESIGN.md §2).
 const STACK_BYTES: usize = 8 << 20;
 
 /// How many idle passes a worker yields its core for before it parks.
@@ -180,6 +180,9 @@ struct Worker {
     waiting: Cell<Option<Waiting>>,
     /// A wait was satisfied or a fiber finished during this pass.
     progress: Cell<bool>,
+    /// The running fiber's guard page and rank, `(0, 0)` between fibers:
+    /// what [`on_segv`] names an overflow by.
+    running_guard: Cell<(usize, usize)>,
 }
 
 impl Worker {
@@ -207,6 +210,8 @@ struct Start<'a> {
 struct Fiber<'a> {
     /// Saved stack pointer while suspended (or not yet started).
     sp: *mut u8,
+    /// The rank it runs, named if its stack overflows.
+    rank: usize,
     /// Owned (from `Box::into_raw`): the fiber's entry gets its address.
     start: *mut Start<'a>,
     waiting: Waiting,
@@ -220,7 +225,7 @@ struct Fiber<'a> {
 const INITIAL_FP_CONTROL: u64 = 0x1F80 | (0x037F << 32);
 
 impl<'a> Fiber<'a> {
-    fn new(body: Box<dyn FnOnce() + 'a>) -> Fiber<'a> {
+    fn new((rank, body): (usize, Box<dyn FnOnce() + 'a>)) -> Fiber<'a> {
         let stack = GuardedStack::new(STACK_BYTES).expect("cannot map a fiber stack");
         let start = Box::into_raw(Box::new(Start {
             body: Some(body),
@@ -250,6 +255,7 @@ impl<'a> Fiber<'a> {
         };
         Fiber {
             sp,
+            rank,
             start,
             waiting: Waiting {
                 deadline: None,
@@ -269,17 +275,21 @@ impl Drop for Fiber<'_> {
     }
 }
 
-/// Run `bodies` as fibers on this thread until all have finished. A
+/// Run `bodies` — each with the rank it is named by should its stack
+/// overflow — as fibers on this thread until all have finished. A
 /// panic that escapes a body is raised again here, abandoning the
 /// fibers still suspended (their stacks are unmapped without unwinding).
-pub(crate) fn run<'a>(bodies: impl IntoIterator<Item = Box<dyn FnOnce() + 'a>>) {
+pub(crate) fn run<'a>(bodies: impl IntoIterator<Item = (usize, Box<dyn FnOnce() + 'a>)>) {
     assert!(WORKER.get().is_null(), "a worker runs no second worker");
+    mmap::on_segv(on_segv);
+    let _alt = AltStack::ensure();
     let mut fibers: Vec<Fiber<'a>> = bodies.into_iter().map(Fiber::new).collect();
     let worker = Worker {
         sp: Cell::new(ptr::null_mut()),
         running: Cell::new(ptr::null_mut()),
         waiting: Cell::new(None),
         progress: Cell::new(false),
+        running_guard: Cell::new((0, 0)),
     };
     /// Clears `WORKER` however `run` ends.
     struct Leave;
@@ -297,10 +307,12 @@ pub(crate) fn run<'a>(bodies: impl IntoIterator<Item = Box<dyn FnOnce() + 'a>>) 
         while at < fibers.len() {
             let fiber = &mut fibers[at];
             worker.running.set(&mut fiber.sp);
+            worker.running_guard.set((fiber._stack.guard(), fiber.rank));
             // SAFETY: `fiber.sp` is a context saved by `switch` or laid out
             // by `Fiber::new`, on a stack the fiber owns; the fiber comes
             // back through `Worker::suspend` or the entry's last switch.
             unsafe { switch(worker.sp.as_ptr(), fiber.sp) };
+            worker.running_guard.set((0, 0));
             match worker.waiting.take() {
                 Some(waiting) => {
                     fiber.waiting = waiting;
@@ -329,6 +341,45 @@ pub(crate) fn run<'a>(bodies: impl IntoIterator<Item = Box<dyn FnOnce() + 'a>>) 
             idle.pass(deadline, parks);
         }
     }
+}
+
+/// The process's `SIGSEGV` handler, on the alternate signal stack: a
+/// fault on the guard page of the fiber running on this thread is that
+/// rank's stack overflow — say so and abort, as std does for a thread.
+/// Any other fault goes to the handler this one replaced.
+extern "C" fn on_segv(sig: i32, info: *mut SigInfo, ctx: *mut core::ffi::c_void) {
+    // `WORKER` is a const-initialized thread-local without a destructor:
+    // reading it is a plain load, safe inside a signal handler.
+    let worker = WORKER.get();
+    // SAFETY: the kernel passes a valid `siginfo_t`; a non-null `WORKER`
+    // is this thread's live worker.
+    let (addr, (guard, rank)) = unsafe {
+        let running = if worker.is_null() {
+            (0, 0)
+        } else {
+            (*worker).running_guard.get()
+        };
+        ((*info).fault_addr(), running)
+    };
+    if guard != 0 && (guard..guard + PAGE_BYTES).contains(&addr) {
+        // Formatted by hand: nothing in a signal handler may allocate.
+        let mut digits = [0u8; 20];
+        let (mut n, mut at) = (rank, digits.len());
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        mmap::write_stderr(b"\nfiber of rank ");
+        mmap::write_stderr(&digits[at..]);
+        mmap::write_stderr(b" has overflowed its stack\n");
+        std::process::abort();
+    }
+    // SAFETY: called from the handler with its own arguments.
+    unsafe { mmap::chain_segv(sig, info, ctx) };
 }
 
 /// A fiber's first frame, entered from the trampoline with its `Start`.
@@ -420,8 +471,8 @@ mod tests {
     use std::sync::Mutex;
     use std::time::Duration;
 
-    fn boxed<'a>(f: impl FnOnce() + 'a) -> Box<dyn FnOnce() + 'a> {
-        Box::new(f)
+    fn boxed<'a>(rank: usize, f: impl FnOnce() + 'a) -> (usize, Box<dyn FnOnce() + 'a>) {
+        (rank, Box::new(f))
     }
 
     #[test]
@@ -432,7 +483,7 @@ mod tests {
         let log = Mutex::new(Vec::new());
         let (turn, log) = (&turn, &log);
         run((0..3).map(|me| {
-            boxed(move || {
+            boxed(me, move || {
                 let mut mine = Vec::new();
                 for round in 0..4 {
                     wait(None, None, |_| {
@@ -457,8 +508,8 @@ mod tests {
         // value whatever ran on the worker before it.
         let seen = Mutex::new(Vec::new());
         let seen = &seen;
-        run((0..2).map(|_| {
-            boxed(move || {
+        run((0..2).map(|rank| {
+            boxed(rank, move || {
                 let mut csr = 0u32;
                 // SAFETY: stores MXCSR to a local.
                 unsafe { std::arch::asm!("stmxcsr [{}]", in(reg) &mut csr) };
@@ -470,7 +521,7 @@ mod tests {
 
     #[test]
     fn a_panic_in_a_fiber_reaches_the_worker() {
-        let out = panic::catch_unwind(|| run([boxed(|| panic!("from a fiber"))]));
+        let out = panic::catch_unwind(|| run([boxed(0, || panic!("from a fiber"))]));
         let payload = out.unwrap_err();
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"from a fiber"));
         // The thread is no worker any more: a plain wait works again.
@@ -481,7 +532,7 @@ mod tests {
     fn a_deadline_ends_a_wait_nobody_wakes() {
         let t0 = Instant::now();
         let limit = Duration::from_millis(20);
-        run([boxed(|| {
+        run([boxed(0, || {
             let got: Option<()> = wait(Some(Instant::now() + limit), None, |_| None);
             assert!(got.is_none());
         })]);
@@ -495,7 +546,7 @@ mod tests {
         let (flag, parks) = (&flag, &parks);
         std::thread::scope(|s| {
             s.spawn(|| {
-                run([boxed(|| {
+                run([boxed(0, || {
                     wait(None, Some(parks), |waker| {
                         let mut st = flag.lock().unwrap();
                         if st.0 {

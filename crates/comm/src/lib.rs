@@ -43,7 +43,9 @@
 //! retargets every payload to the *receiver's* pool at deposit time so
 //! unpacked messages recycle where the next receive happens. Persistent
 //! collectives pre-warm the pool at init and reach a 100% hit rate in
-//! steady state ([`Comm::pool_telemetry`]).
+//! steady state ([`Comm::pool_telemetry`]). A phase that meets instead
+//! ([`Comm::rendezvous`]: the in-process fabric, a proven torus phase)
+//! takes no wire at all.
 
 //! # Fault injection and reliable delivery
 //!

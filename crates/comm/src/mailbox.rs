@@ -23,18 +23,64 @@
 //! launcher closes every rank's mailbox when a rank program panics (a
 //! rank blocked in [`Mailbox::pop`] wakes with [`Closed`] instead of
 //! hanging). Envelopes queued before the close can still be popped.
+//!
+//! The mailbox also holds the owner's side of a *rendezvous*
+//! ([`Comm::rendezvous`](crate::Comm::rendezvous)): a round between two
+//! ranks of one process that meets instead of crossing the queue. The
+//! owner *posts* its buffer bases and the receive slots of its phase; a
+//! sender that finds the post copies the round straight into the posted
+//! buffers under this lock (`meet`), and one that arrives first leaves an
+//! *offer* — its own bases — which the owner takes when it posts and
+//! copies out itself. Posts and offers match like envelopes, on
+//! `(ctx, src, tag)`, earliest offer against earliest open slot. The one
+//! lock, the one waker and the one close serve both: a close revokes the
+//! offers not yet taken, telling each sender, and a rank leaving a phase
+//! unposts under this lock, which waits out a copy in progress.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::envelope::Envelope;
+use crate::comm::RecvSpec;
+use crate::envelope::{Envelope, Tag};
 use crate::fiber::{self, Waker};
 
 /// The mailbox is closed and holds nothing more to pop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Closed;
+
+/// An address in this process that a rendezvous publishes: a rank's
+/// buffer bases, which whoever runs one of its rounds copies from or
+/// into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Addr(pub(crate) *const ());
+
+// SAFETY: an `Addr` is only an address. Who may dereference it, and
+// for how long, is the rendezvous protocol's to say (`Comm::rendezvous`).
+unsafe impl Send for Addr {}
+
+/// A round its sender reached before the receiver posted its phase: the
+/// receiver copies it out of the sender's buffers itself.
+pub(crate) struct Offer {
+    pub(crate) ctx: u32,
+    pub(crate) src: usize,
+    pub(crate) tag: Tag,
+    /// The receiver, named when a close revokes the offer.
+    pub(crate) dst: usize,
+    /// The sender's round, handed back to the copy.
+    pub(crate) round: usize,
+    /// The sender's buffers.
+    pub(crate) at: Addr,
+    /// The sender's mailbox, told when the offer is settled. It outlives
+    /// the offer: its owner leaves a phase only once every offer it left
+    /// is settled, and holds its mailbox until then.
+    pub(crate) from: *const Mailbox,
+}
+
+// SAFETY: `at` and `from` are addresses the protocol keeps valid while
+// the offer exists (see `Offer::from`); nothing else in it is shared.
+unsafe impl Send for Offer {}
 
 #[derive(Default)]
 struct State {
@@ -43,6 +89,33 @@ struct State {
     /// The owner's thread, registered by a pop that found nothing and
     /// taken by the push or close that wakes it.
     waker: Option<Waker>,
+    /// The owner's posted phase: its context and buffers.
+    post: Option<(u32, Addr)>,
+    /// The posted phase's receive slots, `true` once delivered; the
+    /// capacity is kept from phase to phase.
+    slots: Vec<(RecvSpec, bool)>,
+    /// Posted slots not yet delivered.
+    open: usize,
+    /// Rounds left here by senders that arrived before the post.
+    offers: Vec<Offer>,
+    /// The owner's own offers of this phase that their receivers have
+    /// settled: copied out, or revoked by a close.
+    settled: usize,
+    /// The receiver of the first revoked one.
+    revoked: Option<usize>,
+}
+
+impl State {
+    /// The earliest open posted slot the round `(ctx, src, tag)` fills.
+    fn slot_for(&self, ctx: u32, src: usize, tag: Tag) -> Option<usize> {
+        let (posted, _) = self.post?;
+        if posted != ctx {
+            return None;
+        }
+        self.slots
+            .iter()
+            .position(|(spec, done)| !done && spec.src.matches(src) && spec.tag.matches(tag))
+    }
 }
 
 /// One rank's inbound envelope queue.
@@ -125,10 +198,162 @@ impl Mailbox {
         let mut st = self.lock();
         st.closed = true;
         let waker = st.waker.take();
+        let offers = std::mem::take(&mut st.offers);
         drop(st);
         if let Some(waker) = waker {
             waker.wake();
         }
+        // Nobody will take these: their senders stop waiting for them.
+        for offer in offers {
+            // SAFETY: an offer's `from` outlives it (see `Offer::from`).
+            unsafe { (*offer.from).settle(Some(offer.dst)) };
+        }
+    }
+
+    // ----- rendezvous ------------------------------------------------------
+
+    /// Post the owner's phase: publish `at` for the senders of `slots`,
+    /// and move every offer already left that an open slot takes — in
+    /// arrival order, each into its earliest matching slot — onto
+    /// `taken`. A taken offer's slot counts as delivered: the owner copies
+    /// it next. Once posted, no new offer can match: its sender meets the
+    /// post instead. A closed mailbox refuses.
+    pub(crate) fn post(
+        &self,
+        ctx: u32,
+        at: Addr,
+        slots: &[RecvSpec],
+        taken: &mut Vec<Offer>,
+    ) -> Result<(), Closed> {
+        let mut st = self.lock();
+        if st.closed {
+            return Err(Closed);
+        }
+        st.post = Some((ctx, at));
+        st.slots.clear();
+        st.slots.extend(slots.iter().map(|&spec| (spec, false)));
+        st.open = slots.len();
+        (st.settled, st.revoked) = (0, None);
+        let mut at = 0;
+        while at < st.offers.len() && st.open > 0 {
+            let o = &st.offers[at];
+            match st.slot_for(o.ctx, o.src, o.tag) {
+                Some(slot) => {
+                    st.slots[slot].1 = true;
+                    st.open -= 1;
+                    taken.push(st.offers.remove(at));
+                }
+                None => at += 1,
+            }
+        }
+        Ok(())
+    }
+
+    /// Meet the owner for the round `offer` describes. If the owner has
+    /// posted an open slot for it, run `copy` into the posted buffers
+    /// under the lock, mark the slot delivered and return `Ok(true)`;
+    /// otherwise leave the offer and return `Ok(false)`. A closed mailbox
+    /// refuses both.
+    pub(crate) fn meet(&self, offer: Offer, copy: impl FnOnce(Addr)) -> Result<bool, Closed> {
+        let mut st = self.lock();
+        if st.closed {
+            return Err(Closed);
+        }
+        let Some(slot) = st.slot_for(offer.ctx, offer.src, offer.tag) else {
+            st.offers.push(offer);
+            return Ok(false);
+        };
+        let (_, to) = st.post.expect("a slot is posted");
+        // Under the lock: the owner cannot unpost while the copy runs.
+        copy(to);
+        st.slots[slot].1 = true;
+        st.open -= 1;
+        let waker = if st.open == 0 { st.waker.take() } else { None };
+        drop(st);
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+        Ok(true)
+    }
+
+    /// Settle one of the owner's offers: copied out by its receiver, or
+    /// (`Some(receiver)`) revoked by the receiver's close. The lock is the
+    /// release the owner's wait acquires.
+    pub(crate) fn settle(&self, revoked: Option<usize>) {
+        let mut st = self.lock();
+        st.settled += 1;
+        st.revoked = st.revoked.or(revoked);
+        let waker = if st.open == 0 { st.waker.take() } else { None };
+        drop(st);
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+
+    /// The owner's wait in a posted phase: until every posted slot is
+    /// delivered and `left` offers of its own are settled — then it
+    /// unposts, under the same lock, and returns the receiver of a
+    /// revoked offer, if any — or until the close.
+    pub(crate) fn await_phase(&self, left: usize) -> Result<Option<usize>, Closed> {
+        fiber::wait(None, Some(&self.parks), |waker| {
+            let mut st = self.lock();
+            if st.open == 0 && st.settled == left {
+                st.post = None;
+                return Some(Ok(st.revoked));
+            }
+            if st.closed {
+                return Some(Err(Closed));
+            }
+            // The mailbox has one owner, so a registered waker is its own.
+            if st.waker.is_none() {
+                st.waker = Some(waker.clone());
+            }
+            None
+        })
+        .expect("a wait without a deadline ends with a value")
+    }
+
+    /// Take back the offers `src` left here from the buffers at `at` that
+    /// the owner has not taken, and count them.
+    pub(crate) fn withdraw(&self, src: usize, at: Addr) -> usize {
+        let mut st = self.lock();
+        let before = st.offers.len();
+        st.offers.retain(|o| o.src != src || o.at != at);
+        before - st.offers.len()
+    }
+
+    /// Wait, closed or not, until `left` of the owner's offers are
+    /// settled: the copies already taken out of its buffers are done.
+    /// While the thread unwinds it spins instead of switching fibers — a
+    /// copy in flight runs to its end on another worker without waiting.
+    pub(crate) fn drain(&self, left: usize) {
+        let settled = || self.lock().settled >= left;
+        if std::thread::panicking() {
+            while !settled() {
+                std::thread::yield_now();
+            }
+            return;
+        }
+        fiber::wait(None, None, |waker| {
+            let mut st = self.lock();
+            if st.settled >= left {
+                return Some(());
+            }
+            if st.waker.is_none() {
+                st.waker = Some(waker.clone());
+            }
+            None
+        });
+    }
+
+    /// End the owner's phase: no sender reaches its buffers after this
+    /// returns, and a copy into them still running finishes first (it
+    /// holds the lock).
+    pub(crate) fn unpost(&self) {
+        let mut st = self.lock();
+        st.post = None;
+        st.slots.clear();
+        st.open = 0;
     }
 
     /// How many times a pop has gone to sleep so far.

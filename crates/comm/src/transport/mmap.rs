@@ -1,11 +1,13 @@
 //! A minimal mapping shim over `mmap(2)`: the shared file mapping the
-//! shared-memory transport runs its rings in, and the guarded anonymous
-//! stacks a universe's rank fibers run on (`fiber.rs`).
+//! shared-memory transport runs its rings in, the guarded anonymous
+//! stacks a universe's rank fibers run on (`fiber.rs`), and the
+//! `SIGSEGV` handler that names a fiber whose stack overflowed.
 //!
 //! The build environment has no registry access, so the usual `memmap2`
-//! crate is out; this is the few dozen lines of it the runtime actually
-//! needs. Rust links the platform C runtime on glibc/musl targets
-//! already, so declaring the three symbols directly costs no dependency.
+//! and `libc` crates are out; this is the few dozen lines of them the
+//! runtime actually needs. Rust links the platform C runtime on
+//! glibc/musl targets already, so declaring the symbols directly costs no
+//! dependency.
 
 use std::fs::File;
 use std::io;
@@ -19,7 +21,7 @@ const MAP_PRIVATE: i32 = 0x02;
 const MAP_ANONYMOUS: i32 = 0x20;
 const MAP_NORESERVE: i32 = 0x4000;
 /// The guard's size: the base page of every Linux target this builds for.
-const PAGE_BYTES: usize = 4096;
+pub(crate) const PAGE_BYTES: usize = 4096;
 
 extern "C" {
     fn mmap(
@@ -32,6 +34,183 @@ extern "C" {
     ) -> *mut core::ffi::c_void;
     fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
     fn mprotect(addr: *mut core::ffi::c_void, len: usize, prot: i32) -> i32;
+    fn sigaction(sig: i32, act: *const SigAction, old: *mut SigAction) -> i32;
+    fn sigaltstack(stack: *const SigStack, old: *mut SigStack) -> i32;
+    fn write(fd: i32, buf: *const core::ffi::c_void, len: usize) -> isize;
+}
+
+const SIGSEGV: i32 = 11;
+const SA_SIGINFO: i32 = 0x4;
+const SA_ONSTACK: i32 = 0x0800_0000;
+const SS_DISABLE: i32 = 2;
+const SIG_DFL: usize = 0;
+const SIG_IGN: usize = 1;
+/// A signal stack roomy enough for the handler and whatever it chains to.
+const ALT_STACK_BYTES: usize = 64 << 10;
+
+/// `struct sigaction` as glibc and musl lay it out on x86_64.
+#[repr(C)]
+pub(crate) struct SigAction {
+    /// `sa_handler`, or `sa_sigaction` under `SA_SIGINFO`.
+    handler: usize,
+    mask: [u64; 16],
+    flags: i32,
+    restorer: usize,
+}
+
+/// The head of `siginfo_t` on Linux: for `SIGSEGV` the faulting address
+/// follows the three ints.
+#[repr(C)]
+pub(crate) struct SigInfo {
+    signo: i32,
+    errno: i32,
+    code: i32,
+    addr: usize,
+}
+
+impl SigInfo {
+    /// The address whose access faulted.
+    pub(crate) fn fault_addr(&self) -> usize {
+        self.addr
+    }
+}
+
+/// `stack_t`.
+#[repr(C)]
+struct SigStack {
+    sp: *mut core::ffi::c_void,
+    flags: i32,
+    size: usize,
+}
+
+/// What a `SIGSEGV` handler gets: the signal, its `siginfo_t` and the
+/// interrupted context.
+pub(crate) type SegvHandler = extern "C" fn(i32, *mut SigInfo, *mut core::ffi::c_void);
+
+/// The handler `SIGSEGV` had before [`on_segv`], called for every fault
+/// the new one does not claim. Written by the kernel, once.
+struct Prev(std::cell::UnsafeCell<SigAction>);
+
+// SAFETY: written only by the one `sigaction` call in `on_segv`, under a
+// `Once`, before any fault can reach the handler that reads it.
+unsafe impl Sync for Prev {}
+
+static PREV: Prev = Prev(std::cell::UnsafeCell::new(SigAction {
+    handler: SIG_DFL,
+    mask: [0; 16],
+    flags: 0,
+    restorer: 0,
+}));
+
+/// Install `handler` for `SIGSEGV`, on the alternate signal stack (see
+/// [`AltStack`]), once per process; the handler it replaces is kept for
+/// [`chain_segv`].
+pub(crate) fn on_segv(handler: SegvHandler) {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let act = SigAction {
+            handler: handler as usize,
+            mask: [0; 16],
+            flags: SA_SIGINFO | SA_ONSTACK,
+            restorer: 0,
+        };
+        // SAFETY: both pointers are valid `struct sigaction`s; the kernel
+        // writes the old action into `PREV` before the new one can run.
+        let rc = unsafe { sigaction(SIGSEGV, &act, PREV.0.get()) };
+        assert_eq!(rc, 0, "cannot install the SIGSEGV handler");
+    });
+}
+
+/// Hand a fault the new handler does not claim to the one it replaced:
+/// call it, or — where that was the default or ignored — restore the
+/// default and return, so the faulting access runs again and kills the
+/// process the way it always would have.
+///
+/// # Safety
+///
+/// Called from the `SIGSEGV` handler with its own arguments.
+pub(crate) unsafe fn chain_segv(sig: i32, info: *mut SigInfo, ctx: *mut core::ffi::c_void) {
+    // SAFETY: `PREV` was written before this handler was installed.
+    let prev = unsafe { &*PREV.0.get() };
+    match prev.handler {
+        SIG_DFL | SIG_IGN => {
+            let dfl = SigAction {
+                handler: SIG_DFL,
+                mask: [0; 16],
+                flags: 0,
+                restorer: 0,
+            };
+            // SAFETY: a valid action; the old one is not asked for.
+            unsafe { sigaction(SIGSEGV, &dfl, std::ptr::null_mut()) };
+        }
+        h if prev.flags & SA_SIGINFO != 0 => {
+            // SAFETY: an `SA_SIGINFO` handler takes these three arguments.
+            let h: SegvHandler = unsafe { std::mem::transmute(h) };
+            h(sig, info, ctx);
+        }
+        h => {
+            // SAFETY: a plain handler takes the signal number.
+            let h: extern "C" fn(i32) = unsafe { std::mem::transmute(h) };
+            h(sig);
+        }
+    }
+}
+
+/// Write `bytes` to standard error with one `write(2)`: safe inside a
+/// signal handler, unlike `eprintln!`.
+pub(crate) fn write_stderr(bytes: &[u8]) {
+    // SAFETY: a valid buffer of `bytes.len()` bytes.
+    unsafe { write(2, bytes.as_ptr().cast(), bytes.len()) };
+}
+
+/// An alternate signal stack for the calling thread, made only if it has
+/// none (std gives the threads it spawns one when it watches for stack
+/// overflow itself): a handler for an overflowed stack cannot run on
+/// it. Removed and unmapped on drop.
+pub(crate) struct AltStack(Option<GuardedStack>);
+
+impl AltStack {
+    pub(crate) fn ensure() -> AltStack {
+        let mut old = SigStack {
+            sp: std::ptr::null_mut(),
+            flags: 0,
+            size: 0,
+        };
+        // SAFETY: queries the current alternate stack into `old`.
+        if unsafe { sigaltstack(std::ptr::null(), &mut old) } != 0 || old.flags & SS_DISABLE == 0 {
+            return AltStack(None);
+        }
+        let Ok(stack) = GuardedStack::new(ALT_STACK_BYTES) else {
+            return AltStack(None);
+        };
+        let new = SigStack {
+            // SAFETY: the usable bytes start one guard page above `base`.
+            sp: unsafe { stack.base.add(PAGE_BYTES) }.cast(),
+            flags: 0,
+            size: ALT_STACK_BYTES,
+        };
+        // SAFETY: `new` describes a mapping that outlives its use: it is
+        // uninstalled in `drop` before it is unmapped.
+        match unsafe { sigaltstack(&new, std::ptr::null_mut()) } {
+            0 => AltStack(Some(stack)),
+            _ => AltStack(None),
+        }
+    }
+}
+
+impl Drop for AltStack {
+    fn drop(&mut self) {
+        if self.0.is_some() {
+            let off = SigStack {
+                sp: std::ptr::null_mut(),
+                flags: SS_DISABLE,
+                size: 0,
+            };
+            // SAFETY: disables this thread's alternate stack, which is ours,
+            // before `self.0` unmaps it.
+            unsafe { sigaltstack(&off, std::ptr::null_mut()) };
+        }
+    }
 }
 
 /// A `MAP_SHARED` read-write mapping of a file, unmapped on drop.
@@ -153,6 +332,12 @@ impl GuardedStack {
             base: base as *mut u8,
             len,
         })
+    }
+
+    /// The guard page's address: a fault in `[guard, guard + 4096)` ran
+    /// off the stack's end.
+    pub(crate) fn guard(&self) -> usize {
+        self.base as usize
     }
 
     /// One past the highest usable byte: page-aligned, where a stack that

@@ -480,13 +480,14 @@ mod tests {
             let fabric = Arc::clone(&fabric);
             std::thread::spawn(move || {
                 let fabric = &fabric;
-                fiber::run((1..8).map(|src| -> Box<dyn FnOnce()> {
-                    Box::new(move || {
+                fiber::run((1..8).map(|src| -> (usize, Box<dyn FnOnce()>) {
+                    let body = Box::new(move || {
                         for i in 0..6u8 {
                             let env = Envelope::new(0, src, 3, vec![src as u8 ^ i; big]);
                             fabric.deposit(0, env).unwrap();
                         }
-                    })
+                    });
+                    (src, body)
                 }));
                 let _ = done_tx.send(());
             })

@@ -247,7 +247,7 @@ where
             rest = tail;
             let (fabric, first_panic) = (&fabric, &first_panic);
             let ranks = mine.iter_mut().zip(first..).map(move |(out, rank)| {
-                Box::new(move || {
+                let body = Box::new(move || {
                     let mut comm = Comm::new(rank, Arc::clone(fabric));
                     *out = match panic::catch_unwind(AssertUnwindSafe(|| f(&mut comm))) {
                         Ok(out) => Some(out),
@@ -261,7 +261,8 @@ where
                     };
                     drop(comm);
                     fabric.rank_done(rank);
-                }) as Box<dyn FnOnce() + '_>
+                }) as Box<dyn FnOnce() + '_>;
+                (rank, body)
             });
             let h = std::thread::Builder::new()
                 .name(format!("worker-{k}"))

@@ -105,20 +105,6 @@ impl Summary {
             max,
         }
     }
-
-    /// The interval `(low, high)` of the 95% CI.
-    pub fn ci95(&self) -> (f64, f64) {
-        (
-            self.mean - self.ci95_half_width,
-            self.mean + self.ci95_half_width,
-        )
-    }
-
-    /// This series normalized to a baseline mean (the figures' relative
-    /// run-time axis).
-    pub fn relative_to(&self, baseline_mean: f64) -> f64 {
-        self.mean / baseline_mean
-    }
 }
 
 #[cfg(test)]
@@ -161,17 +147,10 @@ mod tests {
         let xs: Vec<f64> = (0..100).map(|i| 10.0 + (i % 5) as f64 * 0.01).collect();
         let s = Summary::of(&xs);
         assert_eq!(s.n, 100);
-        let (lo, hi) = s.ci95();
+        let (lo, hi) = (s.mean - s.ci95_half_width, s.mean + s.ci95_half_width);
         assert!(lo < s.mean && s.mean < hi);
         assert!(hi - lo < 0.01, "tight data gives a tight CI");
         assert!(s.min >= 10.0 && s.max <= 10.05);
-    }
-
-    #[test]
-    fn summary_relative_normalization() {
-        let s = Summary::of(&[2.0, 2.0, 2.0]);
-        assert_eq!(s.relative_to(4.0), 0.5);
-        assert_eq!(s.ci95_half_width, 0.0);
     }
 
     #[test]
