@@ -40,7 +40,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use cartcomm_comm::obs::{Obs, TraceEvent};
+use cartcomm_comm::obs::{Obs, RoundTally, TraceEvent};
 use cartcomm_comm::{Comm, CommError, ExchangeBatch, RecvSpec, Tag};
 use cartcomm_topo::{CartTopology, Offset};
 use cartcomm_types::kernel::{self, CopyRun, PackSpan, SpanRun, Stretch};
@@ -1410,12 +1410,23 @@ pub(crate) fn check_reducer(kind: PlanKind, red: Option<Reducer>) -> CartResult<
 /// the reducer path exist once; a carrier only decides where a packed
 /// wire lives between `pack` and `unpack` (a pooled buffer crossing the
 /// fabric, or a span of the inline slab).
+///
+/// The halves count into `tally`, which reaches the rank's registry once,
+/// when the executor drops — after the last round, or at the error or
+/// unwind that ends the execution early, with what it counted so far.
 struct RankExec<'a> {
     mem: Mem<'a>,
     stage: &'a mut Vec<u8>,
     obs: &'a Obs,
     rank: usize,
     red: Option<Reducer>,
+    tally: RoundTally,
+}
+
+impl Drop for RankExec<'_> {
+    fn drop(&mut self) {
+        self.obs.metrics().credit(&self.tally);
+    }
 }
 
 impl RankExec<'_> {
@@ -1430,7 +1441,7 @@ impl RankExec<'_> {
     /// end of `wire` and account for it. `round` is the global round
     /// index, `(to, from)` the rank's peers in it.
     fn pack(
-        &self,
+        &mut self,
         k: usize,
         round: usize,
         out: &Half,
@@ -1450,10 +1461,17 @@ impl RankExec<'_> {
 
     /// What a pack half credits — counters and trace events — whether its
     /// bytes were gathered or a fused copy will carry them.
-    fn packed(&self, k: usize, round: usize, out: &Half, (to, from): (usize, usize), traced: bool) {
-        let metrics = self.obs.metrics();
-        metrics.round_started();
-        metrics.pack(out.prog.span_count, out.wire_len);
+    fn packed(
+        &mut self,
+        k: usize,
+        round: usize,
+        out: &Half,
+        (to, from): (usize, usize),
+        traced: bool,
+    ) {
+        self.tally.rounds_started += 1;
+        self.tally.pack_spans += out.prog.span_count as u64;
+        self.tally.pack_bytes += out.wire_len as u64;
         if traced {
             self.obs.emit(
                 self.rank,
@@ -1516,12 +1534,11 @@ impl RankExec<'_> {
         ident: u64,
         traced: bool,
     ) -> CartResult<()> {
-        let metrics = self.obs.metrics();
         let rounds = phase.rounds.iter().zip(peers).enumerate();
         for (i, (r, &pair)) in rounds.clone() {
             if let Some(out) = &r.send {
                 self.packed(k, round_base + i, out, pair, traced);
-                metrics.add_wire_sent(out.wire_len);
+                self.tally.wire_bytes_sent += out.wire_len as u64;
             }
         }
         // From here until the rendezvous returns, this rank's buffers are
@@ -1557,7 +1574,8 @@ impl RankExec<'_> {
         let mut slot = 0;
         for (i, (r, &pair)) in rounds {
             let Some(inc) = &r.recv else { continue };
-            metrics.message_matched(inc.wire_len);
+            self.tally.msgs_matched += 1;
+            self.tally.wire_bytes_recv += inc.wire_len as u64;
             self.obs
                 .emit_with(self.rank, || TraceEvent::ExchangeMatched {
                     src: pair.1,
@@ -1574,14 +1592,14 @@ impl RankExec<'_> {
     /// What an unpack half credits, whether it scattered a wire or a
     /// fused copy delivered its bytes.
     fn unpacked(
-        &self,
+        &mut self,
         k: usize,
         round: usize,
         inc: &Half,
         (to, from): (usize, usize),
         traced: bool,
     ) {
-        self.obs.metrics().round_completed();
+        self.tally.rounds_completed += 1;
         if traced {
             self.obs.emit(
                 self.rank,
@@ -1689,6 +1707,7 @@ pub fn execute(
         obs,
         rank: comm.rank(),
         red,
+        tally: RoundTally::default(),
     };
     // Where the fabric can rendezvous, a phase proven for it meets instead
     // of depositing. The decision reads only the program and the fabric,
@@ -1801,6 +1820,7 @@ impl Ranks<'_> {
             obs: &self.obs[rank],
             rank,
             red: self.red,
+            tally: RoundTally::default(),
         }
     }
 

@@ -5,7 +5,8 @@
 //! torus, an extent-1 torus (a round's source is its receiver) and an
 //! asymmetric neighborhood (a sender waits on a rank that is not its
 //! source). And a rank that panics while its peers wait in a rendezvous
-//! ends its universe instead of hanging it.
+//! ends its universe instead of hanging it, and an execute that fails on
+//! a departed peer credits exactly what it counted.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -257,4 +258,68 @@ fn a_rank_that_panics_while_its_peers_meet_ends_the_universe() {
         Err(RecvTimeoutError::Timeout) => panic!("the universe did not end within a minute"),
         Err(RecvTimeoutError::Disconnected) => panic!("the launcher thread died"),
     }
+}
+
+/// An execute whose phase fails because its peer has left — rank 1
+/// returns, and its mailbox closes, before rank 0 starts — credits what
+/// it counted up to the failure: on a 1×2 torus the self-rounds of the
+/// first phase meet and the second phase's rounds to rank 1 fail in the
+/// rendezvous; on the 1×2 mesh they deposit and fail at the deposit.
+/// The counts are rank 0's deltas: rounds started and completed, pack
+/// spans and bytes, wire bytes sent and received, messages matched.
+#[test]
+fn an_execute_failing_on_a_departed_peer_credits_what_it_counted() {
+    for (torus, want) in [
+        (true, [4, 2, 8, 384, 384, 192, 2]),
+        (false, [1, 0, 1, 32, 32, 0, 0]),
+    ] {
+        let got = watchdog_run(move || departed_peer_counts(torus));
+        assert_eq!(got, want, "torus {torus}");
+    }
+}
+
+fn watchdog_run<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the execute did not fail within a minute")
+}
+
+fn departed_peer_counts(torus: bool) -> [u64; 7] {
+    const BYE: u32 = 77;
+    const M: usize = 4;
+    let out = Universe::builder(2).run(|comm| {
+        let nb = RelNeighborhood::moore(2, 1).unwrap();
+        let t = nb.len();
+        let cart = CartComm::create(comm, &[1, 2], &[torus; 2], nb).unwrap();
+        let mut h = cart.alltoall_init::<u64>(M, Algo::Combining).unwrap();
+        if comm.rank() == 1 {
+            comm.send_bytes(0, BYE, Vec::new()).unwrap();
+            return None;
+        }
+        // Rank 1's mailbox closes when it returns: on its own worker, or,
+        // sharing this one, before this rank resumes from the receive.
+        comm.recv_bytes(1, BYE).unwrap();
+        while comm.send_bytes(1, BYE, Vec::new()).is_ok() {
+            std::hint::spin_loop();
+        }
+        let send = vec![7u64; t * M];
+        let mut recv = vec![0u64; t * M];
+        let before = comm.metrics();
+        assert!(h.execute_typed(&cart, &send, &mut recv).is_err());
+        let d = comm.metrics().since(&before);
+        Some([
+            d.rounds_started,
+            d.rounds_completed,
+            d.pack_spans,
+            d.pack_bytes,
+            d.wire_bytes_sent,
+            d.wire_bytes_recv,
+            d.msgs_matched,
+        ])
+    });
+    out[0].expect("rank 0 reports its counts")
 }

@@ -13,15 +13,28 @@
 //! saves six registers and two control words and swaps stack pointers:
 //! no system call, no scheduler, no cache-cold wake-up on another core.
 //!
-//! The worker's idle rule replaces the old per-receive yield-then-park:
-//! a *pass* over the fibers is idle when no fiber's wait was satisfied
-//! (one that timed out does not count) and none finished. After each
-//! idle pass the worker yields its core; after
-//! [`IDLE_PASSES_BEFORE_PARK`] consecutive ones it parks until a
-//! [`Waker`] — a push or close on one of its ranks' mailboxes, an
-//! acknowledgement — or the earliest deadline among its waits wakes it.
-//! A thread that is not a worker (a unit test, a `spawn_processes`
-//! child) waits the same way, as a worker of one fiber.
+//! A wait is *wake-driven*. Each fiber owns a [`Waker`]: a `ready`
+//! flag beside its worker's `sleeping` flag. A poll that finds nothing
+//! and registers the waker under its lock *arms* the wait, and the
+//! worker does not resume an armed fiber again until someone notifies
+//! its waker (one flag store, under the lock the poll read) or its
+//! deadline passes: a wait costs no re-poll, and no cache line of the
+//! mailbox it watches moves, until its peer has changed what it polls.
+//! A poll that registers nothing (a full ring, a lock) is polled every
+//! pass.
+//!
+//! The worker's idle rule: a *pass* over the fibers is idle when no
+//! fiber's wait was satisfied (one that timed out does not count) and
+//! none finished. After an idle pass a worker whose waits are all armed
+//! yields its core and looks at their `ready` flags and deadlines
+//! between yields — lines that change only when a fiber is woken —
+//! resuming none of them until one is due; one with an unarmed wait
+//! yields once and polls again. Once the worker has been idle for
+//! [`IDLE_BEFORE_PARK`] it sets `sleeping`, looks at the flags once more
+//! and parks until a waker or the earliest deadline among its waits ends
+//! the sleep; a notifier unparks it only when it sleeps. A thread that
+//! is not a worker (a unit test, a `spawn_processes` child) waits the
+//! same way, as a worker of one fiber, with a waker of its own.
 //!
 //! What this asks of a rank program (DESIGN.md §2): ranks are
 //! cooperative. A rank that computes, sleeps or blocks on an OS primitive
@@ -42,9 +55,10 @@ use std::arch::naked_asm;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::Thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::transport::mmap::{self, AltStack, GuardedStack, SigInfo, PAGE_BYTES};
 
@@ -55,108 +69,245 @@ use crate::transport::mmap::{self, AltStack, GuardedStack, SigInfo, PAGE_BYTES};
 /// aborts, as std does for a thread's own guard page (DESIGN.md §2).
 const STACK_BYTES: usize = 8 << 20;
 
-/// How many idle passes a worker yields its core for before it parks.
+/// How long a worker stays idle — yielding its core, and looking at its
+/// fibers' wake flags between yields — before it parks.
 ///
 /// A constant, picked from the run-to-run spread of ten 10 s `cartbench`
-/// runs per count, not from their medians (8 ranks on 2 workers): the
-/// medians of 4, 16, 64 and 256 lie within 2 % of each other on
-/// `a2a_small` and `a2a_trivial`. The spreads do not: `a2a_small`'s
-/// `ops_per_s` quartiles lay 5 832 and 5 864 1/s apart at 4 and 16
-/// passes, 3 885 at 64 and 1 889 at 256, while at 256 one `a2a_trivial`
-/// run in ten fell to half speed (quartiles 944 1/s apart, 459 at 64).
-/// Beyond that the spread follows the machine, not the count. It costs a
-/// worker whose fibers all wait on silent peers 64 `sched_yield` calls
-/// before it sleeps.
-const IDLE_PASSES_BEFORE_PARK: u32 = 64;
+/// runs per value, not from their medians (8 ranks on 2 workers; DESIGN.md
+/// §12 has the table): the medians of 30, 100 and 300 µs lie within
+/// 2.5 % of each other on `a2a_small` and `a2a_trivial`, while 100 µs
+/// had the narrowest quartiles on both. It costs a worker whose fibers
+/// all wait on silent peers this much yielding before it sleeps.
+const IDLE_BEFORE_PARK: Duration = Duration::from_micros(100);
 
 thread_local! {
-    /// This thread's waker, made on its first wait.
-    static WAKER: Waker = Waker(std::thread::current());
+    /// The waker of a thread that is not a worker, made on its first wait.
+    static WAKER: Waker = Waker::new(Host::current());
+    /// Set when the running poll keeps its waker to be woken by: the wait
+    /// it polls for is armed.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
     /// The worker whose fiber runs on this thread; null outside [`run`].
     static WORKER: Cell<*const Worker> = const { Cell::new(ptr::null()) };
 }
 
-/// Who to wake when what a wait polls may have changed: the waiting
-/// thread, worker or not. A waiting poll registers it under the lock it
-/// polls under; whoever changes the state under that lock takes it and
-/// wakes it after the unlock.
-#[derive(Clone)]
-pub(crate) struct Waker(Thread);
+/// A thread that waits — a worker, or a thread waiting on its own — and
+/// whether it sleeps.
+struct Host {
+    thread: Thread,
+    /// Set (SeqCst) before the thread looks at its wakers one last time
+    /// and parks; a notifier that reads it set unparks the thread.
+    sleeping: AtomicBool,
+}
 
-impl Waker {
-    /// End the thread's park, or make its next one return at once. The
-    /// wake-up enters the kernel only when the thread is parked.
-    pub(crate) fn wake(self) {
-        self.0.unpark();
+impl Host {
+    /// The calling thread, awake.
+    fn current() -> Arc<Host> {
+        Arc::new(Host {
+            thread: std::thread::current(),
+            sleeping: AtomicBool::new(false),
+        })
     }
 }
 
-/// Consecutive idle passes, and what to do after one.
+struct Wake {
+    /// Set by a notify, cleared by the wait before each poll.
+    ready: AtomicBool,
+    host: Arc<Host>,
+}
+
+/// Who to wake when what a wait polls may have changed: one fiber, or a
+/// thread that is not a worker. A poll that finds nothing registers it
+/// (or keeps a clone) under the lock it polled under, and stays
+/// registered; whoever changes the state under that lock notifies it
+/// there and unparks its thread after the unlock if it sleeps.
+///
+/// Registering or cloning the waker passed to a poll *arms* the wait:
+/// its worker resumes it only once the waker is notified or its deadline
+/// passes. A waker still registered where its wait has ended causes at
+/// most one poll that finds nothing.
+pub(crate) struct Waker(Arc<Wake>);
+
+impl Clone for Waker {
+    /// A clone is kept to be woken by, so it arms the wait being polled.
+    fn clone(&self) -> Self {
+        ARMED.set(true);
+        Waker(Arc::clone(&self.0))
+    }
+}
+
+impl Waker {
+    fn new(host: Arc<Host>) -> Waker {
+        Waker(Arc::new(Wake {
+            ready: AtomicBool::new(false),
+            host,
+        }))
+    }
+
+    /// Register this waker in `slot`, under the lock the poll holds, and
+    /// arm the wait. A slot that already holds it is left alone: a wait
+    /// that polls again clones nothing.
+    pub(crate) fn register(&self, slot: &mut Option<Waker>) {
+        ARMED.set(true);
+        if !slot.as_ref().is_some_and(|w| Arc::ptr_eq(&w.0, &self.0)) {
+            *slot = Some(Waker(Arc::clone(&self.0)));
+        }
+    }
+
+    /// Mark the waiter ready, under the lock its poll reads. Returns its
+    /// thread if that sleeps: unpark it after the unlock.
+    ///
+    /// The flag store and the `sleeping` load are SeqCst, as are the
+    /// sleeper's `sleeping` store and its last look at the flags: one of
+    /// the two sides sees the other's store, so the waiter either finds
+    /// the flag set or is unparked.
+    #[must_use]
+    pub(crate) fn notify(&self) -> Option<Thread> {
+        self.0.ready.store(true, Ordering::SeqCst);
+        let host = &self.0.host;
+        host.sleeping
+            .load(Ordering::SeqCst)
+            .then(|| host.thread.clone())
+    }
+
+    /// Notify, and unpark the waiter's thread at once if it sleeps.
+    #[cfg(test)]
+    pub(crate) fn wake(&self) {
+        if let Some(thread) = self.notify() {
+            thread.unpark();
+        }
+    }
+
+    /// Whether the waiter's thread has set `sleeping` and not cleared it.
+    #[cfg(test)]
+    pub(crate) fn sleeping(&self) -> bool {
+        self.0.host.sleeping.load(Ordering::SeqCst)
+    }
+
+    fn ready(&self) -> bool {
+        self.0.ready.load(Ordering::SeqCst)
+    }
+
+    /// Poll once: clear the flag (an RMW, so a notify that lands after it
+    /// is not lost), poll, and if the poll found nothing, say whether it
+    /// armed the wait.
+    fn poll<T>(&self, poll: &mut impl FnMut(&Waker) -> Option<T>) -> Result<T, bool> {
+        self.0.ready.swap(false, Ordering::SeqCst);
+        ARMED.set(false);
+        poll(self).ok_or_else(|| ARMED.get())
+    }
+}
+
+/// How long a worker has been idle, and what to do after an idle pass.
 #[derive(Default)]
 struct Idle {
-    passes: u32,
+    since: Option<Instant>,
 }
 
 impl Idle {
-    /// After an idle pass: yield the core, or once the yields are spent,
-    /// park until a wake-up or `deadline`, first bumping `parks` — one
-    /// counter per waiting rank, each that rank's record that it slept (a
-    /// park that a wake-up already pending ends at once counts too).
-    fn pass<'c>(&mut self, deadline: Option<Instant>, parks: impl Iterator<Item = &'c AtomicU64>) {
-        if self.passes < IDLE_PASSES_BEFORE_PARK {
-            self.passes += 1;
+    /// After an idle pass over `waits`: while the idle time is under
+    /// [`IDLE_BEFORE_PARK`], yield the core until an armed wait's waker
+    /// fires or a deadline passes if every wait is armed, or else once.
+    /// Past it, bump the waits' park counters — each that rank's
+    /// record that it slept (a park that a wake-up already pending ends at
+    /// once counts too) — and park until a wake-up or the earliest
+    /// deadline.
+    fn pass<'w>(
+        &mut self,
+        host: &Host,
+        waits: impl Iterator<Item = (&'w Waker, &'w Waiting)> + Clone,
+    ) {
+        let mut now = Instant::now();
+        let since = *self.since.get_or_insert(now);
+        let deadline = waits.clone().filter_map(|(_, w)| w.deadline).min();
+        let woken = || waits.clone().any(|(waker, w)| w.armed && waker.ready());
+        let armed = waits.clone().all(|(_, w)| w.armed);
+        while now.duration_since(since) < IDLE_BEFORE_PARK {
+            if woken() || deadline.is_some_and(|d| now >= d) {
+                return;
+            }
             std::thread::yield_now();
-            return;
+            if !armed {
+                // An unarmed wait is polled again after every yield.
+                return;
+            }
+            // Only a wake-up or a deadline changes what a pass would find.
+            now = Instant::now();
         }
-        parks.for_each(|c| {
-            c.fetch_add(1, Ordering::Relaxed);
-        });
+        for (_, w) in waits.clone() {
+            // SAFETY: every wait in `waits` is suspended in (or is the
+            // caller's own) `wait`, whose caller borrows the counter.
+            if let Some(parks) = unsafe { w.parks.as_ref() } {
+                parks.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        host.sleeping.store(true, Ordering::SeqCst);
         // Woken, timed out, or spuriously: the caller polls again either way.
-        match deadline {
-            Some(d) => std::thread::park_timeout(d.saturating_duration_since(Instant::now())),
-            None => std::thread::park(),
+        if !woken() {
+            match deadline {
+                Some(d) => std::thread::park_timeout(d.saturating_duration_since(now)),
+                None => std::thread::park(),
+            }
         }
+        // A notifier that still reads it set unparks once too often, which
+        // makes one later park return at once.
+        host.sleeping.store(false, Ordering::Relaxed);
     }
 }
 
 /// Wait until `poll` yields a value, or until `deadline` passes (`None`).
 ///
-/// `poll` gets the calling thread's [`Waker`] and, when it finds nothing,
-/// registers it under the lock it polled under before returning `None`;
-/// a wait no one can wake (a full ring) registers nothing and is ended
-/// by its deadline. On a worker the fiber hands the core to its siblings
-/// between polls; on any other thread the thread yields, then parks.
-/// Every time the wait sleeps, `parks` is bumped first.
+/// `poll` gets the waiting fiber's (or thread's) [`Waker`] and, when it
+/// finds nothing, registers it under the lock it polled under before
+/// returning `None`, which arms the wait (see [`Waker`]); a wait no one
+/// can wake (a full ring) registers nothing, is polled on every pass and
+/// is ended by its deadline. On a worker the fiber hands the core to its
+/// siblings between polls; on any other thread the thread idles as a
+/// worker does. Every time the wait sleeps, `parks` is bumped first.
 pub(crate) fn wait<T>(
     deadline: Option<Instant>,
     parks: Option<&AtomicU64>,
     mut poll: impl FnMut(&Waker) -> Option<T>,
 ) -> Option<T> {
+    let parks = parks.map_or(ptr::null(), |c| c as *const AtomicU64);
     let worker = WORKER.get();
     let mut idle = Idle::default();
-    let out = WAKER.with(|waker| loop {
-        if let Some(v) = poll(waker) {
-            break Some(v);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            break None;
-        }
-        if worker.is_null() {
-            idle.pass(deadline, parks.into_iter());
+    WAKER.with(|own| loop {
+        let waker = if worker.is_null() {
+            own
         } else {
-            let parks = parks.map_or(ptr::null(), |c| c as *const AtomicU64);
             // SAFETY: a non-null `WORKER` is the worker running this fiber
-            // on this thread; it outlives every fiber it runs.
-            unsafe { (*worker).suspend(Waiting { deadline, parks }) };
+            // on this thread; it outlives every fiber it runs, and points
+            // `waker` at the fiber's own waker each time it resumes it (the
+            // fiber list may have moved it since, so it is read again).
+            unsafe { &*(*worker).waker.get() }
+        };
+        let armed = match waker.poll(&mut poll) {
+            Ok(v) => {
+                if !worker.is_null() {
+                    // SAFETY: as above.
+                    unsafe { (*worker).progress.set(true) };
+                }
+                return Some(v);
+            }
+            Err(armed) => armed,
+        };
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            // A wait that timed out is no progress: the worker idles on
+            // until a wake-up or the next deadline instead of spinning.
+            return None;
         }
-    });
-    if out.is_some() && !worker.is_null() {
-        // A wait that timed out is no progress: the worker idles on until
-        // a wake-up or the next deadline instead of spinning.
-        // SAFETY: as above.
-        unsafe { (*worker).progress.set(true) };
-    }
-    out
+        let waiting = Waiting {
+            deadline,
+            parks,
+            armed,
+        };
+        if worker.is_null() {
+            idle.pass(&own.0.host, std::iter::once((own, &waiting)));
+        } else {
+            // SAFETY: as above.
+            unsafe { (*worker).suspend(waiting) };
+        }
+    })
 }
 
 /// What a suspended fiber waits for, as it told its worker.
@@ -167,6 +318,23 @@ struct Waiting {
     /// the fiber's suspended [`wait`], so it is valid while the fiber
     /// stays suspended.
     parks: *const AtomicU64,
+    /// The poll registered the fiber's waker: resume it only once the
+    /// waker fires or the deadline passes.
+    armed: bool,
+}
+
+impl Waiting {
+    /// What a fiber that has not waited yet "waits" for: its first resume.
+    const START: Waiting = Waiting {
+        deadline: None,
+        parks: ptr::null(),
+        armed: false,
+    };
+
+    /// Whether the next pass polls this wait again.
+    fn due(&self, waker: &Waker) -> bool {
+        !self.armed || waker.ready() || self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
 }
 
 /// A worker's scheduling state, on the worker's own stack and reachable
@@ -176,6 +344,8 @@ struct Worker {
     sp: Cell<*mut u8>,
     /// Where the running fiber's context is saved when it suspends.
     running: Cell<*mut *mut u8>,
+    /// The running fiber's waker.
+    waker: Cell<*const Waker>,
     /// Set by the running fiber when it suspends; `None` when it finished.
     waiting: Cell<Option<Waiting>>,
     /// A wait was satisfied or a fiber finished during this pass.
@@ -215,6 +385,7 @@ struct Fiber<'a> {
     /// Owned (from `Box::into_raw`): the fiber's entry gets its address.
     start: *mut Start<'a>,
     waiting: Waiting,
+    waker: Waker,
     /// Unmapped last, once nothing runs on it.
     _stack: GuardedStack,
 }
@@ -225,7 +396,7 @@ struct Fiber<'a> {
 const INITIAL_FP_CONTROL: u64 = 0x1F80 | (0x037F << 32);
 
 impl<'a> Fiber<'a> {
-    fn new((rank, body): (usize, Box<dyn FnOnce() + 'a>)) -> Fiber<'a> {
+    fn new((rank, body): (usize, Box<dyn FnOnce() + 'a>), host: &Arc<Host>) -> Fiber<'a> {
         let stack = GuardedStack::new(STACK_BYTES).expect("cannot map a fiber stack");
         let start = Box::into_raw(Box::new(Start {
             body: Some(body),
@@ -257,10 +428,8 @@ impl<'a> Fiber<'a> {
             sp,
             rank,
             start,
-            waiting: Waiting {
-                deadline: None,
-                parks: ptr::null(),
-            },
+            waiting: Waiting::START,
+            waker: Waker::new(Arc::clone(host)),
             _stack: stack,
         }
     }
@@ -283,10 +452,15 @@ pub(crate) fn run<'a>(bodies: impl IntoIterator<Item = (usize, Box<dyn FnOnce() 
     assert!(WORKER.get().is_null(), "a worker runs no second worker");
     mmap::on_segv(on_segv);
     let _alt = AltStack::ensure();
-    let mut fibers: Vec<Fiber<'a>> = bodies.into_iter().map(Fiber::new).collect();
+    let host = Host::current();
+    let mut fibers: Vec<Fiber<'a>> = bodies
+        .into_iter()
+        .map(|body| Fiber::new(body, &host))
+        .collect();
     let worker = Worker {
         sp: Cell::new(ptr::null_mut()),
         running: Cell::new(ptr::null_mut()),
+        waker: Cell::new(ptr::null()),
         waiting: Cell::new(None),
         progress: Cell::new(false),
         running_guard: Cell::new((0, 0)),
@@ -306,7 +480,12 @@ pub(crate) fn run<'a>(bodies: impl IntoIterator<Item = (usize, Box<dyn FnOnce() 
         let mut at = 0;
         while at < fibers.len() {
             let fiber = &mut fibers[at];
+            if !fiber.waiting.due(&fiber.waker) {
+                at += 1;
+                continue;
+            }
             worker.running.set(&mut fiber.sp);
+            worker.waker.set(&fiber.waker);
             worker.running_guard.set((fiber._stack.guard(), fiber.rank));
             // SAFETY: `fiber.sp` is a context saved by `switch` or laid out
             // by `Fiber::new`, on a stack the fiber owns; the fiber comes
@@ -332,13 +511,7 @@ pub(crate) fn run<'a>(bodies: impl IntoIterator<Item = (usize, Box<dyn FnOnce() 
         if worker.progress.get() {
             idle = Idle::default();
         } else {
-            let deadline = fibers.iter().filter_map(|f| f.waiting.deadline).min();
-            // SAFETY: every fiber left suspended itself in `wait` during this
-            // pass, so each non-null counter is still borrowed by its wait.
-            let parks = fibers
-                .iter()
-                .filter_map(|f| unsafe { f.waiting.parks.as_ref() });
-            idle.pass(deadline, parks);
+            idle.pass(&host, fibers.iter().map(|f| (&f.waker, &f.waiting)));
         }
     }
 }
@@ -468,6 +641,7 @@ unsafe extern "C" fn trampoline() -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::sync::Mutex;
     use std::time::Duration;
 
@@ -567,5 +741,123 @@ mod tests {
             };
             waker.expect("the wait registered its waker").wake();
         });
+    }
+
+    /// A condition a fiber waits for, with the waker its poll registers.
+    #[derive(Default)]
+    struct Cond {
+        hit: bool,
+        waker: Option<Waker>,
+        polls: usize,
+    }
+
+    /// Wait for `cond`, registering this fiber's waker the way a mailbox
+    /// does, and count the polls.
+    fn wait_on(cond: &RefCell<Cond>) {
+        wait(None, None, |waker| {
+            let mut c = cond.borrow_mut();
+            c.polls += 1;
+            if c.hit {
+                return Some(());
+            }
+            waker.register(&mut c.waker);
+            None
+        });
+    }
+
+    /// Two fibers that take `turns` turns through a counter: each wait is
+    /// unarmed, so every pass resumes both, and each turn is progress.
+    /// `at(turn)` runs at the start of every turn.
+    fn turn_takers<'a>(
+        turns: usize,
+        turn: &'a Cell<usize>,
+        at: &'a dyn Fn(usize),
+    ) -> impl Iterator<Item = (usize, Box<dyn FnOnce() + 'a>)> {
+        (0..2).map(move |me| {
+            boxed(1 + me, move || loop {
+                wait(None, None, |_| {
+                    (turn.get() >= turns || turn.get() % 2 == me).then_some(())
+                });
+                let t = turn.get();
+                if t >= turns {
+                    break;
+                }
+                at(t);
+                turn.set(t + 1);
+            })
+        })
+    }
+
+    #[test]
+    fn an_armed_wait_is_polled_once_before_its_wake_and_once_after() {
+        const TURNS: usize = 400;
+        let (cond, turn) = (RefCell::new(Cond::default()), Cell::new(0));
+        let (cond, turn) = (&cond, &turn);
+        let at = |t: usize| {
+            if t == TURNS / 2 {
+                let mut c = cond.borrow_mut();
+                c.hit = true;
+                c.waker.as_ref().expect("the wait registered").wake();
+            }
+        };
+        let waiter = boxed(0, move || wait_on(cond));
+        run(std::iter::once(waiter).chain(turn_takers(TURNS, turn, &at)));
+        // About TURNS / 4 passes went by between the two polls, with the
+        // siblings taking their turns in every one.
+        assert_eq!(cond.borrow().polls, 2);
+        assert_eq!(turn.get(), TURNS);
+    }
+
+    #[test]
+    fn an_unarmed_wait_is_polled_every_pass() {
+        const TURNS: usize = 400;
+        let (polls, turn) = (Cell::new(0usize), Cell::new(0));
+        let (polls, turn) = (&polls, &turn);
+        let waiter = boxed(0, move || {
+            wait(None, None, |_| {
+                polls.set(polls.get() + 1);
+                (turn.get() >= TURNS / 2).then_some(())
+            });
+        });
+        let at = |_| {};
+        run(std::iter::once(waiter).chain(turn_takers(TURNS, turn, &at)));
+        // A pass takes two turns: one poll per pass until half of them.
+        assert!(
+            polls.get() > TURNS / 4 - 2,
+            "polled {} times in about {} passes",
+            polls.get(),
+            TURNS / 4
+        );
+    }
+
+    #[test]
+    fn a_stale_waker_costs_at_most_one_poll() {
+        const TURNS: usize = 400;
+        let (first, second) = (RefCell::new(Cond::default()), RefCell::new(Cond::default()));
+        let turn = Cell::new(0);
+        let (first, second, turn) = (&first, &second, &turn);
+        let at = |t: usize| {
+            let wake = |cond: &RefCell<Cond>, hit: bool| {
+                let mut c = cond.borrow_mut();
+                c.hit |= hit;
+                c.waker.as_ref().expect("the wait registered").wake();
+            };
+            match t {
+                10 => wake(first, true),
+                // The first wait is over, but its waker is still
+                // registered there: three notifies in one turn.
+                100 => (0..3).for_each(|_| wake(first, false)),
+                300 => wake(second, true),
+                _ => {}
+            }
+        };
+        let waiter = boxed(0, move || {
+            wait_on(first);
+            wait_on(second);
+        });
+        run(std::iter::once(waiter).chain(turn_takers(TURNS, turn, &at)));
+        assert_eq!(first.borrow().polls, 2);
+        // Once before, once for the stale wake-up, once after the real one.
+        assert_eq!(second.borrow().polls, 3);
     }
 }

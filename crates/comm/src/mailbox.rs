@@ -9,11 +9,13 @@
 //! consumer is the owning rank.
 //!
 //! A pop that finds the queue empty waits the runtime's one way
-//! (`fiber::wait`): it registers its thread's waker under the lock and
-//! hands the core to a sibling rank, and the push or close that finds the
-//! waker takes it and wakes it. A push to a rank that is not waiting
-//! costs one lock; a wake-up costs a system call only when it ends a
-//! worker's sleep.
+//! (`fiber::wait`): it registers its fiber's waker under the lock, where
+//! it stays, and hands the core to a sibling rank; every push or close
+//! notifies the registered waker under the lock — one flag store — and
+//! its worker resumes the pop only then. A push costs one lock and that
+//! store; a wake-up costs a system call only when it ends a worker's
+//! sleep. The mailbox is aligned to its own cache lines, so two ranks'
+//! locks never share one.
 //!
 //! A mailbox closes once and for good: the rank's last
 //! [`Comm`](crate::Comm) handle closes it when it drops (later pushes get
@@ -40,6 +42,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use crate::comm::RecvSpec;
@@ -86,8 +89,8 @@ unsafe impl Send for Offer {}
 struct State {
     queue: VecDeque<Envelope>,
     closed: bool,
-    /// The owner's thread, registered by a pop that found nothing and
-    /// taken by the push or close that wakes it.
+    /// The owner's waker, registered by a wait that found nothing and
+    /// notified by every push, meeting, settle and close after that.
     waker: Option<Waker>,
     /// The owner's posted phase: its context and buffers.
     post: Option<(u32, Addr)>,
@@ -106,6 +109,12 @@ struct State {
 }
 
 impl State {
+    /// Tell the owner its wait may be over; its thread, if that sleeps,
+    /// is to be unparked after the unlock.
+    fn notify(&self) -> Option<Thread> {
+        self.waker.as_ref().and_then(Waker::notify)
+    }
+
     /// The earliest open posted slot the round `(ctx, src, tag)` fills.
     fn slot_for(&self, ctx: u32, src: usize, tag: Tag) -> Option<usize> {
         let (posted, _) = self.post?;
@@ -120,6 +129,7 @@ impl State {
 
 /// One rank's inbound envelope queue.
 #[derive(Default)]
+#[repr(align(128))]
 pub struct Mailbox {
     state: Mutex<State>,
     /// Times the owner's wait went to sleep (a statistic).
@@ -147,12 +157,10 @@ impl Mailbox {
             return Err(env);
         }
         st.queue.push_back(env);
-        // Taken, not read: of several pushes that land before the owner
-        // polls again, the first one wakes it.
-        let waker = st.waker.take();
+        let sleeper = st.notify();
         drop(st);
-        if let Some(waker) = waker {
-            waker.wake();
+        if let Some(thread) = sleeper {
+            thread.unpark();
         }
         Ok(())
     }
@@ -181,7 +189,7 @@ impl Mailbox {
             if st.closed {
                 return Some(Err(Closed));
             }
-            st.waker = Some(waker.clone());
+            waker.register(&mut st.waker);
             None
         })
         .transpose()
@@ -197,11 +205,11 @@ impl Mailbox {
     pub fn close(&self) {
         let mut st = self.lock();
         st.closed = true;
-        let waker = st.waker.take();
+        let sleeper = st.notify();
         let offers = std::mem::take(&mut st.offers);
         drop(st);
-        if let Some(waker) = waker {
-            waker.wake();
+        if let Some(thread) = sleeper {
+            thread.unpark();
         }
         // Nobody will take these: their senders stop waiting for them.
         for offer in offers {
@@ -268,10 +276,10 @@ impl Mailbox {
         copy(to);
         st.slots[slot].1 = true;
         st.open -= 1;
-        let waker = if st.open == 0 { st.waker.take() } else { None };
+        let sleeper = if st.open == 0 { st.notify() } else { None };
         drop(st);
-        if let Some(waker) = waker {
-            waker.wake();
+        if let Some(thread) = sleeper {
+            thread.unpark();
         }
         Ok(true)
     }
@@ -283,10 +291,10 @@ impl Mailbox {
         let mut st = self.lock();
         st.settled += 1;
         st.revoked = st.revoked.or(revoked);
-        let waker = if st.open == 0 { st.waker.take() } else { None };
+        let sleeper = if st.open == 0 { st.notify() } else { None };
         drop(st);
-        if let Some(waker) = waker {
-            waker.wake();
+        if let Some(thread) = sleeper {
+            thread.unpark();
         }
     }
 
@@ -304,10 +312,7 @@ impl Mailbox {
             if st.closed {
                 return Some(Err(Closed));
             }
-            // The mailbox has one owner, so a registered waker is its own.
-            if st.waker.is_none() {
-                st.waker = Some(waker.clone());
-            }
+            waker.register(&mut st.waker);
             None
         })
         .expect("a wait without a deadline ends with a value")
@@ -339,9 +344,7 @@ impl Mailbox {
             if st.settled >= left {
                 return Some(());
             }
-            if st.waker.is_none() {
-                st.waker = Some(waker.clone());
-            }
+            waker.register(&mut st.waker);
             None
         });
     }
@@ -539,6 +542,56 @@ mod tests {
             assert!(ping.try_pop().is_none() && pong.try_pop().is_none());
             eprintln!(
                 "ping-pong: {ROUND_TRIPS} round trips, {} + {} parks",
+                ping.parks(),
+                pong.parks()
+            );
+        });
+    }
+
+    /// The ping-pong above between two workers, each running one rank as
+    /// a fiber. Every fourth ping is held until the receiving worker has
+    /// set `sleeping` on its way to park: the push lands between that
+    /// store and the park, or in the park, and must end it.
+    #[test]
+    fn two_workers_ping_pong_with_pushes_landing_as_the_receiver_parks() {
+        const ROUND_TRIPS: u32 = 200_000;
+        watchdog(Duration::from_secs(300), || {
+            let (ping, pong) = (Mailbox::new(), Mailbox::new());
+            let (ping, pong) = (&ping, &pong);
+            let sleeping = |mb: &Mailbox| mb.lock().waker.as_ref().is_some_and(Waker::sleeping);
+            let rank = |rank, body: Box<dyn FnOnce() + Send + '_>| {
+                fiber::run([(rank, body as Box<dyn FnOnce()>)]);
+            };
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    rank(
+                        1,
+                        Box::new(move || {
+                            for n in 0..ROUND_TRIPS {
+                                assert_eq!(ping.pop().unwrap().tag, n);
+                                pong.push(env(1, n)).unwrap();
+                            }
+                        }),
+                    )
+                });
+                rank(
+                    0,
+                    Box::new(move || {
+                        for n in 0..ROUND_TRIPS {
+                            if n % 4 == 0 {
+                                while !sleeping(ping) {
+                                    std::hint::spin_loop();
+                                }
+                            }
+                            ping.push(env(0, n)).unwrap();
+                            assert_eq!(pong.pop().unwrap().tag, n);
+                        }
+                    }),
+                );
+            });
+            assert!(ping.try_pop().is_none() && pong.try_pop().is_none());
+            eprintln!(
+                "two-worker ping-pong: {ROUND_TRIPS} round trips, {} + {} parks",
                 ping.parks(),
                 pong.parks()
             );

@@ -232,10 +232,10 @@ impl Shared {
             let mut acked = self.senders[dst].acked.lock();
             if seq > acked.seq {
                 acked.seq = seq;
-                let waker = acked.waker.take();
+                let sleeper = acked.waker.as_ref().and_then(Waker::notify);
                 drop(acked);
-                if let Some(waker) = waker {
-                    waker.wake();
+                if let Some(thread) = sleeper {
+                    thread.unpark();
                 }
             }
             return;
@@ -298,7 +298,7 @@ impl Transport for LossyTransport {
                 if acked.seq >= seq {
                     return Some(());
                 }
-                acked.waker = Some(waker.clone());
+                waker.register(&mut acked.waker);
                 None
             });
             if heard.is_some() {

@@ -58,7 +58,7 @@ mod sink;
 pub mod tenant;
 
 pub use event::{ServeStageKind, TraceEvent, TraceRecord};
-pub use metrics::{MetricsDelta, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsDelta, MetricsRegistry, MetricsSnapshot, RoundTally};
 pub use obs::{now_ns, Obs};
 pub use openmetrics::OpenMetricsWriter;
 pub use profile::{

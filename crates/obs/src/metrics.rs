@@ -102,8 +102,9 @@ impl MetricsRegistry {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// A blocked receive went to sleep `parks` times (it had run out of
-    /// yields; see `cartcomm_comm::mailbox`).
+    /// A blocked receive went to sleep `parks` times: its worker had
+    /// found nothing to run for its whole idle budget and parked (see
+    /// `cartcomm_comm::fiber`).
     #[inline]
     pub fn recv_parked(&self, parks: u64) {
         self.recv_parks.fetch_add(parks, Ordering::Relaxed);
@@ -156,6 +157,25 @@ impl MetricsRegistry {
     #[inline]
     pub fn dup_drop(&self) {
         self.dup_drops.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Credit what one execution tallied: one relaxed add per non-zero
+    /// count.
+    pub fn credit(&self, t: &RoundTally) {
+        let counts = [
+            (&self.rounds_started, t.rounds_started),
+            (&self.rounds_completed, t.rounds_completed),
+            (&self.pack_spans, t.pack_spans),
+            (&self.pack_bytes, t.pack_bytes),
+            (&self.wire_bytes_sent, t.wire_bytes_sent),
+            (&self.wire_bytes_recv, t.wire_bytes_recv),
+            (&self.msgs_matched, t.msgs_matched),
+        ];
+        for (counter, n) in counts {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     // ----- tracing-gated distribution --------------------------------------
@@ -223,6 +243,21 @@ impl MetricsRegistry {
         self.retransmits.store(0, Ordering::Relaxed);
         self.dup_drops.store(0, Ordering::Relaxed);
     }
+}
+
+/// The round counters of one execution, counted in plain integers and
+/// credited to the registry once, by [`MetricsRegistry::credit`]: an
+/// executor that credits them per round pays an atomic add on a shared
+/// line for each.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RoundTally {
+    pub rounds_started: u64,
+    pub rounds_completed: u64,
+    pub pack_spans: u64,
+    pub pack_bytes: u64,
+    pub wire_bytes_sent: u64,
+    pub wire_bytes_recv: u64,
+    pub msgs_matched: u64,
 }
 
 impl Default for MetricsRegistry {
