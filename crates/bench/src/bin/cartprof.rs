@@ -17,8 +17,6 @@
 //! * `--m LIST`         — comma-separated block-size sweep in i32
 //!   elements (default `4,64,1024,8192`).
 //! * `--iters N`        — profiled runs per block size (default 3).
-//! * `--faults SEED:RATE` — install a seeded drop plane at `RATE`
-//!   (0..1) on all links and all traffic, setup included.
 //! * `--transport inproc|shm|uds|tcp` — transport backend carrying the
 //!   profiled envelopes (default `inproc`; see DESIGN.md §12).
 //! * `--reduce-sweep`   — after the primary workload, also sweep the two
@@ -50,10 +48,8 @@ use std::time::Duration;
 use cartcomm::ops::Algo;
 use cartcomm::{CartComm, CostSummary, PlanKind};
 use cartcomm_comm::obs::json::{self, JsonWriter, Value};
-use cartcomm_comm::obs::{
-    AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector, TraceEvent,
-};
-use cartcomm_comm::{FaultSpec, LinkSel, RetryPolicy, TransportKind, Universe};
+use cartcomm_comm::obs::{AlphaBetaFit, CriticalPath, PerfettoExport, RoundDag, TraceCollector};
+use cartcomm_comm::{TransportKind, Universe};
 use cartcomm_stats::Histogram;
 use cartcomm_topo::RelNeighborhood;
 use cartcomm_types::RedOp;
@@ -120,7 +116,6 @@ struct Workload {
     op: Op,
     m_sweep: Vec<usize>,
     iters: usize,
-    faults: Option<(u64, f64)>,
     transport: TransportKind,
     reduce_sweep: bool,
 }
@@ -148,7 +143,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: cartprof [--smoke] [--dims AxBxC] [--nb moore|vonneumann] [--radius N]\n\
          \x20              [--op alltoall|allgather|reduce_scatter|allreduce] [--m LIST] [--iters N]\n\
-         \x20              [--faults SEED:RATE] [--transport inproc|shm|uds|tcp]\n\
+         \x20              [--transport inproc|shm|uds|tcp]\n\
          \x20              [--reduce-sweep] [--perfetto PATH] [--out PATH] [--json]\n\
          \x20      cartprof --attach ENDPOINT --tenant NAME [--attach-jobs N] [--drive]\n\
          \x20              [--perfetto PATH] [--json]"
@@ -164,7 +159,6 @@ fn parse_args() -> (Workload, String, String, bool, Option<AttachCfg>) {
         op: Op::Alltoall,
         m_sweep: vec![4, 64, 1024, 8192],
         iters: 3,
-        faults: None,
         transport: TransportKind::InProcess,
         reduce_sweep: false,
     };
@@ -225,16 +219,6 @@ fn parse_args() -> (Workload, String, String, bool, Option<AttachCfg>) {
                 if w.iters == 0 {
                     usage();
                 }
-            }
-            "--faults" => {
-                let v = value(&mut i);
-                let (seed, rate) = v.split_once(':').unwrap_or_else(|| usage());
-                let seed: u64 = seed.parse().unwrap_or_else(|_| usage());
-                let rate: f64 = rate.parse().unwrap_or_else(|_| usage());
-                if !(0.0..=1.0).contains(&rate) {
-                    usage();
-                }
-                w.faults = Some((seed, rate));
             }
             "--transport" => {
                 w.transport = TransportKind::parse(&value(&mut i)).unwrap_or_else(|| usage())
@@ -299,7 +283,6 @@ fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
     let dims = w.dims.clone();
     let nb = nb.clone();
     let op = w.op;
-    let faults = w.faults;
 
     let body = move |comm: &mut cartcomm_comm::Comm| {
         let cart = CartComm::create(comm, &dims, &periods, nb.clone()).unwrap();
@@ -342,19 +325,8 @@ fn profile_once(w: &Workload, nb: &RelNeighborhood, m: usize) -> Profiled {
         (phase_rounds, volume_blocks, hist, traffic)
     };
 
-    let mut cfg = Universe::builder(p).on(w.transport);
-    if let Some((seed, rate)) = faults {
-        cfg = cfg.faults(
-            FaultSpec::new(seed).drop_rate(LinkSel::any(), rate),
-            RetryPolicy {
-                attempts: 10,
-                base: Duration::from_millis(25),
-                factor: 2.0,
-                max: Duration::from_millis(250),
-            },
-        );
-    }
-    let run = cfg
+    let run = Universe::builder(p)
+        .on(w.transport)
         .profiled(SINK_CAPACITY)
         .try_run(body)
         .unwrap_or_else(|e| {
@@ -722,9 +694,6 @@ fn main() {
         ),
         None => println!("no finite cut-off (op has no volume inflation or fit degenerate)"),
     }
-    // Wire time can exceed the makespan under faults: a retransmitted
-    // wire's latency covers the backoff idle, which overlaps the next
-    // hop when the path continues over a serialization edge.
     println!(
         "critical path: {} hops over ranks {:?}, {} us wire time, {} us makespan; max phase skew {} us",
         cp.steps.len(),
@@ -744,17 +713,7 @@ fn main() {
     doc.key("op").str(op);
     doc.key("transport").str(&w.transport.to_string());
     doc.key("m_sweep_elems").list(&w.m_sweep);
-    doc.key("iters").raw(w.iters).key("faults");
-    match w.faults {
-        Some((seed, rate)) => {
-            doc.obj().key("seed").raw(seed);
-            doc.key("drop_rate").float(rate, 6).end();
-        }
-        None => {
-            doc.null();
-        }
-    }
-    doc.end();
+    doc.key("iters").raw(w.iters).end();
     doc.key("predicted").obj().key("t").raw(cost.t);
     doc.key("C").raw(cost.rounds).key("V_blocks").raw(volume);
     doc.key("phase_rounds").list(&phase_rounds_pred);
@@ -769,12 +728,7 @@ fn main() {
         doc.key("nodes").raw(r.dag.nodes().len());
         doc.key("dropped").raw(r.dag.dropped_records);
         doc.key("makespan_ns").raw(r.dag.makespan_ns());
-        doc.key("parks_per_round").float(r.parks_per_round, 6);
-        let overlays = r.dag.nodes().iter().map(|n| (n.attempts.max(1) - 1) as u64);
-        doc.key("overlay_attempts").raw(overlays.sum::<u64>());
-        let records = r.collector.records().iter().flatten();
-        let retransmits = records.filter(|rec| matches!(rec.event, TraceEvent::Retransmit { .. }));
-        doc.key("retransmits").raw(retransmits.count()).end();
+        doc.key("parks_per_round").float(r.parks_per_round, 6).end();
     }
     doc.end();
     doc.key("fit").obj().key("alpha_ns").float(fit.alpha_ns, 6);

@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use cartcomm_obs::{MetricsSnapshot, Obs, TraceEvent};
 use parking_lot::Mutex;
@@ -235,11 +234,6 @@ impl Comm {
         self.obs.snapshot()
     }
 
-    /// Injected-fault counters of the fabric's fault plane, if it has one.
-    pub fn fault_stats(&self) -> Option<crate::fault::FaultStats> {
-        self.fabric.fault_stats()
-    }
-
     // ----- wire-buffer pool ------------------------------------------------
 
     /// Acquire an empty wire buffer with capacity at least `cap` from this
@@ -303,7 +297,7 @@ impl Comm {
         tag: impl Into<TagSel>,
     ) -> CommResult<(Vec<u8>, Status)> {
         let mut pending = self.core.pending.lock();
-        let (at, _) = self.wait(&mut pending, &one(src, tag), |_| true, None)?;
+        let (at, _) = self.wait(&mut pending, &one(src, tag), |_| true)?;
         let env = pending
             .remove(at)
             .expect("the wait names a queued envelope");
@@ -332,7 +326,7 @@ impl Comm {
     /// A subsequent matching receive returns (at least) this message.
     pub fn probe(&self, src: impl Into<SrcSel>, tag: impl Into<TagSel>) -> CommResult<Status> {
         let mut pending = self.core.pending.lock();
-        let (at, _) = self.wait(&mut pending, &one(src, tag), |_| true, None)?;
+        let (at, _) = self.wait(&mut pending, &one(src, tag), |_| true)?;
         Ok(Status::of(&pending[at]))
     }
 
@@ -357,15 +351,12 @@ impl Comm {
     /// matching rule of MPI. While nothing queued matches, it pops the
     /// mailbox and credits the times it slept to the rank's `recv_parks`
     /// (the rank is the only one that pops, so the difference in the
-    /// mailbox's count is its own). Given a `patience`, a mailbox silent
-    /// that long fails with [`CommError::PeerUnreachable`] naming the first
-    /// still-open slot's source.
+    /// mailbox's count is its own).
     fn wait(
         &self,
         pending: &mut VecDeque<Envelope>,
         recvs: &[RecvSpec],
         open: impl Fn(usize) -> bool,
-        patience: Option<Duration>,
     ) -> CommResult<(usize, usize)> {
         let mailbox = &self.core.mailbox;
         let mut from = 0;
@@ -375,23 +366,12 @@ impl Comm {
             }
             from = pending.len();
             let parks = mailbox.parks();
-            let arrived = match patience {
-                None => mailbox.pop().map(Some),
-                Some(limit) => mailbox.pop_timeout(limit),
-            };
+            let arrived = mailbox.pop();
             let slept = mailbox.parks() - parks;
             if slept > 0 {
                 self.obs.metrics().recv_parked(slept);
             }
-            let Some(env) = arrived? else {
-                let silent = (0..recvs.len()).find(|&slot| open(slot));
-                let peer = match silent.map(|slot| recvs[slot].src) {
-                    Some(SrcSel::Rank(r)) => r,
-                    _ => self.rank,
-                };
-                return Err(CommError::PeerUnreachable { peer, attempts: 0 });
-            };
-            pending.push_back(env);
+            pending.push_back(arrived?);
         }
     }
 
@@ -439,12 +419,7 @@ impl Comm {
     /// recycle on drop; a caller that keeps the bytes takes them with
     /// [`PooledBuf::into_vec`].
     ///
-    /// What was deposited arrives: loss and its repair live below the
-    /// mailbox. The rank contributes one thing, a receive deadline — on
-    /// a lossy fabric an exchange that hears nothing for the transport's
-    /// [`patience`](Fabric::patience) fails with
-    /// [`CommError::PeerUnreachable`] naming the first still-open slot's
-    /// source instead of waiting on a dead link.
+    /// What was deposited arrives: every link is perfect.
     pub fn exchange(&self, batch: &mut ExchangeBatch, recvs: &[RecvSpec]) -> CommResult<()> {
         for &(dst, _, _) in batch.sends.iter() {
             self.check_rank(dst)?;
@@ -460,10 +435,9 @@ impl Comm {
         let results = &mut batch.results;
         results.clear();
         results.resize_with(recvs.len(), || None);
-        let patience = self.fabric.patience();
         let mut pending = self.core.pending.lock();
         for _ in 0..recvs.len() {
-            let (at, slot) = self.wait(&mut pending, recvs, |s| results[s].is_none(), patience)?;
+            let (at, slot) = self.wait(&mut pending, recvs, |s| results[s].is_none())?;
             let env = pending
                 .remove(at)
                 .expect("the wait names a queued envelope");
@@ -486,12 +460,10 @@ impl Comm {
     // ----- rendezvous phase ------------------------------------------------
 
     /// Whether this fabric can run a phase as a rendezvous: every rank
-    /// lives in this process (a posted address means the same thing to
-    /// sender and receiver) and the fabric is perfect (nothing below the
-    /// mailbox drops or repeats a round). Every rank of a fabric gets the
-    /// same answer.
+    /// lives in this process, so a posted address means the same thing to
+    /// sender and receiver. Every rank of a fabric gets the same answer.
     pub fn can_rendezvous(&self) -> bool {
-        self.fabric.in_process() && self.fabric.patience().is_none()
+        self.fabric.in_process()
     }
 
     /// Execute one phase of a schedule as a *rendezvous*: no round of it

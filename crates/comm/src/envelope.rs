@@ -67,32 +67,6 @@ impl From<Tag> for TagSel {
     }
 }
 
-/// What role an envelope plays in the reliable-delivery protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EnvKind {
-    /// An ordinary payload-carrying message.
-    #[default]
-    Data,
-    /// A delivery acknowledgement for the sequence number in the header.
-    /// Acks are control-plane traffic: the fault plane never touches them.
-    Ack,
-}
-
-/// Reliability header riding on every [`Envelope`].
-///
-/// The raw transport ignores it entirely (`seq == None`); the reliable
-/// layer stamps each data envelope of a `(ctx, src→dst)` stream with a
-/// monotone sequence number starting at 1, which drives the receiver's
-/// dedup window and in-order release, and echoes it back in [`EnvKind::Ack`]
-/// envelopes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RelHeader {
-    /// Data or acknowledgement.
-    pub kind: EnvKind,
-    /// Stream sequence number; `None` for unsequenced (raw) traffic.
-    pub seq: Option<u64>,
-}
-
 /// A message in flight: context id (communicator), source rank, tag, and the
 /// gathered payload bytes.
 #[derive(Debug)]
@@ -104,9 +78,6 @@ pub struct Envelope {
     pub src: usize,
     /// Message tag.
     pub tag: Tag,
-    /// Reliability header (sequence number / ack marker). Unsequenced for
-    /// raw traffic.
-    pub rel: RelHeader,
     /// Payload. A [`PooledBuf`] so that the receiver's drop (after
     /// unpacking) recycles the bytes into its rank's wire pool; plain
     /// `Vec<u8>` payloads convert via `.into()` and are simply freed.
@@ -114,51 +85,14 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Build an unsequenced (raw) envelope from any payload convertible to
-    /// a [`PooledBuf`].
+    /// Build an envelope from any payload convertible to a [`PooledBuf`].
     pub fn new(ctx: u32, src: usize, tag: Tag, data: impl Into<PooledBuf>) -> Self {
         Envelope {
             ctx,
             src,
             tag,
-            rel: RelHeader::default(),
             data: data.into(),
         }
-    }
-
-    /// Build a sequenced data envelope of a reliable stream.
-    pub fn sequenced(ctx: u32, src: usize, tag: Tag, seq: u64, data: impl Into<PooledBuf>) -> Self {
-        Envelope {
-            ctx,
-            src,
-            tag,
-            rel: RelHeader {
-                kind: EnvKind::Data,
-                seq: Some(seq),
-            },
-            data: data.into(),
-        }
-    }
-
-    /// Build an acknowledgement for sequence `seq` of the `(ctx, src)`
-    /// stream identified by `tag`. Carries no payload.
-    pub fn ack(ctx: u32, src: usize, tag: Tag, seq: u64) -> Self {
-        Envelope {
-            ctx,
-            src,
-            tag,
-            rel: RelHeader {
-                kind: EnvKind::Ack,
-                seq: Some(seq),
-            },
-            data: Vec::new().into(),
-        }
-    }
-
-    /// True for control-plane acknowledgement envelopes.
-    #[inline]
-    pub fn is_ack(&self) -> bool {
-        self.rel.kind == EnvKind::Ack
     }
 }
 

@@ -20,11 +20,8 @@ pub enum CommError {
     /// An exchange batch was malformed (e.g. duplicate receive slots).
     InvalidExchange(String),
     /// The link to `peer` gave out: the transport could not deliver
-    /// (`attempts` transmissions went unacknowledged on a lossy fabric, 1
-    /// when the endpoint is closed or the wire broke), or — receiver side,
-    /// `attempts` 0, it sent nothing — an exchange on a lossy fabric heard
-    /// nothing for the retry policy's total budget.
-    PeerUnreachable { peer: usize, attempts: u32 },
+    /// (the endpoint is closed or the wire broke).
+    PeerUnreachable { peer: usize },
 }
 
 impl fmt::Display for CommError {
@@ -43,10 +40,7 @@ impl fmt::Display for CommError {
             CommError::Disconnected { peer } => write!(f, "peer {peer} disconnected"),
             CommError::Type(e) => write!(f, "datatype error: {e}"),
             CommError::InvalidExchange(msg) => write!(f, "invalid exchange batch: {msg}"),
-            CommError::PeerUnreachable { peer, attempts } => write!(
-                f,
-                "peer {peer} unreachable after {attempts} delivery attempts"
-            ),
+            CommError::PeerUnreachable { peer } => write!(f, "peer {peer} unreachable"),
         }
     }
 }
@@ -67,19 +61,9 @@ impl From<TypeError> for CommError {
 }
 
 impl From<crate::transport::TransportError> for CommError {
-    /// A transport failure is an unreachable peer: after the attempts a
-    /// lossy link's retry budget allows, or after the one delivery
-    /// attempt a broken wire got.
+    /// A transport failure is an unreachable peer.
     fn from(e: crate::transport::TransportError) -> Self {
-        use crate::transport::TransportError::Unacked;
-        let attempts = match e {
-            Unacked { attempts, .. } => attempts,
-            _ => 1,
-        };
-        CommError::PeerUnreachable {
-            peer: e.peer(),
-            attempts,
-        }
+        CommError::PeerUnreachable { peer: e.peer() }
     }
 }
 
@@ -121,16 +105,6 @@ mod tests {
     #[test]
     fn transport_errors_become_peer_unreachable() {
         let e: CommError = crate::transport::TransportError::Closed { peer: 2 }.into();
-        assert_eq!(
-            e,
-            CommError::PeerUnreachable {
-                peer: 2,
-                attempts: 1
-            }
-        );
-        // A spent retry budget keeps its count.
-        let (peer, attempts) = (3, 6);
-        let e: CommError = crate::transport::TransportError::Unacked { peer, attempts }.into();
-        assert_eq!(e, CommError::PeerUnreachable { peer, attempts });
+        assert_eq!(e, CommError::PeerUnreachable { peer: 2 });
     }
 }

@@ -10,13 +10,10 @@
 //!
 //! What the fabric adds above the transport: per-rank **mailboxes**,
 //! **wire pools** and **observability** handles (a deposit credits the
-//! sender's wire-byte counters). A fabric is built perfect
-//! ([`Fabric::for_backend`]) or lossy ([`Fabric::lossy`]); loss and its
-//! repair are a transport ([`LossyTransport`]) *below* the mailboxes, so
-//! nothing here or above knows which it runs on.
+//! sender's wire-byte counters).
 //!
 //! Deposits are fallible: a backend whose peer endpoint is gone (rank
-//! terminated, socket broken, ring stalled, retry budget spent) reports
+//! terminated, socket broken, ring stalled) reports
 //! a [`TransportError`](crate::transport::TransportError), which the
 //! communication layer maps to
 //! [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable).
@@ -24,15 +21,12 @@
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cartcomm_obs::Obs;
 
 use crate::envelope::Envelope;
-use crate::fault::{FaultSpec, FaultStats};
 use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
-use crate::reliable::{LossyTransport, RetryPolicy};
 use crate::transport::inproc::InProcTransport;
 use crate::transport::shm::ShmTransport;
 use crate::transport::socket::SocketTransport;
@@ -70,44 +64,13 @@ impl Fabric {
     /// process. Only the in-process constructor is infallible; the
     /// others touch the filesystem or the network stack.
     pub fn for_backend(kind: TransportKind, p: usize) -> io::Result<Fabric> {
-        Fabric::build(kind, p, None)
-    }
-
-    /// Create a lossy fabric: a fault plane compiled from `spec` injures
-    /// what is deposited and a [`LossyTransport`] around the `kind`
-    /// backend repairs it per `policy`, below the ranks' mailboxes.
-    pub fn lossy(
-        kind: TransportKind,
-        p: usize,
-        spec: FaultSpec,
-        policy: RetryPolicy,
-    ) -> io::Result<Fabric> {
-        Fabric::build(kind, p, Some((spec, policy)))
-    }
-
-    /// The constructor behind [`Fabric::for_backend`] and [`Fabric::lossy`].
-    pub(crate) fn build(
-        kind: TransportKind,
-        p: usize,
-        faults: Option<(FaultSpec, RetryPolicy)>,
-    ) -> io::Result<Fabric> {
         let (pools, mailboxes, obs) = (per_rank(p), per_rank(p), per_rank(p));
-        // A lossy fabric's backend delivers into a second set of mailboxes,
-        // the wire; the decorator carries on from there.
-        let wire = match faults {
-            Some(_) => per_rank(p),
-            None => mailboxes.clone(),
+        let transport: Box<dyn Transport> = match kind {
+            TransportKind::InProcess => Box::new(InProcTransport::new(&mailboxes)),
+            TransportKind::SharedMem => Box::new(ShmTransport::for_threads(p, &pools, &mailboxes)?),
+            TransportKind::Uds => Box::new(SocketTransport::uds(p, &pools, &mailboxes)?),
+            TransportKind::Tcp => Box::new(SocketTransport::tcp(p, &pools, &mailboxes)?),
         };
-        let mut transport: Box<dyn Transport> = match kind {
-            TransportKind::InProcess => Box::new(InProcTransport::new(&wire)),
-            TransportKind::SharedMem => Box::new(ShmTransport::for_threads(p, &pools, &wire)?),
-            TransportKind::Uds => Box::new(SocketTransport::uds(p, &pools, &wire)?),
-            TransportKind::Tcp => Box::new(SocketTransport::tcp(p, &pools, &wire)?),
-        };
-        if let Some((spec, policy)) = faults {
-            let lossy = LossyTransport::new(transport, wire, &mailboxes, &obs, spec, policy);
-            transport = Box::new(lossy);
-        }
         Ok(Fabric {
             transport,
             mailboxes,
@@ -162,10 +125,9 @@ impl Fabric {
     /// Deposit an envelope toward `dst`. Panics on an invalid
     /// destination (callers validate ranks at the API boundary); returns
     /// an error when the backend cannot reach `dst` — endpoint closed,
-    /// stream broken, ring stalled, or (lossy fabric) retry budget spent.
+    /// stream broken, ring stalled.
     ///
-    /// The sender's `wire_bytes_sent` is credited here, once per deposit:
-    /// what a lossy link retransmits below counts as `retransmits`.
+    /// The sender's `wire_bytes_sent` is credited here, once per deposit.
     #[inline]
     pub fn deposit(&self, dst: usize, mut env: Envelope) -> TransportResult<()> {
         self.obs[env.src].metrics().add_wire_sent(env.data.len());
@@ -184,18 +146,6 @@ impl Fabric {
     /// ([`Transport::in_process`]).
     pub(crate) fn in_process(&self) -> bool {
         self.transport.in_process()
-    }
-
-    /// How long an exchange waits for a receive before it gives the peer
-    /// up ([`Transport::patience`]): `None` on a perfect fabric.
-    #[inline]
-    pub fn patience(&self) -> Option<Duration> {
-        self.transport.patience()
-    }
-
-    /// Injected-fault counters of a lossy fabric's plane.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.transport.fault_stats()
     }
 
     /// Declare `rank`'s program finished: the backend may stop that
@@ -222,7 +172,6 @@ mod tests {
                     ctx: 0,
                     src: 0,
                     tag: 7,
-                    rel: Default::default(),
                     data: vec![1, 2, 3].into(),
                 },
             )
@@ -246,7 +195,6 @@ mod tests {
                         ctx: 0,
                         src: 0,
                         tag: 0,
-                        rel: Default::default(),
                         data: vec![i].into(),
                     },
                 )
@@ -280,7 +228,6 @@ mod tests {
                     ctx: 0,
                     src: 0,
                     tag: 1,
-                    rel: Default::default(),
                     data: vec![42].into(),
                 },
             )

@@ -6,8 +6,8 @@
 //! ([`GuardedStack`]: a constant [`STACK_BYTES`] reservation committed
 //! as it is touched, over a guard page). A worker ([`run`]) resumes its
 //! fibers round-robin; a fiber runs until it finishes or waits. Every
-//! place the runtime makes a rank wait — a mailbox pop, the lossy
-//! transport's acknowledgement, a full shared-memory ring — goes through
+//! place the runtime makes a rank wait — a mailbox pop, a rendezvous, a
+//! full shared-memory ring — goes through
 //! the one [`wait`]: poll the condition, and while it does not hold,
 //! switch back to the worker, which resumes the next fiber. A switch
 //! saves six registers and two control words and swaps stack pointers:
@@ -20,7 +20,7 @@
 //! its waker (one flag store, under the lock the poll read) or its
 //! deadline passes: a wait costs no re-poll, and no cache line of the
 //! mailbox it watches moves, until its peer has changed what it polls.
-//! A poll that registers nothing (a full ring, a lock) is polled every
+//! A poll that registers nothing (a full ring) is polled every
 //! pass.
 //!
 //! The worker's idle rule: a *pass* over the fibers is idle when no

@@ -12,8 +12,8 @@
 //!   that waits hands its core to a sibling rank without entering the
 //!   kernel, so ranks are cooperative — one that computes, sleeps or
 //!   blocks on an OS primitive of its own holds its worker's other ranks
-//!   (DESIGN.md §2). One [`RunConfig`] composes transport, fault plane
-//!   and profiling.
+//!   (DESIGN.md §2). One [`RunConfig`] composes transport and
+//!   profiling.
 //! * [`Comm`] — per-rank communicator: [`Comm::send_bytes`] (eager,
 //!   buffered), [`Comm::recv_bytes`] (blocking), [`Comm::sendrecv_bytes`],
 //!   [`Comm::probe`]/[`Comm::iprobe`], and [`Comm::exchange`] — the
@@ -23,8 +23,7 @@
 //!   tag) triple are **non-overtaking**; receives match the earliest
 //!   arriving message; `AnySource`/`AnyTag` wildcards are supported.
 //!   Every receive — a `recv_bytes`, a probe, an exchange's slots, and
-//!   so every collective — matches and waits in one private loop; only
-//!   an exchange gives it a deadline.
+//!   so every collective — matches and waits in one private loop.
 //! * [`collectives`] — barrier (dissemination), broadcast (binomial tree),
 //!   reduce/allreduce, used by topology setup (§2.2 isomorphism check)
 //!   and by tests/benchmarks.
@@ -47,18 +46,13 @@
 //! ([`Comm::rendezvous`]: the in-process fabric, a proven torus phase)
 //! takes no wire at all.
 
-//! # Fault injection and reliable delivery
+//! # Faults
 //!
-//! A fabric is built perfect or lossy. A lossy one
-//! ([`RunConfig::faults`], `Fabric::lossy`) wraps its backend in a
-//! [`reliable::LossyTransport`]: a deterministic, seeded fault plane
-//! ([`FaultSpec`]/[`fault::FaultPlane`]) drops, duplicates, delays or
-//! reorders what is deposited, and stop-and-wait retransmission under
-//! the [`RetryPolicy`] repairs it *below* the mailbox — for every
-//! deposit, exchange or not. A [`Comm`] holds no reliability state; all a
-//! rank adds is a deadline on an exchange's receives, so a dead link
-//! surfaces [`CommError::PeerUnreachable`] on both ends instead of a
-//! hang. See `reliable.rs` and DESIGN.md §10.
+//! Every link is perfect: what is deposited arrives once, in order per
+//! link. What fails is a rank or a process — a panicking rank closes
+//! every mailbox of its universe, and a dead peer surfaces as
+//! [`CommError::PeerUnreachable`] from the deposit that cannot reach it
+//! (DESIGN.md §10, §12).
 //!
 //! # Transport backends
 //!
@@ -69,28 +63,23 @@
 //! ([`Universe::spawn_processes`]), and Unix-domain/TCP socket meshes.
 //! [`RunConfig::on`] picks the backend per run; everything
 //! above the fabric — matching, collectives, observability — is
-//! backend-agnostic, and so is the lossy decorator below it, pinned by
-//! the `transport_conformance` suite.
+//! backend-agnostic, pinned by the `transport_conformance` suite.
 
 pub mod collectives;
 pub mod comm;
 pub mod envelope;
 pub mod error;
 pub mod fabric;
-pub mod fault;
 mod fiber;
 pub mod mailbox;
 pub mod pool;
-pub mod reliable;
 pub mod transport;
 pub mod universe;
 
 pub use comm::{Comm, ExchangeBatch, RecvSpec, Status};
-pub use envelope::{EnvKind, RelHeader, SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};
+pub use envelope::{SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 pub use error::{CommError, CommResult};
-pub use fault::{FaultAction, FaultPlane, FaultRng, FaultRule, FaultSpec, FaultStats, LinkSel};
 pub use pool::{PoolStats, PooledBuf, WirePool};
-pub use reliable::RetryPolicy;
 pub use transport::{Transport, TransportError, TransportKind, TransportResult};
 pub use universe::{ProfiledRun, ProfiledRunConfig, RunConfig, SpawnRole, Universe};
 

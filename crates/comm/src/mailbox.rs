@@ -43,7 +43,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::Thread;
-use std::time::{Duration, Instant};
 
 use crate::comm::RecvSpec;
 use crate::envelope::{Envelope, Tag};
@@ -165,23 +164,9 @@ impl Mailbox {
         Ok(())
     }
 
-    /// Block until an envelope is available.
+    /// Block until an envelope is available; a close ends the wait.
     pub fn pop(&self) -> Result<Envelope, Closed> {
-        self.wait(None)
-            .map(|env| env.expect("a wait without a deadline ends with an envelope"))
-    }
-
-    /// [`Mailbox::pop`] that gives up after `timeout`: `Ok(None)` means
-    /// nothing arrived in time. A timeout too large for the clock to
-    /// represent waits without one.
-    pub fn pop_timeout(&self, timeout: Duration) -> Result<Option<Envelope>, Closed> {
-        self.wait(Instant::now().checked_add(timeout))
-    }
-
-    /// The one wait: until a push, the close or `deadline` (`Ok(None)`)
-    /// ends it.
-    fn wait(&self, deadline: Option<Instant>) -> Result<Option<Envelope>, Closed> {
-        fiber::wait(deadline, Some(&self.parks), |waker| {
+        fiber::wait(None, Some(&self.parks), |waker| {
             let mut st = self.lock();
             if let Some(env) = st.queue.pop_front() {
                 return Some(Ok(env));
@@ -192,7 +177,7 @@ impl Mailbox {
             waker.register(&mut st.waker);
             None
         })
-        .transpose()
+        .expect("a wait without a deadline ends with its poll's value")
     }
 
     /// The next envelope if one is already queued.
@@ -371,6 +356,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::sync::mpsc::{self, RecvTimeoutError};
     use std::sync::{Arc, Barrier};
+    use std::time::Duration;
 
     fn env(src: usize, n: u32) -> Envelope {
         Envelope::new(0, src, n, Vec::new())
@@ -444,27 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_timeout_waits_its_timeout_and_loses_nothing() {
-        let mb = Mailbox::new();
-        let timeout = Duration::from_millis(20);
-        let t0 = Instant::now();
-        assert_eq!(mb.pop_timeout(timeout).map(|e| e.is_none()), Ok(true));
-        assert!(t0.elapsed() >= timeout, "returned after {:?}", t0.elapsed());
-
-        // An envelope pushed while a pop_timeout is in flight is returned
-        // by it or, if it had already timed out, by the next pop.
-        std::thread::scope(|s| {
-            s.spawn(|| mb.push(env(1, 7)).unwrap());
-            let e = match mb.pop_timeout(Duration::from_millis(1)).unwrap() {
-                Some(e) => e,
-                None => mb.pop().unwrap(),
-            };
-            assert_eq!((e.src, e.tag), (1, 7));
-        });
-        assert!(mb.try_pop().is_none());
-    }
-
-    #[test]
     fn close_returns_pushes_and_drains_before_reporting_closed() {
         let mb = Mailbox::new();
         mb.push(env(0, 1)).unwrap();
@@ -474,15 +439,8 @@ mod tests {
         let back = mb.push(env(0, 3)).unwrap_err();
         assert_eq!(back.tag, 3);
         assert_eq!(mb.pop().unwrap().tag, 1);
-        assert_eq!(
-            mb.pop_timeout(Duration::from_secs(5)).unwrap().unwrap().tag,
-            2
-        );
+        assert_eq!(mb.pop().unwrap().tag, 2);
         assert_eq!(mb.pop().map(|e| e.tag), Err(Closed));
-        assert_eq!(
-            mb.pop_timeout(Duration::from_secs(5)).map(|e| e.is_some()),
-            Err(Closed)
-        );
         assert!(mb.try_pop().is_none());
     }
 
@@ -500,26 +458,6 @@ mod tests {
         rx.recv().unwrap();
         mb.close();
         assert_eq!(popper.join().unwrap(), Err(Closed));
-    }
-
-    #[test]
-    fn pop_timeout_takes_a_timeout_the_clock_cannot_represent() {
-        watchdog(Duration::from_secs(60), || {
-            let mb = Mailbox::new();
-            mb.push(env(2, 5)).unwrap();
-            let e = mb.pop_timeout(Duration::MAX).unwrap().unwrap();
-            assert_eq!((e.src, e.tag), (2, 5));
-            // Empty: it waits like `pop`, for the push as for the close.
-            std::thread::scope(|s| {
-                s.spawn(|| mb.push(env(2, 6)).unwrap());
-                assert_eq!(mb.pop_timeout(Duration::MAX).unwrap().unwrap().tag, 6);
-                s.spawn(|| mb.close());
-                assert_eq!(
-                    mb.pop_timeout(Duration::MAX).map(|e| e.is_some()),
-                    Err(Closed)
-                );
-            });
-        });
     }
 
     #[test]
@@ -636,45 +574,25 @@ mod tests {
     }
 
     #[test]
-    fn parked_pop_timeout_returns_the_push_long_before_its_timeout() {
-        watchdog(Duration::from_secs(60), || {
-            let mb = Mailbox::new();
-            std::thread::scope(|s| {
-                let popper = s.spawn(|| {
-                    let t0 = Instant::now();
-                    let got = mb.pop_timeout(Duration::from_secs(3_600));
-                    (got, t0.elapsed())
-                });
-                // Push only once the popper sleeps.
-                while mb.parks() == 0 {
-                    std::thread::yield_now();
-                }
-                mb.push(env(1, 9)).unwrap();
-                let (got, waited) = popper.join().unwrap();
-                assert_eq!(got.unwrap().unwrap().tag, 9);
-                assert!(waited < Duration::from_secs(30), "woke after {waited:?}");
-            });
-        });
-    }
-
-    #[test]
     fn only_an_empty_queue_parks() {
         let mb = Mailbox::new();
         for n in 0..3 {
             mb.push(env(0, n)).unwrap();
         }
         mb.pop().unwrap();
-        mb.pop_timeout(Duration::from_secs(5)).unwrap().unwrap();
+        mb.pop().unwrap();
         mb.try_pop().unwrap();
         assert_eq!(mb.parks(), 0, "nothing waited");
-        // An empty one sleeps once its yields are spent. On a loaded box
-        // 64 yields can outlast a short timeout, which then expires before
-        // the pop ever parks: double it until one does.
-        let mut timeout = Duration::from_millis(20);
-        while mb.parks() == 0 && timeout < Duration::from_secs(2) {
-            assert_eq!(mb.pop_timeout(timeout).map(|e| e.is_none()), Ok(true));
-            timeout *= 2;
-        }
+        // An empty one sleeps once its idle budget is spent, until a push.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while mb.parks() == 0 {
+                    std::thread::yield_now();
+                }
+                mb.push(env(0, 3)).unwrap();
+            });
+            assert_eq!(mb.pop().unwrap().tag, 3);
+        });
         assert!(mb.parks() >= 1);
     }
 }

@@ -27,9 +27,7 @@
 //! * **Reliable FIFO links, or honest errors.** `deposit(dst, env)`
 //!   either enqueues the envelope for exactly-once, per-link FIFO
 //!   delivery, or returns a [`TransportError`] naming the peer. It never
-//!   panics on peer death and never silently drops (loss is injected by
-//!   a decorator, [`LossyTransport`](crate::reliable::LossyTransport),
-//!   which wraps any backend and repairs what it injures).
+//!   panics on peer death and never silently drops.
 //! * **Per-`(src, dst)` ordering** is the MPI non-overtaking guarantee
 //!   the matching engine builds on: two deposits from the same source to
 //!   the same destination arrive in deposit order. Nothing is guaranteed
@@ -42,9 +40,8 @@
 //!   [`CommError::PeerUnreachable`](crate::error::CommError::PeerUnreachable).
 //!
 //! Observability, pooling and the plan cache sit *above* this trait and
-//! do not care what carries the bytes; the fault plane and its repair
-//! ([`crate::reliable`]) sit *behind* it, so above it every link is
-//! perfect — possibly slow, possibly closed.
+//! do not care what carries the bytes: above it every link is perfect —
+//! possibly slow, possibly closed.
 
 pub mod inproc;
 pub mod mmap;
@@ -54,10 +51,8 @@ pub mod wire;
 
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::envelope::Envelope;
-use crate::fault::FaultStats;
 use crate::mailbox::Mailbox;
 use crate::pool::WirePool;
 
@@ -128,24 +123,13 @@ pub enum TransportError {
         /// Human-readable cause.
         msg: String,
     },
-    /// A lossy link's retry budget ran out: `attempts` transmissions to
-    /// `peer` went unacknowledged
-    /// ([`LossyTransport`](crate::reliable::LossyTransport)).
-    Unacked {
-        /// Rank that never acknowledged.
-        peer: usize,
-        /// Transmissions made, the original included.
-        attempts: u32,
-    },
 }
 
 impl TransportError {
     /// The rank on the other end of the failed link.
     pub fn peer(&self) -> usize {
         match self {
-            TransportError::Closed { peer }
-            | TransportError::Io { peer, .. }
-            | TransportError::Unacked { peer, .. } => *peer,
+            TransportError::Closed { peer } | TransportError::Io { peer, .. } => *peer,
         }
     }
 }
@@ -155,9 +139,6 @@ impl fmt::Display for TransportError {
         match self {
             TransportError::Closed { peer } => write!(f, "endpoint of rank {peer} is closed"),
             TransportError::Io { peer, msg } => write!(f, "link to rank {peer} failed: {msg}"),
-            TransportError::Unacked { peer, attempts } => {
-                write!(f, "rank {peer} acknowledged none of {attempts} sends")
-            }
         }
     }
 }
@@ -179,8 +160,7 @@ pub trait Transport: Send + Sync {
 
     /// Enqueue `env` for delivery to `dst`'s endpoint. `env.src` names
     /// the *originating* rank, which for remote backends selects the
-    /// directed link — it is not necessarily the calling thread's rank
-    /// (a lossy link's progress thread deposits for every rank).
+    /// directed link.
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()>;
 
     /// Declare local rank `rank` finished: its progress machinery may
@@ -194,18 +174,6 @@ pub trait Transport: Send + Sync {
     /// rank's pool.
     fn in_process(&self) -> bool {
         false
-    }
-
-    /// How long an exchange waits for a receive before it reports the
-    /// peer unreachable. `None` on a perfect link: what was deposited
-    /// arrives, so a receive waits as long as it takes.
-    fn patience(&self) -> Option<Duration> {
-        None
-    }
-
-    /// Injected-fault counters, on a link that injects faults.
-    fn fault_stats(&self) -> Option<FaultStats> {
-        None
     }
 }
 

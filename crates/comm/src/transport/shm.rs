@@ -20,12 +20,11 @@
 //! mailbox, so a rank still blocked in a receive gets an error, not a
 //! hang.
 //!
-//! Producer-side discipline: only rank `src`'s process ever writes ring
-//! `(src, dst)` (acks from a receiver `r` travel on `(r, src)`, still
-//! satisfying the rule), and within a process a per-link mutex
-//! serializes the writers a fault-plane release can add. A writer holds
-//! it across its full-ring waits, so it is taken the cooperative way
-//! (`fiber::wait` on `try_lock`), never by blocking a worker. A ring that
+//! Producer-side discipline: only rank `src` ever writes ring
+//! `(src, dst)`, and a per-link mutex serializes a link's producers in
+//! this process. In a universe that is the link's source rank alone, one
+//! fiber, so no two fibers of a worker contend for it and the writer may
+//! hold it across its full-ring waits. A ring that
 //! stays full past [`STALL_TIMEOUT`] — the consumer died — fails the
 //! deposit with [`TransportError::Io`] instead of blocking forever.
 
@@ -60,7 +59,7 @@ const STALL_TIMEOUT: Duration = Duration::from_secs(1);
 /// How long a producer at a full ring waits before it looks again. The
 /// consumer is a progress thread, which cannot wake a waiter across
 /// processes, so the wait ends by its deadline; meanwhile the producer's
-/// sibling ranks run. A producer waiting for its link's lock naps the same.
+/// sibling ranks run.
 const FULL_RING_NAP: Duration = Duration::from_micros(10);
 /// Progress-thread nap when a sweep found no bytes.
 const IDLE_NAP: Duration = Duration::from_micros(40);
@@ -202,8 +201,8 @@ impl Ring {
 pub struct ShmTransport {
     p: usize,
     map: Arc<SharedMap>,
-    /// Serializes in-process producers of one link (the owning rank's
-    /// thread plus any fault-plane release from a receiver's thread).
+    /// Serializes in-process producers of one link: the link's source
+    /// rank, the one fiber that writes it.
     write_locks: Vec<Mutex<()>>,
     /// Per-local-rank stop flags, indexed by rank (None for remote).
     stops: Vec<Option<Arc<AtomicBool>>>,
@@ -341,17 +340,7 @@ impl Transport for ShmTransport {
     fn deposit(&self, dst: usize, env: Envelope) -> TransportResult<()> {
         let mut frame = Vec::with_capacity(wire::HEADER_BYTES + env.data.len());
         wire::encode_into(&env, &mut frame);
-        let lock = &self.write_locks[env.src * self.p + dst];
-        // Taken cooperatively: the holder may be a sibling fiber of this
-        // worker, suspended at the full ring below with the lock held (a
-        // fault-plane release writes another rank's link), and blocking
-        // the worker on it would never let that fiber run again.
-        let _guard = loop {
-            let nap = Instant::now().checked_add(FULL_RING_NAP);
-            if let Some(guard) = fiber::wait(nap, None, |_| lock.try_lock()) {
-                break guard;
-            }
-        };
+        let _guard = self.write_locks[env.src * self.p + dst].lock();
         Ring::at(&self.map, self.p, env.src, dst).write(&frame, dst)
     }
 
@@ -383,8 +372,6 @@ mod tests {
     use super::*;
 
     use crate::fabric::{per_rank, Fabric};
-    use crate::fault::{FaultSpec, LinkSel};
-    use crate::reliable::RetryPolicy;
 
     #[test]
     fn deposits_cross_the_ring_in_order() {
@@ -459,20 +446,11 @@ mod tests {
     }
 
     #[test]
-    fn a_rank_flushing_a_siblings_frame_into_a_full_ring_holds_up_no_fiber() {
+    fn ranks_streaming_through_full_rings_on_one_worker_hold_up_no_fiber() {
         // Seven ranks, fibers of one worker, each stream frames twice a
-        // ring's size to rank 0 over a lossy fabric that stashes a third of
-        // them. A stash is flushed by the next deposit to rank 0, so one
-        // rank writes another's frame into that rank's ring and waits at
-        // the full ring, while the owner's retransmission (1 ms backoff)
-        // wants the same link: the link lock must not block the worker.
-        let spec = FaultSpec::new(0x5EED).reorder_rate(LinkSel::any().to(0), 0.3);
-        let policy = RetryPolicy {
-            attempts: 40,
-            base: Duration::from_millis(1),
-            ..RetryPolicy::default()
-        };
-        let fabric = Fabric::lossy(TransportKind::SharedMem, 8, spec, policy).unwrap();
+        // ring's size to rank 0: each waits at its full ring holding its
+        // link's lock while its siblings run and take theirs.
+        let fabric = Fabric::for_backend(TransportKind::SharedMem, 8).unwrap();
         let big = 2 * RING_BYTES;
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let fabric = Arc::new(fabric);
@@ -496,10 +474,6 @@ mod tests {
             panic!("the senders' worker hung");
         }
         worker.join().unwrap();
-        assert!(
-            fabric.fault_stats().unwrap().reorders > 0,
-            "nothing stashed"
-        );
         let mut next = [0u8; 8];
         for _ in 0..7 * 6 {
             let env = fabric.mailbox(0).pop().unwrap();

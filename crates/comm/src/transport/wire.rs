@@ -15,10 +15,7 @@
 //!      4     4  ctx                      (u32)
 //!      8     4  src rank                 (u32)
 //!     12     4  tag                      (u32)
-//!     16     1  kind: 0 = data, 1 = ack  (u8)
-//!     17     1  has_seq: 0 or 1          (u8)
-//!     18     6  reserved, must be zero
-//!     24     8  seq (valid iff has_seq)  (u64)
+//!     16    16  reserved: written as zero, ignored on read
 //!     32     …  payload (payload_len bytes)
 //! ```
 //!
@@ -29,7 +26,7 @@
 
 use std::sync::Arc;
 
-use crate::envelope::{EnvKind, Envelope, RelHeader};
+use crate::envelope::Envelope;
 use crate::pool::{PooledBuf, WirePool};
 
 /// Size of the fixed frame header preceding the payload.
@@ -39,37 +36,19 @@ pub const HEADER_BYTES: usize = 32;
 /// writer that already holds the payload can send header and payload as
 /// two slices and skip the copy into a contiguous frame; the bytes on the
 /// wire are those of [`encode_into`].
-pub fn encode_header(
-    payload_len: usize,
-    ctx: u32,
-    src: usize,
-    tag: u32,
-    rel: RelHeader,
-) -> [u8; HEADER_BYTES] {
+pub fn encode_header(payload_len: usize, ctx: u32, src: usize, tag: u32) -> [u8; HEADER_BYTES] {
     let mut h = [0u8; HEADER_BYTES];
     h[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     h[4..8].copy_from_slice(&ctx.to_le_bytes());
     h[8..12].copy_from_slice(&(src as u32).to_le_bytes());
     h[12..16].copy_from_slice(&tag.to_le_bytes());
-    h[16] = match rel.kind {
-        EnvKind::Data => 0,
-        EnvKind::Ack => 1,
-    };
-    h[17] = rel.seq.is_some() as u8;
-    h[24..32].copy_from_slice(&rel.seq.unwrap_or(0).to_le_bytes());
     h
 }
 
 /// Serialize `env` onto the end of `out` as one frame.
 pub fn encode_into(env: &Envelope, out: &mut Vec<u8>) {
     out.reserve(HEADER_BYTES + env.data.len());
-    out.extend_from_slice(&encode_header(
-        env.data.len(),
-        env.ctx,
-        env.src,
-        env.tag,
-        env.rel,
-    ));
+    out.extend_from_slice(&encode_header(env.data.len(), env.ctx, env.src, env.tag));
     out.extend_from_slice(&env.data);
 }
 
@@ -112,17 +91,10 @@ pub fn decode_from(buf: &[u8], pool: &Arc<WirePool>) -> Option<(Envelope, usize)
 /// Panics when `header` is shorter than [`HEADER_BYTES`].
 pub fn envelope(header: &[u8], data: PooledBuf) -> Envelope {
     let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
-    let kind = match header[16] {
-        1 => EnvKind::Ack,
-        _ => EnvKind::Data,
-    };
-    let seq =
-        (header[17] != 0).then(|| u64::from_le_bytes(header[24..32].try_into().expect("8 bytes")));
     Envelope {
         ctx: word(4),
         src: word(8) as usize,
         tag: word(12),
-        rel: RelHeader { kind, seq },
         data,
     }
 }
@@ -151,21 +123,19 @@ mod tests {
         assert_eq!(back.ctx, 3);
         assert_eq!(back.src, 5);
         assert_eq!(back.tag, 0x7A00_0001);
-        assert_eq!(back.rel, RelHeader::default());
         assert_eq!(back.data, vec![1u8, 2, 3, 4, 5]);
     }
 
     #[test]
-    fn sequenced_and_ack_roundtrip() {
-        let back = roundtrip(Envelope::sequenced(1, 2, 9, u64::MAX - 1, vec![7u8; 100]));
-        assert_eq!(back.rel.seq, Some(u64::MAX - 1));
-        assert_eq!(back.rel.kind, EnvKind::Data);
-        assert_eq!(back.data.len(), 100);
-
-        let back = roundtrip(Envelope::ack(0, 4, 11, 42));
-        assert!(back.is_ack());
-        assert_eq!(back.rel.seq, Some(42));
-        assert!(back.data.is_empty());
+    fn the_reserved_header_bytes_are_zero() {
+        let h = encode_header(5, u32::MAX, 7, u32::MAX);
+        assert_eq!(h[16..], [0u8; 16]);
+        let mut wire = Vec::new();
+        encode_into(
+            &Envelope::new(u32::MAX, 7, u32::MAX, vec![1u8; 5]),
+            &mut wire,
+        );
+        assert_eq!(wire[..HEADER_BYTES], h);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! memory-mapped fabric.
 //!
 //! Every thread-mode launch goes through one configurable entry point,
-//! [`Universe::builder`]: transport backend, fault plane and profiling
-//! compose freely.
+//! [`Universe::builder`]: transport backend and profiling compose
+//! freely.
 
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
@@ -19,9 +19,7 @@ use parking_lot::Mutex;
 
 use crate::comm::Comm;
 use crate::fabric::Fabric;
-use crate::fault::FaultSpec;
 use crate::fiber;
-use crate::reliable::RetryPolicy;
 use crate::transport::shm::ShmTransport;
 use crate::transport::TransportKind;
 
@@ -66,10 +64,9 @@ fn spawn_scratch_path() -> PathBuf {
     std::env::temp_dir().join(format!("cartcomm-spawn-{}-{n}.fabric", std::process::id()))
 }
 
-/// A fully described thread-mode launch: `p` ranks on `transport`, an
-/// optional seeded fault plane with the retry policy that answers it, and
-/// optional profiling (one ring sink per rank). Obtained from [`Universe::builder`]; every knob
-/// composes with every other.
+/// A fully described thread-mode launch: `p` ranks on `transport`, and
+/// optional profiling (one ring sink per rank). Obtained from
+/// [`Universe::builder`]; every knob composes with every other.
 ///
 /// ```
 /// use cartcomm_comm::Universe;
@@ -84,7 +81,6 @@ fn spawn_scratch_path() -> PathBuf {
 pub struct RunConfig {
     p: usize,
     transport: TransportKind,
-    faults: Option<(FaultSpec, RetryPolicy)>,
 }
 
 /// A [`RunConfig`] with profiling enabled ([`RunConfig::profiled`]):
@@ -103,18 +99,6 @@ impl RunConfig {
     /// use [`RunConfig::try_run`] to observe the error.
     pub fn on(mut self, kind: TransportKind) -> Self {
         self.transport = kind;
-        self
-    }
-
-    /// Build the fabric lossy: every deposit — exchanges, point-to-point
-    /// sends, the built-in collectives — is subject to `spec`'s
-    /// drop/duplicate/delay/reorder rules and is sequenced, deduplicated
-    /// and retransmitted per `policy` below the mailbox
-    /// ([`crate::reliable`]); the policy travels with the plane it
-    /// answers, no rank sets it. The plane decides per deposit, before
-    /// the backend, so seeded adversity is the same on every backend.
-    pub fn faults(mut self, spec: FaultSpec, policy: RetryPolicy) -> Self {
-        self.faults = Some((spec, policy));
         self
     }
 
@@ -159,13 +143,13 @@ impl RunConfig {
         Ok(launch(fabric, f))
     }
 
-    /// Construct the fabric, perfect or lossy, and (optionally) profiling.
+    /// Construct the fabric and (optionally) profiling.
     fn bring_up(
         &self,
         profile_capacity: Option<usize>,
     ) -> io::Result<(Arc<Fabric>, Vec<Arc<RingBufferSink>>)> {
         assert!(self.p > 0, "universe needs at least one rank");
-        let fabric = Fabric::build(self.transport, self.p, self.faults.clone())?;
+        let fabric = Fabric::for_backend(self.transport, self.p)?;
         let sinks = match profile_capacity {
             Some(capacity) => install_profiling(&fabric, self.p, capacity),
             None => Vec::new(),
@@ -178,14 +162,6 @@ impl ProfiledRunConfig {
     /// Select the transport backend (see [`RunConfig::on`]).
     pub fn on(mut self, kind: TransportKind) -> Self {
         self.inner = self.inner.on(kind);
-        self
-    }
-
-    /// Build the fabric lossy (see [`RunConfig::faults`]) — profile a run
-    /// *under* seeded adversity (retransmit overlays and fault events
-    /// land in the traces).
-    pub fn faults(mut self, spec: FaultSpec, policy: RetryPolicy) -> Self {
-        self.inner = self.inner.faults(spec, policy);
         self
     }
 
@@ -296,15 +272,14 @@ fn install_profiling(fabric: &Fabric, p: usize, capacity: usize) -> Vec<Arc<Ring
 
 impl Universe {
     /// Configure a thread-mode launch: `p` ranks, in-process transport,
-    /// no faults, no profiling. Chain [`RunConfig::on`]/
-    /// [`RunConfig::faults`]/[`RunConfig::profiled`] in any combination,
+    /// no profiling. Chain [`RunConfig::on`]/[`RunConfig::profiled`] in
+    /// either order,
     /// then [`RunConfig::run`] (or [`RunConfig::try_run`] for fallible
     /// backends).
     pub fn builder(p: usize) -> RunConfig {
         RunConfig {
             p,
             transport: TransportKind::InProcess,
-            faults: None,
         }
     }
 
@@ -333,10 +308,6 @@ impl Universe {
     ///     SpawnRole::Child(()) => {} // the child's work happened in the closure
     /// }
     /// ```
-    ///
-    /// Fault planes are per-process state and are **not** supported
-    /// across process boundaries; chaos coverage runs all backends in
-    /// thread mode instead.
     pub fn spawn_processes<F, R>(p: usize, rerun_args: &[&str], f: F) -> io::Result<SpawnRole<R>>
     where
         F: FnOnce(&mut Comm) -> R,
@@ -451,10 +422,8 @@ mod tests {
     }
 
     #[test]
-    fn faults_profiling_and_transport_compose() {
-        let spec = FaultSpec::new(7);
+    fn profiling_and_transport_compose() {
         let run = Universe::builder(3)
-            .faults(spec, RetryPolicy::default())
             .profiled(256)
             .on(TransportKind::InProcess)
             .run(|comm| {

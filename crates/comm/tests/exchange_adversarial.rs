@@ -232,172 +232,3 @@ fn detached_policy_returns_unpooled_buffers() {
         }
     });
 }
-
-// ---------------------------------------------------------------------------
-// Reliable delivery under an adversarial fabric (fault.rs / reliable.rs).
-// ---------------------------------------------------------------------------
-
-use std::time::Duration;
-
-use cartcomm_comm::{CommError, FaultSpec, LinkSel, RetryPolicy};
-
-fn chaos_policy() -> RetryPolicy {
-    RetryPolicy {
-        attempts: 8,
-        base: Duration::from_millis(25),
-        factor: 2.0,
-        max: Duration::from_millis(200),
-    }
-}
-
-#[test]
-fn reliable_exchange_survives_heavy_drop() {
-    // 25% of all ctx-0 data deposits are dropped; every round must still
-    // deliver byte-identical payloads, paid for with retransmissions.
-    const ROUNDS: usize = 20;
-    let spec = FaultSpec::new(0xC0FFEE).drop_rate(LinkSel::any().on_ctx(0), 0.25);
-    let lossy = Universe::builder(2).faults(spec, chaos_policy());
-    let out = lossy.run(|comm| {
-        let peer = 1 - comm.rank();
-        for round in 0..ROUNDS {
-            let mut batch = ExchangeBatch::new();
-            batch.send(peer, round as u32, payload(round + comm.rank()));
-            comm.exchange(&mut batch, &[RecvSpec::from_rank(peer, round as u32)])
-                .unwrap();
-            let (data, status) = batch.take_result(0).unwrap();
-            assert_eq!(data.as_ref(), payload(round + peer).as_slice());
-            assert_eq!(status.src, peer);
-        }
-        let stats = comm.fault_stats().unwrap();
-        let retransmits = comm.metrics().retransmits;
-        (stats.drops, retransmits)
-    });
-    let drops = out[0].0;
-    let retransmits: u64 = out.iter().map(|&(_, r)| r).sum();
-    assert!(drops > 0, "a 25% drop rate over 40 messages must drop some");
-    assert!(
-        retransmits >= drops,
-        "every drop needs a retransmit: {retransmits} retransmits < {drops} drops"
-    );
-}
-
-#[test]
-fn total_loss_surfaces_peer_unreachable_on_both_sides() {
-    // Link 0 -> 1 drops 100% of ctx-0 data. The sender must exhaust its
-    // retry budget, the receiver its progress budget — neither may hang.
-    let spec = FaultSpec::new(1).drop_rate(LinkSel::link(0, 1).on_ctx(0), 1.0);
-    let policy = RetryPolicy {
-        attempts: 4,
-        base: Duration::from_millis(5),
-        factor: 2.0,
-        max: Duration::from_millis(20),
-    };
-    Universe::builder(2).faults(spec, policy).run(|comm| {
-        let err = if comm.rank() == 0 {
-            let mut batch = ExchangeBatch::new();
-            batch.send(1, 3, vec![1u8, 2, 3]);
-            comm.exchange(&mut batch, &[]).unwrap_err()
-        } else {
-            let mut batch = ExchangeBatch::new();
-            comm.exchange(&mut batch, &[RecvSpec::from_rank(0, 3)])
-                .unwrap_err()
-        };
-        let expected_peer = 1 - comm.rank();
-        match err {
-            CommError::PeerUnreachable { peer, attempts } => {
-                assert_eq!(peer, expected_peer);
-                assert!(attempts <= policy.attempts);
-            }
-            other => panic!("expected PeerUnreachable, got {other:?}"),
-        }
-        // Keep both ranks alive until the other has finished erroring, so
-        // no in-flight control traffic hits a closed mailbox. The
-        // barrier runs on the internal context, outside the fault rule.
-        comm.barrier().unwrap();
-    });
-}
-
-#[test]
-fn delayed_duplicate_cannot_satisfy_later_post() {
-    // Regression for the FIFO matching hazard: the first message on link
-    // 0 -> 1 is duplicated with the copy held for 3 receiver polls. By the
-    // time the copy is released, rank 1 has already matched the original
-    // and posted a NEW receive for the same (src, tag). Without sequence
-    // numbers in the delivery state the stale copy would satisfy the new
-    // post; with the dedup window it must be absorbed and the fresh
-    // payload delivered.
-    let spec = FaultSpec::new(7).with_rule(
-        cartcomm_comm::FaultRule::new(
-            LinkSel::link(0, 1).on_ctx(0),
-            1.0,
-            cartcomm_comm::FaultAction::Duplicate {
-                delay_copy_polls: 3,
-            },
-        )
-        .window(0, 1),
-    );
-    let lossy = Universe::builder(2).faults(spec, chaos_policy());
-    lossy.run(|comm| {
-        if comm.rank() == 0 {
-            for msg in [b"one".to_vec(), b"two".to_vec()] {
-                let mut batch = ExchangeBatch::new();
-                batch.send(1, 9, msg);
-                comm.exchange(&mut batch, &[]).unwrap();
-            }
-            comm.barrier().unwrap();
-        } else {
-            let recv_one = |comm: &Comm| {
-                let mut batch = ExchangeBatch::new();
-                comm.exchange(&mut batch, &[RecvSpec::from_rank(0, 9)])
-                    .unwrap();
-                batch.take_result(0).unwrap().0.into_vec()
-            };
-            assert_eq!(recv_one(comm), b"one".to_vec());
-            // Force the delayed duplicate of "one" out of the plane and
-            // through the intake before the next post goes up.
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while comm.metrics().dup_drops == 0 {
-                comm.iprobe(0, 9).unwrap();
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "duplicate never surfaced"
-                );
-                std::thread::yield_now();
-            }
-            assert_eq!(
-                recv_one(comm),
-                b"two".to_vec(),
-                "stale duplicate of 'one' satisfied the later post"
-            );
-            comm.barrier().unwrap();
-        }
-    });
-}
-
-#[test]
-fn reorder_and_delay_are_absorbed_by_sequencing() {
-    // Every 3rd deposit on ctx 0 is reordered and some are delayed; the
-    // per-stream sequence floor must still deliver payloads to the posted
-    // slots in posting order.
-    const N: usize = 12;
-    let spec = FaultSpec::new(99)
-        .reorder_rate(LinkSel::any().on_ctx(0), 0.34)
-        .delay_rate(LinkSel::any().on_ctx(0), 0.3, 2);
-    let lossy = Universe::builder(2).faults(spec, chaos_policy());
-    lossy.run(|comm| {
-        if comm.rank() == 0 {
-            let mut batch = ExchangeBatch::new();
-            for i in 0..N {
-                batch.send(1, 9, payload(i));
-            }
-            comm.exchange(&mut batch, &[]).unwrap();
-        } else {
-            let specs = vec![RecvSpec::from_rank(0, 9); N];
-            let mut batch = ExchangeBatch::new();
-            comm.exchange(&mut batch, &specs).unwrap();
-            for (i, (data, _)) in batch.drain_results().enumerate() {
-                assert_eq!(data.as_ref(), payload(i).as_slice(), "slot {i}");
-            }
-        }
-    });
-}

@@ -30,11 +30,8 @@ pub enum TraceEvent {
         from: usize,
         /// Packed wire-message size in bytes.
         wire_bytes: usize,
-        /// Delivery attempt of this round's wire message. Executors emit
-        /// `0`; the reliable layer re-emits with `attempt > 0` when a
-        /// round's payload is retransmitted, so cross-rank event pairing
-        /// stays unambiguous (the profiler treats `attempt > 0` as overlay
-        /// edges of the round, never as new rounds).
+        /// Delivery attempt of this round's wire message: always `0`, as
+        /// every link delivers once.
         attempt: u32,
     },
     /// The matching round completed: the inbound message from `from` has
@@ -50,8 +47,8 @@ pub enum TraceEvent {
         from: usize,
         /// Received wire-message size in bytes.
         wire_bytes: usize,
-        /// Delivery attempt that completed the round (see
-        /// [`TraceEvent::RoundStart::attempt`]). `0` for first deliveries.
+        /// Delivery attempt that completed the round: always `0` (see
+        /// [`TraceEvent::RoundStart::attempt`]).
         attempt: u32,
     },
     /// A wire message was packed (gathered) from `spans` source ranges
@@ -107,18 +104,6 @@ pub enum TraceEvent {
         bytes: usize,
         /// Receive-slot index the message matched.
         slot: usize,
-    },
-    /// The reliable-delivery layer re-deposited an unacknowledged
-    /// sequenced envelope after its retransmit deadline passed.
-    Retransmit {
-        /// Destination rank of the retransmitted envelope.
-        dst: usize,
-        /// Message tag.
-        tag: u32,
-        /// Stream sequence number.
-        seq: u64,
-        /// Retransmit attempt index (1 = first retransmission).
-        attempt: u32,
     },
     /// A serving-layer job crossed a lifecycle stage. Emitted by the
     /// daemon's own `Obs` (rank 0 by convention — the daemon is a single

@@ -36,9 +36,6 @@ pub struct MetricsRegistry {
     pool_misses: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
-    faults_injected: AtomicU64,
-    retransmits: AtomicU64,
-    dup_drops: AtomicU64,
     /// Round latency, recorded as `log10(ns)`. Tracing-gated.
     round_latency_log10_ns: Mutex<Histogram>,
 }
@@ -60,9 +57,6 @@ impl MetricsRegistry {
             pool_misses: AtomicU64::new(0),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            retransmits: AtomicU64::new(0),
-            dup_drops: AtomicU64::new(0),
             round_latency_log10_ns: Mutex::new(Histogram::new(0.0, 10.0, LATENCY_LOG10_BINS)),
         }
     }
@@ -141,24 +135,6 @@ impl MetricsRegistry {
         self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The fault plane tampered with one of this rank's deposits.
-    #[inline]
-    pub fn fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An unacknowledged sequenced envelope was retransmitted.
-    #[inline]
-    pub fn retransmit(&self) {
-        self.retransmits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The dedup window absorbed an already-delivered sequenced envelope.
-    #[inline]
-    pub fn dup_drop(&self) {
-        self.dup_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Credit what one execution tallied: one relaxed add per non-zero
     /// count.
     pub fn credit(&self, t: &RoundTally) {
@@ -210,9 +186,6 @@ impl MetricsRegistry {
             pool_misses: self.pool_misses.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            dup_drops: self.dup_drops.load(Ordering::Relaxed),
         }
     }
 
@@ -239,9 +212,6 @@ impl MetricsRegistry {
         self.pool_misses.store(0, Ordering::Relaxed);
         self.plan_cache_hits.store(0, Ordering::Relaxed);
         self.plan_cache_misses.store(0, Ordering::Relaxed);
-        self.faults_injected.store(0, Ordering::Relaxed);
-        self.retransmits.store(0, Ordering::Relaxed);
-        self.dup_drops.store(0, Ordering::Relaxed);
     }
 }
 
@@ -282,7 +252,7 @@ pub struct MetricsSnapshot {
     /// Communication rounds completed.
     pub rounds_completed: u64,
     /// Payload bytes this rank deposited on the wire, counted once per
-    /// deposit: what a lossy link sends again is `retransmits`.
+    /// deposit.
     pub wire_bytes_sent: u64,
     /// Payload bytes matched into this rank's receive slots.
     pub wire_bytes_recv: u64,
@@ -305,12 +275,6 @@ pub struct MetricsSnapshot {
     pub plan_cache_hits: u64,
     /// Compiled-plan cache misses (compilations).
     pub plan_cache_misses: u64,
-    /// Envelopes the fault plane tampered with on this rank's deposits.
-    pub faults_injected: u64,
-    /// Sequenced envelopes retransmitted after a missed acknowledgement.
-    pub retransmits: u64,
-    /// Duplicate sequenced envelopes refused on the way into this rank's mailbox.
-    pub dup_drops: u64,
 }
 
 impl MetricsSnapshot {
@@ -335,15 +299,12 @@ impl MetricsSnapshot {
             plan_cache_misses: self
                 .plan_cache_misses
                 .saturating_sub(earlier.plan_cache_misses),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-            retransmits: self.retransmits.saturating_sub(earlier.retransmits),
-            dup_drops: self.dup_drops.saturating_sub(earlier.dup_drops),
         }
     }
 
     /// The counters as `(name, value)` pairs in a stable order (drives
     /// the per-tenant families of the OpenMetrics exposition).
-    pub fn fields(&self) -> [(&'static str, u64); 16] {
+    pub fn fields(&self) -> [(&'static str, u64); 13] {
         [
             ("rounds_started", self.rounds_started),
             ("rounds_completed", self.rounds_completed),
@@ -358,9 +319,6 @@ impl MetricsSnapshot {
             ("pool_misses", self.pool_misses),
             ("plan_cache_hits", self.plan_cache_hits),
             ("plan_cache_misses", self.plan_cache_misses),
-            ("faults_injected", self.faults_injected),
-            ("retransmits", self.retransmits),
-            ("dup_drops", self.dup_drops),
         ]
     }
 }
@@ -382,9 +340,6 @@ impl std::ops::AddAssign for MetricsSnapshot {
         self.pool_misses = self.pool_misses.saturating_add(rhs.pool_misses);
         self.plan_cache_hits = self.plan_cache_hits.saturating_add(rhs.plan_cache_hits);
         self.plan_cache_misses = self.plan_cache_misses.saturating_add(rhs.plan_cache_misses);
-        self.faults_injected = self.faults_injected.saturating_add(rhs.faults_injected);
-        self.retransmits = self.retransmits.saturating_add(rhs.retransmits);
-        self.dup_drops = self.dup_drops.saturating_add(rhs.dup_drops);
     }
 }
 

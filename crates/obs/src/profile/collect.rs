@@ -29,11 +29,8 @@ pub struct MsgNode {
     /// Sender-side `RoundStart` timestamp, ns.
     pub depart_ns: u64,
     /// Receiver-side `RoundEnd` timestamp, ns. Zero until the end event
-    /// is paired; retransmit overlays only ever extend it.
+    /// is paired.
     pub arrive_ns: u64,
-    /// Delivery attempts observed for this round: `1` for clean runs,
-    /// more when `attempt > 0` overlay events landed on the node.
-    pub attempts: u32,
 }
 
 impl MsgNode {
@@ -51,14 +48,12 @@ impl MsgNode {
 pub struct RoundDag {
     nodes: Vec<MsgNode>,
     ranks: usize,
-    /// `RoundStart` events with no matching `RoundEnd` (e.g. a message a
-    /// fault plane dropped for good).
+    /// `RoundStart` events with no matching `RoundEnd` (e.g. a rank that
+    /// failed before the round completed).
     pub unpaired_starts: usize,
     /// `RoundEnd` events with no matching `RoundStart` (should not happen
     /// with symmetric emit sites; kept as a diagnostics counter).
     pub unpaired_ends: usize,
-    /// `attempt > 0` overlay events whose base round was never seen.
-    pub orphan_overlays: usize,
     /// Records the capture sinks dropped before the collector ever saw
     /// them (ring-buffer overflow, [`crate::RingBufferSink::dropped`]).
     /// A non-zero value means the DAG is an honest *truncation* of the
@@ -146,9 +141,7 @@ impl RoundDag {
 /// `RoundStart` contributes `(rec.rank → event.to)` and a receiver-side
 /// `RoundEnd` contributes `(event.from → rec.rank)`. Because isomorphic
 /// schedules give every rank the same round sequence, the key is unique
-/// per wire message within a run. Events with `attempt > 0` are overlay
-/// edges of an existing round: they bump the node's attempt count and
-/// extend its arrival, but never create nodes.
+/// per wire message within a run.
 #[derive(Debug, Default)]
 pub struct TraceCollector {
     per_rank: Vec<Vec<TraceRecord>>,
@@ -203,10 +196,9 @@ impl TraceCollector {
         let mut index: HashMap<(usize, usize, usize, usize), usize> = HashMap::new();
         let mut nodes: Vec<MsgNode> = Vec::new();
         let mut unpaired_ends = 0usize;
-        let mut orphan_overlays = 0usize;
         let mut ranks = self.per_rank.len();
 
-        // First pass: base RoundStart events mint the nodes.
+        // First pass: RoundStart events mint the nodes.
         for recs in &self.per_rank {
             for rec in recs {
                 if let TraceEvent::RoundStart {
@@ -214,7 +206,6 @@ impl TraceCollector {
                     round,
                     to,
                     wire_bytes,
-                    attempt: 0,
                     ..
                 } = rec.event
                 {
@@ -229,58 +220,31 @@ impl TraceCollector {
                             wire_bytes,
                             depart_ns: rec.t_ns,
                             arrive_ns: 0,
-                            attempts: 0,
                         });
                         nodes.len() - 1
                     });
-                    // Duplicate base starts (can't happen with the shipped
+                    // Duplicate starts (can't happen with the shipped
                     // executors) keep the earliest departure.
                     nodes[idx].depart_ns = nodes[idx].depart_ns.min(rec.t_ns);
-                    nodes[idx].attempts = nodes[idx].attempts.max(1);
                     ranks = ranks.max(rec.rank + 1).max(to + 1);
                 }
             }
         }
 
-        // Second pass: RoundEnd events complete nodes; attempt > 0 events
-        // of either kind overlay onto their base node.
+        // Second pass: RoundEnd events complete nodes.
         for recs in &self.per_rank {
             for rec in recs {
-                match rec.event {
-                    TraceEvent::RoundEnd {
-                        phase,
-                        round,
-                        from,
-                        attempt,
-                        ..
-                    } => {
-                        let key = (phase, round, from, rec.rank);
-                        match index.get(&key) {
-                            Some(&idx) => {
-                                let n = &mut nodes[idx];
-                                n.arrive_ns = n.arrive_ns.max(rec.t_ns);
-                                n.attempts = n.attempts.max(attempt + 1);
-                            }
-                            None if attempt > 0 => orphan_overlays += 1,
-                            None => unpaired_ends += 1,
+                if let TraceEvent::RoundEnd {
+                    phase, round, from, ..
+                } = rec.event
+                {
+                    match index.get(&(phase, round, from, rec.rank)) {
+                        Some(&idx) => {
+                            let n = &mut nodes[idx];
+                            n.arrive_ns = n.arrive_ns.max(rec.t_ns);
                         }
+                        None => unpaired_ends += 1,
                     }
-                    TraceEvent::RoundStart {
-                        phase,
-                        round,
-                        to,
-                        attempt,
-                        ..
-                    } if attempt > 0 => {
-                        let key = (phase, round, rec.rank, to);
-                        match index.get(&key) {
-                            Some(&idx) => {
-                                nodes[idx].attempts = nodes[idx].attempts.max(attempt + 1)
-                            }
-                            None => orphan_overlays += 1,
-                        }
-                    }
-                    _ => {}
                 }
             }
         }
@@ -297,7 +261,6 @@ impl TraceCollector {
             ranks,
             unpaired_starts,
             unpaired_ends,
-            orphan_overlays,
             dropped_records: self.dropped,
         }
     }
@@ -366,7 +329,6 @@ mod tests {
         let a = dag.nodes()[0]; // round 0: 0 → 1
         assert_eq!((a.src, a.dst, a.depart_ns, a.arrive_ns), (0, 1, 10, 80));
         assert_eq!(a.latency_ns(), 70);
-        assert_eq!(a.attempts, 1);
         let b = dag.nodes()[1]; // round 1: 1 → 0
         assert_eq!((b.src, b.dst, b.depart_ns, b.arrive_ns), (1, 0, 12, 95));
         assert_eq!(dag.makespan_ns(), 95 - 10);
@@ -400,42 +362,6 @@ mod tests {
         assert_eq!(dag.unpaired_starts, 1);
         assert_eq!(dag.nodes()[0].arrive_ns, 0);
         assert!(dag.latency_samples().is_empty());
-    }
-
-    #[test]
-    fn retransmits_overlay_instead_of_minting_rounds() {
-        let mut retx_start = start(50, 0, 0, 0, 1, 64);
-        if let TraceEvent::RoundStart { attempt, .. } = &mut retx_start.event {
-            *attempt = 1;
-        }
-        let mut retx_end = end(90, 1, 0, 0, 0, 64);
-        if let TraceEvent::RoundEnd { attempt, .. } = &mut retx_end.event {
-            *attempt = 1;
-        }
-        let dag = TraceCollector::from_ranks(vec![
-            vec![start(10, 0, 0, 0, 1, 64), retx_start],
-            vec![end(40, 1, 0, 0, 0, 64), retx_end],
-        ])
-        .build();
-
-        // One node: the retransmit extended it rather than adding edges.
-        assert_eq!(dag.nodes().len(), 1);
-        let n = dag.nodes()[0];
-        assert_eq!(n.attempts, 2);
-        assert_eq!(n.depart_ns, 10);
-        assert_eq!(n.arrive_ns, 90, "overlay end extends the arrival");
-        assert_eq!(dag.orphan_overlays, 0);
-    }
-
-    #[test]
-    fn orphan_overlay_is_counted() {
-        let mut retx = start(50, 0, 0, 7, 1, 64);
-        if let TraceEvent::RoundStart { attempt, .. } = &mut retx.event {
-            *attempt = 3;
-        }
-        let dag = TraceCollector::from_ranks(vec![vec![retx]]).build();
-        assert_eq!(dag.nodes().len(), 0);
-        assert_eq!(dag.orphan_overlays, 1);
     }
 
     #[test]

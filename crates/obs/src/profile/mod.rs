@@ -14,9 +14,7 @@
 //! * [`TraceCollector`] pairs sender-side `RoundStart` events with
 //!   receiver-side `RoundEnd` events across ranks (key: phase, round,
 //!   src, dst) into directed wire nodes and assembles the global
-//!   [`RoundDag`]. Retransmitted rounds (`attempt > 0`, PR 4's reliable
-//!   mode) overlay onto their base node — they extend its completion and
-//!   bump its attempt count, they never mint new rounds.
+//!   [`RoundDag`].
 //! * [`CriticalPath`] walks the DAG backwards from the last arrival,
 //!   alternating wire hops and same-rank serialization hops, yielding the
 //!   chain that bounds the makespan, plus per-phase skew ([`PhaseSkew`])

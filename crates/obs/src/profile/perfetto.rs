@@ -79,7 +79,7 @@ impl<'a> PerfettoExport<'a> {
             w.key("tid").raw(n.src).key("args").obj();
             w.key("phase").raw(n.phase).key("round").raw(n.round);
             w.key("to").raw(n.dst).key("wire_bytes").raw(n.wire_bytes);
-            w.key("attempts").raw(n.attempts).end().end();
+            w.end().end();
             if n.arrive_ns > 0 {
                 for (ph, t_ns, tid) in [("s", n.depart_ns, n.src), ("f", n.arrive_ns, n.dst)] {
                     w.obj().key("name").str("wire").key("cat").str("wire");

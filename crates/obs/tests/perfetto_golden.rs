@@ -1,9 +1,8 @@
 //! Golden-file test for the Perfetto (Chrome trace-event) export.
 //!
 //! The fixture is a hand-built two-rank trace exercising every event class
-//! the exporter emits: metadata tracks, `X` slices, `s`/`f` flow arrows, a
-//! retransmit overlay (attempts > 1), and cumulative pool / plan-cache
-//! counter tracks. The rendered JSON must match
+//! the exporter emits: metadata tracks, `X` slices, `s`/`f` flow arrows,
+//! and cumulative pool / plan-cache counter tracks. The rendered JSON must match
 //! `tests/golden/perfetto_2rank.json` byte for byte.
 //!
 //! To regenerate after an intentional format change:
@@ -18,7 +17,7 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/perfetto_2rank.json")
 }
 
-/// Two ranks, three wires (one of them retransmitted once), plus pool and
+/// Two ranks, three wires, plus pool and
 /// plan-cache traffic on rank 0. All timestamps are hand-picked so the
 /// fixed-point microsecond rendering covers the sub-µs, exact-µs, and
 /// multi-µs cases.
@@ -63,13 +62,6 @@ fn fixture() -> Vec<Vec<TraceRecord>> {
                 rank: 0,
                 event: start(1, 0, 1, 64, 0),
             },
-            // Retransmission of the phase-1 wire: an overlay on the
-            // existing node, never a new slice.
-            TraceRecord {
-                t_ns: 6_000,
-                rank: 0,
-                event: start(1, 0, 1, 64, 1),
-            },
             TraceRecord {
                 t_ns: 6_100,
                 rank: 0,
@@ -97,7 +89,7 @@ fn fixture() -> Vec<Vec<TraceRecord>> {
             TraceRecord {
                 t_ns: 8_000,
                 rank: 1,
-                event: end(1, 0, 0, 64, 1),
+                event: end(1, 0, 0, 64, 0),
             },
         ],
     ]
@@ -193,10 +185,6 @@ fn export_satisfies_trace_event_schema() {
         if line.contains("\"ph\":\"X\"") {
             slices += 1;
             assert!(line.contains("\"dur\":") && line.contains("\"tid\":"));
-            assert!(
-                line.contains("\"attempts\":"),
-                "slices carry the attempt count"
-            );
         }
         if line.contains("\"ph\":\"s\"") {
             flows_s += 1;
@@ -216,6 +204,4 @@ fn export_satisfies_trace_event_schema() {
     assert_eq!(slices, 3, "three wires in the fixture");
     assert_eq!(flows_s, flows_f, "every flow start has a flow end");
     assert_eq!(flows_s, 3, "all three wires arrived");
-    // The retransmitted wire renders once, with attempts folded in.
-    assert_eq!(json.matches("\"attempts\":2").count(), 1);
 }

@@ -50,7 +50,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
 use cartcomm::ops::Algo;
-use cartcomm_comm::envelope::{Envelope, RelHeader};
+use cartcomm_comm::envelope::Envelope;
 use cartcomm_comm::transport::wire;
 use cartcomm_comm::{PooledBuf, WirePool};
 use cartcomm_types::Reducer;
@@ -784,13 +784,7 @@ impl Reply {
 
 fn frame(ctx: u32, tag: u32, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(wire::HEADER_BYTES + body.len());
-    out.extend_from_slice(&wire::encode_header(
-        body.len(),
-        ctx,
-        0,
-        tag,
-        RelHeader::default(),
-    ));
+    out.extend_from_slice(&wire::encode_header(body.len(), ctx, 0, tag));
     out.extend_from_slice(body);
     out
 }
@@ -806,7 +800,7 @@ pub(crate) fn write_frame(
     payload: &[u8],
 ) -> io::Result<()> {
     let body_len = head.len() + payload.len();
-    let header = wire::encode_header(body_len, ctx, 0, tag, RelHeader::default());
+    let header = wire::encode_header(body_len, ctx, 0, tag);
     let mut slices = [&header[..], head, payload].map(IoSlice::new);
     let mut left = &mut slices[..];
     while !left.is_empty() {
@@ -1377,7 +1371,7 @@ mod tests {
     fn a_claimed_body_is_held_only_as_it_arrives() {
         let bound = |received: usize| received + RecvBuf::MAX_READ + RecvBuf::MIN_READ;
         for claim in [64usize << 20, u32::MAX as usize] {
-            let header = wire::encode_header(claim, 5, 0, TAG_PING, RelHeader::default());
+            let header = wire::encode_header(claim, 5, 0, TAG_PING);
             // 3 MiB of it, in reads of assorted sizes up to 300 KiB.
             let stream: Vec<u8> = header
                 .iter()
@@ -1839,10 +1833,7 @@ mod tests {
                     spec
                 );
             }
-            let env = wire::envelope(
-                &wire::encode_header(b.len(), 0, 0, tag, RelHeader::default()),
-                b.to_vec().into(),
-            );
+            let env = wire::envelope(&wire::encode_header(b.len(), 0, 0, tag), b.to_vec().into());
             if let Ok(r) = Request::decode_env(&env) {
                 prop_assert!(request_weight(&r) <= b.len(), "{:?}", r);
             }
