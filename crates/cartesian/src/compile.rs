@@ -389,15 +389,17 @@ impl std::ops::Deref for CompiledPlan {
 }
 
 /// Reusable per-handle executor state: the temp buffer, the copy staging
-/// buffer, the [`ExchangeBatch`] of the phase exchange, and the buffer
-/// snapshot of the in-place programs that need one. Holding one of these
-/// across executes is what makes the steady state allocation-free.
+/// buffer, the [`ExchangeBatch`] of the phase exchange, the buffer
+/// snapshot of the in-place programs that need one, and the record a
+/// rendezvous publishes. Holding one of these across executes is what
+/// makes the steady state allocation-free.
 #[derive(Default)]
 pub struct ExecScratch {
     temp: Vec<u8>,
     stage: Vec<u8>,
     batch: ExchangeBatch,
     snapshot: Vec<u8>,
+    meet: Meet,
 }
 
 impl ExecScratch {
@@ -408,6 +410,7 @@ impl ExecScratch {
             stage: Vec::with_capacity(cp.max_copy_bytes),
             batch: ExchangeBatch::with_capacity(cp.max_phase_rounds),
             snapshot: Vec::new(),
+            meet: Meet::default(),
         }
     }
 }
@@ -1251,7 +1254,7 @@ fn push_fused(fused: &mut Vec<FusedRun>, src: BufId, s: usize, dst: BufId, d: us
 
 /// One rank's buffers as the copy executor addresses them: a base pointer
 /// and a length each. In in-place mode `send` is `recv`.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct Bases {
     send: (*const u8, usize),
     recv: (*mut u8, usize),
@@ -1521,11 +1524,14 @@ impl RankExec<'_> {
 
     /// Run a phase as a rendezvous (see [`execute`]): credit the sends as
     /// packed and sent, meet the phase's peers with the fused rounds, then
-    /// credit the receives as matched and unpacked, in slot order.
+    /// credit the receives as matched and unpacked, in slot order. The
+    /// rank publishes its bases in `published`, rewritten only when they
+    /// changed.
     #[allow(clippy::too_many_arguments)]
     fn meet(
         &mut self,
         comm: &Comm,
+        published: &mut Meet,
         (k, round_base): (usize, usize),
         phase: &CompiledPhase,
         peers: &[(usize, usize)],
@@ -1543,11 +1549,16 @@ impl RankExec<'_> {
         }
         // From here until the rendezvous returns, this rank's buffers are
         // reached only through these raw bases: by its own copies and by
-        // its peers', on other workers.
+        // its peers', on other workers. A record that did not change is
+        // not written, so the peers' copies of its line stay valid.
         let at = Meet {
             bases: self.mem.bases(),
             ident,
         };
+        if *published != at {
+            *published = at;
+        }
+        let at = &*published;
         let sends = rounds
             .clone()
             .filter_map(|(i, (r, &(to, _)))| r.send.as_ref().map(|_| (to, r.tag, i)));
@@ -1570,7 +1581,7 @@ impl RankExec<'_> {
         // which `self.mem` does not touch until the rendezvous returns;
         // the copies are apart as argued at `copy`; `fused` is only used
         // where `comm.can_rendezvous()`.
-        unsafe { comm.rendezvous(&at, sends, specs, copy) }?;
+        unsafe { comm.rendezvous(at, sends, specs, copy) }?;
         let mut slot = 0;
         for (i, (r, &pair)) in rounds {
             let Some(inc) = &r.recv else { continue };
@@ -1694,7 +1705,11 @@ pub fn execute(
         scratch.temp.resize(cp.temp_len, 0);
     }
     let ExecScratch {
-        temp, stage, batch, ..
+        temp,
+        stage,
+        batch,
+        meet: published,
+        ..
     } = scratch;
     let obs = comm.obs();
     let mut ex = RankExec {
@@ -1731,6 +1746,7 @@ pub fn execute(
         if let Some((fused, ident)) = meets {
             ex.meet(
                 comm,
+                published,
                 (k, round_base),
                 phase,
                 peers,
@@ -1771,10 +1787,38 @@ pub fn execute(
 }
 
 /// What a rank publishes in a rendezvous: its buffers, and the identity
-/// of the fused phases it copies with.
+/// of the fused phases it copies with. It lives in the rank's
+/// [`ExecScratch`] on a 128-byte line pair of its own, so the peers that
+/// read it share no line with what the rank writes, and a persistent
+/// handle's record — rewritten only when it changes — stays valid in
+/// their caches from one execute to the next.
+#[derive(Clone, Copy, PartialEq)]
+#[repr(align(128))]
 struct Meet {
     bases: Bases,
     ident: u64,
+}
+
+// SAFETY: a `Meet` is addresses and a number. Only a rendezvous
+// dereferences the addresses, while the rank that published them keeps
+// its buffers in place (`RankExec::meet`); moving or sharing the record
+// itself reaches nothing.
+unsafe impl Send for Meet {}
+// SAFETY: as above.
+unsafe impl Sync for Meet {}
+
+impl Default for Meet {
+    fn default() -> Meet {
+        let none = (std::ptr::null_mut(), 0);
+        Meet {
+            bases: Bases {
+                send: (std::ptr::null(), 0),
+                recv: none,
+                temp: none,
+            },
+            ident: 0,
+        }
+    }
 }
 
 /// Reusable state of the inline carrier: every rank's temp buffer, the
@@ -2430,6 +2474,18 @@ mod tests {
         assert!(cp.span_count() >= 3 * n * n, "{} spans", cp.span_count());
         assert!(!cp.in_place_snapshot);
         assert!(took.as_secs() < 5, "compiling took {took:?}");
+    }
+
+    /// The record a rendezvous publishes sits on a 128-byte line pair of
+    /// its own inside `ExecScratch`: nothing the rank writes shares its
+    /// lines, so the peers' copies stay valid while its bases do not
+    /// change.
+    #[test]
+    fn the_published_record_has_its_own_line_pair() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<Meet>(), 128);
+        assert_eq!(size_of::<Meet>(), 128);
+        assert_eq!(offset_of!(ExecScratch, meet) % 128, 0);
     }
 
     /// Goldens for what this module newly compiles (the combining torus

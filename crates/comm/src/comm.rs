@@ -118,8 +118,9 @@ pub(crate) struct RankCore {
     next_ctx: AtomicU32,
     /// Per-rank collective sequence counter (see `collectives`).
     coll_seq: AtomicU32,
-    /// The offers a rendezvous takes when it posts; kept for its capacity.
-    taken: Mutex<Vec<Offer>>,
+    /// A rendezvous's offers, kept for their capacity: the ones it links
+    /// (one per send), and the ones it takes when it posts.
+    offers: Mutex<(Vec<Offer>, Vec<Offer>)>,
 }
 
 impl Drop for RankCore {
@@ -166,7 +167,7 @@ impl Comm {
                 pending: Mutex::new(VecDeque::new()),
                 next_ctx: AtomicU32::new(2), // 0 = user p2p, 1 = internal collectives
                 coll_seq: AtomicU32::new(0),
-                taken: Mutex::new(Vec::new()),
+                offers: Mutex::new((Vec::new(), Vec::new())),
             }),
         }
     }
@@ -521,37 +522,46 @@ impl Comm {
         // to this function, valid while its post or offer lives — and the
         // peer leaves neither before the copy that reads it is done.
         let theirs = |a: Addr| unsafe { &*(a.0 as *const B) };
+        // One offer per send, in place until the phase has ended: a send
+        // that finds no post links its own into the receiver's list.
+        let (mut offers, taken) = std::mem::take(&mut *self.core.offers.lock());
+        offers.clear();
+        offers.extend(sends.map(|(dst, tag, round)| {
+            let from = Arc::as_ptr(mailbox);
+            Offer::new((self.ctx, self.rank, tag), (dst, round), addr, from)
+        }));
         let mut phase = Phase {
             comm: self,
             at: addr,
-            sends: sends.clone(),
+            offers,
+            taken,
             left: 0,
             done: false,
         };
         // 1. Post, and pull what the earlier senders offered.
-        let mut taken = std::mem::take(&mut *self.core.taken.lock());
-        mailbox.post(self.ctx, addr, recvs, &mut taken)?;
-        let mut pulls = Pulls(&mut taken, 0);
+        // SAFETY: `recvs` outlives the phase, which unposts before it ends
+        // (its wait, or `Phase::drop`).
+        unsafe { mailbox.post(self.ctx, addr, recvs, &mut phase.taken) }?;
+        let mut pulls = Pulls(&mut phase.taken, 0);
         while let Some(offer) = pulls.0.get(pulls.1) {
             pulls.1 += 1;
             let _settle = Settle(offer.from);
             copy(offer.round, theirs(offer.at), at);
         }
         drop(pulls);
-        *self.core.taken.lock() = taken;
         // 2. Push into the posts already there; offer where there is none.
-        for (dst, tag, round) in sends {
-            let offer = Offer {
-                ctx: self.ctx,
-                src: self.rank,
-                tag,
-                dst,
-                round,
-                at: addr,
-                from: Arc::as_ptr(mailbox),
+        let nodes = phase.offers.as_mut_ptr();
+        for i in 0..phase.offers.len() {
+            // SAFETY: `phase.offers` neither grows nor drops before the
+            // phase has ended, so its offers stay in place while linked;
+            // only the receiver's lock reaches one once it is.
+            let (node, dst, round) = unsafe {
+                let node = nodes.add(i);
+                (node, (*node).dst, (*node).round)
             };
             let peer = self.fabric.mailbox(dst);
-            match peer.meet(offer, |to| copy(round, at, theirs(to))) {
+            // SAFETY: as above.
+            match unsafe { peer.meet(node, |to| copy(round, at, theirs(to))) } {
                 Ok(true) => {}
                 Ok(false) => phase.left += 1,
                 Err(_) => return Err(TransportError::Closed { peer: dst }.into()),
@@ -598,19 +608,22 @@ impl Drop for Pulls<'_> {
 }
 
 /// A rendezvous phase in progress on one rank; dropping it before its
-/// wait completed — on an error or an unwind — ends it cleanly.
-struct Phase<'a, I: Iterator<Item = (usize, Tag, usize)> + Clone> {
+/// wait completed — on an error or an unwind — ends it cleanly. It owns
+/// the phase's offers, which stay in place until it has ended.
+struct Phase<'a> {
     comm: &'a Comm,
     at: Addr,
-    /// The phase's sends: where its offers may still sit.
-    sends: I,
-    /// Offers this rank left.
+    /// One offer per send of the phase.
+    offers: Vec<Offer>,
+    /// The offers its post took, while it copies them out.
+    taken: Vec<Offer>,
+    /// Offers this rank linked.
     left: usize,
     /// The wait completed: it unposted, and every offer is settled.
     done: bool,
 }
 
-impl<I: Iterator<Item = (usize, Tag, usize)> + Clone> Drop for Phase<'_, I> {
+impl Drop for Phase<'_> {
     fn drop(&mut self) {
         let Phase {
             comm,
@@ -619,21 +632,29 @@ impl<I: Iterator<Item = (usize, Tag, usize)> + Clone> Drop for Phase<'_, I> {
             done,
             ..
         } = *self;
-        if done {
-            return;
+        if !done {
+            let mailbox = &comm.core.mailbox;
+            // No sender reaches this rank's buffers from here on.
+            mailbox.unpost();
+            if left > 0 {
+                // Unlink what nobody took, then wait out the copies running
+                // out of this rank's buffers.
+                let nodes = self.offers.as_ptr();
+                let withdrawn: usize = (0..self.offers.len())
+                    // SAFETY: the phase's own offers, in place; a receiver
+                    // writes only their links.
+                    .map(|i| unsafe { (*nodes.add(i)).dst })
+                    .map(|dst| comm.fabric.mailbox(dst).withdraw(comm.rank, at))
+                    .sum();
+                mailbox.drain(left - withdrawn);
+            }
         }
-        let mailbox = &comm.core.mailbox;
-        // No sender reaches this rank's buffers from here on.
-        mailbox.unpost();
-        if left == 0 {
-            return;
-        }
-        // Take back what nobody took, then wait out the copies running out
-        // of this rank's buffers.
-        let withdrawn: usize = (self.sends.clone())
-            .map(|(dst, _, _)| comm.fabric.mailbox(dst).withdraw(comm.rank, at))
-            .sum();
-        mailbox.drain(left - withdrawn);
+        // No list links them any more: kept for the capacity.
+        let offers = (
+            std::mem::take(&mut self.offers),
+            std::mem::take(&mut self.taken),
+        );
+        *comm.core.offers.lock() = offers;
     }
 }
 

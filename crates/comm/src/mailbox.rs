@@ -31,15 +31,26 @@
 //! ranks of one process that meets instead of crossing the queue. The
 //! owner *posts* its buffer bases and the receive slots of its phase; a
 //! sender that finds the post copies the round straight into the posted
-//! buffers under this lock (`meet`), and one that arrives first leaves an
+//! buffers under this lock (`meet`), and one that arrives first links an
 //! *offer* — its own bases — which the owner takes when it posts and
 //! copies out itself. Posts and offers match like envelopes, on
 //! `(ctx, src, tag)`, earliest offer against earliest open slot. The one
 //! lock, the one waker and the one close serve both: a close revokes the
 //! offers not yet taken, telling each sender, and a rank leaving a phase
 //! unposts under this lock, which waits out a copy in progress.
+//!
+//! A met round between two workers moves the cache lines it touches from
+//! one core to the other, so the state is laid out by who touches it:
+//! the lock word and every field a rendezvous reads or writes — the
+//! posted bases and specs, the open, delivered and settled counts, the
+//! close, the waker and the head of the offer list — share the mailbox's
+//! first 64 bytes (pinned by a unit test). The queue and the rarely
+//! written fields come after them. The specs stay the owner's, matched in
+//! place, and an offer lives with its sender: only their addresses are
+//! stored here.
 
 use std::collections::VecDeque;
+use std::ptr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::Thread;
@@ -62,12 +73,20 @@ pub(crate) struct Addr(pub(crate) *const ());
 // for how long, is the rendezvous protocol's to say (`Comm::rendezvous`).
 unsafe impl Send for Addr {}
 
+impl Addr {
+    /// No address: what an unposted mailbox holds.
+    const NONE: Addr = Addr(ptr::null());
+}
+
 /// A round its sender reached before the receiver posted its phase: the
-/// receiver copies it out of the sender's buffers itself.
+/// receiver copies it out of the sender's buffers itself. The offer lives
+/// with its sender (`Comm::rendezvous` keeps one per send of the phase)
+/// and is linked into the receiver's list, newest first, under the
+/// receiver's lock; the receiver copies it out when it takes it.
 pub(crate) struct Offer {
     pub(crate) ctx: u32,
-    pub(crate) src: usize,
     pub(crate) tag: Tag,
+    pub(crate) src: usize,
     /// The receiver, named when a close revokes the offer.
     pub(crate) dst: usize,
     /// The sender's round, handed back to the copy.
@@ -78,33 +97,101 @@ pub(crate) struct Offer {
     /// the offer: its owner leaves a phase only once every offer it left
     /// is settled, and holds its mailbox until then.
     pub(crate) from: *const Mailbox,
+    /// The next older offer in the receiver's list (null: the oldest).
+    next: *mut Offer,
 }
 
-// SAFETY: `at` and `from` are addresses the protocol keeps valid while
-// the offer exists (see `Offer::from`); nothing else in it is shared.
+// SAFETY: `at`, `from` and `next` are addresses the protocol keeps valid
+// while the offer is linked (see `Offer::from`); nothing else in it is
+// shared.
 unsafe impl Send for Offer {}
 
-#[derive(Default)]
+impl Offer {
+    pub(crate) fn new(
+        (ctx, src, tag): (u32, usize, Tag),
+        (dst, round): (usize, usize),
+        at: Addr,
+        from: *const Mailbox,
+    ) -> Offer {
+        Offer {
+            ctx,
+            tag,
+            src,
+            dst,
+            round,
+            at,
+            from,
+            next: ptr::null_mut(),
+        }
+    }
+}
+
+/// The state under a mailbox's lock. `#[repr(C)]` keeps the declared
+/// order: the rendezvous-hot fields first, in the mailbox's first cache
+/// line with the lock word, then the ones a rendezvous does not touch.
+#[repr(C)]
 struct State {
-    queue: VecDeque<Envelope>,
-    closed: bool,
     /// The owner's waker, registered by a wait that found nothing and
     /// notified by every push, meeting, settle and close after that.
     waker: Option<Waker>,
-    /// The owner's posted phase: its context and buffers.
-    post: Option<(u32, Addr)>,
-    /// The posted phase's receive slots, `true` once delivered; the
-    /// capacity is kept from phase to phase.
-    slots: Vec<(RecvSpec, bool)>,
+    /// The owner's posted phase's buffers; [`Addr::NONE`] while nothing
+    /// is posted.
+    at: Addr,
+    /// Offers left here by senders that arrived before the post, newest
+    /// first. Each is its sender's, valid while linked (`Offer::from`).
+    offers: *mut Offer,
+    /// The posted phase's receive slots: the owner's own `&[RecvSpec]`
+    /// (`slots` of them), valid while posted, and matched in place.
+    specs: *const RecvSpec,
+    /// The posted phase's context.
+    ctx: u32,
     /// Posted slots not yet delivered.
-    open: usize,
-    /// Rounds left here by senders that arrived before the post.
-    offers: Vec<Offer>,
+    open: u32,
     /// The owner's own offers of this phase that their receivers have
     /// settled: copied out, or revoked by a close.
-    settled: usize,
-    /// The receiver of the first revoked one.
+    settled: u32,
+    /// How many slots are posted.
+    slots: u32,
+    /// Bit `i` set: posted slot `i` is delivered, for the first 32; the
+    /// rest are in `spill`.
+    delivered: u32,
+    closed: bool,
+    // ----- not touched by a rendezvous round -----
+    queue: VecDeque<Envelope>,
+    /// The delivered bits of posted slots 32 and up, 32 to a word; the
+    /// capacity is kept from phase to phase.
+    spill: Vec<u32>,
+    /// The receiver of the first revoked offer of the owner's.
     revoked: Option<usize>,
+    /// The linked offers in arrival order while a post takes them; kept
+    /// for its capacity.
+    order: Vec<*mut Offer>,
+}
+
+// SAFETY: the raw pointers are offers' and posts' addresses, which the
+// rendezvous protocol keeps valid while they are linked or posted and
+// which are only followed under this state's lock.
+unsafe impl Send for State {}
+
+impl Default for State {
+    fn default() -> State {
+        State {
+            waker: None,
+            at: Addr::NONE,
+            offers: ptr::null_mut(),
+            specs: ptr::null(),
+            ctx: 0,
+            open: 0,
+            settled: 0,
+            slots: 0,
+            delivered: 0,
+            closed: false,
+            queue: VecDeque::new(),
+            spill: Vec::new(),
+            revoked: None,
+            order: Vec::new(),
+        }
+    }
 }
 
 impl State {
@@ -116,19 +203,84 @@ impl State {
 
     /// The earliest open posted slot the round `(ctx, src, tag)` fills.
     fn slot_for(&self, ctx: u32, src: usize, tag: Tag) -> Option<usize> {
-        let (posted, _) = self.post?;
-        if posted != ctx {
+        if self.at == Addr::NONE || self.ctx != ctx || self.open == 0 {
             return None;
         }
-        self.slots
-            .iter()
-            .position(|(spec, done)| !done && spec.src.matches(src) && spec.tag.matches(tag))
+        // SAFETY: while posted, `specs` is the owner's `slots` specs
+        // (`Mailbox::post`).
+        let specs = unsafe { std::slice::from_raw_parts(self.specs, self.slots as usize) };
+        (0..specs.len()).find(|&i| {
+            !self.is_delivered(i) && specs[i].src.matches(src) && specs[i].tag.matches(tag)
+        })
+    }
+
+    fn is_delivered(&self, slot: usize) -> bool {
+        match slot.checked_sub(32) {
+            None => self.delivered >> slot & 1 != 0,
+            Some(i) => self.spill[i / 32] >> (i % 32) & 1 != 0,
+        }
+    }
+
+    /// Mark posted slot `slot` delivered.
+    fn deliver(&mut self, slot: usize) {
+        match slot.checked_sub(32) {
+            None => self.delivered |= 1 << slot,
+            Some(i) => self.spill[i / 32] |= 1 << (i % 32),
+        }
+        self.open -= 1;
+    }
+
+    /// The post's half of taking offers: walk the list oldest first, move
+    /// each offer an open slot takes onto `taken`, and relink the rest.
+    fn take_offers(&mut self, taken: &mut Vec<Offer>) {
+        let mut order = std::mem::take(&mut self.order);
+        let mut at = std::mem::replace(&mut self.offers, ptr::null_mut());
+        while !at.is_null() {
+            order.push(at);
+            // SAFETY: a linked offer is valid until unlinked, and only this
+            // lock follows or rewrites its link.
+            at = unsafe { (*at).next };
+        }
+        // Oldest first; what no slot takes is relinked newest first.
+        for &node in order.iter().rev() {
+            // SAFETY: as above (it is relinked below or copied out); its
+            // sender reads it too, and writes none of it while linked.
+            let offer = unsafe { node.read() };
+            match self.slot_for(offer.ctx, offer.src, offer.tag) {
+                Some(slot) => {
+                    self.deliver(slot);
+                    taken.push(offer);
+                }
+                None => {
+                    // SAFETY: as above.
+                    unsafe { (*node).next = self.offers };
+                    self.offers = node;
+                }
+            }
+        }
+        order.clear();
+        self.order = order;
+    }
+
+    /// Unlink every offer and return their copies, oldest first.
+    fn unlink_all(&mut self) -> Vec<Offer> {
+        let mut all = Vec::new();
+        let mut at = std::mem::replace(&mut self.offers, ptr::null_mut());
+        while !at.is_null() {
+            // SAFETY: a linked offer is valid until unlinked (`Offer::from`).
+            let offer = unsafe { at.read() };
+            at = offer.next;
+            all.push(offer);
+        }
+        all.reverse();
+        all
     }
 }
 
-/// One rank's inbound envelope queue.
+/// One rank's inbound envelope queue and rendezvous post, on cache lines
+/// of its own: the lock word first.
 #[derive(Default)]
-#[repr(align(128))]
+#[repr(C, align(128))]
 pub struct Mailbox {
     state: Mutex<State>,
     /// Times the owner's wait went to sleep (a statistic).
@@ -191,7 +343,7 @@ impl Mailbox {
         let mut st = self.lock();
         st.closed = true;
         let sleeper = st.notify();
-        let offers = std::mem::take(&mut st.offers);
+        let offers = st.unlink_all();
         drop(st);
         if let Some(thread) = sleeper {
             thread.unpark();
@@ -206,12 +358,18 @@ impl Mailbox {
     // ----- rendezvous ------------------------------------------------------
 
     /// Post the owner's phase: publish `at` for the senders of `slots`,
-    /// and move every offer already left that an open slot takes — in
-    /// arrival order, each into its earliest matching slot — onto
-    /// `taken`. A taken offer's slot counts as delivered: the owner copies
-    /// it next. Once posted, no new offer can match: its sender meets the
-    /// post instead. A closed mailbox refuses.
-    pub(crate) fn post(
+    /// and take every offer already linked that an open slot takes — in
+    /// arrival order, each into its earliest matching slot — unlinking it
+    /// and copying it onto `taken`. A taken offer's slot counts as
+    /// delivered: the owner copies it next. Once posted, no new offer can
+    /// match: its sender meets the post instead. A closed mailbox
+    /// refuses.
+    ///
+    /// # Safety
+    ///
+    /// `slots` stays valid until the owner unposts (`await_phase` or
+    /// `unpost`): senders match against it in place.
+    pub(crate) unsafe fn post(
         &self,
         ctx: u32,
         at: Addr,
@@ -222,22 +380,18 @@ impl Mailbox {
         if st.closed {
             return Err(Closed);
         }
-        st.post = Some((ctx, at));
-        st.slots.clear();
-        st.slots.extend(slots.iter().map(|&spec| (spec, false)));
-        st.open = slots.len();
-        (st.settled, st.revoked) = (0, None);
-        let mut at = 0;
-        while at < st.offers.len() && st.open > 0 {
-            let o = &st.offers[at];
-            match st.slot_for(o.ctx, o.src, o.tag) {
-                Some(slot) => {
-                    st.slots[slot].1 = true;
-                    st.open -= 1;
-                    taken.push(st.offers.remove(at));
-                }
-                None => at += 1,
-            }
+        let n = u32::try_from(slots.len()).expect("a phase posts fewer than 2^32 slots");
+        (st.ctx, st.at, st.specs) = (ctx, at, slots.as_ptr());
+        (st.slots, st.open, st.delivered, st.settled) = (n, n, 0, 0);
+        if st.revoked.is_some() {
+            st.revoked = None;
+        }
+        if let Some(more) = slots.len().checked_sub(32) {
+            st.spill.clear();
+            st.spill.resize(more.div_ceil(32), 0);
+        }
+        if !st.offers.is_null() {
+            st.take_offers(taken);
         }
         Ok(())
     }
@@ -245,22 +399,34 @@ impl Mailbox {
     /// Meet the owner for the round `offer` describes. If the owner has
     /// posted an open slot for it, run `copy` into the posted buffers
     /// under the lock, mark the slot delivered and return `Ok(true)`;
-    /// otherwise leave the offer and return `Ok(false)`. A closed mailbox
+    /// otherwise link the offer and return `Ok(false)`. A closed mailbox
     /// refuses both.
-    pub(crate) fn meet(&self, offer: Offer, copy: impl FnOnce(Addr)) -> Result<bool, Closed> {
+    ///
+    /// # Safety
+    ///
+    /// `offer` is valid for writes, and stays valid and in place until it
+    /// is settled or withdrawn if it is linked.
+    pub(crate) unsafe fn meet(
+        &self,
+        offer: *mut Offer,
+        copy: impl FnOnce(Addr),
+    ) -> Result<bool, Closed> {
         let mut st = self.lock();
         if st.closed {
             return Err(Closed);
         }
-        let Some(slot) = st.slot_for(offer.ctx, offer.src, offer.tag) else {
-            st.offers.push(offer);
+        // SAFETY: the caller's offer, valid for writes; nothing else
+        // reaches it before it is linked.
+        let (ctx, src, tag) = unsafe { ((*offer).ctx, (*offer).src, (*offer).tag) };
+        let Some(slot) = st.slot_for(ctx, src, tag) else {
+            // SAFETY: as above.
+            unsafe { (*offer).next = st.offers };
+            st.offers = offer;
             return Ok(false);
         };
-        let (_, to) = st.post.expect("a slot is posted");
         // Under the lock: the owner cannot unpost while the copy runs.
-        copy(to);
-        st.slots[slot].1 = true;
-        st.open -= 1;
+        copy(st.at);
+        st.deliver(slot);
         let sleeper = if st.open == 0 { st.notify() } else { None };
         drop(st);
         if let Some(thread) = sleeper {
@@ -275,7 +441,9 @@ impl Mailbox {
     pub(crate) fn settle(&self, revoked: Option<usize>) {
         let mut st = self.lock();
         st.settled += 1;
-        st.revoked = st.revoked.or(revoked);
+        if st.revoked.is_none() && revoked.is_some() {
+            st.revoked = revoked;
+        }
         let sleeper = if st.open == 0 { st.notify() } else { None };
         drop(st);
         if let Some(thread) = sleeper {
@@ -290,8 +458,8 @@ impl Mailbox {
     pub(crate) fn await_phase(&self, left: usize) -> Result<Option<usize>, Closed> {
         fiber::wait(None, Some(&self.parks), |waker| {
             let mut st = self.lock();
-            if st.open == 0 && st.settled == left {
-                st.post = None;
+            if st.open == 0 && st.settled as usize == left {
+                st.at = Addr::NONE;
                 return Some(Ok(st.revoked));
             }
             if st.closed {
@@ -303,13 +471,26 @@ impl Mailbox {
         .expect("a wait without a deadline ends with a value")
     }
 
-    /// Take back the offers `src` left here from the buffers at `at` that
+    /// Unlink the offers `src` left here from the buffers at `at` that
     /// the owner has not taken, and count them.
     pub(crate) fn withdraw(&self, src: usize, at: Addr) -> usize {
         let mut st = self.lock();
-        let before = st.offers.len();
-        st.offers.retain(|o| o.src != src || o.at != at);
-        before - st.offers.len()
+        let mut withdrawn = 0;
+        let mut link: *mut *mut Offer = &mut st.offers;
+        // SAFETY: every linked offer is valid until unlinked, and the
+        // links are only followed and rewritten under this lock.
+        unsafe {
+            while !(*link).is_null() {
+                let o = *link;
+                if (*o).src == src && (*o).at == at {
+                    *link = (*o).next;
+                    withdrawn += 1;
+                } else {
+                    link = &mut (*o).next;
+                }
+            }
+        }
+        withdrawn
     }
 
     /// Wait, closed or not, until `left` of the owner's offers are
@@ -317,7 +498,7 @@ impl Mailbox {
     /// While the thread unwinds it spins instead of switching fibers — a
     /// copy in flight runs to its end on another worker without waiting.
     pub(crate) fn drain(&self, left: usize) {
-        let settled = || self.lock().settled >= left;
+        let settled = || self.lock().settled as usize >= left;
         if std::thread::panicking() {
             while !settled() {
                 std::thread::yield_now();
@@ -326,7 +507,7 @@ impl Mailbox {
         }
         fiber::wait(None, None, |waker| {
             let mut st = self.lock();
-            if st.settled >= left {
+            if st.settled as usize >= left {
                 return Some(());
             }
             waker.register(&mut st.waker);
@@ -339,8 +520,7 @@ impl Mailbox {
     /// holds the lock).
     pub(crate) fn unpost(&self) {
         let mut st = self.lock();
-        st.post = None;
-        st.slots.clear();
+        st.at = Addr::NONE;
         st.open = 0;
     }
 
@@ -571,6 +751,63 @@ mod tests {
                 mb.parks()
             );
         });
+    }
+
+    /// Every field a rendezvous round reads or writes shares the
+    /// mailbox's first cache line with the lock word; a field added among
+    /// them that spreads the round over a second line fails here.
+    #[test]
+    fn rendezvous_hot_fields_share_the_first_line() {
+        use std::mem::{align_of, offset_of, size_of_val};
+        assert_eq!(align_of::<Mailbox>(), 128);
+        assert_eq!(offset_of!(Mailbox, state), 0);
+        let mb = Mailbox::new();
+        let st = mb.lock();
+        let state = &*st as *const State as usize - &mb as *const Mailbox as usize;
+        macro_rules! hot {
+            ($($field:ident),*) => {
+                [$((stringify!($field), offset_of!(State, $field), size_of_val(&st.$field))),*]
+            };
+        }
+        let hot = hot!(waker, at, offers, specs, ctx, open, settled, slots, delivered, closed);
+        for (field, at, len) in hot {
+            let end = state + at + len;
+            assert!(end <= 64, "`{field}` ends at byte {end} of the mailbox");
+        }
+    }
+
+    /// A phase of more slots than the first word of delivered bits holds:
+    /// rounds met in reverse order fill every slot once.
+    #[test]
+    fn a_post_of_many_slots_is_matched_in_place() {
+        const SLOTS: usize = 100;
+        let mb = Mailbox::new();
+        let specs: Vec<RecvSpec> = (0..SLOTS).map(|r| RecvSpec::from_rank(r, 7)).collect();
+        let mine = 0u8;
+        let at = Addr(&mine as *const u8 as *const ());
+        let mut taken = Vec::new();
+        // SAFETY: `specs` outlives the post, which `await_phase` ends.
+        unsafe { mb.post(3, at, &specs, &mut taken) }.unwrap();
+        assert!(taken.is_empty());
+        let mut hits = [false; SLOTS];
+        for src in (0..SLOTS).rev() {
+            let mut offer = Offer::new((3, src, 7), (0, src), at, &mb);
+            // SAFETY: a slot is open for every round, so none is linked.
+            let met = unsafe {
+                mb.meet(&mut offer, |to| {
+                    assert_eq!(to, at);
+                    hits[src] = true;
+                })
+            };
+            assert_eq!(met, Ok(true));
+        }
+        assert!(hits.iter().all(|&h| h));
+        // A second round from a source whose slot is taken finds none.
+        let mut late = Offer::new((3, 5, 7), (0, 5), at, &mb);
+        // SAFETY: `late` outlives its link, withdrawn below.
+        assert_eq!(unsafe { mb.meet(&mut late, |_| unreachable!()) }, Ok(false));
+        assert_eq!(mb.withdraw(5, at), 1);
+        assert_eq!(mb.await_phase(0), Ok(None));
     }
 
     #[test]
