@@ -2,11 +2,10 @@
 //!
 //! In the allgather, every process sends *the same* block to all of its `t`
 //! target neighbors. The block is routed along a tree over intermediate
-//! relative processes, built by recursively bucket-sorting the neighborhood
-//! one dimension at a time; within phase `k` there is one round per distinct
-//! non-zero coordinate at tree level `k`, and a block is forwarded once per
-//! subtree (not once per neighbor), so the per-process volume equals the
-//! number of non-zero tree edges (Proposition 3.3).
+//! relative processes, the prefix trie of the neighbors' routes through the
+//! round sequence; tree level `k` is phase `k`, and a block is forwarded
+//! once per subtree (not once per neighbor), so the per-process volume
+//! equals the number of non-zero tree edges (Proposition 3.3).
 //!
 //! The shape (and volume) of the tree depends on the order in which
 //! dimensions are processed (Figure 2); following §3.2 we default to
@@ -16,34 +15,8 @@
 use cartcomm_topo::RelNeighborhood;
 
 use crate::plan::{BlockRef, Loc, LocalCopy, Pairs, Plan, PlanKind, PlanPhase, Schedule, Serves};
-use crate::schedule::arena::{CoordGroups, TreeArena, Wire};
-
-/// Dimension-processing order for the allgather tree (§3.2/§3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DimOrder {
-    /// Increasing number of distinct k-th coordinates (the paper's default,
-    /// chosen "without claim of optimality").
-    IncreasingCk,
-    /// The dimensions as given, `0, 1, …, d−1` (Figure 2 left).
-    Given,
-    /// Decreasing `C_k` (the adversarial order, for ablations).
-    DecreasingCk,
-}
-
-impl DimOrder {
-    /// The dimension permutation `sigma` this order gives for `nb`: tree
-    /// level `k` routes along dimension `sigma[k]`.
-    pub(crate) fn permutation(self, nb: &RelNeighborhood) -> Vec<usize> {
-        let cks = nb.distinct_nonzero_coords();
-        let mut sigma: Vec<usize> = (0..nb.ndims()).collect();
-        match self {
-            DimOrder::IncreasingCk => sigma.sort_by_key(|&k| (cks[k], k)),
-            DimOrder::Given => {}
-            DimOrder::DecreasingCk => sigma.sort_by_key(|&k| (usize::MAX - cks[k], k)),
-        }
-        sigma
-    }
-}
+use crate::schedule::arena::TreeArena;
+use crate::schedule::DimOrder;
 
 /// Compute the message-combining allgather schedule with the default
 /// increasing-`C_k` dimension order.
@@ -56,39 +29,37 @@ pub fn allgather_plan(nb: &RelNeighborhood) -> Plan {
 pub fn allgather_plan_with_order(nb: &RelNeighborhood, order: DimOrder) -> Plan {
     let d = nb.ndims();
     let t = nb.len();
-    let sigma = order.permutation(nb);
+    let seq = order.rounds(nb);
 
     // ---- tree construction (Algorithm 2, CSR arena) ------------------------
-    let arena = TreeArena::build(nb, &sigma);
+    let arena = TreeArena::build(nb, &seq);
     let mut pairs = Pairs::new(d);
     // What a movement out of a level-`k` node serves: its origin, and the
     // targets `members`.
     let mut serve = |k: usize, members: &[usize]| {
-        pairs.serve(members.iter().map(|&j| nb.offset(j)), &sigma[..k])
+        pairs.serve(members.iter().map(|&j| nb.offset(j)), &seq.dims[..k])
     };
     let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
     let (of, temp_slots) = assign_slots(&arena, &mut phases, &mut serve);
 
     // ---- schedule extraction (BFS over the level CSR) ----------------------
+    // A non-zero edge into `child` at level k is one block of the round its
+    // representative's route takes in phase k. Edges are placed level by
+    // level in node (preorder) order, so sender and receiver agree on wire
+    // order within each round.
+    seq.open_rounds(1, &mut phases);
     let mut volume = 0usize;
-    // One reusable edge slab serves every level's grouping.
-    let mut edges: CoordGroups<Wire> = CoordGroups::new();
-    for k in 0..d {
-        // Group non-zero edges at level k by edge coordinate. Edges are
-        // pushed in node (preorder) order and the grouping is stable, so
-        // sender and receiver agree on wire order within each round.
-        edges.clear();
+    for (k, phase) in phases[..d].iter_mut().enumerate() {
         for &nid in arena.level(k) {
-            for &(c, child) in arena.children(nid) {
-                if c != 0 {
+            for &(_, child) in arena.children(nid) {
+                let rep = arena.node(child).rep;
+                if let Some(j) = seq.round(rep, k) {
                     let serves = serve(k, arena.members(child));
-                    edges.push(c, (of[nid], of[child], arena.node(child).rep, serves));
+                    phase.rounds[j].carry(of[nid], of[child], rep, serves);
+                    volume += 1;
                 }
             }
         }
-        edges.finish();
-        volume += edges.len();
-        phases[k].rounds.extend(edges.rounds(d, sigma[k], 1));
     }
     // Drop a trailing phase with no work.
     while phases

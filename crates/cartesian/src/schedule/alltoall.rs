@@ -11,7 +11,7 @@
 use cartcomm_topo::RelNeighborhood;
 
 use crate::plan::{BlockRef, Loc, LocalCopy, Pairs, Plan, PlanKind, PlanPhase, Schedule};
-use crate::schedule::arena::{CoordGroups, Wire};
+use crate::schedule::DimOrder;
 
 /// Compute the message-combining alltoall schedule for a t-neighborhood
 /// (the paper's `AlltoallSchedule`, Algorithm 1). Runs in O(td) time.
@@ -22,58 +22,47 @@ use crate::schedule::arena::{CoordGroups, Wire};
 pub fn alltoall_plan(nb: &RelNeighborhood) -> Plan {
     let d = nb.ndims();
     let t = nb.len();
-    // hops[i] = number of remaining hops of block i (the paper's z_i,
-    // decremented as phases assign hops).
-    let total_hops = nb.hops();
-    let mut hops: Vec<usize> = total_hops.clone();
-
-    let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
-    let mut volume = 0usize;
     // Blocks cross the dimensions in increasing order.
-    let (mut pairs, dims) = (Pairs::new(d), Vec::from_iter(0..d));
-
-    // One reusable grouping slab serves every phase — the same flat
-    // coordinate-run representation the allgather arena extraction uses.
-    let mut groups: CoordGroups<Wire> = CoordGroups::new();
-    for (k, phase) in phases[..d].iter_mut().enumerate() {
-        groups.clear();
-        for i in nb.bucket_sort_by_coord(k) {
-            let c = nb.offset(i)[k];
-            if c == 0 {
-                continue;
-            }
-            // Buffer selection (Algorithm 1 lines 11-17): the block is
-            // received into the receive buffer when its remaining hop
-            // count is odd — so the final hop (1 remaining) lands in the
-            // receive buffer — and into the temporary buffer otherwise. It
-            // is sent from wherever the previous hop put it; the very first
-            // hop reads the user's send buffer.
-            let h = hops[i];
-            debug_assert!(h >= 1);
-            let send_loc = if h == total_hops[i] {
-                Loc::Send
-            } else if h % 2 == 1 {
-                // previous receive (at h+1, even) went to Temp
-                Loc::Temp
-            } else {
-                Loc::Recv
+    let seq = DimOrder::Given.rounds(nb);
+    let mut phases: Vec<PlanPhase> = (0..=d).map(|_| PlanPhase::default()).collect();
+    seq.open_rounds(1, &mut phases);
+    let mut volume = 0usize;
+    for i in 0..t {
+        // Buffer selection (Algorithm 1 lines 11-17): a hop with an odd
+        // number of hops left (itself included) is received into the
+        // receive buffer — so the last hop lands there — and any other
+        // into the temporary buffer. It is sent from wherever the
+        // previous hop put it; the first hop reads the user's send buffer.
+        let z = seq.route(i).count();
+        for (h, (k, j)) in seq.route(i).enumerate() {
+            let left_odd = (z - h) % 2 == 1;
+            let send_loc = match h {
+                0 => Loc::Send,
+                _ if left_odd => Loc::Temp,
+                _ => Loc::Recv,
             };
-            let recv_loc = if h % 2 == 1 { Loc::Recv } else { Loc::Temp };
-            hops[i] -= 1;
+            let recv_loc = if left_odd { Loc::Recv } else { Loc::Temp };
             let (from, to) = (BlockRef::new(send_loc, i), BlockRef::new(recv_loc, i));
-            let serves = pairs.serve([nb.offset(i)], &dims[..k]);
-            groups.push(c, (from, to, i, serves));
+            phases[k].rounds[j].carry(from, to, i, (0, 0));
         }
-        groups.finish();
-        volume += groups.len();
-        phase.rounds.extend(groups.rounds(d, k, 1));
+        volume += z;
     }
-    debug_assert!(hops.iter().all(|&h| h == 0), "all hops consumed");
+
+    // What a hop serves: its block's pair, with the phases before its own
+    // done — taken in round order.
+    let mut pairs = Pairs::new(d);
+    for (k, phase) in phases.iter_mut().enumerate() {
+        for round in &mut phase.rounds {
+            for (s, &i) in round.serves.iter_mut().zip(&round.block_ids) {
+                *s = pairs.serve([nb.offset(i)], &seq.dims[..k]);
+            }
+        }
+    }
 
     // Final non-communication phase: copy self-blocks send -> recv.
-    for i in (0..t).filter(|&i| total_hops[i] == 0) {
+    for i in (0..t).filter(|&i| seq.route(i).next().is_none()) {
         let (from, to) = (BlockRef::new(Loc::Send, i), BlockRef::new(Loc::Recv, i));
-        let serves = pairs.serve([nb.offset(i)], &dims);
+        let serves = pairs.serve([nb.offset(i)], &seq.dims);
         phases[d].copies.push(LocalCopy { from, to, serves });
     }
     if phases[d].copies.is_empty() {

@@ -1,40 +1,32 @@
-//! Flat CSR-style arenas for schedule construction.
+//! The routing tree as a flat CSR arena.
 //!
 //! The seed allgather builder stored its routing tree as heap nodes with
 //! per-node `children: Vec<(i64, usize)>` and cloned the index sub-vector
 //! at every recursion step — `O(t)` allocations for a `t`-neighborhood,
-//! and a pointer-chasing walk for every consumer. This module replaces
-//! that with two flat structures shared by every schedule:
+//! and a pointer-chasing walk for every consumer. [`TreeArena`] is the
+//! routing tree's bare shape in compressed-sparse-row form: one `nodes`
+//! vec, one shared `children` edge slab addressed by per-node
+//! `(offset, len)` ranges, a level CSR for the BFS walk that extracts
+//! rounds, and the neighbor indices under each node. Level `k` routes
+//! along the dimension of the [`RoundSeq`]'s phase `k`, so the tree is the
+//! prefix trie of the blocks' routes. A node's child range is
+//! *pre-reserved* before its subtrees recurse (bucket boundaries are known
+//! first), so every range is contiguous even though construction is
+//! depth-first; the index sets recursion partitions are `&mut [usize]`
+//! sub-slices of one buffer sorted in place, which the arena keeps. The
+//! shape carries no slots: each consumer annotates it with a pass of its
+//! own over node ids (SNIPPETS.md's `map_meta` on a flat tree) — the
+//! allgather its slots and fill copies, the allreduce its classes — and
+//! places each non-zero edge in its round of the sequence.
 //!
-//! * [`TreeArena`] — the routing tree's bare shape in compressed-sparse-row
-//!   form: one `nodes` vec, one shared `children` edge slab addressed by
-//!   per-node `(offset, len)` ranges, a level CSR for the BFS walk that
-//!   extracts rounds, and the neighbor indices under each node. A node's
-//!   child range is *pre-reserved* before its subtrees recurse (bucket
-//!   boundaries are known first), so every range is contiguous even though
-//!   construction is depth-first; the index sets recursion partitions are
-//!   `&mut [usize]` sub-slices of one buffer sorted in place, which the
-//!   arena keeps. Construction performs zero allocation per node. The
-//!   shape carries no slots: each consumer annotates it with a pass of its
-//!   own over node ids (SNIPPETS.md's `map_meta` on a flat tree) — the
-//!   allgather its slots and fill copies, the allreduce its classes.
-//! * [`CoordGroups`] — wire blocks grouped into runs of equal coordinate,
-//!   ascending and stable: the flat analogue of the
-//!   flush-on-coordinate-change round builder, with one reusable item
-//!   slab instead of per-round state. Every combining schedule — the
-//!   alltoall's phases, the allgather's and the allreduce's tree levels —
-//!   makes its rounds through it, so "one round per distinct non-zero
-//!   coordinate" is implemented exactly once.
-//!
-//! Node ids are preorder (a parent precedes its children), level order
-//! preserves preorder within each level, and grouping is stable — all
-//! three invariants are what keeps the extracted plans byte-identical to
-//! the seed's pointer-tree output (pinned by the golden fingerprints in
-//! `tests/flat_tree_invariants.rs`).
+//! Node ids are preorder (a parent precedes its children) and level order
+//! preserves preorder within each level — the invariants that keep the
+//! extracted plans byte-identical to the seed's pointer-tree output
+//! (pinned by the golden fingerprints in `tests/flat_tree_invariants.rs`).
 
 use cartcomm_topo::RelNeighborhood;
 
-use crate::plan::{BlockRef, PlanRound, Serves};
+use crate::schedule::rounds::RoundSeq;
 
 /// One node of the flattened routing tree.
 #[derive(Debug, Clone, Copy)]
@@ -73,16 +65,16 @@ pub(crate) struct TreeArena {
 }
 
 impl TreeArena {
-    /// Build the routing tree's shape for `nb` under dimension permutation
-    /// `sigma` (the paper's `AllgatherTree`, Algorithm 2): the nodes, their
-    /// edges, levels and multiplicities, and nothing a schedule puts on
-    /// them.
-    pub(crate) fn build(nb: &RelNeighborhood, sigma: &[usize]) -> TreeArena {
+    /// Build the routing tree's shape for `nb` with level `k` routing
+    /// along `seq`'s phase-`k` dimension (the paper's `AllgatherTree`,
+    /// Algorithm 2): the nodes, their edges, levels and multiplicities, and
+    /// nothing a schedule puts on them.
+    pub(crate) fn build(nb: &RelNeighborhood, seq: &RoundSeq) -> TreeArena {
         let d = nb.ndims();
         let t = nb.len();
         let mut b = Builder {
             nb,
-            sigma,
+            dims: &seq.dims,
             arena: TreeArena::default(),
         };
         // The one index buffer of the whole construction: recursion
@@ -173,7 +165,7 @@ impl TreeArena {
 
 struct Builder<'a> {
     nb: &'a RelNeighborhood,
-    sigma: &'a [usize],
+    dims: &'a [usize],
     arena: TreeArena,
 }
 
@@ -183,7 +175,7 @@ impl Builder<'_> {
     /// coordinate. `indices` starts at `first` in the arena's `members`.
     /// Returns the new node's id.
     fn build_node(&mut self, indices: &mut [usize], first: usize, level: usize) -> usize {
-        let (nb, sigma) = (self.nb, self.sigma);
+        let (nb, dims) = (self.nb, self.dims);
         let d = nb.ndims();
         // Every slice arrives in ascending index order: the root's is
         // `0..t`, and a child's is one run of its parent's stable sort.
@@ -193,7 +185,7 @@ impl Builder<'_> {
         // in place) and pre-reserve the node's child range in the shared
         // slab: the bucket count is known before any subtree recurses, so
         // the range stays contiguous while descendants append theirs.
-        let coord = |j: usize| nb.offset(j)[sigma[level]];
+        let coord = |j: usize| nb.offset(j)[dims[level]];
         let same = |a: &usize, b: &usize| coord(*a) == coord(*b);
         let child_start = self.arena.children.len();
         let mut child_len = 0usize;
@@ -228,83 +220,14 @@ impl Builder<'_> {
     }
 }
 
-/// Items grouped into runs of equal coordinate — the flat round builder
-/// every schedule shares. Push `(coordinate, item)` pairs in any order,
-/// [`finish`](CoordGroups::finish), then iterate
-/// [`groups`](CoordGroups::groups): one run per distinct coordinate,
-/// ascending, with the original push order preserved inside each run
-/// (stable sort). The item slab is reusable across phases via
-/// [`clear`](CoordGroups::clear).
-#[derive(Debug)]
-pub(crate) struct CoordGroups<T> {
-    items: Vec<(i64, T)>,
-}
-
-impl<T> CoordGroups<T> {
-    pub(crate) fn new() -> Self {
-        CoordGroups { items: Vec::new() }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    pub(crate) fn push(&mut self, coord: i64, item: T) {
-        self.items.push((coord, item));
-    }
-
-    /// Stable-sort the items by coordinate.
-    pub(crate) fn finish(&mut self) {
-        self.items.sort_by_key(|e| e.0);
-    }
-
-    /// Total items pushed (the phase's block volume contribution).
-    pub(crate) fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// The runs: `(coordinate, items of the run)`.
-    pub(crate) fn groups(&self) -> impl Iterator<Item = (i64, &[(i64, T)])> {
-        let runs = self.items.chunk_by(|a, b| a.0 == b.0);
-        runs.map(|run| (run[0].0, run))
-    }
-}
-
-/// One block on the wire: the slot it leaves, the slot it lands in, the
-/// neighbor whose block size it has, and the pairs it serves.
-pub(crate) type Wire = (BlockRef, BlockRef, usize, Serves);
-
-impl CoordGroups<Wire> {
-    /// One round per run, in run order, its blocks in push order: the run
-    /// of coordinate `c` travels `sign·c` along dimension `dim` of `d`.
-    pub(crate) fn rounds(
-        &self,
-        d: usize,
-        dim: usize,
-        sign: i64,
-    ) -> impl Iterator<Item = PlanRound> + '_ {
-        self.groups().map(move |(c, run)| {
-            let mut offset = vec![0i64; d];
-            offset[dim] = sign * c;
-            PlanRound {
-                offset,
-                sends: run.iter().map(|&(_, (from, ..))| from).collect(),
-                recvs: run.iter().map(|&(_, (_, to, ..))| to).collect(),
-                block_ids: run.iter().map(|&(_, (_, _, block, _))| block).collect(),
-                serves: run.iter().map(|&(_, (.., serves))| serves).collect(),
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::DimOrder;
 
     fn moore_arena(d: usize) -> TreeArena {
         let nb = RelNeighborhood::moore(d, 1).unwrap();
-        let sigma: Vec<usize> = (0..d).collect();
-        TreeArena::build(&nb, &sigma)
+        TreeArena::build(&nb, &DimOrder::Given.rounds(&nb))
     }
 
     #[test]
@@ -366,26 +289,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn coord_groups_runs_are_stable_and_ascending() {
-        let mut g: CoordGroups<usize> = CoordGroups::new();
-        for (c, i) in [(2, 0), (-1, 1), (2, 2), (0, 3), (-1, 4), (2, 5)] {
-            g.push(c, i);
-        }
-        g.finish();
-        let runs: Vec<(i64, Vec<usize>)> = g
-            .groups()
-            .map(|(c, items)| (c, items.iter().map(|&(_, i)| i).collect()))
-            .collect();
-        assert_eq!(
-            runs,
-            vec![(-1, vec![1, 4]), (0, vec![3]), (2, vec![0, 2, 5])]
-        );
-        assert_eq!(g.len(), 6);
-        g.clear();
-        g.finish();
-        assert_eq!(g.groups().count(), 0);
     }
 }

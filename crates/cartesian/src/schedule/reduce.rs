@@ -52,8 +52,8 @@ use cartcomm_topo::{Offset, RelNeighborhood};
 use crate::plan::{
     BlockRef, Loc, LocalCopy, Pairs, Plan, PlanKind, PlanPhase, PlanRound, Schedule,
 };
-use crate::schedule::allgather::{allgather_plan, DimOrder};
-use crate::schedule::arena::{CoordGroups, TreeArena, Wire};
+use crate::schedule::arena::TreeArena;
+use crate::schedule::{allgather_plan, DimOrder};
 
 /// Compute the message-combining reduce-scatter schedule: the result
 /// block at each rank is the elementwise reduction of input block `j` of
@@ -89,7 +89,6 @@ pub fn reduce_scatter_plan(nb: &RelNeighborhood) -> Plan {
 pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
     let d = nb.ndims();
     let neg = nb.negated();
-    let sigma = DimOrder::IncreasingCk.permutation(&neg);
     // The sources, and which neighbor each is (wire sizing wants a block
     // id below `t`; the own block, last, never travels).
     let neighbor: Vec<usize> = (0..nb.len())
@@ -98,7 +97,8 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
     let mut offsets: Vec<Offset> = neighbor.iter().map(|&j| neg.offset(j).to_vec()).collect();
     offsets.push(vec![0i64; d]);
     let sources = RelNeighborhood::new(d, offsets).expect("offsets of one neighborhood");
-    let arena = &TreeArena::build(&sources, &sigma);
+    let seq = DimOrder::IncreasingCk.rounds(&sources);
+    let (arena, dims) = (&TreeArena::build(&sources, &seq), &seq.dims);
     let (of, first, levels) = classify(arena, d);
     let mut pairs = Pairs::new(d);
     // What a movement of a level-`k` class serves: the sources under each
@@ -107,7 +107,7 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
     let mut serve = |k: usize, class: usize, e: Option<usize>| {
         let nodes = arena.level(k).iter().filter(|&&n| of[n] == class);
         let under = nodes.flat_map(|&n| arena.members(e.map_or(n, |e| arena.children(n)[e].1)));
-        pairs.serve(under.map(|&j| sources.offset(j)), &sigma[..d.min(k + 1)])
+        pairs.serve(under.map(|&j| sources.offset(j)), &dims[..d.min(k + 1)])
     };
 
     let zero_child = |class: usize| arena.zero_child(first[class]).map(|z| of[z]);
@@ -154,11 +154,10 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
         });
     }
 
-    let mut wires: CoordGroups<Wire> = CoordGroups::new();
+    seq.open_rounds(-1, phases[..d].iter_mut().rev());
     let mut volume = 0usize;
     for k in (0..d).rev() {
         let phase = &mut phases[d - 1 - k];
-        wires.clear();
         for class in levels[k].clone() {
             let edges = arena.children(first[class]);
             let slot = match zero_child(class) {
@@ -175,14 +174,15 @@ pub fn allreduce_plan(nb: &RelNeighborhood) -> Plan {
                 }
             };
             slots.push(slot);
-            for (e, &(c, ch)) in edges.iter().enumerate().filter(|(_, e)| e.0 != 0) {
-                let block = neighbor[arena.node(ch).rep];
-                wires.push(c, (slots[of[ch]], slot, block, serve(k, class, Some(e))));
+            for (e, &(_, ch)) in edges.iter().enumerate() {
+                let rep = arena.node(ch).rep;
+                if let Some(j) = seq.round(rep, k) {
+                    let serves = serve(k, class, Some(e));
+                    phase.rounds[j].carry(slots[of[ch]], slot, neighbor[rep], serves);
+                    volume += 1;
+                }
             }
         }
-        wires.finish();
-        volume += wires.len();
-        phase.rounds.extend(wires.rounds(d, sigma[k], -1));
     }
     if slots[of[0]] == send {
         let (from, to, serves) = (send, recv, serve(0, of[0], None));

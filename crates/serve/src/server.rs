@@ -1574,6 +1574,19 @@ mod tests {
         }
     }
 
+    /// An offset of `i64::MIN` has no negation: the `SUBMIT` carrying it
+    /// is refused before a universe is spent on it.
+    #[test]
+    fn a_min_offset_is_refused_at_submit() {
+        let spec = JobSpec {
+            offsets: vec![vec![i64::MIN]],
+            ..ring_spec()
+        };
+        assert_eq!(check_job("t", &ring_spec(), &[0u8; 16]), Ok(()));
+        let refusal = check_job("t", &spec, &[0u8; 16]).unwrap_err();
+        assert!(refusal.contains("UnnegatableCoordinate"), "{refusal}");
+    }
+
     /// A job is refused or counted in under the lock `drain` counts under:
     /// no `SUBMIT` falls between, counted and never answered.
     #[test]

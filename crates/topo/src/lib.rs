@@ -44,6 +44,8 @@ pub enum TopoError {
     EmptyNeighborhood,
     /// Mismatched weights list.
     WeightMismatch { expected: usize, actual: usize },
+    /// A neighbor's coordinate is `i64::MIN`, which has no negation.
+    UnnegatableCoordinate { neighbor: usize, dim: usize },
 }
 
 impl std::fmt::Display for TopoError {
@@ -65,6 +67,10 @@ impl std::fmt::Display for TopoError {
             TopoError::WeightMismatch { expected, actual } => {
                 write!(f, "{actual} weights for {expected} neighbors")
             }
+            TopoError::UnnegatableCoordinate { neighbor, dim } => write!(
+                f,
+                "neighbor {neighbor} has coordinate i64::MIN in dimension {dim}, which has no negation"
+            ),
         }
     }
 }

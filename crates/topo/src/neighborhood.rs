@@ -17,8 +17,11 @@ pub type Offset = Vec<i64>;
 ///
 /// * `z_i` — non-zero coordinate count of neighbor `i` ([`RelNeighborhood::hops`]),
 /// * `C_k` — number of distinct non-zero k-th coordinates
-///   ([`RelNeighborhood::distinct_nonzero_coords`]),
-/// * the bucket sort by k-th coordinate used by Algorithms 1 and 2.
+///   ([`RelNeighborhood::distinct_nonzero_coords`]), and the coordinates
+///   themselves ([`RelNeighborhood::nonzero_coords`]).
+///
+/// Every coordinate has a negation: `i64::MIN` is refused, since the
+/// reductions route over the negated neighborhood.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelNeighborhood {
     d: usize,
@@ -26,17 +29,21 @@ pub struct RelNeighborhood {
 }
 
 impl RelNeighborhood {
-    /// Build from a list of offset vectors, validating dimensions agree.
+    /// Build from a list of offset vectors, validating dimensions agree
+    /// and no coordinate is `i64::MIN`.
     pub fn new(d: usize, offsets: Vec<Offset>) -> TopoResult<Self> {
         if d == 0 {
             return Err(TopoError::EmptyNeighborhood);
         }
-        for o in &offsets {
+        for (neighbor, o) in offsets.iter().enumerate() {
             if o.len() != d {
                 return Err(TopoError::DimensionMismatch {
                     expected: d,
                     actual: o.len(),
                 });
+            }
+            if let Some(dim) = o.iter().position(|&c| c == i64::MIN) {
+                return Err(TopoError::UnnegatableCoordinate { neighbor, dim });
             }
         }
         Ok(RelNeighborhood { d, offsets })
@@ -51,8 +58,7 @@ impl RelNeighborhood {
                 actual: flat.len(),
             });
         }
-        let offsets = flat.chunks(d).map(|c| c.to_vec()).collect();
-        Ok(RelNeighborhood { d, offsets })
+        RelNeighborhood::new(d, flat.chunks(d).map(|c| c.to_vec()).collect())
     }
 
     // ----- stencil generators (§4.1.1) -------------------------------------
@@ -196,22 +202,20 @@ impl RelNeighborhood {
             .collect()
     }
 
+    /// The distinct *non-zero* k-th coordinates in the neighborhood,
+    /// ascending: the rounds of the combining schedules' phase along `k`.
+    pub fn nonzero_coords(&self, k: usize) -> Vec<i64> {
+        let mut vals: Vec<i64> = self.offsets.iter().map(|o| o[k]).collect();
+        vals.retain(|&c| c != 0);
+        vals.sort_unstable();
+        vals.dedup();
+        vals
+    }
+
     /// The paper's `C_k`: for each dimension, the number of distinct
     /// *non-zero* k-th coordinates in the neighborhood.
     pub fn distinct_nonzero_coords(&self) -> Vec<usize> {
-        (0..self.d)
-            .map(|k| {
-                let mut vals: Vec<i64> = self
-                    .offsets
-                    .iter()
-                    .map(|o| o[k])
-                    .filter(|&c| c != 0)
-                    .collect();
-                vals.sort_unstable();
-                vals.dedup();
-                vals.len()
-            })
-            .collect()
+        (0..self.d).map(|k| self.nonzero_coords(k).len()).collect()
     }
 
     /// Total message-combining rounds `C = Σ_k C_k` (Props. 3.2 / 3.3).
@@ -239,47 +243,6 @@ impl RelNeighborhood {
                 .iter()
                 .filter(|o| o.iter().all(|&c| c == 0))
                 .count()
-    }
-
-    /// Stable bucket sort of neighbor indices by their k-th coordinate.
-    /// Returns `order` such that `offsets[order[0..]]` is sorted by
-    /// coordinate `k` (ascending), ties kept in original order. Runs in
-    /// O(t + range) when the coordinate range is small, falling back to a
-    /// comparison sort for sparse huge ranges — O(t) for all stencils in the
-    /// paper, preserving the O(td) total of Prop. 3.1.
-    pub fn bucket_sort_by_coord(&self, k: usize) -> Vec<usize> {
-        assert!(k < self.d, "dimension out of range");
-        let t = self.len();
-        if t == 0 {
-            return Vec::new();
-        }
-        let min = self.offsets.iter().map(|o| o[k]).min().expect("non-empty");
-        let max = self.offsets.iter().map(|o| o[k]).max().expect("non-empty");
-        let range = (max - min) as usize + 1;
-        if range <= 16 * t + 64 {
-            // counting sort
-            let mut counts = vec![0usize; range];
-            for o in &self.offsets {
-                counts[(o[k] - min) as usize] += 1;
-            }
-            let mut starts = vec![0usize; range];
-            let mut acc = 0usize;
-            for (b, &c) in counts.iter().enumerate() {
-                starts[b] = acc;
-                acc += c;
-            }
-            let mut order = vec![0usize; t];
-            for (i, o) in self.offsets.iter().enumerate() {
-                let b = (o[k] - min) as usize;
-                order[starts[b]] = i;
-                starts[b] += 1;
-            }
-            order
-        } else {
-            let mut order: Vec<usize> = (0..t).collect();
-            order.sort_by_key(|&i| self.offsets[i][k]);
-            order
-        }
     }
 
     /// Negated neighborhood (the source neighbors: `r − N[i]`).
@@ -415,31 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_sort_is_stable_and_ordered() {
-        let nb = RelNeighborhood::new(
-            1,
-            vec![vec![3], vec![-1], vec![3], vec![0], vec![-1], vec![2]],
-        )
-        .unwrap();
-        let order = nb.bucket_sort_by_coord(0);
-        let sorted: Vec<i64> = order.iter().map(|&i| nb.offset(i)[0]).collect();
-        assert_eq!(sorted, vec![-1, -1, 0, 2, 3, 3]);
-        // stability: the two -1s keep original relative order (indices 1, 4)
-        assert_eq!(&order[0..2], &[1, 4]);
-        // and the two 3s (indices 0, 2)
-        assert_eq!(&order[4..6], &[0, 2]);
-    }
-
-    #[test]
-    fn bucket_sort_falls_back_for_huge_ranges() {
-        let nb = RelNeighborhood::new(1, vec![vec![1_000_000_000], vec![-1_000_000_000], vec![0]])
-            .unwrap();
-        let order = nb.bucket_sort_by_coord(0);
-        let sorted: Vec<i64> = order.iter().map(|&i| nb.offset(i)[0]).collect();
-        assert_eq!(sorted, vec![-1_000_000_000, 0, 1_000_000_000]);
-    }
-
-    #[test]
     fn canonical_bytes_order_insensitive() {
         let a = RelNeighborhood::new(2, vec![vec![1, 0], vec![0, 1]]).unwrap();
         let b = RelNeighborhood::new(2, vec![vec![0, 1], vec![1, 0]]).unwrap();
@@ -468,6 +406,22 @@ mod tests {
         assert_eq!(nb.len(), 3);
         assert_eq!(nb.alltoall_volume(), 3);
         assert_eq!(nb.combining_rounds(), 1);
+    }
+
+    #[test]
+    fn min_coordinate_is_refused() {
+        let refused = TopoError::UnnegatableCoordinate {
+            neighbor: 1,
+            dim: 0,
+        };
+        let offsets = vec![vec![1, 0], vec![i64::MIN, 2]];
+        assert_eq!(RelNeighborhood::new(2, offsets), Err(refused.clone()));
+        assert_eq!(
+            RelNeighborhood::from_flat(2, &[1, 0, i64::MIN, 2]),
+            Err(refused)
+        );
+        let nb = RelNeighborhood::from_flat(1, &[-i64::MAX, i64::MAX]).unwrap();
+        assert_eq!(nb.negated().negated(), nb);
     }
 
     #[test]
