@@ -106,27 +106,18 @@ impl ExecLayouts {
 
     fn hash_with(&self, kind: PlanKind, seed: u64) -> u64 {
         let mut h = Fnv::new();
-        h.u64(seed);
-        h.u64(kind.code());
-        for (group, blocks) in [(0u64, &self.send), (1u64, &self.recv)] {
-            h.u64(group);
-            h.u64(blocks.len() as u64);
+        h.words([seed as usize, kind.code() as usize]);
+        for (group, blocks) in [(0, &self.send), (1, &self.recv)] {
+            h.words([group, blocks.len()]);
             for b in blocks {
-                h.u64(b.disp as u64);
-                for s in b.ty.spans() {
-                    h.u64(s.offset as u64);
-                    h.u64(s.len as u64);
-                }
+                h.words([b.disp as usize]);
+                h.words(b.ty.spans().iter().flat_map(|s| [s.offset as usize, s.len]));
                 h.u64(u64::MAX); // span-list terminator
             }
         }
-        h.u64(self.block_bytes.len() as u64);
-        for &b in &self.block_bytes {
-            h.u64(b as u64);
-        }
-        h.u64(self.temp_sizes.len() as u64);
-        for &ts in &self.temp_sizes {
-            h.u64(ts as u64);
+        for sizes in [&self.block_bytes, &self.temp_sizes] {
+            h.words([sizes.len()]);
+            h.words(sizes.iter().copied());
         }
         h.finish()
     }

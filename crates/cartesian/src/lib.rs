@@ -23,15 +23,15 @@
 //!   Listing 5).
 //! * [`compile`] — the compile stage between planning and execution, and
 //!   the only executor: a [`Program`] resolves a schedule over concrete
-//!   layouts (tags, wire sizes, flattened memcpy span programs, and on a
-//!   mesh what one rank's boundary cuts off) — one for all ranks of a
-//!   torus — and a [`CompiledPlan`] adds one rank's peers, so repeated
-//!   executes pay no coordinate math, datatype traversal, or allocation.
-//!   Every collective, persistent handle and serve job runs these
-//!   programs: resolve the plan, look the program up in the
-//!   [`PlanStore`] (counted once, on the rank's `Obs`), run it through
-//!   the one [`execute`] — or, for all ranks on one thread,
-//!   [`InlineUniverse::run`].
+//!   layouts (tags, wire sizes, memcpy span programs, on a mesh what one
+//!   rank's boundary cuts off) and annotates it in passes, a file each:
+//!   one hazard walk, the fused form, the fingerprint. One serves all
+//!   ranks of a torus; a [`CompiledPlan`] adds one rank's peers. Every
+//!   collective, persistent handle and serve job runs these programs:
+//!   resolve the plan, look the program up in the [`PlanStore`] (counted
+//!   once, on the rank's `Obs`), run it through the one [`execute`] — or,
+//!   for all ranks on one thread, [`InlineUniverse::run`]; repeated
+//!   executes pay no coordinate math, datatype traversal or allocation.
 //! * [`schedule::alltoall`] — Algorithm 1: the message-combining alltoall
 //!   schedule (`C = Σ C_k` rounds, volume `V = Σ z_i`, Prop. 3.2).
 //! * [`schedule::allgather`] — Algorithm 2: the message-combining allgather

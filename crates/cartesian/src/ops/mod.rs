@@ -134,14 +134,11 @@ impl<'a> Shape<'a> {
         };
         let lane = |seed: u64| {
             let mut h = Fnv::new();
-            h.u64(seed);
-            h.u64(kind as u64);
+            h.words([seed as usize, kind as usize]);
             for blocks in [send, recv] {
-                h.u64(blocks.len() as u64);
+                h.words([blocks.len()]);
                 for w in blocks.iter() {
-                    h.u64(w.disp as u64);
-                    h.u64(w.count as u64);
-                    h.u64(w.ty.structure_hash(seed));
+                    h.words([w.disp as usize, w.count, w.ty.structure_hash(seed) as usize]);
                 }
             }
             h.finish()

@@ -14,7 +14,7 @@
 use cartcomm_topo::Offset;
 
 /// Which buffer a block reference addresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loc {
     /// The user's send buffer (block indexed by neighbor for alltoall; the
     /// single contributed block for allgather).

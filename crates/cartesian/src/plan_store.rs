@@ -74,14 +74,9 @@ impl KeyStem {
         let flat = nb.to_flat();
         let stem = |seed: u64| {
             let mut h = seeded(seed);
-            h.u64(nb.ndims() as u64);
-            h.u64(kind.code());
-            h.u64(schedule as u64);
-            for &v in &flat {
-                h.u64(v as u64);
-            }
-            h.u64(lay_fp as u64);
-            h.u64((lay_fp >> 64) as u64);
+            h.words([nb.ndims(), kind.code() as usize, schedule as usize]);
+            h.words(flat.iter().map(|&v| v as usize));
+            h.words([lay_fp as usize, (lay_fp >> 64) as usize]);
             h
         };
         KeyStem {
@@ -95,11 +90,9 @@ impl KeyStem {
     pub(crate) fn key(&self, topo: &CartTopology, nb: &RelNeighborhood, rank: usize) -> u128 {
         let (mut lo, mut hi) = (self.lo, self.hi);
         for window in boundary_class(topo, nb.offsets().iter(), rank) {
-            let (behind, ahead) = window.map_or((0, 0), |(b, a)| (1 + b as u64, a as u64));
-            for h in [&mut lo, &mut hi] {
-                h.u64(behind);
-                h.u64(ahead);
-            }
+            let (behind, ahead) = window.map_or((0, 0), |(b, a)| (1 + b, a));
+            lo.words([behind, ahead]);
+            hi.words([behind, ahead]);
         }
         ((hi.finish() as u128) << 64) | lo.finish() as u128
     }
@@ -131,12 +124,8 @@ pub fn schedule_key(nb: &RelNeighborhood, (kind, schedule): (PlanKind, Schedule)
         .enumerate()
     {
         let mut h = seeded(seed);
-        h.u64(nb.ndims() as u64);
-        h.u64(kind.code());
-        h.u64(schedule as u64);
-        for v in nb.to_flat() {
-            h.u64(v as u64);
-        }
+        h.words([nb.ndims(), kind.code() as usize, schedule as usize]);
+        h.words(nb.to_flat().into_iter().map(|v| v as usize));
         parts[i] = h.finish();
     }
     ((parts[1] as u128) << 64) | parts[0] as u128

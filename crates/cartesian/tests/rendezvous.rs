@@ -4,9 +4,10 @@
 //! rendezvous has to get right — split buffers and in place, a 3×3×3
 //! torus, an extent-1 torus (a round's source is its receiver) and an
 //! asymmetric neighborhood (a sender waits on a rank that is not its
-//! source). And a rank that panics while its peers wait in a rendezvous
-//! ends its universe instead of hanging it, and an execute that fails on
-//! a departed peer credits exactly what it counted.
+//! source). A phase whose receives write one byte twice deposits instead
+//! of meeting. And a rank that panics while its peers wait in a
+//! rendezvous ends its universe instead of hanging it, and an execute
+//! that fails on a departed peer credits exactly what it counted.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -15,7 +16,7 @@ use std::time::Duration;
 
 use cartcomm::exec::ExecLayouts;
 use cartcomm::ops::persistent::PersistentCollective;
-use cartcomm::ops::{regular_layouts, w_layouts, Algo, WBlock};
+use cartcomm::ops::{regular_layouts, v_layouts, w_layouts, Algo, WBlock};
 use cartcomm::{CartComm, InlineUniverse, PlanKind};
 use cartcomm_comm::obs::MetricsSnapshot;
 use cartcomm_comm::{TransportKind, Universe};
@@ -200,6 +201,54 @@ fn compare(dims: &[usize], offsets: Vec<Vec<i64>>) {
                 );
             }
         }
+    }
+}
+
+/// Receives that land on one byte do not meet: rounds landing at once
+/// would race for it. On the in-process fabric their phase deposits, and
+/// every rank holds what the rounds' order leaves — what the inline
+/// carrier leaves.
+#[test]
+fn receives_that_overlap_deposit_instead_of_meeting() {
+    let (dims, p, len) = ([3usize, 3], 9, 12);
+    // Blocks 0 and 1 move in one phase and share bytes 2..4 of the
+    // receive buffer; block 2 moves alone in the next phase.
+    let nb = RelNeighborhood::new(2, vec![vec![1, 0], vec![-1, 0], vec![0, 1]]).unwrap();
+    let (counts, senddispls, recvdispls) = ([4usize; 3], [0usize, 4, 8], [0usize, 2, 8]);
+    let sends = Arc::new(payload(p, len, 7));
+    let runs = Universe::builder(p).run(|comm| {
+        let cart = CartComm::create(comm, &dims, &[true; 2], nb.clone()).unwrap();
+        let send = &sends[comm.rank() * len..(comm.rank() + 1) * len];
+        let mut recv = vec![0xEEu8; len];
+        let before = comm.metrics();
+        let (c, sd, rd) = (&counts, &senddispls, &recvdispls);
+        cart.alltoallv::<u8>(send, c, sd, &mut recv, c, rd, Algo::Combining)
+            .unwrap();
+        (recv, comm.metrics().since(&before))
+    });
+    let lay = v_layouts(
+        1,
+        &counts,
+        &senddispls,
+        &counts,
+        &recvdispls,
+        PlanKind::Alltoall,
+    );
+    let mut uni = InlineUniverse::new(&dims, &[true; 2], nb.clone()).unwrap();
+    let mut want = vec![0xEEu8; p * len];
+    uni.run(
+        PlanKind::Alltoall,
+        &lay.unwrap(),
+        None,
+        &sends,
+        &mut want,
+        Algo::Combining,
+    )
+    .unwrap();
+    for (rank, (got, m)) in runs.iter().enumerate() {
+        assert_eq!(got, &want[rank * len..(rank + 1) * len], "rank {rank}");
+        // The overlapping phase's two rounds take a wire each.
+        assert_eq!(m.pool_hits + m.pool_misses, 2, "rank {rank}");
     }
 }
 

@@ -146,6 +146,7 @@ impl MetricsRegistry {
             (&self.wire_bytes_sent, t.wire_bytes_sent),
             (&self.wire_bytes_recv, t.wire_bytes_recv),
             (&self.msgs_matched, t.msgs_matched),
+            (&self.exchanges, t.exchanges),
         ];
         for (counter, n) in counts {
             if n > 0 {
@@ -228,6 +229,7 @@ pub struct RoundTally {
     pub wire_bytes_sent: u64,
     pub wire_bytes_recv: u64,
     pub msgs_matched: u64,
+    pub exchanges: u64,
 }
 
 impl Default for MetricsRegistry {

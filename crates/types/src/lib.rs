@@ -18,7 +18,7 @@
 //!
 //! The paper's `TypeApp` — appending one block per neighbor while a round
 //! is scheduled — builds no datatype here: the schedule compiler
-//! (`cartcomm`'s `compile.rs`, `SpanProgram::push`) appends each block's
+//! (`cartcomm`'s `compile/program.rs`, `SpanProgram::push`) appends each block's
 //! resolved spans to its span program directly.
 //!
 //! All displacements are byte displacements relative to the start of the
