@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use cartcomm_comm::obs::{Obs, RoundTally, TraceEvent};
 use cartcomm_comm::{Comm, ExchangeBatch, RecvSpec, Tag};
-use cartcomm_types::{kernel, Reducer, TypeError};
+use cartcomm_types::kernel::{self, CopyRun};
+use cartcomm_types::{Reducer, TypeError};
 
 use super::fuse::{FusedPhase, FusedRun};
 use super::program::{BufId, CompiledCopy, CompiledPhase, CompiledPlan, Half, SpanProgram};
@@ -19,33 +20,79 @@ pub(crate) struct Bases {
     pub(crate) send: (*const u8, usize),
     pub(crate) recv: (*mut u8, usize),
     pub(crate) temp: (*mut u8, usize),
+    pub(crate) stage: (*mut u8, usize),
 }
 
 /// Run the copy program `prog` out of the buffers at `from` into those at
-/// `to`: the one executor of fused rounds and direct local copies. Every
-/// run is bounds-checked on both sides by [`kernel::copy_run`] before it
-/// moves a byte.
+/// `to`: the one executor of fused rounds, stage copies and direct local
+/// copies. A run that folds goes through `red`. Every run is
+/// bounds-checked on both sides before it moves a byte.
 ///
 /// # Safety
 ///
-/// Every base must be valid for reads of its length, and `to`'s `recv`
-/// and `temp` for writes, for the whole call; no range `prog` reads may
-/// overlap a range it writes.
-pub(crate) unsafe fn copy_runs(prog: impl IntoIterator<Item = FusedRun>, from: Bases, to: Bases) {
+/// Every base must be valid for reads of its length, and `to`'s `recv`,
+/// `temp` and `stage` for writes, for the whole call; no range `prog`
+/// reads may overlap a range it writes, and no other thread writes a
+/// range it reads or touches a range it writes meanwhile.
+pub(crate) unsafe fn copy_runs(
+    prog: impl IntoIterator<Item = FusedRun>,
+    from: Bases,
+    to: Bases,
+    red: Option<Reducer>,
+) {
     for f in prog {
         let (src, src_len) = match f.src {
             BufId::Send => from.send,
             BufId::Recv => (from.recv.0.cast_const(), from.recv.1),
             BufId::Temp => (from.temp.0.cast_const(), from.temp.1),
+            BufId::Stage => (from.stage.0.cast_const(), from.stage.1),
         };
         let (dst, dst_len) = match f.dst {
             BufId::Send => unreachable!("plans never write the send buffer"),
             BufId::Recv => to.recv,
             BufId::Temp => to.temp,
+            BufId::Stage => to.stage,
         };
-        // SAFETY: the caller vouches for the bases and for reads apart
-        // from writes; `copy_run` holds each side to its length.
-        unsafe { kernel::copy_run(src, src_len, dst, dst_len, &f.run) };
+        match f.acc {
+            // SAFETY: the caller vouches for the bases and for reads apart
+            // from writes; `copy_run` holds each side to its length.
+            false => unsafe { kernel::copy_run(src, src_len, dst, dst_len, &f.run) },
+            // SAFETY: as above.
+            true => unsafe { fold_run((src, src_len), (dst, dst_len), &f.run, red) },
+        }
+    }
+}
+
+/// Fold every range of `run` from the `src` bytes into the `dst` bytes
+/// with `red`, one range at a time, each checked to lie inside both.
+///
+/// # Safety
+///
+/// As for [`copy_runs`], with `src` and `dst` one run's two bases.
+#[inline(never)]
+unsafe fn fold_run(
+    (src, src_len): (*const u8, usize),
+    (dst, dst_len): (*mut u8, usize),
+    run: &CopyRun,
+    red: Option<Reducer>,
+) {
+    let red = red.expect("a fused fold requires a reducer");
+    let (reads, writes) = run.sides();
+    for ((s, n), (d, _)) in reads.spans().zip(writes.spans()) {
+        let inside = |at: usize, len: usize| at.checked_add(n).is_some_and(|end| end <= len);
+        assert!(
+            inside(s, src_len) && inside(d, dst_len),
+            "{run:?} out of bounds"
+        );
+        // SAFETY: both ranges lie inside their bases (just checked), which
+        // the caller vouches for; each slice lives for this one fold.
+        let (acc, src) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(dst.add(d), n),
+                std::slice::from_raw_parts(src.add(s), n),
+            )
+        };
+        red.fold(acc, src);
     }
 }
 
@@ -64,6 +111,7 @@ impl Mem<'_> {
             BufId::Send => self.send.unwrap_or(self.user),
             BufId::Recv => self.user,
             BufId::Temp => self.temp,
+            BufId::Stage => unreachable!("only fused rounds read a stage"),
         }
     }
 
@@ -73,17 +121,20 @@ impl Mem<'_> {
             BufId::Send => unreachable!("plans never write the send buffer"),
             BufId::Recv => self.user,
             BufId::Temp => self.temp,
+            BufId::Stage => unreachable!("only a fused stage copy writes a stage"),
         }
     }
 
-    /// The buffers as the copy executor addresses them.
-    fn bases(&mut self) -> Bases {
+    /// The buffers as the copy executor addresses them, with `stage` for
+    /// the stages.
+    fn bases(&mut self, stage: (*mut u8, usize)) -> Bases {
         let recv = (self.user.as_mut_ptr(), self.user.len());
         let send = self.send.map(|s| (s.as_ptr(), s.len()));
         Bases {
             send: send.unwrap_or((recv.0.cast_const(), recv.1)),
             recv,
             temp: (self.temp.as_mut_ptr(), self.temp.len()),
+            stage,
         }
     }
 
@@ -123,16 +174,17 @@ impl Mem<'_> {
             Some(_) => c.direct_split,
         };
         if direct && !c.acc {
-            let at = self.bases();
+            let at = self.bases((std::ptr::null_mut(), 0));
             let prog = c.runs.iter().map(|&run| FusedRun {
                 src: c.src,
                 dst: c.dst,
                 run,
+                acc: false,
             });
             // SAFETY: the bases are the slices `self` borrows — a split
             // send buffer apart from the other two — and in this mode the
             // copy reads no range it writes (the hazard walk).
-            unsafe { copy_runs(prog, at, at) };
+            unsafe { copy_runs(prog, at, at, None) };
             return;
         }
         stage.clear();
@@ -252,7 +304,6 @@ impl RankExec<'_> {
                     to,
                     from,
                     wire_bytes: out.wire_len,
-                    attempt: 0,
                 },
             );
             self.obs.emit(
@@ -305,21 +356,22 @@ impl RankExec<'_> {
     }
 
     /// Run a phase as a rendezvous (see [`execute`]): credit the sends as
-    /// packed and sent, meet the phase's peers with the fused rounds, then
-    /// credit the receives as matched and unpacked, in slot order. The
-    /// rank publishes its bases in `published`, rewritten only when they
-    /// changed.
+    /// packed and sent, stage what the phase's sends read if it must,
+    /// meet the phase's peers with the fused rounds — holding the offers
+    /// past the phase with `hold` — then credit the receives as matched
+    /// and unpacked, in slot order. `at` is the record this rank
+    /// published for the run.
     #[allow(clippy::too_many_arguments)]
     fn meet(
         &mut self,
         comm: &Comm,
-        published: &mut Meet,
+        at: &Meet,
         (k, round_base): (usize, usize),
         phase: &CompiledPhase,
         peers: &[(usize, usize)],
         specs: &[RecvSpec],
         fused: &FusedPhase,
-        ident: u64,
+        hold: bool,
         traced: bool,
     ) -> CartResult<()> {
         let rounds = phase.rounds.iter().zip(peers).enumerate();
@@ -329,41 +381,39 @@ impl RankExec<'_> {
                 self.tally.wire_bytes_sent += out.wire_len as u64;
             }
         }
-        // From here until the rendezvous returns, this rank's buffers are
-        // reached only through these raw bases: by its own copies and by
-        // its peers', on other workers. A record that did not change is
-        // not written, so the peers' copies of its line stay valid.
-        let at = Meet {
-            bases: self.mem.bases(),
-            ident,
-        };
-        if *published != at {
-            *published = at;
-        }
-        let at = &*published;
+        // SAFETY: `at` holds this rank's buffers; the stage copy reads its
+        // `Recv` and `Temp` and writes the phase's own stage, which no
+        // peer reads before this rank offers it below (the stages of
+        // earlier phases, which peers may be reading, lie elsewhere).
+        unsafe { copy_runs(fused.stage.iter().copied(), at.bases, at.bases, None) };
         let sends = rounds
             .clone()
             .filter_map(|(i, (r, &(to, _)))| r.send.as_ref().map(|_| (to, r.tag, i)));
+        let red = self.red;
         let copy = |i: usize, from: &Meet, to: &Meet| {
             assert_eq!(
                 from.ident, to.ident,
                 "ranks met in a phase with different fused programs"
             );
-            // SAFETY: `from` and `to` are the bases two ranks of this phase
-            // published (one rank's, where a round's source is its
+            // SAFETY: `from` and `to` are the records two ranks of this
+            // phase published (one rank's, where a round's source is its
             // receiver), valid until this copy ends (`Comm::rendezvous`).
             // Their programs are one (the identity above), and its phase
             // meets: no copy running at once writes a byte another reads
-            // or writes (`FusedPhase::meets`), and no rank's reads of its
-            // buffers are written in this phase.
-            unsafe { copy_runs(fused.rounds[i].iter().copied(), from.bases, to.bases) };
+            // or writes (`FusedPhase::meets`; a phase that pulls has its
+            // receiver run its copies one at a time), and no rank's reads
+            // of its buffers are written while they may run — in this
+            // phase, or, for a held offer, until the run's last wait.
+            unsafe { copy_runs(fused.rounds[i].iter().copied(), from.bases, to.bases, red) };
         };
-        // SAFETY: every rank of the phase runs this function with this
-        // `Meet` and this `copy`; `at` describes this rank's buffers,
-        // which `self.mem` does not touch until the rendezvous returns;
-        // the copies are apart as argued at `copy`; `fused` is only used
-        // where `comm.can_rendezvous()`.
-        unsafe { comm.rendezvous(at, sends, specs, copy) }?;
+        // SAFETY: every rank of the phase runs this function with its
+        // `Meet`, this `copy` and the program's `pulls`; `at` describes this
+        // rank's buffers, which `self.mem` does not touch until the
+        // rendezvous returns — nor, with `hold`, the `Send` bytes and
+        // stages the offers read until `execute`'s last wait; the copies
+        // are apart as argued at `copy`; `fused` is only used where
+        // `comm.can_rendezvous()`.
+        unsafe { comm.rendezvous(at, sends, specs, fused.pulls, hold, copy) }?;
         let mut slot = 0;
         for (i, (r, &pair)) in rounds {
             let Some(inc) = &r.recv else { continue };
@@ -394,7 +444,6 @@ impl RankExec<'_> {
                     to,
                     from,
                     wire_bytes: inc.wire_len,
-                    attempt: 0,
                 },
             );
             if self.red.is_some() {
@@ -419,7 +468,7 @@ impl RankExec<'_> {
 /// precompiled memcpy ranges.
 ///
 /// On a fabric that [can rendezvous](Comm::can_rendezvous), a phase
-/// whose fused form meets ([`FusedPhase::meets`]) crosses no wire: its
+/// whose fused form meets (`FusedPhase::meets`) crosses no wire: its
 /// rounds run as the inline carrier's fused copies, each by whichever
 /// rank of the round arrives second ([`Comm::rendezvous`]), one copy per
 /// byte, with the same counters and events as a deposited round and no
@@ -476,10 +525,14 @@ pub fn execute(
     if scratch.temp.len() < cp.temp_len {
         scratch.temp.resize(cp.temp_len, 0);
     }
+    if scratch.stages.len() < cp.stage_len {
+        scratch.stages.resize(cp.stage_len, 0);
+    }
     let ExecScratch {
         temp,
         stage,
         batch,
+        stages,
         meet: published,
         ..
     } = scratch;
@@ -504,6 +557,26 @@ pub fn execute(
     // of depositing. The decision reads only the program and the fabric,
     // so both ranks of every round take it alike.
     let rendezvous = comm.can_rendezvous();
+    let last_met = cp.phases.iter().rposition(|p| p.met(rendezvous).is_some());
+    // The rank publishes its buffers once per run, before its first
+    // meeting phase: from there until the rendezvous that ends its last
+    // held offer, peers reach them through these raw bases. A record that
+    // did not change is not written, so the peers' copies of its line
+    // stay valid.
+    if last_met.is_some() {
+        let at = Meet {
+            bases: ex.mem.bases((stages.as_mut_ptr(), stages.len())),
+            ident: cp.fused_ident,
+        };
+        if *published != at {
+            *published = at;
+        }
+    }
+    let mut held = Held {
+        comm,
+        at: published,
+        on: false,
+    };
     let (mut round_base, mut spec_base) = (0usize, 0usize);
     for (k, phase) in cp.phases.iter().enumerate() {
         ex.copies(phase);
@@ -518,19 +591,23 @@ pub fn execute(
         // construction.
         let traced = obs.enabled();
         let t0 = if traced { obs.now_ns() } else { 0 };
-        let meets = phase.fused.as_ref().filter(|f| rendezvous && f.meets);
-        if let Some(fused) = meets {
+        if let Some(fused) = phase.met(rendezvous) {
+            // Stable offers outlive the phase, but for the last one to
+            // meet, whose wait settles every offer of the run. In place,
+            // `Send` is the receive buffer: not stable.
+            let hold = fused.stable && send.is_some() && Some(k) != last_met;
             ex.meet(
                 comm,
-                published,
+                held.at,
                 (k, round_base),
                 phase,
                 peers,
                 specs,
                 fused,
-                cp.fused_ident,
+                hold,
                 traced,
             )?;
+            held.on = hold;
         } else {
             for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
                 if let Some(out) = &r.send {
@@ -562,6 +639,36 @@ pub fn execute(
     Ok(())
 }
 
+/// The offers a run's phases held, settled if the run ends before the
+/// phase that waits for them: on an error, or an unwind.
+struct Held<'a> {
+    comm: &'a Comm,
+    at: &'a Meet,
+    /// The last phase that met held its offers.
+    on: bool,
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        if self.on {
+            // SAFETY: a phase with no rounds copies nothing; it waits for
+            // (or, unwinding, takes back and waits out) the held offers,
+            // published with this record, whose buffers the run still
+            // borrows.
+            let _ = unsafe {
+                self.comm.rendezvous(
+                    self.at,
+                    std::iter::empty(),
+                    &[],
+                    false,
+                    false,
+                    |_, _: &Meet, _: &Meet| {},
+                )
+            };
+        }
+    }
+}
+
 /// What a rank publishes in a rendezvous: its buffers, and the identity
 /// of the fused phases it copies with. It lives in the rank's
 /// [`ExecScratch`] on a 128-byte line pair of its own, so the peers that
@@ -591,6 +698,7 @@ impl Default for Meet {
                 send: (std::ptr::null(), 0),
                 recv: none,
                 temp: none,
+                stage: none,
             },
             ident: 0,
         }
@@ -599,15 +707,20 @@ impl Default for Meet {
 
 /// Reusable per-handle executor state: the temp buffer, the copy staging
 /// buffer, the [`ExchangeBatch`] of the phase exchange, the buffer
-/// snapshot of the in-place programs that need one, and the record a
-/// rendezvous publishes. Holding one of these across executes is what
-/// makes the steady state allocation-free.
+/// snapshot of the in-place programs that need one, the stages of the
+/// phases that pull, and the record a rendezvous publishes. Holding one
+/// of these across executes is what makes the steady state
+/// allocation-free.
 #[derive(Default)]
 pub struct ExecScratch {
     temp: Vec<u8>,
     stage: Vec<u8>,
     batch: ExchangeBatch,
     snapshot: Vec<u8>,
+    /// Written only by a pulling phase's stage copy and read only by its
+    /// peers' folds, through raw bases, so never borrowed while a run
+    /// lasts.
+    stages: Vec<u8>,
     meet: Meet,
 }
 
@@ -620,6 +733,7 @@ impl ExecScratch {
             stage: Vec::with_capacity(cp.max_copy_bytes),
             batch: ExchangeBatch::with_capacity(rounds.max().unwrap_or(0)),
             snapshot: Vec::new(),
+            stages: vec![0u8; cp.stage_len],
             meet: Meet::default(),
         }
     }

@@ -8,6 +8,7 @@ pub(crate) fn buf_tag(buf: BufId) -> u64 {
         BufId::Send => 1,
         BufId::Recv => 2,
         BufId::Temp => 3,
+        BufId::Stage => 4,
     }
 }
 
@@ -44,9 +45,11 @@ pub(super) fn fused_ident(phases: &[CompiledPhase]) -> u64 {
     let mut h = Fnv::new();
     for phase in phases {
         h.u64(0xFACE);
-        for f in phase.fused.iter().flat_map(|f| &f.rounds).flatten() {
+        let Some(fused) = &phase.fused else { continue };
+        h.words([fused.pulls as usize, fused.stable as usize]);
+        for f in fused.stage.iter().chain(fused.rounds.iter().flatten()) {
             let r = &f.run;
-            h.u64(buf_tag(f.src) << 8 | buf_tag(f.dst));
+            h.u64(buf_tag(f.src) << 8 | buf_tag(f.dst) | (f.acc as u64) << 16);
             h.words([r.src, r.src_stride, r.dst, r.dst_stride, r.len, r.count]);
         }
     }

@@ -68,6 +68,11 @@ pub(super) struct Apart {
     /// Every round has both halves, of one wire length, and no receive
     /// folds: each round's gather composes with its scatter.
     pub(super) assigns: bool,
+    /// Every round has both halves, of one wire length, no receive writes
+    /// `Send`, and some receive folds: each receiver may run its rounds
+    /// itself, one after another in slot order, out of what its sources
+    /// sent — staged first where a receive writes what a send reads.
+    pub(super) pulls: bool,
 }
 
 impl Apart {
@@ -145,15 +150,17 @@ impl Walk {
     fn rounds(&mut self, rounds: &[CompiledRound]) -> Apart {
         // The phase's send reads and receive writes, per buffer.
         let [mut reads, mut writes]: [[Ranges; 3]; 2] = Default::default();
+        let (mut paired, mut folds) = (true, false);
         let mut apart = Apart {
             split: true,
             in_place: true,
             writes: true,
             assigns: true,
+            pulls: false,
         };
         for r in rounds {
             let wires = r.send.as_ref().zip(r.recv.as_ref());
-            apart.assigns &= wires.is_some_and(|(out, inc)| out.wire_len == inc.wire_len);
+            paired &= wires.is_some_and(|(out, inc)| out.wire_len == inc.wire_len);
             for (b, span) in r.send.iter().flat_map(Half::spans) {
                 if b.buf == BufId::Send {
                     self.send_read(span);
@@ -162,7 +169,8 @@ impl Walk {
             }
         }
         for (b, span) in rounds.iter().flat_map(|r| &r.recv).flat_map(Half::spans) {
-            apart.assigns &= !b.acc && b.buf != BufId::Send;
+            paired &= b.buf != BufId::Send;
+            folds |= b.acc;
             if b.buf == BufId::Recv {
                 apart.in_place &= !reads[BufId::Send as usize].overlaps(span.0, span.1);
                 self.received.extend(once(span));
@@ -174,6 +182,7 @@ impl Walk {
         }
         apart.writes = writes.iter_mut().all(Ranges::disjoint);
         apart.in_place &= apart.split;
+        (apart.assigns, apart.pulls) = (paired && !folds, paired && folds);
         apart
     }
 }
@@ -355,15 +364,18 @@ mod tests {
                 let later = &writes[i + 1..];
                 later.iter().all(|&(c, _, v)| b != c || !meet(w, v))
             });
-            let assigns = phase.rounds.iter().all(|r| match (&r.send, &r.recv) {
+            let paired = phase.rounds.iter().all(|r| match (&r.send, &r.recv) {
                 (Some(out), Some(inc)) => out.wire_len == inc.wire_len,
                 _ => false,
-            }) && writes.iter().all(|&(b, acc, _)| !acc && b != BufId::Send);
+            }) && writes.iter().all(|&(b, _, _)| b != BufId::Send);
+            let folds = writes.iter().any(|&(_, acc, _)| acc);
+            let assigns = paired && !folds;
             let apart = Apart {
                 split,
                 in_place: split && !hit(BufId::Send, BufId::Recv),
                 writes: writes_apart,
                 assigns,
+                pulls: paired && folds,
             };
             meet_snapshot |= torus && split && assigns && apart.writes && !apart.in_place;
             phases.push(apart);
@@ -390,8 +402,9 @@ mod tests {
             state ^= state << 17;
             (state % n.max(1) as u64) as usize
         };
-        // How often each bit came out false, and the snapshots true.
-        let mut seen = [0usize; 8];
+        // How often each bit came out false, `pulls` and the snapshots
+        // true.
+        let mut seen = [0usize; 9];
         for case in 0..4000 {
             let d = 1 + below(2);
             let dims: Vec<usize> = (0..d).map(|_| 1 + below(4)).collect();
@@ -457,6 +470,7 @@ mod tests {
                 phases.iter().any(|a| a.split && !a.in_place),
                 phases.iter().any(|a| !a.writes),
                 phases.iter().any(|a| !a.assigns),
+                phases.iter().any(|a| a.pulls),
                 snapshot,
                 meet_snapshot,
             ]

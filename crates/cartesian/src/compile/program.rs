@@ -26,6 +26,10 @@ pub(crate) enum BufId {
     Recv,
     /// The executor-owned temporary buffer.
     Temp,
+    /// The executor-owned stages of the phases that pull: only a fused
+    /// phase's stage copy writes them, and only its rounds read them
+    /// (`FusedPhase::stage`).
+    Stage,
 }
 
 /// A stretch of consecutive instructions of one kind addressing one
@@ -270,6 +274,17 @@ pub(crate) struct CompiledPhase {
     pub(crate) fused: Option<FusedPhase>,
 }
 
+impl CompiledPhase {
+    /// Its fused form, where the phase has rounds and they meet on a
+    /// fabric that can `rendezvous` (see [`execute`](super::execute)).
+    pub(super) fn met(&self, rendezvous: bool) -> Option<&FusedPhase> {
+        let rounds = !self.rounds.is_empty();
+        self.fused
+            .as_ref()
+            .filter(|f| rendezvous && rounds && f.meets)
+    }
+}
+
 /// A schedule compiled over concrete layouts: tags, wire sizes, span
 /// programs, copies and temp layout all resolved ahead of execution — the
 /// object the plan store shares, one for every rank of a boundary class.
@@ -303,6 +318,9 @@ pub struct Program {
     /// A hash of every fused round: two ranks whose fused phases are
     /// these copy alike.
     pub(super) fused_ident: u64,
+    /// Stage bytes an executor must provide: every pulling phase's stage,
+    /// back to back.
+    pub(super) stage_len: usize,
 }
 
 /// One rank's view of a [`Program`]: the shared program and the rank's peer
@@ -331,7 +349,7 @@ impl std::ops::Deref for CompiledPlan {
 impl Program {
     /// Compile `plan` over `lay`. `lay` must carry temp-slot sizing (see
     /// `ops::size_temp`); `tag_base` is the tag of round 0. `topo` and
-    /// `rank` matter only through `rank`'s [`boundary_class`]: where a
+    /// `rank` matter only through `rank`'s `boundary_class`: where a
     /// round's offset crosses a non-periodic dimension the plan compiles
     /// to the copies, halves and blocks that are live in that class (see
     /// `Boundary`). On a torus the program is every rank's. Layout errors
@@ -360,6 +378,7 @@ impl Program {
             in_place_snapshot: false,
             meet_snapshot: false,
             fused_ident: 0,
+            stage_len: 0,
         };
         let mut round_idx = 0usize;
         // First-touch write tracking for the reduction kinds: the first
@@ -429,7 +448,8 @@ impl Program {
         let torus = class.is_empty();
         (cp.in_place_snapshot, cp.meet_snapshot) = hazard::walk(&mut cp.phases, torus);
         for phase in cp.phases.iter_mut() {
-            phase.fused = (torus && phase.apart.fuses()).then(|| fuse_phase(phase));
+            let fuses = phase.apart.fuses() || phase.apart.pulls;
+            phase.fused = (torus && fuses).then(|| fuse_phase(phase, &mut cp.stage_len));
         }
         cp.fused_ident = fused_ident(&cp.phases);
         Ok(cp)
@@ -480,8 +500,8 @@ impl Program {
             });
         }
         self.max_copy_bytes = self.max_copy_bytes.max(src_total);
-        let reads = src.iter().map(|&span| (src_buf, span));
-        let fused = compose(reads, dst.iter().map(|&span| (dst_buf, span)));
+        let reads = src.iter().map(|&span| (src_buf, false, span));
+        let fused = compose(reads, dst.iter().map(|&span| (dst_buf, false, span)));
         let runs: Vec<CopyRun> = fused.into_iter().map(|f| f.run).collect();
         for r in &runs {
             // A run's last range ends furthest out.
@@ -508,6 +528,7 @@ impl Program {
             BufId::Send => self.send_min_len = self.send_min_len.max(off + len),
             BufId::Recv => self.recv_min_len = self.recv_min_len.max(off + len),
             BufId::Temp => debug_assert!(off + len <= self.temp_len, "temp span in bounds"),
+            BufId::Stage => unreachable!("only fused rounds address a stage"),
         }
     }
 
@@ -554,8 +575,7 @@ impl Program {
 
     /// The wire sizes of every phase, or of every phase that does not meet.
     fn capacities(&self, rendezvous: bool) -> Vec<usize> {
-        let meets = |p: &&CompiledPhase| rendezvous && p.fused.as_ref().is_some_and(|f| f.meets);
-        let phases = self.phases.iter().filter(|p| !meets(p));
+        let phases = self.phases.iter().filter(|p| p.met(rendezvous).is_none());
         let rounds = phases.flat_map(|p| &p.rounds);
         rounds
             .filter_map(|r| Some(r.send.as_ref()?.wire_len))

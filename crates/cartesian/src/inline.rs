@@ -265,12 +265,13 @@ impl Ranks<'_> {
                 send: (send.add(rank * ss), ss),
                 recv: (recv.add(rank * rs), rs),
                 temp: (temp.add(rank * ts), ts),
+                stage: (std::ptr::null_mut(), 0),
             }
         };
         // SAFETY: each base is its rank's stride of a buffer, strides of
         // different ranks or buffers are disjoint, and on one rank the
         // caller vouches for the rest.
-        unsafe { copy_runs(prog.iter().copied(), bases(from), bases(to)) }
+        unsafe { copy_runs(prog.iter().copied(), bases(from), bases(to), None) }
     }
 }
 
@@ -348,7 +349,9 @@ pub(crate) fn execute_inline(
     let mut round_base = 0usize;
     for k in 0..first.phases.len() {
         let nr = first.phases[k].rounds.len();
-        let fused = first.phases[k].fused.as_ref().filter(|_| shared);
+        // A phase that pulls folds through the slab, in slot order.
+        let fused = first.phases[k].fused.as_ref();
+        let fused = fused.filter(|f| shared && !f.pulls);
         slab.clear();
         offs.clear();
         for (rank, cp) in plans.iter().enumerate() {
@@ -754,7 +757,12 @@ mod tests {
                     len,
                     count,
                 };
-                prog.push(FusedRun { src, dst, run });
+                prog.push(FusedRun {
+                    src,
+                    dst,
+                    run,
+                    acc: false,
+                });
             }
             // What the program must do, range by range.
             let mut want = mem.clone();
@@ -784,6 +792,7 @@ mod tests {
                     src: BufId::Temp,
                     dst: BufId::Recv,
                     run,
+                    acc: false,
                 });
             }
             let ran = {

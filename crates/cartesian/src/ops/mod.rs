@@ -53,7 +53,7 @@ pub enum Algo {
     /// Whichever of the two is cheaper under the linear cost model for the
     /// blocks at hand: both are plans, and each is priced as
     /// `Σ_rounds (α/β + bytes_r)` over its own [`Plan::round_bytes`] (see
-    /// [`resolve`] for ties). For `t` equal blocks of `m` bytes
+    /// `resolve` for ties). For `t` equal blocks of `m` bytes
     /// that is the paper's cut-off `m < (α/β)·(t−C)/(V−t)` (§3.1); for
     /// unequal blocks — a halo's faces, edges and corners — it is what the
     /// cut-off approximates, byte for byte.

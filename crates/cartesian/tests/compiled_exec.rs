@@ -87,6 +87,67 @@ fn rendezvous_steady_state_takes_no_wire_and_counts_like_a_deposit() {
     }
 }
 
+/// The reductions' steady state on the in-process torus, where every
+/// phase folds and so pulls (`Comm::rendezvous`): no pool take at all,
+/// and every other counter reads as it does where the rounds deposit.
+#[test]
+fn persistent_reductions_meet_take_no_wire_and_count_like_a_deposit() {
+    let met = reduction_steady_state(TransportKind::InProcess);
+    let deposited = reduction_steady_state(TransportKind::SharedMem);
+    for (rank, (m, d)) in met.into_iter().zip(deposited).enumerate() {
+        assert_eq!(m.pool_hits + m.pool_misses, 0, "rank {rank}");
+        let common = |x: &MetricsSnapshot| MetricsSnapshot {
+            pool_hits: 0,
+            pool_misses: 0,
+            recv_parks: 0,
+            ..*x
+        };
+        assert_eq!(common(&m), common(&d), "rank {rank}");
+        assert_eq!(m.rounds_completed, STEADY_ITERS * 8, "rank {rank}");
+    }
+}
+
+/// Per rank: the metrics of `STEADY_ITERS` warm executes of a persistent
+/// combining reduce-scatter and allreduce on a 4×4 Moore torus over
+/// `kind`, the allreduce's sums checked after the last.
+fn reduction_steady_state(kind: TransportKind) -> Vec<MetricsSnapshot> {
+    use cartcomm_types::RedOp;
+    let nb = RelNeighborhood::moore(2, 1).unwrap();
+    let (t, m) = (nb.len(), 8usize);
+    Universe::builder(16).on(kind).run(|comm| {
+        let cart = CartComm::create(comm, &[4, 4], &[true; 2], nb.clone()).unwrap();
+        let mut rs = cart
+            .reduce_scatter_init::<i32>(RedOp::Sum, m, Algo::Combining)
+            .unwrap();
+        let mut ar = cart
+            .allreduce_init::<i32>(RedOp::Sum, m, Algo::Combining)
+            .unwrap();
+        let rank = cart.rank();
+        let rs_send: Vec<i32> = (0..t * m).map(|x| (rank * 100 + x) as i32).collect();
+        let ar_send: Vec<i32> = (0..m).map(|e| (rank * 10 + e) as i32).collect();
+        let (mut rs_recv, mut ar_recv) = (vec![0i32; m], vec![0i32; m]);
+        let mut run = || {
+            rs.execute_typed(&cart, &rs_send, &mut rs_recv).unwrap();
+            ar.execute_typed(&cart, &ar_send, &mut ar_recv).unwrap();
+        };
+        run();
+        let warm = cart.comm().obs().snapshot();
+        for _ in 0..STEADY_ITERS {
+            run();
+        }
+        for (e, got) in ar_recv.iter().enumerate() {
+            let mut want = (rank * 10 + e) as i32;
+            for off in nb.offsets() {
+                let neg: Vec<i64> = off.iter().map(|&c| -c).collect();
+                let src = cart.relative_shift(&neg).unwrap().0.unwrap();
+                want += (src * 10 + e) as i32;
+            }
+            assert_eq!(*got, want, "rank {rank} elem {e}");
+        }
+        cart.comm().obs().metrics().delta_since(&warm).0
+    })
+}
+
 const STEADY_ITERS: u64 = 50;
 
 /// Per rank: the metrics of `STEADY_ITERS` warm executes of a persistent
@@ -136,7 +197,9 @@ fn steady_state(kind: TransportKind, torus: bool) -> Vec<(MetricsSnapshot, u64, 
 /// The same acceptance property for the persistent reductions: after one
 /// warm-up execute, repeated `reduce_scatter_init`/`allreduce_init`
 /// executes take every wire from the pool — zero misses, zero drops —
-/// so the steady-state accumulate path allocates nothing.
+/// so the steady-state accumulate path allocates nothing. Run on a mesh,
+/// where every round deposits a wire; on the torus these rounds meet and
+/// take none (`persistent_reductions_meet_take_no_wire_and_count_like_a_deposit`).
 #[test]
 fn persistent_reductions_steady_state_is_allocation_free() {
     use cartcomm_types::RedOp;
@@ -146,7 +209,7 @@ fn persistent_reductions_steady_state_is_allocation_free() {
     let t = nb.len();
     let m = 8usize;
     let stats = Universe::builder(16).run(|comm| {
-        let cart = CartComm::create(comm, &dims, &[true, true], nb.clone()).unwrap();
+        let cart = CartComm::create(comm, &dims, &[false, false], nb.clone()).unwrap();
         let mut rs = cart
             .reduce_scatter_init::<i32>(RedOp::Sum, m, Algo::Combining)
             .unwrap();
@@ -154,6 +217,7 @@ fn persistent_reductions_steady_state_is_allocation_free() {
             .allreduce_init::<i32>(RedOp::Sum, m, Algo::Combining)
             .unwrap();
         let rounds = rs.compiled().rounds() as u64 + ar.compiled().rounds() as u64;
+        let sends = rs.compiled().wire_capacities().len() + ar.compiled().wire_capacities().len();
         let rank = cart.rank();
         let rs_send: Vec<i32> = (0..t * m).map(|x| (rank * 100 + x) as i32).collect();
         let ar_send: Vec<i32> = (0..m).map(|e| (rank * 10 + e) as i32).collect();
@@ -183,9 +247,9 @@ fn persistent_reductions_steady_state_is_allocation_free() {
         }
         let d = cart.comm().obs().metrics().delta_since(&warm);
         let dropped = cart.comm().pool_telemetry().dropped - warm_dropped;
-        (d.pool_hits, d.pool_misses, dropped, rounds)
+        (d.pool_hits, d.pool_misses, dropped, (rounds, sends as u64))
     });
-    for (rank, (hits, misses, dropped, rounds)) in stats.into_iter().enumerate() {
+    for (rank, (hits, misses, dropped, (rounds, sends))) in stats.into_iter().enumerate() {
         assert_eq!(rounds, 8, "two moore(2,1) reduce plans, C = 4 each");
         assert_eq!(
             misses, 0,
@@ -195,10 +259,11 @@ fn persistent_reductions_steady_state_is_allocation_free() {
             dropped, 0,
             "rank {rank}: every recycled wire must be retained"
         );
+        // On the torus a message per round; at the mesh boundary fewer.
         assert_eq!(
             hits,
-            ITERS * rounds,
-            "rank {rank}: exactly one pool take per round per execute"
+            ITERS * sends,
+            "rank {rank}: exactly one pool take per message per execute"
         );
     }
 }

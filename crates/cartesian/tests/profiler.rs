@@ -46,7 +46,6 @@ fn stamp(
                 to,
                 from,
                 wire_bytes,
-                attempt: 0,
             },
         ));
         traces[to].push(at(
@@ -58,7 +57,6 @@ fn stamp(
                 to,
                 from,
                 wire_bytes,
-                attempt: 0,
             },
         ));
         *now = now.max(end);

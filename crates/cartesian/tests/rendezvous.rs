@@ -5,9 +5,11 @@
 //! torus, an extent-1 torus (a round's source is its receiver) and an
 //! asymmetric neighborhood (a sender waits on a rank that is not its
 //! source). A phase whose receives write one byte twice deposits instead
-//! of meeting. And a rank that panics while its peers wait in a
-//! rendezvous ends its universe instead of hanging it, and an execute
-//! that fails on a departed peer credits exactly what it counted.
+//! of meeting. Reductions meet too, their owners folding in slot order:
+//! f64 sums whose bytes depend on that order agree on all three carriers.
+//! And a rank that panics while its peers wait in a rendezvous ends its
+//! universe instead of hanging it, and an execute that fails on a
+//! departed peer credits exactly what it counted.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -273,6 +275,96 @@ fn met_deposited_and_inline_agree_on_an_asymmetric_neighborhood() {
         &[3, 4],
         vec![vec![1, 0], vec![0, 1], vec![1, 2], vec![-2, 1]],
     );
+}
+
+/// Per-rank f64 blocks whose sums depend on the order they fold in:
+/// values spread over sixty binades, so `(a + b) + c` and `(a + c) + b`
+/// differ in their last bits for most elements.
+fn fold_order_payload(p: usize, elems: usize) -> Vec<u8> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    (0..p * elems)
+        .flat_map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let mantissa = (state >> 11) as f64 / (1u64 << 53) as f64 + 0.5;
+            let binade = (state % 61) as i32 - 30;
+            let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+            (sign * mantissa * 2f64.powi(binade)).to_le_bytes()
+        })
+        .collect()
+}
+
+/// Both reductions of f64 sums, combining and trivial, met (in process,
+/// where the accumulator's owner folds straight out of its sources'
+/// buffers), deposited (shared memory) and inline: byte for byte the same
+/// result, the same counters but the pool's, and no wire where they meet.
+fn compare_reductions(dims: &[usize], nb: RelNeighborhood) {
+    use cartcomm_types::{Primitive, RedOp, Reducer};
+    let (t, p, m) = (nb.len(), dims.iter().product::<usize>(), 5usize);
+    let torus = vec![true; dims.len()];
+    for kind in [PlanKind::Allreduce, PlanKind::ReduceScatter] {
+        let sl = match kind {
+            PlanKind::Allreduce => m * 8,
+            _ => t * m * 8,
+        };
+        let sends = Arc::new(fold_order_payload(p, sl / 8));
+        for algo in [Algo::Combining, Algo::Trivial] {
+            let what = format!("{kind:?} {algo:?} on {dims:?}");
+            let threaded = |fabric: TransportKind| {
+                Universe::builder(p).on(fabric).run(|comm| {
+                    let cart = CartComm::create(comm, dims, &torus, nb.clone()).unwrap();
+                    let mut h = match kind {
+                        PlanKind::Allreduce => cart.allreduce_init::<f64>(RedOp::Sum, m, algo),
+                        _ => cart.reduce_scatter_init::<f64>(RedOp::Sum, m, algo),
+                    }
+                    .unwrap();
+                    let send = &sends[comm.rank() * sl..(comm.rank() + 1) * sl];
+                    let mut recv = vec![0xEEu8; m * 8];
+                    h.execute(&cart, send, &mut recv).unwrap();
+                    let before = comm.metrics();
+                    recv.fill(0xEE);
+                    h.execute(&cart, send, &mut recv).unwrap();
+                    (recv, comm.metrics().since(&before))
+                })
+            };
+            let met = threaded(TransportKind::InProcess);
+            let deposited = threaded(TransportKind::SharedMem);
+            let mut uni = InlineUniverse::new(dims, &torus, nb.clone()).unwrap();
+            let red = Some(Reducer::new(RedOp::Sum, Primitive::F64));
+            let lay = regular_layouts(t, m * 8, kind);
+            let mut inline = vec![0xEEu8; p * m * 8];
+            uni.run(kind, &lay, red, &sends, &mut inline, algo).unwrap();
+            for (rank, ((got, mc), (want, dc))) in met.iter().zip(&deposited).enumerate() {
+                assert_eq!(got, want, "{what}, rank {rank}: met vs deposited bytes");
+                let inline = &inline[rank * m * 8..(rank + 1) * m * 8];
+                assert_eq!(
+                    inline,
+                    &want[..],
+                    "{what}, rank {rank}: inline vs deposited"
+                );
+                assert_eq!(counts(mc), counts(dc), "{what}, rank {rank}: counters");
+                assert_eq!(mc.pool_hits + mc.pool_misses, 0, "{what}, rank {rank}");
+            }
+        }
+    }
+}
+
+#[test]
+fn met_folds_agree_with_deposited_and_inline_on_a_2x2x2_moore_torus() {
+    compare_reductions(&[2, 2, 2], RelNeighborhood::moore(3, 1).unwrap());
+}
+
+#[test]
+fn met_folds_agree_with_deposited_and_inline_on_a_3x3x3_moore_torus() {
+    compare_reductions(&[3, 3, 3], RelNeighborhood::moore(3, 1).unwrap());
+}
+
+/// On a 3×3 torus the two rounds of a phase come from two different
+/// ranks, which offer in either order; the owner folds them in slot order.
+#[test]
+fn met_folds_agree_with_deposited_and_inline_on_a_3x3_moore_torus() {
+    compare_reductions(&[3, 3], RelNeighborhood::moore(2, 1).unwrap());
 }
 
 /// A rank that panics between two executes, while its peers wait for it

@@ -33,11 +33,14 @@
 //! sender that finds the post copies the round straight into the posted
 //! buffers under this lock (`meet`), and one that arrives first links an
 //! *offer* — its own bases — which the owner takes when it posts and
-//! copies out itself. Posts and offers match like envelopes, on
-//! `(ctx, src, tag)`, earliest offer against earliest open slot. The one
-//! lock, the one waker and the one close serve both: a close revokes the
-//! offers not yet taken, telling each sender, and a rank leaving a phase
-//! unposts under this lock, which waits out a copy in progress.
+//! copies out itself. A phase posted to *pull* (its receives fold) is
+//! never copied into: every sender links an offer, waking the owner if
+//! it matches, and the owner takes and folds them itself, in slot order.
+//! Posts and offers match like envelopes, on `(ctx, src, tag)`, earliest
+//! offer against earliest open slot. The one lock, the one waker and the
+//! one close serve both: a close revokes the offers not yet taken,
+//! telling each sender, and a rank leaving a phase unposts under this
+//! lock, which waits out a copy in progress.
 //!
 //! A met round between two workers moves the cache lines it touches from
 //! one core to the other, so the state is laid out by who touches it:
@@ -91,6 +94,9 @@ pub(crate) struct Offer {
     pub(crate) dst: usize,
     /// The sender's round, handed back to the copy.
     pub(crate) round: usize,
+    /// The receiver's slot that took it (set on the receiver's copy when
+    /// a post takes it).
+    pub(crate) slot: usize,
     /// The sender's buffers.
     pub(crate) at: Addr,
     /// The sender's mailbox, told when the offer is settled. It outlives
@@ -119,6 +125,7 @@ impl Offer {
             src,
             dst,
             round,
+            slot: 0,
             at,
             from,
             next: ptr::null_mut(),
@@ -147,21 +154,24 @@ struct State {
     ctx: u32,
     /// Posted slots not yet delivered.
     open: u32,
-    /// The owner's own offers of this phase that their receivers have
-    /// settled: copied out, or revoked by a close.
+    /// The owner's own offers that their receivers have settled — copied
+    /// out, or revoked by a close — since its last wait for all of them.
     settled: u32,
     /// How many slots are posted.
     slots: u32,
     /// Bit `i` set: posted slot `i` is delivered, for the first 32; the
     /// rest are in `spill`.
     delivered: u32,
+    /// The posted phase pulls: its slots are never copied into.
+    pull: bool,
     closed: bool,
     // ----- not touched by a rendezvous round -----
     queue: VecDeque<Envelope>,
     /// The delivered bits of posted slots 32 and up, 32 to a word; the
     /// capacity is kept from phase to phase.
     spill: Vec<u32>,
-    /// The receiver of the first revoked offer of the owner's.
+    /// The receiver of the first revoked offer of the owner's since its
+    /// last wait for all of them.
     revoked: Option<usize>,
     /// The linked offers in arrival order while a post takes them; kept
     /// for its capacity.
@@ -185,6 +195,7 @@ impl Default for State {
             settled: 0,
             slots: 0,
             delivered: 0,
+            pull: false,
             closed: false,
             queue: VecDeque::new(),
             spill: Vec::new(),
@@ -249,7 +260,7 @@ impl State {
             match self.slot_for(offer.ctx, offer.src, offer.tag) {
                 Some(slot) => {
                     self.deliver(slot);
-                    taken.push(offer);
+                    taken.push(Offer { slot, ..offer });
                 }
                 None => {
                     // SAFETY: as above.
@@ -360,10 +371,11 @@ impl Mailbox {
     /// Post the owner's phase: publish `at` for the senders of `slots`,
     /// and take every offer already linked that an open slot takes — in
     /// arrival order, each into its earliest matching slot — unlinking it
-    /// and copying it onto `taken`. A taken offer's slot counts as
-    /// delivered: the owner copies it next. Once posted, no new offer can
-    /// match: its sender meets the post instead. A closed mailbox
-    /// refuses.
+    /// and copying it onto `taken`, the slot noted. A taken offer's slot
+    /// counts as delivered: the owner copies it next. Once posted, no new
+    /// offer can match unseen: its sender meets the post instead, or, if
+    /// the phase `pull`s, links the offer and wakes the owner, who takes
+    /// it with [`Mailbox::take`]. A closed mailbox refuses.
     ///
     /// # Safety
     ///
@@ -374,6 +386,7 @@ impl Mailbox {
         ctx: u32,
         at: Addr,
         slots: &[RecvSpec],
+        pull: bool,
         taken: &mut Vec<Offer>,
     ) -> Result<(), Closed> {
         let mut st = self.lock();
@@ -381,11 +394,8 @@ impl Mailbox {
             return Err(Closed);
         }
         let n = u32::try_from(slots.len()).expect("a phase posts fewer than 2^32 slots");
-        (st.ctx, st.at, st.specs) = (ctx, at, slots.as_ptr());
-        (st.slots, st.open, st.delivered, st.settled) = (n, n, 0, 0);
-        if st.revoked.is_some() {
-            st.revoked = None;
-        }
+        (st.ctx, st.at, st.specs, st.pull) = (ctx, at, slots.as_ptr(), pull);
+        (st.slots, st.open, st.delivered) = (n, n, 0);
         if let Some(more) = slots.len().checked_sub(32) {
             st.spill.clear();
             st.spill.resize(more.div_ceil(32), 0);
@@ -396,10 +406,33 @@ impl Mailbox {
         Ok(())
     }
 
+    /// Wait until offers linked since the post fill open slots of a
+    /// pulling phase, and take them onto `taken` as the post does; a
+    /// close ends the wait.
+    pub(crate) fn take(&self, taken: &mut Vec<Offer>) -> Result<(), Closed> {
+        fiber::wait(None, Some(&self.parks), |waker| {
+            let mut st = self.lock();
+            let before = taken.len();
+            if !st.offers.is_null() {
+                st.take_offers(taken);
+            }
+            if taken.len() > before {
+                return Some(Ok(()));
+            }
+            if st.closed {
+                return Some(Err(Closed));
+            }
+            waker.register(&mut st.waker);
+            None
+        })
+        .expect("a wait without a deadline ends with a value")
+    }
+
     /// Meet the owner for the round `offer` describes. If the owner has
-    /// posted an open slot for it, run `copy` into the posted buffers
-    /// under the lock, mark the slot delivered and return `Ok(true)`;
-    /// otherwise link the offer and return `Ok(false)`. A closed mailbox
+    /// posted an open slot for it and does not pull, run `copy` into the
+    /// posted buffers under the lock, mark the slot delivered and return
+    /// `Ok(true)`; otherwise link the offer — waking an owner that pulls
+    /// when a slot matches — and return `Ok(false)`. A closed mailbox
     /// refuses both.
     ///
     /// # Safety
@@ -418,10 +451,16 @@ impl Mailbox {
         // SAFETY: the caller's offer, valid for writes; nothing else
         // reaches it before it is linked.
         let (ctx, src, tag) = unsafe { ((*offer).ctx, (*offer).src, (*offer).tag) };
-        let Some(slot) = st.slot_for(ctx, src, tag) else {
+        let slot = st.slot_for(ctx, src, tag);
+        let Some(slot) = slot.filter(|_| !st.pull) else {
             // SAFETY: as above.
             unsafe { (*offer).next = st.offers };
             st.offers = offer;
+            let sleeper = slot.and_then(|_| st.notify());
+            drop(st);
+            if let Some(thread) = sleeper {
+                thread.unpark();
+            }
             return Ok(false);
         };
         // Under the lock: the owner cannot unpost while the copy runs.
@@ -441,7 +480,7 @@ impl Mailbox {
     pub(crate) fn settle(&self, revoked: Option<usize>) {
         let mut st = self.lock();
         st.settled += 1;
-        if st.revoked.is_none() && revoked.is_some() {
+        if revoked.is_some() && st.revoked.is_none() {
             st.revoked = revoked;
         }
         let sleeper = if st.open == 0 { st.notify() } else { None };
@@ -452,15 +491,26 @@ impl Mailbox {
     }
 
     /// The owner's wait in a posted phase: until every posted slot is
-    /// delivered and `left` offers of its own are settled — then it
-    /// unposts, under the same lock, and returns the receiver of a
-    /// revoked offer, if any — or until the close.
-    pub(crate) fn await_phase(&self, left: usize) -> Result<Option<usize>, Closed> {
+    /// delivered and, given `left`, that many offers of its own are
+    /// settled — then it unposts, under the same lock, and returns the
+    /// receiver of a revoked offer, if any, starting the settled count
+    /// afresh — or until the close. With `left` of `None` the owner's
+    /// offers stay outstanding: a later wait settles them.
+    pub(crate) fn await_phase(&self, left: Option<usize>) -> Result<Option<usize>, Closed> {
         fiber::wait(None, Some(&self.parks), |waker| {
             let mut st = self.lock();
-            if st.open == 0 && st.settled as usize == left {
+            if st.open == 0 && left.is_none_or(|n| st.settled as usize == n) {
                 st.at = Addr::NONE;
-                return Some(Ok(st.revoked));
+                if left.is_none() {
+                    return Some(Ok(None));
+                }
+                st.settled = 0;
+                // Written only when set: the field lies off the hot line.
+                let revoked = st.revoked;
+                if revoked.is_some() {
+                    st.revoked = None;
+                }
+                return Some(Ok(revoked));
             }
             if st.closed {
                 return Some(Err(Closed));
@@ -494,20 +544,27 @@ impl Mailbox {
     }
 
     /// Wait, closed or not, until `left` of the owner's offers are
-    /// settled: the copies already taken out of its buffers are done.
-    /// While the thread unwinds it spins instead of switching fibers — a
-    /// copy in flight runs to its end on another worker without waiting.
+    /// settled — the copies already taken out of its buffers are done —
+    /// and start the settled count afresh. While the thread unwinds it
+    /// spins instead of switching fibers — a copy in flight runs to its
+    /// end on another worker without waiting.
     pub(crate) fn drain(&self, left: usize) {
-        let settled = || self.lock().settled as usize >= left;
+        let settled = |st: &mut State| {
+            let done = st.settled as usize >= left;
+            if done {
+                (st.settled, st.revoked) = (0, None);
+            }
+            done
+        };
         if std::thread::panicking() {
-            while !settled() {
+            while !settled(&mut self.lock()) {
                 std::thread::yield_now();
             }
             return;
         }
         fiber::wait(None, None, |waker| {
             let mut st = self.lock();
-            if st.settled as usize >= left {
+            if settled(&mut st) {
                 return Some(());
             }
             waker.register(&mut st.waker);
@@ -522,6 +579,7 @@ impl Mailbox {
         let mut st = self.lock();
         st.at = Addr::NONE;
         st.open = 0;
+        st.pull = false;
     }
 
     /// How many times a pop has gone to sleep so far.
@@ -769,7 +827,8 @@ mod tests {
                 [$((stringify!($field), offset_of!(State, $field), size_of_val(&st.$field))),*]
             };
         }
-        let hot = hot!(waker, at, offers, specs, ctx, open, settled, slots, delivered, closed);
+        let hot =
+            hot!(waker, at, offers, specs, ctx, open, settled, slots, delivered, pull, closed);
         for (field, at, len) in hot {
             let end = state + at + len;
             assert!(end <= 64, "`{field}` ends at byte {end} of the mailbox");
@@ -787,7 +846,7 @@ mod tests {
         let at = Addr(&mine as *const u8 as *const ());
         let mut taken = Vec::new();
         // SAFETY: `specs` outlives the post, which `await_phase` ends.
-        unsafe { mb.post(3, at, &specs, &mut taken) }.unwrap();
+        unsafe { mb.post(3, at, &specs, false, &mut taken) }.unwrap();
         assert!(taken.is_empty());
         let mut hits = [false; SLOTS];
         for src in (0..SLOTS).rev() {
@@ -807,7 +866,7 @@ mod tests {
         // SAFETY: `late` outlives its link, withdrawn below.
         assert_eq!(unsafe { mb.meet(&mut late, |_| unreachable!()) }, Ok(false));
         assert_eq!(mb.withdraw(5, at), 1);
-        assert_eq!(mb.await_phase(0), Ok(None));
+        assert_eq!(mb.await_phase(Some(0)), Ok(None));
     }
 
     #[test]

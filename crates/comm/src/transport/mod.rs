@@ -4,7 +4,7 @@
 //! long-running collective service need ranks that do not share an
 //! address space, so envelope delivery sits behind a trait. Every
 //! backend ends in the same place — a push into the destination rank's
-//! [`Mailbox`](crate::mailbox::Mailbox), which the fabric owns — and
+//! [`Mailbox`], which the fabric owns — and
 //! differs in how the envelope gets there:
 //!
 //! * [`inproc::InProcTransport`] — the fast path: a deposit *is* the

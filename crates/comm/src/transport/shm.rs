@@ -25,7 +25,7 @@
 //! this process. In a universe that is the link's source rank alone, one
 //! fiber, so no two fibers of a worker contend for it and the writer may
 //! hold it across its full-ring waits. A ring that
-//! stays full past [`STALL_TIMEOUT`] — the consumer died — fails the
+//! stays full past `STALL_TIMEOUT` — the consumer died — fails the
 //! deposit with [`TransportError::Io`] instead of blocking forever.
 
 use std::fs::File;

@@ -51,11 +51,18 @@ fn phase(comm: &Comm, mine: &mut [u8], sends: &[usize], recvs: &[usize], tag: u3
     // copy; a rank's outgoing block (its first `len` bytes) is apart from
     // the blocks it receives into (block `1 + src` of `len` bytes each).
     unsafe {
-        comm.rendezvous(&at, sends, &specs, |src: usize, from: &Span, to: &Span| {
-            let dst = (1 + src) * len;
-            assert!(len <= from.len && dst + len <= to.len);
-            std::ptr::copy_nonoverlapping(from.at, to.at.add(dst), len);
-        })
+        comm.rendezvous(
+            &at,
+            sends,
+            &specs,
+            false,
+            false,
+            |src: usize, from: &Span, to: &Span| {
+                let dst = (1 + src) * len;
+                assert!(len <= from.len && dst + len <= to.len);
+                std::ptr::copy_nonoverlapping(from.at, to.at.add(dst), len);
+            },
+        )
     }
     .unwrap();
 }
@@ -121,6 +128,8 @@ fn an_offer_to_a_rank_that_leaves_is_revoked_not_waited_on() {
                     &at,
                     [(1, 9, 0)].into_iter(),
                     &[],
+                    false,
+                    false,
                     |_, _: &Span, _: &Span| unreachable!("rank 1 never posts"),
                 )
             };
@@ -205,7 +214,7 @@ fn a_receiver_that_panics_with_a_live_post_waits_out_the_copy_into_it() {
                 };
                 // SAFETY: as in `phase`: every rank passes its own span and
                 // this copy, and the blocks copied are apart.
-                let got = unsafe { comm.rendezvous(&span, sends, &specs, copy) };
+                let got = unsafe { comm.rendezvous(&span, sends, &specs, false, false, copy) };
                 // Everyone but rank 1 finishes its phase or learns of the
                 // close; none of that is reported.
                 let _ = got;
@@ -231,5 +240,120 @@ fn a_receiver_that_panics_with_a_live_post_waits_out_the_copy_into_it() {
     assert!(
         block.iter().all(|&b| b == 2),
         "the copy into the post was cut short"
+    );
+}
+
+/// Takes back, or waits for, a rank's held offers when it drops: what an
+/// executor's last phase does on an error or an unwind.
+struct SettleHeld<'a>(&'a Comm, &'a Span);
+
+impl Drop for SettleHeld<'_> {
+    fn drop(&mut self) {
+        // SAFETY: an empty phase copies nothing; the held offer's span
+        // outlives this guard.
+        let nothing = |_, _: &Span, _: &Span| {};
+        let _ = unsafe {
+            self.0
+                .rendezvous(self.1, std::iter::empty(), &[], false, false, nothing)
+        };
+    }
+}
+
+/// A rank that panics while a peer on the other worker folds out of its
+/// held offer — a sender that does not wait for its offers per phase —
+/// takes back what nobody took and waits out the fold in progress before
+/// its bytes go. The universe ends by the panic rule, and the receiver's
+/// accumulator holds the whole fold and not a byte outside its span.
+///
+/// Ranks 0 and 1 share worker 0, ranks 2 and 3 worker 1. Rank 0 offers
+/// its stage to rank 2 and holds the offer; rank 2, posted to pull, folds
+/// it slowly; once rank 2 is folding, rank 0 panics. Rank 0's stage is
+/// overwritten as its unwind drops it — after its held offer is settled.
+#[test]
+fn a_sender_that_panics_while_its_held_offer_is_folded_waits_the_fold_out() {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        eprintln!("skipped: needs two workers");
+        return;
+    }
+    const LEN: usize = 4096;
+    let mut bufs: Vec<Vec<u8>> = (0..4).map(|_| vec![POISON; 2 * GUARD + LEN]).collect();
+    let addrs: Vec<usize> = bufs.iter_mut().map(|b| b.as_mut_ptr() as usize).collect();
+    let folding = AtomicBool::new(false);
+    let out = watchdog(Duration::from_secs(60), move || {
+        let folding = &folding;
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            Universe::builder(4).run(|comm| {
+                let rank = comm.rank();
+                let span = Span {
+                    // SAFETY: inside rank `rank`'s buffer, which outlives
+                    // the universe; only this rank's rendezvous reaches it.
+                    at: unsafe { (addrs[rank] as *mut u8).add(GUARD) },
+                    len: LEN,
+                };
+                // The stage holds 7s, the accumulator 1s.
+                // SAFETY: the rank's own span.
+                unsafe { std::ptr::write_bytes(span.at, if rank == 0 { 7 } else { 1 }, LEN) };
+                let copy = |_, from: &Span, to: &Span| {
+                    folding.store(true, Ordering::Release);
+                    for i in 0..LEN {
+                        // SAFETY: inside both spans.
+                        unsafe { *to.at.add(i) = (*to.at.add(i)).wrapping_add(*from.at.add(i)) };
+                        if i % 256 == 0 {
+                            std::thread::sleep(Duration::from_micros(200));
+                        }
+                    }
+                };
+                match rank {
+                    0 => {
+                        /// The stage, overwritten when it drops.
+                        struct Stage<'a>(&'a Span);
+                        impl Drop for Stage<'_> {
+                            fn drop(&mut self) {
+                                // SAFETY: the rank's own span.
+                                unsafe { std::ptr::write_bytes(self.0.at, 0xFF, self.0.len) };
+                            }
+                        }
+                        let _stage = Stage(&span);
+                        let _held = SettleHeld(comm, &span);
+                        // SAFETY: as in `phase`; the offer's span stays
+                        // unwritten until `_held` has settled it.
+                        let sends = std::iter::once((2, 5, 0));
+                        unsafe { comm.rendezvous(&span, sends, &[], false, true, copy) }.unwrap();
+                        while !folding.load(Ordering::Acquire) {
+                            std::hint::spin_loop();
+                        }
+                        panic!("sender gives up with a held offer");
+                    }
+                    2 => {
+                        let specs = [RecvSpec::from_rank(0, 5)];
+                        let none = std::iter::empty();
+                        // SAFETY: as in `phase`: rank 2 alone folds into
+                        // its span.
+                        let got =
+                            unsafe { comm.rendezvous(&span, none, &specs, true, false, copy) };
+                        let _ = got;
+                    }
+                    _ => {}
+                }
+                let _ = comm.barrier();
+            })
+        }))
+    });
+    let payload = out.unwrap_err();
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"sender gives up with a held offer")
+    );
+    let rank2 = &bufs[2];
+    assert!(
+        rank2[..GUARD]
+            .iter()
+            .chain(&rank2[GUARD + LEN..])
+            .all(|&b| b == POISON),
+        "a fold wrote outside the posted span"
+    );
+    assert!(
+        rank2[GUARD..GUARD + LEN].iter().all(|&b| b == 8),
+        "the fold read a stage its sender had let go"
     );
 }

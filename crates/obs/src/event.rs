@@ -30,9 +30,6 @@ pub enum TraceEvent {
         from: usize,
         /// Packed wire-message size in bytes.
         wire_bytes: usize,
-        /// Delivery attempt of this round's wire message: always `0`, as
-        /// every link delivers once.
-        attempt: u32,
     },
     /// The matching round completed: the inbound message from `from` has
     /// been received and scattered.
@@ -47,9 +44,6 @@ pub enum TraceEvent {
         from: usize,
         /// Received wire-message size in bytes.
         wire_bytes: usize,
-        /// Delivery attempt that completed the round: always `0` (see
-        /// [`TraceEvent::RoundStart::attempt`]).
-        attempt: u32,
     },
     /// A wire message was packed (gathered) from `spans` source ranges
     /// totalling `bytes` bytes.

@@ -287,7 +287,6 @@ mod tests {
                 to,
                 from: usize::MAX,
                 wire_bytes: bytes,
-                attempt: 0,
             },
         }
     }
@@ -309,7 +308,6 @@ mod tests {
                 to: rank,
                 from,
                 wire_bytes: bytes,
-                attempt: 0,
             },
         }
     }

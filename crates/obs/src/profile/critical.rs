@@ -201,7 +201,6 @@ mod tests {
                     to: dst,
                     from: usize::MAX,
                     wire_bytes: bytes,
-                    attempt: 0,
                 },
             },
             TraceRecord {
@@ -213,7 +212,6 @@ mod tests {
                     to: dst,
                     from: src,
                     wire_bytes: bytes,
-                    attempt: 0,
                 },
             },
         ]

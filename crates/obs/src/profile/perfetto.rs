@@ -139,7 +139,6 @@ mod tests {
                         to: 1,
                         from: 1,
                         wire_bytes: 256,
-                        attempt: 0,
                     },
                 },
                 TraceRecord {
@@ -157,7 +156,6 @@ mod tests {
                     to: 1,
                     from: 0,
                     wire_bytes: 256,
-                    attempt: 0,
                 },
             }],
         ]

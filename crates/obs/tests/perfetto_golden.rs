@@ -22,21 +22,19 @@ fn golden_path() -> std::path::PathBuf {
 /// fixed-point microsecond rendering covers the sub-µs, exact-µs, and
 /// multi-µs cases.
 fn fixture() -> Vec<Vec<TraceRecord>> {
-    let start = |phase, round, to, wire_bytes, attempt| TraceEvent::RoundStart {
+    let start = |phase, round, to, wire_bytes| TraceEvent::RoundStart {
         phase,
         round,
         to,
         from: to,
         wire_bytes,
-        attempt,
     };
-    let end = |phase, round, from, wire_bytes, attempt| TraceEvent::RoundEnd {
+    let end = |phase, round, from, wire_bytes| TraceEvent::RoundEnd {
         phase,
         round,
         to: from,
         from,
         wire_bytes,
-        attempt,
     };
     vec![
         vec![
@@ -50,7 +48,7 @@ fn fixture() -> Vec<Vec<TraceRecord>> {
             TraceRecord {
                 t_ns: 500,
                 rank: 0,
-                event: start(0, 0, 1, 256, 0),
+                event: start(0, 0, 1, 256),
             },
             TraceRecord {
                 t_ns: 700,
@@ -60,7 +58,7 @@ fn fixture() -> Vec<Vec<TraceRecord>> {
             TraceRecord {
                 t_ns: 4_000,
                 rank: 0,
-                event: start(1, 0, 1, 64, 0),
+                event: start(1, 0, 1, 64),
             },
             TraceRecord {
                 t_ns: 6_100,
@@ -79,17 +77,17 @@ fn fixture() -> Vec<Vec<TraceRecord>> {
             TraceRecord {
                 t_ns: 2_500,
                 rank: 1,
-                event: end(0, 0, 0, 256, 0),
+                event: end(0, 0, 0, 256),
             },
             TraceRecord {
                 t_ns: 3_000,
                 rank: 1,
-                event: start(0, 1, 0, 128, 0),
+                event: start(0, 1, 0, 128),
             },
             TraceRecord {
                 t_ns: 8_000,
                 rank: 1,
-                event: end(1, 0, 0, 64, 0),
+                event: end(1, 0, 0, 64),
             },
         ],
     ]
@@ -108,7 +106,6 @@ fn fixture_complete() -> Vec<Vec<TraceRecord>> {
             to: 1,
             from: 1,
             wire_bytes: 128,
-            attempt: 0,
         },
     });
     recs

@@ -1,8 +1,8 @@
 //! A blocking cartserve client: one connection, one tenant, one
 //! outstanding request at a time.
 //!
-//! The client frames [`Request`](crate::proto::Request)s onto the socket
-//! and parses [`Reply`](crate::proto::Reply) frames back, matching the
+//! The client frames [`Request`]s onto the socket
+//! and parses [`Reply`] frames back, matching the
 //! echoed request id. [`Client::submit`] surfaces admission control
 //! directly — a full daemon comes back as [`Submission::Busy`] with
 //! the daemon's retry-after hint, and [`Client::submit_retrying`] wraps

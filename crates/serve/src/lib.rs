@@ -23,7 +23,7 @@
 //!   inline execution where a job was decoded, per-tenant accounting,
 //!   graceful drain.
 //! * [`client`] — a blocking client with `BUSY` backoff.
-//! * [`reference`] — the daemon-free ground-truth executor (trivial
+//! * [`reference`](mod@reference) — the daemon-free ground-truth executor (trivial
 //!   algorithm, isolated store) that byte-identity checks compare
 //!   against.
 

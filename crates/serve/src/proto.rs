@@ -727,7 +727,7 @@ impl Reply {
     }
 
     /// Write the frame [`Reply::encode_frame`] builds to `w` and flush,
-    /// without building it (see [`write_frame`]): a large `RESULT` payload
+    /// without building it (see `proto::write_frame`): a large `RESULT` payload
     /// is never copied.
     pub fn write_frame(&self, ctx: u32, w: &mut dyn Write) -> io::Result<()> {
         let (tag, body) = self.parts();

@@ -4,7 +4,7 @@
 //! ## Data flow
 //!
 //! One listener thread accepts connections (Unix-domain or TCP); each
-//! connection gets a thread that decodes [`Request`](crate::proto::Request)
+//! connection gets a thread that decodes [`Request`]
 //! frames and answers them, and nothing else runs: a daemon with `k` open
 //! connections is `k + 1` threads. Control requests (`HELLO`, `PING`,
 //! `METRICS`, `SHUTDOWN`) are answered inline, and so is `SUBMIT`: **a job
@@ -1663,7 +1663,6 @@ mod tests {
             to,
             from: to,
             wire_bytes,
-            attempt: 0,
         };
         let end = |from, wire_bytes| TraceEvent::RoundEnd {
             phase: 0,
@@ -1671,7 +1670,6 @@ mod tests {
             to: from,
             from,
             wire_bytes,
-            attempt: 0,
         };
         let paired = JobCapture {
             ranks: 2,
