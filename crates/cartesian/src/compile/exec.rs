@@ -23,10 +23,34 @@ pub(crate) struct Bases {
     pub(crate) stage: (*mut u8, usize),
 }
 
+impl Bases {
+    /// The base a run reads buffer `buf` at.
+    #[inline]
+    fn read(&self, buf: BufId) -> (*const u8, usize) {
+        match buf {
+            BufId::Send => self.send,
+            BufId::Recv => (self.recv.0.cast_const(), self.recv.1),
+            BufId::Temp => (self.temp.0.cast_const(), self.temp.1),
+            BufId::Stage => (self.stage.0.cast_const(), self.stage.1),
+        }
+    }
+
+    /// The base a run writes buffer `buf` at.
+    #[inline]
+    fn write(&self, buf: BufId) -> (*mut u8, usize) {
+        match buf {
+            BufId::Send => unreachable!("plans never write the send buffer"),
+            BufId::Recv => self.recv,
+            BufId::Temp => self.temp,
+            BufId::Stage => self.stage,
+        }
+    }
+}
+
 /// Run the copy program `prog` out of the buffers at `from` into those at
-/// `to`: the one executor of fused rounds, stage copies and direct local
-/// copies. A run that folds goes through `red`. Every run is
-/// bounds-checked on both sides before it moves a byte.
+/// `to`: the one executor of fused copying rounds, stage copies and
+/// direct local copies. Every run is bounds-checked on both sides by
+/// [`kernel::copy_run`] before it moves a byte.
 ///
 /// # Safety
 ///
@@ -34,28 +58,33 @@ pub(crate) struct Bases {
 /// `temp` and `stage` for writes, for the whole call; no range `prog`
 /// reads may overlap a range it writes, and no other thread writes a
 /// range it reads or touches a range it writes meanwhile.
-pub(crate) unsafe fn copy_runs(
+pub(crate) unsafe fn copy_runs(prog: impl IntoIterator<Item = FusedRun>, from: Bases, to: Bases) {
+    for f in prog {
+        let ((src, src_len), (dst, dst_len)) = (from.read(f.src), to.write(f.dst));
+        debug_assert!(!f.acc, "a fold runs through `fold_runs`");
+        // SAFETY: the caller vouches for the bases and for reads apart
+        // from writes; `copy_run` holds each side to its length.
+        unsafe { kernel::copy_run(src, src_len, dst, dst_len, &f.run) };
+    }
+}
+
+/// [`copy_runs`] for the rounds of a phase that pulls: a run that folds
+/// goes through `red`, the others are copied. Kept apart so the copying
+/// rounds, most of them tiny, pay no dispatch per run.
+///
+/// # Safety
+///
+/// As for [`copy_runs`].
+pub(crate) unsafe fn fold_runs(
     prog: impl IntoIterator<Item = FusedRun>,
     from: Bases,
     to: Bases,
-    red: Option<Reducer>,
+    red: Reducer,
 ) {
     for f in prog {
-        let (src, src_len) = match f.src {
-            BufId::Send => from.send,
-            BufId::Recv => (from.recv.0.cast_const(), from.recv.1),
-            BufId::Temp => (from.temp.0.cast_const(), from.temp.1),
-            BufId::Stage => (from.stage.0.cast_const(), from.stage.1),
-        };
-        let (dst, dst_len) = match f.dst {
-            BufId::Send => unreachable!("plans never write the send buffer"),
-            BufId::Recv => to.recv,
-            BufId::Temp => to.temp,
-            BufId::Stage => to.stage,
-        };
+        let ((src, src_len), (dst, dst_len)) = (from.read(f.src), to.write(f.dst));
         match f.acc {
-            // SAFETY: the caller vouches for the bases and for reads apart
-            // from writes; `copy_run` holds each side to its length.
+            // SAFETY: as in `copy_runs`.
             false => unsafe { kernel::copy_run(src, src_len, dst, dst_len, &f.run) },
             // SAFETY: as above.
             true => unsafe { fold_run((src, src_len), (dst, dst_len), &f.run, red) },
@@ -74,9 +103,8 @@ unsafe fn fold_run(
     (src, src_len): (*const u8, usize),
     (dst, dst_len): (*mut u8, usize),
     run: &CopyRun,
-    red: Option<Reducer>,
+    red: Reducer,
 ) {
-    let red = red.expect("a fused fold requires a reducer");
     let (reads, writes) = run.sides();
     for ((s, n), (d, _)) in reads.spans().zip(writes.spans()) {
         let inside = |at: usize, len: usize| at.checked_add(n).is_some_and(|end| end <= len);
@@ -184,7 +212,7 @@ impl Mem<'_> {
             // SAFETY: the bases are the slices `self` borrows — a split
             // send buffer apart from the other two — and in this mode the
             // copy reads no range it writes (the hazard walk).
-            unsafe { copy_runs(prog, at, at, None) };
+            unsafe { copy_runs(prog, at, at) };
             return;
         }
         stage.clear();
@@ -357,10 +385,9 @@ impl RankExec<'_> {
 
     /// Run a phase as a rendezvous (see [`execute`]): credit the sends as
     /// packed and sent, stage what the phase's sends read if it must,
-    /// meet the phase's peers with the fused rounds — holding the offers
-    /// past the phase with `hold` — then credit the receives as matched
-    /// and unpacked, in slot order. `at` is the record this rank
-    /// published for the run.
+    /// meet the phase's peers with the fused rounds, then credit the
+    /// receives as matched and unpacked, in slot order. `at` is the record
+    /// this rank published for the phase.
     #[allow(clippy::too_many_arguments)]
     fn meet(
         &mut self,
@@ -371,7 +398,6 @@ impl RankExec<'_> {
         peers: &[(usize, usize)],
         specs: &[RecvSpec],
         fused: &FusedPhase,
-        hold: bool,
         traced: bool,
     ) -> CartResult<()> {
         let rounds = phase.rounds.iter().zip(peers).enumerate();
@@ -383,37 +409,45 @@ impl RankExec<'_> {
         }
         // SAFETY: `at` holds this rank's buffers; the stage copy reads its
         // `Recv` and `Temp` and writes the phase's own stage, which no
-        // peer reads before this rank offers it below (the stages of
-        // earlier phases, which peers may be reading, lie elsewhere).
-        unsafe { copy_runs(fused.stage.iter().copied(), at.bases, at.bases, None) };
+        // peer reads before this rank offers it below, and none after
+        // this rank's rendezvous of the phase returns.
+        unsafe { copy_runs(fused.stage.iter().copied(), at.bases, at.bases) };
         let sends = rounds
             .clone()
             .filter_map(|(i, (r, &(to, _)))| r.send.as_ref().map(|_| (to, r.tag, i)));
-        let red = self.red;
+        let fold = fused.pulls.then(|| {
+            self.red
+                .expect("a phase that pulls folds through a reducer")
+        });
         let copy = |i: usize, from: &Meet, to: &Meet| {
             assert_eq!(
                 from.ident, to.ident,
                 "ranks met in a phase with different fused programs"
             );
+            let prog = fused.rounds[i].iter().copied();
             // SAFETY: `from` and `to` are the records two ranks of this
             // phase published (one rank's, where a round's source is its
             // receiver), valid until this copy ends (`Comm::rendezvous`).
             // Their programs are one (the identity above), and its phase
             // meets: no copy running at once writes a byte another reads
             // or writes (`FusedPhase::meets`; a phase that pulls has its
-            // receiver run its copies one at a time), and no rank's reads
-            // of its buffers are written while they may run — in this
-            // phase, or, for a held offer, until the run's last wait.
-            unsafe { copy_runs(fused.rounds[i].iter().copied(), from.bases, to.bases, red) };
+            // receiver run its copies one at a time, out of a stage where
+            // its sends read what it folds into), and no rank's reads of
+            // its buffers are written in this phase.
+            match fold {
+                Some(red) => unsafe { fold_runs(prog, from.bases, to.bases, red) },
+                // SAFETY: as above.
+                None => unsafe { copy_runs(prog, from.bases, to.bases) },
+            }
         };
         // SAFETY: every rank of the phase runs this function with its
         // `Meet`, this `copy` and the program's `pulls`; `at` describes this
         // rank's buffers, which `self.mem` does not touch until the
-        // rendezvous returns — nor, with `hold`, the `Send` bytes and
-        // stages the offers read until `execute`'s last wait; the copies
-        // are apart as argued at `copy`; `fused` is only used where
-        // `comm.can_rendezvous()`.
-        unsafe { comm.rendezvous(at, sends, specs, fused.pulls, hold, copy) }?;
+        // rendezvous returns — and it returns, on an error or an unwind
+        // too, only once no peer copies out of them or into them any
+        // more; the copies are apart as argued at `copy`; `fused` is only
+        // used where `comm.can_rendezvous()`.
+        unsafe { comm.rendezvous(at, sends, specs, fused.pulls, copy) }?;
         let mut slot = 0;
         for (i, (r, &pair)) in rounds {
             let Some(inc) = &r.recv else { continue };
@@ -557,26 +591,6 @@ pub fn execute(
     // of depositing. The decision reads only the program and the fabric,
     // so both ranks of every round take it alike.
     let rendezvous = comm.can_rendezvous();
-    let last_met = cp.phases.iter().rposition(|p| p.met(rendezvous).is_some());
-    // The rank publishes its buffers once per run, before its first
-    // meeting phase: from there until the rendezvous that ends its last
-    // held offer, peers reach them through these raw bases. A record that
-    // did not change is not written, so the peers' copies of its line
-    // stay valid.
-    if last_met.is_some() {
-        let at = Meet {
-            bases: ex.mem.bases((stages.as_mut_ptr(), stages.len())),
-            ident: cp.fused_ident,
-        };
-        if *published != at {
-            *published = at;
-        }
-    }
-    let mut held = Held {
-        comm,
-        at: published,
-        on: false,
-    };
     let (mut round_base, mut spec_base) = (0usize, 0usize);
     for (k, phase) in cp.phases.iter().enumerate() {
         ex.copies(phase);
@@ -592,22 +606,28 @@ pub fn execute(
         let traced = obs.enabled();
         let t0 = if traced { obs.now_ns() } else { 0 };
         if let Some(fused) = phase.met(rendezvous) {
-            // Stable offers outlive the phase, but for the last one to
-            // meet, whose wait settles every offer of the run. In place,
-            // `Send` is the receive buffer: not stable.
-            let hold = fused.stable && send.is_some() && Some(k) != last_met;
+            // From here until the rendezvous returns, this rank's buffers
+            // and stages are reached only through these raw bases: by its
+            // own copies and by its peers', on other workers. A record that
+            // did not change is not written, so the peers' copies of its
+            // line stay valid.
+            let at = Meet {
+                bases: ex.mem.bases((stages.as_mut_ptr(), stages.len())),
+                ident: cp.fused_ident,
+            };
+            if *published != at {
+                *published = at;
+            }
             ex.meet(
                 comm,
-                held.at,
+                published,
                 (k, round_base),
                 phase,
                 peers,
                 specs,
                 fused,
-                hold,
                 traced,
             )?;
-            held.on = hold;
         } else {
             for (i, (r, &pair)) in phase.rounds.iter().zip(peers).enumerate() {
                 if let Some(out) = &r.send {
@@ -637,36 +657,6 @@ pub fn execute(
         spec_base += phase.recvs;
     }
     Ok(())
-}
-
-/// The offers a run's phases held, settled if the run ends before the
-/// phase that waits for them: on an error, or an unwind.
-struct Held<'a> {
-    comm: &'a Comm,
-    at: &'a Meet,
-    /// The last phase that met held its offers.
-    on: bool,
-}
-
-impl Drop for Held<'_> {
-    fn drop(&mut self) {
-        if self.on {
-            // SAFETY: a phase with no rounds copies nothing; it waits for
-            // (or, unwinding, takes back and waits out) the held offers,
-            // published with this record, whose buffers the run still
-            // borrows.
-            let _ = unsafe {
-                self.comm.rendezvous(
-                    self.at,
-                    std::iter::empty(),
-                    &[],
-                    false,
-                    false,
-                    |_, _: &Meet, _: &Meet| {},
-                )
-            };
-        }
-    }
 }
 
 /// What a rank publishes in a rendezvous: its buffers, and the identity

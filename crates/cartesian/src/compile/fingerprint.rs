@@ -46,7 +46,7 @@ pub(super) fn fused_ident(phases: &[CompiledPhase]) -> u64 {
     for phase in phases {
         h.u64(0xFACE);
         let Some(fused) = &phase.fused else { continue };
-        h.words([fused.pulls as usize, fused.stable as usize]);
+        h.u64(fused.pulls as u64);
         for f in fused.stage.iter().chain(fused.rounds.iter().flatten()) {
             let r = &f.run;
             h.u64(buf_tag(f.src) << 8 | buf_tag(f.dst) | (f.acc as u64) << 16);

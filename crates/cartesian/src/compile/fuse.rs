@@ -35,10 +35,6 @@ pub(crate) struct FusedPhase {
     /// from `Recv` and `Temp` into the phase's stage, made before the
     /// phase's receives, which its rounds read instead. Empty otherwise.
     pub(crate) stage: Vec<FusedRun>,
-    /// Every send reads `Send` or the stage: bytes no later phase writes,
-    /// so a rank need not wait for its offers before it leaves the phase
-    /// (where `Send` is not the receive buffer).
-    pub(crate) stable: bool,
 }
 
 /// The fused form of a phase the hazard walk proves apart
@@ -101,7 +97,6 @@ pub(super) fn fuse_phase(phase: &CompiledPhase, stage_len: &mut usize) -> FusedP
             None => (buf, false, (off, len)),
         }
     };
-    let stable = sends().all(|(b, _, _)| b == BufId::Send) || !stage.is_empty();
     let rounds = phase.rounds.iter();
     let rounds = rounds.map(|r| compose(spans(&r.send).map(read), spans(&r.recv)));
     FusedPhase {
@@ -109,7 +104,6 @@ pub(super) fn fuse_phase(phase: &CompiledPhase, stage_len: &mut usize) -> FusedP
         meets: phase.apart.writes || pulls,
         pulls,
         stage,
-        stable,
     }
 }
 
@@ -219,13 +213,13 @@ mod tests {
             }
         }
         let allreduce = compile(&torus, 13, &allreduce_plan(&nb), 8);
-        let staged: Vec<(usize, bool)> = allreduce
+        let staged: Vec<usize> = allreduce
             .phases
             .iter()
             .filter_map(|p| p.fused.as_ref())
-            .map(|f| (f.stage.len(), f.stable))
+            .map(|f| f.stage.len())
             .collect();
-        assert_eq!(staged, [(0, true), (1, true), (1, true)]);
+        assert_eq!(staged, [0, 1, 1]);
         assert_eq!(allreduce.stage_len, 2 * 8);
         // A mesh program, even an interior rank's, keeps the slab.
         let mesh = CartTopology::mesh(&[3, 3, 3]).unwrap();

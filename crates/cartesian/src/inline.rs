@@ -271,7 +271,7 @@ impl Ranks<'_> {
         // SAFETY: each base is its rank's stride of a buffer, strides of
         // different ranks or buffers are disjoint, and on one rank the
         // caller vouches for the rest.
-        unsafe { copy_runs(prog.iter().copied(), bases(from), bases(to), None) }
+        unsafe { copy_runs(prog.iter().copied(), bases(from), bases(to)) }
     }
 }
 

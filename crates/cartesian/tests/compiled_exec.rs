@@ -89,13 +89,15 @@ fn rendezvous_steady_state_takes_no_wire_and_counts_like_a_deposit() {
 
 /// The reductions' steady state on the in-process torus, where every
 /// phase folds and so pulls (`Comm::rendezvous`): no pool take at all,
-/// and every other counter reads as it does where the rounds deposit.
+/// and every other counter reads as it does where the rounds deposit,
+/// one wire taken per round.
 #[test]
 fn persistent_reductions_meet_take_no_wire_and_count_like_a_deposit() {
     let met = reduction_steady_state(TransportKind::InProcess);
     let deposited = reduction_steady_state(TransportKind::SharedMem);
     for (rank, (m, d)) in met.into_iter().zip(deposited).enumerate() {
         assert_eq!(m.pool_hits + m.pool_misses, 0, "rank {rank}");
+        assert_eq!(d.pool_hits + d.pool_misses, STEADY_ITERS * 8, "rank {rank}");
         let common = |x: &MetricsSnapshot| MetricsSnapshot {
             pool_hits: 0,
             pool_misses: 0,

@@ -118,8 +118,9 @@ pub(crate) struct RankCore {
     next_ctx: AtomicU32,
     /// Per-rank collective sequence counter (see `collectives`).
     coll_seq: AtomicU32,
-    /// The rendezvous phases' offers (see [`Offers`]).
-    offers: Mutex<Offers>,
+    /// A rendezvous's offers, kept for their capacity: the ones it links
+    /// (one per send), and the ones it takes when it posts.
+    offers: Mutex<(Vec<Offer>, Vec<Offer>)>,
 }
 
 impl Drop for RankCore {
@@ -166,7 +167,7 @@ impl Comm {
                 pending: Mutex::new(VecDeque::new()),
                 next_ctx: AtomicU32::new(2), // 0 = user p2p, 1 = internal collectives
                 coll_seq: AtomicU32::new(0),
-                offers: Mutex::new(Offers::default()),
+                offers: Mutex::new((Vec::new(), Vec::new())),
             }),
         }
     }
@@ -485,26 +486,20 @@ impl Comm {
     /// senders only offer, and this rank copies every slot itself, in
     /// slot order, after its own offers are out — so the copies into its
     /// buffers run one at a time, in the order a deposit would unpack
-    /// them. With `hold` the wait skips this rank's offers: they read
-    /// bytes it does not write again until a later phase waits for them,
-    /// and the first phase without `hold` waits for every offer left
-    /// since the last such wait. A phase with no sends and no receives
-    /// does nothing else; entered while the thread unwinds, it takes back
-    /// what earlier phases left and waits out their copies.
+    /// them.
     ///
     /// Rounds match on (context, source, tag) like envelopes, earliest
     /// offer against earliest open slot. Every rank posts before it
     /// pushes and waits only on ranks of its own phase, so the rank in
     /// the lowest phase always completes. Credits `exchanges` and, for
-    /// the times the wait slept, `recv_parks`; the round counters are the
-    /// caller's.
+    /// the times a pull or the wait slept, `recv_parks`; the round
+    /// counters are the caller's.
     ///
     /// On an error — a closed mailbox on either side, which is how a
     /// panicking rank ends its universe — and while unwinding from a
     /// panicking `copy`, the phase still ends cleanly: this rank unposts,
-    /// takes back the offers nobody took, held ones included, and waits
-    /// out the copies already running out of its buffers before it
-    /// returns.
+    /// takes back the offers nobody took, and waits out the copies
+    /// already running out of its buffers before it returns.
     ///
     /// # Safety
     ///
@@ -514,73 +509,60 @@ impl Comm {
     /// whatever buffers it describes stay valid, this rank touches those
     /// buffers only through `copy`, and no `copy` running at once — this
     /// rank's or a peer's, into or out of them — reads a byte another
-    /// writes or writes a byte another writes. With `hold`, `at` and the
-    /// bytes its sends read stay valid, unwritten, beyond the call, until
-    /// a later rendezvous of this rank without `hold` returns (or
-    /// unwinds), and every rendezvous until then passes the same `at`.
-    /// Requires [`Comm::can_rendezvous`].
+    /// writes or writes a byte another writes. Requires
+    /// [`Comm::can_rendezvous`].
     pub unsafe fn rendezvous<B>(
         &self,
         at: &B,
         sends: impl Iterator<Item = (usize, Tag, usize)> + Clone,
         recvs: &[RecvSpec],
         pull: bool,
-        hold: bool,
         copy: impl Fn(usize, &B, &B),
     ) -> CommResult<()> {
         debug_assert!(self.can_rendezvous());
         for (dst, _, _) in sends.clone() {
             self.check_rank(dst)?;
         }
+        self.obs.metrics().exchange_started();
         let mailbox = &self.core.mailbox;
         let addr = Addr(at as *const B as *const ());
         // SAFETY (of every `theirs`): a peer's `Addr` is the `&B` it passed
         // to this function, valid while its post or offer lives — and the
         // peer leaves neither before the copy that reads it is done.
         let theirs = |a: Addr| unsafe { &*(a.0 as *const B) };
-        let mut phase = Phase {
-            comm: self,
-            at: addr,
-            offers: std::mem::take(&mut *self.core.offers.lock()),
-            done: false,
-        };
-        if std::thread::panicking() {
-            // `Phase::drop` ends what earlier phases left.
-            return Ok(());
-        }
-        self.obs.metrics().exchange_started();
-        let o = &mut phase.offers;
-        // One offer per send, in a list of the phase's own that stays in
-        // place until they are settled: a send that finds no post links
-        // its own into the receiver's list. The list was last used before
-        // the last wait for every offer, so nothing links into it.
-        if o.lists.len() == o.used {
-            o.lists.push(Vec::new());
-        }
-        let list = &mut o.lists[o.used];
-        o.used += 1;
-        list.clear();
-        list.extend(sends.map(|(dst, tag, round)| {
+        // One offer per send, in place until the phase has ended: a send
+        // that finds no post links its own into the receiver's list.
+        let (mut offers, taken) = std::mem::take(&mut *self.core.offers.lock());
+        offers.clear();
+        offers.extend(sends.map(|(dst, tag, round)| {
             let from = Arc::as_ptr(mailbox);
             Offer::new((self.ctx, self.rank, tag), (dst, round), addr, from)
         }));
+        let mut phase = Phase {
+            comm: self,
+            at: addr,
+            offers,
+            taken,
+            left: 0,
+            done: false,
+        };
         // 1. Post, and pull what the earlier senders offered.
         // SAFETY: `recvs` outlives the phase, which unposts before it ends
         // (its wait, or `Phase::drop`).
-        unsafe { mailbox.post(self.ctx, addr, recvs, pull, &mut o.taken) }?;
+        unsafe { mailbox.post(self.ctx, addr, recvs, pull, &mut phase.taken) }?;
         if !pull {
-            let pulls = Pulls(&mut o.taken);
+            let pulls = Pulls(&mut phase.taken);
             while let Some(offer) = pulls.0.pop() {
                 let _settle = Settle(offer.from);
                 copy(offer.round, theirs(offer.at), at);
             }
         }
         // 2. Push into the posts already there; offer where there is none.
-        let nodes = list.as_mut_ptr();
-        for i in 0..list.len() {
-            // SAFETY: the list neither grows nor drops before its offers
-            // are settled, so they stay in place while linked; only the
-            // receiver's lock reaches one once it is.
+        let nodes = phase.offers.as_mut_ptr();
+        for i in 0..phase.offers.len() {
+            // SAFETY: `phase.offers` neither grows nor drops before the
+            // phase has ended, so its offers stay in place while linked;
+            // only the receiver's lock reaches one once it is.
             let (node, dst, round) = unsafe {
                 let node = nodes.add(i);
                 (node, (*node).dst, (*node).round)
@@ -589,14 +571,18 @@ impl Comm {
             // SAFETY: as above.
             match unsafe { peer.meet(node, |to| copy(round, at, theirs(to))) } {
                 Ok(true) => {}
-                Ok(false) => o.linked += 1,
+                Ok(false) => phase.left += 1,
                 Err(_) => return Err(TransportError::Closed { peer: dst }.into()),
             }
         }
+        let parks = mailbox.parks();
         // A pulling phase copies every slot here, in slot order, taking
         // the offers as they come.
-        if pull {
-            let pulls = Pulls(&mut o.taken);
+        let mut pulled = || {
+            if !pull {
+                return Ok(());
+            }
+            let pulls = Pulls(&mut phase.taken);
             for slot in 0..recvs.len() {
                 let offer = loop {
                     match pulls.0.iter().position(|o| o.slot == slot) {
@@ -607,41 +593,22 @@ impl Comm {
                 let _settle = Settle(offer.from);
                 copy(offer.round, theirs(offer.at), at);
             }
-        }
-        // 3. Wait for the slots and, unless they are held, for this
-        // rank's offers.
-        let parks = mailbox.parks();
-        let done = mailbox.await_phase((!hold).then_some(o.linked));
+            Ok(())
+        };
+        // 3. Wait for the slots and for this rank's offers.
+        let done = pulled().and_then(|()| mailbox.await_phase(phase.left));
         let slept = mailbox.parks() - parks;
         if slept > 0 {
             self.obs.metrics().recv_parked(slept);
         }
-        // Done, it has unposted, and unless held every offer is settled.
+        // Done, it has unposted, and every offer is settled.
         let revoked = done?;
-        if !hold {
-            (o.used, o.linked) = (0, 0);
-        }
         phase.done = true;
         match revoked {
             None => Ok(()),
             Some(peer) => Err(TransportError::Closed { peer }.into()),
         }
     }
-}
-
-/// A rank's rendezvous offers, kept for their capacity.
-#[derive(Default)]
-struct Offers {
-    /// One list per phase since the last wait for every offer: a phase's
-    /// offers stay in place in its list until they are settled, which a
-    /// phase that holds them leaves to a later one.
-    lists: Vec<Vec<Offer>>,
-    /// The lists in use: those of the phases since that wait.
-    used: usize,
-    /// How many of their offers were linked (the rest met a post).
-    linked: usize,
-    /// The offers a post took, while the rank copies them out.
-    taken: Vec<Offer>,
 }
 
 /// Settles a taken offer however its copy ends.
@@ -667,45 +634,53 @@ impl Drop for Pulls<'_> {
 }
 
 /// A rendezvous phase in progress on one rank; dropping it before its
-/// wait completed — on an error or an unwind — ends it cleanly, and the
-/// phases before it that held their offers. It owns the offers, which
-/// stay in place until they are settled.
+/// wait completed — on an error or an unwind — ends it cleanly. It owns
+/// the phase's offers, which stay in place until it has ended.
 struct Phase<'a> {
     comm: &'a Comm,
     at: Addr,
-    offers: Offers,
-    /// The wait completed: it unposted, and every offer not held is
-    /// settled.
+    /// One offer per send of the phase.
+    offers: Vec<Offer>,
+    /// The offers its post took, while it copies them out.
+    taken: Vec<Offer>,
+    /// Offers this rank linked.
+    left: usize,
+    /// The wait completed: it unposted, and every offer is settled.
     done: bool,
 }
 
 impl Drop for Phase<'_> {
     fn drop(&mut self) {
-        let Phase { comm, at, done, .. } = *self;
-        let o = &mut self.offers;
+        let Phase {
+            comm,
+            at,
+            left,
+            done,
+            ..
+        } = *self;
         if !done {
             let mailbox = &comm.core.mailbox;
             // No sender reaches this rank's buffers from here on.
             mailbox.unpost();
-            if o.linked > 0 {
+            if left > 0 {
                 // Unlink what nobody took, then wait out the copies running
                 // out of this rank's buffers.
-                let dsts = o.lists[..o.used].iter().flat_map(|list| {
-                    let nodes = list.as_ptr();
-                    // SAFETY: the phases' own offers, in place; a receiver
+                let nodes = self.offers.as_ptr();
+                let withdrawn: usize = (0..self.offers.len())
+                    // SAFETY: the phase's own offers, in place; a receiver
                     // writes only their links.
-                    (0..list.len()).map(move |i| unsafe { (*nodes.add(i)).dst })
-                });
-                let withdrawn: usize = dsts
+                    .map(|i| unsafe { (*nodes.add(i)).dst })
                     .map(|dst| comm.fabric.mailbox(dst).withdraw(comm.rank, at))
                     .sum();
-                mailbox.drain(o.linked - withdrawn);
+                mailbox.drain(left - withdrawn);
             }
-            (o.used, o.linked) = (0, 0);
         }
-        // No list links an unsettled offer but held ones: kept for the
-        // capacity.
-        *comm.core.offers.lock() = std::mem::take(o);
+        // No list links them any more: kept for the capacity.
+        let offers = (
+            std::mem::take(&mut self.offers),
+            std::mem::take(&mut self.taken),
+        );
+        *comm.core.offers.lock() = offers;
     }
 }
 

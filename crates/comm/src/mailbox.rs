@@ -154,8 +154,8 @@ struct State {
     ctx: u32,
     /// Posted slots not yet delivered.
     open: u32,
-    /// The owner's own offers that their receivers have settled — copied
-    /// out, or revoked by a close — since its last wait for all of them.
+    /// The owner's own offers of this phase that their receivers have
+    /// settled: copied out, or revoked by a close.
     settled: u32,
     /// How many slots are posted.
     slots: u32,
@@ -170,8 +170,7 @@ struct State {
     /// The delivered bits of posted slots 32 and up, 32 to a word; the
     /// capacity is kept from phase to phase.
     spill: Vec<u32>,
-    /// The receiver of the first revoked offer of the owner's since its
-    /// last wait for all of them.
+    /// The receiver of the first revoked offer of the owner's.
     revoked: Option<usize>,
     /// The linked offers in arrival order while a post takes them; kept
     /// for its capacity.
@@ -395,7 +394,10 @@ impl Mailbox {
         }
         let n = u32::try_from(slots.len()).expect("a phase posts fewer than 2^32 slots");
         (st.ctx, st.at, st.specs, st.pull) = (ctx, at, slots.as_ptr(), pull);
-        (st.slots, st.open, st.delivered) = (n, n, 0);
+        (st.slots, st.open, st.delivered, st.settled) = (n, n, 0, 0);
+        if st.revoked.is_some() {
+            st.revoked = None;
+        }
         if let Some(more) = slots.len().checked_sub(32) {
             st.spill.clear();
             st.spill.resize(more.div_ceil(32), 0);
@@ -480,7 +482,7 @@ impl Mailbox {
     pub(crate) fn settle(&self, revoked: Option<usize>) {
         let mut st = self.lock();
         st.settled += 1;
-        if revoked.is_some() && st.revoked.is_none() {
+        if st.revoked.is_none() && revoked.is_some() {
             st.revoked = revoked;
         }
         let sleeper = if st.open == 0 { st.notify() } else { None };
@@ -491,26 +493,15 @@ impl Mailbox {
     }
 
     /// The owner's wait in a posted phase: until every posted slot is
-    /// delivered and, given `left`, that many offers of its own are
-    /// settled — then it unposts, under the same lock, and returns the
-    /// receiver of a revoked offer, if any, starting the settled count
-    /// afresh — or until the close. With `left` of `None` the owner's
-    /// offers stay outstanding: a later wait settles them.
-    pub(crate) fn await_phase(&self, left: Option<usize>) -> Result<Option<usize>, Closed> {
+    /// delivered and `left` offers of its own are settled — then it
+    /// unposts, under the same lock, and returns the receiver of a
+    /// revoked offer, if any — or until the close.
+    pub(crate) fn await_phase(&self, left: usize) -> Result<Option<usize>, Closed> {
         fiber::wait(None, Some(&self.parks), |waker| {
             let mut st = self.lock();
-            if st.open == 0 && left.is_none_or(|n| st.settled as usize == n) {
+            if st.open == 0 && st.settled as usize == left {
                 st.at = Addr::NONE;
-                if left.is_none() {
-                    return Some(Ok(None));
-                }
-                st.settled = 0;
-                // Written only when set: the field lies off the hot line.
-                let revoked = st.revoked;
-                if revoked.is_some() {
-                    st.revoked = None;
-                }
-                return Some(Ok(revoked));
+                return Some(Ok(st.revoked));
             }
             if st.closed {
                 return Some(Err(Closed));
@@ -544,27 +535,20 @@ impl Mailbox {
     }
 
     /// Wait, closed or not, until `left` of the owner's offers are
-    /// settled — the copies already taken out of its buffers are done —
-    /// and start the settled count afresh. While the thread unwinds it
-    /// spins instead of switching fibers — a copy in flight runs to its
-    /// end on another worker without waiting.
+    /// settled: the copies already taken out of its buffers are done.
+    /// While the thread unwinds it spins instead of switching fibers — a
+    /// copy in flight runs to its end on another worker without waiting.
     pub(crate) fn drain(&self, left: usize) {
-        let settled = |st: &mut State| {
-            let done = st.settled as usize >= left;
-            if done {
-                (st.settled, st.revoked) = (0, None);
-            }
-            done
-        };
+        let settled = || self.lock().settled as usize >= left;
         if std::thread::panicking() {
-            while !settled(&mut self.lock()) {
+            while !settled() {
                 std::thread::yield_now();
             }
             return;
         }
         fiber::wait(None, None, |waker| {
             let mut st = self.lock();
-            if settled(&mut st) {
+            if st.settled as usize >= left {
                 return Some(());
             }
             waker.register(&mut st.waker);
@@ -866,7 +850,7 @@ mod tests {
         // SAFETY: `late` outlives its link, withdrawn below.
         assert_eq!(unsafe { mb.meet(&mut late, |_| unreachable!()) }, Ok(false));
         assert_eq!(mb.withdraw(5, at), 1);
-        assert_eq!(mb.await_phase(Some(0)), Ok(None));
+        assert_eq!(mb.await_phase(0), Ok(None));
     }
 
     #[test]

@@ -217,7 +217,7 @@ proptest! {
                         // SAFETY: every rank posts its own buffer with
                         // this copy, which writes only the block of its
                         // round's sender.
-                        unsafe { comm.rendezvous(&at, std::iter::empty(), &specs, false, false, copy) }
+                        unsafe { comm.rendezvous(&at, std::iter::empty(), &specs, false, copy) }
                             .unwrap();
                         for s in 1..sc.p {
                             let got = &buf[(1 + s) * BLOCK..(2 + s) * BLOCK];
@@ -233,7 +233,7 @@ proptest! {
                         let round = std::iter::once((0, tag, rank));
                         // SAFETY: as above; a sender's round reads its own
                         // block only.
-                        unsafe { comm.rendezvous(&at, round, &[], false, false, copy) }.unwrap();
+                        unsafe { comm.rendezvous(&at, round, &[], false, copy) }.unwrap();
                     }
                 }
             });

@@ -1,6 +1,7 @@
 //! The rendezvous protocol (`Comm::rendezvous`) on its own: rounds that
 //! meet in either order, a receiver that panics while a sender copies into
-//! its posted buffers, and a receiver that leaves without posting.
+//! its posted buffers, a receiver that leaves without posting, and a
+//! sender that panics while its offer is folded.
 
 use std::hint::black_box;
 use std::panic::{self, AssertUnwindSafe};
@@ -55,7 +56,6 @@ fn phase(comm: &Comm, mine: &mut [u8], sends: &[usize], recvs: &[usize], tag: u3
             &at,
             sends,
             &specs,
-            false,
             false,
             |src: usize, from: &Span, to: &Span| {
                 let dst = (1 + src) * len;
@@ -128,7 +128,6 @@ fn an_offer_to_a_rank_that_leaves_is_revoked_not_waited_on() {
                     &at,
                     [(1, 9, 0)].into_iter(),
                     &[],
-                    false,
                     false,
                     |_, _: &Span, _: &Span| unreachable!("rank 1 never posts"),
                 )
@@ -214,7 +213,7 @@ fn a_receiver_that_panics_with_a_live_post_waits_out_the_copy_into_it() {
                 };
                 // SAFETY: as in `phase`: every rank passes its own span and
                 // this copy, and the blocks copied are apart.
-                let got = unsafe { comm.rendezvous(&span, sends, &specs, false, false, copy) };
+                let got = unsafe { comm.rendezvous(&span, sends, &specs, false, copy) };
                 // Everyone but rank 1 finishes its phase or learns of the
                 // close; none of that is reported.
                 let _ = got;
@@ -243,40 +242,27 @@ fn a_receiver_that_panics_with_a_live_post_waits_out_the_copy_into_it() {
     );
 }
 
-/// Takes back, or waits for, a rank's held offers when it drops: what an
-/// executor's last phase does on an error or an unwind.
-struct SettleHeld<'a>(&'a Comm, &'a Span);
-
-impl Drop for SettleHeld<'_> {
-    fn drop(&mut self) {
-        // SAFETY: an empty phase copies nothing; the held offer's span
-        // outlives this guard.
-        let nothing = |_, _: &Span, _: &Span| {};
-        let _ = unsafe {
-            self.0
-                .rendezvous(self.1, std::iter::empty(), &[], false, false, nothing)
-        };
-    }
-}
-
 /// A rank that panics while a peer on the other worker folds out of its
-/// held offer — a sender that does not wait for its offers per phase —
-/// takes back what nobody took and waits out the fold in progress before
-/// its bytes go. The universe ends by the panic rule, and the receiver's
-/// accumulator holds the whole fold and not a byte outside its span.
+/// offer takes back what nobody took and waits out the fold in progress
+/// before its bytes go. The universe ends by the panic rule, and the
+/// receiver's accumulator holds the whole fold and not a byte outside its
+/// span.
 ///
-/// Ranks 0 and 1 share worker 0, ranks 2 and 3 worker 1. Rank 0 offers
-/// its stage to rank 2 and holds the offer; rank 2, posted to pull, folds
-/// it slowly; once rank 2 is folding, rank 0 panics. Rank 0's stage is
-/// overwritten as its unwind drops it — after its held offer is settled.
+/// Ranks 0 and 1 share worker 0, ranks 2 and 3 worker 1, and the phase
+/// pulls. Each span is a stage (its first `LEN` bytes, what an offer
+/// reads) and an accumulator (the next `LEN`, what a fold writes). Rank 0
+/// offers its stage to rank 2 and pulls rank 1's offer; rank 2 folds rank
+/// 0's stage slowly. Inside its own fold, once rank 2 is folding, rank 0
+/// panics; its stage is overwritten as its unwind drops it — after its
+/// offer is settled.
 #[test]
-fn a_sender_that_panics_while_its_held_offer_is_folded_waits_the_fold_out() {
+fn a_sender_that_panics_while_its_offer_is_folded_waits_the_fold_out() {
     if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
         eprintln!("skipped: needs two workers");
         return;
     }
     const LEN: usize = 4096;
-    let mut bufs: Vec<Vec<u8>> = (0..4).map(|_| vec![POISON; 2 * GUARD + LEN]).collect();
+    let mut bufs: Vec<Vec<u8>> = (0..4).map(|_| vec![POISON; 2 * GUARD + 2 * LEN]).collect();
     let addrs: Vec<usize> = bufs.iter_mut().map(|b| b.as_mut_ptr() as usize).collect();
     let folding = AtomicBool::new(false);
     let out = watchdog(Duration::from_secs(60), move || {
@@ -288,53 +274,59 @@ fn a_sender_that_panics_while_its_held_offer_is_folded_waits_the_fold_out() {
                     // SAFETY: inside rank `rank`'s buffer, which outlives
                     // the universe; only this rank's rendezvous reaches it.
                     at: unsafe { (addrs[rank] as *mut u8).add(GUARD) },
-                    len: LEN,
+                    len: 2 * LEN,
                 };
-                // The stage holds 7s, the accumulator 1s.
+                // Rank 0's stage holds 7s, every accumulator 1s.
                 // SAFETY: the rank's own span.
-                unsafe { std::ptr::write_bytes(span.at, if rank == 0 { 7 } else { 1 }, LEN) };
+                unsafe {
+                    std::ptr::write_bytes(span.at, if rank == 0 { 7 } else { 1 }, LEN);
+                    std::ptr::write_bytes(span.at.add(LEN), 1, LEN);
+                }
                 let copy = |_, from: &Span, to: &Span| {
+                    if rank == 0 {
+                        // Rank 0 folding rank 1's offer: it gives up before
+                        // it writes a byte.
+                        while !folding.load(Ordering::Acquire) {
+                            std::hint::spin_loop();
+                        }
+                        panic!("sender gives up mid-fold");
+                    }
                     folding.store(true, Ordering::Release);
                     for i in 0..LEN {
-                        // SAFETY: inside both spans.
-                        unsafe { *to.at.add(i) = (*to.at.add(i)).wrapping_add(*from.at.add(i)) };
+                        // SAFETY: a stage byte into an accumulator byte,
+                        // inside both spans.
+                        unsafe {
+                            let acc = to.at.add(LEN + i);
+                            *acc = (*acc).wrapping_add(*from.at.add(i));
+                        }
                         if i % 256 == 0 {
                             std::thread::sleep(Duration::from_micros(200));
                         }
                     }
                 };
-                match rank {
-                    0 => {
-                        /// The stage, overwritten when it drops.
-                        struct Stage<'a>(&'a Span);
-                        impl Drop for Stage<'_> {
-                            fn drop(&mut self) {
-                                // SAFETY: the rank's own span.
-                                unsafe { std::ptr::write_bytes(self.0.at, 0xFF, self.0.len) };
-                            }
-                        }
-                        let _stage = Stage(&span);
-                        let _held = SettleHeld(comm, &span);
-                        // SAFETY: as in `phase`; the offer's span stays
-                        // unwritten until `_held` has settled it.
-                        let sends = std::iter::once((2, 5, 0));
-                        unsafe { comm.rendezvous(&span, sends, &[], false, true, copy) }.unwrap();
-                        while !folding.load(Ordering::Acquire) {
-                            std::hint::spin_loop();
-                        }
-                        panic!("sender gives up with a held offer");
+                let (sends, recvs): (&[usize], &[usize]) = match rank {
+                    0 => (&[2], &[1]),
+                    1 => (&[0], &[]),
+                    2 => (&[], &[0]),
+                    _ => (&[], &[]),
+                };
+                let specs: Vec<RecvSpec> =
+                    recvs.iter().map(|&r| RecvSpec::from_rank(r, 5)).collect();
+                let sends = sends.iter().map(|&d| (d, 5, 0));
+                /// The stage, overwritten when it drops.
+                struct Stage<'a>(&'a Span);
+                impl Drop for Stage<'_> {
+                    fn drop(&mut self) {
+                        // SAFETY: the rank's own stage.
+                        unsafe { std::ptr::write_bytes(self.0.at, 0xFF, LEN) };
                     }
-                    2 => {
-                        let specs = [RecvSpec::from_rank(0, 5)];
-                        let none = std::iter::empty();
-                        // SAFETY: as in `phase`: rank 2 alone folds into
-                        // its span.
-                        let got =
-                            unsafe { comm.rendezvous(&span, none, &specs, true, false, copy) };
-                        let _ = got;
-                    }
-                    _ => {}
                 }
+                let _stage = Stage(&span);
+                // SAFETY: as in `phase`: every rank passes its own span and
+                // this copy, and a fold reads only stages and writes only
+                // its own rank's accumulator.
+                let got = unsafe { comm.rendezvous(&span, sends, &specs, true, copy) };
+                let _ = got;
                 let _ = comm.barrier();
             })
         }))
@@ -342,18 +334,61 @@ fn a_sender_that_panics_while_its_held_offer_is_folded_waits_the_fold_out() {
     let payload = out.unwrap_err();
     assert_eq!(
         payload.downcast_ref::<&str>(),
-        Some(&"sender gives up with a held offer")
+        Some(&"sender gives up mid-fold")
     );
     let rank2 = &bufs[2];
     assert!(
         rank2[..GUARD]
             .iter()
-            .chain(&rank2[GUARD + LEN..])
+            .chain(&rank2[GUARD + 2 * LEN..])
             .all(|&b| b == POISON),
         "a fold wrote outside the posted span"
     );
     assert!(
-        rank2[GUARD..GUARD + LEN].iter().all(|&b| b == 8),
+        rank2[GUARD + LEN..GUARD + 2 * LEN].iter().all(|&b| b == 8),
         "the fold read a stage its sender had let go"
     );
+}
+
+/// A pulling owner whose source offers late sleeps in the pull, not in
+/// the wait after it, and that sleep counts as a receive park. Ranks 0
+/// and 1 are on workers of their own; rank 1 offers 50 ms late.
+#[test]
+fn a_pull_that_sleeps_for_its_offer_counts_a_park() {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        eprintln!("skipped: needs two workers");
+        return;
+    }
+    let out = watchdog(Duration::from_secs(60), || {
+        Universe::builder(2).run(|comm| {
+            let rank = comm.rank();
+            let mut buf = vec![1u8 + rank as u8; 16];
+            let at = Span {
+                at: buf.as_mut_ptr(),
+                len: buf.len(),
+            };
+            let (sends, specs) = match rank {
+                0 => (None, vec![RecvSpec::from_rank(1, 7)]),
+                _ => (Some((0, 7, 0)), vec![]),
+            };
+            if rank == 1 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            let fold = |_, from: &Span, to: &Span| {
+                for i in 0..8 {
+                    // SAFETY: inside both spans.
+                    unsafe { *to.at.add(8 + i) += *from.at.add(i) };
+                }
+            };
+            let before = comm.obs().snapshot().recv_parks;
+            // SAFETY: as in `phase`: rank 0 alone folds, out of rank 1's
+            // first 8 bytes into its own last 8.
+            unsafe { comm.rendezvous(&at, sends.into_iter(), &specs, true, fold) }.unwrap();
+            let parked = comm.obs().snapshot().recv_parks - before;
+            (parked, buf)
+        })
+    });
+    let (parked, buf) = &out[0];
+    assert_eq!(buf[8..], [3; 8], "rank 0 folded rank 1's bytes");
+    assert!(*parked > 0, "rank 0 slept for the offer without a park");
 }
