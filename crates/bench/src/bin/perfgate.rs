@@ -15,7 +15,9 @@
 //! `perfgate --check` re-measures the kernels in-process, reads a fresh
 //! cartprof profile, and prints both against the committed baselines,
 //! then times schedule construction at two stencil sizes (Prop. 3.1's
-//! "computable in O(td)" as a ratio, bounded by a constant).
+//! "computable in O(td)" as a ratio, bounded by a constant) and the
+//! compile of the `halo3d_w` shape at two tile sizes (a compile that
+//! works per run, not per element, as a ratio bounded by a constant).
 //! What decides the exit status is only what a shared 2-core box holds
 //! steady: ratios of two things timed in adjacent windows of one process
 //! ([`time_ratio`]) against fixed floors and ceilings. Absolute times are
@@ -40,10 +42,13 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
+use cartcomm::ops::{w_layouts, WBlock};
 use cartcomm::schedule::{allgather_plan, allreduce_plan, alltoall_plan};
+use cartcomm::{PlanKind, Program};
 use cartcomm_comm::obs::json::{self, JsonWriter, Value};
-use cartcomm_topo::RelNeighborhood;
+use cartcomm_topo::{CartTopology, RelNeighborhood};
 use cartcomm_types::kernel::{self, PackSpan, SpanRun, Stretch};
+use cartcomm_types::Datatype;
 
 // ---------------------------------------------------------------------------
 // Thresholds. Every ratio is the median over pairs of adjacent windows,
@@ -88,6 +93,11 @@ const IRREGULAR_FLOOR: f64 = 0.95;
 /// as a ratio in one process. A construction that went quadratic in t
 /// would read 64.
 const SCHEDULE_TD_CEILING: f64 = 2.0;
+/// Ceiling on `Program::compile` of the `halo3d_w` shape — 26 `subarray`
+/// blocks each way of an (N + 2)³ f64 tile — at N = 128 over N = 32. An
+/// x-face is N² lone elements, N runs of N: a compile that works per
+/// element reads ≈ 16, one that works per run ≈ 4.
+const COMPILE_SCALING_CEILING: f64 = 8.0;
 
 // ---------------------------------------------------------------------------
 // Measurement: one estimator, a plain wall-clock loop.
@@ -411,8 +421,52 @@ fn measure_schedules() -> Vec<ScheduleCase> {
     ]
 }
 
-/// The kernel baseline. The Prop. 3.1 rows are bounded by a constant and
-/// need no baseline, so they are not in it.
+/// The `halo3d_w` shape at interior edge `n`: the combining alltoall of
+/// the 3-D Moore neighborhood on a 2×2×2 torus over 26 `subarray` blocks
+/// each way — block `o` leaves from the interior layer facing `+o` and
+/// arrives in the ghost layer on the `−o` side — compiled for rank 0.
+fn compile_halo(n: usize) -> impl FnMut() {
+    let w = n + 2;
+    let topo = CartTopology::torus(&[2, 2, 2]).expect("valid torus");
+    let nb = RelNeighborhood::moore(3, 1).expect("valid stencil");
+    let face = |sub: &[usize; 3], starts: &[usize; 3]| {
+        let ty = Datatype::subarray(&[w; 3], sub, starts, &Datatype::double());
+        WBlock::new(0, 1, &ty.expect("subarray inside the tile"))
+    };
+    let (send, recv): (Vec<WBlock>, Vec<WBlock>) = nb
+        .offsets()
+        .iter()
+        .map(|o| {
+            let (mut sub, mut from, mut into) = ([n; 3], [1; 3], [1; 3]);
+            for k in 0..3 {
+                if o[k] != 0 {
+                    sub[k] = 1;
+                    from[k] = if o[k] > 0 { n } else { 1 };
+                    into[k] = if o[k] > 0 { 0 } else { n + 1 };
+                }
+            }
+            (face(&sub, &from), face(&sub, &into))
+        })
+        .unzip();
+    let plan = alltoall_plan(&nb);
+    let lay = w_layouts(&send, &recv, PlanKind::Alltoall).expect("halo layouts");
+    let temp = lay.block_bytes.clone();
+    let lay = lay.with_temp_sizes(temp);
+    move || {
+        let program = Program::compile(&topo, 0, &plan, &lay, 0);
+        drop(black_box(program.expect("the halo shape compiles")));
+    }
+}
+
+/// `Program::compile` of the `halo3d_w` shape at N = 32 (ms), and at
+/// N = 128 as a multiple of it.
+fn measure_compile_scaling() -> (f64, f64) {
+    let (small_ns, ratio) = time_ratio(compile_halo(32), compile_halo(128), 1, 15);
+    (small_ns / 1e6, ratio)
+}
+
+/// The kernel baseline. The Prop. 3.1 rows and the compile's scaling are
+/// bounded by a constant and need no baseline, so they are not in it.
 fn kernels_json(cases: &[KernelCase]) -> String {
     let mut w = JsonWriter::new();
     w.obj().key("schema").str("perfgate-kernels-v1");
@@ -575,6 +629,7 @@ fn check(profile_path: &str, baseline_path: &str, kernels_path: &str) -> Result<
     println!("perfgate: measuring pack kernels and schedule construction in-process ...");
     let kfresh = measure_kernels();
     let schedules = measure_schedules();
+    let (_, compile_scaling) = measure_compile_scaling();
 
     println!();
     println!(
@@ -603,6 +658,12 @@ fn check(profile_path: &str, baseline_path: &str, kernels_path: &str) -> Result<
         let what = format!("schedule_td[{}]", s.name);
         gate.bound(&what, s.ratio, SCHEDULE_TD_CEILING, "ceiling");
     }
+    gate.bound(
+        "compile_scaling[halo]",
+        compile_scaling,
+        COMPILE_SCALING_CEILING,
+        "ceiling",
+    );
 
     println!();
     if gate.failures.is_empty() {
@@ -634,6 +695,11 @@ fn bless(kernels_path: &str) -> Result<bool, String> {
             s.ratio,
         );
     }
+    let (small_ms, ratio) = measure_compile_scaling();
+    println!(
+        "  {:<32} {:>8.3} ms    {:>6.2}x at N = 128 (ceiling {COMPILE_SCALING_CEILING:.2})",
+        "compile_scaling[halo]", small_ms, ratio,
+    );
     std::fs::write(kernels_path, kernels_json(&cases))
         .map_err(|e| format!("cannot write {kernels_path}: {e}"))?;
     println!("perfgate: wrote {kernels_path}");

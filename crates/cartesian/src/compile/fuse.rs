@@ -1,7 +1,7 @@
 //! The fused form: a round's gather composed with its scatter — and a
 //! local copy's source with its destination — into one copy program.
 
-use cartcomm_types::kernel::{CopyRun, PackSpan};
+use cartcomm_types::kernel::{CopyRun, PackSpan, SpanRun};
 
 use super::program::{BufId, CompiledPhase, Half};
 
@@ -43,21 +43,27 @@ pub(crate) struct FusedPhase {
 /// stage gets its stage at `stage_len` in the executor's stages, which
 /// grow by it.
 pub(super) fn fuse_phase(phase: &CompiledPhase, stage_len: &mut usize) -> FusedPhase {
-    fn spans(half: &Option<Half>) -> impl Iterator<Item = (BufId, bool, PackSpan)> + '_ {
+    fn runs(half: &Option<Half>) -> impl Iterator<Item = (BufId, bool, SpanRun)> + '_ {
+        half.iter()
+            .flat_map(Half::runs)
+            .map(|(b, run)| (b.buf, b.acc, run))
+    }
+    fn spans(half: &Option<Half>) -> impl Iterator<Item = (BufId, PackSpan)> + '_ {
         half.iter()
             .flat_map(Half::spans)
-            .map(|(b, span)| (b.buf, b.acc, span))
+            .map(|(b, span)| (b.buf, span))
     }
     let pulls = phase.apart.pulls;
+    let staging = pulls && !phase.apart.split;
     let sends = || phase.rounds.iter().flat_map(|r| spans(&r.send));
     // The stage: every `Recv` and `Temp` range the sends read, joined
     // where they touch, back to back from `stage_len`.
     let mut staged: Vec<(BufId, usize, usize)> = Vec::new();
-    if pulls && !phase.apart.split {
+    if staging {
         staged.extend(
             sends()
                 .filter(|s| s.0 != BufId::Send)
-                .map(|(b, _, (o, n))| (b, o, o + n)),
+                .map(|(b, (o, n))| (b, o, o + n)),
         );
         staged.sort_unstable_by_key(|&(b, o, _)| (b as usize, o));
         staged.dedup_by(|next, kept| {
@@ -87,23 +93,89 @@ pub(super) fn fuse_phase(phase: &CompiledPhase, stage_len: &mut usize) -> FusedP
         *stage_len += hi - lo;
     }
     // A staged range reads the stage instead.
-    let read = |(buf, _, (off, len)): (BufId, bool, PackSpan)| {
+    let read = |(buf, (off, len)): (BufId, PackSpan)| {
         let at = staged.iter().zip(&stage);
-        match at
+        let (buf, off) = match at
             .into_iter()
             .find(|((b, lo, hi), _)| *b == buf && (*lo..*hi).contains(&off))
         {
-            Some(((_, lo, _), f)) => (BufId::Stage, false, (f.run.dst + off - lo, len)),
-            None => (buf, false, (off, len)),
-        }
+            Some(((_, lo, _), f)) => (BufId::Stage, f.run.dst + off - lo),
+            None => (buf, off),
+        };
+        let span = SpanRun {
+            off,
+            len,
+            stride: 0,
+            count: 1,
+        };
+        (buf, false, span)
     };
-    let rounds = phase.rounds.iter();
-    let rounds = rounds.map(|r| compose(spans(&r.send).map(read), spans(&r.recv)));
+    let rounds = phase.rounds.iter().map(|r| match staging {
+        // Sends laid against the stage span by span: only a folding phase
+        // that reads what it writes stages.
+        true => compose(spans(&r.send).map(read), runs(&r.recv)),
+        false => compose(runs(&r.send), runs(&r.recv)),
+    });
+    let rounds = rounds.collect();
     FusedPhase {
-        rounds: rounds.collect(),
+        rounds,
         meets: phase.apart.writes || pulls,
         pulls,
         stage,
+    }
+}
+
+/// Where one side of a composition stands: in run `run` of buffer `buf`,
+/// `cut` bytes into its range `k`.
+#[derive(Clone, Copy)]
+struct Cursor {
+    buf: BufId,
+    acc: bool,
+    run: SpanRun,
+    k: usize,
+    cut: usize,
+}
+
+impl Cursor {
+    /// The side's next instruction, skipping empty ones.
+    fn first(side: &mut impl Iterator<Item = (BufId, bool, SpanRun)>) -> Option<Cursor> {
+        let (buf, acc, run) = side.find(|(_, _, r)| r.len > 0 && r.count > 0)?;
+        Some(Cursor {
+            buf,
+            acc,
+            run,
+            k: 0,
+            cut: 0,
+        })
+    }
+
+    /// Where its next byte is.
+    fn off(&self) -> usize {
+        self.run.off + self.k * self.run.stride + self.cut
+    }
+
+    /// Move on by `ranges` ranges of its run where it `walks` them, else by
+    /// `bytes` within its range; at the end of its run, on to the side's
+    /// next instruction.
+    fn advance(
+        mut self,
+        walks: bool,
+        ranges: usize,
+        bytes: usize,
+        side: &mut impl Iterator<Item = (BufId, bool, SpanRun)>,
+    ) -> Option<Cursor> {
+        if walks {
+            self.k += ranges;
+        } else {
+            self.cut += bytes;
+            if self.cut == self.run.len {
+                (self.cut, self.k) = (0, self.k + 1);
+            }
+        }
+        match self.k == self.run.count {
+            true => Cursor::first(side),
+            false => Some(self),
+        }
     }
 }
 
@@ -112,28 +184,78 @@ pub(super) fn fuse_phase(phase: &CompiledPhase, stage_len: &mut usize) -> FusedP
 /// rounds and local copies alike: `(src, dst, len)` ranges cut wherever
 /// either side's range ends, byte-adjacent ones joined and equidistant
 /// ones of one length and write mode folded into runs ([`push_fused`]).
-/// A write that folds (`acc`) makes its ranges fold.
+/// A write that folds (`acc`) makes its ranges fold. Where one side
+/// stands at a whole range of a run and the other has at least as many
+/// bytes left in its range — whole ranges of one length, or a longer
+/// range cut at that length — a stretch of them is composed at once
+/// ([`push_fused_run`]); only where neither fits the other is a run cut
+/// range by range.
 pub(super) fn compose(
-    mut reads: impl Iterator<Item = (BufId, bool, PackSpan)>,
-    mut writes: impl Iterator<Item = (BufId, bool, PackSpan)>,
+    mut reads: impl Iterator<Item = (BufId, bool, SpanRun)>,
+    mut writes: impl Iterator<Item = (BufId, bool, SpanRun)>,
 ) -> Vec<FusedRun> {
     let mut fused: Vec<FusedRun> = Vec::new();
-    let (mut read, mut write) = (reads.next(), writes.next());
-    while let (Some((from, _, (s, s_len))), Some((to, acc, (d, d_len)))) = (read, write) {
-        let n = s_len.min(d_len);
-        if n > 0 {
-            push_fused(&mut fused, (from, to, acc), s, d, n);
-        }
-        read = match n < s_len {
-            true => Some((from, false, (s + n, s_len - n))),
-            false => reads.next(),
+    let (mut read, mut write) = (Cursor::first(&mut reads), Cursor::first(&mut writes));
+    while let (Some(r), Some(w)) = (read, write) {
+        let key = (r.buf, w.buf, w.acc);
+        let (r_len, w_len) = (r.run.len, w.run.len);
+        let (r_left, w_left) = (r_len - r.cut, w_len - w.cut);
+        let left = |c: &Cursor| c.run.count - c.k;
+        // Which sides walk whole ranges of their runs; the length of a
+        // range composed, and how many are.
+        let (walks, n, ranges) = match (r.cut, w.cut) {
+            (0, 0) if r_len == w_len => ((true, true), r_len, left(&r).min(left(&w))),
+            (0, _) if w_left >= r_len => ((true, false), r_len, left(&r).min(w_left / r_len)),
+            (_, 0) if r_left >= w_len => ((false, true), w_len, left(&w).min(r_left / w_len)),
+            _ => ((false, false), r_left.min(w_left), 1),
         };
-        write = match n < d_len {
-            true => Some((to, acc, (d + n, d_len - n))),
-            false => writes.next(),
-        };
+        // A side that cuts its range steps through it.
+        let step = |c: &Cursor, walks| if walks { c.run.stride } else { n };
+        let sides = ((r.off(), step(&r, walks.0)), (w.off(), step(&w, walks.1)));
+        push_fused_run(&mut fused, key, sides, n, ranges);
+        read = r.advance(walks.0, ranges, n * ranges, &mut reads);
+        write = w.advance(walks.1, ranges, n * ranges, &mut writes);
     }
     fused
+}
+
+/// [`push_fused`] of the `count` ranges `(s + k·s_stride, d + k·d_stride,
+/// n)`, in order: range by range until the program's last run ends with
+/// the range just pushed and would take every further one as its next —
+/// then all of them at once.
+fn push_fused_run(
+    fused: &mut Vec<FusedRun>,
+    key: (BufId, BufId, bool),
+    ((s, s_stride), (d, d_stride)): ((usize, usize), (usize, usize)),
+    n: usize,
+    count: usize,
+) {
+    for k in 0..count {
+        let (at_s, at_d) = (s + k * s_stride, d + k * d_stride);
+        push_fused(fused, key, at_s, at_d, n);
+        let rest = count - 1 - k;
+        let r = &mut fused.last_mut().expect("just pushed").run;
+        if rest == 0 || r.len != n {
+            continue;
+        }
+        // A lone range takes the next at these strides as its second
+        // (unless both sides touch, which joins them); a run at these
+        // strides ending here takes it as its next.
+        let fresh = r.count == 1 && (r.src, r.dst) == (at_s, at_d);
+        let touch = s_stride == n && d_stride == n;
+        let ends_here = r.count > 1
+            && (r.src_stride, r.dst_stride) == (s_stride, d_stride)
+            && r.src + (r.count - 1) * r.src_stride == at_s
+            && r.dst + (r.count - 1) * r.dst_stride == at_d;
+        if fresh && s_stride > 0 && d_stride > 0 && !touch {
+            (r.src_stride, r.dst_stride, r.count) = (s_stride, d_stride, 1 + rest);
+            return;
+        }
+        if ends_here {
+            r.count += rest;
+            return;
+        }
+    }
 }
 
 /// Append the range `(s, d, n)` from `src` to `dst` to a fused program:

@@ -3,52 +3,137 @@
 
 use std::iter::once;
 
-use cartcomm_types::kernel::{PackSpan, SpanRun};
+use cartcomm_types::kernel::SpanRun;
 
 use super::program::{BufId, CompiledPhase, CompiledRound, Half};
 
-/// A set of `(offset, len)` byte ranges answering "does this range touch
-/// any of them". Kept unsorted while ranges arrive; a query sorts and
-/// merges what came since the last one.
+/// A set of byte runs answering "does this run touch any of them". Kept
+/// unsorted while runs arrive; a query sorts what came since the last one.
 #[derive(Default)]
 struct Ranges {
-    /// Disjoint `(start, end)` in increasing order once `sorted`.
-    spans: Vec<(usize, usize)>,
+    /// By first byte once `sorted`.
+    runs: Vec<SpanRun>,
+    /// Once `sorted`: per [`BLOCK`] runs, the furthest any of them reaches,
+    /// and the furthest any of them or an earlier one reaches.
+    reach: Vec<(usize, usize)>,
     sorted: bool,
 }
 
+/// Runs a query skips at once where none of them reaches it: a run that
+/// spans a buffer — a `subarray` face across its slowest dimension —
+/// sorts early and reaches every later run, so no prefix alone prunes.
+const BLOCK: usize = 16;
+
 impl Ranges {
-    fn extend(&mut self, ranges: impl Iterator<Item = (usize, usize)>) {
-        let before = self.spans.len();
-        self.spans
-            .extend(ranges.filter(|r| r.1 > 0).map(|(o, n)| (o, o + n)));
-        self.sorted &= self.spans.len() == before;
+    fn extend(&mut self, runs: impl Iterator<Item = SpanRun>) {
+        let before = self.runs.len();
+        self.runs.extend(runs.filter(|r| r.len > 0 && r.count > 0));
+        self.sorted &= self.runs.len() == before;
     }
 
-    /// Whether no two of the ranges share a byte.
+    fn sort(&mut self) {
+        if self.sorted {
+            return;
+        }
+        self.runs.sort_unstable_by_key(|r| r.off);
+        let blocks = self
+            .runs
+            .chunks(BLOCK)
+            .map(|b| b.iter().map(end).max().unwrap_or(0));
+        self.reach.clear();
+        self.reach.extend(blocks.scan(0, |before, own| {
+            *before = own.max(*before);
+            Some((own, *before))
+        }));
+        self.sorted = true;
+    }
+
+    /// Whether one of the first `upto` runs shares a byte with `run`.
+    fn hits(&self, upto: usize, run: &SpanRun) -> bool {
+        // Only runs that start before `run` ends can, and only in blocks
+        // that reach past its start; below a block that no run up to it
+        // reaches past, none can.
+        let upto = upto.min(self.runs.partition_point(|r| r.off < end(run)));
+        let reaches = |reach: usize| reach > run.off;
+        let blocks = (0..upto.div_ceil(BLOCK)).rev();
+        let blocks = blocks.take_while(|&b| reaches(self.reach[b].1));
+        blocks.filter(|&b| reaches(self.reach[b].0)).any(|b| {
+            let held = &self.runs[b * BLOCK..upto.min((b + 1) * BLOCK)];
+            held.iter().any(|r| reaches(end(r)) && meet(r, run))
+        })
+    }
+
+    /// Whether no two of the runs' ranges share a byte.
     fn disjoint(&mut self) -> bool {
-        if !self.sorted {
-            self.spans.sort_unstable();
-        }
-        self.spans.windows(2).all(|w| w[0].1 <= w[1].0)
+        self.sort();
+        let own = |r: &SpanRun| r.count > 1 && r.stride < r.len;
+        (0..self.runs.len()).all(|i| !own(&self.runs[i]) && !self.hits(i, &self.runs[i]))
     }
 
-    fn overlaps(&mut self, off: usize, len: usize) -> bool {
-        if !self.sorted {
-            self.spans.sort_unstable();
-            self.spans.dedup_by(|next, kept| {
-                let joins = next.0 <= kept.1;
-                if joins {
-                    kept.1 = kept.1.max(next.1);
-                }
-                joins
-            });
-            self.sorted = true;
-        }
-        // The first range ending past `off` is the only candidate.
-        let i = self.spans.partition_point(|r| r.1 <= off);
-        len > 0 && self.spans.get(i).is_some_and(|r| r.0 < off + len)
+    fn overlaps(&mut self, run: SpanRun) -> bool {
+        self.sort();
+        run.len > 0 && run.count > 0 && self.hits(self.runs.len(), &run)
     }
+}
+
+/// One past the last byte of a run.
+fn end(r: &SpanRun) -> usize {
+    r.off + (r.count - 1) * r.stride + r.len
+}
+
+/// Whether two runs share a byte. Runs of one stride `s` — a lone span
+/// takes the other's — are `a + i·s` and `b + j·s` for `i < ca`, `j < cb`:
+/// ranges `i` and `j` meet iff `δ + t·s ∈ (−len_b, len_a)` for `δ = b − a`
+/// and `t = j − i`, and some `i`, `j` give `t` iff `1 − ca ≤ t ≤ cb − 1`.
+/// So the runs meet iff the integers `t` of the first interval and the
+/// second intersect: O(1). Runs of two strides expand, range by range,
+/// whichever has fewer ranges where their extents intersect, against the
+/// other.
+fn meet(a: &SpanRun, b: &SpanRun) -> bool {
+    let stride = match (a.count, b.count) {
+        (1, 1) => 0,
+        (1, _) => b.stride,
+        (_, 1) => a.stride,
+        _ if a.stride == b.stride => a.stride,
+        _ => {
+            let (lo, hi) = (a.off.max(b.off), end(a).min(end(b)));
+            if lo >= hi {
+                return false;
+            }
+            let (wa, wb) = (inside(a, lo, hi), inside(b, lo, hi));
+            let ((few, ks), many) = match wa.len() <= wb.len() {
+                true => ((a, wa), b),
+                false => ((b, wb), a),
+            };
+            return ks.into_iter().any(|k| {
+                let range = SpanRun {
+                    off: few.off + k * few.stride,
+                    count: 1,
+                    ..*few
+                };
+                meet(&range, many)
+            });
+        }
+    };
+    if stride == 0 {
+        return a.off < b.off + b.len && b.off < a.off + a.len;
+    }
+    let (s, delta) = (stride as i128, b.off as i128 - a.off as i128);
+    let (len_a, len_b) = (a.len as i128, b.len as i128);
+    // The least `t` with `δ + t·s > −len_b`, the greatest with `δ + t·s < len_a`.
+    let lo = (-len_b - delta).div_euclid(s) + 1;
+    let hi = -(delta - len_a).div_euclid(s) - 1;
+    lo.max(1 - a.count as i128) <= hi.min(b.count as i128 - 1)
+}
+
+/// The ranges of a run of more than one that reach into `[lo, hi)`.
+fn inside(r: &SpanRun, lo: usize, hi: usize) -> std::ops::Range<usize> {
+    let (off, s, len) = (r.off as i128, r.stride as i128, r.len as i128);
+    // Range `k` reaches in iff `off + k·s + len > lo` and `off + k·s < hi`.
+    let first = (lo as i128 - len - off).div_euclid(s) + 1;
+    let last = -(off - hi as i128).div_euclid(s);
+    let clamp = |k: i128| k.clamp(0, r.count as i128) as usize;
+    clamp(first)..clamp(last)
 }
 
 /// What one phase's receives leave apart. Every rank of a torus runs one
@@ -115,8 +200,8 @@ struct Walk {
 }
 
 impl Walk {
-    fn send_read(&mut self, (off, len): PackSpan) {
-        self.snapshot = self.snapshot || self.received.overlaps(off, len);
+    fn send_read(&mut self, run: SpanRun) {
+        self.snapshot = self.snapshot || self.received.overlaps(run);
     }
 
     /// One copy's `(direct_split, direct_in_place)`: whether no range it
@@ -129,19 +214,17 @@ impl Walk {
         reads: &[SpanRun],
         writes: &[SpanRun],
     ) -> (bool, bool) {
-        let spans = |runs: &[SpanRun]| runs.iter().flat_map(SpanRun::spans).collect::<Vec<_>>();
-        let (read, written) = (spans(reads), spans(writes));
         if src == BufId::Send {
-            read.iter().for_each(|&span| self.send_read(span));
+            reads.iter().for_each(|&run| self.send_read(run));
         }
         let one_buffer = src == dst || (src != BufId::Temp && dst != BufId::Temp);
         let mut own = Ranges::default();
         if one_buffer {
-            own.extend(written.iter().copied());
+            own.extend(writes.iter().copied());
         }
-        let aliases = one_buffer && read.iter().any(|&(s, n)| own.overlaps(s, n));
+        let aliases = one_buffer && reads.iter().any(|&run| own.overlaps(run));
         if dst == BufId::Recv {
-            self.received.extend(written.into_iter());
+            self.received.extend(writes.iter().copied());
         }
         (!(aliases && src == dst), !aliases)
     }
@@ -161,24 +244,24 @@ impl Walk {
         for r in rounds {
             let wires = r.send.as_ref().zip(r.recv.as_ref());
             paired &= wires.is_some_and(|(out, inc)| out.wire_len == inc.wire_len);
-            for (b, span) in r.send.iter().flat_map(Half::spans) {
+            for (b, run) in r.send.iter().flat_map(Half::runs) {
                 if b.buf == BufId::Send {
-                    self.send_read(span);
+                    self.send_read(run);
                 }
-                reads[b.buf as usize].extend(once(span));
+                reads[b.buf as usize].extend(once(run));
             }
         }
-        for (b, span) in rounds.iter().flat_map(|r| &r.recv).flat_map(Half::spans) {
+        for (b, run) in rounds.iter().flat_map(|r| &r.recv).flat_map(Half::runs) {
             paired &= b.buf != BufId::Send;
             folds |= b.acc;
             if b.buf == BufId::Recv {
-                apart.in_place &= !reads[BufId::Send as usize].overlaps(span.0, span.1);
-                self.received.extend(once(span));
+                apart.in_place &= !reads[BufId::Send as usize].overlaps(run);
+                self.received.extend(once(run));
             }
             if b.buf != BufId::Send {
-                apart.split &= !reads[b.buf as usize].overlaps(span.0, span.1);
+                apart.split &= !reads[b.buf as usize].overlaps(run);
             }
-            writes[b.buf as usize].extend(once(span));
+            writes[b.buf as usize].extend(once(run));
         }
         apart.writes = writes.iter_mut().all(Ranges::disjoint);
         apart.in_place &= apart.split;
@@ -197,6 +280,8 @@ mod tests {
     use crate::plan::{Plan, PlanKind};
     use crate::schedule::{alltoall_plan, trivial_plan};
     use cartcomm_topo::{CartTopology, RelNeighborhood};
+    use cartcomm_types::kernel::PackSpan;
+    use proptest::prelude::*;
 
     /// The in-place snapshot is taken exactly where a send reads what an
     /// earlier copy or phase received.
@@ -225,11 +310,64 @@ mod tests {
         assert!(!flagged(&plan(false), &[1, 0]));
 
         let mut r = Ranges::default();
-        assert!(!r.overlaps(0, 8));
-        r.extend([(8, 4), (0, 4), (10, 6), (20, 0)].into_iter());
-        assert!(r.overlaps(3, 1) && r.overlaps(0, 100) && r.overlaps(15, 1));
-        assert!(!r.overlaps(4, 4) && !r.overlaps(16, 8) && !r.overlaps(2, 0));
-        assert_eq!(r.spans, vec![(0, 4), (8, 16)]);
+        assert!(!r.overlaps(span((0, 8))));
+        r.extend([(8, 4), (0, 4), (10, 6), (20, 0)].map(span).into_iter());
+        assert!(
+            r.overlaps(span((3, 1))) && r.overlaps(span((0, 100))) && r.overlaps(span((15, 1)))
+        );
+        assert!(
+            !r.overlaps(span((4, 4))) && !r.overlaps(span((16, 8))) && !r.overlaps(span((2, 0)))
+        );
+        assert!(!r.disjoint(), "(8, 4) and (10, 6) share two bytes");
+        assert_eq!(r.runs.len(), 3, "the empty range is dropped");
+    }
+
+    /// The range `(off, len)` as a run of one.
+    fn span((off, len): PackSpan) -> SpanRun {
+        SpanRun {
+            off,
+            len,
+            stride: 0,
+            count: 1,
+        }
+    }
+
+    /// Runs of a few strides, some of one, lengths below and above them.
+    fn arb_run() -> impl Strategy<Value = SpanRun> {
+        (
+            0usize..64,
+            1usize..9,
+            prop_oneof![Just(0usize), 1usize..12],
+            1usize..7,
+        )
+            .prop_map(|(off, len, stride, count)| SpanRun {
+                off,
+                len,
+                stride: if count == 1 { 0 } else { stride.max(1) },
+                count,
+            })
+    }
+
+    proptest! {
+        /// The run-aware `overlaps` and `disjoint` answer what expanding
+        /// every run to its ranges answers.
+        #[test]
+        fn run_overlaps_agree_with_expanding_both_sides(
+            held in proptest::collection::vec(arb_run(), 0..6),
+            asked in arb_run(),
+        ) {
+            let spans = |r: &SpanRun| r.spans().collect::<Vec<_>>();
+            let all: Vec<PackSpan> = held.iter().flat_map(spans).collect();
+            let mut r = Ranges::default();
+            r.extend(held.iter().copied());
+            let hit = |a: &[PackSpan], b: &[PackSpan]| a.iter().any(|&x| b.iter().any(|&y| meet(x, y)));
+            prop_assert_eq!(r.overlaps(asked), hit(&spans(&asked), &all));
+            let apart = all.iter().enumerate().all(|(i, &a)| !hit(&[a], &all[i + 1..]));
+            prop_assert_eq!(r.disjoint(), apart);
+            for h in &held {
+                prop_assert_eq!(super::meet(h, &asked), hit(&spans(h), &spans(&asked)));
+            }
+        }
     }
 
     /// What a copy's direct flags were before they asked a [`Ranges`]: every

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use cartcomm_comm::{Comm, RecvSpec, Tag};
 use cartcomm_topo::{CartTopology, Offset};
-use cartcomm_types::kernel::{self, CopyRun, PackSpan, SpanRun, Stretch};
-use cartcomm_types::TypeError;
+use cartcomm_types::kernel::{CopyRun, PackSpan, SpanRun};
+use cartcomm_types::{Run, RunStream, TypeError};
 
 use super::fingerprint::fused_ident;
 use super::fuse::{compose, fuse_phase, FusedPhase};
@@ -60,104 +60,20 @@ pub(super) struct SpanBatch {
 
 /// A gather or scatter span program: [`SpanBatch`]es over two shared
 /// slabs, one of coalesced `(offset, len)` spans and one of strided runs.
-/// It is built span by span ([`SpanProgram::push`]) and then sealed
-/// ([`SpanProgram::seal`]), which folds its equidistant stretches into
-/// runs; a slab keeps its instructions contiguous in memory, so executing
-/// walks cache-linear with zero per-round allocation.
+/// It is built run by run ([`Unsealed::push`]) and then sealed
+/// ([`Unsealed::seal`]), which lays out the folded runs; a slab keeps its
+/// instructions contiguous in memory, so executing walks cache-linear with
+/// zero per-round allocation.
 #[derive(Debug, Default)]
 pub(super) struct SpanProgram {
     pub(super) batches: Vec<SpanBatch>,
     pub(super) spans: Vec<PackSpan>,
-    /// Empty until the program is sealed.
     pub(super) runs: Vec<SpanRun>,
-    /// Logical spans, counted when the program is sealed: what its
-    /// instructions expand to.
+    /// Logical spans: what its instructions expand to.
     pub(super) span_count: usize,
 }
 
 impl SpanProgram {
-    /// Append one span, coalescing with the previous span when it is
-    /// byte-adjacent in the same buffer (so a contiguous block — or
-    /// several laid out back to back — stays a single memcpy range) and
-    /// extending the current batch whenever the buffer and write mode are
-    /// unchanged. A mode flip (assign → accumulate) always starts a new
-    /// batch, so wide-copy batching applies to accumulate runs too without
-    /// ever mixing the two kernels.
-    fn push(&mut self, buf: BufId, off: usize, len: usize, acc: bool) {
-        debug_assert!(self.runs.is_empty(), "a sealed program takes no spans");
-        if let Some(b) = self.batches.last_mut() {
-            if b.buf == buf && b.acc == acc {
-                let last = &mut self.spans[b.start + b.count - 1];
-                if last.0 + last.1 == off {
-                    last.1 += len;
-                } else {
-                    self.spans.push((off, len));
-                    b.count += 1;
-                }
-                b.bytes += len;
-                return;
-            }
-        }
-        let start = self.spans.len();
-        self.spans.push((off, len));
-        self.batches.push(SpanBatch {
-            buf,
-            strided: false,
-            start,
-            count: 1,
-            bytes: len,
-            acc,
-        });
-    }
-
-    /// Cut every batch into homogeneous ones: each stretch
-    /// [`kernel::compress_spans`] folds becomes a run of a strided batch,
-    /// what lies between stays a plain batch over the span slab. The spans
-    /// the runs stand for are not kept.
-    fn seal(&mut self) {
-        let built = std::mem::take(&mut self.batches);
-        let spans = std::mem::take(&mut self.spans);
-        self.span_count = spans.len();
-        for b in built {
-            // Neighbors in `built` differ in buffer or mode, so a strided
-            // batch grows only by runs out of `b` itself.
-            let first = self.batches.len();
-            for piece in kernel::compress_spans(&spans[b.start..b.start + b.count]) {
-                match piece {
-                    Stretch::Spans(plain) => {
-                        self.batches.push(SpanBatch {
-                            start: self.spans.len(),
-                            count: plain.len(),
-                            bytes: kernel::spans_len(plain),
-                            ..b
-                        });
-                        self.spans.extend_from_slice(plain);
-                    }
-                    Stretch::Run(run) => {
-                        let bytes = run.len * run.count;
-                        match self.batches[first..].last_mut() {
-                            Some(last) if last.strided => {
-                                last.count += 1;
-                                last.bytes += bytes;
-                            }
-                            _ => self.batches.push(SpanBatch {
-                                strided: true,
-                                start: self.runs.len(),
-                                count: 1,
-                                bytes,
-                                ..b
-                            }),
-                        }
-                        self.runs.push(run);
-                    }
-                }
-            }
-        }
-        self.batches.shrink_to_fit();
-        self.spans.shrink_to_fit();
-        self.runs.shrink_to_fit();
-    }
-
     /// Total bytes the program moves.
     fn bytes(&self) -> usize {
         self.batches.iter().map(|b| b.bytes).sum()
@@ -168,17 +84,104 @@ impl SpanProgram {
         self.spans.len() + self.runs.len()
     }
 
-    /// The logical spans of a batch, runs expanded.
-    fn batch_spans(&self, b: &SpanBatch) -> impl Iterator<Item = PackSpan> + '_ {
+    /// The instructions of a batch, a span as a run of one.
+    fn batch_runs(&self, b: &SpanBatch) -> impl Iterator<Item = SpanRun> + '_ {
         let at = b.start..b.start + b.count;
         let (plain, runs) = match b.strided {
             false => (&self.spans[at], &[][..]),
             true => (&[][..], &self.runs[at]),
         };
-        plain
-            .iter()
-            .copied()
-            .chain(runs.iter().flat_map(SpanRun::spans))
+        let lone = |&(off, len): &PackSpan| SpanRun {
+            off,
+            len,
+            stride: 0,
+            count: 1,
+        };
+        plain.iter().map(lone).chain(runs.iter().copied())
+    }
+}
+
+/// A span program being built: the instructions pushed into it, one
+/// stream per stretch of one buffer and write mode.
+#[derive(Default)]
+struct Unsealed(Vec<(BufId, bool, RunStream)>);
+
+impl Unsealed {
+    /// Append one instruction. Its spans join the stream's last span where
+    /// they are byte-adjacent in the same buffer (so a contiguous block —
+    /// or several laid out back to back — stays a single memcpy range), and
+    /// the stream goes on whenever the buffer and write mode are unchanged.
+    /// A mode flip (assign → accumulate) always starts a new stream, so
+    /// wide-copy batching applies to accumulate runs too without ever
+    /// mixing the two kernels.
+    fn push(&mut self, buf: BufId, run: SpanRun, acc: bool) {
+        if run.len == 0 || run.count == 0 {
+            return;
+        }
+        if !matches!(self.0.last(), Some(&(b, a, _)) if (b, a) == (buf, acc)) {
+            self.0.push((buf, acc, RunStream::default()));
+        }
+        let stream = &mut self.0.last_mut().expect("just pushed").2;
+        stream.push(Run {
+            offset: run.off as i64,
+            len: run.len,
+            stride: run.stride as i64,
+            count: run.count,
+        });
+    }
+
+    /// Total bytes pushed.
+    fn bytes(&self) -> usize {
+        self.0.iter().map(|(_, _, s)| s.bytes()).sum()
+    }
+
+    /// Cut every stream into homogeneous batches: each stretch its fold
+    /// ([`RunStream::fold`]) makes a run goes into a strided batch over
+    /// the run slab, what lies between into a plain batch over the span
+    /// slab.
+    fn seal(self) -> SpanProgram {
+        let mut prog = SpanProgram::default();
+        for (buf, acc, stream) in self.0 {
+            prog.span_count += stream.span_count();
+            // Neighboring streams differ in buffer or mode, so a batch
+            // grows only by instructions of its own stream.
+            let first = prog.batches.len();
+            for r in stream.fold() {
+                let strided = r.count > 1;
+                let (start, bytes) = match strided {
+                    false => (prog.spans.len(), r.len),
+                    true => (prog.runs.len(), r.len * r.count),
+                };
+                match prog.batches[first..].last_mut() {
+                    Some(last) if last.strided == strided => {
+                        last.count += 1;
+                        last.bytes += bytes;
+                    }
+                    _ => prog.batches.push(SpanBatch {
+                        buf,
+                        strided,
+                        start,
+                        count: 1,
+                        bytes,
+                        acc,
+                    }),
+                }
+                let off = r.offset as usize;
+                match strided {
+                    false => prog.spans.push((off, r.len)),
+                    true => prog.runs.push(SpanRun {
+                        off,
+                        len: r.len,
+                        stride: r.stride as usize,
+                        count: r.count,
+                    }),
+                }
+            }
+        }
+        prog.batches.shrink_to_fit();
+        prog.spans.shrink_to_fit();
+        prog.runs.shrink_to_fit();
+        prog
     }
 }
 
@@ -234,13 +237,20 @@ pub(crate) struct Half {
 }
 
 impl Half {
-    /// Every logical span of the program — runs expanded, so the stream is
-    /// the one the program was built from — with the batch it runs in.
-    pub(super) fn spans(&self) -> impl Iterator<Item = (&SpanBatch, PackSpan)> {
+    /// Every instruction of the program, a span as a run of one, with the
+    /// batch it runs in.
+    pub(super) fn runs(&self) -> impl Iterator<Item = (&SpanBatch, SpanRun)> {
         let prog = &self.prog;
         prog.batches
             .iter()
-            .flat_map(move |b| prog.batch_spans(b).map(move |s| (b, s)))
+            .flat_map(move |b| prog.batch_runs(b).map(move |r| (b, r)))
+    }
+
+    /// Every logical span of the program — runs expanded, so the stream is
+    /// the one the program was built from — with the batch it runs in.
+    pub(super) fn spans(&self) -> impl Iterator<Item = (&SpanBatch, PackSpan)> {
+        self.runs()
+            .flat_map(|(b, r)| r.spans().map(move |span| (b, span)))
     }
 }
 
@@ -398,8 +408,8 @@ impl Program {
             for round in &phase.rounds {
                 let tag = tag_base + round_idx as Tag;
 
-                let mut gather = SpanProgram::default();
-                let mut scatter = SpanProgram::default();
+                let mut gather = Unsealed::default();
+                let mut scatter = Unsealed::default();
                 // Blocks a rank sends / receives in the round.
                 let (mut departing, mut arriving) = (0usize, 0usize);
                 for (j, &serves) in round.serves.iter().enumerate() {
@@ -427,9 +437,9 @@ impl Program {
                         "scatter program consumes exactly the wire"
                     );
                 }
-                let half = |blocks: usize, mut prog: SpanProgram| {
+                let half = |blocks: usize, prog: Unsealed| {
                     (blocks > 0).then(|| {
-                        prog.seal();
+                        let prog = prog.seal();
                         Half {
                             wire_len: prog.bytes(),
                             prog,
@@ -455,31 +465,29 @@ impl Program {
         Ok(cp)
     }
 
-    /// Resolve a block reference to absolute spans and append them to a
-    /// span program, coalescing ranges adjacent in both buffer and wire
-    /// order (so a contiguous block — or several contiguous blocks laid out
-    /// back to back — becomes a single memcpy). Returns the block's bytes.
+    /// Resolve a block reference to absolute instructions and append them
+    /// to a span program, coalescing ranges adjacent in both buffer and
+    /// wire order (so a contiguous block — or several contiguous blocks
+    /// laid out back to back — becomes a single memcpy). Returns the
+    /// block's bytes.
     fn push_block(
         &mut self,
         lay: &ExecLayouts,
         br: BlockRef,
-        prog: &mut SpanProgram,
+        prog: &mut Unsealed,
         acc: bool,
     ) -> CartResult<usize> {
-        let (buf, spans) = resolve_block(lay, br)?;
+        let (buf, runs) = resolve_block(lay, br)?;
         let mut total = 0usize;
-        for (off, len) in spans {
-            if len == 0 {
-                continue;
-            }
-            total += len;
-            self.note_extent(buf, off, len);
-            prog.push(buf, off, len, acc);
+        for run in runs.into_iter().filter(|r| r.len > 0) {
+            total += run.len * run.count;
+            self.note_run(buf, &run);
+            prog.push(buf, run, acc);
         }
         Ok(total)
     }
 
-    /// Compose a local copy's source spans against its destination spans
+    /// Compose a local copy's source runs against its destination runs
     /// into the instructions of a fused round ([`compose`]); when they may
     /// run directly (no staging) is the hazard walk's to say.
     fn compile_copy(
@@ -491,7 +499,8 @@ impl Program {
     ) -> CartResult<CompiledCopy> {
         let (src_buf, src) = resolve_block(lay, from)?;
         let (dst_buf, dst) = resolve_block(lay, to)?;
-        let (src_total, dst_total) = (kernel::spans_len(&src), kernel::spans_len(&dst));
+        let bytes = |runs: &[SpanRun]| runs.iter().map(|r| r.len * r.count).sum::<usize>();
+        let (src_total, dst_total) = (bytes(&src), bytes(&dst));
         if src_total != dst_total {
             return Err(CartError::BlockSizeMismatch {
                 block: to.slot,
@@ -500,16 +509,14 @@ impl Program {
             });
         }
         self.max_copy_bytes = self.max_copy_bytes.max(src_total);
-        let reads = src.iter().map(|&span| (src_buf, false, span));
-        let fused = compose(reads, dst.iter().map(|&span| (dst_buf, false, span)));
+        let reads = src.iter().map(|&run| (src_buf, false, run));
+        let fused = compose(reads, dst.iter().map(|&run| (dst_buf, false, run)));
         let runs: Vec<CopyRun> = fused.into_iter().map(|f| f.run).collect();
-        for r in &runs {
-            // A run's last range ends furthest out.
-            let last = r.count - 1;
-            self.note_extent(src_buf, r.src + last * r.src_stride, r.len);
-            self.note_extent(dst_buf, r.dst + last * r.dst_stride, r.len);
+        let (reads, writes): (Vec<SpanRun>, Vec<SpanRun>) = runs.iter().map(CopyRun::sides).unzip();
+        for (r, w) in reads.iter().zip(&writes) {
+            self.note_run(src_buf, r);
+            self.note_run(dst_buf, w);
         }
-        let (reads, writes) = runs.iter().map(CopyRun::sides).unzip();
         Ok(CompiledCopy {
             src: src_buf,
             dst: dst_buf,
@@ -522,8 +529,10 @@ impl Program {
         })
     }
 
-    /// Record the minimum user-buffer length a span implies.
-    fn note_extent(&mut self, buf: BufId, off: usize, len: usize) {
+    /// Record the minimum user-buffer length a run implies: where its last
+    /// range, the one that ends furthest out, ends.
+    fn note_run(&mut self, buf: BufId, run: &SpanRun) {
+        let (off, len) = (run.off + (run.count - 1) * run.stride, run.len);
         match buf {
             BufId::Send => self.send_min_len = self.send_min_len.max(off + len),
             BufId::Recv => self.recv_min_len = self.recv_min_len.max(off + len),
@@ -563,23 +572,27 @@ impl Program {
     /// Exact wire size of every message a rank sends, in execution
     /// order — the capacities to pre-warm a wire pool with.
     pub fn wire_capacities(&self) -> Vec<usize> {
-        self.capacities(false)
+        self.capacities(false, false)
     }
 
-    /// [`Program::wire_capacities`] of the rounds that take a wire on
-    /// `comm`'s fabric: all of them, but for the phases that meet where
-    /// the fabric can rendezvous (see [`execute`](super::execute)).
+    /// The wires a rank takes from its pool on `comm`'s fabric. In process
+    /// ([`Comm::can_rendezvous`]) those are the sends of every phase that
+    /// does not meet (see [`execute`](super::execute)); a deposited wire
+    /// crosses to its receiver as it is. Across processes (shm, uds, tcp)
+    /// every phase deposits, and every received payload is decoded into a
+    /// wire from the receiver's pool too (`transport::wire::decode_from`).
     pub(crate) fn deposit_capacities(&self, comm: &Comm) -> Vec<usize> {
-        self.capacities(comm.can_rendezvous())
+        let in_process = comm.can_rendezvous();
+        self.capacities(in_process, !in_process)
     }
 
-    /// The wire sizes of every phase, or of every phase that does not meet.
-    fn capacities(&self, rendezvous: bool) -> Vec<usize> {
+    /// The send wire sizes of every phase, or of every phase that does not
+    /// meet, each round's receive wire after its send where `decoded`.
+    fn capacities(&self, rendezvous: bool, decoded: bool) -> Vec<usize> {
         let phases = self.phases.iter().filter(|p| p.met(rendezvous).is_none());
         let rounds = phases.flat_map(|p| &p.rounds);
-        rounds
-            .filter_map(|r| Some(r.send.as_ref()?.wire_len))
-            .collect()
+        let halves = rounds.flat_map(|r| [&r.send, if decoded { &r.recv } else { &None }]);
+        halves.flatten().map(|h| h.wire_len).collect()
     }
 
     /// Number of local copies across all phases.
@@ -789,7 +802,7 @@ impl<'a> Boundary<'a> {
     }
 }
 
-fn resolve_block(lay: &ExecLayouts, br: BlockRef) -> CartResult<(BufId, Vec<(usize, usize)>)> {
+fn resolve_block(lay: &ExecLayouts, br: BlockRef) -> CartResult<(BufId, Vec<SpanRun>)> {
     Ok(match br.loc {
         Loc::Send => {
             let l = &lay.send[br.slot];
@@ -801,7 +814,12 @@ fn resolve_block(lay: &ExecLayouts, br: BlockRef) -> CartResult<(BufId, Vec<(usi
         }
         Loc::Temp => (
             BufId::Temp,
-            vec![(lay.temp_offsets[br.slot], lay.temp_sizes[br.slot])],
+            vec![SpanRun {
+                off: lay.temp_offsets[br.slot],
+                len: lay.temp_sizes[br.slot],
+                stride: 0,
+                count: 1,
+            }],
         ),
     })
 }

@@ -93,10 +93,11 @@ impl ExecLayouts {
     /// A fingerprint of the layouts (and intended plan kind) for the
     /// communicator's compiled-plan cache. Two independently seeded 64-bit
     /// FNV-1a hashes over the structural content — displacements, span
-    /// lists, block and temp sizing — make accidental collisions
+    /// lists as runs, block and temp sizing — make accidental collisions
     /// negligible. The walk is one linear pass per seed over flat arrays
-    /// (each block's committed span list is a contiguous `&[Span]`), with
-    /// no per-field hasher dispatch — cache-linear like the span slab and
+    /// (each block's committed runs are a contiguous `&[Run]`, and a span
+    /// list commits to one run list), with no per-field hasher dispatch —
+    /// cache-linear like the span slab and
     /// tree arena it keys.
     pub fn fingerprint(&self, kind: PlanKind) -> u128 {
         let lo = self.hash_with(kind, 0x9E37_79B9_7F4A_7C15);
@@ -111,8 +112,9 @@ impl ExecLayouts {
             h.words([group, blocks.len()]);
             for b in blocks {
                 h.words([b.disp as usize]);
-                h.words(b.ty.spans().iter().flat_map(|s| [s.offset as usize, s.len]));
-                h.u64(u64::MAX); // span-list terminator
+                let runs = b.ty.runs().iter();
+                h.words(runs.flat_map(|r| [r.offset as usize, r.len, r.stride as usize, r.count]));
+                h.u64(u64::MAX); // run-list terminator
             }
         }
         for sizes in [&self.block_bytes, &self.temp_sizes] {

@@ -270,6 +270,49 @@ fn persistent_reductions_steady_state_is_allocation_free() {
     }
 }
 
+/// The same steady state over shared memory, where every received payload
+/// is decoded into a wire from the receiver's pool as well: after one
+/// warm-up execute neither the sends nor the decodes miss the pool, on
+/// the torus and on the mesh.
+#[test]
+fn persistent_reductions_over_shm_never_miss_the_pool() {
+    use cartcomm_types::RedOp;
+    let nb = RelNeighborhood::moore(2, 1).unwrap();
+    let (t, m) = (nb.len(), 8usize);
+    for periodic in [true, false] {
+        let misses = Universe::builder(16)
+            .on(TransportKind::SharedMem)
+            .run(|comm| {
+                let cart = CartComm::create(comm, &[4, 4], &[periodic; 2], nb.clone()).unwrap();
+                let mut rs = cart
+                    .reduce_scatter_init::<i32>(RedOp::Sum, m, Algo::Combining)
+                    .unwrap();
+                let mut ar = cart
+                    .allreduce_init::<i32>(RedOp::Sum, m, Algo::Combining)
+                    .unwrap();
+                let rank = cart.rank();
+                let rs_send: Vec<i32> = (0..t * m).map(|x| (rank * 100 + x) as i32).collect();
+                let ar_send: Vec<i32> = (0..m).map(|e| (rank * 10 + e) as i32).collect();
+                let (mut rs_recv, mut ar_recv) = (vec![0i32; m], vec![0i32; m]);
+                let mut run = || {
+                    rs.execute_typed(&cart, &rs_send, &mut rs_recv).unwrap();
+                    ar.execute_typed(&cart, &ar_send, &mut ar_recv).unwrap();
+                };
+                run();
+                let (warm, pool) = (cart.comm().obs().snapshot(), cart.comm().pool_telemetry());
+                for _ in 0..STEADY_ITERS {
+                    run();
+                }
+                let sent = cart.comm().obs().metrics().delta_since(&warm).pool_misses;
+                (sent, cart.comm().pool_telemetry().misses - pool.misses)
+            });
+        for (rank, (sent, all)) in misses.into_iter().enumerate() {
+            assert_eq!(sent, 0, "periodic {periodic}, rank {rank}: a send missed");
+            assert_eq!(all, 0, "periodic {periodic}, rank {rank}: a decode missed");
+        }
+    }
+}
+
 /// The communicator-level plan cache: identical layouts compile once —
 /// per torus, not per rank — and are shared by persistent handles and
 /// one-shot collectives alike; different block sizes or collective kinds

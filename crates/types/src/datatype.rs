@@ -6,7 +6,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::error::{TypeError, TypeResult};
-use crate::flat::{FlatType, Span};
+use crate::flat::{FlatType, Run, RunStream, Span};
 use crate::primitive::Primitive;
 
 /// An immutable, cheaply clonable description of a (possibly non-contiguous)
@@ -574,6 +574,152 @@ impl Datatype {
         } else {
             for i in 0..count {
                 inner.flatten_into(base + ext * i as i64, out);
+            }
+        }
+    }
+
+    /// Append the spans of one instance of this type at `base` to `out`, a
+    /// run at a time: the spans of [`Datatype::spans`], which `out` then
+    /// coalesces. Where a type repeats something that is one span — a
+    /// `vector`'s or `hvector`'s block, a row of a `subarray`, a
+    /// `contiguous` repetition — the repetition goes in as one run;
+    /// anything else that repeats goes in once per repetition, a run at a
+    /// time.
+    pub(crate) fn push_runs(&self, base: i64, out: &mut RunStream) {
+        match &*self.0 {
+            Node::Primitive(p) => out.push(Run::span(base, p.size())),
+            Node::Contiguous { count, inner } => Self::push_block(base, *count, inner, out),
+            Node::Vector {
+                count,
+                blocklen,
+                stride,
+                inner,
+            } => {
+                let stride = stride * inner.extent();
+                Self::push_copies(base, *count, stride, out, &|at, out| {
+                    Self::push_block(at, *blocklen, inner, out)
+                })
+            }
+            Node::Hvector {
+                count,
+                blocklen,
+                stride_bytes,
+                inner,
+            } => Self::push_copies(base, *count, *stride_bytes, out, &|at, out| {
+                Self::push_block(at, *blocklen, inner, out)
+            }),
+            Node::Indexed { blocks, inner } => {
+                let ext = inner.extent();
+                for &(bl, d) in blocks {
+                    Self::push_block(base + d * ext, bl, inner, out);
+                }
+            }
+            Node::Hindexed { blocks, inner } => {
+                for &(bl, d) in blocks {
+                    Self::push_block(base + d, bl, inner, out);
+                }
+            }
+            Node::IndexedBlock {
+                blocklen,
+                displs,
+                inner,
+            } => {
+                let ext = inner.extent();
+                for &d in displs {
+                    Self::push_block(base + d * ext, *blocklen, inner, out);
+                }
+            }
+            Node::Struct { fields } => {
+                for f in fields {
+                    Self::push_block(base + f.disp, f.count, &f.ty, out);
+                }
+            }
+            Node::Resized { inner, .. } => inner.push_runs(base, out),
+            Node::Subarray {
+                sizes,
+                subsizes,
+                starts,
+                inner,
+            } => {
+                if subsizes.contains(&0) {
+                    return;
+                }
+                // Row-major: dimension `k` steps by the elements of the
+                // dimensions after it; the last is a row of the block.
+                let ext = inner.extent();
+                let d = sizes.len();
+                let mut steps = vec![ext; d];
+                for k in (0..d - 1).rev() {
+                    steps[k] = steps[k + 1] * sizes[k + 1] as i64;
+                }
+                let origin = (0..d).map(|k| starts[k] as i64 * steps[k]).sum::<i64>();
+                Self::push_rows(base + origin, 0, subsizes, &steps, inner, out);
+            }
+        }
+    }
+
+    /// The rows of a subarray from dimension `k` on, its corner at `base`.
+    fn push_rows(
+        base: i64,
+        k: usize,
+        subsizes: &[usize],
+        steps: &[i64],
+        inner: &Datatype,
+        out: &mut RunStream,
+    ) {
+        match k + 1 == subsizes.len() {
+            true => Self::push_block(base, subsizes[k], inner, out),
+            false => Self::push_copies(base, subsizes[k], steps[k], out, &|at, out| {
+                Self::push_rows(at, k + 1, subsizes, steps, inner, out)
+            }),
+        }
+    }
+
+    /// `count` instances of `inner` back to back from `base`: an MPI block.
+    fn push_block(base: i64, count: usize, inner: &Datatype, out: &mut RunStream) {
+        if count == 0 {
+            return;
+        }
+        if inner.is_dense() {
+            let len = inner.extent() as usize * count;
+            return out.push(Run::span(base + inner.lb(), len));
+        }
+        Self::push_copies(base, count, inner.extent(), out, &|at, out| {
+            inner.push_runs(at, out)
+        });
+    }
+
+    /// `count` copies of what `one` pushes at a base, the k-th at `base +
+    /// k · stride`: one run if a copy is one span, else each copy's runs.
+    fn push_copies(
+        base: i64,
+        count: usize,
+        stride: i64,
+        out: &mut RunStream,
+        one: &dyn Fn(i64, &mut RunStream),
+    ) {
+        if count <= 1 {
+            if count == 1 {
+                one(base, out);
+            }
+            return;
+        }
+        let mut first = RunStream::default();
+        one(0, &mut first);
+        if let Some(span) = first.as_span() {
+            return out.push(Run {
+                offset: base + span.offset,
+                len: span.len,
+                stride,
+                count,
+            });
+        }
+        if first.runs().is_empty() {
+            return;
+        }
+        for k in 0..count as i64 {
+            for r in first.runs() {
+                out.push(r.shifted(base + k * stride));
             }
         }
     }

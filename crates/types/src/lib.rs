@@ -11,15 +11,16 @@
 //!   MPI-like constructors (`contiguous`, `vector`, `hvector`, `indexed`,
 //!   `hindexed`, `indexed_block`, `structured`, `subarray`, `resized`),
 //! * [`FlatType`] — a *committed* datatype: its coalesced byte [`Span`]s in
-//!   type-map order, its size and its bounds, and nothing else,
+//!   type-map order, held as strided [`Run`]s, its size and its bounds, and
+//!   nothing else,
 //! * [`pack`] and [`kernel`] — single-copy gather/scatter between buffers
 //!   and wire representation, the zero-copy execution primitive of
 //!   Listing 5.
 //!
 //! The paper's `TypeApp` — appending one block per neighbor while a round
 //! is scheduled — builds no datatype here: the schedule compiler
-//! (`cartcomm`'s `compile/program.rs`, `SpanProgram::push`) appends each block's
-//! resolved spans to its span program directly.
+//! (`cartcomm`'s `compile/program.rs`, `Unsealed::push`) appends each block's
+//! resolved runs to its span program directly.
 //!
 //! All displacements are byte displacements relative to the start of the
 //! buffer passed at communication time (the analogue of `MPI_BOTTOM` +
@@ -36,7 +37,7 @@ pub mod redop;
 
 pub use datatype::Datatype;
 pub use error::{TypeError, TypeResult};
-pub use flat::{FlatType, Span};
+pub use flat::{FlatType, Run, RunStream, Span};
 pub use kernel::{accumulate_spans, gather_spans, scatter_spans, PackSpan};
 pub use pack::{gather, gather_append, scatter};
 pub use primitive::{cast_slice, cast_slice_mut, Pod, Primitive};

@@ -10,7 +10,7 @@
 //! used.
 
 use crate::error::{TypeError, TypeResult};
-use crate::flat::FlatType;
+use crate::flat::{FlatType, Run};
 
 /// Gather the bytes described by `(disp, ty)` out of `buf` into a fresh wire
 /// vector.
@@ -24,7 +24,7 @@ pub fn gather(buf: &[u8], disp: i64, ty: &FlatType) -> TypeResult<Vec<u8>> {
 /// blocks of several [`FlatType`]s into one wire message.
 pub fn gather_append(buf: &[u8], disp: i64, ty: &FlatType, out: &mut Vec<u8>) -> TypeResult<()> {
     ty.check_bounds(disp, buf.len())?;
-    for s in ty.spans() {
+    for s in ty.runs().iter().flat_map(Run::spans) {
         let start = (disp + s.offset) as usize;
         out.extend_from_slice(&buf[start..start + s.len]);
     }
@@ -42,7 +42,7 @@ pub fn scatter(wire: &[u8], buf: &mut [u8], disp: i64, ty: &FlatType) -> TypeRes
     }
     ty.check_bounds(disp, buf.len())?;
     let mut taken = 0usize;
-    for s in ty.spans() {
+    for s in ty.runs().iter().flat_map(Run::spans) {
         let start = (disp + s.offset) as usize;
         buf[start..start + s.len].copy_from_slice(&wire[taken..taken + s.len]);
         taken += s.len;
